@@ -66,6 +66,12 @@ fi
 # exactly 8 donor fetches (single-flight coalescing), race-clean at
 # GOMAXPROCS 1 and 4.
 go test -race -run '^TestFaultStormCoalesces$' -count=1 -cpu 1,4 ./internal/core/
+# Eviction-budget gate (host-independent counts): an eviction pass of k >= 2
+# victims runs exactly one collection and every victim's bytes are back when
+# its swap-out returns, sequential and Parallelism 4; a collection that
+# reclaims nothing allocates nothing.
+go test -run '^TestEvictionBudget$' -count=1 ./internal/core/
+go test -run '^TestCollectAllocatesNothingOnUnchangedHeap$' -count=1 ./internal/heap/
 # Fault-bench smoke: a pointer chase with the prefetcher on must serve at
 # least half its cluster boundaries from the prefetch inventory, with the
 # mean prefetch-hit crossing >= 10x cheaper than a demand fault

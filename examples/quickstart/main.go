@@ -71,12 +71,11 @@ func run() error {
 	}
 	fmt.Printf("built 10 notes: heap %d bytes used\n", sys.Heap().Used())
 
-	// Swap the cluster out and reclaim its memory.
+	// Swap the cluster out: its memory is back when SwapOut returns.
 	ev, err := sys.SwapOut(cluster)
 	if err != nil {
 		return err
 	}
-	sys.Collect()
 	fmt.Printf("swapped cluster %d to %q (%d bytes of XML): heap %d bytes used\n",
 		ev.Cluster, ev.Device, ev.Bytes, sys.Heap().Used())
 

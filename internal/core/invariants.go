@@ -15,9 +15,9 @@ import (
 //
 //  1. membership — every tracked object belongs to exactly one known
 //     cluster, and cluster member sets agree with the per-object index;
-//  2. residency — members of loaded clusters are resident unless awaiting
-//     collection; a swapped cluster's replacement-object is resident and
-//     none of its members are root-reachable;
+//  2. residency — a cluster is in exactly one place: a swapped cluster's
+//     replacement-object is resident and none of its members is (swap-out
+//     frees them at commit);
 //  3. proxy registry — every registered proxy is resident, is a
 //     swap-cluster-proxy, agrees with its registry key (source cluster and
 //     ultimate target), and at most one shared proxy exists per
@@ -69,7 +69,6 @@ func (m *Manager) CheckInvariants() []error {
 	}
 
 	// 2. Residency.
-	reach := h.ReachableFromRoots()
 	for cid, cs := range clusters {
 		if !cs.swapped {
 			continue
@@ -78,8 +77,8 @@ func (m *Manager) CheckInvariants() []error {
 			fail("swapped cluster %d lost its replacement-object @%d", cid, cs.replacement)
 		}
 		for oid := range cs.objects {
-			if reach[oid] {
-				fail("swapped cluster %d member @%d is root-reachable", cid, oid)
+			if h.Contains(oid) {
+				fail("swapped cluster %d member @%d is resident", cid, oid)
 			}
 		}
 	}

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -307,6 +310,12 @@ func (m *Manager) assign(id heap.ObjID, cluster ClusterID, class string) error {
 	if cs.swapped {
 		return fmt.Errorf("%w: cluster %d", ErrClusterSwapped, cluster)
 	}
+	if cs.busy {
+		// A swap-out in flight has already snapshotted the members it will
+		// ship and free; a late joiner would be left behind, resident, in a
+		// cluster recorded as swapped.
+		return fmt.Errorf("%w: cluster %d", ErrClusterBusy, cluster)
+	}
 	if prev, dup := m.objects[id]; dup {
 		return fmt.Errorf("core: object @%d already assigned to cluster %d", id, prev.cluster)
 	}
@@ -427,7 +436,10 @@ func (m *Manager) retargetProxy(pid heap.ObjID, newTarget heap.ObjID, newTargetC
 }
 
 // purgeProxy is the proxy finalizer: it removes all SwappingManager entries
-// referring to the reclaimed proxy, as the paper prescribes.
+// referring to the reclaimed proxy, as the paper prescribes. The inbound
+// index holding the proxy is found through its target's cluster, as
+// retargetProxy does; every index is searched only when the target is no
+// longer indexed there (its record died first, or it moved clusters).
 func (m *Manager) purgeProxy(pid heap.ObjID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -439,6 +451,12 @@ func (m *Manager) purgeProxy(pid heap.ObjID) {
 	delete(m.cursorProxies, pid)
 	if cur, live := m.proxies[key]; live && cur == pid {
 		delete(m.proxies, key)
+	}
+	if info, known := m.objects[key.target]; known {
+		if idx := m.inbound[info.cluster]; idx[pid] {
+			delete(idx, pid)
+			return
+		}
 	}
 	for _, idx := range m.inbound {
 		delete(idx, pid)
@@ -583,13 +601,21 @@ func (m *Manager) infoOf(cs *clusterState) ClusterInfo {
 		SwapIns:      cs.swapIns,
 	}
 	if !cs.swapped {
-		for id := range cs.objects {
-			if o, err := m.rt.h.Get(id); err == nil {
-				info.ResidentBytes += o.Size()
-			}
-		}
+		info.ResidentBytes = m.residentBytes(cs)
 	}
 	return info
+}
+
+// residentBytes sums the accounted sizes of a loaded cluster's resident
+// members; the caller holds the record's table-shard lock.
+func (m *Manager) residentBytes(cs *clusterState) int64 {
+	var n int64
+	for id := range cs.objects {
+		if o, err := m.rt.h.Get(id); err == nil {
+			n += o.Size()
+		}
+	}
+	return n
 }
 
 // VictimStrategy orders candidate clusters for eviction.
@@ -633,39 +659,56 @@ func VictimStrategyFromString(s string) (VictimStrategy, error) {
 	}
 }
 
-// SelectVictim picks the next loaded, non-empty, non-root cluster to swap out
-// under the given strategy. ok is false when no cluster is eligible.
+// SelectVictims returns every eligible eviction candidate — loaded, non-empty,
+// not busy, not the root cluster — ordered by the strategy, best victim
+// first, ties toward the lower cluster id. The ranking reads each record
+// under its table-shard lock and touches the heap only for VictimLargest,
+// the one strategy that needs resident sizes.
+func (m *Manager) SelectVictims(strategy VictimStrategy) []ClusterID {
+	type ranked struct {
+		id  ClusterID
+		key uint64 // ascending: the smaller key is the better victim
+	}
+	var eligible []ranked
+	for _, ts := range m.tabs {
+		ts.mu.Lock()
+		for id, cs := range ts.clusters {
+			if id == RootCluster || cs.swapped || cs.busy || len(cs.objects) == 0 {
+				continue
+			}
+			r := ranked{id: id}
+			switch strategy {
+			case VictimLargest:
+				r.key = math.MaxUint64 - uint64(m.residentBytes(cs))
+			case VictimLeastUsed:
+				r.key = cs.crossings
+			default: // VictimColdest
+				r.key = cs.lastAccess
+			}
+			eligible = append(eligible, r)
+		}
+		ts.mu.Unlock()
+	}
+	slices.SortFunc(eligible, func(a, b ranked) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	out := make([]ClusterID, len(eligible))
+	for i, r := range eligible {
+		out[i] = r.id
+	}
+	return out
+}
+
+// SelectVictim picks the next cluster to swap out under the given strategy:
+// the head of the SelectVictims ranking. ok is false when no cluster is
+// eligible.
 func (m *Manager) SelectVictim(strategy VictimStrategy) (ClusterID, bool) {
-	infos := m.InfoAll()
-	var best *ClusterInfo
-	better := func(a, b *ClusterInfo) bool {
-		switch strategy {
-		case VictimLargest:
-			if a.ResidentBytes != b.ResidentBytes {
-				return a.ResidentBytes > b.ResidentBytes
-			}
-		case VictimLeastUsed:
-			if a.Crossings != b.Crossings {
-				return a.Crossings < b.Crossings
-			}
-		default: // VictimColdest
-			if a.LastAccess != b.LastAccess {
-				return a.LastAccess < b.LastAccess
-			}
-		}
-		return a.ID < b.ID
-	}
-	for i := range infos {
-		info := &infos[i]
-		if info.ID == RootCluster || info.Swapped || info.Busy || info.Objects == 0 {
-			continue
-		}
-		if best == nil || better(info, best) {
-			best = info
-		}
-	}
-	if best == nil {
+	victims := m.SelectVictims(strategy)
+	if len(victims) == 0 {
 		return 0, false
 	}
-	return best.ID, true
+	return victims[0], true
 }

@@ -239,7 +239,7 @@ func (rt *Runtime) remediateCluster(id ClusterID) error {
 	for _, oid := range ids {
 		o, err := rt.h.Get(oid)
 		if err != nil {
-			continue // awaiting collection
+			continue // reclaimed as garbage; its record goes at the next compact
 		}
 		for i := 0; i < o.NumFields(); i++ {
 			v := o.Field(i)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -29,8 +30,8 @@ import (
 //     under a fresh key (outbound references encode as replacement slots);
 //  3. every inbound swap-cluster-proxy is patched to target the
 //     replacement-object;
-//  4. the cluster's objects, now unreachable from the application, await the
-//     local collector (call Runtime.Collect to reclaim immediately).
+//  4. the cluster's shipped objects, now unreachable from the application,
+//     are reclaimed on the spot: their bytes are back when SwapOut returns.
 //
 // The shipment is placed by the rendezvous planner: the payload goes to the
 // top K donors ranked by weighted HRW over the swap key (K = WithReplicas or
@@ -434,8 +435,15 @@ func (rt *Runtime) beginSwapOut(id ClusterID) ([]heap.ObjID, map[heap.ObjID]bool
 // rotates the delta anchor — it becomes the new base, the dirty set resets,
 // and the previous base (returned to the caller) is due for donor cleanup; a
 // delta shipment leaves base and dirty untouched, since dirty is tracked
-// relative to the base, not to the last delta. Caller holds the cluster's
-// shard lock.
+// relative to the base, not to the last delta.
+//
+// Once the record reads swapped, the shipped members (memberIDs — exactly the
+// objects that were encoded; nothing that joined later) are freed in one heap
+// critical section: every inbound proxy now targets the replacement-object
+// and no member is on the invocation stack, so they are garbage by
+// construction and a cluster is never in two places. Caller holds the
+// cluster's shard lock; the free takes the heap lock last (DESIGN §6) and
+// runs member finalizers after releasing it.
 func (rt *Runtime) commitSwapOut(id ClusterID, repl *heap.Object, devices []string, key string,
 	payloadBytes int, payloadCRC uint32, residentBytes int64, plan shipPlan,
 	memberIDs []heap.ObjID, slotTargets []heap.ObjID) (shipmentBase, error) {
@@ -483,6 +491,7 @@ func (rt *Runtime) commitSwapOut(id ClusterID, repl *heap.Object, devices []stri
 		cs.dirty = nil
 	}
 	ts.mu.Unlock()
+	rt.h.Free(memberIDs)
 	return oldBase, nil
 }
 
@@ -737,11 +746,11 @@ func (rt *Runtime) swapInDirect(id ClusterID, opts ...SwapOption) (ev SwapEvent,
 		}
 	}
 
-	// Phase 3 — exclusive on this cluster's shard: vacate stale identities,
-	// install, re-patch and publish, all in one critical section so no
-	// collection can run between installation (nursery-fresh objects) and the
-	// proxy patches that make them reachable — Collect's stop-the-world
-	// acquisition cannot slip in while this shard lock is held.
+	// Phase 3 — exclusive on this cluster's shard: install, re-patch and
+	// publish, all in one critical section so no collection can run between
+	// installation (nursery-fresh objects) and the proxy patches that make
+	// them reachable — Collect's stop-the-world acquisition cannot slip in
+	// while this shard lock is held.
 	span.Phase("install")
 	rt.lockShard(sh)
 	endMutate := rt.beginMutate(sh)
@@ -838,19 +847,19 @@ func (rt *Runtime) commitSwapIn(id ClusterID, cs *clusterState, repl *heap.Objec
 		}
 	}
 
-	// The detached objects are merely *eligible* for collection; if no GC
-	// cycle ran since the swap-out they are still resident (as garbage) and
-	// their identities must be vacated before reinstalling.
+	// A cluster is in exactly one place: swap-out freed every shipped member
+	// at commit, so a resident one means the bookkeeping was bypassed, and
+	// installing over it would silently discard whatever it holds.
 	ts := rt.mgr.tab(id)
 	ts.mu.Lock()
-	stale := make([]heap.ObjID, 0, len(cs.objects))
+	members := make(map[heap.ObjID]bool, len(cs.objects))
 	for oid := range cs.objects {
-		stale = append(stale, oid)
+		members[oid] = true
 	}
 	ts.mu.Unlock()
-	for _, oid := range stale {
+	for oid := range members {
 		if rt.h.Contains(oid) {
-			_ = rt.h.Remove(oid)
+			return 0, 0, fmt.Errorf("core: install cluster %d: member @%d of the swapped cluster is resident", id, oid)
 		}
 	}
 
@@ -859,10 +868,6 @@ func (rt *Runtime) commitSwapIn(id ClusterID, cs *clusterState, repl *heap.Objec
 	// prefetch install must not silence concurrent application writes to
 	// unrelated clusters (their delta dirty-marks and heat must keep
 	// flowing).
-	members := make(map[heap.ObjID]bool, len(stale))
-	for _, oid := range stale {
-		members[oid] = true
-	}
 	resumeObserver := rt.h.SuspendWriteObserverFor(func(oid heap.ObjID) bool {
 		return members[oid]
 	})
@@ -928,11 +933,11 @@ func (rt *Runtime) commitSwapIn(id ClusterID, cs *clusterState, repl *heap.Objec
 	return len(installed), payload, nil
 }
 
-// EvictColdest is a ready-made evictor: it first runs a collection (garbage
+// EvictColdest is a ready-made evictor: it first runs one collection (garbage
 // alone may satisfy the request — the cheap path a real VM tries first), then
 // swaps out eligible clusters in ascending recency order until need bytes
-// have been freed, reclaiming after each swap. Install it with SetEvictor, or
-// let the policy engine drive finer-grained decisions.
+// have been freed. Install it with SetEvictor, or let the policy engine drive
+// finer-grained decisions.
 func (rt *Runtime) EvictColdest(need int64) error {
 	return rt.EvictBy(VictimColdest, need)
 }
@@ -949,10 +954,10 @@ func (rt *Runtime) EvictorWith(o EvictOptions) func(need int64) error {
 	return func(need int64) error { return rt.EvictWith(o, need) }
 }
 
-// EvictBy frees at least need bytes: collect first, then swap out victims in
-// strategy order, reclaiming after each swap. Progress is measured against
-// actual heap occupancy, so middleware allocations made by the eviction
-// itself (replacement-objects, proxies) are accounted honestly.
+// EvictBy frees at least need bytes: collect once, then swap out victims in
+// strategy order. Progress is measured against actual heap occupancy, so
+// middleware allocations made by the eviction itself (replacement-objects,
+// proxies) are accounted honestly.
 func (rt *Runtime) EvictBy(strategy VictimStrategy, need int64) error {
 	return rt.EvictWith(EvictOptions{Strategy: strategy}, need)
 }
@@ -963,77 +968,103 @@ type EvictOptions struct {
 	Strategy VictimStrategy
 	// Parallelism > 1 swaps out up to that many victims concurrently per
 	// batch, overlapping cluster encoding with device shipment. 0 or 1 keeps
-	// the sequential one-victim-then-collect behavior.
+	// the sequential one-victim-at-a-time behavior.
 	Parallelism int
 }
 
-// EvictWith frees at least need bytes under the given options. Victims are
-// ranked once per pass and walked in order — skipping clusters that turn out
-// to be active, busy, emptied or already swapped — rather than re-ranking the
-// whole manager state after every single swap-out; a fresh ranking happens
-// only when the list is exhausted and the target is still unmet.
+// EvictWith frees at least need bytes under the given options. A pass costs
+// one collection plus O(victim) per swap-out: garbage is tried first, in a
+// single pressure collection that also burns the nursery grace of
+// pressureCycles ordinary cycles, and each victim's bytes are back the moment
+// its swap-out commits, so occupancy is re-read after every swap without
+// collecting again. Victims are ranked once and walked in order (see
+// SwapOutVictims); a fresh ranking happens only when the list is exhausted
+// and the target is still unmet.
 func (rt *Runtime) EvictWith(o EvictOptions, need int64) error {
 	if o.Strategy == 0 {
 		o.Strategy = VictimColdest
 	}
 	target := rt.h.Used() - need
-	// Collections age the nursery (host-reference grace); a couple of extra
-	// cycles can satisfy the request from garbage alone.
-	for i := 0; i < 3 && rt.h.Used() > target; i++ {
-		rt.Collect()
+	if rt.h.Used() > target {
+		rt.collect(pressureCycles)
+	}
+	unmet := func(int) int {
+		if rt.h.Used() <= target {
+			return 0
+		}
+		return math.MaxInt
 	}
 	for rt.h.Used() > target {
-		victims := rt.mgr.SelectVictims(o.Strategy)
-		if len(victims) == 0 {
-			return errors.New("core: nothing left to evict")
+		swapped, err := rt.SwapOutVictims(o.Strategy, o.Parallelism, unmet)
+		if err != nil {
+			return err
 		}
-		progressed := false
-		if o.Parallelism > 1 {
-			for start := 0; start < len(victims) && rt.h.Used() > target; start += o.Parallelism {
-				end := start + o.Parallelism
-				if end > len(victims) {
-					end = len(victims)
-				}
-				batch := victims[start:end]
-				releases := make([]func(), len(batch))
-				for i, v := range batch {
-					releases[i] = rt.beginShardEvict(v)
-				}
-				evs, err := rt.SwapOutMany(batch, o.Parallelism)
-				for _, release := range releases {
-					release()
-				}
-				if err != nil {
-					return err
-				}
-				if len(evs) > 0 {
-					progressed = true
-					rt.Collect()
-				}
-			}
-		} else {
-			for _, v := range victims {
-				release := rt.beginShardEvict(v)
-				_, err := rt.SwapOut(v)
-				release()
-				if err != nil {
-					if skippableVictimErr(err) {
-						continue // try the next victim
-					}
-					return err
-				}
-				progressed = true
-				rt.Collect()
-				if rt.h.Used() <= target {
-					break
-				}
-			}
-		}
-		if !progressed {
-			return errors.New("core: all eviction candidates are active")
+		if swapped == 0 {
+			return errors.New("core: no cluster left to evict (none loaded, or all active)")
 		}
 	}
 	return nil
+}
+
+// SwapOutVictims ranks the eligible clusters once under strategy and swaps
+// them out in that order — skipping clusters that turn out to be active,
+// busy, emptied or already swapped — for as long as more, called with the
+// number swapped so far, reports that further victims are wanted. It is the
+// one victim walk behind the evictor and the policy engine's swap-out
+// action. With parallelism > 1 the victims ship in batches of at most that
+// width (and never more than more asks for) through SwapOutMany. It returns
+// how many clusters were swapped out.
+func (rt *Runtime) SwapOutVictims(strategy VictimStrategy, parallelism int, more func(swapped int) int, opts ...SwapOption) (int, error) {
+	if parallelism < 1 {
+		parallelism = 1
+	}
+	victims := rt.mgr.SelectVictims(strategy)
+	swapped := 0
+	for start := 0; start < len(victims); {
+		width := more(swapped)
+		if width <= 0 {
+			break
+		}
+		if width > parallelism {
+			width = parallelism
+		}
+		if width > len(victims)-start {
+			width = len(victims) - start
+		}
+		batch := victims[start : start+width]
+		start += width
+		releases := make([]func(), len(batch))
+		for i, v := range batch {
+			releases[i] = rt.beginShardEvict(v)
+		}
+		n, err := rt.swapOutBatch(batch, opts)
+		for _, release := range releases {
+			release()
+		}
+		swapped += n
+		if err != nil {
+			return swapped, err
+		}
+	}
+	return swapped, nil
+}
+
+// swapOutBatch swaps out one batch of ranked victims and reports how many
+// were shipped; a victim that turns out ineligible is skipped, not an error.
+// A single victim runs on the caller's goroutine, several share a worker
+// pool as wide as the batch.
+func (rt *Runtime) swapOutBatch(batch []ClusterID, opts []SwapOption) (int, error) {
+	if len(batch) > 1 {
+		evs, err := rt.SwapOutMany(batch, len(batch), opts...)
+		return len(evs), err
+	}
+	if _, err := rt.SwapOut(batch[0], opts...); err != nil {
+		if skippableVictimErr(err) {
+			return 0, nil
+		}
+		return 0, err
+	}
+	return 1, nil
 }
 
 // skippableVictimErr reports errors that disqualify one victim without
@@ -1099,40 +1130,4 @@ func (rt *Runtime) SwapOutMany(ids []ClusterID, parallelism int, opts ...SwapOpt
 		}
 	}
 	return out, nil
-}
-
-// SelectVictims returns every eligible eviction candidate ordered by the
-// strategy (best victim first).
-func (m *Manager) SelectVictims(strategy VictimStrategy) []ClusterID {
-	infos := m.InfoAll()
-	var eligible []ClusterInfo
-	for _, info := range infos {
-		if info.ID == RootCluster || info.Swapped || info.Busy || info.Objects == 0 {
-			continue
-		}
-		eligible = append(eligible, info)
-	}
-	sort.Slice(eligible, func(i, j int) bool {
-		a, b := eligible[i], eligible[j]
-		switch strategy {
-		case VictimLargest:
-			if a.ResidentBytes != b.ResidentBytes {
-				return a.ResidentBytes > b.ResidentBytes
-			}
-		case VictimLeastUsed:
-			if a.Crossings != b.Crossings {
-				return a.Crossings < b.Crossings
-			}
-		default:
-			if a.LastAccess != b.LastAccess {
-				return a.LastAccess < b.LastAccess
-			}
-		}
-		return a.ID < b.ID
-	})
-	out := make([]ClusterID, len(eligible))
-	for i, info := range eligible {
-		out[i] = info.ID
-	}
-	return out
 }

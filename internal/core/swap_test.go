@@ -76,23 +76,26 @@ func TestSwapOutFreesMemoryAndDetaches(t *testing.T) {
 		t.Fatalf("wrapper document names %q, want %q", doc.ClusterID, ev.Key)
 	}
 
-	// Detachment completeness: no root-reachable path reaches any member.
-	reach := h.ReachableFromRoots()
+	// Detachment completeness: the cluster is in exactly one place — no
+	// member is resident once SwapOut has returned.
 	for _, id := range ids[10:20] {
-		if reach[id] {
-			t.Fatalf("swapped member @%d still root-reachable", id)
+		if h.Contains(id) {
+			t.Fatalf("swapped member @%d still resident", id)
 		}
 	}
 
-	// After collection, the memory is back (minus the replacement-object and
-	// middleware proxies).
-	st := f.rt.Collect()
-	if st.Reclaimed < 10 {
-		t.Fatalf("collected %d objects, want >= 10", st.Reclaimed)
+	// The memory is back (minus the replacement-object) at commit, before
+	// any collection runs.
+	if n := h.StatsSnapshot().Collections; n != 0 {
+		t.Fatalf("%d collections ran during swap-out, want 0", n)
 	}
 	freed := before - h.Used()
-	if freed < clusterBytes-200 {
-		t.Fatalf("freed %d bytes, want about %d", freed, clusterBytes)
+	if freed < clusterBytes-200 || freed > clusterBytes {
+		t.Fatalf("freed %d bytes at commit, want about %d", freed, clusterBytes)
+	}
+	// A collection afterwards finds nothing of the cluster left to reclaim.
+	if st := f.rt.Collect(); st.BytesFreed >= clusterBytes {
+		t.Fatalf("collection after swap-out freed %d bytes: the cluster was not reclaimed at commit", st.BytesFreed)
 	}
 	if !f.rt.Manager().IsSwapped(clusters[1]) {
 		t.Fatal("cluster not marked swapped")
@@ -321,7 +324,7 @@ func TestProxiesCreatedWhileSwappedTargetReplacement(t *testing.T) {
 func TestSwapOutFailsCleanlyWhenNoDeviceFits(t *testing.T) {
 	h := heap.New(0)
 	devices := store.NewRegistry(store.SelectMostFree)
-	_ = devices.Add("tiny", store.NewMem(64)) // far too small for any XML
+	_ = devices.Add("tiny", store.NewMem(16)) // too small for any payload, whatever the key length
 	rt := NewRuntime(h, heap.NewRegistry(), WithStores(devices))
 	node := newNodeClass()
 	rt.MustRegisterClass(node)
@@ -334,9 +337,16 @@ func TestSwapOutFailsCleanlyWhenNoDeviceFits(t *testing.T) {
 	if _, err := rt.SwapOut(c); !errors.Is(err, store.ErrNoDevice) {
 		t.Fatalf("want ErrNoDevice, got %v", err)
 	}
-	// Graph untouched; replacement rolled back.
+	// Graph untouched; replacement rolled back; a shipment that never landed
+	// frees nothing.
 	if rt.Manager().IsSwapped(c) {
 		t.Fatal("cluster marked swapped after failure")
+	}
+	if !h.Contains(o.ID()) {
+		t.Fatal("member freed although its shipment failed")
+	}
+	if h.Used() != used {
+		t.Fatalf("used %d after failed swap-out, want the %d before it", h.Used(), used)
 	}
 	rt.Collect()
 	if h.Used() > used {

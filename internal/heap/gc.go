@@ -1,10 +1,14 @@
 package heap
 
-import "time"
+import (
+	"time"
 
-// CollectStats reports the outcome of one collection cycle.
+	"objectswap/internal/obs"
+)
+
+// CollectStats reports the outcome of one collection pass.
 type CollectStats struct {
-	// Live is the number of objects that survived the cycle.
+	// Live is the number of objects that survived the pass.
 	Live int
 	// Reclaimed is the number of objects swept.
 	Reclaimed int
@@ -12,17 +16,45 @@ type CollectStats struct {
 	BytesFreed int64
 	// Finalized is the number of finalizer functions executed.
 	Finalized int
+	// Swept lists the reclaimed objects' ids (nil when nothing was reclaimed),
+	// so table owners can purge exactly those records.
+	Swept []ObjID
 }
 
-// Collect runs a stop-the-world mark-sweep cycle. Liveness roots are: named
-// heap roots, pinned objects, and any extra ids supplied by the caller (the
-// swapping runtime passes the receivers and arguments of in-flight
-// invocations, standing in for thread stacks).
+// finalization is the finalizer set of one reclaimed object, run once the
+// heap lock is released.
+type finalization struct {
+	id  ObjID
+	fns []func(ObjID)
+}
+
+// Collect runs one stop-the-world mark-sweep cycle. Liveness roots are: named
+// heap roots, pinned objects, nursery objects still in their grace, and any
+// extra ids supplied by the caller (the swapping runtime passes the receivers
+// and arguments of in-flight invocations, standing in for thread stacks).
 //
 // Finalizers of reclaimed objects run synchronously after the sweep, outside
 // the heap lock, so they may freely call back into the heap (the
 // SwappingManager's table-purging finalizers do).
 func (h *Heap) Collect(extra ...ObjID) CollectStats {
+	return h.CollectCycles(1, extra...)
+}
+
+// CollectCycles runs one mark-sweep pass whose survivors, nursery state and
+// finalizer calls equal those of `cycles` back-to-back Collect calls on a
+// heap nothing else touches in between: a nursery entry whose grace would
+// run out before the last of those cycles is not a root, and every surviving
+// entry ages by `cycles`. The equivalence holds because each cycle's live set
+// contains the next one's, so whatever the earlier cycles would have freed
+// the last one frees too. It counts as one collection.
+//
+// The pass allocates nothing unless it reclaims something: marks are a
+// per-object epoch word and the work list lives on the heap, both guarded by
+// h.mu.
+func (h *Heap) CollectCycles(cycles int, extra ...ObjID) CollectStats {
+	if cycles < 1 {
+		cycles = 1
+	}
 	h.mu.Lock()
 
 	gcClock, gcSeconds, gcFreed := h.gcClock, h.gcSeconds, h.gcFreed
@@ -31,81 +63,132 @@ func (h *Heap) Collect(extra ...ObjID) CollectStats {
 		began = gcClock.Now()
 	}
 
-	marked := make(map[ObjID]bool, len(h.objects))
-	var stack []ObjID
-
-	push := func(id ObjID) {
-		if id == NilID || marked[id] {
-			return
-		}
-		if _, resident := h.objects[id]; !resident {
-			return
-		}
-		marked[id] = true
-		stack = append(stack, id)
-	}
-
+	h.epoch++
 	for _, v := range h.roots {
-		v.forEachRef(push)
+		h.markValue(&v)
 	}
 	for id := range h.pins {
-		push(id)
+		h.markID(id)
 	}
-	for id := range h.nursery {
-		push(id)
+	for id, grace := range h.nursery {
+		if grace >= cycles {
+			h.markID(id)
+		}
 	}
 	for _, id := range extra {
-		push(id)
+		h.markID(id)
 	}
-
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		o := h.objects[id]
-		o.forEachRef(push)
+	for n := len(h.work); n > 0; n = len(h.work) {
+		o := h.work[n-1]
+		h.work[n-1] = nil
+		h.work = h.work[:n-1]
+		for i := range o.fields {
+			h.markValue(&o.fields[i])
+		}
 	}
 
 	var st CollectStats
-	var toFinalize []func()
+	var finals []finalization
 	for id, o := range h.objects {
-		if marked[id] {
+		if o.mark == h.epoch {
 			continue
 		}
-		st.Reclaimed++
-		st.BytesFreed += o.Size()
-		delete(h.objects, id)
-		delete(h.pins, id)
-		if fns := h.finalizers[id]; len(fns) > 0 {
-			delete(h.finalizers, id)
-			finalID := id
-			for _, fn := range fns {
-				f := fn
-				toFinalize = append(toFinalize, func() { f(finalID) })
-			}
-		}
+		st.Swept = append(st.Swept, id)
+		finals = h.reclaimLocked(o, &st, finals)
 	}
-	// Age the nursery: each cycle burns one unit of grace.
 	for id, grace := range h.nursery {
-		if grace <= 1 {
+		if grace <= cycles {
 			delete(h.nursery, id)
 		} else {
-			h.nursery[id] = grace - 1
+			h.nursery[id] = grace - cycles
 		}
 	}
 	st.Live = len(h.objects)
 	h.collections.Add(1)
-	h.reclaimed.Add(uint64(st.Reclaimed))
 	h.mu.Unlock()
 
-	h.release(st.BytesFreed)
-	for _, f := range toFinalize {
-		f()
-		st.Finalized++
-	}
+	h.finishReclaim(&st, finals, gcFreed)
 	if gcClock != nil {
 		gcSeconds.Observe(gcClock.Now().Sub(began).Seconds())
 	}
+	return st
+}
+
+// markID marks a resident object live and queues it for scanning. The caller
+// holds h.mu.
+func (h *Heap) markID(id ObjID) {
+	o, resident := h.objects[id]
+	if !resident || o.mark == h.epoch {
+		return
+	}
+	o.mark = h.epoch
+	h.work = append(h.work, o)
+}
+
+// markValue marks every object the value references, lists included.
+func (h *Heap) markValue(v *Value) {
+	switch v.kind {
+	case KindRef:
+		h.markID(v.ref)
+	case KindList:
+		for i := range v.list {
+			h.markValue(&v.list[i])
+		}
+	}
+}
+
+// reclaimLocked unlinks one object from the heap's tables, tallies it in st
+// and queues its finalizers. The caller holds h.mu and releases the bytes
+// through finishReclaim afterwards.
+func (h *Heap) reclaimLocked(o *Object, st *CollectStats, finals []finalization) []finalization {
+	st.Reclaimed++
+	st.BytesFreed += o.Size()
+	delete(h.objects, o.id)
+	delete(h.pins, o.id)
+	if fns := h.finalizers[o.id]; len(fns) > 0 {
+		delete(h.finalizers, o.id)
+		finals = append(finals, finalization{id: o.id, fns: fns})
+	}
+	return finals
+}
+
+// finishReclaim settles a reclamation outside h.mu: the bytes go back to the
+// budget and every queued finalizer runs exactly once.
+func (h *Heap) finishReclaim(st *CollectStats, finals []finalization, gcFreed *obs.Counter) {
+	h.reclaimed.Add(uint64(st.Reclaimed))
+	h.release(st.BytesFreed)
+	for _, f := range finals {
+		for _, fn := range f.fns {
+			fn(f.id)
+			st.Finalized++
+		}
+	}
 	gcFreed.Add(float64(st.BytesFreed))
+}
+
+// Free reclaims exactly the given objects in one critical section, as a
+// collection that found them (and nothing else) unreachable would: their
+// bytes return to the budget before Free returns and their finalizers run
+// once, outside the heap lock. Ids that are not resident are skipped. The
+// swapping runtime calls it when a swap-out commits — the shipped members are
+// unreachable by construction, so there is nothing for a mark phase to
+// decide. It is not a collection cycle: the nursery does not age.
+func (h *Heap) Free(ids []ObjID) CollectStats {
+	var st CollectStats
+	var finals []finalization
+	h.mu.Lock()
+	for _, id := range ids {
+		o, resident := h.objects[id]
+		if !resident {
+			continue
+		}
+		finals = h.reclaimLocked(o, &st, finals)
+		delete(h.nursery, id)
+	}
+	st.Live = len(h.objects)
+	gcFreed := h.gcFreed
+	h.mu.Unlock()
+	h.finishReclaim(&st, finals, gcFreed)
 	return st
 }
 

@@ -259,3 +259,39 @@ func TestPropCollectMatchesReachability(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Free reclaims exactly the ids it is given — reachable or not — in one step:
+// bytes back on return, finalizers once, nursery and pin entries gone, ids
+// that are not resident skipped, and no collection counted.
+func TestFreeReclaimsExactlyTheGivenObjects(t *testing.T) {
+	h := New(0)
+	h.SetNurseryGrace(2)
+	objs := buildChain(t, h, 4)
+	h.SetRoot("head", objs[0].RefTo())
+	h.Pin(objs[1].ID())
+	finalized := map[ObjID]int{}
+	for _, o := range objs {
+		h.OnFinalize(o.ID(), func(id ObjID) { finalized[id]++ })
+	}
+	want := h.Used() - objs[1].Size() - objs[2].Size()
+
+	st := h.Free([]ObjID{objs[1].ID(), objs[2].ID(), ObjID(9999)})
+	if st.Reclaimed != 2 || st.Finalized != 2 || st.Live != 2 {
+		t.Fatalf("stats = %+v, want 2 reclaimed, 2 finalized, 2 live", st)
+	}
+	if h.Used() != want {
+		t.Fatalf("used = %d, want %d", h.Used(), want)
+	}
+	if h.Contains(objs[1].ID()) || h.Contains(objs[2].ID()) || !h.Contains(objs[0].ID()) || !h.Contains(objs[3].ID()) {
+		t.Fatalf("resident after Free: %v", h.IDs())
+	}
+	if len(finalized) != 2 || finalized[objs[1].ID()] != 1 || finalized[objs[2].ID()] != 1 {
+		t.Fatalf("finalizer calls = %v, want the two freed objects once each", finalized)
+	}
+	if _, left := h.nursery[objs[1].ID()]; left || len(h.pins) != 0 {
+		t.Fatalf("freed objects left nursery/pin entries: %v %v", h.nursery, h.pins)
+	}
+	if n := h.StatsSnapshot().Collections; n != 0 {
+		t.Fatalf("Free counted %d collections, want 0", n)
+	}
+}

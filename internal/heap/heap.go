@@ -59,6 +59,12 @@ type Heap struct {
 
 	finalizers map[ObjID][]func(ObjID)
 
+	// Collector state, guarded by mu: an object is marked in the current pass
+	// when its mark word equals epoch, and work is the mark phase's scan
+	// list, kept between passes so a collection allocates nothing.
+	epoch uint64
+	work  []*Object
+
 	// writeObserver, when set, is invoked after every successful field
 	// write with the written object's id (replication uses it for dirty
 	// tracking). Invoked outside heap locks. observerSuspend > 0 silences
@@ -483,8 +489,10 @@ func (h *Heap) Contains(id ObjID) bool {
 
 // Remove detaches an object immediately, without running finalizers (it is an
 // explicit middleware action, not a collection). Pending finalizers for the
-// id are discarded. Used by baseline comparators; Object-Swapping proper
-// detaches via reference patching and lets the collector reclaim.
+// id are discarded. Used by baseline comparators and to roll back a
+// half-built allocation; Object-Swapping proper detaches a cluster by
+// reference patching and reclaims its shipped members with Free, which does
+// run finalizers, the moment the swap-out commits.
 func (h *Heap) Remove(id ObjID) error {
 	h.mu.Lock()
 	o, ok := h.objects[id]
@@ -563,9 +571,10 @@ func (h *Heap) Unpin(id ObjID) {
 	}
 }
 
-// OnFinalize registers fn to run (synchronously, during Collect) when the
-// object is reclaimed. The paper uses finalizers on swap-cluster-proxies to
-// purge the SwappingManager's weak-reference tables.
+// OnFinalize registers fn to run (synchronously, at the end of the Collect or
+// Free that reclaims it, outside the heap lock) when the object is
+// reclaimed. The paper uses finalizers on swap-cluster-proxies to purge the
+// SwappingManager's weak-reference tables.
 func (h *Heap) OnFinalize(id ObjID, fn func(ObjID)) {
 	if fn == nil || id == NilID {
 		return

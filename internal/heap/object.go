@@ -13,10 +13,12 @@ const objectOverhead = 32
 // live until the local collector reclaims them (or Heap.Remove detaches them
 // explicitly).
 //
-// Field access is not synchronized between goroutines: one heap serves one
-// logical device whose application code is single-threaded, as on the paper's
-// Pocket PC prototype. Heap-level bookkeeping (allocation, roots, GC) is
-// internally synchronized.
+// Field access is not synchronized between application goroutines: one heap
+// serves one logical device whose application code is single-threaded, as on
+// the paper's Pocket PC prototype. Heap-level bookkeeping (allocation, roots,
+// GC) is internally synchronized, and a field write holds the heap lock
+// shared, so the collector — which may run on a background swap-in's behalf —
+// never scans or frees an object mid-write.
 type Object struct {
 	id    ObjID
 	class *Class
@@ -24,6 +26,9 @@ type Object struct {
 
 	fields []Value
 	size   int64
+	// mark is the collector's epoch word (see Heap.epoch); touched only
+	// under the heap lock held exclusively.
+	mark uint64
 }
 
 // ID returns the object's stable identifier.
@@ -63,9 +68,13 @@ func (o *Object) SetField(i int, v Value) error {
 		return fmt.Errorf("%w: field %s.%s is %s, assigning %s",
 			ErrBadKind, o.class.Name, def.Name, def.Kind, v.Kind())
 	}
+	// Accounting and the slot store form one unit against the collector:
+	// a sweep or Free sees the object's size and the budget agree.
+	o.heap.mu.RLock()
 	delta := v.size() - o.fields[i].size()
 	if delta > 0 {
 		if err := o.heap.reserve(delta); err != nil {
+			o.heap.mu.RUnlock()
 			return err
 		}
 	} else if delta < 0 {
@@ -73,6 +82,7 @@ func (o *Object) SetField(i int, v Value) error {
 	}
 	atomic.AddInt64(&o.size, delta)
 	o.fields[i] = v
+	o.heap.mu.RUnlock()
 	o.heap.observeWrite(o.id)
 	return nil
 }

@@ -14,8 +14,11 @@ import (
 //
 //	swap-out  strategy=coldest|largest|least-used  count=N  collect=bool  parallel=N  replicas=K
 //	    Selects count victim clusters under the strategy and swaps them out
-//	    (collecting afterwards when collect is true, the default). With
-//	    parallel > 1 the victims ship through a bounded worker pool,
+//	    (the evictor's victim walk, core.SwapOutVictims). Each victim's
+//	    memory is back when its swap-out commits; with collect true (the
+//	    default) one collection afterwards also reclaims the garbage the
+//	    detachments exposed, such as proxies only the victims referenced.
+//	    With parallel > 1 the victims ship through a bounded worker pool,
 //	    overlapping encoding with device transfer. With replicas > 0 each
 //	    shipment goes to K rendezvous-ranked donors (overriding the
 //	    runtime's default replication factor for this action).
@@ -46,37 +49,10 @@ func BindSwapActions(e *Engine, rt *core.Runtime) {
 			swapOpts = append(swapOpts, core.WithReplicas(replicas))
 		}
 
-		victims := rt.Manager().SelectVictims(strategy)
-		swapped := 0
-		if parallel > 1 {
-			for start := 0; start < len(victims) && swapped < count; {
-				end := start + parallel
-				if rem := start + count - swapped; end > rem {
-					end = rem
-				}
-				if end > len(victims) {
-					end = len(victims)
-				}
-				evs, err := rt.SwapOutMany(victims[start:end], parallel, swapOpts...)
-				if err != nil {
-					return fmt.Errorf("swap-out: %w", err)
-				}
-				swapped += len(evs)
-				start = end
-			}
-		} else {
-			for _, victim := range victims {
-				if swapped >= count {
-					break
-				}
-				if _, err := rt.SwapOut(victim, swapOpts...); err != nil {
-					if errors.Is(err, core.ErrClusterActive) || errors.Is(err, core.ErrClusterBusy) {
-						continue
-					}
-					return fmt.Errorf("swap-out cluster %d: %w", victim, err)
-				}
-				swapped++
-			}
+		swapped, err := rt.SwapOutVictims(strategy, parallel,
+			func(swapped int) int { return count - swapped }, swapOpts...)
+		if err != nil {
+			return fmt.Errorf("swap-out: %w", err)
 		}
 		if collect && swapped > 0 {
 			rt.Collect()

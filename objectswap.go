@@ -156,7 +156,7 @@ type Config struct {
 	// EvictParallelism > 1 makes pressure-driven eviction swap out up to
 	// that many victim clusters concurrently, overlapping the XML encoding
 	// of one cluster with the device shipment of another. 0 or 1 keeps the
-	// sequential one-victim-then-collect evictor.
+	// sequential one-victim-at-a-time evictor.
 	EvictParallelism int
 	// Shards is the number of independently locked swap shards in the core:
 	// swaps on clusters hashed to different shards reserve and commit without
@@ -834,8 +834,9 @@ func (s *System) SwapOutMany(clusters []ClusterID, parallelism int, opts ...Swap
 	return s.rt.SwapOutMany(clusters, parallelism, opts...)
 }
 
-// Evict frees at least need bytes under the given options: collect first,
-// then swap out ranked victims (concurrently when o.Parallelism > 1).
+// Evict frees at least need bytes under the given options: one collection
+// first, then ranked victims are swapped out (concurrently when
+// o.Parallelism > 1), each one's memory returning as its swap-out commits.
 func (s *System) Evict(o EvictOptions, need int64) error {
 	return s.rt.EvictWith(o, need)
 }

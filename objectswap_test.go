@@ -329,3 +329,56 @@ func TestSystemReport(t *testing.T) {
 		t.Fatal("report does not show unreachable device")
 	}
 }
+
+// TestWriteThroughHeldReferenceSurvivesSwapOut: host code keeps a direct
+// reference across a swap-out and writes through it with no collection in
+// between. The write must fault the cluster in and land on the one live copy
+// — not on a stale resident one that the next fault would overwrite with the
+// shipped value.
+func TestWriteThroughHeldReferenceSurvivesSwapOut(t *testing.T) {
+	sys, err := New(Config{HeapCapacity: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if err := sys.AttachDevice("desktop", store.NewMem(0)); err != nil {
+		t.Fatal(err)
+	}
+	cls := sys.MustRegisterClass(taskClass())
+	c := sys.NewCluster()
+	o, err := sys.NewObject(cls, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := o.RefTo()
+	if err := sys.SetField(held, "title", heap.Str("v0")); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.SetRoot("todo", held); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.SwapOut(c); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := sys.SetField(held, "title", heap.Str("v1")); err != nil {
+		t.Fatal(err)
+	}
+	if sys.Runtime().Manager().IsSwapped(c) {
+		t.Fatal("write through the held reference did not fault the cluster in")
+	}
+	root, err := sys.MustRoot("todo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sys.Field(root, "title")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if title, _ := got.Str(); title != "v1" {
+		t.Fatalf("read through the root returns %q, want the written %q", title, "v1")
+	}
+	if errs := sys.Runtime().Manager().CheckInvariants(); len(errs) > 0 {
+		t.Fatalf("invariants: %v", errs)
+	}
+}
