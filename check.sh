@@ -71,6 +71,11 @@ go test -race -run '^TestFaultStormCoalesces$' -count=1 -cpu 1,4 ./internal/core
 # its swap-out returns, sequential and Parallelism 4; a collection that
 # reclaims nothing allocates nothing.
 go test -run '^TestEvictionBudget$' -count=1 ./internal/core/
+# Swap-allocation budget gate (host-independent counts): one SwapOut + SwapIn
+# of a 32-object x 128 B cluster in the binary format allocates at most 8x the
+# frame it ships, and the encode side nothing that grows with the object
+# count once the encoder pool is warm.
+go test -run '^TestSwapRoundTripBudget$' -count=1 ./internal/core/
 go test -run '^TestCollectAllocatesNothingOnUnchangedHeap$' -count=1 ./internal/heap/
 # Fault-bench smoke: a pointer chase with the prefetcher on must serve at
 # least half its cluster boundaries from the prefetch inventory, with the

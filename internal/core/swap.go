@@ -217,8 +217,11 @@ func (rt *Runtime) SwapOut(id ClusterID, opts ...SwapOption) (ev SwapEvent, retE
 		outbound, slotOf, slotTargets = remapped, newSlotOf, newTargets
 	}
 
-	// Wrap the members (the dirty subset for a delta) with internal/slot
-	// reference classification, then encode in the negotiated wire format.
+	// Encode the members (the dirty subset for a delta) straight from the
+	// heap in the negotiated wire format, with internal/slot/remote reference
+	// classification. The frame lives in the pooled encoder until this
+	// swap-out is over: stores copy what they keep (store.Store), and nothing
+	// below holds on to it past the shipment and the checksum.
 	span.Phase("encode")
 	encodeRef := func(rid heap.ObjID) (xmlcodec.Value, error) {
 		if members[rid] {
@@ -236,6 +239,8 @@ func (rt *Runtime) SwapOut(id ClusterID, opts ...SwapOption) (ev SwapEvent, retE
 		}
 		return xmlcodec.Value{}, fmt.Errorf("core: unclassified reference @%d", rid)
 	}
+	enc := wire.NewEncoder()
+	defer enc.Release()
 	encode := func(p shipPlan) ([]byte, error) {
 		encObjs := objs
 		if p.delta {
@@ -246,12 +251,8 @@ func (rt *Runtime) SwapOut(id ClusterID, opts ...SwapOption) (ev SwapEvent, retE
 				}
 			}
 		}
-		doc, err := xmlcodec.EncodeObjects(key, encObjs, encodeRef)
-		if err != nil {
-			return nil, fmt.Errorf("core: wrap cluster %d: %w", id, err)
-		}
 		start := rt.obsReg.Clock().Now()
-		payload, err := wire.Encode(p.format, doc, &wire.EncodeOpts{
+		payload, err := enc.EncodeObjects(p.format, key, encObjs, encodeRef, &wire.EncodeOpts{
 			BaseKey: p.baseKey,
 			Removed: p.removed,
 			Codecs:  rt.classCodecs,
@@ -660,6 +661,7 @@ func (rt *Runtime) swapInDirect(id ClusterID, opts ...SwapOption) (ev SwapEvent,
 	span.SetReplicas(devices)
 	var (
 		data    []byte
+		dataCRC uint32 // of the copy being served, taken once
 		device  string
 		serving store.Store
 		failed  []string
@@ -675,8 +677,11 @@ func (rt *Runtime) swapInDirect(id ClusterID, opts ...SwapOption) (ev SwapEvent,
 			// Replicas are byte-identical, so the checksum recorded at
 			// swap-out convicts a copy that rotted at rest; with K>=2 the
 			// reload falls through to an intact replica.
-			if err == nil && wantCRC != 0 && crc32.ChecksumIEEE(data) != wantCRC {
-				err = fmt.Errorf("%w: device %s key %s", ErrCorruptReplica, d, key)
+			if err == nil {
+				dataCRC = crc32.ChecksumIEEE(data)
+				if wantCRC != 0 && dataCRC != wantCRC {
+					err = fmt.Errorf("%w: device %s key %s", ErrCorruptReplica, d, key)
+				}
 			}
 			if err == nil {
 				device = d
@@ -702,17 +707,17 @@ func (rt *Runtime) swapInDirect(id ClusterID, opts ...SwapOption) (ev SwapEvent,
 	span.SetDevice(device)
 	span.AddBytes(int64(len(data)))
 
-	// Decode whatever format the shipment self-describes as. A delta fetches
-	// its base from the SAME donor that served it — deltas only ever ship to
+	// Validate and stage whatever format the shipment self-describes as:
+	// every structural check runs here, unlocked, and the objects come out as
+	// field vectors ready to install — a frame that fails leaves the heap and
+	// the cluster table untouched, and evicts nothing. A delta fetches its
+	// base from the SAME donor that served it — deltas only ever ship to
 	// donors holding the base, so a donor that answered with the delta is the
 	// one place the base is known to live.
 	span.Phase("decode")
 	fid, _ := wire.Detect(data)
 	decodeStart := rt.obsReg.Clock().Now()
-	// Codecs also opts into the borrowed-blob decode: bytes values alias
-	// data, which is safe because the document is installed immediately
-	// below and heap.Bytes copies on installation.
-	doc, err := wire.Decode(data, &wire.DecodeOpts{
+	staged, err := wire.Stage(data, rt.reg, &wire.DecodeOpts{
 		FetchBase: func(k string) ([]byte, error) {
 			b, err := rt.faults.Fetch(ctx, device, serving, k)
 			if err == nil && k == baseKey && baseCRC != 0 && crc32.ChecksumIEEE(b) != baseCRC {
@@ -727,8 +732,8 @@ func (rt *Runtime) swapInDirect(id ClusterID, opts ...SwapOption) (ev SwapEvent,
 	}
 	rt.recordWire(fid, "decode", len(data), rt.obsReg.Clock().Now().Sub(decodeStart))
 	span.SetFormat(string(fid))
-	if doc.ClusterID != key {
-		return SwapEvent{}, fmt.Errorf("core: cluster %d: device returned wrong shipment %q", id, doc.ClusterID)
+	if staged.ClusterID != key {
+		return SwapEvent{}, fmt.Errorf("core: cluster %d: device returned wrong shipment %q", id, staged.ClusterID)
 	}
 
 	// Make room before installing, if we can tell it is needed. Demand a
@@ -754,7 +759,7 @@ func (rt *Runtime) swapInDirect(id ClusterID, opts ...SwapOption) (ev SwapEvent,
 	span.Phase("install")
 	rt.lockShard(sh)
 	endMutate := rt.beginMutate(sh)
-	installed, payload, err := rt.commitSwapIn(id, cs, repl, doc, fid, devices, crc32.ChecksumIEEE(data))
+	installed, payload, err := rt.commitSwapIn(id, cs, repl, staged, fid, devices, dataCRC)
 	endMutate()
 	sh.mu.Unlock()
 	if err != nil {
@@ -818,7 +823,7 @@ func (rt *Runtime) swapInDirect(id ClusterID, opts ...SwapOption) (ev SwapEvent,
 // Caller holds the cluster's shard lock inside a beginMutate section
 // (installation allocates; an allocation failure here must not re-enter the
 // evictor).
-func (rt *Runtime) commitSwapIn(id ClusterID, cs *clusterState, repl *heap.Object, doc *xmlcodec.Doc, fid wire.FormatID, devices []string, dataCRC uint32) (int, int, error) {
+func (rt *Runtime) commitSwapIn(id ClusterID, cs *clusterState, repl *heap.Object, staged *xmlcodec.Installer, fid wire.FormatID, devices []string, dataCRC uint32) (int, int, error) {
 	// Resolve replacement slots back to the retained outbound proxies.
 	outboundVal, err := repl.FieldByName(fldOut)
 	if err != nil {
@@ -847,39 +852,16 @@ func (rt *Runtime) commitSwapIn(id ClusterID, cs *clusterState, repl *heap.Objec
 		}
 	}
 
-	// A cluster is in exactly one place: swap-out freed every shipped member
-	// at commit, so a resident one means the bookkeeping was bypassed, and
-	// installing over it would silently discard whatever it holds.
-	ts := rt.mgr.tab(id)
-	ts.mu.Lock()
-	members := make(map[heap.ObjID]bool, len(cs.objects))
-	for oid := range cs.objects {
-		members[oid] = true
-	}
-	ts.mu.Unlock()
-	for oid := range members {
-		if rt.h.Contains(oid) {
-			return 0, 0, fmt.Errorf("core: install cluster %d: member @%d of the swapped cluster is resident", id, oid)
-		}
-	}
-
-	// Reinstallation restores state; it is not a user mutation. Suspend the
-	// observers only for this cluster's own member identities: a background
-	// prefetch install must not silence concurrent application writes to
-	// unrelated clusters (their delta dirty-marks and heat must keep
-	// flowing).
-	resumeObserver := rt.h.SuspendWriteObserverFor(func(oid heap.ObjID) bool {
-		return members[oid]
-	})
-	installed, err := doc.Install(rt.h, rt.reg, decodeRef)
+	// The whole cluster becomes resident in one heap critical section, or none
+	// of it does. A cluster is in exactly one place — swap-out freed every
+	// shipped member at commit — so a member that is already resident means
+	// the bookkeeping was bypassed, and the batch refuses it instead of
+	// discarding whatever it holds. Reinstallation restores state, it is not a
+	// mutation: the batch fires no write or access observers.
+	installed, err := staged.Install(rt.h, decodeRef)
 	if err != nil {
-		resumeObserver()
-		for _, o := range installed {
-			_ = rt.h.Remove(o.ID())
-		}
 		return 0, 0, fmt.Errorf("core: install cluster %d: %w", id, err)
 	}
-	resumeObserver()
 
 	// Re-patch inbound proxies onto the restored objects.
 	for _, pid := range rt.mgr.inboundProxies(id) {
@@ -892,6 +874,7 @@ func (rt *Runtime) commitSwapIn(id ClusterID, cs *clusterState, repl *heap.Objec
 		}
 	}
 
+	ts := rt.mgr.tab(id)
 	ts.mu.Lock()
 	key := cs.key
 	cs.swapped = false

@@ -1,6 +1,8 @@
 package event
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -174,6 +176,50 @@ func TestEnvelopeSeqAndTimestamp(t *testing.T) {
 	}
 	if !events[1].At.Equal(time.Unix(502, 0)) || !events[2].At.Equal(time.Unix(502, 0)) {
 		t.Fatalf("later At = %v, %v", events[1].At, events[2].At)
+	}
+}
+
+// TestFlightDetailRenderedOnRead: a publication costs no payload rendering —
+// the flight recorder renders when it is read — yet what is read is what was
+// published: a value payload renders as it always did, and a payload the
+// publisher can still change is captured on the spot.
+func TestFlightDetailRenderedOnRead(t *testing.T) {
+	type swap struct {
+		Cluster uint32
+		Phases  []string
+		Took    time.Duration
+	}
+	rec := obs.NewRecorder(4, 4)
+	b := NewBus(WithFlightRecorder(rec))
+
+	value := swap{Cluster: 7, Phases: []string{"fetch", "install"}, Took: 1500 * time.Microsecond}
+	b.Emit("swap.in", value)
+	ptr := &swap{Cluster: 8}
+	b.Emit("swap.out", ptr)
+	ptr.Cluster = 99
+	b.Emit("long", strings.Repeat("x", 400))
+
+	events := rec.Events() // most recent first
+	if got, want := events[2].Detail, fmt.Sprintf("%+v", value); got != want {
+		t.Fatalf("value payload detail = %q, want %q", got, want)
+	}
+	if got, want := events[1].Detail, "&{Cluster:8 Phases:[] Took:0s}"; got != want {
+		t.Fatalf("pointer payload detail = %q, want the state at publication %q", got, want)
+	}
+	if got := events[0].Detail; len(got) != 163 || !strings.HasSuffix(got, "...") {
+		t.Fatalf("long payload detail has %d bytes, want 160 and an ellipsis", len(got))
+	}
+
+	value.Cluster = 1
+	if allocs := testing.AllocsPerRun(100, func() { b.Emit("swap.in", &value) }); allocs < 1 {
+		t.Fatalf("pointer payload rendered at publication should allocate, got %v", allocs)
+	}
+	quiet := NewBus() // recorder off: nothing is rendered, ever
+	if allocs := testing.AllocsPerRun(100, func() { quiet.Emit("swap.in", ptr) }); allocs != 0 {
+		t.Fatalf("publication without a recorder allocates %v times", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { b.Emit("swap.in", "dev-a") }); allocs > 1 {
+		t.Fatalf("publication of a value payload allocates %v times, want at most the boxing", allocs)
 	}
 }
 

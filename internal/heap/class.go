@@ -53,6 +53,10 @@ type FieldDef struct {
 	Kind Kind
 }
 
+// Accepts reports whether a value of kind k may be assigned to the field:
+// its declared kind, or nil for the reference-like kinds.
+func (f FieldDef) Accepts(k Kind) bool { return assignable(f.Kind, k) }
+
 // Call carries the context of one method invocation: the invoker to use for
 // nested calls (so middleware interposition applies transitively), the
 // receiver, and the arguments.

@@ -79,11 +79,6 @@ type Heap struct {
 	writeObserver   func(ObjID)
 	extraObservers  []func(ObjID)
 	observerSuspend int
-	// suspendScopes are predicate-scoped suspensions (see
-	// SuspendWriteObserverFor): observers stay silent only for the object
-	// ids a scope's predicate claims, so a background reinstallation of one
-	// cluster does not swallow concurrent application writes to others.
-	suspendScopes []*suspendScope
 	// accessObservers fire on every observed object access — both field
 	// writes (dispatched alongside the write observers) and explicit
 	// NoteAccess calls from the method/field dispatch path. They feed the
@@ -158,7 +153,7 @@ func (h *Heap) observeWrite(id ObjID) {
 	fn := h.writeObserver
 	extra := h.extraObservers
 	access := h.accessObservers
-	if h.observerSuspend > 0 || h.scopedSilenceLocked(id) {
+	if h.observerSuspend > 0 {
 		fn, extra, access = nil, nil, nil
 	}
 	h.obsMu.RUnlock()
@@ -191,7 +186,7 @@ func (h *Heap) AddAccessObserver(fn func(ObjID)) {
 func (h *Heap) NoteAccess(id ObjID) {
 	h.obsMu.RLock()
 	access := h.accessObservers
-	if h.observerSuspend > 0 || h.scopedSilenceLocked(id) {
+	if h.observerSuspend > 0 {
 		access = nil
 	}
 	h.obsMu.RUnlock()
@@ -210,51 +205,6 @@ func (h *Heap) SuspendWriteObserver() (resume func()) {
 	return func() {
 		h.obsMu.Lock()
 		h.observerSuspend--
-		h.obsMu.Unlock()
-	}
-}
-
-// suspendScope is one predicate-bounded observer suspension.
-type suspendScope struct {
-	pred func(ObjID) bool
-}
-
-// scopedSilenceLocked reports whether any active scope claims id. The
-// caller holds obsMu (read or write); predicates must be pure functions of
-// the id (typically a membership-set lookup) and must not call back into
-// the heap.
-func (h *Heap) scopedSilenceLocked(id ObjID) bool {
-	for _, sc := range h.suspendScopes {
-		if sc.pred(id) {
-			return true
-		}
-	}
-	return false
-}
-
-// SuspendWriteObserverFor silences the write and access observers only for
-// the object ids pred claims, until the returned resume function is called.
-// Concurrent scopes compose (each silences its own ids), and writes to any
-// other object keep flowing to the observers — this is what lets a
-// background prefetch install one cluster without swallowing the delta
-// dirty-marks and heat of application writes happening elsewhere. A nil
-// pred falls back to the global SuspendWriteObserver.
-func (h *Heap) SuspendWriteObserverFor(pred func(ObjID) bool) (resume func()) {
-	if pred == nil {
-		return h.SuspendWriteObserver()
-	}
-	sc := &suspendScope{pred: pred}
-	h.obsMu.Lock()
-	h.suspendScopes = append(h.suspendScopes, sc)
-	h.obsMu.Unlock()
-	return func() {
-		h.obsMu.Lock()
-		for i, cur := range h.suspendScopes {
-			if cur == sc {
-				h.suspendScopes = append(h.suspendScopes[:i], h.suspendScopes[i+1:]...)
-				break
-			}
-		}
 		h.obsMu.Unlock()
 	}
 }
@@ -293,12 +243,12 @@ func (h *Heap) SetCapacity(capacity int64) {
 // Capacity returns the configured byte budget (0 = unlimited).
 func (h *Heap) Capacity() int64 { return atomic.LoadInt64(&h.capacity) }
 
-// SetReserve sets the middleware headroom: application allocations (New) stop
-// at Capacity-Reserve, while middleware allocations (NewPrivileged, NewAt,
-// field growth) may use the full budget. This models the VM headroom that
-// lets the swapping machinery allocate replacement-objects and proxies even
-// when the application has exhausted its share — freeing memory must not
-// itself require application-grade memory.
+// SetReserve sets the middleware headroom: application allocations (New,
+// InstallBatch) stop at Capacity-Reserve, while middleware allocations
+// (NewPrivileged, field growth) may use the full budget. This models the VM
+// headroom that lets the swapping machinery allocate replacement-objects and
+// proxies even when the application has exhausted its share — freeing memory
+// must not itself require application-grade memory.
 func (h *Heap) SetReserve(reserve int64) {
 	atomic.StoreInt64(&h.headroom, reserve)
 }
@@ -413,48 +363,97 @@ func (h *Heap) newObject(c *Class, privileged bool) (*Object, error) {
 	return o, nil
 }
 
-// NewAt installs an object with a caller-chosen ID — used by swap-in and
-// replication to restore objects under their original identities. The ID must
-// not collide with a resident object; the internal ID counter advances past
-// it so fresh allocations never collide either.
+// NewAt installs one zero-valued object with a caller-chosen ID: the
+// single-object form of InstallBatch, which is what swap-in and checkpoint
+// restore use to put back whole clusters. The ID must not collide with a
+// resident object; the internal ID counter advances past it so fresh
+// allocations never collide either.
 func (h *Heap) NewAt(id ObjID, c *Class) (*Object, error) {
 	if c == nil {
 		return nil, errors.New("heap: NewAt: nil class")
 	}
-	if id == NilID {
-		return nil, errors.New("heap: NewAt: nil id")
-	}
-	size := int64(objectOverhead) + int64(c.NumFields())*valueOverhead
-	// Restored objects are application data: they compete for the
-	// application share of the budget, never the middleware reserve —
-	// otherwise repeated reloads would squeeze out the very machinery
-	// (replacement-objects, proxies) that makes the next eviction possible.
-	if err := h.reserveApp(size); err != nil {
+	objs, err := h.InstallBatch([]Staged{{ID: id, Class: c, Fields: c.ops.NewFieldVector()}})
+	if err != nil {
 		return nil, err
 	}
+	return objs[0], nil
+}
+
+// Staged is one object of a batch install: the identity it is restored
+// under, its class, and its complete field vector.
+type Staged struct {
+	ID     ObjID
+	Class  *Class
+	Fields []Value // len == Class.NumFields(), taken over by the heap
+}
+
+// InstallBatch makes every staged object resident under its original identity
+// in one critical section, or none of them: the mirror of Free, used by
+// swap-in, checkpoint restore and the baseline comparators to put a whole
+// cluster back. The batch's bytes are reserved once against the application
+// share of the budget, never the middleware reserve: restored objects are
+// application data, and repeated reloads must not squeeze out the very
+// machinery (replacement-objects, proxies) that makes the next eviction
+// possible. An identity that is already resident, a field vector of the wrong
+// length or a value its field cannot hold fails the batch and leaves Used,
+// residency and the nursery exactly as found. The objects are returned in
+// batch order; the heap owns their field vectors from here on. Write
+// observers do not fire: restoring state is not a mutation.
+func (h *Heap) InstallBatch(batch []Staged) ([]*Object, error) {
+	objs := make([]Object, len(batch))
+	var total int64
+	for i := range batch {
+		s := &batch[i]
+		if s.Class == nil {
+			return nil, errors.New("heap: InstallBatch: nil class")
+		}
+		if s.ID == NilID {
+			return nil, errors.New("heap: InstallBatch: nil id")
+		}
+		if len(s.Fields) != s.Class.NumFields() {
+			return nil, fmt.Errorf("heap: InstallBatch: @%d has %d fields, class %s declares %d",
+				s.ID, len(s.Fields), s.Class.Name, s.Class.NumFields())
+		}
+		size := int64(objectOverhead)
+		for j := range s.Fields {
+			if def := s.Class.fields[j]; !assignable(def.Kind, s.Fields[j].kind) {
+				return nil, fmt.Errorf("%w: field %s.%s is %s, installing %s",
+					ErrBadKind, s.Class.Name, def.Name, def.Kind, s.Fields[j].kind)
+			}
+			size += s.Fields[j].size()
+		}
+		objs[i] = Object{id: s.ID, class: s.Class, heap: h, fields: s.Fields, size: size}
+		total += size
+	}
+	if err := h.reserveApp(total); err != nil {
+		return nil, err
+	}
+	out := make([]*Object, len(objs))
 	h.mu.Lock()
-	if _, exists := h.objects[id]; exists {
-		h.mu.Unlock()
-		h.release(size)
-		return nil, fmt.Errorf("heap: NewAt: object %d already resident", id)
+	for i := range objs {
+		o := &objs[i]
+		if _, exists := h.objects[o.id]; exists {
+			for j := 0; j < i; j++ {
+				delete(h.objects, objs[j].id)
+			}
+			h.mu.Unlock()
+			h.release(total)
+			return nil, fmt.Errorf("heap: InstallBatch: object %d already resident", o.id)
+		}
+		h.objects[o.id] = o
+		out[i] = o
 	}
-	if uint64(id) > h.nextID {
-		h.nextID = uint64(id)
+	for _, o := range out {
+		if uint64(o.id) > h.nextID {
+			h.nextID = uint64(o.id)
+		}
+		if h.nurseryGrace > 0 {
+			h.nursery[o.id] = h.nurseryGrace
+		}
 	}
-	o := &Object{
-		id:     id,
-		class:  c,
-		heap:   h,
-		fields: c.ops.NewFieldVector(),
-		size:   size,
-	}
-	h.objects[id] = o
-	h.allocated.Add(1)
-	if h.nurseryGrace > 0 {
-		h.nursery[id] = h.nurseryGrace
-	}
+	h.allocated.Add(uint64(len(out)))
 	h.mu.Unlock()
-	return o, nil
+	return out, nil
 }
 
 // EnsureIDAbove advances the allocation counter so future ids exceed id —

@@ -4,18 +4,16 @@ import (
 	"testing"
 )
 
-// TestSuspendWriteObserverForIsScoped proves predicate-scoped suspension:
-// writes to the claimed ids go silent, writes to everything else keep
-// reaching the write AND access observers — the property that lets a
-// background swap-in reinstall one cluster's objects without swallowing the
-// dirty-marks and heat of concurrent application writes elsewhere.
-func TestSuspendWriteObserverForIsScoped(t *testing.T) {
+// TestInstallBatchFiresNoObservers: restoring a cluster is not a mutation.
+// The batch install writes no field through SetField, so neither the write
+// nor the access observers hear about its members — while a write to any
+// other object, before, during or after, keeps reaching them. That is what
+// lets a background swap-in reinstall one cluster without touching the
+// dirty-marks and heat of application writes elsewhere, with no suspension
+// to scope.
+func TestInstallBatchFiresNoObservers(t *testing.T) {
 	h := New(0)
 	c := nodeClass()
-	inCluster, err := h.New(c)
-	if err != nil {
-		t.Fatal(err)
-	}
 	outside, err := h.New(c)
 	if err != nil {
 		t.Fatal(err)
@@ -23,101 +21,71 @@ func TestSuspendWriteObserverForIsScoped(t *testing.T) {
 
 	var writes, accesses []ObjID
 	h.SetWriteObserver(func(id ObjID) { writes = append(writes, id) })
+	h.AddWriteObserver(func(id ObjID) { writes = append(writes, id) })
 	h.AddAccessObserver(func(id ObjID) { accesses = append(accesses, id) })
 
-	members := map[ObjID]bool{inCluster.ID(): true}
-	resume := h.SuspendWriteObserverFor(func(id ObjID) bool { return members[id] })
-
-	if err := inCluster.SetFieldByName("tag", Int(1)); err != nil {
+	fields := c.Ops().NewFieldVector()
+	slot, _ := c.FieldIndex("tag")
+	fields[slot] = Int(7)
+	installed, err := h.InstallBatch([]Staged{{ID: 100, Class: c, Fields: fields}})
+	if err != nil {
 		t.Fatal(err)
 	}
+	if got, _ := installed[0].FieldByName("tag"); !got.Equal(Int(7)) {
+		t.Fatalf("installed tag = %v, want 7", got)
+	}
+	if len(writes) != 0 || len(accesses) != 0 {
+		t.Fatalf("batch install notified observers: writes %v, accesses %v", writes, accesses)
+	}
+
 	if err := outside.SetFieldByName("tag", Int(2)); err != nil {
 		t.Fatal(err)
 	}
-	h.NoteAccess(inCluster.ID())
-	h.NoteAccess(outside.ID())
-
-	if len(writes) != 1 || writes[0] != outside.ID() {
-		t.Fatalf("writes under scope = %v, want only %d", writes, outside.ID())
+	if err := installed[0].SetFieldByName("tag", Int(8)); err != nil {
+		t.Fatal(err)
 	}
-	// The outside object's write counts as an access too, plus its explicit
-	// NoteAccess; the member's accesses are silenced.
-	for _, id := range accesses {
-		if id == inCluster.ID() {
-			t.Fatalf("member access leaked through the scope: %v", accesses)
+	want := []ObjID{outside.ID(), outside.ID(), 100, 100} // both write observers, in order
+	if len(writes) != len(want) {
+		t.Fatalf("writes = %v, want %v", writes, want)
+	}
+	for i := range want {
+		if writes[i] != want[i] {
+			t.Fatalf("writes = %v, want %v", writes, want)
 		}
 	}
 	if len(accesses) != 2 {
-		t.Fatalf("outside accesses = %v, want write-access + NoteAccess", accesses)
-	}
-
-	// Resume: the member's writes flow again.
-	resume()
-	writes = writes[:0]
-	if err := inCluster.SetFieldByName("tag", Int(3)); err != nil {
-		t.Fatal(err)
-	}
-	if len(writes) != 1 || writes[0] != inCluster.ID() {
-		t.Fatalf("writes after resume = %v, want %d", writes, inCluster.ID())
+		t.Fatalf("accesses = %v, want one per write", accesses)
 	}
 }
 
-// TestSuspendScopesCompose runs two scopes at once: each silences its own
-// ids, neither silences the other's, and a global suspension still trumps
-// everything.
-func TestSuspendScopesCompose(t *testing.T) {
+// TestSuspendWriteObserverIsGlobalAndNests: the suspension middleware wraps
+// around writes that restore rather than mutate (resize, checkpoint restore)
+// silences every observer until the last resume.
+func TestSuspendWriteObserverIsGlobalAndNests(t *testing.T) {
 	h := New(0)
-	c := nodeClass()
-	a, _ := h.New(c)
-	b, _ := h.New(c)
-	free, _ := h.New(c)
-
-	var writes []ObjID
-	h.SetWriteObserver(func(id ObjID) { writes = append(writes, id) })
-
-	resumeA := h.SuspendWriteObserverFor(func(id ObjID) bool { return id == a.ID() })
-	resumeB := h.SuspendWriteObserverFor(func(id ObjID) bool { return id == b.ID() })
-	for _, o := range []*Object{a, b, free} {
-		if err := o.SetFieldByName("tag", Int(1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(writes) != 1 || writes[0] != free.ID() {
-		t.Fatalf("writes under two scopes = %v, want only %d", writes, free.ID())
-	}
-
-	resumeA()
-	writes = writes[:0]
-	if err := a.SetFieldByName("tag", Int(2)); err != nil {
+	o, err := h.New(nodeClass())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.SetFieldByName("tag", Int(2)); err != nil {
-		t.Fatal(err)
-	}
-	if len(writes) != 1 || writes[0] != a.ID() {
-		t.Fatalf("writes after resuming scope A = %v, want only %d", writes, a.ID())
-	}
+	var writes, accesses int
+	h.SetWriteObserver(func(ObjID) { writes++ })
+	h.AddAccessObserver(func(ObjID) { accesses++ })
 
-	// Global suspension silences even unscoped objects.
-	resumeAll := h.SuspendWriteObserver()
-	writes = writes[:0]
-	if err := free.SetFieldByName("tag", Int(3)); err != nil {
+	outer := h.SuspendWriteObserver()
+	inner := h.SuspendWriteObserver()
+	inner()
+	if err := o.SetFieldByName("tag", Int(1)); err != nil {
 		t.Fatal(err)
 	}
-	if len(writes) != 0 {
-		t.Fatalf("writes under global suspension = %v, want none", writes)
+	h.NoteAccess(o.ID())
+	if writes != 0 || accesses != 0 {
+		t.Fatalf("under suspension: %d writes, %d accesses, want none", writes, accesses)
 	}
-	resumeAll()
-	resumeB()
-
-	// A nil predicate is the global form.
-	resumeNil := h.SuspendWriteObserverFor(nil)
-	writes = writes[:0]
-	if err := free.SetFieldByName("tag", Int(4)); err != nil {
+	outer()
+	if err := o.SetFieldByName("tag", Int(2)); err != nil {
 		t.Fatal(err)
 	}
-	if len(writes) != 0 {
-		t.Fatalf("writes under nil-pred scope = %v, want none", writes)
+	if writes != 1 || accesses != 1 {
+		t.Fatalf("after resume: %d writes, %d accesses, want 1 and 1", writes, accesses)
 	}
-	resumeNil()
 }

@@ -219,6 +219,16 @@ func (v Value) Bytes() ([]byte, error) {
 	return cp, nil
 }
 
+// BorrowBytes returns the byte payload itself (shared, treat as read-only),
+// or an error for other kinds. Serialization uses it to copy a payload once,
+// into the frame, instead of twice.
+func (v Value) BorrowBytes() ([]byte, error) {
+	if v.kind != KindBytes {
+		return nil, fmt.Errorf("%w: want bytes, have %s", ErrBadKind, v.kind)
+	}
+	return v.b, nil
+}
+
 // BytesLen returns the length of a bytes payload without copying, or 0.
 func (v Value) BytesLen() int { return len(v.b) }
 

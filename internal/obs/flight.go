@@ -2,7 +2,9 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
+	"reflect"
 	"sort"
 	"sync"
 	"time"
@@ -66,8 +68,37 @@ type EventRecord struct {
 	Topic string `json:"topic"`
 	// At is the publication time stamped by the bus clock.
 	At time.Time `json:"at"`
-	// Detail is a bounded rendering of the payload.
+	// Detail is a bounded rendering of the payload. A record admitted with a
+	// Payload instead gets its Detail when the ring is read.
 	Detail string `json:"detail,omitempty"`
+	// Payload is the published payload, retained so that rendering it costs
+	// nothing unless somebody reads the ring. Only values are retained (a
+	// string, a struct passed by value): a payload the publisher could still
+	// change through a pointer, map or slice is rendered on admission.
+	Payload any `json:"-"`
+}
+
+// detailMax bounds the rendering of a payload.
+const detailMax = 160
+
+// renderDetail flattens a payload for retention, truncated to detailMax
+// bytes.
+func renderDetail(p any) string {
+	s := fmt.Sprintf("%+v", p)
+	if len(s) > detailMax {
+		s = s[:detailMax] + "..."
+	}
+	return s
+}
+
+// mutableAfterPublish reports whether the publisher could still change what
+// p shows after handing it over.
+func mutableAfterPublish(p any) bool {
+	switch reflect.TypeOf(p).Kind() {
+	case reflect.Pointer, reflect.Map, reflect.Slice, reflect.Chan, reflect.Func, reflect.UnsafePointer:
+		return true
+	}
+	return false
 }
 
 // Recorder is the middleware's flight recorder: two bounded ring buffers
@@ -140,6 +171,9 @@ func (r *Recorder) RecordEvent(e EventRecord) {
 	if r == nil {
 		return
 	}
+	if e.Payload != nil && mutableAfterPublish(e.Payload) {
+		e.Detail, e.Payload = renderDetail(e.Payload), nil
+	}
 	r.mu.Lock()
 	r.seq++
 	e.Seq = r.seq
@@ -170,17 +204,23 @@ func (r *Recorder) Spans() []SpanRecord {
 	return out
 }
 
-// Events copies the retained bus events, most recent first.
+// Events copies the retained bus events, most recent first, rendering the
+// Detail of those admitted with a Payload.
 func (r *Recorder) Events() []EventRecord {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := make([]EventRecord, 0, r.eventLen)
 	for i := 0; i < r.eventLen; i++ {
 		idx := (r.eventPos - 1 - i + len(r.events)) % len(r.events)
 		out = append(out, r.events[idx])
+	}
+	r.mu.Unlock()
+	for i := range out {
+		if e := &out[i]; e.Payload != nil {
+			e.Detail, e.Payload = renderDetail(e.Payload), nil
+		}
 	}
 	return out
 }

@@ -49,6 +49,26 @@ func TestVecLabels(t *testing.T) {
 	}
 }
 
+// TestWithAllocatesNothingOnHit: looking up an existing series — what the
+// swap path does on every counter and histogram it touches — allocates
+// nothing, however many labels the family has.
+func TestWithAllocatesNothingOnHit(t *testing.T) {
+	r := NewRegistry(nil)
+	one := r.CounterVec("one_total", "one label", "op")
+	three := r.HistogramVec("three_seconds", "three labels", nil, "op", "cause", "kind")
+	gauge := r.GaugeVec("heat", "gauge", "class", "cluster")
+	one.With("swap_in")
+	three.With("swap_in", "evictor-pressure", "demand")
+	gauge.With("Task", "17")
+	if n := testing.AllocsPerRun(100, func() {
+		one.With("swap_in").Inc()
+		three.With("swap_in", "evictor-pressure", "demand").Observe(1)
+		gauge.With("Task", "17").Set(2)
+	}); n != 0 {
+		t.Fatalf("With on existing series allocates %v times per run, want 0", n)
+	}
+}
+
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry(nil)
 	h := r.Histogram("lat_seconds", "latency", []float64{0.1, 1, 10})

@@ -189,10 +189,20 @@ func (f *family) get(labelValues []string) *series {
 		panic(fmt.Sprintf("obs: metric %s wants %d label values, got %d",
 			f.name, len(f.labelNames), len(labelValues)))
 	}
-	key := strings.Join(labelValues, labelSep)
+	// The key is built on the stack and only becomes a string when a new
+	// series is stored: a hit — every call but the first per label set, on
+	// the swap path's counters — allocates nothing.
+	var buf [128]byte
+	key := buf[:0]
+	for i, v := range labelValues {
+		if i > 0 {
+			key = append(key, labelSep...)
+		}
+		key = append(key, v...)
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	s := f.series[key]
+	s := f.series[string(key)]
 	if s == nil {
 		s = &series{labelValues: append([]string(nil), labelValues...)}
 		switch f.kind {
@@ -206,7 +216,7 @@ func (f *family) get(labelValues []string) *series {
 				counts: make([]uint64, len(f.bounds)+1),
 			}
 		}
-		f.series[key] = s
+		f.series[string(key)] = s
 	}
 	return s
 }

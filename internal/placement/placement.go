@@ -190,7 +190,10 @@ func DefaultQuorum(replicas int) int {
 
 // ShipRequest describes one replicated shipment.
 type ShipRequest struct {
-	Key  string
+	Key string
+	// Data is the payload, shared read-only by every replica's Put. Ship joins
+	// all of them before it returns — on success and on failure — so the
+	// caller may reuse the buffer immediately afterwards.
 	Data []byte
 	// Replicas is the target replica count K (minimum 1).
 	Replicas int

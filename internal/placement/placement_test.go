@@ -1,10 +1,13 @@
 package placement
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"objectswap/internal/store"
 )
@@ -306,5 +309,75 @@ func TestDefaultQuorum(t *testing.T) {
 		if got := DefaultQuorum(k); got != want {
 			t.Fatalf("DefaultQuorum(%d) = %d, want %d", k, got, want)
 		}
+	}
+}
+
+// slowDonor is a donor whose Put dawdles before it reads the payload, and
+// counts the Puts it is inside of.
+type slowDonor struct {
+	*store.Mem
+	delay    time.Duration
+	fail     bool
+	inFlight *atomic.Int32
+}
+
+func (d slowDonor) PutEnvelope(ctx context.Context, key string, data []byte, opts store.PutOpts) error {
+	d.inFlight.Add(1)
+	defer d.inFlight.Add(-1)
+	time.Sleep(d.delay)
+	if d.fail {
+		return fmt.Errorf("%w: %s", store.ErrUnavailable, key)
+	}
+	return d.Mem.PutEnvelope(ctx, key, data, opts)
+}
+
+// TestShipJoinsEveryPutBeforeReturning: Ship hands the same buffer to K
+// concurrent Puts, and the caller reuses that buffer as soon as Ship returns
+// (the swapping runtime encodes the next cluster into it). So no Put may
+// still be running then — not the slow replica that was not needed for the
+// quorum, not the one recruited after a failure, and not on a shipment that
+// fails. Under -race a straggler reading the scribbled buffer is reported.
+func TestShipJoinsEveryPutBeforeReturning(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		failed map[int]bool // by rank
+		wantOK bool
+	}{
+		{"all land", nil, true},
+		{"primary fails, next recruited", map[int]bool{0: true}, true},
+		{"quorum fails", map[int]bool{0: true, 1: true, 2: true}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			names := []string{"d1", "d2", "d3", "d4"}
+			var inFlight atomic.Int32
+			r := store.NewRegistry(store.SelectMostFree)
+			mems := map[string]*store.Mem{}
+			for rank, n := range Order("k", names) {
+				mems[n] = store.NewMem(0)
+				// Later ranks are slower: the quorum is reached while they
+				// are still writing.
+				d := slowDonor{mems[n], time.Duration(rank) * 3 * time.Millisecond, tc.failed[rank], &inFlight}
+				if err := r.Add(n, d); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := bytes.Repeat([]byte("<cluster/>"), 100)
+			buf := bytes.Clone(want)
+			rep, err := New(r, Options{}).Ship(ctx, ShipRequest{Key: "k", Data: buf, Replicas: 3})
+			if n := inFlight.Load(); n != 0 {
+				t.Fatalf("%d Put(s) still in flight after Ship returned", n)
+			}
+			for i := range buf {
+				buf[i] = '!'
+			}
+			if (err == nil) != tc.wantOK {
+				t.Fatalf("Ship: %v (report %+v), want success %v", err, rep, tc.wantOK)
+			}
+			for _, n := range rep.Replicas {
+				if got, err := mems[n].Get(ctx, "k"); err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("replica %s holds %.12q... (%v), want the shipped payload", n, got, err)
+				}
+			}
+		})
 	}
 }

@@ -43,9 +43,13 @@ type Repairer struct {
 	repairs *obs.CounterVec // sweep results by outcome
 	kicks   *obs.CounterVec // wake-up signals by reason
 
-	kick chan struct{}
-	stop chan struct{}
-	done chan struct{}
+	// sweep admits one sweep at a time: an explicit RepairNow waits out the
+	// background worker's instead of skipping the clusters it is busy with
+	// and returning before they are whole.
+	sweep sync.Mutex
+	kick  chan struct{}
+	stop  chan struct{}
+	done  chan struct{}
 
 	startOnce sync.Once
 	stopOnce  sync.Once
@@ -144,6 +148,8 @@ func (r *Repairer) Close() {
 // repaired and the first hard failure (a cluster that could not be repaired
 // stays under-replicated; the next kick retries it).
 func (r *Repairer) RepairNow(ctx context.Context) (int, error) {
+	r.sweep.Lock()
+	defer r.sweep.Unlock()
 	ids := r.target.UnderReplicated(r.k)
 	repaired := 0
 	var firstErr error

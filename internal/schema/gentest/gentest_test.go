@@ -3,6 +3,7 @@ package gentest
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"os"
 	"reflect"
 	"strings"
@@ -363,5 +364,156 @@ func TestGenBenchSmoke(t *testing.T) {
 	if float64(dispGen.NsPerOp()) > 1.5*float64(dispSyn.NsPerOp()) {
 		t.Fatalf("generated dispatch %d ns/op regressed past synthesized closures %d ns/op",
 			dispGen.NsPerOp(), dispSyn.NsPerOp())
+	}
+}
+
+// TestHeapDrivenEndsWithGeneratedClass checks the swap path's heap-driven
+// ends against the Doc path on a seeded cluster that mixes the generated
+// Record class (its codec handed one reused record per object) with a
+// synthesized class, and covers all eight kinds, nested lists, and internal,
+// slot and remote references. Out: the frame encoded straight from the heap
+// equals wire.Encode of xmlcodec.EncodeObjects, byte for byte, in binary and
+// binary+flate. Back: installing that frame directly and through
+// Decode + Doc.Install leaves two heaps with equal objects and equal Used.
+func TestHeapDrivenEndsWithGeneratedClass(t *testing.T) {
+	record := NewRecordClass()
+	misc := heap.NewClass("Misc",
+		heap.FieldDef{Name: "nothing", Kind: heap.KindRef},
+		heap.FieldDef{Name: "nest", Kind: heap.KindList},
+		heap.FieldDef{Name: "slot", Kind: heap.KindRef},
+		heap.FieldDef{Name: "far", Kind: heap.KindRef},
+	)
+	reg := heap.NewRegistry()
+	reg.MustRegister(record)
+	reg.MustRegister(misc)
+
+	rng := rand.New(rand.NewSource(15))
+	h := heap.New(0)
+	const n = 12
+	var objs []*heap.Object
+	for i := 0; i < n; i++ {
+		cls := record
+		if i%4 == 3 {
+			cls = misc
+		}
+		o, err := h.New(cls)
+		if err != nil {
+			t.Fatal(err)
+		}
+		objs = append(objs, o)
+	}
+	// Stand-ins outside the cluster: two reached through replacement slots,
+	// two un-replicated (remote) ones.
+	var outside []heap.ObjID
+	for i := 0; i < 4; i++ {
+		o, err := h.New(misc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outside = append(outside, o.ID())
+	}
+	members := map[heap.ObjID]bool{}
+	for _, o := range objs {
+		members[o.ID()] = true
+	}
+	member := func() heap.Value { return objs[rng.Intn(n)].RefTo() }
+	for i, o := range objs {
+		if o.Class() == record {
+			blob := make([]byte, rng.Intn(300))
+			rng.Read(blob)
+			o.MustSet("title", heap.Str(fmt.Sprintf("rec-%d-%x", i, rng.Int63()))).
+				MustSet("seq", heap.Int(rng.Int63()-1<<62)).
+				MustSet("weight", heap.Float(rng.NormFloat64())).
+				MustSet("dirty", heap.Bool(i%2 == 0)).
+				MustSet("blob", heap.Bytes(blob)).
+				MustSet("next", member()).
+				MustSet("tags", heap.List(heap.Str("hot"), heap.Int(int64(i)), heap.Ref(outside[i%2])))
+			continue
+		}
+		o.MustSet("nest", heap.List(
+			member(), heap.Nil(), heap.Bool(true), heap.Float(-0.5), heap.Bytes([]byte{1, 2, 3}),
+			heap.List(heap.Str("deep"), heap.List(heap.Ref(outside[2]), member()), heap.List()),
+			heap.Ref(outside[1]),
+		)).MustSet("slot", heap.Ref(outside[i%2])).MustSet("far", heap.Ref(outside[2+i%2]))
+	}
+	encodeRef := func(id heap.ObjID) (xmlcodec.Value, error) {
+		switch {
+		case members[id]:
+			return xmlcodec.InternalRef(id), nil
+		case id == outside[0] || id == outside[1]:
+			return xmlcodec.SlotRef(int(id - outside[0])), nil
+		case id == outside[2] || id == outside[3]:
+			return xmlcodec.RemoteRefOf(id+1000, "Misc"), nil
+		}
+		return xmlcodec.Value{}, fmt.Errorf("unclassified @%d", id)
+	}
+	decodeRef := func(v xmlcodec.Value) (heap.Value, error) {
+		if v.RefClass == xmlcodec.RefSlot {
+			return heap.Ref(outside[v.Slot]), nil
+		}
+		return heap.Ref(v.Target - 1000), nil
+	}
+
+	const key = "gentest-heap-ends"
+	doc, err := xmlcodec.EncodeObjects(key, objs, encodeRef)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := recordCodecs()
+	for _, format := range []wire.FormatID{wire.FormatBinary, wire.FormatFlate} {
+		want, err := wire.Encode(format, doc, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, codecs := range []*wire.ClassCodecs{cc, nil} {
+			enc := wire.NewEncoder()
+			got, err := enc.EncodeObjects(format, key, objs, encodeRef, &wire.EncodeOpts{Codecs: codecs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s (codecs %v): frame encoded from the heap differs from the Doc path's", format, codecs != nil)
+			}
+			enc.Release()
+		}
+
+		direct, viaDoc := heap.New(0), heap.New(0)
+		staged, err := wire.Stage(want, reg, &wire.DecodeOpts{Codecs: cc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := staged.Install(direct, decodeRef); err != nil {
+			t.Fatal(err)
+		}
+		back, err := wire.Decode(want, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := back.Install(viaDoc, reg, decodeRef); err != nil {
+			t.Fatal(err)
+		}
+		if direct.Used() != viaDoc.Used() || direct.Len() != n {
+			t.Fatalf("%s: direct install: %d objects, Used %d; via Doc: %d objects, Used %d",
+				format, direct.Len(), direct.Used(), viaDoc.Len(), viaDoc.Used())
+		}
+		for _, o := range objs {
+			d, err := direct.Get(o.ID())
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := viaDoc.Get(o.ID())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < o.NumFields(); i++ {
+				if !d.Field(i).Equal(o.Field(i)) || !v.Field(i).Equal(o.Field(i)) {
+					t.Fatalf("%s: @%d.%s: direct %v, via Doc %v, shipped %v",
+						format, o.ID(), o.Class().Field(i).Name, d.Field(i), v.Field(i), o.Field(i))
+				}
+			}
+			if d.Size() != o.Size() || v.Size() != o.Size() {
+				t.Fatalf("%s: @%d sized %d direct, %d via Doc, %d when shipped", format, o.ID(), d.Size(), v.Size(), o.Size())
+			}
+		}
 	}
 }

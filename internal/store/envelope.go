@@ -40,9 +40,11 @@ type PutOpts struct {
 type Envelope interface {
 	// PutEnvelope stores data under key with its envelope, replacing any
 	// previous payload. A device that does not accept opts.Format fails with
-	// ErrUnsupportedFormat and stores nothing.
+	// ErrUnsupportedFormat and stores nothing. Like Put, it does not retain
+	// data.
 	PutEnvelope(ctx context.Context, key string, data []byte, opts PutOpts) error
-	// GetEnvelope returns the payload and the envelope it was stored with.
+	// GetEnvelope returns the payload, in a slice the caller owns, and the
+	// envelope it was stored with.
 	GetEnvelope(ctx context.Context, key string) ([]byte, PutOpts, error)
 }
 

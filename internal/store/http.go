@@ -254,7 +254,10 @@ func (c *Client) PutEnvelope(ctx context.Context, key string, data []byte, opts 
 	if key == "" {
 		return errors.New("store: empty key")
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, c.keyURL(key), bytes.NewReader(data))
+	// The transport may still be writing the request body after Do has
+	// returned (a donor that answers before reading it all), so the request
+	// gets its own copy: data is the caller's again when this returns.
+	req, err := http.NewRequestWithContext(ctx, http.MethodPut, c.keyURL(key), bytes.NewReader(bytes.Clone(data)))
 	if err != nil {
 		return fmt.Errorf("store: http: %w", err)
 	}

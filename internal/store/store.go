@@ -62,10 +62,22 @@ func (s Stats) Free() int64 {
 // drop (and enumerate) keyed opaque text. Every operation observes the
 // context's deadline and cancellation — a store must not outlive ctx on a
 // slow or dead link.
+//
+// Who owns the bytes: data handed to Put (and Envelope.PutEnvelope) belongs
+// to the caller again the moment the call returns — a store copies, writes
+// out or transmits what it keeps before returning, and no goroutine of its
+// own reads data afterwards. The swapping runtime relies on this to encode
+// every shipment into one pooled buffer it reuses for the next. Conversely
+// the slice Get (GetEnvelope, MultiGetter.GetMulti) returns belongs to the
+// caller: a store never hands out its own copy, so the caller may change it
+// without changing what is stored. Decorators inherit both halves by
+// forwarding; TestOwnershipContract runs every in-tree store and decorator
+// through them.
 type Store interface {
-	// Put stores data under key, replacing any previous payload.
+	// Put stores data under key, replacing any previous payload. It does not
+	// retain data.
 	Put(ctx context.Context, key string, data []byte) error
-	// Get returns the payload stored under key.
+	// Get returns the payload stored under key, in a slice the caller owns.
 	Get(ctx context.Context, key string) ([]byte, error)
 	// Drop removes the payload stored under key. Dropping an absent key is
 	// an error (ErrNotFound) so protocol bugs surface.

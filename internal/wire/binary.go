@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"objectswap/internal/heap"
 	"objectswap/internal/xmlcodec"
@@ -72,11 +74,19 @@ func init() { Register(binaryCodec{}) }
 func (binaryCodec) ID() FormatID { return FormatBinary }
 func (binaryCodec) Caps() Caps   { return CapSelfContained }
 
-func (binaryCodec) Encode(doc *xmlcodec.Doc, opts *EncodeOpts) ([]byte, error) {
-	return encodeFrame(doc, opts, 0)
+func (c binaryCodec) Encode(doc *xmlcodec.Doc, opts *EncodeOpts) ([]byte, error) {
+	return encodeDoc(c, doc, opts)
 }
 
-func (binaryCodec) Decode(data []byte, opts *DecodeOpts) (*xmlcodec.Doc, error) {
+func (binaryCodec) encodeFrom(e *Encoder, dst []byte, sh shipment, opts *EncodeOpts) ([]byte, error) {
+	return e.frame(dst, 0, sh, opts)
+}
+
+func (c binaryCodec) Decode(data []byte, opts *DecodeOpts) (*xmlcodec.Doc, error) {
+	return decodeDoc(c, data, opts)
+}
+
+func (binaryCodec) openBody(data []byte) ([]byte, error) {
 	body, flags, err := openFrame(data)
 	if err != nil {
 		return nil, err
@@ -84,107 +94,73 @@ func (binaryCodec) Decode(data []byte, opts *DecodeOpts) (*xmlcodec.Doc, error) 
 	if flags != 0 {
 		return nil, fmt.Errorf("%w: flags 0x%02x on plain binary payload", ErrBadFrame, flags)
 	}
-	doc, _, _, err := decodeBody(body, false, opts.classCodecs())
-	return doc, err
-}
-
-// docStats sizes a document for one-pass arena encoding.
-type docStats struct {
-	treeBytes int // object/field/value tree section
-	fields    int
-	listItems int
-	strBytes  int
-	blobBytes int
-}
-
-func uvarintLen(x uint64) int {
-	n := 1
-	for x >= 0x80 {
-		x >>= 7
-		n++
-	}
-	return n
+	return body, nil
 }
 
 func zigzag(i int64) uint64   { return uint64(i<<1) ^ uint64(i>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-func measureValue(v *xmlcodec.Value, st *docStats) error {
-	st.treeBytes++ // kind byte
-	switch v.Kind {
-	case heap.KindNil:
-	case heap.KindInt:
-		st.treeBytes += uvarintLen(zigzag(v.I))
-	case heap.KindFloat:
-		st.treeBytes += 8
-	case heap.KindBool:
-		st.treeBytes++
-	case heap.KindString:
-		st.treeBytes += uvarintLen(uint64(len(v.S)))
-		st.strBytes += len(v.S)
-	case heap.KindBytes:
-		st.treeBytes += uvarintLen(uint64(len(v.Data)))
-		st.blobBytes += len(v.Data)
-	case heap.KindRef:
-		switch v.RefClass {
-		case xmlcodec.RefInternal:
-			st.treeBytes += uvarintLen(uint64(v.Target))
-		case xmlcodec.RefSlot:
-			st.treeBytes += uvarintLen(uint64(v.Slot))
-		case xmlcodec.RefRemote:
-			st.treeBytes += uvarintLen(uint64(v.Target))
-			st.treeBytes += uvarintLen(uint64(len(v.Class)))
-			st.strBytes += len(v.Class)
-		default:
-			return fmt.Errorf("%w: ref class %d", ErrBadFrame, v.RefClass)
-		}
-	case heap.KindList:
-		st.treeBytes += uvarintLen(uint64(len(v.List)))
-		st.listItems += len(v.List)
-		for i := range v.List {
-			if err := measureValue(&v.List[i], st); err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("wire: cannot encode kind %v", v.Kind)
-	}
-	return nil
+// A shipment is what the tree writer walks: the cluster key, the wrapper
+// version and the objects, one record at a time. The two sources are a Doc
+// (docSource) and the heap itself (heapSource), so a cluster being swapped
+// out is never materialized as a document.
+type shipment struct {
+	clusterID string
+	version   int
+	objects   objectSource
 }
 
-func measureDoc(doc *xmlcodec.Doc, st *docStats, cc *ClassCodecs) error {
-	st.strBytes += len(doc.ClusterID)
-	for i := range doc.Objects {
-		o := &doc.Objects[i]
-		st.treeBytes += uvarintLen(uint64(o.ID)) +
-			uvarintLen(uint64(len(o.Class))) +
-			uvarintLen(uint64(len(o.Fields)))
-		st.strBytes += len(o.Class)
-		st.fields += len(o.Fields)
-		if c, ok := cc.Lookup(o.Class); ok {
-			if err := c.Measure(o, Stats{st}); err != nil {
-				return err
-			}
-			continue
-		}
-		for j := range o.Fields {
-			f := &o.Fields[j]
-			st.treeBytes += uvarintLen(uint64(len(f.Name)))
-			st.strBytes += len(f.Name)
-			if err := measureValue(&f.Value, st); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+// objectSource yields a shipment's records in order.
+type objectSource interface {
+	// count is the number of records next yields.
+	count() int
+	// next returns the following record, valid until the call after it.
+	next() (*xmlcodec.Object, error)
 }
 
-// frameEncoder appends the tree into out while routing strings and byte
-// payloads to their arenas.
+// docSource yields a document's own records.
+type docSource struct {
+	doc *xmlcodec.Doc
+	i   int
+}
+
+func docShipment(doc *xmlcodec.Doc) shipment {
+	return shipment{doc.ClusterID, doc.Version, &docSource{doc: doc}}
+}
+
+func (s *docSource) count() int { return len(s.doc.Objects) }
+
+func (s *docSource) next() (*xmlcodec.Object, error) {
+	o := &s.doc.Objects[s.i]
+	s.i++
+	return o, nil
+}
+
+// heapSource wraps resident objects one at a time into the encoder's reused
+// record.
+type heapSource struct {
+	objs      []*heap.Object
+	encodeRef xmlcodec.RefEncoder
+	wrap      *xmlcodec.Wrapper
+	i         int
+}
+
+func (s *heapSource) count() int { return len(s.objs) }
+
+func (s *heapSource) next() (*xmlcodec.Object, error) {
+	o := s.objs[s.i]
+	s.i++
+	return s.wrap.Wrap(o, s.encodeRef)
+}
+
+// frameEncoder writes the three sections of a frame body in one walk: the
+// tree into out, strings and byte payloads into their arenas, counting list
+// items for the header as it goes.
 type frameEncoder struct {
-	out  []byte
-	strs []byte
-	blob []byte
+	out       []byte
+	strs      []byte
+	blob      []byte
+	listItems int
 }
 
 func (e *frameEncoder) uvarint(x uint64) { e.out = binary.AppendUvarint(e.out, x) }
@@ -235,6 +211,7 @@ func (e *frameEncoder) value(v *xmlcodec.Value) error {
 	case heap.KindList:
 		e.out = append(e.out, bList)
 		e.uvarint(uint64(len(v.List)))
+		e.listItems += len(v.List)
 		for i := range v.List {
 			if err := e.value(&v.List[i]); err != nil {
 				return err
@@ -246,90 +223,150 @@ func (e *frameEncoder) value(v *xmlcodec.Value) error {
 	return nil
 }
 
-// encodeBody renders the frame body (header + tree + arenas) for doc. When
-// isDelta is set the delta header extension (base key, removed IDs) is taken
-// from opts; otherwise opts contributes only its class codec set.
-func encodeBody(doc *xmlcodec.Doc, opts *EncodeOpts, isDelta bool) ([]byte, error) {
-	cc := opts.classCodecs()
-	var st docStats
-	if err := measureDoc(doc, &st, cc); err != nil {
+// Encoder is the reusable state of frame encoding: the body sections, the
+// record heap objects are wrapped into, and the buffer EncodeObjects
+// assembles its frame in. Encoders are pooled; take one with NewEncoder and
+// Release it when the frame it returned is no longer needed.
+type Encoder struct {
+	frameEncoder
+	head []byte // body header, written last: its counts come from the walk
+	wrap xmlcodec.Wrapper
+	buf  []byte // the frame EncodeObjects returned
+}
+
+var encoders = sync.Pool{New: func() any { return new(Encoder) }}
+
+// NewEncoder takes an encoder from the pool.
+func NewEncoder() *Encoder { return encoders.Get().(*Encoder) }
+
+// Release returns the encoder, and with it the frame its last EncodeObjects
+// returned, to the pool.
+func (e *Encoder) Release() { encoders.Put(e) }
+
+// EncodeObjects renders the resident objects objs as one shipment keyed key
+// in the named format, straight from the heap: each object is wrapped into
+// one reused record (references classified by encodeRef) and written into the
+// frame, byte for byte what Encode gives for xmlcodec.EncodeObjects of the
+// same objects. The returned frame is the encoder's own buffer, valid until
+// Release or the next EncodeObjects — a store must not keep it (see
+// store.Store). Formats that need the whole document (the XML text fallback)
+// build one here.
+func (e *Encoder) EncodeObjects(format FormatID, key string, objs []*heap.Object,
+	encodeRef xmlcodec.RefEncoder, opts *EncodeOpts) ([]byte, error) {
+	c, err := Lookup(format)
+	if err != nil {
 		return nil, err
 	}
-	if isDelta {
-		st.strBytes += len(opts.BaseKey)
-		for _, id := range opts.Removed {
-			st.treeBytes += uvarintLen(uint64(id))
+	fc, ok := c.(frameCodec)
+	if !ok {
+		doc, err := xmlcodec.EncodeObjects(key, objs, encodeRef)
+		if err != nil {
+			return nil, err
 		}
+		return c.Encode(doc, opts)
 	}
+	src := &heapSource{objs: objs, encodeRef: encodeRef, wrap: &e.wrap}
+	frame, err := fc.encodeFrom(e, e.buf[:0], shipment{key, xmlcodec.Version, src}, opts)
+	if err != nil {
+		return nil, err
+	}
+	e.buf = frame
+	return frame, nil
+}
 
-	header := uvarintLen(uint64(len(doc.ClusterID))) +
-		uvarintLen(uint64(doc.Version)) +
-		uvarintLen(uint64(len(doc.Objects))) +
-		uvarintLen(uint64(st.fields)) +
-		uvarintLen(uint64(st.listItems)) +
-		uvarintLen(uint64(st.strBytes)) +
-		uvarintLen(uint64(st.blobBytes))
-	if isDelta {
-		header += uvarintLen(uint64(len(opts.BaseKey))) +
-			uvarintLen(uint64(len(opts.Removed)))
-	}
+// frameCodec is a binary-family format: it can write a shipment from any
+// object source with an Encoder's state, appending the frame to dst.
+type frameCodec interface {
+	encodeFrom(e *Encoder, dst []byte, sh shipment, opts *EncodeOpts) ([]byte, error)
+}
 
-	e := frameEncoder{
-		out:  make([]byte, 0, header+st.treeBytes+st.strBytes+st.blobBytes),
-		strs: make([]byte, 0, st.strBytes),
-		blob: make([]byte, 0, st.blobBytes),
-	}
-	// Header.
-	e.str(doc.ClusterID)
-	e.uvarint(uint64(doc.Version))
-	e.uvarint(uint64(len(doc.Objects)))
-	e.uvarint(uint64(st.fields))
-	e.uvarint(uint64(st.listItems))
-	e.uvarint(uint64(st.strBytes))
-	e.uvarint(uint64(st.blobBytes))
+// encodeDoc is Codec.Encode for the binary family: the document is one more
+// object source, and the frame is the caller's own.
+func encodeDoc(c frameCodec, doc *xmlcodec.Doc, opts *EncodeOpts) ([]byte, error) {
+	e := NewEncoder()
+	defer e.Release()
+	return c.encodeFrom(e, nil, docShipment(doc), opts)
+}
+
+// walk writes the shipment's body sections — header, tree, string arena,
+// blob arena — into the encoder in one pass over its objects.
+// It is the only writer of the OBW tree. When isDelta is set the delta header
+// extension (base key, removed IDs) is taken from opts; otherwise opts
+// contributes only its class codec set.
+func (e *Encoder) walk(sh shipment, opts *EncodeOpts, isDelta bool) error {
+	cc := opts.classCodecs()
+	e.out, e.strs, e.blob, e.listItems = e.out[:0], e.strs[:0], e.blob[:0], 0
+
+	// The string arena opens with the cluster key and, for a delta, the base
+	// key; the tree of a delta opens with the removed IDs.
+	e.strs = append(e.strs, sh.clusterID...)
 	if isDelta {
-		e.str(opts.BaseKey)
-		e.uvarint(uint64(len(opts.Removed)))
+		e.strs = append(e.strs, opts.BaseKey...)
 		for _, id := range opts.Removed {
 			e.uvarint(uint64(id))
 		}
 	}
-	// Tree.
-	for i := range doc.Objects {
-		o := &doc.Objects[i]
+	n, fields := sh.objects.count(), 0
+	for i := 0; i < n; i++ {
+		o, err := sh.objects.next()
+		if err != nil {
+			return err
+		}
 		e.uvarint(uint64(o.ID))
 		e.str(o.Class)
 		e.uvarint(uint64(len(o.Fields)))
+		fields += len(o.Fields)
 		if c, ok := cc.Lookup(o.Class); ok {
-			if err := c.Encode(Enc{&e}, o); err != nil {
-				return nil, err
+			if err := c.Encode(Enc{&e.frameEncoder}, o); err != nil {
+				return err
 			}
 			continue
 		}
-		for j := range o.Fields {
-			f := &o.Fields[j]
-			e.str(f.Name)
-			if err := e.value(&f.Value); err != nil {
-				return nil, err
-			}
+		if err := (Enc{&e.frameEncoder}).Fields(o.Fields); err != nil {
+			return err
 		}
 	}
-	// Arenas.
-	e.out = append(e.out, e.strs...)
-	e.out = append(e.out, e.blob...)
-	return e.out, nil
+
+	h := binary.AppendUvarint(e.head[:0], uint64(len(sh.clusterID)))
+	h = binary.AppendUvarint(h, uint64(sh.version))
+	h = binary.AppendUvarint(h, uint64(n))
+	h = binary.AppendUvarint(h, uint64(fields))
+	h = binary.AppendUvarint(h, uint64(e.listItems))
+	h = binary.AppendUvarint(h, uint64(len(e.strs)))
+	h = binary.AppendUvarint(h, uint64(len(e.blob)))
+	if isDelta {
+		h = binary.AppendUvarint(h, uint64(len(opts.BaseKey)))
+		h = binary.AppendUvarint(h, uint64(len(opts.Removed)))
+	}
+	e.head = h
+	return nil
 }
 
-// encodeFrame wraps a body in the OBW frame. opts may be nil.
-func encodeFrame(doc *xmlcodec.Doc, opts *EncodeOpts, flags byte) ([]byte, error) {
-	body, err := encodeBody(doc, opts, flags&flagDelta != 0)
-	if err != nil {
+// body lists the sections walk wrote, in frame order.
+func (e *Encoder) body() [][]byte { return [][]byte{e.head, e.out, e.strs, e.blob} }
+
+// frame appends the shipment's OBW frame to dst, each section copied once
+// from the encoder behind the length prefix.
+func (e *Encoder) frame(dst []byte, flags byte, sh shipment, opts *EncodeOpts) ([]byte, error) {
+	if err := e.walk(sh, opts, flags&flagDelta != 0); err != nil {
 		return nil, err
 	}
-	out := make([]byte, 0, frameHeaderLen+uvarintLen(uint64(len(body)))+len(body))
-	out = append(out, magic0, magic1, magic2, frameVersion, flags)
-	out = binary.AppendUvarint(out, uint64(len(body)))
-	return append(out, body...), nil
+	return appendFrame(dst, flags, e.body()...), nil
+}
+
+// appendFrame wraps parts, together the frame body, in the OBW frame header.
+func appendFrame(dst []byte, flags byte, parts ...[]byte) []byte {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	dst = slices.Grow(dst, frameHeaderLen+binary.MaxVarintLen64+n)
+	dst = append(dst, magic0, magic1, magic2, frameVersion, flags)
+	dst = binary.AppendUvarint(dst, uint64(n))
+	for _, p := range parts {
+		dst = append(dst, p...)
+	}
+	return dst
 }
 
 // openFrame validates magic, version and the body length prefix, returning
@@ -492,52 +529,137 @@ func (d *frameDecoder) valueBody(kind byte, v *xmlcodec.Value) error {
 	return nil
 }
 
-// decodeBody parses a frame body. When delta is true the delta header
-// extension is expected and the base key + removed IDs are returned.
+// objectSink receives a shipment from the tree reader, one record at a time.
+// The two sinks are a Doc (docSink) and an Installer staging heap objects
+// (heapSink), so a cluster being swapped in is never materialized as a
+// document.
+type objectSink interface {
+	// begin announces the shipment and returns storage for listItems list
+	// items, which the reader fills while the sink's records refer to it.
+	begin(clusterID string, version, objects, fields, listItems int) ([]xmlcodec.Value, error)
+	// next returns the record to decode the following object into; its Fields
+	// has nf entries.
+	next(nf int) *xmlcodec.Object
+	// put hands the decoded record over.
+	put(o *xmlcodec.Object) error
+}
+
+// docSink collects the records into a document, each decoded in place into
+// arenas sized from the frame header.
+type docSink struct {
+	doc    xmlcodec.Doc // the sink escapes with its document: one allocation
+	fields []xmlcodec.Field
+	i      int
+}
+
+func (s *docSink) begin(clusterID string, version, objects, fields, listItems int) ([]xmlcodec.Value, error) {
+	s.doc = xmlcodec.Doc{
+		ClusterID: clusterID,
+		Version:   version,
+		Objects:   make([]xmlcodec.Object, objects),
+	}
+	s.fields = make([]xmlcodec.Field, fields)
+	return make([]xmlcodec.Value, listItems), nil
+}
+
+func (s *docSink) next(nf int) *xmlcodec.Object {
+	o := &s.doc.Objects[s.i]
+	s.i++
+	o.Fields = s.fields[:nf:nf]
+	s.fields = s.fields[nf:]
+	return o
+}
+
+func (s *docSink) put(*xmlcodec.Object) error { return nil }
+
+// heapSink stages each record as a heap field vector the moment it is
+// decoded; the record and the list storage are scratch, reused per object and
+// pooled across shipments.
+type heapSink struct {
+	reg     *heap.Registry
+	in      *xmlcodec.Installer
+	scratch *stageScratch
+}
+
+// stageScratch is the reusable decode state of Stage.
+type stageScratch struct {
+	rec   xmlcodec.Object
+	lists []xmlcodec.Value
+}
+
+var stageScratches = sync.Pool{New: func() any { return new(stageScratch) }}
+
+func (s *heapSink) begin(clusterID string, version, objects, _, listItems int) ([]xmlcodec.Value, error) {
+	var err error
+	if s.in, err = xmlcodec.NewInstaller(s.reg, clusterID, version, objects); err != nil {
+		return nil, err
+	}
+	sc := s.scratch
+	if cap(sc.lists) < listItems {
+		sc.lists = make([]xmlcodec.Value, listItems)
+	}
+	sc.lists = sc.lists[:listItems]
+	return sc.lists, nil
+}
+
+func (s *heapSink) next(nf int) *xmlcodec.Object {
+	rec := &s.scratch.rec
+	if cap(rec.Fields) < nf {
+		rec.Fields = make([]xmlcodec.Field, nf)
+	}
+	rec.Fields = rec.Fields[:nf]
+	clear(rec.Fields) // the reader sets only what a value's kind uses
+	return rec
+}
+
+func (s *heapSink) put(o *xmlcodec.Object) error { return s.in.Add(o) }
+
+// readBody parses a frame body into sink — the only reader of the OBW tree.
+// When delta is true the delta header extension is expected and the base key
+// and removed IDs are returned.
 //
-// A non-nil cc opts the caller into the borrowed-blob contract: byte payloads
-// alias the input buffer instead of a defensive copy (one allocation fewer
-// per decode). That is the swap-in path's shape — the runtime installs the
-// document immediately and heap.Bytes copies during installation — so the
-// alias never outlives the caller's buffer. Callers that hand decoded
-// documents to unknown consumers pass nil codecs and keep the copy.
-func decodeBody(body []byte, delta bool, cc *ClassCodecs) (*xmlcodec.Doc, string, []heap.ObjID, error) {
+// borrow selects the borrowed-blob contract: byte payloads alias the input
+// buffer instead of a defensive copy (one allocation fewer per decode). That
+// is right for a sink that copies on its own (the heap does, on
+// installation) and for callers that opted in through DecodeOpts.Codecs;
+// anything else keeps the copy.
+func readBody(body []byte, delta, borrow bool, cc *ClassCodecs, sink objectSink) (string, []heap.ObjID, error) {
 	d := frameDecoder{tree: body}
 	clusterIDLen, err := d.uvarint()
 	if err != nil {
-		return nil, "", nil, err
+		return "", nil, err
 	}
 	docVersion, err := d.uvarint()
 	if err != nil {
-		return nil, "", nil, err
+		return "", nil, err
 	}
 	nObjects, err := d.uvarint()
 	if err != nil {
-		return nil, "", nil, err
+		return "", nil, err
 	}
 	nFields, err := d.uvarint()
 	if err != nil {
-		return nil, "", nil, err
+		return "", nil, err
 	}
 	nListItems, err := d.uvarint()
 	if err != nil {
-		return nil, "", nil, err
+		return "", nil, err
 	}
 	strBytes, err := d.uvarint()
 	if err != nil {
-		return nil, "", nil, err
+		return "", nil, err
 	}
 	blobBytes, err := d.uvarint()
 	if err != nil {
-		return nil, "", nil, err
+		return "", nil, err
 	}
 	var baseKeyLen, nRemoved uint64
 	if delta {
 		if baseKeyLen, err = d.uvarint(); err != nil {
-			return nil, "", nil, err
+			return "", nil, err
 		}
 		if nRemoved, err = d.uvarint(); err != nil {
-			return nil, "", nil, err
+			return "", nil, err
 		}
 	}
 
@@ -551,7 +673,7 @@ func decodeBody(body []byte, delta bool, cc *ClassCodecs) (*xmlcodec.Doc, string
 		nObjects > remaining || nFields > remaining ||
 		nListItems > remaining || nRemoved > remaining ||
 		clusterIDLen > strBytes || baseKeyLen > strBytes-clusterIDLen {
-		return nil, "", nil, fmt.Errorf("%w: header counts exceed body", ErrBadFrame)
+		return "", nil, fmt.Errorf("%w: header counts exceed body", ErrBadFrame)
 	}
 
 	// Split off the arenas; the tree is what's left in the middle.
@@ -559,12 +681,11 @@ func decodeBody(body []byte, delta bool, cc *ClassCodecs) (*xmlcodec.Doc, string
 	arena := d.tree[arenaStart:]
 	d.tree = d.tree[:arenaStart]
 	d.strs = string(arena[:strBytes])
-	if cc != nil {
-		d.blob = arena[strBytes:] // borrowed-blob contract, see above
+	if borrow {
+		d.blob = arena[strBytes:]
 	} else {
 		d.blob = append([]byte(nil), arena[strBytes:]...)
 	}
-	d.values = make([]xmlcodec.Value, nListItems)
 
 	clusterID := d.strs[:clusterIDLen]
 	d.strs = d.strs[clusterIDLen:]
@@ -577,55 +698,121 @@ func decodeBody(body []byte, delta bool, cc *ClassCodecs) (*xmlcodec.Doc, string
 		for i := range removed {
 			id, err := d.uvarint()
 			if err != nil {
-				return nil, "", nil, err
+				return "", nil, err
 			}
 			removed[i] = heap.ObjID(id)
 		}
 	}
 
-	doc := &xmlcodec.Doc{
-		ClusterID: clusterID,
-		Version:   int(docVersion),
-		Objects:   make([]xmlcodec.Object, nObjects),
+	if d.values, err = sink.begin(clusterID, int(docVersion), int(nObjects), int(nFields), int(nListItems)); err != nil {
+		return "", nil, err
 	}
-	fields := make([]xmlcodec.Field, nFields)
-	for i := range doc.Objects {
-		o := &doc.Objects[i]
+	fieldsLeft := nFields
+	for i := uint64(0); i < nObjects; i++ {
 		id, err := d.uvarint()
 		if err != nil {
-			return nil, "", nil, err
+			return "", nil, err
 		}
-		o.ID = heap.ObjID(id)
-		if o.Class, err = d.str(); err != nil {
-			return nil, "", nil, err
+		class, err := d.str()
+		if err != nil {
+			return "", nil, err
 		}
 		nf, err := d.uvarint()
 		if err != nil {
-			return nil, "", nil, err
+			return "", nil, err
 		}
-		if nf > uint64(len(fields)) {
-			return nil, "", nil, fmt.Errorf("%w: field arena exhausted", ErrBadFrame)
+		if nf > fieldsLeft {
+			return "", nil, fmt.Errorf("%w: field arena exhausted", ErrBadFrame)
 		}
-		o.Fields = fields[:nf:nf]
-		fields = fields[nf:]
-		if c, ok := cc.Lookup(o.Class); ok {
-			if err := c.Decode(Dec{&d}, o); err != nil {
-				return nil, "", nil, err
-			}
-			continue
+		fieldsLeft -= nf
+		o := sink.next(int(nf))
+		o.ID, o.Class = heap.ObjID(id), class
+		if c, ok := cc.Lookup(class); ok {
+			err = c.Decode(Dec{&d}, o)
+		} else {
+			err = Dec{&d}.Fields(o.Fields)
 		}
-		for j := range o.Fields {
-			f := &o.Fields[j]
-			if f.Name, err = d.str(); err != nil {
-				return nil, "", nil, err
-			}
-			if err := d.value(&f.Value); err != nil {
-				return nil, "", nil, err
-			}
+		if err != nil {
+			return "", nil, err
+		}
+		if err := sink.put(o); err != nil {
+			return "", nil, err
 		}
 	}
 	if len(d.tree) != 0 {
-		return nil, "", nil, fmt.Errorf("%w: %d trailing tree bytes", ErrBadFrame, len(d.tree))
+		return "", nil, fmt.Errorf("%w: %d trailing tree bytes", ErrBadFrame, len(d.tree))
 	}
-	return doc, baseKey, removed, nil
+	return baseKey, removed, nil
+}
+
+// bodyCodec is a self-contained binary-family format: its payload opens to
+// one plain frame body.
+type bodyCodec interface {
+	openBody(data []byte) ([]byte, error)
+}
+
+// decodeDoc is Codec.Decode for the self-contained binary family: the
+// document is one more object sink.
+func decodeDoc(c bodyCodec, data []byte, opts *DecodeOpts) (*xmlcodec.Doc, error) {
+	body, err := c.openBody(data)
+	if err != nil {
+		return nil, err
+	}
+	sink := new(docSink)
+	cc := opts.classCodecs()
+	if _, _, err := readBody(body, false, cc != nil, cc, sink); err != nil {
+		return nil, err
+	}
+	return &sink.doc, nil
+}
+
+// Stage validates a fetched payload of any registered format and converts
+// it, object by object, into staged heap field vectors: everything Decode and
+// Doc.Install would check — framing, bounds, counts, wrapper version, known
+// classes and fields, value kinds, internal references — is checked here,
+// with no heap touched and no lock needed. The returned Installer makes the
+// cluster resident in one step. Self-contained binary frames go straight
+// from bytes to field vectors; formats that need the whole document (XML
+// text, a delta's merge with its base) decode to a Doc first and stage that.
+// Nothing in the Installer aliases data.
+func Stage(data []byte, reg *heap.Registry, opts *DecodeOpts) (*xmlcodec.Installer, error) {
+	id, err := Detect(data)
+	if err != nil {
+		return nil, err
+	}
+	c, err := Lookup(id)
+	if err != nil {
+		return nil, err
+	}
+	bc, ok := c.(bodyCodec)
+	if !ok {
+		doc, err := c.Decode(data, opts)
+		if err != nil {
+			return nil, err
+		}
+		return doc.Stage(reg)
+	}
+	body, err := bc.openBody(data)
+	if err != nil {
+		return nil, err
+	}
+	sink := heapSink{reg: reg, scratch: stageScratches.Get().(*stageScratch)}
+	_, _, err = readBody(body, false, true, opts.classCodecs(), &sink)
+	sink.scratch.release()
+	if err != nil {
+		return nil, err
+	}
+	if err := sink.in.Verify(); err != nil {
+		return nil, err
+	}
+	return sink.in, nil
+}
+
+// release drops the scratch's references into the decoded frame and returns
+// it to the pool.
+func (sc *stageScratch) release() {
+	clear(sc.rec.Fields[:cap(sc.rec.Fields)])
+	clear(sc.lists)
+	sc.rec.Class = ""
+	stageScratches.Put(sc)
 }

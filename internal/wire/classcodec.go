@@ -12,14 +12,14 @@ import (
 
 // ClassCodec is a per-class specialization of the OBW binary frame's field
 // section. A registered class (normally one with generated ClassOps) can
-// supply a codec that measures, encodes and decodes its OWN field list with
-// static, unrolled code instead of the generic per-value switch.
+// supply a codec that encodes and decodes its OWN field list with static,
+// unrolled code instead of the generic per-value switch.
 //
 // Byte-identity is a hard contract: a class codec MUST produce exactly the
 // bytes the generic path would produce for the same object, because wire
 // formats are negotiated per shipment and a donor (or a repair peer) may
-// decode a frame with or without the codec available. The Stats/Enc/Dec
-// surfaces below make that contract structural — every helper emits or
+// decode a frame with or without the codec available. The Enc/Dec surfaces
+// below make that contract structural — every helper emits or
 // consumes precisely one generic-path encoding step, and the Value/Fields
 // fallbacks ARE the generic path — so a codec composed from them cannot
 // diverge. FuzzCrossClassCodec enforces it anyway.
@@ -30,8 +30,6 @@ import (
 type ClassCodec interface {
 	// ClassName names the class this codec specializes.
 	ClassName() string
-	// Measure accounts o's fields (names and values) into st.
-	Measure(o *xmlcodec.Object, st Stats) error
 	// Encode appends o's fields (names and values) through e.
 	Encode(e Enc, o *xmlcodec.Object) error
 	// Decode fills o.Fields (already sliced to the frame's field count) with
@@ -93,56 +91,6 @@ func (s *ClassCodecs) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.byClass)
-}
-
-// Stats is the measuring surface handed to ClassCodec.Measure. Each helper
-// accounts exactly what the matching Enc helper will emit.
-type Stats struct{ st *docStats }
-
-// Field accounts one field name.
-func (s Stats) Field(name string) {
-	s.st.treeBytes += uvarintLen(uint64(len(name)))
-	s.st.strBytes += len(name)
-}
-
-// Nil accounts a nil value.
-func (s Stats) Nil() { s.st.treeBytes++ }
-
-// Int accounts an int value.
-func (s Stats) Int(i int64) { s.st.treeBytes += 1 + uvarintLen(zigzag(i)) }
-
-// Float accounts a float value.
-func (s Stats) Float() { s.st.treeBytes += 9 }
-
-// Bool accounts a bool value.
-func (s Stats) Bool() { s.st.treeBytes += 2 }
-
-// Str accounts a string value.
-func (s Stats) Str(v string) {
-	s.st.treeBytes += 1 + uvarintLen(uint64(len(v)))
-	s.st.strBytes += len(v)
-}
-
-// Bytes accounts a bytes value of length n.
-func (s Stats) Bytes(n int) {
-	s.st.treeBytes += 1 + uvarintLen(uint64(n))
-	s.st.blobBytes += n
-}
-
-// Value accounts any value through the generic path (refs, lists, and the
-// fallback arm of typed stanzas).
-func (s Stats) Value(v *xmlcodec.Value) error { return measureValue(v, s.st) }
-
-// Fields accounts a whole field list through the generic path — the
-// whole-object fallback for layout mismatches.
-func (s Stats) Fields(fs []xmlcodec.Field) error {
-	for j := range fs {
-		s.Field(fs[j].Name)
-		if err := measureValue(&fs[j].Value, s.st); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Enc is the encoding surface handed to ClassCodec.Encode. Each helper emits

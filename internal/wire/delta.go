@@ -22,16 +22,23 @@ func init() { Register(deltaCodec{}) }
 func (deltaCodec) ID() FormatID { return FormatDelta }
 func (deltaCodec) Caps() Caps   { return CapDelta }
 
-func (deltaCodec) Encode(doc *xmlcodec.Doc, opts *EncodeOpts) ([]byte, error) {
+func (c deltaCodec) Encode(doc *xmlcodec.Doc, opts *EncodeOpts) ([]byte, error) {
+	return encodeDoc(c, doc, opts)
+}
+
+func (deltaCodec) encodeFrom(e *Encoder, dst []byte, sh shipment, opts *EncodeOpts) ([]byte, error) {
 	if opts == nil || opts.BaseKey == "" {
 		return nil, fmt.Errorf("%w: delta encode without a base key", ErrNeedBase)
 	}
-	if opts.BaseKey == doc.ClusterID {
-		return nil, fmt.Errorf("%w: delta base key equals shipment key %q", ErrBadFrame, doc.ClusterID)
+	if opts.BaseKey == sh.clusterID {
+		return nil, fmt.Errorf("%w: delta base key equals shipment key %q", ErrBadFrame, sh.clusterID)
 	}
-	return encodeFrame(doc, opts, flagDelta)
+	return e.frame(dst, flagDelta, sh, opts)
 }
 
+// Decode merges the delta with its base, so it yields a whole document: a
+// delta is the one binary-family format Stage cannot install object by
+// object.
 func (deltaCodec) Decode(data []byte, opts *DecodeOpts) (*xmlcodec.Doc, error) {
 	body, flags, err := openFrame(data)
 	if err != nil {
@@ -40,10 +47,13 @@ func (deltaCodec) Decode(data []byte, opts *DecodeOpts) (*xmlcodec.Doc, error) {
 	if flags != flagDelta {
 		return nil, fmt.Errorf("%w: flags 0x%02x on delta payload", ErrBadFrame, flags)
 	}
-	changes, baseKey, removed, err := decodeBody(body, true, opts.classCodecs())
+	sink := new(docSink)
+	cc := opts.classCodecs()
+	baseKey, removed, err := readBody(body, true, cc != nil, cc, sink)
 	if err != nil {
 		return nil, err
 	}
+	changes := &sink.doc
 	if baseKey == "" || baseKey == changes.ClusterID {
 		return nil, fmt.Errorf("%w: delta names base %q", ErrBadFrame, baseKey)
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"objectswap/internal/baseline"
 	"objectswap/internal/xmlcodec"
@@ -23,24 +24,29 @@ func init() { Register(flateCodec{}) }
 func (flateCodec) ID() FormatID { return FormatFlate }
 func (flateCodec) Caps() Caps   { return CapSelfContained | CapCompressed }
 
-func (flateCodec) Encode(doc *xmlcodec.Doc, opts *EncodeOpts) ([]byte, error) {
-	body, err := encodeBody(doc, opts, false)
-	if err != nil {
+func (c flateCodec) Encode(doc *xmlcodec.Doc, opts *EncodeOpts) ([]byte, error) {
+	return encodeDoc(c, doc, opts)
+}
+
+func (flateCodec) encodeFrom(e *Encoder, dst []byte, sh shipment, opts *EncodeOpts) ([]byte, error) {
+	if err := e.walk(sh, opts, false); err != nil {
 		return nil, err
 	}
+	body := slices.Concat(e.body()...)
 	packed, err := baseline.Deflate(body, flate.DefaultCompression)
 	if err != nil {
 		return nil, err
 	}
-	inner := uvarintLen(uint64(len(body))) + len(packed)
-	out := make([]byte, 0, frameHeaderLen+uvarintLen(uint64(inner))+inner)
-	out = append(out, magic0, magic1, magic2, frameVersion, flagFlate)
-	out = binary.AppendUvarint(out, uint64(inner))
-	out = binary.AppendUvarint(out, uint64(len(body)))
-	return append(out, packed...), nil
+	var rawLen [binary.MaxVarintLen64]byte
+	return appendFrame(dst, flagFlate, binary.AppendUvarint(rawLen[:0], uint64(len(body))), packed), nil
 }
 
-func (flateCodec) Decode(data []byte, opts *DecodeOpts) (*xmlcodec.Doc, error) {
+func (c flateCodec) Decode(data []byte, opts *DecodeOpts) (*xmlcodec.Doc, error) {
+	return decodeDoc(c, data, opts)
+}
+
+// openBody inflates the payload to the plain binary body it wraps.
+func (flateCodec) openBody(data []byte) ([]byte, error) {
 	packed, flags, err := openFrame(data)
 	if err != nil {
 		return nil, err
@@ -69,8 +75,7 @@ func (flateCodec) Decode(data []byte, opts *DecodeOpts) (*xmlcodec.Doc, error) {
 	if m, _ := fr.Read(probe[:]); m != 0 {
 		return nil, fmt.Errorf("%w: body longer than declared", ErrBadFrame)
 	}
-	doc, _, _, err := decodeBody(body, false, opts.classCodecs())
-	return doc, err
+	return body, nil
 }
 
 // maxInflate caps a compressed body's declared raw size: far above any real

@@ -14,11 +14,21 @@
 // re-swapped clusters that ships only the objects dirtied since the last
 // checkpointed shipment.
 //
-// All formats encode and decode the same document model (xmlcodec.Doc);
-// format choice is a per-shipment transport decision, never a semantic one.
-// Donors advertise the formats they accept on their Stats surface and the
-// constrained device picks the first mutually supported entry of its
-// preference list — all K replicas of one shipment always use one format.
+// All formats carry the same model — a cluster as a sequence of xmlcodec.Object
+// records — so format choice is a per-shipment transport decision, never a
+// semantic one. Donors advertise the formats they accept on their Stats
+// surface and the constrained device picks the first mutually supported entry
+// of its preference list — all K replicas of one shipment always use one
+// format.
+//
+// A record is also the unit of materialization. The binary family has one
+// tree writer (Encoder.walk) and one tree reader (readBody), each driven from
+// either of two ends: a whole xmlcodec.Doc (Encode, Decode — what replication,
+// checkpoints, repair tooling and the XML oracle work with), or the heap
+// itself (Encoder.EncodeObjects, Stage — the swap path, which wraps and
+// stages one reused record at a time and never builds a document). Formats
+// that do need the whole document, the XML text and a delta's merge with its
+// base, plug a Doc into those same ends here.
 package wire
 
 import (

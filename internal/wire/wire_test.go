@@ -327,6 +327,9 @@ func FuzzCrossFormat(f *testing.F) {
 			}
 		}
 
+		// Third party: the same frames into and out of a heap, no Doc between.
+		checkHeapEnds(t, doc, nil)
+
 		// Delta path: ship the whole document as changes against an empty
 		// base, and as an empty delta against the full document as base; both
 		// must reproduce the model exactly.

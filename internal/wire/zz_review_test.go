@@ -27,7 +27,7 @@ func TestReviewDeltaArenaPanic(t *testing.T) {
 			t.Fatalf("PANIC: %v", r)
 		}
 	}()
-	_, _, _, err := decodeBody(frame[5+1:], true, nil)
+	_, _, err := readBody(frame[5+1:], true, false, nil, &docSink{})
 	t.Logf("err=%v", err)
 }
 
@@ -47,6 +47,6 @@ func TestReviewOverflowPanic(t *testing.T) {
 			t.Fatalf("PANIC: %v", r)
 		}
 	}()
-	_, _, _, err := decodeBody(body, false, nil)
+	_, _, err := readBody(body, false, false, nil, &docSink{})
 	t.Logf("err=%v", err)
 }

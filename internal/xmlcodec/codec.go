@@ -24,6 +24,7 @@ package xmlcodec
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"objectswap/internal/heap"
 )
@@ -126,51 +127,64 @@ func RemoteRefOf(id heap.ObjID, class string) Value {
 
 // FromHeapValue encodes v, classifying contained references via encodeRef.
 func FromHeapValue(v heap.Value, encodeRef RefEncoder) (Value, error) {
+	var out Value
+	err := fromHeapValue(&out, v, encodeRef, nil)
+	return out, err
+}
+
+// fromHeapValue is the one heap-to-record value conversion. With a Wrapper
+// the result borrows: list storage comes from w and a bytes payload aliases
+// the heap value. Without one it owns fresh copies of both.
+func fromHeapValue(dst *Value, v heap.Value, encodeRef RefEncoder, w *Wrapper) error {
 	switch v.Kind() {
 	case heap.KindNil:
-		return Value{Kind: heap.KindNil}, nil
+		*dst = Value{Kind: heap.KindNil}
 	case heap.KindInt:
 		i, _ := v.Int()
-		return Value{Kind: heap.KindInt, I: i}, nil
+		*dst = Value{Kind: heap.KindInt, I: i}
 	case heap.KindFloat:
 		f, _ := v.Float()
-		return Value{Kind: heap.KindFloat, F: f}, nil
+		*dst = Value{Kind: heap.KindFloat, F: f}
 	case heap.KindBool:
 		b, _ := v.Bool()
-		return Value{Kind: heap.KindBool, B: b}, nil
+		*dst = Value{Kind: heap.KindBool, B: b}
 	case heap.KindString:
 		s, _ := v.Str()
-		return Value{Kind: heap.KindString, S: s}, nil
+		*dst = Value{Kind: heap.KindString, S: s}
 	case heap.KindBytes:
-		data, _ := v.Bytes()
-		return Value{Kind: heap.KindBytes, Data: data}, nil
+		var data []byte
+		if w != nil {
+			data, _ = v.BorrowBytes()
+		} else {
+			data, _ = v.Bytes()
+		}
+		*dst = Value{Kind: heap.KindBytes, Data: data}
 	case heap.KindRef:
 		id, _ := v.Ref()
 		if encodeRef == nil {
-			return Value{}, errors.New("xmlcodec: reference without RefEncoder")
+			return errors.New("xmlcodec: reference without RefEncoder")
 		}
 		ev, err := encodeRef(id)
 		if err != nil {
-			return Value{}, err
+			return err
 		}
 		if ev.Kind != heap.KindRef && ev.Kind != heap.KindNil {
-			return Value{}, fmt.Errorf("xmlcodec: RefEncoder produced %s for @%d", ev.Kind, id)
+			return fmt.Errorf("xmlcodec: RefEncoder produced %s for @%d", ev.Kind, id)
 		}
-		return ev, nil
+		*dst = ev
 	case heap.KindList:
 		elems, _ := v.List()
-		out := make([]Value, len(elems))
-		for i, e := range elems {
-			ev, err := FromHeapValue(e, encodeRef)
-			if err != nil {
-				return Value{}, err
+		out := w.listStorage(len(elems))
+		for i := range elems {
+			if err := fromHeapValue(&out[i], elems[i], encodeRef, w); err != nil {
+				return err
 			}
-			out[i] = ev
 		}
-		return Value{Kind: heap.KindList, List: out}, nil
+		*dst = Value{Kind: heap.KindList, List: out}
 	default:
-		return Value{}, fmt.Errorf("xmlcodec: cannot encode kind %s", v.Kind())
+		return fmt.Errorf("xmlcodec: cannot encode kind %s", v.Kind())
 	}
+	return nil
 }
 
 // ToHeapValue decodes v. Internal references become plain refs to their
@@ -214,28 +228,61 @@ func (v Value) ToHeapValue(decodeRef RefDecoder) (heap.Value, error) {
 
 // EncodeObject wraps a single managed object.
 func EncodeObject(o *heap.Object, encodeRef RefEncoder) (Object, error) {
-	out := Object{
-		ID:     o.ID(),
-		Class:  o.Class().Name,
-		Fields: make([]Field, 0, o.NumFields()),
+	var out Object
+	err := wrapObject(&out, o, encodeRef, nil)
+	return out, err
+}
+
+// wrapObject fills dst with o's identity, class name and fields in slot
+// order, reusing dst.Fields when it is large enough.
+func wrapObject(dst *Object, o *heap.Object, encodeRef RefEncoder, w *Wrapper) error {
+	cls := o.Class()
+	n := o.NumFields()
+	dst.ID, dst.Class = o.ID(), cls.Name
+	if cap(dst.Fields) < n {
+		dst.Fields = make([]Field, n)
 	}
-	var eerr error
-	// Walk the fields through the class's behavior plane: generated ops
-	// iterate their static layout, synthesized classes their declaration
-	// slice — the codec no longer assumes how a class stores its fields.
-	o.EachField(func(_ int, def heap.FieldDef, v heap.Value) bool {
-		ev, err := FromHeapValue(v, encodeRef)
-		if err != nil {
-			eerr = fmt.Errorf("encode %s.%s: %w", o.Class().Name, def.Name, err)
-			return false
+	dst.Fields = dst.Fields[:n]
+	for i := 0; i < n; i++ {
+		f := &dst.Fields[i]
+		f.Name = cls.Field(i).Name
+		if err := fromHeapValue(&f.Value, o.Field(i), encodeRef, w); err != nil {
+			return fmt.Errorf("encode %s.%s: %w", cls.Name, f.Name, err)
 		}
-		out.Fields = append(out.Fields, Field{Name: def.Name, Value: ev})
-		return true
-	})
-	if eerr != nil {
-		return Object{}, eerr
 	}
-	return out, nil
+	return nil
+}
+
+// Wrapper wraps managed objects one at a time into a record it reuses, so a
+// cluster can be serialized object by object without a Doc in between.
+type Wrapper struct {
+	rec   Object
+	lists []Value // list-item storage of the current record
+}
+
+// Wrap returns o's record. The record, its list storage and the bytes
+// payloads it borrows from the heap are valid until the next Wrap.
+func (w *Wrapper) Wrap(o *heap.Object, encodeRef RefEncoder) (*Object, error) {
+	w.lists = w.lists[:0]
+	if err := wrapObject(&w.rec, o, encodeRef, w); err != nil {
+		return nil, err
+	}
+	return &w.rec, nil
+}
+
+// listStorage returns n list items: fresh ones for a nil Wrapper, otherwise
+// the next n of the Wrapper's own. Slices handed out earlier keep their
+// backing array when the storage grows.
+func (w *Wrapper) listStorage(n int) []Value {
+	if w == nil {
+		return make([]Value, n)
+	}
+	at := len(w.lists)
+	if at+n > cap(w.lists) {
+		w.lists = append(make([]Value, 0, 2*(at+n)), w.lists...)
+	}
+	w.lists = w.lists[:at+n]
+	return w.lists[at : at+n : at+n]
 }
 
 // EncodeObjects wraps a set of objects into a document keyed by clusterID.
@@ -252,67 +299,211 @@ func EncodeObjects(clusterID string, objs []*heap.Object, encodeRef RefEncoder) 
 }
 
 // Install materializes the document's objects into h under their original
-// IDs and re-links all fields. Internal references must target members of the
-// document; others resolve through decodeRef. On any error the heap is left
-// with whatever was installed so far — callers that need atomicity should
-// install into a scratch region or collect afterwards.
+// IDs with all fields linked. Internal references must target members of the
+// document; others resolve through decodeRef. It is all-or-nothing: on any
+// error h is left exactly as found.
 func (d *Doc) Install(h *heap.Heap, reg *heap.Registry, decodeRef RefDecoder) ([]*heap.Object, error) {
-	if d.Version != Version {
-		return nil, fmt.Errorf("%w: %d", ErrVersion, d.Version)
+	in, err := d.Stage(reg)
+	if err != nil {
+		return nil, err
 	}
-	members := make(map[heap.ObjID]bool, len(d.Objects))
-	for _, eo := range d.Objects {
-		members[eo.ID] = true
-	}
+	return in.Install(h, decodeRef)
+}
 
-	// Pass 1: allocate every object under its original identity.
-	installed := make([]*heap.Object, 0, len(d.Objects))
-	for _, eo := range d.Objects {
-		cls, err := reg.Lookup(eo.Class)
-		if err != nil {
-			return installed, fmt.Errorf("install @%d: %w", eo.ID, err)
-		}
-		o, err := h.NewAt(eo.ID, cls)
-		if err != nil {
-			return installed, fmt.Errorf("install @%d: %w", eo.ID, err)
-		}
-		installed = append(installed, o)
+// Stage validates the document against reg and stages its objects, verified,
+// for a later Install.
+func (d *Doc) Stage(reg *heap.Registry) (*Installer, error) {
+	in, err := NewInstaller(reg, d.ClusterID, d.Version, len(d.Objects))
+	if err != nil {
+		return nil, err
 	}
-
-	// Pass 2: decode and assign fields; validate internal edges.
-	checkInternal := func(v Value) error {
-		if v.Kind == heap.KindRef && v.RefClass == RefInternal &&
-			v.Target != heap.NilID && !members[v.Target] {
-			return fmt.Errorf("%w: internal ref to non-member @%d", ErrBadDocument, v.Target)
+	for i := range d.Objects {
+		if err := in.Add(&d.Objects[i]); err != nil {
+			return nil, err
 		}
+	}
+	if err := in.Verify(); err != nil {
+		return nil, err
+	}
+	return in, nil
+}
+
+// Installer turns a cluster's records into heap objects: Add converts one
+// record into a staged field vector — nothing touches a heap yet — and
+// Install makes the whole cluster resident in one heap.InstallBatch. Records
+// may come from a Doc or, one reused record at a time, straight from a frame.
+type Installer struct {
+	// ClusterID is the shipment key the records arrived under.
+	ClusterID string
+
+	reg      *heap.Registry
+	staged   []heap.Staged
+	plans    []classPlan
+	refs     []heap.ObjID // internal reference targets, checked by Verify
+	verified bool
+	// deferred are the fields holding slot or remote references: only the
+	// installing runtime can resolve those, so they wait for Install.
+	deferred []deferredField
+}
+
+// classPlan resolves one class's field names to slots once per cluster: the
+// records of a class all list the same names in the same order.
+type classPlan struct {
+	cls   *heap.Class
+	names []string
+	slots []int
+}
+
+type deferredField struct {
+	obj, slot int
+	v         Value
+}
+
+// NewInstaller prepares to stage a cluster of about n objects of wrapper
+// version version, resolving class names through reg.
+func NewInstaller(reg *heap.Registry, clusterID string, version, n int) (*Installer, error) {
+	if version != Version {
+		return nil, fmt.Errorf("%w: %d", ErrVersion, version)
+	}
+	return &Installer{
+		ClusterID: clusterID,
+		reg:       reg,
+		staged:    make([]heap.Staged, 0, n),
+		refs:      make([]heap.ObjID, 0, n),
+	}, nil
+}
+
+// plan returns the field plan of the named class.
+func (in *Installer) plan(class string) (*classPlan, error) {
+	for i := range in.plans {
+		if in.plans[i].cls.Name == class {
+			return &in.plans[i], nil
+		}
+	}
+	cls, err := in.reg.Lookup(class)
+	if err != nil {
+		return nil, err
+	}
+	in.plans = append(in.plans, classPlan{cls: cls})
+	return &in.plans[len(in.plans)-1], nil
+}
+
+// slot resolves the j-th field name of a record.
+func (p *classPlan) slot(j int, name string) (int, bool) {
+	if j < len(p.names) && p.names[j] == name {
+		return p.slots[j], true
+	}
+	slot, ok := p.cls.FieldIndex(name)
+	if ok && j == len(p.names) {
+		p.names = append(p.names, name)
+		p.slots = append(p.slots, slot)
+	}
+	return slot, ok
+}
+
+// Add stages one record: class and field names must be known, every value
+// must suit its field, and internal references are noted for Verify. The
+// record is not retained.
+func (in *Installer) Add(o *Object) error {
+	p, err := in.plan(o.Class)
+	if err != nil {
+		return fmt.Errorf("install @%d: %w", o.ID, err)
+	}
+	fields := p.cls.Ops().NewFieldVector()
+	for j := range o.Fields {
+		f := &o.Fields[j]
+		slot, ok := p.slot(j, f.Name)
+		if !ok {
+			return fmt.Errorf("install @%d field %s: %w: %s.%s", o.ID, f.Name, heap.ErrNoSuchField, o.Class, f.Name)
+		}
+		if def := p.cls.Field(slot); !def.Accepts(f.Value.Kind) {
+			return fmt.Errorf("install @%d field %s: %w: field is %s, document holds %s",
+				o.ID, f.Name, heap.ErrBadKind, def.Kind, f.Value.Kind)
+		}
+		if in.noteRefs(&f.Value) {
+			in.deferred = append(in.deferred, deferredField{len(in.staged), slot, f.Value.clone()})
+			continue
+		}
+		if fields[slot], err = f.Value.ToHeapValue(nil); err != nil {
+			return fmt.Errorf("install @%d field %s: %w", o.ID, f.Name, err)
+		}
+	}
+	in.staged = append(in.staged, heap.Staged{ID: o.ID, Class: p.cls, Fields: fields})
+	in.verified = false
+	return nil
+}
+
+// noteRefs records v's internal reference targets and reports whether v
+// holds a slot or remote reference.
+func (in *Installer) noteRefs(v *Value) (foreign bool) {
+	switch v.Kind {
+	case heap.KindRef:
+		if v.RefClass != RefInternal {
+			return true
+		}
+		if v.Target != heap.NilID {
+			in.refs = append(in.refs, v.Target)
+		}
+	case heap.KindList:
+		for i := range v.List {
+			if in.noteRefs(&v.List[i]) {
+				foreign = true
+			}
+		}
+	}
+	return foreign
+}
+
+// clone returns v with its own list storage, for a value that must outlive a
+// reused record.
+func (v Value) clone() Value {
+	if v.Kind == heap.KindList && len(v.List) > 0 {
+		list := make([]Value, len(v.List))
+		for i := range v.List {
+			list[i] = v.List[i].clone()
+		}
+		v.List = list
+	}
+	return v
+}
+
+// Verify checks what only the whole cluster can show: every internal
+// reference targets a staged object.
+func (in *Installer) Verify() error {
+	if in.verified {
 		return nil
 	}
-	var walk func(v Value) error
-	walk = func(v Value) error {
-		if err := checkInternal(v); err != nil {
-			return err
+	if len(in.refs) > 0 {
+		ids := make([]heap.ObjID, len(in.staged))
+		for i := range in.staged {
+			ids[i] = in.staged[i].ID
 		}
-		for _, e := range v.List {
-			if err := walk(e); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for i, eo := range d.Objects {
-		o := installed[i]
-		for _, f := range eo.Fields {
-			if err := walk(f.Value); err != nil {
-				return installed, err
-			}
-			hv, err := f.Value.ToHeapValue(decodeRef)
-			if err != nil {
-				return installed, fmt.Errorf("install @%d field %s: %w", eo.ID, f.Name, err)
-			}
-			if err := o.SetFieldByName(f.Name, hv); err != nil {
-				return installed, fmt.Errorf("install @%d field %s: %w", eo.ID, f.Name, err)
+		slices.Sort(ids)
+		for _, target := range in.refs {
+			if _, member := slices.BinarySearch(ids, target); !member {
+				return fmt.Errorf("%w: internal ref to non-member @%d", ErrBadDocument, target)
 			}
 		}
 	}
-	return installed, nil
+	in.verified = true
+	return nil
+}
+
+// Install verifies the cluster, resolves the deferred slot and remote
+// references through decodeRef and makes every staged object resident in h,
+// or none: on any error h is left exactly as found.
+func (in *Installer) Install(h *heap.Heap, decodeRef RefDecoder) ([]*heap.Object, error) {
+	if err := in.Verify(); err != nil {
+		return nil, err
+	}
+	for i := range in.deferred {
+		d := &in.deferred[i]
+		hv, err := d.v.ToHeapValue(decodeRef)
+		if err != nil {
+			s := &in.staged[d.obj]
+			return nil, fmt.Errorf("install @%d field %s: %w", s.ID, s.Class.Field(d.slot).Name, err)
+		}
+		in.staged[d.obj].Fields[d.slot] = hv
+	}
+	return h.InstallBatch(in.staged)
 }
