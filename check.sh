@@ -62,6 +62,18 @@ if [ -n "$PINNED" ]; then
     echo "$PINNED" >&2
     exit 1
 fi
+# Guard: a cluster moves only through the one transition site. Nothing outside
+# internal/core/state.go may assign a record's residency (cs.where = ..., or a
+# where: key in a clusterState literal) or add/remove a record of the sharded
+# table behind the by-residency tallies; reserve, settle, newClusterState, put
+# and drop are the only ways to get a cluster anywhere.
+MOVED=$(grep -nE '\.where[[:space:]]*(=[^=]|\+\+|--)|[^[:alnum:]_]where:|\.clusters\[[^]]*\][[:space:]]*=[^=]|delete\([^,]*\.clusters,' \
+    internal/core/*.go | grep -v '^internal/core/state\.go:' | grep -v '_test\.go:' || true)
+if [ -n "$MOVED" ]; then
+    echo "cluster residency or table membership written outside internal/core/state.go:" >&2
+    echo "$MOVED" >&2
+    exit 1
+fi
 # Fault-storm smoke: 64 goroutines faulting 8 swapped clusters must issue
 # exactly 8 donor fetches (single-flight coalescing), race-clean at
 # GOMAXPROCS 1 and 4.

@@ -91,7 +91,9 @@ func buildSweepEnv(cfg SweepConfig, clusterSize int, strategy core.VictimStrateg
 	rt := core.NewRuntime(h, heap.NewRegistry(), core.WithStores(devices))
 	cls := NodeClass()
 	rt.MustRegisterClass(cls)
-	rt.SetEvictor(rt.Evictor(strategy))
+	rt.SetEvictor(func(need int64) error {
+		return rt.EvictWith(core.EvictOptions{Strategy: strategy}, need)
+	})
 
 	env := &sweepEnv{rt: rt, flink: flink, clock: clock}
 	payload := make([]byte, cfg.PayloadBytes)

@@ -162,18 +162,8 @@ func (rt *Runtime) SaveCheckpoint(w io.Writer) error {
 			members = append(members, oid)
 			note(oid)
 		}
-		swapped := cs.swapped
-		devices := append([]string(nil), cs.devices...)
-		key, payload, bytesAtSwap := cs.key, cs.payloadBytes, cs.bytesAtSwap
-		crc := cs.crc
-		format := cs.format
-		base := shipmentBase{
-			key:     cs.base.key,
-			format:  cs.base.format,
-			crc:     cs.base.crc,
-			devices: append([]string(nil), cs.base.devices...),
-		}
-		replID := cs.replacement
+		// Replica sets are replaced, never edited, so the copies may share them.
+		swapped, was, base := cs.where.out(), cs.shipment, cs.base
 		ts.mu.Unlock()
 		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
 
@@ -183,19 +173,15 @@ func (rt *Runtime) SaveCheckpoint(w io.Writer) error {
 			ck.Members = append(ck.Members, ckptMember{ID: uint64(oid), Class: class})
 		}
 		if swapped {
-			ck.Key, ck.Payload, ck.Bytes = key, payload, bytesAtSwap
-			ck.CRC = crc
-			ck.Format = format
-			if len(devices) > 0 {
-				ck.Device = devices[0]
-			}
-			for _, d := range devices {
+			ck.Key, ck.Payload, ck.Bytes = was.key, was.payloadBytes, was.bytesAtSwap
+			ck.CRC, ck.Format, ck.Device = was.crc, was.format, was.primary()
+			for _, d := range was.devices {
 				ck.Replicas = append(ck.Replicas, ckptReplica{Device: d})
 			}
 			// The outbound slot table, by ultimate target identity. Nil slots
 			// (delta-remapped placeholders for targets no longer referenced)
 			// are simply omitted; the sparse slot list restores them as nil.
-			repl, err := rt.h.Get(replID)
+			repl, err := rt.h.Get(was.replacement)
 			if err != nil {
 				return fmt.Errorf("core: checkpoint: cluster %d replacement: %w", cid, err)
 			}
@@ -355,7 +341,11 @@ func (rt *Runtime) LoadCheckpoint(r io.Reader) error {
 			m.mu.Unlock()
 			return fmt.Errorf("%w: duplicate cluster %d", ErrBadCheckpoint, cid)
 		}
-		cs := &clusterState{id: cid, objects: make(map[heap.ObjID]bool, len(ck.Members))}
+		at := resident
+		if ck.Swapped {
+			at = swappedOut
+		}
+		cs := newClusterState(cid, len(ck.Members), at)
 		for _, mem := range ck.Members {
 			oid := heap.ObjID(mem.ID)
 			cs.objects[oid] = true
@@ -373,11 +363,8 @@ func (rt *Runtime) LoadCheckpoint(r io.Reader) error {
 				m.mu.Unlock()
 				return fmt.Errorf("%w: swapped cluster %d has no replica devices", ErrBadCheckpoint, cid)
 			}
-			cs.swapped = true
-			cs.devices, cs.key = devices, ck.Key
-			cs.payloadBytes, cs.bytesAtSwap = ck.Payload, ck.Bytes
-			cs.crc = ck.CRC
-			cs.format = ck.Format
+			cs.shipment = shipment{devices: devices, key: ck.Key, payloadBytes: ck.Payload,
+				bytesAtSwap: ck.Bytes, crc: ck.CRC, format: ck.Format}
 		}
 		if ck.Base != nil {
 			cs.base = shipmentBase{key: ck.Base.Key, format: ck.Base.Format, crc: ck.Base.CRC}
@@ -386,7 +373,7 @@ func (rt *Runtime) LoadCheckpoint(r io.Reader) error {
 			}
 		}
 		ts.mu.Lock()
-		ts.clusters[cid] = cs
+		ts.put(cs)
 		ts.mu.Unlock()
 		if cid > m.nextCluster {
 			m.nextCluster = cid

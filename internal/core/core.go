@@ -502,7 +502,7 @@ func (rt *Runtime) markDirty(oid heap.ObjID) {
 	}
 	ts := m.tab(info.cluster)
 	ts.mu.Lock()
-	if cs, ok := ts.clusters[info.cluster]; ok && !cs.swapped && cs.base.key != "" {
+	if cs, ok := ts.clusters[info.cluster]; ok && !cs.where.out() && cs.base.key != "" {
 		if cs.dirty == nil {
 			cs.dirty = make(map[heap.ObjID]bool)
 		}
@@ -584,42 +584,32 @@ func (rt *Runtime) instrument() {
 	}
 	shardClusters := r.GaugeVec("objectswap_core_shard_clusters",
 		"Swap-clusters by table shard and state.", "shard", "state")
-	for i, ts := range rt.mgr.tabs {
-		ts := ts
-		label := strconv.Itoa(i)
-		shardClusters.WithFunc(func() float64 {
-			resident, _, _ := ts.counts()
-			return resident
-		}, label, "resident")
-		shardClusters.WithFunc(func() float64 {
-			_, swapped, _ := ts.counts()
-			return swapped
-		}, label, "swapped")
-		shardClusters.WithFunc(func() float64 {
-			_, _, busy := ts.counts()
-			return busy
-		}, label, "busy")
+	// Both families read the table shards' by-residency tallies: a reserved
+	// cluster counts on the side of the swap it is on, and also as busy.
+	states := [...]struct {
+		name string
+		in   func(residency) bool
+	}{
+		{"resident", func(r residency) bool { return !r.out() }},
+		{"swapped", residency.out},
+		{"busy", residency.reserved},
 	}
 	clusters := r.GaugeVec("objectswap_core_clusters",
 		"Swap-clusters by residency state.", "state")
-	clusters.WithFunc(func() float64 {
-		n := 0.0
-		for _, info := range rt.mgr.InfoAll() {
-			if !info.Swapped {
-				n++
-			}
+	for _, st := range states {
+		for i, ts := range rt.mgr.tabs {
+			shardClusters.WithFunc(func() float64 { return ts.count(st.in) }, strconv.Itoa(i), st.name)
 		}
-		return n
-	}, "resident")
-	clusters.WithFunc(func() float64 {
-		n := 0.0
-		for _, info := range rt.mgr.InfoAll() {
-			if info.Swapped {
-				n++
+	}
+	for _, st := range states[:2] { // the runtime-wide family has no busy series
+		clusters.WithFunc(func() float64 {
+			n := 0.0
+			for _, ts := range rt.mgr.tabs {
+				n += ts.count(st.in)
 			}
-		}
-		return n
-	}, "swapped")
+			return n
+		}, st.name)
+	}
 	repl := r.GaugeVec("objectswap_placement_replicas",
 		"Replica health of swapped clusters.", "stat")
 	repl.WithFunc(func() float64 {
@@ -642,9 +632,6 @@ func (rt *Runtime) instrument() {
 
 // Obs returns the runtime's observability registry (never nil).
 func (rt *Runtime) Obs() *obs.Registry { return rt.obsReg }
-
-// FlightRecorder returns the runtime's flight recorder, which may be nil.
-func (rt *Runtime) FlightRecorder() *obs.Recorder { return rt.recorder }
 
 // Logger returns the runtime's structured logger, which may be nil.
 func (rt *Runtime) Logger() *olog.Logger { return rt.logger }

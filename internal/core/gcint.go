@@ -58,14 +58,9 @@ func (rt *Runtime) collect(cycles int) heap.CollectStats {
 // replicas on unreachable donors go to the deferred-drop queue.
 func (rt *Runtime) sweepSwapped() {
 	type victim struct {
-		id      ClusterID
-		devices []string
-		key     string
-		bytes   int
-		// Delta anchoring may retain a second payload (the base) under its
-		// own key; a dead cluster's base dies with it.
-		baseKey     string
-		baseDevices []string
+		id   ClusterID
+		was  shipment
+		base shipmentBase // delta anchoring may retain a second payload; it dies too
 	}
 	var victims []victim
 
@@ -74,53 +69,37 @@ func (rt *Runtime) sweepSwapped() {
 	for _, ts := range m.tabs {
 		ts.mu.Lock()
 		for id, cs := range ts.clusters {
-			if !cs.swapped || cs.busy {
-				continue // busy: a swap-in holds a pin on the replacement
+			if cs.where != swappedOut {
+				continue // reserved: a swap-in or repair owns it and pins the replacement
 			}
 			if rt.h.Contains(cs.replacement) {
 				continue
 			}
-			v := victim{id: id, devices: append([]string(nil), cs.devices...),
-				key: cs.key, bytes: cs.payloadBytes}
-			if cs.base.key != "" && cs.base.key != cs.key {
-				v.baseKey = cs.base.key
-				v.baseDevices = append([]string(nil), cs.base.devices...)
-			}
-			victims = append(victims, v)
+			victims = append(victims, victim{id, cs.shipment, cs.base})
 			for oid := range cs.objects {
 				delete(m.objects, oid)
 			}
 			delete(m.inbound, id)
-			delete(ts.clusters, id)
+			ts.drop(cs)
 		}
 		ts.mu.Unlock()
 	}
 	m.mu.Unlock()
 
 	for _, v := range victims {
-		for _, device := range v.devices {
-			if err := rt.dropFromDevice(device, v.key); err != nil {
-				rt.mgr.deferDrop(device, v.key, v.id)
-			}
-		}
-		for _, device := range v.baseDevices {
-			if err := rt.dropFromDevice(device, v.baseKey); err != nil {
-				rt.mgr.deferDrop(device, v.baseKey, v.id)
-			}
-		}
-		primary := ""
-		if len(v.devices) > 0 {
-			primary = v.devices[0]
+		rt.dropAll(context.Background(), v.was.devices, v.was.key, v.id)
+		if v.base.key != v.was.key {
+			rt.dropAll(context.Background(), v.base.devices, v.base.key, v.id)
 		}
 		rt.emit(event.TopicSwapDrop, SwapEvent{
-			Cluster: v.id, Device: primary, Key: v.key, Bytes: v.bytes,
-			Replicas: v.devices,
+			Cluster: v.id, Device: v.was.primary(), Key: v.was.key, Bytes: v.was.payloadBytes,
+			Replicas: v.was.devices,
 		})
 	}
 }
 
 // dropFromDevice instructs a device to discard a stored shipment.
-func (rt *Runtime) dropFromDevice(device, key string) error {
+func (rt *Runtime) dropFromDevice(ctx context.Context, device, key string) error {
 	if rt.stores == nil {
 		return ErrNoStores
 	}
@@ -128,7 +107,7 @@ func (rt *Runtime) dropFromDevice(device, key string) error {
 	if err != nil {
 		return err
 	}
-	return s.Drop(context.Background(), key)
+	return s.Drop(ctx, key)
 }
 
 // deferDrop queues a failed drop for retry on the next collection (the
@@ -167,7 +146,7 @@ func (m *Manager) retryDrops(rt *Runtime) {
 	m.mu.Unlock()
 
 	for _, t := range pending {
-		if err := rt.dropFromDevice(t.device, t.key); err != nil {
+		if err := rt.dropFromDevice(context.Background(), t.device, t.key); err != nil {
 			t.attempts++
 			if t.attempts >= limit {
 				m.mu.Lock()
@@ -217,7 +196,7 @@ func (m *Manager) compact(swept []heap.ObjID) {
 		}
 		ts := m.tab(info.cluster)
 		ts.mu.Lock()
-		if cs, ok := ts.clusters[info.cluster]; ok && !cs.swapped {
+		if cs, ok := ts.clusters[info.cluster]; ok && !cs.where.out() {
 			delete(cs.objects, oid)
 			delete(m.objects, oid)
 		}
@@ -241,7 +220,7 @@ func (m *Manager) enterCrossing(src ClusterID, ultimate heap.ObjID) (dst Cluster
 	if cs, ok := m.tab(dst).clusters[dst]; ok {
 		cs.crossings++
 		cs.lastAccess = now
-		swapped = cs.swapped
+		swapped = cs.where.out()
 	}
 	if cs, ok := m.tab(src).clusters[src]; ok {
 		cs.lastAccess = now

@@ -70,7 +70,7 @@ func (m *Manager) CheckInvariants() []error {
 
 	// 2. Residency.
 	for cid, cs := range clusters {
-		if !cs.swapped {
+		if !cs.where.out() {
 			continue
 		}
 		if !h.Contains(cs.replacement) {
@@ -180,7 +180,7 @@ func (m *Manager) CheckInvariants() []error {
 			}
 			tgt, _ := o.Field(slotTarget).Ref()
 			cs := clusters[tc]
-			if cs != nil && cs.swapped {
+			if cs != nil && cs.where.out() {
 				if tgt != cs.replacement {
 					fail("proxy @%d to swapped cluster %d targets @%d, want replacement @%d",
 						oid, tc, tgt, cs.replacement)

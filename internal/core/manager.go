@@ -44,6 +44,27 @@ type shipmentBase struct {
 // membership snapshot survived — false after a checkpoint restore).
 func (b shipmentBase) usable() bool { return b.key != "" && len(b.members) > 0 }
 
+// shipment is the swapped-out side of a cluster record: the replacement-object
+// standing in for it and where its text is. devices is the replica set
+// holding the payload, primary first (a singleton under the default
+// replication factor of 1); it is replaced, never edited in place.
+type shipment struct {
+	replacement  heap.ObjID
+	devices      []string
+	key          string
+	payloadBytes int
+	// crc is the IEEE CRC32 of the shipped payload (every replica is
+	// byte-identical). Swap-in and repair verify fetched bytes against it,
+	// detecting donor corruption at rest and falling through to the next
+	// replica. 0 means unknown (shipments recorded before checksumming).
+	crc uint32
+	// bytesAtSwap is the resident size at swap-out, to pre-check reload room.
+	bytesAtSwap int64
+	// format is the wire format of the shipment ("" = XML, the
+	// pre-negotiation default). Informational: the payload self-describes.
+	format string
+}
+
 // clusterState is the SwappingManager's per-swap-cluster record.
 type clusterState struct {
 	id      ClusterID
@@ -54,30 +75,12 @@ type clusterState struct {
 	crossings  uint64
 	lastAccess uint64
 
-	// busy marks a swap-out or swap-in in flight on this cluster: the state
-	// transition has been reserved but not committed. Busy clusters are
-	// skipped by victim selection, refused by SwapOut/SwapIn, and left alone
-	// by sweepSwapped until the transition settles.
-	busy bool
+	// where is the one place the cluster is (state.go); only reserve, settle
+	// and newClusterState write it.
+	where residency
 
-	// Swapped-out state. devices is the replica set holding the shipment,
-	// primary first; under the default replication factor of 1 it is a
-	// singleton.
-	swapped      bool
-	replacement  heap.ObjID
-	devices      []string
-	key          string
-	payloadBytes int
-	// crc is the IEEE CRC32 of the shipped payload (every replica is
-	// byte-identical). Swap-in and repair verify fetched bytes against it,
-	// detecting donor corruption at rest and falling through to the next
-	// replica. 0 means unknown (shipments recorded before checksumming).
-	crc uint32
-	// residentBytes at the moment of swap-out, used to pre-check reload room.
-	bytesAtSwap int64
-	// format is the wire format of the current shipment ("" = XML, the
-	// pre-negotiation default). Informational: the payload self-describes.
-	format string
+	// shipment is zero while the members are on the heap.
+	shipment
 
 	// Delta re-shipment state (only populated when the runtime enables the
 	// delta format). base is the last full shipment donors still hold; dirty
@@ -92,13 +95,12 @@ type clusterState struct {
 	swapIns  uint64
 }
 
-// primaryDevice is the best-ranked donor holding the cluster's shipment
-// ("" while resident).
-func (cs *clusterState) primaryDevice() string {
-	if len(cs.devices) == 0 {
+// primary is the best-ranked donor holding the shipment ("" while resident).
+func (s shipment) primary() string {
+	if len(s.devices) == 0 {
 		return ""
 	}
-	return cs.devices[0]
+	return s.devices[0]
 }
 
 // proxyKey identifies the unique swap-cluster-proxy for a
@@ -111,14 +113,15 @@ type proxyKey struct {
 }
 
 // tableShard is one independently locked slice of the sharded cluster table:
-// the records (including the busy reservation flag) of every cluster whose id
-// hashes onto it. The object, proxy, drop and crossing-clock indexes stay
-// under Manager.mu. Lock order: Manager.mu may be held while taking a
-// tableShard lock, never the reverse; multiple tableShard locks are taken in
-// ascending index order.
+// the records (residency included) of every cluster whose id hashes onto it,
+// added and removed only through put and drop (state.go). The object, proxy,
+// drop and crossing-clock indexes stay under Manager.mu. Lock order:
+// Manager.mu may be held while taking a tableShard lock, never the reverse;
+// multiple tableShard locks are taken in ascending index order.
 type tableShard struct {
 	mu       sync.Mutex
 	clusters map[ClusterID]*clusterState
+	tally    [numResidencies]int // records by residency
 }
 
 // state returns the shard's record for id. The caller holds ts.mu.
@@ -128,25 +131,6 @@ func (ts *tableShard) state(id ClusterID) (*clusterState, error) {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownCluster, id)
 	}
 	return cs, nil
-}
-
-// counts tallies the shard's clusters by state for the per-shard gauges. It
-// takes only the shard's own lock, so metric gathering never contends with
-// swaps on other shards.
-func (ts *tableShard) counts() (resident, swapped, busy float64) {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	for _, cs := range ts.clusters {
-		if cs.busy {
-			busy++
-		}
-		if cs.swapped {
-			swapped++
-		} else {
-			resident++
-		}
-	}
-	return resident, swapped, busy
 }
 
 // Manager is the paper's SwappingManager: it tracks swap-clusters, the
@@ -209,10 +193,7 @@ func newManager(rt *Runtime, shards int) *Manager {
 	for i := range m.tabs {
 		m.tabs[i] = &tableShard{clusters: make(map[ClusterID]*clusterState)}
 	}
-	m.tab(RootCluster).clusters[RootCluster] = &clusterState{
-		id:      RootCluster,
-		objects: make(map[heap.ObjID]bool),
-	}
+	m.tab(RootCluster).put(newClusterState(RootCluster, 0, resident))
 	return m
 }
 
@@ -256,17 +237,24 @@ func (m *Manager) unlockTabs() {
 	}
 }
 
-// replacementIfSwapped reports the cluster's replacement-object while it is
-// swapped out — the target a fresh inbound reference must be mediated onto.
-func (m *Manager) replacementIfSwapped(id ClusterID) (heap.ObjID, bool) {
+// shipmentOf returns the cluster's shipment while its members are on the
+// donors; ok is false for a resident or unknown cluster.
+func (m *Manager) shipmentOf(id ClusterID) (shipment, bool) {
 	ts := m.tab(id)
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	cs, ok := ts.clusters[id]
-	if !ok || !cs.swapped {
-		return heap.NilID, false
+	if !ok || !cs.where.out() {
+		return shipment{}, false
 	}
-	return cs.replacement, true
+	return cs.shipment, true
+}
+
+// replacementIfSwapped reports the cluster's replacement-object while it is
+// swapped out — the target a fresh inbound reference must be mediated onto.
+func (m *Manager) replacementIfSwapped(id ClusterID) (heap.ObjID, bool) {
+	was, out := m.shipmentOf(id)
+	return was.replacement, out
 }
 
 // NewCluster declares a fresh, empty swap-cluster and returns its id.
@@ -277,7 +265,7 @@ func (m *Manager) NewCluster() ClusterID {
 	m.mu.Unlock()
 	ts := m.tab(id)
 	ts.mu.Lock()
-	ts.clusters[id] = &clusterState{id: id, objects: make(map[heap.ObjID]bool)}
+	ts.put(newClusterState(id, 0, resident))
 	ts.mu.Unlock()
 	return id
 }
@@ -303,18 +291,12 @@ func (m *Manager) assign(id heap.ObjID, cluster ClusterID, class string) error {
 	ts := m.tab(cluster)
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	cs, ok := ts.clusters[cluster]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownCluster, cluster)
-	}
-	if cs.swapped {
-		return fmt.Errorf("%w: cluster %d", ErrClusterSwapped, cluster)
-	}
-	if cs.busy {
-		// A swap-out in flight has already snapshotted the members it will
-		// ship and free; a late joiner would be left behind, resident, in a
-		// cluster recorded as swapped.
-		return fmt.Errorf("%w: cluster %d", ErrClusterBusy, cluster)
+	// Resident and unreserved only: a swap-out in flight has already
+	// snapshotted the members it will ship and free, and a late joiner would
+	// be left behind, resident, in a cluster recorded as swapped.
+	cs, err := ts.at(cluster, resident)
+	if err != nil {
+		return err
 	}
 	if prev, dup := m.objects[id]; dup {
 		return fmt.Errorf("core: object @%d already assigned to cluster %d", id, prev.cluster)
@@ -351,11 +333,8 @@ func (m *Manager) classOf(id heap.ObjID) (string, bool) {
 
 // IsSwapped reports whether the cluster is currently swapped out.
 func (m *Manager) IsSwapped(id ClusterID) bool {
-	ts := m.tab(id)
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	cs, ok := ts.clusters[id]
-	return ok && cs.swapped
+	_, out := m.shipmentOf(id)
+	return out
 }
 
 // registerProxy records a freshly created proxy under its key and indexes it
@@ -587,9 +566,9 @@ func (m *Manager) infoOf(cs *clusterState) ClusterInfo {
 	info := ClusterInfo{
 		ID:           cs.id,
 		Objects:      len(cs.objects),
-		Swapped:      cs.swapped,
-		Busy:         cs.busy,
-		Device:       cs.primaryDevice(),
+		Swapped:      cs.where.out(),
+		Busy:         cs.where.reserved(),
+		Device:       cs.primary(),
 		Devices:      append([]string(nil), cs.devices...),
 		Key:          cs.key,
 		PayloadBytes: cs.payloadBytes,
@@ -600,7 +579,7 @@ func (m *Manager) infoOf(cs *clusterState) ClusterInfo {
 		SwapOuts:     cs.swapOuts,
 		SwapIns:      cs.swapIns,
 	}
-	if !cs.swapped {
+	if !info.Swapped {
 		info.ResidentBytes = m.residentBytes(cs)
 	}
 	return info
@@ -673,7 +652,7 @@ func (m *Manager) SelectVictims(strategy VictimStrategy) []ClusterID {
 	for _, ts := range m.tabs {
 		ts.mu.Lock()
 		for id, cs := range ts.clusters {
-			if id == RootCluster || cs.swapped || cs.busy || len(cs.objects) == 0 {
+			if id == RootCluster || cs.where != resident || len(cs.objects) == 0 {
 				continue
 			}
 			r := ranked{id: id}

@@ -272,9 +272,8 @@ func TestRuntimeOptions(t *testing.T) {
 		t.Fatal("ProxyTarget on nil")
 	}
 
-	// Evictor(strategy) hook.
-	rt.SetEvictor(rt.Evictor(VictimLeastUsed))
-	if err := rt.EvictBy(VictimLeastUsed, 1); err != nil {
-		t.Fatalf("EvictBy: %v", err)
+	// An explicit eviction pass under a non-default strategy.
+	if err := rt.EvictWith(EvictOptions{Strategy: VictimLeastUsed}, 1); err != nil {
+		t.Fatalf("EvictWith: %v", err)
 	}
 }

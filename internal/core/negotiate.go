@@ -39,17 +39,6 @@ type shipPlan struct {
 	replicas int
 }
 
-// negotiate picks the shipment plan for one swap-out: a delta against the
-// retained base when one is anchored and cheap enough, a freshly negotiated
-// full shipment otherwise.
-func (rt *Runtime) negotiate(ctx context.Context, o swapOpts, key string, k int,
-	base shipmentBase, dirty map[heap.ObjID]bool, memberIDs []heap.ObjID) (shipPlan, error) {
-	if plan, ok := rt.negotiateDelta(ctx, o, base, dirty, memberIDs); ok {
-		return plan, nil
-	}
-	return rt.negotiateFull(ctx, o, key, k)
-}
-
 // negotiateDelta plans a dirty-only re-shipment. It declines (ok = false)
 // whenever a full shipment is required or simply better: delta not enabled,
 // destination pinned, no usable base, more than half the cluster dirty, or no

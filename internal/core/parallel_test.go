@@ -4,8 +4,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-
-	"objectswap/internal/heap"
 )
 
 // The parallel eviction pipeline: SwapOutMany's bounded worker pool,
@@ -69,42 +67,6 @@ func TestSwapOutManySkipsIneligible(t *testing.T) {
 	}
 	if len(evs) != 1 || evs[0].Cluster != clusters[2] {
 		t.Fatalf("events = %+v, want one for cluster %d", evs, clusters[2])
-	}
-}
-
-func TestBusyClusterRefusesTransitions(t *testing.T) {
-	f := newFixture(t, 0)
-	ids, clusters := f.buildList(t, 30, 10, 16)
-	busy := clusters[1]
-
-	// Reserve the cluster as a concurrent swap would.
-	f.rt.setBusy(busy, true)
-
-	if _, err := f.rt.SwapOut(busy); !errors.Is(err, ErrClusterBusy) {
-		t.Fatalf("SwapOut on busy cluster: %v, want ErrClusterBusy", err)
-	}
-	if _, err := f.rt.SwapIn(busy); !errors.Is(err, ErrClusterBusy) {
-		t.Fatalf("SwapIn on busy cluster: %v, want ErrClusterBusy", err)
-	}
-	if err := f.rt.MergeClusters(clusters[0], busy); !errors.Is(err, ErrClusterBusy) {
-		t.Fatalf("MergeClusters with busy src: %v, want ErrClusterBusy", err)
-	}
-	if err := f.rt.MergeClusters(busy, clusters[0]); !errors.Is(err, ErrClusterBusy) {
-		t.Fatalf("MergeClusters with busy dst: %v, want ErrClusterBusy", err)
-	}
-	if _, err := f.rt.SplitCluster(busy, []heap.ObjID{ids[10]}); !errors.Is(err, ErrClusterBusy) {
-		t.Fatalf("SplitCluster on busy cluster: %v, want ErrClusterBusy", err)
-	}
-	for _, v := range f.rt.Manager().SelectVictims(VictimColdest) {
-		if v == busy {
-			t.Fatal("victim selection offered a busy cluster")
-		}
-	}
-
-	// Releasing the reservation restores normal operation.
-	f.rt.setBusy(busy, false)
-	if _, err := f.rt.SwapOut(busy); err != nil {
-		t.Fatalf("SwapOut after release: %v", err)
 	}
 }
 

@@ -5,12 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 	"strings"
 
 	"objectswap/internal/event"
 	"objectswap/internal/heap"
-	"objectswap/internal/obs"
 	"objectswap/internal/placement"
 	"objectswap/internal/store"
 	"objectswap/internal/wire"
@@ -29,24 +29,18 @@ import (
 // ReplicaSet returns a swapped cluster's recorded replica devices (primary
 // first), or nil when the cluster is resident or unknown.
 func (rt *Runtime) ReplicaSet(id ClusterID) []string {
-	ts := rt.mgr.tab(id)
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	cs, ok := ts.clusters[id]
-	if !ok || !cs.swapped {
-		return nil
-	}
-	return append([]string(nil), cs.devices...)
+	was, _ := rt.mgr.shipmentOf(id)
+	return append([]string(nil), was.devices...)
 }
 
-// swappedSets snapshots the (id, replica set) pairs of every swapped,
-// non-busy cluster, shard by shard.
+// swappedSets snapshots the (id, replica set) pairs of every settled swapped
+// cluster, shard by shard.
 func (rt *Runtime) swappedSets() map[ClusterID][]string {
 	out := make(map[ClusterID][]string)
 	for _, ts := range rt.mgr.tabs {
 		ts.mu.Lock()
 		for id, cs := range ts.clusters {
-			if cs.swapped && !cs.busy {
+			if cs.where == swappedOut {
 				out[id] = append([]string(nil), cs.devices...)
 			}
 		}
@@ -110,9 +104,9 @@ func (rt *Runtime) liveReplicaTotals() (live, swapped int) {
 // uncorrupted replica at all reports ErrNoLiveReplica (or ErrCorruptReplica)
 // and stays swapped, recoverable when a donor returns.
 //
-// The cluster is reserved (busy) for the duration, exactly like a swap, so
-// repair never races a concurrent SwapIn/SwapOut or the sweep.
-func (rt *Runtime) RepairCluster(ctx context.Context, id ClusterID, k int) (ev SwapEvent, retErr error) {
+// The cluster is under-repair for the duration — reserved exactly like a
+// swap — so repair never races a concurrent SwapIn/SwapOut or the sweep.
+func (rt *Runtime) RepairCluster(ctx context.Context, id ClusterID, k int) (SwapEvent, error) {
 	if k <= 0 {
 		k = rt.Replicas()
 	}
@@ -122,86 +116,70 @@ func (rt *Runtime) RepairCluster(ctx context.Context, id ClusterID, k int) (ev S
 	if rt.placer == nil {
 		return SwapEvent{}, fmt.Errorf("core: repair cluster %d: %w", id, ErrNoPlacement)
 	}
-	trace := rt.newTrace()
-	ctx = obs.ContextWithTrace(ctx, trace)
-	span := rt.tracer.Start("swap_repair")
-	span.SetTrace(trace)
-	span.SetCluster(uint32(id))
-	defer func() {
-		if retErr != nil {
-			span.Fail(retErr)
-			if !errors.Is(retErr, ErrNoRepair) {
-				rt.swapErrors.With("repair").Inc()
-				rt.logger.Warn("repair failed",
-					"trace", trace, "cluster", uint32(id), "err", retErr)
-			}
-		}
-	}()
+	r := repair{op: rt.begin(&opRepair, id, ctx), k: k}
+	defer r.end()
+	r.do("reserve", r.reserve)
+	r.do("probe", r.probe)
+	r.do("fetch", r.fetch)
+	r.do("ship", r.ship)
+	r.do("commit", r.commit)
+	if r.err != nil {
+		return SwapEvent{}, r.err
+	}
+	return r.finish(), nil
+}
 
-	// Reserve the cluster, like any swap transition.
-	span.Phase("reserve")
-	sh := rt.shardOf(id)
-	rt.lockShard(sh)
-	ts := rt.mgr.tab(id)
-	ts.mu.Lock()
-	cs, err := ts.state(id)
-	if err == nil {
-		switch {
-		case cs.busy:
-			err = fmt.Errorf("%w: cluster %d", ErrClusterBusy, id)
-		case !cs.swapped:
-			err = fmt.Errorf("%w: cluster %d", ErrClusterLoaded, id)
-		}
-	}
-	if err != nil {
-		ts.mu.Unlock()
-		sh.mu.Unlock()
-		return SwapEvent{}, err
-	}
-	cs.busy = true
-	devices := append([]string(nil), cs.devices...)
-	key := cs.key
-	wantCRC := cs.crc
-	base := shipmentBase{
-		key:     cs.base.key,
-		format:  cs.base.format,
-		crc:     cs.base.crc,
-		devices: append([]string(nil), cs.base.devices...),
-	}
-	ts.mu.Unlock()
-	sh.mu.Unlock()
-	committed := false
-	defer func() {
-		if !committed {
-			rt.setBusy(id, false)
-		}
-	}()
+// repair is one cluster repair in flight.
+type repair struct {
+	op
+	k int
 
-	// Probe the recorded replicas: live ones stay, dead ones are pruned.
-	span.Phase("probe")
-	var live, dead []string
-	for _, d := range devices {
-		if _, lerr := rt.stores.Lookup(d); lerr == nil {
-			live = append(live, d)
+	// reserve: where the text is, copied out under the table lock.
+	was  shipment
+	base shipmentBase
+
+	live, dead []string // probe, then fetch demotes corrupt copies to dead
+	data       []byte   // the intact copy being re-shipped, from serving
+	popts      store.PutOpts
+	serving    store.Store
+	fresh      []string // donors that took a new copy
+	newSet     []string // live + fresh, primary first
+	baseKey    string   // the record's base key at commit
+}
+
+func (r *repair) reserve() error {
+	return r.op.reserve(swappedOut, underRepair, func(cs *clusterState) {
+		r.was, r.base = cs.shipment, cs.base
+		r.base.devices = append([]string(nil), cs.base.devices...) // ship appends
+	})
+}
+
+// probe sorts the recorded replicas: live ones stay, dead ones are pruned.
+func (r *repair) probe() error {
+	for _, d := range r.was.devices {
+		if _, err := r.rt.stores.Lookup(d); err == nil {
+			r.live = append(r.live, d)
 		} else {
-			dead = append(dead, d)
+			r.dead = append(r.dead, d)
 		}
 	}
-	if len(live) == 0 {
-		return SwapEvent{}, fmt.Errorf("core: repair cluster %d (replicas %s): %w",
-			id, strings.Join(devices, ","), ErrNoLiveReplica)
+	if len(r.live) == 0 {
+		return fmt.Errorf("core: repair cluster %d (replicas %s): %w",
+			r.id, strings.Join(r.was.devices, ","), ErrNoLiveReplica)
 	}
+	return nil
+}
 
-	// Scrub every live replica: fetch its copy and checksum it, so donor
-	// corruption at rest is detected even when the replica set looks whole.
-	// Replicas are byte-identical at shipment time, so the checksum recorded
-	// at swap-out convicts a rotted copy directly; without one (state
-	// restored from a pre-CRC checkpoint) the copies themselves are the only
-	// evidence — with K>=2, the majority checksum convicts divergent
-	// minorities, and ties keep the primary-order copy a plain fetch would
-	// have served.
-	span.Phase("fetch")
-	span.SetKey(key)
+// fetch scrubs every live replica: it fetches each copy and checksums it, so
+// donor corruption at rest is detected even when the replica set looks whole.
+// Replicas are byte-identical at shipment time, so the checksum recorded at
+// swap-out convicts a rotted copy directly; without one (state restored from
+// a pre-CRC checkpoint) the copies themselves are the only evidence — with
+// K>=2, the majority checksum convicts divergent minorities, and ties keep
+// the primary-order copy a plain fetch would have served.
+func (r *repair) fetch() error {
+	rt, key, wantCRC := r.rt, r.was.key, r.was.crc
+	r.span.SetKey(key)
 	type replicaCopy struct {
 		device string
 		store  store.Store
@@ -211,12 +189,12 @@ func (rt *Runtime) RepairCluster(ctx context.Context, id ClusterID, k int) (ev S
 	}
 	var copies []replicaCopy
 	var fetchErr error
-	for _, d := range live {
+	for _, d := range r.live {
 		s, lerr := rt.stores.Lookup(d)
 		if lerr != nil {
 			continue
 		}
-		b, o, gerr := store.GetWith(ctx, s, key)
+		b, o, gerr := store.GetWith(r.ctx, s, key)
 		if gerr != nil {
 			fetchErr = gerr
 			continue
@@ -236,164 +214,146 @@ func (rt *Runtime) RepairCluster(ctx context.Context, id ClusterID, k int) (ev S
 				}
 			}
 			rt.logger.Warn("repair: replica payloads diverge; majority checksum wins",
-				"trace", trace, "cluster", uint32(id), "groups", len(counts))
+				"trace", r.trace, "cluster", uint32(r.id), "groups", len(counts))
 		}
 	}
-	var (
-		data         []byte
-		popts        store.PutOpts
-		serving      string
-		servingStore store.Store
-		corrupt      []string
-	)
+	var serving string
+	corrupt := make(map[string]bool)
 	for _, c := range copies {
 		if wantCRC != 0 && c.sum != wantCRC {
 			rt.logger.Warn("repair: replica payload corrupt at rest",
-				"trace", trace, "cluster", uint32(id), "device", c.device)
-			corrupt = append(corrupt, c.device)
-			continue
-		}
-		if serving == "" {
-			data, popts, serving, servingStore = c.data, c.opts, c.device, c.store
+				"trace", r.trace, "cluster", uint32(r.id), "device", c.device)
+			corrupt[c.device] = true
+			// A convicted copy's donor is reachable but its bytes are
+			// worthless: treat it exactly like a dead replica — pruned from
+			// the set, payload queued for dropping, re-shipped over.
+			r.dead = append(r.dead, c.device)
+		} else if serving == "" {
+			r.data, r.popts, serving, r.serving = c.data, c.opts, c.device, c.store
 		}
 	}
 	if serving == "" {
-		err = fetchErr
+		err := fetchErr
 		if len(corrupt) > 0 {
-			err = fmt.Errorf("%w: key %s on %s", ErrCorruptReplica, key, strings.Join(corrupt, ","))
+			err = fmt.Errorf("%w: key %s on %s", ErrCorruptReplica, key,
+				strings.Join(r.dead[len(r.dead)-len(corrupt):], ","))
 		}
 		if err == nil {
 			err = ErrNoLiveReplica
 		}
-		return SwapEvent{}, fmt.Errorf("core: repair cluster %d: fetch: %w", id, err)
+		return fmt.Errorf("core: repair cluster %d: fetch: %w", r.id, err)
 	}
-	if len(corrupt) > 0 {
-		// Demote convicted copies: their donors are reachable but their
-		// bytes are worthless, so treat them exactly like dead replicas —
-		// pruned from the set, payload queued for dropping, re-shipped over.
-		corruptSet := make(map[string]bool, len(corrupt))
-		for _, d := range corrupt {
-			corruptSet[d] = true
-		}
-		kept := live[:0]
-		for _, d := range live {
-			if !corruptSet[d] {
-				kept = append(kept, d)
-			}
-		}
-		live = kept
-		dead = append(dead, corrupt...)
+	r.live = slices.DeleteFunc(r.live, func(d string) bool { return corrupt[d] })
+	if len(r.live) >= r.k && len(r.dead) == 0 {
+		return ErrNoRepair
 	}
-	if len(live) >= k && len(dead) == 0 {
-		return SwapEvent{}, ErrNoRepair
-	}
-	span.SetDevice(serving)
-	span.SetFormat(popts.Format)
-	span.AddBytes(int64(len(data)))
+	r.span.SetDevice(serving)
+	r.span.SetFormat(r.popts.Format)
+	r.span.AddBytes(int64(len(r.data)))
+	return nil
+}
 
-	// Ship fresh copies in the fetched format — the planner skips donors that
-	// do not accept it. Quorum 1: a partial repair still improves durability,
-	// and the next sweep finishes the job when donors appear.
-	span.Phase("ship")
-	var fresh []string
-	if need := k - len(live); need > 0 {
-		rep, serr := rt.placer.Ship(ctx, placement.ShipRequest{
-			Key: key, Data: data, Replicas: need, Quorum: 1, Exclude: devices,
-			Format: popts.Format,
+// ship places fresh copies in the fetched format — the planner skips donors
+// that do not accept it. Quorum 1: a partial repair still improves durability,
+// and the next sweep finishes the job when donors appear.
+//
+// A delta payload is useless without its base: every fresh donor must also
+// receive the base payload, fetched from the replica that served the delta.
+// A donor that cannot take the base loses its delta copy too — half a
+// shipment serves nothing.
+func (r *repair) ship() error {
+	rt, key := r.rt, r.was.key
+	if need := r.k - len(r.live); need > 0 {
+		rep, err := rt.placer.Ship(r.ctx, placement.ShipRequest{
+			Key: key, Data: r.data, Replicas: need, Quorum: 1, Exclude: r.was.devices,
+			Format: r.popts.Format,
 		})
-		if serr != nil && len(dead) == 0 {
+		if err != nil && len(r.dead) == 0 {
 			// Nothing shipped and nothing to prune: the repair achieved
 			// nothing, report it.
-			return SwapEvent{}, fmt.Errorf("core: repair cluster %d: %w", id, serr)
+			return fmt.Errorf("core: repair cluster %d: %w", r.id, err)
 		}
-		fresh = rep.Replicas
+		r.fresh = rep.Replicas
 	}
+	if r.popts.Format != string(wire.FormatDelta) || len(r.fresh) == 0 || r.base.key == "" {
+		return nil
+	}
+	baseData, baseOpts, berr := store.GetWith(r.ctx, r.serving, r.base.key)
+	var usable, orphans []string
+	for _, d := range r.fresh {
+		cerr := berr
+		if cerr == nil {
+			if s, lerr := rt.stores.Lookup(d); lerr != nil {
+				cerr = lerr
+			} else {
+				cerr = store.PutWith(r.ctx, s, r.base.key, baseData, baseOpts)
+			}
+		}
+		if cerr != nil {
+			rt.logger.Warn("repair: base copy failed; dropping orphan delta",
+				"trace", r.trace, "cluster", uint32(r.id), "device", d, "err", cerr)
+			orphans = append(orphans, d)
+			continue
+		}
+		usable = append(usable, d)
+		r.base.devices = append(r.base.devices, d)
+	}
+	rt.dropAll(r.ctx, orphans, key, r.id)
+	r.fresh = usable
+	if len(r.fresh) == 0 && len(r.dead) == 0 {
+		if berr == nil {
+			berr = errors.New("no fresh donor accepted the base payload")
+		}
+		return fmt.Errorf("core: repair cluster %d: base copy: %w", r.id, berr)
+	}
+	return nil
+}
 
-	// A delta payload is useless without its base: every fresh donor must
-	// also receive the base payload, fetched from the replica that served the
-	// delta. A donor that cannot take the base loses its delta copy too —
-	// half a shipment serves nothing.
-	if popts.Format == string(wire.FormatDelta) && len(fresh) > 0 && base.key != "" {
-		baseData, baseOpts, berr := store.GetWith(ctx, servingStore, base.key)
-		usable := fresh[:0]
-		for _, d := range fresh {
-			var cerr error = berr
-			if cerr == nil {
-				if s, lerr := rt.stores.Lookup(d); lerr != nil {
-					cerr = lerr
-				} else {
-					cerr = store.PutWith(ctx, s, base.key, baseData, baseOpts)
-				}
-			}
-			if cerr != nil {
-				rt.logger.Warn("repair: base copy failed; dropping orphan delta",
-					"trace", trace, "cluster", uint32(id), "device", d, "err", cerr)
-				if derr := rt.dropFromDevice(d, key); derr != nil {
-					rt.mgr.deferDrop(d, key, id)
-				}
-				continue
-			}
-			usable = append(usable, d)
-			base.devices = append(base.devices, d)
-		}
-		fresh = usable
-		if len(fresh) == 0 && len(dead) == 0 {
-			if berr == nil {
-				berr = errors.New("no fresh donor accepted the base payload")
-			}
-			return SwapEvent{}, fmt.Errorf("core: repair cluster %d: base copy: %w", id, berr)
-		}
-	}
-	newSet := append(append([]string(nil), live...), fresh...)
-
-	// Commit the new replica set, mirroring commitSwapOut's bookkeeping. The
-	// delta-base record follows the repair: a full shipment that doubles as
-	// the base mirrors the new set directly, a repaired delta keeps the base
-	// donors minus the pruned dead ones plus the fresh copies made above.
-	span.Phase("commit")
-	deadSet := make(map[string]bool, len(dead))
-	for _, d := range dead {
-		deadSet[d] = true
-	}
-	rt.lockShard(sh)
-	ts.mu.Lock()
-	cs.devices = append([]string(nil), newSet...)
-	baseKey := cs.base.key
-	if baseKey == key {
-		cs.base.devices = append([]string(nil), newSet...)
-	} else if baseKey != "" {
-		var bd []string
-		for _, d := range base.devices {
-			if !deadSet[d] {
-				bd = append(bd, d)
-			}
-		}
-		cs.base.devices = bd
-	}
-	replID := cs.replacement
-	ts.mu.Unlock()
-	if repl, gerr := rt.h.Get(replID); gerr == nil {
+// commit records the new replica set — on the record and on the
+// replacement-object — under the shard lock. The delta-base record follows
+// the repair: a full shipment that doubles as the base mirrors the new set
+// directly, a repaired delta keeps the base donors minus the pruned dead ones
+// plus the fresh copies made above.
+func (r *repair) commit() error {
+	rt := r.rt
+	r.newSet = append(r.live, r.fresh...)
+	newSet := append([]string(nil), r.newSet...) // the record's own copy
+	rt.lockShard(r.sh)
+	defer r.sh.mu.Unlock()
+	if repl, err := rt.h.Get(r.was.replacement); err == nil {
 		_ = repl.SetFieldByName(fldStore, heap.Str(strings.Join(newSet, ",")))
 	}
-	sh.mu.Unlock()
-	committed = true
-	rt.setBusy(id, false)
-	for _, d := range dead {
-		rt.mgr.deferDrop(d, key, id)
-		if baseKey != "" && baseKey != key {
-			rt.mgr.deferDrop(d, baseKey, id)
+	r.op.commit(swappedOut, func(cs *clusterState) {
+		cs.devices = newSet
+		r.baseKey = cs.base.key
+		if r.baseKey == cs.key {
+			cs.base.devices = newSet
+		} else if r.baseKey != "" {
+			cs.base.devices = slices.DeleteFunc(r.base.devices,
+				func(d string) bool { return slices.Contains(r.dead, d) })
+		}
+	})
+	return nil
+}
+
+// finish queues the pruned replicas' payloads for dropping and reports.
+func (r *repair) finish() SwapEvent {
+	rt, key, newSet := r.rt, r.was.key, r.newSet
+	for _, d := range r.dead {
+		rt.mgr.deferDrop(d, key, r.id)
+		if r.baseKey != "" && r.baseKey != key {
+			rt.mgr.deferDrop(d, r.baseKey, r.id)
 		}
 	}
-
-	ev = SwapEvent{Cluster: id, Device: newSet[0], Key: key, Bytes: len(data),
-		Attempted: dead, Replicas: newSet, Trace: trace, Format: popts.Format,
+	ev := SwapEvent{Cluster: r.id, Device: newSet[0], Key: key, Bytes: len(r.data),
+		Attempted: r.dead, Replicas: newSet, Trace: r.trace, Format: r.popts.Format,
 		Cause: CauseRepair}
-	span.SetReplicas(newSet)
-	ev.Phases, ev.Duration = span.End()
-	rt.recordFault("swap_repair", id, ev.Cause, ev.Duration, len(data))
-	rt.logger.Info("cluster repaired", "trace", trace, "cluster", uint32(id),
-		"replicas", strings.Join(newSet, ","), "pruned", strings.Join(dead, ","),
-		"shipped", strings.Join(fresh, ","))
+	r.span.SetReplicas(newSet)
+	ev.Phases, ev.Duration = r.span.End()
+	rt.recordFault("swap_repair", r.id, ev.Cause, ev.Duration, len(r.data))
+	rt.logger.Info("cluster repaired", "trace", r.trace, "cluster", uint32(r.id),
+		"replicas", strings.Join(newSet, ","), "pruned", strings.Join(r.dead, ","),
+		"shipped", strings.Join(r.fresh, ","))
 	rt.emit(event.TopicSwapRepair, ev)
-	return ev, nil
+	return ev
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"objectswap/internal/heap"
@@ -41,34 +42,19 @@ func (rt *Runtime) MergeClusters(dst, src ClusterID) error {
 
 	m := rt.mgr
 	unlock := m.lockPair(dst, src)
-	ds, err := m.tab(dst).state(dst)
+	ds, err := m.tab(dst).at(dst, resident)
+	var ss *clusterState
+	if err == nil {
+		ss, err = m.tab(src).at(src, resident)
+	}
 	if err != nil {
 		unlock()
-		return err
+		return fmt.Errorf("core: merge of clusters %d/%d: %w", dst, src, err)
 	}
-	ss, err := m.tab(src).state(src)
-	if err != nil {
-		unlock()
-		return err
-	}
-	if ds.swapped || ss.swapped {
-		unlock()
-		return fmt.Errorf("%w: merge requires both clusters resident", ErrClusterSwapped)
-	}
-	if ds.busy || ss.busy {
-		unlock()
-		return fmt.Errorf("%w: merge of clusters %d/%d", ErrClusterBusy, dst, src)
-	}
-	moved := make(map[heap.ObjID]bool, len(ss.objects))
-	for oid := range ss.objects {
-		moved[oid] = true
-	}
+	moved := maps.Clone(ss.objects)
 	unlock()
 
-	members := make(map[heap.ObjID]bool, len(moved))
-	for oid := range moved {
-		members[oid] = true
-	}
+	members := maps.Clone(moved)
 	if err := rt.checkInactive(src, members); err != nil {
 		return err
 	}
@@ -97,7 +83,7 @@ func (rt *Runtime) MergeClusters(dst, src ClusterID) error {
 	if ss.lastAccess > ds.lastAccess {
 		ds.lastAccess = ss.lastAccess
 	}
-	delete(m.tab(src).clusters, src)
+	m.tab(src).drop(ss)
 	// Inbound proxies previously indexed under src now target dst members.
 	if idx := m.inbound[src]; idx != nil {
 		didx := m.inbound[dst]
@@ -144,18 +130,10 @@ func (rt *Runtime) SplitCluster(src ClusterID, members []heap.ObjID) (ClusterID,
 	m := rt.mgr
 	sts := m.tab(src)
 	sts.mu.Lock()
-	ss, err := sts.state(src)
+	ss, err := sts.at(src, resident)
 	if err != nil {
 		sts.mu.Unlock()
 		return 0, err
-	}
-	if ss.swapped {
-		sts.mu.Unlock()
-		return 0, fmt.Errorf("%w: cluster %d", ErrClusterSwapped, src)
-	}
-	if ss.busy {
-		sts.mu.Unlock()
-		return 0, fmt.Errorf("%w: cluster %d", ErrClusterBusy, src)
 	}
 	for _, oid := range members {
 		if !ss.objects[oid] {
@@ -163,10 +141,7 @@ func (rt *Runtime) SplitCluster(src ClusterID, members []heap.ObjID) (ClusterID,
 			return 0, fmt.Errorf("core: split: @%d is not a member of cluster %d", oid, src)
 		}
 	}
-	all := make(map[heap.ObjID]bool, len(ss.objects))
-	for oid := range ss.objects {
-		all[oid] = true
-	}
+	all := maps.Clone(ss.objects)
 	sts.mu.Unlock()
 	if err := rt.checkInactive(src, all); err != nil {
 		return 0, err

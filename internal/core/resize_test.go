@@ -283,7 +283,7 @@ func TestCursorSurvivesReloadEvictionStorm(t *testing.T) {
 	_ = devices.Add("d", store.NewMem(0))
 	rt := NewRuntime(h, heap.NewRegistry(), WithStores(devices))
 	rt.MustRegisterClass(node)
-	rt.SetEvictor(rt.EvictColdest)
+	rt.SetEvictor(func(need int64) error { return rt.EvictWith(EvictOptions{}, need) })
 
 	// Three chains, each its own cluster; the heap holds roughly one.
 	const chains, per = 3, 20

@@ -9,7 +9,7 @@ import (
 	"objectswap/internal/obs"
 )
 
-// The swap core is sharded: the cluster table, the busy-reservation map and
+// The swap core is sharded: the cluster table (residency included) and
 // the swap critical sections are split across N independently locked shards,
 // keyed by a hash of the cluster id. Swaps on clusters of different shards
 // never contend — the reserve of one overlaps the commit of another — while
@@ -183,7 +183,7 @@ func (rt *Runtime) ShardEvictions() []ShardEviction {
 }
 
 // WithShards sets the number of independently locked swap shards the cluster
-// table, busy reservations and swap critical sections are split across.
+// table and the swap critical sections are split across.
 // Values below 1 select DefaultShards.
 func WithShards(n int) Option {
 	return func(rt *Runtime) {

@@ -1,0 +1,303 @@
+package core
+
+import (
+	"fmt"
+	"hash/crc32"
+	"sort"
+	"strings"
+
+	"objectswap/internal/event"
+	"objectswap/internal/heap"
+	"objectswap/internal/store"
+	"objectswap/internal/wire"
+	"objectswap/internal/xmlcodec"
+)
+
+// swapInDirect fetches a swapped-out cluster back from its donors, reinstalls
+// its objects under their original identities, re-patches every inbound
+// proxy, and retires the replacement-object. It is the uncoalesced path: the
+// public SwapIn (fault_glue.go) wraps it in the fault engine's single-flight
+// table so concurrent faults on one cluster park on one fetch, and everything
+// below runs once per flight, on the leader's goroutine.
+//
+// The fetch reads the replicas in preference (rank) order and falls through
+// on error: the payload is byte-identical on every replica, so a dead primary
+// costs one failed request, not the reload. Replicas that failed are listed in
+// SwapEvent.Attempted and announced as a swap.readrepair event so the repair
+// loop can re-replicate everything else those donors held.
+//
+// WithDeadline / WithContext bound the fetch: a failed swap-in — timeout,
+// damaged frame, no room — leaves the cluster swapped exactly as it was, so a
+// later retry (or a reconnecting device) can still reload it. Destination
+// options do not apply: a swapped cluster lives where it was shipped.
+// Swap-ins of distinct clusters overlap freely; only reserve and install hold
+// the cluster's shard lock.
+func (rt *Runtime) swapInDirect(id ClusterID, opts ...SwapOption) (SwapEvent, error) {
+	o, ctx, cancel := resolveSwapOpts(opts)
+	defer cancel()
+	if rt.stores == nil {
+		return SwapEvent{}, ErrNoStores
+	}
+	s := swapIn{op: rt.begin(&opSwapIn, id, ctx), o: o}
+	defer s.end()
+	s.do("reserve", s.reserve)
+	s.do("fetch", s.fetch)
+	s.do("decode", s.decode)
+	s.do("evict", s.evict)
+	s.do("install", s.install)
+	if s.err != nil {
+		return SwapEvent{}, s.err
+	}
+	return s.finish(), nil
+}
+
+// swapIn is one swap-in in flight.
+type swapIn struct {
+	op
+	o swapOpts
+
+	// reserve: where the text is, copied out under the table lock.
+	was              shipment
+	baseKey          string
+	baseCRC          uint32
+	repl             *heap.Object
+	data             []byte
+	dataCRC          uint32 // of the copy being served, taken once
+	device           string
+	serving          store.Store
+	failed           []string
+	fid              wire.FormatID
+	staged           *xmlcodec.Installer
+	installedObjects int
+}
+
+func (s *swapIn) reserve() (err error) {
+	err = s.op.reserve(swappedOut, reservedIn, func(cs *clusterState) {
+		s.was, s.baseKey, s.baseCRC = cs.shipment, cs.base.key, cs.base.crc
+	})
+	if err != nil {
+		return err
+	}
+	if s.repl, err = s.rt.h.Get(s.was.replacement); err != nil {
+		return fmt.Errorf("core: cluster %d replacement gone (cluster is garbage): %w", s.id, err)
+	}
+	s.pin(s.was.replacement) // across any eviction below
+	return nil
+}
+
+func (s *swapIn) fetch() error {
+	rt, key, devices := s.rt, s.was.key, s.was.devices
+	s.span.SetKey(key)
+	s.span.SetReplicas(devices)
+	var lastErr error
+	for _, d := range devices {
+		st, err := rt.stores.Lookup(d)
+		if err == nil {
+			// Route through the fault engine's donor batcher: misses that
+			// land on a donor already serving a fetch ride one multi-key
+			// round trip instead of issuing their own.
+			s.data, err = rt.faults.Fetch(s.ctx, d, st, key)
+			// The checksum recorded at swap-out convicts a copy that rotted
+			// at rest; with K>=2 the reload falls through to an intact one.
+			if err == nil {
+				s.dataCRC = crc32.ChecksumIEEE(s.data)
+				if s.was.crc != 0 && s.dataCRC != s.was.crc {
+					err = fmt.Errorf("%w: device %s key %s", ErrCorruptReplica, d, key)
+				}
+			}
+			if err == nil {
+				s.device, s.serving = d, st
+				break
+			}
+		}
+		s.failed = append(s.failed, d)
+		lastErr = err
+		rt.logger.Warn("swap-in replica failed", "trace", s.trace,
+			"cluster", uint32(s.id), "device", d, "err", err)
+		if s.ctx.Err() != nil {
+			break
+		}
+	}
+	if s.device == "" {
+		if lastErr == nil {
+			lastErr = ErrNoLiveReplica
+		}
+		return fmt.Errorf("core: fetch cluster %d (replicas %s): %w",
+			s.id, strings.Join(devices, ","), lastErr)
+	}
+	s.span.SetDevice(s.device)
+	s.span.AddBytes(int64(len(s.data)))
+	return nil
+}
+
+// decode validates and stages whatever format the shipment self-describes as:
+// every structural check runs here, unlocked, and the objects come out as
+// field vectors ready to install — a frame that fails leaves the heap and the
+// cluster table untouched, and evicts nothing. A delta fetches its base from
+// the SAME donor that served it — deltas only ever ship to donors holding the
+// base, so that donor is the one place the base is known to live.
+func (s *swapIn) decode() (err error) {
+	rt, ctx, device, serving, baseKey, baseCRC := s.rt, s.ctx, s.device, s.serving, s.baseKey, s.baseCRC
+	s.fid, _ = wire.Detect(s.data)
+	start := rt.obsReg.Clock().Now()
+	s.staged, err = wire.Stage(s.data, rt.reg, &wire.DecodeOpts{
+		FetchBase: func(k string) ([]byte, error) {
+			b, err := rt.faults.Fetch(ctx, device, serving, k)
+			if err == nil && k == baseKey && baseCRC != 0 && crc32.ChecksumIEEE(b) != baseCRC {
+				return nil, fmt.Errorf("%w: device %s base %s", ErrCorruptReplica, device, k)
+			}
+			return b, err
+		},
+		Codecs: rt.classCodecs,
+	})
+	if err != nil {
+		return fmt.Errorf("core: unwrap cluster %d: %w", s.id, err)
+	}
+	rt.recordWire(s.fid, "decode", len(s.data), rt.obsReg.Clock().Now().Sub(start))
+	s.span.SetFormat(string(s.fid))
+	if s.staged.ClusterID != s.was.key {
+		return fmt.Errorf("core: cluster %d: device returned wrong shipment %q", s.id, s.staged.ClusterID)
+	}
+	return nil
+}
+
+// evict makes room before installing, if we can tell it is needed, with a
+// little headroom beyond the payload: the reload itself allocates middleware
+// objects (proxies for un-replicated edges). No lock is held — the evictor's
+// own swap-outs take them.
+func (s *swapIn) evict() error {
+	rt := s.rt
+	if cap := rt.h.Capacity(); cap > 0 && rt.evictor != nil && !rt.evicting.Load() {
+		const reloadSlack = 512
+		need := s.was.bytesAtSwap + reloadSlack
+		if free := cap - rt.h.Reserve() - rt.h.Used(); free < need {
+			if err := rt.runEvictor(need - free); err != nil {
+				return fmt.Errorf("core: make room for cluster %d: %w", s.id, err)
+			}
+		}
+	}
+	return nil
+}
+
+// install makes the whole cluster resident, re-patches its inbound proxies
+// and moves the record to resident in one shard-locked section, so no
+// collection can run between installation (nursery-fresh objects) and the
+// patches that make them reachable. beginMutate: installation allocates, and
+// an allocation failure here must not re-enter the evictor.
+//
+// On a delta-enabled runtime a reloaded full shipment re-anchors the delta
+// base — resident state now provably equals the retained payload — which is
+// also what re-arms delta encoding after a checkpoint restore; a reloaded
+// delta leaves base and dirty untouched.
+func (s *swapIn) install() error {
+	rt := s.rt
+	rt.lockShard(s.sh)
+	defer s.sh.mu.Unlock()
+	defer rt.beginMutate(s.sh)()
+
+	// Resolve replacement slots back to the retained outbound proxies.
+	outboundVal, err := s.repl.FieldByName(fldOut)
+	if err != nil {
+		return err
+	}
+	outbound, err := outboundVal.List()
+	if err != nil {
+		return err
+	}
+	decodeRef := func(v xmlcodec.Value) (heap.Value, error) {
+		switch v.RefClass {
+		case xmlcodec.RefSlot:
+			if v.Slot < 0 || v.Slot >= len(outbound) {
+				return heap.Nil(), fmt.Errorf("core: replacement slot %d out of range (%d slots)", v.Slot, len(outbound))
+			}
+			return outbound[v.Slot], nil
+		case xmlcodec.RefRemote:
+			// An un-replicated edge: re-synthesize its object-fault proxy.
+			pid, err := rt.ObjProxyFor(v.Target, v.Class)
+			if err != nil {
+				return heap.Nil(), err
+			}
+			return heap.Ref(pid), nil
+		default:
+			return heap.Nil(), fmt.Errorf("core: unexpected reference class %v in swapped cluster", v.RefClass)
+		}
+	}
+
+	// All of it in one heap critical section, or none; the batch refuses a
+	// member that is already resident (swap-out freed them all at commit)
+	// instead of discarding whatever it holds. Reinstallation restores state,
+	// it is not a mutation: no write or access observers fire.
+	installed, err := s.staged.Install(rt.h, decodeRef)
+	if err != nil {
+		return fmt.Errorf("core: install cluster %d: %w", s.id, err)
+	}
+	s.installedObjects = len(installed)
+	for _, pid := range rt.mgr.inboundProxies(s.id) {
+		p, err := rt.h.Get(pid)
+		if err != nil {
+			continue
+		}
+		if err := p.SetFieldByName(fldTarget, heap.Ref(proxyUltimate(p))); err != nil {
+			return fmt.Errorf("core: re-patch inbound proxy @%d: %w", pid, err)
+		}
+	}
+	s.op.commit(resident, func(cs *clusterState) {
+		cs.shipment = shipment{}
+		cs.swapIns++
+		if rt.deltaEnabled() && s.fid != wire.FormatDelta {
+			cs.base = s.anchor(installed, outbound)
+			cs.dirty = nil
+		}
+	})
+	return nil
+}
+
+// anchor is the delta base a just-reloaded full shipment becomes: the payload
+// still on its donors, with the membership and slot table read back from what
+// was installed.
+func (s *swapIn) anchor(installed []*heap.Object, outbound []heap.Value) shipmentBase {
+	members := make([]heap.ObjID, 0, len(installed))
+	for _, o := range installed {
+		members = append(members, o.ID())
+	}
+	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+	slots := make([]heap.ObjID, len(outbound))
+	for i, v := range outbound {
+		if rid, err := v.Ref(); err == nil && rid != heap.NilID {
+			if p, perr := s.rt.h.Get(rid); perr == nil {
+				slots[i] = proxyUltimate(p)
+			}
+		}
+	}
+	return shipmentBase{key: s.was.key, devices: s.was.devices, format: string(s.fid),
+		crc: s.dataCRC, members: members, slots: slots}
+}
+
+// finish runs after the locks are gone. Every replica's copy is stale once
+// the cluster is live again, so the donors are told to drop it — except on a
+// delta-enabled runtime, where a reloaded FULL shipment stays as the anchor a
+// future delta re-ships against, and a reloaded delta drops only its own key.
+func (s *swapIn) finish() SwapEvent {
+	rt, key, bytes := s.rt, s.was.key, s.was.payloadBytes
+	if !rt.keepOnReload && (s.fid == wire.FormatDelta || !rt.deltaEnabled()) {
+		rt.dropAll(s.ctx, s.was.devices, key, s.id)
+	}
+	ev := SwapEvent{Cluster: s.id, Device: s.device, Key: key, Objects: s.installedObjects,
+		Bytes: bytes, Attempted: s.failed, Trace: s.trace, Format: string(s.fid),
+		Cause: rt.resolveCause(s.o.cause)}
+	ev.Phases, ev.Duration = s.span.End()
+	rt.recordFault("swap_in", s.id, ev.Cause, ev.Duration, bytes)
+	rt.logger.Info("swap-in", "trace", s.trace, "cluster", uint32(s.id),
+		"device", s.device, "key", key, "objects", s.installedObjects,
+		"bytes", bytes, "dur", ev.Duration)
+	rt.emit(event.TopicSwapIn, ev)
+	// A dead replica here means the donor likely lost everything it held:
+	// announce it so the repair loop re-replicates the rest.
+	if len(s.failed) > 0 {
+		rt.emit(event.TopicReadRepair, SwapEvent{
+			Cluster: s.id, Device: s.failed[0], Key: key,
+			Attempted: s.failed, Trace: s.trace,
+		})
+	}
+	return ev
+}

@@ -245,6 +245,45 @@ func TestDeltaFallsBackWhenBaseDonorLacksFormat(t *testing.T) {
 	}
 }
 
+// A base donor that advertises delta but rejects the delta Put forces the same
+// fallback mid-ship: the swap lands as a full shipment, and the re-encoded
+// frame is attributed to the ship phase once — its bytes are the event's.
+func TestDeltaFallsBackWhenBaseDonorRejectsPut(t *testing.T) {
+	f := deltaFixture(t)
+	flaky := store.NewFlaky(f.mem, 1)
+	f.reg.Remove("pda-neighbor")
+	if err := f.reg.Add("pda-neighbor", flaky); err != nil {
+		t.Fatal(err)
+	}
+	_, clusters := f.buildList(t, 20, 20, 64)
+
+	if _, err := f.rt.SwapOut(clusters[0]); err != nil {
+		t.Fatalf("full swap-out: %v", err)
+	}
+	if _, err := f.rt.SwapIn(clusters[0]); err != nil {
+		t.Fatalf("swap-in: %v", err)
+	}
+	flaky.FailNext(store.OpPut, 1)
+	ev, err := f.rt.SwapOut(clusters[0])
+	if err != nil {
+		t.Fatalf("re-swap-out: %v", err)
+	}
+	if ev.Format != string(wire.FormatBinary) {
+		t.Fatalf("format = %q, want binary full fallback", ev.Format)
+	}
+	if n := flaky.Failures(store.OpPut); n != 1 {
+		t.Fatalf("rejected Puts = %d, want the one delta Put", n)
+	}
+	for _, ph := range ev.Phases {
+		if ph.Name == "ship" && ph.Bytes != int64(ev.Bytes) {
+			t.Fatalf("ship phase bytes = %d, want SwapEvent.Bytes = %d", ph.Bytes, ev.Bytes)
+		}
+	}
+	if _, err := f.rt.SwapIn(clusters[0]); err != nil {
+		t.Fatalf("swap-in after fallback: %v", err)
+	}
+}
+
 // Heavy mutation forfeits the delta: once half the members changed, the
 // negotiation prefers a full shipment that refreshes the base.
 func TestDeltaDeclinedWhenTooDirty(t *testing.T) {

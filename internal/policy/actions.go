@@ -33,7 +33,7 @@ import (
 // It also installs the runtime evictor so allocation pressure flows through
 // the same machinery.
 func BindSwapActions(e *Engine, rt *core.Runtime) {
-	rt.SetEvictor(rt.EvictColdest)
+	rt.SetEvictor(func(need int64) error { return rt.EvictWith(core.EvictOptions{}, need) })
 	e.RegisterAction("swap-out", func(spec ActionSpec, _ event.Event) error {
 		strategy, err := core.VictimStrategyFromString(spec.Param("strategy", "coldest"))
 		if err != nil {

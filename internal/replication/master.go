@@ -39,9 +39,7 @@ var (
 
 // Transport fetches graph shipments from a master node. Implementations:
 // Master (in-process) and Client (HTTP web-services bridge). Every fetch
-// takes a context so callers can bound transfers over flaky links; transports
-// written against the original context-free contract plug in through
-// LegacyTransport.
+// takes a context so callers can bound transfers over flaky links.
 type Transport interface {
 	// FetchRoot resolves a named root on the master to its object identity
 	// and class.

@@ -151,7 +151,7 @@ type Config struct {
 	// Transport tunes the resilience decorator (timeouts, retry/backoff,
 	// circuit breaker) wrapped around every store registered with
 	// AttachDevice. The zero value selects the defaults; see
-	// TransportPolicy. Use AttachDeviceRaw to bypass the decorator.
+	// TransportPolicy.
 	Transport TransportPolicy
 	// EvictParallelism > 1 makes pressure-driven eviction swap out up to
 	// that many victim clusters concurrently, overlapping the XML encoding
@@ -315,7 +315,9 @@ func New(cfg Config) (*System, error) {
 	engine.SetLogger(cfg.Logger)
 	policy.BindSwapActions(engine, rt)
 	if cfg.EvictParallelism > 1 {
-		rt.SetEvictor(rt.EvictorWith(core.EvictOptions{Parallelism: cfg.EvictParallelism}))
+		rt.SetEvictor(func(need int64) error {
+			return rt.EvictWith(core.EvictOptions{Parallelism: cfg.EvictParallelism}, need)
+		})
 	}
 
 	doc := cfg.Policies
@@ -520,17 +522,12 @@ func (s *System) Metrics() *obs.Registry { return s.obsReg }
 // exposition format (version 0.0.4).
 func (s *System) WriteMetrics(w io.Writer) error { return s.obsReg.WriteMetrics(w) }
 
-// FlightRecorder exposes the always-on flight recorder retaining the last
-// completed swap spans and bus events (nil when disabled via negative
-// Config.FlightSpans / FlightEvents).
-func (s *System) FlightRecorder() *obs.Recorder { return s.recorder }
-
 // evictorStuckAfter is how long one in-flight eviction pass may run before
 // the evictor health check reports it wedged.
 const evictorStuckAfter = 30 * time.Second
 
-// HealthChecks returns the system's standard subsystem probes, suitable for
-// opshttp.Options.Checks:
+// healthChecks builds the system's standard subsystem probes, served by
+// OpsHandler on /healthz:
 //
 //	heap             fails when occupancy has crossed the memory monitor's
 //	                 threshold
@@ -542,7 +539,7 @@ const evictorStuckAfter = 30 * time.Second
 //	                 fewer live replicas than Config.Replicas — degraded on
 //	                 donor loss, ok again once the repair loop restores the
 //	                 factor
-func (s *System) HealthChecks() []opshttp.Check {
+func healthChecks(s *System) []opshttp.Check {
 	checks := []opshttp.Check{
 		{Name: "heap", Probe: func(context.Context) error {
 			sample := s.monitor.Sample()
@@ -618,7 +615,7 @@ func (s *System) HealthChecks() []opshttp.Check {
 }
 
 // OpsHandler assembles the operator-facing HTTP surface for this system:
-// /metrics, /healthz (HealthChecks), /debug/traces, /debug/events,
+// /metrics, /healthz (healthChecks), /debug/traces, /debug/events,
 // /debug/heat, /debug/wss, /debug/prefetch and /debug/pprof. Mount it on a
 // side port via
 // opshttp.Start (the obiswap command's -ops flag does exactly this).
@@ -626,7 +623,7 @@ func (s *System) OpsHandler() http.Handler {
 	return opshttp.NewHandler(opshttp.Options{
 		Metrics:   s.obsReg,
 		Recorder:  s.recorder,
-		Checks:    s.HealthChecks(),
+		Checks:    healthChecks(s),
 		Logger:    s.logger,
 		Telemetry: s.telem,
 		Prefetch:  s.rt.FaultEngine(),
@@ -645,9 +642,6 @@ func (s *System) Heap() *heap.Heap { return s.heap }
 
 // Bus exposes the middleware event bus.
 func (s *System) Bus() *event.Bus { return s.bus }
-
-// Devices exposes the nearby-device registry.
-func (s *System) Devices() *store.Registry { return s.devices }
 
 // Engine exposes the policy engine.
 func (s *System) Engine() *policy.Engine { return s.engine }
@@ -681,23 +675,6 @@ func (s *System) AttachDevice(name string, st store.Store) error {
 	}
 	s.conn.Set(name, true)
 	return nil
-}
-
-// AttachDeviceRaw registers a nearby device without the transport resilience
-// decorator: every store call reaches it directly, and a single failure
-// surfaces to the swap path (which may still fail over across devices).
-func (s *System) AttachDeviceRaw(name string, st store.Store) error {
-	if err := s.devices.Add(name, st); err != nil {
-		return err
-	}
-	s.conn.Set(name, true)
-	return nil
-}
-
-// AttachLegacyDevice registers a third-party context-free store through the
-// store.Legacy adapter, with the full resilience decoration.
-func (s *System) AttachLegacyDevice(name string, st store.ContextFree) error {
-	return s.AttachDevice(name, store.NewLegacy(st))
 }
 
 // TransportSnapshot copies the aggregate transport metrics: attempts,

@@ -227,7 +227,7 @@ func TestAttachLegacyDevice(t *testing.T) {
 		t.Fatal(err)
 	}
 	legacy := &mapStore{m: make(map[string][]byte)}
-	if err := sys.AttachLegacyDevice("old-pda", legacy); err != nil {
+	if err := sys.AttachDevice("old-pda", store.NewLegacy(legacy)); err != nil {
 		t.Fatal(err)
 	}
 	cls := sys.MustRegisterClass(taskClass())
