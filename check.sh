@@ -74,6 +74,18 @@ if [ -n "$MOVED" ]; then
     echo "$MOVED" >&2
     exit 1
 fi
+# Guard: a reference crosses a boundary at one site. In internal/core exactly
+# one non-test call of enterCrossing (reach) and one rt.depth++ (enter) may
+# exist, and proxy state is written by slot through proxy.go's accessors —
+# no SetFieldByName(fld... on a proxy's fields anywhere.
+CROSSINGS=$(grep -n '\.enterCrossing(' internal/core/*.go | grep -v '_test\.go:' || true)
+FRAMES=$(grep -n 'rt\.depth++' internal/core/*.go | grep -v '_test\.go:' || true)
+BYNAME=$(grep -nE 'SetFieldByName\(fld(Target|Obj|Src|Mode)[^[:alnum:]]' internal/core/*.go | grep -v '_test\.go:' || true)
+if [ "$(printf '%s\n' "$CROSSINGS" | grep -c .)" != 1 ] || [ "$(printf '%s\n' "$FRAMES" | grep -c .)" != 1 ] || [ -n "$BYNAME" ]; then
+    echo "reference mediation forked (want one enterCrossing call, one rt.depth++, no proxy field written by name):" >&2
+    printf '%s\n%s\n%s\n' "$CROSSINGS" "$FRAMES" "$BYNAME" >&2
+    exit 1
+fi
 # Fault-storm smoke: 64 goroutines faulting 8 swapped clusters must issue
 # exactly 8 donor fetches (single-flight coalescing), race-clean at
 # GOMAXPROCS 1 and 4.
@@ -89,9 +101,9 @@ go test -run '^TestEvictionBudget$' -count=1 ./internal/core/
 # count once the encoder pool is warm.
 go test -run '^TestSwapRoundTripBudget$' -count=1 ./internal/core/
 go test -run '^TestCollectAllocatesNothingOnUnchangedHeap$' -count=1 ./internal/heap/
-# Fault-bench smoke: a pointer chase with the prefetcher on must serve at
-# least half its cluster boundaries from the prefetch inventory, with the
-# mean prefetch-hit crossing >= 10x cheaper than a demand fault
-# (BENCH_fault.json records the full numbers).
+# Fault-bench smoke (host-independent counts): a pointer chase with the
+# prefetcher on must take at least one demand fault and serve at least half
+# its cluster boundaries from the prefetch inventory. No wall-clock ratio is
+# gated; the hit-vs-fault latencies are the ledger's (go run ./benchmark).
 go test -run '^TestFaultBenchSmoke$' -count=1 .
 go test -bench . -benchtime=1x -run '^$' ./...

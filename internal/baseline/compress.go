@@ -153,14 +153,6 @@ func (c *Compressor) Access(oid heap.ObjID, field string) ([]byte, error) {
 // CompressedCount reports how many payloads are currently compressed.
 func (c *Compressor) CompressedCount() int { return len(c.compressed) }
 
-// Deflate compresses raw at the given flate level. Exported for the wire
-// layer, which reuses the same compressor for compressed shipment bodies.
-func Deflate(raw []byte, level int) ([]byte, error) { return deflate(raw, level) }
-
-// Inflate decompresses a Deflate payload; sizeHint pre-sizes the output
-// buffer (pass the known raw length to avoid growth copies).
-func Inflate(packed []byte, sizeHint int) ([]byte, error) { return inflate(packed, sizeHint) }
-
 func deflate(raw []byte, level int) ([]byte, error) {
 	var buf bytes.Buffer
 	w, err := flate.NewWriter(&buf, level)

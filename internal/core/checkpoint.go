@@ -169,8 +169,8 @@ func (rt *Runtime) SaveCheckpoint(w io.Writer) error {
 
 		ck := ckptCluster{ID: uint32(cid), Swapped: swapped}
 		for _, oid := range members {
-			class, _ := rt.mgr.classOf(oid)
-			ck.Members = append(ck.Members, ckptMember{ID: uint64(oid), Class: class})
+			info, _ := rt.mgr.member(oid)
+			ck.Members = append(ck.Members, ckptMember{ID: uint64(oid), Class: info.class})
 		}
 		if swapped {
 			ck.Key, ck.Payload, ck.Bytes = was.key, was.payloadBytes, was.bytesAtSwap
@@ -273,7 +273,7 @@ func (rt *Runtime) encodeResidentCluster(cid ClusterID, members []heap.ObjID) ([
 		ro, err := rt.h.Get(rid)
 		if err != nil {
 			// Non-resident member of a swapped cluster: record its identity.
-			if _, known := rt.mgr.classOf(rid); known {
+			if _, known := rt.mgr.member(rid); known {
 				return xmlcodec.RemoteRef(rid), nil
 			}
 			return xmlcodec.Value{}, fmt.Errorf("core: checkpoint: dangling @%d", rid)
@@ -453,11 +453,10 @@ func (rt *Runtime) LoadCheckpoint(r io.Reader) error {
 				return fmt.Errorf("%w: cluster %d outbound slot %d", ErrBadCheckpoint, ck.ID, ob.Slot)
 			}
 			target := heap.ObjID(ob.Target)
-			class, known := rt.mgr.classOf(target)
-			if !known {
+			if _, known := rt.mgr.member(target); !known {
 				return fmt.Errorf("%w: cluster %d outbound target @%d unknown", ErrBadCheckpoint, ck.ID, target)
 			}
-			pid, err := rt.newProxy(ClusterID(ck.ID), target, class, proxyModeNormal)
+			pid, err := rt.newProxy(ClusterID(ck.ID), target, false)
 			if err != nil {
 				return fmt.Errorf("core: restore outbound proxy: %w", err)
 			}

@@ -772,8 +772,8 @@ func (rt *Runtime) NewObject(c *heap.Class, cluster ClusterID) (*heap.Object, er
 	// Allocating into a swapped-out cluster faults it back in first: the new
 	// object joins its cluster-mates wherever they are.
 	if rt.mgr.IsSwapped(cluster) {
-		if _, err := rt.SwapIn(cluster, WithCause(CauseReload)); err != nil {
-			return nil, fmt.Errorf("core: NewObject: reload cluster %d: %w", cluster, err)
+		if err := rt.reload(cluster); err != nil {
+			return nil, fmt.Errorf("core: NewObject: %w", err)
 		}
 	}
 	o, err := rt.allocApp(c)

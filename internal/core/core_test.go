@@ -474,28 +474,3 @@ func TestNewObjectValidation(t *testing.T) {
 		t.Fatal("registering middleware class: want error")
 	}
 }
-
-func TestInvokeErrorPaths(t *testing.T) {
-	f := newFixture(t, 0)
-	ids, _ := f.buildList(t, 10, 5, 8)
-	if _, err := f.rt.Invoke(heap.Nil(), "walk"); !errors.Is(err, heap.ErrNilTarget) {
-		t.Errorf("nil target: %v", err)
-	}
-	if _, err := f.rt.Invoke(heap.Ref(999999), "walk"); !errors.Is(err, heap.ErrNoSuchObject) {
-		t.Errorf("dangling: %v", err)
-	}
-	if _, err := f.rt.Invoke(heap.Ref(ids[0]), "nope"); !errors.Is(err, heap.ErrNoSuchMethod) {
-		t.Errorf("missing method: %v", err)
-	}
-	// Missing method via proxy.
-	if _, err := f.rt.Invoke(f.head(t), "nope"); !errors.Is(err, heap.ErrNoSuchMethod) {
-		t.Errorf("missing method via proxy: %v", err)
-	}
-	// Field errors.
-	if _, err := f.rt.Field(heap.Nil(), "tag"); !errors.Is(err, heap.ErrNilTarget) {
-		t.Errorf("nil field read: %v", err)
-	}
-	if err := f.rt.SetFieldValue(heap.Nil(), "tag", heap.Int(1)); !errors.Is(err, heap.ErrNilTarget) {
-		t.Errorf("nil field write: %v", err)
-	}
-}

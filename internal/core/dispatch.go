@@ -11,46 +11,68 @@ import (
 // the invocation stack.
 var ErrClusterActive = errors.New("core: cluster has in-flight invocations")
 
-// materialize resolves a reference to a resident object, transparently
-// faulting its swap-cluster back in when the object is a known member of a
-// swapped-out cluster (host code may legitimately hold direct references
-// across a swap).
-func (rt *Runtime) materialize(id heap.ObjID) (*heap.Object, error) {
-	o, err := rt.h.Get(id)
-	if err == nil {
-		return o, nil
-	}
-	if _, known := rt.mgr.classOf(id); !known {
-		return nil, err
-	}
-	cluster := rt.mgr.ClusterOf(id)
-	if !rt.mgr.IsSwapped(cluster) {
-		return nil, err
-	}
-	if _, serr := rt.SwapIn(cluster, WithCause(CauseReload)); serr != nil {
-		return nil, fmt.Errorf("core: reload cluster %d: %w", cluster, serr)
-	}
-	return rt.h.Get(id)
+// errCorrupt reports a replacement-object reached through an application
+// reference: only swap-cluster-proxies may target one.
+var errCorrupt = errors.New("core: replacement-object reached through an application reference (graph corruption)")
+
+// frame is one boundary operation's hold on the invocation stack, which
+// stands in for thread stacks as GC roots (DESIGN §6c): whatever is pushed
+// between enter and leave survives any collection the operation triggers.
+type frame struct {
+	rt   *Runtime
+	id   heap.ObjID // the operand, protected first: it may be held only by host code
+	save int
 }
 
-// pushStack protects middleware-created objects and invocation operands from
-// the collector for the duration of the enclosing invocation frame. Outside
-// any invocation (depth 0) there is no frame to anchor to — and no collection
-// can interleave before the host code stores the value — so it is a no-op.
-func (rt *Runtime) pushStack(ids ...heap.ObjID) {
-	if rt.depth == 0 {
-		return
+// enter opens a frame on the object target designates; what and name describe
+// the operation in the nil-target error.
+func (rt *Runtime) enter(target heap.Value, what, name string) (frame, error) {
+	id, err := target.Ref()
+	if err == nil && id == heap.NilID {
+		err = fmt.Errorf("%w: %s %s", heap.ErrNilTarget, what, name)
 	}
-	rt.stack = append(rt.stack, ids...)
+	if err != nil {
+		return frame{}, err
+	}
+	rt.depth++
+	f := frame{rt: rt, id: id, save: len(rt.stack)}
+	rt.stack = append(rt.stack, id)
+	return f, nil
+}
+
+// leave drops the frame's protections and, when the operation succeeded,
+// anchors its results in the parent frame so interception-created proxies
+// survive until stored. The outermost frame clears the stack: no collection
+// can interleave before host code stores the results.
+func (f frame) leave(err error, results ...heap.Value) {
+	rt := f.rt
+	rt.stack = rt.stack[:f.save]
+	rt.depth--
+	if rt.depth == 0 {
+		rt.stack = rt.stack[:0]
+	} else if err == nil {
+		for _, v := range results {
+			rt.pushValueRefs(v)
+		}
+	}
+}
+
+// pushStack protects a middleware-created object for the duration of the
+// enclosing frame. Outside any frame (depth 0) there is nothing to anchor to —
+// and no collection can interleave before the host code stores the value — so
+// it is a no-op.
+func (rt *Runtime) pushStack(id heap.ObjID) {
+	if rt.depth > 0 {
+		rt.stack = append(rt.stack, id)
+	}
 }
 
 // pushValueRefs protects every reference contained in v.
 func (rt *Runtime) pushValueRefs(v heap.Value) {
 	switch v.Kind() {
 	case heap.KindRef:
-		if id, err := v.Ref(); err == nil {
-			rt.stack = append(rt.stack, id)
-		}
+		id, _ := v.Ref()
+		rt.stack = append(rt.stack, id)
 	case heap.KindList:
 		elems, _ := v.List()
 		for _, e := range elems {
@@ -59,250 +81,211 @@ func (rt *Runtime) pushValueRefs(v heap.Value) {
 	}
 }
 
+// reached is a reference turned into a resident receiver. proxy is nil for a
+// same-cluster (direct) reference; otherwise it is the swap-cluster-proxy the
+// reference went through, mediating from cluster src into cluster dst.
+type reached struct {
+	obj      *heap.Object
+	proxy    *heap.Object
+	src, dst ClusterID
+}
+
+// reach resolves the reference id to its resident receiver — the one place a
+// boundary is crossed (DESIGN §6c has the decision table). A direct reference
+// yields the object, reloading its cluster when host code held the reference
+// across a swap-out. A swap-cluster-proxy records the crossing, faults the
+// target's cluster in (or consumes the prefetcher's work) and yields the
+// ultimate target. An object-fault proxy runs the replication fault handler
+// and resolves again on what it returns.
+func (rt *Runtime) reach(id heap.ObjID) (reached, error) {
+	for {
+		d, err := rt.designate(id)
+		if err != nil {
+			return reached{}, err
+		}
+		switch d.kind {
+		case refAway:
+			obj, err := rt.materialize(id)
+			return reached{obj: obj}, err
+		case refProxy:
+			src := proxySrc(d.obj)
+			dst, swapped := rt.mgr.enterCrossing(src, d.ultimate)
+			if !swapped {
+				rt.notePrefetchHit(dst)
+			} else if err := rt.reload(dst); err != nil {
+				return reached{}, err
+			}
+			obj, err := rt.h.Get(d.ultimate)
+			if err != nil {
+				return reached{}, fmt.Errorf("core: proxy target @%d: %w", d.ultimate, err)
+			}
+			return reached{obj: obj, proxy: d.obj, src: src, dst: dst}, nil
+		case refObjFault:
+			if rt.faultHandler == nil {
+				return reached{}, fmt.Errorf("core: object fault on @%d without fault handler", id)
+			}
+			resolved, err := rt.faultHandler.HandleFault(rt, d.obj)
+			if err != nil {
+				return reached{}, fmt.Errorf("core: object fault: %w", err)
+			}
+			if id, err = resolved.Ref(); err != nil {
+				return reached{}, err
+			}
+			if id == heap.NilID {
+				return reached{}, fmt.Errorf("%w: object fault on @%d resolved to nil", heap.ErrNilTarget, d.ultimate)
+			}
+			rt.pushStack(id)
+		default:
+			return reached{obj: d.obj}, nil
+		}
+	}
+}
+
+// reload faults a swapped-out cluster back in on behalf of a reference.
+func (rt *Runtime) reload(cluster ClusterID) error {
+	if _, err := rt.SwapIn(cluster, WithCause(CauseReload)); err != nil {
+		return fmt.Errorf("core: reload cluster %d: %w", cluster, err)
+	}
+	return nil
+}
+
+// materialize returns the resident object with identity id, faulting its
+// swap-cluster back in when it is a member of a swapped-out one (host code
+// may legitimately hold direct references across a swap).
+func (rt *Runtime) materialize(id heap.ObjID) (*heap.Object, error) {
+	o, err := rt.h.Get(id)
+	if err == nil {
+		return o, nil
+	}
+	info, member := rt.mgr.member(id)
+	if !member || !rt.mgr.IsSwapped(info.cluster) {
+		return nil, err
+	}
+	if err := rt.reload(info.cluster); err != nil {
+		return nil, err
+	}
+	return rt.h.Get(id)
+}
+
 // Invoke dispatches a method on the object designated by target, applying
 // swap-cluster-proxy interception, replication faults and swap-in reloads as
 // the reference demands. It implements heap.Invoker, so nested invocations
 // made by method bodies flow back through it.
 func (rt *Runtime) Invoke(target heap.Value, method string, args ...heap.Value) (res []heap.Value, err error) {
-	id, err := target.Ref()
+	f, err := rt.enter(target, "method", method)
 	if err != nil {
 		return nil, err
 	}
-	if id == heap.NilID {
-		return nil, fmt.Errorf("%w: method %s", heap.ErrNilTarget, method)
-	}
-
-	rt.depth++
-	save := len(rt.stack)
-	// The target itself must survive any collection its own materialization
-	// or interception triggers (it may be held only by host code).
-	rt.stack = append(rt.stack, id)
-	defer func() {
-		// Drop this frame's protections, then anchor the results in the
-		// parent frame so interception-created proxies survive until stored.
-		rt.stack = rt.stack[:save]
-		if err == nil && rt.depth > 1 {
-			for _, v := range res {
-				rt.pushValueRefs(v)
-			}
-		}
-		rt.depth--
-		if rt.depth == 0 {
-			rt.stack = rt.stack[:0]
-		}
-	}()
+	defer func() { f.leave(err, res...) }()
 	for _, a := range args {
 		rt.pushValueRefs(a)
 	}
-
-	obj, err := rt.materialize(id)
+	r, err := rt.reach(f.id)
 	if err != nil {
 		return nil, err
 	}
-	switch obj.Class().Special {
-	case heap.SpecialNone:
-		return rt.invokeDirect(obj, method, args)
-	case heap.SpecialSCProxy:
-		return rt.invokeProxy(obj, method, args)
-	case heap.SpecialObjProxy:
-		if rt.faultHandler == nil {
-			return nil, fmt.Errorf("core: object fault on @%d without fault handler", id)
-		}
-		resolved, err := rt.faultHandler.HandleFault(rt, obj)
-		if err != nil {
-			return nil, fmt.Errorf("core: object fault: %w", err)
-		}
-		return rt.Invoke(resolved, method, args...)
-	case heap.SpecialReplacement:
-		return nil, errors.New("core: replacement-object invoked directly (graph corruption)")
-	default:
-		return nil, fmt.Errorf("core: cannot dispatch on %s object", obj.Class().Special)
+	if r.proxy != nil {
+		return rt.invokeAcross(r, method, args)
 	}
+	// The intra-cluster fast path: dispatch through the class's behavior plane
+	// (generated switch or closure table — the runtime does not care which).
+	rt.h.NoteAccess(r.obj.ID())
+	return r.obj.Class().Invoke(method, &heap.Call{RT: rt, Self: r.obj, Args: args})
 }
 
-// invokeDirect is the intra-cluster fast path: dispatch through the class's
-// behavior plane (generated switch or closure table — the runtime does not
-// care which). The receiver and arguments were already stacked by Invoke.
-func (rt *Runtime) invokeDirect(obj *heap.Object, method string, args []heap.Value) ([]heap.Value, error) {
-	rt.h.NoteAccess(obj.ID())
-	return obj.Class().Invoke(method, &heap.Call{RT: rt, Self: obj, Args: args})
-}
-
-// invokeProxy crosses a swap-cluster boundary: it reloads the target cluster
-// if needed, translates arguments into the target cluster's perspective,
-// dispatches, and translates results back — applying the assign optimization
-// when enabled on this proxy.
-func (rt *Runtime) invokeProxy(p *heap.Object, method string, args []heap.Value) ([]heap.Value, error) {
-	src := proxySrc(p)
-	ultimate := proxyUltimate(p)
-	dst, swapped := rt.mgr.enterCrossing(src, ultimate)
-	if swapped {
-		if _, err := rt.SwapIn(dst, WithCause(CauseReload)); err != nil {
-			return nil, fmt.Errorf("core: reload cluster %d: %w", dst, err)
-		}
-	} else {
-		rt.notePrefetchHit(dst)
+// invokeAcross dispatches on the far side of a swap-cluster boundary:
+// arguments are translated into the target cluster's perspective and results
+// back into the caller's — or, on an assign-mode proxy returning a single
+// reference, the proxy patches itself onto it (Section 4).
+func (rt *Runtime) invokeAcross(r reached, method string, args []heap.Value) ([]heap.Value, error) {
+	cls := r.obj.Class()
+	if !cls.HasMethod(method) {
+		return nil, fmt.Errorf("%w: %s.%s (via proxy)", heap.ErrNoSuchMethod, cls.Name, method)
 	}
-
-	obj, err := rt.h.Get(ultimate)
+	// Protect the receiver before argument interception, which can allocate,
+	// evict and collect (the proxy itself was stacked by enter).
+	rt.pushStack(r.obj.ID())
+	targs, err := rt.intercept(args, r.dst, "argument")
 	if err != nil {
-		return nil, fmt.Errorf("core: proxy target @%d: %w", ultimate, err)
-	}
-	if !obj.Class().HasMethod(method) {
-		return nil, fmt.Errorf("%w: %s.%s (via proxy)", heap.ErrNoSuchMethod, obj.Class().Name, method)
-	}
-
-	// Protect the receiver before argument interception: translating an
-	// argument can allocate, evict and collect (the proxy itself was stacked
-	// by Invoke).
-	rt.pushStack(obj.ID())
-
-	// Intercept arguments: rewrap for the receiving cluster.
-	targs := make([]heap.Value, len(args))
-	for i, a := range args {
-		ta, err := rt.translate(a, dst)
-		if err != nil {
-			return nil, fmt.Errorf("core: intercept argument %d: %w", i, err)
-		}
-		targs[i] = ta
+		return nil, err
 	}
 	for _, a := range targs {
 		rt.pushValueRefs(a)
 	}
-	res, err := obj.Class().Invoke(method, &heap.Call{RT: rt, Self: obj, Args: targs})
+	res, err := cls.Invoke(method, &heap.Call{RT: rt, Self: r.obj, Args: targs})
 	if err != nil {
 		return nil, err
 	}
-
-	// Assign optimization: patch this proxy onto the single returned
-	// reference instead of creating a fresh proxy (Section 4).
-	if proxyMode(p) == proxyModeAssign && len(res) == 1 && res[0].IsRef() {
-		return rt.assignReturn(p, src, res[0])
-	}
-
-	// Intercept results: rewrap for the calling cluster.
-	out := make([]heap.Value, len(res))
-	for i, r := range res {
-		tr, err := rt.translate(r, src)
+	if proxyMode(r.proxy) == proxyModeAssign && len(res) == 1 && res[0].IsRef() {
+		v, err := rt.assignReturn(r.proxy, r.src, res[0])
 		if err != nil {
-			return nil, fmt.Errorf("core: intercept result %d: %w", i, err)
+			return nil, err
 		}
-		out[i] = tr
+		return []heap.Value{v}, nil
+	}
+	return rt.intercept(res, r.src, "result")
+}
+
+// intercept translates the values passed across a boundary into the
+// perspective of the cluster receiving them.
+func (rt *Runtime) intercept(vals []heap.Value, to ClusterID, what string) ([]heap.Value, error) {
+	out := make([]heap.Value, len(vals))
+	for i, v := range vals {
+		tv, err := rt.translate(v, to)
+		if err != nil {
+			return nil, fmt.Errorf("core: intercept %s %d: %w", what, i, err)
+		}
+		out[i] = tv
 	}
 	return out, nil
 }
 
-// assignReturn implements the self-patching return path of an
-// assign-optimized proxy.
-func (rt *Runtime) assignReturn(p *heap.Object, src ClusterID, r heap.Value) ([]heap.Value, error) {
-	rid, _ := r.Ref()
-	if rid == heap.NilID {
-		return []heap.Value{heap.Nil()}, nil
-	}
-	ultimate, err := rt.resolveUltimate(rid)
-	if err != nil {
-		return nil, err
+// assignReturn is the self-patching return path of an assign-mode proxy p
+// sourced at src: instead of minting a fresh proxy for the returned reference
+// r, p is re-aimed at r's object and handed back.
+func (rt *Runtime) assignReturn(p *heap.Object, src ClusterID, r heap.Value) (heap.Value, error) {
+	ultimate, err := rt.ultimateOf(r)
+	if err != nil || ultimate == heap.NilID {
+		return heap.Nil(), err
 	}
 	rcluster := rt.mgr.ClusterOf(ultimate)
 	if rcluster == src {
 		// No mediation needed toward the caller: dismantle.
-		return []heap.Value{heap.Ref(ultimate)}, nil
+		return heap.Ref(ultimate), nil
 	}
-	// Patch self: point at the returned object and hand back self.
-	tgt := heap.Ref(ultimate)
-	if rid, ok := rt.mgr.replacementIfSwapped(rcluster); ok {
-		tgt = heap.Ref(rid)
-	}
-	if err := p.SetFieldByName(fldTarget, tgt); err != nil {
-		return nil, err
-	}
-	if err := p.SetFieldByName(fldObj, heap.Int(int64(ultimate))); err != nil {
-		return nil, err
-	}
+	rt.aimProxy(p, ultimate, rcluster)
 	rt.mgr.retargetProxy(p.ID(), ultimate, rcluster)
 	// An actively-used cursor stays alive across collections even when only
 	// host code references it.
 	rt.h.TouchNursery(p.ID())
-	return []heap.Value{heap.Ref(p.ID())}, nil
+	return heap.Ref(p.ID()), nil
 }
 
-// Field reads a field through the swapping-aware indirection: reads through a
-// proxy reload the target cluster if needed and mediate any returned
-// reference for the proxy's source cluster; direct reads return the raw
+// Field reads a field through the swapping-aware indirection: a read through
+// a proxy mediates any returned reference for the proxy's source cluster (an
+// assign-mode cursor advances onto it instead); a direct read returns the raw
 // value (same-cluster access).
 func (rt *Runtime) Field(target heap.Value, name string) (res heap.Value, err error) {
-	id, err := target.Ref()
+	f, err := rt.enter(target, "field", name)
 	if err != nil {
 		return heap.Nil(), err
 	}
-	if id == heap.NilID {
-		return heap.Nil(), fmt.Errorf("%w: field %s", heap.ErrNilTarget, name)
-	}
-	// Same frame discipline as Invoke: collections triggered inside the
-	// operation (reload evictions) must see the operand and result as live.
-	rt.depth++
-	save := len(rt.stack)
-	rt.stack = append(rt.stack, id)
-	defer func() {
-		rt.stack = rt.stack[:save]
-		if err == nil && rt.depth > 1 {
-			rt.pushValueRefs(res)
-		}
-		rt.depth--
-		if rt.depth == 0 {
-			rt.stack = rt.stack[:0]
-		}
-	}()
-	obj, err := rt.materialize(id)
+	defer func() { f.leave(err, res) }()
+	r, err := rt.reach(f.id)
 	if err != nil {
 		return heap.Nil(), err
 	}
-	switch obj.Class().Special {
-	case heap.SpecialNone:
-		rt.h.NoteAccess(obj.ID())
-		return obj.FieldByName(name)
-	case heap.SpecialSCProxy:
-		src := proxySrc(obj)
-		ultimate := proxyUltimate(obj)
-		dst, swapped := rt.mgr.enterCrossing(src, ultimate)
-		if swapped {
-			if _, err := rt.SwapIn(dst, WithCause(CauseReload)); err != nil {
-				return heap.Nil(), fmt.Errorf("core: reload cluster %d: %w", dst, err)
-			}
-		} else {
-			rt.notePrefetchHit(dst)
-		}
-		real, err := rt.h.Get(ultimate)
-		if err != nil {
-			return heap.Nil(), err
-		}
-		v, err := real.FieldByName(name)
-		if err != nil {
-			return heap.Nil(), err
-		}
-		// The assign optimization covers field reads too: a self-patching
-		// cursor proxy advances to the referenced object instead of minting
-		// a fresh proxy per step.
-		if proxyMode(obj) == proxyModeAssign && v.IsRef() {
-			out, err := rt.assignReturn(obj, src, v)
-			if err != nil {
-				return heap.Nil(), err
-			}
-			return out[0], nil
-		}
-		return rt.translate(v, src)
-	case heap.SpecialObjProxy:
-		if rt.faultHandler == nil {
-			return heap.Nil(), fmt.Errorf("core: object fault on @%d without fault handler", id)
-		}
-		resolved, err := rt.faultHandler.HandleFault(rt, obj)
-		if err != nil {
-			return heap.Nil(), err
-		}
-		return rt.Field(resolved, name)
-	default:
-		return heap.Nil(), fmt.Errorf("core: cannot read field of %s object", obj.Class().Special)
+	v, err := r.obj.FieldByName(name)
+	switch {
+	case r.proxy == nil:
+		rt.h.NoteAccess(r.obj.ID())
+		return v, err
+	case err != nil:
+		return heap.Nil(), err
+	case proxyMode(r.proxy) == proxyModeAssign && v.IsRef():
+		return rt.assignReturn(r.proxy, r.src, v)
 	}
+	return rt.translate(v, r.src)
 }
 
 // SetFieldValue writes a field through the swapping-aware indirection. The
@@ -310,66 +293,23 @@ func (rt *Runtime) Field(target heap.Value, name string) (res heap.Value, err er
 // perspective, maintaining the invariant that fields hold only intra-cluster
 // direct references or proxies sourced at the owning cluster.
 func (rt *Runtime) SetFieldValue(target heap.Value, name string, v heap.Value) error {
-	id, err := target.Ref()
+	f, err := rt.enter(target, "field", name)
 	if err != nil {
 		return err
 	}
-	if id == heap.NilID {
-		return fmt.Errorf("%w: field %s", heap.ErrNilTarget, name)
-	}
-	rt.depth++
-	save := len(rt.stack)
-	rt.stack = append(rt.stack, id)
+	defer f.leave(nil)
 	rt.pushValueRefs(v)
-	defer func() {
-		rt.stack = rt.stack[:save]
-		rt.depth--
-		if rt.depth == 0 {
-			rt.stack = rt.stack[:0]
-		}
-	}()
-	obj, err := rt.materialize(id)
+	r, err := rt.reach(f.id)
 	if err != nil {
 		return err
 	}
-	switch obj.Class().Special {
-	case heap.SpecialNone:
-		cluster := rt.mgr.ClusterOf(id)
-		tv, err := rt.translate(v, cluster)
-		if err != nil {
-			return err
-		}
-		return obj.SetFieldByName(name, tv)
-	case heap.SpecialSCProxy:
-		src := proxySrc(obj)
-		ultimate := proxyUltimate(obj)
-		dst, swapped := rt.mgr.enterCrossing(src, ultimate)
-		if swapped {
-			if _, err := rt.SwapIn(dst, WithCause(CauseReload)); err != nil {
-				return fmt.Errorf("core: reload cluster %d: %w", dst, err)
-			}
-		} else {
-			rt.notePrefetchHit(dst)
-		}
-		real, err := rt.h.Get(ultimate)
-		if err != nil {
-			return err
-		}
-		tv, err := rt.translate(v, dst)
-		if err != nil {
-			return err
-		}
-		return real.SetFieldByName(name, tv)
-	case heap.SpecialObjProxy:
-		if rt.faultHandler == nil {
-			return fmt.Errorf("core: object fault on @%d without fault handler", id)
-		}
-		resolved, err := rt.faultHandler.HandleFault(rt, obj)
-		if err != nil {
-			return err
-		}
-		return rt.SetFieldValue(resolved, name, v)
-	default:
-		return fmt.Errorf("core: cannot write field of %s object", obj.Class().Special)
+	owner := r.dst
+	if r.proxy == nil {
+		owner = rt.mgr.ClusterOf(r.obj.ID())
 	}
+	tv, err := rt.translate(v, owner)
+	if err != nil {
+		return err
+	}
+	return r.obj.SetFieldByName(name, tv)
 }

@@ -9,7 +9,7 @@ import (
 // This file is the runtime's glue onto internal/fault: the public SwapIn
 // wrapper that coalesces concurrent faults into one flight, the callbacks
 // the prefetcher drives the runtime through, and the hit accounting invoked
-// from the dispatch crossing sites.
+// from the dispatch crossing site.
 
 // WithPrefetch enables the graph-driven prefetcher: after every demand
 // fault the fault engine speculatively swaps in the faulted cluster's top
@@ -83,12 +83,17 @@ func (rt *Runtime) prefetchSwapIn(cluster uint32) (int64, bool, error) {
 	return int64(ev.Bytes), true, nil
 }
 
-// notePrefetchHit runs on the dispatch crossing sites when the crossed-into
+// notePrefetchHit runs on the dispatch crossing site (reach) when the crossed-into
 // cluster turned out to be resident: if the prefetcher put it there, the
 // crossing consumes the inventory entry, reports the (map-lookup-cheap) hit
 // latency to telemetry, and extends the speculation one hop further along
-// the graph so a pointer chase stays ahead of the chaser.
+// the graph so a pointer chase stays ahead of the chaser. Without a
+// prefetcher there is nothing to consume, and a resident crossing pays
+// neither the clock nor the engine's lock.
 func (rt *Runtime) notePrefetchHit(id ClusterID) {
+	if rt.prefetchDepth <= 0 {
+		return
+	}
 	start := rt.obsReg.Clock().Now()
 	if _, ok := rt.faults.ConsumeHit(uint32(id)); !ok {
 		return

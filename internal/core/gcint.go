@@ -216,7 +216,7 @@ func (m *Manager) enterCrossing(src ClusterID, ultimate heap.ObjID) (dst Cluster
 	}
 	m.mu.Unlock()
 	now := m.clock.Add(1)
-	unlock := m.lockPair(dst, src)
+	lo, hi := m.lockPair(dst, src)
 	if cs, ok := m.tab(dst).clusters[dst]; ok {
 		cs.crossings++
 		cs.lastAccess = now
@@ -225,7 +225,7 @@ func (m *Manager) enterCrossing(src ClusterID, ultimate heap.ObjID) (dst Cluster
 	if cs, ok := m.tab(src).clusters[src]; ok {
 		cs.lastAccess = now
 	}
-	unlock()
+	unlockPair(lo, hi)
 	// Heat tracking mirrors the recency feed; touches go out after the
 	// table locks are released (Touch is leaf-safe, but there is no reason
 	// to extend the critical section for it).

@@ -30,16 +30,15 @@ func (rt *Runtime) RefEqual(a, b heap.Value) (bool, error) {
 }
 
 // ultimateOf resolves a reference value to the identity of the application
-// object it designates (NilID for nil).
+// object it designates (NilID for nil): proxies yield their recorded target,
+// anything else itself.
 func (rt *Runtime) ultimateOf(v heap.Value) (heap.ObjID, error) {
 	id, err := v.Ref()
-	if err != nil {
+	if err != nil || id == heap.NilID {
 		return heap.NilID, err
 	}
-	if id == heap.NilID {
-		return heap.NilID, nil
-	}
-	return rt.resolveUltimate(id)
+	d, err := rt.designate(id)
+	return d.ultimate, err
 }
 
 // Deref returns the resident application object a reference designates,
@@ -53,11 +52,5 @@ func (rt *Runtime) Deref(v heap.Value) (*heap.Object, error) {
 	if id == heap.NilID {
 		return nil, heap.ErrNilTarget
 	}
-	cluster := rt.mgr.ClusterOf(id)
-	if rt.mgr.IsSwapped(cluster) {
-		if _, err := rt.SwapIn(cluster, WithCause(CauseReload)); err != nil {
-			return nil, err
-		}
-	}
-	return rt.h.Get(id)
+	return rt.materialize(id)
 }

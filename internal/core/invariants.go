@@ -18,10 +18,10 @@ import (
 //  2. residency — a cluster is in exactly one place: a swapped cluster's
 //     replacement-object is resident and none of its members is (swap-out
 //     frees them at commit);
-//  3. proxy registry — every registered proxy is resident, is a
-//     swap-cluster-proxy, agrees with its registry key (source cluster and
-//     ultimate target), and at most one shared proxy exists per
-//     (source, target) pair;
+//  3. proxy registry — every recorded proxy is resident, is a
+//     swap-cluster-proxy, agrees with its record's key (source cluster and
+//     ultimate target), is listed in exactly one inbound index (its record's
+//     home), and at most one shared proxy exists per (source, target) pair;
 //  4. mediation — every reference held in an application object's field is
 //     intra-cluster direct, or a proxy sourced at the holding cluster, or an
 //     object-fault placeholder;
@@ -84,34 +84,39 @@ func (m *Manager) CheckInvariants() []error {
 	}
 
 	// 3. Proxy registry consistency.
-	seenShared := make(map[proxyKey]heap.ObjID)
-	for pid, key := range m.proxyMeta {
+	indexed := 0
+	for _, idx := range m.inbound {
+		indexed += len(idx)
+	}
+	if indexed != len(m.proxyRecs) {
+		fail("inbound indexes list %d proxies, registry records %d", indexed, len(m.proxyRecs))
+	}
+	for pid, rec := range m.proxyRecs {
+		if !m.inbound[rec.home][pid] {
+			fail("proxy @%d missing from the inbound index of its home cluster %d", pid, rec.home)
+		}
 		p, err := h.Get(pid)
 		if err != nil {
 			fail("registered proxy @%d not resident (cursor=%v, key src=%d target=@%d)",
-				pid, m.cursorProxies[pid], key.src, key.target)
+				pid, rec.cursor, rec.key.src, rec.key.target)
 			continue
 		}
 		if !isProxy(p) {
 			fail("registered proxy @%d is a %s", pid, p.Class().Name)
 			continue
 		}
-		if got := proxySrc(p); got != key.src {
-			fail("proxy @%d source %d disagrees with registry key %d", pid, got, key.src)
+		if got := proxySrc(p); got != rec.key.src {
+			fail("proxy @%d source %d disagrees with registry key %d", pid, got, rec.key.src)
 		}
-		if got := proxyUltimate(p); got != key.target {
-			fail("proxy @%d ultimate @%d disagrees with registry key @%d", pid, got, key.target)
+		if got := proxyUltimate(p); got != rec.key.target {
+			fail("proxy @%d ultimate @%d disagrees with registry key @%d", pid, got, rec.key.target)
 		}
 	}
+	// The shared index is a map, so at most one shared proxy per key holds by
+	// construction; each entry must be a recorded, shareable proxy of that key.
 	for key, pid := range m.proxies {
-		if prev, dup := seenShared[key]; dup {
-			fail("two shared proxies for (%d,@%d): @%d and @%d", key.src, key.target, prev, pid)
-		}
-		seenShared[key] = pid
-		if meta, ok := m.proxyMeta[pid]; !ok {
-			fail("shared proxy @%d has no meta record", pid)
-		} else if meta != key {
-			fail("shared proxy @%d meta %+v disagrees with registry key %+v", pid, meta, key)
+		if rec, ok := m.proxyRecs[pid]; !ok || rec.cursor || rec.key != key {
+			fail("shared proxy @%d for (%d,@%d) has record %+v (recorded=%v)", pid, key.src, key.target, rec, ok)
 		}
 	}
 
@@ -178,7 +183,7 @@ func (m *Manager) CheckInvariants() []error {
 			if info, ok := m.objects[ultimate]; ok {
 				tc = info.cluster
 			}
-			tgt, _ := o.Field(slotTarget).Ref()
+			tgt := proxyTarget(o)
 			cs := clusters[tc]
 			if cs != nil && cs.where.out() {
 				if tgt != cs.replacement {

@@ -112,6 +112,14 @@ type proxyKey struct {
 	target heap.ObjID
 }
 
+// proxyRecord is the SwappingManager's one record of a live
+// swap-cluster-proxy (a weak reference: the proxy's finalizer purges it).
+type proxyRecord struct {
+	key    proxyKey
+	cursor bool      // a private self-patching cursor: never offered for shared reuse
+	home   ClusterID // the cluster whose inbound index lists it: its target's
+}
+
 // tableShard is one independently locked slice of the sharded cluster table:
 // the records (residency included) of every cluster whose id hashes onto it,
 // added and removed only through put and drop (state.go). The object, proxy,
@@ -144,19 +152,18 @@ type Manager struct {
 	// shards so one shard's swaps touch one table shard.
 	tabs []*tableShard
 
-	mu           sync.Mutex
-	nextCluster  ClusterID
-	objects      map[heap.ObjID]objInfo
+	mu          sync.Mutex
+	nextCluster ClusterID
+	objects     map[heap.ObjID]objInfo
+	// proxyRecs holds every live swap-cluster-proxy's record; proxies indexes
+	// the shared ones by key for reuse, and inbound indexes all of them by the
+	// cluster of their ultimate target (record.home), so swap-out can patch
+	// every inbound proxy of the victim cluster.
+	proxyRecs    map[heap.ObjID]proxyRecord
 	proxies      map[proxyKey]heap.ObjID
-	proxyMeta    map[heap.ObjID]proxyKey
+	inbound      map[ClusterID]map[heap.ObjID]bool
 	objProxies   map[heap.ObjID]heap.ObjID // remote identity -> proxy id
 	objProxyMeta map[heap.ObjID]heap.ObjID // proxy id -> remote identity
-	// cursorProxies marks private self-patching cursors: they are never
-	// offered for shared reuse (their targets are volatile).
-	cursorProxies map[heap.ObjID]bool
-	// inbound indexes live proxies by the cluster of their ultimate target,
-	// so swap-out can patch every inbound proxy of the victim cluster.
-	inbound map[ClusterID]map[heap.ObjID]bool
 
 	// pendingDrops holds (device, key) pairs whose Drop failed (device
 	// unreachable); retried on the next collection until the per-ticket
@@ -182,12 +189,11 @@ func newManager(rt *Runtime, shards int) *Manager {
 		rt:             rt,
 		tabs:           make([]*tableShard, shards),
 		objects:        make(map[heap.ObjID]objInfo),
+		proxyRecs:      make(map[heap.ObjID]proxyRecord),
 		proxies:        make(map[proxyKey]heap.ObjID),
-		proxyMeta:      make(map[heap.ObjID]proxyKey),
+		inbound:        make(map[ClusterID]map[heap.ObjID]bool),
 		objProxies:     make(map[heap.ObjID]heap.ObjID),
 		objProxyMeta:   make(map[heap.ObjID]heap.ObjID),
-		cursorProxies:  make(map[heap.ObjID]bool),
-		inbound:        make(map[ClusterID]map[heap.ObjID]bool),
 		dropRetryLimit: DefaultDropRetryLimit,
 	}
 	for i := range m.tabs {
@@ -203,24 +209,25 @@ func (m *Manager) tab(id ClusterID) *tableShard {
 }
 
 // lockPair locks the table shards of two clusters in ascending index order
-// (a single acquisition when they share one) and returns the unlock func.
-func (m *Manager) lockPair(a, b ClusterID) func() {
-	ia := shardIndexFor(a, len(m.tabs))
-	ib := shardIndexFor(b, len(m.tabs))
-	if ia == ib {
-		ts := m.tabs[ia]
-		ts.mu.Lock()
-		return ts.mu.Unlock
-	}
+// (a single acquisition when they share one) and returns them for unlockPair.
+func (m *Manager) lockPair(a, b ClusterID) (lo, hi *tableShard) {
+	ia, ib := shardIndexFor(a, len(m.tabs)), shardIndexFor(b, len(m.tabs))
 	if ia > ib {
 		ia, ib = ib, ia
 	}
-	m.tabs[ia].mu.Lock()
-	m.tabs[ib].mu.Lock()
-	return func() {
-		m.tabs[ib].mu.Unlock()
-		m.tabs[ia].mu.Unlock()
+	lo, hi = m.tabs[ia], m.tabs[ib]
+	lo.mu.Lock()
+	if hi != lo {
+		hi.mu.Lock()
 	}
+	return lo, hi
+}
+
+func unlockPair(lo, hi *tableShard) {
+	if hi != lo {
+		hi.mu.Unlock()
+	}
+	lo.mu.Unlock()
 }
 
 // lockTabs locks every table shard in ascending index order, for whole-table
@@ -314,21 +321,18 @@ func (m *Manager) assign(id heap.ObjID, cluster ClusterID, class string) error {
 // ClusterOf reports the swap-cluster an object belongs to. Objects never
 // assigned belong to RootCluster.
 func (m *Manager) ClusterOf(id heap.ObjID) ClusterID {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if info, ok := m.objects[id]; ok {
-		return info.cluster
-	}
-	return RootCluster
+	info, _ := m.member(id)
+	return info.cluster
 }
 
-// classOf returns the recorded class name of an object (valid even while the
-// object is swapped out).
-func (m *Manager) classOf(id heap.ObjID) (string, bool) {
+// member returns an object's membership record — its cluster and class name,
+// valid even while the object is swapped out. An object never assigned has
+// none: it belongs to RootCluster, the zero record's cluster.
+func (m *Manager) member(id heap.ObjID) (objInfo, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	info, ok := m.objects[id]
-	return info.class, ok
+	return info, ok
 }
 
 // IsSwapped reports whether the cluster is currently swapped out.
@@ -337,108 +341,89 @@ func (m *Manager) IsSwapped(id ClusterID) bool {
 	return out
 }
 
-// registerProxy records a freshly created proxy under its key and indexes it
-// as inbound to its target's cluster.
-func (m *Manager) registerProxy(pid heap.ObjID, key proxyKey, targetCluster ClusterID) {
+// registerProxy records a freshly created proxy.
+func (m *Manager) registerProxy(pid heap.ObjID, rec proxyRecord) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.proxies[key] = pid
-	m.proxyMeta[pid] = key
-	idx := m.inbound[targetCluster]
+	m.recordProxy(pid, rec)
+}
+
+// recordProxy stores a proxy's record and indexes it: as inbound to rec.home
+// and, when it is shareable and the slot is vacant, under its key for reuse.
+// The caller holds m.mu.
+func (m *Manager) recordProxy(pid heap.ObjID, rec proxyRecord) {
+	m.proxyRecs[pid] = rec
+	if _, taken := m.proxies[rec.key]; !taken && !rec.cursor {
+		m.proxies[rec.key] = pid
+	}
+	idx := m.inbound[rec.home]
 	if idx == nil {
 		idx = make(map[heap.ObjID]bool)
-		m.inbound[targetCluster] = idx
+		m.inbound[rec.home] = idx
 	}
 	idx[pid] = true
 }
 
-// registerCursorProxy indexes a private cursor proxy for swap-out patching
-// and finalizer purging without exposing it to registry reuse.
-func (m *Manager) registerCursorProxy(pid heap.ObjID, key proxyKey, targetCluster ClusterID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.proxyMeta[pid] = key
-	m.cursorProxies[pid] = true
-	idx := m.inbound[targetCluster]
-	if idx == nil {
-		idx = make(map[heap.ObjID]bool)
-		m.inbound[targetCluster] = idx
+// unindexProxy takes a proxy out of both indexes. The caller holds m.mu.
+func (m *Manager) unindexProxy(pid heap.ObjID, rec proxyRecord) {
+	if m.proxies[rec.key] == pid {
+		delete(m.proxies, rec.key)
 	}
-	idx[pid] = true
+	delete(m.inbound[rec.home], pid)
 }
 
-// lookupProxy finds the live proxy for key, if any.
+// lookupProxy finds the live shared proxy for key, if any.
 func (m *Manager) lookupProxy(key proxyKey) (heap.ObjID, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	pid, ok := m.proxies[key]
-	if !ok {
-		return heap.NilID, false
-	}
-	return pid, true
+	return pid, ok
 }
 
-// retargetProxy moves a proxy from its old key to a new target (the Assign
+// retargetProxy moves a proxy to a new target in cluster home (the Assign
 // iteration optimization). The registry slot for the new key is claimed only
-// if vacant.
-func (m *Manager) retargetProxy(pid heap.ObjID, newTarget heap.ObjID, newTargetCluster ClusterID) {
+// if vacant, and never by a private cursor: a shared reuse would hand out a
+// reference that patches itself away underneath the holder.
+func (m *Manager) retargetProxy(pid, target heap.ObjID, home ClusterID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	old, ok := m.proxyMeta[pid]
+	rec, ok := m.proxyRecs[pid]
 	if !ok {
 		// The proxy was collected and purged (or never registered): a
 		// retarget must not resurrect registry entries for a dead object.
 		return
 	}
-	if cur, live := m.proxies[old]; live && cur == pid {
-		delete(m.proxies, old)
-	}
-	if info, known := m.objects[old.target]; known {
-		if idx := m.inbound[info.cluster]; idx != nil {
-			delete(idx, pid)
-		}
-	}
-	nk := proxyKey{src: old.src, target: newTarget}
-	m.proxyMeta[pid] = nk
-	// Private cursors never enter the shared registry: their targets are
-	// volatile, and a shared reuse would hand out a reference that patches
-	// itself away underneath the holder.
-	if _, taken := m.proxies[nk]; !taken && !m.cursorProxies[pid] {
-		m.proxies[nk] = pid
-	}
-	idx := m.inbound[newTargetCluster]
-	if idx == nil {
-		idx = make(map[heap.ObjID]bool)
-		m.inbound[newTargetCluster] = idx
-	}
-	idx[pid] = true
+	m.unindexProxy(pid, rec)
+	rec.key.target, rec.home = target, home
+	m.recordProxy(pid, rec)
 }
 
 // purgeProxy is the proxy finalizer: it removes all SwappingManager entries
-// referring to the reclaimed proxy, as the paper prescribes. The inbound
-// index holding the proxy is found through its target's cluster, as
-// retargetProxy does; every index is searched only when the target is no
-// longer indexed there (its record died first, or it moved clusters).
+// referring to the reclaimed proxy, as the paper prescribes.
 func (m *Manager) purgeProxy(pid heap.ObjID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	key, ok := m.proxyMeta[pid]
-	if !ok {
-		return
+	if rec, ok := m.proxyRecs[pid]; ok {
+		delete(m.proxyRecs, pid)
+		m.unindexProxy(pid, rec)
 	}
-	delete(m.proxyMeta, pid)
-	delete(m.cursorProxies, pid)
-	if cur, live := m.proxies[key]; live && cur == pid {
-		delete(m.proxies, key)
-	}
-	if info, known := m.objects[key.target]; known {
-		if idx := m.inbound[info.cluster]; idx[pid] {
-			delete(idx, pid)
-			return
+}
+
+// rehomeProxies moves the inbound proxies of cluster from — those whose target
+// is in moved, or all of them when moved is nil — to cluster to's index, after
+// a resize moved their targets there. The caller holds m.mu.
+func (m *Manager) rehomeProxies(from, to ClusterID, moved map[heap.ObjID]bool) {
+	for pid := range m.inbound[from] {
+		rec := m.proxyRecs[pid]
+		if moved != nil && !moved[rec.key.target] {
+			continue
 		}
+		m.unindexProxy(pid, rec)
+		rec.home = to
+		m.recordProxy(pid, rec)
 	}
-	for _, idx := range m.inbound {
-		delete(idx, pid)
+	if len(m.inbound[from]) == 0 {
+		delete(m.inbound, from)
 	}
 }
 
@@ -470,11 +455,11 @@ func (m *Manager) NeighborClusters(cluster uint32, k int) []uint32 {
 	src := ClusterID(cluster)
 	counts := make(map[ClusterID]int)
 	m.mu.Lock()
-	for _, pk := range m.proxyMeta {
-		if pk.src != src {
+	for _, rec := range m.proxyRecs {
+		if rec.key.src != src {
 			continue
 		}
-		dst := m.objects[pk.target].cluster
+		dst := m.objects[rec.key.target].cluster
 		if dst == src || dst == RootCluster {
 			continue
 		}
@@ -505,7 +490,7 @@ func (m *Manager) NeighborClusters(cluster uint32, k int) []uint32 {
 func (m *Manager) ProxyCount() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.proxyMeta)
+	return len(m.proxyRecs)
 }
 
 // ClusterInfo is a public snapshot of one swap-cluster's state.

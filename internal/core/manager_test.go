@@ -150,17 +150,8 @@ func TestObjProxyLifecycle(t *testing.T) {
 	if f.rt.Manager().ObjProxyCount() != 0 {
 		t.Fatalf("count after GC = %d", f.rt.Manager().ObjProxyCount())
 	}
-	// Invoking a placeholder without a fault handler fails cleanly.
-	p3, _ := f.rt.ObjProxyFor(888, "Node")
-	if _, err := f.rt.Invoke(heap.Ref(p3), "tag"); err == nil {
-		t.Error("fault without handler succeeded")
-	}
-	if _, err := f.rt.Field(heap.Ref(p3), "tag"); err == nil {
-		t.Error("field fault without handler succeeded")
-	}
-	if err := f.rt.SetFieldValue(heap.Ref(p3), "tag", heap.Int(1)); err == nil {
-		t.Error("set fault without handler succeeded")
-	}
+	// What dispatching on a placeholder does, with and without a fault
+	// handler, is TestMediationTable's.
 }
 
 func TestTranslateListArguments(t *testing.T) {

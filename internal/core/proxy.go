@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"objectswap/internal/heap"
@@ -47,49 +46,97 @@ func buildReplacementClass() *heap.Class {
 func isProxy(o *heap.Object) bool { return o.Class().Special == heap.SpecialSCProxy }
 
 // Fixed slot indices of the proxy class layout (see buildProxyClass): the
-// boundary hop is the hot path of Figure 5, so proxy state is read by index
-// rather than by name.
+// boundary hop is the hot path of Figure 5, so proxy state is read and
+// written by index, through the accessors below, never by name.
 const (
-	slotTarget = 0
-	slotObj    = 1
-	slotSrc    = 2
-	slotMode   = 3
+	slotTarget = 0 // ref to the ultimate target, or to its cluster's replacement-object
+	slotObj    = 1 // ultimate target ObjID (stable across swaps)
+	slotSrc    = 2 // source cluster id
+	slotMode   = 3 // proxyModeNormal or proxyModeAssign
 )
 
-// proxyUltimate reads a proxy's ultimate target object id.
-func proxyUltimate(p *heap.Object) heap.ObjID {
-	i, _ := p.Field(slotObj).Int()
-	return heap.ObjID(i)
-}
-
-// proxySrc reads a proxy's source cluster.
-func proxySrc(p *heap.Object) ClusterID {
-	i, _ := p.Field(slotSrc).Int()
-	return ClusterID(i)
-}
-
-// proxyMode reads a proxy's mode field.
-func proxyMode(p *heap.Object) int64 {
-	i, _ := p.Field(slotMode).Int()
+func proxyInt(p *heap.Object, slot int) int64 {
+	i, _ := p.Field(slot).Int()
 	return i
 }
 
-// proxyFor returns (creating or reusing) the swap-cluster-proxy mediating
-// references from cluster src to the object target. It assumes target is NOT
-// a member of src (callers dismantle that case into a direct reference).
+// setProxySlot writes one slot of the fixed layout. The kinds are the
+// layout's own and fixed-size, so the write cannot fail; if it does, the
+// slot constants and buildProxyClass disagree.
+func setProxySlot(p *heap.Object, slot int, v heap.Value) {
+	if err := p.SetField(slot, v); err != nil {
+		panic(fmt.Sprintf("core: proxy @%d slot %d: %v", p.ID(), slot, err))
+	}
+}
+
+// proxyTarget reads the object a proxy currently points at.
+func proxyTarget(p *heap.Object) heap.ObjID {
+	id, _ := p.Field(slotTarget).Ref()
+	return id
+}
+
+// pointProxy sets where p points: at the replacement-object repl while its
+// target's cluster is swapped out, at its own ultimate target (repl == NilID)
+// while the cluster is resident.
+func pointProxy(p *heap.Object, repl heap.ObjID) {
+	if repl == heap.NilID {
+		repl = proxyUltimate(p)
+	}
+	setProxySlot(p, slotTarget, heap.Ref(repl))
+}
+
+// proxyUltimate reads a proxy's ultimate target object id.
+func proxyUltimate(p *heap.Object) heap.ObjID { return heap.ObjID(proxyInt(p, slotObj)) }
+
+// proxySrc reads a proxy's source cluster.
+func proxySrc(p *heap.Object) ClusterID { return ClusterID(proxyInt(p, slotSrc)) }
+
+// proxyMode reads a proxy's mode field.
+func proxyMode(p *heap.Object) int64 { return proxyInt(p, slotMode) }
+
+// aimProxy makes ultimate, a member of the given cluster, p's target; while
+// the cluster is swapped out p points at its replacement-object, so a
+// traversal faults the cluster in.
+func (rt *Runtime) aimProxy(p *heap.Object, ultimate heap.ObjID, cluster ClusterID) {
+	setProxySlot(p, slotObj, heap.Int(int64(ultimate)))
+	repl, _ := rt.mgr.replacementIfSwapped(cluster)
+	pointProxy(p, repl)
+}
+
+// patchInbound re-points every live inbound proxy of cluster id: at the
+// replacement-object repl when the cluster leaves, back at its own target
+// (repl == NilID) when it returns.
+func (rt *Runtime) patchInbound(id ClusterID, repl heap.ObjID) {
+	for _, pid := range rt.mgr.inboundProxies(id) {
+		// A proxy collected since the snapshot is purged by its finalizer.
+		if p, err := rt.h.Get(pid); err == nil {
+			pointProxy(p, repl)
+		}
+	}
+}
+
+// proxyFor returns (creating or reusing) the shared swap-cluster-proxy
+// mediating references from cluster src to the object target. It assumes
+// target is NOT a member of src (callers dismantle that case into a direct
+// reference).
 func (rt *Runtime) proxyFor(src ClusterID, target heap.ObjID) (heap.ObjID, error) {
-	key := proxyKey{src: src, target: target}
-	if pid, ok := rt.mgr.lookupProxy(key); ok {
-		// The registry entry may be stale if the proxy was collected but its
-		// finalizer has not yet run (finalizers run at collection, so entries
-		// are purged promptly; this is a cheap belt-and-braces check).
+	if pid, ok := rt.mgr.lookupProxy(proxyKey{src: src, target: target}); ok {
+		// Belt and braces: finalizers run at collection, so an entry for a
+		// collected proxy is purged promptly — but check before handing it out.
 		if rt.h.Contains(pid) {
 			return pid, nil
 		}
 		rt.mgr.purgeProxy(pid)
 	}
+	return rt.newProxy(src, target, false)
+}
 
-	className, ok := rt.mgr.classOf(target)
+// newProxy allocates and registers a swap-cluster-proxy from cluster src to
+// the object target: the shared one every later proxyFor(src, target) reuses,
+// or a private assign-mode cursor, which is indexed for swap-out patching and
+// finalizer purging but never handed out by the registry.
+func (rt *Runtime) newProxy(src ClusterID, target heap.ObjID, cursor bool) (heap.ObjID, error) {
+	info, ok := rt.mgr.member(target)
 	if !ok {
 		// Target was never assigned: it is a root-cluster object; resolve its
 		// class from residency.
@@ -97,34 +144,22 @@ func (rt *Runtime) proxyFor(src ClusterID, target heap.ObjID) (heap.ObjID, error
 		if err != nil {
 			return heap.NilID, fmt.Errorf("core: proxy target @%d: %w", target, err)
 		}
-		className = o.Class().Name
+		info.class = o.Class().Name
 	}
-	return rt.newProxy(src, target, className, proxyModeNormal)
-}
-
-// newProxy allocates and registers a swap-cluster-proxy.
-func (rt *Runtime) newProxy(src ClusterID, target heap.ObjID, className string, mode int64) (heap.ObjID, error) {
-	proxyClass, ok := rt.proxyClasses[className]
+	proxyClass, ok := rt.proxyClasses[info.class]
 	if !ok {
-		return heap.NilID, fmt.Errorf("core: no proxy class for %s (class not registered)", className)
+		return heap.NilID, fmt.Errorf("core: no proxy class for %s (class not registered)", info.class)
 	}
 	p, err := rt.allocMiddleware(proxyClass)
 	if err != nil {
 		return heap.NilID, fmt.Errorf("core: allocate proxy: %w", err)
 	}
-	targetCluster := rt.mgr.ClusterOf(target)
-
-	// While the target's cluster is swapped out, fresh proxies point at the
-	// replacement-object so a traversal faults the cluster in.
-	tgt := heap.Ref(target)
-	if rid, ok := rt.mgr.replacementIfSwapped(targetCluster); ok {
-		tgt = heap.Ref(rid)
+	rt.aimProxy(p, target, info.cluster)
+	setProxySlot(p, slotSrc, heap.Int(int64(src)))
+	if cursor {
+		setProxySlot(p, slotMode, heap.Int(proxyModeAssign))
 	}
-
-	if err := setProxyFields(p, tgt, target, src, mode); err != nil {
-		return heap.NilID, err
-	}
-	rt.mgr.registerProxy(p.ID(), proxyKey{src: src, target: target}, targetCluster)
+	rt.mgr.registerProxy(p.ID(), proxyRecord{key: proxyKey{src: src, target: target}, cursor: cursor, home: info.cluster})
 	rt.h.OnFinalize(p.ID(), rt.mgr.purgeProxy)
 	return p.ID(), nil
 }
@@ -140,91 +175,63 @@ func (rt *Runtime) newProxy(src ClusterID, target heap.ObjID, className string, 
 // If v designates an object of swap-cluster-0 itself, no mediation is needed
 // and v is returned unchanged.
 func (rt *Runtime) AssignedCursor(v heap.Value) (heap.Value, error) {
-	id, err := v.Ref()
+	ultimate, err := rt.ultimateOf(v)
 	if err != nil {
 		return heap.Nil(), err
 	}
-	if id == heap.NilID {
+	if ultimate == heap.NilID {
 		return heap.Nil(), heap.ErrNilTarget
-	}
-	ultimate, err := rt.resolveUltimate(id)
-	if err != nil {
-		return heap.Nil(), err
 	}
 	if rt.mgr.ClusterOf(ultimate) == RootCluster {
 		return heap.Ref(ultimate), nil
 	}
-	className, ok := rt.mgr.classOf(ultimate)
-	if !ok {
-		o, err := rt.h.Get(ultimate)
-		if err != nil {
-			return heap.Nil(), err
-		}
-		className = o.Class().Name
-	}
-	pid, err := rt.newCursorProxy(RootCluster, ultimate, className)
+	pid, err := rt.newProxy(RootCluster, ultimate, true)
 	if err != nil {
 		return heap.Nil(), err
 	}
 	return heap.Ref(pid), nil
 }
 
-// newCursorProxy allocates an assign-mode proxy registered only in the
-// inbound index (for swap-out patching) — never in the shared registry.
-func (rt *Runtime) newCursorProxy(src ClusterID, target heap.ObjID, className string) (heap.ObjID, error) {
-	proxyClass, ok := rt.proxyClasses[className]
-	if !ok {
-		return heap.NilID, fmt.Errorf("core: no proxy class for %s (class not registered)", className)
-	}
-	p, err := rt.allocMiddleware(proxyClass)
-	if err != nil {
-		return heap.NilID, fmt.Errorf("core: allocate cursor proxy: %w", err)
-	}
-	targetCluster := rt.mgr.ClusterOf(target)
-	tgt := heap.Ref(target)
-	if rid, ok := rt.mgr.replacementIfSwapped(targetCluster); ok {
-		tgt = heap.Ref(rid)
-	}
-	if err := setProxyFields(p, tgt, target, src, proxyModeAssign); err != nil {
-		return heap.NilID, err
-	}
-	rt.mgr.registerCursorProxy(p.ID(), proxyKey{src: src, target: target}, targetCluster)
-	rt.h.OnFinalize(p.ID(), rt.mgr.purgeProxy)
-	return p.ID(), nil
+// refKind classifies what a reference designates.
+type refKind uint8
+
+const (
+	refDirect   refKind = iota // a resident application object
+	refAway                    // a member of a swapped-out cluster, held directly across the swap
+	refProxy                   // a swap-cluster-proxy
+	refObjFault                // an object-fault proxy (cluster-agnostic placeholder)
+)
+
+// designation is the answer to "what does this reference ultimately
+// designate": obj is the resident object at the reference itself (nil for
+// refAway), ultimate the identity of the application object behind it — a
+// proxy's recorded target, anything else itself.
+type designation struct {
+	kind     refKind
+	obj      *heap.Object
+	ultimate heap.ObjID
 }
 
-func setProxyFields(p *heap.Object, tgt heap.Value, ultimate heap.ObjID, src ClusterID, mode int64) error {
-	if err := p.SetFieldByName(fldTarget, tgt); err != nil {
-		return err
-	}
-	if err := p.SetFieldByName(fldObj, heap.Int(int64(ultimate))); err != nil {
-		return err
-	}
-	if err := p.SetFieldByName(fldSrc, heap.Int(int64(src))); err != nil {
-		return err
-	}
-	return p.SetFieldByName(fldMode, heap.Int(mode))
-}
-
-// resolveUltimate unwraps a reference to the identity of the application
-// object it ultimately designates: proxies yield their recorded target,
-// plain objects yield themselves.
-func (rt *Runtime) resolveUltimate(id heap.ObjID) (heap.ObjID, error) {
+// designate classifies the reference id without faulting anything in. It is
+// the one ladder reach, translateRef and ultimateOf share.
+func (rt *Runtime) designate(id heap.ObjID) (designation, error) {
 	o, err := rt.h.Get(id)
 	if err != nil {
 		// Non-resident members of swapped clusters keep their identities.
-		if _, known := rt.mgr.classOf(id); known {
-			return id, nil
+		if _, member := rt.mgr.member(id); member {
+			return designation{kind: refAway, ultimate: id}, nil
 		}
-		return heap.NilID, err
+		return designation{}, err
 	}
 	switch o.Class().Special {
 	case heap.SpecialSCProxy:
-		return proxyUltimate(o), nil
+		return designation{refProxy, o, proxyUltimate(o)}, nil
+	case heap.SpecialObjProxy:
+		return designation{refObjFault, o, id}, nil
 	case heap.SpecialReplacement:
-		return heap.NilID, errors.New("core: replacement-object escaped into application graph")
+		return designation{}, errCorrupt
 	default:
-		return id, nil
+		return designation{refDirect, o, id}, nil
 	}
 }
 
@@ -253,56 +260,38 @@ func (rt *Runtime) translate(v heap.Value, to ClusterID) (heap.Value, error) {
 	}
 }
 
-// translateRef applies the per-reference rules: dismantle, pass-through or
-// wrap in a proxy.
+// translateRef applies the per-reference interception rules (DESIGN §6c):
+// dismantle, reuse, or mint.
 func (rt *Runtime) translateRef(id heap.ObjID, to ClusterID) (heap.Value, error) {
 	if id == heap.NilID {
 		return heap.Nil(), nil
 	}
-	o, err := rt.h.Get(id)
-	if err != nil {
-		// A direct reference to a member of a swapped-out cluster is valid
-		// currency: it translates without faulting the cluster in (the proxy
-		// built for it targets the replacement-object).
-		if _, known := rt.mgr.classOf(id); known {
-			if rt.mgr.ClusterOf(id) == to {
-				// A same-cluster reference to a non-resident member cannot
-				// arise from the interception rules; surface the dangle.
-				return heap.Nil(), err
-			}
-			pid, perr := rt.proxyFor(to, id)
-			if perr != nil {
-				return heap.Nil(), perr
-			}
-			rt.pushStack(pid)
-			return heap.Ref(pid), nil
-		}
+	d, err := rt.designate(id)
+	switch {
+	case err != nil:
 		return heap.Nil(), err
-	}
-	ultimate := id
-	viaProxy := false
-	if isProxy(o) {
-		ultimate = proxyUltimate(o)
-		viaProxy = true
-	} else if isObjProxy(o) {
-		// Object-fault proxies are cluster-agnostic placeholders: they pass
-		// through unchanged and are replaced (not wrapped) after replication.
+	case d.kind == refObjFault:
+		// Object-fault proxies pass through unchanged and are replaced (not
+		// wrapped) after replication.
 		return heap.Ref(id), nil
-	} else if o.Class().Special == heap.SpecialReplacement {
-		return heap.Nil(), errors.New("core: replacement-object escaped into application graph")
-	}
-	targetCluster := rt.mgr.ClusterOf(ultimate)
-	if targetCluster == to {
-		// Rule iii: a reference into the receiving cluster itself is
-		// dismantled into a direct reference — including a stale proxy whose
-		// target was merged into the receiving cluster.
-		return heap.Ref(ultimate), nil
-	}
-	if viaProxy && proxySrc(o) == to {
-		// Already the right proxy for this cluster: reuse as-is.
+	case rt.mgr.ClusterOf(d.ultimate) == to:
+		if d.kind == refAway {
+			// A same-cluster reference to a non-resident member cannot arise
+			// from the interception rules; surface the dangle.
+			_, err := rt.h.Get(id)
+			return heap.Nil(), err
+		}
+		// Dismantle: a reference into the receiving cluster itself becomes
+		// direct — including a stale proxy whose target was merged into it.
+		return heap.Ref(d.ultimate), nil
+	case d.kind == refProxy && proxySrc(d.obj) == to:
+		// Reuse: already the right proxy for this cluster.
 		return heap.Ref(id), nil
 	}
-	pid, err := rt.proxyFor(to, ultimate)
+	// Mint (or find) the proxy for (to, ultimate). A direct reference to a
+	// member of a swapped-out cluster is valid currency here: it translates
+	// without faulting the cluster in (the proxy targets the replacement).
+	pid, err := rt.proxyFor(to, d.ultimate)
 	if err != nil {
 		return heap.Nil(), err
 	}
@@ -315,23 +304,12 @@ func (rt *Runtime) translateRef(id heap.ObjID, to ClusterID) (heap.Value, error)
 // swap-cluster-proxy reference: instead of creating a fresh proxy for each
 // reference it returns, the proxy patches itself to the returned object and
 // hands back a reference to itself. This is SwapClusterUtils.assign.
-func (rt *Runtime) Assign(v heap.Value) error {
-	id, err := v.Ref()
-	if err != nil {
-		return err
-	}
-	o, err := rt.h.Get(id)
-	if err != nil {
-		return err
-	}
-	if !isProxy(o) {
-		return fmt.Errorf("%w: %s", ErrNotProxy, o.Class().Name)
-	}
-	return o.SetFieldByName(fldMode, heap.Int(proxyModeAssign))
-}
+func (rt *Runtime) Assign(v heap.Value) error { return rt.setMode(v, proxyModeAssign) }
 
 // Unassign restores normal proxy behaviour.
-func (rt *Runtime) Unassign(v heap.Value) error {
+func (rt *Runtime) Unassign(v heap.Value) error { return rt.setMode(v, proxyModeNormal) }
+
+func (rt *Runtime) setMode(v heap.Value, mode int64) error {
 	id, err := v.Ref()
 	if err != nil {
 		return err
@@ -343,7 +321,8 @@ func (rt *Runtime) Unassign(v heap.Value) error {
 	if !isProxy(o) {
 		return fmt.Errorf("%w: %s", ErrNotProxy, o.Class().Name)
 	}
-	return o.SetFieldByName(fldMode, heap.Int(proxyModeNormal))
+	setProxySlot(o, slotMode, heap.Int(mode))
+	return nil
 }
 
 // ProxyTarget reports the ultimate application object a swap-cluster-proxy

@@ -33,14 +33,17 @@ func (rt *Runtime) ReplicaSet(id ClusterID) []string {
 	return append([]string(nil), was.devices...)
 }
 
-// swappedSets snapshots the (id, replica set) pairs of every settled swapped
-// cluster, shard by shard.
+// swappedSets snapshots the (id, replica set) pairs of every cluster whose
+// text is on the donors to stay, shard by shard: settled, or held by a repair
+// — which still shows the set it is repairing, so the replica-health readings
+// do not flicker to "whole" while it runs. A cluster a swap-in owns is on its
+// way home and is not counted.
 func (rt *Runtime) swappedSets() map[ClusterID][]string {
 	out := make(map[ClusterID][]string)
 	for _, ts := range rt.mgr.tabs {
 		ts.mu.Lock()
 		for id, cs := range ts.clusters {
-			if cs.where == swappedOut {
+			if cs.where == swappedOut || cs.where == underRepair {
 				out[id] = append([]string(nil), cs.devices...)
 			}
 		}
@@ -65,9 +68,10 @@ func (rt *Runtime) liveCount(devices []string) int {
 	return n
 }
 
-// UnderReplicated returns the swapped, non-busy clusters with fewer than k
-// live replicas, in id order. k <= 0 selects the runtime's default
-// replication factor.
+// UnderReplicated returns the swapped clusters with fewer than k live
+// replicas, in id order — one under repair included (RepairCluster on it
+// answers ErrClusterBusy). k <= 0 selects the runtime's default replication
+// factor.
 func (rt *Runtime) UnderReplicated(k int) []ClusterID {
 	if k <= 0 {
 		k = rt.Replicas()

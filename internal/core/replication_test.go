@@ -179,6 +179,23 @@ func TestUnderReplicatedAndRepair(t *testing.T) {
 		t.Fatalf("under-replicated = %v, want [%d]", under, clusters[1])
 	}
 
+	// While a repair owns the cluster it still reads degraded — the gauge and
+	// /healthz must not flicker to "whole" — and a second repair is refused.
+	cs, err := f.rt.reserve(clusters[1], swappedOut, underRepair, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if under := f.rt.UnderReplicated(0); len(under) != 1 || under[0] != clusters[1] {
+		t.Fatalf("under-replicated while under repair = %v, want [%d]", under, clusters[1])
+	}
+	if live, swapped := f.rt.liveReplicaTotals(); live != 1 || swapped != 1 {
+		t.Fatalf("live/swapped while under repair = %d/%d, want 1/1", live, swapped)
+	}
+	if _, err := f.rt.RepairCluster(ctx, clusters[1], 0); !errors.Is(err, ErrClusterBusy) {
+		t.Fatalf("repair of a cluster under repair: %v", err)
+	}
+	f.rt.settle(cs, swappedOut, nil)
+
 	rev, err := f.rt.RepairCluster(ctx, clusters[1], 0)
 	if err != nil {
 		t.Fatal(err)

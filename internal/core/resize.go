@@ -41,18 +41,18 @@ func (rt *Runtime) MergeClusters(dst, src ClusterID) error {
 	defer endMutate()
 
 	m := rt.mgr
-	unlock := m.lockPair(dst, src)
+	lo, hi := m.lockPair(dst, src)
 	ds, err := m.tab(dst).at(dst, resident)
 	var ss *clusterState
 	if err == nil {
 		ss, err = m.tab(src).at(src, resident)
 	}
 	if err != nil {
-		unlock()
+		unlockPair(lo, hi)
 		return fmt.Errorf("core: merge of clusters %d/%d: %w", dst, src, err)
 	}
 	moved := maps.Clone(ss.objects)
-	unlock()
+	unlockPair(lo, hi)
 
 	members := maps.Clone(moved)
 	if err := rt.checkInactive(src, members); err != nil {
@@ -70,7 +70,7 @@ func (rt *Runtime) MergeClusters(dst, src ClusterID) error {
 
 	// 1. Move membership.
 	m.mu.Lock()
-	unlock = m.lockPair(dst, src)
+	lo, hi = m.lockPair(dst, src)
 	for oid := range moved {
 		info := m.objects[oid]
 		info.cluster = dst
@@ -85,18 +85,8 @@ func (rt *Runtime) MergeClusters(dst, src ClusterID) error {
 	}
 	m.tab(src).drop(ss)
 	// Inbound proxies previously indexed under src now target dst members.
-	if idx := m.inbound[src]; idx != nil {
-		didx := m.inbound[dst]
-		if didx == nil {
-			didx = make(map[heap.ObjID]bool)
-			m.inbound[dst] = didx
-		}
-		for pid := range idx {
-			didx[pid] = true
-		}
-		delete(m.inbound, src)
-	}
-	unlock()
+	m.rehomeProxies(src, dst, nil)
+	unlockPair(lo, hi)
 	m.mu.Unlock()
 
 	// 2. Re-mediate the fields of every member of the merged cluster:
@@ -149,7 +139,7 @@ func (rt *Runtime) SplitCluster(src ClusterID, members []heap.ObjID) (ClusterID,
 
 	fresh := m.NewCluster()
 	m.mu.Lock()
-	unlock := m.lockPair(src, fresh)
+	lo, hi := m.lockPair(src, fresh)
 	fs := m.tab(fresh).clusters[fresh]
 	for _, oid := range members {
 		info := m.objects[oid]
@@ -160,24 +150,8 @@ func (rt *Runtime) SplitCluster(src ClusterID, members []heap.ObjID) (ClusterID,
 	}
 	fs.lastAccess = ss.lastAccess
 	// Inbound proxies whose ultimate moved follow it in the index.
-	if idx := m.inbound[src]; idx != nil {
-		movedSet := make(map[heap.ObjID]bool, len(members))
-		for _, oid := range members {
-			movedSet[oid] = true
-		}
-		fidx := m.inbound[fresh]
-		if fidx == nil {
-			fidx = make(map[heap.ObjID]bool)
-			m.inbound[fresh] = fidx
-		}
-		for pid := range idx {
-			if p, err := rt.h.Get(pid); err == nil && movedSet[proxyUltimate(p)] {
-				delete(idx, pid)
-				fidx[pid] = true
-			}
-		}
-	}
-	unlock()
+	m.rehomeProxies(src, fresh, fs.objects)
+	unlockPair(lo, hi)
 	m.mu.Unlock()
 
 	// Re-mediate both halves: edges crossing the new boundary gain proxies;

@@ -399,15 +399,7 @@ func (s *swapOut) commit() error {
 	if err := s.repl.SetFieldByName(fldStore, heap.Str(strings.Join(devices, ","))); err != nil {
 		return err
 	}
-	for _, pid := range rt.mgr.inboundProxies(s.id) {
-		p, err := rt.h.Get(pid)
-		if err != nil {
-			continue // collected since snapshot; finalizer will purge
-		}
-		if err := p.SetFieldByName(fldTarget, s.repl.RefTo()); err != nil {
-			return fmt.Errorf("core: patch inbound proxy @%d: %w", pid, err)
-		}
-	}
+	rt.patchInbound(s.id, s.repl.ID())
 	sum := crc32.ChecksumIEEE(s.payload)
 	s.op.commit(swappedOut, func(cs *clusterState) {
 		cs.shipment = shipment{

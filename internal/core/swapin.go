@@ -232,15 +232,7 @@ func (s *swapIn) install() error {
 		return fmt.Errorf("core: install cluster %d: %w", s.id, err)
 	}
 	s.installedObjects = len(installed)
-	for _, pid := range rt.mgr.inboundProxies(s.id) {
-		p, err := rt.h.Get(pid)
-		if err != nil {
-			continue
-		}
-		if err := p.SetFieldByName(fldTarget, heap.Ref(proxyUltimate(p))); err != nil {
-			return fmt.Errorf("core: re-patch inbound proxy @%d: %w", pid, err)
-		}
-	}
+	rt.patchInbound(s.id, heap.NilID)
 	s.op.commit(resident, func(cs *clusterState) {
 		cs.shipment = shipment{}
 		cs.swapIns++

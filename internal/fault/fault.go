@@ -263,8 +263,8 @@ func (e *Engine) taskDone() {
 // and, if so, consumes the inventory entry and returns its payload size.
 // The caller records the hit latency; this is the "~a map lookup" path.
 func (e *Engine) ConsumeHit(cluster uint32) (int64, bool) {
-	if e == nil {
-		return 0, false
+	if e == nil || !e.prefetchEnabled() {
+		return 0, false // no prefetcher: the inventory never holds anything
 	}
 	e.pmu.Lock()
 	bytes, ok := e.inventory[cluster]

@@ -8,12 +8,11 @@ import (
 	"io"
 	"slices"
 
-	"objectswap/internal/baseline"
 	"objectswap/internal/xmlcodec"
 )
 
-// flateCodec is the binary framing with the body DEFLATE-compressed through
-// the baseline compressor. The frame header stays cleartext so Detect works;
+// flateCodec is the binary framing with the body DEFLATE-compressed at the
+// default level. The frame header stays cleartext so Detect works;
 // the body is a uvarint raw length (the decoder's inflate size hint — one
 // output allocation, no growth copies) followed by the deflate stream of the
 // plain binary body.
@@ -33,12 +32,19 @@ func (flateCodec) encodeFrom(e *Encoder, dst []byte, sh shipment, opts *EncodeOp
 		return nil, err
 	}
 	body := slices.Concat(e.body()...)
-	packed, err := baseline.Deflate(body, flate.DefaultCompression)
+	var packed bytes.Buffer
+	fw, err := flate.NewWriter(&packed, flate.DefaultCompression)
 	if err != nil {
 		return nil, err
 	}
+	if _, err := fw.Write(body); err != nil {
+		return nil, err
+	}
+	if err := fw.Close(); err != nil {
+		return nil, err
+	}
 	var rawLen [binary.MaxVarintLen64]byte
-	return appendFrame(dst, flagFlate, binary.AppendUvarint(rawLen[:0], uint64(len(body))), packed), nil
+	return appendFrame(dst, flagFlate, binary.AppendUvarint(rawLen[:0], uint64(len(body))), packed.Bytes()), nil
 }
 
 func (c flateCodec) Decode(data []byte, opts *DecodeOpts) (*xmlcodec.Doc, error) {

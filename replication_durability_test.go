@@ -11,8 +11,10 @@ import (
 	"bytes"
 	"context"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"objectswap/internal/event"
@@ -65,10 +67,17 @@ func TestReplicatedSwapSurvivesDonorLoss(t *testing.T) {
 		}
 	}
 
-	var repairs []SwapEvent
+	// Repair events arrive on whichever goroutine ran the repair: this test's
+	// RepairNow, or the background sweep the breaker-open kick starts.
+	var (
+		repairsMu sync.Mutex
+		repairs   []SwapEvent
+	)
 	sys.Bus().Subscribe(event.TopicSwapRepair, func(ev event.Event) {
 		if e, ok := ev.Payload.(SwapEvent); ok {
+			repairsMu.Lock()
 			repairs = append(repairs, e)
+			repairsMu.Unlock()
 		}
 	})
 
@@ -129,28 +138,36 @@ func TestReplicatedSwapSurvivesDonorLoss(t *testing.T) {
 		t.Fatalf("underreplicated check passed while degraded: %+v", c)
 	}
 
-	// A fresh donor appears; one repair sweep restores K=2 for cluster Y.
+	// A fresh donor appears; a repair sweep restores K=2 for cluster Y. Which
+	// sweep does is a race this test does not decide: the background one the
+	// breaker-open kick started may still be running (sweeps are serialized,
+	// so RepairNow waits it out and then finds nothing left to do), or may
+	// already have pruned the dead replica before donor-c existed. Either way
+	// RepairNow returns with Y whole: assert that end state, and that exactly
+	// one repair put Y on the new donor.
 	if err := sys.AttachDevice("donor-c", store.NewMem(0)); err != nil {
 		t.Fatal(err)
 	}
-	repaired, err := sys.RepairNow(context.Background())
-	if err != nil {
+	if _, err := sys.RepairNow(context.Background()); err != nil {
 		t.Fatalf("repair sweep: %v", err)
 	}
-	if repaired != 1 {
-		t.Fatalf("repaired %d clusters, want 1", repaired)
-	}
-	if len(repairs) == 0 {
-		t.Fatal("no swap.repair event emitted")
-	}
 	newSet := sys.Runtime().ReplicaSet(clusters[1])
-	if len(newSet) != 2 {
-		t.Fatalf("repaired replica set = %v", newSet)
+	if len(newSet) != 2 || !slices.Contains(newSet, "donor-c") || slices.Contains(newSet, dead) {
+		t.Fatalf("repaired replica set = %v, want the survivor and donor-c", newSet)
 	}
-	for _, name := range newSet {
-		if name == dead {
-			t.Fatalf("dead donor still in repaired set %v", newSet)
+	repairsMu.Lock()
+	onto := 0
+	for _, e := range repairs {
+		if e.Cluster != clusters[1] {
+			t.Errorf("repair event for cluster %d, want only %d", e.Cluster, clusters[1])
 		}
+		if slices.Contains(e.Replicas, "donor-c") {
+			onto++
+		}
+	}
+	repairsMu.Unlock()
+	if onto != 1 {
+		t.Fatalf("%d repair events shipped cluster %d to donor-c, want 1", onto, clusters[1])
 	}
 
 	// Healthy again: gauge clean, the underreplicated check flips back to ok
