@@ -23,9 +23,10 @@ go test -run '^TestSmoke$' -count=1 ./internal/opshttp/
 # text-format parser — adversarial label values, histograms and the
 # telemetry families included.
 go test -run '^TestMetricsPageParses$' -count=1 ./internal/opshttp/
-# Telemetry-consistency gate: heat ranking must agree with the coldest-first
-# victim order, fault causes must be attributed, and the thrash health check
-# must flip degraded and recover.
+# Telemetry-consistency gate: heat classes and the coldest-first victim order
+# are two readings of one ledger (a hammered cluster reads hot and is evicted
+# last, an idle one cold and first), fault causes must be attributed, and the
+# thrash health check must flip degraded and recover.
 go test -run '^TestHeatRankingMatchesEvictionOrder$|^TestFaultCauseAttribution$|^TestThrashHealthFlips$' -count=1 .
 # Codec-bench smoke: the binary wire codec's decode/encode ns ratio must stay
 # far below the XML baseline (~17.54, BENCH_codec.json) and within its
@@ -84,6 +85,19 @@ BYNAME=$(grep -nE 'SetFieldByName\(fld(Target|Obj|Src|Mode)[^[:alnum:]]' interna
 if [ "$(printf '%s\n' "$CROSSINGS" | grep -c .)" != 1 ] || [ "$(printf '%s\n' "$FRAMES" | grep -c .)" != 1 ] || [ -n "$BYNAME" ]; then
     echo "reference mediation forked (want one enterCrossing call, one rt.depth++, no proxy field written by name):" >&2
     printf '%s\n%s\n%s\n' "$CROSSINGS" "$FRAMES" "$BYNAME" >&2
+    exit 1
+fi
+# Guard: a cluster's access history is one record with one writer. The
+# telemetry plane keeps no per-cluster map of its own (it reads the manager's
+# ledgers through one iteration), the ledger's counters are incremented in
+# internal/core/ledger.go (feed) and in no other non-test file of core or
+# telemetry, and core holds the concrete tracker, not an interface to it.
+MAPS=$(grep -nE 'map\[uint32\]\*' internal/telemetry/*.go | grep -v '_test\.go:' || true)
+WRITERS=$(grep -lE '([Cc]rossings|[Tt]ouches)\+\+' internal/core/*.go internal/telemetry/*.go | grep -v '_test\.go$' || true)
+IFACES=$(grep -nE 'type[[:space:]]+(PrefetchHit)?Telemetry[[:space:]]+interface' internal/core/*.go || true)
+if [ -n "$MAPS" ] || [ "$WRITERS" != "internal/core/ledger.go" ] || [ -n "$IFACES" ]; then
+    echo "access ledger forked (want no per-cluster map in internal/telemetry, counters written only by internal/core/ledger.go, no Telemetry interface in core):" >&2
+    printf '%s\n%s\n%s\n' "$MAPS" "$WRITERS" "$IFACES" >&2
     exit 1
 fi
 # Fault-storm smoke: 64 goroutines faulting 8 swapped clusters must issue

@@ -40,6 +40,7 @@ import (
 	olog "objectswap/internal/obs/log"
 	"objectswap/internal/placement"
 	"objectswap/internal/store"
+	"objectswap/internal/telemetry"
 	"objectswap/internal/wire"
 )
 
@@ -257,10 +258,10 @@ type Runtime struct {
 	wireSeconds *obs.HistogramVec
 	recorder    *obs.Recorder
 	logger      *olog.Logger
-	// telem, when set (WithTelemetry), receives the access-touch stream and
-	// completed swap faults. Calls are nil-guarded and happen either at leaf
-	// positions under the lock order or after all locks are released.
-	telem Telemetry
+	// telem, when set (WithTelemetry), keeps heat and thrash in the cluster
+	// ledgers feed writes and reads them back through eachLedger (ledger.go).
+	// Nil-safe: without one the ledgers carry their counters only.
+	telem *telemetry.Tracker
 
 	// faults is the asynchronous fault engine: single-flight coalescing of
 	// concurrent swap-ins, donor-batched fetches, and (when enabled via
@@ -319,23 +320,10 @@ func WithLogger(lg *olog.Logger) Option {
 	return func(rt *Runtime) { rt.logger = lg }
 }
 
-// Telemetry receives the runtime's access-touch stream and completed swap
-// faults. Implementations must treat both methods as leaf calls: they may be
-// invoked while manager table locks are held, so they must not call back
-// into the runtime.
-type Telemetry interface {
-	// Touch reports one access to a cluster; crossing marks proxy boundary
-	// crossings (the recency feed) as opposed to intra-cluster accesses.
-	Touch(cluster uint32, crossing bool)
-	// RecordSwap reports one completed fault: op is the span name
-	// ("swap_out", "swap_in", "swap_repair"), cause a Cause* value.
-	RecordSwap(op string, cluster uint32, cause string, seconds float64, bytes int64)
-}
-
-// WithTelemetry streams cluster touches and completed swap faults into t
-// (the telemetry plane: heat classification, working-set estimation, fault
-// attribution, thrash scoring).
-func WithTelemetry(t Telemetry) Option {
+// WithTelemetry attaches the telemetry plane: t keeps heat and thrash in
+// the runtime's cluster ledgers, reads them through the manager, and receives
+// completed swap faults.
+func WithTelemetry(t *telemetry.Tracker) Option {
 	return func(rt *Runtime) { rt.telem = t }
 }
 
@@ -444,6 +432,7 @@ func NewRuntime(h *heap.Heap, reg *heap.Registry, opts ...Option) *Runtime {
 		// via the heap's access observers, read-side dispatches via
 		// NoteAccess, boundary crossings directly from enterCrossing.
 		h.AddAccessObserver(rt.noteAccess)
+		rt.telem.Watch(rt.mgr.eachLedger)
 	}
 	rt.instrument()
 	rt.faults = fault.New(fault.Config{
@@ -493,14 +482,11 @@ func (rt *Runtime) shipFormats() []string {
 // the next delta. Replacement-objects and proxies are not cluster members,
 // so middleware writes fall through.
 func (rt *Runtime) markDirty(oid heap.ObjID) {
-	m := rt.mgr
-	m.mu.Lock()
-	info, ok := m.objects[oid]
-	m.mu.Unlock()
+	info, ok := rt.mgr.member(oid)
 	if !ok {
 		return
 	}
-	ts := m.tab(info.cluster)
+	ts := rt.mgr.tab(info.cluster)
 	ts.mu.Lock()
 	if cs, ok := ts.clusters[info.cluster]; ok && !cs.where.out() && cs.base.key != "" {
 		if cs.dirty == nil {
@@ -509,30 +495,6 @@ func (rt *Runtime) markDirty(oid heap.ObjID) {
 		cs.dirty[oid] = true
 	}
 	ts.mu.Unlock()
-}
-
-// noteAccess is the heap access observer feeding heat tracking: it resolves
-// the accessed object's cluster and reports a (non-crossing) touch. Same
-// cost and race profile as markDirty; the telemetry Touch is a leaf call.
-func (rt *Runtime) noteAccess(oid heap.ObjID) {
-	if rt.telem == nil {
-		return
-	}
-	m := rt.mgr
-	m.mu.Lock()
-	info, ok := m.objects[oid]
-	m.mu.Unlock()
-	if !ok {
-		return
-	}
-	rt.telem.Touch(uint32(info.cluster), false)
-}
-
-// noteTouch streams one cluster touch into the telemetry plane, if present.
-func (rt *Runtime) noteTouch(id ClusterID, crossing bool) {
-	if rt.telem != nil {
-		rt.telem.Touch(uint32(id), crossing)
-	}
 }
 
 // resolveCause defaults an unattributed swap: to the evictor while an
@@ -545,14 +507,6 @@ func (rt *Runtime) resolveCause(cause string) string {
 		return CauseEvictor
 	}
 	return CauseExplicit
-}
-
-// recordFault streams one completed swap fault into the telemetry plane.
-// Called after all locks are released, alongside event emission.
-func (rt *Runtime) recordFault(op string, id ClusterID, cause string, d time.Duration, bytes int) {
-	if rt.telem != nil {
-		rt.telem.RecordSwap(op, uint32(id), cause, d.Seconds(), int64(bytes))
-	}
 }
 
 // recordWire folds one codec run into the per-format instruments and returns

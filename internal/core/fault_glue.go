@@ -30,14 +30,6 @@ func WithPrefetch(depth, workers int) Option {
 // the admission-guard hook and Quiesce/Stop.
 func (rt *Runtime) FaultEngine() *fault.Engine { return rt.faults }
 
-// PrefetchHitTelemetry is an optional extension of Telemetry: trackers that
-// implement it receive prefetch hits — crossings that found their target
-// cluster already resident thanks to the prefetcher — with the seconds the
-// hit actually cost (an inventory lookup, not a device round trip).
-type PrefetchHitTelemetry interface {
-	RecordPrefetchHit(cluster uint32, seconds float64)
-}
-
 // SwapIn reloads a swapped cluster through the fault engine's single-flight
 // table: concurrent callers for the same cluster park on one in-flight
 // fetch and all resume with its result, error included. A caller that
@@ -98,9 +90,6 @@ func (rt *Runtime) notePrefetchHit(id ClusterID) {
 	if _, ok := rt.faults.ConsumeHit(uint32(id)); !ok {
 		return
 	}
-	seconds := rt.obsReg.Clock().Now().Sub(start).Seconds()
-	if pt, ok := rt.telem.(PrefetchHitTelemetry); ok && rt.telem != nil {
-		pt.RecordPrefetchHit(uint32(id), seconds)
-	}
+	rt.telem.RecordPrefetchHit(rt.obsReg.Clock().Now().Sub(start).Seconds())
 	rt.faults.TriggerPrefetch(uint32(id))
 }

@@ -203,35 +203,3 @@ func (m *Manager) compact(swept []heap.ObjID) {
 		ts.mu.Unlock()
 	}
 }
-
-// enterCrossing is the hot-path combination used by proxy dispatch: it
-// resolves the target's cluster, records the crossing, and reports whether
-// the cluster is currently swapped out. Only the object index lookup takes
-// the manager lock; the statistics land under the affected clusters' table
-// shards, so crossings into different shards proceed in parallel.
-func (m *Manager) enterCrossing(src ClusterID, ultimate heap.ObjID) (dst ClusterID, swapped bool) {
-	m.mu.Lock()
-	if info, ok := m.objects[ultimate]; ok {
-		dst = info.cluster
-	}
-	m.mu.Unlock()
-	now := m.clock.Add(1)
-	lo, hi := m.lockPair(dst, src)
-	if cs, ok := m.tab(dst).clusters[dst]; ok {
-		cs.crossings++
-		cs.lastAccess = now
-		swapped = cs.where.out()
-	}
-	if cs, ok := m.tab(src).clusters[src]; ok {
-		cs.lastAccess = now
-	}
-	unlockPair(lo, hi)
-	// Heat tracking mirrors the recency feed; touches go out after the
-	// table locks are released (Touch is leaf-safe, but there is no reason
-	// to extend the critical section for it).
-	m.rt.noteTouch(dst, true)
-	if src != dst {
-		m.rt.noteTouch(src, false)
-	}
-	return dst, swapped
-}

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"objectswap/internal/heap"
+	"objectswap/internal/telemetry"
 )
 
 // objInfo is the SwappingManager's per-object record: which swap-cluster the
@@ -70,10 +71,10 @@ type clusterState struct {
 	id      ClusterID
 	objects map[heap.ObjID]bool
 
-	// Boundary-crossing statistics (recency and frequency), fed by proxy
-	// traversal as the paper describes.
-	crossings  uint64
-	lastAccess uint64
+	// ledger is the cluster's access record — recency and frequency fed by
+	// proxy traversal as the paper describes, swap history, and (with a
+	// tracker attached) heat and thrash. Only feed writes it (ledger.go).
+	ledger telemetry.Ledger
 
 	// where is the one place the cluster is (state.go); only reserve, settle
 	// and newClusterState write it.
@@ -90,9 +91,6 @@ type clusterState struct {
 	// state (full swap-in).
 	base  shipmentBase
 	dirty map[heap.ObjID]bool
-
-	swapOuts uint64
-	swapIns  uint64
 }
 
 // primary is the best-ranked donor holding the shipment ("" while resident).
@@ -311,10 +309,8 @@ func (m *Manager) assign(id heap.ObjID, cluster ClusterID, class string) error {
 	m.objects[id] = objInfo{cluster: cluster, class: class}
 	cs.objects[id] = true
 	// Allocation into a cluster is a use signal: advance its recency so
-	// victim selection does not evict the cluster being built. Heat
-	// tracking sees the same signal (Touch is a leaf call, safe here).
-	cs.lastAccess = m.clock.Add(1)
-	m.rt.noteTouch(cluster, false)
+	// victim selection does not evict the cluster being built.
+	m.feed(cs, used, m.clock.Add(1), m.rt.telem.Now())
 	return nil
 }
 
@@ -559,10 +555,10 @@ func (m *Manager) infoOf(cs *clusterState) ClusterInfo {
 		PayloadBytes: cs.payloadBytes,
 		Format:       cs.format,
 		BaseKey:      cs.base.key,
-		Crossings:    cs.crossings,
-		LastAccess:   cs.lastAccess,
-		SwapOuts:     cs.swapOuts,
-		SwapIns:      cs.swapIns,
+		Crossings:    cs.ledger.Crossings,
+		LastAccess:   cs.ledger.LastAccess,
+		SwapOuts:     cs.ledger.SwapOuts,
+		SwapIns:      cs.ledger.SwapIns,
 	}
 	if !info.Swapped {
 		info.ResidentBytes = m.residentBytes(cs)
@@ -645,9 +641,9 @@ func (m *Manager) SelectVictims(strategy VictimStrategy) []ClusterID {
 			case VictimLargest:
 				r.key = math.MaxUint64 - uint64(m.residentBytes(cs))
 			case VictimLeastUsed:
-				r.key = cs.crossings
+				r.key = cs.ledger.Crossings
 			default: // VictimColdest
-				r.key = cs.lastAccess
+				r.key = cs.ledger.LastAccess
 			}
 			eligible = append(eligible, r)
 		}

@@ -354,7 +354,7 @@ func (r *repair) finish() SwapEvent {
 		Cause: CauseRepair}
 	r.span.SetReplicas(newSet)
 	ev.Phases, ev.Duration = r.span.End()
-	rt.recordFault("swap_repair", r.id, ev.Cause, ev.Duration, len(r.data))
+	rt.telem.RecordFault("swap_repair", ev.Cause, ev.Duration.Seconds())
 	rt.logger.Info("cluster repaired", "trace", r.trace, "cluster", uint32(r.id),
 		"replicas", strings.Join(newSet, ","), "pruned", strings.Join(r.dead, ","),
 		"shipped", strings.Join(r.fresh, ","))

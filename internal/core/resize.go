@@ -78,11 +78,10 @@ func (rt *Runtime) MergeClusters(dst, src ClusterID) error {
 		delete(ss.objects, oid)
 		ds.objects[oid] = true
 	}
-	// Merge statistics conservatively.
-	ds.crossings += ss.crossings
-	if ss.lastAccess > ds.lastAccess {
-		ds.lastAccess = ss.lastAccess
-	}
+	// The one place a merge decides what the survivor inherits: src's
+	// counters summed into its own, the later recency, the hotter heat and
+	// thrash. Dropping src's record drops the rest of its history.
+	rt.telem.Merge(&ds.ledger, &ss.ledger)
 	m.tab(src).drop(ss)
 	// Inbound proxies previously indexed under src now target dst members.
 	m.rehomeProxies(src, dst, nil)
@@ -148,7 +147,8 @@ func (rt *Runtime) SplitCluster(src ClusterID, members []heap.ObjID) (ClusterID,
 		delete(ss.objects, oid)
 		fs.objects[oid] = true
 	}
-	fs.lastAccess = ss.lastAccess
+	// The fresh half starts no colder than the cluster it was cut from.
+	fs.ledger.LastAccess = ss.ledger.LastAccess
 	// Inbound proxies whose ultimate moved follow it in the index.
 	m.rehomeProxies(src, fresh, fs.objects)
 	unlockPair(lo, hi)

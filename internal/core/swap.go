@@ -411,7 +411,7 @@ func (s *swapOut) commit() error {
 			bytesAtSwap:  s.residentBytes,
 			format:       string(s.plan.format),
 		}
-		cs.swapOuts++
+		rt.mgr.feed(cs, shipped, 0, rt.telem.Now())
 		if rt.deltaEnabled() && !s.plan.delta {
 			s.oldBase = cs.base
 			cs.base = shipmentBase{key: s.key, devices: devices, format: string(s.plan.format),
@@ -435,7 +435,7 @@ func (s *swapOut) finish() SwapEvent {
 		Format: string(s.plan.format), Requested: s.rep.Requested, Quorum: s.rep.Quorum,
 		Shortfall: max(s.rep.Requested-len(devices), 0), Cause: rt.resolveCause(s.o.cause)}
 	ev.Phases, ev.Duration = s.span.End()
-	rt.recordFault("swap_out", s.id, ev.Cause, ev.Duration, bytes)
+	rt.telem.RecordFault("swap_out", ev.Cause, ev.Duration.Seconds())
 	// A prefetched cluster evicted before any touch was a wasted round trip;
 	// let the fault engine settle its inventory accounting.
 	rt.faults.NoteEvicted(uint32(s.id))

@@ -235,7 +235,7 @@ func (s *swapIn) install() error {
 	rt.patchInbound(s.id, heap.NilID)
 	s.op.commit(resident, func(cs *clusterState) {
 		cs.shipment = shipment{}
-		cs.swapIns++
+		rt.mgr.feed(cs, reloaded, 0, rt.telem.Now())
 		if rt.deltaEnabled() && s.fid != wire.FormatDelta {
 			cs.base = s.anchor(installed, outbound)
 			cs.dirty = nil
@@ -278,7 +278,7 @@ func (s *swapIn) finish() SwapEvent {
 		Bytes: bytes, Attempted: s.failed, Trace: s.trace, Format: string(s.fid),
 		Cause: rt.resolveCause(s.o.cause)}
 	ev.Phases, ev.Duration = s.span.End()
-	rt.recordFault("swap_in", s.id, ev.Cause, ev.Duration, bytes)
+	rt.telem.RecordFault("swap_in", ev.Cause, ev.Duration.Seconds())
 	rt.logger.Info("swap-in", "trace", s.trace, "cluster", uint32(s.id),
 		"device", s.device, "key", key, "objects", s.installedObjects,
 		"bytes", bytes, "dur", ev.Duration)

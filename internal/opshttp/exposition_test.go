@@ -35,8 +35,12 @@ func TestMetricsPageParses(t *testing.T) {
 	labeled.With("tab\tand\nnewline").Set(2)
 
 	tr := telemetry.New(reg, telemetry.Options{})
-	tr.Touch(1, true)
-	tr.RecordSwap("swap_out", 1, "explicit", 0.25, 64)
+	one := telemetry.Ledger{Touches: 1, Crossings: 1, SwapOuts: 1}
+	tr.Touch(&one, tr.Now())
+	tr.Watch(func(visit func(uint32, *telemetry.Ledger, func() int64)) {
+		visit(1, &one, func() int64 { return 64 })
+	})
+	tr.RecordFault("swap_out", "explicit", 0.25)
 
 	srv, err := Start("127.0.0.1:0", NewHandler(Options{Metrics: reg, Telemetry: tr}))
 	if err != nil {
@@ -204,11 +208,16 @@ func TestHeatAndWSSEndpoints(t *testing.T) {
 	clock := obs.NewVirtualClock(time.Unix(0, 0))
 	reg := obs.NewRegistry(clock)
 	tr := telemetry.New(reg, telemetry.Options{})
-	tr.SetSizeOf(func(uint32) int64 { return 128 })
+	ledgers := map[uint32]*telemetry.Ledger{2: {Touches: 5, Crossings: 5}, 9: {Touches: 1}}
+	tr.Watch(func(visit func(uint32, *telemetry.Ledger, func() int64)) {
+		for id, l := range ledgers {
+			visit(id, l, func() int64 { return 128 })
+		}
+	})
 	for i := 0; i < 5; i++ {
-		tr.Touch(2, true)
+		tr.Touch(ledgers[2], tr.Now())
 	}
-	tr.Touch(9, false)
+	tr.Touch(ledgers[9], tr.Now())
 	h := NewHandler(Options{Telemetry: tr, Checks: []Check{
 		{Name: "thrash", Probe: func(context.Context) error { return tr.HealthCheck() }},
 	}})

@@ -355,8 +355,6 @@ func (e *Engine) subscribe(t event.Topic) {
 
 // handle mediates one event to the matching policies.
 func (e *Engine) handle(ev event.Event) {
-	snapshot := e.provider.Snapshot()
-
 	e.mu.Lock()
 	matching := make([]*Policy, 0, len(e.policies))
 	for _, p := range e.policies {
@@ -373,10 +371,20 @@ func (e *Engine) handle(ev event.Event) {
 	evaluations, fired, outcomes := e.evaluations, e.firedC, e.actionOutcomes
 	e.mu.Unlock()
 
+	// One snapshot per event, taken at the first matching policy with a
+	// condition to read it: a snapshot evaluates every registered metric, and
+	// most events are mediated by unconditioned policies.
+	var snapshot devctx.Snapshot
+	taken := false
 	for _, p := range matching {
 		evaluations.With(p.Name).Inc()
-		if p.Cond != nil && !p.Cond.Eval(snapshot) {
-			continue
+		if p.Cond != nil {
+			if !taken {
+				snapshot, taken = e.provider.Snapshot(), true
+			}
+			if !p.Cond.Eval(snapshot) {
+				continue
+			}
 		}
 		e.mu.Lock()
 		p.fired++

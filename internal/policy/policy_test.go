@@ -65,6 +65,50 @@ func TestLoadAndFire(t *testing.T) {
 	}
 }
 
+// countingProvider counts how often the engine asks for a snapshot.
+type countingProvider struct{ calls int }
+
+func (p *countingProvider) Snapshot() devctx.Snapshot {
+	p.calls++
+	return devctx.Snapshot{"x": 1}
+}
+
+// A snapshot evaluates every registered metric, so the engine takes one only
+// when a matching policy has a condition to read it, and then once per event
+// however many conditions read it.
+func TestSnapshotOnlyWhenAConditionReadsIt(t *testing.T) {
+	for _, c := range []struct {
+		name, when string
+		want       int
+	}{
+		{"unconditioned", "", 0},
+		{"conditioned", `<when><gt left="x" right="0"/></when>`, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			bus := event.NewBus()
+			provider := &countingProvider{}
+			e := NewEngine(bus, provider)
+			fired := 0
+			e.RegisterAction("note", func(ActionSpec, event.Event) error { fired++; return nil })
+			doc := `<policies>`
+			for _, name := range []string{"p1", "p2"} {
+				doc += `<policy name="` + name + `" category="machine"><on event="memory.threshold"/>` +
+					c.when + `<action do="note"/></policy>`
+			}
+			if err := e.Load([]byte(doc + `</policies>`)); err != nil {
+				t.Fatal(err)
+			}
+			for ev := 1; ev <= 3; ev++ {
+				bus.Emit(event.TopicMemoryThreshold, nil)
+				if provider.calls != c.want*ev || fired != 2*ev {
+					t.Fatalf("after %d events: %d snapshots, %d actions, want %d and %d",
+						ev, provider.calls, fired, c.want*ev, 2*ev)
+				}
+			}
+		})
+	}
+}
+
 func TestPriorityOrderAcrossCategories(t *testing.T) {
 	bus := event.NewBus()
 	e := NewEngine(bus, staticProvider{})

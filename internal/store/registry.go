@@ -1,27 +1,16 @@
 package store
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
 	"sync"
 )
 
-// SelectStrategy chooses the destination device for a swap-out.
+// SelectStrategy survives for benchmark/'s NewRegistry(SelectMostFree) calls; placement ranks donors, the value is unused.
 type SelectStrategy uint8
 
-const (
-	// SelectMostFree picks the reachable device with the most free bytes —
-	// the sensible default for the paper's heterogeneous device population.
-	SelectMostFree SelectStrategy = iota + 1
-	// SelectFirstFit picks the first reachable device (by name order) with
-	// room for the payload.
-	SelectFirstFit
-	// SelectRoundRobin rotates across reachable devices with room,
-	// spreading clusters over the neighborhood.
-	SelectRoundRobin
-)
+const SelectMostFree SelectStrategy = 1
 
 // ErrNoDevice reports that no reachable device can hold a payload.
 var ErrNoDevice = errors.New("store: no reachable device with capacity")
@@ -34,21 +23,16 @@ type Device struct {
 }
 
 // Registry tracks the nearby devices currently visible to the constrained
-// node and selects swap-out destinations. It implements the core package's
-// StoreProvider contract.
+// node. It implements the core package's StoreProvider contract and
+// enumerates donors for the placement planner.
 type Registry struct {
-	mu       sync.Mutex
-	devices  map[string]*Device
-	strategy SelectStrategy
-	rrCursor int
+	mu      sync.Mutex
+	devices map[string]*Device
 }
 
-// NewRegistry returns an empty registry using the given selection strategy.
-func NewRegistry(strategy SelectStrategy) *Registry {
-	if strategy == 0 {
-		strategy = SelectMostFree
-	}
-	return &Registry{devices: make(map[string]*Device), strategy: strategy}
+// NewRegistry returns an empty registry.
+func NewRegistry(SelectStrategy) *Registry {
+	return &Registry{devices: make(map[string]*Device)}
 }
 
 // Add registers a device as available. Adding a duplicate name is an error.
@@ -135,75 +119,4 @@ func (r *Registry) Peek(name string) (Store, bool) {
 		return nil, false
 	}
 	return d.Store, true
-}
-
-// Pick selects a destination with at least need free bytes according to the
-// registry strategy, skipping any device named in exclude (used by swap-out
-// failover to avoid re-selecting a device that just failed a shipment). It
-// returns the device name and its store.
-func (r *Registry) Pick(ctx context.Context, need int64, exclude ...string) (string, Store, error) {
-	skip := make(map[string]bool, len(exclude))
-	for _, n := range exclude {
-		skip[n] = true
-	}
-
-	type candidate struct {
-		name string
-		s    Store
-		free int64
-	}
-
-	// Snapshot the eligible devices under the lock, but probe their Stats
-	// outside it: a probe may be a (slow) network call, and a resilience
-	// decorator that declares the device unhealthy mid-probe re-enters the
-	// registry through SetAvailable.
-	r.mu.Lock()
-	var eligible []candidate
-	names := make([]string, 0, len(r.devices))
-	for n := range r.devices {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		d := r.devices[n]
-		if !d.Available || skip[n] {
-			continue
-		}
-		eligible = append(eligible, candidate{name: n, s: d.Store})
-	}
-	r.mu.Unlock()
-
-	var candidates []candidate
-	for _, c := range eligible {
-		st, err := c.s.Stats(ctx)
-		if err != nil {
-			continue // unreachable right now; skip
-		}
-		if st.Free() >= need {
-			c.free = st.Free()
-			candidates = append(candidates, c)
-		}
-	}
-	if len(candidates) == 0 {
-		return "", nil, fmt.Errorf("%w: need %d bytes", ErrNoDevice, need)
-	}
-	switch r.strategy {
-	case SelectFirstFit:
-		c := candidates[0]
-		return c.name, c.s, nil
-	case SelectRoundRobin:
-		r.mu.Lock()
-		c := candidates[r.rrCursor%len(candidates)]
-		r.rrCursor++
-		r.mu.Unlock()
-		return c.name, c.s, nil
-	default: // SelectMostFree
-		best := candidates[0]
-		for _, c := range candidates[1:] {
-			if c.free > best.free {
-				best = c
-			}
-		}
-		return best.name, best.s, nil
-	}
 }

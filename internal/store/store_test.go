@@ -169,25 +169,8 @@ func TestRegistrySelection(t *testing.T) {
 		t.Fatal("duplicate Add accepted")
 	}
 
-	name, _, err := r.Pick(ctx, 10)
-	if err != nil || name != "big" {
-		t.Fatalf("MostFree pick = %q, %v", name, err)
-	}
-	// Only small fits? No: need > 900 rules out both but need 40 keeps both.
-	name, _, err = r.Pick(ctx, 500)
-	if err != nil || name != "big" {
-		t.Fatalf("pick(500) = %q, %v", name, err)
-	}
-	if _, _, err := r.Pick(ctx, 5000); !errors.Is(err, ErrNoDevice) {
-		t.Fatalf("pick(5000): %v", err)
-	}
-
-	// Availability gates selection and lookup.
+	// Availability gates lookup.
 	r.SetAvailable("big", false)
-	name, _, err = r.Pick(ctx, 10)
-	if err != nil || name != "small" {
-		t.Fatalf("pick with big down = %q, %v", name, err)
-	}
 	if _, err := r.Lookup("big"); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("Lookup down device: %v", err)
 	}
@@ -203,26 +186,6 @@ func TestRegistrySelection(t *testing.T) {
 	r.Remove("big")
 	if names := r.Names(); len(names) != 1 || names[0] != "small" {
 		t.Fatalf("Names after remove = %v", names)
-	}
-}
-
-func TestRegistryFirstFitAndRoundRobin(t *testing.T) {
-	r := NewRegistry(SelectFirstFit)
-	_ = r.Add("b", NewMem(0))
-	_ = r.Add("a", NewMem(0))
-	name, _, _ := r.Pick(ctx, 1)
-	if name != "a" {
-		t.Fatalf("first fit = %q, want a (name order)", name)
-	}
-
-	rr := NewRegistry(SelectRoundRobin)
-	_ = rr.Add("x", NewMem(0))
-	_ = rr.Add("y", NewMem(0))
-	n1, _, _ := rr.Pick(ctx, 1)
-	n2, _, _ := rr.Pick(ctx, 1)
-	n3, _, _ := rr.Pick(ctx, 1)
-	if n1 == n2 || n1 != n3 {
-		t.Fatalf("round robin sequence = %q %q %q", n1, n2, n3)
 	}
 }
 

@@ -5,11 +5,14 @@
 // internal/obs and is driven entirely by the registry Clock, so every decay
 // and window computation is deterministic under a VirtualClock.
 //
-// Lock discipline: the per-shard heat mutexes are strict leaf locks — Touch
-// and RecordSwap may be called while core table locks are held. The WSS
-// roll-up mutex (wssMu) is the opposite: the SizeOf callback it invokes may
-// take core locks, so wssMu must only ever be acquired from read paths
-// (gauge scrapes, endpoints, snapshots) that hold no core locks.
+// The package owns arithmetic, not state: a cluster's heat and thrash live in
+// its Ledger, which the swapping manager keeps inside its own per-cluster
+// record and hands to the Tracker under the lock that guards it. The write
+// side (Touch, SwappedOut, SwappedIn, Merge) is pure computation on a ledger
+// the caller has locked. The read side walks the manager's clusters through
+// the Clusters iteration, which takes the manager's table locks: every read
+// (gauge scrape, endpoint, snapshot) must come from a path that holds no core
+// lock. wssMu, which guards the sample ring, is only taken on that side.
 package telemetry
 
 import (
@@ -73,9 +76,6 @@ type Options struct {
 	ThrashHalfLife time.Duration
 	ThrashHigh     float64
 	ThrashLow      float64
-
-	// Shards is the number of independently locked heat shards.
-	Shards int
 }
 
 func (o Options) withDefaults() Options {
@@ -112,46 +112,31 @@ func (o Options) withDefaults() Options {
 	if o.ThrashLow <= 0 {
 		o.ThrashLow = 1
 	}
-	if o.Shards <= 0 {
-		o.Shards = 8
-	}
 	return o
 }
 
-// clusterStat is one cluster's telemetry state. All fields are guarded by
-// the owning shard's mutex; scores are stored decayed-as-of `last` /
-// `thrashLast` and lazily re-decayed on every read or update.
-type clusterStat struct {
-	score     float64
-	last      time.Time
-	class     string
-	touches   uint64
-	crossings uint64
+// Ledger is one swap-cluster's access record: the only place its recency,
+// crossing count, heat and swap history are stored. It lives inside the
+// swapping manager's record of the cluster, is guarded by that record's lock,
+// and goes when the record goes, so a dropped or merged-away cluster takes its
+// history with it. The manager counts; a Tracker, when one is attached, keeps
+// the unexported heat and thrash state beside the counts.
+type Ledger struct {
+	Crossings  uint64 // boundary crossings into the cluster
+	Touches    uint64 // every observed use: crossings in and out, allocations, member reads and writes
+	LastAccess uint64 // the manager's recency tick at the last crossing or allocation
+	SwapOuts   uint64
+	SwapIns    uint64
 
-	lastSwapOut time.Time
-	haveSwapOut bool
+	// score and thrash are stored decayed as of last / thrashLast and decay
+	// lazily when read; last is the time of the last touch.
+	score       float64
+	last        time.Time
+	class       string
 	thrash      float64
 	thrashLast  time.Time
+	lastSwapOut time.Time // zero once a swap-in has answered it
 	pingPongs   uint64
-	swapOuts    uint64
-	swapIns     uint64
-}
-
-type heatShard struct {
-	mu       sync.Mutex
-	clusters map[uint32]*clusterStat
-	// touched accumulates the clusters seen in the current (unsealed) WSS
-	// interval; the roll-up drains it.
-	touched map[uint32]struct{}
-}
-
-func (s *heatShard) stat(id uint32) *clusterStat {
-	cs := s.clusters[id]
-	if cs == nil {
-		cs = &clusterStat{class: ClassCold}
-		s.clusters[id] = cs
-	}
-	return cs
 }
 
 // wssSample is one sealed sampling interval: the distinct clusters touched
@@ -161,19 +146,24 @@ type wssSample struct {
 	sizes      map[uint32]int64
 }
 
+// Clusters is the iteration a Tracker reads the live clusters through: it
+// calls visit once per cluster with the cluster's ledger, held under the lock
+// that guards it, and a function measuring the cluster's current footprint
+// in bytes. Both are valid only during the call.
+type Clusters func(visit func(id uint32, l *Ledger, size func() int64))
+
 // Tracker is the telemetry plane. All methods are safe on a nil receiver so
 // callers can plumb an optional *Tracker without guarding every call.
 type Tracker struct {
-	opt    Options
-	clock  obs.Clock
-	shards []*heatShard
+	opt      Options
+	clock    obs.Clock
+	clusters Clusters
 
 	faults *obs.HistogramVec
 
-	// wssMu guards the sample ring and the SizeOf callback; see the
-	// package comment for why it must never be taken under core locks.
+	// wssMu guards the sample ring; see the package comment for why it must
+	// never be taken under core locks.
 	wssMu    sync.Mutex
-	sizeOf   func(cluster uint32) int64
 	curStart time.Time
 	samples  []wssSample
 
@@ -187,22 +177,13 @@ const maxWSSSamples = 512
 
 // New builds a Tracker on reg's clock and registers its metric families
 // (cluster heat gauges, WSS gauges, thrash gauge, fault histograms) with reg.
+// It reports nothing per cluster until Watch gives it clusters to read.
 func New(reg *obs.Registry, opt Options) *Tracker {
 	if reg == nil {
 		reg = obs.NewRegistry(obs.RealClock{})
 	}
-	opt = opt.withDefaults()
-	t := &Tracker{
-		opt:    opt,
-		clock:  reg.Clock(),
-		shards: make([]*heatShard, opt.Shards),
-	}
-	for i := range t.shards {
-		t.shards[i] = &heatShard{
-			clusters: make(map[uint32]*clusterStat),
-			touched:  make(map[uint32]struct{}),
-		}
-	}
+	t := &Tracker{opt: opt.withDefaults(), clock: reg.Clock()}
+	t.curStart = t.clock.Now()
 	t.instrument(reg)
 	return t
 }
@@ -228,20 +209,34 @@ func (t *Tracker) instrument(reg *obs.Registry) {
 		nil, "op", "cause", "kind")
 }
 
-// SetSizeOf installs the per-cluster byte measurer used when sealing WSS
-// samples. The callback may take core locks; it is only ever invoked from
-// read paths that hold none.
-func (t *Tracker) SetSizeOf(fn func(cluster uint32) int64) {
-	if t == nil {
-		return
+// Watch sets the clusters every read walks. The runtime the tracker is
+// attached to calls it once, before anything can read.
+func (t *Tracker) Watch(clusters Clusters) {
+	if t != nil {
+		t.clusters = clusters
 	}
-	t.wssMu.Lock()
-	t.sizeOf = fn
-	t.wssMu.Unlock()
 }
 
-func (t *Tracker) shard(cluster uint32) *heatShard {
-	return t.shards[int(cluster)%len(t.shards)]
+// each visits every tracked cluster: one that was ever touched or swapped.
+// A cluster declared but never used has no history to report.
+func (t *Tracker) each(visit func(id uint32, l *Ledger, size func() int64)) {
+	if t.clusters == nil {
+		return
+	}
+	t.clusters(func(id uint32, l *Ledger, size func() int64) {
+		if l.Touches|l.SwapOuts|l.SwapIns != 0 {
+			visit(id, l, size)
+		}
+	})
+}
+
+// Now reads the tracker's clock, so one reading can date every ledger an
+// event writes. A nil tracker reads no clock.
+func (t *Tracker) Now() time.Time {
+	if t == nil {
+		return time.Time{}
+	}
+	return t.clock.Now()
 }
 
 // decayFactor is 0.5^(dt/halfLife).
@@ -252,78 +247,98 @@ func decayFactor(dt, halfLife time.Duration) float64 {
 	return math.Exp2(-float64(dt) / float64(halfLife))
 }
 
-func (cs *clusterStat) decayTo(now time.Time, halfLife time.Duration) {
-	if !cs.last.IsZero() {
-		cs.score *= decayFactor(now.Sub(cs.last), halfLife)
-	}
-	cs.last = now
+func (t *Tracker) heatAt(l *Ledger, now time.Time) float64 {
+	return l.score * decayFactor(now.Sub(l.last), t.opt.HeatHalfLife)
 }
 
-func (cs *clusterStat) decayThrashTo(now time.Time, halfLife time.Duration) {
-	if !cs.thrashLast.IsZero() {
-		cs.thrash *= decayFactor(now.Sub(cs.thrashLast), halfLife)
-	}
-	cs.thrashLast = now
+func (t *Tracker) thrashAt(l *Ledger, now time.Time) float64 {
+	return l.thrash * decayFactor(now.Sub(l.thrashLast), t.opt.ThrashHalfLife)
 }
 
-// reclassify applies the hysteresis thresholds to the (already decayed)
-// score. A class is only left once the score crosses the *exit* threshold,
-// and only entered once it crosses the higher *enter* threshold.
-func (t *Tracker) reclassify(cs *clusterStat) {
-	switch cs.class {
-	case ClassHot:
-		if cs.score < t.opt.HotExit {
-			cs.class = ClassWarm
-		}
-		if cs.score < t.opt.WarmExit {
-			cs.class = ClassCold
-		}
-	case ClassWarm:
-		switch {
-		case cs.score >= t.opt.HotEnter:
-			cs.class = ClassHot
-		case cs.score < t.opt.WarmExit:
-			cs.class = ClassCold
-		}
-	default:
-		switch {
-		case cs.score >= t.opt.HotEnter:
-			cs.class = ClassHot
-		case cs.score >= t.opt.WarmEnter:
-			cs.class = ClassWarm
-		}
+// classify applies the hysteresis thresholds to a decayed score. A class is
+// only left once the score crosses the *exit* threshold, and only entered
+// once it crosses the higher *enter* threshold.
+func (t *Tracker) classify(was string, score float64) string {
+	above := was == ClassHot || was == ClassWarm // leaving warm takes the exit threshold
+	switch {
+	case score >= t.opt.HotEnter, was == ClassHot && score >= t.opt.HotExit:
+		return ClassHot
+	case score >= t.opt.WarmEnter, above && score >= t.opt.WarmExit:
+		return ClassWarm
 	}
+	return ClassCold
 }
 
-// Touch records one access to a cluster. crossing marks accesses that came
-// through a proxy boundary crossing (the manager's recency feed) as opposed
-// to intra-cluster heap reads/writes. Touch is a leaf call: safe under core
-// table locks and safe on a nil Tracker.
-func (t *Tracker) Touch(cluster uint32, crossing bool) {
+// Touch folds one access at now into l's heat. The caller holds the lock
+// guarding l and has counted the access; pure arithmetic, nil-safe.
+func (t *Tracker) Touch(l *Ledger, now time.Time) {
 	if t == nil {
 		return
 	}
-	now := t.clock.Now()
-	sh := t.shard(cluster)
-	sh.mu.Lock()
-	cs := sh.stat(cluster)
-	cs.decayTo(now, t.opt.HeatHalfLife)
-	cs.score++
-	cs.touches++
-	if crossing {
-		cs.crossings++
-	}
-	t.reclassify(cs)
-	sh.touched[cluster] = struct{}{}
-	sh.mu.Unlock()
+	l.score = t.heatAt(l, now) + 1
+	l.last = now
+	l.class = t.classify(l.class, l.score)
 }
 
-// RecordSwap records one completed swap fault: op is "swap_out", "swap_in"
-// or "swap_repair", cause one of the core.Cause* values. seconds is the
-// whole-fault latency (the per-phase decomposition is already recorded by
-// the span tracer). Swap-ins arriving within ThrashWindow of the same
-// cluster's last swap-out feed the thrash score. Leaf call, nil-safe.
-func (t *Tracker) RecordSwap(op string, cluster uint32, cause string, seconds float64, bytes int64) {
+// SwappedOut dates l's swap-out, opening its ping-pong window. Same contract
+// as Touch.
+func (t *Tracker) SwappedOut(l *Ledger, now time.Time) {
+	if t != nil {
+		l.lastSwapOut = now
+	}
+}
+
+// SwappedIn closes the ping-pong window: a swap-in arriving within
+// ThrashWindow of the cluster's last swap-out feeds its thrash score. Same
+// contract as Touch.
+func (t *Tracker) SwappedIn(l *Ledger, now time.Time) {
+	if t == nil {
+		return
+	}
+	l.thrash, l.thrashLast = t.thrashAt(l, now), now
+	if !l.lastSwapOut.IsZero() && now.Sub(l.lastSwapOut) <= t.opt.ThrashWindow {
+		l.thrash++
+		l.pingPongs++
+	}
+	l.lastSwapOut = time.Time{}
+}
+
+// Merge folds the ledger of a cluster merged away into its survivor's:
+// counters sum, recency is the later of the two, and heat and thrash are the
+// hotter of the two compared at that later time. The caller holds the locks
+// guarding both. A nil tracker merges the counters, which are all there is.
+func (t *Tracker) Merge(dst, src *Ledger) {
+	dst.Crossings += src.Crossings
+	dst.Touches += src.Touches
+	dst.SwapOuts += src.SwapOuts
+	dst.SwapIns += src.SwapIns
+	dst.LastAccess = max(dst.LastAccess, src.LastAccess)
+	if t == nil {
+		return
+	}
+	dst.pingPongs += src.pingPongs
+	at := later(dst.last, src.last)
+	d, s := t.heatAt(dst, at), t.heatAt(src, at)
+	if s > d {
+		d, dst.class = s, src.class
+	}
+	dst.score, dst.last = d, at
+	at = later(dst.thrashLast, src.thrashLast)
+	dst.thrash, dst.thrashLast = max(t.thrashAt(dst, at), t.thrashAt(src, at)), at
+}
+
+func later(a, b time.Time) time.Time {
+	if b.After(a) {
+		return b
+	}
+	return a
+}
+
+// RecordFault records one completed swap fault in objectswap_fault_seconds:
+// op is "swap_out", "swap_in" or "swap_repair", cause one of the core.Cause*
+// values. seconds is the whole-fault latency (the per-phase decomposition is
+// already recorded by the span tracer). Nil-safe.
+func (t *Tracker) RecordFault(op, cause string, seconds float64) {
 	if t == nil {
 		return
 	}
@@ -334,28 +349,7 @@ func (t *Tracker) RecordSwap(op string, cluster uint32, cause string, seconds fl
 	if cause == causePrefetch {
 		kind = KindPrefetch
 	}
-	if t.faults != nil {
-		t.faults.With(op, cause, kind).Observe(seconds)
-	}
-	now := t.clock.Now()
-	sh := t.shard(cluster)
-	sh.mu.Lock()
-	cs := sh.stat(cluster)
-	switch op {
-	case "swap_out":
-		cs.swapOuts++
-		cs.lastSwapOut = now
-		cs.haveSwapOut = true
-	case "swap_in":
-		cs.swapIns++
-		cs.decayThrashTo(now, t.opt.ThrashHalfLife)
-		if cs.haveSwapOut && now.Sub(cs.lastSwapOut) <= t.opt.ThrashWindow {
-			cs.thrash++
-			cs.pingPongs++
-		}
-		cs.haveSwapOut = false
-	}
-	sh.mu.Unlock()
+	t.faults.With(op, cause, kind).Observe(seconds)
 }
 
 // RecordPrefetchHit records a crossing that found its target cluster
@@ -363,12 +357,11 @@ func (t *Tracker) RecordSwap(op string, cluster uint32, cause string, seconds fl
 // a fetch+decode round trip. It lands in objectswap_fault_seconds as
 // (op "swap_in", cause "reload", kind "prefetch-hit") — the same series a
 // demand reload of that crossing would have hit, under the kind that names
-// what actually happened. Leaf call, nil-safe.
-func (t *Tracker) RecordPrefetchHit(cluster uint32, seconds float64) {
-	if t == nil || t.faults == nil {
-		return
+// what actually happened. Nil-safe.
+func (t *Tracker) RecordPrefetchHit(seconds float64) {
+	if t != nil {
+		t.faults.With("swap_in", "reload", KindPrefetchHit).Observe(seconds)
 	}
-	t.faults.With("swap_in", "reload", KindPrefetchHit).Observe(seconds)
 }
 
 // ClusterHeat is one cluster's entry in the ranked heat snapshot.
@@ -386,34 +379,30 @@ type ClusterHeat struct {
 }
 
 // HeatSnapshot returns every tracked cluster with its decayed score and
-// class, hottest first (ties broken by cluster id for determinism).
+// class, hottest first (ties broken by cluster id for determinism). Every
+// per-cluster heat and thrash read goes through it.
 func (t *Tracker) HeatSnapshot() []ClusterHeat {
 	if t == nil {
 		return nil
 	}
 	now := t.clock.Now()
 	var out []ClusterHeat
-	for _, sh := range t.shards {
-		sh.mu.Lock()
-		for id, cs := range sh.clusters {
-			cs.decayTo(now, t.opt.HeatHalfLife)
-			cs.decayThrashTo(now, t.opt.ThrashHalfLife)
-			t.reclassify(cs)
-			out = append(out, ClusterHeat{
-				Cluster:   id,
-				Class:     cs.class,
-				Score:     cs.score,
-				Touches:   cs.touches,
-				Crossings: cs.crossings,
-				SwapOuts:  cs.swapOuts,
-				SwapIns:   cs.swapIns,
-				Thrash:    cs.thrash,
-				PingPongs: cs.pingPongs,
-				LastTouch: cs.last,
-			})
-		}
-		sh.mu.Unlock()
-	}
+	t.each(func(id uint32, l *Ledger, _ func() int64) {
+		score := t.heatAt(l, now)
+		l.class = t.classify(l.class, score) // a read steps the hysteresis too
+		out = append(out, ClusterHeat{
+			Cluster:   id,
+			Class:     l.class,
+			Score:     score,
+			Touches:   l.Touches,
+			Crossings: l.Crossings,
+			SwapOuts:  l.SwapOuts,
+			SwapIns:   l.SwapIns,
+			Thrash:    t.thrashAt(l, now),
+			PingPongs: l.pingPongs,
+			LastTouch: l.last,
+		})
+	})
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Score != out[j].Score {
 			return out[i].Score > out[j].Score
@@ -426,64 +415,34 @@ func (t *Tracker) HeatSnapshot() []ClusterHeat {
 // HeatClassOf returns the current class of one cluster (ClassCold for
 // clusters never touched).
 func (t *Tracker) HeatClassOf(cluster uint32) string {
-	if t == nil {
-		return ClassCold
+	for _, h := range t.HeatSnapshot() {
+		if h.Cluster == cluster {
+			return h.Class
+		}
 	}
-	now := t.clock.Now()
-	sh := t.shard(cluster)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	cs := sh.clusters[cluster]
-	if cs == nil {
-		return ClassCold
-	}
-	cs.decayTo(now, t.opt.HeatHalfLife)
-	t.reclassify(cs)
-	return cs.class
+	return ClassCold
 }
 
 // Counts returns how many tracked clusters are currently hot, warm and cold.
 func (t *Tracker) Counts() (hot, warm, cold int) {
-	if t == nil {
-		return 0, 0, 0
-	}
-	now := t.clock.Now()
-	for _, sh := range t.shards {
-		sh.mu.Lock()
-		for _, cs := range sh.clusters {
-			cs.decayTo(now, t.opt.HeatHalfLife)
-			t.reclassify(cs)
-			switch cs.class {
-			case ClassHot:
-				hot++
-			case ClassWarm:
-				warm++
-			default:
-				cold++
-			}
+	for _, h := range t.HeatSnapshot() {
+		switch h.Class {
+		case ClassHot:
+			hot++
+		case ClassWarm:
+			warm++
+		default:
+			cold++
 		}
-		sh.mu.Unlock()
 	}
 	return hot, warm, cold
 }
 
 // ThrashScore returns the decayed ping-pong score of the worst cluster.
 // Pure read: it does not move the health-check hysteresis state.
-func (t *Tracker) ThrashScore() float64 {
-	if t == nil {
-		return 0
-	}
-	now := t.clock.Now()
-	var worst float64
-	for _, sh := range t.shards {
-		sh.mu.Lock()
-		for _, cs := range sh.clusters {
-			cs.decayThrashTo(now, t.opt.ThrashHalfLife)
-			if cs.thrash > worst {
-				worst = cs.thrash
-			}
-		}
-		sh.mu.Unlock()
+func (t *Tracker) ThrashScore() (worst float64) {
+	for _, h := range t.HeatSnapshot() {
+		worst = max(worst, h.Thrash)
 	}
 	return worst
 }

@@ -7,11 +7,57 @@ import (
 	"objectswap/internal/obs"
 )
 
-func newTestTracker(t *testing.T, opt Options) (*Tracker, *obs.Registry, *obs.VirtualClock) {
+// fed is a Tracker together with a stand-in for the swapping manager that
+// feeds it: it holds the ledgers, counts the way core's one writer does, and
+// is the iteration the tracker reads through. Its Touch, RecordSwap and
+// SetSizeOf keep the signatures the tests below were written against.
+type fed struct {
+	*Tracker
+	ledgers map[uint32]*Ledger
+	sizeOf  func(uint32) int64
+}
+
+func (f *fed) ledger(id uint32) *Ledger {
+	if f.ledgers[id] == nil {
+		f.ledgers[id] = &Ledger{}
+	}
+	return f.ledgers[id]
+}
+
+func (f *fed) Touch(id uint32, crossing bool) {
+	l := f.ledger(id)
+	l.Touches++
+	if crossing {
+		l.Crossings++
+	}
+	f.Tracker.Touch(l, f.Now())
+}
+
+func (f *fed) RecordSwap(op string, id uint32, cause string, seconds float64, _ int64) {
+	f.RecordFault(op, cause, seconds)
+	switch l := f.ledger(id); op {
+	case "swap_out":
+		l.SwapOuts++
+		f.SwappedOut(l, f.Now())
+	case "swap_in":
+		l.SwapIns++
+		f.SwappedIn(l, f.Now())
+	}
+}
+
+func (f *fed) SetSizeOf(fn func(uint32) int64) { f.sizeOf = fn }
+
+func newTestTracker(t *testing.T, opt Options) (*fed, *obs.Registry, *obs.VirtualClock) {
 	t.Helper()
 	clock := obs.NewVirtualClock(time.Unix(1000, 0))
 	reg := obs.NewRegistry(clock)
-	return New(reg, opt), reg, clock
+	f := &fed{Tracker: New(reg, opt), ledgers: make(map[uint32]*Ledger)}
+	f.Watch(func(visit func(uint32, *Ledger, func() int64)) {
+		for id, l := range f.ledgers {
+			visit(id, l, func() int64 { return f.sizeOf(id) })
+		}
+	})
+	return f, reg, clock
 }
 
 // The heat EWMA must decay deterministically under the virtual clock: one
@@ -232,9 +278,13 @@ func TestWSSWindowing(t *testing.T) {
 // Nil trackers are inert: every method is callable without panicking.
 func TestNilTrackerSafe(t *testing.T) {
 	var tr *Tracker
-	tr.Touch(1, true)
-	tr.RecordSwap("swap_out", 1, "explicit", 0.1, 1)
-	tr.SetSizeOf(func(uint32) int64 { return 0 })
+	var l Ledger
+	tr.Touch(&l, tr.Now())
+	tr.SwappedOut(&l, tr.Now())
+	tr.SwappedIn(&l, tr.Now())
+	tr.RecordFault("swap_out", "explicit", 0.1)
+	tr.RecordPrefetchHit(0.1)
+	tr.Watch(nil)
 	if s := tr.HeatSnapshot(); s != nil {
 		t.Fatalf("nil HeatSnapshot = %v", s)
 	}
@@ -252,5 +302,52 @@ func TestNilTrackerSafe(t *testing.T) {
 	}
 	if tr.HeatClassOf(3) != ClassCold {
 		t.Fatal("nil HeatClassOf not cold")
+	}
+}
+
+// A merge leaves one ledger carrying both histories — counters summed, the
+// later recency, the hotter heat and thrash as of the later touch — and a
+// ledger that goes takes its cluster out of every reading, sealed WSS samples
+// included.
+func TestMergeAndDrop(t *testing.T) {
+	tr, _, clock := newTestTracker(t, Options{
+		HeatHalfLife: 10 * time.Second, ThrashHalfLife: 10 * time.Second,
+		WSSInterval: time.Second, WSSWindow: time.Minute,
+	})
+	tr.SetSizeOf(func(uint32) int64 { return 100 })
+	for i := 0; i < 8; i++ {
+		tr.Touch(1, true)
+	}
+	tr.RecordSwap("swap_out", 1, "explicit", 0, 0)
+	tr.RecordSwap("swap_in", 1, "reload", 0, 0) // one ping-pong
+	tr.ledger(1).LastAccess = 3
+	clock.Advance(10 * time.Second) // cluster 1: heat 8 -> 4, thrash 1 -> 0.5
+	tr.Touch(2, false)
+	tr.ledger(2).LastAccess = 9
+	if c, _ := tr.WSS(0); c != 2 { // seals {1} and leaves {2} open
+		t.Fatalf("WSS before the merge = %d clusters, want 2", c)
+	}
+
+	tr.Merge(tr.ledger(2), tr.ledger(1))
+	delete(tr.ledgers, 1)
+	snap := tr.HeatSnapshot()
+	if len(snap) != 1 || snap[0].Cluster != 2 {
+		t.Fatalf("snapshot after the merge = %+v, want only the survivor", snap)
+	}
+	got := snap[0]
+	if got.Touches != 9 || got.Crossings != 8 || got.SwapOuts != 1 || got.SwapIns != 1 || got.PingPongs != 1 ||
+		tr.ledger(2).LastAccess != 9 {
+		t.Fatalf("survivor counters = %+v, want the sums and the later recency", got)
+	}
+	if got.Score != 4 || got.Class != ClassHot || got.Thrash != 0.5 || !got.LastTouch.Equal(clock.Now()) {
+		t.Fatalf("survivor heat = %+v, want the hotter score 4/hot, thrash 0.5, touched now", got)
+	}
+	if c, b := tr.WSS(0); c != 1 || b != 100 {
+		t.Fatalf("WSS after the merge = %d clusters/%d bytes, want the survivor alone", c, b)
+	}
+	for _, s := range tr.WSSSeries(0) {
+		if s.Clusters > 1 {
+			t.Fatalf("series still counts the merged-away cluster: %+v", s)
+		}
 	}
 }

@@ -12,102 +12,70 @@ type WSSSample struct {
 	Bytes    int64     `json:"bytes"`
 }
 
-// rollUp seals the current sampling interval if it has elapsed and returns
-// the current time. Must be called with no core locks held: sealing invokes
-// the SizeOf callback, which may itself take core locks.
-func (t *Tracker) rollUp() time.Time {
+// measure walks the tracked clusters once: sizes holds the footprint of
+// every cluster touched at or after since, known every id that exists.
+func (t *Tracker) measure(since time.Time) (sizes map[uint32]int64, known map[uint32]bool) {
+	sizes, known = make(map[uint32]int64), make(map[uint32]bool)
+	t.each(func(id uint32, l *Ledger, size func() int64) {
+		known[id] = true
+		if !l.last.Before(since) {
+			sizes[id] = size()
+		}
+	})
+	return sizes, known
+}
+
+// read seals the open sampling interval if it has elapsed and returns the
+// sealed samples inside the window, oldest first, and the open interval, each
+// reduced to the clusters that still exist: a cluster the manager has dropped
+// leaves the window with its record. Must not be called with core locks held.
+func (t *Tracker) read(window time.Duration) (sealed []wssSample, open wssSample) {
+	if window <= 0 {
+		window = t.opt.WSSWindow
+	}
 	now := t.clock.Now()
 	t.wssMu.Lock()
-	t.rollUpLocked(now)
-	t.wssMu.Unlock()
-	return now
-}
-
-func (t *Tracker) rollUpLocked(now time.Time) {
-	if t.curStart.IsZero() {
+	defer t.wssMu.Unlock()
+	if now.Sub(t.curStart) >= t.opt.WSSInterval {
+		sizes, _ := t.measure(t.curStart)
+		t.samples = append(t.samples, wssSample{start: t.curStart, end: now, sizes: sizes})
+		if len(t.samples) > maxWSSSamples {
+			// Re-slice into a fresh array so the dropped head can be collected.
+			t.samples = append([]wssSample(nil), t.samples[len(t.samples)-maxWSSSamples:]...)
+		}
 		t.curStart = now
-		return
 	}
-	if now.Sub(t.curStart) < t.opt.WSSInterval {
-		return
-	}
-	ids := t.drainTouched()
-	sample := wssSample{start: t.curStart, end: now, sizes: make(map[uint32]int64, len(ids))}
-	for _, id := range ids {
-		var b int64
-		if t.sizeOf != nil {
-			b = t.sizeOf(id)
+	sizes, known := t.measure(t.curStart)
+	open = wssSample{start: t.curStart, end: now, sizes: sizes}
+	cutoff := now.Add(-window)
+	for _, s := range t.samples {
+		if !s.end.After(cutoff) {
+			continue
 		}
-		sample.sizes[id] = b
-	}
-	t.samples = append(t.samples, sample)
-	if len(t.samples) > maxWSSSamples {
-		// Re-slice into a fresh array so the dropped head can be collected.
-		t.samples = append([]wssSample(nil), t.samples[len(t.samples)-maxWSSSamples:]...)
-	}
-	t.curStart = now
-}
-
-// drainTouched collects and clears every shard's current-interval touch set.
-// Shard locks are leaf locks, taken one at a time with no core locks held.
-func (t *Tracker) drainTouched() []uint32 {
-	var ids []uint32
-	for _, sh := range t.shards {
-		sh.mu.Lock()
-		for id := range sh.touched {
-			ids = append(ids, id)
+		kept := wssSample{start: s.start, end: s.end, sizes: make(map[uint32]int64, len(s.sizes))}
+		for id, b := range s.sizes {
+			if known[id] {
+				kept.sizes[id] = b
+			}
 		}
-		sh.touched = make(map[uint32]struct{})
-		sh.mu.Unlock()
+		sealed = append(sealed, kept)
 	}
-	return ids
-}
-
-// peekTouched returns the current (unsealed) interval's touch set without
-// clearing it, so reads reflect activity since the last seal.
-func (t *Tracker) peekTouched() []uint32 {
-	var ids []uint32
-	for _, sh := range t.shards {
-		sh.mu.Lock()
-		for id := range sh.touched {
-			ids = append(ids, id)
-		}
-		sh.mu.Unlock()
-	}
-	return ids
+	return sealed, open
 }
 
 // WSS returns the working-set estimate over the given window (0 selects the
 // default window): the number of distinct clusters touched and the byte
-// footprint, counting each cluster's most recent measurement. The live
+// footprint, counting each cluster's most recent measurement. The open
 // (unsealed) interval is included so a scrape right after activity is not
 // blind for up to one interval. Must not be called with core locks held.
 func (t *Tracker) WSS(window time.Duration) (clusters int, bytes int64) {
 	if t == nil {
 		return 0, 0
 	}
-	if window <= 0 {
-		window = t.opt.WSSWindow
-	}
-	now := t.rollUp()
-	cutoff := now.Add(-window)
-	t.wssMu.Lock()
-	defer t.wssMu.Unlock()
+	sealed, open := t.read(window)
 	union := make(map[uint32]int64)
-	for _, s := range t.samples {
-		if !s.end.After(cutoff) {
-			continue
-		}
+	for _, s := range append(sealed, open) {
 		for id, b := range s.sizes {
-			union[id] = b
-		}
-	}
-	for _, id := range t.peekTouched() {
-		if _, ok := union[id]; !ok {
-			var b int64
-			if t.sizeOf != nil {
-				b = t.sizeOf(id)
-			}
 			union[id] = b
 		}
 	}
@@ -118,38 +86,23 @@ func (t *Tracker) WSS(window time.Duration) (clusters int, bytes int64) {
 }
 
 // WSSSeries returns the per-interval samples inside the window, oldest
-// first, with a trailing partial sample for the live interval when it has
+// first, with a trailing partial sample for the open interval when it has
 // any activity. Must not be called with core locks held.
 func (t *Tracker) WSSSeries(window time.Duration) []WSSSample {
 	if t == nil {
 		return nil
 	}
-	if window <= 0 {
-		window = t.opt.WSSWindow
+	sealed, open := t.read(window)
+	if len(open.sizes) > 0 {
+		sealed = append(sealed, open)
 	}
-	now := t.rollUp()
-	cutoff := now.Add(-window)
-	t.wssMu.Lock()
-	defer t.wssMu.Unlock()
 	var out []WSSSample
-	for _, s := range t.samples {
-		if !s.end.After(cutoff) {
-			continue
-		}
+	for _, s := range sealed {
 		var b int64
 		for _, sz := range s.sizes {
 			b += sz
 		}
 		out = append(out, WSSSample{Start: s.start, End: s.end, Clusters: len(s.sizes), Bytes: b})
-	}
-	if live := t.peekTouched(); len(live) > 0 {
-		var b int64
-		for _, id := range live {
-			if t.sizeOf != nil {
-				b += t.sizeOf(id)
-			}
-		}
-		out = append(out, WSSSample{Start: t.curStart, End: now, Clusters: len(live), Bytes: b})
 	}
 	return out
 }

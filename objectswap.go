@@ -131,8 +131,6 @@ type Config struct {
 	// Policies is an XML policy document to load; when empty, the default
 	// swap-coldest-on-pressure machine policy is installed.
 	Policies []byte
-	// DeviceSelection picks swap-out destinations (default most-free).
-	DeviceSelection store.SelectStrategy
 	// KeepOnReload retains device copies after swap-in (for versioning
 	// scenarios).
 	KeepOnReload bool
@@ -250,7 +248,7 @@ func New(cfg Config) (*System, error) {
 	}
 	bus := event.NewBus(event.WithClock(reg.Clock()), event.WithRegistry(reg),
 		event.WithFlightRecorder(recorder))
-	devices := store.NewRegistry(cfg.DeviceSelection)
+	devices := store.NewRegistry(store.SelectMostFree)
 
 	// Ring overwrites surface as objectswap_flight_dropped_total{kind}.
 	recorder.Instrument(reg)
@@ -281,20 +279,6 @@ func New(cfg Config) (*System, error) {
 	}
 	rt := core.NewRuntime(h, heap.NewRegistry(), opts...)
 	h.Instrument(reg, rt.Name())
-	// WSS samples measure each touched cluster at seal time: resident bytes
-	// while loaded, last shipped payload size while swapped out. The
-	// callback takes core locks, which is safe — the tracker only invokes
-	// it from read paths (scrapes, endpoints) that hold none.
-	telem.SetSizeOf(func(cluster uint32) int64 {
-		info, err := rt.Manager().Info(core.ClusterID(cluster))
-		if err != nil {
-			return 0
-		}
-		if info.Swapped {
-			return int64(info.PayloadBytes)
-		}
-		return info.ResidentBytes
-	})
 
 	conn := devctx.NewConnectivityMonitor(bus, devices)
 	conn.Instrument(reg)

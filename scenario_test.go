@@ -81,7 +81,6 @@ func runPDA(id int, masterURL, store1URL, store2URL string, items int, swaps *at
 	sys, err := New(Config{
 		HeapCapacity:    16 << 10,
 		MemoryThreshold: 0.5,
-		DeviceSelection: store.SelectRoundRobin,
 	})
 	if err != nil {
 		return err

@@ -22,9 +22,10 @@ import (
 )
 
 // TestHeatRankingMatchesEvictionOrder drives four clusters through proxy
-// crossings under a virtual clock and asserts the heat classification agrees
-// with the coldest-first victim order: no hot cluster may be selected for
-// eviction before a cold one.
+// crossings under a virtual clock. Heat class and victim order are two
+// readings of the one ledger each crossing feeds, so what it pins is the
+// arithmetic on top: hammered clusters read hot and idle ones cold after the
+// decay, and no hot cluster is selected for eviction before a cold one.
 func TestHeatRankingMatchesEvictionOrder(t *testing.T) {
 	clock := obs.NewVirtualClock(time.Unix(0, 0))
 	sys, err := New(Config{HeapCapacity: 1 << 20, Clock: clock})
@@ -39,8 +40,8 @@ func TestHeatRankingMatchesEvictionOrder(t *testing.T) {
 	clusters := buildClusters(t, sys, cls, 4)
 
 	// Swap every cluster out and fault it back through its root: from here
-	// on, each root invocation is a boundary crossing that feeds both the
-	// manager's recency clock and the heat tracker.
+	// on, each root invocation is a boundary crossing that dates the
+	// cluster's ledger on both clocks, the recency tick and the heat time.
 	invoke := func(i int) {
 		t.Helper()
 		root, err := sys.MustRoot(string(rune('a' + i)))
