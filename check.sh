@@ -100,6 +100,20 @@ if [ -n "$MAPS" ] || [ "$WRITERS" != "internal/core/ledger.go" ] || [ -n "$IFACE
     printf '%s\n%s\n%s\n' "$MAPS" "$WRITERS" "$IFACES" >&2
     exit 1
 fi
+# Guard: a cluster's donor copy is one record with one rule. cs.base — the
+# retained copy a clean swap-out leaves on — is assigned in internal/core/state.go
+# (anchor, forget, rehome) and in no other non-test file; a reload tells no
+# donor to drop anything (no dropAll( in swapin.go: the rotation in
+# swapOut.finish is where a stale copy goes); and the knob that used to keep
+# the copy without using it is gone from every non-test Go file.
+ANCHORS=$(grep -lE 'cs\.base(\.[[:alnum:]_]+)*[[:space:]]*(,[^=;]*)?=[^=]' internal/core/*.go | grep -v '_test\.go$' || true)
+RELOADDROPS=$(grep -n 'dropAll(' internal/core/swapin.go || true)
+KNOBS=$(grep -rnE '[kK]eepOnReload' --include='*.go' . | grep -v '_test\.go:' || true)
+if [ "$ANCHORS" != "internal/core/state.go" ] || [ -n "$RELOADDROPS" ] || [ -n "$KNOBS" ]; then
+    echo "retained copy forked (want cs.base assigned only in internal/core/state.go, no dropAll( in swapin.go, no KeepOnReload):" >&2
+    printf '%s\n%s\n%s\n' "$ANCHORS" "$RELOADDROPS" "$KNOBS" >&2
+    exit 1
+fi
 # Fault-storm smoke: 64 goroutines faulting 8 swapped clusters must issue
 # exactly 8 donor fetches (single-flight coalescing), race-clean at
 # GOMAXPROCS 1 and 4.
@@ -110,9 +124,10 @@ go test -race -run '^TestFaultStormCoalesces$' -count=1 -cpu 1,4 ./internal/core
 # reclaims nothing allocates nothing.
 go test -run '^TestEvictionBudget$' -count=1 ./internal/core/
 # Swap-allocation budget gate (host-independent counts): one SwapOut + SwapIn
-# of a 32-object x 128 B cluster in the binary format allocates at most 8x the
-# frame it ships, and the encode side nothing that grows with the object
-# count once the encoder pool is warm.
+# of a written 32-object x 128 B cluster in the binary format allocates at most
+# 8x the frame it ships, and the encode side nothing that grows with the object
+# count once the encoder pool is warm; an unwritten one leaves with no store
+# call and 21 allocations at any size.
 go test -run '^TestSwapRoundTripBudget$' -count=1 ./internal/core/
 go test -run '^TestCollectAllocatesNothingOnUnchangedHeap$' -count=1 ./internal/heap/
 # Fault-bench smoke (host-independent counts): a pointer chase with the

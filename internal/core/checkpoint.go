@@ -73,11 +73,11 @@ type ckptCluster struct {
 	Replicas []ckptReplica  `xml:"replica"`
 	Members  []ckptMember   `xml:"member"`
 	Out      []ckptOutbound `xml:"outbound"`
-	// Base records the delta-anchor shipment donors still hold, when the
-	// runtime ships deltas. Only the key, format and donor set survive the
-	// checkpoint — the base membership/slot snapshot does not, so a restored
-	// base supports donor-side cleanup and delta *decoding*, while the first
-	// post-restore swap-out ships full (and re-anchors a complete base).
+	// Base records the retained copy: the last full shipment donors still
+	// hold. Only the key, format and donor set survive the checkpoint — the
+	// membership/slot tables do not, so a restored copy supports donor-side
+	// cleanup and delta *decoding*, while the first post-restore swap-out
+	// ships full (and anchors a complete one).
 	Base *ckptBase `xml:"base,omitempty"`
 	// Doc holds the XML wrapping of a resident cluster's objects.
 	Doc string `xml:"doc,omitempty"`
@@ -363,14 +363,18 @@ func (rt *Runtime) LoadCheckpoint(r io.Reader) error {
 				m.mu.Unlock()
 				return fmt.Errorf("%w: swapped cluster %d has no replica devices", ErrBadCheckpoint, cid)
 			}
-			cs.shipment = shipment{devices: devices, key: ck.Key, payloadBytes: ck.Payload,
-				bytesAtSwap: ck.Bytes, crc: ck.CRC, format: ck.Format}
+			cs.shipment = shipment{bytesAtSwap: ck.Bytes, donorCopy: donorCopy{devices: devices,
+				key: ck.Key, payloadBytes: ck.Payload, crc: ck.CRC, format: ck.Format}}
 		}
 		if ck.Base != nil {
-			cs.base = shipmentBase{key: ck.Base.Key, format: ck.Base.Format, crc: ck.Base.CRC}
+			// Without the member and slot tables the copy anchors nothing: a
+			// restored resident cluster ships in full (and the rotation drops
+			// this key), a restored swapped one re-anchors when it reloads.
+			base := donorCopy{key: ck.Base.Key, format: ck.Base.Format, crc: ck.Base.CRC}
 			for _, r := range ck.Base.Replicas {
-				cs.base.devices = append(cs.base.devices, r.Device)
+				base.devices = append(base.devices, r.Device)
 			}
+			m.anchor(cs, base, nil, nil)
 		}
 		ts.mu.Lock()
 		ts.put(cs)

@@ -145,7 +145,12 @@ type SwapEvent struct {
 	Device  string
 	Key     string
 	Objects int
-	Bytes   int // shipped payload size (in the negotiated wire format)
+	Bytes   int // payload bytes moved over the link (in the negotiated wire format)
+	// Clean marks a swap-out that shipped nothing: the cluster was unchanged
+	// since its retained copy was anchored and left on it (Bytes 0, no store
+	// call). Key, Format and Replicas are the retained copy's; Requested,
+	// Quorum and Attempted are zero — no shipment was planned.
+	Clean bool
 	// Format is the wire format the payload moved in ("xml", "binary",
 	// "binary+flate", "delta"). Empty on events not tied to one transfer.
 	Format string
@@ -166,14 +171,16 @@ type SwapEvent struct {
 	// settled: rejected swap-out destinations (failover trail), or dead
 	// replicas a swap-in fell through before one served the payload.
 	Attempted []string
-	// Replicas is the full replica set holding the shipment after the
-	// operation, primary (Device) first. A singleton under the default
-	// replication factor of 1; empty on swap-in completion (the copies are
-	// dropped).
+	// Replicas is the full replica set holding the payload after the
+	// operation, primary (Device) first; a singleton under the default
+	// replication factor of 1. On swap-in completion it is the set that keeps
+	// the payload as the cluster's retained copy (empty after a delta, whose
+	// own frame is dropped).
 	Replicas []string
 	// Phases is the per-phase timing and byte breakdown of the completed
 	// operation (reserve → snapshot → negotiate → encode → ship → commit for
-	// a swap-out; reserve → fetch → decode → evict → install for a swap-in),
+	// a swap-out, reserve → snapshot → commit for a clean one; reserve →
+	// fetch → decode → evict → install for a swap-in),
 	// as recorded by the runtime's tracer. Empty on mid-flight events
 	// (failover, drop).
 	Phases []obs.Phase
@@ -203,8 +210,8 @@ type Runtime struct {
 	defaultReplicas int
 	// wireFormats is the shipment-format preference order (see WithWireFormats).
 	// Donors that do not advertise a preferred format get the next one; XML is
-	// the implicit universal fallback. Listing wire.FormatDelta opts the
-	// runtime into delta re-shipment.
+	// the implicit universal fallback. Listing wire.FormatDelta lets a dirty
+	// cluster ship as a delta against its retained copy.
 	wireFormats []string
 
 	// evictor is invoked on allocation failure to free memory (the policy
@@ -237,10 +244,9 @@ type Runtime struct {
 	// evictor, whose swap-outs would deadlock on the held shard locks.
 	mutatingCount atomic.Int32
 
-	keepOnReload bool
-	name         string
-	keyseq       atomic.Uint64
-	evicting     atomic.Bool
+	name     string
+	keyseq   atomic.Uint64
+	evicting atomic.Bool
 	// evictStart is the registry-clock start time (unix nanos) of the
 	// in-flight eviction, 0 when idle. Health checks use it to spot a wedged
 	// evictor.
@@ -325,13 +331,6 @@ func WithLogger(lg *olog.Logger) Option {
 // completed swap faults.
 func WithTelemetry(t *telemetry.Tracker) Option {
 	return func(rt *Runtime) { rt.telem = t }
-}
-
-// WithKeepOnReload keeps the XML copy on the device after a successful
-// swap-in instead of dropping it (useful for versioning/reconciliation
-// scenarios the paper mentions).
-func WithKeepOnReload() Option {
-	return func(rt *Runtime) { rt.keepOnReload = true }
 }
 
 // WithName sets the device's name, which prefixes every storage key it
@@ -422,11 +421,10 @@ func NewRuntime(h *heap.Heap, reg *heap.Registry, opts ...Option) *Runtime {
 	if src, ok := rt.stores.(placement.Source); ok && rt.stores != nil {
 		rt.placer = placement.New(src, placement.Options{Obs: rt.obsReg, Logger: rt.logger})
 	}
-	if rt.deltaEnabled() {
-		// Delta re-shipment needs to know which members changed since the
-		// base. The observer coexists with replication's SetWriteObserver slot.
-		h.AddWriteObserver(rt.markDirty)
-	}
+	// A cluster leaves without a byte only while nothing was written since its
+	// retained copy was anchored. The observer coexists with replication's
+	// SetWriteObserver slot.
+	h.AddWriteObserver(rt.markDirty)
 	if rt.telem != nil {
 		// Heat tracking consumes every observed access: field writes arrive
 		// via the heap's access observers, read-side dispatches via
@@ -445,8 +443,8 @@ func NewRuntime(h *heap.Heap, reg *heap.Registry, opts ...Option) *Runtime {
 	return rt
 }
 
-// deltaEnabled reports whether the runtime was opted into delta re-shipment
-// (wire.FormatDelta listed in the format preferences).
+// deltaEnabled reports whether a dirty cluster may ship as a delta against its
+// retained copy (wire.FormatDelta listed in the format preferences).
 func (rt *Runtime) deltaEnabled() bool {
 	for _, f := range rt.wireFormats {
 		if f == string(wire.FormatDelta) {
@@ -477,11 +475,17 @@ func (rt *Runtime) shipFormats() []string {
 	return out
 }
 
-// markDirty is the write observer feeding delta re-shipment: a field write on
-// a resident member of a cluster with a recorded base marks that member for
-// the next delta. Replacement-objects and proxies are not cluster members,
-// so middleware writes fall through.
+// markDirty is the write observer: a field write on a resident member of a
+// cluster with a retained copy marks that member, so the next swap-out ships
+// (all of it, or a delta holding the marked members) instead of leaving on the
+// copy. Replacement-objects and proxies are not cluster members, so
+// middleware writes fall through; and until the first copy is anchored there
+// is nothing to be dirty against, so a runtime that never swaps pays one
+// atomic load per write.
 func (rt *Runtime) markDirty(oid heap.ObjID) {
+	if !rt.mgr.retaining.Load() {
+		return
+	}
 	info, ok := rt.mgr.member(oid)
 	if !ok {
 		return

@@ -131,6 +131,20 @@ func (f *fixture) buildList(t testing.TB, n, perCluster, payloadLen int) ([]heap
 	return ids, clusters
 }
 
+// dirty rewrites object id's first field with the value it already holds: a
+// write the observer sees, so the object's cluster ships at its next swap-out
+// instead of leaving on its retained copy, and everything reads as before.
+func (f *fixture) dirty(t testing.TB, id heap.ObjID) {
+	t.Helper()
+	o, err := f.rt.h.Get(id)
+	if err == nil {
+		err = o.SetField(0, o.Field(0))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func (f *fixture) head(t testing.TB) heap.Value {
 	t.Helper()
 	v, ok := f.rt.Root("head")

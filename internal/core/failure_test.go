@@ -376,7 +376,7 @@ func TestDropAbandonedAfterRetryBudget(t *testing.T) {
 	f, flakies, bus := failoverFixture(t)
 	flaky := flakies["donor-a"]
 	f.reg.Remove("donor-b")
-	_, clusters := f.buildList(t, 20, 10, 8)
+	ids, clusters := f.buildList(t, 20, 10, 8)
 	if _, err := f.rt.SwapOut(clusters[1]); err != nil {
 		t.Fatal(err)
 	}
@@ -389,11 +389,16 @@ func TestDropAbandonedAfterRetryBudget(t *testing.T) {
 		}
 	})
 
-	// The reload succeeds but the device refuses to discard the stale copy:
-	// the drop is deferred, retried a bounded number of times, then abandoned.
+	// The cluster is reloaded, written and shipped again, but the device
+	// refuses to discard the copy that shipment made stale: the drop is
+	// deferred, retried a bounded number of times, then abandoned.
 	flaky.FailNext(store.OpDrop, -1)
 	f.rt.Manager().SetDropRetryLimit(2)
 	if _, err := f.rt.SwapIn(clusters[1]); err != nil {
+		t.Fatal(err)
+	}
+	f.dirty(t, ids[10])
+	if _, err := f.rt.SwapOut(clusters[1]); err != nil {
 		t.Fatal(err)
 	}
 	if got := f.rt.Manager().PendingDrops(); got != 1 {

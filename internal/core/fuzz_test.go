@@ -159,6 +159,7 @@ func FuzzCheckpoint(f *testing.F) {
 		}
 
 		// Every swapped cluster faults back in intact.
+		var reloaded []ClusterID
 		for _, c := range clusters {
 			if !rt2.Manager().IsSwapped(c) {
 				continue
@@ -166,6 +167,37 @@ func FuzzCheckpoint(f *testing.F) {
 			if _, err := rt2.SwapIn(c); err != nil {
 				t.Fatalf("swap-in restored cluster %d: %v", c, err)
 			}
+			reloaded = append(reloaded, c)
+		}
+		// Reloaded and not written since, those clusters are clean (the restored
+		// records read their member and slot tables back from what was
+		// installed): they leave and return on the frames the donors hold, any
+		// number of times, and the frames stay byte-identical.
+		for _, c := range reloaded {
+			info, _ := rt2.Manager().Info(c)
+			donor, err := devices.Lookup(info.BaseDevices[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			frame, err := donor.Get(ctx, info.BaseKey)
+			if err != nil {
+				t.Fatalf("cluster %d retained copy: %v", c, err)
+			}
+			for cycle := 0; cycle < 3; cycle++ {
+				ev, err := rt2.SwapOut(c)
+				if err != nil || !ev.Clean || ev.Key != info.BaseKey {
+					t.Fatalf("cluster %d cycle %d: swap-out %+v, %v; want clean on %q", c, cycle, ev, err, info.BaseKey)
+				}
+				if _, err := rt2.SwapIn(c); err != nil {
+					t.Fatalf("cluster %d cycle %d: %v", c, cycle, err)
+				}
+			}
+			if now, err := donor.Get(ctx, info.BaseKey); err != nil || !bytes.Equal(now, frame) {
+				t.Fatalf("cluster %d: donor frame changed over clean cycles (%v)", c, err)
+			}
+		}
+		if errs := rt2.Manager().CheckInvariants(); len(errs) > 0 {
+			t.Fatalf("invariants after clean cycles: %v", errs)
 		}
 		for id, want := range wantTags {
 			o, err := rt2.Heap().Get(id)

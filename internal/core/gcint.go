@@ -2,9 +2,13 @@ package core
 
 import (
 	"context"
+	"errors"
+	"slices"
 
 	"objectswap/internal/event"
 	"objectswap/internal/heap"
+	"objectswap/internal/placement"
+	"objectswap/internal/store"
 )
 
 // Collect runs a local garbage collection integrated with swapping, per the
@@ -54,13 +58,13 @@ func (rt *Runtime) collect(cycles int) heap.CollectStats {
 }
 
 // sweepSwapped drops swapped clusters whose replacement-objects were
-// reclaimed. Every replica of a dead cluster is told to discard its copy;
+// reclaimed. Every replica of a dead cluster is told to discard its copy —
+// the shipment, and the retained copy where a delta shipment kept it apart;
 // replicas on unreachable donors go to the deferred-drop queue.
 func (rt *Runtime) sweepSwapped() {
 	type victim struct {
-		id   ClusterID
-		was  shipment
-		base shipmentBase // delta anchoring may retain a second payload; it dies too
+		id        ClusterID
+		was, base donorCopy
 	}
 	var victims []victim
 
@@ -75,7 +79,7 @@ func (rt *Runtime) sweepSwapped() {
 			if rt.h.Contains(cs.replacement) {
 				continue
 			}
-			victims = append(victims, victim{id, cs.shipment, cs.base})
+			victims = append(victims, victim{id, cs.donorCopy, cs.forget()})
 			for oid := range cs.objects {
 				delete(m.objects, oid)
 			}
@@ -98,7 +102,34 @@ func (rt *Runtime) sweepSwapped() {
 	}
 }
 
-// dropFromDevice instructs a device to discard a stored shipment.
+// shedRetained gives donors short of room their space back: every cluster
+// that is resident anyway forgets the copy it retains on any of the given
+// donors, and the donors are told to drop it. It returns how many copies
+// went; the clusters ship in full next time.
+func (rt *Runtime) shedRetained(ctx context.Context, donors []placement.Candidate) int {
+	type shed struct {
+		id   ClusterID
+		copy donorCopy
+	}
+	var sheds []shed
+	for _, ts := range rt.mgr.tabs {
+		ts.mu.Lock()
+		for id, cs := range ts.clusters {
+			if cs.where == resident && slices.ContainsFunc(donors,
+				func(c placement.Candidate) bool { return slices.Contains(cs.base.devices, c.Name) }) {
+				sheds = append(sheds, shed{id, cs.forget()})
+			}
+		}
+		ts.mu.Unlock()
+	}
+	for _, sh := range sheds {
+		rt.dropAll(ctx, sh.copy.devices, sh.copy.key, sh.id)
+	}
+	return len(sheds)
+}
+
+// dropFromDevice instructs a device to discard a stored shipment. A key the
+// device no longer holds (its lease lapsed, say) is discarded already.
 func (rt *Runtime) dropFromDevice(ctx context.Context, device, key string) error {
 	if rt.stores == nil {
 		return ErrNoStores
@@ -107,15 +138,27 @@ func (rt *Runtime) dropFromDevice(ctx context.Context, device, key string) error
 	if err != nil {
 		return err
 	}
-	return s.Drop(ctx, key)
+	if err := s.Drop(ctx, key); !errors.Is(err, store.ErrNotFound) {
+		return err
+	}
+	return nil
 }
 
-// deferDrop queues a failed drop for retry on the next collection (the
-// device may be temporarily unreachable).
+// deferDrop queues a drop for the next collection: one that failed (the
+// device may be temporarily unreachable), or one not worth a round trip on
+// the caller's path.
 func (m *Manager) deferDrop(device, key string, cluster ClusterID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.pendingDrops = append(m.pendingDrops, dropTicket{device: device, key: key, cluster: cluster})
+}
+
+// queueDrops is deferDrop for every replica of copy c, for a caller that
+// holds m.mu.
+func (m *Manager) queueDrops(c donorCopy, cluster ClusterID) {
+	for _, d := range c.devices {
+		m.pendingDrops = append(m.pendingDrops, dropTicket{device: d, key: c.key, cluster: cluster})
+	}
 }
 
 // DefaultDropRetryLimit bounds how many collections may re-attempt one
@@ -182,7 +225,9 @@ func (m *Manager) AbandonedDrops() int {
 // compact removes the membership records of the loaded-cluster objects a
 // collection just reclaimed (swept is heap.CollectStats.Swept), so cluster
 // statistics and swap-out payloads track the live graph. Most swept ids are
-// proxies and replacement-objects, which have no membership record.
+// proxies and replacement-objects, which have no membership record. A cluster
+// that loses its last member will never be swapped out again, so the copy it
+// retains on the donors is queued for dropping (retryDrops runs next).
 func (m *Manager) compact(swept []heap.ObjID) {
 	if len(swept) == 0 {
 		return
@@ -199,6 +244,9 @@ func (m *Manager) compact(swept []heap.ObjID) {
 		if cs, ok := ts.clusters[info.cluster]; ok && !cs.where.out() {
 			delete(cs.objects, oid)
 			delete(m.objects, oid)
+			if len(cs.objects) == 0 && cs.where == resident {
+				m.queueDrops(cs.forget(), cs.id)
+			}
 		}
 		ts.mu.Unlock()
 	}

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"objectswap/internal/heap"
 	"objectswap/internal/telemetry"
@@ -21,49 +22,67 @@ type objInfo struct {
 	class   string
 }
 
-// shipmentBase records the last full shipment of a cluster that donors still
-// hold, the anchor a delta re-shipment applies against. members is the
-// cluster's membership at base time (needed to compute the removed set);
-// it is not checkpointed, so a restored base supports key cleanup but not
-// delta encoding — the first post-restore swap-out ships full.
-type shipmentBase struct {
-	key     string
-	devices []string
-	format  string
-	// crc is the IEEE CRC32 of the base payload as shipped, verified when a
-	// delta decode fetches the base back (0 = unknown, legacy state).
-	crc     uint32
-	members []heap.ObjID
-	// slots is the base document's outbound slot table: the ultimate target
-	// of each outbound slot, in slot order. A delta re-shipment must keep
-	// this table as a prefix of its own so slot references encoded inside
-	// unchanged base objects still resolve after the merge.
-	slots []heap.ObjID
+// donorCopy names one payload the donors hold and what a fetch of it must
+// match. devices is the replica set, primary first (a singleton under the
+// default replication factor of 1); it is replaced, never edited in place.
+type donorCopy struct {
+	key          string
+	devices      []string
+	payloadBytes int
+	// crc is the IEEE CRC32 of the payload as shipped (every replica is
+	// byte-identical). Swap-in and repair verify fetched bytes against it,
+	// convicting a copy that rotted at rest and falling through to the next
+	// replica. 0 means unknown (state restored from a pre-checksum stream).
+	crc uint32
+	// format is the wire format of the payload ("" = XML, the pre-negotiation
+	// default). Informational: the payload self-describes.
+	format string
+	// leaseTTL is the shortest lease any of the donors grants a stored key
+	// (store.Stats.LeaseTTL at shipment; 0 = none of them expires keys), and
+	// leaseUntil the deadline the owner knows the copy is held to: the
+	// shipment time plus leaseTTL, moved forward by LeaseRenewed. Zero means
+	// no deadline.
+	leaseTTL   time.Duration
+	leaseUntil time.Time
 }
 
-// usable reports whether the base can anchor a delta (key known AND the
-// membership snapshot survived — false after a checkpoint restore).
+// primary is the best-ranked donor holding the copy ("" when there is none).
+func (c donorCopy) primary() string {
+	if len(c.devices) == 0 {
+		return ""
+	}
+	return c.devices[0]
+}
+
+// shipmentBase is the retained copy: the last full shipment of the cluster
+// its donors still hold, with what the owner needs to tell, locally, whether
+// the resident cluster still equals it. A cluster that does leaves without a
+// byte (swapOut.reserve); one that does not ships, and may ship only a delta
+// against it. members is the membership the payload holds, ascending; slots
+// is its outbound slot table, the ultimate target of each slot in slot order
+// (a delta must keep it as a prefix of its own so slot references inside
+// unchanged base objects still resolve). Neither is checkpointed, so a
+// restored copy supports cleanup and delta decoding but anchors nothing until
+// the cluster is next reloaded or shipped in full. Only anchor, forget and
+// rehome (state.go) write a record's base.
+type shipmentBase struct {
+	donorCopy
+	members []heap.ObjID
+	slots   []heap.ObjID
+}
+
+// usable reports whether the copy can stand in for the cluster or anchor a
+// delta (key known AND the membership table survived — false after a
+// checkpoint restore).
 func (b shipmentBase) usable() bool { return b.key != "" && len(b.members) > 0 }
 
 // shipment is the swapped-out side of a cluster record: the replacement-object
-// standing in for it and where its text is. devices is the replica set
-// holding the payload, primary first (a singleton under the default
-// replication factor of 1); it is replaced, never edited in place.
+// standing in for it and the copy a reload fetches.
 type shipment struct {
-	replacement  heap.ObjID
-	devices      []string
-	key          string
-	payloadBytes int
-	// crc is the IEEE CRC32 of the shipped payload (every replica is
-	// byte-identical). Swap-in and repair verify fetched bytes against it,
-	// detecting donor corruption at rest and falling through to the next
-	// replica. 0 means unknown (shipments recorded before checksumming).
-	crc uint32
+	replacement heap.ObjID
+	donorCopy
 	// bytesAtSwap is the resident size at swap-out, to pre-check reload room.
 	bytesAtSwap int64
-	// format is the wire format of the shipment ("" = XML, the
-	// pre-negotiation default). Informational: the payload self-describes.
-	format string
 }
 
 // clusterState is the SwappingManager's per-swap-cluster record.
@@ -83,22 +102,12 @@ type clusterState struct {
 	// shipment is zero while the members are on the heap.
 	shipment
 
-	// Delta re-shipment state (only populated when the runtime enables the
-	// delta format). base is the last full shipment donors still hold; dirty
-	// accumulates the members mutated since that base — relative to base, not
-	// to the last delta, so it is cleared only when a new full shipment
-	// becomes the base (full swap-out) or the base provably matches resident
-	// state (full swap-in).
+	// base is the retained copy and dirty the members written since it was
+	// anchored (markDirty) — relative to base, not to the last delta, so it
+	// resets only when a new full shipment becomes the base or a reload proves
+	// the base equals resident state.
 	base  shipmentBase
 	dirty map[heap.ObjID]bool
-}
-
-// primary is the best-ranked donor holding the shipment ("" while resident).
-func (s shipment) primary() string {
-	if len(s.devices) == 0 {
-		return ""
-	}
-	return s.devices[0]
 }
 
 // proxyKey identifies the unique swap-cluster-proxy for a
@@ -173,6 +182,10 @@ type Manager struct {
 	// clock is the recency clock advanced by boundary crossings and
 	// allocations; atomic so crossings on different shards never share a lock.
 	clock atomic.Uint64
+	// retaining is set by the first anchor of a usable copy and never reset:
+	// until a cluster has something to be dirty against, the write observer
+	// returns before it takes a lock.
+	retaining atomic.Bool
 }
 
 type dropTicket struct {
@@ -506,10 +519,15 @@ type ClusterInfo struct {
 	// Format is the wire format of the current shipment ("" while resident
 	// or for pre-negotiation XML shipments).
 	Format string
-	// BaseKey is the retained delta-base shipment's key ("" when the
-	// runtime is not delta-enabled or no base is anchored). Lease renewal
-	// covers it alongside Key — the base lives on donors too.
-	BaseKey    string
+	// BaseKey and BaseDevices name the retained copy: the last full shipment
+	// the donors still hold, which a clean swap-out reuses ("" and nil when
+	// none is anchored). While the cluster is swapped out it is Key itself, or
+	// the base a delta shipment applies against. Lease renewal covers it: a
+	// resident cluster's copy lives on its donors too.
+	BaseKey     string
+	BaseDevices []string
+	// Dirty counts the members written since the retained copy was anchored.
+	Dirty      int
 	Crossings  uint64
 	LastAccess uint64
 	SwapOuts   uint64
@@ -555,6 +573,8 @@ func (m *Manager) infoOf(cs *clusterState) ClusterInfo {
 		PayloadBytes: cs.payloadBytes,
 		Format:       cs.format,
 		BaseKey:      cs.base.key,
+		BaseDevices:  append([]string(nil), cs.base.devices...),
+		Dirty:        len(cs.dirty),
 		Crossings:    cs.ledger.Crossings,
 		LastAccess:   cs.ledger.LastAccess,
 		SwapOuts:     cs.ledger.SwapOuts,

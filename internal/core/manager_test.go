@@ -215,7 +215,7 @@ func TestRuntimeOptions(t *testing.T) {
 	mem := store.NewMem(0)
 	_ = devices.Add("d", mem)
 	rt := NewRuntime(heap.New(0), heap.NewRegistry(),
-		WithStores(devices), WithKeepOnReload(), WithName("my-pda"))
+		WithStores(devices), WithName("my-pda"))
 	node := newNodeClass()
 	rt.MustRegisterClass(node)
 	if rt.Name() != "my-pda" {
@@ -227,7 +227,7 @@ func TestRuntimeOptions(t *testing.T) {
 		t.Fatal("empty default name")
 	}
 
-	// KeepOnReload: the device copy survives a swap-in.
+	// The device copy survives a swap-in: it is the retained copy.
 	c := rt.Manager().NewCluster()
 	o, err := rt.NewObject(node, c)
 	if err != nil {
@@ -244,7 +244,7 @@ func TestRuntimeOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := mem.Get(ctx, ev.Key); err != nil {
-		t.Fatalf("KeepOnReload copy dropped: %v", err)
+		t.Fatalf("retained copy dropped: %v", err)
 	}
 
 	// ProxyTarget helper.

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"slices"
+	"time"
 
 	"objectswap/internal/heap"
 	"objectswap/internal/placement"
@@ -33,16 +35,31 @@ type shipPlan struct {
 	// by slot). A delta's slot table must keep it as a prefix so slot
 	// references inside unchanged base objects still resolve.
 	baseSlots []heap.ObjID
-	// ranked is the candidate list to ship over (nil for pinned shipments).
+	// ranked is the candidate list to ship over (for a pinned shipment, the
+	// one donor it is pinned to).
 	ranked []placement.Candidate
 	// replicas is the target replica count for this shipment.
 	replicas int
 }
 
-// negotiateDelta plans a dirty-only re-shipment. It declines (ok = false)
-// whenever a full shipment is required or simply better: delta not enabled,
-// destination pinned, no usable base, more than half the cluster dirty, or no
-// live base donor that accepts the delta format.
+// leaseTTL is the shortest lease any of the donors that took the shipment
+// grants a stored key, from the Stats probe that ranked them; 0 when none of
+// them expires keys.
+func (p *shipPlan) leaseTTL(replicas []string) time.Duration {
+	var ttl time.Duration
+	for _, c := range p.ranked {
+		if c.LeaseTTL > 0 && (ttl == 0 || c.LeaseTTL < ttl) && slices.Contains(replicas, c.Name) {
+			ttl = c.LeaseTTL
+		}
+	}
+	return ttl
+}
+
+// negotiateDelta plans a dirty-only re-shipment against the retained copy. It
+// declines (ok = false) whenever a full shipment is required or simply
+// better: delta not among the runtime's formats, destination pinned, no
+// usable base, more than half the cluster dirty, or no live base donor that
+// accepts the delta format.
 func (rt *Runtime) negotiateDelta(ctx context.Context, o swapOpts,
 	base shipmentBase, dirty map[heap.ObjID]bool, memberIDs []heap.ObjID) (shipPlan, bool) {
 	if !rt.deltaEnabled() || o.device != "" || !base.usable() || len(memberIDs) == 0 {
@@ -118,13 +135,14 @@ func (rt *Runtime) negotiateFull(ctx context.Context, o swapOpts, key string, k 
 		// Pinned destination: probe just that donor's advertisement. A failed
 		// probe negotiates down to XML — if the donor is truly gone the Put
 		// will report it, exactly as before negotiation existed.
-		format := string(wire.FormatXML)
+		format, pinned := string(wire.FormatXML), []placement.Candidate{{Name: o.device}}
 		if s, err := rt.stores.Lookup(o.device); err == nil {
 			if st, serr := s.Stats(ctx); serr == nil {
-				format = pickFormat(prefs, []placement.Candidate{{Name: o.device, Formats: st.Formats}}, 1)
+				pinned[0].Formats, pinned[0].LeaseTTL = st.Formats, st.LeaseTTL
+				format = pickFormat(prefs, pinned, 1)
 			}
 		}
-		return shipPlan{format: wire.FormatID(format), replicas: 1}, nil
+		return shipPlan{format: wire.FormatID(format), ranked: pinned, replicas: 1}, nil
 	}
 	if rt.placer == nil {
 		return shipPlan{}, ErrNoPlacement

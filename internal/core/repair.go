@@ -314,10 +314,10 @@ func (r *repair) ship() error {
 }
 
 // commit records the new replica set — on the record and on the
-// replacement-object — under the shard lock. The delta-base record follows
-// the repair: a full shipment that doubles as the base mirrors the new set
-// directly, a repaired delta keeps the base donors minus the pruned dead ones
-// plus the fresh copies made above.
+// replacement-object — under the shard lock. The retained copy follows the
+// repair (clusterState.rehome): a full shipment, which is the copy, mirrors
+// the new set directly; under a repaired delta the copy keeps its donors minus
+// the pruned dead ones plus the fresh copies made above.
 func (r *repair) commit() error {
 	rt := r.rt
 	r.newSet = append(r.live, r.fresh...)
@@ -327,15 +327,10 @@ func (r *repair) commit() error {
 	if repl, err := rt.h.Get(r.was.replacement); err == nil {
 		_ = repl.SetFieldByName(fldStore, heap.Str(strings.Join(newSet, ",")))
 	}
+	baseSet := slices.DeleteFunc(r.base.devices, func(d string) bool { return slices.Contains(r.dead, d) })
 	r.op.commit(swappedOut, func(cs *clusterState) {
-		cs.devices = newSet
 		r.baseKey = cs.base.key
-		if r.baseKey == cs.key {
-			cs.base.devices = newSet
-		} else if r.baseKey != "" {
-			cs.base.devices = slices.DeleteFunc(r.base.devices,
-				func(d string) bool { return slices.Contains(r.dead, d) })
-		}
+		cs.rehome(newSet, baseSet)
 	})
 	return nil
 }

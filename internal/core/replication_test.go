@@ -138,9 +138,11 @@ func TestSwapInFailsWhenAllReplicasDead(t *testing.T) {
 	checkClean(t, f.rt)
 }
 
-func TestReloadDropsEveryReplica(t *testing.T) {
+// A reload leaves the payload on every replica, as the retained copy; the
+// full shipment that replaces it drops the stale copy from every one of them.
+func TestRotationDropsEveryReplica(t *testing.T) {
 	f, flakies, _ := replFixture(t, 3, 2)
-	_, clusters := f.buildList(t, 20, 10, 8)
+	ids, clusters := f.buildList(t, 20, 10, 8)
 	ev, err := f.rt.SwapOut(clusters[1])
 	if err != nil {
 		t.Fatal(err)
@@ -149,12 +151,36 @@ func TestReloadDropsEveryReplica(t *testing.T) {
 	if _, err := f.rt.SwapIn(clusters[1]); err != nil {
 		t.Fatal(err)
 	}
-	for name, fl := range flakies {
-		if keys, _ := fl.Keys(ctx); len(keys) != 0 {
-			t.Fatalf("stale copy left on %s after reload: %v (replicas were %v)",
-				name, keys, ev.Replicas)
+	for _, name := range ev.Replicas {
+		if keys, _ := flakies[name].Keys(ctx); len(keys) != 1 || keys[0] != ev.Key {
+			t.Fatalf("%s holds %v after reload, want the retained copy %q", name, keys, ev.Key)
 		}
 	}
+	f.dirty(t, ids[10])
+	again, err := f.rt.SwapOut(clusters[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Clean || again.Key == ev.Key {
+		t.Fatalf("written cluster left on its stale copy: %+v", again)
+	}
+	for name, fl := range flakies {
+		for _, key := range mustKeys(t, fl) {
+			if key != again.Key {
+				t.Fatalf("stale copy left on %s after the rotation: %q (replicas were %v)",
+					name, key, ev.Replicas)
+			}
+		}
+	}
+}
+
+func mustKeys(t *testing.T, s store.Store) []string {
+	t.Helper()
+	keys, err := s.Keys(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return keys
 }
 
 func TestUnderReplicatedAndRepair(t *testing.T) {

@@ -55,7 +55,8 @@ func (rt *Runtime) MergeClusters(dst, src ClusterID) error {
 	unlockPair(lo, hi)
 
 	members := maps.Clone(moved)
-	if err := rt.checkInactive(src, members); err != nil {
+	isMember := func(oid heap.ObjID) bool { return members[oid] }
+	if err := rt.checkInactive(src, isMember); err != nil {
 		return err
 	}
 	dts := m.tab(dst)
@@ -64,7 +65,7 @@ func (rt *Runtime) MergeClusters(dst, src ClusterID) error {
 		members[oid] = true
 	}
 	dts.mu.Unlock()
-	if err := rt.checkInactive(dst, members); err != nil {
+	if err := rt.checkInactive(dst, isMember); err != nil {
 		return err
 	}
 
@@ -80,8 +81,12 @@ func (rt *Runtime) MergeClusters(dst, src ClusterID) error {
 	}
 	// The one place a merge decides what the survivor inherits: src's
 	// counters summed into its own, the later recency, the hotter heat and
-	// thrash. Dropping src's record drops the rest of its history.
+	// thrash. Dropping src's record drops the rest of its history. Neither
+	// retained copy holds the merged cluster: both are forgotten, and the
+	// donors told so at the next collection.
 	rt.telem.Merge(&ds.ledger, &ss.ledger)
+	m.queueDrops(ss.forget(), src)
+	m.queueDrops(ds.forget(), dst)
 	m.tab(src).drop(ss)
 	// Inbound proxies previously indexed under src now target dst members.
 	m.rehomeProxies(src, dst, nil)
@@ -132,7 +137,7 @@ func (rt *Runtime) SplitCluster(src ClusterID, members []heap.ObjID) (ClusterID,
 	}
 	all := maps.Clone(ss.objects)
 	sts.mu.Unlock()
-	if err := rt.checkInactive(src, all); err != nil {
+	if err := rt.checkInactive(src, func(oid heap.ObjID) bool { return all[oid] }); err != nil {
 		return 0, err
 	}
 
@@ -147,8 +152,10 @@ func (rt *Runtime) SplitCluster(src ClusterID, members []heap.ObjID) (ClusterID,
 		delete(ss.objects, oid)
 		fs.objects[oid] = true
 	}
-	// The fresh half starts no colder than the cluster it was cut from.
+	// The fresh half starts no colder than the cluster it was cut from, whose
+	// retained copy holds neither half.
 	fs.ledger.LastAccess = ss.ledger.LastAccess
+	m.queueDrops(ss.forget(), src)
 	// Inbound proxies whose ultimate moved follow it in the index.
 	m.rehomeProxies(src, fresh, fs.objects)
 	unlockPair(lo, hi)

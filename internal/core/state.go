@@ -154,3 +154,92 @@ func (rt *Runtime) settle(cs *clusterState, to residency, apply func(*clusterSta
 	}
 	ts.move(cs, to)
 }
+
+// The retained copy (DESIGN §6d). A cluster that has been shipped in full, or
+// reloaded from a full shipment, keeps that shipment on its donors as cs.base;
+// the three functions below are the only code that assigns it (check.sh greps
+// for it), each under the record's table-shard lock.
+
+// anchor records that the cluster's state equals copy c on the donors: it has
+// just been shipped in full (members and slots are what was encoded) or
+// reloaded from it. Nothing is dirty against a fresh anchor.
+func (m *Manager) anchor(cs *clusterState, c donorCopy, members, slots []heap.ObjID) {
+	cs.base = shipmentBase{donorCopy: c, members: members, slots: slots}
+	cs.dirty = nil
+	if len(members) > 0 {
+		m.retaining.Store(true)
+	}
+}
+
+// forget drops the record's claim on its retained copy and returns the copy,
+// which the caller owes the donors a Drop for (dropAll, or queueDrops under
+// m.mu). The next swap-out ships in full.
+func (cs *clusterState) forget() donorCopy {
+	c := cs.base.donorCopy
+	cs.base, cs.dirty = shipmentBase{}, nil
+	return c
+}
+
+// rehome records a repaired replica set: set now holds the shipment, and the
+// retained copy follows it — the same set when the shipment is the copy,
+// baseSet when the shipment is a delta against it.
+func (cs *clusterState) rehome(set, baseSet []string) {
+	cs.devices = set
+	switch cs.base.key {
+	case "":
+	case cs.key:
+		cs.base.devices = set
+	default:
+		cs.base.devices = baseSet
+	}
+}
+
+// cleanCopy returns the retained copy when, by everything the record knows,
+// the resident cluster still equals it: nothing written since the anchor and
+// the same members. The slot table and the donors are checked by the caller,
+// off the lock (swapOut.snapshot, Runtime.holds).
+func (cs *clusterState) cleanCopy() (shipmentBase, bool) {
+	b := cs.base
+	if !b.usable() || len(cs.dirty) != 0 || len(cs.objects) != len(b.members) {
+		return shipmentBase{}, false
+	}
+	for _, oid := range b.members {
+		if !cs.objects[oid] {
+			return shipmentBase{}, false
+		}
+	}
+	return b, true
+}
+
+// holds reports whether copy c can still be counted on, from what the owner
+// knows without a link operation: its lease has not run out and every donor
+// holding it resolves (a removed device or an open breaker does not).
+func (rt *Runtime) holds(c donorCopy) bool {
+	if !c.leaseUntil.IsZero() && !rt.obsReg.Clock().Now().Before(c.leaseUntil) {
+		return false
+	}
+	for _, d := range c.devices {
+		if _, err := rt.stores.Lookup(d); err != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// LeaseRenewed records that every donor holding cluster id's copy under key —
+// its shipment, its retained copy, or both at once — has just renewed the
+// key's lease: the owner may count on the copy for another leaseTTL.
+func (rt *Runtime) LeaseRenewed(id ClusterID, key string) {
+	ts := rt.mgr.tab(id)
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	cs, ok := ts.clusters[id]
+	if !ok {
+		return
+	}
+	for _, c := range [...]*donorCopy{&cs.shipment.donorCopy, &cs.base.donorCopy} {
+		if c.key == key && c.leaseTTL > 0 {
+			c.leaseUntil = rt.obsReg.Clock().Now().Add(c.leaseTTL)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"maps"
@@ -35,6 +36,12 @@ import (
 // operation (WithDeadline), pin the destination (WithDevice) or fail fast
 // (WithNoFailover).
 //
+// A cluster that is clean — nothing written since it was last reloaded or
+// shipped in full, same members, same outbound edges, its retained copy's
+// donors all reachable and its lease running (DESIGN §6d) — is not shipped at
+// all: reserve → snapshot → commit re-attach it to the copy the donors already
+// hold, with no store call. SwapEvent.Clean says which kind a swap-out was.
+//
 // SwapOut is safe to call concurrently for distinct clusters: reserve, the
 // replacement build and commit each hold only the cluster's shard lock, and
 // everything between runs unlocked. While the cluster is reserved-out a
@@ -49,14 +56,13 @@ func (rt *Runtime) SwapOut(id ClusterID, opts ...SwapOption) (SwapEvent, error) 
 	if rt.stores == nil {
 		return SwapEvent{}, ErrNoStores
 	}
-	s := swapOut{op: rt.begin(&opSwapOut, id, ctx), o: o, enc: wire.NewEncoder()}
-	defer s.enc.Release() // and with it the frame: stores copied what they keep
+	s := swapOut{op: rt.begin(&opSwapOut, id, ctx), o: o}
 	defer s.end()
 	s.do("reserve", s.reserve)
 	s.do("snapshot", s.snapshot)
-	s.do("negotiate", s.negotiate)
-	s.do("encode", s.encode)
-	s.do("ship", s.ship)
+	if s.err == nil && !s.clean() {
+		s.shipOut()
+	}
 	s.do("commit", s.commit)
 	if s.err != nil {
 		return SwapEvent{}, s.err
@@ -71,17 +77,19 @@ type swapOut struct {
 	o   swapOpts
 	enc *wire.Encoder
 
-	// reserve: membership and delta anchor, copied out under the table lock.
-	members   map[heap.ObjID]bool
-	memberIDs []heap.ObjID // ascending
+	// reserve: the retained copy the cluster can leave on (zero when it has
+	// to be shipped), or else the membership, the delta anchor and the dirty
+	// set, copied out under the table lock. memberIDs is ascending and, for a
+	// clean cluster, the copy's own table: read, never written.
+	kept      shipmentBase
+	memberIDs []heap.ObjID
 	base      shipmentBase
 	dirty     map[heap.ObjID]bool
 
-	// snapshot: the resident members and the outbound slot table — the
-	// distinct swap-cluster-proxies they reference, in traversal order, with
+	// snapshot: the resident size and the outbound slot table — the distinct
+	// swap-cluster-proxies the members reference, in traversal order, with
 	// each proxy's ultimate target. remote holds the object-fault proxies,
 	// which ship as remote references rather than slots.
-	objs          []*heap.Object
 	residentBytes int64
 	slotOf        map[heap.ObjID]int
 	remote        map[heap.ObjID]bool
@@ -95,44 +103,71 @@ type swapOut struct {
 	payload []byte // the encoder's buffer
 	repl    *heap.Object
 	rep     placement.ShipReport
-	oldBase shipmentBase // the delta base this shipment obsoleted, if any
+	copy    donorCopy // what the donors hold when commit runs: shipped, or kept
+	oldBase donorCopy // the retained copy this shipment obsoleted, if any
+}
+
+// clean reports that the cluster leaves on its retained copy.
+func (s *swapOut) clean() bool { return s.kept.key != "" }
+
+// member reports whether oid belongs to the cluster being swapped out.
+func (s *swapOut) member(oid heap.ObjID) bool {
+	_, ok := slices.BinarySearch(s.memberIDs, oid)
+	return ok
 }
 
 func (s *swapOut) reserve() error {
-	return s.op.reserve(resident, reservedOut, func(cs *clusterState) {
-		s.members = make(map[heap.ObjID]bool, len(cs.objects))
-		s.memberIDs = make([]heap.ObjID, 0, len(cs.objects))
-		for oid := range cs.objects {
-			s.members[oid] = true
-			s.memberIDs = append(s.memberIDs, oid)
+	err := s.op.reserve(resident, reservedOut, func(cs *clusterState) {
+		// A pinned destination is honoured: only a copy already there counts.
+		if kept, ok := cs.cleanCopy(); ok && (s.o.device == "" || (len(kept.devices) == 1 && kept.devices[0] == s.o.device)) {
+			s.kept, s.memberIDs = kept, kept.members
+			return
 		}
-		s.base, s.dirty = cs.base, maps.Clone(cs.dirty)
+		s.membership(cs)
 	})
-}
-
-// snapshot collects the members and classifies their outbound references.
-// Member fields are stable here: the application thread is the caller (or
-// blocked behind the eviction that called us), and concurrent swap commits
-// only touch proxy $target fields and other clusters' objects.
-func (s *swapOut) snapshot() error {
-	slices.Sort(s.memberIDs)
-	// Refuse to detach a cluster with in-flight invocations: its objects are
-	// live on the stack and would collide with a later reload.
-	if err := s.rt.checkInactive(s.id, s.members); err != nil {
+	if err != nil || !s.clean() || s.rt.holds(s.kept.donorCopy) {
 		return err
 	}
-	s.objs = make([]*heap.Object, 0, len(s.memberIDs))
+	// A donor of the copy is gone or its lease ran out: ship in full, and not
+	// as a delta against a copy that cannot be counted on.
+	s.kept = shipmentBase{}
+	ts := s.rt.mgr.tab(s.id)
+	ts.mu.Lock()
+	s.membership(s.cs)
+	ts.mu.Unlock()
+	s.base = shipmentBase{}
+	return nil
+}
+
+// membership copies out what a shipment works from; the caller holds the
+// record's table-shard lock.
+func (s *swapOut) membership(cs *clusterState) {
+	s.memberIDs = make([]heap.ObjID, 0, len(cs.objects))
+	for oid := range cs.objects {
+		s.memberIDs = append(s.memberIDs, oid)
+	}
+	slices.Sort(s.memberIDs)
+	s.base, s.dirty = cs.base, maps.Clone(cs.dirty)
+}
+
+// snapshot sizes the members and classifies their outbound references.
+// Member fields are stable here: the application thread is the caller (or
+// blocked behind the eviction that called us), and concurrent swap commits
+// only touch proxy $target fields and other clusters' objects. A clean
+// cluster passes its last check here: an outbound proxy re-aimed under a
+// member (an assign-mode cursor) changes no field, only the slot table.
+func (s *swapOut) snapshot() error {
+	// Refuse to detach a cluster with in-flight invocations: its objects are
+	// live on the stack and would collide with a later reload.
+	if err := s.rt.checkInactive(s.id, s.member); err != nil {
+		return err
+	}
 	for _, oid := range s.memberIDs {
 		o, err := s.rt.h.Get(oid)
 		if err != nil {
 			return fmt.Errorf("core: swap-out cluster %d: member @%d: %w", s.id, oid, err)
 		}
-		s.objs = append(s.objs, o)
 		s.residentBytes += o.Size()
-	}
-	s.slotOf = make(map[heap.ObjID]int)
-	s.remote = make(map[heap.ObjID]bool)
-	for _, o := range s.objs {
 		var werr error
 		for i := 0; i < o.NumFields() && werr == nil; i++ {
 			o.Field(i).MapRefs(func(rid heap.ObjID) heap.ObjID {
@@ -146,13 +181,16 @@ func (s *swapOut) snapshot() error {
 			return werr
 		}
 	}
+	if s.clean() && !slices.Equal(s.slotTargets, s.kept.slots) {
+		s.kept = shipmentBase{}
+	}
 	return nil
 }
 
 // classify files one reference held by member o: internal, an outbound slot
 // (first sight appends it), or a remote reference.
 func (s *swapOut) classify(o *heap.Object, rid heap.ObjID) error {
-	if rid == heap.NilID || s.members[rid] || s.remote[rid] {
+	if rid == heap.NilID || s.member(rid) || s.remote[rid] {
 		return nil
 	}
 	if _, seen := s.slotOf[rid]; seen {
@@ -167,17 +205,33 @@ func (s *swapOut) classify(o *heap.Object, rid heap.ObjID) error {
 			return fmt.Errorf("core: cluster %d: object @%d holds proxy @%d sourced at cluster %d",
 				s.id, o.ID(), rid, proxySrc(ro))
 		}
+		if s.slotOf == nil {
+			s.slotOf = make(map[heap.ObjID]int)
+		}
 		s.slotOf[rid] = len(s.outbound)
 		s.outbound = append(s.outbound, heap.Ref(rid))
 		s.slotProxies = append(s.slotProxies, rid)
 		s.slotTargets = append(s.slotTargets, proxyUltimate(ro))
 	case isObjProxy(ro):
+		if s.remote == nil {
+			s.remote = make(map[heap.ObjID]bool)
+		}
 		s.remote[rid] = true
 	default:
 		return fmt.Errorf("core: cluster %d: object @%d holds un-proxied foreign reference @%d",
 			s.id, o.ID(), rid)
 	}
 	return nil
+}
+
+// shipOut runs the phases that move the cluster's bytes, for one that cannot
+// leave on its retained copy.
+func (s *swapOut) shipOut() {
+	s.enc = wire.NewEncoder()
+	defer s.enc.Release() // and with it the frame: stores copied what they keep
+	s.do("negotiate", s.negotiate)
+	s.do("encode", s.encode)
+	s.do("ship", s.ship)
 }
 
 // negotiate picks the wire format and the donors before encoding: the donors
@@ -248,9 +302,9 @@ func (s *swapOut) encode() error {
 // subset for a delta) straight from the heap in the negotiated format, each
 // reference classified internal / slot / remote.
 func (s *swapOut) encodeFrame() error {
-	rt, members, slotOf, remote := s.rt, s.members, s.slotOf, s.remote
+	rt, slotOf, remote := s.rt, s.slotOf, s.remote
 	encodeRef := func(rid heap.ObjID) (xmlcodec.Value, error) {
-		if members[rid] {
+		if s.member(rid) {
 			return xmlcodec.InternalRef(rid), nil
 		}
 		if slot, ok := slotOf[rid]; ok {
@@ -266,14 +320,16 @@ func (s *swapOut) encodeFrame() error {
 		return xmlcodec.Value{}, fmt.Errorf("core: unclassified reference @%d", rid)
 	}
 	p := &s.plan
-	objs := s.objs
-	if p.delta {
-		objs = make([]*heap.Object, 0, len(p.changed))
-		for _, obj := range s.objs {
-			if p.changed[obj.ID()] {
-				objs = append(objs, obj)
-			}
+	objs := make([]*heap.Object, 0, len(s.memberIDs))
+	for _, oid := range s.memberIDs {
+		if p.delta && !p.changed[oid] {
+			continue
 		}
+		o, err := rt.h.Get(oid)
+		if err != nil {
+			return fmt.Errorf("core: encode cluster %d: member @%d: %w", s.id, oid, err)
+		}
+		objs = append(objs, o)
 	}
 	start := rt.obsReg.Clock().Now()
 	payload, err := s.enc.EncodeObjects(p.format, s.key, objs, encodeRef, &wire.EncodeOpts{
@@ -290,51 +346,79 @@ func (s *swapOut) encodeFrame() error {
 	return nil
 }
 
-// ship builds the replacement-object and lands the payload on the donors.
-// The replacement is pinned the moment it exists (nothing references it
-// yet), and a pinned object is a GC root whose field writes must not
-// interleave with a concurrent Collect's mark, so it is allocated and filled
-// under the shard lock (beginMutate keeps the evictor out). The shipment is
-// IO and runs unlocked. A failed delta shipment falls back to a freshly
-// negotiated full one — the base donors may have vanished since the probe.
-func (s *swapOut) ship() error {
+// replace builds the replacement-object. It is pinned the moment it exists
+// (nothing references it yet), and a pinned object is a GC root whose field
+// writes must not interleave with a concurrent Collect's mark, so the caller
+// holds the shard lock (beginMutate keeps the evictor out).
+func (s *swapOut) replace() error {
 	rt := s.rt
-	rt.lockShard(s.sh)
-	endMutate := rt.beginMutate(s.sh)
+	defer rt.beginMutate(s.sh)()
 	repl, err := rt.allocMiddleware(rt.replacementClass)
 	if err == nil {
 		s.pin(repl.ID())
 		s.built = true
 		if err = repl.SetFieldByName(fldClust, heap.Int(int64(s.id))); err == nil {
-			if err = repl.SetFieldByName(fldOut, heap.List(s.outbound...)); err == nil {
-				err = repl.SetFieldByName(fldKey, heap.Str(s.key))
-			}
+			err = repl.SetFieldByName(fldOut, heap.List(s.outbound...))
 		}
 	}
-	endMutate()
-	s.sh.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("core: replacement for cluster %d: %w", s.id, err)
 	}
 	s.repl = repl
+	return nil
+}
 
+// ship builds the replacement-object and lands the payload on the donors; the
+// shipment is IO and runs unlocked. A failed delta shipment falls back to a
+// freshly negotiated full one — the base donors may have vanished since the
+// probe. Donors with no room are asked to give back the copies they retain
+// for clusters that are resident anyway, and the shipment is tried once more.
+func (s *swapOut) ship() error {
+	rt := s.rt
+	rt.lockShard(s.sh)
+	err := s.replace()
+	s.sh.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	err = s.shipPlanned()
 	if err != nil && s.plan.delta {
 		rt.logger.Warn("delta shipment failed; renegotiating full",
 			"trace", s.trace, "cluster", uint32(s.id), "err", err)
-		if s.plan, err = rt.negotiateFull(s.ctx, s.o, s.key, s.k); err == nil {
-			if err = s.encodeFrame(); err == nil {
-				err = s.shipPlanned()
-			}
-		}
+		err = s.reship()
+	}
+	if err != nil && (errors.Is(err, store.ErrCapacity) || errors.Is(err, store.ErrNoDevice)) &&
+		rt.shedRetained(s.ctx, s.plan.ranked) > 0 {
+		err = s.reship()
 	}
 	if err != nil {
 		return err
+	}
+	s.copy = donorCopy{
+		key:          s.key,
+		devices:      append([]string(nil), s.rep.Replicas...), // the record's own copy
+		payloadBytes: len(s.payload),
+		crc:          crc32.ChecksumIEEE(s.payload),
+		format:       string(s.plan.format),
+		leaseTTL:     s.plan.leaseTTL(s.rep.Replicas),
+	}
+	if s.copy.leaseTTL > 0 {
+		s.copy.leaseUntil = rt.obsReg.Clock().Now().Add(s.copy.leaseTTL)
 	}
 	s.span.SetDevice(s.rep.Replicas[0])
 	s.span.SetReplicas(s.rep.Replicas)
 	s.span.AddBytes(int64(len(s.payload))) // the frame that landed, once
 	return nil
+}
+
+// reship negotiates, encodes and ships a full shipment afresh.
+func (s *swapOut) reship() (err error) {
+	if s.plan, err = s.rt.negotiateFull(s.ctx, s.o, s.key, s.k); err == nil {
+		if err = s.encodeFrame(); err == nil {
+			err = s.shipPlanned()
+		}
+	}
+	return err
 }
 
 // shipPlanned places s.payload on the donors the negotiate phase selected and
@@ -382,76 +466,95 @@ func (s *swapOut) shipPlanned() error {
 }
 
 // commit detaches the cluster from the application graph under its shard
-// lock: the replica set goes on the replacement (comma-joined, primary
-// first), every inbound proxy is re-targeted at it, and the record moves to
-// swappedOut. On a delta-enabled runtime a full shipment also becomes the new
-// delta base (dirty resets; the previous base is due for donor cleanup); a
-// delta leaves base and dirty alone, dirty being relative to the base.
+// lock: the key and the replica set (comma-joined, primary first) go on the
+// replacement, every inbound proxy is re-targeted at it, and the record moves
+// to swappedOut on the copy the donors hold. A full shipment becomes the new
+// retained copy (dirty resets; the previous one is due for donor cleanup); a
+// delta leaves base and dirty alone, dirty being relative to the base; a
+// clean cluster, which built no replacement-object yet and shipped nothing,
+// first re-reads dirty under the lock markDirty takes — a write that landed
+// since reserve rolls the operation back (the cluster stays resident, dirty,
+// and ships next time) rather than being lost with the freed members.
 //
-// Then exactly the shipped members are freed in one heap critical section,
-// taken last (DESIGN §6): every inbound proxy targets the replacement and no
-// member is on the invocation stack, so they are garbage by construction and
-// the cluster is never in two places.
+// Then exactly the members are freed in one heap critical section, taken last
+// (DESIGN §6): every inbound proxy targets the replacement and no member is
+// on the invocation stack, so they are garbage by construction and the
+// cluster is never in two places.
 func (s *swapOut) commit() error {
-	rt, devices := s.rt, append([]string(nil), s.rep.Replicas...) // the record's own copy
+	rt := s.rt
 	rt.lockShard(s.sh)
 	defer s.sh.mu.Unlock()
-	if err := s.repl.SetFieldByName(fldStore, heap.Str(strings.Join(devices, ","))); err != nil {
+	if s.clean() {
+		ts := rt.mgr.tab(s.id)
+		ts.mu.Lock()
+		written := len(s.cs.dirty) > 0
+		ts.mu.Unlock()
+		if written {
+			return fmt.Errorf("%w: cluster %d was written during its swap-out", ErrClusterBusy, s.id)
+		}
+		if err := s.replace(); err != nil {
+			return err
+		}
+		s.copy = s.kept.donorCopy
+		s.span.SetKey(s.copy.key)
+		s.span.SetFormat(s.copy.format)
+		s.span.SetDevice(s.copy.primary())
+		s.span.SetReplicas(s.copy.devices)
+	}
+	err := s.repl.SetFieldByName(fldKey, heap.Str(s.copy.key))
+	if err == nil {
+		err = s.repl.SetFieldByName(fldStore, heap.Str(strings.Join(s.copy.devices, ",")))
+	}
+	if err != nil {
 		return err
 	}
 	rt.patchInbound(s.id, s.repl.ID())
-	sum := crc32.ChecksumIEEE(s.payload)
 	s.op.commit(swappedOut, func(cs *clusterState) {
-		cs.shipment = shipment{
-			replacement:  s.repl.ID(),
-			devices:      devices,
-			key:          s.key,
-			payloadBytes: len(s.payload),
-			crc:          sum,
-			bytesAtSwap:  s.residentBytes,
-			format:       string(s.plan.format),
-		}
+		cs.shipment = shipment{replacement: s.repl.ID(), donorCopy: s.copy, bytesAtSwap: s.residentBytes}
 		rt.mgr.feed(cs, shipped, 0, rt.telem.Now())
-		if rt.deltaEnabled() && !s.plan.delta {
-			s.oldBase = cs.base
-			cs.base = shipmentBase{key: s.key, devices: devices, format: string(s.plan.format),
-				crc: sum, members: s.memberIDs, slots: s.slotTargets}
-			cs.dirty = nil
+		if !s.clean() && !s.plan.delta {
+			s.oldBase = cs.base.donorCopy
+			rt.mgr.anchor(cs, s.copy, s.memberIDs, s.slotTargets)
 		}
 	})
 	rt.h.Free(s.memberIDs)
 	return nil
 }
 
-// finish runs after the locks are gone: reclaim the donor space of a base this
-// full shipment obsoleted, then report.
+// finish runs after the locks are gone: report, then — the fault is over, so
+// outside its span — reclaim the donor space of the copy a full shipment
+// obsoleted. This rotation is the only place a stale retained copy is dropped
+// while its cluster lives.
 func (s *swapOut) finish() SwapEvent {
-	rt, devices, bytes := s.rt, s.rep.Replicas, len(s.payload)
-	if s.oldBase.key != "" && s.oldBase.key != s.key {
+	rt, c := s.rt, s.copy
+	ev := SwapEvent{Cluster: s.id, Device: c.primary(), Key: c.key, Objects: len(s.memberIDs),
+		Clean: s.clean(), Attempted: s.rep.Attempted, Replicas: c.devices, Trace: s.trace,
+		Format: c.format, Requested: s.rep.Requested, Quorum: s.rep.Quorum,
+		Shortfall: max(s.rep.Requested-len(c.devices), 0), Cause: rt.resolveCause(s.o.cause)}
+	if !ev.Clean {
+		ev.Bytes = c.payloadBytes
+	}
+	ev.Phases, ev.Duration = s.span.End()
+	if s.oldBase.key != "" && s.oldBase.key != c.key {
 		rt.dropAll(s.ctx, s.oldBase.devices, s.oldBase.key, s.id)
 	}
-	ev := SwapEvent{Cluster: s.id, Device: devices[0], Key: s.key, Objects: len(s.objs),
-		Bytes: bytes, Attempted: s.rep.Attempted, Replicas: devices, Trace: s.trace,
-		Format: string(s.plan.format), Requested: s.rep.Requested, Quorum: s.rep.Quorum,
-		Shortfall: max(s.rep.Requested-len(devices), 0), Cause: rt.resolveCause(s.o.cause)}
-	ev.Phases, ev.Duration = s.span.End()
 	rt.telem.RecordFault("swap_out", ev.Cause, ev.Duration.Seconds())
 	// A prefetched cluster evicted before any touch was a wasted round trip;
 	// let the fault engine settle its inventory accounting.
 	rt.faults.NoteEvicted(uint32(s.id))
 	rt.logger.Info("swap-out", "trace", s.trace, "cluster", uint32(s.id),
-		"device", devices[0], "replicas", len(devices), "key", s.key,
-		"format", string(s.plan.format), "objects", len(s.objs),
-		"bytes", bytes, "dur", ev.Duration)
+		"device", ev.Device, "replicas", len(c.devices), "key", c.key,
+		"format", c.format, "objects", ev.Objects, "clean", ev.Clean,
+		"bytes", ev.Bytes, "dur", ev.Duration)
 	rt.emit(event.TopicSwapOut, ev)
 	return ev
 }
 
 // checkInactive fails when any member of the cluster is on the invocation
 // stack.
-func (rt *Runtime) checkInactive(id ClusterID, members map[heap.ObjID]bool) error {
+func (rt *Runtime) checkInactive(id ClusterID, member func(heap.ObjID) bool) error {
 	for _, sid := range rt.stack {
-		if members[sid] {
+		if member(sid) {
 			return fmt.Errorf("%w: cluster %d (object @%d on stack)", ErrClusterActive, id, sid)
 		}
 	}

@@ -55,6 +55,19 @@ func taskFixture(t testing.TB, clusters, perCluster, titleBytes int) (*fixture, 
 	return f, ids
 }
 
+// touchTask dirties one member of cluster id, so its next swap-out ships.
+func touchTask(t testing.TB, f *fixture, id ClusterID) {
+	t.Helper()
+	ts := f.rt.mgr.tab(id)
+	ts.mu.Lock()
+	var oid heap.ObjID
+	for oid = range ts.clusters[id].objects {
+		break
+	}
+	ts.mu.Unlock()
+	f.dirty(t, oid)
+}
+
 // mallocs reports the allocations and allocated bytes of one call of fn.
 func mallocs(fn func()) (count, bytes uint64) {
 	var before, after runtime.MemStats
@@ -67,12 +80,14 @@ func mallocs(fn func()) (count, bytes uint64) {
 // TestSwapRoundTripBudget pins what the middleware itself allocates to move
 // one cluster out and back — on a device that swaps because it is out of
 // memory, that garbage competes with the bytes being freed. One SwapOut plus
-// one SwapIn of a 32-object x 128 B cluster over an in-memory donor, in the
-// negotiated binary format, may allocate at most 8x the frame it ships
+// one SwapIn of a written 32-object x 128 B cluster over an in-memory donor,
+// in the negotiated binary format, may allocate at most 8x the frame it ships
 // (it was ~15x when each direction built a document and two frame copies),
 // and the encode side nothing that grows with the object count once the
-// encoder pool is warm. check.sh runs it by name: allocation counts and sizes
-// do not depend on the host's speed.
+// encoder pool is warm. An unwritten cluster leaves on its retained copy: no
+// store call, and a fixed handful of allocations whatever its size. check.sh
+// runs it by name: allocation counts and sizes do not depend on the host's
+// speed.
 func TestSwapRoundTripBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector empties sync.Pool at random; the budget is gated without it")
@@ -83,6 +98,7 @@ func TestSwapRoundTripBudget(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
 	roundTrip := func(f *fixture, id ClusterID) (frame int) {
+		touchTask(t, f, id)
 		ev, err := f.rt.SwapOut(id)
 		if err != nil {
 			t.Fatal(err)
@@ -121,6 +137,7 @@ func TestSwapRoundTripBudget(t *testing.T) {
 		id := ids[1]
 		roundTrip(f, id)
 		roundTrip(f, id)
+		touchTask(t, f, id)
 		var ev SwapEvent
 		count, bytes = mallocs(func() {
 			var err error
@@ -137,8 +154,8 @@ func TestSwapRoundTripBudget(t *testing.T) {
 	bigCount, bigBytes, bigFrame := encodeSide(128)
 	t.Logf("swap-out of 32 objects: %d allocs, %d B (frame %d); of 128: %d allocs, %d B (frame %d)",
 		smallCount, smallBytes, smallFrame, bigCount, bigBytes, bigFrame)
-	// Per-member costs that are not the encoder's: the member-id slice and
-	// set of the reservation, the object snapshot, the committed base record.
+	// Per-member costs that are not the encoder's: the member-id slice of the
+	// reservation, the object list handed to the encoder, the dirty set.
 	// They grow by a few words per object, not by a record or a copy of it.
 	if extra := int64(bigCount) - int64(smallCount); extra > 16 {
 		t.Fatalf("swap-out of 128 objects makes %d allocations, of 32 makes %d: the encode side allocates per object",
@@ -148,5 +165,57 @@ func TestSwapRoundTripBudget(t *testing.T) {
 	if extra := int64(bigBytes) - int64(smallBytes) - donorCopy; extra > 96*100 {
 		t.Fatalf("swap-out of 128 objects allocates %d B more than of 32 beyond the donor's copy (%d B): want under 100 B per extra object, less than one field of a record",
 			extra, donorCopy)
+	}
+
+	// The clean side: the same cluster, unwritten since its reload, leaves on
+	// the copy the donor kept. Nothing is asked of the donor, and what is
+	// allocated — the replacement-object, its (here empty) slot list, the
+	// inbound-proxy snapshot, the span — does not know how many members the
+	// cluster has.
+	cleanSide := func(perCluster int) (count, bytes uint64) {
+		f, ids := taskFixture(t, 2, perCluster, 128)
+		id := ids[1]
+		donor := store.NewFlaky(f.mem, 1)
+		f.reg.Remove("d")
+		if err := f.reg.Add("d", donor); err != nil {
+			t.Fatal(err)
+		}
+		roundTrip(f, id)
+		for i := 0; i < 2; i++ { // warm the clean path's own series
+			if _, err := f.rt.SwapOut(id); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.rt.SwapIn(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var calls int
+		for op := store.OpPut; op <= store.OpStats; op++ {
+			calls -= donor.Calls(op)
+		}
+		var ev SwapEvent
+		count, bytes = mallocs(func() {
+			var err error
+			if ev, err = f.rt.SwapOut(id); err != nil {
+				t.Fatal(err)
+			}
+		})
+		for op := store.OpPut; op <= store.OpStats; op++ {
+			calls += donor.Calls(op)
+		}
+		if !ev.Clean || ev.Bytes != 0 || calls != 0 {
+			t.Fatalf("swap-out of an unwritten cluster: %+v, %d store calls; want clean, none", ev, calls)
+		}
+		return count, bytes
+	}
+	smallCount, smallBytes = cleanSide(32)
+	bigCount, bigBytes = cleanSide(128)
+	t.Logf("clean swap-out of 32 objects: %d allocs, %d B; of 128: %d allocs, %d B",
+		smallCount, smallBytes, bigCount, bigBytes)
+	// Measured: 21 allocations, 2568 B, at either size.
+	const cleanAllocs, cleanBytes = 21, 2600
+	if bigCount != smallCount || smallCount > cleanAllocs || bigBytes > cleanBytes {
+		t.Fatalf("clean swap-out allocates %d objects / %d B for 32 members and %d / %d B for 128; budget is %d / %d B at any size",
+			smallCount, smallBytes, bigCount, bigBytes, cleanAllocs, cleanBytes)
 	}
 }

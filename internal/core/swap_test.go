@@ -107,7 +107,8 @@ func TestReloadRestoresGraph(t *testing.T) {
 	_, clusters := f.buildList(t, 30, 10, 16)
 	want := f.snapshotTags(t)
 
-	if _, err := f.rt.SwapOut(clusters[1]); err != nil {
+	ev, err := f.rt.SwapOut(clusters[1])
+	if err != nil {
 		t.Fatal(err)
 	}
 	f.rt.Collect()
@@ -125,10 +126,10 @@ func TestReloadRestoresGraph(t *testing.T) {
 	if f.rt.Manager().IsSwapped(clusters[1]) {
 		t.Fatal("cluster still marked swapped after traversal")
 	}
-	// The stale copy is dropped from the device.
+	// The copy stays on the device, retained: the cluster can leave on it.
 	keys, _ := f.mem.Keys(ctx)
-	if len(keys) != 0 {
-		t.Fatalf("device still holds %v after reload", keys)
+	if len(keys) != 1 || keys[0] != ev.Key {
+		t.Fatalf("device holds %v after reload, want the retained copy %q", keys, ev.Key)
 	}
 }
 

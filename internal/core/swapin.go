@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"slices"
 	"strings"
 
 	"objectswap/internal/event"
@@ -25,6 +25,10 @@ import (
 // costs one failed request, not the reload. Replicas that failed are listed in
 // SwapEvent.Attempted and announced as a swap.readrepair event so the repair
 // loop can re-replicate everything else those donors held.
+//
+// The copy that served the reload stays where it is: the cluster is resident
+// AND its donors keep the payload, as the retained copy a clean swap-out
+// leaves on again (DESIGN §6d). Nothing on this path tells a donor to drop.
 //
 // WithDeadline / WithContext bound the fetch: a failed swap-in — timeout,
 // damaged frame, no room — leaves the cluster swapped exactly as it was, so a
@@ -185,9 +189,10 @@ func (s *swapIn) evict() error {
 // patches that make them reachable. beginMutate: installation allocates, and
 // an allocation failure here must not re-enter the evictor.
 //
-// On a delta-enabled runtime a reloaded full shipment re-anchors the delta
-// base — resident state now provably equals the retained payload — which is
-// also what re-arms delta encoding after a checkpoint restore; a reloaded
+// A reloaded full shipment is the retained copy — resident state now provably
+// equals the payload still on its donors. The commit that shipped it anchored
+// it already; only a record restored from a checkpoint, which carries no
+// member and slot tables, reads them back from what was installed. A reloaded
 // delta leaves base and dirty untouched.
 func (s *swapIn) install() error {
 	rt := s.rt
@@ -236,24 +241,25 @@ func (s *swapIn) install() error {
 	s.op.commit(resident, func(cs *clusterState) {
 		cs.shipment = shipment{}
 		rt.mgr.feed(cs, reloaded, 0, rt.telem.Now())
-		if rt.deltaEnabled() && s.fid != wire.FormatDelta {
-			cs.base = s.anchor(installed, outbound)
-			cs.dirty = nil
+		if s.fid != wire.FormatDelta && (cs.base.key != s.was.key || !cs.base.usable()) {
+			c := s.was.donorCopy
+			c.crc, c.format = s.dataCRC, string(s.fid)
+			members, slots := s.tables(installed, outbound)
+			rt.mgr.anchor(cs, c, members, slots)
 		}
 	})
 	return nil
 }
 
-// anchor is the delta base a just-reloaded full shipment becomes: the payload
-// still on its donors, with the membership and slot table read back from what
-// was installed.
-func (s *swapIn) anchor(installed []*heap.Object, outbound []heap.Value) shipmentBase {
-	members := make([]heap.ObjID, 0, len(installed))
+// tables reads the membership and the outbound slot table of a just-reloaded
+// full shipment back from what was installed.
+func (s *swapIn) tables(installed []*heap.Object, outbound []heap.Value) (members, slots []heap.ObjID) {
+	members = make([]heap.ObjID, 0, len(installed))
 	for _, o := range installed {
 		members = append(members, o.ID())
 	}
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-	slots := make([]heap.ObjID, len(outbound))
+	slices.Sort(members)
+	slots = make([]heap.ObjID, len(outbound))
 	for i, v := range outbound {
 		if rid, err := v.Ref(); err == nil && rid != heap.NilID {
 			if p, perr := s.rt.h.Get(rid); perr == nil {
@@ -261,23 +267,27 @@ func (s *swapIn) anchor(installed []*heap.Object, outbound []heap.Value) shipmen
 			}
 		}
 	}
-	return shipmentBase{key: s.was.key, devices: s.was.devices, format: string(s.fid),
-		crc: s.dataCRC, members: members, slots: slots}
+	return members, slots
 }
 
-// finish runs after the locks are gone. Every replica's copy is stale once
-// the cluster is live again, so the donors are told to drop it — except on a
-// delta-enabled runtime, where a reloaded FULL shipment stays as the anchor a
-// future delta re-ships against, and a reloaded delta drops only its own key.
+// finish runs after the locks are gone. The fault ends with its span; what
+// follows is not part of it. A full shipment stays on its donors as the
+// retained copy; a delta's own frame is stale the moment it is merged, and is
+// queued for dropping off the fault path (the next collection sends it).
 func (s *swapIn) finish() SwapEvent {
 	rt, key, bytes := s.rt, s.was.key, s.was.payloadBytes
-	if !rt.keepOnReload && (s.fid == wire.FormatDelta || !rt.deltaEnabled()) {
-		rt.dropAll(s.ctx, s.was.devices, key, s.id)
-	}
 	ev := SwapEvent{Cluster: s.id, Device: s.device, Key: key, Objects: s.installedObjects,
 		Bytes: bytes, Attempted: s.failed, Trace: s.trace, Format: string(s.fid),
 		Cause: rt.resolveCause(s.o.cause)}
+	if s.fid != wire.FormatDelta {
+		ev.Replicas = s.was.devices
+	}
 	ev.Phases, ev.Duration = s.span.End()
+	if s.fid == wire.FormatDelta {
+		for _, d := range s.was.devices {
+			rt.mgr.deferDrop(d, key, s.id)
+		}
+	}
 	rt.telem.RecordFault("swap_in", ev.Cause, ev.Duration.Seconds())
 	rt.logger.Info("swap-in", "trace", s.trace, "cluster", uint32(s.id),
 		"device", s.device, "key", key, "objects", s.installedObjects,

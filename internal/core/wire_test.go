@@ -190,14 +190,15 @@ func TestDeltaReshipmentShipsFractionOfFullBytes(t *testing.T) {
 	}
 }
 
-// A clean cluster (nothing dirty since the base shipped) still re-ships as a
-// delta — the cheapest possible one, carrying only the header — and the
-// fault-in merges it back against the retained base.
+// A clean cluster (nothing dirty since the base shipped) ships nothing, not
+// even the cheapest possible delta: with or without delta among the formats
+// it leaves on the retained base itself, and the fault-in reloads that.
 func TestDeltaCleanReshipment(t *testing.T) {
 	f := deltaFixture(t)
 	_, clusters := f.buildList(t, 20, 20, 64)
 
-	if _, err := f.rt.SwapOut(clusters[0]); err != nil {
+	full, err := f.rt.SwapOut(clusters[0])
+	if err != nil {
 		t.Fatalf("full swap-out: %v", err)
 	}
 	if _, err := f.rt.SwapIn(clusters[0]); err != nil {
@@ -207,14 +208,15 @@ func TestDeltaCleanReshipment(t *testing.T) {
 	if err != nil {
 		t.Fatalf("clean re-swap-out: %v", err)
 	}
-	if ev.Format != string(wire.FormatDelta) {
-		t.Fatalf("clean re-shipment format = %q, want delta", ev.Format)
+	if !ev.Clean || ev.Bytes != 0 || ev.Key != full.Key || ev.Format != full.Format {
+		t.Fatalf("clean re-swap-out = %+v, want it left on the base %q (%s) with nothing shipped",
+			ev, full.Key, full.Format)
 	}
 	if _, err := f.rt.SwapIn(clusters[0]); err != nil {
-		t.Fatalf("swap-in after clean delta: %v", err)
+		t.Fatalf("swap-in after clean swap-out: %v", err)
 	}
 	if res, err := f.rt.Invoke(f.head(t), "walk", heap.Int(0)); err != nil || len(res) != 1 {
-		t.Fatalf("walk after clean delta round-trip: %v", err)
+		t.Fatalf("walk after clean round-trip: %v", err)
 	}
 }
 
@@ -223,7 +225,7 @@ func TestDeltaCleanReshipment(t *testing.T) {
 // failing.
 func TestDeltaFallsBackWhenBaseDonorLacksFormat(t *testing.T) {
 	f := deltaFixture(t)
-	_, clusters := f.buildList(t, 20, 20, 64)
+	ids, clusters := f.buildList(t, 20, 20, 64)
 
 	if _, err := f.rt.SwapOut(clusters[0]); err != nil {
 		t.Fatalf("full swap-out: %v", err)
@@ -233,6 +235,7 @@ func TestDeltaFallsBackWhenBaseDonorLacksFormat(t *testing.T) {
 	}
 	// The donor forgets how to speak delta between the shipments.
 	f.mem.SetFormats(string(wire.FormatBinary), string(wire.FormatXML))
+	f.dirty(t, ids[3])
 	ev, err := f.rt.SwapOut(clusters[0])
 	if err != nil {
 		t.Fatalf("re-swap-out: %v", err)
@@ -255,7 +258,7 @@ func TestDeltaFallsBackWhenBaseDonorRejectsPut(t *testing.T) {
 	if err := f.reg.Add("pda-neighbor", flaky); err != nil {
 		t.Fatal(err)
 	}
-	_, clusters := f.buildList(t, 20, 20, 64)
+	ids, clusters := f.buildList(t, 20, 20, 64)
 
 	if _, err := f.rt.SwapOut(clusters[0]); err != nil {
 		t.Fatalf("full swap-out: %v", err)
@@ -263,6 +266,7 @@ func TestDeltaFallsBackWhenBaseDonorRejectsPut(t *testing.T) {
 	if _, err := f.rt.SwapIn(clusters[0]); err != nil {
 		t.Fatalf("swap-in: %v", err)
 	}
+	f.dirty(t, ids[3])
 	flaky.FailNext(store.OpPut, 1)
 	ev, err := f.rt.SwapOut(clusters[0])
 	if err != nil {

@@ -25,6 +25,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"time"
 
 	"objectswap/internal/obs"
 	olog "objectswap/internal/obs/log"
@@ -83,6 +84,9 @@ type Candidate struct {
 	// Formats is the donor's wire-format advertisement from the same Stats
 	// probe (empty = pre-negotiation donor, XML only).
 	Formats []string
+	// LeaseTTL is the lease the donor grants a stored key, from the same probe
+	// (0 = it expires nothing).
+	LeaseTTL time.Duration
 }
 
 // Accepts reports whether the candidate's advertisement covers format. The
@@ -125,7 +129,7 @@ func (p *Planner) Rank(ctx context.Context, key string, need int64, exclude []st
 		}
 		cands = append(cands, Candidate{
 			Name: d.Name, Store: d.Store, Free: free, Score: score(key, d.Name, free),
-			Formats: st.Formats,
+			Formats: st.Formats, LeaseTTL: st.LeaseTTL,
 		})
 	}
 	sort.Slice(cands, func(i, j int) bool {

@@ -119,8 +119,13 @@ func (l *LeaseGC) Drop(ctx context.Context, key string) error {
 // Keys lists the wrapped store's keys.
 func (l *LeaseGC) Keys(ctx context.Context) ([]string, error) { return l.inner.Keys(ctx) }
 
-// Stats reports the wrapped store's occupancy.
-func (l *LeaseGC) Stats(ctx context.Context) (Stats, error) { return l.inner.Stats(ctx) }
+// Stats reports the wrapped store's occupancy and advertises the default
+// lease, so an owner knows how long an unrenewed key lasts here.
+func (l *LeaseGC) Stats(ctx context.Context) (Stats, error) {
+	st, err := l.inner.Stats(ctx)
+	st.LeaseTTL = l.ttl
+	return st, err
+}
 
 // RenewLease extends the lease on key. A key stored before the wrapper
 // existed (or by an out-of-band path) is adopted: renewal succeeds as long

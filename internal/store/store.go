@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"time"
 )
 
 // Errors reported by stores.
@@ -47,6 +48,11 @@ type Stats struct {
 	// only the universal XML fallback — constrained devices treat a missing
 	// advertisement as ["xml"].
 	Formats []string `json:"formats,omitempty"`
+	// LeaseTTL is how long the donor keeps a stored key before its lease GC
+	// expires it unless renewed (see Leaser); 0 or absent means it expires
+	// nothing. An owner that keeps a copy on the donor past a reload counts on
+	// it no longer than this without a renewal.
+	LeaseTTL time.Duration `json:"lease_ttl,omitempty"`
 }
 
 // Free returns the remaining byte capacity, or a very large number when

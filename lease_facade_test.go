@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"objectswap/internal/obs"
 	"objectswap/internal/store"
 )
 
@@ -102,5 +103,79 @@ func TestLeaseRenewLoopRuns(t *testing.T) {
 			t.Fatal("lease loop never renewed the swapped key")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestRetainedCopyLease: a resident cluster's retained copy lives on a
+// lease-GC'ing donor like any swapped payload. Renewed by the facade loop it
+// outlasts three TTLs and the cluster leaves on it without shipping; left
+// alone, the deadline the owner recorded for it (ship time + the TTL the donor
+// advertises in Stats) passes, and the owner ships in full rather than leave
+// on a copy the donor has expired.
+func TestRetainedCopyLease(t *testing.T) {
+	const ttl = 30 * time.Second
+	for _, renew := range []bool{true, false} {
+		name := "left alone"
+		if renew {
+			name = "renewed"
+		}
+		t.Run(name, func(t *testing.T) {
+			clock := obs.NewVirtualClock(time.Unix(5000, 0))
+			donor := store.NewLeaseGC(store.NewMem(0), ttl, clock.Now)
+			sys, err := New(Config{HeapCapacity: 1 << 20, Clock: clock})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close()
+			if err := sys.AttachDevice("donor", donor); err != nil {
+				t.Fatal(err)
+			}
+			cls := sys.MustRegisterClass(taskClass())
+			c := buildClusters(t, sys, cls, 1)[0]
+			first, err := sys.SwapOut(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			read := func() {
+				t.Helper()
+				root, err := sys.MustRoot("a")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res, err := sys.Invoke(root, "title"); err != nil {
+					t.Fatalf("read through the root: %v", err)
+				} else if title, _ := res[0].Str(); title != "x" {
+					t.Fatalf("title reads %q, want %q", title, "x")
+				}
+			}
+			read() // faults the cluster back: resident on the retained copy
+
+			for elapsed := time.Duration(0); elapsed < 3*ttl; elapsed += ttl / 2 {
+				clock.Advance(ttl / 2)
+				if renew {
+					if n := sys.RenewLeasesNow(context.Background()); n != 1 {
+						t.Fatalf("RenewLeasesNow renewed %d keys, want the resident cluster's retained copy", n)
+					}
+				}
+				if _, err := donor.ExpireLapsed(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := donor.Get(context.Background(), first.Key); (err == nil) != renew {
+				t.Fatalf("donor's copy after 3 TTLs: %v (renewed: %v)", err, renew)
+			}
+
+			ev, err := sys.SwapOut(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ev.Clean != renew || (ev.Key == first.Key) != renew {
+				t.Fatalf("swap-out after 3 TTLs (renewed: %v) = %+v, first key %q", renew, ev, first.Key)
+			}
+			read()
+			if n := sys.Runtime().Manager().PendingDrops(); n != 0 {
+				t.Fatalf("%d drops pending: dropping a key the donor already expired is not a failure", n)
+			}
+		})
 	}
 }

@@ -131,9 +131,6 @@ type Config struct {
 	// Policies is an XML policy document to load; when empty, the default
 	// swap-coldest-on-pressure machine policy is installed.
 	Policies []byte
-	// KeepOnReload retains device copies after swap-in (for versioning
-	// scenarios).
-	KeepOnReload bool
 	// DeviceName namespaces this device's storage keys on shared stores
 	// (default: a process-unique name).
 	DeviceName string
@@ -179,11 +176,10 @@ type Config struct {
 	// "binary", "binary+flate", "delta", "xml"). Empty selects the default,
 	// binary with XML fallback; XML is always the implicit last resort, so a
 	// neighborhood of pre-negotiation donors behaves exactly as before.
-	// Listing "delta" additionally enables dirty-only re-shipment: a reloaded
-	// cluster's full shipment stays on its donors as a base and later
-	// swap-outs ship only the objects written since — note this retains
-	// payloads on donors across reloads, like KeepOnReload but bounded to one
-	// base per cluster.
+	// Listing "delta" additionally lets a cluster written since its last
+	// reload ship only the objects written, as a delta against the copy its
+	// donors retained (every reloaded cluster keeps one; an unwritten cluster
+	// ships nothing at all).
 	WireFormats []string
 	// Prefetch enables the graph-driven prefetcher in the asynchronous fault
 	// engine: after every demand swap-in, the top-Depth neighbor clusters by
@@ -193,10 +189,11 @@ type Config struct {
 	// prefetching; coalescing and donor batching are always on.
 	Prefetch PrefetchConfig
 	// LeaseRenewEvery starts a background loop renewing the storage leases of
-	// every swapped cluster's payload (and delta base) on its donors each
-	// period, so lease-GC'ing donors (swapstore -lease-ttl) keep live
-	// payloads and archive only orphans. Pick a period well under the donors'
-	// TTL — a third or less. Zero disables the loop; call Close to stop it.
+	// every swapped cluster's payload, and of the copy a resident cluster's
+	// donors retain, each period, so lease-GC'ing donors (swapstore
+	// -lease-ttl) keep live payloads and archive only orphans. Pick a period
+	// well under the donors' TTL — a third or less. Zero disables the loop;
+	// call Close to stop it.
 	LeaseRenewEvery time.Duration
 }
 
@@ -259,9 +256,6 @@ func New(cfg Config) (*System, error) {
 	opts := []core.Option{core.WithStores(devices), core.WithBus(bus), core.WithObs(reg),
 		core.WithFlightRecorder(recorder), core.WithLogger(cfg.Logger),
 		core.WithTelemetry(telem)}
-	if cfg.KeepOnReload {
-		opts = append(opts, core.WithKeepOnReload())
-	}
 	if cfg.DeviceName != "" {
 		opts = append(opts, core.WithName(cfg.DeviceName))
 	}
@@ -387,43 +381,47 @@ func (s *System) leaseLoop() {
 	}
 }
 
-// RenewLeasesNow walks every swapped cluster once and renews the lease on its
-// payload key — and its delta base key, when one is retained — on each donor
-// device holding a copy. Donors that do not support leases (no swapstore
-// -lease-ttl, plain stores) are skipped silently; the count of successful
-// per-key renewals is returned. The background loop (Config.LeaseRenewEvery)
-// calls this on a timer; call it directly before a planned disconnection.
+// RenewLeasesNow walks every cluster once and renews the lease on what its
+// donors hold for it: a swapped cluster's payload key, and the retained copy
+// — the key a resident cluster will leave on again without shipping, or the
+// base under a swapped delta — on each donor device holding it. Donors that
+// do not support leases (no swapstore -lease-ttl, plain stores) are skipped
+// silently; the count of successful per-key renewals is returned. A copy
+// whose every donor renewed is reported to the runtime, which then counts on
+// it for another lease period (core.Runtime.LeaseRenewed); one that did not
+// runs out, and its cluster ships in full next time. The background loop
+// (Config.LeaseRenewEvery) calls this on a timer; call it directly before a
+// planned disconnection.
 func (s *System) RenewLeasesNow(ctx context.Context) int {
 	renewed := 0
 	for _, info := range s.rt.Manager().InfoAll() {
-		if !info.Swapped && info.BaseKey == "" {
-			continue
-		}
-		keys := make([]string, 0, 2)
 		if info.Swapped && info.Key != "" {
-			keys = append(keys, info.Key)
+			renewed += s.renewCopy(ctx, info.ID, info.Key, info.Devices)
 		}
-		if info.BaseKey != "" && info.BaseKey != info.Key {
-			keys = append(keys, info.BaseKey)
-		}
-		for _, d := range info.Devices {
-			st, ok := s.devices.Peek(d)
-			if !ok {
-				continue
-			}
-			l, ok := st.(store.Leaser)
-			if !ok {
-				continue
-			}
-			for _, key := range keys {
-				// TTL 0 asks the donor for its configured default.
-				if err := l.RenewLease(ctx, key, 0); err == nil {
-					renewed++
-				}
-			}
+		if info.BaseKey != "" && !(info.Swapped && info.BaseKey == info.Key) {
+			renewed += s.renewCopy(ctx, info.ID, info.BaseKey, info.BaseDevices)
 		}
 	}
 	return renewed
+}
+
+// renewCopy renews key on each of devices and returns how many did.
+func (s *System) renewCopy(ctx context.Context, id ClusterID, key string, devices []string) int {
+	n := 0
+	for _, d := range devices {
+		st, ok := s.devices.Peek(d)
+		if !ok {
+			continue
+		}
+		// TTL 0 asks the donor for its configured default.
+		if l, ok := st.(store.Leaser); ok && l.RenewLease(ctx, key, 0) == nil {
+			n++
+		}
+	}
+	if n > 0 && n == len(devices) {
+		s.rt.LeaseRenewed(id, key)
+	}
+	return n
 }
 
 // repairTarget adapts core.Runtime to placement.RepairTarget: cluster ids are

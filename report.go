@@ -40,8 +40,14 @@ func (s *System) Report() string {
 	fmt.Fprintf(&b, "swap-clusters (%d):\n", len(infos))
 	for _, info := range infos {
 		state := "loaded"
-		if info.Swapped {
+		switch {
+		case info.Swapped:
 			state = fmt.Sprintf("swapped -> %s (%d XML bytes)", info.Device, info.PayloadBytes)
+		case info.BaseKey != "":
+			// Resident with a retained copy: unless written (dirty > 0), its
+			// next swap-out leaves on that copy without shipping a byte.
+			state = fmt.Sprintf("loaded, copy %s kept on %s, %d dirty",
+				info.BaseKey, strings.Join(info.BaseDevices, ","), info.Dirty)
 		}
 		label := fmt.Sprintf("%d", info.ID)
 		if info.ID == RootCluster {
@@ -86,9 +92,15 @@ func (s *System) writeSwapDigest(b *strings.Builder) {
 			b.WriteString("swap pipeline:\n")
 			wroteHeader = true
 		}
-		fmt.Fprintf(b, "  %-9s %d ops, mean %.3fms\n",
-			op, hs.Count, hs.Sum/float64(hs.Count)*1000)
-		phases := []string{"reserve", "snapshot", "encode", "ship", "commit"}
+		fmt.Fprintf(b, "  %-9s %d ops, mean %.3fms", op, hs.Count, hs.Sum/float64(hs.Count)*1000)
+		if op == "swap_out" {
+			// Only a swap-out that moves bytes has a ship phase; the rest left
+			// on their retained copies.
+			ships, _ := s.obsReg.HistogramSnapshotOf("objectswap_swap_phase_seconds", op, "ship")
+			fmt.Fprintf(b, " (%d clean, %d shipped)", hs.Count-ships.Count, ships.Count)
+		}
+		b.WriteString("\n")
+		phases := []string{"reserve", "snapshot", "negotiate", "encode", "ship", "commit"}
 		if op == "swap_in" {
 			phases = []string{"reserve", "fetch", "decode", "evict", "install"}
 		}

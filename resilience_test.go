@@ -246,8 +246,19 @@ func TestAttachLegacyDevice(t *testing.T) {
 	if _, err := sys.SwapIn(clusters[0]); err != nil {
 		t.Fatal(err)
 	}
+	// The reload leaves the payload where it is, as the retained copy; it goes
+	// when the cluster does.
+	if _, ok := legacy.m[ev.Key]; !ok || len(legacy.m) != 1 {
+		t.Fatalf("legacy store holds %d keys after reload, want the retained copy %q", len(legacy.m), ev.Key)
+	}
+	if err := sys.SetRoot("a", heap.Nil()); err != nil {
+		t.Fatal(err)
+	}
+	sys.Collect()
+	sys.Collect()
+	sys.Collect()
 	if len(legacy.m) != 0 {
-		t.Fatal("stale copy left on the legacy store after reload")
+		t.Fatalf("retained copy left on the legacy store after its cluster died: %d keys", len(legacy.m))
 	}
 }
 
