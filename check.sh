@@ -1,7 +1,8 @@
 #!/bin/sh
-# Tier-1 verification entrypoint: static checks, formatting, build, tests,
-# race tests, coverage on the observability spine, and a one-iteration
-# benchmark smoke run (benchmarks must at least execute).
+# Tier-1 verification entrypoint: formatting, static checks, build, every test
+# once plain and once under the race detector, coverage on the observability
+# spine, the generate-drift gate and the structural guards. Numbers are not
+# this script's business: go run ./benchmark and go run ./cmd/fig5 print them.
 set -eux
 
 UNFORMATTED=$(gofmt -l .)
@@ -13,25 +14,38 @@ fi
 
 go vet ./...
 go build ./...
-go test ./...
+# -count=1: a cached pass is not a run. Gates this one invocation carries:
+# - TestSmoke (internal/opshttp): a real listener on :0 answers 200 on
+#   /metrics, /healthz, /debug/traces, /debug/events, /debug/heat, /debug/wss.
+# - TestMetricsPageParses (internal/opshttp): the /metrics page survives a
+#   strict Prometheus text-format parser — adversarial label values,
+#   histograms and the telemetry families included.
+# - TestHeatRankingMatchesEvictionOrder, TestFaultCauseAttribution,
+#   TestThrashHealthFlips (.): heat classes and the coldest-first victim order
+#   are two readings of one ledger, fault causes are attributed, and the
+#   thrash health check flips degraded and recovers.
+# - TestCodecBenchSmoke (internal/wire): the binary codec's decode/encode time
+#   ratio stays under half the XML asymmetry (17.54) it was built to close,
+#   and one decode stays within its allocation budget.
+# - TestGenBenchSmoke (internal/schema/gentest): decoding through an obicomp
+#   codec allocates strictly less than the generic path, and generated
+#   dispatch allocates no more than the closure table it replaces.
+# - TestEvictionBudget (internal/core): an eviction pass of k >= 2 victims
+#   runs exactly one collection and every victim's bytes are back when its
+#   swap-out returns, sequential and Parallelism 4; a collection that reclaims
+#   nothing allocates nothing.
+# - TestSwapRoundTripBudget (internal/core): one SwapOut + SwapIn of a written
+#   32-object x 128 B cluster in the binary format allocates at most 8x the
+#   frame it ships, and the encode side nothing that grows with the object
+#   count once the encoder pool is warm; an unwritten one leaves with no
+#   store call and 21 allocations at any size.
+# - TestCollectAllocatesNothingOnUnchangedHeap (internal/heap).
+# - TestFaultBenchSmoke (.): a pointer chase with the prefetcher on takes at
+#   least one demand fault and serves at least half its cluster boundaries
+#   from the prefetch inventory.
+go test -count=1 ./...
 go test -race ./...
 go test -cover ./internal/obs/ ./internal/core/ ./internal/opshttp/ ./internal/placement/ ./internal/telemetry/
-# Ops-surface smoke: a real listener on :0 must answer 200 on /metrics,
-# /healthz, /debug/traces, /debug/events, /debug/heat and /debug/wss.
-go test -run '^TestSmoke$' -count=1 ./internal/opshttp/
-# Exposition gate: the /metrics page must survive a strict Prometheus
-# text-format parser — adversarial label values, histograms and the
-# telemetry families included.
-go test -run '^TestMetricsPageParses$' -count=1 ./internal/opshttp/
-# Telemetry-consistency gate: heat classes and the coldest-first victim order
-# are two readings of one ledger (a hammered cluster reads hot and is evicted
-# last, an idle one cold and first), fault causes must be attributed, and the
-# thrash health check must flip degraded and recover.
-go test -run '^TestHeatRankingMatchesEvictionOrder$|^TestFaultCauseAttribution$|^TestThrashHealthFlips$' -count=1 .
-# Codec-bench smoke: the binary wire codec's decode/encode ns ratio must stay
-# far below the XML baseline (~17.54, BENCH_codec.json) and within its
-# allocation budget (BENCH_wire.json records the numbers).
-go test -run '^TestCodecBenchSmoke$' -count=1 ./internal/wire/
 # Generate-drift gate: obicomp output must stay in sync with its schema
 # sources — regenerating every //go:generate package must be a no-op.
 BEFORE=$(find . -name '*_gen.go' -o -name '*_gen.xml' | sort | xargs sha256sum)
@@ -45,19 +59,20 @@ if [ "$BEFORE" != "$AFTER" ]; then
     rm -f /tmp/obicomp-gen-before.$$ /tmp/obicomp-gen-after.$$
     exit 1
 fi
-# Generated-codec smoke: decoding through an obicomp codec must allocate
-# strictly less than the generic path, and generated dispatch must not
-# regress past the closure table it replaces (BENCH_obicomp.json records the
-# numbers).
-go test -run '^TestGenBenchSmoke$' -count=1 ./internal/schema/gentest/
-# Shard-soak smoke: the sharded-core soak harness (control and default shard
-# counts) must execute at GOMAXPROCS 1 and 4. Full figures: BENCH_shard.json.
-go test -bench 'BenchmarkShardSoak' -benchtime=1x -cpu 1,4 -run '^$' .
-# Guard: the sharded core must never ship hardcoded to a single shard. Only
-# tests and the soak control may pin shards=1; WithShards(0)/Shards:0 means
-# "use DefaultShards".
-PINNED=$(grep -rnE 'WithShards\(1\)|Shards:[[:space:]]*1([^0-9]|$)|shards[[:space:]]*=[[:space:]]*1([^0-9]|$)' \
-    --include='*.go' . | grep -v '_test\.go' || true)
+# Guard: numbers live in one ledger. No BENCH_*.json at the root and no
+# go test -bench function anywhere: a figure is a row of go run ./benchmark
+# (benchmark/README.md maps every legacy figure to its successor) or a table
+# of go run ./cmd/fig5, measured by one instrument on one stamped host.
+LEDGERS=$(ls BENCH_*.json 2>/dev/null || true)
+BENCHFUNCS=$(grep -rn '^func Benchmark' --include='*_test.go' . || true)
+if [ -n "$LEDGERS" ] || [ -n "$BENCHFUNCS" ]; then
+    echo "second measuring system (add a workload or layer row to go run ./benchmark, or a table to go run ./cmd/fig5, instead):" >&2
+    printf '%s\n%s\n' "$LEDGERS" "$BENCHFUNCS" >&2
+    exit 1
+fi
+# Guard: the sharded core must never ship pinned to a single shard. Only
+# tests may call WithShards(1); core.DefaultShards is what ships.
+PINNED=$(grep -rn 'WithShards(1)' --include='*.go' . | grep -v '_test\.go' || true)
 if [ -n "$PINNED" ]; then
     echo "sharded core pinned to a single shard outside tests:" >&2
     echo "$PINNED" >&2
@@ -118,21 +133,3 @@ fi
 # exactly 8 donor fetches (single-flight coalescing), race-clean at
 # GOMAXPROCS 1 and 4.
 go test -race -run '^TestFaultStormCoalesces$' -count=1 -cpu 1,4 ./internal/core/
-# Eviction-budget gate (host-independent counts): an eviction pass of k >= 2
-# victims runs exactly one collection and every victim's bytes are back when
-# its swap-out returns, sequential and Parallelism 4; a collection that
-# reclaims nothing allocates nothing.
-go test -run '^TestEvictionBudget$' -count=1 ./internal/core/
-# Swap-allocation budget gate (host-independent counts): one SwapOut + SwapIn
-# of a written 32-object x 128 B cluster in the binary format allocates at most
-# 8x the frame it ships, and the encode side nothing that grows with the object
-# count once the encoder pool is warm; an unwritten one leaves with no store
-# call and 21 allocations at any size.
-go test -run '^TestSwapRoundTripBudget$' -count=1 ./internal/core/
-go test -run '^TestCollectAllocatesNothingOnUnchangedHeap$' -count=1 ./internal/heap/
-# Fault-bench smoke (host-independent counts): a pointer chase with the
-# prefetcher on must take at least one demand fault and serve at least half
-# its cluster boundaries from the prefetch inventory. No wall-clock ratio is
-# gated; the hit-vs-fault latencies are the ledger's (go run ./benchmark).
-go test -run '^TestFaultBenchSmoke$' -count=1 .
-go test -bench . -benchtime=1x -run '^$' ./...

@@ -53,7 +53,6 @@ func run() error {
 	device := flag.String("device", "", "comma-separated swapstore URLs to use (default: in-process memory)")
 	replicas := flag.Int("replicas", 1, "replication factor: ship each swapped cluster to K donors")
 	wire := flag.String("wire", "binary,xml", "shipment wire-format preference order negotiated with donors (binary, binary+flate, delta, xml)")
-	shards := flag.Int("shards", 0, "independently locked swap shards in the core (0 = default; 1 = single global lock)")
 	prefetch := flag.Int("prefetch", 0, "graph-driven prefetch depth: speculatively swap in up to N neighbor clusters after each demand fault (0 = off)")
 	prefetchWorkers := flag.Int("prefetch-workers", 0, "background prefetch swap-in goroutines (0 = default)")
 	threshold := flag.Float64("threshold", 0.75, "memory pressure threshold fraction")
@@ -87,7 +86,6 @@ func run() error {
 		MemoryThreshold: *threshold,
 		Replicas:        *replicas,
 		WireFormats:     wireFormats,
-		Shards:          *shards,
 		Prefetch:        objectswap.PrefetchConfig{Depth: *prefetch, Workers: *prefetchWorkers},
 		Logger:          logger,
 	})

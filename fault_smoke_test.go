@@ -1,19 +1,17 @@
 package objectswap
 
-// Pointer-chase benchmark for the asynchronous fault engine: a list of
+// Pointer-chase smoke gate for the asynchronous fault engine: a list of
 // objects spread across a chain of swap-clusters is walked end to end after
 // everything was swapped out. Without prefetch every cluster boundary is a
 // demand fault (device round trip + decode + install); with the
 // graph-driven prefetcher the next cluster is speculatively resident by the
 // time the walker arrives, and the crossing costs an inventory map lookup.
-// TestFaultBenchSmoke is the check.sh gate asserting, by count, that the
-// prefetcher serves the boundaries; BenchmarkPointerChase produces the
-// BENCH_fault.json numbers, and the wall-clock separation is the ledger's to
-// report (benchmark/README.md, "Legacy BENCH_*.json figures and what
-// supersedes them").
+// TestFaultBenchSmoke asserts, by count, that the prefetcher serves the
+// boundaries; what a fault and a hit cost is the ledger's to report
+// (fault_p50_us @ chase-mem, fault.prefetch_hit_ratio @ chase-lan in
+// go run ./benchmark).
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -30,7 +28,7 @@ const (
 // buildChaseChain allocates chaseClusters clusters of chasePerCluster nodes
 // each, linked into one list crossing every cluster boundary, and roots the
 // head. Returns the cluster ids in chain order.
-func buildChaseChain(t testing.TB, sys *System) []ClusterID {
+func buildChaseChain(t *testing.T, sys *System) []ClusterID {
 	t.Helper()
 	cls, err := sys.Runtime().Registry().Lookup("Task")
 	if err != nil {
@@ -68,7 +66,7 @@ func buildChaseChain(t testing.TB, sys *System) []ClusterID {
 }
 
 // swapOutChase detaches the whole chain, tail first.
-func swapOutChase(t testing.TB, sys *System, clusters []ClusterID) {
+func swapOutChase(t *testing.T, sys *System, clusters []ClusterID) {
 	t.Helper()
 	for i := len(clusters) - 1; i >= 0; i-- {
 		if _, err := sys.SwapOut(clusters[i]); err != nil {
@@ -82,7 +80,7 @@ func swapOutChase(t testing.TB, sys *System, clusters []ClusterID) {
 // prefetcher at each cluster boundary so speculation (when enabled) has
 // landed before the walker crosses — the steady-state shape where the
 // fetcher runs ahead of the chaser.
-func walkChase(t testing.TB, sys *System) {
+func walkChase(t *testing.T, sys *System) {
 	t.Helper()
 	cur, err := sys.MustRoot("chase-head")
 	if err != nil {
@@ -104,7 +102,7 @@ func walkChase(t testing.TB, sys *System) {
 	}
 }
 
-// TestFaultBenchSmoke is the check.sh prefetch gate: after one full pointer
+// TestFaultBenchSmoke is the prefetch gate: after one full pointer
 // chase with the prefetcher on, at least one boundary was a demand fault and
 // at least half were prefetch hits. Both are counts, the same on any host;
 // how much cheaper a hit is than a fault is a wall-clock ratio this host's
@@ -143,44 +141,5 @@ func TestFaultBenchSmoke(t *testing.T) {
 		t.Fatalf("prefetch hits = %d, want at least %d of %d boundaries; engine: %+v",
 			hits.Count, chaseClusters/2, chaseClusters,
 			sys.Runtime().FaultEngine().Snapshot())
-	}
-}
-
-// BenchmarkPointerChase measures one full chain walk per iteration —
-// demand-only vs prefetch-ahead. The recorded wall time covers swap-out +
-// walk; the per-crossing split lives in the objectswap_fault_seconds
-// histogram (see BENCH_fault.json).
-func BenchmarkPointerChase(b *testing.B) {
-	for _, mode := range []struct {
-		name  string
-		depth int
-	}{{"demand", 0}, {"prefetch", 2}} {
-		b.Run(mode.name, func(b *testing.B) {
-			sys, err := New(Config{
-				HeapCapacity: 16 << 20,
-				Prefetch:     PrefetchConfig{Depth: mode.depth, Workers: 2},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer sys.Close()
-			if err := sys.AttachDevice("desktop", store.NewMem(0)); err != nil {
-				b.Fatal(err)
-			}
-			clusters := buildChaseChain(b, sys)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				swapOutChase(b, sys, clusters)
-				walkChase(b, sys)
-			}
-			b.StopTimer()
-			reg := sys.Metrics()
-			for _, kind := range []string{"demand", "prefetch-hit"} {
-				if hs, ok := reg.HistogramSnapshotOf("objectswap_fault_seconds",
-					"swap_in", "reload", kind); ok && hs.Count > 0 {
-					b.ReportMetric(hs.Sum/float64(hs.Count)*1e9, fmt.Sprintf("ns/%s", kind))
-				}
-			}
-		})
 	}
 }

@@ -372,6 +372,53 @@ func TestSwapInDeadlineLeavesClusterSwapped(t *testing.T) {
 	}
 }
 
+// TestTimedOutSwapOutLeavesNoOrphan: a K=2 swap-out whose second donor hangs
+// to the deadline fails its quorum after the first donor accepted the payload.
+// That copy is dropped although the operation's context is spent, or — when
+// the donor refuses the drop too — queued for the next collection: every
+// landed byte is either gone or on the deferred-drop list.
+func TestTimedOutSwapOutLeavesNoOrphan(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		refuseDrops int
+		wantPending int
+	}{
+		{"drop outlives the deadline", 0, 0},
+		{"refused drop is deferred", 1, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, flakies, _ := failoverFixture(t)
+			_, clusters := f.buildList(t, 20, 10, 8)
+			flakies["donor-b"].HangOn(store.OpPut, 1)
+			flakies["donor-a"].FailNext(store.OpDrop, tc.refuseDrops)
+
+			_, err := f.rt.SwapOut(clusters[1], WithReplicas(2), WithTimeout(50*time.Millisecond))
+			if !errors.Is(err, store.ErrUnavailable) {
+				t.Fatalf("swap-out with a hung donor: %v", err)
+			}
+			if f.rt.Manager().IsSwapped(clusters[1]) {
+				t.Fatal("cluster marked swapped after a failed quorum")
+			}
+			held := func() (n int) {
+				for _, fl := range flakies {
+					keys, _ := fl.Keys(ctx)
+					n += len(keys)
+				}
+				return n
+			}
+			if got := f.rt.Manager().PendingDrops(); got != tc.wantPending || held() != got {
+				t.Fatalf("donors hold %d payload(s), %d drop(s) pending, want both %d", held(), got, tc.wantPending)
+			}
+			f.rt.Collect()
+			if held() != 0 || f.rt.Manager().PendingDrops() != 0 {
+				t.Fatalf("after a collection donors hold %d payload(s), %d drop(s) pending",
+					held(), f.rt.Manager().PendingDrops())
+			}
+			checkClean(t, f.rt)
+		})
+	}
+}
+
 func TestDropAbandonedAfterRetryBudget(t *testing.T) {
 	f, flakies, bus := failoverFixture(t)
 	flaky := flakies["donor-a"]

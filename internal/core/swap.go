@@ -103,6 +103,7 @@ type swapOut struct {
 	payload []byte // the encoder's buffer
 	repl    *heap.Object
 	rep     placement.ShipReport
+	orphans []string  // donors a failed attempt could not take its copy back from
 	copy    donorCopy // what the donors hold when commit runs: shipped, or kept
 	oldBase donorCopy // the retained copy this shipment obsoleted, if any
 }
@@ -391,6 +392,13 @@ func (s *swapOut) ship() error {
 		rt.shedRetained(s.ctx, s.plan.ranked) > 0 {
 		err = s.reship()
 	}
+	// A copy a failed attempt left behind is dropped at the next collection —
+	// unless the attempt that succeeded put the key's live copy on that donor.
+	for _, d := range s.orphans {
+		if err != nil || !slices.Contains(s.rep.Replicas, d) {
+			rt.mgr.deferDrop(d, s.key, s.id)
+		}
+	}
 	if err != nil {
 		return err
 	}
@@ -460,6 +468,7 @@ func (s *swapOut) shipPlanned() error {
 		},
 	}, s.plan.ranked)
 	if err != nil {
+		s.orphans = append(s.orphans, s.rep.Orphans...)
 		return fmt.Errorf("core: ship cluster %d: %w", id, err)
 	}
 	return nil

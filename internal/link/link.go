@@ -80,11 +80,6 @@ func Bluetooth1() Profile {
 	return Profile{Name: "bluetooth-700kbps", BitsPerSecond: 700_000, Latency: 30 * time.Millisecond}
 }
 
-// WiFi80211g models a faster neighborhood link for comparison sweeps.
-func WiFi80211g() Profile {
-	return Profile{Name: "wifi-20mbps", BitsPerSecond: 20_000_000, Latency: 5 * time.Millisecond}
-}
-
 // TransferTime computes the modelled time to move n payload bytes.
 func (p Profile) TransferTime(n int) time.Duration {
 	d := p.Latency

@@ -353,12 +353,6 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.family(name, help, KindGauge, nil, nil, true).bindFunc(nil, fn)
 }
 
-// CounterFunc registers a counter whose value is read from fn at scrape time
-// (fn must be monotonic).
-func (r *Registry) CounterFunc(name, help string, fn func() float64) {
-	r.family(name, help, KindCounter, nil, nil, true).bindFunc(nil, fn)
-}
-
 // Histogram registers (or returns) an unlabeled histogram with the given
 // bucket bounds (nil = DefaultBuckets).
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {

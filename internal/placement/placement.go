@@ -20,6 +20,7 @@ package placement
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -231,16 +232,24 @@ type ShipReport struct {
 	// replicas than Requested (with quorum still met) is a sparse-donor
 	// shortfall the caller surfaces on its swap event.
 	Requested int
+	// Orphans are the donors a quorum-failed shipment landed on and could not
+	// be made to drop the payload again; the caller owns retrying those drops.
+	Orphans []string
 }
+
+// cleanupTimeout bounds the drops that follow a failed quorum, all of them
+// together: they run detached from the caller's context, which is often what
+// ran out.
+const cleanupTimeout = time.Second
 
 // Ship stores the payload on the top K ranked donors in parallel and returns
 // once every attempt settles. It succeeds when at least W donors accepted
 // the payload; unless NoExtend is set, each rejection recruits the
 // next-ranked candidate, so the shipment degrades through the whole donor
 // population before giving up. On quorum failure the partial replicas are
-// dropped (best effort) so no orphan payloads linger, and the error wraps
-// the last Put failure — or store.ErrNoDevice when no donor was even
-// eligible.
+// dropped so no orphan payloads linger (the report names any donor that
+// would not), and the error wraps the last Put failure — or
+// store.ErrNoDevice when no donor was even eligible.
 func (p *Planner) Ship(ctx context.Context, req ShipRequest) (ShipReport, error) {
 	cands := p.Rank(ctx, req.Key, int64(len(req.Data)), req.Exclude)
 	return p.ShipRanked(ctx, req, cands)
@@ -335,19 +344,38 @@ func (p *Planner) ShipRanked(ctx context.Context, req ShipRequest, ranked []Cand
 		return rep, nil
 	}
 	// Quorum failed: a partial replica set gives a false durability promise
-	// and leaks donor capacity — drop what landed, best effort.
+	// and leaks donor capacity — drop what landed. The shipment may have failed
+	// because ctx ran out (one donor hanging to the deadline), so the drops
+	// keep its values but not its cancellation.
+	dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), cleanupTimeout)
+	defer cancel()
+	var dropped []string
 	for _, i := range okIdx {
-		_ = cands[i].Store.Drop(ctx, req.Key)
+		if err := cands[i].Store.Drop(dctx, req.Key); err != nil && !errors.Is(err, store.ErrNotFound) {
+			rep.Orphans = append(rep.Orphans, cands[i].Name)
+			continue
+		}
+		dropped = append(dropped, cands[i].Name)
 	}
 	p.ships.With("quorum_failed").Inc()
-	landed := rep.Replicas
+	landed := len(rep.Replicas)
 	rep.Replicas = nil
 	if lastErr == nil {
 		// No Put failed — there simply were not enough eligible donors to
 		// reach the quorum.
 		lastErr = fmt.Errorf("%d donor(s) eligible: %w", len(cands), store.ErrNoDevice)
 	}
-	return rep, fmt.Errorf("placement: ship %q: %d/%d replicas landed (quorum %d, dropped %s, failed %s): %w",
-		req.Key, len(landed), k, quorum,
-		strings.Join(landed, ","), strings.Join(rep.Attempted, ","), lastErr)
+	// The message says what became of each donor, and only what happened.
+	fate := fmt.Sprintf("quorum %d", quorum)
+	if len(dropped) > 0 {
+		fate += ", dropped " + strings.Join(dropped, ",")
+	}
+	if len(rep.Orphans) > 0 {
+		fate += ", still on " + strings.Join(rep.Orphans, ",")
+	}
+	if len(rep.Attempted) > 0 {
+		fate += ", failed " + strings.Join(rep.Attempted, ",")
+	}
+	return rep, fmt.Errorf("placement: ship %q: %d/%d replicas landed (%s): %w",
+		req.Key, landed, k, fate, lastErr)
 }

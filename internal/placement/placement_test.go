@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -206,35 +208,77 @@ func TestShipExtendsPastFailedDonor(t *testing.T) {
 	}
 }
 
+// TestShipQuorumFailureDropsPartials: K wants a quorum only one donor can
+// give, so the shipment fails — and the copy that landed must be gone again,
+// or named in the report, whatever made the other donors fail.
 func TestShipQuorumFailureDropsPartials(t *testing.T) {
-	// Three donors, two faulted: K=3 wants quorum 2 but only one replica can
-	// land — the shipment must fail and clean up the partial copy.
-	names := []string{"d1", "d2", "d3"}
-	order := Order("k3", names)
-	r := store.NewRegistry(store.SelectMostFree)
-	flakies := map[string]*store.Flaky{}
-	for _, n := range names {
-		flakies[n] = store.NewFlaky(store.NewMem(0), 1)
-		if err := r.Add(n, flakies[n]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	flakies[order[0]].FailNext(store.OpPut, -1)
-	flakies[order[1]].FailNext(store.OpPut, -1)
-	p := New(r, Options{})
+	for _, tc := range []struct {
+		name     string
+		replicas int // K, and the number of donors attached
+		deadline time.Duration
+		// sabotage schedules the faults; donors are in rank order for the key.
+		sabotage    func(ranked []*store.Flaky)
+		wantOrphans []int // by rank
+	}{
+		{"two of three reject", 3, 0, func(d []*store.Flaky) {
+			d[0].FailNext(store.OpPut, -1)
+			d[1].FailNext(store.OpPut, -1)
+		}, nil},
+		// The shipment fails because its context ran out: the drop of the
+		// landed copy must not die of the same deadline.
+		{"one of two hangs to the deadline", 2, 50 * time.Millisecond, func(d []*store.Flaky) {
+			d[1].HangOn(store.OpPut, 1)
+		}, nil},
+		{"landed donor refuses the drop", 3, 0, func(d []*store.Flaky) {
+			d[0].FailNext(store.OpPut, -1)
+			d[1].FailNext(store.OpPut, -1)
+			d[2].FailNext(store.OpDrop, -1)
+		}, []int{2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			names := []string{"d1", "d2", "d3"}[:tc.replicas]
+			order := Order("k3", names)
+			r := store.NewRegistry(store.SelectMostFree)
+			ranked := make([]*store.Flaky, len(order))
+			for i, n := range order {
+				ranked[i] = store.NewFlaky(store.NewMem(0), 1)
+				if err := r.Add(n, ranked[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tc.sabotage(ranked)
+			sctx := ctx
+			if tc.deadline > 0 {
+				var cancel context.CancelFunc
+				sctx, cancel = context.WithTimeout(ctx, tc.deadline)
+				defer cancel()
+			}
 
-	rep, err := p.Ship(ctx, ShipRequest{Key: "k3", Data: []byte("x"), Replicas: 3})
-	if err == nil {
-		t.Fatalf("quorum-failed shipment succeeded: %+v", rep)
-	}
-	if len(rep.Replicas) != 0 {
-		t.Fatalf("failed shipment reported replicas %v", rep.Replicas)
-	}
-	// The one landed copy must have been dropped again.
-	for _, n := range names {
-		if keys, _ := flakies[n].Keys(ctx); len(keys) != 0 {
-			t.Fatalf("orphan payload left on %s: %v", n, keys)
-		}
+			rep, err := New(r, Options{}).Ship(sctx, ShipRequest{Key: "k3", Data: []byte("x"), Replicas: tc.replicas})
+			if err == nil {
+				t.Fatalf("quorum-failed shipment succeeded: %+v", rep)
+			}
+			if len(rep.Replicas) != 0 {
+				t.Fatalf("failed shipment reported replicas %v", rep.Replicas)
+			}
+			var wantOrphans []string
+			for _, rank := range tc.wantOrphans {
+				wantOrphans = append(wantOrphans, order[rank])
+			}
+			if !slices.Equal(rep.Orphans, wantOrphans) {
+				t.Fatalf("orphans = %v, want %v (err: %v)", rep.Orphans, wantOrphans, err)
+			}
+			// Every copy is dropped or reported, and the error says which.
+			for i, n := range order {
+				keys, _ := ranked[i].Keys(ctx)
+				if orphan := slices.Contains(wantOrphans, n); (len(keys) != 0) != orphan {
+					t.Fatalf("donor %s holds %v, reported orphan = %v", n, keys, orphan)
+				}
+			}
+			if claimsDrop := strings.Contains(err.Error(), "dropped"); claimsDrop != (len(wantOrphans) == 0) {
+				t.Fatalf("error text does not match what happened: %v", err)
+			}
+		})
 	}
 }
 

@@ -117,18 +117,22 @@ func (d *Disk) PutEnvelope(ctx context.Context, key string, data []byte, opts Pu
 	return nil
 }
 
-// GetEnvelope returns the payload and the envelope it was stored with;
-// payloads without a format sidecar report the XML fallback.
+// GetEnvelope returns the payload and the envelope it was stored with, read
+// in one critical section so a concurrent PutEnvelope cannot pair one
+// shipment's bytes with another's format; payloads without a format sidecar
+// report the XML fallback.
 func (d *Disk) GetEnvelope(ctx context.Context, key string) ([]byte, PutOpts, error) {
-	data, err := d.Get(ctx, key)
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, PutOpts{}, err
 	}
 	d.mu.Lock()
-	raw, err := os.ReadFile(d.fmtPath(key))
-	d.mu.Unlock()
+	defer d.mu.Unlock()
+	data, err := d.read(key)
+	if err != nil {
+		return nil, PutOpts{}, err
+	}
 	format := FormatXML
-	if err == nil && len(raw) > 0 {
+	if raw, err := os.ReadFile(d.fmtPath(key)); err == nil && len(raw) > 0 {
 		format = string(raw)
 	}
 	return data, PutOpts{Format: format}, nil
@@ -141,6 +145,11 @@ func (d *Disk) Get(ctx context.Context, key string) ([]byte, error) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	return d.read(key)
+}
+
+// read returns key's payload file; the caller holds d.mu.
+func (d *Disk) read(key string) ([]byte, error) {
 	data, err := os.ReadFile(d.path(key))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)

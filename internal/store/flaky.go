@@ -17,6 +17,7 @@ const (
 	OpDrop
 	OpKeys
 	OpStats
+	OpRenew
 	numOps
 )
 
@@ -33,6 +34,8 @@ func (o Op) String() string {
 		return "keys"
 	case OpStats:
 		return "stats"
+	case OpRenew:
+		return "renew"
 	default:
 		return fmt.Sprintf("op(%d)", o)
 	}

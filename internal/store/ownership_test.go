@@ -18,7 +18,9 @@ import (
 // returns a slice of the caller's own (changing it changes nothing stored).
 // The swapping runtime ships every cluster out of one pooled buffer, so a
 // store that kept the slice would serve the next cluster's bytes under this
-// cluster's key.
+// cluster's key. Last, an envelope belongs to its payload: a GetWith racing
+// a writer that alternates two shipments under one key returns one
+// shipment's bytes with that shipment's format, never a mix.
 func TestOwnershipContract(t *testing.T) {
 	ctx := context.Background()
 	newDisk := func(t *testing.T) store.Store {
@@ -106,6 +108,47 @@ func TestOwnershipContract(t *testing.T) {
 					}
 				}
 			}
+
+			shipments := []struct {
+				format string
+				data   []byte
+			}{{"binary", payload('b')}, {store.FormatXML, payload('x')}}
+			ship := func(i int) bool {
+				sh := shipments[i%2]
+				if err := store.PutWith(ctx, s, "torn", sh.data, store.PutOpts{Format: sh.format}); err != nil {
+					t.Errorf("PutWith %s: %v", sh.format, err)
+					return false
+				}
+				return true
+			}
+			if !ship(0) {
+				return
+			}
+			stop, done := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(done)
+				for i := 1; ship(i); i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+				}
+			}()
+			for i := 0; i < 300 && !t.Failed(); i++ {
+				data, opts, err := store.GetWith(ctx, s, "torn")
+				if err != nil {
+					t.Errorf("read %d: %v", i, err)
+					break
+				}
+				for _, sh := range shipments {
+					if opts.Format == sh.format && !bytes.Equal(data, sh.data) {
+						t.Errorf("read %d: torn envelope: format %q with payload %.6q...", i, opts.Format, data)
+					}
+				}
+			}
+			close(stop)
+			<-done
 		})
 	}
 }

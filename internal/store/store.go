@@ -227,16 +227,21 @@ func (m *Mem) PutEnvelope(ctx context.Context, key string, data []byte, opts Put
 	return nil
 }
 
-// GetEnvelope returns the payload and the envelope it was stored with;
-// payloads stored without one report the XML fallback.
+// GetEnvelope returns the payload and the envelope it was stored with, read
+// in one critical section so a concurrent PutEnvelope cannot pair one
+// shipment's bytes with another's format; payloads stored without an envelope
+// report the XML fallback.
 func (m *Mem) GetEnvelope(ctx context.Context, key string) ([]byte, PutOpts, error) {
-	data, err := m.Get(ctx, key)
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, PutOpts{}, err
 	}
 	m.mu.RLock()
+	defer m.mu.RUnlock()
+	data, err := m.copyOf(key)
+	if err != nil {
+		return nil, PutOpts{}, err
+	}
 	format := m.kinds[key]
-	m.mu.RUnlock()
 	if format == "" {
 		format = FormatXML
 	}
@@ -250,6 +255,11 @@ func (m *Mem) Get(ctx context.Context, key string) ([]byte, error) {
 	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
+	return m.copyOf(key)
+}
+
+// copyOf returns a copy of key's payload; the caller holds m.mu.
+func (m *Mem) copyOf(key string) ([]byte, error) {
 	data, ok := m.items[key]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)

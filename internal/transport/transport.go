@@ -278,7 +278,13 @@ func (r *Resilient) do(ctx context.Context, op store.Op, fn func(context.Context
 		}
 		return fmt.Errorf("device %s: %w", r.name, ErrBreakerOpen)
 	}
+	return r.attempts(ctx, op, r.pol.MaxAttempts, fn)
+}
 
+// attempts runs fn up to limit times, each under the per-attempt timeout, with
+// backoff between them, and books the outcome against the device's health
+// and metrics. It does not consult the breaker: do does, Probe must not.
+func (r *Resilient) attempts(ctx context.Context, op store.Op, limit int, fn func(context.Context) error) error {
 	start := time.Now()
 	var err error
 	for attempt := 1; ; attempt++ {
@@ -304,7 +310,7 @@ func (r *Resilient) do(ctx context.Context, op store.Op, fn func(context.Context
 			err = fmt.Errorf("%w: device %s timed out on %s: %v",
 				store.ErrUnavailable, r.name, op, err)
 		}
-		if ctx.Err() != nil || attempt >= r.pol.MaxAttempts || !retryable(err) {
+		if ctx.Err() != nil || attempt >= limit || !retryable(err) {
 			break
 		}
 		r.logger.Debug("retrying", "device", r.name, "op", op,
@@ -329,34 +335,10 @@ func (r *Resilient) do(ctx context.Context, op store.Op, fn func(context.Context
 // policy action, a reconnect notification, a periodic sweep — must call
 // Probe (or the façade's ProbeDevices) to let the device back in.
 func (r *Resilient) Probe(ctx context.Context) error {
-	start := time.Now()
-	if r.metrics != nil {
-		r.metrics.attempt(r.name, false)
-	}
-	attemptCtx, cancel := ctx, context.CancelFunc(func() {})
-	if r.pol.OpTimeout > 0 {
-		attemptCtx, cancel = context.WithTimeout(ctx, r.pol.OpTimeout)
-	}
-	_, err := r.inner.Stats(attemptCtx)
-	cancel()
-	if err == nil {
-		r.recordSuccess()
-		if r.metrics != nil {
-			r.metrics.success(r.name, store.OpStats, time.Since(start))
-		}
-		return nil
-	}
-	if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
-		err = fmt.Errorf("%w: device %s timed out on %s: %v",
-			store.ErrUnavailable, r.name, store.OpStats, err)
-	}
-	if retryable(err) || errors.Is(err, context.DeadlineExceeded) {
-		r.recordFailure()
-	}
-	if r.metrics != nil {
-		r.metrics.failure(r.name, store.OpStats, time.Since(start))
-	}
-	return err
+	return r.attempts(ctx, store.OpStats, 1, func(ctx context.Context) error {
+		_, err := r.inner.Stats(ctx)
+		return err
+	})
 }
 
 // Put ships data with retry, timeout and breaker accounting.
@@ -467,7 +449,7 @@ func (r *Resilient) RenewLease(ctx context.Context, key string, ttl time.Duratio
 	if !ok {
 		return fmt.Errorf("%w: device %s", store.ErrLeaseUnsupported, r.name)
 	}
-	return r.do(ctx, store.OpStats, func(ctx context.Context) error {
+	return r.do(ctx, store.OpRenew, func(ctx context.Context) error {
 		return l.RenewLease(ctx, key, ttl)
 	})
 }

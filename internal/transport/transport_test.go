@@ -252,6 +252,18 @@ func TestMetricsAggregateAcrossDevices(t *testing.T) {
 	if !strings.Contains(out, "good") || !strings.Contains(out, "bad") {
 		t.Fatalf("rendered snapshot missing devices:\n%s", out)
 	}
+
+	// A lease renewal is its own kind of operation, not a capacity probe.
+	leased := NewResilient("leased", store.NewLeaseGC(store.NewMem(0), time.Hour, nil), Policy{}, WithMetrics(m))
+	if err := leased.Put(ctx, "k", []byte("abcd")); err != nil {
+		t.Fatal(err)
+	}
+	if err := leased.RenewLease(ctx, "k", time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if renew, stats := m.ops.With("leased", "renew").Value(), m.ops.With("leased", "stats").Value(); renew != 1 || stats != 0 {
+		t.Fatalf("ops_total{device=leased}: renew = %v, stats = %v, want 1 and 0", renew, stats)
+	}
 }
 
 func TestProbeBypassesBreakerAndRecovers(t *testing.T) {

@@ -153,11 +153,6 @@ type Config struct {
 	// of one cluster with the device shipment of another. 0 or 1 keeps the
 	// sequential one-victim-at-a-time evictor.
 	EvictParallelism int
-	// Shards is the number of independently locked swap shards in the core:
-	// swaps on clusters hashed to different shards reserve and commit without
-	// contending. 0 selects the default (core.DefaultShards); 1 restores a
-	// single global swap lock (useful as a benchmark control).
-	Shards int
 	// Clock is the time source for all observability timings — event
 	// timestamps, swap-phase durations, GC pauses, transport latencies
 	// (default: the wall clock). Inject obs.NewVirtualClock in tests for
@@ -264,9 +259,6 @@ func New(cfg Config) (*System, error) {
 	}
 	if len(cfg.WireFormats) > 0 {
 		opts = append(opts, core.WithWireFormats(cfg.WireFormats...))
-	}
-	if cfg.Shards > 0 {
-		opts = append(opts, core.WithShards(cfg.Shards))
 	}
 	if cfg.Prefetch.Depth > 0 {
 		opts = append(opts, core.WithPrefetch(cfg.Prefetch.Depth, cfg.Prefetch.Workers))
