@@ -35,10 +35,10 @@ go build ./...
 #   swap-out returns, sequential and Parallelism 4; a collection that reclaims
 #   nothing allocates nothing.
 # - TestSwapRoundTripBudget (internal/core): one SwapOut + SwapIn of a written
-#   32-object x 128 B cluster in the binary format allocates at most 8x the
+#   32-object x 128 B cluster in the binary format allocates at most 6x the
 #   frame it ships, and the encode side nothing that grows with the object
 #   count once the encoder pool is warm; an unwritten one leaves with no
-#   store call and 21 allocations at any size.
+#   store call, 21 allocations and at most 2300 B at any size.
 # - TestCollectAllocatesNothingOnUnchangedHeap (internal/heap).
 # - TestFaultBenchSmoke (.): a pointer chase with the prefetcher on takes at
 #   least one demand fault and serves at least half its cluster boundaries
@@ -127,6 +127,16 @@ KNOBS=$(grep -rnE '[kK]eepOnReload' --include='*.go' . | grep -v '_test\.go:' ||
 if [ "$ANCHORS" != "internal/core/state.go" ] || [ -n "$RELOADDROPS" ] || [ -n "$KNOBS" ]; then
     echo "retained copy forked (want cs.base assigned only in internal/core/state.go, no dropAll( in swapin.go, no KeepOnReload):" >&2
     printf '%s\n%s\n%s\n' "$ANCHORS" "$RELOADDROPS" "$KNOBS" >&2
+    exit 1
+fi
+# Guard: one file knows how a heap.Value is laid out. No non-test Go file but
+# internal/heap/value.go imports unsafe; everything else reads a Value through
+# its accessors (Int, Str, BorrowBytes, List, ...), so the representation can
+# change without touching a caller.
+UNSAFE=$(grep -rlE '^[[:space:]]*(import[[:space:]]+)?([[:alnum:]_.]+[[:space:]]+)?"unsafe"' --include='*.go' . | grep -v '_test\.go$' | grep -v '^\./internal/heap/value\.go$' || true)
+if [ -n "$UNSAFE" ]; then
+    echo "unsafe imported outside internal/heap/value.go (read a heap.Value through its accessors instead):" >&2
+    echo "$UNSAFE" >&2
     exit 1
 fi
 # Fault-storm smoke: 64 goroutines faulting 8 swapped clusters must issue

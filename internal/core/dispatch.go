@@ -227,15 +227,28 @@ func (rt *Runtime) invokeAcross(r reached, method string, args []heap.Value) ([]
 }
 
 // intercept translates the values passed across a boundary into the
-// perspective of the cluster receiving them.
+// perspective of the cluster receiving them. When no value changes (scalars,
+// and references that are already right for the receiver) vals itself passes
+// through, as on the same-cluster path; the copy is made at the first value
+// that does change.
 func (rt *Runtime) intercept(vals []heap.Value, to ClusterID, what string) ([]heap.Value, error) {
-	out := make([]heap.Value, len(vals))
+	var out []heap.Value
 	for i, v := range vals {
 		tv, err := rt.translate(v, to)
 		if err != nil {
 			return nil, fmt.Errorf("core: intercept %s %d: %w", what, i, err)
 		}
+		if out == nil {
+			if tv.Equal(v) {
+				continue
+			}
+			out = make([]heap.Value, len(vals))
+			copy(out, vals[:i])
+		}
 		out[i] = tv
+	}
+	if out == nil {
+		return vals, nil
 	}
 	return out, nil
 }

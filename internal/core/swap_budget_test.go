@@ -81,8 +81,9 @@ func mallocs(fn func()) (count, bytes uint64) {
 // one cluster out and back — on a device that swaps because it is out of
 // memory, that garbage competes with the bytes being freed. One SwapOut plus
 // one SwapIn of a written 32-object x 128 B cluster over an in-memory donor,
-// in the negotiated binary format, may allocate at most 8x the frame it ships
-// (it was ~15x when each direction built a document and two frame copies),
+// in the negotiated binary format, may allocate at most 6x the frame it ships
+// (it was ~15x when each direction built a document and two frame copies, and
+// 6.8x while a heap.Value was 96 B; measured 5.8x with the 24 B Value),
 // and the encode side nothing that grows with the object count once the
 // encoder pool is warm. An unwritten cluster leaves on its retained copy: no
 // store call, and a fixed handful of allocations whatever its size. check.sh
@@ -125,8 +126,8 @@ func TestSwapRoundTripBudget(t *testing.T) {
 	perTrip, allocs := float64(bytes)/rounds, float64(count)/rounds
 	t.Logf("frame %d B; one round trip allocates %.0f B in %.0f objects (%.1fx the frame)",
 		frame, perTrip, allocs, perTrip/float64(frame))
-	if limit := 8 * float64(frame); perTrip > limit {
-		t.Fatalf("one swap round trip allocates %.0f B, budget is 8x the %d B frame = %.0f B",
+	if limit := 6 * float64(frame); perTrip > limit {
+		t.Fatalf("one swap round trip allocates %.0f B, budget is 6x the %d B frame = %.0f B",
 			perTrip, frame, limit)
 	}
 
@@ -212,8 +213,9 @@ func TestSwapRoundTripBudget(t *testing.T) {
 	bigCount, bigBytes = cleanSide(128)
 	t.Logf("clean swap-out of 32 objects: %d allocs, %d B; of 128: %d allocs, %d B",
 		smallCount, smallBytes, bigCount, bigBytes)
-	// Measured: 21 allocations, 2568 B, at either size.
-	const cleanAllocs, cleanBytes = 21, 2600
+	// Measured: 21 allocations, 2280 B, at either size (2568 B while a
+	// heap.Value was 96 B).
+	const cleanAllocs, cleanBytes = 21, 2300
 	if bigCount != smallCount || smallCount > cleanAllocs || bigBytes > cleanBytes {
 		t.Fatalf("clean swap-out allocates %d objects / %d B for 32 members and %d / %d B for 128; budget is %d / %d B at any size",
 			smallCount, smallBytes, bigCount, bigBytes, cleanAllocs, cleanBytes)

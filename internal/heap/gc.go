@@ -129,10 +129,11 @@ func (h *Heap) markID(id ObjID) {
 func (h *Heap) markValue(v *Value) {
 	switch v.kind {
 	case KindRef:
-		h.markID(v.ref)
+		h.markID(ObjID(v.n))
 	case KindList:
-		for i := range v.list {
-			h.markValue(&v.list[i])
+		elems := v.elems()
+		for i := range elems {
+			h.markValue(&elems[i])
 		}
 	}
 }

@@ -24,7 +24,9 @@ package heap
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
+	"unsafe"
 )
 
 // ObjID identifies a managed object within one Heap. IDs are never reused, so
@@ -105,43 +107,54 @@ var ErrBadKind = errors.New("heap: value has different kind")
 // Value is a dynamically-typed slot: a primitive, a reference to a managed
 // object, or a list of Values. Values are immutable; mutate objects by
 // assigning new Values into fields.
+//
+// A Value is three words: the kind, one payload word n and one pointer p. n
+// holds the int, the bool, the float's IEEE bits, the ObjID, or the length of
+// the string, bytes or list data p points at. A zero-length payload has p ==
+// nil, so p never points one past the end of an allocation. This file is the
+// only one that imports unsafe, and outside package heap a Value is read only
+// through its accessors.
 type Value struct {
+	_    [0]func() // not comparable: == would compare p, not the payload; use Equal
 	kind Kind
-	i    int64
-	f    float64
-	s    string
-	b    []byte
-	ref  ObjID
-	list []Value
+	n    uint64
+	p    unsafe.Pointer
 }
 
 // Nil returns the nil Value.
 func Nil() Value { return Value{} }
 
 // Int returns an integer Value.
-func Int(i int64) Value { return Value{kind: KindInt, i: i} }
+func Int(i int64) Value { return Value{kind: KindInt, n: uint64(i)} }
 
 // Float returns a floating-point Value.
-func Float(f float64) Value { return Value{kind: KindFloat, f: f} }
+func Float(f float64) Value { return Value{kind: KindFloat, n: math.Float64bits(f)} }
 
 // Bool returns a boolean Value.
 func Bool(b bool) Value {
-	var i int64
 	if b {
-		i = 1
+		return Value{kind: KindBool, n: 1}
 	}
-	return Value{kind: KindBool, i: i}
+	return Value{kind: KindBool}
 }
 
 // Str returns a string Value.
-func Str(s string) Value { return Value{kind: KindString, s: s} }
+func Str(s string) Value {
+	if len(s) == 0 {
+		return Value{kind: KindString}
+	}
+	return Value{kind: KindString, n: uint64(len(s)), p: unsafe.Pointer(unsafe.StringData(s))}
+}
 
 // Bytes returns a byte-slice Value. The slice is copied so later caller
 // mutation cannot corrupt heap accounting.
 func Bytes(b []byte) Value {
+	if len(b) == 0 {
+		return Value{kind: KindBytes}
+	}
 	cp := make([]byte, len(b))
 	copy(cp, b)
-	return Value{kind: KindBytes, b: cp}
+	return Value{kind: KindBytes, n: uint64(len(cp)), p: unsafe.Pointer(unsafe.SliceData(cp))}
 }
 
 // Ref returns a reference Value. Ref(NilID) is the nil Value.
@@ -149,15 +162,33 @@ func Ref(id ObjID) Value {
 	if id == NilID {
 		return Nil()
 	}
-	return Value{kind: KindRef, ref: id}
+	return Value{kind: KindRef, n: uint64(id)}
 }
 
 // List returns a list Value holding the given elements. The slice is copied.
 func List(elems ...Value) Value {
 	cp := make([]Value, len(elems))
 	copy(cp, elems)
-	return Value{kind: KindList, list: cp}
+	return ownList(cp)
 }
+
+// ownList wraps elems, which the caller hands over, as a list Value. The list
+// is read through a cap == len view, so spare capacity is never exposed.
+func ownList(elems []Value) Value {
+	if len(elems) == 0 {
+		return Value{kind: KindList}
+	}
+	return Value{kind: KindList, n: uint64(len(elems)), p: unsafe.Pointer(unsafe.SliceData(elems))}
+}
+
+// str views string or bytes data as a string; callers check the kind.
+func (v Value) str() string { return unsafe.String((*byte)(v.p), int(v.n)) }
+
+// bytes views bytes data as a slice with cap == len; callers check the kind.
+func (v Value) bytes() []byte { return unsafe.Slice((*byte)(v.p), int(v.n)) }
+
+// elems views list data as a slice with cap == len; callers check the kind.
+func (v Value) elems() []Value { return unsafe.Slice((*Value)(v.p), int(v.n)) }
 
 // Kind reports the value's kind.
 func (v Value) Kind() Kind { return v.kind }
@@ -173,7 +204,7 @@ func (v Value) Int() (int64, error) {
 	if v.kind != KindInt {
 		return 0, fmt.Errorf("%w: want int, have %s", ErrBadKind, v.kind)
 	}
-	return v.i, nil
+	return int64(v.n), nil
 }
 
 // MustInt is Int for values known to be integers; it panics otherwise.
@@ -190,7 +221,7 @@ func (v Value) Float() (float64, error) {
 	if v.kind != KindFloat {
 		return 0, fmt.Errorf("%w: want float, have %s", ErrBadKind, v.kind)
 	}
-	return v.f, nil
+	return math.Float64frombits(v.n), nil
 }
 
 // Bool returns the boolean payload, or an error for other kinds.
@@ -198,7 +229,7 @@ func (v Value) Bool() (bool, error) {
 	if v.kind != KindBool {
 		return false, fmt.Errorf("%w: want bool, have %s", ErrBadKind, v.kind)
 	}
-	return v.i != 0, nil
+	return v.n != 0, nil
 }
 
 // Str returns the string payload, or an error for other kinds.
@@ -206,7 +237,7 @@ func (v Value) Str() (string, error) {
 	if v.kind != KindString {
 		return "", fmt.Errorf("%w: want string, have %s", ErrBadKind, v.kind)
 	}
-	return v.s, nil
+	return v.str(), nil
 }
 
 // Bytes returns a copy of the byte payload, or an error for other kinds.
@@ -214,8 +245,8 @@ func (v Value) Bytes() ([]byte, error) {
 	if v.kind != KindBytes {
 		return nil, fmt.Errorf("%w: want bytes, have %s", ErrBadKind, v.kind)
 	}
-	cp := make([]byte, len(v.b))
-	copy(cp, v.b)
+	cp := make([]byte, v.n)
+	copy(cp, v.bytes())
 	return cp, nil
 }
 
@@ -226,11 +257,16 @@ func (v Value) BorrowBytes() ([]byte, error) {
 	if v.kind != KindBytes {
 		return nil, fmt.Errorf("%w: want bytes, have %s", ErrBadKind, v.kind)
 	}
-	return v.b, nil
+	return v.bytes(), nil
 }
 
 // BytesLen returns the length of a bytes payload without copying, or 0.
-func (v Value) BytesLen() int { return len(v.b) }
+func (v Value) BytesLen() int {
+	if v.kind != KindBytes {
+		return 0
+	}
+	return int(v.n)
+}
 
 // Ref returns the referenced ObjID. Nil values yield NilID; non-reference
 // kinds return an error.
@@ -239,7 +275,7 @@ func (v Value) Ref() (ObjID, error) {
 	case KindNil:
 		return NilID, nil
 	case KindRef:
-		return v.ref, nil
+		return ObjID(v.n), nil
 	default:
 		return NilID, fmt.Errorf("%w: want ref, have %s", ErrBadKind, v.kind)
 	}
@@ -260,25 +296,22 @@ func (v Value) List() ([]Value, error) {
 	if v.kind != KindList {
 		return nil, fmt.Errorf("%w: want list, have %s", ErrBadKind, v.kind)
 	}
-	return v.list, nil
+	return v.elems(), nil
 }
 
 // Len returns the number of elements of a list, bytes or string value, and 0
 // for any other kind.
 func (v Value) Len() int {
 	switch v.kind {
-	case KindList:
-		return len(v.list)
-	case KindBytes:
-		return len(v.b)
-	case KindString:
-		return len(v.s)
+	case KindList, KindBytes, KindString:
+		return int(v.n)
 	default:
 		return 0
 	}
 }
 
-// Equal reports deep structural equality: same kind and same payload.
+// Equal reports deep structural equality: same kind and same payload. Floats
+// compare as IEEE values (NaN is unequal to itself, -0 equals +0), not as bits.
 // Reference values compare by ObjID — this is raw pointer identity, NOT the
 // paper's application-level identity across swap-cluster-proxies (see
 // core.Runtime.RefEqual for that).
@@ -289,30 +322,19 @@ func (v Value) Equal(o Value) bool {
 	switch v.kind {
 	case KindNil:
 		return true
-	case KindInt, KindBool:
-		return v.i == o.i
+	case KindInt, KindBool, KindRef:
+		return v.n == o.n
 	case KindFloat:
-		return v.f == o.f
-	case KindString:
-		return v.s == o.s
-	case KindBytes:
-		if len(v.b) != len(o.b) {
-			return false
-		}
-		for i := range v.b {
-			if v.b[i] != o.b[i] {
-				return false
-			}
-		}
-		return true
-	case KindRef:
-		return v.ref == o.ref
+		return math.Float64frombits(v.n) == math.Float64frombits(o.n)
+	case KindString, KindBytes:
+		return v.str() == o.str()
 	case KindList:
-		if len(v.list) != len(o.list) {
+		if v.n != o.n {
 			return false
 		}
-		for i := range v.list {
-			if !v.list[i].Equal(o.list[i]) {
+		a, b := v.elems(), o.elems()
+		for i := range a {
+			if !a[i].Equal(b[i]) {
 				return false
 			}
 		}
@@ -328,26 +350,29 @@ func (v Value) String() string {
 	case KindNil:
 		return "nil"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(int64(v.n), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(math.Float64frombits(v.n), 'g', -1, 64)
 	case KindBool:
-		return strconv.FormatBool(v.i != 0)
+		return strconv.FormatBool(v.n != 0)
 	case KindString:
-		return strconv.Quote(v.s)
+		return strconv.Quote(v.str())
 	case KindBytes:
-		return fmt.Sprintf("bytes[%d]", len(v.b))
+		return fmt.Sprintf("bytes[%d]", v.n)
 	case KindRef:
-		return fmt.Sprintf("@%d", v.ref)
+		return fmt.Sprintf("@%d", v.n)
 	case KindList:
-		return fmt.Sprintf("list[%d]", len(v.list))
+		return fmt.Sprintf("list[%d]", v.n)
 	default:
 		return "?"
 	}
 }
 
-// valueOverhead approximates the fixed in-memory cost of one Value slot on a
-// constrained device (tag + payload word + slice header amortization).
+// valueOverhead is the fixed cost of one Value slot on the modelled
+// constrained device (tag + payload word + slice header amortization). It is
+// the device's slot, not Go's: the Go layout of Value may change without
+// moving a single accounted byte, and with it heap pressure, eviction order
+// and every swap count.
 const valueOverhead = 16
 
 // size returns the accounted byte size of the value, including variable
@@ -355,13 +380,11 @@ const valueOverhead = 16
 // accounted separately.
 func (v Value) size() int64 {
 	switch v.kind {
-	case KindString:
-		return valueOverhead + int64(len(v.s))
-	case KindBytes:
-		return valueOverhead + int64(len(v.b))
+	case KindString, KindBytes:
+		return valueOverhead + int64(v.n)
 	case KindList:
 		sz := int64(valueOverhead)
-		for _, e := range v.list {
+		for _, e := range v.elems() {
 			sz += e.size()
 		}
 		return sz
@@ -375,9 +398,9 @@ func (v Value) size() int64 {
 func (v Value) forEachRef(visit func(ObjID)) {
 	switch v.kind {
 	case KindRef:
-		visit(v.ref)
+		visit(ObjID(v.n))
 	case KindList:
-		for _, e := range v.list {
+		for _, e := range v.elems() {
 			e.forEachRef(visit)
 		}
 	}
@@ -389,13 +412,14 @@ func (v Value) forEachRef(visit func(ObjID)) {
 func (v Value) MapRefs(fn func(ObjID) ObjID) Value {
 	switch v.kind {
 	case KindRef:
-		return Ref(fn(v.ref))
+		return Ref(fn(ObjID(v.n)))
 	case KindList:
-		out := make([]Value, len(v.list))
-		for i, e := range v.list {
+		in := v.elems()
+		out := make([]Value, len(in))
+		for i, e := range in {
 			out[i] = e.MapRefs(fn)
 		}
-		return Value{kind: KindList, list: out}
+		return ownList(out)
 	default:
 		return v
 	}
