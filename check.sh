@@ -139,6 +139,19 @@ if [ -n "$UNSAFE" ]; then
     echo "$UNSAFE" >&2
     exit 1
 fi
+# Guard: a cluster serialises through one pair of heap ends. Checkpoints and
+# the per-object baseline write with wire.Encoder.EncodeObjects and read back
+# with wire.Stage + Installer.Install, so no non-test file of internal/core or
+# internal/baseline builds or parses an xmlcodec.Doc itself; and the
+# writer-based XML encode surface (EncodeBuffer, EncodeTo) stays deleted from
+# every Go file.
+DOCENDS=$(grep -nE 'xmlcodec\.(EncodeObjects|EncodeObject|Decode)\(' internal/core/*.go internal/baseline/*.go | grep -v '_test\.go:' || true)
+WRITERS=$(grep -rnwE 'EncodeBuffer|EncodeTo' --include='*.go' . || true)
+if [ -n "$DOCENDS" ] || [ -n "$WRITERS" ]; then
+    echo "second serialization path (encode with wire.Encoder.EncodeObjects, restore with wire.Stage + Installer.Install):" >&2
+    printf '%s\n%s\n' "$DOCENDS" "$WRITERS" >&2
+    exit 1
+fi
 # Fault-storm smoke: 64 goroutines faulting 8 swapped clusters must issue
 # exactly 8 donor fetches (single-flight coalescing), race-clean at
 # GOMAXPROCS 1 and 4.

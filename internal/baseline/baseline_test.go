@@ -1,9 +1,11 @@
 package baseline
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math/rand"
+	"os"
 	"testing"
 
 	"objectswap/internal/heap"
@@ -160,6 +162,52 @@ func TestPerObjectDoubleOffloadIsNoop(t *testing.T) {
 	st := p.MemoryStatsSnapshot()
 	if st.Offloaded != 1 {
 		t.Fatalf("offloaded = %d", st.Offloaded)
+	}
+}
+
+// TestPerObjectOffloadGolden pins one Offload payload byte for byte, and shows
+// that the object faulted back in offloads to the same document again, under
+// its next key.
+func TestPerObjectOffloadGolden(t *testing.T) {
+	h := heap.New(0)
+	reg := heap.NewRegistry()
+	cls := nodeClass()
+	reg.MustRegister(cls)
+	dev := store.NewMem(0)
+	p := NewPerObject(h, reg, dev)
+	refs := buildNaiveList(t, p, cls, 2, 0)
+	if err := p.SetFieldValue(refs[0], "payload", heap.Bytes([]byte("\x00<payload & bytes>"))); err != nil {
+		t.Fatal(err)
+	}
+	offload := func() (string, []byte) {
+		t.Helper()
+		if err := p.Offload(refs[0]); err != nil {
+			t.Fatal(err)
+		}
+		pid, _ := refs[0].Ref()
+		key := p.offloaded[p.obj[pid]]
+		data, err := dev.Get(context.Background(), key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return key, data
+	}
+
+	key, got := offload()
+	want, err := os.ReadFile("testdata/perobject_offload.golden.xml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("offload payload differs from testdata/perobject_offload.golden.xml:\n got:  %s\n want: %s", got, want)
+	}
+
+	if tag, err := p.Field(refs[0], "tag"); err != nil || tag.MustInt() != 0 {
+		t.Fatalf("fault back: %v, %v", tag, err)
+	}
+	key2, again := offload()
+	if want2 := bytes.ReplaceAll(want, []byte(key), []byte(key2)); key2 == key || !bytes.Equal(again, want2) {
+		t.Fatalf("offload → reload → offload changed the payload:\n got:  %s\n want: %s", again, want2)
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 
 	"objectswap/internal/heap"
 	"objectswap/internal/store"
+	"objectswap/internal/wire"
 	"objectswap/internal/xmlcodec"
 )
 
@@ -189,11 +190,9 @@ func (p *PerObject) Offload(target heap.Value) error {
 	}
 	p.keyseq++
 	key := fmt.Sprintf("obj-%d-gen%d", oid, p.keyseq)
-	doc, err := xmlcodec.EncodeObjects(key, []*heap.Object{o}, encodeRef)
-	if err != nil {
-		return err
-	}
-	data, err := doc.Encode()
+	enc := wire.NewEncoder()
+	defer enc.Release()
+	data, err := enc.EncodeObjects(wire.FormatXML, key, []*heap.Object{o}, encodeRef, nil)
 	if err != nil {
 		return err
 	}
@@ -237,7 +236,7 @@ func (p *PerObject) reload(oid heap.ObjID, key string) error {
 	if err != nil {
 		return fmt.Errorf("baseline: reload @%d: %w", oid, err)
 	}
-	doc, err := xmlcodec.Decode(data)
+	staged, err := wire.Stage(data, p.reg, nil)
 	if err != nil {
 		return err
 	}
@@ -247,7 +246,7 @@ func (p *PerObject) reload(oid heap.ObjID, key string) error {
 		}
 		return heap.Ref(v.Target), nil // surrogates kept their identities
 	}
-	if _, err := doc.Install(p.h, p.reg, decodeRef); err != nil {
+	if _, err := staged.Install(p.h, decodeRef); err != nil {
 		return err
 	}
 	pid := p.proxy[oid]

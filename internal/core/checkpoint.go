@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"objectswap/internal/heap"
+	"objectswap/internal/wire"
 	"objectswap/internal/xmlcodec"
 )
 
@@ -140,6 +141,8 @@ func (rt *Runtime) SaveCheckpoint(w io.Writer) error {
 	rt.lockAll()
 	defer rt.unlockAll()
 	doc := ckptDoc{Version: checkpointVersion, Device: rt.name, KeySeq: rt.keyseq.Load()}
+	enc := wire.NewEncoder()
+	defer enc.Release()
 
 	clusterIDs := rt.mgr.Clusters()
 
@@ -201,7 +204,7 @@ func (rt *Runtime) SaveCheckpoint(w io.Writer) error {
 				ck.Out = append(ck.Out, ckptOutbound{Slot: slot, Target: uint64(target)})
 			}
 		} else {
-			data, err := rt.encodeResidentCluster(cid, members)
+			data, err := rt.encodeResidentCluster(enc, cid, members)
 			if err != nil {
 				return err
 			}
@@ -223,17 +226,16 @@ func (rt *Runtime) SaveCheckpoint(w io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("core: checkpoint: root %s is not a reference", name)
 		}
-		cr := ckptRoot{Name: name, Target: uint64(id)}
+		cr := ckptRoot{Name: name}
 		if id != heap.NilID {
-			if o, err := rt.h.Get(id); err == nil {
-				switch o.Class().Special {
-				case heap.SpecialSCProxy:
-					cr.Target = uint64(proxyUltimate(o))
-				case heap.SpecialObjProxy:
-					cr.Target = 0
-					cr.Remote = uint64(ObjProxyRemote(o))
-					cr.Class = ObjProxyClass(o)
-				}
+			d, err := rt.designate(id)
+			switch {
+			case err != nil:
+				return fmt.Errorf("core: checkpoint: root %s: %w", name, err)
+			case d.kind == refObjFault:
+				cr.Remote, cr.Class = uint64(ObjProxyRemote(d.obj)), ObjProxyClass(d.obj)
+			default:
+				cr.Target = uint64(d.ultimate)
 			}
 			note(heap.ObjID(cr.Target))
 		}
@@ -252,10 +254,11 @@ func (rt *Runtime) SaveCheckpoint(w io.Writer) error {
 	return err
 }
 
-// encodeResidentCluster wraps a resident cluster for the checkpoint:
-// intra-cluster references are internal; everything else is encoded by
-// ultimate identity (or as an object-fault placeholder).
-func (rt *Runtime) encodeResidentCluster(cid ClusterID, members []heap.ObjID) ([]byte, error) {
+// encodeResidentCluster wraps a resident cluster for the checkpoint as the
+// swap path's XML: intra-cluster references are internal; everything else is
+// encoded by ultimate identity (or as an object-fault placeholder). The
+// document is enc's buffer, valid until its next use.
+func (rt *Runtime) encodeResidentCluster(enc *wire.Encoder, cid ClusterID, members []heap.ObjID) ([]byte, error) {
 	memberSet := make(map[heap.ObjID]bool, len(members))
 	objs := make([]*heap.Object, 0, len(members))
 	for _, oid := range members {
@@ -270,30 +273,16 @@ func (rt *Runtime) encodeResidentCluster(cid ClusterID, members []heap.ObjID) ([
 		if memberSet[rid] {
 			return xmlcodec.InternalRef(rid), nil
 		}
-		ro, err := rt.h.Get(rid)
-		if err != nil {
-			// Non-resident member of a swapped cluster: record its identity.
-			if _, known := rt.mgr.member(rid); known {
-				return xmlcodec.RemoteRef(rid), nil
-			}
-			return xmlcodec.Value{}, fmt.Errorf("core: checkpoint: dangling @%d", rid)
+		d, err := rt.designate(rid)
+		switch {
+		case err != nil:
+			return xmlcodec.Value{}, fmt.Errorf("core: checkpoint: reference @%d: %w", rid, err)
+		case d.kind == refObjFault:
+			return xmlcodec.RemoteRefOf(ObjProxyRemote(d.obj), objProxyClassMarker+ObjProxyClass(d.obj)), nil
 		}
-		switch ro.Class().Special {
-		case heap.SpecialSCProxy:
-			return xmlcodec.RemoteRef(proxyUltimate(ro)), nil
-		case heap.SpecialObjProxy:
-			return xmlcodec.RemoteRefOf(ObjProxyRemote(ro), objProxyClassMarker+ObjProxyClass(ro)), nil
-		case heap.SpecialNone:
-			return xmlcodec.RemoteRef(rid), nil
-		default:
-			return xmlcodec.Value{}, fmt.Errorf("core: checkpoint: %s reference @%d", ro.Class().Special, rid)
-		}
+		return xmlcodec.RemoteRef(d.ultimate), nil
 	}
-	doc, err := xmlcodec.EncodeObjects(fmt.Sprintf("ckpt-cluster-%d", cid), objs, encodeRef)
-	if err != nil {
-		return nil, err
-	}
-	return doc.Encode()
+	return enc.EncodeObjects(wire.FormatXML, fmt.Sprintf("ckpt-cluster-%d", cid), objs, encodeRef, nil)
 }
 
 // LoadCheckpoint restores a previously saved state into this runtime. The
@@ -404,11 +393,17 @@ func (rt *Runtime) LoadCheckpoint(r io.Reader) error {
 		if ck.Swapped {
 			continue
 		}
-		inner, err := xmlcodec.Decode([]byte(ck.Doc))
-		if err != nil {
-			return fmt.Errorf("%w: cluster %d: %v", ErrBadCheckpoint, ck.ID, err)
+		// A cluster document is XML: the stage end also takes binary frames,
+		// which a checkpoint never holds.
+		data := []byte(ck.Doc)
+		if format, _ := wire.Detect(data); format != wire.FormatXML {
+			return fmt.Errorf("%w: cluster %d: document is not XML", ErrBadCheckpoint, ck.ID)
 		}
-		if _, err := inner.Install(rt.h, rt.reg, decodeRef); err != nil {
+		staged, err := wire.Stage(data, rt.reg, nil)
+		if err != nil {
+			return fmt.Errorf("%w: cluster %d: %w", ErrBadCheckpoint, ck.ID, err)
+		}
+		if _, err := staged.Install(rt.h, decodeRef); err != nil {
 			return fmt.Errorf("core: restore cluster %d: %w", ck.ID, err)
 		}
 	}

@@ -3,10 +3,14 @@ package core
 import (
 	"bytes"
 	"errors"
+	"os"
+	"slices"
 	"testing"
 
 	"objectswap/internal/heap"
 	"objectswap/internal/store"
+	"objectswap/internal/wire"
+	"objectswap/internal/xmlcodec"
 )
 
 // restoreTarget builds a fresh runtime sharing the checkpointed device's
@@ -170,6 +174,163 @@ func TestCheckpointPreservesObjProxies(t *testing.T) {
 	}
 }
 
+// bagClass carries one field of every kind a resident cluster document holds,
+// a list among them.
+func bagClass() *heap.Class {
+	return heap.NewClass("Bag",
+		heap.FieldDef{Name: "items", Kind: heap.KindList},
+		heap.FieldDef{Name: "next", Kind: heap.KindRef},
+		heap.FieldDef{Name: "label", Kind: heap.KindString},
+		heap.FieldDef{Name: "blob", Kind: heap.KindBytes},
+		heap.FieldDef{Name: "n", Kind: heap.KindInt},
+		heap.FieldDef{Name: "x", Kind: heap.KindFloat},
+		heap.FieldDef{Name: "ok", Kind: heap.KindBool},
+	)
+}
+
+// goldenRuntime is a fresh runtime of the checkpoint golden: two donors, K = 2.
+func goldenRuntime(devices *store.Registry) *Runtime {
+	rt := NewRuntime(heap.New(0), heap.NewRegistry(), WithStores(devices),
+		WithName("golden"), WithDefaultReplicas(2))
+	rt.MustRegisterClass(newNodeClass())
+	rt.MustRegisterClass(bagClass())
+	return rt
+}
+
+// goldenState builds every kind of record a checkpoint writes:
+//   - resident cluster A, whose Bag's list holds an internal ref, a
+//     cross-cluster proxy ref and an object-fault placeholder, and whose next
+//     field holds a member of swapped cluster E directly;
+//   - cluster B, swapped at K = 2 with outbound slots 0 and 2 (slot 1 nil);
+//   - cluster C, shipped and reloaded, so resident on a retained copy;
+//   - roots: nil, proxied, proxied into a swapped cluster, object-fault.
+func goldenState(t *testing.T, rt *Runtime) {
+	t.Helper()
+	node, _ := rt.Registry().Lookup("Node")
+	bag, _ := rt.Registry().Lookup("Bag")
+	mgr := rt.Manager()
+	ca, cb, cc, ce := mgr.NewCluster(), mgr.NewCluster(), mgr.NewCluster(), mgr.NewCluster()
+	obj := func(cls *heap.Class, c ClusterID, tag int64) *heap.Object {
+		o, err := rt.NewObject(cls, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cls == node {
+			o.MustSet("tag", heap.Int(tag)).MustSet("payload", heap.Bytes([]byte{byte(tag), 0xff}))
+		}
+		return o
+	}
+	set := func(o *heap.Object, field string, v heap.Value) {
+		t.Helper()
+		if err := rt.SetFieldValue(o.RefTo(), field, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	root := func(name string, v heap.Value) {
+		t.Helper()
+		if err := rt.SetRoot(name, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	a1, a2 := obj(bag, ca, 0), obj(node, ca, 2)
+	b := []*heap.Object{obj(node, cb, 10), obj(node, cb, 11), obj(node, cb, 12)}
+	c := []*heap.Object{obj(node, cc, 20), obj(node, cc, 21), obj(node, cc, 22)}
+	e1 := obj(node, ce, 30)
+	fault, err := rt.ObjProxyFor(4242, "Node")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a1.MustSet("label", heap.Str(`a <&> "bag"`)).MustSet("blob", heap.Bytes([]byte("\x00\x01blob"))).
+		MustSet("n", heap.Int(-7)).MustSet("x", heap.Float(2.5)).MustSet("ok", heap.Bool(true))
+	set(a1, "items", heap.List(a2.RefTo(), c[0].RefTo(), heap.Ref(fault), heap.Int(5)))
+	for i := range b {
+		set(b[i], "next", c[i].RefTo())
+	}
+	root("a", a1.RefTo())
+	root("b", b[0].RefTo())
+	root("e", e1.RefTo())
+	root("none", heap.Nil())
+	pending, err := rt.ObjProxyFor(555, "Node")
+	if err != nil {
+		t.Fatal(err)
+	}
+	root("pending", heap.Ref(pending))
+
+	if _, err := rt.SwapOut(cc); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.SwapIn(cc); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.SwapOut(cb); err != nil {
+		t.Fatal(err)
+	}
+	// Sparse slot table: drop the middle outbound slot, as a delta remap of a
+	// target no longer referenced leaves it.
+	ts := rt.mgr.tab(cb)
+	ts.mu.Lock()
+	replID := ts.clusters[cb].replacement
+	ts.mu.Unlock()
+	repl, err := rt.h.Get(replID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outV, _ := repl.FieldByName(fldOut)
+	slots, _ := outV.List()
+	if len(slots) != 3 {
+		t.Fatalf("cluster B has %d outbound slots, want 3", len(slots))
+	}
+	slots = slices.Clone(slots)
+	slots[1] = heap.Nil()
+	if err := repl.SetFieldByName(fldOut, heap.List(slots...)); err != nil {
+		t.Fatal(err)
+	}
+	// A member of E held directly across E's swap-out.
+	if err := a1.SetFieldByName("next", e1.RefTo()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.SwapOut(ce); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckpointGolden pins the checkpoint stream byte for byte, and shows a
+// restored runtime saves the same stream again.
+func TestCheckpointGolden(t *testing.T) {
+	devices := store.NewRegistry(store.SelectMostFree)
+	for _, name := range []string{"donor-a", "donor-b"} {
+		if err := devices.Add(name, store.NewMem(0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rt := goldenRuntime(devices)
+	goldenState(t, rt)
+	var saved bytes.Buffer
+	if err := rt.SaveCheckpoint(&saved); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/checkpoint.golden.xml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(saved.Bytes(), want) {
+		t.Fatalf("checkpoint stream differs from testdata/checkpoint.golden.xml:\n got:  %s\n want: %s", saved.Bytes(), want)
+	}
+
+	rt2 := goldenRuntime(devices)
+	if err := rt2.LoadCheckpoint(bytes.NewReader(want)); err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := rt2.SaveCheckpoint(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), want) {
+		t.Fatalf("save → restore → save changed the stream:\n got:  %s\n want: %s", again.Bytes(), want)
+	}
+}
+
 func TestCheckpointValidation(t *testing.T) {
 	f := newFixture(t, 0)
 	f.buildList(t, 10, 10, 8)
@@ -193,4 +354,32 @@ func TestCheckpointValidation(t *testing.T) {
 	if err := rt3.LoadCheckpoint(bytes.NewReader([]byte(bad))); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("wrong version: %v", err)
 	}
+	// A cluster document must be XML: a binary frame, a frame-like prefix and
+	// a truncated wrapper are each a malformed checkpoint.
+	for _, doc := range []string{obwDoc(t), "OBW2 frame", "&lt;swapcluster id=&#34;c&#34;"} {
+		rt4 := restoreTarget(t, f.reg)
+		ckpt := `<checkpoint version="1" device="d" keyseq="0" maxid="1"><cluster id="1"><member id="1" class="Node"/><doc>` +
+			doc + `</doc></cluster></checkpoint>`
+		if err := rt4.LoadCheckpoint(bytes.NewReader([]byte(ckpt))); !errors.Is(err, ErrBadCheckpoint) {
+			t.Fatalf("cluster document %q: %v", doc, err)
+		}
+	}
+	// A document this runtime cannot stage keeps its cause.
+	rt5 := restoreTarget(t, f.reg)
+	ghost := `<checkpoint version="1" device="d" keyseq="0" maxid="1"><cluster id="1"><member id="1" class="Ghost"/>` +
+		`<doc>&lt;swapcluster id="c" version="1"&gt;&lt;object id="1" class="Ghost"/&gt;&lt;/swapcluster&gt;</doc></cluster></checkpoint>`
+	if err := rt5.LoadCheckpoint(bytes.NewReader([]byte(ghost))); !errors.Is(err, heap.ErrUnknownClass) {
+		t.Fatalf("unknown class: %v", err)
+	}
+}
+
+// obwDoc is a one-object binary frame, as it would sit where a checkpoint
+// holds a cluster's XML.
+func obwDoc(t testing.TB) string {
+	frame, err := wire.Encode(wire.FormatBinary, &xmlcodec.Doc{ClusterID: "ckpt-cluster-1", Version: xmlcodec.Version,
+		Objects: []xmlcodec.Object{{ID: 1, Class: "Node"}}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(frame)
 }

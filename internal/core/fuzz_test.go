@@ -35,6 +35,8 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	f.Add([]byte(`<checkpoint version="1" device="d" keyseq="0" maxid="0"></checkpoint>`))
 	f.Add([]byte(`<checkpoint version="1" device="d" keyseq="0" maxid="9"><cluster id="1" swapped="true" device="x" key="k"><member id="3" class="Node"/><outbound slot="0" target="3"/></cluster></checkpoint>`))
 	f.Add([]byte(`}{`))
+	f.Add([]byte(`<checkpoint version="1" device="d" keyseq="0" maxid="1"><cluster id="1"><member id="1" class="Node"/><doc>` +
+		obwDoc(f) + `</doc></cluster></checkpoint>`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		devices := store.NewRegistry(store.SelectMostFree)

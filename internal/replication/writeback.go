@@ -107,15 +107,15 @@ func (r *Replicator) PushUpdates(ctx context.Context) (int, error) {
 			}
 			o = ro
 		}
-		eo, err := xmlcodec.EncodeObject(o, encodeRef)
+		// Wrapped before the next replica faults in, which may evict this one.
+		one, err := xmlcodec.EncodeObjects(doc.ClusterID, []*heap.Object{o}, encodeRef)
 		if err != nil {
 			return 0, err
 		}
 		r.mu.Lock()
-		master := r.localToRemote[id]
+		one.Objects[0].ID = r.localToRemote[id]
 		r.mu.Unlock()
-		eo.ID = master
-		doc.Objects = append(doc.Objects, eo)
+		doc.Objects = append(doc.Objects, one.Objects...)
 		pushed = append(pushed, id)
 	}
 

@@ -69,14 +69,8 @@ const (
 // binaryCodec is the plain length-prefixed binary framing.
 type binaryCodec struct{}
 
-func init() { Register(binaryCodec{}) }
-
 func (binaryCodec) ID() FormatID { return FormatBinary }
 func (binaryCodec) Caps() Caps   { return CapSelfContained }
-
-func (c binaryCodec) Encode(doc *xmlcodec.Doc, opts *EncodeOpts) ([]byte, error) {
-	return encodeDoc(c, doc, opts)
-}
 
 func (binaryCodec) encodeFrom(e *Encoder, dst []byte, sh shipment, opts *EncodeOpts) ([]byte, error) {
 	return e.frame(dst, 0, sh, opts)
@@ -100,7 +94,7 @@ func (binaryCodec) openBody(data []byte) ([]byte, error) {
 func zigzag(i int64) uint64   { return uint64(i<<1) ^ uint64(i>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// A shipment is what the tree writer walks: the cluster key, the wrapper
+// A shipment is what a format's writer walks: the cluster key, the wrapper
 // version and the objects, one record at a time. The two sources are a Doc
 // (docSource) and the heap itself (heapSource), so a cluster being swapped
 // out is never materialized as a document.
@@ -246,46 +240,23 @@ func (e *Encoder) Release() { encoders.Put(e) }
 // EncodeObjects renders the resident objects objs as one shipment keyed key
 // in the named format, straight from the heap: each object is wrapped into
 // one reused record (references classified by encodeRef) and written into the
-// frame, byte for byte what Encode gives for xmlcodec.EncodeObjects of the
-// same objects. The returned frame is the encoder's own buffer, valid until
+// payload, byte for byte what Encode gives for xmlcodec.EncodeObjects of the
+// same objects. The returned payload is the encoder's own buffer, valid until
 // Release or the next EncodeObjects — a store must not keep it (see
-// store.Store). Formats that need the whole document (the XML text fallback)
-// build one here.
+// store.Store).
 func (e *Encoder) EncodeObjects(format FormatID, key string, objs []*heap.Object,
 	encodeRef xmlcodec.RefEncoder, opts *EncodeOpts) ([]byte, error) {
 	c, err := Lookup(format)
 	if err != nil {
 		return nil, err
 	}
-	fc, ok := c.(frameCodec)
-	if !ok {
-		doc, err := xmlcodec.EncodeObjects(key, objs, encodeRef)
-		if err != nil {
-			return nil, err
-		}
-		return c.Encode(doc, opts)
-	}
 	src := &heapSource{objs: objs, encodeRef: encodeRef, wrap: &e.wrap}
-	frame, err := fc.encodeFrom(e, e.buf[:0], shipment{key, xmlcodec.Version, src}, opts)
+	frame, err := c.encodeFrom(e, e.buf[:0], shipment{key, xmlcodec.Version, src}, opts)
 	if err != nil {
 		return nil, err
 	}
 	e.buf = frame
 	return frame, nil
-}
-
-// frameCodec is a binary-family format: it can write a shipment from any
-// object source with an Encoder's state, appending the frame to dst.
-type frameCodec interface {
-	encodeFrom(e *Encoder, dst []byte, sh shipment, opts *EncodeOpts) ([]byte, error)
-}
-
-// encodeDoc is Codec.Encode for the binary family: the document is one more
-// object source, and the frame is the caller's own.
-func encodeDoc(c frameCodec, doc *xmlcodec.Doc, opts *EncodeOpts) ([]byte, error) {
-	e := NewEncoder()
-	defer e.Release()
-	return c.encodeFrom(e, nil, docShipment(doc), opts)
 }
 
 // walk writes the shipment's body sections — header, tree, string arena,
@@ -766,8 +737,8 @@ func decodeDoc(c bodyCodec, data []byte, opts *DecodeOpts) (*xmlcodec.Doc, error
 	return &sink.doc, nil
 }
 
-// Stage validates a fetched payload of any registered format and converts
-// it, object by object, into staged heap field vectors: everything Decode and
+// Stage validates a fetched payload of any format and converts it, object by
+// object, into staged heap field vectors: everything Decode and
 // Doc.Install would check — framing, bounds, counts, wrapper version, known
 // classes and fields, value kinds, internal references — is checked here,
 // with no heap touched and no lock needed. The returned Installer makes the

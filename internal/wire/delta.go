@@ -17,14 +17,8 @@ import (
 // specified in PROTOCOL.md.
 type deltaCodec struct{}
 
-func init() { Register(deltaCodec{}) }
-
 func (deltaCodec) ID() FormatID { return FormatDelta }
 func (deltaCodec) Caps() Caps   { return CapDelta }
-
-func (c deltaCodec) Encode(doc *xmlcodec.Doc, opts *EncodeOpts) ([]byte, error) {
-	return encodeDoc(c, doc, opts)
-}
 
 func (deltaCodec) encodeFrom(e *Encoder, dst []byte, sh shipment, opts *EncodeOpts) ([]byte, error) {
 	if opts == nil || opts.BaseKey == "" {

@@ -18,14 +18,8 @@ import (
 // plain binary body.
 type flateCodec struct{}
 
-func init() { Register(flateCodec{}) }
-
 func (flateCodec) ID() FormatID { return FormatFlate }
 func (flateCodec) Caps() Caps   { return CapSelfContained | CapCompressed }
-
-func (c flateCodec) Encode(doc *xmlcodec.Doc, opts *EncodeOpts) ([]byte, error) {
-	return encodeDoc(c, doc, opts)
-}
 
 func (flateCodec) encodeFrom(e *Encoder, dst []byte, sh shipment, opts *EncodeOpts) ([]byte, error) {
 	if err := e.walk(sh, opts, false); err != nil {

@@ -21,21 +21,20 @@
 // of its preference list — all K replicas of one shipment always use one
 // format.
 //
-// A record is also the unit of materialization. The binary family has one
-// tree writer (Encoder.walk) and one tree reader (readBody), each driven from
-// either of two ends: a whole xmlcodec.Doc (Encode, Decode — what replication,
-// checkpoints, repair tooling and the XML oracle work with), or the heap
-// itself (Encoder.EncodeObjects, Stage — the swap path, which wraps and
-// stages one reused record at a time and never builds a document). Formats
-// that do need the whole document, the XML text and a delta's merge with its
-// base, plug a Doc into those same ends here.
+// A record is also the unit of materialization. Every format has one writer
+// that takes a shipment one record at a time (Encoder.walk for the binary
+// family, xmlcodec.AppendObject for XML) and the binary family one tree
+// reader (readBody). Each is driven from either of two ends: the heap itself
+// (Encoder.EncodeObjects, Stage — the swap path, checkpoints and the
+// per-object baseline, which wrap and stage one reused record at a time), or
+// a whole xmlcodec.Doc (Encode, Decode — what replication and the XML oracle
+// work with). The readers that need the whole document, the XML token decoder
+// and a delta's merge with its base, build one inside Stage.
 package wire
 
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 
 	"objectswap/internal/heap"
 	"objectswap/internal/xmlcodec"
@@ -54,8 +53,8 @@ const (
 	// FormatBinary is the length-prefixed binary framing: same document
 	// model, arena-decoded so swap-in no longer pays ~18x the encode cost.
 	FormatBinary FormatID = "binary"
-	// FormatFlate is the binary framing with the body DEFLATE-compressed
-	// (reusing the baseline compressor), for links where bytes dominate.
+	// FormatFlate is the binary framing with the body DEFLATE-compressed,
+	// for links where bytes dominate.
 	FormatFlate FormatID = "binary+flate"
 	// FormatDelta re-ships a re-swapped cluster as only the objects dirtied
 	// since its base shipment, naming the base key the donor already holds.
@@ -78,7 +77,7 @@ const (
 
 // Errors reported by the wire layer.
 var (
-	// ErrUnknownFormat reports a format ID no registered codec claims.
+	// ErrUnknownFormat reports a format ID no codec claims.
 	ErrUnknownFormat = errors.New("wire: unknown format")
 	// ErrBadFrame reports a payload that fails framing validation
 	// (bad magic, truncated sections, lying length prefix).
@@ -140,55 +139,42 @@ func (o *DecodeOpts) classCodecs() *ClassCodecs {
 // malformed or adversarial payload.
 const maxDeltaDepth = 4
 
-// Codec converts between the document model and one wire format.
+// Codec is one wire format: its negotiation identity, its capabilities, one
+// writer from any record source and one reader to the document model.
 type Codec interface {
 	// ID is the format's negotiation identifier.
 	ID() FormatID
 	// Caps reports the format's capabilities.
 	Caps() Caps
-	// Encode renders doc into this format.
-	Encode(doc *xmlcodec.Doc, opts *EncodeOpts) ([]byte, error)
+	// encodeFrom appends the shipment's payload to dst, using e's reusable
+	// state. A shipment's records come from a Doc (Encode) or straight from
+	// the heap (Encoder.EncodeObjects); the bytes are the same either way.
+	encodeFrom(e *Encoder, dst []byte, sh shipment, opts *EncodeOpts) ([]byte, error)
 	// Decode parses a payload of this format back into the document model.
 	Decode(data []byte, opts *DecodeOpts) (*xmlcodec.Doc, error)
 }
 
-var (
-	regMu  sync.RWMutex
-	codecs = map[FormatID]Codec{}
-)
+// codecs is every format, in ID order. Formats are protocol identifiers, not
+// interchangeable plugins, so the table is fixed.
+var codecs = [...]Codec{binaryCodec{}, flateCodec{}, deltaCodec{}, xmlCodec{}}
 
-// Register adds a codec to the format registry. Registering a duplicate ID
-// panics: formats are protocol identifiers, not interchangeable plugins.
-func Register(c Codec) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := codecs[c.ID()]; dup {
-		panic(fmt.Sprintf("wire: duplicate codec %q", c.ID()))
-	}
-	codecs[c.ID()] = c
-}
-
-// Lookup returns the codec registered for id.
+// Lookup returns the codec of format id.
 func Lookup(id FormatID) (Codec, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	c, ok := codecs[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownFormat, id)
+	for _, c := range codecs {
+		if c.ID() == id {
+			return c, nil
+		}
 	}
-	return c, nil
+	return nil, fmt.Errorf("%w: %q", ErrUnknownFormat, id)
 }
 
-// Formats lists every registered format ID, sorted, suitable for a donor's
-// Stats advertisement.
+// Formats lists every format ID, sorted, suitable for a donor's Stats
+// advertisement.
 func Formats() []FormatID {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]FormatID, 0, len(codecs))
-	for id := range codecs {
-		out = append(out, id)
+	out := make([]FormatID, len(codecs))
+	for i, c := range codecs {
+		out[i] = c.ID()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -249,11 +235,14 @@ func Decode(data []byte, opts *DecodeOpts) (*xmlcodec.Doc, error) {
 	return c.Decode(data, opts)
 }
 
-// Encode renders doc in the named format.
+// Encode renders doc in the named format: the document is one more record
+// source for the format's writer, and the payload is the caller's own.
 func Encode(id FormatID, doc *xmlcodec.Doc, opts *EncodeOpts) ([]byte, error) {
 	c, err := Lookup(id)
 	if err != nil {
 		return nil, err
 	}
-	return c.Encode(doc, opts)
+	e := NewEncoder()
+	defer e.Release()
+	return c.encodeFrom(e, nil, docShipment(doc), opts)
 }

@@ -61,11 +61,7 @@ func TestRoundTripSelfContained(t *testing.T) {
 	doc := testDoc(8)
 	want := normalize(t, doc)
 	for _, id := range []FormatID{FormatXML, FormatBinary, FormatFlate} {
-		c, err := Lookup(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := c.Encode(doc, nil)
+		data, err := Encode(id, doc, nil)
 		if err != nil {
 			t.Fatalf("%s: encode: %v", id, err)
 		}

@@ -8,13 +8,22 @@ import "objectswap/internal/xmlcodec"
 // binary family is cross-fuzzed against.
 type xmlCodec struct{}
 
-func init() { Register(xmlCodec{}) }
-
 func (xmlCodec) ID() FormatID { return FormatXML }
 func (xmlCodec) Caps() Caps   { return CapSelfContained }
 
-func (xmlCodec) Encode(doc *xmlcodec.Doc, _ *EncodeOpts) ([]byte, error) {
-	return doc.Encode()
+// encodeFrom appends the shipment's XML text to dst, one record at a time.
+func (xmlCodec) encodeFrom(_ *Encoder, dst []byte, sh shipment, _ *EncodeOpts) ([]byte, error) {
+	dst = xmlcodec.AppendHeader(dst, sh.clusterID, sh.version)
+	for n := sh.objects.count(); n > 0; n-- {
+		o, err := sh.objects.next()
+		if err != nil {
+			return nil, err
+		}
+		if dst, err = xmlcodec.AppendObject(dst, o); err != nil {
+			return nil, err
+		}
+	}
+	return xmlcodec.AppendTrailer(dst), nil
 }
 
 func (xmlCodec) Decode(data []byte, _ *DecodeOpts) (*xmlcodec.Doc, error) {

@@ -125,13 +125,6 @@ func RemoteRefOf(id heap.ObjID, class string) Value {
 	return Value{Kind: heap.KindRef, RefClass: RefRemote, Target: id, Class: class}
 }
 
-// FromHeapValue encodes v, classifying contained references via encodeRef.
-func FromHeapValue(v heap.Value, encodeRef RefEncoder) (Value, error) {
-	var out Value
-	err := fromHeapValue(&out, v, encodeRef, nil)
-	return out, err
-}
-
 // fromHeapValue is the one heap-to-record value conversion. With a Wrapper
 // the result borrows: list storage comes from w and a bytes payload aliases
 // the heap value. Without one it owns fresh copies of both.
@@ -226,13 +219,6 @@ func (v Value) ToHeapValue(decodeRef RefDecoder) (heap.Value, error) {
 	}
 }
 
-// EncodeObject wraps a single managed object.
-func EncodeObject(o *heap.Object, encodeRef RefEncoder) (Object, error) {
-	var out Object
-	err := wrapObject(&out, o, encodeRef, nil)
-	return out, err
-}
-
 // wrapObject fills dst with o's identity, class name and fields in slot
 // order, reusing dst.Fields when it is large enough.
 func wrapObject(dst *Object, o *heap.Object, encodeRef RefEncoder, w *Wrapper) error {
@@ -286,14 +272,15 @@ func (w *Wrapper) listStorage(n int) []Value {
 }
 
 // EncodeObjects wraps a set of objects into a document keyed by clusterID.
+// The document owns its values, so it outlives the objects; a shipment that
+// is only written out goes through wire.Encoder.EncodeObjects instead, which
+// builds no document.
 func EncodeObjects(clusterID string, objs []*heap.Object, encodeRef RefEncoder) (*Doc, error) {
-	doc := &Doc{ClusterID: clusterID, Version: Version, Objects: make([]Object, 0, len(objs))}
-	for _, o := range objs {
-		eo, err := EncodeObject(o, encodeRef)
-		if err != nil {
+	doc := &Doc{ClusterID: clusterID, Version: Version, Objects: make([]Object, len(objs))}
+	for i, o := range objs {
+		if err := wrapObject(&doc.Objects[i], o, encodeRef, nil); err != nil {
 			return nil, err
 		}
-		doc.Objects = append(doc.Objects, eo)
 	}
 	return doc, nil
 }

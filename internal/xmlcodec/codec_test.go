@@ -230,7 +230,8 @@ func TestDecodeToleratesPrettyPrintedWhitespace(t *testing.T) {
 }
 
 func TestEncodeRefWithoutEncoder(t *testing.T) {
-	if _, err := FromHeapValue(heap.Ref(1), nil); err == nil {
+	var v Value
+	if err := fromHeapValue(&v, heap.Ref(1), nil, nil); err == nil {
 		t.Fatal("want error for ref without encoder")
 	}
 	if _, err := (Value{Kind: heap.KindRef, RefClass: RefSlot}).ToHeapValue(nil); err == nil {
@@ -239,7 +240,8 @@ func TestEncodeRefWithoutEncoder(t *testing.T) {
 }
 
 func TestNilRefsEncodeAsNil(t *testing.T) {
-	v, err := FromHeapValue(heap.Nil(), nil)
+	var v Value
+	err := fromHeapValue(&v, heap.Nil(), nil, nil)
 	if err != nil || v.Kind != heap.KindNil {
 		t.Fatalf("nil encode = %+v, %v", v, err)
 	}

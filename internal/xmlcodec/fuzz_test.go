@@ -120,8 +120,8 @@ func FuzzValueRoundTrip(f *testing.F) {
 	f.Add(int64(1<<62), "\t padded \n", []byte("abc"), true)
 	f.Fuzz(func(t *testing.T, i int64, s string, b []byte, flag bool) {
 		orig := heap.List(heap.Int(i), heap.Str(s), heap.Bytes(b), heap.Bool(flag))
-		ev, err := FromHeapValue(orig, nil)
-		if err != nil {
+		var ev Value
+		if err := fromHeapValue(&ev, orig, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		kind, target, slot, class, body, items, err := valueToWire(ev)

@@ -1,7 +1,6 @@
 package xmlcodec
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/base64"
 	"encoding/xml"
@@ -15,287 +14,150 @@ import (
 )
 
 // This file is the streaming wire layer: a hand-rolled compact encoder that
-// writes XML text directly from a Doc (no reflection, no intermediate wire
-// structs) and a token-streaming decoder built on xml.Decoder. The compact
-// form is semantically identical to the pretty-printed form the original
-// reflection encoder produced (same element names, attributes and Version);
-// it only drops the indentation whitespace, which a 700 Kbps link otherwise
-// has to carry on every shipment. The decoder accepts both forms — and, like
-// the reflection decoder before it, tolerates unknown attributes and skips
-// unknown elements, so lenient third-party producers interoperate.
-
-// ---- pooled buffers ---------------------------------------------------
-
-// Buffer is a pooled encode buffer holding one rendered document. It exists
-// so the swap-out hot path can hand rendered shipments to the transport layer
-// and recycle the backing memory once the device has accepted the payload.
-type Buffer struct {
-	buf *bytes.Buffer
-}
-
-// Bytes returns the rendered document. The slice is invalidated by Release.
-func (b *Buffer) Bytes() []byte {
-	if b == nil || b.buf == nil {
-		return nil
-	}
-	return b.buf.Bytes()
-}
-
-// Len returns the rendered document size in bytes.
-func (b *Buffer) Len() int {
-	if b == nil || b.buf == nil {
-		return 0
-	}
-	return b.buf.Len()
-}
-
-// Release returns the backing memory to the codec pool. The Buffer must not
-// be used afterwards; Release is idempotent.
-func (b *Buffer) Release() {
-	if b == nil || b.buf == nil {
-		return
-	}
-	bufPool.Put(b.buf)
-	b.buf = nil
-}
-
-var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-var bwPool = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 4096) }}
+// appends XML text to the caller's buffer one record at a time (no
+// reflection, no intermediate wire structs) and a token-streaming decoder
+// built on xml.Decoder. The compact form is semantically identical to the
+// pretty-printed form the original reflection encoder produced (same element
+// names, attributes and Version); it only drops the indentation whitespace,
+// which a 700 Kbps link otherwise has to carry on every shipment. The decoder
+// accepts both forms — and, like the reflection decoder before it, tolerates
+// unknown attributes and skips unknown elements, so lenient third-party
+// producers interoperate.
 
 // ---- streaming encoder ------------------------------------------------
 
-// streamWriter is the common surface of bytes.Buffer and bufio.Writer the
-// encoder renders into. Write errors are deferred: bytes.Buffer cannot fail
-// and bufio.Writer latches the first error until Flush reports it.
-type streamWriter interface {
-	io.Writer
-	WriteByte(byte) error
-	WriteString(string) (int, error)
+// A shipment is AppendHeader, one AppendObject per record, AppendTrailer.
+// Doc.Encode drives the three over a document's objects; the wire package's
+// XML codec drives them straight from the heap, one reused record at a time.
+
+// AppendHeader appends the XML declaration and the opening wrapper element
+// of the shipment keyed clusterID to dst.
+func AppendHeader(dst []byte, clusterID string, version int) []byte {
+	dst = append(dst, xml.Header...)
+	dst = append(dst, `<swapcluster id="`...)
+	dst = appendEscaped(dst, clusterID, true)
+	dst = append(dst, `" version="`...)
+	dst = strconv.AppendInt(dst, int64(version), 10)
+	return append(dst, `">`...)
 }
 
-// b64Chunk is a multiple of 3, so every full chunk encodes without padding.
-const b64Chunk = 510
-
-type encoder struct {
-	w       streamWriter
-	scratch [32]byte
-	// b64 lives here rather than on writeBase64's stack: slices of it cross
-	// the streamWriter interface, so a local would escape (one heap allocation
-	// per payload field); as a field it escapes once with the encoder.
-	b64 [b64Chunk / 3 * 4]byte
-}
-
-// EncodeBuffer renders the document compactly into a pooled Buffer. It is
-// the allocation-lean engine Encode and the wire package's XML codec build
-// on; callers must Release the buffer when the bytes are no longer needed.
-//
-// Deprecated: shipment paths should encode through the registered codecs
-// (wire.Encode with wire.FormatXML) so the format choice is explicit and
-// negotiable; EncodeBuffer remains as the XML codec's implementation.
-func (d *Doc) EncodeBuffer() (*Buffer, error) {
-	bb := bufPool.Get().(*bytes.Buffer)
-	bb.Reset()
-	e := encoder{w: bb}
-	if err := e.doc(d); err != nil {
-		bufPool.Put(bb)
-		return nil, err
+// AppendObject appends the element of one record to dst.
+func AppendObject(dst []byte, o *Object) ([]byte, error) {
+	dst = append(dst, `<object id="`...)
+	dst = strconv.AppendUint(dst, uint64(o.ID), 10)
+	dst = append(dst, `" class="`...)
+	dst = appendEscaped(dst, o.Class, true)
+	dst = append(dst, `">`...)
+	for i := range o.Fields {
+		f := &o.Fields[i]
+		var err error
+		if dst, err = appendValue(dst, "field", f.Name, &f.Value); err != nil {
+			return nil, err
+		}
 	}
-	return &Buffer{buf: bb}, nil
+	return append(dst, "</object>"...), nil
 }
 
-// EncodeTo streams the document, compactly rendered, into w.
-//
-// Deprecated: shipment paths should encode through the registered codecs
-// (wire.Encode with wire.FormatXML); EncodeTo remains for streaming sinks
-// that genuinely want raw XML (golden files, debugging, HTTP responses).
-func (d *Doc) EncodeTo(w io.Writer) error {
-	if bb, ok := w.(*bytes.Buffer); ok {
-		e := encoder{w: bb}
-		return e.doc(d)
-	}
-	bw := bwPool.Get().(*bufio.Writer)
-	bw.Reset(w)
-	e := encoder{w: bw}
-	err := e.doc(d)
-	if ferr := bw.Flush(); err == nil {
-		err = ferr
-	}
-	bw.Reset(nil)
-	bwPool.Put(bw)
-	return err
-}
+// AppendTrailer appends the closing wrapper element to dst.
+func AppendTrailer(dst []byte) []byte { return append(dst, "</swapcluster>"...) }
+
+// encodeBufs recycles the buffers Doc.Encode renders into, so a document is
+// copied out once at its exact size instead of growing from empty.
+var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // Encode renders the document as compact XML text. (The pretty-printed
 // historical form remains available as EncodeIndent.)
-//
-// Deprecated: shipment paths should encode through the registered codecs
-// (wire.Encode with wire.FormatXML), which delegates here; calling Encode
-// directly bypasses format negotiation and the per-format metrics.
 func (d *Doc) Encode() ([]byte, error) {
-	buf, err := d.EncodeBuffer()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, buf.Len())
-	copy(out, buf.Bytes())
-	buf.Release()
-	return out, nil
-}
-
-func (e *encoder) doc(d *Doc) error {
-	e.w.WriteString(xml.Header)
-	e.w.WriteString(`<swapcluster id="`)
-	e.escape(d.ClusterID, true)
-	e.w.WriteString(`" version="`)
-	e.writeInt(int64(d.Version))
-	e.w.WriteString(`">`)
+	buf := encodeBufs.Get().(*[]byte)
+	defer encodeBufs.Put(buf)
+	out := AppendHeader((*buf)[:0], d.ClusterID, d.Version)
 	for i := range d.Objects {
-		if err := e.object(&d.Objects[i]); err != nil {
-			return err
+		var err error
+		if out, err = AppendObject(out, &d.Objects[i]); err != nil {
+			return nil, err
 		}
 	}
-	_, err := e.w.WriteString("</swapcluster>")
-	return err
+	*buf = AppendTrailer(out)
+	return bytes.Clone(*buf), nil
 }
 
-func (e *encoder) object(o *Object) error {
-	e.w.WriteString(`<object id="`)
-	e.writeUint(uint64(o.ID))
-	e.w.WriteString(`" class="`)
-	e.escape(o.Class, true)
-	e.w.WriteString(`">`)
-	for i := range o.Fields {
-		f := &o.Fields[i]
-		if err := e.value("field", f.Name, f.Value); err != nil {
-			return err
-		}
-	}
-	e.w.WriteString("</object>")
-	return nil
-}
-
-// value renders one encoded value as a <field> or <item> element. Elements
-// with no body self-close; the decoders (both of them) treat the two forms
-// identically.
-func (e *encoder) value(tag, name string, v Value) error {
-	e.w.WriteByte('<')
-	e.w.WriteString(tag)
+// appendValue renders one encoded value as a <field> or <item> element.
+// Elements with no body self-close; the decoders (both of them) treat the two
+// forms identically.
+func appendValue(dst []byte, tag, name string, v *Value) ([]byte, error) {
+	dst = append(dst, '<')
+	dst = append(dst, tag...)
 	if tag == "field" {
-		e.w.WriteString(` name="`)
-		e.escape(name, true)
-		e.w.WriteByte('"')
+		dst = append(dst, ` name="`...)
+		dst = appendEscaped(dst, name, true)
+		dst = append(dst, '"')
 	}
-	e.w.WriteString(` kind="`)
-	e.w.WriteString(kindTag(v))
-	e.w.WriteByte('"')
+	dst = append(dst, ` kind="`...)
+	dst = append(dst, kindTag(*v)...)
+	dst = append(dst, '"')
 
 	switch v.Kind {
 	case heap.KindNil:
-		e.w.WriteString("/>")
+		return append(dst, "/>"...), nil
 	case heap.KindInt:
-		e.w.WriteByte('>')
-		e.writeInt(v.I)
-		e.close(tag)
+		dst = strconv.AppendInt(append(dst, '>'), v.I, 10)
 	case heap.KindFloat:
-		e.w.WriteByte('>')
-		e.w.Write(strconv.AppendFloat(e.scratch[:0], v.F, 'g', -1, 64))
-		e.close(tag)
+		dst = strconv.AppendFloat(append(dst, '>'), v.F, 'g', -1, 64)
 	case heap.KindBool:
-		e.w.WriteByte('>')
-		e.w.Write(strconv.AppendBool(e.scratch[:0], v.B))
-		e.close(tag)
+		dst = strconv.AppendBool(append(dst, '>'), v.B)
 	case heap.KindString:
 		if v.S == "" {
-			e.w.WriteString("/>")
-			break
+			return append(dst, "/>"...), nil
 		}
-		e.w.WriteByte('>')
-		e.escape(v.S, false)
-		e.close(tag)
+		dst = appendEscaped(append(dst, '>'), v.S, false)
 	case heap.KindBytes:
 		if len(v.Data) == 0 {
-			e.w.WriteString("/>")
-			break
+			return append(dst, "/>"...), nil
 		}
-		e.w.WriteByte('>')
-		e.writeBase64(v.Data)
-		e.close(tag)
+		dst = base64.StdEncoding.AppendEncode(append(dst, '>'), v.Data)
 	case heap.KindRef:
 		switch v.RefClass {
 		case RefSlot:
-			e.w.WriteString(` slot="`)
-			e.writeInt(int64(v.Slot))
-			e.w.WriteString(`"/>`)
+			dst = append(dst, ` slot="`...)
+			dst = strconv.AppendInt(dst, int64(v.Slot), 10)
 		case RefRemote:
-			e.w.WriteString(` target="`)
-			e.writeUint(uint64(v.Target))
-			e.w.WriteByte('"')
+			dst = append(dst, ` target="`...)
+			dst = strconv.AppendUint(dst, uint64(v.Target), 10)
 			if v.Class != "" {
-				e.w.WriteString(` class="`)
-				e.escape(v.Class, true)
-				e.w.WriteByte('"')
+				dst = append(dst, `" class="`...)
+				dst = appendEscaped(dst, v.Class, true)
 			}
-			e.w.WriteString("/>")
 		default:
-			e.w.WriteString(` target="`)
-			e.writeUint(uint64(v.Target))
-			e.w.WriteString(`"/>`)
+			dst = append(dst, ` target="`...)
+			dst = strconv.AppendUint(dst, uint64(v.Target), 10)
 		}
+		return append(dst, `"/>`...), nil
 	case heap.KindList:
 		if len(v.List) == 0 {
-			e.w.WriteString("/>")
-			break
+			return append(dst, "/>"...), nil
 		}
-		e.w.WriteByte('>')
-		for _, item := range v.List {
-			if err := e.value("item", "", item); err != nil {
-				return err
+		dst = append(dst, '>')
+		for i := range v.List {
+			var err error
+			if dst, err = appendValue(dst, "item", "", &v.List[i]); err != nil {
+				return nil, err
 			}
 		}
-		e.close(tag)
 	default:
-		return fmt.Errorf("xmlcodec: unencodable kind %s", v.Kind)
+		return nil, fmt.Errorf("xmlcodec: unencodable kind %s", v.Kind)
 	}
-	return nil
+	dst = append(dst, "</"...)
+	dst = append(dst, tag...)
+	return append(dst, '>'), nil
 }
 
-func (e *encoder) close(tag string) {
-	e.w.WriteString("</")
-	e.w.WriteString(tag)
-	e.w.WriteByte('>')
-}
-
-func (e *encoder) writeInt(v int64) {
-	e.w.Write(strconv.AppendInt(e.scratch[:0], v, 10))
-}
-
-func (e *encoder) writeUint(v uint64) {
-	e.w.Write(strconv.AppendUint(e.scratch[:0], v, 10))
-}
-
-// writeBase64 renders data as standard base64 without allocating: fixed-size
-// chunks are encoded through a stack scratch buffer.
-func (e *encoder) writeBase64(data []byte) {
-	for len(data) > 0 {
-		n := len(data)
-		if n > b64Chunk {
-			n = b64Chunk
-		}
-		m := base64.StdEncoding.EncodedLen(n)
-		base64.StdEncoding.Encode(e.b64[:m], data[:n])
-		e.w.Write(e.b64[:m])
-		data = data[n:]
-	}
-}
-
-// escape writes s with XML escaping, matching encoding/xml's escapeText
-// semantics: &, <, > and \r are always escaped; attribute text additionally
-// escapes quotes, tabs and newlines; runes XML cannot carry (control
-// characters, invalid UTF-8, surrogates) are replaced with U+FFFD — exactly
-// what the reflection encoder produced, so either encoder yields the same
-// decoded value.
-func (e *encoder) escape(s string, attr bool) {
+// appendEscaped appends s with XML escaping, matching encoding/xml's
+// escapeText semantics: &, <, > and \r are always escaped; attribute text
+// additionally escapes quotes, tabs and newlines; runes XML cannot carry
+// (control characters, invalid UTF-8, surrogates) are replaced with U+FFFD —
+// exactly what the reflection encoder produced, so either encoder yields the
+// same decoded value.
+func appendEscaped(dst []byte, s string, attr bool) []byte {
 	last := 0
 	for i := 0; i < len(s); {
 		c := s[i]
@@ -324,30 +186,30 @@ func (e *encoder) escape(s string, attr bool) {
 				}
 			default:
 				if c < 0x20 {
-					repl = "�"
+					repl = "\uFFFD"
 				}
 			}
 			if repl == "" {
 				i++
 				continue
 			}
-			e.w.WriteString(s[last:i])
-			e.w.WriteString(repl)
+			dst = append(dst, s[last:i]...)
+			dst = append(dst, repl...)
 			i++
 			last = i
 			continue
 		}
 		r, size := utf8.DecodeRuneInString(s[i:])
 		if (r == utf8.RuneError && size == 1) || !validXMLRune(r) {
-			e.w.WriteString(s[last:i])
-			e.w.WriteString("�")
+			dst = append(dst, s[last:i]...)
+			dst = append(dst, "\uFFFD"...)
 			i += size
 			last = i
 			continue
 		}
 		i += size
 	}
-	e.w.WriteString(s[last:])
+	return append(dst, s[last:]...)
 }
 
 // validXMLRune reports whether XML 1.0 can carry r (the stdlib isInCharacterRange).
@@ -361,10 +223,8 @@ func validXMLRune(r rune) bool {
 // ---- streaming decoder ------------------------------------------------
 
 // Decode parses XML text produced by either encoder (compact or indented).
-//
-// Deprecated: payloads fetched from donors should decode through wire.Decode,
-// which detects the self-described format (XML included) and routes to the
-// right codec; Decode remains as the XML codec's implementation.
+// It is the XML codec's reader; a payload fetched from a donor goes through
+// wire.Decode or wire.Stage, which detect its format first.
 func Decode(data []byte) (*Doc, error) {
 	return DecodeFrom(bytes.NewReader(data))
 }

@@ -2,7 +2,6 @@ package xmlcodec
 
 import (
 	"bytes"
-	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -125,73 +124,70 @@ func TestCompactSmallerThanIndented(t *testing.T) {
 	}
 }
 
-// onlyWriter hides bytes.Buffer's concrete type so EncodeTo exercises the
-// pooled bufio path.
-type onlyWriter struct{ w io.Writer }
+// appendDoc renders doc record by record onto dst, the way the wire
+// package's XML codec does from a heap.
+func appendDoc(dst []byte, doc *Doc) ([]byte, error) {
+	dst = AppendHeader(dst, doc.ClusterID, doc.Version)
+	for i := range doc.Objects {
+		var err error
+		if dst, err = AppendObject(dst, &doc.Objects[i]); err != nil {
+			return nil, err
+		}
+	}
+	return AppendTrailer(dst), nil
+}
 
-func (o onlyWriter) Write(p []byte) (int, error) { return o.w.Write(p) }
-
-func TestEncodeToMatchesEncode(t *testing.T) {
+// TestAppendMatchesEncode: the record-at-a-time form appends exactly
+// Encode's text behind whatever dst already holds.
+func TestAppendMatchesEncode(t *testing.T) {
 	doc := crossDoc()
 	want, err := doc.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var direct bytes.Buffer
-	if err := doc.EncodeTo(&direct); err != nil {
-		t.Fatalf("EncodeTo(*bytes.Buffer): %v", err)
+	prefix := []byte("kept:")
+	got, err := appendDoc(bytes.Clone(prefix), doc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(direct.Bytes(), want) {
-		t.Error("EncodeTo(*bytes.Buffer) differs from Encode")
-	}
-
-	var buffered bytes.Buffer
-	if err := doc.EncodeTo(onlyWriter{&buffered}); err != nil {
-		t.Fatalf("EncodeTo(io.Writer): %v", err)
-	}
-	if !bytes.Equal(buffered.Bytes(), want) {
-		t.Error("EncodeTo(io.Writer) differs from Encode")
+	if !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], want) {
+		t.Fatalf("appended form differs from Encode:\n got:  %s\n want: %s%s", got, prefix, want)
 	}
 }
 
-type failWriter struct{ n int }
-
-func (f *failWriter) Write(p []byte) (int, error) {
-	if f.n -= len(p); f.n < 0 {
-		return 0, io.ErrShortWrite
+// TestAppendPropagatesEncodeError: a value no element can carry fails the
+// record, and Encode with it.
+func TestAppendPropagatesEncodeError(t *testing.T) {
+	doc := crossDoc()
+	doc.Objects[1].Fields[0].Value.List = nil
+	doc.Objects[1].Fields[0].Value.Kind = heap.Kind(250)
+	if _, err := AppendObject(nil, &doc.Objects[1]); err == nil {
+		t.Fatal("AppendObject accepted an unencodable kind")
 	}
-	return len(p), nil
+	if _, err := doc.Encode(); err == nil {
+		t.Fatal("Encode accepted an unencodable kind")
+	}
 }
 
-func TestEncodeToPropagatesWriteError(t *testing.T) {
-	if err := crossDoc().EncodeTo(&failWriter{n: 16}); err == nil {
-		t.Fatal("EncodeTo swallowed the sink's write error")
-	}
-}
-
-func TestEncodeBufferReleaseAndReuse(t *testing.T) {
+// TestAppendReusesBuffer: rendered into a buffer with room, the append form
+// allocates nothing and rewrites the same text every time.
+func TestAppendReusesBuffer(t *testing.T) {
 	doc := crossDoc()
 	want, err := doc.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
-		buf, err := doc.EncodeBuffer()
-		if err != nil {
-			t.Fatalf("EncodeBuffer: %v", err)
+	buf := make([]byte, 0, len(want))
+	allocs := testing.AllocsPerRun(4, func() {
+		if buf, err = appendDoc(buf[:0], doc); err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Fatalf("iteration %d: pooled buffer content differs from Encode", i)
-		}
-		if buf.Len() != len(want) {
-			t.Fatalf("iteration %d: Len()=%d want %d", i, buf.Len(), len(want))
-		}
-		buf.Release()
-		buf.Release() // idempotent
-		if buf.Bytes() != nil || buf.Len() != 0 {
-			t.Fatal("released buffer still exposes content")
-		}
+	})
+	if !bytes.Equal(buf, want) {
+		t.Fatal("reused buffer content differs from Encode")
+	}
+	if allocs != 0 {
+		t.Fatalf("append form allocated %.0f times per document into a buffer with room", allocs)
 	}
 }
 
