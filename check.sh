@@ -43,6 +43,8 @@ go build ./...
 # - TestFaultBenchSmoke (.): a pointer chase with the prefetcher on takes at
 #   least one demand fault and serves at least half its cluster boundaries
 #   from the prefetch inventory.
+# - TestTriggerPrefetchAllocatesNothing (internal/core): a prefetch trigger —
+#   window walk, enqueue, task — allocates nothing.
 go test -count=1 ./...
 go test -race ./...
 go test -cover ./internal/obs/ ./internal/core/ ./internal/opshttp/ ./internal/placement/ ./internal/telemetry/
@@ -156,3 +158,11 @@ fi
 # exactly 8 donor fetches (single-flight coalescing), race-clean at
 # GOMAXPROCS 1 and 4.
 go test -race -run '^TestFaultStormCoalesces$' -count=1 -cpu 1,4 ./internal/core/
+# Prefetch-window smoke, ten times under the race detector: a cluster stays in
+# the task set while its prefetch runs, a demand fault that joins the flight
+# takes exactly one hit in either order and records how long it parked, and a
+# chase over a gated donor keeps exactly two reads in flight with the head as
+# its one demand fault.
+go test -race -count=10 -run '^(TestTriggerWhileRunningDoesNotRequeue|TestJoinCountsOneHit)$' ./internal/fault/
+go test -race -count=10 -run '^TestPrefetchWindowOverlap$' .
+go test -race -count=10 -run '^(TestTriggerPrefetchAllocatesNothing|TestPrefetchHitRecordsParkedTime)$' ./internal/core/

@@ -12,8 +12,11 @@ package objectswap
 // go run ./benchmark).
 
 import (
+	"context"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"objectswap/internal/heap"
 	"objectswap/internal/store"
@@ -141,5 +144,181 @@ func TestFaultBenchSmoke(t *testing.T) {
 		t.Fatalf("prefetch hits = %d, want at least %d of %d boundaries; engine: %+v",
 			hits.Count, chaseClusters/2, chaseClusters,
 			sys.Runtime().FaultEngine().Snapshot())
+	}
+}
+
+// gateStore holds every donor read until the test releases its key, and
+// records the largest number of reads it held at once.
+type gateStore struct {
+	*store.Mem
+
+	mu       sync.Mutex
+	gates    map[string]*gate
+	opened   bool // every read passes: the test is over
+	inFlight int
+	most     int
+}
+
+// gate is one key's pair of events: its read arrived, its read may go on.
+type gate struct{ arrived, release chan struct{} }
+
+func newGateStore() *gateStore {
+	return &gateStore{Mem: store.NewMem(0), gates: make(map[string]*gate)}
+}
+
+func (g *gateStore) Get(ctx context.Context, key string) ([]byte, error) {
+	g.hold(key)
+	return g.Mem.Get(ctx, key)
+}
+
+func (g *gateStore) GetEnvelope(ctx context.Context, key string) ([]byte, store.PutOpts, error) {
+	g.hold(key)
+	return g.Mem.GetEnvelope(ctx, key)
+}
+
+func (g *gateStore) hold(key string) {
+	g.mu.Lock()
+	k := g.gate(key)
+	g.inFlight++
+	g.most = max(g.most, g.inFlight)
+	closeOnce(k.arrived)
+	g.mu.Unlock()
+	<-k.release
+	g.mu.Lock()
+	g.inFlight--
+	g.mu.Unlock()
+}
+
+// gate is key's pair, made on first use. The caller holds g.mu.
+func (g *gateStore) gate(key string) *gate {
+	k := g.gates[key]
+	if k == nil {
+		k = &gate{arrived: make(chan struct{}), release: make(chan struct{})}
+		if g.opened {
+			close(k.arrived)
+			close(k.release)
+		}
+		g.gates[key] = k
+	}
+	return k
+}
+
+func closeOnce(ch chan struct{}) {
+	select {
+	case <-ch:
+	default:
+		close(ch)
+	}
+}
+
+// arrival is closed once key's read is waiting at the gate.
+func (g *gateStore) arrival(key string) <-chan struct{} {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.gate(key).arrived
+}
+
+func (g *gateStore) open(key string) {
+	g.mu.Lock()
+	closeOnce(g.gate(key).release)
+	g.mu.Unlock()
+}
+
+// peak is the largest number of reads held at once so far.
+func (g *gateStore) peak() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.most
+}
+
+// openAll lets every read and every wait for one through, so a failed test
+// can shut its system down.
+func (g *gateStore) openAll() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.opened = true
+	for _, k := range g.gates {
+		closeOnce(k.arrived)
+		closeOnce(k.release)
+	}
+}
+
+// TestPrefetchWindowOverlap walks the chase chain with Depth 2 and Workers 2
+// behind a gate that holds every donor read. The test releases the reads one
+// at a time, in chain order, each only once the read after it is waiting too;
+// the walker crosses into a cluster only once its read is out. So exactly two
+// reads are in flight at the gate's fullest, the head is the one demand
+// fault, every other boundary is a prefetch hit, and nothing prefetched goes
+// to waste.
+func TestPrefetchWindowOverlap(t *testing.T) {
+	sys, err := New(Config{
+		HeapCapacity: 16 << 20,
+		Prefetch:     PrefetchConfig{Depth: 2, Workers: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	gs := newGateStore()
+	defer gs.openAll() // before Close, which waits for the prefetch workers
+	if err := sys.AttachDevice("desktop", gs); err != nil {
+		t.Fatal(err)
+	}
+	clusters := buildChaseChain(t, sys)
+	swapOutChase(t, sys, clusters)
+	keys := make([]string, len(clusters))
+	for i, c := range clusters {
+		info, err := sys.Runtime().Manager().Info(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[i] = info.Key
+	}
+
+	walked := make(chan error, 1)
+	go func() {
+		cur, err := sys.MustRoot("chase-head")
+		for i := 0; err == nil && !cur.IsNil(); i++ {
+			if next := i/chasePerCluster + 1; i%chasePerCluster == chasePerCluster-1 && next < len(keys) {
+				<-gs.arrival(keys[next]) // the crossing below is into cluster next
+			}
+			cur, err = sys.Field(cur, "next")
+		}
+		walked <- err
+	}()
+	await := func(key string) {
+		select {
+		case <-gs.arrival(key):
+		case err := <-walked:
+			t.Fatalf("walk ended before read %s: %v", key, err)
+		case <-time.After(5 * time.Second):
+			t.Fatalf("read %s never came (most reads at once: %d)", key, gs.peak())
+		}
+	}
+	for i, key := range keys {
+		await(key)
+		if i > 0 && i+1 < len(keys) {
+			await(keys[i+1]) // the window holds the next one too
+		}
+		gs.open(key)
+	}
+	if err := <-walked; err != nil {
+		t.Fatal(err)
+	}
+	swapOutChase(t, sys, clusters) // an untouched prefetch would count as wasted here
+
+	if most := gs.peak(); most != 2 {
+		t.Fatalf("at most %d donor reads in flight, want 2", most)
+	}
+	reg := sys.Metrics()
+	demand, _ := reg.HistogramSnapshotOf("objectswap_fault_seconds", "swap_in", "reload", "demand")
+	hits, _ := reg.HistogramSnapshotOf("objectswap_fault_seconds", "swap_in", "reload", "prefetch-hit")
+	snap := sys.Runtime().FaultEngine().Snapshot()
+	if demand.Count != 1 || hits.Count != chaseClusters-1 || snap.Hits != chaseClusters-1 || snap.Wasted != 0 {
+		t.Fatalf("demand faults %d, hits %d (engine %d), wasted %d; want 1, %d, %d, 0",
+			demand.Count, hits.Count, snap.Hits, snap.Wasted, chaseClusters-1, chaseClusters-1)
+	}
+	if errs := sys.Runtime().Manager().CheckInvariants(); len(errs) > 0 {
+		t.Fatalf("invariants: %v", errs)
 	}
 }

@@ -270,7 +270,7 @@ type Runtime struct {
 	telem *telemetry.Tracker
 
 	// faults is the asynchronous fault engine: single-flight coalescing of
-	// concurrent swap-ins, donor-batched fetches, and (when enabled via
+	// concurrent swap-ins, direct donor reads, and (when enabled via
 	// WithPrefetch) the graph-driven prefetcher. Always non-nil after
 	// NewRuntime.
 	faults          *fault.Engine

@@ -141,9 +141,16 @@ func (rt *Runtime) reach(id heap.ObjID) (reached, error) {
 	}
 }
 
-// reload faults a swapped-out cluster back in on behalf of a reference.
+// reload faults a swapped-out cluster back in on behalf of a reference. A
+// cluster that turned resident between the crossing's look and the fault —
+// its flight, often the prefetcher's, closed in between — is what the
+// reference needed, and the crossing a resident one.
 func (rt *Runtime) reload(cluster ClusterID) error {
-	if _, err := rt.SwapIn(cluster, WithCause(CauseReload)); err != nil {
+	_, err := rt.SwapIn(cluster, WithCause(CauseReload))
+	switch {
+	case errors.Is(err, ErrClusterLoaded):
+		rt.notePrefetchHit(cluster)
+	case err != nil:
 		return fmt.Errorf("core: reload cluster %d: %w", cluster, err)
 	}
 	return nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"time"
 
 	"objectswap/internal/fault"
 )
@@ -11,11 +12,11 @@ import (
 // the prefetcher drives the runtime through, and the hit accounting invoked
 // from the dispatch crossing site.
 
-// WithPrefetch enables the graph-driven prefetcher: after every demand
-// fault the fault engine speculatively swaps in the faulted cluster's top
-// `depth` graph-neighbor clusters on `workers` background goroutines
-// (workers <= 0 selects a small default). Speculative reloads go through
-// the normal reserve/commit path and are gated by the admission guard (see
+// WithPrefetch enables the graph-driven prefetcher: every fault, and every
+// crossing the prefetcher served, keeps the next `depth` clusters along the
+// replacement-object graph in flight on `workers` background goroutines
+// (workers <= 0 selects a small default). Speculative reloads go through the
+// normal reserve/commit path and are gated by the admission guard (see
 // Runtime.FaultEngine and fault.Engine.SetAdmit — the facade wires the
 // memory monitor in there).
 func WithPrefetch(depth, workers int) Option {
@@ -26,19 +27,43 @@ func WithPrefetch(depth, workers int) Option {
 }
 
 // FaultEngine exposes the runtime's asynchronous fault engine (always
-// non-nil): coalescing/batching counters, the prefetch inventory snapshot,
-// the admission-guard hook and Quiesce/Stop.
+// non-nil): coalescing counters, the prefetch inventory snapshot, the
+// admission-guard hook and Quiesce/Stop.
 func (rt *Runtime) FaultEngine() *fault.Engine { return rt.faults }
+
+// asPrefetch tags the prefetch workers' reloads.
+var asPrefetch = WithCause(CausePrefetch)
 
 // SwapIn reloads a swapped cluster through the fault engine's single-flight
 // table: concurrent callers for the same cluster park on one in-flight
 // fetch and all resume with its result, error included. A caller that
 // arrives while a *prefetch* of the cluster is in flight joins that flight
-// the same way instead of bouncing off ErrClusterBusy. See swapInDirect for
-// the underlying phases and option semantics; a successful demand reload
-// additionally triggers prefetch of the cluster's graph neighbors.
+// the same way instead of bouncing off ErrClusterBusy, and the join is that
+// prefetch's hit. See swapInDirect for the underlying phases and option
+// semantics; a successful demand reload, like a hit, slides the prefetch
+// window along the graph.
 func (rt *Runtime) SwapIn(id ClusterID, opts ...SwapOption) (SwapEvent, error) {
-	res, _, err := rt.faults.Do(uint32(id), func() (any, error) {
+	var parked time.Time // when a join, the one kind of fault that may be a hit, began to wait
+	if rt.prefetchDepth > 0 {
+		parked = rt.telem.Now()
+	}
+	ev, leader, err := rt.swapInOnce(id, opts)
+	if err != nil {
+		return SwapEvent{}, err
+	}
+	switch {
+	case leader && ev.Cause != CausePrefetch:
+		rt.faults.TriggerPrefetch(uint32(id))
+	case !leader && ev.Cause == CausePrefetch:
+		rt.prefetchHit(id, parked)
+	}
+	return ev, nil
+}
+
+// swapInOnce runs swapInDirect as the cluster's one flight; leader reports
+// whether this call ran it or joined the flight already open.
+func (rt *Runtime) swapInOnce(id ClusterID, opts []SwapOption) (SwapEvent, bool, error) {
+	res, leader, err := rt.faults.Do(uint32(id), func() (any, error) {
 		ev, err := rt.swapInDirect(id, opts...)
 		if err != nil {
 			return nil, err
@@ -46,50 +71,55 @@ func (rt *Runtime) SwapIn(id ClusterID, opts ...SwapOption) (SwapEvent, error) {
 		return ev, nil
 	})
 	if err != nil {
-		return SwapEvent{}, err
+		return SwapEvent{}, leader, err
 	}
 	ev, _ := res.(SwapEvent)
-	if ev.Cause != CausePrefetch {
-		rt.faults.TriggerPrefetch(uint32(id))
-	}
-	return ev, nil
+	return ev, leader, nil
 }
 
 // prefetchSwapIn is the fault.Config.SwapIn callback: one speculative
-// background reload. It reports installed=false for every benign "nothing
-// to do" outcome — the cluster is already resident, is reserved by a
+// background reload. It is no demand fault, so it neither slides the window
+// nor takes a hit. It reports installed=false for every benign "nothing to
+// do" outcome — the cluster is already resident, is reserved by a
 // concurrent swap elsewhere, or this call merely joined a demand flight
 // (whose install belongs to the demand fault, not the prefetcher).
-func (rt *Runtime) prefetchSwapIn(cluster uint32) (int64, bool, error) {
-	ev, err := rt.SwapIn(ClusterID(cluster), WithCause(CausePrefetch))
+func (rt *Runtime) prefetchSwapIn(cluster uint32) (bool, error) {
+	ev, _, err := rt.swapInOnce(ClusterID(cluster), []SwapOption{asPrefetch})
 	if err != nil {
 		if errors.Is(err, ErrClusterLoaded) || errors.Is(err, ErrClusterBusy) ||
 			errors.Is(err, ErrClusterActive) || errors.Is(err, ErrUnknownCluster) {
-			return 0, false, nil
+			return false, nil
 		}
-		return 0, false, err
+		return false, err
 	}
-	if ev.Cause != CausePrefetch {
-		return 0, false, nil
-	}
-	return int64(ev.Bytes), true, nil
+	return ev.Cause == CausePrefetch, nil
 }
 
-// notePrefetchHit runs on the dispatch crossing site (reach) when the crossed-into
-// cluster turned out to be resident: if the prefetcher put it there, the
-// crossing consumes the inventory entry, reports the (map-lookup-cheap) hit
-// latency to telemetry, and extends the speculation one hop further along
-// the graph so a pointer chase stays ahead of the chaser. Without a
-// prefetcher there is nothing to consume, and a resident crossing pays
-// neither the clock nor the engine's lock.
+// notePrefetchHit runs on the dispatch crossing site (reach) when the
+// crossed-into cluster turned out to be resident. If the prefetcher put it
+// there, the crossing is the hit, and the walker waited for nothing. Without
+// a prefetcher there is nothing to consume, and a resident crossing pays
+// neither the engine's lock nor, with one, the clock.
 func (rt *Runtime) notePrefetchHit(id ClusterID) {
-	if rt.prefetchDepth <= 0 {
-		return
+	if rt.prefetchDepth > 0 {
+		rt.prefetchHit(id, time.Time{})
 	}
-	start := rt.obsReg.Clock().Now()
+}
+
+// prefetchHit consumes cluster id's inventory entry, if the prefetcher left
+// one, records how long the walker parked for it as a prefetch-hit fault —
+// zero when it was already resident, the rest of the flight for a join that
+// began parking at parked — and slides the window one cluster further along
+// the graph, so a pointer chase stays ahead of the chaser. A resident
+// crossing never reads the clock; a join reads it only when it is the hit.
+func (rt *Runtime) prefetchHit(id ClusterID, parked time.Time) {
 	if _, ok := rt.faults.ConsumeHit(uint32(id)); !ok {
 		return
 	}
-	rt.telem.RecordPrefetchHit(rt.obsReg.Clock().Now().Sub(start).Seconds())
+	var waited time.Duration
+	if !parked.IsZero() {
+		waited = rt.telem.Now().Sub(parked)
+	}
+	rt.telem.RecordPrefetchHit(waited.Seconds())
 	rt.faults.TriggerPrefetch(uint32(id))
 }

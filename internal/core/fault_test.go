@@ -3,18 +3,20 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"objectswap/internal/heap"
+	"objectswap/internal/obs"
 	"objectswap/internal/store"
+	"objectswap/internal/telemetry"
 )
 
 // probeStore wraps Mem with per-key Get accounting, an optional gate that
-// blocks Gets, and an injectable failure. GetMulti is overridden to route
-// through the counting Get, so batched fetches stay visible to the counts.
+// blocks Gets, and an injectable failure.
 type probeStore struct {
 	*store.Mem
 	mu   sync.Mutex
@@ -39,21 +41,6 @@ func (p *probeStore) Get(ctx context.Context, key string) ([]byte, error) {
 		return nil, fail
 	}
 	return p.Mem.Get(ctx, key)
-}
-
-func (p *probeStore) GetMulti(ctx context.Context, keys []string) (map[string][]byte, error) {
-	out := make(map[string][]byte, len(keys))
-	for _, k := range keys {
-		b, err := p.Get(ctx, k)
-		if errors.Is(err, store.ErrNotFound) {
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		out[k] = b
-	}
-	return out, nil
 }
 
 func (p *probeStore) totalGets() int {
@@ -289,6 +276,76 @@ func TestSwapInJoinsPrefetchFlight(t *testing.T) {
 	}
 }
 
+// TestPrefetchHitRecordsParkedTime pins what a prefetch hit's latency is:
+// how long the walker parked for the cluster. A demand fault that joins a
+// running prefetch records the rest of that flight; a crossing that finds a
+// prefetched cluster resident records zero.
+func TestPrefetchHitRecordsParkedTime(t *testing.T) {
+	clock := obs.NewVirtualClock(time.Unix(0, 0))
+	reg := obs.NewRegistry(clock)
+	rt, ps := newFaultFixture(t, WithObs(reg),
+		WithTelemetry(telemetry.New(reg, telemetry.Options{})), WithPrefetch(1, 1))
+	defer rt.FaultEngine().Stop()
+	chain := buildChain(t, rt, 2, 4)
+	for _, c := range chain {
+		if _, err := rt.SwapOut(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	gate := make(chan struct{})
+	ps.setGate(gate)
+	prefErr := make(chan error, 1)
+	go func() {
+		_, err := rt.SwapIn(chain[1], asPrefetch)
+		prefErr <- err
+	}()
+	waitUntil(t, func() bool { return ps.totalGets() == 1 })
+	demand := make(chan error, 1)
+	go func() {
+		_, err := rt.SwapIn(chain[1])
+		demand <- err
+	}()
+	waitUntil(t, func() bool { return rt.FaultEngine().Snapshot().CoalescedWaiters == 1 })
+	const parked = 3 * time.Millisecond
+	clock.Advance(parked)
+	ps.setGate(nil)
+	close(gate)
+	if err := <-prefErr; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-demand; err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := rt.SwapIn(chain[0], asPrefetch); err != nil {
+		t.Fatal(err)
+	}
+	rt.notePrefetchHit(chain[0])
+	rt.FaultEngine().Quiesce()
+
+	hs, _ := reg.HistogramSnapshotOf("objectswap_fault_seconds", "swap_in", "reload", telemetry.KindPrefetchHit)
+	if hs.Count != 2 || hs.Sum != parked.Seconds() {
+		t.Fatalf("prefetch hits: %d totalling %gs, want 2 totalling %gs (the join's wait; the resident crossing's 0)",
+			hs.Count, hs.Sum, parked.Seconds())
+	}
+}
+
+// TestReloadFindsClusterResident is the crossing that saw its cluster
+// swapped and faulted after a flight had already brought it back: the fault
+// finds it resident, and the reference is served rather than failed.
+func TestReloadFindsClusterResident(t *testing.T) {
+	rt, ps := newFaultFixture(t)
+	defer rt.FaultEngine().Stop()
+	c := buildChain(t, rt, 1, 4)[0]
+	if err := rt.reload(c); err != nil {
+		t.Fatalf("reload of a resident cluster: %v", err)
+	}
+	if got := ps.totalGets(); got != 0 {
+		t.Fatalf("reload of a resident cluster fetched %d times", got)
+	}
+}
+
 // TestPrefetchInstallsGraphNeighbors wires the full speculative path through
 // a real runtime: a demand fault on the chain's first cluster pulls its
 // graph neighbor in behind it, the next crossing is a hit, and an eviction
@@ -390,16 +447,66 @@ func TestNeighborClustersRanking(t *testing.T) {
 	link(oa3, oc2)
 	_ = ob2
 
-	got := f.rt.Manager().NeighborClusters(uint32(a), 4)
+	got := f.rt.Manager().NeighborClusters(uint32(a), 4, nil)
 	want := []uint32{uint32(c), uint32(b)}
 	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("NeighborClusters(a) = %v, want %v", got, want)
 	}
-	if got := f.rt.Manager().NeighborClusters(uint32(a), 1); len(got) != 1 || got[0] != uint32(c) {
+	if got := f.rt.Manager().NeighborClusters(uint32(a), 1, nil); len(got) != 1 || got[0] != uint32(c) {
 		t.Fatalf("NeighborClusters(a, 1) = %v, want [%d]", got, c)
 	}
-	if got := f.rt.Manager().NeighborClusters(uint32(c), 4); len(got) != 0 {
+	if got := f.rt.Manager().NeighborClusters(uint32(c), 4, nil); len(got) != 0 {
 		t.Fatalf("NeighborClusters(c) = %v, want none (no outgoing proxies)", got)
+	}
+
+	// On a chain hop 1 has one neighbor, so the window walks on: from the
+	// best-ranked cluster taken so far, link by link, until it holds k.
+	rt, _ := newFaultFixture(t)
+	chain := buildChain(t, rt, 5, 2)
+	ids := func(cs ...ClusterID) []uint32 {
+		out := make([]uint32, len(cs))
+		for i, c := range cs {
+			out[i] = uint32(c)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		from ClusterID
+		k    int
+		want []uint32
+	}{
+		{chain[0], 3, ids(chain[1], chain[2], chain[3])},
+		{chain[2], 4, ids(chain[3], chain[4])},
+		{chain[4], 2, nil},
+	} {
+		got := rt.Manager().NeighborClusters(uint32(tc.from), tc.k, nil)
+		if !slices.Equal(got, tc.want) {
+			t.Fatalf("window(%d, %d) = %v, want %v", tc.from, tc.k, got, tc.want)
+		}
+	}
+}
+
+// TestTriggerPrefetchAllocatesNothing pins a trigger — the window walk over
+// the outbound index, the enqueue, and a worker's task through its end — at
+// zero allocations. The admission guard refuses every task, so no swap-in
+// runs.
+func TestTriggerPrefetchAllocatesNothing(t *testing.T) {
+	rt, _ := newFaultFixture(t, WithPrefetch(2, 2))
+	eng := rt.FaultEngine()
+	defer eng.Stop()
+	head := uint32(buildChain(t, rt, 4, 4)[0])
+	eng.SetAdmit(func() bool { return false })
+	const runs = 100
+	allocs := testing.AllocsPerRun(runs, func() {
+		eng.TriggerPrefetch(head)
+		eng.Quiesce()
+	})
+	if allocs != 0 {
+		t.Fatalf("a trigger allocates %.1f times, want 0", allocs)
+	}
+	// AllocsPerRun adds one warm-up run; every run queued the two-cluster window.
+	if got := eng.Snapshot().SkippedPressure; got != 2*(runs+1) {
+		t.Fatalf("tasks run = %d, want %d", got, 2*(runs+1))
 	}
 }
 

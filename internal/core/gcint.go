@@ -84,6 +84,7 @@ func (rt *Runtime) sweepSwapped() {
 				delete(m.objects, oid)
 			}
 			delete(m.inbound, id)
+			delete(m.outbound, id)
 			ts.drop(cs)
 		}
 		ts.mu.Unlock()

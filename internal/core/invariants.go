@@ -21,7 +21,8 @@ import (
 //  3. proxy registry — every recorded proxy is resident, is a
 //     swap-cluster-proxy, agrees with its record's key (source cluster and
 //     ultimate target), is listed in exactly one inbound index (its record's
-//     home), and at most one shared proxy exists per (source, target) pair;
+//     home) and counted once in the outbound edges of its source, and at most
+//     one shared proxy exists per (source, target) pair;
 //  4. mediation — every reference held in an application object's field is
 //     intra-cluster direct, or a proxy sourced at the holding cluster, or an
 //     object-fault placeholder;
@@ -111,6 +112,21 @@ func (m *Manager) CheckInvariants() []error {
 		if got := proxyUltimate(p); got != rec.key.target {
 			fail("proxy @%d ultimate @%d disagrees with registry key @%d", pid, got, rec.key.target)
 		}
+	}
+	edges := make(map[[2]ClusterID]int)
+	for _, rec := range m.proxyRecs {
+		edges[[2]ClusterID{rec.key.src, rec.home}]++
+	}
+	for src, out := range m.outbound {
+		for home, n := range out {
+			if want := edges[[2]ClusterID{src, home}]; n != want {
+				fail("outbound index counts %d proxies from cluster %d into %d, registry records %d", n, src, home, want)
+			}
+			delete(edges, [2]ClusterID{src, home})
+		}
+	}
+	for e, n := range edges {
+		fail("outbound index misses %d proxies from cluster %d into %d", n, e[0], e[1])
 	}
 	// The shared index is a map, so at most one shared proxy per key holds by
 	// construction; each entry must be a recorded, shareable proxy of that key.

@@ -165,10 +165,13 @@ type Manager struct {
 	// proxyRecs holds every live swap-cluster-proxy's record; proxies indexes
 	// the shared ones by key for reuse, and inbound indexes all of them by the
 	// cluster of their ultimate target (record.home), so swap-out can patch
-	// every inbound proxy of the victim cluster.
+	// every inbound proxy of the victim cluster. outbound counts them by
+	// source cluster and home: the replacement-object graph's edges, which
+	// the prefetch window walks (NeighborClusters).
 	proxyRecs    map[heap.ObjID]proxyRecord
 	proxies      map[proxyKey]heap.ObjID
 	inbound      map[ClusterID]map[heap.ObjID]bool
+	outbound     map[ClusterID]map[ClusterID]int
 	objProxies   map[heap.ObjID]heap.ObjID // remote identity -> proxy id
 	objProxyMeta map[heap.ObjID]heap.ObjID // proxy id -> remote identity
 
@@ -203,6 +206,7 @@ func newManager(rt *Runtime, shards int) *Manager {
 		proxyRecs:      make(map[heap.ObjID]proxyRecord),
 		proxies:        make(map[proxyKey]heap.ObjID),
 		inbound:        make(map[ClusterID]map[heap.ObjID]bool),
+		outbound:       make(map[ClusterID]map[ClusterID]int),
 		objProxies:     make(map[heap.ObjID]heap.ObjID),
 		objProxyMeta:   make(map[heap.ObjID]heap.ObjID),
 		dropRetryLimit: DefaultDropRetryLimit,
@@ -357,9 +361,9 @@ func (m *Manager) registerProxy(pid heap.ObjID, rec proxyRecord) {
 	m.recordProxy(pid, rec)
 }
 
-// recordProxy stores a proxy's record and indexes it: as inbound to rec.home
-// and, when it is shareable and the slot is vacant, under its key for reuse.
-// The caller holds m.mu.
+// recordProxy stores a proxy's record and indexes it: as inbound to rec.home,
+// as an edge out of its source cluster and, when it is shareable and the slot
+// is vacant, under its key for reuse. The caller holds m.mu.
 func (m *Manager) recordProxy(pid heap.ObjID, rec proxyRecord) {
 	m.proxyRecs[pid] = rec
 	if _, taken := m.proxies[rec.key]; !taken && !rec.cursor {
@@ -371,14 +375,25 @@ func (m *Manager) recordProxy(pid heap.ObjID, rec proxyRecord) {
 		m.inbound[rec.home] = idx
 	}
 	idx[pid] = true
+	out := m.outbound[rec.key.src]
+	if out == nil {
+		out = make(map[ClusterID]int)
+		m.outbound[rec.key.src] = out
+	}
+	out[rec.home]++
 }
 
-// unindexProxy takes a proxy out of both indexes. The caller holds m.mu.
+// unindexProxy takes a proxy out of every index. The caller holds m.mu.
 func (m *Manager) unindexProxy(pid heap.ObjID, rec proxyRecord) {
 	if m.proxies[rec.key] == pid {
 		delete(m.proxies, rec.key)
 	}
 	delete(m.inbound[rec.home], pid)
+	if out := m.outbound[rec.key.src]; out[rec.home] > 1 {
+		out[rec.home]--
+	} else {
+		delete(out, rec.home)
+	}
 }
 
 // lookupProxy finds the live shared proxy for key, if any.
@@ -450,47 +465,48 @@ func (m *Manager) inboundProxies(id ClusterID) []heap.ObjID {
 	return out
 }
 
-// NeighborClusters ranks the clusters reachable from cluster through its
-// registered swap-cluster-proxies — the replacement-object graph's
-// inter-cluster edges — by edge count, best first, at most k entries (ties
-// break toward the lower cluster id for determinism). The root cluster and
-// self-edges are excluded. This is the prefetcher's ranking signal: a proxy
-// from A to B exists exactly because application references cross that
-// boundary, so a demand fault on A makes B the next likely fault.
-func (m *Manager) NeighborClusters(cluster uint32, k int) []uint32 {
-	if k <= 0 {
-		return nil
-	}
-	src := ClusterID(cluster)
-	counts := make(map[ClusterID]int)
+// NeighborClusters is the prefetch window: the at most k clusters nearest
+// cluster along the replacement-object graph, appended to buf[:0], best
+// first. It takes cluster's neighbors ranked by proxy-edge count (ties toward
+// the lower id), then continues from the best-ranked cluster taken so far,
+// hop by hop, until it has k; on a chain that is the next k links. The root
+// cluster, self-edges and cluster itself are never taken. A proxy from A to B
+// exists exactly because application references cross that boundary, so a
+// fault on A makes B the next likely fault, and B's neighbors the ones after.
+// One hold of m.mu, and no allocation when cap(buf) >= k.
+func (m *Manager) NeighborClusters(cluster uint32, k int, buf []uint32) []uint32 {
+	out := buf[:0]
+	origin := ClusterID(cluster)
 	m.mu.Lock()
-	for _, rec := range m.proxyRecs {
-		if rec.key.src != src {
-			continue
+	defer m.mu.Unlock()
+	for i, from := 0, origin; len(out) < k; i++ {
+		out = m.appendNeighbors(out, k, origin, from)
+		if i >= len(out) {
+			break
 		}
-		dst := m.objects[rec.key.target].cluster
-		if dst == src || dst == RootCluster {
-			continue
+		from = ClusterID(out[i])
+	}
+	return out
+}
+
+// appendNeighbors appends from's best-ranked neighbors not yet in out (nor
+// origin) until out holds k. The caller holds m.mu.
+func (m *Manager) appendNeighbors(out []uint32, k int, origin, from ClusterID) []uint32 {
+	edges := m.outbound[from]
+	for len(out) < k {
+		best, most := RootCluster, 0
+		for dst, n := range edges {
+			if dst == RootCluster || dst == from || dst == origin || slices.Contains(out, uint32(dst)) {
+				continue
+			}
+			if n > most || n == most && dst < best {
+				best, most = dst, n
+			}
 		}
-		counts[dst]++
-	}
-	m.mu.Unlock()
-	ranked := make([]ClusterID, 0, len(counts))
-	for dst := range counts {
-		ranked = append(ranked, dst)
-	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if counts[ranked[i]] != counts[ranked[j]] {
-			return counts[ranked[i]] > counts[ranked[j]]
+		if most == 0 {
+			break
 		}
-		return ranked[i] < ranked[j]
-	})
-	if len(ranked) > k {
-		ranked = ranked[:k]
-	}
-	out := make([]uint32, len(ranked))
-	for i, id := range ranked {
-		out[i] = uint32(id)
+		out = append(out, uint32(best))
 	}
 	return out
 }

@@ -97,9 +97,7 @@ func (s *swapIn) fetch() error {
 	for _, d := range devices {
 		st, err := rt.stores.Lookup(d)
 		if err == nil {
-			// Route through the fault engine's donor batcher: misses that
-			// land on a donor already serving a fetch ride one multi-key
-			// round trip instead of issuing their own.
+			// A direct read: the prefetch window's fetches overlap with it.
 			s.data, err = rt.faults.Fetch(s.ctx, d, st, key)
 			// The checksum recorded at swap-out convicts a copy that rotted
 			// at rest; with K>=2 the reload falls through to an intact one.
@@ -187,7 +185,9 @@ func (s *swapIn) evict() error {
 // and moves the record to resident in one shard-locked section, so no
 // collection can run between installation (nursery-fresh objects) and the
 // patches that make them reachable. beginMutate: installation allocates, and
-// an allocation failure here must not re-enter the evictor.
+// an allocation failure here must not re-enter the evictor. A prefetch enters
+// the fault engine's inventory in the same section, so whoever next finds the
+// cluster resident finds the entry too.
 //
 // A reloaded full shipment is the retained copy — resident state now provably
 // equals the payload still on its donors. The commit that shipped it anchored
@@ -246,6 +246,9 @@ func (s *swapIn) install() error {
 			c.crc, c.format = s.dataCRC, string(s.fid)
 			members, slots := s.tables(installed, outbound)
 			rt.mgr.anchor(cs, c, members, slots)
+		}
+		if s.o.cause == CausePrefetch {
+			rt.faults.Installed(uint32(s.id), int64(s.was.payloadBytes))
 		}
 	})
 	return nil

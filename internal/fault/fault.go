@@ -1,7 +1,7 @@
 // Package fault is the asynchronous object-fault engine: it owns the
 // swap-in miss path between a proxy crossing and the swap core.
 //
-// Three mechanisms live here:
+// Two mechanisms live here:
 //
 //   - Single-flight coalescing (Do): concurrent faults on the same cluster
 //     park on one in-flight swap-in and all resume with its result — error
@@ -9,19 +9,19 @@
 //     once each. A failed flight is cleared before its waiters wake, so an
 //     immediate retry starts fresh.
 //
-//   - Donor batching (Fetch, batch.go): faults that land on the same donor
-//     while a fetch is already in flight are queued and drained in one
-//     multi-key round trip via the optional store.MultiGetter extension,
-//     with a per-key fallback for legacy donors.
+//   - A graph-driven prefetcher (TriggerPrefetch): a fault ranks the
+//     clusters nearest the faulted one along the replacement-object graph,
+//     hop by hop, and a small worker pool keeps the first PrefetchDepth of
+//     them in flight through the normal reserve/commit path, gated by a
+//     heap-pressure admission check. A cluster stays in the task set from
+//     enqueue until its worker finishes, so a later trigger never queues it
+//     twice. An installed cluster enters the inventory (Installed); the
+//     crossing that next reaches it — resident, or by joining its flight —
+//     consumes the entry as the one prefetch hit (ConsumeHit), and an
+//     eviction that beats the touch counts it as wasted (NoteEvicted).
 //
-//   - A graph-driven prefetcher (TriggerPrefetch): on a demand fault the
-//     replacement-object graph ranks the faulted cluster's neighbor
-//     clusters, and a small worker pool speculatively swaps the top-k in
-//     through the normal reserve/commit path, gated by a heap-pressure
-//     admission check. Prefetched clusters are tracked in an inventory; a
-//     later crossing that finds its target resident consumes the entry as a
-//     prefetch hit (ConsumeHit), and an eviction that beats the touch counts
-//     it as wasted (NoteEvicted).
+// Donor reads (Fetch) go out directly: a fetch never waits behind another, so
+// the prefetch window's round trips overlap on the link.
 //
 // The package deliberately knows nothing about the swap core: the core
 // injects its graph, swap-in and admission behavior through the Config
@@ -29,10 +29,12 @@
 package fault
 
 import (
+	"context"
 	"sort"
 	"sync"
 
 	"objectswap/internal/obs"
+	"objectswap/internal/store"
 )
 
 // Config parameterizes an Engine. Only Obs is required; an Engine with nil
@@ -41,18 +43,20 @@ type Config struct {
 	// Obs is the registry the engine instruments itself into (nil: a
 	// private registry, keeping the engine usable in isolation).
 	Obs *obs.Registry
-	// PrefetchDepth is the number of neighbor clusters speculatively
-	// swapped in after a demand fault (0 disables the prefetcher).
+	// PrefetchDepth is the number of clusters kept in flight ahead of a
+	// fault along the replacement-object graph (0 disables the prefetcher).
 	PrefetchDepth int
 	// PrefetchWorkers sizes the background worker pool (default 2).
 	PrefetchWorkers int
-	// Neighbors ranks the clusters reachable from cluster through
-	// replacement-object edges, best first, at most k entries.
-	Neighbors func(cluster uint32, k int) []uint32
-	// SwapIn performs one speculative swap-in and reports the resident
-	// payload size and whether this call actually installed the cluster
-	// (false when it was already resident, mid-flight elsewhere, or gone).
-	SwapIn func(cluster uint32) (bytes int64, installed bool, err error)
+	// Neighbors appends to buf[:0] the at most k clusters nearest cluster
+	// along replacement-object edges, best first, and returns the result. It
+	// must not allocate when cap(buf) >= k.
+	Neighbors func(cluster uint32, k int, buf []uint32) []uint32
+	// SwapIn performs one speculative swap-in and reports whether this call
+	// installed the cluster (false when it was already resident, mid-flight
+	// elsewhere, or gone). The swap-in reports its install through Installed
+	// before the cluster becomes visible as resident.
+	SwapIn func(cluster uint32) (installed bool, err error)
 	// Admit is the heap-pressure guard consulted before every speculative
 	// swap-in; nil admits everything. Replaceable later via SetAdmit.
 	Admit func() bool
@@ -65,30 +69,25 @@ type flight struct {
 	err  error
 }
 
-// Engine coordinates coalesced faults, donor-batched fetches and background
-// prefetch for one runtime. The zero value is not usable; construct with New.
+// Engine coordinates coalesced faults and background prefetch for one
+// runtime. The zero value is not usable; construct with New.
 type Engine struct {
 	cfg Config
 
 	fmu     sync.Mutex
 	flights map[uint32]*flight
 
-	dmu    sync.Mutex
-	donors map[string]*donorQueue
-
 	pmu       sync.Mutex
-	idle      *sync.Cond // signaled when pending returns to 0
+	idle      *sync.Cond // signaled when tasks empties
 	admit     func() bool
-	queued    map[uint32]bool  // enqueued but not yet picked up
-	inventory map[uint32]int64 // prefetched cluster -> resident bytes
-	pending   int              // queued + running prefetch tasks
+	window    []uint32            // TriggerPrefetch's reused buffer; nil while lent out
+	tasks     map[uint32]struct{} // enqueued or running, until the task ends
+	inventory map[uint32]int64    // prefetched cluster -> resident bytes
 	stopped   bool
 	queue     chan uint32
 	wg        sync.WaitGroup
 
 	coalesced   *obs.Counter
-	batchRounds *obs.Counter
-	batchKeys   *obs.Counter
 	prefetches  *obs.CounterVec
 	wastedBytes *obs.Counter
 }
@@ -117,16 +116,11 @@ func New(cfg Config) *Engine {
 	e := &Engine{
 		cfg:       cfg,
 		flights:   make(map[uint32]*flight),
-		donors:    make(map[string]*donorQueue),
 		admit:     cfg.Admit,
-		queued:    make(map[uint32]bool),
+		tasks:     make(map[uint32]struct{}),
 		inventory: make(map[uint32]int64),
 		coalesced: cfg.Obs.Counter("objectswap_fault_coalesced_total",
 			"Faults that parked on another goroutine's in-flight swap-in."),
-		batchRounds: cfg.Obs.Counter("objectswap_fault_batch_rounds_total",
-			"Multi-key donor fetches issued by the fault engine."),
-		batchKeys: cfg.Obs.Counter("objectswap_fault_batch_keys_total",
-			"Keys served through batched donor fetches."),
 		prefetches: cfg.Obs.CounterVec("objectswap_prefetch_events_total",
 			"Prefetcher outcomes by event.", "event"),
 		wastedBytes: cfg.Obs.Counter("objectswap_prefetch_wasted_bytes_total",
@@ -134,6 +128,7 @@ func New(cfg Config) *Engine {
 	}
 	e.idle = sync.NewCond(&e.pmu)
 	if e.prefetchEnabled() {
+		e.window = make([]uint32, 0, cfg.PrefetchDepth)
 		e.queue = make(chan uint32, 64*cfg.PrefetchWorkers)
 		for i := 0; i < cfg.PrefetchWorkers; i++ {
 			e.wg.Add(1)
@@ -177,6 +172,14 @@ func (e *Engine) Do(cluster uint32, run func() (any, error)) (res any, leader bo
 	return f.res, true, f.err
 }
 
+// Fetch reads key from donor store s (the donor's name is not needed). It
+// is a direct read: concurrent fetches, against one donor or several, go out
+// at once and never wait behind one another, so the round trips of the
+// prefetch window overlap.
+func (e *Engine) Fetch(ctx context.Context, _ string, s store.Store, key string) ([]byte, error) {
+	return s.Get(ctx, key)
+}
+
 // SetAdmit installs (or replaces) the heap-pressure admission guard. The
 // facade calls this after the memory monitor exists; passing nil admits
 // every speculative swap-in.
@@ -189,21 +192,36 @@ func (e *Engine) SetAdmit(fn func() bool) {
 	e.pmu.Unlock()
 }
 
-// TriggerPrefetch enqueues the top-k graph neighbors of cluster for
-// speculative swap-in. It never blocks: a full queue drops the excess.
+// TriggerPrefetch enqueues the PrefetchDepth clusters nearest cluster along
+// the graph for speculative swap-in, skipping any already queued, running or
+// prefetched. Called on every fault and every hit, it slides the window ahead
+// of a pointer chase. It never blocks on the workers (a full queue drops the
+// excess) and allocates nothing.
 func (e *Engine) TriggerPrefetch(cluster uint32) {
 	if e == nil || !e.prefetchEnabled() {
 		return
 	}
-	for _, n := range e.cfg.Neighbors(cluster, e.cfg.PrefetchDepth) {
+	// Borrow the window buffer; a trigger that overlaps another walks into a
+	// fresh one, and the graph is queried with no engine lock held.
+	e.pmu.Lock()
+	window := e.window
+	e.window = nil
+	e.pmu.Unlock()
+	window = e.cfg.Neighbors(cluster, e.cfg.PrefetchDepth, window)
+	e.pmu.Lock()
+	defer e.pmu.Unlock()
+	for _, n := range window {
 		e.enqueue(n)
+	}
+	if e.window == nil {
+		e.window = window
 	}
 }
 
+// enqueue queues cluster unless it is already a task or prefetched. The
+// caller holds e.pmu.
 func (e *Engine) enqueue(cluster uint32) {
-	e.pmu.Lock()
-	defer e.pmu.Unlock()
-	if e.stopped || e.queued[cluster] {
+	if _, busy := e.tasks[cluster]; e.stopped || busy {
 		return
 	}
 	if _, have := e.inventory[cluster]; have {
@@ -211,8 +229,7 @@ func (e *Engine) enqueue(cluster uint32) {
 	}
 	select {
 	case e.queue <- cluster:
-		e.queued[cluster] = true
-		e.pending++
+		e.tasks[cluster] = struct{}{}
 		e.prefetches.With(prefEnqueued).Inc()
 	default:
 		e.prefetches.With(prefDropped).Inc()
@@ -226,42 +243,53 @@ func (e *Engine) worker() {
 	}
 }
 
+// runPrefetch runs one task. The cluster leaves the task set only when the
+// task ends, so a trigger while it runs does not queue it again.
 func (e *Engine) runPrefetch(cluster uint32) {
-	defer e.taskDone()
+	defer e.taskDone(cluster)
 	e.pmu.Lock()
-	delete(e.queued, cluster)
 	admit := e.admit
 	e.pmu.Unlock()
 	if admit != nil && !admit() {
 		e.prefetches.With(prefSkipped).Inc()
 		return
 	}
-	bytes, installed, err := e.cfg.SwapIn(cluster)
+	installed, err := e.cfg.SwapIn(cluster)
 	switch {
 	case err != nil:
 		e.prefetches.With(prefError).Inc()
 	case !installed:
 		e.prefetches.With(prefNoop).Inc()
-	default:
-		e.pmu.Lock()
-		e.inventory[cluster] = bytes
-		e.pmu.Unlock()
-		e.prefetches.With(prefInstall).Inc()
 	}
 }
 
-func (e *Engine) taskDone() {
+func (e *Engine) taskDone(cluster uint32) {
 	e.pmu.Lock()
-	e.pending--
-	if e.pending == 0 {
+	delete(e.tasks, cluster)
+	if len(e.tasks) == 0 {
 		e.idle.Broadcast()
 	}
 	e.pmu.Unlock()
 }
 
-// ConsumeHit reports whether cluster was resident thanks to the prefetcher
-// and, if so, consumes the inventory entry and returns its payload size.
-// The caller records the hit latency; this is the "~a map lookup" path.
+// Installed records that a speculative swap-in made cluster resident with
+// bytes of payload. The swap core calls it inside the install's critical
+// section, before any crossing can see the cluster resident, so the crossing
+// that next reaches it — or the fault that joined its flight — always finds
+// the entry. A no-op without a prefetcher.
+func (e *Engine) Installed(cluster uint32, bytes int64) {
+	if e == nil || !e.prefetchEnabled() {
+		return
+	}
+	e.pmu.Lock()
+	e.inventory[cluster] = bytes
+	e.pmu.Unlock()
+	e.prefetches.With(prefInstall).Inc()
+}
+
+// ConsumeHit reports whether cluster was made resident by the prefetcher and
+// not touched since and, if so, consumes the inventory entry — the one hit
+// that install earns — and returns its payload size.
 func (e *Engine) ConsumeHit(cluster uint32) (int64, bool) {
 	if e == nil || !e.prefetchEnabled() {
 		return 0, false // no prefetcher: the inventory never holds anything
@@ -297,14 +325,14 @@ func (e *Engine) NoteEvicted(cluster uint32) {
 	}
 }
 
-// Rank exposes the prefetcher's neighbor ranking for cluster (at most k
-// entries, best first) — the /debug/prefetch endpoint's payload. Nil when
-// no graph callback is wired.
+// Rank is the prefetch window for cluster right now — at most k clusters,
+// best first, walked exactly as TriggerPrefetch walks it — the
+// /debug/prefetch endpoint's payload. Nil when no graph callback is wired.
 func (e *Engine) Rank(cluster uint32, k int) []uint32 {
 	if e == nil || e.cfg.Neighbors == nil || k <= 0 {
 		return nil
 	}
-	return e.cfg.Neighbors(cluster, k)
+	return e.cfg.Neighbors(cluster, k, nil)
 }
 
 // Quiesce blocks until every enqueued and running prefetch task has
@@ -315,15 +343,15 @@ func (e *Engine) Quiesce() {
 		return
 	}
 	e.pmu.Lock()
-	for e.pending > 0 {
+	for len(e.tasks) > 0 {
 		e.idle.Wait()
 	}
 	e.pmu.Unlock()
 }
 
 // Stop shuts the prefetch worker pool down and waits for in-flight tasks.
-// Coalescing and batching keep working after Stop; further TriggerPrefetch
-// calls are no-ops. Safe to call multiple times.
+// Coalescing keeps working after Stop; further TriggerPrefetch calls are
+// no-ops. Safe to call multiple times.
 func (e *Engine) Stop() {
 	if e == nil {
 		return
@@ -351,20 +379,21 @@ type InventoryEntry struct {
 
 // Snapshot is the /debug/prefetch view of the engine.
 type Snapshot struct {
-	Depth            int              `json:"depth"`
-	Workers          int              `json:"workers"`
-	CoalescedWaiters uint64           `json:"coalesced_waiters"`
-	BatchRounds      uint64           `json:"batch_rounds"`
-	BatchKeys        uint64           `json:"batch_keys"`
-	Enqueued         uint64           `json:"enqueued"`
-	Installed        uint64           `json:"installed"`
-	Hits             uint64           `json:"hits"`
-	Wasted           uint64           `json:"wasted"`
-	WastedBytes      int64            `json:"wasted_bytes"`
-	SkippedPressure  uint64           `json:"skipped_pressure"`
-	Errors           uint64           `json:"errors"`
-	Dropped          uint64           `json:"dropped"`
-	Inventory        []InventoryEntry `json:"inventory"`
+	Depth            int    `json:"depth"`
+	Workers          int    `json:"workers"`
+	CoalescedWaiters uint64 `json:"coalesced_waiters"`
+	// BatchKeys is always 0: the owner no longer merges concurrent fetches
+	// into multi-key donor reads. Kept for readers of the field.
+	BatchKeys       uint64           `json:"batch_keys"`
+	Enqueued        uint64           `json:"enqueued"`
+	Installed       uint64           `json:"installed"`
+	Hits            uint64           `json:"hits"`
+	Wasted          uint64           `json:"wasted"`
+	WastedBytes     int64            `json:"wasted_bytes"`
+	SkippedPressure uint64           `json:"skipped_pressure"`
+	Errors          uint64           `json:"errors"`
+	Dropped         uint64           `json:"dropped"`
+	Inventory       []InventoryEntry `json:"inventory"`
 }
 
 // Accuracy returns the fraction of installed prefetches that were later
@@ -385,8 +414,6 @@ func (e *Engine) Snapshot() Snapshot {
 		Depth:            e.cfg.PrefetchDepth,
 		Workers:          e.cfg.PrefetchWorkers,
 		CoalescedWaiters: uint64(e.coalesced.Value()),
-		BatchRounds:      uint64(e.batchRounds.Value()),
-		BatchKeys:        uint64(e.batchKeys.Value()),
 		Enqueued:         uint64(e.prefetches.With(prefEnqueued).Value()),
 		Installed:        uint64(e.prefetches.With(prefInstall).Value()),
 		Hits:             uint64(e.prefetches.With(prefHit).Value()),

@@ -106,144 +106,27 @@ func TestDoErrorPropagatesAndClears(t *testing.T) {
 	}
 }
 
-// blockingStore blocks the first Get until released, then serves from the
-// inner Mem. It counts Get and GetMulti keys separately.
-type blockingStore struct {
-	*store.Mem
-	release   chan struct{}
-	gets      atomic.Int32
-	multiKeys atomic.Int32
-	multis    atomic.Int32
-}
-
-func (b *blockingStore) Get(ctx context.Context, key string) ([]byte, error) {
-	if b.gets.Add(1) == 1 {
-		<-b.release
-	}
-	return b.Mem.Get(ctx, key)
-}
-
-func (b *blockingStore) GetMulti(ctx context.Context, keys []string) (map[string][]byte, error) {
-	b.multis.Add(1)
-	b.multiKeys.Add(int32(len(keys)))
-	return b.Mem.GetMulti(ctx, keys)
-}
-
-// TestFetchBatchesPerDonor merges fetches that land on a busy donor into one
-// multi-key round served by the in-flight caller.
-func TestFetchBatchesPerDonor(t *testing.T) {
-	e := New(Config{})
-	defer e.Stop()
-
-	bs := &blockingStore{Mem: store.NewMem(0), release: make(chan struct{})}
-	ctx := context.Background()
-	for _, k := range []string{"a", "b", "c"} {
-		if err := bs.Put(ctx, k, []byte("payload-"+k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	var wg sync.WaitGroup
-	got := make([][]byte, 3)
-	errs := make([]error, 3)
-	wg.Add(1)
-	go func() { defer wg.Done(); got[0], errs[0] = e.Fetch(ctx, "donor", bs, "a") }()
-	// The first fetch must be in flight (blocked in Get) before the others
-	// arrive, or they would lead their own direct fetches.
-	waitFor(t, func() bool { return bs.gets.Load() == 1 })
-	wg.Add(2)
-	go func() { defer wg.Done(); got[1], errs[1] = e.Fetch(ctx, "donor", bs, "b") }()
-	go func() { defer wg.Done(); got[2], errs[2] = e.Fetch(ctx, "donor", bs, "c") }()
-	waitFor(t, func() bool {
-		e.dmu.Lock()
-		defer e.dmu.Unlock()
-		q := e.donors["donor"]
-		return q != nil && len(q.waiting) == 2
-	})
-	close(bs.release)
-	wg.Wait()
-
-	for i, k := range []string{"a", "b", "c"} {
-		if errs[i] != nil {
-			t.Fatalf("fetch %q: %v", k, errs[i])
-		}
-		if want := "payload-" + k; string(got[i]) != want {
-			t.Fatalf("fetch %q = %q, want %q", k, got[i], want)
-		}
-	}
-	if bs.gets.Load() != 1 {
-		t.Fatalf("per-key Gets = %d, want 1 (the leader's direct fetch)", bs.gets.Load())
-	}
-	if bs.multis.Load() != 1 || bs.multiKeys.Load() != 2 {
-		t.Fatalf("GetMulti rounds=%d keys=%d, want one 2-key round",
-			bs.multis.Load(), bs.multiKeys.Load())
-	}
-	snap := e.Snapshot()
-	if snap.BatchRounds != 1 || snap.BatchKeys != 2 {
-		t.Fatalf("snapshot batching = %d rounds / %d keys, want 1 / 2",
-			snap.BatchRounds, snap.BatchKeys)
-	}
-}
-
-// TestFetchBatchMissingKey maps a key the donor no longer holds to
-// store.ErrNotFound for that caller only.
-func TestFetchBatchMissingKey(t *testing.T) {
-	e := New(Config{})
-	defer e.Stop()
-
-	bs := &blockingStore{Mem: store.NewMem(0), release: make(chan struct{})}
-	ctx := context.Background()
-	if err := bs.Put(ctx, "a", []byte("A")); err != nil {
-		t.Fatal(err)
-	}
-	if err := bs.Put(ctx, "b", []byte("B")); err != nil {
-		t.Fatal(err)
-	}
-
-	var wg sync.WaitGroup
-	var errA, errB, errGone error
-	wg.Add(1)
-	go func() { defer wg.Done(); _, errA = e.Fetch(ctx, "d", bs, "a") }()
-	waitFor(t, func() bool { return bs.gets.Load() == 1 })
-	wg.Add(2)
-	go func() { defer wg.Done(); _, errB = e.Fetch(ctx, "d", bs, "b") }()
-	go func() { defer wg.Done(); _, errGone = e.Fetch(ctx, "d", bs, "gone") }()
-	waitFor(t, func() bool {
-		e.dmu.Lock()
-		defer e.dmu.Unlock()
-		q := e.donors["d"]
-		return q != nil && len(q.waiting) == 2
-	})
-	close(bs.release)
-	wg.Wait()
-
-	if errA != nil || errB != nil {
-		t.Fatalf("present keys errored: a=%v b=%v", errA, errB)
-	}
-	if !errors.Is(errGone, store.ErrNotFound) {
-		t.Fatalf("missing key error = %v, want store.ErrNotFound", errGone)
-	}
-}
-
 // TestPrefetchPipeline drives the whole speculative path: trigger →
 // neighbor ranking → worker swap-in → inventory → hit / waste accounting.
 func TestPrefetchPipeline(t *testing.T) {
 	var mu sync.Mutex
 	installed := []uint32{}
-	e := New(Config{
+	var e *Engine
+	e = New(Config{
 		PrefetchDepth:   2,
 		PrefetchWorkers: 2,
-		Neighbors: func(cluster uint32, k int) []uint32 {
+		Neighbors: func(cluster uint32, k int, buf []uint32) []uint32 {
 			if cluster == 1 {
-				return []uint32{2, 3}
+				return append(buf[:0], 2, 3)
 			}
-			return nil
+			return buf[:0]
 		},
-		SwapIn: func(cluster uint32) (int64, bool, error) {
+		SwapIn: func(cluster uint32) (bool, error) {
 			mu.Lock()
 			installed = append(installed, cluster)
 			mu.Unlock()
-			return 100 * int64(cluster), true, nil
+			e.Installed(cluster, 100*int64(cluster))
+			return true, nil
 		},
 	})
 	defer e.Stop()
@@ -294,8 +177,8 @@ func TestPrefetchAdmissionGate(t *testing.T) {
 	var swapIns atomic.Int32
 	e := New(Config{
 		PrefetchDepth: 1,
-		Neighbors:     func(uint32, int) []uint32 { return []uint32{9} },
-		SwapIn:        func(uint32) (int64, bool, error) { swapIns.Add(1); return 1, true, nil },
+		Neighbors:     func(_ uint32, _ int, buf []uint32) []uint32 { return append(buf[:0], 9) },
+		SwapIn:        func(uint32) (bool, error) { swapIns.Add(1); return true, nil },
 	})
 	defer e.Stop()
 	e.SetAdmit(func() bool { return false })
@@ -348,10 +231,10 @@ func TestNilEngineDegenerates(t *testing.T) {
 func TestStopDrainsWorkers(t *testing.T) {
 	e := New(Config{
 		PrefetchDepth: 4,
-		Neighbors:     func(uint32, int) []uint32 { return []uint32{2, 3, 4, 5} },
-		SwapIn: func(uint32) (int64, bool, error) {
+		Neighbors:     func(_ uint32, _ int, buf []uint32) []uint32 { return append(buf[:0], 2, 3, 4, 5) },
+		SwapIn: func(uint32) (bool, error) {
 			time.Sleep(time.Millisecond)
-			return 1, true, nil
+			return true, nil
 		},
 	})
 	e.TriggerPrefetch(1)
@@ -359,6 +242,115 @@ func TestStopDrainsWorkers(t *testing.T) {
 	e.Stop() // idempotent
 	e.Quiesce()
 	e.TriggerPrefetch(1) // no-op after Stop, must not panic on the closed queue
+}
+
+// TestTriggerWhileRunningDoesNotRequeue re-triggers the window while its
+// cluster's prefetch is still running: the cluster stays in the task set, so
+// it is not queued again and the idle worker never parks on its flight.
+func TestTriggerWhileRunningDoesNotRequeue(t *testing.T) {
+	gate := make(chan struct{})
+	entered := make(chan uint32, 4)
+	var e *Engine
+	e = New(Config{
+		PrefetchDepth:   1,
+		PrefetchWorkers: 2,
+		Neighbors:       func(_ uint32, _ int, buf []uint32) []uint32 { return append(buf[:0], 5) },
+		SwapIn: func(c uint32) (bool, error) {
+			// The core's shape: the speculative reload is the cluster's flight.
+			_, leader, err := e.Do(c, func() (any, error) {
+				entered <- c
+				<-gate
+				e.Installed(c, 1)
+				return nil, nil
+			})
+			return leader, err
+		},
+	})
+	defer e.Stop()
+
+	e.TriggerPrefetch(1)
+	<-entered
+	e.TriggerPrefetch(1)
+	e.TriggerPrefetch(2)
+	if snap := e.Snapshot(); snap.Enqueued != 1 {
+		t.Fatalf("enqueued = %d while cluster 5 runs, want 1", snap.Enqueued)
+	}
+	close(gate)
+	e.Quiesce()
+	snap := e.Snapshot()
+	if len(entered) != 0 || snap.CoalescedWaiters != 0 || snap.Installed != 1 {
+		t.Fatalf("re-entries=%d parked=%d installed=%d, want 0/0/1",
+			len(entered), snap.CoalescedWaiters, snap.Installed)
+	}
+}
+
+// TestJoinCountsOneHit joins a demand fault onto a running prefetch flight
+// and consumes its hit before, and after, the worker's task ends. Either way
+// the install earns exactly one hit and nothing is left to waste.
+func TestJoinCountsOneHit(t *testing.T) {
+	for _, walkerFirst := range []bool{true, false} {
+		name := map[bool]string{true: "walker first", false: "worker first"}[walkerFirst]
+		t.Run(name, func(t *testing.T) {
+			gate, hold := make(chan struct{}), make(chan struct{})
+			var e *Engine
+			e = New(Config{
+				PrefetchDepth: 1,
+				Neighbors:     func(_ uint32, _ int, buf []uint32) []uint32 { return append(buf[:0], 5) },
+				SwapIn: func(c uint32) (bool, error) {
+					_, leader, err := e.Do(c, func() (any, error) {
+						<-gate
+						e.Installed(c, 64)
+						return "prefetched", nil
+					})
+					<-hold // the worker's task ends only once released
+					return leader, err
+				},
+			})
+			defer e.Stop()
+
+			e.TriggerPrefetch(1)
+			waitFor(t, func() bool {
+				e.fmu.Lock()
+				defer e.fmu.Unlock()
+				return len(e.flights) == 1
+			})
+			joined, consume := make(chan struct{}), make(chan bool)
+			go func() {
+				res, leader, err := e.Do(5, func() (any, error) { return "demand", nil })
+				if leader || err != nil || res != "prefetched" {
+					t.Errorf("walker did not join the prefetch: res=%v leader=%v err=%v", res, leader, err)
+				}
+				close(joined)
+				<-consume
+				_, hit := e.ConsumeHit(5)
+				consume <- hit
+			}()
+			waitFor(t, func() bool { return e.Snapshot().CoalescedWaiters == 1 })
+			close(gate)
+			<-joined
+			if !walkerFirst {
+				close(hold)
+				e.Quiesce()
+			}
+			consume <- true
+			if !<-consume {
+				t.Fatal("the joined fault was not the prefetch's hit")
+			}
+			if walkerFirst {
+				close(hold)
+				e.Quiesce()
+			}
+			if _, again := e.ConsumeHit(5); again {
+				t.Fatal("a second crossing took the same install's hit")
+			}
+			e.NoteEvicted(5)
+			snap := e.Snapshot()
+			if snap.Installed != 1 || snap.Hits != 1 || snap.Wasted != 0 || len(snap.Inventory) != 0 {
+				t.Fatalf("installed=%d hits=%d wasted=%d inventory=%v, want 1/1/0/[]",
+					snap.Installed, snap.Hits, snap.Wasted, snap.Inventory)
+			}
+		})
+	}
 }
 
 func waitFor(t *testing.T, cond func() bool) {

@@ -13,9 +13,9 @@
 //	GET /debug/events   flight-recorder bus-event dump; ?n= limits
 //	GET /debug/heat     ranked cluster heat snapshot (telemetry); ?n= limits
 //	GET /debug/wss      working-set time series (telemetry); ?window=30s
-//	GET /debug/prefetch fault-engine snapshot: coalescing/batching counters,
-//	                    prefetch accuracy and inventory; ?cluster=N&k=8 adds
-//	                    that cluster's current neighbor ranking
+//	GET /debug/prefetch fault-engine snapshot: coalescing counters, prefetch
+//	                    accuracy and inventory; ?cluster=N&k=8 adds that
+//	                    cluster's current prefetch window
 //	GET /debug/pprof/…  net/http/pprof (unless disabled)
 package opshttp
 
@@ -62,8 +62,8 @@ type Options struct {
 	// telemetry plane.
 	Telemetry *telemetry.Tracker
 	// Prefetch serves GET /debug/prefetch from the asynchronous fault
-	// engine (coalescing and batching counters, prefetch accuracy, the
-	// current inventory and on-demand neighbor rankings).
+	// engine (coalescing counters, prefetch accuracy, the current inventory
+	// and on-demand prefetch windows).
 	Prefetch *fault.Engine
 }
 
@@ -276,11 +276,11 @@ func serveWSS(w http.ResponseWriter, r *http.Request, t *telemetry.Tracker) {
 	}{window.Seconds(), clusters, bytes, samples})
 }
 
-// servePrefetch renders the fault engine's snapshot — coalesced-waiter and
-// donor-batching counters, prefetch accuracy/waste and the current
-// prefetched-but-untouched inventory. With ?cluster=N (and optional ?k=,
-// default 8) the response adds that cluster's live neighbor ranking, the
-// order the prefetcher would speculate in right now.
+// servePrefetch renders the fault engine's snapshot — coalesced waiters,
+// prefetch accuracy/waste and the current prefetched-but-untouched
+// inventory. With ?cluster=N (and optional ?k=, default 8) the response adds
+// that cluster's live prefetch window, walked as the prefetcher walks it: the
+// clusters it would keep in flight right now, in order.
 func servePrefetch(w http.ResponseWriter, r *http.Request, e *fault.Engine) {
 	snap := e.Snapshot()
 	resp := struct {

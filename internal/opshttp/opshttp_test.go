@@ -24,7 +24,7 @@ func TestSmoke(t *testing.T) {
 	reg.Counter("objectswap_smoke_total", "Smoke counter.").Inc()
 	engine := fault.New(fault.Config{
 		PrefetchDepth: 2,
-		Neighbors:     func(uint32, int) []uint32 { return []uint32{4, 2} },
+		Neighbors:     func(_ uint32, _ int, buf []uint32) []uint32 { return append(buf[:0], 4, 2) },
 	})
 	defer engine.Stop()
 	srv, err := Start("127.0.0.1:0", NewHandler(Options{

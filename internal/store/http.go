@@ -31,8 +31,8 @@ import (
 //	POST   /batch            body = JSON keys    -> 200 JSON {key: base64, ...}
 //	POST   /leases/{key}?ttl=30s                 -> 204 | 404 | 501 (no leases)
 //
-// /batch serves several keys in one round trip (the fault engine's donor
-// batching); missing keys are omitted from the response map. /leases renews
+// /batch serves several keys in one round trip; missing keys are omitted
+// from the response map. /leases renews
 // the lease on one replica key when the donor runs lease GC. Both answer
 // 404/501 on donors predating them, which the Client turns into the per-key
 // fallback and ErrLeaseUnsupported respectively.

@@ -6,10 +6,10 @@ import (
 )
 
 // MultiGetter is an optional Store extension: donors that can serve several
-// keys in one round trip implement it, and the fault engine's donor batching
-// uses it to merge misses that land on the same donor. Missing keys are
-// simply omitted from the result map — a batch is not all-or-nothing — and a
-// non-nil error means the round trip itself failed.
+// keys in one round trip implement it (the HTTP client speaks POST /batch).
+// The owner's fault path reads one key per request and does not use it.
+// Missing keys are simply omitted from the result map — a batch is not
+// all-or-nothing — and a non-nil error means the round trip itself failed.
 type MultiGetter interface {
 	GetMulti(ctx context.Context, keys []string) (map[string][]byte, error)
 }

@@ -177,11 +177,12 @@ type Config struct {
 	// ships nothing at all).
 	WireFormats []string
 	// Prefetch enables the graph-driven prefetcher in the asynchronous fault
-	// engine: after every demand swap-in, the top-Depth neighbor clusters by
-	// replacement-object edge count are speculatively swapped in by Workers
+	// engine: after every demand swap-in, and every crossing the prefetcher
+	// served, the next Depth clusters along the replacement-object graph
+	// (ranked by edge count, hop by hop) are kept in flight by Workers
 	// background goroutines, gated by the memory monitor (no speculation
 	// while the heap sits over threshold). The zero value disables
-	// prefetching; coalescing and donor batching are always on.
+	// prefetching; single-flight coalescing of concurrent faults is always on.
 	Prefetch PrefetchConfig
 	// LeaseRenewEvery starts a background loop renewing the storage leases of
 	// every swapped cluster's payload, and of the copy a resident cluster's
@@ -194,8 +195,9 @@ type Config struct {
 
 // PrefetchConfig tunes the fault engine's speculative swap-in.
 type PrefetchConfig struct {
-	// Depth is how many neighbor clusters to consider after each demand
-	// fault (0 disables prefetching).
+	// Depth is the number of clusters kept in flight ahead of a fault along
+	// the graph: the faulted cluster's best-ranked neighbors, then theirs
+	// (0 disables prefetching). Each needs a worker to be in flight at once.
 	Depth int
 	// Workers is the background swap-in pool size (default 2).
 	Workers int
