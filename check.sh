@@ -45,6 +45,11 @@ go build ./...
 #   from the prefetch inventory.
 # - TestTriggerPrefetchAllocatesNothing (internal/core): a prefetch trigger —
 #   window walk, enqueue, task — allocates nothing.
+# - TestNestedInvokeAllocatesNothing, TestFig5A1AllocationsFlat,
+#   TestNewProxyAllocatesTwo (internal/core): ten nested resident invocations
+#   allocate nothing; Figure 5's A1 over clusters of 20 allocates the same at
+#   1 000 and 2 000 objects, at most 2; minting a proxy allocates 2 (its object
+#   and field vector).
 go test -count=1 ./...
 go test -race ./...
 go test -cover ./internal/obs/ ./internal/core/ ./internal/opshttp/ ./internal/placement/ ./internal/telemetry/
@@ -152,6 +157,16 @@ WRITERS=$(grep -rnwE 'EncodeBuffer|EncodeTo' --include='*.go' . || true)
 if [ -n "$DOCENDS" ] || [ -n "$WRITERS" ]; then
     echo "second serialization path (encode with wire.Encoder.EncodeObjects, restore with wire.Stage + Installer.Install):" >&2
     printf '%s\n%s\n' "$DOCENDS" "$WRITERS" >&2
+    exit 1
+fi
+# Guard: an invoker owns its call frames. A method body's heap.Call comes from
+# its invoker's heap.Frames, one reused per nesting depth, so no non-test Go
+# file outside internal/heap builds one: a heap.Call literal allocates per
+# dispatch again.
+CALLLITS=$(grep -rnE 'heap\.Call[[:space:]]*\{' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./internal/heap/' || true)
+if [ -n "$CALLLITS" ]; then
+    echo "heap.Call built outside internal/heap (dispatch through heap.Frames.Enter instead):" >&2
+    echo "$CALLLITS" >&2
     exit 1
 fi
 # Fault-storm smoke: 64 goroutines faulting 8 swapped clusters must issue

@@ -55,6 +55,9 @@ type PerObject struct {
 	offloaded map[heap.ObjID]string // object -> storage key
 	faults    int
 	keyseq    uint64
+
+	frames heap.Frames
+	depth  int
 }
 
 var _ heap.Invoker = (*PerObject)(nil)
@@ -62,7 +65,7 @@ var _ heap.Invoker = (*PerObject)(nil)
 // NewPerObject builds the naive runtime over a heap, class registry and one
 // swapping device.
 func NewPerObject(h *heap.Heap, reg *heap.Registry, dev store.Store) *PerObject {
-	return &PerObject{
+	p := &PerObject{
 		h:         h,
 		reg:       reg,
 		dev:       dev,
@@ -72,6 +75,8 @@ func NewPerObject(h *heap.Heap, reg *heap.Registry, dev store.Store) *PerObject 
 		class:     make(map[heap.ObjID]string),
 		offloaded: make(map[heap.ObjID]string),
 	}
+	p.frames = heap.NewFrames(p)
+	return p
 }
 
 // Heap implements heap.Invoker.
@@ -139,7 +144,15 @@ func (p *PerObject) Invoke(target heap.Value, method string, args ...heap.Value)
 	if err != nil {
 		return nil, err
 	}
-	return o.Class().Invoke(method, &heap.Call{RT: p, Self: o, Args: args})
+	p.depth++
+	defer p.leave()
+	return o.Class().Invoke(method, p.frames.Enter(p.depth, o, args))
+}
+
+// leave releases the innermost Call, however its method ended.
+func (p *PerObject) leave() {
+	p.frames.Leave(p.depth)
+	p.depth--
 }
 
 // Field implements heap.Invoker.

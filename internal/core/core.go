@@ -222,9 +222,12 @@ type Runtime struct {
 
 	// stack holds the receivers, arguments and freshly created middleware
 	// objects of in-flight invocations; it stands in for thread stacks as GC
-	// roots.
-	stack []heap.ObjID
-	depth int
+	// roots. frames holds one heap.Call per depth, indexed by depth and
+	// released by the same frame.leave that pops the stack. Neither is
+	// synchronised: one goroutine dispatches at a time.
+	stack  []heap.ObjID
+	depth  int
+	frames heap.Frames
 
 	// shards splits the swap machinery's serialization point by cluster: the
 	// snapshot/reserve and commit/patch phases of a swap run under the lock of
@@ -390,6 +393,7 @@ func NewRuntime(h *heap.Heap, reg *heap.Registry, opts ...Option) *Runtime {
 		classCodecs:  wire.NewClassCodecs(),
 		name:         fmt.Sprintf("dev%d", atomic.AddUint64(&runtimeSeq, 1)),
 	}
+	rt.frames = heap.NewFrames(rt)
 	rt.replacementClass = buildReplacementClass()
 	rt.objProxyClass = buildObjProxyClass()
 	// The replacement class is middleware-internal; it is not registered in

@@ -40,12 +40,15 @@ func (rt *Runtime) enter(target heap.Value, what, name string) (frame, error) {
 	return f, nil
 }
 
-// leave drops the frame's protections and, when the operation succeeded,
-// anchors its results in the parent frame so interception-created proxies
-// survive until stored. The outermost frame clears the stack: no collection
-// can interleave before host code stores the results.
+// leave releases the frame's heap.Call, drops its protections and, when the
+// operation succeeded, anchors its results in the parent frame so
+// interception-created proxies survive until stored. The outermost frame
+// clears the stack: no collection can interleave before host code stores the
+// results. Deferred by all three operations, it runs when a method body
+// panics too.
 func (f frame) leave(err error, results ...heap.Value) {
 	rt := f.rt
+	rt.frames.Leave(rt.depth)
 	rt.stack = rt.stack[:f.save]
 	rt.depth--
 	if rt.depth == 0 {
@@ -197,7 +200,7 @@ func (rt *Runtime) Invoke(target heap.Value, method string, args ...heap.Value) 
 	// The intra-cluster fast path: dispatch through the class's behavior plane
 	// (generated switch or closure table — the runtime does not care which).
 	rt.h.NoteAccess(r.obj.ID())
-	return r.obj.Class().Invoke(method, &heap.Call{RT: rt, Self: r.obj, Args: args})
+	return r.obj.Class().Invoke(method, rt.frames.Enter(rt.depth, r.obj, args))
 }
 
 // invokeAcross dispatches on the far side of a swap-cluster boundary:
@@ -219,7 +222,7 @@ func (rt *Runtime) invokeAcross(r reached, method string, args []heap.Value) ([]
 	for _, a := range targs {
 		rt.pushValueRefs(a)
 	}
-	res, err := cls.Invoke(method, &heap.Call{RT: rt, Self: r.obj, Args: targs})
+	res, err := cls.Invoke(method, rt.frames.Enter(rt.depth, r.obj, targs))
 	if err != nil {
 		return nil, err
 	}

@@ -174,6 +174,10 @@ type Manager struct {
 	outbound     map[ClusterID]map[ClusterID]int
 	objProxies   map[heap.ObjID]heap.ObjID // remote identity -> proxy id
 	objProxyMeta map[heap.ObjID]heap.ObjID // proxy id -> remote identity
+	// finalProxy and finalObjProxy are purgeProxy and purgeObjProxy bound
+	// once, for heap.OnFinalize: a method value built at each registration
+	// would allocate a closure per proxy.
+	finalProxy, finalObjProxy func(heap.ObjID)
 
 	// pendingDrops holds (device, key) pairs whose Drop failed (device
 	// unreachable); retried on the next collection until the per-ticket
@@ -211,6 +215,7 @@ func newManager(rt *Runtime, shards int) *Manager {
 		objProxyMeta:   make(map[heap.ObjID]heap.ObjID),
 		dropRetryLimit: DefaultDropRetryLimit,
 	}
+	m.finalProxy, m.finalObjProxy = m.purgeProxy, m.purgeObjProxy
 	for i := range m.tabs {
 		m.tabs[i] = &tableShard{clusters: make(map[ClusterID]*clusterState)}
 	}

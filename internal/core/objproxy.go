@@ -84,7 +84,7 @@ func (rt *Runtime) ObjProxyFor(remote heap.ObjID, className string) (heap.ObjID,
 		return heap.NilID, err
 	}
 	rt.mgr.registerObjProxy(p.ID(), remote)
-	rt.h.OnFinalize(p.ID(), rt.mgr.purgeObjProxy)
+	rt.h.OnFinalize(p.ID(), rt.mgr.finalObjProxy)
 	return p.ID(), nil
 }
 

@@ -160,7 +160,7 @@ func (rt *Runtime) newProxy(src ClusterID, target heap.ObjID, cursor bool) (heap
 		setProxySlot(p, slotMode, heap.Int(proxyModeAssign))
 	}
 	rt.mgr.registerProxy(p.ID(), proxyRecord{key: proxyKey{src: src, target: target}, cursor: cursor, home: info.cluster})
-	rt.h.OnFinalize(p.ID(), rt.mgr.purgeProxy)
+	rt.h.OnFinalize(p.ID(), rt.mgr.finalProxy)
 	return p.ID(), nil
 }
 

@@ -57,13 +57,100 @@ type FieldDef struct {
 // its declared kind, or nil for the reference-like kinds.
 func (f FieldDef) Accepts(k Kind) bool { return assignable(f.Kind, k) }
 
-// Call carries the context of one method invocation: the invoker to use for
-// nested calls (so middleware interposition applies transitively), the
+// Call carries the context of one method invocation: the caller to make nested
+// calls through (so middleware interposition applies transitively), the
 // receiver, and the arguments.
+//
+// A Call belongs to the invoker that dispatched it, which hands the same Call
+// to the next invocation at the same nesting depth (Frames). A Call and its
+// Args are valid until the method returns: a method body must not keep
+// either. It may return Args, or a slice of them; RT.Invoke copies such a
+// result before the caller's next nested call could overwrite it.
 type Call struct {
-	RT   Invoker
+	RT   *Caller
 	Self *Object
 	Args []Value
+
+	rt Caller // what RT points at
+}
+
+// Caller is the Invoker a method body calls out through: it forwards to the
+// invoker that dispatched the body's Call. Invoke first copies its arguments
+// into a buffer the frame owns, so the variadic array at the call site stays
+// on the Go stack (through an interface it would escape), and the callee's
+// Args are that buffer.
+type Caller struct {
+	inv Invoker
+	buf []Value
+}
+
+var _ Invoker = (*Caller)(nil)
+
+// Invoke calls method on the object target designates, through the frame's
+// invoker. A result that aliases the argument buffer (a callee returning its
+// Args) is copied, since the frame's next nested call reuses the buffer.
+func (c *Caller) Invoke(target Value, method string, args ...Value) ([]Value, error) {
+	buf := append(c.buf[:0], args...)
+	c.buf = buf
+	res, err := c.inv.Invoke(target, method, buf...)
+	if aliases(res, buf) {
+		res = append([]Value(nil), res...)
+	}
+	return res, err
+}
+
+// Field reads a field of the designated object through the frame's invoker.
+func (c *Caller) Field(target Value, name string) (Value, error) {
+	return c.inv.Field(target, name)
+}
+
+// SetFieldValue writes a field of the designated object through the frame's
+// invoker.
+func (c *Caller) SetFieldValue(target Value, name string, v Value) error {
+	return c.inv.SetFieldValue(target, name, v)
+}
+
+// Heap returns the frame's invoker's heap.
+func (c *Caller) Heap() *Heap { return c.inv.Heap() }
+
+// Frames is an invoker's pool of Calls, one per nesting depth: the invocation
+// at depth d gets the pool's d-th Call, set to its receiver and arguments, and
+// releases it when it returns or panics. The pool keeps as many Calls as the
+// deepest recursion it has served, so from then on dispatching a method
+// allocates nothing. Frames is not synchronised: one goroutine dispatches
+// through an invoker at a time.
+type Frames struct {
+	inv   Invoker
+	calls []*Call
+}
+
+// NewFrames returns an empty pool whose Calls make nested calls through inv.
+func NewFrames(inv Invoker) Frames { return Frames{inv: inv} }
+
+// Enter returns the Call for an invocation of self at depth (1 for the
+// outermost), holding args.
+func (fs *Frames) Enter(depth int, self *Object, args []Value) *Call {
+	for len(fs.calls) < depth {
+		c := &Call{rt: Caller{inv: fs.inv}}
+		c.RT = &c.rt
+		fs.calls = append(fs.calls, c)
+	}
+	c := fs.calls[depth-1]
+	c.Self, c.Args = self, args
+	return c
+}
+
+// Leave releases the Call at depth, whether or not one was entered there: it
+// keeps no pointer to its receiver, its arguments or those of any nested call
+// it made.
+func (fs *Frames) Leave(depth int) {
+	if depth > len(fs.calls) {
+		return
+	}
+	c := fs.calls[depth-1]
+	c.Self, c.Args = nil, nil
+	c.rt.buf = c.rt.buf[:0]
+	clear(c.rt.buf[:cap(c.rt.buf)])
 }
 
 // Arg returns the i-th argument or nil Value when absent.

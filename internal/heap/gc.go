@@ -21,11 +21,11 @@ type CollectStats struct {
 	Swept []ObjID
 }
 
-// finalization is the finalizer set of one reclaimed object, run once the
-// heap lock is released.
+// finalization is one finalizer of a reclaimed object, run once the heap lock
+// is released.
 type finalization struct {
-	id  ObjID
-	fns []func(ObjID)
+	id ObjID
+	fn func(ObjID)
 }
 
 // Collect runs one stop-the-world mark-sweep cycle. Liveness roots are: named
@@ -146,9 +146,15 @@ func (h *Heap) reclaimLocked(o *Object, st *CollectStats, finals []finalization)
 	st.BytesFreed += o.Size()
 	delete(h.objects, o.id)
 	delete(h.pins, o.id)
-	if fns := h.finalizers[o.id]; len(fns) > 0 {
+	if fn, ok := h.finalizers[o.id]; ok {
 		delete(h.finalizers, o.id)
-		finals = append(finals, finalization{id: o.id, fns: fns})
+		finals = append(finals, finalization{o.id, fn})
+		if more, ok := h.moreFinalizers[o.id]; ok {
+			delete(h.moreFinalizers, o.id)
+			for _, fn := range more {
+				finals = append(finals, finalization{o.id, fn})
+			}
+		}
 	}
 	return finals
 }
@@ -159,11 +165,9 @@ func (h *Heap) finishReclaim(st *CollectStats, finals []finalization, gcFreed *o
 	h.reclaimed.Add(uint64(st.Reclaimed))
 	h.release(st.BytesFreed)
 	for _, f := range finals {
-		for _, fn := range f.fns {
-			fn(f.id)
-			st.Finalized++
-		}
+		f.fn(f.id)
 	}
+	st.Finalized += len(finals)
 	gcFreed.Add(float64(st.BytesFreed))
 }
 

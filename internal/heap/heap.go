@@ -57,7 +57,10 @@ type Heap struct {
 	roots   map[string]Value
 	pins    map[ObjID]int
 
-	finalizers map[ObjID][]func(ObjID)
+	// finalizers holds each object's first finalizer, so registering it
+	// allocates nothing; moreFinalizers holds any later ones, in order.
+	finalizers     map[ObjID]func(ObjID)
+	moreFinalizers map[ObjID][]func(ObjID)
 
 	// Collector state, guarded by mu: an object is marked in the current pass
 	// when its mark word equals epoch, and work is the mark phase's scan
@@ -117,12 +120,13 @@ type Heap struct {
 // capacity <= 0 means unlimited (useful for master/server nodes).
 func New(capacity int64) *Heap {
 	return &Heap{
-		capacity:   capacity,
-		objects:    make(map[ObjID]*Object),
-		roots:      make(map[string]Value),
-		pins:       make(map[ObjID]int),
-		finalizers: make(map[ObjID][]func(ObjID)),
-		nursery:    make(map[ObjID]int),
+		capacity:       capacity,
+		objects:        make(map[ObjID]*Object),
+		roots:          make(map[string]Value),
+		pins:           make(map[ObjID]int),
+		finalizers:     make(map[ObjID]func(ObjID)),
+		moreFinalizers: make(map[ObjID][]func(ObjID)),
+		nursery:        make(map[ObjID]int),
 	}
 }
 
@@ -501,6 +505,7 @@ func (h *Heap) Remove(id ObjID) error {
 	}
 	delete(h.objects, id)
 	delete(h.finalizers, id)
+	delete(h.moreFinalizers, id)
 	delete(h.pins, id)
 	delete(h.nursery, id)
 	h.mu.Unlock()
@@ -573,14 +578,19 @@ func (h *Heap) Unpin(id ObjID) {
 // OnFinalize registers fn to run (synchronously, at the end of the Collect or
 // Free that reclaims it, outside the heap lock) when the object is
 // reclaimed. The paper uses finalizers on swap-cluster-proxies to purge the
-// SwappingManager's weak-reference tables.
+// SwappingManager's weak-reference tables. An object's finalizers run in the
+// order they were registered.
 func (h *Heap) OnFinalize(id ObjID, fn func(ObjID)) {
 	if fn == nil || id == NilID {
 		return
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.finalizers[id] = append(h.finalizers[id], fn)
+	if _, ok := h.finalizers[id]; ok {
+		h.moreFinalizers[id] = append(h.moreFinalizers[id], fn)
+	} else {
+		h.finalizers[id] = fn
+	}
 }
 
 // IDs returns the sorted ids of all resident objects (test/diagnostic aid).

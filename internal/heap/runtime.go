@@ -7,7 +7,8 @@ import (
 
 // Invoker dispatches method invocations and field accesses on managed
 // objects. The indirection is the hook that makes the paper's architecture
-// expressible: application methods call back through their Call's Invoker, so
+// expressible: application methods call back through their Call's Caller,
+// which forwards to the Invoker that dispatched them, so
 // a middleware implementation (the swapping runtime) can interpose
 // swap-cluster-proxies, replication faults and replacement-object reloads on
 // every cross-object interaction, while DirectRuntime dispatches with no
@@ -31,16 +32,22 @@ var ErrNilTarget = errors.New("heap: invoke on nil reference")
 // DirectRuntime is the interposition-free Invoker: every reference designates
 // a resident object and dispatch is a class-table call. It provides the
 // baseline timing floor and serves master (well-resourced) nodes that never
-// swap.
+// swap. It dispatches from the same kind of frame pool as the swapping
+// runtime, so the floor pays for its Calls what the runtime measured against
+// it pays. Like that runtime, it serves one dispatching goroutine at a time.
 type DirectRuntime struct {
-	heap *Heap
+	heap   *Heap
+	frames Frames
+	depth  int
 }
 
 var _ Invoker = (*DirectRuntime)(nil)
 
 // NewDirectRuntime returns a direct runtime over h.
 func NewDirectRuntime(h *Heap) *DirectRuntime {
-	return &DirectRuntime{heap: h}
+	rt := &DirectRuntime{heap: h}
+	rt.frames = NewFrames(rt)
+	return rt
 }
 
 // Heap returns the underlying heap.
@@ -59,7 +66,15 @@ func (rt *DirectRuntime) Invoke(target Value, method string, args ...Value) ([]V
 	if err != nil {
 		return nil, err
 	}
-	return obj.Class().Invoke(method, &Call{RT: rt, Self: obj, Args: args})
+	rt.depth++
+	defer rt.leave()
+	return obj.Class().Invoke(method, rt.frames.Enter(rt.depth, obj, args))
+}
+
+// leave releases the innermost Call, however its method ended.
+func (rt *DirectRuntime) leave() {
+	rt.frames.Leave(rt.depth)
+	rt.depth--
 }
 
 // Field reads a field of the target object.

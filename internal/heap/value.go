@@ -190,6 +190,18 @@ func (v Value) bytes() []byte { return unsafe.Slice((*byte)(v.p), int(v.n)) }
 // elems views list data as a slice with cap == len; callers check the kind.
 func (v Value) elems() []Value { return unsafe.Slice((*Value)(v.p), int(v.n)) }
 
+// aliases reports whether s starts inside buf's backing array: the one
+// pointer-range check that tells Caller.Invoke a result is its own argument
+// buffer, or part of it.
+func aliases(s, buf []Value) bool {
+	if len(s) == 0 || cap(buf) == 0 {
+		return false
+	}
+	p := uintptr(unsafe.Pointer(unsafe.SliceData(s)))
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(buf)))
+	return p >= lo && p < lo+uintptr(cap(buf))*unsafe.Sizeof(Value{})
+}
+
 // Kind reports the value's kind.
 func (v Value) Kind() Kind { return v.kind }
 
