@@ -122,18 +122,29 @@ if [ -n "$MAPS" ] || [ "$WRITERS" != "internal/core/ledger.go" ] || [ -n "$IFACE
     printf '%s\n%s\n%s\n' "$MAPS" "$WRITERS" "$IFACES" >&2
     exit 1
 fi
-# Guard: a cluster's donor copy is one record with one rule. cs.base — the
-# retained copy a clean swap-out leaves on — is assigned in internal/core/state.go
+# Guard: a cluster's donor copy is one record with one rule. cs.retained — the
+# one payload a record names on its donors: what a reload fetches, and the
+# copy a clean swap-out leaves on — is assigned in internal/core/state.go
 # (anchor, forget, rehome) and in no other non-test file; a reload tells no
 # donor to drop anything (no dropAll( in swapin.go: the rotation in
 # swapOut.finish is where a stale copy goes); and the knob that used to keep
 # the copy without using it is gone from every non-test Go file.
-ANCHORS=$(grep -lE 'cs\.base(\.[[:alnum:]_]+)*[[:space:]]*(,[^=;]*)?=[^=]' internal/core/*.go | grep -v '_test\.go$' || true)
+ANCHORS=$(grep -lE 'cs\.retained(\.[[:alnum:]_]+)*[[:space:]]*(,[^=;]*)?=[^=]' internal/core/*.go | grep -v '_test\.go$' || true)
 RELOADDROPS=$(grep -n 'dropAll(' internal/core/swapin.go || true)
 KNOBS=$(grep -rnE '[kK]eepOnReload' --include='*.go' . | grep -v '_test\.go:' || true)
 if [ "$ANCHORS" != "internal/core/state.go" ] || [ -n "$RELOADDROPS" ] || [ -n "$KNOBS" ]; then
-    echo "retained copy forked (want cs.base assigned only in internal/core/state.go, no dropAll( in swapin.go, no KeepOnReload):" >&2
+    echo "retained copy forked (want cs.retained assigned only in internal/core/state.go, no dropAll( in swapin.go, no KeepOnReload):" >&2
     printf '%s\n%s\n%s\n' "$ANCHORS" "$RELOADDROPS" "$KNOBS" >&2
+    exit 1
+fi
+# Guard: every shipment decodes on its own. Delta re-shipment — a payload that
+# fetches a base from its donor to decode — stays deleted: no non-test Go file
+# names its format, flag, codec, base fetcher or negotiation, or the "delta"
+# format string.
+DELTA=$(grep -rnE 'FormatDelta|flagDelta|FetchBase|negotiateDelta|deltaCodec|"delta"' --include='*.go' . | grep -v '_test\.go:' || true)
+if [ -n "$DELTA" ]; then
+    echo "delta re-shipment is back (every shipment must decode on its own):" >&2
+    echo "$DELTA" >&2
     exit 1
 fi
 # Guard: one file knows how a heap.Value is laid out. No non-test Go file but

@@ -52,7 +52,7 @@ func run() error {
 	payload := flag.Int("payload", 64, "payload bytes per object")
 	device := flag.String("device", "", "comma-separated swapstore URLs to use (default: in-process memory)")
 	replicas := flag.Int("replicas", 1, "replication factor: ship each swapped cluster to K donors")
-	wire := flag.String("wire", "binary,xml", "shipment wire-format preference order negotiated with donors (binary, binary+flate, delta, xml)")
+	wire := flag.String("wire", "binary,xml", "shipment wire-format preference order negotiated with donors (binary, binary+flate, xml); any other entry is an error")
 	prefetch := flag.Int("prefetch", 0, "graph-driven prefetch depth: speculatively swap in up to N neighbor clusters after each demand fault (0 = off)")
 	prefetchWorkers := flag.Int("prefetch-workers", 0, "background prefetch swap-in goroutines (0 = default)")
 	threshold := flag.Float64("threshold", 0.75, "memory pressure threshold fraction")

@@ -74,11 +74,12 @@ type ckptCluster struct {
 	Replicas []ckptReplica  `xml:"replica"`
 	Members  []ckptMember   `xml:"member"`
 	Out      []ckptOutbound `xml:"outbound"`
-	// Base records the retained copy: the last full shipment donors still
-	// hold. Only the key, format and donor set survive the checkpoint — the
-	// membership/slot tables do not, so a restored copy supports donor-side
-	// cleanup and delta *decoding*, while the first post-restore swap-out
-	// ships full (and anchors a complete one).
+	// Base records the retained copy: the last shipment donors still hold
+	// (for a swapped cluster, the one its own attributes name). Only the key,
+	// format and donor set survive the checkpoint — the membership/slot
+	// tables do not, so a restored copy supports donor-side cleanup, while
+	// the first post-restore swap-out of a resident cluster ships (and anchors
+	// a complete one).
 	Base *ckptBase `xml:"base,omitempty"`
 	// Doc holds the XML wrapping of a resident cluster's objects.
 	Doc string `xml:"doc,omitempty"`
@@ -166,7 +167,7 @@ func (rt *Runtime) SaveCheckpoint(w io.Writer) error {
 			note(oid)
 		}
 		// Replica sets are replaced, never edited, so the copies may share them.
-		swapped, was, base := cs.where.out(), cs.shipment, cs.base
+		swapped, was, c := cs.where.out(), cs.shipment, cs.retained.donorCopy
 		ts.mu.Unlock()
 		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
 
@@ -176,13 +177,12 @@ func (rt *Runtime) SaveCheckpoint(w io.Writer) error {
 			ck.Members = append(ck.Members, ckptMember{ID: uint64(oid), Class: info.class})
 		}
 		if swapped {
-			ck.Key, ck.Payload, ck.Bytes = was.key, was.payloadBytes, was.bytesAtSwap
-			ck.CRC, ck.Format, ck.Device = was.crc, was.format, was.primary()
-			for _, d := range was.devices {
+			ck.Key, ck.Payload, ck.Bytes = c.key, c.payloadBytes, was.bytesAtSwap
+			ck.CRC, ck.Format, ck.Device = c.crc, c.format, c.primary()
+			for _, d := range c.devices {
 				ck.Replicas = append(ck.Replicas, ckptReplica{Device: d})
 			}
 			// The outbound slot table, by ultimate target identity. Nil slots
-			// (delta-remapped placeholders for targets no longer referenced)
 			// are simply omitted; the sparse slot list restores them as nil.
 			repl, err := rt.h.Get(was.replacement)
 			if err != nil {
@@ -210,9 +210,9 @@ func (rt *Runtime) SaveCheckpoint(w io.Writer) error {
 			}
 			ck.Doc = string(data)
 		}
-		if base.key != "" {
-			ck.Base = &ckptBase{Key: base.key, Format: base.format, CRC: base.crc}
-			for _, d := range base.devices {
+		if c.key != "" {
+			ck.Base = &ckptBase{Key: c.key, Format: c.format, CRC: c.crc}
+			for _, d := range c.devices {
 				ck.Base.Replicas = append(ck.Base.Replicas, ckptReplica{Device: d})
 			}
 		}
@@ -352,18 +352,21 @@ func (rt *Runtime) LoadCheckpoint(r io.Reader) error {
 				m.mu.Unlock()
 				return fmt.Errorf("%w: swapped cluster %d has no replica devices", ErrBadCheckpoint, cid)
 			}
-			cs.shipment = shipment{bytesAtSwap: ck.Bytes, donorCopy: donorCopy{devices: devices,
-				key: ck.Key, payloadBytes: ck.Payload, crc: ck.CRC, format: ck.Format}}
-		}
-		if ck.Base != nil {
+			// The copy a reload fetches is the one the cluster's own key and
+			// replica list name (its <base> repeats them). Without member and
+			// slot tables it anchors nothing until the reload reads them back.
+			cs.shipment = shipment{bytesAtSwap: ck.Bytes}
+			m.anchor(cs, donorCopy{devices: devices, key: ck.Key, payloadBytes: ck.Payload,
+				crc: ck.CRC, format: ck.Format}, nil, nil)
+		} else if ck.Base != nil {
 			// Without the member and slot tables the copy anchors nothing: a
-			// restored resident cluster ships in full (and the rotation drops
-			// this key), a restored swapped one re-anchors when it reloads.
-			base := donorCopy{key: ck.Base.Key, format: ck.Base.Format, crc: ck.Base.CRC}
+			// restored resident cluster ships in full, and the rotation drops
+			// this key.
+			c := donorCopy{key: ck.Base.Key, format: ck.Base.Format, crc: ck.Base.CRC}
 			for _, r := range ck.Base.Replicas {
-				base.devices = append(base.devices, r.Device)
+				c.devices = append(c.devices, r.Device)
 			}
-			m.anchor(cs, base, nil, nil)
+			m.anchor(cs, c, nil, nil)
 		}
 		ts.mu.Lock()
 		ts.put(cs)
@@ -439,7 +442,7 @@ func (rt *Runtime) LoadCheckpoint(r io.Reader) error {
 			continue
 		}
 		// Size the table by the highest slot index: the list may be sparse
-		// (nil placeholder slots in delta-remapped tables are not saved).
+		// (nil slots are not saved).
 		maxSlot := -1
 		for _, ob := range ck.Out {
 			if ob.Slot > maxSlot {

@@ -89,7 +89,7 @@ func TestCheckpointWithSwappedClusters(t *testing.T) {
 	for _, cid := range []ClusterID{clusters[1], clusters[3]} {
 		ts := rt2.mgr.tab(cid)
 		ts.mu.Lock()
-		crc := ts.clusters[cid].crc
+		crc := ts.clusters[cid].retained.crc
 		ts.mu.Unlock()
 		if crc == 0 {
 			t.Fatalf("cluster %d: payload CRC lost in checkpoint restore", cid)

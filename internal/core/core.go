@@ -28,6 +28,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -152,7 +153,7 @@ type SwapEvent struct {
 	// Quorum and Attempted are zero — no shipment was planned.
 	Clean bool
 	// Format is the wire format the payload moved in ("xml", "binary",
-	// "binary+flate", "delta"). Empty on events not tied to one transfer.
+	// "binary+flate"). Empty on events not tied to one transfer.
 	Format string
 	// Requested is the replica count K the swap-out aimed for; Quorum is the
 	// write quorum that applied. Shortfall = Requested - len(Replicas) when
@@ -174,8 +175,7 @@ type SwapEvent struct {
 	// Replicas is the full replica set holding the payload after the
 	// operation, primary (Device) first; a singleton under the default
 	// replication factor of 1. On swap-in completion it is the set that keeps
-	// the payload as the cluster's retained copy (empty after a delta, whose
-	// own frame is dropped).
+	// the payload as the cluster's retained copy.
 	Replicas []string
 	// Phases is the per-phase timing and byte breakdown of the completed
 	// operation (reserve → snapshot → negotiate → encode → ship → commit for
@@ -210,8 +210,7 @@ type Runtime struct {
 	defaultReplicas int
 	// wireFormats is the shipment-format preference order (see WithWireFormats).
 	// Donors that do not advertise a preferred format get the next one; XML is
-	// the implicit universal fallback. Listing wire.FormatDelta lets a dirty
-	// cluster ship as a delta against its retained copy.
+	// the implicit universal fallback.
 	wireFormats []string
 
 	// evictor is invoked on allocation failure to free memory (the policy
@@ -287,8 +286,12 @@ type Runtime struct {
 	// classCodecs holds the wire codecs of registered classes whose ops were
 	// generated by obicomp (wire.ClassCodecProvider). The set rides along on
 	// every binary-family encode/decode; classes without a codec fall back to
-	// the generic frame path, byte for byte.
+	// the generic frame path, byte for byte. encodeOpts and decodeOpts carry
+	// it, built once: handed through the codec interface, a literal per
+	// shipment would escape to the Go heap.
 	classCodecs *wire.ClassCodecs
+	encodeOpts  *wire.EncodeOpts
+	decodeOpts  *wire.DecodeOpts
 }
 
 var _ heap.Invoker = (*Runtime)(nil)
@@ -364,11 +367,7 @@ func WithDefaultReplicas(k int) Option {
 // swap-outs (wire.FormatID strings, most preferred first). The default is
 // ["binary", "xml"]: the length-prefixed binary framing when the donors
 // support it, the universal XML wrapper otherwise. XML is always available as
-// the implicit fallback even when not listed. Including "delta" additionally
-// opts the runtime into delta re-shipment: full shipments stay on their
-// donors after a swap-in and act as the base for later dirty-only deltas
-// (this changes the drop-on-reload behavior for those payloads, which is why
-// it is opt-in).
+// the implicit fallback even when not listed.
 func WithWireFormats(formats ...string) Option {
 	return func(rt *Runtime) {
 		if len(formats) > 0 {
@@ -394,6 +393,8 @@ func NewRuntime(h *heap.Heap, reg *heap.Registry, opts ...Option) *Runtime {
 		name:         fmt.Sprintf("dev%d", atomic.AddUint64(&runtimeSeq, 1)),
 	}
 	rt.frames = heap.NewFrames(rt)
+	rt.encodeOpts = &wire.EncodeOpts{Codecs: rt.classCodecs}
+	rt.decodeOpts = &wire.DecodeOpts{Codecs: rt.classCodecs}
 	rt.replacementClass = buildReplacementClass()
 	rt.objProxyClass = buildObjProxyClass()
 	// The replacement class is middleware-internal; it is not registered in
@@ -447,45 +448,21 @@ func NewRuntime(h *heap.Heap, reg *heap.Registry, opts ...Option) *Runtime {
 	return rt
 }
 
-// deltaEnabled reports whether a dirty cluster may ship as a delta against its
-// retained copy (wire.FormatDelta listed in the format preferences).
-func (rt *Runtime) deltaEnabled() bool {
-	for _, f := range rt.wireFormats {
-		if f == string(wire.FormatDelta) {
-			return true
-		}
-	}
-	return false
-}
-
-// shipFormats is the preference order for full (self-contained) shipments:
-// the configured preferences minus delta, with XML appended as the universal
-// fallback when not listed.
+// shipFormats is the preference order a swap-out negotiates: the configured
+// preferences, with XML appended as the universal fallback when not listed.
 func (rt *Runtime) shipFormats() []string {
-	out := make([]string, 0, len(rt.wireFormats)+1)
-	sawXML := false
-	for _, f := range rt.wireFormats {
-		if f == string(wire.FormatDelta) {
-			continue
-		}
-		if f == string(wire.FormatXML) {
-			sawXML = true
-		}
-		out = append(out, f)
+	if slices.Contains(rt.wireFormats, string(wire.FormatXML)) {
+		return rt.wireFormats
 	}
-	if !sawXML {
-		out = append(out, string(wire.FormatXML))
-	}
-	return out
+	return append(slices.Clip(rt.wireFormats), string(wire.FormatXML))
 }
 
 // markDirty is the write observer: a field write on a resident member of a
-// cluster with a retained copy marks that member, so the next swap-out ships
-// (all of it, or a delta holding the marked members) instead of leaving on the
-// copy. Replacement-objects and proxies are not cluster members, so
-// middleware writes fall through; and until the first copy is anchored there
-// is nothing to be dirty against, so a runtime that never swaps pays one
-// atomic load per write.
+// cluster with a retained copy marks the cluster, so its next swap-out ships
+// instead of leaving on the copy. Replacement-objects and proxies are not
+// cluster members, so middleware writes fall through; and until the first
+// copy is anchored there is nothing to be dirty against, so a runtime that
+// never swaps pays one atomic load per write.
 func (rt *Runtime) markDirty(oid heap.ObjID) {
 	if !rt.mgr.retaining.Load() {
 		return
@@ -496,11 +473,8 @@ func (rt *Runtime) markDirty(oid heap.ObjID) {
 	}
 	ts := rt.mgr.tab(info.cluster)
 	ts.mu.Lock()
-	if cs, ok := ts.clusters[info.cluster]; ok && !cs.where.out() && cs.base.key != "" {
-		if cs.dirty == nil {
-			cs.dirty = make(map[heap.ObjID]bool)
-		}
-		cs.dirty[oid] = true
+	if cs, ok := ts.clusters[info.cluster]; ok && !cs.where.out() && cs.retained.key != "" {
+		cs.dirty = true
 	}
 	ts.mu.Unlock()
 }

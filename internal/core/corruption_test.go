@@ -160,7 +160,7 @@ func TestRepairMajorityConvictsDivergentCopy(t *testing.T) {
 	// Simulate legacy state: forget the recorded checksum.
 	ts := f.rt.mgr.tab(clusters[1])
 	ts.mu.Lock()
-	ts.clusters[clusters[1]].crc = 0
+	ts.clusters[clusters[1]].retained.crc = 0
 	ts.mu.Unlock()
 
 	corrupt := ev.Replicas[0]

@@ -58,13 +58,12 @@ func (rt *Runtime) collect(cycles int) heap.CollectStats {
 }
 
 // sweepSwapped drops swapped clusters whose replacement-objects were
-// reclaimed. Every replica of a dead cluster is told to discard its copy —
-// the shipment, and the retained copy where a delta shipment kept it apart;
+// reclaimed. Every replica of a dead cluster is told to discard its copy;
 // replicas on unreachable donors go to the deferred-drop queue.
 func (rt *Runtime) sweepSwapped() {
 	type victim struct {
-		id        ClusterID
-		was, base donorCopy
+		id   ClusterID
+		copy donorCopy
 	}
 	var victims []victim
 
@@ -79,7 +78,7 @@ func (rt *Runtime) sweepSwapped() {
 			if rt.h.Contains(cs.replacement) {
 				continue
 			}
-			victims = append(victims, victim{id, cs.donorCopy, cs.forget()})
+			victims = append(victims, victim{id, cs.forget()})
 			for oid := range cs.objects {
 				delete(m.objects, oid)
 			}
@@ -92,13 +91,10 @@ func (rt *Runtime) sweepSwapped() {
 	m.mu.Unlock()
 
 	for _, v := range victims {
-		rt.dropAll(context.Background(), v.was.devices, v.was.key, v.id)
-		if v.base.key != v.was.key {
-			rt.dropAll(context.Background(), v.base.devices, v.base.key, v.id)
-		}
+		c := v.copy
+		rt.dropAll(context.Background(), c.devices, c.key, v.id)
 		rt.emit(event.TopicSwapDrop, SwapEvent{
-			Cluster: v.id, Device: v.was.primary(), Key: v.was.key, Bytes: v.was.payloadBytes,
-			Replicas: v.was.devices,
+			Cluster: v.id, Device: c.primary(), Key: c.key, Bytes: c.payloadBytes, Replicas: c.devices,
 		})
 	}
 }
@@ -117,7 +113,7 @@ func (rt *Runtime) shedRetained(ctx context.Context, donors []placement.Candidat
 		ts.mu.Lock()
 		for id, cs := range ts.clusters {
 			if cs.where == resident && slices.ContainsFunc(donors,
-				func(c placement.Candidate) bool { return slices.Contains(cs.base.devices, c.Name) }) {
+				func(c placement.Candidate) bool { return slices.Contains(cs.retained.devices, c.Name) }) {
 				sheds = append(sheds, shed{id, cs.forget()})
 			}
 		}

@@ -95,7 +95,7 @@ func (m *Manager) eachLedger(visit func(id uint32, l *telemetry.Ledger, size fun
 	var cur *clusterState
 	size := func() int64 {
 		if cur.where.out() {
-			return int64(cur.payloadBytes)
+			return int64(cur.retained.payloadBytes)
 		}
 		return m.residentBytes(cur)
 	}

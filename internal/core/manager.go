@@ -54,33 +54,31 @@ func (c donorCopy) primary() string {
 	return c.devices[0]
 }
 
-// shipmentBase is the retained copy: the last full shipment of the cluster
-// its donors still hold, with what the owner needs to tell, locally, whether
-// the resident cluster still equals it. A cluster that does leaves without a
-// byte (swapOut.reserve); one that does not ships, and may ship only a delta
-// against it. members is the membership the payload holds, ascending; slots
-// is its outbound slot table, the ultimate target of each slot in slot order
-// (a delta must keep it as a prefix of its own so slot references inside
-// unchanged base objects still resolve). Neither is checkpointed, so a
-// restored copy supports cleanup and delta decoding but anchors nothing until
-// the cluster is next reloaded or shipped in full. Only anchor, forget and
-// rehome (state.go) write a record's base.
-type shipmentBase struct {
+// retainedCopy is the one payload the donors hold for a cluster: while it is
+// swapped out, what a reload fetches; while it is resident again, the
+// shipment its donors kept, with what the owner needs to tell, locally,
+// whether the resident cluster still equals it. A cluster that does leaves
+// without a byte (swapOut.reserve); one that does not ships in full. members
+// is the membership the payload holds, ascending; slots is its outbound slot
+// table, the ultimate target of each slot in slot order. Neither is
+// checkpointed, so a restored copy serves reloads and cleanup but anchors
+// nothing until the cluster is next reloaded or shipped. Only anchor, forget
+// and rehome (state.go) write a record's copy.
+type retainedCopy struct {
 	donorCopy
 	members []heap.ObjID
 	slots   []heap.ObjID
 }
 
-// usable reports whether the copy can stand in for the cluster or anchor a
-// delta (key known AND the membership table survived — false after a
-// checkpoint restore).
-func (b shipmentBase) usable() bool { return b.key != "" && len(b.members) > 0 }
+// usable reports whether the copy can stand in for the resident cluster (key
+// known AND the membership table survived — false after a checkpoint
+// restore).
+func (c retainedCopy) usable() bool { return c.key != "" && len(c.members) > 0 }
 
 // shipment is the swapped-out side of a cluster record: the replacement-object
-// standing in for it and the copy a reload fetches.
+// standing in for it. The payload is the record's retained copy.
 type shipment struct {
 	replacement heap.ObjID
-	donorCopy
 	// bytesAtSwap is the resident size at swap-out, to pre-check reload room.
 	bytesAtSwap int64
 }
@@ -102,12 +100,12 @@ type clusterState struct {
 	// shipment is zero while the members are on the heap.
 	shipment
 
-	// base is the retained copy and dirty the members written since it was
-	// anchored (markDirty) — relative to base, not to the last delta, so it
-	// resets only when a new full shipment becomes the base or a reload proves
-	// the base equals resident state.
-	base  shipmentBase
-	dirty map[heap.ObjID]bool
+	// retained is the payload the donors hold for the cluster, and dirty
+	// reports a member written since it was anchored (markDirty); it resets
+	// when a shipment becomes the copy or a reload proves the copy equals
+	// resident state.
+	retained retainedCopy
+	dirty    bool
 }
 
 // proxyKey identifies the unique swap-cluster-proxy for a
@@ -532,7 +530,8 @@ type ClusterInfo struct {
 	// Busy reports a swap transition in flight on another goroutine.
 	Busy bool
 	// Device is the primary replica (the best-ranked donor holding the
-	// shipment); Devices is the full replica set, primary first.
+	// shipment); Devices is the full replica set, primary first. These, Key,
+	// PayloadBytes and Format are filled while the cluster is swapped out.
 	Device       string
 	Devices      []string
 	Key          string
@@ -540,15 +539,15 @@ type ClusterInfo struct {
 	// Format is the wire format of the current shipment ("" while resident
 	// or for pre-negotiation XML shipments).
 	Format string
-	// BaseKey and BaseDevices name the retained copy: the last full shipment
-	// the donors still hold, which a clean swap-out reuses ("" and nil when
-	// none is anchored). While the cluster is swapped out it is Key itself, or
-	// the base a delta shipment applies against. Lease renewal covers it: a
-	// resident cluster's copy lives on its donors too.
+	// BaseKey and BaseDevices name the retained copy: the last shipment the
+	// donors still hold, which a clean swap-out reuses ("" and nil when none
+	// is anchored). While the cluster is swapped out it is Key itself. Lease
+	// renewal covers it: a resident cluster's copy lives on its donors too.
 	BaseKey     string
 	BaseDevices []string
-	// Dirty counts the members written since the retained copy was anchored.
-	Dirty      int
+	// Dirty reports a member written since the retained copy was anchored:
+	// the next swap-out ships instead of leaving on the copy.
+	Dirty      bool
 	Crossings  uint64
 	LastAccess uint64
 	SwapOuts   uint64
@@ -583,25 +582,24 @@ func (m *Manager) InfoAll() []ClusterInfo {
 
 // infoOf snapshots one record; the caller holds its table-shard lock.
 func (m *Manager) infoOf(cs *clusterState) ClusterInfo {
+	c := cs.retained.donorCopy
 	info := ClusterInfo{
-		ID:           cs.id,
-		Objects:      len(cs.objects),
-		Swapped:      cs.where.out(),
-		Busy:         cs.where.reserved(),
-		Device:       cs.primary(),
-		Devices:      append([]string(nil), cs.devices...),
-		Key:          cs.key,
-		PayloadBytes: cs.payloadBytes,
-		Format:       cs.format,
-		BaseKey:      cs.base.key,
-		BaseDevices:  append([]string(nil), cs.base.devices...),
-		Dirty:        len(cs.dirty),
-		Crossings:    cs.ledger.Crossings,
-		LastAccess:   cs.ledger.LastAccess,
-		SwapOuts:     cs.ledger.SwapOuts,
-		SwapIns:      cs.ledger.SwapIns,
+		ID:          cs.id,
+		Objects:     len(cs.objects),
+		Swapped:     cs.where.out(),
+		Busy:        cs.where.reserved(),
+		BaseKey:     c.key,
+		BaseDevices: append([]string(nil), c.devices...),
+		Dirty:       cs.dirty,
+		Crossings:   cs.ledger.Crossings,
+		LastAccess:  cs.ledger.LastAccess,
+		SwapOuts:    cs.ledger.SwapOuts,
+		SwapIns:     cs.ledger.SwapIns,
 	}
-	if !info.Swapped {
+	if info.Swapped {
+		info.Device, info.Devices, info.Key = c.primary(), append([]string(nil), c.devices...), c.key
+		info.PayloadBytes, info.Format = c.payloadBytes, c.format
+	} else {
 		info.ResidentBytes = m.residentBytes(cs)
 	}
 	return info

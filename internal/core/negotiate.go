@@ -5,7 +5,6 @@ import (
 	"slices"
 	"time"
 
-	"objectswap/internal/heap"
 	"objectswap/internal/placement"
 	"objectswap/internal/wire"
 )
@@ -20,21 +19,9 @@ import (
 // succeeds wherever a pre-negotiation swap-out would have.
 
 // shipPlan is the outcome of the negotiate phase: the wire format to encode
-// in, the candidate donors to ship to, and — for a delta re-shipment — the
-// dirty subset and removed set against the anchored base.
+// in and the candidate donors to ship to.
 type shipPlan struct {
 	format wire.FormatID
-	// delta marks a dirty-only re-shipment against baseKey. changed selects
-	// the members to encode; removed lists base members no longer in the
-	// cluster. A delta can only land on donors already holding the base.
-	delta   bool
-	baseKey string
-	changed map[heap.ObjID]bool
-	removed []heap.ObjID
-	// baseSlots is the base shipment's outbound slot table (ultimate targets
-	// by slot). A delta's slot table must keep it as a prefix so slot
-	// references inside unchanged base objects still resolve.
-	baseSlots []heap.ObjID
 	// ranked is the candidate list to ship over (for a pinned shipment, the
 	// one donor it is pinned to).
 	ranked []placement.Candidate
@@ -55,81 +42,9 @@ func (p *shipPlan) leaseTTL(replicas []string) time.Duration {
 	return ttl
 }
 
-// negotiateDelta plans a dirty-only re-shipment against the retained copy. It
-// declines (ok = false) whenever a full shipment is required or simply
-// better: delta not among the runtime's formats, destination pinned, no
-// usable base, more than half the cluster dirty, or no live base donor that
-// accepts the delta format.
-func (rt *Runtime) negotiateDelta(ctx context.Context, o swapOpts,
-	base shipmentBase, dirty map[heap.ObjID]bool, memberIDs []heap.ObjID) (shipPlan, bool) {
-	if !rt.deltaEnabled() || o.device != "" || !base.usable() || len(memberIDs) == 0 {
-		return shipPlan{}, false
-	}
-	baseSet := make(map[heap.ObjID]bool, len(base.members))
-	for _, m := range base.members {
-		baseSet[m] = true
-	}
-	current := make(map[heap.ObjID]bool, len(memberIDs))
-	changed := make(map[heap.ObjID]bool)
-	for _, m := range memberIDs {
-		current[m] = true
-		// Members absent from the base are new since it was shipped; they
-		// ride the delta regardless of the write-observer's dirty marks.
-		if dirty[m] || !baseSet[m] {
-			changed[m] = true
-		}
-	}
-	var removed []heap.ObjID
-	for _, m := range base.members {
-		if !current[m] {
-			removed = append(removed, m)
-		}
-	}
-	// Too dirty: once half the cluster changed, a delta saves little wire
-	// time and forfeits the chance to refresh the base.
-	if len(changed)*2 >= len(memberIDs) {
-		return shipPlan{}, false
-	}
-	// A delta decodes by fetching its base from the same donor, so the only
-	// eligible donors are the live base replicas that advertise the format.
-	var cands []placement.Candidate
-	for i, d := range base.devices {
-		s, err := rt.stores.Lookup(d)
-		if err != nil {
-			continue
-		}
-		st, err := s.Stats(ctx)
-		if err != nil {
-			continue
-		}
-		c := placement.Candidate{
-			Name: d, Store: s, Free: st.Free(), Formats: st.Formats,
-			// Preserve the base replica order (primary first).
-			Score: float64(len(base.devices) - i),
-		}
-		if !c.Accepts(string(wire.FormatDelta)) {
-			continue
-		}
-		cands = append(cands, c)
-	}
-	if len(cands) == 0 {
-		return shipPlan{}, false
-	}
-	return shipPlan{
-		format:    wire.FormatDelta,
-		delta:     true,
-		baseKey:   base.key,
-		changed:   changed,
-		removed:   removed,
-		baseSlots: base.slots,
-		ranked:    cands,
-		replicas:  len(cands),
-	}, true
-}
-
-// negotiateFull plans a self-contained shipment in the best format the donor
-// neighborhood supports.
-func (rt *Runtime) negotiateFull(ctx context.Context, o swapOpts, key string, k int) (shipPlan, error) {
+// negotiate plans a shipment in the best format the donor neighborhood
+// supports.
+func (rt *Runtime) negotiate(ctx context.Context, o swapOpts, key string, k int) (shipPlan, error) {
 	prefs := rt.shipFormats()
 	if o.device != "" {
 		// Pinned destination: probe just that donor's advertisement. A failed

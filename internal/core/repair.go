@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"slices"
@@ -13,7 +12,6 @@ import (
 	"objectswap/internal/heap"
 	"objectswap/internal/placement"
 	"objectswap/internal/store"
-	"objectswap/internal/wire"
 )
 
 // Replica maintenance: a swapped cluster's durability is only as good as its
@@ -29,8 +27,8 @@ import (
 // ReplicaSet returns a swapped cluster's recorded replica devices (primary
 // first), or nil when the cluster is resident or unknown.
 func (rt *Runtime) ReplicaSet(id ClusterID) []string {
-	was, _ := rt.mgr.shipmentOf(id)
-	return append([]string(nil), was.devices...)
+	info, _ := rt.mgr.Info(id)
+	return info.Devices
 }
 
 // swappedSets snapshots the (id, replica set) pairs of every cluster whose
@@ -44,7 +42,7 @@ func (rt *Runtime) swappedSets() map[ClusterID][]string {
 		ts.mu.Lock()
 		for id, cs := range ts.clusters {
 			if cs.where == swappedOut || cs.where == underRepair {
-				out[id] = append([]string(nil), cs.devices...)
+				out[id] = append([]string(nil), cs.retained.devices...)
 			}
 		}
 		ts.mu.Unlock()
@@ -138,29 +136,27 @@ type repair struct {
 	op
 	k int
 
-	// reserve: where the text is, copied out under the table lock.
+	// reserve: the replacement-object and where the text is, copied out under
+	// the table lock.
 	was  shipment
-	base shipmentBase
+	copy donorCopy
 
 	live, dead []string // probe, then fetch demotes corrupt copies to dead
-	data       []byte   // the intact copy being re-shipped, from serving
+	data       []byte   // the intact copy being re-shipped
 	popts      store.PutOpts
-	serving    store.Store
 	fresh      []string // donors that took a new copy
 	newSet     []string // live + fresh, primary first
-	baseKey    string   // the record's base key at commit
 }
 
 func (r *repair) reserve() error {
 	return r.op.reserve(swappedOut, underRepair, func(cs *clusterState) {
-		r.was, r.base = cs.shipment, cs.base
-		r.base.devices = append([]string(nil), cs.base.devices...) // ship appends
+		r.was, r.copy = cs.shipment, cs.retained.donorCopy
 	})
 }
 
 // probe sorts the recorded replicas: live ones stay, dead ones are pruned.
 func (r *repair) probe() error {
-	for _, d := range r.was.devices {
+	for _, d := range r.copy.devices {
 		if _, err := r.rt.stores.Lookup(d); err == nil {
 			r.live = append(r.live, d)
 		} else {
@@ -169,7 +165,7 @@ func (r *repair) probe() error {
 	}
 	if len(r.live) == 0 {
 		return fmt.Errorf("core: repair cluster %d (replicas %s): %w",
-			r.id, strings.Join(r.was.devices, ","), ErrNoLiveReplica)
+			r.id, strings.Join(r.copy.devices, ","), ErrNoLiveReplica)
 	}
 	return nil
 }
@@ -182,11 +178,10 @@ func (r *repair) probe() error {
 // K>=2, the majority checksum convicts divergent minorities, and ties keep
 // the primary-order copy a plain fetch would have served.
 func (r *repair) fetch() error {
-	rt, key, wantCRC := r.rt, r.was.key, r.was.crc
+	rt, key, wantCRC := r.rt, r.copy.key, r.copy.crc
 	r.span.SetKey(key)
 	type replicaCopy struct {
 		device string
-		store  store.Store
 		data   []byte
 		opts   store.PutOpts
 		sum    uint32
@@ -203,7 +198,7 @@ func (r *repair) fetch() error {
 			fetchErr = gerr
 			continue
 		}
-		copies = append(copies, replicaCopy{d, s, b, o, crc32.ChecksumIEEE(b)})
+		copies = append(copies, replicaCopy{d, b, o, crc32.ChecksumIEEE(b)})
 	}
 	if wantCRC == 0 && len(copies) >= 2 {
 		counts := make(map[uint32]int, len(copies))
@@ -233,7 +228,7 @@ func (r *repair) fetch() error {
 			// the set, payload queued for dropping, re-shipped over.
 			r.dead = append(r.dead, c.device)
 		} else if serving == "" {
-			r.data, r.popts, serving, r.serving = c.data, c.opts, c.device, c.store
+			r.data, r.popts, serving = c.data, c.opts, c.device
 		}
 	}
 	if serving == "" {
@@ -260,16 +255,10 @@ func (r *repair) fetch() error {
 // ship places fresh copies in the fetched format — the planner skips donors
 // that do not accept it. Quorum 1: a partial repair still improves durability,
 // and the next sweep finishes the job when donors appear.
-//
-// A delta payload is useless without its base: every fresh donor must also
-// receive the base payload, fetched from the replica that served the delta.
-// A donor that cannot take the base loses its delta copy too — half a
-// shipment serves nothing.
 func (r *repair) ship() error {
-	rt, key := r.rt, r.was.key
 	if need := r.k - len(r.live); need > 0 {
-		rep, err := rt.placer.Ship(r.ctx, placement.ShipRequest{
-			Key: key, Data: r.data, Replicas: need, Quorum: 1, Exclude: r.was.devices,
+		rep, err := r.rt.placer.Ship(r.ctx, placement.ShipRequest{
+			Key: r.copy.key, Data: r.data, Replicas: need, Quorum: 1, Exclude: r.copy.devices,
 			Format: r.popts.Format,
 		})
 		if err != nil && len(r.dead) == 0 {
@@ -279,45 +268,11 @@ func (r *repair) ship() error {
 		}
 		r.fresh = rep.Replicas
 	}
-	if r.popts.Format != string(wire.FormatDelta) || len(r.fresh) == 0 || r.base.key == "" {
-		return nil
-	}
-	baseData, baseOpts, berr := store.GetWith(r.ctx, r.serving, r.base.key)
-	var usable, orphans []string
-	for _, d := range r.fresh {
-		cerr := berr
-		if cerr == nil {
-			if s, lerr := rt.stores.Lookup(d); lerr != nil {
-				cerr = lerr
-			} else {
-				cerr = store.PutWith(r.ctx, s, r.base.key, baseData, baseOpts)
-			}
-		}
-		if cerr != nil {
-			rt.logger.Warn("repair: base copy failed; dropping orphan delta",
-				"trace", r.trace, "cluster", uint32(r.id), "device", d, "err", cerr)
-			orphans = append(orphans, d)
-			continue
-		}
-		usable = append(usable, d)
-		r.base.devices = append(r.base.devices, d)
-	}
-	rt.dropAll(r.ctx, orphans, key, r.id)
-	r.fresh = usable
-	if len(r.fresh) == 0 && len(r.dead) == 0 {
-		if berr == nil {
-			berr = errors.New("no fresh donor accepted the base payload")
-		}
-		return fmt.Errorf("core: repair cluster %d: base copy: %w", r.id, berr)
-	}
 	return nil
 }
 
-// commit records the new replica set — on the record and on the
-// replacement-object — under the shard lock. The retained copy follows the
-// repair (clusterState.rehome): a full shipment, which is the copy, mirrors
-// the new set directly; under a repaired delta the copy keeps its donors minus
-// the pruned dead ones plus the fresh copies made above.
+// commit records the new replica set — on the record's copy
+// (clusterState.rehome) and on the replacement-object — under the shard lock.
 func (r *repair) commit() error {
 	rt := r.rt
 	r.newSet = append(r.live, r.fresh...)
@@ -327,22 +282,15 @@ func (r *repair) commit() error {
 	if repl, err := rt.h.Get(r.was.replacement); err == nil {
 		_ = repl.SetFieldByName(fldStore, heap.Str(strings.Join(newSet, ",")))
 	}
-	baseSet := slices.DeleteFunc(r.base.devices, func(d string) bool { return slices.Contains(r.dead, d) })
-	r.op.commit(swappedOut, func(cs *clusterState) {
-		r.baseKey = cs.base.key
-		cs.rehome(newSet, baseSet)
-	})
+	r.op.commit(swappedOut, func(cs *clusterState) { cs.rehome(newSet) })
 	return nil
 }
 
 // finish queues the pruned replicas' payloads for dropping and reports.
 func (r *repair) finish() SwapEvent {
-	rt, key, newSet := r.rt, r.was.key, r.newSet
+	rt, key, newSet := r.rt, r.copy.key, r.newSet
 	for _, d := range r.dead {
 		rt.mgr.deferDrop(d, key, r.id)
-		if r.baseKey != "" && r.baseKey != key {
-			rt.mgr.deferDrop(d, r.baseKey, r.id)
-		}
 	}
 	ev := SwapEvent{Cluster: r.id, Device: newSet[0], Key: key, Bytes: len(r.data),
 		Attempted: r.dead, Replicas: newSet, Trace: r.trace, Format: r.popts.Format,

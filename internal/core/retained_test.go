@@ -223,10 +223,16 @@ func TestRetainedCopy(t *testing.T) {
 		{name: "donor out of room for another cluster", donors: 1, k: 1,
 			between: func(t *testing.T, e *retained) {
 				// The refused shipment of cluster 0 sheds this cluster's copy
-				// (one Drop) and lands on its second try.
+				// (one Drop) and lands on its second try, whose frame the ship
+				// phase counts once: its bytes are the event's.
 				e.mems[e.first.Device].refuse = true
-				if _, err := e.f.rt.SwapOut(e.clusters[0]); err != nil {
+				ev, err := e.f.rt.SwapOut(e.clusters[0])
+				if err != nil {
 					t.Fatal(err)
+				}
+				if i := slices.IndexFunc(ev.Phases, func(ph obs.Phase) bool { return ph.Name == "ship" }); i < 0 ||
+					ev.Bytes == 0 || ev.Phases[i].Bytes != int64(ev.Bytes) {
+					t.Fatalf("reshipped swap-out: phases %+v, want ship bytes = SwapEvent.Bytes = %d", ev.Phases, ev.Bytes)
 				}
 				if keys := mustKeys(t, e.donors[e.first.Device]); slices.Contains(keys, e.first.Key) {
 					t.Fatalf("donor still holds the shed copy: %v", keys)

@@ -10,6 +10,7 @@ import (
 
 	"objectswap/internal/heap"
 	"objectswap/internal/store"
+	"objectswap/internal/wire"
 )
 
 // whereIs reads a cluster's residency; ok is false once the record is gone.
@@ -244,8 +245,8 @@ func TestIllegalMovePanics(t *testing.T) {
 }
 
 // TestFailedOperationLeavesClusterWhereItWas drives each operation into a
-// failure at a different phase — a rejected ship, a truncated frame at decode,
-// a cancelled context — and checks the undo list gave everything back: same
+// failure at a different phase — a rejected ship, a truncated or
+// reserved-flag frame at decode, a cancelled context — and checks the undo list gave everything back: same
 // residency, same Heap.Used, same replacement-object, same keys on the donor.
 func TestFailedOperationLeavesClusterWhereItWas(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
@@ -275,6 +276,25 @@ func TestFailedOperationLeavesClusterWhereItWas(t *testing.T) {
 				t.Fatal(err)
 			}
 			_, err = f.rt.SwapIn(id)
+			return err
+		}},
+		{"swap-in: donor serves a reserved-flag frame", swappedOut, func(t *testing.T, f *fixture, _ *store.Flaky, id ClusterID) error {
+			// The frame intact but flagged bit 1, as an older build flagged a
+			// delta: refused before any codec reads it.
+			info, _ := f.rt.mgr.Info(id)
+			frame, opts, err := store.GetWith(ctx, f.mem, info.Key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			forgetChecksum(t, f.rt, id)
+			frame[4] |= 0x02
+			if err := store.PutWith(ctx, f.mem, info.Key, frame, opts); err != nil {
+				t.Fatal(err)
+			}
+			_, err = f.rt.SwapIn(id)
+			if !errors.Is(err, wire.ErrBadFrame) {
+				t.Fatalf("swap-in = %v, want wire.ErrBadFrame", err)
+			}
 			return err
 		}},
 		{"swap-in: context cancelled", swappedOut, func(t *testing.T, f *fixture, _ *store.Flaky, id ClusterID) error {

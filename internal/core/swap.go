@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"maps"
 	"slices"
 	"strings"
 
@@ -78,13 +77,11 @@ type swapOut struct {
 	enc *wire.Encoder
 
 	// reserve: the retained copy the cluster can leave on (zero when it has
-	// to be shipped), or else the membership, the delta anchor and the dirty
-	// set, copied out under the table lock. memberIDs is ascending and, for a
-	// clean cluster, the copy's own table: read, never written.
-	kept      shipmentBase
+	// to be shipped), or else the membership, copied out under the table
+	// lock. memberIDs is ascending and, for a clean cluster, the copy's own
+	// table: read, never written.
+	kept      retainedCopy
 	memberIDs []heap.ObjID
-	base      shipmentBase
-	dirty     map[heap.ObjID]bool
 
 	// snapshot: the resident size and the outbound slot table — the distinct
 	// swap-cluster-proxies the members reference, in traversal order, with
@@ -94,7 +91,6 @@ type swapOut struct {
 	slotOf        map[heap.ObjID]int
 	remote        map[heap.ObjID]bool
 	outbound      []heap.Value
-	slotProxies   []heap.ObjID
 	slotTargets   []heap.ObjID
 
 	key     string
@@ -105,7 +101,7 @@ type swapOut struct {
 	rep     placement.ShipReport
 	orphans []string  // donors a failed attempt could not take its copy back from
 	copy    donorCopy // what the donors hold when commit runs: shipped, or kept
-	oldBase donorCopy // the retained copy this shipment obsoleted, if any
+	oldCopy donorCopy // the retained copy this shipment obsoleted, if any
 }
 
 // clean reports that the cluster leaves on its retained copy.
@@ -129,14 +125,12 @@ func (s *swapOut) reserve() error {
 	if err != nil || !s.clean() || s.rt.holds(s.kept.donorCopy) {
 		return err
 	}
-	// A donor of the copy is gone or its lease ran out: ship in full, and not
-	// as a delta against a copy that cannot be counted on.
-	s.kept = shipmentBase{}
+	// A donor of the copy is gone or its lease ran out: ship.
+	s.kept = retainedCopy{}
 	ts := s.rt.mgr.tab(s.id)
 	ts.mu.Lock()
 	s.membership(s.cs)
 	ts.mu.Unlock()
-	s.base = shipmentBase{}
 	return nil
 }
 
@@ -148,7 +142,6 @@ func (s *swapOut) membership(cs *clusterState) {
 		s.memberIDs = append(s.memberIDs, oid)
 	}
 	slices.Sort(s.memberIDs)
-	s.base, s.dirty = cs.base, maps.Clone(cs.dirty)
 }
 
 // snapshot sizes the members and classifies their outbound references.
@@ -183,7 +176,7 @@ func (s *swapOut) snapshot() error {
 		}
 	}
 	if s.clean() && !slices.Equal(s.slotTargets, s.kept.slots) {
-		s.kept = shipmentBase{}
+		s.kept = retainedCopy{}
 	}
 	return nil
 }
@@ -211,7 +204,6 @@ func (s *swapOut) classify(o *heap.Object, rid heap.ObjID) error {
 		}
 		s.slotOf[rid] = len(s.outbound)
 		s.outbound = append(s.outbound, heap.Ref(rid))
-		s.slotProxies = append(s.slotProxies, rid)
 		s.slotTargets = append(s.slotTargets, proxyUltimate(ro))
 	case isObjProxy(ro):
 		if s.remote == nil {
@@ -237,58 +229,17 @@ func (s *swapOut) shipOut() {
 
 // negotiate picks the wire format and the donors before encoding: the donors
 // are ranked once (format advertisements ride the same Stats probe that weighs
-// free capacity) and matched against the runtime's preference order, and a
-// dirty-only delta against the retained base wins when one is anchored and
-// cheap enough.
+// free capacity) and matched against the runtime's preference order.
 func (s *swapOut) negotiate() (err error) {
 	s.key = s.rt.nextKey(s.id)
 	s.span.SetKey(s.key)
 	if s.k = s.o.replicas; s.k < 1 {
 		s.k = s.rt.Replicas()
 	}
-	var delta bool
-	if s.plan, delta = s.rt.negotiateDelta(s.ctx, s.o, s.base, s.dirty, s.memberIDs); delta {
-		s.keepBaseSlots()
-	} else if s.plan, err = s.rt.negotiateFull(s.ctx, s.o, s.key, s.k); err != nil {
+	if s.plan, err = s.rt.negotiate(s.ctx, s.o, s.key, s.k); err != nil {
 		return fmt.Errorf("core: swap-out cluster %d: %w", s.id, err)
 	}
 	return nil
-}
-
-// keepBaseSlots rebuilds the slot table of a delta so the base's table is its
-// prefix: slot references encoded inside unchanged base objects resolve
-// against THIS swap-out's replacement, so index i must still reach the
-// ultimate target the base's slot i did. Base slots whose target is no longer
-// referenced get a nil placeholder (nothing unchanged can reference them — the
-// referencing object would be dirty); proxies new since the base follow.
-func (s *swapOut) keepBaseSlots() {
-	proxyOf := make(map[heap.ObjID]heap.ObjID, len(s.slotTargets))
-	for i, t := range s.slotTargets {
-		proxyOf[t] = s.slotProxies[i]
-	}
-	n := len(s.plan.baseSlots) + len(s.outbound)
-	outbound := make([]heap.Value, 0, n)
-	targets := make([]heap.ObjID, 0, n)
-	slotOf := make(map[heap.ObjID]int, len(s.slotOf))
-	add := func(pid, target heap.ObjID) {
-		slotOf[pid] = len(outbound)
-		outbound = append(outbound, heap.Ref(pid))
-		targets = append(targets, target)
-	}
-	for _, t := range s.plan.baseSlots {
-		if pid, ok := proxyOf[t]; ok && t != heap.NilID {
-			add(pid, t)
-			continue
-		}
-		outbound = append(outbound, heap.Nil())
-		targets = append(targets, heap.NilID)
-	}
-	for i, pid := range s.slotProxies {
-		if _, kept := slotOf[pid]; !kept {
-			add(pid, s.slotTargets[i])
-		}
-	}
-	s.outbound, s.slotOf, s.slotTargets = outbound, slotOf, targets
 }
 
 func (s *swapOut) encode() error {
@@ -299,9 +250,9 @@ func (s *swapOut) encode() error {
 	return nil
 }
 
-// encodeFrame renders s.plan's frame into s.payload: the members (the dirty
-// subset for a delta) straight from the heap in the negotiated format, each
-// reference classified internal / slot / remote.
+// encodeFrame renders s.plan's frame into s.payload: the members straight
+// from the heap in the negotiated format, each reference classified
+// internal / slot / remote.
 func (s *swapOut) encodeFrame() error {
 	rt, slotOf, remote := s.rt, s.slotOf, s.remote
 	encodeRef := func(rid heap.ObjID) (xmlcodec.Value, error) {
@@ -320,30 +271,23 @@ func (s *swapOut) encodeFrame() error {
 		}
 		return xmlcodec.Value{}, fmt.Errorf("core: unclassified reference @%d", rid)
 	}
-	p := &s.plan
 	objs := make([]*heap.Object, 0, len(s.memberIDs))
 	for _, oid := range s.memberIDs {
-		if p.delta && !p.changed[oid] {
-			continue
-		}
 		o, err := rt.h.Get(oid)
 		if err != nil {
 			return fmt.Errorf("core: encode cluster %d: member @%d: %w", s.id, oid, err)
 		}
 		objs = append(objs, o)
 	}
+	format := s.plan.format
 	start := rt.obsReg.Clock().Now()
-	payload, err := s.enc.EncodeObjects(p.format, s.key, objs, encodeRef, &wire.EncodeOpts{
-		BaseKey: p.baseKey,
-		Removed: p.removed,
-		Codecs:  rt.classCodecs,
-	})
+	payload, err := s.enc.EncodeObjects(format, s.key, objs, encodeRef, rt.encodeOpts)
 	if err != nil {
-		return fmt.Errorf("core: encode cluster %d as %s: %w", s.id, p.format, err)
+		return fmt.Errorf("core: encode cluster %d as %s: %w", s.id, format, err)
 	}
-	rt.recordWire(p.format, "encode", len(payload), rt.obsReg.Clock().Now().Sub(start))
+	rt.recordWire(format, "encode", len(payload), rt.obsReg.Clock().Now().Sub(start))
 	s.payload = payload
-	s.span.SetFormat(string(p.format))
+	s.span.SetFormat(string(format))
 	return nil
 }
 
@@ -370,10 +314,9 @@ func (s *swapOut) replace() error {
 }
 
 // ship builds the replacement-object and lands the payload on the donors; the
-// shipment is IO and runs unlocked. A failed delta shipment falls back to a
-// freshly negotiated full one — the base donors may have vanished since the
-// probe. Donors with no room are asked to give back the copies they retain
-// for clusters that are resident anyway, and the shipment is tried once more.
+// shipment is IO and runs unlocked. Donors with no room are asked to give
+// back the copies they retain for clusters that are resident anyway, and the
+// shipment is tried once more.
 func (s *swapOut) ship() error {
 	rt := s.rt
 	rt.lockShard(s.sh)
@@ -383,11 +326,6 @@ func (s *swapOut) ship() error {
 		return err
 	}
 	err = s.shipPlanned()
-	if err != nil && s.plan.delta {
-		rt.logger.Warn("delta shipment failed; renegotiating full",
-			"trace", s.trace, "cluster", uint32(s.id), "err", err)
-		err = s.reship()
-	}
 	if err != nil && (errors.Is(err, store.ErrCapacity) || errors.Is(err, store.ErrNoDevice)) &&
 		rt.shedRetained(s.ctx, s.plan.ranked) > 0 {
 		err = s.reship()
@@ -419,9 +357,9 @@ func (s *swapOut) ship() error {
 	return nil
 }
 
-// reship negotiates, encodes and ships a full shipment afresh.
+// reship negotiates, encodes and ships the shipment afresh.
 func (s *swapOut) reship() (err error) {
-	if s.plan, err = s.rt.negotiateFull(s.ctx, s.o, s.key, s.k); err == nil {
+	if s.plan, err = s.rt.negotiate(s.ctx, s.o, s.key, s.k); err == nil {
 		if err = s.encodeFrame(); err == nil {
 			err = s.shipPlanned()
 		}
@@ -477,9 +415,8 @@ func (s *swapOut) shipPlanned() error {
 // commit detaches the cluster from the application graph under its shard
 // lock: the key and the replica set (comma-joined, primary first) go on the
 // replacement, every inbound proxy is re-targeted at it, and the record moves
-// to swappedOut on the copy the donors hold. A full shipment becomes the new
+// to swappedOut on the copy the donors hold. A shipment becomes the new
 // retained copy (dirty resets; the previous one is due for donor cleanup); a
-// delta leaves base and dirty alone, dirty being relative to the base; a
 // clean cluster, which built no replacement-object yet and shipped nothing,
 // first re-reads dirty under the lock markDirty takes — a write that landed
 // since reserve rolls the operation back (the cluster stays resident, dirty,
@@ -496,7 +433,7 @@ func (s *swapOut) commit() error {
 	if s.clean() {
 		ts := rt.mgr.tab(s.id)
 		ts.mu.Lock()
-		written := len(s.cs.dirty) > 0
+		written := s.cs.dirty
 		ts.mu.Unlock()
 		if written {
 			return fmt.Errorf("%w: cluster %d was written during its swap-out", ErrClusterBusy, s.id)
@@ -519,10 +456,10 @@ func (s *swapOut) commit() error {
 	}
 	rt.patchInbound(s.id, s.repl.ID())
 	s.op.commit(swappedOut, func(cs *clusterState) {
-		cs.shipment = shipment{replacement: s.repl.ID(), donorCopy: s.copy, bytesAtSwap: s.residentBytes}
+		cs.shipment = shipment{replacement: s.repl.ID(), bytesAtSwap: s.residentBytes}
 		rt.mgr.feed(cs, shipped, 0, rt.telem.Now())
-		if !s.clean() && !s.plan.delta {
-			s.oldBase = cs.base.donorCopy
+		if !s.clean() {
+			s.oldCopy = cs.retained.donorCopy
 			rt.mgr.anchor(cs, s.copy, s.memberIDs, s.slotTargets)
 		}
 	})
@@ -531,7 +468,7 @@ func (s *swapOut) commit() error {
 }
 
 // finish runs after the locks are gone: report, then — the fault is over, so
-// outside its span — reclaim the donor space of the copy a full shipment
+// outside its span — reclaim the donor space of the copy a shipment
 // obsoleted. This rotation is the only place a stale retained copy is dropped
 // while its cluster lives.
 func (s *swapOut) finish() SwapEvent {
@@ -544,8 +481,8 @@ func (s *swapOut) finish() SwapEvent {
 		ev.Bytes = c.payloadBytes
 	}
 	ev.Phases, ev.Duration = s.span.End()
-	if s.oldBase.key != "" && s.oldBase.key != c.key {
-		rt.dropAll(s.ctx, s.oldBase.devices, s.oldBase.key, s.id)
+	if s.oldCopy.key != "" && s.oldCopy.key != c.key {
+		rt.dropAll(s.ctx, s.oldCopy.devices, s.oldCopy.key, s.id)
 	}
 	rt.telem.RecordFault("swap_out", ev.Cause, ev.Duration.Seconds())
 	// A prefetched cluster evicted before any touch was a wasted round trip;

@@ -8,7 +8,6 @@ import (
 
 	"objectswap/internal/event"
 	"objectswap/internal/heap"
-	"objectswap/internal/store"
 	"objectswap/internal/wire"
 	"objectswap/internal/xmlcodec"
 )
@@ -60,15 +59,14 @@ type swapIn struct {
 	op
 	o swapOpts
 
-	// reserve: where the text is, copied out under the table lock.
+	// reserve: the replacement-object and where the text is, copied out
+	// under the table lock.
 	was              shipment
-	baseKey          string
-	baseCRC          uint32
+	copy             donorCopy
 	repl             *heap.Object
 	data             []byte
 	dataCRC          uint32 // of the copy being served, taken once
 	device           string
-	serving          store.Store
 	failed           []string
 	fid              wire.FormatID
 	staged           *xmlcodec.Installer
@@ -77,7 +75,7 @@ type swapIn struct {
 
 func (s *swapIn) reserve() (err error) {
 	err = s.op.reserve(swappedOut, reservedIn, func(cs *clusterState) {
-		s.was, s.baseKey, s.baseCRC = cs.shipment, cs.base.key, cs.base.crc
+		s.was, s.copy = cs.shipment, cs.retained.donorCopy
 	})
 	if err != nil {
 		return err
@@ -90,7 +88,7 @@ func (s *swapIn) reserve() (err error) {
 }
 
 func (s *swapIn) fetch() error {
-	rt, key, devices := s.rt, s.was.key, s.was.devices
+	rt, key, devices := s.rt, s.copy.key, s.copy.devices
 	s.span.SetKey(key)
 	s.span.SetReplicas(devices)
 	var lastErr error
@@ -103,12 +101,12 @@ func (s *swapIn) fetch() error {
 			// at rest; with K>=2 the reload falls through to an intact one.
 			if err == nil {
 				s.dataCRC = crc32.ChecksumIEEE(s.data)
-				if s.was.crc != 0 && s.dataCRC != s.was.crc {
+				if s.copy.crc != 0 && s.dataCRC != s.copy.crc {
 					err = fmt.Errorf("%w: device %s key %s", ErrCorruptReplica, d, key)
 				}
 			}
 			if err == nil {
-				s.device, s.serving = d, st
+				s.device = d
 				break
 			}
 		}
@@ -135,29 +133,18 @@ func (s *swapIn) fetch() error {
 // decode validates and stages whatever format the shipment self-describes as:
 // every structural check runs here, unlocked, and the objects come out as
 // field vectors ready to install — a frame that fails leaves the heap and the
-// cluster table untouched, and evicts nothing. A delta fetches its base from
-// the SAME donor that served it — deltas only ever ship to donors holding the
-// base, so that donor is the one place the base is known to live.
+// cluster table untouched, and evicts nothing. Every payload decodes on its
+// own: nothing but the fetched bytes is read.
 func (s *swapIn) decode() (err error) {
-	rt, ctx, device, serving, baseKey, baseCRC := s.rt, s.ctx, s.device, s.serving, s.baseKey, s.baseCRC
+	rt := s.rt
 	s.fid, _ = wire.Detect(s.data)
 	start := rt.obsReg.Clock().Now()
-	s.staged, err = wire.Stage(s.data, rt.reg, &wire.DecodeOpts{
-		FetchBase: func(k string) ([]byte, error) {
-			b, err := rt.faults.Fetch(ctx, device, serving, k)
-			if err == nil && k == baseKey && baseCRC != 0 && crc32.ChecksumIEEE(b) != baseCRC {
-				return nil, fmt.Errorf("%w: device %s base %s", ErrCorruptReplica, device, k)
-			}
-			return b, err
-		},
-		Codecs: rt.classCodecs,
-	})
-	if err != nil {
+	if s.staged, err = wire.Stage(s.data, rt.reg, rt.decodeOpts); err != nil {
 		return fmt.Errorf("core: unwrap cluster %d: %w", s.id, err)
 	}
 	rt.recordWire(s.fid, "decode", len(s.data), rt.obsReg.Clock().Now().Sub(start))
 	s.span.SetFormat(string(s.fid))
-	if s.staged.ClusterID != s.was.key {
+	if s.staged.ClusterID != s.copy.key {
 		return fmt.Errorf("core: cluster %d: device returned wrong shipment %q", s.id, s.staged.ClusterID)
 	}
 	return nil
@@ -189,11 +176,10 @@ func (s *swapIn) evict() error {
 // the fault engine's inventory in the same section, so whoever next finds the
 // cluster resident finds the entry too.
 //
-// A reloaded full shipment is the retained copy — resident state now provably
+// The reloaded shipment is the retained copy — resident state now provably
 // equals the payload still on its donors. The commit that shipped it anchored
 // it already; only a record restored from a checkpoint, which carries no
-// member and slot tables, reads them back from what was installed. A reloaded
-// delta leaves base and dirty untouched.
+// member and slot tables, reads them back from what was installed.
 func (s *swapIn) install() error {
 	rt := s.rt
 	rt.lockShard(s.sh)
@@ -241,21 +227,21 @@ func (s *swapIn) install() error {
 	s.op.commit(resident, func(cs *clusterState) {
 		cs.shipment = shipment{}
 		rt.mgr.feed(cs, reloaded, 0, rt.telem.Now())
-		if s.fid != wire.FormatDelta && (cs.base.key != s.was.key || !cs.base.usable()) {
-			c := s.was.donorCopy
+		if !cs.retained.usable() {
+			c := s.copy
 			c.crc, c.format = s.dataCRC, string(s.fid)
 			members, slots := s.tables(installed, outbound)
 			rt.mgr.anchor(cs, c, members, slots)
 		}
 		if s.o.cause == CausePrefetch {
-			rt.faults.Installed(uint32(s.id), int64(s.was.payloadBytes))
+			rt.faults.Installed(uint32(s.id), int64(s.copy.payloadBytes))
 		}
 	})
 	return nil
 }
 
 // tables reads the membership and the outbound slot table of a just-reloaded
-// full shipment back from what was installed.
+// shipment back from what was installed.
 func (s *swapIn) tables(installed []*heap.Object, outbound []heap.Value) (members, slots []heap.ObjID) {
 	members = make([]heap.ObjID, 0, len(installed))
 	for _, o := range installed {
@@ -274,23 +260,14 @@ func (s *swapIn) tables(installed []*heap.Object, outbound []heap.Value) (member
 }
 
 // finish runs after the locks are gone. The fault ends with its span; what
-// follows is not part of it. A full shipment stays on its donors as the
-// retained copy; a delta's own frame is stale the moment it is merged, and is
-// queued for dropping off the fault path (the next collection sends it).
+// follows is not part of it. The shipment stays on its donors as the retained
+// copy.
 func (s *swapIn) finish() SwapEvent {
-	rt, key, bytes := s.rt, s.was.key, s.was.payloadBytes
+	rt, key, bytes := s.rt, s.copy.key, s.copy.payloadBytes
 	ev := SwapEvent{Cluster: s.id, Device: s.device, Key: key, Objects: s.installedObjects,
-		Bytes: bytes, Attempted: s.failed, Trace: s.trace, Format: string(s.fid),
-		Cause: rt.resolveCause(s.o.cause)}
-	if s.fid != wire.FormatDelta {
-		ev.Replicas = s.was.devices
-	}
+		Bytes: bytes, Attempted: s.failed, Replicas: s.copy.devices, Trace: s.trace,
+		Format: string(s.fid), Cause: rt.resolveCause(s.o.cause)}
 	ev.Phases, ev.Duration = s.span.End()
-	if s.fid == wire.FormatDelta {
-		for _, d := range s.was.devices {
-			rt.mgr.deferDrop(d, key, s.id)
-		}
-	}
 	rt.telem.RecordFault("swap_in", ev.Cause, ev.Duration.Seconds())
 	rt.logger.Info("swap-in", "trace", s.trace, "cluster", uint32(s.id),
 		"device", s.device, "key", key, "objects", s.installedObjects,

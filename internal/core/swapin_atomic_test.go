@@ -22,7 +22,7 @@ func forgetChecksum(t testing.TB, rt *Runtime, id ClusterID) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs.crc = 0
+	cs.retained.crc = 0
 }
 
 // assertStillSwapped checks that a refused swap-in left everything as found.

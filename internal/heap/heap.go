@@ -73,7 +73,7 @@ type Heap struct {
 	// tracking). Invoked outside heap locks. observerSuspend > 0 silences
 	// it (middleware-internal writes such as swap-in reinstallation are not
 	// user mutations). extraObservers are additional independent hooks (the
-	// swapping runtime's delta dirty tracking) that SetWriteObserver does not
+	// swapping runtime's dirty tracking) that SetWriteObserver does not
 	// replace. The observer slots live under their own lock so that the
 	// per-write dispatch check never contends with allocation and lookup
 	// traffic on h.mu — with the swap core sharded, field writes from many

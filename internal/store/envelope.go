@@ -20,7 +20,7 @@ const FormatXML = "xml"
 
 // BuiltinFormats lists the wire formats the in-tree stores accept, mirroring
 // the wire package's registry (asserted equal by a wire test).
-var BuiltinFormats = []string{"binary", "binary+flate", "delta", "xml"}
+var BuiltinFormats = []string{"binary", "binary+flate", "xml"}
 
 // ErrUnsupportedFormat reports a Put whose declared format the device does
 // not accept. The constrained device reacts by renegotiating down —

@@ -16,16 +16,14 @@ import (
 //
 //	magic   "OBW"                    3 bytes
 //	version 0x01                     1 byte
-//	flags                            1 byte  (bit0 deflate, bit1 delta)
+//	flags                            1 byte  (bit0 deflate; the rest reserved)
 //	bodyLen uvarint                  length of everything that follows
 //	body:
 //	  header: clusterIDLen docVersion nObjects nFields nListItems
 //	          strBytes blobBytes
-//	          [delta only: baseKeyLen nRemoved]
-//	  tree:   [delta only: nRemoved object IDs]
-//	          per object: id classLen fieldCount, then per field:
+//	  tree:   per object: id classLen fieldCount, then per field:
 //	          nameLen value
-//	  string arena  (clusterID, [baseKey], then tree strings in order)
+//	  string arena  (clusterID, then tree strings in order)
 //	  blob arena    (bytes payloads in tree order)
 //
 // Values are a kind byte followed by a kind-specific payload:
@@ -46,7 +44,6 @@ const (
 	frameVersion           = 1
 
 	flagFlate byte = 1 << 0
-	flagDelta byte = 1 << 1
 
 	// frameHeaderLen is magic+version+flags: the minimum prefix Detect needs.
 	frameHeaderLen = 5
@@ -70,7 +67,6 @@ const (
 type binaryCodec struct{}
 
 func (binaryCodec) ID() FormatID { return FormatBinary }
-func (binaryCodec) Caps() Caps   { return CapSelfContained }
 
 func (binaryCodec) encodeFrom(e *Encoder, dst []byte, sh shipment, opts *EncodeOpts) ([]byte, error) {
 	return e.frame(dst, 0, sh, opts)
@@ -261,22 +257,13 @@ func (e *Encoder) EncodeObjects(format FormatID, key string, objs []*heap.Object
 
 // walk writes the shipment's body sections — header, tree, string arena,
 // blob arena — into the encoder in one pass over its objects.
-// It is the only writer of the OBW tree. When isDelta is set the delta header
-// extension (base key, removed IDs) is taken from opts; otherwise opts
-// contributes only its class codec set.
-func (e *Encoder) walk(sh shipment, opts *EncodeOpts, isDelta bool) error {
+// It is the only writer of the OBW tree.
+func (e *Encoder) walk(sh shipment, opts *EncodeOpts) error {
 	cc := opts.classCodecs()
 	e.out, e.strs, e.blob, e.listItems = e.out[:0], e.strs[:0], e.blob[:0], 0
 
-	// The string arena opens with the cluster key and, for a delta, the base
-	// key; the tree of a delta opens with the removed IDs.
+	// The string arena opens with the cluster key.
 	e.strs = append(e.strs, sh.clusterID...)
-	if isDelta {
-		e.strs = append(e.strs, opts.BaseKey...)
-		for _, id := range opts.Removed {
-			e.uvarint(uint64(id))
-		}
-	}
 	n, fields := sh.objects.count(), 0
 	for i := 0; i < n; i++ {
 		o, err := sh.objects.next()
@@ -305,10 +292,6 @@ func (e *Encoder) walk(sh shipment, opts *EncodeOpts, isDelta bool) error {
 	h = binary.AppendUvarint(h, uint64(e.listItems))
 	h = binary.AppendUvarint(h, uint64(len(e.strs)))
 	h = binary.AppendUvarint(h, uint64(len(e.blob)))
-	if isDelta {
-		h = binary.AppendUvarint(h, uint64(len(opts.BaseKey)))
-		h = binary.AppendUvarint(h, uint64(len(opts.Removed)))
-	}
 	e.head = h
 	return nil
 }
@@ -319,7 +302,7 @@ func (e *Encoder) body() [][]byte { return [][]byte{e.head, e.out, e.strs, e.blo
 // frame appends the shipment's OBW frame to dst, each section copied once
 // from the encoder behind the length prefix.
 func (e *Encoder) frame(dst []byte, flags byte, sh shipment, opts *EncodeOpts) ([]byte, error) {
-	if err := e.walk(sh, opts, flags&flagDelta != 0); err != nil {
+	if err := e.walk(sh, opts); err != nil {
 		return nil, err
 	}
 	return appendFrame(dst, flags, e.body()...), nil
@@ -586,65 +569,52 @@ func (s *heapSink) next(nf int) *xmlcodec.Object {
 func (s *heapSink) put(o *xmlcodec.Object) error { return s.in.Add(o) }
 
 // readBody parses a frame body into sink — the only reader of the OBW tree.
-// When delta is true the delta header extension is expected and the base key
-// and removed IDs are returned.
 //
 // borrow selects the borrowed-blob contract: byte payloads alias the input
 // buffer instead of a defensive copy (one allocation fewer per decode). That
 // is right for a sink that copies on its own (the heap does, on
 // installation) and for callers that opted in through DecodeOpts.Codecs;
 // anything else keeps the copy.
-func readBody(body []byte, delta, borrow bool, cc *ClassCodecs, sink objectSink) (string, []heap.ObjID, error) {
+func readBody(body []byte, borrow bool, cc *ClassCodecs, sink objectSink) error {
 	d := frameDecoder{tree: body}
 	clusterIDLen, err := d.uvarint()
 	if err != nil {
-		return "", nil, err
+		return err
 	}
 	docVersion, err := d.uvarint()
 	if err != nil {
-		return "", nil, err
+		return err
 	}
 	nObjects, err := d.uvarint()
 	if err != nil {
-		return "", nil, err
+		return err
 	}
 	nFields, err := d.uvarint()
 	if err != nil {
-		return "", nil, err
+		return err
 	}
 	nListItems, err := d.uvarint()
 	if err != nil {
-		return "", nil, err
+		return err
 	}
 	strBytes, err := d.uvarint()
 	if err != nil {
-		return "", nil, err
+		return err
 	}
 	blobBytes, err := d.uvarint()
 	if err != nil {
-		return "", nil, err
-	}
-	var baseKeyLen, nRemoved uint64
-	if delta {
-		if baseKeyLen, err = d.uvarint(); err != nil {
-			return "", nil, err
-		}
-		if nRemoved, err = d.uvarint(); err != nil {
-			return "", nil, err
-		}
+		return err
 	}
 
 	// Sanity: every count costs at least one tree byte, and the arenas
 	// cannot exceed what remains — reject counts a hostile payload inflates.
 	// The arena lengths are compared individually before summing so a crafted
-	// strBytes+blobBytes cannot wrap around uint64 past the check, and the two
-	// string prefixes must fit the string arena together, not just separately.
+	// strBytes+blobBytes cannot wrap around uint64 past the check.
 	remaining := uint64(len(d.tree))
 	if strBytes > remaining || blobBytes > remaining-strBytes ||
 		nObjects > remaining || nFields > remaining ||
-		nListItems > remaining || nRemoved > remaining ||
-		clusterIDLen > strBytes || baseKeyLen > strBytes-clusterIDLen {
-		return "", nil, fmt.Errorf("%w: header counts exceed body", ErrBadFrame)
+		nListItems > remaining || clusterIDLen > strBytes {
+		return fmt.Errorf("%w: header counts exceed body", ErrBadFrame)
 	}
 
 	// Split off the arenas; the tree is what's left in the middle.
@@ -660,40 +630,26 @@ func readBody(body []byte, delta, borrow bool, cc *ClassCodecs, sink objectSink)
 
 	clusterID := d.strs[:clusterIDLen]
 	d.strs = d.strs[clusterIDLen:]
-	baseKey := d.strs[:baseKeyLen]
-	d.strs = d.strs[baseKeyLen:]
-
-	var removed []heap.ObjID
-	if nRemoved > 0 {
-		removed = make([]heap.ObjID, nRemoved)
-		for i := range removed {
-			id, err := d.uvarint()
-			if err != nil {
-				return "", nil, err
-			}
-			removed[i] = heap.ObjID(id)
-		}
-	}
 
 	if d.values, err = sink.begin(clusterID, int(docVersion), int(nObjects), int(nFields), int(nListItems)); err != nil {
-		return "", nil, err
+		return err
 	}
 	fieldsLeft := nFields
 	for i := uint64(0); i < nObjects; i++ {
 		id, err := d.uvarint()
 		if err != nil {
-			return "", nil, err
+			return err
 		}
 		class, err := d.str()
 		if err != nil {
-			return "", nil, err
+			return err
 		}
 		nf, err := d.uvarint()
 		if err != nil {
-			return "", nil, err
+			return err
 		}
 		if nf > fieldsLeft {
-			return "", nil, fmt.Errorf("%w: field arena exhausted", ErrBadFrame)
+			return fmt.Errorf("%w: field arena exhausted", ErrBadFrame)
 		}
 		fieldsLeft -= nf
 		o := sink.next(int(nf))
@@ -704,26 +660,26 @@ func readBody(body []byte, delta, borrow bool, cc *ClassCodecs, sink objectSink)
 			err = Dec{&d}.Fields(o.Fields)
 		}
 		if err != nil {
-			return "", nil, err
+			return err
 		}
 		if err := sink.put(o); err != nil {
-			return "", nil, err
+			return err
 		}
 	}
 	if len(d.tree) != 0 {
-		return "", nil, fmt.Errorf("%w: %d trailing tree bytes", ErrBadFrame, len(d.tree))
+		return fmt.Errorf("%w: %d trailing tree bytes", ErrBadFrame, len(d.tree))
 	}
-	return baseKey, removed, nil
+	return nil
 }
 
-// bodyCodec is a self-contained binary-family format: its payload opens to
-// one plain frame body.
+// bodyCodec is a binary-family format: its payload opens to one plain frame
+// body.
 type bodyCodec interface {
 	openBody(data []byte) ([]byte, error)
 }
 
-// decodeDoc is Codec.Decode for the self-contained binary family: the
-// document is one more object sink.
+// decodeDoc is Codec.Decode for the binary family: the document is one more
+// object sink.
 func decodeDoc(c bodyCodec, data []byte, opts *DecodeOpts) (*xmlcodec.Doc, error) {
 	body, err := c.openBody(data)
 	if err != nil {
@@ -731,7 +687,7 @@ func decodeDoc(c bodyCodec, data []byte, opts *DecodeOpts) (*xmlcodec.Doc, error
 	}
 	sink := new(docSink)
 	cc := opts.classCodecs()
-	if _, _, err := readBody(body, false, cc != nil, cc, sink); err != nil {
+	if err := readBody(body, cc != nil, cc, sink); err != nil {
 		return nil, err
 	}
 	return &sink.doc, nil
@@ -742,10 +698,9 @@ func decodeDoc(c bodyCodec, data []byte, opts *DecodeOpts) (*xmlcodec.Doc, error
 // Doc.Install would check — framing, bounds, counts, wrapper version, known
 // classes and fields, value kinds, internal references — is checked here,
 // with no heap touched and no lock needed. The returned Installer makes the
-// cluster resident in one step. Self-contained binary frames go straight
-// from bytes to field vectors; formats that need the whole document (XML
-// text, a delta's merge with its base) decode to a Doc first and stage that.
-// Nothing in the Installer aliases data.
+// cluster resident in one step. Binary frames go straight from bytes to field
+// vectors; XML text decodes to a Doc first and stages that. Nothing in the
+// Installer aliases data.
 func Stage(data []byte, reg *heap.Registry, opts *DecodeOpts) (*xmlcodec.Installer, error) {
 	id, err := Detect(data)
 	if err != nil {
@@ -768,7 +723,7 @@ func Stage(data []byte, reg *heap.Registry, opts *DecodeOpts) (*xmlcodec.Install
 		return nil, err
 	}
 	sink := heapSink{reg: reg, scratch: stageScratches.Get().(*stageScratch)}
-	_, _, err = readBody(body, false, true, opts.classCodecs(), &sink)
+	err = readBody(body, true, opts.classCodecs(), &sink)
 	sink.scratch.release()
 	if err != nil {
 		return nil, err

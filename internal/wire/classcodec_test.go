@@ -128,18 +128,6 @@ func TestClassCodecByteIdentical(t *testing.T) {
 			t.Fatalf("%s: class codec changed payload bytes", id)
 		}
 	}
-	delta := &xmlcodec.Doc{ClusterID: "gen2", Version: doc.Version, Objects: doc.Objects[:3]}
-	plain, err := Encode(FormatDelta, delta, &EncodeOpts{BaseKey: "gen1", Removed: []heap.ObjID{7}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := Encode(FormatDelta, delta, &EncodeOpts{BaseKey: "gen1", Removed: []heap.ObjID{7}, Codecs: cc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(plain, fast) {
-		t.Fatal("delta: class codec changed payload bytes")
-	}
 }
 
 // TestClassCodecDecode asserts a codec-assisted decode yields the same model

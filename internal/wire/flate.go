@@ -19,10 +19,9 @@ import (
 type flateCodec struct{}
 
 func (flateCodec) ID() FormatID { return FormatFlate }
-func (flateCodec) Caps() Caps   { return CapSelfContained | CapCompressed }
 
 func (flateCodec) encodeFrom(e *Encoder, dst []byte, sh shipment, opts *EncodeOpts) ([]byte, error) {
-	if err := e.walk(sh, opts, false); err != nil {
+	if err := e.walk(sh, opts); err != nil {
 		return nil, err
 	}
 	body := slices.Concat(e.body()...)

@@ -72,24 +72,3 @@ func TestCodecBenchSmoke(t *testing.T) {
 		t.Fatalf("binary decode allocates %.0f/op, budget 236 (~2%% of the 11892 XML baseline)", allocs)
 	}
 }
-
-// TestDeltaBytesFraction pins the acceptance number at the codec layer: a
-// delta carrying 1/64 of the objects must be under 10% of the full binary
-// shipment's size.
-func TestDeltaBytesFraction(t *testing.T) {
-	full, err := Encode(FormatBinary, testDoc(smokeObjects), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirty := testDoc(smokeObjects)
-	dirty.Objects = dirty.Objects[:1]
-	delta, err := Encode(FormatDelta, dirty, &EncodeOpts{BaseKey: "bench-base-key"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(delta)*10 >= len(full) {
-		t.Fatalf("delta = %d bytes, full = %d — want < 10%%", len(delta), len(full))
-	}
-	t.Logf("full binary %d bytes, 1/64-dirty delta %d bytes (%.1f%%)",
-		len(full), len(delta), 100*float64(len(delta))/float64(len(full)))
-}

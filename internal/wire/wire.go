@@ -8,15 +8,14 @@
 // and a donor that advertises nothing else still interoperates. But the
 // fault path is asymmetric on a constrained device: swap-in re-faults over a
 // ~700 Kbps Bluetooth-class link and then pays the decode cost, so this
-// package adds negotiated alternatives behind one Codec interface —
-// a length-prefixed binary framing (decode within ~2x of encode), optional
-// DEFLATE compression of the binary body, and delta re-shipment for
-// re-swapped clusters that ships only the objects dirtied since the last
-// checkpointed shipment.
+// package adds negotiated alternatives behind one Codec interface — a
+// length-prefixed binary framing (decode within ~2x of encode) and optional
+// DEFLATE compression of the binary body.
 //
 // All formats carry the same model — a cluster as a sequence of xmlcodec.Object
 // records — so format choice is a per-shipment transport decision, never a
-// semantic one. Donors advertise the formats they accept on their Stats
+// semantic one, and every payload decodes on its own: a donor only stores,
+// returns and drops it. Donors advertise the formats they accept on their Stats
 // surface and the constrained device picks the first mutually supported entry
 // of its preference list — all K replicas of one shipment always use one
 // format.
@@ -28,15 +27,14 @@
 // (Encoder.EncodeObjects, Stage — the swap path, checkpoints and the
 // per-object baseline, which wrap and stage one reused record at a time), or
 // a whole xmlcodec.Doc (Encode, Decode — what replication and the XML oracle
-// work with). The readers that need the whole document, the XML token decoder
-// and a delta's merge with its base, build one inside Stage.
+// work with). The one reader that needs the whole document, the XML token
+// decoder, builds one inside Stage.
 package wire
 
 import (
 	"errors"
 	"fmt"
 
-	"objectswap/internal/heap"
 	"objectswap/internal/xmlcodec"
 )
 
@@ -56,23 +54,6 @@ const (
 	// FormatFlate is the binary framing with the body DEFLATE-compressed,
 	// for links where bytes dominate.
 	FormatFlate FormatID = "binary+flate"
-	// FormatDelta re-ships a re-swapped cluster as only the objects dirtied
-	// since its base shipment, naming the base key the donor already holds.
-	FormatDelta FormatID = "delta"
-)
-
-// Caps describes what a codec can do, so negotiation and the ship path can
-// reason about formats without switching on IDs.
-type Caps uint8
-
-const (
-	// CapSelfContained marks formats whose payload decodes without any other
-	// shipment (everything except delta).
-	CapSelfContained Caps = 1 << iota
-	// CapCompressed marks formats that compress the payload body.
-	CapCompressed
-	// CapDelta marks formats that encode against a base shipment.
-	CapDelta
 )
 
 // Errors reported by the wire layer.
@@ -80,42 +61,26 @@ var (
 	// ErrUnknownFormat reports a format ID no codec claims.
 	ErrUnknownFormat = errors.New("wire: unknown format")
 	// ErrBadFrame reports a payload that fails framing validation
-	// (bad magic, truncated sections, lying length prefix).
+	// (bad magic, reserved flag bits, truncated sections, lying length
+	// prefix).
 	ErrBadFrame = errors.New("wire: malformed frame")
-	// ErrNeedBase reports a delta decode attempted without a base fetcher,
-	// or whose base fetch failed.
-	ErrNeedBase = errors.New("wire: delta requires base shipment")
 )
 
-// EncodeOpts carries per-shipment encoding parameters. Self-contained codecs
-// accept nil; only the delta codec requires one.
+// EncodeOpts carries per-shipment encoding parameters; nil means none.
 type EncodeOpts struct {
-	// BaseKey names the base shipment a delta encodes against. The donor
-	// receiving the delta must already hold this key.
-	BaseKey string
-	// Removed lists base member object IDs absent from the new shipment.
-	Removed []heap.ObjID
 	// Codecs optionally supplies the runtime's per-class codec set. Binary-
 	// family formats route matching objects through their class codec; the
 	// bytes produced are identical either way (the ClassCodec contract).
 	Codecs *ClassCodecs
 }
 
-// DecodeOpts carries per-shipment decoding parameters. Self-contained codecs
-// accept nil; only the delta codec requires one.
+// DecodeOpts carries per-shipment decoding parameters; nil means none.
 type DecodeOpts struct {
-	// FetchBase returns the payload bytes of the named base shipment,
-	// normally a Get against the same donor the delta came from.
-	FetchBase func(key string) ([]byte, error)
-
 	// Codecs optionally supplies the runtime's per-class codec set. Setting
 	// it also opts into the borrowed-blob decode contract: bytes values in
 	// the returned document alias the input payload, so the caller must
 	// install (or copy) the document before reusing the buffer.
 	Codecs *ClassCodecs
-
-	// depth guards against delta-of-delta recursion.
-	depth int
 }
 
 // classCodecs returns the codec set of a possibly-nil opts.
@@ -134,18 +99,11 @@ func (o *DecodeOpts) classCodecs() *ClassCodecs {
 	return o.Codecs
 }
 
-// maxDeltaDepth bounds base-chain recursion; the runtime only ever deltas
-// against a full shipment, so anything deeper than a short chain is a
-// malformed or adversarial payload.
-const maxDeltaDepth = 4
-
-// Codec is one wire format: its negotiation identity, its capabilities, one
-// writer from any record source and one reader to the document model.
+// Codec is one wire format: its negotiation identity, one writer from any
+// record source and one reader to the document model.
 type Codec interface {
 	// ID is the format's negotiation identifier.
 	ID() FormatID
-	// Caps reports the format's capabilities.
-	Caps() Caps
 	// encodeFrom appends the shipment's payload to dst, using e's reusable
 	// state. A shipment's records come from a Doc (Encode) or straight from
 	// the heap (Encoder.EncodeObjects); the bytes are the same either way.
@@ -156,7 +114,7 @@ type Codec interface {
 
 // codecs is every format, in ID order. Formats are protocol identifiers, not
 // interchangeable plugins, so the table is fixed.
-var codecs = [...]Codec{binaryCodec{}, flateCodec{}, deltaCodec{}, xmlCodec{}}
+var codecs = [...]Codec{binaryCodec{}, flateCodec{}, xmlCodec{}}
 
 // Lookup returns the codec of format id.
 func Lookup(id FormatID) (Codec, error) {
@@ -190,21 +148,21 @@ func FormatStrings() []string {
 
 // Detect sniffs a payload's format from its leading bytes. XML documents
 // start with '<' (optionally after insignificant whitespace); every binary
-// family frame starts with the OBW magic whose flag byte distinguishes
-// plain, compressed and delta payloads.
+// family frame starts with the OBW magic whose flag byte distinguishes plain
+// from compressed payloads. Every other flag bit is reserved and refused, so
+// a frame no codec here wrote never reaches one.
 func Detect(data []byte) (FormatID, error) {
 	if len(data) >= frameHeaderLen && data[0] == magic0 && data[1] == magic1 && data[2] == magic2 {
 		if data[3] != frameVersion {
 			return "", fmt.Errorf("%w: frame version %d", ErrBadFrame, data[3])
 		}
-		flags := data[4]
-		switch {
-		case flags&flagDelta != 0:
-			return FormatDelta, nil
-		case flags&flagFlate != 0:
+		switch flags := data[4]; flags {
+		case 0:
+			return FormatBinary, nil
+		case flagFlate:
 			return FormatFlate, nil
 		default:
-			return FormatBinary, nil
+			return "", fmt.Errorf("%w: reserved flags 0x%02x", ErrBadFrame, flags)
 		}
 	}
 	for _, b := range data {

@@ -2,11 +2,13 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"objectswap/internal/heap"
+	"objectswap/internal/store"
 	"objectswap/internal/xmlcodec"
 )
 
@@ -95,126 +97,6 @@ func TestRoundTripEmptyDoc(t *testing.T) {
 	}
 }
 
-func TestDeltaRoundTrip(t *testing.T) {
-	base := testDoc(16)
-	baseData, err := Encode(FormatBinary, base, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// New shipment: object 3 mutated, object 16 removed, object 17 added.
-	next := testDoc(16)
-	next.ClusterID = "wire-swapcluster-1-gen2"
-	next.Objects[2].Fields[0].Value.S = "mutated"
-	changedObj := next.Objects[2]
-	added := xmlcodec.Object{ID: 17, Class: "Record", Fields: []xmlcodec.Field{
-		{Name: "title", Value: xmlcodec.Value{Kind: heap.KindString, S: "fresh"}},
-	}}
-	next.Objects = append(next.Objects[:15], added)
-
-	delta := &xmlcodec.Doc{
-		ClusterID: next.ClusterID,
-		Version:   xmlcodec.Version,
-		Objects:   []xmlcodec.Object{changedObj, added},
-	}
-	deltaData, err := Encode(FormatDelta, delta, &EncodeOpts{
-		BaseKey: base.ClusterID,
-		Removed: []heap.ObjID{16},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := Detect(deltaData); err != nil || got != FormatDelta {
-		t.Fatalf("Detect = %q, %v", got, err)
-	}
-
-	fetches := 0
-	back, err := Decode(deltaData, &DecodeOpts{FetchBase: func(key string) ([]byte, error) {
-		fetches++
-		if key != base.ClusterID {
-			return nil, fmt.Errorf("unexpected base %q", key)
-		}
-		return baseData, nil
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fetches != 1 {
-		t.Fatalf("fetched base %d times", fetches)
-	}
-	if !bytes.Equal(normalize(t, back), normalize(t, next)) {
-		t.Fatal("delta application diverged from the full document")
-	}
-
-	// A delta is much smaller than the base it patches.
-	if len(deltaData)*4 > len(baseData) {
-		t.Fatalf("delta %d bytes vs base %d bytes", len(deltaData), len(baseData))
-	}
-}
-
-func TestDeltaWithoutFetcher(t *testing.T) {
-	delta, err := Encode(FormatDelta, &xmlcodec.Doc{ClusterID: "k2", Version: 1},
-		&EncodeOpts{BaseKey: "k1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Decode(delta, nil); err == nil {
-		t.Fatal("delta decoded without a base fetcher")
-	}
-	if _, err := Decode(delta, &DecodeOpts{FetchBase: func(string) ([]byte, error) {
-		return nil, fmt.Errorf("donor lacks base")
-	}}); err == nil {
-		t.Fatal("delta decoded with failing base fetch")
-	}
-}
-
-func TestDeltaSelfBaseRejected(t *testing.T) {
-	if _, err := Encode(FormatDelta, &xmlcodec.Doc{ClusterID: "k", Version: 1},
-		&EncodeOpts{BaseKey: "k"}); err == nil {
-		t.Fatal("delta accepted its own key as base")
-	}
-	if _, err := Encode(FormatDelta, &xmlcodec.Doc{ClusterID: "k", Version: 1}, nil); err == nil {
-		t.Fatal("delta accepted nil opts")
-	}
-}
-
-func TestDeltaChainDepthBounded(t *testing.T) {
-	// k0 is a real base; k1..k5 each delta against the previous. Decoding the
-	// deepest must hit the recursion bound, not loop or blow the stack.
-	payloads := map[string][]byte{}
-	base := &xmlcodec.Doc{ClusterID: "k0", Version: 1}
-	data, err := Encode(FormatBinary, base, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payloads["k0"] = data
-	for i := 1; i <= maxDeltaDepth+1; i++ {
-		key, prev := fmt.Sprintf("k%d", i), fmt.Sprintf("k%d", i-1)
-		d, err := Encode(FormatDelta, &xmlcodec.Doc{ClusterID: key, Version: 1},
-			&EncodeOpts{BaseKey: prev})
-		if err != nil {
-			t.Fatal(err)
-		}
-		payloads[key] = d
-	}
-	fetch := func(key string) ([]byte, error) {
-		p, ok := payloads[key]
-		if !ok {
-			return nil, fmt.Errorf("no %q", key)
-		}
-		return p, nil
-	}
-	// Shallow chain decodes.
-	if _, err := Decode(payloads["k2"], &DecodeOpts{FetchBase: fetch}); err != nil {
-		t.Fatalf("depth-2 chain: %v", err)
-	}
-	// Past the bound it must fail cleanly.
-	if _, err := Decode(payloads[fmt.Sprintf("k%d", maxDeltaDepth+1)],
-		&DecodeOpts{FetchBase: fetch}); err == nil {
-		t.Fatal("unbounded delta chain accepted")
-	}
-}
-
 func TestDetect(t *testing.T) {
 	cases := []struct {
 		data []byte
@@ -227,7 +109,11 @@ func TestDetect(t *testing.T) {
 		{[]byte("garbage"), "", false},
 		{[]byte{magic0, magic1, magic2, frameVersion, 0x00, 0x00}, FormatBinary, true},
 		{[]byte{magic0, magic1, magic2, frameVersion, flagFlate, 0x00}, FormatFlate, true},
-		{[]byte{magic0, magic1, magic2, frameVersion, flagDelta, 0x00}, FormatDelta, true},
+		// Bit 1 is reserved (an older build's delta flag), alone or beside
+		// bit 0; so is every higher bit.
+		{[]byte{magic0, magic1, magic2, frameVersion, 0x02, 0x00}, "", false},
+		{[]byte{magic0, magic1, magic2, frameVersion, 0x03, 0x00}, "", false},
+		{[]byte{magic0, magic1, magic2, frameVersion, 0x80, 0x00}, "", false},
 		{[]byte{magic0, magic1, magic2, 99, 0x00, 0x00}, "", false},
 	}
 	for i, c := range cases {
@@ -235,16 +121,16 @@ func TestDetect(t *testing.T) {
 		if c.ok && (err != nil || got != c.want) {
 			t.Fatalf("case %d: got %q, %v", i, got, err)
 		}
-		if !c.ok && err == nil {
-			t.Fatalf("case %d: want error, got %q", i, got)
+		if !c.ok && !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("case %d: got %q, %v; want ErrBadFrame", i, got, err)
 		}
 	}
 }
 
+// The registry advertises exactly what the in-tree donors accept.
 func TestRegistryAdvertisement(t *testing.T) {
-	want := []string{"binary", "binary+flate", "delta", "xml"}
-	if got := FormatStrings(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("FormatStrings() = %v, want %v", got, want)
+	if got, want := FormatStrings(), store.BuiltinFormats; !reflect.DeepEqual(got, want) {
+		t.Fatalf("FormatStrings() = %v, store.BuiltinFormats = %v", got, want)
 	}
 	for _, id := range Formats() {
 		c, err := Lookup(id)
@@ -278,10 +164,10 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 }
 
 // FuzzCrossFormat round-trips documents through XML <-> binary <->
-// compressed <-> delta+base and asserts every path yields the identical
-// decoded model (via the XML oracle rendering). This is the satellite
-// cross-format compatibility proof: format choice is a transport decision,
-// never a semantic one.
+// compressed and asserts every path yields the identical decoded model (via
+// the XML oracle rendering): format choice is a transport decision, never a
+// semantic one. Whatever Detect refuses — a frame with a reserved flag bit
+// among it — no decoder accepts either.
 func FuzzCrossFormat(f *testing.F) {
 	seeds := []string{
 		`<?xml version="1.0"?><swapcluster id="c" version="1"></swapcluster>`,
@@ -294,7 +180,16 @@ func FuzzCrossFormat(f *testing.F) {
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
+	f.Add(reservedFlagFrame(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if _, err := Detect(data); err != nil {
+			if _, derr := Decode(data, nil); derr == nil {
+				t.Fatalf("Detect refused the payload (%v) and Decode accepted it", err)
+			}
+			if _, serr := Stage(data, heap.NewRegistry(), nil); serr == nil {
+				t.Fatalf("Detect refused the payload (%v) and Stage accepted it", err)
+			}
+		}
 		doc, err := xmlcodec.Decode(data)
 		if err != nil {
 			return // not a valid document; rejection is the XML codec's business
@@ -325,62 +220,19 @@ func FuzzCrossFormat(f *testing.F) {
 
 		// Third party: the same frames into and out of a heap, no Doc between.
 		checkHeapEnds(t, doc, nil)
-
-		// Delta path: ship the whole document as changes against an empty
-		// base, and as an empty delta against the full document as base; both
-		// must reproduce the model exactly.
-		baseEmpty, err := Encode(FormatBinary, &xmlcodec.Doc{ClusterID: "base", Version: doc.Version}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		baseFull, err := Encode(FormatFlate, &xmlcodec.Doc{
-			ClusterID: "base", Version: doc.Version, Objects: doc.Objects,
-		}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fetch := func(bases map[string][]byte) func(string) ([]byte, error) {
-			return func(key string) ([]byte, error) {
-				p, ok := bases[key]
-				if !ok {
-					return nil, fmt.Errorf("no base %q", key)
-				}
-				return p, nil
-			}
-		}
-		deltaKey := doc.ClusterID
-		if deltaKey == "base" {
-			deltaKey = "base2"
-		}
-		allChanged := &xmlcodec.Doc{ClusterID: deltaKey, Version: doc.Version, Objects: doc.Objects}
-		d1, err := Encode(FormatDelta, allChanged, &EncodeOpts{BaseKey: "base"})
-		if err != nil {
-			t.Fatalf("delta encode: %v", err)
-		}
-		b1, err := Decode(d1, &DecodeOpts{FetchBase: fetch(map[string][]byte{"base": baseEmpty})})
-		if err != nil {
-			t.Fatalf("delta decode: %v", err)
-		}
-		noChanges := &xmlcodec.Doc{ClusterID: deltaKey, Version: doc.Version}
-		d2, err := Encode(FormatDelta, noChanges, &EncodeOpts{BaseKey: "base"})
-		if err != nil {
-			t.Fatalf("empty delta encode: %v", err)
-		}
-		b2, err := Decode(d2, &DecodeOpts{FetchBase: fetch(map[string][]byte{"base": baseFull})})
-		if err != nil {
-			t.Fatalf("empty delta decode: %v", err)
-		}
-		for i, back := range []*xmlcodec.Doc{b1, b2} {
-			back.ClusterID = doc.ClusterID // delta carries its own key by design
-			out, err := back.Encode()
-			if err != nil {
-				t.Fatalf("delta case %d re-encode: %v", i, err)
-			}
-			if !bytes.Equal(out, want) {
-				t.Fatalf("delta case %d diverged:\n got:  %s\n want: %s", i, out, want)
-			}
-		}
 	})
+}
+
+// reservedFlagFrame is a well-formed binary frame whose flag byte has bit 1
+// set, as an older build flagged a delta: every byte after the header would
+// parse, and the flag alone must keep it from any codec.
+func reservedFlagFrame(tb testing.TB) []byte {
+	frame, err := Encode(FormatBinary, testDoc(2), nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	frame[4] = 0x02
+	return frame
 }
 
 // FuzzDecodeBinary hardens the frame decoder against arbitrary payloads
@@ -393,6 +245,7 @@ func FuzzDecodeBinary(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Add([]byte{magic0, magic1, magic2, frameVersion, 0, 0})
+	f.Add(reservedFlagFrame(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		doc, err := Decode(data, nil)
 		if err != nil {

@@ -9,7 +9,6 @@ import "objectswap/internal/xmlcodec"
 type xmlCodec struct{}
 
 func (xmlCodec) ID() FormatID { return FormatXML }
-func (xmlCodec) Caps() Caps   { return CapSelfContained }
 
 // encodeFrom appends the shipment's XML text to dst, one record at a time.
 func (xmlCodec) encodeFrom(_ *Encoder, dst []byte, sh shipment, _ *EncodeOpts) ([]byte, error) {

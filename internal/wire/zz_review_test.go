@@ -2,11 +2,17 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"testing"
+
+	"objectswap/internal/heap"
 )
 
-// Craft a delta frame body where clusterIDLen + baseKeyLen > strBytes but
-// each individually <= strBytes.
+// A frame flagged the way an older build flagged a delta (bit 1), whose body
+// carries that build's delta header with clusterIDLen + baseKeyLen >
+// strBytes but each individually <= strBytes. The flag is reserved now: every
+// entry point refuses the frame with ErrBadFrame before any reader sees the
+// body, and nothing panics.
 func TestReviewDeltaArenaPanic(t *testing.T) {
 	body := []byte{}
 	body = binary.AppendUvarint(body, 8)         // clusterIDLen
@@ -19,7 +25,7 @@ func TestReviewDeltaArenaPanic(t *testing.T) {
 	body = binary.AppendUvarint(body, 8)         // baseKeyLen
 	body = binary.AppendUvarint(body, 0)         // nRemoved
 	body = append(body, []byte("0123456789")...) // 10-byte string arena
-	frame := []byte{magic0, magic1, magic2, frameVersion, flagDelta}
+	frame := []byte{magic0, magic1, magic2, frameVersion, 0x02}
 	frame = binary.AppendUvarint(frame, uint64(len(body)))
 	frame = append(frame, body...)
 	defer func() {
@@ -27,8 +33,15 @@ func TestReviewDeltaArenaPanic(t *testing.T) {
 			t.Fatalf("PANIC: %v", r)
 		}
 	}()
-	_, _, err := readBody(frame[5+1:], true, false, nil, &docSink{})
-	t.Logf("err=%v", err)
+	if _, err := Detect(frame); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("Detect = %v, want ErrBadFrame", err)
+	}
+	if _, err := Decode(frame, nil); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("Decode = %v, want ErrBadFrame", err)
+	}
+	if _, err := Stage(frame, heap.NewRegistry(), nil); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("Stage = %v, want ErrBadFrame", err)
+	}
 }
 
 // Overflow strBytes+blobBytes so the sum check passes.
@@ -47,6 +60,6 @@ func TestReviewOverflowPanic(t *testing.T) {
 			t.Fatalf("PANIC: %v", r)
 		}
 	}()
-	_, _, err := readBody(body, false, false, nil, &docSink{})
+	err := readBody(body, false, nil, &docSink{})
 	t.Logf("err=%v", err)
 }

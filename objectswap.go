@@ -51,6 +51,7 @@ import (
 	"objectswap/internal/telemetry"
 	"objectswap/internal/transport"
 	"objectswap/internal/txn"
+	"objectswap/internal/wire"
 )
 
 // Re-exported identifier types, so the façade is usable without importing
@@ -168,13 +169,13 @@ type Config struct {
 	FlightEvents int
 	// WireFormats is the shipment-format preference order negotiated with the
 	// donors on each swap-out (see internal/wire for the registered formats:
-	// "binary", "binary+flate", "delta", "xml"). Empty selects the default,
-	// binary with XML fallback; XML is always the implicit last resort, so a
+	// "binary", "binary+flate", "xml"); New refuses any other entry with an
+	// error wrapping wire.ErrUnknownFormat. Empty selects the default, binary
+	// with XML fallback; XML is always the implicit last resort, so a
 	// neighborhood of pre-negotiation donors behaves exactly as before.
-	// Listing "delta" additionally lets a cluster written since its last
-	// reload ship only the objects written, as a delta against the copy its
-	// donors retained (every reloaded cluster keeps one; an unwritten cluster
-	// ships nothing at all).
+	// Whatever the format, a cluster written since its last reload ships in
+	// full, and an unwritten one ships nothing at all: it leaves on the copy
+	// its donors retained.
 	WireFormats []string
 	// Prefetch enables the graph-driven prefetcher in the asynchronous fault
 	// engine: after every demand swap-in, and every crossing the prefetcher
@@ -230,6 +231,11 @@ type System struct {
 // New assembles a System from cfg. Every layer reports into one shared
 // observability registry — the spine exposed by Metrics / WriteMetrics.
 func New(cfg Config) (*System, error) {
+	for _, f := range cfg.WireFormats {
+		if _, err := wire.Lookup(wire.FormatID(f)); err != nil {
+			return nil, fmt.Errorf("objectswap: WireFormats: %w", err)
+		}
+	}
 	reg := obs.NewRegistry(cfg.Clock)
 	h := heap.New(cfg.HeapCapacity)
 	// Host code builds graphs through Go references; give fresh objects a
@@ -375,24 +381,20 @@ func (s *System) leaseLoop() {
 	}
 }
 
-// RenewLeasesNow walks every cluster once and renews the lease on what its
-// donors hold for it: a swapped cluster's payload key, and the retained copy
-// — the key a resident cluster will leave on again without shipping, or the
-// base under a swapped delta — on each donor device holding it. Donors that
-// do not support leases (no swapstore -lease-ttl, plain stores) are skipped
-// silently; the count of successful per-key renewals is returned. A copy
-// whose every donor renewed is reported to the runtime, which then counts on
-// it for another lease period (core.Runtime.LeaseRenewed); one that did not
-// runs out, and its cluster ships in full next time. The background loop
-// (Config.LeaseRenewEvery) calls this on a timer; call it directly before a
-// planned disconnection.
+// RenewLeasesNow walks every cluster once and renews the lease on the one
+// payload its donors hold for it — a swapped cluster's shipment, or the copy
+// a resident cluster will leave on again without shipping — on each donor
+// device holding it. Donors that do not support leases (no swapstore
+// -lease-ttl, plain stores) are skipped silently; the count of successful
+// per-key renewals is returned. A copy whose every donor renewed is reported
+// to the runtime, which then counts on it for another lease period
+// (core.Runtime.LeaseRenewed); one that did not runs out, and its cluster
+// ships in full next time. The background loop (Config.LeaseRenewEvery) calls
+// this on a timer; call it directly before a planned disconnection.
 func (s *System) RenewLeasesNow(ctx context.Context) int {
 	renewed := 0
 	for _, info := range s.rt.Manager().InfoAll() {
-		if info.Swapped && info.Key != "" {
-			renewed += s.renewCopy(ctx, info.ID, info.Key, info.Devices)
-		}
-		if info.BaseKey != "" && !(info.Swapped && info.BaseKey == info.Key) {
+		if info.BaseKey != "" {
 			renewed += s.renewCopy(ctx, info.ID, info.BaseKey, info.BaseDevices)
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"objectswap/internal/replication"
 	"objectswap/internal/store"
 	"objectswap/internal/txn"
+	"objectswap/internal/wire"
 )
 
 func taskClass() *heap.Class {
@@ -194,6 +195,22 @@ func TestSystemCustomPoliciesAndErrors(t *testing.T) {
 	if got := len(sys.Engine().Policies()); got != 1 {
 		t.Fatalf("policies = %d", got)
 	}
+}
+
+// A WireFormats entry that names no registered format is refused by New, not
+// skipped at negotiation: "delta" is gone, and a misspelling must not quietly
+// ship the next preference.
+func TestSystemRefusesUnknownWireFormat(t *testing.T) {
+	for _, formats := range [][]string{{"delta"}, {"delta", "xml"}, {"binary", "binray"}} {
+		if _, err := New(Config{WireFormats: formats}); !errors.Is(err, wire.ErrUnknownFormat) {
+			t.Fatalf("New(WireFormats: %q) = %v, want wire.ErrUnknownFormat", formats, err)
+		}
+	}
+	sys, err := New(Config{WireFormats: []string{"binary+flate", "binary", "xml"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Close()
 }
 
 func TestSystemReplication(t *testing.T) {

@@ -44,10 +44,14 @@ func (s *System) Report() string {
 		case info.Swapped:
 			state = fmt.Sprintf("swapped -> %s (%d XML bytes)", info.Device, info.PayloadBytes)
 		case info.BaseKey != "":
-			// Resident with a retained copy: unless written (dirty > 0), its
-			// next swap-out leaves on that copy without shipping a byte.
-			state = fmt.Sprintf("loaded, copy %s kept on %s, %d dirty",
-				info.BaseKey, strings.Join(info.BaseDevices, ","), info.Dirty)
+			// Resident with a retained copy: unless written, its next
+			// swap-out leaves on that copy without shipping a byte.
+			written := "clean"
+			if info.Dirty {
+				written = "written"
+			}
+			state = fmt.Sprintf("loaded, copy %s kept on %s, %s",
+				info.BaseKey, strings.Join(info.BaseDevices, ","), written)
 		}
 		label := fmt.Sprintf("%d", info.ID)
 		if info.ID == RootCluster {
