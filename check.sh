@@ -27,9 +27,6 @@ go build ./...
 # - TestCodecBenchSmoke (internal/wire): the binary codec's decode/encode time
 #   ratio stays under half the XML asymmetry (17.54) it was built to close,
 #   and one decode stays within its allocation budget.
-# - TestGenBenchSmoke (internal/schema/gentest): decoding through an obicomp
-#   codec allocates strictly less than the generic path, and generated
-#   dispatch allocates no more than the closure table it replaces.
 # - TestEvictionBudget (internal/core): an eviction pass of k >= 2 victims
 #   runs exactly one collection and every victim's bytes are back when its
 #   swap-out returns, sequential and Parallelism 4; a collection that reclaims
@@ -178,6 +175,17 @@ CALLLITS=$(grep -rnE 'heap\.Call[[:space:]]*\{' --include='*.go' . | grep -v '_t
 if [ -n "$CALLLITS" ]; then
     echo "heap.Call built outside internal/heap (dispatch through heap.Frames.Enter instead):" >&2
     echo "$CALLLITS" >&2
+    exit 1
+fi
+# Guard: one class plane. A class, hand-built or emitted by obicomp, is its
+# field layout and its method table: Class.Invoke dispatches through that
+# table, and the one generic field loop (Encoder.walk, readBody) writes and
+# reads every frame's field sections. No Go file names a second dispatch plane
+# bound to a class or a per-class wire codec beside the generic loop.
+PLANES=$(grep -rnE 'ClassOps|BindOps|ClassCodec|WireCodec' --include='*.go' . || true)
+if [ -n "$PLANES" ]; then
+    echo "second class plane (build every class with heap.NewClass + AddMethod; frames go through the generic field loop):" >&2
+    echo "$PLANES" >&2
     exit 1
 fi
 # Fault-storm smoke: 64 goroutines faulting 8 swapped clusters must issue

@@ -3,15 +3,16 @@
 // structs annotated //obiswap:class — and generates, per class, the code the
 // paper's compiler produced for Java/C#:
 //
-//   - the class constructor with a generated heap.ClassOps behavior plane
-//     (static accessor dispatch, field-index switch, zero-alloc iteration);
-//   - a specialized wire codec that writes the identical OBW frame bytes as
-//     the generic binary codec (registered automatically by RegisterClass);
+//   - the class definition: its field layout and a constructor that builds an
+//     ordinary heap.Class, one get<Field> and one set<Field> method per field
+//     in its method table — behaviour is the class's method table, exactly as
+//     for a class built by hand;
 //   - a typed proxy-stub wrapper (<Class>Ref) whose every access routes
 //     through the runtime's reference interception;
 //
 // plus register_gen.go (RegisterAll) and schema_gen.xml (the normalized
-// schema document).
+// schema document). Frames on the wire are the same whichever way a class
+// was built: the wire codecs know nothing of obicomp.
 //
 // obicomp never emits broken Go: every generated file must pass
 // go/format.Source and parse cleanly, or obicomp exits non-zero without
@@ -20,9 +21,8 @@
 //
 // Usage:
 //
-//	obicomp -dir ./contacts       # scan + regenerate in place (go:generate)
-//	obicomp -in classes.xml -out ./model
-//	obicomp -in classes.xml       # single concatenated file to stdout
+//	obicomp -dir ./contacts                # scan + regenerate in place (go:generate)
+//	obicomp -in classes.xml -out ./model   # one schema file into a directory
 package main
 
 import (
@@ -45,7 +45,7 @@ func main() {
 
 func run() error {
 	in := flag.String("in", "", "input class schema (.xml) or annotated Go source (.go)")
-	out := flag.String("out", "", "output: directory for per-class files, .go file or stdout when empty")
+	out := flag.String("out", "", "output directory for the per-class files (required with -in)")
 	dir := flag.String("dir", "", "scan this directory for schemas and annotated structs, regenerate in place")
 	flag.Parse()
 
@@ -60,27 +60,15 @@ func run() error {
 		}
 		return emitDir(s, *dir)
 	case *in != "":
+		if *out == "" {
+			return fmt.Errorf("-in needs an -out directory")
+		}
 		s, err := parseInput(*in)
 		if err != nil {
 			return err
 		}
 		if len(s.Classes) == 0 {
 			return fmt.Errorf("%s declares no classes", *in)
-		}
-		if *out == "" || strings.HasSuffix(*out, ".go") {
-			src, err := schema.Generate(s)
-			if err != nil {
-				return err
-			}
-			if *out == "" {
-				_, err = os.Stdout.Write(src)
-				return err
-			}
-			if err := writeAtomic(*out, src); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "obicomp: generated %d classes into %s\n", len(s.Classes), *out)
-			return nil
 		}
 		return emitDir(s, *out)
 	default:

@@ -1,15 +1,12 @@
 // Code generated by obicomp; DO NOT EDIT.
 //
-// Class Contact: static accessor dispatch, a specialized OBW wire codec and a
-// typed proxy-stub wrapper, all behind the class's heap.ClassOps plane.
+// Class Contact: its compiled field layout, a constructor whose method table
+// holds one get and one set accessor per field, and a typed proxy-stub
+// wrapper.
 
 package contacts
 
-import (
-	"objectswap/internal/heap"
-	"objectswap/internal/wire"
-	"objectswap/internal/xmlcodec"
-)
+import "objectswap/internal/heap"
 
 // Field slots of Contact.
 const (
@@ -27,156 +24,34 @@ var contactFieldDefs = [4]heap.FieldDef{
 	{Name: "next", Kind: heap.KindRef},
 }
 
-// NewContactClass builds the Contact class with generated ops bound.
+// NewContactClass builds the Contact class with its generated accessors.
 func NewContactClass() *heap.Class {
-	return heap.NewClass("Contact", contactFieldDefs[:]...).BindOps(contactOps{})
-}
-
-// contactOps is the generated behavior plane of Contact.
-type contactOps struct{}
-
-var _ heap.ClassOps = contactOps{}
-var _ wire.ClassCodecProvider = contactOps{}
-
-// Dispatch resolves generated accessors with a static switch.
-func (contactOps) Dispatch(method string, call *heap.Call) ([]heap.Value, bool, error) {
-	switch method {
-	case "getName":
-		return []heap.Value{call.Self.Field(contactSlotName)}, true, nil
-	case "setName":
-		return nil, true, call.RT.SetFieldValue(call.Self.RefTo(), "name", call.Arg(0))
-	case "getPhone":
-		return []heap.Value{call.Self.Field(contactSlotPhone)}, true, nil
-	case "setPhone":
-		return nil, true, call.RT.SetFieldValue(call.Self.RefTo(), "phone", call.Arg(0))
-	case "getVcard":
-		return []heap.Value{call.Self.Field(contactSlotVcard)}, true, nil
-	case "setVcard":
-		return nil, true, call.RT.SetFieldValue(call.Self.RefTo(), "vcard", call.Arg(0))
-	case "getNext":
-		return []heap.Value{call.Self.Field(contactSlotNext)}, true, nil
-	case "setNext":
-		return nil, true, call.RT.SetFieldValue(call.Self.RefTo(), "next", call.Arg(0))
-	}
-	return nil, false, nil
-}
-
-// Has reports whether Dispatch handles method.
-func (contactOps) Has(method string) bool {
-	switch method {
-	case "getName", "getNext", "getPhone", "getVcard", "setName", "setNext", "setPhone", "setVcard":
-		return true
-	}
-	return false
-}
-
-// MethodNames lists the generated accessors, sorted.
-func (contactOps) MethodNames() []string {
-	return []string{"getName", "getNext", "getPhone", "getVcard", "setName", "setNext", "setPhone", "setVcard"}
-}
-
-// FieldIndex resolves field names with a static switch.
-func (contactOps) FieldIndex(name string) (int, bool) {
-	switch name {
-	case "name":
-		return contactSlotName, true
-	case "phone":
-		return contactSlotPhone, true
-	case "vcard":
-		return contactSlotVcard, true
-	case "next":
-		return contactSlotNext, true
-	}
-	return 0, false
-}
-
-// NewFieldVector allocates the initial field values.
-func (contactOps) NewFieldVector() []heap.Value {
-	return []heap.Value{heap.Str(""), heap.Str(""), heap.Nil(), heap.Nil()}
-}
-
-// EachField visits the compiled layout without allocating.
-func (contactOps) EachField(o *heap.Object, visit func(int, heap.FieldDef, heap.Value) bool) {
-	for i := range contactFieldDefs {
-		if !visit(i, contactFieldDefs[i], o.Field(i)) {
-			return
-		}
-	}
-}
-
-// WireCodec exposes the specialized OBW codec (wire.ClassCodecProvider).
-func (contactOps) WireCodec() wire.ClassCodec {
-	return contactWireCodec{}
-}
-
-// contactWireCodec encodes and decodes Contact field sections byte-identically to
-// the generic OBW path: typed stanzas per compiled slot, with generic
-// fallbacks for kind drift and a whole-object fallback for layout drift.
-type contactWireCodec struct{}
-
-func (contactWireCodec) ClassName() string { return "Contact" }
-
-func (contactWireCodec) Encode(e wire.Enc, o *xmlcodec.Object) error {
-	fs := o.Fields
-	if len(fs) != 4 {
-		return e.Fields(fs)
-	}
-	e.Field(fs[0].Name)
-	if v := &fs[0].Value; v.Kind == heap.KindString {
-		e.Str(v.S)
-	} else if err := e.Value(v); err != nil {
-		return err
-	}
-	e.Field(fs[1].Name)
-	if v := &fs[1].Value; v.Kind == heap.KindString {
-		e.Str(v.S)
-	} else if err := e.Value(v); err != nil {
-		return err
-	}
-	e.Field(fs[2].Name)
-	if v := &fs[2].Value; v.Kind == heap.KindBytes {
-		e.Bytes(v.Data)
-	} else if err := e.Value(v); err != nil {
-		return err
-	}
-	e.Field(fs[3].Name)
-	if err := e.Value(&fs[3].Value); err != nil {
-		return err
-	}
-	return nil
-}
-
-func (contactWireCodec) Decode(d wire.Dec, o *xmlcodec.Object) error {
-	fs := o.Fields
-	if len(fs) != 4 {
-		return d.Fields(fs)
-	}
-	var err error
-	if fs[0].Name, err = d.Name(); err != nil {
-		return err
-	}
-	if err = d.Str(&fs[0].Value); err != nil {
-		return err
-	}
-	if fs[1].Name, err = d.Name(); err != nil {
-		return err
-	}
-	if err = d.Str(&fs[1].Value); err != nil {
-		return err
-	}
-	if fs[2].Name, err = d.Name(); err != nil {
-		return err
-	}
-	if err = d.Bytes(&fs[2].Value); err != nil {
-		return err
-	}
-	if fs[3].Name, err = d.Name(); err != nil {
-		return err
-	}
-	if err = d.Value(&fs[3].Value); err != nil {
-		return err
-	}
-	return nil
+	c := heap.NewClass("Contact", contactFieldDefs[:]...)
+	c.AddMethod("getName", func(call *heap.Call) ([]heap.Value, error) {
+		return []heap.Value{call.Self.Field(contactSlotName)}, nil
+	})
+	c.AddMethod("setName", func(call *heap.Call) ([]heap.Value, error) {
+		return nil, call.RT.SetFieldValue(call.Self.RefTo(), "name", call.Arg(0))
+	})
+	c.AddMethod("getPhone", func(call *heap.Call) ([]heap.Value, error) {
+		return []heap.Value{call.Self.Field(contactSlotPhone)}, nil
+	})
+	c.AddMethod("setPhone", func(call *heap.Call) ([]heap.Value, error) {
+		return nil, call.RT.SetFieldValue(call.Self.RefTo(), "phone", call.Arg(0))
+	})
+	c.AddMethod("getVcard", func(call *heap.Call) ([]heap.Value, error) {
+		return []heap.Value{call.Self.Field(contactSlotVcard)}, nil
+	})
+	c.AddMethod("setVcard", func(call *heap.Call) ([]heap.Value, error) {
+		return nil, call.RT.SetFieldValue(call.Self.RefTo(), "vcard", call.Arg(0))
+	})
+	c.AddMethod("getNext", func(call *heap.Call) ([]heap.Value, error) {
+		return []heap.Value{call.Self.Field(contactSlotNext)}, nil
+	})
+	c.AddMethod("setNext", func(call *heap.Call) ([]heap.Value, error) {
+		return nil, call.RT.SetFieldValue(call.Self.RefTo(), "next", call.Arg(0))
+	})
+	return c
 }
 
 // ContactRef is the generated typed handle on a Contact instance — the proxy-stub

@@ -1,15 +1,12 @@
 // Code generated by obicomp; DO NOT EDIT.
 //
-// Class Group: static accessor dispatch, a specialized OBW wire codec and a
-// typed proxy-stub wrapper, all behind the class's heap.ClassOps plane.
+// Class Group: its compiled field layout, a constructor whose method table
+// holds one get and one set accessor per field, and a typed proxy-stub
+// wrapper.
 
 package contacts
 
-import (
-	"objectswap/internal/heap"
-	"objectswap/internal/wire"
-	"objectswap/internal/xmlcodec"
-)
+import "objectswap/internal/heap"
 
 // Field slots of Group.
 const (
@@ -25,138 +22,28 @@ var groupFieldDefs = [3]heap.FieldDef{
 	{Name: "size", Kind: heap.KindInt},
 }
 
-// NewGroupClass builds the Group class with generated ops bound.
+// NewGroupClass builds the Group class with its generated accessors.
 func NewGroupClass() *heap.Class {
-	return heap.NewClass("Group", groupFieldDefs[:]...).BindOps(groupOps{})
-}
-
-// groupOps is the generated behavior plane of Group.
-type groupOps struct{}
-
-var _ heap.ClassOps = groupOps{}
-var _ wire.ClassCodecProvider = groupOps{}
-
-// Dispatch resolves generated accessors with a static switch.
-func (groupOps) Dispatch(method string, call *heap.Call) ([]heap.Value, bool, error) {
-	switch method {
-	case "getLabel":
-		return []heap.Value{call.Self.Field(groupSlotLabel)}, true, nil
-	case "setLabel":
-		return nil, true, call.RT.SetFieldValue(call.Self.RefTo(), "label", call.Arg(0))
-	case "getFirst":
-		return []heap.Value{call.Self.Field(groupSlotFirst)}, true, nil
-	case "setFirst":
-		return nil, true, call.RT.SetFieldValue(call.Self.RefTo(), "first", call.Arg(0))
-	case "getSize":
-		return []heap.Value{call.Self.Field(groupSlotSize)}, true, nil
-	case "setSize":
-		return nil, true, call.RT.SetFieldValue(call.Self.RefTo(), "size", call.Arg(0))
-	}
-	return nil, false, nil
-}
-
-// Has reports whether Dispatch handles method.
-func (groupOps) Has(method string) bool {
-	switch method {
-	case "getFirst", "getLabel", "getSize", "setFirst", "setLabel", "setSize":
-		return true
-	}
-	return false
-}
-
-// MethodNames lists the generated accessors, sorted.
-func (groupOps) MethodNames() []string {
-	return []string{"getFirst", "getLabel", "getSize", "setFirst", "setLabel", "setSize"}
-}
-
-// FieldIndex resolves field names with a static switch.
-func (groupOps) FieldIndex(name string) (int, bool) {
-	switch name {
-	case "label":
-		return groupSlotLabel, true
-	case "first":
-		return groupSlotFirst, true
-	case "size":
-		return groupSlotSize, true
-	}
-	return 0, false
-}
-
-// NewFieldVector allocates the initial field values.
-func (groupOps) NewFieldVector() []heap.Value {
-	return []heap.Value{heap.Str(""), heap.Nil(), heap.Int(0)}
-}
-
-// EachField visits the compiled layout without allocating.
-func (groupOps) EachField(o *heap.Object, visit func(int, heap.FieldDef, heap.Value) bool) {
-	for i := range groupFieldDefs {
-		if !visit(i, groupFieldDefs[i], o.Field(i)) {
-			return
-		}
-	}
-}
-
-// WireCodec exposes the specialized OBW codec (wire.ClassCodecProvider).
-func (groupOps) WireCodec() wire.ClassCodec {
-	return groupWireCodec{}
-}
-
-// groupWireCodec encodes and decodes Group field sections byte-identically to
-// the generic OBW path: typed stanzas per compiled slot, with generic
-// fallbacks for kind drift and a whole-object fallback for layout drift.
-type groupWireCodec struct{}
-
-func (groupWireCodec) ClassName() string { return "Group" }
-
-func (groupWireCodec) Encode(e wire.Enc, o *xmlcodec.Object) error {
-	fs := o.Fields
-	if len(fs) != 3 {
-		return e.Fields(fs)
-	}
-	e.Field(fs[0].Name)
-	if v := &fs[0].Value; v.Kind == heap.KindString {
-		e.Str(v.S)
-	} else if err := e.Value(v); err != nil {
-		return err
-	}
-	e.Field(fs[1].Name)
-	if err := e.Value(&fs[1].Value); err != nil {
-		return err
-	}
-	e.Field(fs[2].Name)
-	if v := &fs[2].Value; v.Kind == heap.KindInt {
-		e.Int(v.I)
-	} else if err := e.Value(v); err != nil {
-		return err
-	}
-	return nil
-}
-
-func (groupWireCodec) Decode(d wire.Dec, o *xmlcodec.Object) error {
-	fs := o.Fields
-	if len(fs) != 3 {
-		return d.Fields(fs)
-	}
-	var err error
-	if fs[0].Name, err = d.Name(); err != nil {
-		return err
-	}
-	if err = d.Str(&fs[0].Value); err != nil {
-		return err
-	}
-	if fs[1].Name, err = d.Name(); err != nil {
-		return err
-	}
-	if err = d.Value(&fs[1].Value); err != nil {
-		return err
-	}
-	if fs[2].Name, err = d.Name(); err != nil {
-		return err
-	}
-	if err = d.Int(&fs[2].Value); err != nil {
-		return err
-	}
-	return nil
+	c := heap.NewClass("Group", groupFieldDefs[:]...)
+	c.AddMethod("getLabel", func(call *heap.Call) ([]heap.Value, error) {
+		return []heap.Value{call.Self.Field(groupSlotLabel)}, nil
+	})
+	c.AddMethod("setLabel", func(call *heap.Call) ([]heap.Value, error) {
+		return nil, call.RT.SetFieldValue(call.Self.RefTo(), "label", call.Arg(0))
+	})
+	c.AddMethod("getFirst", func(call *heap.Call) ([]heap.Value, error) {
+		return []heap.Value{call.Self.Field(groupSlotFirst)}, nil
+	})
+	c.AddMethod("setFirst", func(call *heap.Call) ([]heap.Value, error) {
+		return nil, call.RT.SetFieldValue(call.Self.RefTo(), "first", call.Arg(0))
+	})
+	c.AddMethod("getSize", func(call *heap.Call) ([]heap.Value, error) {
+		return []heap.Value{call.Self.Field(groupSlotSize)}, nil
+	})
+	c.AddMethod("setSize", func(call *heap.Call) ([]heap.Value, error) {
+		return nil, call.RT.SetFieldValue(call.Self.RefTo(), "size", call.Arg(0))
+	})
+	return c
 }
 
 // GroupRef is the generated typed handle on a Group instance — the proxy-stub

@@ -1,15 +1,12 @@
 // Code generated by obicomp; DO NOT EDIT.
 //
-// Class Photo: static accessor dispatch, a specialized OBW wire codec and a
-// typed proxy-stub wrapper, all behind the class's heap.ClassOps plane.
+// Class Photo: its compiled field layout, a constructor whose method table
+// holds one get and one set accessor per field, and a typed proxy-stub
+// wrapper.
 
 package album
 
-import (
-	"objectswap/internal/heap"
-	"objectswap/internal/wire"
-	"objectswap/internal/xmlcodec"
-)
+import "objectswap/internal/heap"
 
 // Field slots of Photo.
 const (
@@ -25,138 +22,28 @@ var photoFieldDefs = [3]heap.FieldDef{
 	{Name: "next", Kind: heap.KindRef},
 }
 
-// NewPhotoClass builds the Photo class with generated ops bound.
+// NewPhotoClass builds the Photo class with its generated accessors.
 func NewPhotoClass() *heap.Class {
-	return heap.NewClass("Photo", photoFieldDefs[:]...).BindOps(photoOps{})
-}
-
-// photoOps is the generated behavior plane of Photo.
-type photoOps struct{}
-
-var _ heap.ClassOps = photoOps{}
-var _ wire.ClassCodecProvider = photoOps{}
-
-// Dispatch resolves generated accessors with a static switch.
-func (photoOps) Dispatch(method string, call *heap.Call) ([]heap.Value, bool, error) {
-	switch method {
-	case "getThumb":
-		return []heap.Value{call.Self.Field(photoSlotThumb)}, true, nil
-	case "setThumb":
-		return nil, true, call.RT.SetFieldValue(call.Self.RefTo(), "thumb", call.Arg(0))
-	case "getCaption":
-		return []heap.Value{call.Self.Field(photoSlotCaption)}, true, nil
-	case "setCaption":
-		return nil, true, call.RT.SetFieldValue(call.Self.RefTo(), "caption", call.Arg(0))
-	case "getNext":
-		return []heap.Value{call.Self.Field(photoSlotNext)}, true, nil
-	case "setNext":
-		return nil, true, call.RT.SetFieldValue(call.Self.RefTo(), "next", call.Arg(0))
-	}
-	return nil, false, nil
-}
-
-// Has reports whether Dispatch handles method.
-func (photoOps) Has(method string) bool {
-	switch method {
-	case "getCaption", "getNext", "getThumb", "setCaption", "setNext", "setThumb":
-		return true
-	}
-	return false
-}
-
-// MethodNames lists the generated accessors, sorted.
-func (photoOps) MethodNames() []string {
-	return []string{"getCaption", "getNext", "getThumb", "setCaption", "setNext", "setThumb"}
-}
-
-// FieldIndex resolves field names with a static switch.
-func (photoOps) FieldIndex(name string) (int, bool) {
-	switch name {
-	case "thumb":
-		return photoSlotThumb, true
-	case "caption":
-		return photoSlotCaption, true
-	case "next":
-		return photoSlotNext, true
-	}
-	return 0, false
-}
-
-// NewFieldVector allocates the initial field values.
-func (photoOps) NewFieldVector() []heap.Value {
-	return []heap.Value{heap.Nil(), heap.Str(""), heap.Nil()}
-}
-
-// EachField visits the compiled layout without allocating.
-func (photoOps) EachField(o *heap.Object, visit func(int, heap.FieldDef, heap.Value) bool) {
-	for i := range photoFieldDefs {
-		if !visit(i, photoFieldDefs[i], o.Field(i)) {
-			return
-		}
-	}
-}
-
-// WireCodec exposes the specialized OBW codec (wire.ClassCodecProvider).
-func (photoOps) WireCodec() wire.ClassCodec {
-	return photoWireCodec{}
-}
-
-// photoWireCodec encodes and decodes Photo field sections byte-identically to
-// the generic OBW path: typed stanzas per compiled slot, with generic
-// fallbacks for kind drift and a whole-object fallback for layout drift.
-type photoWireCodec struct{}
-
-func (photoWireCodec) ClassName() string { return "Photo" }
-
-func (photoWireCodec) Encode(e wire.Enc, o *xmlcodec.Object) error {
-	fs := o.Fields
-	if len(fs) != 3 {
-		return e.Fields(fs)
-	}
-	e.Field(fs[0].Name)
-	if v := &fs[0].Value; v.Kind == heap.KindBytes {
-		e.Bytes(v.Data)
-	} else if err := e.Value(v); err != nil {
-		return err
-	}
-	e.Field(fs[1].Name)
-	if v := &fs[1].Value; v.Kind == heap.KindString {
-		e.Str(v.S)
-	} else if err := e.Value(v); err != nil {
-		return err
-	}
-	e.Field(fs[2].Name)
-	if err := e.Value(&fs[2].Value); err != nil {
-		return err
-	}
-	return nil
-}
-
-func (photoWireCodec) Decode(d wire.Dec, o *xmlcodec.Object) error {
-	fs := o.Fields
-	if len(fs) != 3 {
-		return d.Fields(fs)
-	}
-	var err error
-	if fs[0].Name, err = d.Name(); err != nil {
-		return err
-	}
-	if err = d.Bytes(&fs[0].Value); err != nil {
-		return err
-	}
-	if fs[1].Name, err = d.Name(); err != nil {
-		return err
-	}
-	if err = d.Str(&fs[1].Value); err != nil {
-		return err
-	}
-	if fs[2].Name, err = d.Name(); err != nil {
-		return err
-	}
-	if err = d.Value(&fs[2].Value); err != nil {
-		return err
-	}
-	return nil
+	c := heap.NewClass("Photo", photoFieldDefs[:]...)
+	c.AddMethod("getThumb", func(call *heap.Call) ([]heap.Value, error) {
+		return []heap.Value{call.Self.Field(photoSlotThumb)}, nil
+	})
+	c.AddMethod("setThumb", func(call *heap.Call) ([]heap.Value, error) {
+		return nil, call.RT.SetFieldValue(call.Self.RefTo(), "thumb", call.Arg(0))
+	})
+	c.AddMethod("getCaption", func(call *heap.Call) ([]heap.Value, error) {
+		return []heap.Value{call.Self.Field(photoSlotCaption)}, nil
+	})
+	c.AddMethod("setCaption", func(call *heap.Call) ([]heap.Value, error) {
+		return nil, call.RT.SetFieldValue(call.Self.RefTo(), "caption", call.Arg(0))
+	})
+	c.AddMethod("getNext", func(call *heap.Call) ([]heap.Value, error) {
+		return []heap.Value{call.Self.Field(photoSlotNext)}, nil
+	})
+	c.AddMethod("setNext", func(call *heap.Call) ([]heap.Value, error) {
+		return nil, call.RT.SetFieldValue(call.Self.RefTo(), "next", call.Arg(0))
+	})
+	return c
 }
 
 // PhotoRef is the generated typed handle on a Photo instance — the proxy-stub

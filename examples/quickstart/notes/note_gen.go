@@ -1,15 +1,12 @@
 // Code generated by obicomp; DO NOT EDIT.
 //
-// Class Note: static accessor dispatch, a specialized OBW wire codec and a
-// typed proxy-stub wrapper, all behind the class's heap.ClassOps plane.
+// Class Note: its compiled field layout, a constructor whose method table
+// holds one get and one set accessor per field, and a typed proxy-stub
+// wrapper.
 
 package notes
 
-import (
-	"objectswap/internal/heap"
-	"objectswap/internal/wire"
-	"objectswap/internal/xmlcodec"
-)
+import "objectswap/internal/heap"
 
 // Field slots of Note.
 const (
@@ -23,120 +20,22 @@ var noteFieldDefs = [2]heap.FieldDef{
 	{Name: "next", Kind: heap.KindRef},
 }
 
-// NewNoteClass builds the Note class with generated ops bound.
+// NewNoteClass builds the Note class with its generated accessors.
 func NewNoteClass() *heap.Class {
-	return heap.NewClass("Note", noteFieldDefs[:]...).BindOps(noteOps{})
-}
-
-// noteOps is the generated behavior plane of Note.
-type noteOps struct{}
-
-var _ heap.ClassOps = noteOps{}
-var _ wire.ClassCodecProvider = noteOps{}
-
-// Dispatch resolves generated accessors with a static switch.
-func (noteOps) Dispatch(method string, call *heap.Call) ([]heap.Value, bool, error) {
-	switch method {
-	case "getText":
-		return []heap.Value{call.Self.Field(noteSlotText)}, true, nil
-	case "setText":
-		return nil, true, call.RT.SetFieldValue(call.Self.RefTo(), "text", call.Arg(0))
-	case "getNext":
-		return []heap.Value{call.Self.Field(noteSlotNext)}, true, nil
-	case "setNext":
-		return nil, true, call.RT.SetFieldValue(call.Self.RefTo(), "next", call.Arg(0))
-	}
-	return nil, false, nil
-}
-
-// Has reports whether Dispatch handles method.
-func (noteOps) Has(method string) bool {
-	switch method {
-	case "getNext", "getText", "setNext", "setText":
-		return true
-	}
-	return false
-}
-
-// MethodNames lists the generated accessors, sorted.
-func (noteOps) MethodNames() []string {
-	return []string{"getNext", "getText", "setNext", "setText"}
-}
-
-// FieldIndex resolves field names with a static switch.
-func (noteOps) FieldIndex(name string) (int, bool) {
-	switch name {
-	case "text":
-		return noteSlotText, true
-	case "next":
-		return noteSlotNext, true
-	}
-	return 0, false
-}
-
-// NewFieldVector allocates the initial field values.
-func (noteOps) NewFieldVector() []heap.Value {
-	return []heap.Value{heap.Str(""), heap.Nil()}
-}
-
-// EachField visits the compiled layout without allocating.
-func (noteOps) EachField(o *heap.Object, visit func(int, heap.FieldDef, heap.Value) bool) {
-	for i := range noteFieldDefs {
-		if !visit(i, noteFieldDefs[i], o.Field(i)) {
-			return
-		}
-	}
-}
-
-// WireCodec exposes the specialized OBW codec (wire.ClassCodecProvider).
-func (noteOps) WireCodec() wire.ClassCodec {
-	return noteWireCodec{}
-}
-
-// noteWireCodec encodes and decodes Note field sections byte-identically to
-// the generic OBW path: typed stanzas per compiled slot, with generic
-// fallbacks for kind drift and a whole-object fallback for layout drift.
-type noteWireCodec struct{}
-
-func (noteWireCodec) ClassName() string { return "Note" }
-
-func (noteWireCodec) Encode(e wire.Enc, o *xmlcodec.Object) error {
-	fs := o.Fields
-	if len(fs) != 2 {
-		return e.Fields(fs)
-	}
-	e.Field(fs[0].Name)
-	if v := &fs[0].Value; v.Kind == heap.KindString {
-		e.Str(v.S)
-	} else if err := e.Value(v); err != nil {
-		return err
-	}
-	e.Field(fs[1].Name)
-	if err := e.Value(&fs[1].Value); err != nil {
-		return err
-	}
-	return nil
-}
-
-func (noteWireCodec) Decode(d wire.Dec, o *xmlcodec.Object) error {
-	fs := o.Fields
-	if len(fs) != 2 {
-		return d.Fields(fs)
-	}
-	var err error
-	if fs[0].Name, err = d.Name(); err != nil {
-		return err
-	}
-	if err = d.Str(&fs[0].Value); err != nil {
-		return err
-	}
-	if fs[1].Name, err = d.Name(); err != nil {
-		return err
-	}
-	if err = d.Value(&fs[1].Value); err != nil {
-		return err
-	}
-	return nil
+	c := heap.NewClass("Note", noteFieldDefs[:]...)
+	c.AddMethod("getText", func(call *heap.Call) ([]heap.Value, error) {
+		return []heap.Value{call.Self.Field(noteSlotText)}, nil
+	})
+	c.AddMethod("setText", func(call *heap.Call) ([]heap.Value, error) {
+		return nil, call.RT.SetFieldValue(call.Self.RefTo(), "text", call.Arg(0))
+	})
+	c.AddMethod("getNext", func(call *heap.Call) ([]heap.Value, error) {
+		return []heap.Value{call.Self.Field(noteSlotNext)}, nil
+	})
+	c.AddMethod("setNext", func(call *heap.Call) ([]heap.Value, error) {
+		return nil, call.RT.SetFieldValue(call.Self.RefTo(), "next", call.Arg(0))
+	})
+	return c
 }
 
 // NoteRef is the generated typed handle on a Note instance — the proxy-stub

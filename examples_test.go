@@ -4,7 +4,10 @@ package objectswap
 // documentation code is continuously verified.
 
 import (
+	"bytes"
+	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -68,13 +71,29 @@ func TestCommandsRun(t *testing.T) {
 	})
 	t.Run("obicomp", func(t *testing.T) {
 		t.Parallel()
+		// -in with -out writes the same file set -dir regenerates in place.
+		const pkg = "examples/contactbook/contacts"
+		dir := t.TempDir()
 		out, err := exec.Command("go", "run", "./cmd/obicomp",
-			"-in", "examples/contactbook/contacts/schema.xml").CombinedOutput()
+			"-in", pkg+"/schema.xml", "-out", dir).CombinedOutput()
 		if err != nil {
 			t.Fatalf("obicomp failed: %v\n%s", err, out)
 		}
-		if !strings.Contains(string(out), "func NewContactClass()") {
-			t.Fatalf("obicomp output unexpected:\n%s", out)
+		for _, name := range []string{"contact_gen.go", "group_gen.go", "register_gen.go", "schema_gen.xml"} {
+			got, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join(pkg, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("obicomp -in -out wrote a %s that differs from the committed one", name)
+			}
+		}
+		if out, err := exec.Command("go", "run", "./cmd/obicomp", "-in", pkg+"/schema.xml").CombinedOutput(); err == nil {
+			t.Fatalf("obicomp -in without -out succeeded:\n%s", out)
 		}
 	})
 }

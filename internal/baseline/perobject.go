@@ -205,7 +205,7 @@ func (p *PerObject) Offload(target heap.Value) error {
 	key := fmt.Sprintf("obj-%d-gen%d", oid, p.keyseq)
 	enc := wire.NewEncoder()
 	defer enc.Release()
-	data, err := enc.EncodeObjects(wire.FormatXML, key, []*heap.Object{o}, encodeRef, nil)
+	data, err := enc.EncodeObjects(wire.FormatXML, key, []*heap.Object{o}, encodeRef)
 	if err != nil {
 		return err
 	}
@@ -249,7 +249,7 @@ func (p *PerObject) reload(oid heap.ObjID, key string) error {
 	if err != nil {
 		return fmt.Errorf("baseline: reload @%d: %w", oid, err)
 	}
-	staged, err := wire.Stage(data, p.reg, nil)
+	staged, err := wire.Stage(data, p.reg)
 	if err != nil {
 		return err
 	}

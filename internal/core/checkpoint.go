@@ -282,7 +282,7 @@ func (rt *Runtime) encodeResidentCluster(enc *wire.Encoder, cid ClusterID, membe
 		}
 		return xmlcodec.RemoteRef(d.ultimate), nil
 	}
-	return enc.EncodeObjects(wire.FormatXML, fmt.Sprintf("ckpt-cluster-%d", cid), objs, encodeRef, nil)
+	return enc.EncodeObjects(wire.FormatXML, fmt.Sprintf("ckpt-cluster-%d", cid), objs, encodeRef)
 }
 
 // LoadCheckpoint restores a previously saved state into this runtime. The
@@ -402,7 +402,7 @@ func (rt *Runtime) LoadCheckpoint(r io.Reader) error {
 		if format, _ := wire.Detect(data); format != wire.FormatXML {
 			return fmt.Errorf("%w: cluster %d: document is not XML", ErrBadCheckpoint, ck.ID)
 		}
-		staged, err := wire.Stage(data, rt.reg, nil)
+		staged, err := wire.Stage(data, rt.reg)
 		if err != nil {
 			return fmt.Errorf("%w: cluster %d: %w", ErrBadCheckpoint, ck.ID, err)
 		}

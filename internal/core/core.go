@@ -282,16 +282,6 @@ type Runtime struct {
 	replacementClass *heap.Class
 	objProxyClass    *heap.Class
 	proxyClasses     map[string]*heap.Class
-
-	// classCodecs holds the wire codecs of registered classes whose ops were
-	// generated by obicomp (wire.ClassCodecProvider). The set rides along on
-	// every binary-family encode/decode; classes without a codec fall back to
-	// the generic frame path, byte for byte. encodeOpts and decodeOpts carry
-	// it, built once: handed through the codec interface, a literal per
-	// shipment would escape to the Go heap.
-	classCodecs *wire.ClassCodecs
-	encodeOpts  *wire.EncodeOpts
-	decodeOpts  *wire.DecodeOpts
 }
 
 var _ heap.Invoker = (*Runtime)(nil)
@@ -389,12 +379,9 @@ func NewRuntime(h *heap.Heap, reg *heap.Registry, opts ...Option) *Runtime {
 		reg:          reg,
 		nshards:      DefaultShards,
 		proxyClasses: make(map[string]*heap.Class),
-		classCodecs:  wire.NewClassCodecs(),
 		name:         fmt.Sprintf("dev%d", atomic.AddUint64(&runtimeSeq, 1)),
 	}
 	rt.frames = heap.NewFrames(rt)
-	rt.encodeOpts = &wire.EncodeOpts{Codecs: rt.classCodecs}
-	rt.decodeOpts = &wire.DecodeOpts{Codecs: rt.classCodecs}
 	rt.replacementClass = buildReplacementClass()
 	rt.objProxyClass = buildObjProxyClass()
 	// The replacement class is middleware-internal; it is not registered in
@@ -627,11 +614,6 @@ func (rt *Runtime) RegisterClass(c *heap.Class) error {
 		return err
 	}
 	rt.proxyClasses[c.Name] = buildProxyClass(c)
-	if p, ok := c.Ops().(wire.ClassCodecProvider); ok {
-		if cc := p.WireCodec(); cc != nil {
-			rt.classCodecs.Bind(cc)
-		}
-	}
 	return nil
 }
 

@@ -281,7 +281,7 @@ func (s *swapOut) encodeFrame() error {
 	}
 	format := s.plan.format
 	start := rt.obsReg.Clock().Now()
-	payload, err := s.enc.EncodeObjects(format, s.key, objs, encodeRef, rt.encodeOpts)
+	payload, err := s.enc.EncodeObjects(format, s.key, objs, encodeRef)
 	if err != nil {
 		return fmt.Errorf("core: encode cluster %d as %s: %w", s.id, format, err)
 	}

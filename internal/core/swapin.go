@@ -139,7 +139,7 @@ func (s *swapIn) decode() (err error) {
 	rt := s.rt
 	s.fid, _ = wire.Detect(s.data)
 	start := rt.obsReg.Clock().Now()
-	if s.staged, err = wire.Stage(s.data, rt.reg, rt.decodeOpts); err != nil {
+	if s.staged, err = wire.Stage(s.data, rt.reg); err != nil {
 		return fmt.Errorf("core: unwrap cluster %d: %w", s.id, err)
 	}
 	rt.recordWire(s.fid, "decode", len(s.data), rt.obsReg.Clock().Now().Sub(start))

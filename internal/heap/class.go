@@ -183,7 +183,8 @@ func zeroValue(k Kind) Value {
 }
 
 // Class describes a managed type: named fields and a method table. A Class is
-// immutable after registration with a Registry.
+// immutable after registration with a Registry. Every class is built the same
+// way, whether by hand or by obicomp: NewClass, then one AddMethod per method.
 type Class struct {
 	Name    string
 	Special SpecialKind
@@ -191,11 +192,6 @@ type Class struct {
 	fields     []FieldDef
 	fieldIndex map[string]int
 	methods    map[string]Method
-
-	// ops is the class's behavior plane. NewClass installs defaultOps (the
-	// closure-table/field-map synthesis); generated classes replace it via
-	// BindOps. Never nil after NewClass.
-	ops ClassOps
 }
 
 // NewClass builds a class with the given fields. Use AddMethod before
@@ -213,40 +209,8 @@ func NewClass(name string, fields ...FieldDef) *Class {
 		}
 		c.fieldIndex[f.Name] = i
 	}
-	c.ops = defaultOps{c}
 	return c
 }
-
-// BindOps replaces the class's behavior plane with a specialized (generated)
-// implementation. It panics when the ops disagree with the declared fields —
-// a generated file that drifted from its schema must fail at registration,
-// not corrupt shipments later — or when an ops method collides with a
-// closure method already added.
-func (c *Class) BindOps(ops ClassOps) *Class {
-	if ops == nil {
-		panic(fmt.Sprintf("heap: class %s: BindOps(nil)", c.Name))
-	}
-	for i, f := range c.fields {
-		if slot, ok := ops.FieldIndex(f.Name); !ok || slot != i {
-			panic(fmt.Sprintf("heap: class %s: ops field %q resolves to (%d,%v), declared slot %d",
-				c.Name, f.Name, slot, ok, i))
-		}
-	}
-	if n := len(ops.NewFieldVector()); n != len(c.fields) {
-		panic(fmt.Sprintf("heap: class %s: ops field vector has %d slots, class declares %d",
-			c.Name, n, len(c.fields)))
-	}
-	for _, name := range ops.MethodNames() {
-		if _, dup := c.methods[name]; dup {
-			panic(fmt.Sprintf("heap: class %s: ops method %s collides with closure method", c.Name, name))
-		}
-	}
-	c.ops = ops
-	return c
-}
-
-// Ops returns the class's behavior plane.
-func (c *Class) Ops() ClassOps { return c.ops }
 
 // AddMethod attaches a method body under name and returns the class for
 // chaining. Redefining an existing method panics: classes model compiled
@@ -258,37 +222,20 @@ func (c *Class) AddMethod(name string, m Method) *Class {
 	if _, dup := c.methods[name]; dup {
 		panic(fmt.Sprintf("heap: class %s: duplicate method %s", c.Name, name))
 	}
-	if c.ops != nil && c.ops.Has(name) {
-		panic(fmt.Sprintf("heap: class %s: method %s already handled by bound ops", c.Name, name))
-	}
 	c.methods[name] = m
 	return c
 }
 
-// Method looks up a closure-table method body by name. Methods handled by
-// bound ops are not visible here; dispatch through Invoke instead.
-func (c *Class) Method(name string) (Method, bool) {
-	m, ok := c.methods[name]
-	return m, ok
-}
-
 // HasMethod reports whether Invoke can dispatch name on this class.
 func (c *Class) HasMethod(name string) bool {
-	if c.ops.Has(name) {
-		return true
-	}
 	_, ok := c.methods[name]
 	return ok
 }
 
-// Invoke dispatches method through the class's behavior plane: bound ops
-// first, the closure table as fallback. This is THE dispatch primitive — the
-// direct runtime, the swapping runtime and the baseline comparators all call
-// it, so generated and synthesized classes are interchangeable everywhere.
+// Invoke dispatches method through the class's method table. This is THE
+// dispatch primitive — the direct runtime, the swapping runtime and the
+// baseline comparators all call it.
 func (c *Class) Invoke(method string, call *Call) ([]Value, error) {
-	if res, ok, err := c.ops.Dispatch(method, call); ok {
-		return res, err
-	}
 	if m, ok := c.methods[method]; ok {
 		return m(call)
 	}
@@ -296,21 +243,11 @@ func (c *Class) Invoke(method string, call *Call) ([]Value, error) {
 }
 
 // MethodNames returns the sorted method names — the class's public interface,
-// which swap-cluster-proxy classes replicate (the obicomp analogue). Methods
-// handled by bound ops and closure-table methods appear alike.
+// which swap-cluster-proxy classes replicate (the obicomp analogue).
 func (c *Class) MethodNames() []string {
-	seen := make(map[string]bool, len(c.methods))
 	names := make([]string, 0, len(c.methods))
 	for n := range c.methods {
-		seen[n] = true
 		names = append(names, n)
-	}
-	// Dedup against ops: defaultOps mirrors the closure table itself.
-	for _, n := range c.ops.MethodNames() {
-		if !seen[n] {
-			seen[n] = true
-			names = append(names, n)
-		}
 	}
 	sort.Strings(names)
 	return names
@@ -322,10 +259,19 @@ func (c *Class) NumFields() int { return len(c.fields) }
 // Field returns the i-th field definition.
 func (c *Class) Field(i int) FieldDef { return c.fields[i] }
 
-// FieldIndex resolves a field name to its slot index through the behavior
-// plane (generated ops resolve with a static switch instead of a map).
+// FieldIndex resolves a field name to its slot index.
 func (c *Class) FieldIndex(name string) (int, bool) {
-	return c.ops.FieldIndex(name)
+	i, ok := c.fieldIndex[name]
+	return i, ok
+}
+
+// NewFieldVector builds the zeroed initial field slots of an instance.
+func (c *Class) NewFieldVector() []Value {
+	fields := make([]Value, len(c.fields))
+	for i := range fields {
+		fields[i] = zeroValue(c.fields[i].Kind)
+	}
+	return fields
 }
 
 // Fields returns a copy of the field definitions.

@@ -355,7 +355,7 @@ func (h *Heap) newObject(c *Class, privileged bool) (*Object, error) {
 		id:     id,
 		class:  c,
 		heap:   h,
-		fields: c.ops.NewFieldVector(),
+		fields: c.NewFieldVector(),
 		size:   size,
 	}
 	h.objects[id] = o
@@ -376,7 +376,7 @@ func (h *Heap) NewAt(id ObjID, c *Class) (*Object, error) {
 	if c == nil {
 		return nil, errors.New("heap: NewAt: nil class")
 	}
-	objs, err := h.InstallBatch([]Staged{{ID: id, Class: c, Fields: c.ops.NewFieldVector()}})
+	objs, err := h.InstallBatch([]Staged{{ID: id, Class: c, Fields: c.NewFieldVector()}})
 	if err != nil {
 		return nil, err
 	}

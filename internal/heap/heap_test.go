@@ -276,10 +276,10 @@ func TestClassMethodTable(t *testing.T) {
 	c := NewClass("T").
 		AddMethod("b", func(*Call) ([]Value, error) { return nil, nil }).
 		AddMethod("a", func(*Call) ([]Value, error) { return nil, nil })
-	if _, ok := c.Method("a"); !ok {
+	if !c.HasMethod("a") {
 		t.Error("method a missing")
 	}
-	if _, ok := c.Method("zz"); ok {
+	if c.HasMethod("zz") {
 		t.Error("phantom method found")
 	}
 	names := c.MethodNames()

@@ -10,7 +10,7 @@ import (
 func stagedNodes(c *Class, first ObjID, n, payload int) []Staged {
 	batch := make([]Staged, n)
 	for i := range batch {
-		fields := c.Ops().NewFieldVector()
+		fields := c.NewFieldVector()
 		fields[0] = Bytes(make([]byte, payload))
 		if i+1 < n {
 			fields[1] = Ref(first + ObjID(i) + 1)

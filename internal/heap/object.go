@@ -108,14 +108,6 @@ func (o *Object) MustSet(name string, v Value) *Object {
 // RefTo returns a reference Value designating this object.
 func (o *Object) RefTo() Value { return Ref(o.id) }
 
-// EachField visits every declared field in slot order through the class's
-// behavior plane. The walk never allocates — generated ops iterate a static
-// layout, defaultOps walks the declaration slice — so serialization can
-// traverse an object without per-field lookups.
-func (o *Object) EachField(visit func(slot int, def FieldDef, v Value) bool) {
-	o.class.ops.EachField(o, visit)
-}
-
 // forEachRef visits every reference held in the object's fields.
 func (o *Object) forEachRef(visit func(ObjID)) {
 	for _, f := range o.fields {

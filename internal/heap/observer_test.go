@@ -24,7 +24,7 @@ func TestInstallBatchFiresNoObservers(t *testing.T) {
 	h.AddWriteObserver(func(id ObjID) { writes = append(writes, id) })
 	h.AddAccessObserver(func(id ObjID) { accesses = append(accesses, id) })
 
-	fields := c.Ops().NewFieldVector()
+	fields := c.NewFieldVector()
 	slot, _ := c.FieldIndex("tag")
 	fields[slot] = Int(7)
 	installed, err := h.InstallBatch([]Staged{{ID: 100, Class: c, Fields: fields}})

@@ -6,7 +6,6 @@ import (
 	"go/format"
 	"go/parser"
 	"go/token"
-	"sort"
 	"strings"
 
 	"objectswap/internal/heap"
@@ -23,11 +22,10 @@ type GeneratedFile struct {
 
 // GenerateFiles renders the full obicomp output for a parsed schema:
 //
-//   - per class, <class>_gen.go: the class constructor with generated
-//     heap.ClassOps bound (static accessor dispatch, field-index switch,
-//     zero-alloc field iteration), a specialized wire.ClassCodec writing the
-//     identical OBW bytes as the generic codec, and a typed proxy-stub
-//     wrapper <Class>Ref whose every access routes through the Invoker;
+//   - per class, <class>_gen.go: the compiled field layout, a constructor
+//     that builds an ordinary heap.Class (one AddMethod per get<Field> and
+//     set<Field> accessor), and a typed proxy-stub wrapper <Class>Ref whose
+//     every access routes through the Invoker;
 //   - register_gen.go: the ClassRegistrar interface and RegisterAll;
 //   - schema_gen.xml: the normalized schema document, so a Go-source scan
 //     and an XML schema stay interchangeable inputs.
@@ -82,16 +80,6 @@ func finishGo(name string, b *bytes.Buffer) ([]byte, error) {
 	return src, nil
 }
 
-// accessorNames returns the sorted generated method set of a class.
-func accessorNames(c *Class) []string {
-	names := make([]string, 0, 2*len(c.Fields))
-	for _, f := range c.Fields {
-		names = append(names, "get"+export(f.Name), "set"+export(f.Name))
-	}
-	sort.Strings(names)
-	return names
-}
-
 // lowerFirst lower-cases the first letter for unexported identifiers.
 func lowerFirst(s string) string {
 	return strings.ToLower(s[:1]) + s[1:]
@@ -117,31 +105,15 @@ func goType(k heap.Kind) string {
 	}
 }
 
-// zeroExpr renders the initial field value, matching heap.zeroValue.
-func zeroExpr(k heap.Kind) string {
-	switch k {
-	case heap.KindInt:
-		return "heap.Int(0)"
-	case heap.KindFloat:
-		return "heap.Float(0)"
-	case heap.KindBool:
-		return "heap.Bool(false)"
-	case heap.KindString:
-		return `heap.Str("")`
-	default:
-		return "heap.Nil()"
-	}
-}
-
 func renderClassFile(pkg string, c *Class) ([]byte, error) {
 	p := lowerFirst(c.Name) // unexported identifier prefix
 	e := export(c.Name)
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "// Code generated by obicomp; DO NOT EDIT.\n//\n")
-	fmt.Fprintf(&b, "// Class %s: static accessor dispatch, a specialized OBW wire codec and a\n", c.Name)
-	fmt.Fprintf(&b, "// typed proxy-stub wrapper, all behind the class's heap.ClassOps plane.\n\n")
+	fmt.Fprintf(&b, "// Class %s: its compiled field layout, a constructor whose method table\n", c.Name)
+	fmt.Fprintf(&b, "// holds one get and one set accessor per field, and a typed proxy-stub\n// wrapper.\n\n")
 	fmt.Fprintf(&b, "package %s\n\n", pkg)
-	fmt.Fprintf(&b, "import (\n\t\"objectswap/internal/heap\"\n\t\"objectswap/internal/wire\"\n\t\"objectswap/internal/xmlcodec\"\n)\n\n")
+	fmt.Fprintf(&b, "import \"objectswap/internal/heap\"\n\n")
 
 	// Compiled layout.
 	fmt.Fprintf(&b, "// Field slots of %s.\nconst (\n", c.Name)
@@ -156,122 +128,18 @@ func renderClassFile(pkg string, c *Class) ([]byte, error) {
 	}
 	fmt.Fprintf(&b, "}\n\n")
 
-	// Constructor.
-	fmt.Fprintf(&b, "// New%sClass builds the %s class with generated ops bound.\n", e, c.Name)
+	// Constructor: an ordinary method table, built as a hand-written class is.
+	fmt.Fprintf(&b, "// New%sClass builds the %s class with its generated accessors.\n", e, c.Name)
 	fmt.Fprintf(&b, "func New%sClass() *heap.Class {\n", e)
-	fmt.Fprintf(&b, "\treturn heap.NewClass(%q, %sFieldDefs[:]...).BindOps(%sOps{})\n", c.Name, p, p)
-	fmt.Fprintf(&b, "}\n\n")
-
-	// Ops.
-	fmt.Fprintf(&b, "// %sOps is the generated behavior plane of %s.\n", p, c.Name)
-	fmt.Fprintf(&b, "type %sOps struct{}\n\n", p)
-	fmt.Fprintf(&b, "var _ heap.ClassOps = %sOps{}\n", p)
-	fmt.Fprintf(&b, "var _ wire.ClassCodecProvider = %sOps{}\n\n", p)
-
-	fmt.Fprintf(&b, "// Dispatch resolves generated accessors with a static switch.\n")
-	fmt.Fprintf(&b, "func (%sOps) Dispatch(method string, call *heap.Call) ([]heap.Value, bool, error) {\n", p)
-	fmt.Fprintf(&b, "\tswitch method {\n")
+	fmt.Fprintf(&b, "\tc := heap.NewClass(%q, %sFieldDefs[:]...)\n", c.Name, p)
 	for _, f := range c.Fields {
-		fmt.Fprintf(&b, "\tcase %q:\n", "get"+export(f.Name))
-		fmt.Fprintf(&b, "\t\treturn []heap.Value{call.Self.Field(%sSlot%s)}, true, nil\n", p, export(f.Name))
-		fmt.Fprintf(&b, "\tcase %q:\n", "set"+export(f.Name))
-		fmt.Fprintf(&b, "\t\treturn nil, true, call.RT.SetFieldValue(call.Self.RefTo(), %q, call.Arg(0))\n", f.Name)
+		fe := export(f.Name)
+		fmt.Fprintf(&b, "\tc.AddMethod(%q, func(call *heap.Call) ([]heap.Value, error) {\n", "get"+fe)
+		fmt.Fprintf(&b, "\t\treturn []heap.Value{call.Self.Field(%sSlot%s)}, nil\n\t})\n", p, fe)
+		fmt.Fprintf(&b, "\tc.AddMethod(%q, func(call *heap.Call) ([]heap.Value, error) {\n", "set"+fe)
+		fmt.Fprintf(&b, "\t\treturn nil, call.RT.SetFieldValue(call.Self.RefTo(), %q, call.Arg(0))\n\t})\n", f.Name)
 	}
-	fmt.Fprintf(&b, "\t}\n\treturn nil, false, nil\n}\n\n")
-
-	fmt.Fprintf(&b, "// Has reports whether Dispatch handles method.\n")
-	fmt.Fprintf(&b, "func (%sOps) Has(method string) bool {\n\tswitch method {\n\tcase ", p)
-	for i, n := range accessorNames(c) {
-		if i > 0 {
-			fmt.Fprintf(&b, ", ")
-		}
-		fmt.Fprintf(&b, "%q", n)
-	}
-	fmt.Fprintf(&b, ":\n\t\treturn true\n\t}\n\treturn false\n}\n\n")
-
-	fmt.Fprintf(&b, "// MethodNames lists the generated accessors, sorted.\n")
-	fmt.Fprintf(&b, "func (%sOps) MethodNames() []string {\n\treturn []string{", p)
-	for i, n := range accessorNames(c) {
-		if i > 0 {
-			fmt.Fprintf(&b, ", ")
-		}
-		fmt.Fprintf(&b, "%q", n)
-	}
-	fmt.Fprintf(&b, "}\n}\n\n")
-
-	fmt.Fprintf(&b, "// FieldIndex resolves field names with a static switch.\n")
-	fmt.Fprintf(&b, "func (%sOps) FieldIndex(name string) (int, bool) {\n\tswitch name {\n", p)
-	for _, f := range c.Fields {
-		fmt.Fprintf(&b, "\tcase %q:\n\t\treturn %sSlot%s, true\n", f.Name, p, export(f.Name))
-	}
-	fmt.Fprintf(&b, "\t}\n\treturn 0, false\n}\n\n")
-
-	fmt.Fprintf(&b, "// NewFieldVector allocates the initial field values.\n")
-	fmt.Fprintf(&b, "func (%sOps) NewFieldVector() []heap.Value {\n\treturn []heap.Value{", p)
-	for i, f := range c.Fields {
-		if i > 0 {
-			fmt.Fprintf(&b, ", ")
-		}
-		fmt.Fprintf(&b, "%s", zeroExpr(f.Kind))
-	}
-	fmt.Fprintf(&b, "}\n}\n\n")
-
-	fmt.Fprintf(&b, "// EachField visits the compiled layout without allocating.\n")
-	fmt.Fprintf(&b, "func (%sOps) EachField(o *heap.Object, visit func(int, heap.FieldDef, heap.Value) bool) {\n", p)
-	fmt.Fprintf(&b, "\tfor i := range %sFieldDefs {\n\t\tif !visit(i, %sFieldDefs[i], o.Field(i)) {\n\t\t\treturn\n\t\t}\n\t}\n}\n\n", p, p)
-
-	fmt.Fprintf(&b, "// WireCodec exposes the specialized OBW codec (wire.ClassCodecProvider).\n")
-	fmt.Fprintf(&b, "func (%sOps) WireCodec() wire.ClassCodec {\n\treturn %sWireCodec{}\n}\n\n", p, p)
-
-	// Wire codec.
-	fmt.Fprintf(&b, "// %sWireCodec encodes and decodes %s field sections byte-identically to\n", p, c.Name)
-	fmt.Fprintf(&b, "// the generic OBW path: typed stanzas per compiled slot, with generic\n")
-	fmt.Fprintf(&b, "// fallbacks for kind drift and a whole-object fallback for layout drift.\n")
-	fmt.Fprintf(&b, "type %sWireCodec struct{}\n\n", p)
-	fmt.Fprintf(&b, "func (%sWireCodec) ClassName() string { return %q }\n\n", p, c.Name)
-
-	n := len(c.Fields)
-	fmt.Fprintf(&b, "func (%sWireCodec) Encode(e wire.Enc, o *xmlcodec.Object) error {\n", p)
-	fmt.Fprintf(&b, "\tfs := o.Fields\n\tif len(fs) != %d {\n\t\treturn e.Fields(fs)\n\t}\n", n)
-	for i, f := range c.Fields {
-		fmt.Fprintf(&b, "\te.Field(fs[%d].Name)\n", i)
-		switch f.Kind {
-		case heap.KindInt:
-			fmt.Fprintf(&b, "\tif v := &fs[%d].Value; v.Kind == heap.KindInt {\n\t\te.Int(v.I)\n\t} else if err := e.Value(v); err != nil {\n\t\treturn err\n\t}\n", i)
-		case heap.KindFloat:
-			fmt.Fprintf(&b, "\tif v := &fs[%d].Value; v.Kind == heap.KindFloat {\n\t\te.Float(v.F)\n\t} else if err := e.Value(v); err != nil {\n\t\treturn err\n\t}\n", i)
-		case heap.KindBool:
-			fmt.Fprintf(&b, "\tif v := &fs[%d].Value; v.Kind == heap.KindBool {\n\t\te.Bool(v.B)\n\t} else if err := e.Value(v); err != nil {\n\t\treturn err\n\t}\n", i)
-		case heap.KindString:
-			fmt.Fprintf(&b, "\tif v := &fs[%d].Value; v.Kind == heap.KindString {\n\t\te.Str(v.S)\n\t} else if err := e.Value(v); err != nil {\n\t\treturn err\n\t}\n", i)
-		case heap.KindBytes:
-			fmt.Fprintf(&b, "\tif v := &fs[%d].Value; v.Kind == heap.KindBytes {\n\t\te.Bytes(v.Data)\n\t} else if err := e.Value(v); err != nil {\n\t\treturn err\n\t}\n", i)
-		default:
-			fmt.Fprintf(&b, "\tif err := e.Value(&fs[%d].Value); err != nil {\n\t\treturn err\n\t}\n", i)
-		}
-	}
-	fmt.Fprintf(&b, "\treturn nil\n}\n\n")
-
-	fmt.Fprintf(&b, "func (%sWireCodec) Decode(d wire.Dec, o *xmlcodec.Object) error {\n", p)
-	fmt.Fprintf(&b, "\tfs := o.Fields\n\tif len(fs) != %d {\n\t\treturn d.Fields(fs)\n\t}\n\tvar err error\n", n)
-	for i, f := range c.Fields {
-		fmt.Fprintf(&b, "\tif fs[%d].Name, err = d.Name(); err != nil {\n\t\treturn err\n\t}\n", i)
-		reader := "Value"
-		switch f.Kind {
-		case heap.KindInt:
-			reader = "Int"
-		case heap.KindFloat:
-			reader = "Float"
-		case heap.KindBool:
-			reader = "Bool"
-		case heap.KindString:
-			reader = "Str"
-		case heap.KindBytes:
-			reader = "Bytes"
-		}
-		fmt.Fprintf(&b, "\tif err = d.%s(&fs[%d].Value); err != nil {\n\t\treturn err\n\t}\n", reader, i)
-	}
-	fmt.Fprintf(&b, "\treturn nil\n}\n\n")
+	fmt.Fprintf(&b, "\treturn c\n}\n\n")
 
 	// Typed wrapper (the proxy stub).
 	fmt.Fprintf(&b, "// %sRef is the generated typed handle on a %s instance — the proxy-stub\n", e, c.Name)
@@ -346,33 +214,4 @@ func renderRegisterFile(s *Schema) ([]byte, error) {
 	}
 	fmt.Fprintf(&b, "\treturn nil\n}\n")
 	return finishGo("register_gen.go", &b)
-}
-
-// Generate renders the whole schema as one Go buffer — the per-class files
-// concatenated (package clause and imports deduplicated). Kept for
-// single-output callers; new code should use GenerateFiles.
-func Generate(s *Schema) ([]byte, error) {
-	files, err := GenerateFiles(s)
-	if err != nil {
-		return nil, err
-	}
-	var b bytes.Buffer
-	first := true
-	for _, f := range files {
-		if !strings.HasSuffix(f.Name, ".go") {
-			continue
-		}
-		src := f.Data
-		if !first {
-			// Strip the file header down to declarations: drop everything
-			// through the import block, which the first file already carries.
-			if i := bytes.Index(src, []byte(")\n\n")); i >= 0 {
-				src = src[i+3:]
-			}
-		}
-		b.Write(src)
-		b.WriteByte('\n')
-		first = false
-	}
-	return finishGo(s.Package+"_gen.go", &b)
 }

@@ -53,9 +53,9 @@ func TestGeneratedFilesInSync(t *testing.T) {
 	}
 }
 
-// synthesizedRecordClass hand-builds the closure-table equivalent of the
-// generated Record class: same fields, same accessor names, with every method
-// going through AddMethod closures and the default registration-time ops.
+// synthesizedRecordClass hand-builds the Record class as application code
+// would: the same fields and accessor names, each method an AddMethod closure
+// that reads its field by name.
 func synthesizedRecordClass() *heap.Class {
 	c := heap.NewClass("Record", recordFieldDefs[:]...)
 	for i := range recordFieldDefs {
@@ -81,16 +81,18 @@ func newRuntime() *core.Runtime {
 	return core.NewRuntime(heap.New(0), heap.NewRegistry(), core.WithStores(devices))
 }
 
-// TestGeneratedAccessorsAgree drives the generated static-dispatch class and
-// the hand-synthesized closure class through the same accessor script in two
-// identical runtimes and requires identical observable behavior — the
-// cross-oracle for dispatch: obicomp output must be indistinguishable from
-// the closures it replaces.
+// TestGeneratedAccessorsAgree: a generated class is the hand-built class. The
+// obicomp Record and synthesizedRecordClass have the same method names, the
+// same field layout and the same proxy-class method set, and the same
+// accessor script in two identical runtimes traces the same results.
 func TestGeneratedAccessorsAgree(t *testing.T) {
 	gen, syn := NewRecordClass(), synthesizedRecordClass()
 
 	if g, s := gen.MethodNames(), syn.MethodNames(); !reflect.DeepEqual(g, s) {
 		t.Fatalf("method sets differ: generated %v vs synthesized %v", g, s)
+	}
+	if g, s := gen.Fields(), syn.Fields(); !reflect.DeepEqual(g, s) {
+		t.Fatalf("field layouts differ: generated %v vs synthesized %v", g, s)
 	}
 	for i := range recordFieldDefs {
 		name := recordFieldDefs[i].Name
@@ -134,9 +136,15 @@ func TestGeneratedAccessorsAgree(t *testing.T) {
 			trace = append(trace, fmt.Sprintf("%s -> %v err=%v", step.method, out, err))
 		}
 		// The mediated cross-cluster reference must be a proxy in both
-		// worlds; record the interception outcome, not the unstable IDs.
+		// worlds, of a proxy class replicating the same interface; record the
+		// interception outcome, not the unstable IDs.
 		nv, err := a.FieldByName("next")
 		trace = append(trace, fmt.Sprintf("next proxied=%v err=%v", rt.IsProxyRef(nv), err))
+		p, err := rt.Heap().Get(nv.MustRef())
+		if err != nil {
+			t.Fatal(err)
+		}
+		trace = append(trace, fmt.Sprintf("proxy class %s methods %v", p.Class().Name, p.Class().MethodNames()))
 		return trace
 	}
 
@@ -146,182 +154,10 @@ func TestGeneratedAccessorsAgree(t *testing.T) {
 	}
 }
 
-// recordDoc builds a shipment document of n Record objects exercising all
-// seven compiled field kinds.
-func recordDoc(n int) *xmlcodec.Doc {
-	payload := make([]byte, 192)
-	for i := range payload {
-		payload[i] = byte(i * 3)
-	}
-	doc := &xmlcodec.Doc{ClusterID: "gentest-swapcluster", Version: xmlcodec.Version}
-	for i := 0; i < n; i++ {
-		id := heap.ObjID(i + 1)
-		doc.Objects = append(doc.Objects, xmlcodec.Object{
-			ID:    id,
-			Class: "Record",
-			Fields: []xmlcodec.Field{
-				{Name: "title", Value: xmlcodec.Value{Kind: heap.KindString, S: fmt.Sprintf("rec-%d", i)}},
-				{Name: "seq", Value: xmlcodec.Value{Kind: heap.KindInt, I: int64(i)*31 - 7}},
-				{Name: "weight", Value: xmlcodec.Value{Kind: heap.KindFloat, F: float64(i) * 0.25}},
-				{Name: "dirty", Value: xmlcodec.Value{Kind: heap.KindBool, B: i%2 == 1}},
-				{Name: "blob", Value: xmlcodec.Value{Kind: heap.KindBytes, Data: payload}},
-				{Name: "next", Value: xmlcodec.InternalRef(heap.ObjID(i%n + 1))},
-				{Name: "tags", Value: xmlcodec.Value{Kind: heap.KindList, List: []xmlcodec.Value{
-					{Kind: heap.KindString, S: "hot"},
-					{Kind: heap.KindInt, I: int64(i)},
-				}}},
-			},
-		})
-	}
-	return doc
-}
-
-func recordCodecs() *wire.ClassCodecs {
-	cc := wire.NewClassCodecs()
-	cc.Bind(recordOps{}.WireCodec())
-	return cc
-}
-
-// TestGeneratedCodecByteIdentical: the committed generated codec must write
-// the same OBW bytes as the generic reflective path and decode them back to
-// the same document.
-func TestGeneratedCodecByteIdentical(t *testing.T) {
-	doc := recordDoc(16)
-	cc := recordCodecs()
-	for _, format := range []wire.FormatID{wire.FormatBinary, wire.FormatFlate} {
-		generic, err := wire.Encode(format, doc, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gen, err := wire.Encode(format, doc, &wire.EncodeOpts{Codecs: cc})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(generic, gen) {
-			t.Fatalf("%s: generated codec changed the frame bytes", format)
-		}
-		back, err := wire.Decode(gen, &wire.DecodeOpts{Codecs: cc})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantXML, err := doc.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotXML, err := back.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(gotXML, wantXML) {
-			t.Fatalf("%s: generated codec decode diverged from the document", format)
-		}
-	}
-}
-
-// FuzzGeneratedCodec fuzzes field payloads through the committed generated
-// codec: whatever the values, the frame bytes must match the generic path
-// exactly and decode losslessly.
-func FuzzGeneratedCodec(f *testing.F) {
-	f.Add("alpha", int64(1), 0.5, true, []byte{9, 8, 7}, uint8(3))
-	f.Add("", int64(-1<<40), -0.0, false, []byte{}, uint8(1))
-	f.Add("uni\x00code \"&<>\"", int64(1<<62), 1e300, true, []byte{0xff}, uint8(5))
-	f.Fuzz(func(t *testing.T, title string, seq int64, weight float64, dirty bool, blob []byte, n uint8) {
-		objs := int(n%7) + 1
-		doc := recordDoc(objs)
-		for i := range doc.Objects {
-			fs := doc.Objects[i].Fields
-			fs[0].Value = xmlcodec.Value{Kind: heap.KindString, S: title}
-			fs[1].Value = xmlcodec.Value{Kind: heap.KindInt, I: seq + int64(i)}
-			fs[2].Value = xmlcodec.Value{Kind: heap.KindFloat, F: weight}
-			fs[3].Value = xmlcodec.Value{Kind: heap.KindBool, B: dirty}
-			fs[4].Value = xmlcodec.Value{Kind: heap.KindBytes, Data: blob}
-		}
-		oracle, err := doc.Encode()
-		if err != nil {
-			t.Skip("oracle rejects document")
-		}
-		cc := recordCodecs()
-		generic, err := wire.Encode(wire.FormatBinary, doc, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gen, err := wire.Encode(wire.FormatBinary, doc, &wire.EncodeOpts{Codecs: cc})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(generic, gen) {
-			t.Fatal("generated codec changed the frame bytes")
-		}
-		back, err := wire.Decode(gen, &wire.DecodeOpts{Codecs: cc})
-		if err != nil {
-			t.Fatal(err)
-		}
-		backXML, err := back.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(backXML, oracle) {
-			t.Fatal("generated codec decode diverged from the XML oracle")
-		}
-	})
-}
-
-// TestGenBenchSmoke is the generated-code gate, in counts that are the same
-// on any host: decoding a 64-Record shipment through the generated codec must
-// allocate strictly less than the generic path (the borrowed-blob contract
-// saves the arena copy), and one accessor call through the generated static
-// switch must allocate no more than through the closure table it replaces.
-func TestGenBenchSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("generated-code smoke skipped in -short mode")
-	}
-	data, err := wire.Encode(wire.FormatBinary, recordDoc(64), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	decodeAllocs := func(opts *wire.DecodeOpts) float64 {
-		return testing.AllocsPerRun(20, func() {
-			if _, err := wire.Decode(data, opts); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	generic, generated := decodeAllocs(nil), decodeAllocs(&wire.DecodeOpts{Codecs: recordCodecs()})
-	t.Logf("decode: generic %.0f allocs, generated %.0f allocs", generic, generated)
-	if generated >= generic {
-		t.Fatalf("generated decode allocates %.0f/op, generic %.0f/op — the specialized codec must allocate strictly less",
-			generated, generic)
-	}
-
-	dispatchAllocs := func(c *heap.Class) float64 {
-		rt := newRuntime()
-		rt.MustRegisterClass(c)
-		o, err := rt.NewObject(c, rt.Manager().NewCluster())
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := o.RefTo()
-		if _, err := rt.Invoke(ref, "setSeq", heap.Int(77)); err != nil {
-			t.Fatal(err)
-		}
-		return testing.AllocsPerRun(100, func() {
-			if _, err := rt.Invoke(ref, "getSeq"); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	gen, syn := dispatchAllocs(NewRecordClass()), dispatchAllocs(synthesizedRecordClass())
-	t.Logf("dispatch: generated %.0f allocs, synthesized %.0f allocs", gen, syn)
-	if gen > syn {
-		t.Fatalf("generated dispatch allocates %.0f/call, synthesized closures %.0f/call", gen, syn)
-	}
-}
-
 // TestHeapDrivenEndsWithGeneratedClass checks the swap path's heap-driven
 // ends against the Doc path on a seeded cluster that mixes the generated
-// Record class (its codec handed one reused record per object) with a
-// synthesized class, and covers all eight kinds, nested lists, and internal,
-// slot and remote references. Out: the frame encoded straight from the heap
+// Record class with a hand-built class, and covers all eight kinds, nested
+// lists, and internal, slot and remote references. Out: the frame encoded straight from the heap
 // equals wire.Encode of xmlcodec.EncodeObjects, byte for byte, in binary and
 // binary+flate. Back: installing that frame directly and through
 // Decode + Doc.Install leaves two heaps with equal objects and equal Used.
@@ -409,26 +245,23 @@ func TestHeapDrivenEndsWithGeneratedClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc := recordCodecs()
 	for _, format := range []wire.FormatID{wire.FormatBinary, wire.FormatFlate} {
 		want, err := wire.Encode(format, doc, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, codecs := range []*wire.ClassCodecs{cc, nil} {
-			enc := wire.NewEncoder()
-			got, err := enc.EncodeObjects(format, key, objs, encodeRef, &wire.EncodeOpts{Codecs: codecs})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("%s (codecs %v): frame encoded from the heap differs from the Doc path's", format, codecs != nil)
-			}
-			enc.Release()
+		enc := wire.NewEncoder()
+		got, err := enc.EncodeObjects(format, key, objs, encodeRef)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: frame encoded from the heap differs from the Doc path's", format)
+		}
+		enc.Release()
 
 		direct, viaDoc := heap.New(0), heap.New(0)
-		staged, err := wire.Stage(want, reg, &wire.DecodeOpts{Codecs: cc})
+		staged, err := wire.Stage(want, reg)
 		if err != nil {
 			t.Fatal(err)
 		}

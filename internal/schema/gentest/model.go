@@ -1,9 +1,10 @@
 // Package gentest is obicomp's committed end-to-end fixture: one annotated
 // struct covering every field kind, with the generated output checked in next
 // to it. The tests in this package prove the three contracts the generator
-// makes — output regenerates byte-identically (drift test), generated
-// accessors behave exactly like hand-synthesized closure methods, and the
-// specialized wire codec never changes an OBW frame byte.
+// makes — output regenerates byte-identically (drift test), a generated class
+// is the hand-built class (same methods, layout, proxy interface and
+// results), and a swap-out of generated instances ships the committed golden
+// frame byte for byte.
 //
 //go:generate go run objectswap/cmd/obicomp -dir .
 package gentest

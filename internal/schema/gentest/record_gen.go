@@ -1,15 +1,12 @@
 // Code generated by obicomp; DO NOT EDIT.
 //
-// Class Record: static accessor dispatch, a specialized OBW wire codec and a
-// typed proxy-stub wrapper, all behind the class's heap.ClassOps plane.
+// Class Record: its compiled field layout, a constructor whose method table
+// holds one get and one set accessor per field, and a typed proxy-stub
+// wrapper.
 
 package gentest
 
-import (
-	"objectswap/internal/heap"
-	"objectswap/internal/wire"
-	"objectswap/internal/xmlcodec"
-)
+import "objectswap/internal/heap"
 
 // Field slots of Record.
 const (
@@ -33,208 +30,52 @@ var recordFieldDefs = [7]heap.FieldDef{
 	{Name: "tags", Kind: heap.KindList},
 }
 
-// NewRecordClass builds the Record class with generated ops bound.
+// NewRecordClass builds the Record class with its generated accessors.
 func NewRecordClass() *heap.Class {
-	return heap.NewClass("Record", recordFieldDefs[:]...).BindOps(recordOps{})
-}
-
-// recordOps is the generated behavior plane of Record.
-type recordOps struct{}
-
-var _ heap.ClassOps = recordOps{}
-var _ wire.ClassCodecProvider = recordOps{}
-
-// Dispatch resolves generated accessors with a static switch.
-func (recordOps) Dispatch(method string, call *heap.Call) ([]heap.Value, bool, error) {
-	switch method {
-	case "getTitle":
-		return []heap.Value{call.Self.Field(recordSlotTitle)}, true, nil
-	case "setTitle":
-		return nil, true, call.RT.SetFieldValue(call.Self.RefTo(), "title", call.Arg(0))
-	case "getSeq":
-		return []heap.Value{call.Self.Field(recordSlotSeq)}, true, nil
-	case "setSeq":
-		return nil, true, call.RT.SetFieldValue(call.Self.RefTo(), "seq", call.Arg(0))
-	case "getWeight":
-		return []heap.Value{call.Self.Field(recordSlotWeight)}, true, nil
-	case "setWeight":
-		return nil, true, call.RT.SetFieldValue(call.Self.RefTo(), "weight", call.Arg(0))
-	case "getDirty":
-		return []heap.Value{call.Self.Field(recordSlotDirty)}, true, nil
-	case "setDirty":
-		return nil, true, call.RT.SetFieldValue(call.Self.RefTo(), "dirty", call.Arg(0))
-	case "getBlob":
-		return []heap.Value{call.Self.Field(recordSlotBlob)}, true, nil
-	case "setBlob":
-		return nil, true, call.RT.SetFieldValue(call.Self.RefTo(), "blob", call.Arg(0))
-	case "getNext":
-		return []heap.Value{call.Self.Field(recordSlotNext)}, true, nil
-	case "setNext":
-		return nil, true, call.RT.SetFieldValue(call.Self.RefTo(), "next", call.Arg(0))
-	case "getTags":
-		return []heap.Value{call.Self.Field(recordSlotTags)}, true, nil
-	case "setTags":
-		return nil, true, call.RT.SetFieldValue(call.Self.RefTo(), "tags", call.Arg(0))
-	}
-	return nil, false, nil
-}
-
-// Has reports whether Dispatch handles method.
-func (recordOps) Has(method string) bool {
-	switch method {
-	case "getBlob", "getDirty", "getNext", "getSeq", "getTags", "getTitle", "getWeight", "setBlob", "setDirty", "setNext", "setSeq", "setTags", "setTitle", "setWeight":
-		return true
-	}
-	return false
-}
-
-// MethodNames lists the generated accessors, sorted.
-func (recordOps) MethodNames() []string {
-	return []string{"getBlob", "getDirty", "getNext", "getSeq", "getTags", "getTitle", "getWeight", "setBlob", "setDirty", "setNext", "setSeq", "setTags", "setTitle", "setWeight"}
-}
-
-// FieldIndex resolves field names with a static switch.
-func (recordOps) FieldIndex(name string) (int, bool) {
-	switch name {
-	case "title":
-		return recordSlotTitle, true
-	case "seq":
-		return recordSlotSeq, true
-	case "weight":
-		return recordSlotWeight, true
-	case "dirty":
-		return recordSlotDirty, true
-	case "blob":
-		return recordSlotBlob, true
-	case "next":
-		return recordSlotNext, true
-	case "tags":
-		return recordSlotTags, true
-	}
-	return 0, false
-}
-
-// NewFieldVector allocates the initial field values.
-func (recordOps) NewFieldVector() []heap.Value {
-	return []heap.Value{heap.Str(""), heap.Int(0), heap.Float(0), heap.Bool(false), heap.Nil(), heap.Nil(), heap.Nil()}
-}
-
-// EachField visits the compiled layout without allocating.
-func (recordOps) EachField(o *heap.Object, visit func(int, heap.FieldDef, heap.Value) bool) {
-	for i := range recordFieldDefs {
-		if !visit(i, recordFieldDefs[i], o.Field(i)) {
-			return
-		}
-	}
-}
-
-// WireCodec exposes the specialized OBW codec (wire.ClassCodecProvider).
-func (recordOps) WireCodec() wire.ClassCodec {
-	return recordWireCodec{}
-}
-
-// recordWireCodec encodes and decodes Record field sections byte-identically to
-// the generic OBW path: typed stanzas per compiled slot, with generic
-// fallbacks for kind drift and a whole-object fallback for layout drift.
-type recordWireCodec struct{}
-
-func (recordWireCodec) ClassName() string { return "Record" }
-
-func (recordWireCodec) Encode(e wire.Enc, o *xmlcodec.Object) error {
-	fs := o.Fields
-	if len(fs) != 7 {
-		return e.Fields(fs)
-	}
-	e.Field(fs[0].Name)
-	if v := &fs[0].Value; v.Kind == heap.KindString {
-		e.Str(v.S)
-	} else if err := e.Value(v); err != nil {
-		return err
-	}
-	e.Field(fs[1].Name)
-	if v := &fs[1].Value; v.Kind == heap.KindInt {
-		e.Int(v.I)
-	} else if err := e.Value(v); err != nil {
-		return err
-	}
-	e.Field(fs[2].Name)
-	if v := &fs[2].Value; v.Kind == heap.KindFloat {
-		e.Float(v.F)
-	} else if err := e.Value(v); err != nil {
-		return err
-	}
-	e.Field(fs[3].Name)
-	if v := &fs[3].Value; v.Kind == heap.KindBool {
-		e.Bool(v.B)
-	} else if err := e.Value(v); err != nil {
-		return err
-	}
-	e.Field(fs[4].Name)
-	if v := &fs[4].Value; v.Kind == heap.KindBytes {
-		e.Bytes(v.Data)
-	} else if err := e.Value(v); err != nil {
-		return err
-	}
-	e.Field(fs[5].Name)
-	if err := e.Value(&fs[5].Value); err != nil {
-		return err
-	}
-	e.Field(fs[6].Name)
-	if err := e.Value(&fs[6].Value); err != nil {
-		return err
-	}
-	return nil
-}
-
-func (recordWireCodec) Decode(d wire.Dec, o *xmlcodec.Object) error {
-	fs := o.Fields
-	if len(fs) != 7 {
-		return d.Fields(fs)
-	}
-	var err error
-	if fs[0].Name, err = d.Name(); err != nil {
-		return err
-	}
-	if err = d.Str(&fs[0].Value); err != nil {
-		return err
-	}
-	if fs[1].Name, err = d.Name(); err != nil {
-		return err
-	}
-	if err = d.Int(&fs[1].Value); err != nil {
-		return err
-	}
-	if fs[2].Name, err = d.Name(); err != nil {
-		return err
-	}
-	if err = d.Float(&fs[2].Value); err != nil {
-		return err
-	}
-	if fs[3].Name, err = d.Name(); err != nil {
-		return err
-	}
-	if err = d.Bool(&fs[3].Value); err != nil {
-		return err
-	}
-	if fs[4].Name, err = d.Name(); err != nil {
-		return err
-	}
-	if err = d.Bytes(&fs[4].Value); err != nil {
-		return err
-	}
-	if fs[5].Name, err = d.Name(); err != nil {
-		return err
-	}
-	if err = d.Value(&fs[5].Value); err != nil {
-		return err
-	}
-	if fs[6].Name, err = d.Name(); err != nil {
-		return err
-	}
-	if err = d.Value(&fs[6].Value); err != nil {
-		return err
-	}
-	return nil
+	c := heap.NewClass("Record", recordFieldDefs[:]...)
+	c.AddMethod("getTitle", func(call *heap.Call) ([]heap.Value, error) {
+		return []heap.Value{call.Self.Field(recordSlotTitle)}, nil
+	})
+	c.AddMethod("setTitle", func(call *heap.Call) ([]heap.Value, error) {
+		return nil, call.RT.SetFieldValue(call.Self.RefTo(), "title", call.Arg(0))
+	})
+	c.AddMethod("getSeq", func(call *heap.Call) ([]heap.Value, error) {
+		return []heap.Value{call.Self.Field(recordSlotSeq)}, nil
+	})
+	c.AddMethod("setSeq", func(call *heap.Call) ([]heap.Value, error) {
+		return nil, call.RT.SetFieldValue(call.Self.RefTo(), "seq", call.Arg(0))
+	})
+	c.AddMethod("getWeight", func(call *heap.Call) ([]heap.Value, error) {
+		return []heap.Value{call.Self.Field(recordSlotWeight)}, nil
+	})
+	c.AddMethod("setWeight", func(call *heap.Call) ([]heap.Value, error) {
+		return nil, call.RT.SetFieldValue(call.Self.RefTo(), "weight", call.Arg(0))
+	})
+	c.AddMethod("getDirty", func(call *heap.Call) ([]heap.Value, error) {
+		return []heap.Value{call.Self.Field(recordSlotDirty)}, nil
+	})
+	c.AddMethod("setDirty", func(call *heap.Call) ([]heap.Value, error) {
+		return nil, call.RT.SetFieldValue(call.Self.RefTo(), "dirty", call.Arg(0))
+	})
+	c.AddMethod("getBlob", func(call *heap.Call) ([]heap.Value, error) {
+		return []heap.Value{call.Self.Field(recordSlotBlob)}, nil
+	})
+	c.AddMethod("setBlob", func(call *heap.Call) ([]heap.Value, error) {
+		return nil, call.RT.SetFieldValue(call.Self.RefTo(), "blob", call.Arg(0))
+	})
+	c.AddMethod("getNext", func(call *heap.Call) ([]heap.Value, error) {
+		return []heap.Value{call.Self.Field(recordSlotNext)}, nil
+	})
+	c.AddMethod("setNext", func(call *heap.Call) ([]heap.Value, error) {
+		return nil, call.RT.SetFieldValue(call.Self.RefTo(), "next", call.Arg(0))
+	})
+	c.AddMethod("getTags", func(call *heap.Call) ([]heap.Value, error) {
+		return []heap.Value{call.Self.Field(recordSlotTags)}, nil
+	})
+	c.AddMethod("setTags", func(call *heap.Call) ([]heap.Value, error) {
+		return nil, call.RT.SetFieldValue(call.Self.RefTo(), "tags", call.Arg(0))
+	})
+	return c
 }
 
 // RecordRef is the generated typed handle on a Record instance — the proxy-stub

@@ -2,6 +2,9 @@ package schema
 
 import (
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"strings"
 	"testing"
 
@@ -70,28 +73,71 @@ func TestGenerateProducesValidGo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := Generate(s)
+	files, err := GenerateFiles(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	code := string(src)
-	for _, want := range []string{
-		"package model",
-		"func NewPhotoClass() *heap.Class",
-		"func NewAlbumClass() *heap.Class",
-		`case "getThumb":`,
-		`case "setThumb":`,
-		`case "getCaption":`,
-		"BindOps(photoOps{})",
-		"func (photoOps) WireCodec() wire.ClassCodec",
-		"func (photoWireCodec) Decode(d wire.Dec, o *xmlcodec.Object) error",
-		"type PhotoRef struct",
-		"func RegisterAll(r ClassRegistrar) error",
-		"Code generated by obicomp; DO NOT EDIT.",
-	} {
-		if !strings.Contains(code, want) {
-			t.Fatalf("generated code missing %q:\n%s", want, code)
+	code := map[string]string{}
+	for _, f := range files {
+		code[f.Name] = string(f.Data)
+	}
+	if len(code) != 4 {
+		t.Fatalf("generated %d files, want photo_gen.go, album_gen.go, register_gen.go and schema_gen.xml", len(code))
+	}
+	for _, c := range s.Classes {
+		name := strings.ToLower(c.Name) + "_gen.go"
+		src, ok := code[name]
+		if !ok {
+			t.Fatalf("no %s", name)
 		}
+		for _, want := range []string{
+			"package model",
+			"Code generated by obicomp; DO NOT EDIT.",
+			"func New" + c.Name + "Class() *heap.Class",
+			"type " + c.Name + "Ref struct",
+		} {
+			if !strings.Contains(src, want) {
+				t.Fatalf("%s missing %q:\n%s", name, want, src)
+			}
+		}
+		// Behaviour is the class's method table: one get and one set
+		// accessor per field, and no second dispatch or codec plane.
+		for _, f := range c.Fields {
+			for _, m := range []string{"get" + export(f.Name), "set" + export(f.Name)} {
+				if n := strings.Count(src, `c.AddMethod("`+m+`"`); n != 1 {
+					t.Fatalf("%s adds %s %d times, want once:\n%s", name, m, n, src)
+				}
+			}
+		}
+		if n, want := strings.Count(src, `AddMethod("get`), len(c.Fields); n != want {
+			t.Fatalf("%s adds %d getters for %d fields", name, n, want)
+		}
+		// The typed stub is the only type the file declares, and it imports
+		// only the heap: no generated ops type bound to the class, no wire
+		// codec beside it.
+		f, err := parser.ParseFile(token.NewFileSet(), name, src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value != `"objectswap/internal/heap"` {
+				t.Fatalf("%s imports %s", name, imp.Path.Value)
+			}
+		}
+		for _, d := range f.Decls {
+			g, ok := d.(*ast.GenDecl)
+			if !ok || g.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range g.Specs {
+				if ts := spec.(*ast.TypeSpec); ts.Name.Name != c.Name+"Ref" {
+					t.Fatalf("%s declares type %s beside %sRef", name, ts.Name.Name, c.Name)
+				}
+			}
+		}
+	}
+	if !strings.Contains(code["register_gen.go"], "func RegisterAll(r ClassRegistrar) error") {
+		t.Fatalf("register_gen.go has no RegisterAll:\n%s", code["register_gen.go"])
 	}
 }
 

@@ -68,12 +68,12 @@ type binaryCodec struct{}
 
 func (binaryCodec) ID() FormatID { return FormatBinary }
 
-func (binaryCodec) encodeFrom(e *Encoder, dst []byte, sh shipment, opts *EncodeOpts) ([]byte, error) {
-	return e.frame(dst, 0, sh, opts)
+func (binaryCodec) encodeFrom(e *Encoder, dst []byte, sh shipment) ([]byte, error) {
+	return e.frame(dst, 0, sh)
 }
 
-func (c binaryCodec) Decode(data []byte, opts *DecodeOpts) (*xmlcodec.Doc, error) {
-	return decodeDoc(c, data, opts)
+func (c binaryCodec) Decode(data []byte) (*xmlcodec.Doc, error) {
+	return decodeDoc(c, data)
 }
 
 func (binaryCodec) openBody(data []byte) ([]byte, error) {
@@ -241,13 +241,13 @@ func (e *Encoder) Release() { encoders.Put(e) }
 // Release or the next EncodeObjects — a store must not keep it (see
 // store.Store).
 func (e *Encoder) EncodeObjects(format FormatID, key string, objs []*heap.Object,
-	encodeRef xmlcodec.RefEncoder, opts *EncodeOpts) ([]byte, error) {
+	encodeRef xmlcodec.RefEncoder) ([]byte, error) {
 	c, err := Lookup(format)
 	if err != nil {
 		return nil, err
 	}
 	src := &heapSource{objs: objs, encodeRef: encodeRef, wrap: &e.wrap}
-	frame, err := c.encodeFrom(e, e.buf[:0], shipment{key, xmlcodec.Version, src}, opts)
+	frame, err := c.encodeFrom(e, e.buf[:0], shipment{key, xmlcodec.Version, src})
 	if err != nil {
 		return nil, err
 	}
@@ -258,8 +258,7 @@ func (e *Encoder) EncodeObjects(format FormatID, key string, objs []*heap.Object
 // walk writes the shipment's body sections — header, tree, string arena,
 // blob arena — into the encoder in one pass over its objects.
 // It is the only writer of the OBW tree.
-func (e *Encoder) walk(sh shipment, opts *EncodeOpts) error {
-	cc := opts.classCodecs()
+func (e *Encoder) walk(sh shipment) error {
 	e.out, e.strs, e.blob, e.listItems = e.out[:0], e.strs[:0], e.blob[:0], 0
 
 	// The string arena opens with the cluster key.
@@ -274,14 +273,12 @@ func (e *Encoder) walk(sh shipment, opts *EncodeOpts) error {
 		e.str(o.Class)
 		e.uvarint(uint64(len(o.Fields)))
 		fields += len(o.Fields)
-		if c, ok := cc.Lookup(o.Class); ok {
-			if err := c.Encode(Enc{&e.frameEncoder}, o); err != nil {
+		for j := range o.Fields {
+			f := &o.Fields[j]
+			e.str(f.Name)
+			if err := e.value(&f.Value); err != nil {
 				return err
 			}
-			continue
-		}
-		if err := (Enc{&e.frameEncoder}).Fields(o.Fields); err != nil {
-			return err
 		}
 	}
 
@@ -301,8 +298,8 @@ func (e *Encoder) body() [][]byte { return [][]byte{e.head, e.out, e.strs, e.blo
 
 // frame appends the shipment's OBW frame to dst, each section copied once
 // from the encoder behind the length prefix.
-func (e *Encoder) frame(dst []byte, flags byte, sh shipment, opts *EncodeOpts) ([]byte, error) {
-	if err := e.walk(sh, opts); err != nil {
+func (e *Encoder) frame(dst []byte, flags byte, sh shipment) ([]byte, error) {
+	if err := e.walk(sh); err != nil {
 		return nil, err
 	}
 	return appendFrame(dst, flags, e.body()...), nil
@@ -398,13 +395,6 @@ func (d *frameDecoder) value(v *xmlcodec.Value) error {
 	}
 	kind := d.tree[0]
 	d.tree = d.tree[1:]
-	return d.valueBody(kind, v)
-}
-
-// valueBody decodes the payload of a value whose kind tag has already been
-// consumed — the shared tail of the generic reader and the typed Dec readers,
-// which peel the tag themselves to fast-path their expected kind.
-func (d *frameDecoder) valueBody(kind byte, v *xmlcodec.Value) error {
 	switch kind {
 	case bNil:
 		v.Kind = heap.KindNil
@@ -572,10 +562,9 @@ func (s *heapSink) put(o *xmlcodec.Object) error { return s.in.Add(o) }
 //
 // borrow selects the borrowed-blob contract: byte payloads alias the input
 // buffer instead of a defensive copy (one allocation fewer per decode). That
-// is right for a sink that copies on its own (the heap does, on
-// installation) and for callers that opted in through DecodeOpts.Codecs;
-// anything else keeps the copy.
-func readBody(body []byte, borrow bool, cc *ClassCodecs, sink objectSink) error {
+// is right for a sink that copies on its own, as the heap does on
+// installation; a document keeps the copy.
+func readBody(body []byte, borrow bool, sink objectSink) error {
 	d := frameDecoder{tree: body}
 	clusterIDLen, err := d.uvarint()
 	if err != nil {
@@ -654,13 +643,14 @@ func readBody(body []byte, borrow bool, cc *ClassCodecs, sink objectSink) error 
 		fieldsLeft -= nf
 		o := sink.next(int(nf))
 		o.ID, o.Class = heap.ObjID(id), class
-		if c, ok := cc.Lookup(class); ok {
-			err = c.Decode(Dec{&d}, o)
-		} else {
-			err = Dec{&d}.Fields(o.Fields)
-		}
-		if err != nil {
-			return err
+		for j := range o.Fields {
+			f := &o.Fields[j]
+			if f.Name, err = d.str(); err != nil {
+				return err
+			}
+			if err = d.value(&f.Value); err != nil {
+				return err
+			}
 		}
 		if err := sink.put(o); err != nil {
 			return err
@@ -680,14 +670,13 @@ type bodyCodec interface {
 
 // decodeDoc is Codec.Decode for the binary family: the document is one more
 // object sink.
-func decodeDoc(c bodyCodec, data []byte, opts *DecodeOpts) (*xmlcodec.Doc, error) {
+func decodeDoc(c bodyCodec, data []byte) (*xmlcodec.Doc, error) {
 	body, err := c.openBody(data)
 	if err != nil {
 		return nil, err
 	}
 	sink := new(docSink)
-	cc := opts.classCodecs()
-	if err := readBody(body, cc != nil, cc, sink); err != nil {
+	if err := readBody(body, false, sink); err != nil {
 		return nil, err
 	}
 	return &sink.doc, nil
@@ -701,7 +690,7 @@ func decodeDoc(c bodyCodec, data []byte, opts *DecodeOpts) (*xmlcodec.Doc, error
 // cluster resident in one step. Binary frames go straight from bytes to field
 // vectors; XML text decodes to a Doc first and stages that. Nothing in the
 // Installer aliases data.
-func Stage(data []byte, reg *heap.Registry, opts *DecodeOpts) (*xmlcodec.Installer, error) {
+func Stage(data []byte, reg *heap.Registry) (*xmlcodec.Installer, error) {
 	id, err := Detect(data)
 	if err != nil {
 		return nil, err
@@ -712,7 +701,7 @@ func Stage(data []byte, reg *heap.Registry, opts *DecodeOpts) (*xmlcodec.Install
 	}
 	bc, ok := c.(bodyCodec)
 	if !ok {
-		doc, err := c.Decode(data, opts)
+		doc, err := c.Decode(data)
 		if err != nil {
 			return nil, err
 		}
@@ -723,7 +712,7 @@ func Stage(data []byte, reg *heap.Registry, opts *DecodeOpts) (*xmlcodec.Install
 		return nil, err
 	}
 	sink := heapSink{reg: reg, scratch: stageScratches.Get().(*stageScratch)}
-	err = readBody(body, true, opts.classCodecs(), &sink)
+	err = readBody(body, true, &sink)
 	sink.scratch.release()
 	if err != nil {
 		return nil, err

@@ -20,8 +20,8 @@ type flateCodec struct{}
 
 func (flateCodec) ID() FormatID { return FormatFlate }
 
-func (flateCodec) encodeFrom(e *Encoder, dst []byte, sh shipment, opts *EncodeOpts) ([]byte, error) {
-	if err := e.walk(sh, opts); err != nil {
+func (flateCodec) encodeFrom(e *Encoder, dst []byte, sh shipment) ([]byte, error) {
+	if err := e.walk(sh); err != nil {
 		return nil, err
 	}
 	body := slices.Concat(e.body()...)
@@ -40,8 +40,8 @@ func (flateCodec) encodeFrom(e *Encoder, dst []byte, sh shipment, opts *EncodeOp
 	return appendFrame(dst, flagFlate, binary.AppendUvarint(rawLen[:0], uint64(len(body))), packed.Bytes()), nil
 }
 
-func (c flateCodec) Decode(data []byte, opts *DecodeOpts) (*xmlcodec.Doc, error) {
-	return decodeDoc(c, data, opts)
+func (c flateCodec) Decode(data []byte) (*xmlcodec.Doc, error) {
+	return decodeDoc(c, data)
 }
 
 // openBody inflates the payload to the plain binary body it wraps.

@@ -153,8 +153,8 @@ func nurseryHeap() *heap.Heap {
 // document a heap could have produced: installing a frame directly (Stage)
 // and through Decode + Doc.Install leaves two heaps in the same state, and
 // encoding out of that heap gives the frame Encode gives for the document,
-// byte for byte, with and without class codecs.
-func checkHeapEnds(t *testing.T, doc *xmlcodec.Doc, cc *ClassCodecs) {
+// byte for byte.
+func checkHeapEnds(t *testing.T, doc *xmlcodec.Doc) {
 	t.Helper()
 	reg, ok := docClasses(doc)
 	if !ok {
@@ -175,7 +175,7 @@ func checkHeapEnds(t *testing.T, doc *xmlcodec.Doc, cc *ClassCodecs) {
 		_, docErr := back.Install(viaDoc, reg, refs.decode)
 
 		direct := nurseryHeap()
-		staged, err := Stage(bytes.Clone(frame), reg, &DecodeOpts{Codecs: cc})
+		staged, err := Stage(bytes.Clone(frame), reg)
 		if err == nil {
 			if staged.ClusterID != doc.ClusterID {
 				t.Fatalf("%s: staged cluster %q, want %q", id, staged.ClusterID, doc.ClusterID)
@@ -201,29 +201,27 @@ func checkHeapEnds(t *testing.T, doc *xmlcodec.Doc, cc *ClassCodecs) {
 				t.Fatal(err)
 			}
 		}
-		for _, codecs := range []*ClassCodecs{nil, cc} {
-			enc := NewEncoder()
-			got, err := enc.EncodeObjects(id, doc.ClusterID, objs, refs.encode(members), &EncodeOpts{Codecs: codecs})
-			if err != nil {
-				t.Fatalf("%s: encode from the heap: %v", id, err)
-			}
-			if doc.Version == xmlcodec.Version && !bytes.Equal(got, frame) {
-				t.Fatalf("%s: frame encoded from the heap differs from the document's:\n got:  %q\n want: %q", id, got, frame)
-			}
-			enc.Release()
+		enc := NewEncoder()
+		got, err := enc.EncodeObjects(id, doc.ClusterID, objs, refs.encode(members))
+		if err != nil {
+			t.Fatalf("%s: encode from the heap: %v", id, err)
 		}
+		if doc.Version == xmlcodec.Version && !bytes.Equal(got, frame) {
+			t.Fatalf("%s: frame encoded from the heap differs from the document's:\n got:  %q\n want: %q", id, got, frame)
+		}
+		enc.Release()
 		sameHeapState(t, string(id), direct, viaDoc)
 	}
 }
 
 // TestHeapEndsOnWireFixture runs the third party over the package's standing
 // document: all eight kinds, nested lists, internal, slot and remote
-// references, with the hand-written Record codec bound.
+// references.
 func TestHeapEndsOnWireFixture(t *testing.T) {
 	if _, ok := docClasses(testDoc(5)); !ok {
 		t.Fatal("the fixture document is not one a heap could produce: the heap ends sat this test out")
 	}
-	checkHeapEnds(t, testDoc(5), recordCodecs())
-	checkHeapEnds(t, testDoc(1), nil)
-	checkHeapEnds(t, &xmlcodec.Doc{ClusterID: "empty", Version: xmlcodec.Version}, nil)
+	checkHeapEnds(t, testDoc(5))
+	checkHeapEnds(t, testDoc(1))
+	checkHeapEnds(t, &xmlcodec.Doc{ClusterID: "empty", Version: xmlcodec.Version})
 }

@@ -66,38 +66,12 @@ var (
 	ErrBadFrame = errors.New("wire: malformed frame")
 )
 
-// EncodeOpts carries per-shipment encoding parameters; nil means none.
-type EncodeOpts struct {
-	// Codecs optionally supplies the runtime's per-class codec set. Binary-
-	// family formats route matching objects through their class codec; the
-	// bytes produced are identical either way (the ClassCodec contract).
-	Codecs *ClassCodecs
-}
-
-// DecodeOpts carries per-shipment decoding parameters; nil means none.
-type DecodeOpts struct {
-	// Codecs optionally supplies the runtime's per-class codec set. Setting
-	// it also opts into the borrowed-blob decode contract: bytes values in
-	// the returned document alias the input payload, so the caller must
-	// install (or copy) the document before reusing the buffer.
-	Codecs *ClassCodecs
-}
-
-// classCodecs returns the codec set of a possibly-nil opts.
-func (o *EncodeOpts) classCodecs() *ClassCodecs {
-	if o == nil {
-		return nil
-	}
-	return o.Codecs
-}
-
-// classCodecs returns the codec set of a possibly-nil opts.
-func (o *DecodeOpts) classCodecs() *ClassCodecs {
-	if o == nil {
-		return nil
-	}
-	return o.Codecs
-}
+// EncodeOpts and DecodeOpts carry no option. They exist only so Encode and
+// Decode keep the signatures benchmark/layers.go calls them with (passing nil).
+type (
+	EncodeOpts struct{}
+	DecodeOpts struct{}
+)
 
 // Codec is one wire format: its negotiation identity, one writer from any
 // record source and one reader to the document model.
@@ -107,9 +81,9 @@ type Codec interface {
 	// encodeFrom appends the shipment's payload to dst, using e's reusable
 	// state. A shipment's records come from a Doc (Encode) or straight from
 	// the heap (Encoder.EncodeObjects); the bytes are the same either way.
-	encodeFrom(e *Encoder, dst []byte, sh shipment, opts *EncodeOpts) ([]byte, error)
+	encodeFrom(e *Encoder, dst []byte, sh shipment) ([]byte, error)
 	// Decode parses a payload of this format back into the document model.
-	Decode(data []byte, opts *DecodeOpts) (*xmlcodec.Doc, error)
+	Decode(data []byte) (*xmlcodec.Doc, error)
 }
 
 // codecs is every format, in ID order. Formats are protocol identifiers, not
@@ -181,7 +155,7 @@ func Detect(data []byte) (FormatID, error) {
 // Decode sniffs data's format and decodes it through the matching codec.
 // This is the swap-in entry point: stored payloads are self-describing, so
 // a reloading device never depends on out-of-band format metadata.
-func Decode(data []byte, opts *DecodeOpts) (*xmlcodec.Doc, error) {
+func Decode(data []byte, _ *DecodeOpts) (*xmlcodec.Doc, error) {
 	id, err := Detect(data)
 	if err != nil {
 		return nil, err
@@ -190,17 +164,17 @@ func Decode(data []byte, opts *DecodeOpts) (*xmlcodec.Doc, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.Decode(data, opts)
+	return c.Decode(data)
 }
 
 // Encode renders doc in the named format: the document is one more record
 // source for the format's writer, and the payload is the caller's own.
-func Encode(id FormatID, doc *xmlcodec.Doc, opts *EncodeOpts) ([]byte, error) {
+func Encode(id FormatID, doc *xmlcodec.Doc, _ *EncodeOpts) ([]byte, error) {
 	c, err := Lookup(id)
 	if err != nil {
 		return nil, err
 	}
 	e := NewEncoder()
 	defer e.Release()
-	return c.encodeFrom(e, nil, docShipment(doc), opts)
+	return c.encodeFrom(e, nil, docShipment(doc))
 }

@@ -186,7 +186,7 @@ func FuzzCrossFormat(f *testing.F) {
 			if _, derr := Decode(data, nil); derr == nil {
 				t.Fatalf("Detect refused the payload (%v) and Decode accepted it", err)
 			}
-			if _, serr := Stage(data, heap.NewRegistry(), nil); serr == nil {
+			if _, serr := Stage(data, heap.NewRegistry()); serr == nil {
 				t.Fatalf("Detect refused the payload (%v) and Stage accepted it", err)
 			}
 		}
@@ -219,7 +219,7 @@ func FuzzCrossFormat(f *testing.F) {
 		}
 
 		// Third party: the same frames into and out of a heap, no Doc between.
-		checkHeapEnds(t, doc, nil)
+		checkHeapEnds(t, doc)
 	})
 }
 

@@ -11,7 +11,7 @@ type xmlCodec struct{}
 func (xmlCodec) ID() FormatID { return FormatXML }
 
 // encodeFrom appends the shipment's XML text to dst, one record at a time.
-func (xmlCodec) encodeFrom(_ *Encoder, dst []byte, sh shipment, _ *EncodeOpts) ([]byte, error) {
+func (xmlCodec) encodeFrom(_ *Encoder, dst []byte, sh shipment) ([]byte, error) {
 	dst = xmlcodec.AppendHeader(dst, sh.clusterID, sh.version)
 	for n := sh.objects.count(); n > 0; n-- {
 		o, err := sh.objects.next()
@@ -25,6 +25,6 @@ func (xmlCodec) encodeFrom(_ *Encoder, dst []byte, sh shipment, _ *EncodeOpts) (
 	return xmlcodec.AppendTrailer(dst), nil
 }
 
-func (xmlCodec) Decode(data []byte, _ *DecodeOpts) (*xmlcodec.Doc, error) {
+func (xmlCodec) Decode(data []byte) (*xmlcodec.Doc, error) {
 	return xmlcodec.Decode(data)
 }

@@ -39,7 +39,7 @@ func TestReviewDeltaArenaPanic(t *testing.T) {
 	if _, err := Decode(frame, nil); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("Decode = %v, want ErrBadFrame", err)
 	}
-	if _, err := Stage(frame, heap.NewRegistry(), nil); !errors.Is(err, ErrBadFrame) {
+	if _, err := Stage(frame, heap.NewRegistry()); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("Stage = %v, want ErrBadFrame", err)
 	}
 }
@@ -60,6 +60,6 @@ func TestReviewOverflowPanic(t *testing.T) {
 			t.Fatalf("PANIC: %v", r)
 		}
 	}()
-	err := readBody(body, false, nil, &docSink{})
+	err := readBody(body, false, &docSink{})
 	t.Logf("err=%v", err)
 }

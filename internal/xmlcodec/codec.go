@@ -396,7 +396,7 @@ func (in *Installer) Add(o *Object) error {
 	if err != nil {
 		return fmt.Errorf("install @%d: %w", o.ID, err)
 	}
-	fields := p.cls.Ops().NewFieldVector()
+	fields := p.cls.NewFieldVector()
 	for j := range o.Fields {
 		f := &o.Fields[j]
 		slot, ok := p.slot(j, f.Name)

@@ -352,7 +352,7 @@ func TestTelemetryForgetsDroppedClusters(t *testing.T) {
 		}
 		hot, warm, cold := sys.Telemetry().Counts()
 		wss, _ := sys.Telemetry().WSS(0)
-		snap := sys.Context().Snapshot()
+		snap := sys.context.Snapshot()
 		if hot+warm+cold != len(rows) || wss != len(rows) || int(snap["wss.clusters"]) != len(rows) ||
 			int(snap["heat.hot"]+snap["heat.warm"]+snap["heat.cold"]) != len(rows) {
 			t.Fatalf("%s: %d tracked clusters, but heat classes count %d, WSS %d, policy metrics wss.clusters %v",

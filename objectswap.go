@@ -621,12 +621,6 @@ func (s *System) Heap() *heap.Heap { return s.heap }
 // Bus exposes the middleware event bus.
 func (s *System) Bus() *event.Bus { return s.bus }
 
-// Engine exposes the policy engine.
-func (s *System) Engine() *policy.Engine { return s.engine }
-
-// Context exposes the metric provider (for custom policy metrics).
-func (s *System) Context() *devctx.Context { return s.context }
-
 // Monitor exposes the memory monitor.
 func (s *System) Monitor() *devctx.MemoryMonitor { return s.monitor }
 

@@ -192,7 +192,7 @@ func TestSystemCustomPoliciesAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(sys.Engine().Policies()); got != 1 {
+	if got := len(sys.engine.Policies()); got != 1 {
 		t.Fatalf("policies = %d", got)
 	}
 }

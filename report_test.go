@@ -77,7 +77,6 @@ func TestReportRendersObservabilityDigest(t *testing.T) {
 func TestWriteMetricsCoversEveryLayer(t *testing.T) {
 	sys, _ := newReportSystem(t)
 	sys.Monitor().Check()
-	sys.Engine() // engine instrumented at New; policies evaluate on events
 
 	var b strings.Builder
 	if err := sys.WriteMetrics(&b); err != nil {
