@@ -45,8 +45,15 @@ go build ./...
 # - TestNestedInvokeAllocatesNothing, TestFig5A1AllocationsFlat,
 #   TestNewProxyAllocatesTwo (internal/core): ten nested resident invocations
 #   allocate nothing; Figure 5's A1 over clusters of 20 allocates the same at
-#   1 000 and 2 000 objects, at most 2; minting a proxy allocates 2 (its object
+#   1 000 and 2 000 objects, at most 1; minting a proxy allocates 2 (its object
 #   and field vector).
+# - TestB2StepAllocatesNothing, TestB1StepAllocatesTwo,
+#   TestFloorA2AllocatesAtMostOne (internal/core): results return into the
+#   frame, so a B2 step over an assign-mode cursor allocates 0, a B1 step only
+#   the proxy it mints (2), and a whole A2 pass on the direct runtime at most 1.
+# - TestStackPerLevel (internal/core): a nesting level of dispatch takes at
+#   most 664 B of Go stack on the swapping runtime and 632 B on the direct one
+#   (Go 1.24, amd64).
 go test -count=1 ./...
 go test -race ./...
 go test -cover ./internal/obs/ ./internal/core/ ./internal/opshttp/ ./internal/placement/ ./internal/telemetry/
@@ -175,6 +182,16 @@ CALLLITS=$(grep -rnE 'heap\.Call[[:space:]]*\{' --include='*.go' . | grep -v '_t
 if [ -n "$CALLLITS" ]; then
     echo "heap.Call built outside internal/heap (dispatch through heap.Frames.Enter instead):" >&2
     echo "$CALLLITS" >&2
+    exit 1
+fi
+# Guard: a method returns into its frame. A result slice literal in a method
+# body allocates per dispatch; call.Return puts the results in the frame's
+# arena instead. No non-test Go file outside benchmark/ (whose Task class keeps
+# the old form, which Caller still accepts) returns a heap.Value literal.
+RESULTLITS=$(grep -rnE 'return[[:space:]]+\[\]heap\.Value[[:space:]]*\{' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./benchmark/' || true)
+if [ -n "$RESULTLITS" ]; then
+    echo "method result built as a slice literal (return call.Return(...) instead):" >&2
+    echo "$RESULTLITS" >&2
     exit 1
 fi
 # Guard: one class plane. A class, hand-built or emitted by obicomp, is its

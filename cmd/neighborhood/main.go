@@ -96,7 +96,7 @@ func run() error {
 			if err != nil {
 				return nil, err
 			}
-			return []heap.Value{v}, nil
+			return call.Return(v), nil
 		})
 		sys.MustRegisterClass(cls)
 

@@ -155,13 +155,13 @@ func run() error {
 	)
 	node.AddMethod("seq", func(c *heap.Call) ([]heap.Value, error) {
 		v, _ := c.Self.FieldByName("seq")
-		return []heap.Value{v}, nil
+		return c.Return(v), nil
 	})
 	node.AddMethod("sum", func(c *heap.Call) ([]heap.Value, error) {
 		seq, _ := c.Self.FieldByName("seq")
 		next, _ := c.Self.FieldByName("next")
 		if next.IsNil() {
-			return []heap.Value{seq}, nil
+			return c.Return(seq), nil
 		}
 		rest, err := c.RT.Invoke(next, "sum")
 		if err != nil {
@@ -169,7 +169,7 @@ func run() error {
 		}
 		restSum, _ := rest[0].Int()
 		s, _ := seq.Int()
-		return []heap.Value{heap.Int(s + restSum)}, nil
+		return c.Return(heap.Int(s + restSum)), nil
 	})
 	sys.MustRegisterClass(node)
 

@@ -28,25 +28,25 @@ var contactFieldDefs = [4]heap.FieldDef{
 func NewContactClass() *heap.Class {
 	c := heap.NewClass("Contact", contactFieldDefs[:]...)
 	c.AddMethod("getName", func(call *heap.Call) ([]heap.Value, error) {
-		return []heap.Value{call.Self.Field(contactSlotName)}, nil
+		return call.Return(call.Self.Field(contactSlotName)), nil
 	})
 	c.AddMethod("setName", func(call *heap.Call) ([]heap.Value, error) {
 		return nil, call.RT.SetFieldValue(call.Self.RefTo(), "name", call.Arg(0))
 	})
 	c.AddMethod("getPhone", func(call *heap.Call) ([]heap.Value, error) {
-		return []heap.Value{call.Self.Field(contactSlotPhone)}, nil
+		return call.Return(call.Self.Field(contactSlotPhone)), nil
 	})
 	c.AddMethod("setPhone", func(call *heap.Call) ([]heap.Value, error) {
 		return nil, call.RT.SetFieldValue(call.Self.RefTo(), "phone", call.Arg(0))
 	})
 	c.AddMethod("getVcard", func(call *heap.Call) ([]heap.Value, error) {
-		return []heap.Value{call.Self.Field(contactSlotVcard)}, nil
+		return call.Return(call.Self.Field(contactSlotVcard)), nil
 	})
 	c.AddMethod("setVcard", func(call *heap.Call) ([]heap.Value, error) {
 		return nil, call.RT.SetFieldValue(call.Self.RefTo(), "vcard", call.Arg(0))
 	})
 	c.AddMethod("getNext", func(call *heap.Call) ([]heap.Value, error) {
-		return []heap.Value{call.Self.Field(contactSlotNext)}, nil
+		return call.Return(call.Self.Field(contactSlotNext)), nil
 	})
 	c.AddMethod("setNext", func(call *heap.Call) ([]heap.Value, error) {
 		return nil, call.RT.SetFieldValue(call.Self.RefTo(), "next", call.Arg(0))

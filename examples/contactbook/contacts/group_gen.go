@@ -26,19 +26,19 @@ var groupFieldDefs = [3]heap.FieldDef{
 func NewGroupClass() *heap.Class {
 	c := heap.NewClass("Group", groupFieldDefs[:]...)
 	c.AddMethod("getLabel", func(call *heap.Call) ([]heap.Value, error) {
-		return []heap.Value{call.Self.Field(groupSlotLabel)}, nil
+		return call.Return(call.Self.Field(groupSlotLabel)), nil
 	})
 	c.AddMethod("setLabel", func(call *heap.Call) ([]heap.Value, error) {
 		return nil, call.RT.SetFieldValue(call.Self.RefTo(), "label", call.Arg(0))
 	})
 	c.AddMethod("getFirst", func(call *heap.Call) ([]heap.Value, error) {
-		return []heap.Value{call.Self.Field(groupSlotFirst)}, nil
+		return call.Return(call.Self.Field(groupSlotFirst)), nil
 	})
 	c.AddMethod("setFirst", func(call *heap.Call) ([]heap.Value, error) {
 		return nil, call.RT.SetFieldValue(call.Self.RefTo(), "first", call.Arg(0))
 	})
 	c.AddMethod("getSize", func(call *heap.Call) ([]heap.Value, error) {
-		return []heap.Value{call.Self.Field(groupSlotSize)}, nil
+		return call.Return(call.Self.Field(groupSlotSize)), nil
 	})
 	c.AddMethod("setSize", func(call *heap.Call) ([]heap.Value, error) {
 		return nil, call.RT.SetFieldValue(call.Self.RefTo(), "size", call.Arg(0))

@@ -42,14 +42,14 @@ func noteClass() *heap.Class {
 		if err != nil {
 			return nil, err
 		}
-		return []heap.Value{v}, nil
+		return call.Return(v), nil
 	})
 	c.AddMethod("next", func(call *heap.Call) ([]heap.Value, error) {
 		v, err := call.Self.FieldByName("next")
 		if err != nil {
 			return nil, err
 		}
-		return []heap.Value{v}, nil
+		return call.Return(v), nil
 	})
 	return c
 }

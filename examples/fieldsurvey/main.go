@@ -46,14 +46,14 @@ func speciesClass() *heap.Class {
 		if err != nil {
 			return nil, err
 		}
-		return []heap.Value{v}, nil
+		return call.Return(v), nil
 	})
 	c.AddMethod("next", func(call *heap.Call) ([]heap.Value, error) {
 		v, err := call.Self.FieldByName("next")
 		if err != nil {
 			return nil, err
 		}
-		return []heap.Value{v}, nil
+		return call.Return(v), nil
 	})
 	return c
 }
@@ -75,7 +75,7 @@ func observationClass() *heap.Class {
 		}
 		s, _ := sp.Str()
 		l, _ := loc.Str()
-		return []heap.Value{heap.Str(s + " @ " + l)}, nil
+		return call.Return(heap.Str(s + " @ " + l)), nil
 	})
 	return c
 }

@@ -26,19 +26,19 @@ var photoFieldDefs = [3]heap.FieldDef{
 func NewPhotoClass() *heap.Class {
 	c := heap.NewClass("Photo", photoFieldDefs[:]...)
 	c.AddMethod("getThumb", func(call *heap.Call) ([]heap.Value, error) {
-		return []heap.Value{call.Self.Field(photoSlotThumb)}, nil
+		return call.Return(call.Self.Field(photoSlotThumb)), nil
 	})
 	c.AddMethod("setThumb", func(call *heap.Call) ([]heap.Value, error) {
 		return nil, call.RT.SetFieldValue(call.Self.RefTo(), "thumb", call.Arg(0))
 	})
 	c.AddMethod("getCaption", func(call *heap.Call) ([]heap.Value, error) {
-		return []heap.Value{call.Self.Field(photoSlotCaption)}, nil
+		return call.Return(call.Self.Field(photoSlotCaption)), nil
 	})
 	c.AddMethod("setCaption", func(call *heap.Call) ([]heap.Value, error) {
 		return nil, call.RT.SetFieldValue(call.Self.RefTo(), "caption", call.Arg(0))
 	})
 	c.AddMethod("getNext", func(call *heap.Call) ([]heap.Value, error) {
-		return []heap.Value{call.Self.Field(photoSlotNext)}, nil
+		return call.Return(call.Self.Field(photoSlotNext)), nil
 	})
 	c.AddMethod("setNext", func(call *heap.Call) ([]heap.Value, error) {
 		return nil, call.RT.SetFieldValue(call.Self.RefTo(), "next", call.Arg(0))

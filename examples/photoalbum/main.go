@@ -52,7 +52,7 @@ func photoClass() *heap.Class {
 		if err != nil {
 			return nil, err
 		}
-		return []heap.Value{heap.Int(int64(v.BytesLen()))}, nil
+		return call.Return(heap.Int(int64(v.BytesLen()))), nil
 	})
 	return c
 }

@@ -24,13 +24,13 @@ var noteFieldDefs = [2]heap.FieldDef{
 func NewNoteClass() *heap.Class {
 	c := heap.NewClass("Note", noteFieldDefs[:]...)
 	c.AddMethod("getText", func(call *heap.Call) ([]heap.Value, error) {
-		return []heap.Value{call.Self.Field(noteSlotText)}, nil
+		return call.Return(call.Self.Field(noteSlotText)), nil
 	})
 	c.AddMethod("setText", func(call *heap.Call) ([]heap.Value, error) {
 		return nil, call.RT.SetFieldValue(call.Self.RefTo(), "text", call.Arg(0))
 	})
 	c.AddMethod("getNext", func(call *heap.Call) ([]heap.Value, error) {
-		return []heap.Value{call.Self.Field(noteSlotNext)}, nil
+		return call.Return(call.Self.Field(noteSlotNext)), nil
 	})
 	c.AddMethod("setNext", func(call *heap.Call) ([]heap.Value, error) {
 		return nil, call.RT.SetFieldValue(call.Self.RefTo(), "next", call.Arg(0))

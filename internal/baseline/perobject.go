@@ -139,19 +139,20 @@ func (p *PerObject) resolve(v heap.Value) (*heap.Object, error) {
 }
 
 // Invoke implements heap.Invoker: every invocation pays the surrogate hop.
-func (p *PerObject) Invoke(target heap.Value, method string, args ...heap.Value) ([]heap.Value, error) {
+func (p *PerObject) Invoke(target heap.Value, method string, args ...heap.Value) (res []heap.Value, err error) {
 	o, err := p.resolve(target)
 	if err != nil {
 		return nil, err
 	}
 	p.depth++
-	defer p.leave()
+	defer p.leave(&res)
 	return o.Class().Invoke(method, p.frames.Enter(p.depth, o, args))
 }
 
-// leave releases the innermost Call, however its method ended.
-func (p *PerObject) leave() {
-	p.frames.Leave(p.depth)
+// leave releases the innermost Call, however its method ended, keeping the
+// results *res.
+func (p *PerObject) leave(res *[]heap.Value) {
+	p.frames.Leave(p.depth, *res)
 	p.depth--
 }
 

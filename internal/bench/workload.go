@@ -47,7 +47,7 @@ func NodeClass() *heap.Class {
 		if err != nil {
 			return nil, err
 		}
-		return []heap.Value{v}, nil
+		return call.Return(v), nil
 	})
 	// walk: Test A1's recursion, incrementing an int argument per step.
 	c.AddMethod("walk", func(call *heap.Call) ([]heap.Value, error) {
@@ -60,7 +60,7 @@ func NodeClass() *heap.Class {
 			return nil, err
 		}
 		if next.IsNil() {
-			return []heap.Value{heap.Int(depth)}, nil
+			return call.Return(heap.Int(depth)), nil
 		}
 		return call.RT.Invoke(next, "walk", heap.Int(depth+1))
 	})
@@ -76,7 +76,7 @@ func NodeClass() *heap.Class {
 			return nil, err
 		}
 		if k <= 0 || next.IsNil() {
-			return []heap.Value{call.Self.RefTo()}, nil
+			return call.Return(call.Self.RefTo()), nil
 		}
 		return call.RT.Invoke(next, "fetch", heap.Int(k-1))
 	})
@@ -95,7 +95,7 @@ func NodeClass() *heap.Class {
 			return nil, err
 		}
 		if next.IsNil() {
-			return []heap.Value{heap.Int(depth)}, nil
+			return call.Return(heap.Int(depth)), nil
 		}
 		return call.RT.Invoke(next, "outer", heap.Int(depth+1))
 	})

@@ -12,6 +12,8 @@ import (
 // newNodeClass builds the list-node class used throughout the core tests. Its
 // methods exercise every interception path: plain scalar passing ("walk"),
 // reference returns ("next", "fetch"), and reference arguments ("setNext").
+// "next", "walk", "fetch" and "outer" are bench.NodeClass's Figure 5 methods
+// and return through Return; "tag" keeps the old form, a fresh result slice.
 func newNodeClass() *heap.Class {
 	c := heap.NewClass("Node",
 		heap.FieldDef{Name: "payload", Kind: heap.KindBytes},
@@ -23,7 +25,7 @@ func newNodeClass() *heap.Class {
 		if err != nil {
 			return nil, err
 		}
-		return []heap.Value{v}, nil
+		return call.Return(v), nil
 	})
 	c.AddMethod("tag", func(call *heap.Call) ([]heap.Value, error) {
 		v, err := call.Self.FieldByName("tag")
@@ -43,7 +45,7 @@ func newNodeClass() *heap.Class {
 			return nil, err
 		}
 		if next.IsNil() {
-			return []heap.Value{heap.Int(depth)}, nil
+			return call.Return(heap.Int(depth)), nil
 		}
 		return call.RT.Invoke(next, "walk", heap.Int(depth+1))
 	})
@@ -59,9 +61,28 @@ func newNodeClass() *heap.Class {
 			return nil, err
 		}
 		if k <= 0 || next.IsNil() {
-			return []heap.Value{call.Self.RefTo()}, nil
+			return call.Return(call.Self.RefTo()), nil
 		}
 		return call.RT.Invoke(next, "fetch", heap.Int(k-1))
+	})
+	// outer: Test A2's outer recursion — per step, an inner recursion of
+	// depth 10 whose reference is dropped, then advance.
+	c.AddMethod("outer", func(call *heap.Call) ([]heap.Value, error) {
+		depth, err := call.Arg(0).Int()
+		if err != nil {
+			return nil, err
+		}
+		if _, err := call.RT.Invoke(call.Self.RefTo(), "fetch", heap.Int(10)); err != nil {
+			return nil, err
+		}
+		next, err := call.Self.FieldByName("next")
+		if err != nil {
+			return nil, err
+		}
+		if next.IsNil() {
+			return call.Return(heap.Int(depth)), nil
+		}
+		return call.RT.Invoke(next, "outer", heap.Int(depth+1))
 	})
 	// setNext: reference-argument interception.
 	c.AddMethod("setNext", func(call *heap.Call) ([]heap.Value, error) {

@@ -40,15 +40,13 @@ func (rt *Runtime) enter(target heap.Value, what, name string) (frame, error) {
 	return f, nil
 }
 
-// leave releases the frame's heap.Call, drops its protections and, when the
-// operation succeeded, anchors its results in the parent frame so
-// interception-created proxies survive until stored. The outermost frame
-// clears the stack: no collection can interleave before host code stores the
-// results. Deferred by all three operations, it runs when a method body
-// panics too.
+// leave drops the frame's protections and, when the operation succeeded,
+// anchors its results in the parent frame so interception-created proxies
+// survive until stored. The outermost frame clears the stack: no collection
+// can interleave before host code stores the results. Deferred by all three
+// operations, it runs when a method body panics too.
 func (f frame) leave(err error, results ...heap.Value) {
 	rt := f.rt
-	rt.frames.Leave(rt.depth)
 	rt.stack = rt.stack[:f.save]
 	rt.depth--
 	if rt.depth == 0 {
@@ -180,13 +178,17 @@ func (rt *Runtime) materialize(id heap.ObjID) (*heap.Object, error) {
 // Invoke dispatches a method on the object designated by target, applying
 // swap-cluster-proxy interception, replication faults and swap-in reloads as
 // the reference demands. It implements heap.Invoker, so nested invocations
-// made by method bodies flow back through it.
+// made by method bodies flow back through it. The results follow
+// heap.Call's lifetime rule: they may live in the frame pool's arenas.
 func (rt *Runtime) Invoke(target heap.Value, method string, args ...heap.Value) (res []heap.Value, err error) {
 	f, err := rt.enter(target, "method", method)
 	if err != nil {
 		return nil, err
 	}
-	defer func() { f.leave(err, res...) }()
+	defer func() {
+		f.rt.frames.Leave(f.rt.depth, res) // the depth's Call keeps only res
+		f.leave(err, res...)
+	}()
 	for _, a := range args {
 		rt.pushValueRefs(a)
 	}
@@ -206,7 +208,8 @@ func (rt *Runtime) Invoke(target heap.Value, method string, args ...heap.Value) 
 // invokeAcross dispatches on the far side of a swap-cluster boundary:
 // arguments are translated into the target cluster's perspective and results
 // back into the caller's — or, on an assign-mode proxy returning a single
-// reference, the proxy patches itself onto it (Section 4).
+// reference, the proxy patches itself onto it (Section 4). Whatever it
+// translates, and the patched proxy, it returns through the Call's arena.
 func (rt *Runtime) invokeAcross(r reached, method string, args []heap.Value) ([]heap.Value, error) {
 	cls := r.obj.Class()
 	if !cls.HasMethod(method) {
@@ -215,14 +218,15 @@ func (rt *Runtime) invokeAcross(r reached, method string, args []heap.Value) ([]
 	// Protect the receiver before argument interception, which can allocate,
 	// evict and collect (the proxy itself was stacked by enter).
 	rt.pushStack(r.obj.ID())
-	targs, err := rt.intercept(args, r.dst, "argument")
-	if err != nil {
+	call := rt.frames.Enter(rt.depth, r.obj, args)
+	var err error
+	if call.Args, err = rt.intercept(call, call.Args, r.dst, "argument"); err != nil {
 		return nil, err
 	}
-	for _, a := range targs {
+	for _, a := range call.Args {
 		rt.pushValueRefs(a)
 	}
-	res, err := cls.Invoke(method, rt.frames.Enter(rt.depth, r.obj, targs))
+	res, err := cls.Invoke(method, call)
 	if err != nil {
 		return nil, err
 	}
@@ -231,17 +235,17 @@ func (rt *Runtime) invokeAcross(r reached, method string, args []heap.Value) ([]
 		if err != nil {
 			return nil, err
 		}
-		return []heap.Value{v}, nil
+		return call.Return(v), nil
 	}
-	return rt.intercept(res, r.src, "result")
+	return rt.intercept(call, res, r.src, "result")
 }
 
 // intercept translates the values passed across a boundary into the
 // perspective of the cluster receiving them. When no value changes (scalars,
 // and references that are already right for the receiver) vals itself passes
-// through, as on the same-cluster path; the copy is made at the first value
-// that does change.
-func (rt *Runtime) intercept(vals []heap.Value, to ClusterID, what string) ([]heap.Value, error) {
+// through, as on the same-cluster path; at the first value that does change,
+// vals is copied into call's arena and translated there.
+func (rt *Runtime) intercept(call *heap.Call, vals []heap.Value, to ClusterID, what string) ([]heap.Value, error) {
 	var out []heap.Value
 	for i, v := range vals {
 		tv, err := rt.translate(v, to)
@@ -252,8 +256,7 @@ func (rt *Runtime) intercept(vals []heap.Value, to ClusterID, what string) ([]he
 			if tv.Equal(v) {
 				continue
 			}
-			out = make([]heap.Value, len(vals))
-			copy(out, vals[:i])
+			out = call.Return(vals...)
 		}
 		out[i] = tv
 	}

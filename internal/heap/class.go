@@ -62,10 +62,20 @@ func (f FieldDef) Accepts(k Kind) bool { return assignable(f.Kind, k) }
 // receiver, and the arguments.
 //
 // A Call belongs to the invoker that dispatched it, which hands the same Call
-// to the next invocation at the same nesting depth (Frames). A Call and its
-// Args are valid until the method returns: a method body must not keep
-// either. It may return Args, or a slice of them; RT.Invoke copies such a
-// result before the caller's next nested call could overwrite it.
+// to the next invocation at the same nesting depth (Frames). Each Call owns one
+// value buffer, its frame's arena: the arguments of the method's nested calls,
+// the results those calls return, and the results the method returns through
+// Return all live there, so once the arena has grown a dispatch allocates no
+// slice at all. It holds every result of one invocation until the method
+// returns, so a body that makes many nested calls grows it, and it keeps the
+// capacity it grew to.
+//
+// The lifetime rule: a Call, its Args and every result its nested calls return
+// are valid until the method returns, and a method body must not keep any of
+// them. A result handed to host code is valid until the host's next call
+// through the same invoker; the host may pass it straight back as that call's
+// arguments. A body may return Return's slice, Args or a slice of them, a
+// nested call's result, or a fresh slice; all but the last allocate nothing.
 type Call struct {
 	RT   *Caller
 	Self *Object
@@ -75,28 +85,28 @@ type Call struct {
 }
 
 // Caller is the Invoker a method body calls out through: it forwards to the
-// invoker that dispatched the body's Call. Invoke first copies its arguments
-// into a buffer the frame owns, so the variadic array at the call site stays
-// on the Go stack (through an interface it would escape), and the callee's
-// Args are that buffer.
+// invoker that dispatched the body's Call. Invoke appends its arguments to the
+// frame's arena, so the variadic array at the call site stays on the Go stack
+// (through an interface it would escape) and the callee's Args are arena
+// slots; the callee's results then replace those arguments in the arena.
 type Caller struct {
 	inv Invoker
-	buf []Value
+	buf []Value // the frame's arena
 }
 
 var _ Invoker = (*Caller)(nil)
 
 // Invoke calls method on the object target designates, through the frame's
-// invoker. A result that aliases the argument buffer (a callee returning its
-// Args) is copied, since the frame's next nested call reuses the buffer.
+// invoker, and returns the results from the frame's arena, where they stay
+// valid until the calling method returns. They are copied there whatever the
+// callee returned them in: its own frame's arena, which the next nested call
+// reuses, its Args, or a fresh slice.
 func (c *Caller) Invoke(target Value, method string, args ...Value) ([]Value, error) {
-	buf := append(c.buf[:0], args...)
-	c.buf = buf
-	res, err := c.inv.Invoke(target, method, buf...)
-	if aliases(res, buf) {
-		res = append([]Value(nil), res...)
-	}
-	return res, err
+	mark := len(c.buf)
+	c.buf = append(c.buf, args...)
+	res, err := c.inv.Invoke(target, method, c.buf[mark:len(c.buf):len(c.buf)]...)
+	c.buf = append(c.buf[:mark], res...)
+	return c.buf[mark:len(c.buf):len(c.buf)], err
 }
 
 // Field reads a field of the designated object through the frame's invoker.
@@ -128,7 +138,9 @@ type Frames struct {
 func NewFrames(inv Invoker) Frames { return Frames{inv: inv} }
 
 // Enter returns the Call for an invocation of self at depth (1 for the
-// outermost), holding args.
+// outermost), holding args, with its arena reset. Host code may pass a result
+// it got at this depth straight back as args: those values are moved to the
+// front of the arena, and the invocation's nested calls append after them.
 func (fs *Frames) Enter(depth int, self *Object, args []Value) *Call {
 	for len(fs.calls) < depth {
 		c := &Call{rt: Caller{inv: fs.inv}}
@@ -136,21 +148,32 @@ func (fs *Frames) Enter(depth int, self *Object, args []Value) *Call {
 		fs.calls = append(fs.calls, c)
 	}
 	c := fs.calls[depth-1]
+	c.rt.buf = c.rt.buf[:0]
+	if i, ok := offset(args, c.rt.buf); ok {
+		c.rt.buf = append(c.rt.buf, c.rt.buf[i:i+len(args)]...)
+		args = c.rt.buf[:len(args):len(args)]
+	}
 	c.Self, c.Args = self, args
 	return c
 }
 
 // Leave releases the Call at depth, whether or not one was entered there: it
-// keeps no pointer to its receiver, its arguments or those of any nested call
-// it made.
-func (fs *Frames) Leave(depth int) {
+// keeps no pointer to its receiver or its arguments, and its arena keeps only
+// res, the invocation's results, when they live there — after a panic, when
+// res is nil, it keeps nothing.
+func (fs *Frames) Leave(depth int, res []Value) {
 	if depth > len(fs.calls) {
 		return
 	}
 	c := fs.calls[depth-1]
 	c.Self, c.Args = nil, nil
-	c.rt.buf = c.rt.buf[:0]
-	clear(c.rt.buf[:cap(c.rt.buf)])
+	buf := c.rt.buf[:cap(c.rt.buf)]
+	c.rt.buf = buf[:0]
+	if i, ok := offset(res, buf); ok {
+		clear(buf[:i])
+		buf = buf[i+len(res):]
+	}
+	clear(buf)
 }
 
 // Arg returns the i-th argument or nil Value when absent.
@@ -159,6 +182,15 @@ func (c *Call) Arg(i int) Value {
 		return Nil()
 	}
 	return c.Args[i]
+}
+
+// Return appends vals to the frame's arena and returns them from there: the
+// way a method body returns its results without allocating. vals may be the
+// Call's own Args or results of its nested calls.
+func (c *Call) Return(vals ...Value) []Value {
+	mark := len(c.rt.buf)
+	c.rt.buf = append(c.rt.buf, vals...)
+	return c.rt.buf[mark:len(c.rt.buf):len(c.rt.buf)]
 }
 
 // Method is the body of one method. Returning an error aborts the invocation

@@ -15,7 +15,9 @@ import (
 // interposition at all — the "NO SWAP-CLUSTERS" lower bound of Figure 5.
 type Invoker interface {
 	// Invoke calls method on the object designated by target (a ref Value)
-	// with the given arguments.
+	// with the given arguments. The results may live in the invoker's call
+	// frames (Call's lifetime rule): they are valid until the caller's next
+	// call through the same invoker, which may take them as its arguments.
 	Invoke(target Value, method string, args ...Value) ([]Value, error)
 	// Field reads a field of the designated object (proxy-mediated
 	// implementations forward it like an accessor method invocation).
@@ -54,7 +56,7 @@ func NewDirectRuntime(h *Heap) *DirectRuntime {
 func (rt *DirectRuntime) Heap() *Heap { return rt.heap }
 
 // Invoke dispatches method on the target object.
-func (rt *DirectRuntime) Invoke(target Value, method string, args ...Value) ([]Value, error) {
+func (rt *DirectRuntime) Invoke(target Value, method string, args ...Value) (res []Value, err error) {
 	id, err := target.Ref()
 	if err != nil {
 		return nil, err
@@ -67,13 +69,14 @@ func (rt *DirectRuntime) Invoke(target Value, method string, args ...Value) ([]V
 		return nil, err
 	}
 	rt.depth++
-	defer rt.leave()
+	defer rt.leave(&res)
 	return obj.Class().Invoke(method, rt.frames.Enter(rt.depth, obj, args))
 }
 
-// leave releases the innermost Call, however its method ended.
-func (rt *DirectRuntime) leave() {
-	rt.frames.Leave(rt.depth)
+// leave releases the innermost Call, however its method ended, keeping the
+// results *res.
+func (rt *DirectRuntime) leave(res *[]Value) {
+	rt.frames.Leave(rt.depth, *res)
 	rt.depth--
 }
 

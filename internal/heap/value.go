@@ -190,16 +190,20 @@ func (v Value) bytes() []byte { return unsafe.Slice((*byte)(v.p), int(v.n)) }
 // elems views list data as a slice with cap == len; callers check the kind.
 func (v Value) elems() []Value { return unsafe.Slice((*Value)(v.p), int(v.n)) }
 
-// aliases reports whether s starts inside buf's backing array: the one
-// pointer-range check that tells Caller.Invoke a result is its own argument
-// buffer, or part of it.
-func aliases(s, buf []Value) bool {
+// offset reports whether s starts inside buf's backing array and, if so, at
+// which element: the one pointer-range check that tells Frames a slice of
+// values already lives in a frame's arena (a result being kept, or a previous
+// result passed back as arguments).
+func offset(s, buf []Value) (int, bool) {
 	if len(s) == 0 || cap(buf) == 0 {
-		return false
+		return 0, false
 	}
 	p := uintptr(unsafe.Pointer(unsafe.SliceData(s)))
 	lo := uintptr(unsafe.Pointer(unsafe.SliceData(buf)))
-	return p >= lo && p < lo+uintptr(cap(buf))*unsafe.Sizeof(Value{})
+	if p < lo || p >= lo+uintptr(cap(buf))*unsafe.Sizeof(Value{}) {
+		return 0, false
+	}
+	return int((p - lo) / unsafe.Sizeof(Value{})), true
 }
 
 // Kind reports the value's kind.

@@ -135,7 +135,7 @@ func renderClassFile(pkg string, c *Class) ([]byte, error) {
 	for _, f := range c.Fields {
 		fe := export(f.Name)
 		fmt.Fprintf(&b, "\tc.AddMethod(%q, func(call *heap.Call) ([]heap.Value, error) {\n", "get"+fe)
-		fmt.Fprintf(&b, "\t\treturn []heap.Value{call.Self.Field(%sSlot%s)}, nil\n\t})\n", p, fe)
+		fmt.Fprintf(&b, "\t\treturn call.Return(call.Self.Field(%sSlot%s)), nil\n\t})\n", p, fe)
 		fmt.Fprintf(&b, "\tc.AddMethod(%q, func(call *heap.Call) ([]heap.Value, error) {\n", "set"+fe)
 		fmt.Fprintf(&b, "\t\treturn nil, call.RT.SetFieldValue(call.Self.RefTo(), %q, call.Arg(0))\n\t})\n", f.Name)
 	}

@@ -34,43 +34,43 @@ var recordFieldDefs = [7]heap.FieldDef{
 func NewRecordClass() *heap.Class {
 	c := heap.NewClass("Record", recordFieldDefs[:]...)
 	c.AddMethod("getTitle", func(call *heap.Call) ([]heap.Value, error) {
-		return []heap.Value{call.Self.Field(recordSlotTitle)}, nil
+		return call.Return(call.Self.Field(recordSlotTitle)), nil
 	})
 	c.AddMethod("setTitle", func(call *heap.Call) ([]heap.Value, error) {
 		return nil, call.RT.SetFieldValue(call.Self.RefTo(), "title", call.Arg(0))
 	})
 	c.AddMethod("getSeq", func(call *heap.Call) ([]heap.Value, error) {
-		return []heap.Value{call.Self.Field(recordSlotSeq)}, nil
+		return call.Return(call.Self.Field(recordSlotSeq)), nil
 	})
 	c.AddMethod("setSeq", func(call *heap.Call) ([]heap.Value, error) {
 		return nil, call.RT.SetFieldValue(call.Self.RefTo(), "seq", call.Arg(0))
 	})
 	c.AddMethod("getWeight", func(call *heap.Call) ([]heap.Value, error) {
-		return []heap.Value{call.Self.Field(recordSlotWeight)}, nil
+		return call.Return(call.Self.Field(recordSlotWeight)), nil
 	})
 	c.AddMethod("setWeight", func(call *heap.Call) ([]heap.Value, error) {
 		return nil, call.RT.SetFieldValue(call.Self.RefTo(), "weight", call.Arg(0))
 	})
 	c.AddMethod("getDirty", func(call *heap.Call) ([]heap.Value, error) {
-		return []heap.Value{call.Self.Field(recordSlotDirty)}, nil
+		return call.Return(call.Self.Field(recordSlotDirty)), nil
 	})
 	c.AddMethod("setDirty", func(call *heap.Call) ([]heap.Value, error) {
 		return nil, call.RT.SetFieldValue(call.Self.RefTo(), "dirty", call.Arg(0))
 	})
 	c.AddMethod("getBlob", func(call *heap.Call) ([]heap.Value, error) {
-		return []heap.Value{call.Self.Field(recordSlotBlob)}, nil
+		return call.Return(call.Self.Field(recordSlotBlob)), nil
 	})
 	c.AddMethod("setBlob", func(call *heap.Call) ([]heap.Value, error) {
 		return nil, call.RT.SetFieldValue(call.Self.RefTo(), "blob", call.Arg(0))
 	})
 	c.AddMethod("getNext", func(call *heap.Call) ([]heap.Value, error) {
-		return []heap.Value{call.Self.Field(recordSlotNext)}, nil
+		return call.Return(call.Self.Field(recordSlotNext)), nil
 	})
 	c.AddMethod("setNext", func(call *heap.Call) ([]heap.Value, error) {
 		return nil, call.RT.SetFieldValue(call.Self.RefTo(), "next", call.Arg(0))
 	})
 	c.AddMethod("getTags", func(call *heap.Call) ([]heap.Value, error) {
-		return []heap.Value{call.Self.Field(recordSlotTags)}, nil
+		return call.Return(call.Self.Field(recordSlotTags)), nil
 	})
 	c.AddMethod("setTags", func(call *heap.Call) ([]heap.Value, error) {
 		return nil, call.RT.SetFieldValue(call.Self.RefTo(), "tags", call.Arg(0))

@@ -717,7 +717,10 @@ func (s *System) NewObject(c *heap.Class, cluster ClusterID) (*heap.Object, erro
 	return o, nil
 }
 
-// Invoke dispatches a method through the swapping-aware runtime.
+// Invoke dispatches a method through the swapping-aware runtime. The results
+// may live in the runtime's call frames (heap.Call's lifetime rule): they are
+// valid until the next Invoke, Field or SetField on s — which may take them as
+// its arguments — so copy a value out to keep it longer.
 func (s *System) Invoke(target heap.Value, method string, args ...heap.Value) ([]heap.Value, error) {
 	return s.rt.Invoke(target, method, args...)
 }
