@@ -33,9 +33,11 @@ go build ./...
 #   nothing allocates nothing.
 # - TestSwapRoundTripBudget (internal/core): one SwapOut + SwapIn of a written
 #   32-object x 128 B cluster in the binary format allocates at most 6x the
-#   frame it ships, and the encode side nothing that grows with the object
-#   count once the encoder pool is warm; an unwritten one leaves with no
-#   store call, 21 allocations and at most 2300 B at any size.
+#   frame it ships in at most 76 objects; neither the encode side, once the
+#   encoder pool is warm, nor a swap-in (the same count at 32 and 128
+#   members) allocates anything that grows with the object count; an
+#   unwritten one leaves with no store call, at most 20 allocations and
+#   2020 B at any size.
 # - TestCollectAllocatesNothingOnUnchangedHeap (internal/heap).
 # - TestFaultBenchSmoke (.): a pointer chase with the prefetcher on takes at
 #   least one demand fault and serves at least half its cluster boundaries
@@ -43,14 +45,14 @@ go build ./...
 # - TestTriggerPrefetchAllocatesNothing (internal/core): a prefetch trigger —
 #   window walk, enqueue, task — allocates nothing.
 # - TestNestedInvokeAllocatesNothing, TestFig5A1AllocationsFlat,
-#   TestNewProxyAllocatesTwo (internal/core): ten nested resident invocations
+#   TestNewProxyAllocatesOne (internal/core): ten nested resident invocations
 #   allocate nothing; Figure 5's A1 over clusters of 20 allocates the same at
-#   1 000 and 2 000 objects, at most 1; minting a proxy allocates 2 (its object
-#   and field vector).
-# - TestB2StepAllocatesNothing, TestB1StepAllocatesTwo,
+#   1 000 and 2 000 objects, at most 1; minting a proxy allocates 1 (its object,
+#   field vector inside).
+# - TestB2StepAllocatesNothing, TestB1StepAllocatesOne,
 #   TestFloorA2AllocatesAtMostOne (internal/core): results return into the
 #   frame, so a B2 step over an assign-mode cursor allocates 0, a B1 step only
-#   the proxy it mints (2), and a whole A2 pass on the direct runtime at most 1.
+#   the proxy it mints (1), and a whole A2 pass on the direct runtime at most 1.
 # - TestStackPerLevel (internal/core): a nesting level of dispatch takes at
 #   most 664 B of Go stack on the swapping runtime and 632 B on the direct one
 #   (Go 1.24, amd64).
@@ -203,6 +205,17 @@ PLANES=$(grep -rnE 'ClassOps|BindOps|ClassCodec|WireCodec' --include='*.go' . ||
 if [ -n "$PLANES" ]; then
     echo "second class plane (build every class with heap.NewClass + AddMethod; frames go through the generic field loop):" >&2
     echo "$PLANES" >&2
+    exit 1
+fi
+# Guard: the swap path sorts without reflection. sort.Slice boxes its slice
+# and builds a reflective swapper, two allocations per call on every swap-out
+# and swap-in (Manager.inboundProxies); slices.Sort and slices.SortFunc
+# allocate nothing. No non-test file of internal/core or internal/heap calls
+# sort.Slice.
+SORTSLICE=$(grep -nE 'sort\.Slice(Stable)?\(' internal/core/*.go internal/heap/*.go | grep -v '_test\.go:' || true)
+if [ -n "$SORTSLICE" ]; then
+    echo "sort.Slice on the swap path (use slices.Sort or slices.SortFunc):" >&2
+    echo "$SORTSLICE" >&2
     exit 1
 fi
 # Fault-storm smoke: 64 goroutines faulting 8 swapped clusters must issue

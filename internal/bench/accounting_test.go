@@ -52,9 +52,10 @@ func TestDeviceByteAccountingPinned(t *testing.T) {
 			}
 
 			// A reload accounts the same object the same way.
-			fields := []heap.Value{o.Field(0), o.Field(1)}
+			var b heap.Batch
+			copy(b.Add(o.ID(), tc.class), []heap.Value{o.Field(0), o.Field(1)})
 			h2 := heap.New(0)
-			objs, err := h2.InstallBatch([]heap.Staged{{ID: o.ID(), Class: tc.class, Fields: fields}})
+			objs, err := h2.InstallBatch(&b)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 
 	"objectswap/internal/heap"
@@ -169,7 +169,7 @@ func (rt *Runtime) SaveCheckpoint(w io.Writer) error {
 		// Replica sets are replaced, never edited, so the copies may share them.
 		swapped, was, c := cs.where.out(), cs.shipment, cs.retained.donorCopy
 		ts.mu.Unlock()
-		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+		slices.Sort(members)
 
 		ck := ckptCluster{ID: uint32(cid), Swapped: swapped}
 		for _, oid := range members {

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"objectswap/internal/heap"
 )
@@ -45,7 +45,7 @@ func (rt *Runtime) DumpDot(w io.Writer) error {
 	for c := range byCluster {
 		clusterIDs = append(clusterIDs, c)
 	}
-	sort.Slice(clusterIDs, func(i, j int) bool { return clusterIDs[i] < clusterIDs[j] })
+	slices.Sort(clusterIDs)
 
 	for _, c := range clusterIDs {
 		p("  subgraph cluster_%d {\n    label=\"swap-cluster %d\";\n    style=rounded;\n", c, c)

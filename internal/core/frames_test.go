@@ -354,12 +354,12 @@ func TestFloorA2AllocatesAtMostOne(t *testing.T) {
 	}
 }
 
-// TestB1StepAllocatesTwo: one step of Figure 5's B1 — "next" through the
+// TestB1StepAllocatesOne: one step of Figure 5's B1 — "next" through the
 // cursor's proxy, whose reference result is translated for the root cluster
-// — allocates the proxy it mints for that result (object and field vector)
-// and nothing else: neither the body's result slice nor intercept's
-// translated copy. check.sh runs it by name.
-func TestB1StepAllocatesTwo(t *testing.T) {
+// — allocates the proxy it mints for that result, one object with its field
+// vector inside, and nothing else: neither the body's result slice nor
+// intercept's translated copy. check.sh runs it by name.
+func TestB1StepAllocatesOne(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are gated without the race detector")
 	}
@@ -373,8 +373,8 @@ func TestB1StepAllocatesTwo(t *testing.T) {
 		}
 		cur = out[0]
 	})
-	if allocs != 2 {
-		t.Fatalf("a B1 step allocates %.0f objects, want 2", allocs)
+	if allocs != 1 {
+		t.Fatalf("a B1 step allocates %.0f objects, want 1", allocs)
 	}
 }
 
@@ -458,10 +458,11 @@ func TestStackPerLevel(t *testing.T) {
 	}
 }
 
-// TestNewProxyAllocatesTwo: minting a swap-cluster-proxy allocates the proxy
-// object and its field vector, nothing else — its finalizer is bound once per
-// runtime and is the object's first. check.sh runs it by name.
-func TestNewProxyAllocatesTwo(t *testing.T) {
+// TestNewProxyAllocatesOne: minting a swap-cluster-proxy allocates the proxy
+// object, whose field vector is part of the same allocation, and nothing else
+// — its finalizer is bound once per runtime and is the object's first.
+// check.sh runs it by name.
+func TestNewProxyAllocatesOne(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are gated without the race detector")
 	}
@@ -472,7 +473,7 @@ func TestNewProxyAllocatesTwo(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 2 {
-		t.Fatalf("newProxy allocates %.0f objects, want 2", allocs)
+	if allocs != 1 {
+		t.Fatalf("newProxy allocates %.0f objects, want 1", allocs)
 	}
 }

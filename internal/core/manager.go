@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -305,7 +304,7 @@ func (m *Manager) Clusters() []ClusterID {
 		}
 		ts.mu.Unlock()
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
@@ -464,7 +463,7 @@ func (m *Manager) inboundProxies(id ClusterID) []heap.ObjID {
 	for pid := range idx {
 		out = append(out, pid)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -576,7 +575,7 @@ func (m *Manager) InfoAll() []ClusterInfo {
 		}
 		ts.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b ClusterInfo) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"slices"
-	"sort"
 	"strings"
 
 	"objectswap/internal/event"
@@ -80,7 +79,7 @@ func (rt *Runtime) UnderReplicated(k int) []ClusterID {
 			out = append(out, id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"maps"
-	"sort"
+	"slices"
 
 	"objectswap/internal/heap"
 )
@@ -190,7 +190,7 @@ func (rt *Runtime) remediateCluster(id ClusterID) error {
 		ids = append(ids, oid)
 	}
 	ts.mu.Unlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 
 	for _, oid := range ids {
 		o, err := rt.h.Get(oid)

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -178,7 +178,7 @@ func (rt *Runtime) ShardEvictions() []ShardEviction {
 			out = append(out, ShardEviction{Shard: sh.idx, Since: time.Unix(0, ns)})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Since.Before(out[j].Since) })
+	slices.SortFunc(out, func(a, b ShardEviction) int { return a.Since.Compare(b.Since) })
 	return out
 }
 

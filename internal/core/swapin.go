@@ -131,8 +131,8 @@ func (s *swapIn) fetch() error {
 }
 
 // decode validates and stages whatever format the shipment self-describes as:
-// every structural check runs here, unlocked, and the objects come out as
-// field vectors ready to install — a frame that fails leaves the heap and the
+// every structural check runs here, unlocked, and the objects come out staged
+// in a heap.Batch, ready to install — a frame that fails leaves the heap and the
 // cluster table untouched, and evicts nothing. Every payload decodes on its
 // own: nothing but the fetched bytes is read.
 func (s *swapIn) decode() (err error) {

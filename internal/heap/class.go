@@ -297,13 +297,11 @@ func (c *Class) FieldIndex(name string) (int, bool) {
 	return i, ok
 }
 
-// NewFieldVector builds the zeroed initial field slots of an instance.
-func (c *Class) NewFieldVector() []Value {
-	fields := make([]Value, len(c.fields))
+// zeroFields sets an instance's field slots to their initial values.
+func (c *Class) zeroFields(fields []Value) {
 	for i := range fields {
 		fields[i] = zeroValue(c.fields[i].Kind)
 	}
-	return fields
 }
 
 // Fields returns a copy of the field definitions.

@@ -3,6 +3,7 @@ package heap
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -348,85 +349,175 @@ func (h *Heap) newObject(c *Class, privileged bool) (*Object, error) {
 	if err != nil {
 		return nil, err
 	}
+	o := allocObject(c.NumFields())
+	o.class, o.heap, o.size = c, h, size
+	c.zeroFields(o.fields)
 	h.mu.Lock()
 	h.nextID++
-	id := ObjID(h.nextID)
-	o := &Object{
-		id:     id,
-		class:  c,
-		heap:   h,
-		fields: c.NewFieldVector(),
-		size:   size,
-	}
-	h.objects[id] = o
+	o.id = ObjID(h.nextID)
+	h.objects[o.id] = o
 	h.allocated.Add(1)
 	if h.nurseryGrace > 0 {
-		h.nursery[id] = h.nurseryGrace
+		h.nursery[o.id] = h.nurseryGrace
 	}
 	h.mu.Unlock()
 	return o, nil
 }
 
-// NewAt installs one zero-valued object with a caller-chosen ID: the
-// single-object form of InstallBatch, which is what swap-in and checkpoint
-// restore use to put back whole clusters. The ID must not collide with a
-// resident object; the internal ID counter advances past it so fresh
-// allocations never collide either.
+// An object of a small class is one Go allocation: its header and its field
+// array in one block, with fields pointing into it, so a proxy, a
+// replacement-object or a two-slot application node costs the Go heap one
+// object, as it costs the managed heap one. A class with more than
+// maxInlineFields fields gets its vector separately.
+const maxInlineFields = 4
+
+type (
+	object1 struct {
+		Object
+		slots [1]Value
+	}
+	object2 struct {
+		Object
+		slots [2]Value
+	}
+	object3 struct {
+		Object
+		slots [3]Value
+	}
+	object4 struct {
+		Object
+		slots [4]Value
+	}
+)
+
+// allocObject returns an Object with n unset field slots.
+func allocObject(n int) *Object {
+	switch n {
+	case 0:
+		return new(Object)
+	case 1:
+		b := new(object1)
+		b.fields = b.slots[:]
+		return &b.Object
+	case 2:
+		b := new(object2)
+		b.fields = b.slots[:]
+		return &b.Object
+	case 3:
+		b := new(object3)
+		b.fields = b.slots[:]
+		return &b.Object
+	case 4:
+		b := new(object4)
+		b.fields = b.slots[:]
+		return &b.Object
+	}
+	return &Object{fields: make([]Value, n)}
+}
+
+// NewAt installs one zero-valued object with a caller-chosen ID: a batch of
+// one, through the InstallBatch that swap-in and checkpoint restore use to
+// put back whole clusters. The ID must not collide with a resident object;
+// the internal ID counter advances past it so fresh allocations never
+// collide either.
 func (h *Heap) NewAt(id ObjID, c *Class) (*Object, error) {
 	if c == nil {
 		return nil, errors.New("heap: NewAt: nil class")
 	}
-	objs, err := h.InstallBatch([]Staged{{ID: id, Class: c, Fields: c.NewFieldVector()}})
+	b := MakeBatch(1, c.NumFields())
+	b.Add(id, c)
+	objs, err := h.InstallBatch(&b)
 	if err != nil {
 		return nil, err
 	}
 	return objs[0], nil
 }
 
-// Staged is one object of a batch install: the identity it is restored
-// under, its class, and its complete field vector.
-type Staged struct {
-	ID     ObjID
-	Class  *Class
-	Fields []Value // len == Class.NumFields(), taken over by the heap
+// Batch stages a cluster for InstallBatch in the objects it will become: the
+// members' headers share one array and their field vectors are carved from
+// one slab of values, so a reloaded cluster costs the Go heap two
+// allocations, not one per member. A member the slab has no room left for
+// gets a vector of its own.
+//
+// The members die together as far as Go is concerned: a collected member's
+// header and slots stay allocated until its last cluster-mate is collected
+// too. The shared header array alone already did that, and through each
+// header it held the member's vector; the slab adds no new retention.
+type Batch struct {
+	objs []Object
+	slab []Value
 }
 
-// InstallBatch makes every staged object resident under its original identity
-// in one critical section, or none of them: the mirror of Free, used by
-// swap-in, checkpoint restore and the baseline comparators to put a whole
+// MakeBatch returns a batch with room for objects members and slots field
+// values between them. Size it from counts the caller has already bounded:
+// the slab is allocated up front, whatever the members turn out to need.
+func MakeBatch(objects, slots int) Batch {
+	return Batch{objs: make([]Object, 0, objects), slab: make([]Value, slots)}
+}
+
+// Add stages a member of class c under id and returns its field vector,
+// zeroed as New zeroes one, for the caller to fill in: InstallBatch checks
+// every value against its field. A nil class is staged as given and refused
+// there.
+func (b *Batch) Add(id ObjID, c *Class) []Value {
+	var fields []Value
+	if c != nil {
+		n := c.NumFields()
+		if n <= len(b.slab) {
+			fields, b.slab = b.slab[:n:n], b.slab[n:]
+		} else {
+			fields = make([]Value, n)
+		}
+		c.zeroFields(fields)
+	}
+	b.objs = append(b.objs, Object{id: id, class: c, fields: fields})
+	return fields
+}
+
+// Len returns the number of staged members.
+func (b *Batch) Len() int { return len(b.objs) }
+
+// ID returns the identity the i-th member is staged under.
+func (b *Batch) ID(i int) ObjID { return b.objs[i].id }
+
+// Class returns the i-th member's class.
+func (b *Batch) Class(i int) *Class { return b.objs[i].class }
+
+// Fields returns the i-th member's field vector, for the caller to write.
+func (b *Batch) Fields(i int) []Value { return b.objs[i].fields }
+
+// InstallBatch makes every staged member resident under its original
+// identity in one critical section, or none of them: the mirror of Free, used
+// by swap-in, checkpoint restore and the baseline comparators to put a whole
 // cluster back. The batch's bytes are reserved once against the application
 // share of the budget, never the middleware reserve: restored objects are
 // application data, and repeated reloads must not squeeze out the very
 // machinery (replacement-objects, proxies) that makes the next eviction
-// possible. An identity that is already resident, a field vector of the wrong
-// length or a value its field cannot hold fails the batch and leaves Used,
-// residency and the nursery exactly as found. The objects are returned in
-// batch order; the heap owns their field vectors from here on. Write
-// observers do not fire: restoring state is not a mutation.
-func (h *Heap) InstallBatch(batch []Staged) ([]*Object, error) {
-	objs := make([]Object, len(batch))
+// possible. An identity that is already resident, a nil class or id, or a
+// value its field cannot hold fails the batch and leaves Used, residency and
+// the nursery exactly as found. The objects are returned in batch order; on
+// success the heap owns them and the batch is left empty. Write observers do
+// not fire: restoring state is not a mutation.
+func (h *Heap) InstallBatch(b *Batch) ([]*Object, error) {
+	objs := b.objs
 	var total int64
-	for i := range batch {
-		s := &batch[i]
-		if s.Class == nil {
+	for i := range objs {
+		o := &objs[i]
+		if o.class == nil {
 			return nil, errors.New("heap: InstallBatch: nil class")
 		}
-		if s.ID == NilID {
+		if o.id == NilID {
 			return nil, errors.New("heap: InstallBatch: nil id")
 		}
-		if len(s.Fields) != s.Class.NumFields() {
-			return nil, fmt.Errorf("heap: InstallBatch: @%d has %d fields, class %s declares %d",
-				s.ID, len(s.Fields), s.Class.Name, s.Class.NumFields())
-		}
 		size := int64(objectOverhead)
-		for j := range s.Fields {
-			if def := s.Class.fields[j]; !assignable(def.Kind, s.Fields[j].kind) {
+		for j := range o.fields {
+			if def := o.class.fields[j]; !assignable(def.Kind, o.fields[j].kind) {
 				return nil, fmt.Errorf("%w: field %s.%s is %s, installing %s",
-					ErrBadKind, s.Class.Name, def.Name, def.Kind, s.Fields[j].kind)
+					ErrBadKind, o.class.Name, def.Name, def.Kind, o.fields[j].kind)
 			}
-			size += s.Fields[j].size()
+			size += o.fields[j].size()
 		}
-		objs[i] = Object{id: s.ID, class: s.Class, heap: h, fields: s.Fields, size: size}
+		o.heap, o.size = h, size
 		total += size
 	}
 	if err := h.reserveApp(total); err != nil {
@@ -457,6 +548,7 @@ func (h *Heap) InstallBatch(batch []Staged) ([]*Object, error) {
 	}
 	h.allocated.Add(uint64(len(out)))
 	h.mu.Unlock()
+	*b = Batch{}
 	return out, nil
 }
 
@@ -601,6 +693,6 @@ func (h *Heap) IDs() []ObjID {
 	for id := range h.objects {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }

@@ -7,18 +7,17 @@ import (
 )
 
 // stagedNodes stages n chained Node objects under ids first, first+1, ...
-func stagedNodes(c *Class, first ObjID, n, payload int) []Staged {
-	batch := make([]Staged, n)
-	for i := range batch {
-		fields := c.NewFieldVector()
+func stagedNodes(c *Class, first ObjID, n, payload int) *Batch {
+	b := MakeBatch(n, n*c.NumFields())
+	for i := 0; i < n; i++ {
+		fields := b.Add(first+ObjID(i), c)
 		fields[0] = Bytes(make([]byte, payload))
 		if i+1 < n {
 			fields[1] = Ref(first + ObjID(i) + 1)
 		}
 		fields[2] = Int(int64(i))
-		batch[i] = Staged{ID: first + ObjID(i), Class: c, Fields: fields}
 	}
-	return batch
+	return &b
 }
 
 // TestInstallBatchEqualsNewAtPlusSetField: a batch install leaves the heap as
@@ -34,17 +33,18 @@ func TestInstallBatchEqualsNewAtPlusSetField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, s := range stagedNodes(c, 40, 5, 100) {
-		o, err := stepwise.NewAt(s.ID, c)
+	want := stagedNodes(c, 40, 5, 100)
+	for i := 0; i < want.Len(); i++ {
+		o, err := stepwise.NewAt(want.ID(i), c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for j, v := range s.Fields {
+		for j, v := range want.Fields(i) {
 			if err := o.SetField(j, v); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if installed[i].ID() != s.ID || installed[i].Size() != o.Size() {
+		if installed[i].ID() != want.ID(i) || installed[i].Size() != o.Size() {
 			t.Fatalf("object %d: batch gave @%d of %d B, stepwise @%d of %d B",
 				i, installed[i].ID(), installed[i].Size(), o.ID(), o.Size())
 		}
@@ -80,8 +80,9 @@ func TestInstallBatchEqualsNewAtPlusSetField(t *testing.T) {
 
 // TestInstallBatchAllOrNothing: whatever makes a batch fail — an identity
 // already resident, the same identity twice, a value its field cannot hold, a
-// short field vector, no room for the whole of it — the heap is left exactly
-// as found.
+// member with no class or no identity, no room for the whole of it — the heap
+// is left exactly as found. (A short field vector cannot be staged: Batch.Add
+// carves every vector to its class.)
 func TestInstallBatchAllOrNothing(t *testing.T) {
 	c := nodeClass()
 	h := New(0)
@@ -93,19 +94,25 @@ func TestInstallBatchAllOrNothing(t *testing.T) {
 	used, objects := h.Used(), h.Len()
 
 	collide := stagedNodes(c, 40, 5, 10) // 40..44 runs into @42
-	twice := stagedNodes(c, 50, 3, 10)
-	twice[2].ID = 50
+	twice := stagedNodes(c, 50, 2, 10)
+	twice.Add(50, c)
 	badKind := stagedNodes(c, 60, 3, 10)
-	badKind[1].Fields[2] = Str("not an int")
-	short := stagedNodes(c, 70, 3, 10)
-	short[2].Fields = short[2].Fields[:2]
-	for name, batch := range map[string][]Staged{
+	badKind.Fields(1)[2] = Str("not an int")
+	noClass := stagedNodes(c, 70, 2, 10)
+	noClass.Add(72, nil)
+	noID := stagedNodes(c, 74, 2, 10)
+	noID.Add(NilID, c)
+	for name, batch := range map[string]*Batch{
 		"resident identity": collide, "duplicate identity": twice,
-		"wrong kind": badKind, "short field vector": short,
+		"wrong kind": badKind, "nil class": noClass, "nil id": noID,
 	} {
+		staged := batch.Len()
 		installed, err := h.InstallBatch(batch)
 		if err == nil || installed != nil {
 			t.Fatalf("%s: InstallBatch = %v, %v; want an error and nothing installed", name, installed, err)
+		}
+		if batch.Len() != staged {
+			t.Fatalf("%s: the failed batch holds %d members, staged %d", name, batch.Len(), staged)
 		}
 		if name == "wrong kind" && !errors.Is(err, ErrBadKind) {
 			t.Fatalf("%s: %v, want ErrBadKind", name, err)
@@ -137,6 +144,9 @@ func TestInstallBatchAllOrNothing(t *testing.T) {
 	h.SetReserve(0)
 	if _, err := h.InstallBatch(roomy); err != nil {
 		t.Fatal(err)
+	}
+	if roomy.Len() != 0 {
+		t.Fatalf("an installed batch still holds %d members; the heap owns them", roomy.Len())
 	}
 	if _, err := h.Get(resident.ID()); err != nil {
 		t.Fatal(err)

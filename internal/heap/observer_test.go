@@ -24,10 +24,10 @@ func TestInstallBatchFiresNoObservers(t *testing.T) {
 	h.AddWriteObserver(func(id ObjID) { writes = append(writes, id) })
 	h.AddAccessObserver(func(id ObjID) { accesses = append(accesses, id) })
 
-	fields := c.NewFieldVector()
+	var b Batch
 	slot, _ := c.FieldIndex("tag")
-	fields[slot] = Int(7)
-	installed, err := h.InstallBatch([]Staged{{ID: 100, Class: c, Fields: fields}})
+	b.Add(100, c)[slot] = Int(7)
+	installed, err := h.InstallBatch(&b)
 	if err != nil {
 		t.Fatal(err)
 	}

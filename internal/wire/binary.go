@@ -516,9 +516,10 @@ func (s *docSink) next(nf int) *xmlcodec.Object {
 
 func (s *docSink) put(*xmlcodec.Object) error { return nil }
 
-// heapSink stages each record as a heap field vector the moment it is
-// decoded; the record and the list storage are scratch, reused per object and
-// pooled across shipments.
+// heapSink stages each record into the heap object it will become the moment
+// it is decoded, in a staging slab sized from the header's nFields, which
+// readBody has already bounded by the body's length; the record and the list
+// storage are scratch, reused per object and pooled across shipments.
 type heapSink struct {
 	reg     *heap.Registry
 	in      *xmlcodec.Installer
@@ -533,9 +534,9 @@ type stageScratch struct {
 
 var stageScratches = sync.Pool{New: func() any { return new(stageScratch) }}
 
-func (s *heapSink) begin(clusterID string, version, objects, _, listItems int) ([]xmlcodec.Value, error) {
+func (s *heapSink) begin(clusterID string, version, objects, fields, listItems int) ([]xmlcodec.Value, error) {
 	var err error
-	if s.in, err = xmlcodec.NewInstaller(s.reg, clusterID, version, objects); err != nil {
+	if s.in, err = xmlcodec.NewInstaller(s.reg, clusterID, version, objects, fields); err != nil {
 		return nil, err
 	}
 	sc := s.scratch
@@ -683,13 +684,13 @@ func decodeDoc(c bodyCodec, data []byte) (*xmlcodec.Doc, error) {
 }
 
 // Stage validates a fetched payload of any format and converts it, object by
-// object, into staged heap field vectors: everything Decode and
-// Doc.Install would check — framing, bounds, counts, wrapper version, known
-// classes and fields, value kinds, internal references — is checked here,
-// with no heap touched and no lock needed. The returned Installer makes the
-// cluster resident in one step. Binary frames go straight from bytes to field
-// vectors; XML text decodes to a Doc first and stages that. Nothing in the
-// Installer aliases data.
+// object, into staged heap objects: everything Decode and Doc.Install would
+// check — framing, bounds, counts, wrapper version, known classes and fields,
+// value kinds, internal references — is checked here, with no heap touched
+// and no lock needed. The returned Installer makes the cluster resident in
+// one step. Binary frames go straight from bytes to the objects' field slots;
+// XML text decodes to a Doc first and stages that. Nothing in the Installer
+// aliases data.
 func Stage(data []byte, reg *heap.Registry) (*xmlcodec.Installer, error) {
 	id, err := Detect(data)
 	if err != nil {

@@ -300,7 +300,11 @@ func (d *Doc) Install(h *heap.Heap, reg *heap.Registry, decodeRef RefDecoder) ([
 // Stage validates the document against reg and stages its objects, verified,
 // for a later Install.
 func (d *Doc) Stage(reg *heap.Registry) (*Installer, error) {
-	in, err := NewInstaller(reg, d.ClusterID, d.Version, len(d.Objects))
+	var fields int
+	for i := range d.Objects {
+		fields += len(d.Objects[i].Fields)
+	}
+	in, err := NewInstaller(reg, d.ClusterID, d.Version, len(d.Objects), fields)
 	if err != nil {
 		return nil, err
 	}
@@ -316,15 +320,17 @@ func (d *Doc) Stage(reg *heap.Registry) (*Installer, error) {
 }
 
 // Installer turns a cluster's records into heap objects: Add converts one
-// record into a staged field vector — nothing touches a heap yet — and
-// Install makes the whole cluster resident in one heap.InstallBatch. Records
-// may come from a Doc or, one reused record at a time, straight from a frame.
+// record into a member of a heap.Batch, writing its values straight into the
+// object it will become — nothing touches a heap yet — and Install makes the
+// whole cluster resident in one heap.InstallBatch. Records may come from a
+// Doc or, one reused record at a time, straight from a frame. An Installer
+// whose Add or Install failed is spent.
 type Installer struct {
 	// ClusterID is the shipment key the records arrived under.
 	ClusterID string
 
+	batch    heap.Batch
 	reg      *heap.Registry
-	staged   []heap.Staged
 	plans    []classPlan
 	refs     []heap.ObjID // internal reference targets, checked by Verify
 	verified bool
@@ -336,9 +342,13 @@ type Installer struct {
 // classPlan resolves one class's field names to slots once per cluster: the
 // records of a class all list the same names in the same order.
 type classPlan struct {
-	cls   *heap.Class
-	names []string
-	slots []int
+	cls    *heap.Class
+	fields []plannedField // sized to the class's fields when the plan is made
+}
+
+type plannedField struct {
+	name string
+	slot int
 }
 
 type deferredField struct {
@@ -346,17 +356,19 @@ type deferredField struct {
 	v         Value
 }
 
-// NewInstaller prepares to stage a cluster of about n objects of wrapper
-// version version, resolving class names through reg.
-func NewInstaller(reg *heap.Registry, clusterID string, version, n int) (*Installer, error) {
+// NewInstaller prepares to stage a cluster of about objects records holding
+// about fields field values between them, of wrapper version version,
+// resolving class names through reg. Both counts size storage up front, so
+// they must be bounded by the payload they were read from.
+func NewInstaller(reg *heap.Registry, clusterID string, version, objects, fields int) (*Installer, error) {
 	if version != Version {
 		return nil, fmt.Errorf("%w: %d", ErrVersion, version)
 	}
 	return &Installer{
 		ClusterID: clusterID,
+		batch:     heap.MakeBatch(objects, fields),
 		reg:       reg,
-		staged:    make([]heap.Staged, 0, n),
-		refs:      make([]heap.ObjID, 0, n),
+		refs:      make([]heap.ObjID, 0, objects),
 	}, nil
 }
 
@@ -371,19 +383,18 @@ func (in *Installer) plan(class string) (*classPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	in.plans = append(in.plans, classPlan{cls: cls})
+	in.plans = append(in.plans, classPlan{cls: cls, fields: make([]plannedField, 0, cls.NumFields())})
 	return &in.plans[len(in.plans)-1], nil
 }
 
 // slot resolves the j-th field name of a record.
 func (p *classPlan) slot(j int, name string) (int, bool) {
-	if j < len(p.names) && p.names[j] == name {
-		return p.slots[j], true
+	if j < len(p.fields) && p.fields[j].name == name {
+		return p.fields[j].slot, true
 	}
 	slot, ok := p.cls.FieldIndex(name)
-	if ok && j == len(p.names) {
-		p.names = append(p.names, name)
-		p.slots = append(p.slots, slot)
+	if ok && j == len(p.fields) {
+		p.fields = append(p.fields, plannedField{name, slot})
 	}
 	return slot, ok
 }
@@ -396,7 +407,8 @@ func (in *Installer) Add(o *Object) error {
 	if err != nil {
 		return fmt.Errorf("install @%d: %w", o.ID, err)
 	}
-	fields := p.cls.NewFieldVector()
+	member := in.batch.Len()
+	fields := in.batch.Add(o.ID, p.cls)
 	for j := range o.Fields {
 		f := &o.Fields[j]
 		slot, ok := p.slot(j, f.Name)
@@ -408,14 +420,13 @@ func (in *Installer) Add(o *Object) error {
 				o.ID, f.Name, heap.ErrBadKind, def.Kind, f.Value.Kind)
 		}
 		if in.noteRefs(&f.Value) {
-			in.deferred = append(in.deferred, deferredField{len(in.staged), slot, f.Value.clone()})
+			in.deferred = append(in.deferred, deferredField{member, slot, f.Value.clone()})
 			continue
 		}
 		if fields[slot], err = f.Value.ToHeapValue(nil); err != nil {
 			return fmt.Errorf("install @%d field %s: %w", o.ID, f.Name, err)
 		}
 	}
-	in.staged = append(in.staged, heap.Staged{ID: o.ID, Class: p.cls, Fields: fields})
 	in.verified = false
 	return nil
 }
@@ -461,9 +472,9 @@ func (in *Installer) Verify() error {
 		return nil
 	}
 	if len(in.refs) > 0 {
-		ids := make([]heap.ObjID, len(in.staged))
-		for i := range in.staged {
-			ids[i] = in.staged[i].ID
+		ids := make([]heap.ObjID, in.batch.Len())
+		for i := range ids {
+			ids[i] = in.batch.ID(i)
 		}
 		slices.Sort(ids)
 		for _, target := range in.refs {
@@ -487,10 +498,10 @@ func (in *Installer) Install(h *heap.Heap, decodeRef RefDecoder) ([]*heap.Object
 		d := &in.deferred[i]
 		hv, err := d.v.ToHeapValue(decodeRef)
 		if err != nil {
-			s := &in.staged[d.obj]
-			return nil, fmt.Errorf("install @%d field %s: %w", s.ID, s.Class.Field(d.slot).Name, err)
+			return nil, fmt.Errorf("install @%d field %s: %w",
+				in.batch.ID(d.obj), in.batch.Class(d.obj).Field(d.slot).Name, err)
 		}
-		in.staged[d.obj].Fields[d.slot] = hv
+		in.batch.Fields(d.obj)[d.slot] = hv
 	}
-	return h.InstallBatch(in.staged)
+	return h.InstallBatch(&in.batch)
 }
