@@ -29,8 +29,7 @@ go build ./...
 #   and one decode stays within its allocation budget.
 # - TestEvictionBudget (internal/core): an eviction pass of k >= 2 victims
 #   runs exactly one collection and every victim's bytes are back when its
-#   swap-out returns, sequential and Parallelism 4; a collection that reclaims
-#   nothing allocates nothing.
+#   swap-out returns; a collection that reclaims nothing allocates nothing.
 # - TestSwapRoundTripBudget (internal/core): one SwapOut + SwapIn of a written
 #   32-object x 128 B cluster in the binary format allocates at most 6x the
 #   frame it ships in at most 76 objects; neither the encode side, once the
@@ -216,6 +215,18 @@ SORTSLICE=$(grep -nE 'sort\.Slice(Stable)?\(' internal/core/*.go internal/heap/*
 if [ -n "$SORTSLICE" ]; then
     echo "sort.Slice on the swap path (use slices.Sort or slices.SortFunc):" >&2
     echo "$SORTSLICE" >&2
+    exit 1
+fi
+# Guard: one eviction walk. Victims ship one at a time in ranked order through
+# SwapOutVictims, the walk the evictor and the policy swap-out action share.
+# The worker pool, its parallelism knobs, the shard interleaver and the
+# per-shard liveness marks stay deleted from non-test Go outside benchmark/,
+# and internal/core/evict.go starts no goroutine.
+POOL=$(grep -rnwE 'SwapOutMany|EvictParallelism|EvictOptions|ShardEvictions?|interleaveByShard' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./benchmark/' || true)
+EVICTGO=$(grep -nE '^[[:space:]]*go[[:space:]]' internal/core/evict.go || true)
+if [ -n "$POOL" ] || [ -n "$EVICTGO" ]; then
+    echo "second eviction path (ship victims one at a time through SwapOutVictims; no worker pool, parallelism knob or per-shard mark):" >&2
+    printf '%s\n%s\n' "$POOL" "$EVICTGO" >&2
     exit 1
 fi
 # Fault-storm smoke: 64 goroutines faulting 8 swapped clusters must issue

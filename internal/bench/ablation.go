@@ -92,7 +92,7 @@ func buildSweepEnv(cfg SweepConfig, clusterSize int, strategy core.VictimStrateg
 	cls := NodeClass()
 	rt.MustRegisterClass(cls)
 	rt.SetEvictor(func(need int64) error {
-		return rt.EvictWith(core.EvictOptions{Strategy: strategy}, need)
+		return rt.EvictWith(strategy, need)
 	})
 
 	env := &sweepEnv{rt: rt, flink: flink, clock: clock}

@@ -311,7 +311,7 @@ func (rt *Runtime) LoadCheckpoint(r io.Reader) error {
 	// evictor, whose Collect would deadlock on the held shard locks.
 	rt.lockAll()
 	defer rt.unlockAll()
-	endMutate := rt.beginMutate(nil)
+	endMutate := rt.beginMutate()
 	defer endMutate()
 	// Restoration is not user mutation.
 	defer rt.h.SuspendWriteObserver()()

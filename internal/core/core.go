@@ -232,8 +232,8 @@ type Runtime struct {
 	// snapshot/reserve and commit/patch phases of a swap run under the lock of
 	// the shard its cluster hashes onto, so swaps on different shards never
 	// contend. The expensive middle phases — encoding, device shipment, fetch
-	// and decode — run outside any shard lock, which is what lets SwapOutMany
-	// overlap the encoding of one cluster with the shipment of another. The
+	// and decode — run outside any shard lock, so concurrent callers overlap
+	// the encoding of one cluster with the shipment of another. The
 	// whole-graph paths (Collect, resize, checkpoint save/restore) stop the
 	// world via lockAll. Lock order: shard mu → mgr.mu → tableShard mu → h.mu;
 	// see shard.go. nshards is the configured count (WithShards), fixed at
@@ -249,9 +249,10 @@ type Runtime struct {
 	name     string
 	keyseq   atomic.Uint64
 	evicting atomic.Bool
-	// evictStart is the registry-clock start time (unix nanos) of the
-	// in-flight eviction, 0 when idle. Health checks use it to spot a wedged
-	// evictor.
+	// evictDepth counts the eviction-walk victims whose swap-out is in
+	// flight; evictStart is the registry-clock time (unix nanos) the oldest
+	// of them started, 0 when none is. The evictor health check reads it.
+	evictDepth atomic.Int32
 	evictStart atomic.Int64
 	traceSeq   atomic.Uint64
 
@@ -562,15 +563,31 @@ func (rt *Runtime) Logger() *olog.Logger { return rt.logger }
 // HasEvictor reports whether an allocation-pressure hook is installed.
 func (rt *Runtime) HasEvictor() bool { return rt.evictor != nil }
 
-// EvictingSince reports the registry-clock start time of the in-flight
-// eviction pass, if one is running. Health checks use it to flag a wedged
-// evictor.
+// EvictingSince reports the registry-clock start time of the oldest victim
+// swap-out an eviction walk has in flight, if any; the evictor's pass and the
+// policy engine's swap-out action both walk through SwapOutVictims. The
+// evictor health check flags a walk whose victim has not finished in time.
 func (rt *Runtime) EvictingSince() (time.Time, bool) {
 	ns := rt.evictStart.Load()
 	if ns == 0 {
 		return time.Time{}, false
 	}
 	return time.Unix(0, ns), true
+}
+
+// beginEvict marks one victim's swap-out in flight and endEvict clears the
+// mark. Nested and concurrent victims share the oldest start time; the mark
+// clears when the last of them ends.
+func (rt *Runtime) beginEvict() {
+	if rt.evictDepth.Add(1) == 1 {
+		rt.evictStart.Store(rt.obsReg.Clock().Now().UnixNano())
+	}
+}
+
+func (rt *Runtime) endEvict() {
+	if rt.evictDepth.Add(-1) == 0 {
+		rt.evictStart.Store(0)
+	}
 }
 
 // Heap returns the device heap.
@@ -657,11 +674,7 @@ func (rt *Runtime) runEvictor(need int64) error {
 	if !rt.evicting.CompareAndSwap(false, true) {
 		return errors.New("core: eviction already in progress")
 	}
-	rt.evictStart.Store(rt.obsReg.Clock().Now().UnixNano())
-	defer func() {
-		rt.evictStart.Store(0)
-		rt.evicting.Store(false)
-	}()
+	defer rt.evicting.Store(false)
 	rt.logger.Debug("eviction start", "need", need)
 	err := rt.evictor(need)
 	if err != nil {

@@ -535,10 +535,7 @@ func TestConcurrentFaultsDuringCollectAndEvict(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
-			if _, err := f.rt.SwapOutMany(clusters, 4); err != nil && !skippable(err) {
-				t.Errorf("swap-out many: %v", err)
-				return
-			}
+			swapOutAll(t, f.rt, clusters)
 		}
 		close(stop)
 	}()
@@ -589,7 +586,7 @@ func TestConcurrentFaultsDuringCollectAndEvict(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			// Eviction errors are expected mid-storm (busy victims, nothing
 			// swappable); the end-state checks below are the assertion.
-			_ = f.rt.EvictWith(EvictOptions{Strategy: VictimColdest}, 1<<10)
+			_ = f.rt.EvictWith(VictimColdest, 1<<10)
 		}
 	}()
 	wg.Wait()

@@ -264,7 +264,7 @@ func TestRuntimeOptions(t *testing.T) {
 	}
 
 	// An explicit eviction pass under a non-default strategy.
-	if err := rt.EvictWith(EvictOptions{Strategy: VictimLeastUsed}, 1); err != nil {
+	if err := rt.EvictWith(VictimLeastUsed, 1); err != nil {
 		t.Fatalf("EvictWith: %v", err)
 	}
 }

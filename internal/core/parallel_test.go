@@ -6,83 +6,75 @@ import (
 	"testing"
 )
 
-// The parallel eviction pipeline: SwapOutMany's bounded worker pool,
-// EvictWith's parallel mode, and the busy reservation that keeps concurrent
-// swaps of the same cluster from interleaving.
+// Concurrent swaps — distinct clusters from many goroutines, one cluster from
+// several under the busy reservation — and the eviction walk skipping victims
+// that became ineligible after it ranked them.
 
-func TestSwapOutManyDistinctClusters(t *testing.T) {
-	f := newFixture(t, 0)
-	_, clusters := f.buildList(t, 60, 10, 32)
-	want := f.snapshotTags(t)
-
-	evs, err := f.rt.SwapOutMany(clusters, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != len(clusters) {
-		t.Fatalf("shipped %d clusters, want %d", len(evs), len(clusters))
-	}
-	// Events come back in input order, each covering its whole cluster.
-	for i, ev := range evs {
-		if ev.Cluster != clusters[i] {
-			t.Fatalf("event %d for cluster %d, want %d", i, ev.Cluster, clusters[i])
-		}
-		if ev.Objects != 10 || ev.Bytes <= 0 {
-			t.Fatalf("event %d = %+v", i, ev)
-		}
-	}
+// swapOutAll swaps every cluster out from a goroutine of its own and waits
+// for them all. A cluster that is active, busy, already swapped or empty is
+// skipped, as the eviction walk skips it.
+func swapOutAll(t testing.TB, rt *Runtime, clusters []ClusterID) {
+	var wg sync.WaitGroup
 	for _, id := range clusters {
-		if !f.rt.Manager().IsSwapped(id) {
-			t.Fatalf("cluster %d not swapped", id)
-		}
+		wg.Add(1)
+		go func(id ClusterID) {
+			defer wg.Done()
+			if _, err := rt.SwapOut(id); err != nil && !skippableVictimErr(err) {
+				t.Errorf("SwapOut(%d): %v", id, err)
+			}
+		}(id)
 	}
-	f.rt.Collect()
-
-	// Traversal faults everything back; the graph is intact.
-	got := f.snapshotTags(t)
-	if len(got) != len(want) {
-		t.Fatalf("list length after reload = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("tag[%d] = %d, want %d", i, got[i], want[i])
-		}
-	}
+	wg.Wait()
 }
 
-func TestSwapOutManySkipsIneligible(t *testing.T) {
+// TestSwapOutVictimsSkipsIneligible ranks four victims and, before the walk
+// reaches any of them, makes three ineligible: one swapped out, one reserved
+// by another operation, one emptied by a collection. The walk skips those
+// three instead of failing, and ships the fourth.
+func TestSwapOutVictimsSkipsIneligible(t *testing.T) {
 	f := newFixture(t, 0)
 	_, clusters := f.buildList(t, 30, 10, 16)
-
-	if _, err := f.rt.SwapOut(clusters[0]); err != nil {
+	garbage := f.rt.Manager().NewCluster()
+	if _, err := f.rt.NewObject(f.node, garbage); err != nil {
 		t.Fatal(err)
 	}
-	empty := f.rt.Manager().NewCluster()
+	if n := len(f.rt.Manager().SelectVictims(VictimColdest)); n != 4 {
+		t.Fatalf("ranked %d victims, want 4", n)
+	}
 
-	// Already-swapped and empty victims are skipped, not errors; the one
-	// eligible cluster still ships.
-	evs, err := f.rt.SwapOutMany([]ClusterID{clusters[0], empty, clusters[2]}, 3)
+	var busy *clusterState
+	first := true
+	enough := func(int) bool {
+		if first {
+			first = false
+			if _, err := f.rt.SwapOut(clusters[0]); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			if busy, err = f.rt.reserve(clusters[1], resident, reservedOut, nil); err != nil {
+				t.Fatal(err)
+			}
+			f.rt.Collect() // garbage's one member is unreachable
+		}
+		return false
+	}
+	swapped, err := f.rt.SwapOutVictims(VictimColdest, enough)
+	if busy != nil {
+		f.rt.settle(busy, resident, nil)
+	}
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("walk failed on an ineligible victim: %v", err)
 	}
-	if len(evs) != 1 || evs[0].Cluster != clusters[2] {
-		t.Fatalf("events = %+v, want one for cluster %d", evs, clusters[2])
+	m := f.rt.Manager()
+	if swapped != 1 || !m.IsSwapped(clusters[2]) {
+		t.Fatalf("walk swapped %d victims, cluster %d swapped %v; want only cluster %d",
+			swapped, clusters[2], m.IsSwapped(clusters[2]), clusters[2])
 	}
-}
-
-func TestEvictWithParallelFreesMemory(t *testing.T) {
-	for _, parallelism := range []int{1, 3} {
-		f := newFixture(t, 0)
-		f.buildList(t, 80, 10, 256)
-		before := f.rt.Heap().Used()
-
-		need := before / 2
-		if err := f.rt.EvictWith(EvictOptions{Parallelism: parallelism}, need); err != nil {
-			t.Fatalf("parallelism %d: %v", parallelism, err)
-		}
-		if used := f.rt.Heap().Used(); used > before-need {
-			t.Fatalf("parallelism %d: used = %d, want <= %d", parallelism, used, before-need)
-		}
+	if m.IsSwapped(clusters[1]) || m.IsSwapped(garbage) {
+		t.Fatal("walk shipped the busy or the emptied victim")
+	}
+	if errs := m.CheckInvariants(); len(errs) > 0 {
+		t.Fatalf("invariants after the walk: %v", errs)
 	}
 }
 

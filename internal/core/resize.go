@@ -37,7 +37,7 @@ func (rt *Runtime) MergeClusters(dst, src ClusterID) error {
 	// (whose swap-outs and Collect would deadlock on the held shard locks).
 	rt.lockAll()
 	defer rt.unlockAll()
-	endMutate := rt.beginMutate(nil)
+	endMutate := rt.beginMutate()
 	defer endMutate()
 
 	m := rt.mgr
@@ -118,7 +118,7 @@ func (rt *Runtime) SplitCluster(src ClusterID, members []heap.ObjID) (ClusterID,
 	// See MergeClusters: resizing is a stop-the-world graph mutation.
 	rt.lockAll()
 	defer rt.unlockAll()
-	endMutate := rt.beginMutate(nil)
+	endMutate := rt.beginMutate()
 	defer endMutate()
 
 	m := rt.mgr

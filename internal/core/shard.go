@@ -1,10 +1,7 @@
 package core
 
 import (
-	"slices"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"objectswap/internal/obs"
 )
@@ -38,19 +35,6 @@ type coreShard struct {
 	// (objectswap_swap_lock_wait_seconds{shard=...}), resolved once at
 	// instrument time so the hot path skips the label lookup.
 	wait *obs.Histogram
-
-	// mutating mirrors the runtime-wide mutatingCount for this shard: set
-	// while a critical section that may allocate (swap-in install) holds the
-	// shard lock. Per-shard observability; the allocation path checks the
-	// global count.
-	mutating atomic.Bool
-
-	// evictDepth counts eviction-pass victims currently in flight on this
-	// shard; evictStart is the registry-clock time (unix nanos) the shard's
-	// oldest in-flight eviction work started, 0 when idle. Health checks use
-	// it to name the stuck shard instead of flagging the whole runtime.
-	evictDepth atomic.Int32
-	evictStart atomic.Int64
 }
 
 // shardIndexFor hashes a cluster id onto one of n shards (a 32-bit
@@ -105,81 +89,10 @@ func (rt *Runtime) unlockAll() {
 // locks (swap-in install, resize re-mediation, checkpoint restore). While any
 // such section is open, allocation failures report ErrOutOfMemory instead of
 // re-entering the evictor, whose Collect would deadlock on the very locks the
-// section holds. sh labels the per-shard flag; nil marks a stop-the-world
-// section that holds every shard. The returned func closes the section.
-func (rt *Runtime) beginMutate(sh *coreShard) func() {
-	if sh != nil {
-		sh.mutating.Store(true)
-	}
+// section holds. The returned func closes the section.
+func (rt *Runtime) beginMutate() func() {
 	rt.mutatingCount.Add(1)
-	return func() {
-		rt.mutatingCount.Add(-1)
-		if sh != nil {
-			sh.mutating.Store(false)
-		}
-	}
-}
-
-// beginShardEvict marks eviction work in flight on the victim's shard, for
-// the per-shard liveness probe. Nested victims on one shard share the oldest
-// start time. The returned func clears the mark.
-func (rt *Runtime) beginShardEvict(victim ClusterID) func() {
-	sh := rt.shardOf(victim)
-	if sh.evictDepth.Add(1) == 1 {
-		sh.evictStart.Store(rt.obsReg.Clock().Now().UnixNano())
-	}
-	return func() {
-		if sh.evictDepth.Add(-1) == 0 {
-			sh.evictStart.Store(0)
-		}
-	}
-}
-
-// interleaveByShard orders the indexes of ids so consecutive dispatches land
-// on different shards round-robin. SwapOutMany uses it so a worker slot freed
-// while one shard's commit is in flight picks up a victim on another shard
-// instead of queueing behind the committing sibling.
-func (rt *Runtime) interleaveByShard(ids []ClusterID) []int {
-	groups := make(map[int][]int)
-	var shardOrder []int
-	for i, id := range ids {
-		s := rt.shardIndex(id)
-		if _, seen := groups[s]; !seen {
-			shardOrder = append(shardOrder, s)
-		}
-		groups[s] = append(groups[s], i)
-	}
-	out := make([]int, 0, len(ids))
-	for len(out) < len(ids) {
-		for _, s := range shardOrder {
-			if g := groups[s]; len(g) > 0 {
-				out = append(out, g[0])
-				groups[s] = g[1:]
-			}
-		}
-	}
-	return out
-}
-
-// ShardEviction reports eviction work in flight on one shard.
-type ShardEviction struct {
-	Shard int
-	Since time.Time
-}
-
-// ShardEvictions lists the shards with eviction work in flight, oldest
-// first. Health checks use it to report a wedged eviction by shard index
-// instead of a single runtime-global flag that cannot say which shard (or
-// falsely implicates all of them).
-func (rt *Runtime) ShardEvictions() []ShardEviction {
-	var out []ShardEviction
-	for _, sh := range rt.shards {
-		if ns := sh.evictStart.Load(); ns != 0 {
-			out = append(out, ShardEviction{Shard: sh.idx, Since: time.Unix(0, ns)})
-		}
-	}
-	slices.SortFunc(out, func(a, b ShardEviction) int { return a.Since.Compare(b.Since) })
-	return out
+	return func() { rt.mutatingCount.Add(-1) }
 }
 
 // WithShards sets the number of independently locked swap shards the cluster

@@ -5,8 +5,10 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"objectswap/internal/heap"
+	"objectswap/internal/obs"
 	"objectswap/internal/store"
 )
 
@@ -41,67 +43,29 @@ func TestShardIndexForBoundsAndSpread(t *testing.T) {
 	}
 }
 
-func TestInterleaveByShard(t *testing.T) {
-	rt := NewRuntime(heap.New(0), heap.NewRegistry(), WithShards(4))
-	ids := make([]ClusterID, 64)
-	for i := range ids {
-		ids[i] = ClusterID(i + 1)
+// TestEvictMarkBookkeeping pins the nesting rule of the one eviction mark: a
+// nested victim keeps the oldest start time, and only the last end clears
+// the mark.
+func TestEvictMarkBookkeeping(t *testing.T) {
+	start := time.Unix(100, 0)
+	clock := obs.NewVirtualClock(start)
+	rt := NewRuntime(heap.New(0), heap.NewRegistry(), WithObs(obs.NewRegistry(clock)))
+	if _, running := rt.EvictingSince(); running {
+		t.Fatal("idle runtime reports an eviction in flight")
 	}
-	order := rt.interleaveByShard(ids)
-	if len(order) != len(ids) {
-		t.Fatalf("interleave emitted %d indexes, want %d", len(order), len(ids))
+	rt.beginEvict()
+	clock.Advance(time.Second)
+	rt.beginEvict()
+	if since, running := rt.EvictingSince(); !running || !since.Equal(start) {
+		t.Fatalf("nested victims: EvictingSince = %v, %v; want the first start %v", since, running, start)
 	}
-	seen := make(map[int]bool, len(order))
-	lastPos := make(map[int]int) // shard -> position of its previous emission
-	prevIdx := make(map[int][]int)
-	for pos, i := range order {
-		if i < 0 || i >= len(ids) || seen[i] {
-			t.Fatalf("interleave index %d at position %d invalid or repeated", i, pos)
-		}
-		seen[i] = true
-		s := rt.shardIndex(ids[i])
-		prevIdx[s] = append(prevIdx[s], i)
-		lastPos[s] = pos
+	rt.endEvict()
+	if since, running := rt.EvictingSince(); !running || !since.Equal(start) {
+		t.Fatalf("nested end cleared the mark early: %v, %v", since, running)
 	}
-	// Per-shard relative order is preserved (workers drain each shard FIFO).
-	for s, idxs := range prevIdx {
-		for j := 1; j < len(idxs); j++ {
-			if idxs[j] < idxs[j-1] {
-				t.Fatalf("shard %d emission order %v not ascending", s, idxs)
-			}
-		}
-	}
-	// With a full round-robin, no shard may finish before every other shard
-	// has emitted at least once per full cycle: the first len(prevIdx)
-	// positions must all land on distinct shards.
-	firstCycle := make(map[int]bool)
-	for _, i := range order[:len(prevIdx)] {
-		firstCycle[rt.shardIndex(ids[i])] = true
-	}
-	if len(firstCycle) != len(prevIdx) {
-		t.Errorf("first cycle touched %d shards, want %d", len(firstCycle), len(prevIdx))
-	}
-}
-
-func TestShardEvictionsBookkeeping(t *testing.T) {
-	rt := NewRuntime(heap.New(0), heap.NewRegistry())
-	if got := rt.ShardEvictions(); len(got) != 0 {
-		t.Fatalf("idle runtime reports evictions: %+v", got)
-	}
-	victim := ClusterID(7)
-	release := rt.beginShardEvict(victim)
-	nested := rt.beginShardEvict(victim)
-	got := rt.ShardEvictions()
-	if len(got) != 1 || got[0].Shard != rt.shardIndex(victim) || got[0].Since.IsZero() {
-		t.Fatalf("in-flight eviction report = %+v, want shard %d", got, rt.shardIndex(victim))
-	}
-	nested()
-	if got := rt.ShardEvictions(); len(got) != 1 {
-		t.Fatalf("nested release cleared the mark early: %+v", got)
-	}
-	release()
-	if got := rt.ShardEvictions(); len(got) != 0 {
-		t.Fatalf("release left evictions behind: %+v", got)
+	rt.endEvict()
+	if _, running := rt.EvictingSince(); running {
+		t.Fatal("the last end left the mark behind")
 	}
 }
 
@@ -144,10 +108,10 @@ func TestSingleShardRoundTrip(t *testing.T) {
 	}
 }
 
-// TestConcurrentCollectAndSwapStorm runs Collect concurrently with
-// SwapOutMany and SwapIn across many clusters (the satellite's -race test):
-// no deadlock, no lost objects, and the application-visible graph survives
-// intact.
+// TestConcurrentCollectAndSwapStorm runs Collect concurrently with swap-outs
+// (one goroutine per cluster) and swap-ins across many clusters, a -race
+// test: no deadlock, no lost objects, and the application-visible graph
+// survives intact.
 func TestConcurrentCollectAndSwapStorm(t *testing.T) {
 	f := newFixture(t, 0)
 	_, clusters := f.buildList(t, 256, 4, 16)
@@ -164,10 +128,7 @@ func TestConcurrentCollectAndSwapStorm(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
-			if _, err := f.rt.SwapOutMany(clusters, 4); err != nil && !skippable(err) {
-				t.Errorf("swap-out many: %v", err)
-				return
-			}
+			swapOutAll(t, f.rt, clusters)
 		}
 	}()
 	go func() {

@@ -297,7 +297,7 @@ func (s *swapOut) encodeFrame() error {
 // holds the shard lock (beginMutate keeps the evictor out).
 func (s *swapOut) replace() error {
 	rt := s.rt
-	defer rt.beginMutate(s.sh)()
+	defer rt.beginMutate()()
 	repl, err := rt.allocMiddleware(rt.replacementClass)
 	if err == nil {
 		s.pin(repl.ID())

@@ -447,7 +447,7 @@ func TestEvictorOnAllocationPressure(t *testing.T) {
 	_ = devices.Add("d", mem)
 	rt := NewRuntime(h, heap.NewRegistry(), WithStores(devices))
 	rt.MustRegisterClass(node)
-	rt.SetEvictor(func(need int64) error { return rt.EvictWith(EvictOptions{}, need) })
+	rt.SetEvictor(func(need int64) error { return rt.EvictWith(VictimColdest, need) })
 
 	const numClusters, perCluster = 4, 10
 	var clusters []ClusterID

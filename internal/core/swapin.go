@@ -184,7 +184,7 @@ func (s *swapIn) install() error {
 	rt := s.rt
 	rt.lockShard(s.sh)
 	defer s.sh.mu.Unlock()
-	defer rt.beginMutate(s.sh)()
+	defer rt.beginMutate()()
 
 	// Resolve replacement slots back to the retained outbound proxies.
 	outboundVal, err := s.repl.FieldByName(fldOut)

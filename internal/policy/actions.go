@@ -12,16 +12,16 @@ import (
 // BindSwapActions registers the standard Object-Swapping actions on an
 // engine, wired to a swapping runtime:
 //
-//	swap-out  strategy=coldest|largest|least-used  count=N  collect=bool  parallel=N  replicas=K
+//	swap-out  strategy=coldest|largest|least-used  count=N  collect=bool  replicas=K
 //	    Selects count victim clusters under the strategy and swaps them out
-//	    (the evictor's victim walk, core.SwapOutVictims). Each victim's
-//	    memory is back when its swap-out commits; with collect true (the
-//	    default) one collection afterwards also reclaims the garbage the
+//	    one at a time (the evictor's victim walk, core.SwapOutVictims). Each
+//	    victim's memory is back when its swap-out commits; with collect true
+//	    (the default) one collection afterwards also reclaims the garbage the
 //	    detachments exposed, such as proxies only the victims referenced.
-//	    With parallel > 1 the victims ship through a bounded worker pool,
-//	    overlapping encoding with device transfer. With replicas > 0 each
-//	    shipment goes to K rendezvous-ranked donors (overriding the
-//	    runtime's default replication factor for this action).
+//	    With replicas > 0 each shipment goes to K rendezvous-ranked donors
+//	    (overriding the runtime's default replication factor for this
+//	    action). Any other attribute, such as a leftover parallel=N, is
+//	    ignored.
 //	swap-in   cluster=N
 //	    Prefetches a swapped cluster back.
 //	collect
@@ -33,7 +33,7 @@ import (
 // It also installs the runtime evictor so allocation pressure flows through
 // the same machinery.
 func BindSwapActions(e *Engine, rt *core.Runtime) {
-	rt.SetEvictor(func(need int64) error { return rt.EvictWith(core.EvictOptions{}, need) })
+	rt.SetEvictor(func(need int64) error { return rt.EvictWith(core.VictimColdest, need) })
 	e.RegisterAction("swap-out", func(spec ActionSpec, _ event.Event) error {
 		strategy, err := core.VictimStrategyFromString(spec.Param("strategy", "coldest"))
 		if err != nil {
@@ -41,7 +41,6 @@ func BindSwapActions(e *Engine, rt *core.Runtime) {
 		}
 		count := spec.IntParam("count", 1)
 		collect := spec.BoolParam("collect", true)
-		parallel := spec.IntParam("parallel", 1)
 		// Policy-driven swap-outs are attributed to the rule that fired
 		// them, not to the evictor or an explicit call.
 		swapOpts := []core.SwapOption{core.WithCause(core.CausePolicy)}
@@ -49,8 +48,8 @@ func BindSwapActions(e *Engine, rt *core.Runtime) {
 			swapOpts = append(swapOpts, core.WithReplicas(replicas))
 		}
 
-		swapped, err := rt.SwapOutVictims(strategy, parallel,
-			func(swapped int) int { return count - swapped }, swapOpts...)
+		swapped, err := rt.SwapOutVictims(strategy,
+			func(swapped int) bool { return swapped >= count }, swapOpts...)
 		if err != nil {
 			return fmt.Errorf("swap-out: %w", err)
 		}

@@ -68,8 +68,6 @@ type (
 	// SwapOption tunes one SwapOut / SwapIn call (deadline, destination,
 	// failover behavior).
 	SwapOption = core.SwapOption
-	// EvictOptions tunes an eviction pass (victim strategy, parallelism).
-	EvictOptions = core.EvictOptions
 	// TransportPolicy bounds the resilience decorator wrapped around every
 	// attached device: per-operation timeouts, retry/backoff, circuit
 	// breaker.
@@ -149,11 +147,6 @@ type Config struct {
 	// AttachDevice. The zero value selects the defaults; see
 	// TransportPolicy.
 	Transport TransportPolicy
-	// EvictParallelism > 1 makes pressure-driven eviction swap out up to
-	// that many victim clusters concurrently, overlapping the XML encoding
-	// of one cluster with the device shipment of another. 0 or 1 keeps the
-	// sequential one-victim-at-a-time evictor.
-	EvictParallelism int
 	// Clock is the time source for all observability timings — event
 	// timestamps, swap-phase durations, GC pauses, transport latencies
 	// (default: the wall clock). Inject obs.NewVirtualClock in tests for
@@ -292,11 +285,6 @@ func New(cfg Config) (*System, error) {
 	engine.Instrument(reg)
 	engine.SetLogger(cfg.Logger)
 	policy.BindSwapActions(engine, rt)
-	if cfg.EvictParallelism > 1 {
-		rt.SetEvictor(func(need int64) error {
-			return rt.EvictWith(core.EvictOptions{Parallelism: cfg.EvictParallelism}, need)
-		})
-	}
 
 	doc := cfg.Policies
 	if len(doc) == 0 {
@@ -500,8 +488,8 @@ func (s *System) Metrics() *obs.Registry { return s.obsReg }
 // exposition format (version 0.0.4).
 func (s *System) WriteMetrics(w io.Writer) error { return s.obsReg.WriteMetrics(w) }
 
-// evictorStuckAfter is how long one in-flight eviction pass may run before
-// the evictor health check reports it wedged.
+// evictorStuckAfter is how long one victim of an eviction walk may stay in
+// flight before the evictor health check reports the walk stalled.
 const evictorStuckAfter = 30 * time.Second
 
 // healthChecks builds the system's standard subsystem probes, served by
@@ -512,7 +500,7 @@ const evictorStuckAfter = 30 * time.Second
 //	breakers         fails when any attached device's circuit breaker is open
 //	stores           fails when devices are attached but none is reachable
 //	evictor          fails when no evictor hook is installed, or one eviction
-//	                 pass has been in flight implausibly long
+//	                 victim's swap-out has been in flight implausibly long
 //	underreplicated  (Replicas > 1 only) fails while any swapped cluster has
 //	                 fewer live replicas than Config.Replicas — degraded on
 //	                 donor loss, ok again once the repair loop restores the
@@ -557,19 +545,9 @@ func healthChecks(s *System) []opshttp.Check {
 			if !s.rt.HasEvictor() {
 				return errors.New("no evictor installed")
 			}
-			// Eviction liveness is tracked per swap shard: a pass wedged on
-			// one shard's victim is reported by shard index while its
-			// siblings keep evicting. The pass-level timestamp is the
-			// fallback for a pass stuck before it reached any victim.
-			now := s.obsReg.Clock().Now()
-			for _, se := range s.rt.ShardEvictions() {
-				if age := now.Sub(se.Since); age > evictorStuckAfter {
-					return fmt.Errorf("eviction on shard %d in flight for %s", se.Shard, age)
-				}
-			}
 			if since, running := s.rt.EvictingSince(); running {
-				if age := now.Sub(since); age > evictorStuckAfter {
-					return fmt.Errorf("eviction pass in flight for %s (no shard progress)", age)
+				if age := s.obsReg.Clock().Now().Sub(since); age > evictorStuckAfter {
+					return fmt.Errorf("eviction walk stalled: a victim's swap-out in flight for %s", age)
 				}
 			}
 			return nil
@@ -778,19 +756,11 @@ func (s *System) SwapIn(cluster ClusterID, opts ...SwapOption) (SwapEvent, error
 	return s.rt.SwapIn(cluster, opts...)
 }
 
-// SwapOutMany swaps out the given clusters through a bounded worker pool,
-// overlapping the encoding of one cluster with the shipment of another.
-// Clusters that are active, busy, already swapped or empty are skipped; the
-// returned events cover the clusters actually shipped, in input order.
-func (s *System) SwapOutMany(clusters []ClusterID, parallelism int, opts ...SwapOption) ([]SwapEvent, error) {
-	return s.rt.SwapOutMany(clusters, parallelism, opts...)
-}
-
-// Evict frees at least need bytes under the given options: one collection
-// first, then ranked victims are swapped out (concurrently when
-// o.Parallelism > 1), each one's memory returning as its swap-out commits.
-func (s *System) Evict(o EvictOptions, need int64) error {
-	return s.rt.EvictWith(o, need)
+// Evict frees at least need bytes: one collection first, then the victims
+// ranked under strategy (0 selects VictimColdest) are swapped out one at a
+// time, each one's memory returning as its swap-out commits.
+func (s *System) Evict(strategy VictimStrategy, need int64) error {
+	return s.rt.EvictWith(strategy, need)
 }
 
 // Collect runs a swapping-integrated garbage collection.

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -16,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"objectswap/internal/event"
 	"objectswap/internal/obs"
 	olog "objectswap/internal/obs/log"
 	"objectswap/internal/opshttp"
@@ -97,6 +99,116 @@ func TestHealthzTracksBreaker(t *testing.T) {
 	}
 	if code, hr := getHealth(t, sys); code != http.StatusOK || hr.Status != "ok" {
 		t.Fatalf("recovered system: code %d, %+v", code, hr)
+	}
+}
+
+// stallPolicy runs the swap-out action on an event only the test emits, so
+// memory pressure alone starts no policy walk.
+const stallPolicy = `<policies>
+  <policy name="swap-on-stall" category="machine">
+    <on event="test.stall"/>
+    <action do="swap-out" strategy="coldest" count="1" collect="false"/>
+  </policy>
+</policies>`
+
+// ctxStore hands the store it wraps the test's context on every shipment.
+// Neither eviction trigger carries a caller context, so this is how the test
+// cancels a hung one.
+type ctxStore struct {
+	*store.Flaky
+	ctx context.Context
+}
+
+func (c ctxStore) PutEnvelope(_ context.Context, key string, data []byte, opts store.PutOpts) error {
+	return c.Flaky.PutEnvelope(c.ctx, key, data, opts)
+}
+
+// TestHealthzNamesStalledEviction hangs the first shipment of an eviction
+// walk, once behind each trigger of the walk: the policy engine's swap-out
+// action and the evictor's pass behind a failed allocation. The evictor check
+// stays ok while the victim is young, degrades /healthz and names the stalled
+// walk once the virtual clock passes evictorStuckAfter, and is ok again, with
+// EvictingSince idle, once the shipment's context is cancelled.
+func TestHealthzNamesStalledEviction(t *testing.T) {
+	for _, trigger := range []string{"policy", "evictor"} {
+		t.Run(trigger, func(t *testing.T) {
+			// Not the epoch: a zero start time reads as no mark at all.
+			clock := obs.NewVirtualClock(time.Unix(1000, 0))
+			capacity := int64(1 << 20)
+			if trigger == "evictor" {
+				capacity = 16 << 10
+			}
+			sys, err := New(Config{
+				HeapCapacity: capacity,
+				Clock:        clock,
+				Policies:     []byte(stallPolicy),
+				Transport:    TransportPolicy{MaxAttempts: 1, OpTimeout: -1},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			flaky := store.NewFlaky(store.NewMem(0), 1)
+			flaky.HangOn(store.OpPut, 1)
+			if err := sys.AttachDevice("stalled", ctxStore{flaky, ctx}); err != nil {
+				t.Fatal(err)
+			}
+			cls := sys.MustRegisterClass(taskClass())
+
+			walked := make(chan error, 1)
+			if trigger == "policy" {
+				buildClusters(t, sys, cls, 2)
+				go func() {
+					sys.Bus().Emit(event.Topic("test.stall"), nil)
+					walked <- nil
+				}()
+			} else {
+				// Root one object per cluster until an allocation fails and
+				// runs the evictor.
+				go func() {
+					for i := 0; ; i++ {
+						o, err := sys.NewObject(cls, sys.NewCluster())
+						if err == nil {
+							err = sys.SetRoot(fmt.Sprintf("r%d", i), o.RefTo())
+						}
+						if err != nil {
+							walked <- err
+							return
+						}
+					}
+				}()
+			}
+			for flaky.Calls(store.OpPut) == 0 {
+				select {
+				case err := <-walked:
+					t.Fatalf("walk ended before shipping a victim: %v", err)
+				case <-time.After(time.Millisecond):
+				}
+			}
+
+			if _, hr := getHealth(t, sys); !checkNamed(t, hr, "evictor").OK {
+				t.Fatalf("a victim in flight for no time already fails the check: %+v", hr)
+			}
+			clock.Advance(evictorStuckAfter + time.Second)
+			code, hr := getHealth(t, sys)
+			if code != http.StatusServiceUnavailable || hr.Status != "degraded" {
+				t.Fatalf("stalled walk: code %d, %+v, want degraded", code, hr)
+			}
+			if c := checkNamed(t, hr, "evictor"); c.OK || !strings.Contains(c.Error, "eviction walk stalled") {
+				t.Fatalf("evictor check does not name the stalled walk: %+v", c)
+			}
+
+			cancel()
+			<-walked
+			if _, hr := getHealth(t, sys); !checkNamed(t, hr, "evictor").OK {
+				t.Fatalf("evictor check still failing after the walk ended: %+v", hr)
+			}
+			if since, running := sys.rt.EvictingSince(); running {
+				t.Fatalf("EvictingSince = %v after the walk ended, want idle", since)
+			}
+		})
 	}
 }
 

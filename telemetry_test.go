@@ -223,8 +223,9 @@ func TestThrashHealthFlips(t *testing.T) {
 }
 
 // TestTelemetryEndpointsUnderSwapStorm scrapes /debug/heat, /debug/wss and
-// /metrics while a SwapOutMany/SwapIn storm churns the clusters — the -race
-// gate for the telemetry read paths against the swap hot path.
+// /metrics while a storm of swap-outs (one goroutine per cluster) and
+// swap-ins churns the clusters — the -race gate for the telemetry read paths
+// against the swap hot path.
 func TestTelemetryEndpointsUnderSwapStorm(t *testing.T) {
 	sys, err := New(Config{HeapCapacity: 1 << 20})
 	if err != nil {
@@ -251,7 +252,15 @@ func TestTelemetryEndpointsUnderSwapStorm(t *testing.T) {
 			}
 			// Busy clusters and re-swaps are expected mid-storm; only the
 			// churn matters here.
-			sys.SwapOutMany(clusters, 4)
+			var out sync.WaitGroup
+			for _, c := range clusters {
+				out.Add(1)
+				go func(c ClusterID) {
+					defer out.Done()
+					sys.SwapOut(c)
+				}(c)
+			}
+			out.Wait()
 			for _, c := range clusters {
 				sys.SwapIn(c)
 			}
