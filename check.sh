@@ -82,18 +82,20 @@ if [ -n "$LEDGERS" ] || [ -n "$BENCHFUNCS" ]; then
     printf '%s\n%s\n' "$LEDGERS" "$BENCHFUNCS" >&2
     exit 1
 fi
-# Guard: the sharded core must never ship pinned to a single shard. Only
-# tests may call WithShards(1); core.DefaultShards is what ships.
-PINNED=$(grep -rn 'WithShards(1)' --include='*.go' . | grep -v '_test\.go' || true)
-if [ -n "$PINNED" ]; then
-    echo "sharded core pinned to a single shard outside tests:" >&2
-    echo "$PINNED" >&2
+# Guard: one cluster table, one swap lock. The eight-shard split of the table
+# and of the swap critical sections stays deleted: no non-test Go outside
+# benchmark/ names its option, default, hash, shard types, ordered
+# multi-lock helpers or per-shard metric families.
+SHARDS=$(grep -rnE 'WithShards|DefaultShards|shardIndexFor|coreShard|tableShard|lockPair|lockAll|lockTabs|swap_lock_wait|shard_clusters' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./benchmark/' || true)
+if [ -n "$SHARDS" ]; then
+    echo "sharded core is back (one cluster table under one lock, one swap lock):" >&2
+    echo "$SHARDS" >&2
     exit 1
 fi
 # Guard: a cluster moves only through the one transition site. Nothing outside
 # internal/core/state.go may assign a record's residency (cs.where = ..., or a
-# where: key in a clusterState literal) or add/remove a record of the sharded
-# table behind the by-residency tallies; reserve, settle, newClusterState, put
+# where: key in a clusterState literal) or add/remove a record of the cluster
+# table behind the by-residency tally; reserve, settle, newClusterState, put
 # and drop are the only ways to get a cluster anywhere.
 MOVED=$(grep -nE '\.where[[:space:]]*(=[^=]|\+\+|--)|[^[:alnum:]_]where:|\.clusters\[[^]]*\][[:space:]]*=[^=]|delete\([^,]*\.clusters,' \
     internal/core/*.go | grep -v '^internal/core/state\.go:' | grep -v '_test\.go:' || true)

@@ -132,15 +132,14 @@ type ckptRoot struct {
 }
 
 // SaveCheckpoint writes the device's full middleware state. It must not run
-// with in-flight invocations. The save stops the world (every swap shard
-// lock, in order) so the stream is a consistent cut: no swap commits or
-// installs mid-checkpoint.
+// with in-flight invocations. The save stops the world (the swap lock) so the
+// stream is a consistent cut: no swap commits or installs mid-checkpoint.
 func (rt *Runtime) SaveCheckpoint(w io.Writer) error {
 	if rt.depth != 0 {
 		return errors.New("core: checkpoint with in-flight invocations")
 	}
-	rt.lockAll()
-	defer rt.unlockAll()
+	rt.swapMu.Lock()
+	defer rt.swapMu.Unlock()
 	doc := ckptDoc{Version: checkpointVersion, Device: rt.name, KeySeq: rt.keyseq.Load()}
 	enc := wire.NewEncoder()
 	defer enc.Release()
@@ -158,9 +157,9 @@ func (rt *Runtime) SaveCheckpoint(w io.Writer) error {
 		if cid == RootCluster {
 			continue
 		}
-		ts := rt.mgr.tab(cid)
-		ts.mu.Lock()
-		cs := ts.clusters[cid]
+		tab := &rt.mgr.table
+		tab.mu.Lock()
+		cs := tab.clusters[cid]
 		members := make([]heap.ObjID, 0, len(cs.objects))
 		for oid := range cs.objects {
 			members = append(members, oid)
@@ -168,7 +167,7 @@ func (rt *Runtime) SaveCheckpoint(w io.Writer) error {
 		}
 		// Replica sets are replaced, never edited, so the copies may share them.
 		swapped, was, c := cs.where.out(), cs.shipment, cs.retained.donorCopy
-		ts.mu.Unlock()
+		tab.mu.Unlock()
 		slices.Sort(members)
 
 		ck := ckptCluster{ID: uint32(cid), Swapped: swapped}
@@ -308,9 +307,9 @@ func (rt *Runtime) LoadCheckpoint(r io.Reader) error {
 	rt.keyseq.Store(doc.KeySeq)
 	// Restoration stops the world (it rebuilds the whole table) and runs as a
 	// mutate section: middleware allocations below must not re-enter the
-	// evictor, whose Collect would deadlock on the held shard locks.
-	rt.lockAll()
-	defer rt.unlockAll()
+	// evictor, whose Collect would deadlock on the held swap lock.
+	rt.swapMu.Lock()
+	defer rt.swapMu.Unlock()
 	endMutate := rt.beginMutate()
 	defer endMutate()
 	// Restoration is not user mutation.
@@ -322,10 +321,9 @@ func (rt *Runtime) LoadCheckpoint(r io.Reader) error {
 	m.mu.Lock()
 	for _, ck := range doc.Plain {
 		cid := ClusterID(ck.ID)
-		ts := m.tab(cid)
-		ts.mu.Lock()
-		_, dup := ts.clusters[cid]
-		ts.mu.Unlock()
+		m.table.mu.Lock()
+		_, dup := m.table.clusters[cid]
+		m.table.mu.Unlock()
 		if dup {
 			m.mu.Unlock()
 			return fmt.Errorf("%w: duplicate cluster %d", ErrBadCheckpoint, cid)
@@ -368,9 +366,9 @@ func (rt *Runtime) LoadCheckpoint(r io.Reader) error {
 			}
 			m.anchor(cs, c, nil, nil)
 		}
-		ts.mu.Lock()
-		ts.put(cs)
-		ts.mu.Unlock()
+		m.table.mu.Lock()
+		m.table.put(cs)
+		m.table.mu.Unlock()
 		if cid > m.nextCluster {
 			m.nextCluster = cid
 		}
@@ -432,10 +430,10 @@ func (rt *Runtime) LoadCheckpoint(r io.Reader) error {
 		if err := repl.SetFieldByName(fldStore, heap.Str(strings.Join(ck.replicaSet(), ","))); err != nil {
 			return err
 		}
-		ts := rt.mgr.tab(ClusterID(ck.ID))
-		ts.mu.Lock()
-		ts.clusters[ClusterID(ck.ID)].replacement = repl.ID()
-		ts.mu.Unlock()
+		tab := &rt.mgr.table
+		tab.mu.Lock()
+		tab.clusters[ClusterID(ck.ID)].replacement = repl.ID()
+		tab.mu.Unlock()
 	}
 	for _, ck := range doc.Plain {
 		if !ck.Swapped {
@@ -464,10 +462,10 @@ func (rt *Runtime) LoadCheckpoint(r io.Reader) error {
 			}
 			slots[ob.Slot] = heap.Ref(pid)
 		}
-		ts := rt.mgr.tab(ClusterID(ck.ID))
-		ts.mu.Lock()
-		replID := ts.clusters[ClusterID(ck.ID)].replacement
-		ts.mu.Unlock()
+		tab := &rt.mgr.table
+		tab.mu.Lock()
+		replID := tab.clusters[ClusterID(ck.ID)].replacement
+		tab.mu.Unlock()
 		repl, err := rt.h.Get(replID)
 		if err != nil {
 			return err

@@ -87,10 +87,10 @@ func TestCheckpointWithSwappedClusters(t *testing.T) {
 	// The payload checksum survives the restore, so the restored runtime
 	// keeps verifying replicas against bit rot.
 	for _, cid := range []ClusterID{clusters[1], clusters[3]} {
-		ts := rt2.mgr.tab(cid)
-		ts.mu.Lock()
-		crc := ts.clusters[cid].retained.crc
-		ts.mu.Unlock()
+		tab := &rt2.mgr.table
+		tab.mu.Lock()
+		crc := tab.clusters[cid].retained.crc
+		tab.mu.Unlock()
 		if crc == 0 {
 			t.Fatalf("cluster %d: payload CRC lost in checkpoint restore", cid)
 		}
@@ -268,10 +268,10 @@ func goldenState(t *testing.T, rt *Runtime) {
 	}
 	// Sparse slot table: drop the middle outbound slot, as a delta remap of a
 	// target no longer referenced leaves it.
-	ts := rt.mgr.tab(cb)
-	ts.mu.Lock()
-	replID := ts.clusters[cb].replacement
-	ts.mu.Unlock()
+	tab := &rt.mgr.table
+	tab.mu.Lock()
+	replID := tab.clusters[cb].replacement
+	tab.mu.Unlock()
 	repl, err := rt.h.Get(replID)
 	if err != nil {
 		t.Fatal(err)

@@ -31,6 +31,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -228,22 +229,18 @@ type Runtime struct {
 	depth  int
 	frames heap.Frames
 
-	// shards splits the swap machinery's serialization point by cluster: the
-	// snapshot/reserve and commit/patch phases of a swap run under the lock of
-	// the shard its cluster hashes onto, so swaps on different shards never
-	// contend. The expensive middle phases — encoding, device shipment, fetch
-	// and decode — run outside any shard lock, so concurrent callers overlap
-	// the encoding of one cluster with the shipment of another. The
-	// whole-graph paths (Collect, resize, checkpoint save/restore) stop the
-	// world via lockAll. Lock order: shard mu → mgr.mu → tableShard mu → h.mu;
-	// see shard.go. nshards is the configured count (WithShards), fixed at
-	// construction.
-	shards  []*coreShard
-	nshards int
+	// swapMu is the swap lock: the serialization point for the reserve,
+	// commit, install and repair-commit sections of every swap. The expensive
+	// middle phases — encoding, device shipment, fetch and decode — run
+	// outside it, so concurrent callers overlap the encoding of one cluster
+	// with the shipment of another. The whole-graph paths (Collect, resize,
+	// checkpoint save/restore) take it to stop the world. Lock order: swapMu
+	// → mgr.mu → mgr.table.mu → h.mu (DESIGN §6).
+	swapMu sync.Mutex
 	// mutatingCount counts open critical sections that may allocate while
-	// holding shard locks (swap-in install, resize, restore). While nonzero,
+	// holding the swap lock (swap-in install, resize, restore). While nonzero,
 	// allocation failures report ErrOutOfMemory instead of re-entering the
-	// evictor, whose swap-outs would deadlock on the held shard locks.
+	// evictor, whose swap-outs would deadlock on the held lock.
 	mutatingCount atomic.Int32
 
 	name     string
@@ -378,7 +375,6 @@ func NewRuntime(h *heap.Heap, reg *heap.Registry, opts ...Option) *Runtime {
 	rt := &Runtime{
 		h:            h,
 		reg:          reg,
-		nshards:      DefaultShards,
 		proxyClasses: make(map[string]*heap.Class),
 		name:         fmt.Sprintf("dev%d", atomic.AddUint64(&runtimeSeq, 1)),
 	}
@@ -390,14 +386,7 @@ func NewRuntime(h *heap.Heap, reg *heap.Registry, opts ...Option) *Runtime {
 	for _, opt := range opts {
 		opt(rt)
 	}
-	if rt.nshards < 1 {
-		rt.nshards = DefaultShards
-	}
-	rt.shards = make([]*coreShard, rt.nshards)
-	for i := range rt.shards {
-		rt.shards[i] = &coreShard{idx: i}
-	}
-	rt.mgr = newManager(rt, rt.nshards)
+	rt.mgr = newManager(rt)
 	if cap := h.Capacity(); cap > 0 && h.Reserve() == 0 {
 		reserve := cap / 16
 		if reserve < 512 {
@@ -459,12 +448,22 @@ func (rt *Runtime) markDirty(oid heap.ObjID) {
 	if !ok {
 		return
 	}
-	ts := rt.mgr.tab(info.cluster)
-	ts.mu.Lock()
-	if cs, ok := ts.clusters[info.cluster]; ok && !cs.where.out() && cs.retained.key != "" {
+	tab := &rt.mgr.table
+	tab.mu.Lock()
+	if cs, ok := tab.clusters[info.cluster]; ok && !cs.where.out() && cs.retained.key != "" {
 		cs.dirty = true
 	}
-	ts.mu.Unlock()
+	tab.mu.Unlock()
+}
+
+// beginMutate opens a critical section that may allocate while holding the
+// swap lock (swap-in install, resize re-mediation, checkpoint restore). While
+// any such section is open, allocation failures report ErrOutOfMemory instead
+// of re-entering the evictor, whose Collect would deadlock on the very lock
+// the section holds. The returned func closes the section.
+func (rt *Runtime) beginMutate() func() {
+	rt.mutatingCount.Add(1)
+	return func() { rt.mutatingCount.Add(-1) }
 }
 
 // resolveCause defaults an unattributed swap: to the evictor while an
@@ -501,15 +500,8 @@ func (rt *Runtime) instrument() {
 		"format", "op")
 	rt.wireSeconds = r.HistogramVec("objectswap_wire_seconds",
 		"Codec run duration by wire format and operation.", nil, "format", "op")
-	lockWaits := r.HistogramVec("objectswap_swap_lock_wait_seconds",
-		"Swap-shard lock acquisition wait, by shard.", nil, "shard")
-	for _, sh := range rt.shards {
-		sh.wait = lockWaits.With(strconv.Itoa(sh.idx))
-	}
-	shardClusters := r.GaugeVec("objectswap_core_shard_clusters",
-		"Swap-clusters by table shard and state.", "shard", "state")
-	// Both families read the table shards' by-residency tallies: a reserved
-	// cluster counts on the side of the swap it is on, and also as busy.
+	// The family reads the table's by-residency tally: a reserved cluster
+	// counts on the side of the swap it is on, and also as busy.
 	states := [...]struct {
 		name string
 		in   func(residency) bool
@@ -521,18 +513,7 @@ func (rt *Runtime) instrument() {
 	clusters := r.GaugeVec("objectswap_core_clusters",
 		"Swap-clusters by residency state.", "state")
 	for _, st := range states {
-		for i, ts := range rt.mgr.tabs {
-			shardClusters.WithFunc(func() float64 { return ts.count(st.in) }, strconv.Itoa(i), st.name)
-		}
-	}
-	for _, st := range states[:2] { // the runtime-wide family has no busy series
-		clusters.WithFunc(func() float64 {
-			n := 0.0
-			for _, ts := range rt.mgr.tabs {
-				n += ts.count(st.in)
-			}
-			return n
-		}, st.name)
+		clusters.WithFunc(func() float64 { return rt.mgr.table.count(st.in) }, st.name)
 	}
 	repl := r.GaugeVec("objectswap_placement_replicas",
 		"Replica health of swapped clusters.", "stat")
@@ -549,9 +530,9 @@ func (rt *Runtime) instrument() {
 	// Constant 1; the labels carry the build-time configuration so
 	// dashboards can correlate config changes with perf shifts across soaks.
 	r.GaugeVec("objectswap_build_info",
-		"Constant gauge whose labels record the configured shard count, replication factor and wire-format preference order.",
-		"shards", "replicas", "formats").
-		With(strconv.Itoa(rt.nshards), strconv.Itoa(rt.Replicas()), strings.Join(rt.wireFormats, ",")).Set(1)
+		"Constant gauge whose labels record the configured replication factor and wire-format preference order.",
+		"replicas", "formats").
+		With(strconv.Itoa(rt.Replicas()), strings.Join(rt.wireFormats, ",")).Set(1)
 }
 
 // Obs returns the runtime's observability registry (never nil).

@@ -158,10 +158,10 @@ func TestRepairMajorityConvictsDivergentCopy(t *testing.T) {
 	}
 
 	// Simulate legacy state: forget the recorded checksum.
-	ts := f.rt.mgr.tab(clusters[1])
-	ts.mu.Lock()
-	ts.clusters[clusters[1]].retained.crc = 0
-	ts.mu.Unlock()
+	tab := &f.rt.mgr.table
+	tab.mu.Lock()
+	tab.clusters[clusters[1]].retained.crc = 0
+	tab.mu.Unlock()
 
 	corrupt := ev.Replicas[0]
 	corruptPayload(t, flakies[corrupt], ev.Key)

@@ -27,11 +27,11 @@ import (
 // In-flight invocation operands (the middleware's stand-in for thread stacks)
 // are passed to the collector as extra roots.
 //
-// The mark-sweep and the swapped-cluster sweep stop the world: every swap
-// shard's lock is acquired (in order), so a collection never interleaves with
-// the reserve/commit phases of a concurrent swap-out or swap-in on any shard
-// (in particular, freshly installed objects cannot lose their nursery grace
-// before the inbound proxies that make them reachable are patched).
+// The mark-sweep and the swapped-cluster sweep stop the world: the swap lock
+// is held, so a collection never interleaves with the reserve/commit phases
+// of a concurrent swap-out or swap-in (in particular, freshly installed
+// objects cannot lose their nursery grace before the inbound proxies that
+// make them reachable are patched).
 // Device-drop retries run unlocked — they are IO.
 func (rt *Runtime) Collect() heap.CollectStats {
 	return rt.collect(1)
@@ -48,10 +48,10 @@ const pressureCycles = 3
 // collect is Collect with the nursery aged by the given number of cycles in
 // the one pass (see heap.CollectCycles).
 func (rt *Runtime) collect(cycles int) heap.CollectStats {
-	rt.lockAll()
+	rt.swapMu.Lock()
 	st := rt.h.CollectCycles(cycles, rt.stack...)
 	rt.sweepSwapped()
-	rt.unlockAll()
+	rt.swapMu.Unlock()
 	rt.mgr.compact(st.Swept)
 	rt.mgr.retryDrops(rt)
 	return st
@@ -69,25 +69,23 @@ func (rt *Runtime) sweepSwapped() {
 
 	m := rt.mgr
 	m.mu.Lock()
-	for _, ts := range m.tabs {
-		ts.mu.Lock()
-		for id, cs := range ts.clusters {
-			if cs.where != swappedOut {
-				continue // reserved: a swap-in or repair owns it and pins the replacement
-			}
-			if rt.h.Contains(cs.replacement) {
-				continue
-			}
-			victims = append(victims, victim{id, cs.forget()})
-			for oid := range cs.objects {
-				delete(m.objects, oid)
-			}
-			delete(m.inbound, id)
-			delete(m.outbound, id)
-			ts.drop(cs)
+	m.table.mu.Lock()
+	for id, cs := range m.table.clusters {
+		if cs.where != swappedOut {
+			continue // reserved: a swap-in or repair owns it and pins the replacement
 		}
-		ts.mu.Unlock()
+		if rt.h.Contains(cs.replacement) {
+			continue
+		}
+		victims = append(victims, victim{id, cs.forget()})
+		for oid := range cs.objects {
+			delete(m.objects, oid)
+		}
+		delete(m.inbound, id)
+		delete(m.outbound, id)
+		m.table.drop(cs)
 	}
+	m.table.mu.Unlock()
 	m.mu.Unlock()
 
 	for _, v := range victims {
@@ -109,16 +107,15 @@ func (rt *Runtime) shedRetained(ctx context.Context, donors []placement.Candidat
 		copy donorCopy
 	}
 	var sheds []shed
-	for _, ts := range rt.mgr.tabs {
-		ts.mu.Lock()
-		for id, cs := range ts.clusters {
-			if cs.where == resident && slices.ContainsFunc(donors,
-				func(c placement.Candidate) bool { return slices.Contains(cs.retained.devices, c.Name) }) {
-				sheds = append(sheds, shed{id, cs.forget()})
-			}
+	tab := &rt.mgr.table
+	tab.mu.Lock()
+	for id, cs := range tab.clusters {
+		if cs.where == resident && slices.ContainsFunc(donors,
+			func(c placement.Candidate) bool { return slices.Contains(cs.retained.devices, c.Name) }) {
+			sheds = append(sheds, shed{id, cs.forget()})
 		}
-		ts.mu.Unlock()
 	}
+	tab.mu.Unlock()
 	for _, sh := range sheds {
 		rt.dropAll(ctx, sh.copy.devices, sh.copy.key, sh.id)
 	}
@@ -231,20 +228,19 @@ func (m *Manager) compact(swept []heap.ObjID) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.table.mu.Lock()
+	defer m.table.mu.Unlock()
 	for _, oid := range swept {
 		info, ok := m.objects[oid]
 		if !ok {
 			continue
 		}
-		ts := m.tab(info.cluster)
-		ts.mu.Lock()
-		if cs, ok := ts.clusters[info.cluster]; ok && !cs.where.out() {
+		if cs, ok := m.table.clusters[info.cluster]; ok && !cs.where.out() {
 			delete(cs.objects, oid)
 			delete(m.objects, oid)
 			if len(cs.objects) == 0 && cs.where == resident {
 				m.queueDrops(cs.forget(), cs.id)
 			}
 		}
-		ts.mu.Unlock()
 	}
 }

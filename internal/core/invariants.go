@@ -34,16 +34,9 @@ import (
 func (m *Manager) CheckInvariants() []error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.lockTabs()
-	defer m.unlockTabs()
-	// A merged view of the sharded table; every shard is locked above, so the
-	// cut is consistent.
-	clusters := make(map[ClusterID]*clusterState)
-	for _, ts := range m.tabs {
-		for cid, cs := range ts.clusters {
-			clusters[cid] = cs
-		}
-	}
+	m.table.mu.Lock()
+	defer m.table.mu.Unlock()
+	clusters := m.table.clusters
 	h := m.rt.h
 	var errs []error
 	fail := func(format string, args ...any) {

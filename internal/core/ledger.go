@@ -20,7 +20,7 @@ const (
 
 // feed is the only writer of a cluster's ledger (check.sh greps for the
 // counters), the record victim selection, ClusterInfo and the telemetry plane
-// all read. The caller holds cs's table-shard lock. tick dates recency, for
+// all read. The caller holds the table lock. tick dates recency, for
 // the kinds that advance it; now dates heat and thrash, and is the zero time,
 // read from no clock, when no tracker is attached (Tracker.Now).
 func (m *Manager) feed(cs *clusterState, what access, tick uint64, now time.Time) {
@@ -46,10 +46,9 @@ func (m *Manager) feed(cs *clusterState, what access, tick uint64, now time.Time
 
 // enterCrossing is the hot-path combination used by proxy dispatch: it
 // resolves the target's cluster, records the crossing, and reports whether
-// the cluster is currently swapped out. Only the object index lookup takes
-// the manager lock; the ledgers are fed under the affected clusters' table
-// shards, so crossings into different shards proceed in parallel, and both
-// ends of the crossing are dated by one reading of each clock.
+// the cluster is currently swapped out. The object index lookup takes the
+// manager lock; both ledgers are fed under one hold of the table lock, and
+// both ends of the crossing are dated by one reading of each clock.
 func (m *Manager) enterCrossing(src ClusterID, ultimate heap.ObjID) (dst ClusterID, swapped bool) {
 	m.mu.Lock()
 	if info, ok := m.objects[ultimate]; ok {
@@ -57,15 +56,15 @@ func (m *Manager) enterCrossing(src ClusterID, ultimate heap.ObjID) (dst Cluster
 	}
 	m.mu.Unlock()
 	tick, now := m.clock.Add(1), m.rt.telem.Now()
-	lo, hi := m.lockPair(dst, src)
-	if cs, ok := m.tab(dst).clusters[dst]; ok {
+	m.table.mu.Lock()
+	if cs, ok := m.table.clusters[dst]; ok {
 		m.feed(cs, crossed, tick, now)
 		swapped = cs.where.out()
 	}
-	if cs, ok := m.tab(src).clusters[src]; ok && src != dst {
+	if cs, ok := m.table.clusters[src]; ok && src != dst {
 		m.feed(cs, used, tick, now)
 	}
-	unlockPair(lo, hi)
+	m.table.mu.Unlock()
 	return dst, swapped
 }
 
@@ -78,19 +77,19 @@ func (rt *Runtime) noteAccess(oid heap.ObjID) {
 	if !ok {
 		return
 	}
-	ts, now := m.tab(info.cluster), rt.telem.Now()
-	ts.mu.Lock()
-	if cs, ok := ts.clusters[info.cluster]; ok {
+	now := rt.telem.Now()
+	m.table.mu.Lock()
+	if cs, ok := m.table.clusters[info.cluster]; ok {
 		m.feed(cs, accessed, 0, now)
 	}
-	ts.mu.Unlock()
+	m.table.mu.Unlock()
 }
 
 // eachLedger is the telemetry plane's view of the cluster table
-// (telemetry.Clusters): every record's ledger, visited under its table-shard
-// lock, one shard at a time, with a measure of the cluster's footprint —
-// resident bytes while loaded, the shipped payload while swapped out. The
-// caller must hold no core lock.
+// (telemetry.Clusters): every record's ledger, visited under one hold of the
+// table lock, with a measure of the cluster's footprint — resident bytes
+// while loaded, the shipped payload while swapped out. The caller must hold
+// no core lock.
 func (m *Manager) eachLedger(visit func(id uint32, l *telemetry.Ledger, size func() int64)) {
 	var cur *clusterState
 	size := func() int64 {
@@ -99,11 +98,9 @@ func (m *Manager) eachLedger(visit func(id uint32, l *telemetry.Ledger, size fun
 		}
 		return m.residentBytes(cur)
 	}
-	for _, ts := range m.tabs {
-		ts.mu.Lock()
-		for _, cur = range ts.clusters {
-			visit(uint32(cur.id), &cur.ledger, size)
-		}
-		ts.mu.Unlock()
+	m.table.mu.Lock()
+	defer m.table.mu.Unlock()
+	for _, cur = range m.table.clusters {
+		visit(uint32(cur.id), &cur.ledger, size)
 	}
 }

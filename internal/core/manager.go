@@ -124,21 +124,20 @@ type proxyRecord struct {
 	home   ClusterID // the cluster whose inbound index lists it: its target's
 }
 
-// tableShard is one independently locked slice of the sharded cluster table:
-// the records (residency included) of every cluster whose id hashes onto it,
-// added and removed only through put and drop (state.go). The object, proxy,
-// drop and crossing-clock indexes stay under Manager.mu. Lock order:
-// Manager.mu may be held while taking a tableShard lock, never the reverse;
-// multiple tableShard locks are taken in ascending index order.
-type tableShard struct {
+// clusterTable is the SwappingManager's cluster table: the record (residency
+// included) of every swap-cluster, added and removed only through put and
+// drop (state.go). The object, proxy, drop and crossing-clock indexes stay
+// under Manager.mu. Lock order: Manager.mu may be held while taking the
+// table lock, never the reverse.
+type clusterTable struct {
 	mu       sync.Mutex
 	clusters map[ClusterID]*clusterState
 	tally    [numResidencies]int // records by residency
 }
 
-// state returns the shard's record for id. The caller holds ts.mu.
-func (ts *tableShard) state(id ClusterID) (*clusterState, error) {
-	cs, ok := ts.clusters[id]
+// state returns the record for id. The caller holds tab.mu.
+func (tab *clusterTable) state(id ClusterID) (*clusterState, error) {
+	cs, ok := tab.clusters[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownCluster, id)
 	}
@@ -151,10 +150,7 @@ func (ts *tableShard) state(id ClusterID) (*clusterState, error) {
 type Manager struct {
 	rt *Runtime
 
-	// tabs is the sharded cluster table; the record for cluster id lives on
-	// tabs[shardIndexFor(id, len(tabs))], aligned with the runtime's swap
-	// shards so one shard's swaps touch one table shard.
-	tabs []*tableShard
+	table clusterTable
 
 	mu          sync.Mutex
 	nextCluster ClusterID
@@ -184,7 +180,7 @@ type Manager struct {
 	abandonedDrops int
 
 	// clock is the recency clock advanced by boundary crossings and
-	// allocations; atomic so crossings on different shards never share a lock.
+	// allocations; atomic so a crossing takes no lock to read it.
 	clock atomic.Uint64
 	// retaining is set by the first anchor of a usable copy and never reset:
 	// until a cluster has something to be dirty against, the write observer
@@ -199,10 +195,10 @@ type dropTicket struct {
 	attempts int
 }
 
-func newManager(rt *Runtime, shards int) *Manager {
+func newManager(rt *Runtime) *Manager {
 	m := &Manager{
 		rt:             rt,
-		tabs:           make([]*tableShard, shards),
+		table:          clusterTable{clusters: make(map[ClusterID]*clusterState)},
 		objects:        make(map[heap.ObjID]objInfo),
 		proxyRecs:      make(map[heap.ObjID]proxyRecord),
 		proxies:        make(map[proxyKey]heap.ObjID),
@@ -213,61 +209,16 @@ func newManager(rt *Runtime, shards int) *Manager {
 		dropRetryLimit: DefaultDropRetryLimit,
 	}
 	m.finalProxy, m.finalObjProxy = m.purgeProxy, m.purgeObjProxy
-	for i := range m.tabs {
-		m.tabs[i] = &tableShard{clusters: make(map[ClusterID]*clusterState)}
-	}
-	m.tab(RootCluster).put(newClusterState(RootCluster, 0, resident))
+	m.table.put(newClusterState(RootCluster, 0, resident))
 	return m
-}
-
-// tab returns the table shard holding cluster id's record.
-func (m *Manager) tab(id ClusterID) *tableShard {
-	return m.tabs[shardIndexFor(id, len(m.tabs))]
-}
-
-// lockPair locks the table shards of two clusters in ascending index order
-// (a single acquisition when they share one) and returns them for unlockPair.
-func (m *Manager) lockPair(a, b ClusterID) (lo, hi *tableShard) {
-	ia, ib := shardIndexFor(a, len(m.tabs)), shardIndexFor(b, len(m.tabs))
-	if ia > ib {
-		ia, ib = ib, ia
-	}
-	lo, hi = m.tabs[ia], m.tabs[ib]
-	lo.mu.Lock()
-	if hi != lo {
-		hi.mu.Lock()
-	}
-	return lo, hi
-}
-
-func unlockPair(lo, hi *tableShard) {
-	if hi != lo {
-		hi.mu.Unlock()
-	}
-	lo.mu.Unlock()
-}
-
-// lockTabs locks every table shard in ascending index order, for whole-table
-// iteration (sweep, compact, invariants); unlockTabs reverses it.
-func (m *Manager) lockTabs() {
-	for _, ts := range m.tabs {
-		ts.mu.Lock()
-	}
-}
-
-func (m *Manager) unlockTabs() {
-	for i := len(m.tabs) - 1; i >= 0; i-- {
-		m.tabs[i].mu.Unlock()
-	}
 }
 
 // shipmentOf returns the cluster's shipment while its members are on the
 // donors; ok is false for a resident or unknown cluster.
 func (m *Manager) shipmentOf(id ClusterID) (shipment, bool) {
-	ts := m.tab(id)
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	cs, ok := ts.clusters[id]
+	m.table.mu.Lock()
+	defer m.table.mu.Unlock()
+	cs, ok := m.table.clusters[id]
 	if !ok || !cs.where.out() {
 		return shipment{}, false
 	}
@@ -287,23 +238,20 @@ func (m *Manager) NewCluster() ClusterID {
 	m.nextCluster++
 	id := m.nextCluster
 	m.mu.Unlock()
-	ts := m.tab(id)
-	ts.mu.Lock()
-	ts.put(newClusterState(id, 0, resident))
-	ts.mu.Unlock()
+	m.table.mu.Lock()
+	m.table.put(newClusterState(id, 0, resident))
+	m.table.mu.Unlock()
 	return id
 }
 
 // Clusters returns the ids of all known swap-clusters in order.
 func (m *Manager) Clusters() []ClusterID {
 	var ids []ClusterID
-	for _, ts := range m.tabs {
-		ts.mu.Lock()
-		for id := range ts.clusters {
-			ids = append(ids, id)
-		}
-		ts.mu.Unlock()
+	m.table.mu.Lock()
+	for id := range m.table.clusters {
+		ids = append(ids, id)
 	}
+	m.table.mu.Unlock()
 	slices.Sort(ids)
 	return ids
 }
@@ -312,13 +260,12 @@ func (m *Manager) Clusters() []ClusterID {
 func (m *Manager) assign(id heap.ObjID, cluster ClusterID, class string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ts := m.tab(cluster)
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
+	m.table.mu.Lock()
+	defer m.table.mu.Unlock()
 	// Resident and unreserved only: a swap-out in flight has already
 	// snapshotted the members it will ship and free, and a late joiner would
 	// be left behind, resident, in a cluster recorded as swapped.
-	cs, err := ts.at(cluster, resident)
+	cs, err := m.table.at(cluster, resident)
 	if err != nil {
 		return err
 	}
@@ -555,31 +502,29 @@ type ClusterInfo struct {
 
 // Info snapshots one cluster.
 func (m *Manager) Info(id ClusterID) (ClusterInfo, error) {
-	ts := m.tab(id)
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	cs, err := ts.state(id)
+	m.table.mu.Lock()
+	defer m.table.mu.Unlock()
+	cs, err := m.table.state(id)
 	if err != nil {
 		return ClusterInfo{}, err
 	}
 	return m.infoOf(cs), nil
 }
 
-// InfoAll snapshots every cluster in id order.
+// InfoAll snapshots every cluster in id order, all under one hold of the
+// table lock: one cut of the table.
 func (m *Manager) InfoAll() []ClusterInfo {
 	var out []ClusterInfo
-	for _, ts := range m.tabs {
-		ts.mu.Lock()
-		for _, cs := range ts.clusters {
-			out = append(out, m.infoOf(cs))
-		}
-		ts.mu.Unlock()
+	m.table.mu.Lock()
+	for _, cs := range m.table.clusters {
+		out = append(out, m.infoOf(cs))
 	}
+	m.table.mu.Unlock()
 	slices.SortFunc(out, func(a, b ClusterInfo) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
-// infoOf snapshots one record; the caller holds its table-shard lock.
+// infoOf snapshots one record; the caller holds the table lock.
 func (m *Manager) infoOf(cs *clusterState) ClusterInfo {
 	c := cs.retained.donorCopy
 	info := ClusterInfo{
@@ -605,7 +550,7 @@ func (m *Manager) infoOf(cs *clusterState) ClusterInfo {
 }
 
 // residentBytes sums the accounted sizes of a loaded cluster's resident
-// members; the caller holds the record's table-shard lock.
+// members; the caller holds the table lock.
 func (m *Manager) residentBytes(cs *clusterState) int64 {
 	var n int64
 	for id := range cs.objects {
@@ -659,34 +604,32 @@ func VictimStrategyFromString(s string) (VictimStrategy, error) {
 
 // SelectVictims returns every eligible eviction candidate — loaded, non-empty,
 // not busy, not the root cluster — ordered by the strategy, best victim
-// first, ties toward the lower cluster id. The ranking reads each record
-// under its table-shard lock and touches the heap only for VictimLargest,
-// the one strategy that needs resident sizes.
+// first, ties toward the lower cluster id. The ranking reads the records
+// under one hold of the table lock and touches the heap only for
+// VictimLargest, the one strategy that needs resident sizes.
 func (m *Manager) SelectVictims(strategy VictimStrategy) []ClusterID {
 	type ranked struct {
 		id  ClusterID
 		key uint64 // ascending: the smaller key is the better victim
 	}
 	var eligible []ranked
-	for _, ts := range m.tabs {
-		ts.mu.Lock()
-		for id, cs := range ts.clusters {
-			if id == RootCluster || cs.where != resident || len(cs.objects) == 0 {
-				continue
-			}
-			r := ranked{id: id}
-			switch strategy {
-			case VictimLargest:
-				r.key = math.MaxUint64 - uint64(m.residentBytes(cs))
-			case VictimLeastUsed:
-				r.key = cs.ledger.Crossings
-			default: // VictimColdest
-				r.key = cs.ledger.LastAccess
-			}
-			eligible = append(eligible, r)
+	m.table.mu.Lock()
+	for id, cs := range m.table.clusters {
+		if id == RootCluster || cs.where != resident || len(cs.objects) == 0 {
+			continue
 		}
-		ts.mu.Unlock()
+		r := ranked{id: id}
+		switch strategy {
+		case VictimLargest:
+			r.key = math.MaxUint64 - uint64(m.residentBytes(cs))
+		case VictimLeastUsed:
+			r.key = cs.ledger.Crossings
+		default: // VictimColdest
+			r.key = cs.ledger.LastAccess
+		}
+		eligible = append(eligible, r)
 	}
+	m.table.mu.Unlock()
 	slices.SortFunc(eligible, func(a, b ranked) int {
 		if c := cmp.Compare(a.key, b.key); c != 0 {
 			return c

@@ -19,7 +19,7 @@ var (
 )
 
 // op is what SwapOut, swapInDirect and RepairCluster each own while they run:
-// the trace, the span, the shard, and the undo list — the reservation and the
+// the trace, the span, and the undo list — the reservation and the
 // replacement-object — that end gives back. It lives on the operation's
 // stack, embedded in the struct its phase methods share; the operation is
 // the list of do(phase, method) calls between begin and end.
@@ -30,7 +30,6 @@ type op struct {
 	ctx   context.Context
 	trace string
 	span  *obs.Span
-	sh    *coreShard
 
 	err error         // the first phase failure; later phases are skipped
 	cs  *clusterState // the reservation; nil before reserve and once committed
@@ -43,7 +42,7 @@ type op struct {
 // begin opens an operation: a fresh trace on the context and a span carrying
 // it and the cluster.
 func (rt *Runtime) begin(kind *opKind, id ClusterID, ctx context.Context) op {
-	p := op{rt: rt, kind: kind, id: id, trace: rt.newTrace(), sh: rt.shardOf(id)}
+	p := op{rt: rt, kind: kind, id: id, trace: rt.newTrace()}
 	p.ctx = obs.ContextWithTrace(ctx, p.trace)
 	p.span = rt.tracer.Start(kind.span)
 	p.span.SetTrace(p.trace)
@@ -72,7 +71,7 @@ func (p *op) pin(id heap.ObjID) {
 	p.replacement = id
 }
 
-// commit settles the reservation on the far side; the caller holds the shard
+// commit settles the reservation on the far side; the caller holds the swap
 // lock.
 func (p *op) commit(to residency, apply func(*clusterState)) {
 	p.rt.settle(p.cs, to, apply)

@@ -31,21 +31,20 @@ func (rt *Runtime) ReplicaSet(id ClusterID) []string {
 }
 
 // swappedSets snapshots the (id, replica set) pairs of every cluster whose
-// text is on the donors to stay, shard by shard: settled, or held by a repair
+// text is on the donors to stay, in one cut: settled, or held by a repair
 // — which still shows the set it is repairing, so the replica-health readings
 // do not flicker to "whole" while it runs. A cluster a swap-in owns is on its
 // way home and is not counted.
 func (rt *Runtime) swappedSets() map[ClusterID][]string {
 	out := make(map[ClusterID][]string)
-	for _, ts := range rt.mgr.tabs {
-		ts.mu.Lock()
-		for id, cs := range ts.clusters {
-			if cs.where == swappedOut || cs.where == underRepair {
-				out[id] = append([]string(nil), cs.retained.devices...)
-			}
+	tab := &rt.mgr.table
+	tab.mu.Lock()
+	for id, cs := range tab.clusters {
+		if cs.where == swappedOut || cs.where == underRepair {
+			out[id] = append([]string(nil), cs.retained.devices...)
 		}
-		ts.mu.Unlock()
 	}
+	tab.mu.Unlock()
 	return out
 }
 
@@ -271,13 +270,13 @@ func (r *repair) ship() error {
 }
 
 // commit records the new replica set — on the record's copy
-// (clusterState.rehome) and on the replacement-object — under the shard lock.
+// (clusterState.rehome) and on the replacement-object — under the swap lock.
 func (r *repair) commit() error {
 	rt := r.rt
 	r.newSet = append(r.live, r.fresh...)
 	newSet := append([]string(nil), r.newSet...) // the record's own copy
-	rt.lockShard(r.sh)
-	defer r.sh.mu.Unlock()
+	rt.swapMu.Lock()
+	defer rt.swapMu.Unlock()
 	if repl, err := rt.h.Get(r.was.replacement); err == nil {
 		_ = repl.SetFieldByName(fldStore, heap.Str(strings.Join(newSet, ",")))
 	}

@@ -32,46 +32,46 @@ func (rt *Runtime) MergeClusters(dst, src ClusterID) error {
 
 	// Resizing rewrites membership and member fields; it is a graph mutation
 	// and must not interleave with concurrent swaps or collections, so it
-	// stops the world (every shard lock, in order). The mutate section keeps
-	// proxy allocations made during re-mediation from re-entering the evictor
-	// (whose swap-outs and Collect would deadlock on the held shard locks).
-	rt.lockAll()
-	defer rt.unlockAll()
+	// stops the world (the swap lock). The mutate section keeps proxy
+	// allocations made during re-mediation from re-entering the evictor
+	// (whose swap-outs and Collect would deadlock on the held lock).
+	rt.swapMu.Lock()
+	defer rt.swapMu.Unlock()
 	endMutate := rt.beginMutate()
 	defer endMutate()
 
 	m := rt.mgr
-	lo, hi := m.lockPair(dst, src)
-	ds, err := m.tab(dst).at(dst, resident)
+	tab := &m.table
+	tab.mu.Lock()
+	ds, err := tab.at(dst, resident)
 	var ss *clusterState
 	if err == nil {
-		ss, err = m.tab(src).at(src, resident)
+		ss, err = tab.at(src, resident)
 	}
 	if err != nil {
-		unlockPair(lo, hi)
+		tab.mu.Unlock()
 		return fmt.Errorf("core: merge of clusters %d/%d: %w", dst, src, err)
 	}
 	moved := maps.Clone(ss.objects)
-	unlockPair(lo, hi)
+	tab.mu.Unlock()
 
 	members := maps.Clone(moved)
 	isMember := func(oid heap.ObjID) bool { return members[oid] }
 	if err := rt.checkInactive(src, isMember); err != nil {
 		return err
 	}
-	dts := m.tab(dst)
-	dts.mu.Lock()
+	tab.mu.Lock()
 	for oid := range ds.objects {
 		members[oid] = true
 	}
-	dts.mu.Unlock()
+	tab.mu.Unlock()
 	if err := rt.checkInactive(dst, isMember); err != nil {
 		return err
 	}
 
 	// 1. Move membership.
 	m.mu.Lock()
-	lo, hi = m.lockPair(dst, src)
+	tab.mu.Lock()
 	for oid := range moved {
 		info := m.objects[oid]
 		info.cluster = dst
@@ -87,10 +87,10 @@ func (rt *Runtime) MergeClusters(dst, src ClusterID) error {
 	rt.telem.Merge(&ds.ledger, &ss.ledger)
 	m.queueDrops(ss.forget(), src)
 	m.queueDrops(ds.forget(), dst)
-	m.tab(src).drop(ss)
+	tab.drop(ss)
 	// Inbound proxies previously indexed under src now target dst members.
 	m.rehomeProxies(src, dst, nil)
-	unlockPair(lo, hi)
+	tab.mu.Unlock()
 	m.mu.Unlock()
 
 	// 2. Re-mediate the fields of every member of the merged cluster:
@@ -116,35 +116,35 @@ func (rt *Runtime) SplitCluster(src ClusterID, members []heap.ObjID) (ClusterID,
 	}
 
 	// See MergeClusters: resizing is a stop-the-world graph mutation.
-	rt.lockAll()
-	defer rt.unlockAll()
+	rt.swapMu.Lock()
+	defer rt.swapMu.Unlock()
 	endMutate := rt.beginMutate()
 	defer endMutate()
 
 	m := rt.mgr
-	sts := m.tab(src)
-	sts.mu.Lock()
-	ss, err := sts.at(src, resident)
+	tab := &m.table
+	tab.mu.Lock()
+	ss, err := tab.at(src, resident)
 	if err != nil {
-		sts.mu.Unlock()
+		tab.mu.Unlock()
 		return 0, err
 	}
 	for _, oid := range members {
 		if !ss.objects[oid] {
-			sts.mu.Unlock()
+			tab.mu.Unlock()
 			return 0, fmt.Errorf("core: split: @%d is not a member of cluster %d", oid, src)
 		}
 	}
 	all := maps.Clone(ss.objects)
-	sts.mu.Unlock()
+	tab.mu.Unlock()
 	if err := rt.checkInactive(src, func(oid heap.ObjID) bool { return all[oid] }); err != nil {
 		return 0, err
 	}
 
 	fresh := m.NewCluster()
 	m.mu.Lock()
-	lo, hi := m.lockPair(src, fresh)
-	fs := m.tab(fresh).clusters[fresh]
+	tab.mu.Lock()
+	fs := tab.clusters[fresh]
 	for _, oid := range members {
 		info := m.objects[oid]
 		info.cluster = fresh
@@ -158,7 +158,7 @@ func (rt *Runtime) SplitCluster(src ClusterID, members []heap.ObjID) (ClusterID,
 	m.queueDrops(ss.forget(), src)
 	// Inbound proxies whose ultimate moved follow it in the index.
 	m.rehomeProxies(src, fresh, fs.objects)
-	unlockPair(lo, hi)
+	tab.mu.Unlock()
 	m.mu.Unlock()
 
 	// Re-mediate both halves: edges crossing the new boundary gain proxies;
@@ -178,18 +178,18 @@ func (rt *Runtime) SplitCluster(src ClusterID, members []heap.ObjID) (ClusterID,
 func (rt *Runtime) remediateCluster(id ClusterID) error {
 	// Re-mediation rewrites references to semantically identical ones.
 	defer rt.h.SuspendWriteObserver()()
-	ts := rt.mgr.tab(id)
-	ts.mu.Lock()
-	cs, err := ts.state(id)
+	tab := &rt.mgr.table
+	tab.mu.Lock()
+	cs, err := tab.state(id)
 	if err != nil {
-		ts.mu.Unlock()
+		tab.mu.Unlock()
 		return err
 	}
 	ids := make([]heap.ObjID, 0, len(cs.objects))
 	for oid := range cs.objects {
 		ids = append(ids, oid)
 	}
-	ts.mu.Unlock()
+	tab.mu.Unlock()
 	slices.Sort(ids)
 
 	for _, oid := range ids {

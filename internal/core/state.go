@@ -62,9 +62,9 @@ func newClusterState(id ClusterID, members int, at residency) *clusterState {
 // at returns cluster id's record if the cluster is at want, or the sentinel
 // naming why an operation that needs it there cannot have it: unknown, busy
 // (a reserved cluster is busy to everyone but its owner, whichever side of
-// the swap it is on), or on the wrong side. The caller holds ts.mu.
-func (ts *tableShard) at(id ClusterID, want residency) (*clusterState, error) {
-	cs, err := ts.state(id)
+// the swap it is on), or on the wrong side. The caller holds tab.mu.
+func (tab *clusterTable) at(id ClusterID, want residency) (*clusterState, error) {
+	cs, err := tab.state(id)
 	switch {
 	case err != nil:
 		return nil, err
@@ -79,34 +79,34 @@ func (ts *tableShard) at(id ClusterID, want residency) (*clusterState, error) {
 	}
 }
 
-// put adds a record to the shard and drop removes one, keeping the by-state
-// tally the gauges read. The caller holds ts.mu.
-func (ts *tableShard) put(cs *clusterState) {
-	ts.clusters[cs.id] = cs
-	ts.tally[cs.where]++
+// put adds a record to the table and drop removes one, keeping the by-state
+// tally the gauges read. The caller holds tab.mu.
+func (tab *clusterTable) put(cs *clusterState) {
+	tab.clusters[cs.id] = cs
+	tab.tally[cs.where]++
 }
 
-func (ts *tableShard) drop(cs *clusterState) {
-	delete(ts.clusters, cs.id)
-	ts.tally[cs.where]--
+func (tab *clusterTable) drop(cs *clusterState) {
+	delete(tab.clusters, cs.id)
+	tab.tally[cs.where]--
 }
 
-// move is the one assignment to a record's residency. The caller holds ts.mu.
-func (ts *tableShard) move(cs *clusterState, to residency) {
+// move is the one assignment to a record's residency. The caller holds tab.mu.
+func (tab *clusterTable) move(cs *clusterState, to residency) {
 	if moves[cs.where]&(1<<to) == 0 {
 		panic(fmt.Sprintf("core: cluster %d: illegal move %s -> %s", cs.id, cs.where, to))
 	}
-	ts.tally[cs.where]--
-	ts.tally[to]++
+	tab.tally[cs.where]--
+	tab.tally[to]++
 	cs.where = to
 }
 
 // count sums the tally over the states in accepts, for the gauges.
-func (ts *tableShard) count(in func(residency) bool) float64 {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
+func (tab *clusterTable) count(in func(residency) bool) float64 {
+	tab.mu.Lock()
+	defer tab.mu.Unlock()
 	n := 0
-	for r, c := range ts.tally {
+	for r, c := range tab.tally {
 		if in(residency(r)) {
 			n += c
 		}
@@ -115,26 +115,25 @@ func (ts *tableShard) count(in func(residency) bool) float64 {
 }
 
 // reserve takes cluster id from the settled state from into the reserved
-// state to, making the caller its only owner until settle: shard lock, then
+// state to, making the caller its only owner until settle: swap lock, then
 // table lock, validate, move, and — still under the table lock — let snap
 // copy out what the operation will work from. It reports ErrUnknownCluster,
 // ErrClusterBusy, ErrClusterSwapped / ErrClusterLoaded (the cluster is on the
 // wrong side) or ErrClusterEmpty (nothing to swap out).
 func (rt *Runtime) reserve(id ClusterID, from, to residency, snap func(*clusterState)) (*clusterState, error) {
-	sh := rt.shardOf(id)
-	rt.lockShard(sh)
-	defer sh.mu.Unlock()
-	ts := rt.mgr.tab(id)
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	cs, err := ts.at(id, from)
+	rt.swapMu.Lock()
+	defer rt.swapMu.Unlock()
+	tab := &rt.mgr.table
+	tab.mu.Lock()
+	defer tab.mu.Unlock()
+	cs, err := tab.at(id, from)
 	if err == nil && to == reservedOut && len(cs.objects) == 0 {
 		err = fmt.Errorf("%w: %d", ErrClusterEmpty, id)
 	}
 	if err != nil {
 		return nil, err
 	}
-	ts.move(cs, to)
+	tab.move(cs, to)
 	if snap != nil {
 		snap(cs)
 	}
@@ -144,22 +143,22 @@ func (rt *Runtime) reserve(id ClusterID, from, to residency, snap func(*clusterS
 // settle ends a reservation: under the table lock, apply (if any) rewrites
 // the record and the cluster moves to the settled state to — the far side for
 // a commit, cs.where.settled() for a release. A committing caller holds the
-// cluster's shard lock; a release needs none.
+// swap lock; a release needs none.
 func (rt *Runtime) settle(cs *clusterState, to residency, apply func(*clusterState)) {
-	ts := rt.mgr.tab(cs.id)
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
+	tab := &rt.mgr.table
+	tab.mu.Lock()
+	defer tab.mu.Unlock()
 	if apply != nil {
 		apply(cs)
 	}
-	ts.move(cs, to)
+	tab.move(cs, to)
 }
 
 // The retained copy (DESIGN §6d). Each record names at most one payload on
 // its donors, cs.retained: the shipment a swapped-out cluster reloads from,
 // which stays on its donors once the cluster is resident again. The three
 // functions below are the only code that assigns it (check.sh greps for it),
-// each under the record's table-shard lock.
+// each under the table lock.
 
 // anchor records that the cluster's state equals copy c on the donors: it has
 // just been shipped (members and slots are what was encoded) or reloaded from
@@ -222,10 +221,10 @@ func (rt *Runtime) holds(c donorCopy) bool {
 // has just renewed the key's lease: the owner may count on the copy for
 // another leaseTTL.
 func (rt *Runtime) LeaseRenewed(id ClusterID, key string) {
-	ts := rt.mgr.tab(id)
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	if cs, ok := ts.clusters[id]; ok && cs.retained.key == key && cs.retained.leaseTTL > 0 {
+	tab := &rt.mgr.table
+	tab.mu.Lock()
+	defer tab.mu.Unlock()
+	if cs, ok := tab.clusters[id]; ok && cs.retained.key == key && cs.retained.leaseTTL > 0 {
 		cs.retained.leaseUntil = rt.obsReg.Clock().Now().Add(cs.retained.leaseTTL)
 	}
 }

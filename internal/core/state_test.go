@@ -5,7 +5,6 @@ import (
 	"errors"
 	"reflect"
 	"sort"
-	"strconv"
 	"testing"
 
 	"objectswap/internal/heap"
@@ -15,19 +14,19 @@ import (
 
 // whereIs reads a cluster's residency; ok is false once the record is gone.
 func whereIs(rt *Runtime, id ClusterID) (residency, bool) {
-	ts := rt.mgr.tab(id)
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	cs, ok := ts.clusters[id]
+	tab := &rt.mgr.table
+	tab.mu.Lock()
+	defer tab.mu.Unlock()
+	cs, ok := tab.clusters[id]
 	if !ok {
 		return 0, false
 	}
 	return cs.where, true
 }
 
-// checkGauges holds the cluster gauges (fed by the table shards' tallies)
-// against a recount of the records: resident and swapped by side, busy for
-// the three reserved states.
+// checkGauges holds the cluster gauges (fed by the table's tally) against a
+// recount of the records: resident and swapped by side, busy for the three
+// reserved states.
 func checkGauges(t *testing.T, rt *Runtime) {
 	t.Helper()
 	want := map[string]float64{"resident": 0, "swapped": 0, "busy": 0}
@@ -42,16 +41,8 @@ func checkGauges(t *testing.T, rt *Runtime) {
 		}
 	}
 	for state, n := range want {
-		perShard := 0.0
-		for i := range rt.mgr.tabs {
-			v, _ := rt.Obs().Value("objectswap_core_shard_clusters", strconv.Itoa(i), state)
-			perShard += v
-		}
-		if perShard != n {
-			t.Fatalf("objectswap_core_shard_clusters{state=%q} sums to %v, records say %v", state, perShard, n)
-		}
-		if v, ok := rt.Obs().Value("objectswap_core_clusters", state); ok && v != n {
-			t.Fatalf("objectswap_core_clusters{state=%q} = %v, records say %v", state, v, n)
+		if v, ok := rt.Obs().Value("objectswap_core_clusters", state); !ok || v != n {
+			t.Fatalf("objectswap_core_clusters{state=%q} = %v (present: %v), records say %v", state, v, ok, n)
 		}
 	}
 }
@@ -207,7 +198,7 @@ func TestClusterTransitions(t *testing.T) {
 				}
 				// Releasing a foreign reservation restores normal operation.
 				if at.reserved() && ok {
-					cs, _ := f.rt.mgr.tab(id).state(id)
+					cs, _ := f.rt.mgr.table.state(id)
 					f.rt.settle(cs, at.settled(), nil)
 					if at == reservedOut && op.name != "sweep" {
 						if _, err := f.rt.SwapOut(id); err != nil {
@@ -232,7 +223,7 @@ func TestClusterTransitions(t *testing.T) {
 // record.
 func TestIllegalMovePanics(t *testing.T) {
 	f, id, _, _ := clusterAt(t, resident)
-	cs, _ := f.rt.mgr.tab(id).state(id)
+	cs, _ := f.rt.mgr.table.state(id)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("resident -> swapped without a reservation did not panic")

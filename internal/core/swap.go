@@ -42,8 +42,8 @@ import (
 // hold, with no store call. SwapEvent.Clean says which kind a swap-out was.
 //
 // SwapOut is safe to call concurrently for distinct clusters: reserve, the
-// replacement build and commit each hold only the cluster's shard lock, and
-// everything between runs unlocked. While the cluster is reserved-out a
+// replacement build and commit each hold only the swap lock, and everything
+// between runs unlocked. While the cluster is reserved-out a
 // second caller gets ErrClusterBusy; a failure in any phase leaves it
 // resident and the graph untouched (op.end).
 func (rt *Runtime) SwapOut(id ClusterID, opts ...SwapOption) (SwapEvent, error) {
@@ -127,15 +127,15 @@ func (s *swapOut) reserve() error {
 	}
 	// A donor of the copy is gone or its lease ran out: ship.
 	s.kept = retainedCopy{}
-	ts := s.rt.mgr.tab(s.id)
-	ts.mu.Lock()
+	tab := &s.rt.mgr.table
+	tab.mu.Lock()
 	s.membership(s.cs)
-	ts.mu.Unlock()
+	tab.mu.Unlock()
 	return nil
 }
 
 // membership copies out what a shipment works from; the caller holds the
-// record's table-shard lock.
+// table lock.
 func (s *swapOut) membership(cs *clusterState) {
 	s.memberIDs = make([]heap.ObjID, 0, len(cs.objects))
 	for oid := range cs.objects {
@@ -294,7 +294,7 @@ func (s *swapOut) encodeFrame() error {
 // replace builds the replacement-object. It is pinned the moment it exists
 // (nothing references it yet), and a pinned object is a GC root whose field
 // writes must not interleave with a concurrent Collect's mark, so the caller
-// holds the shard lock (beginMutate keeps the evictor out).
+// holds the swap lock (beginMutate keeps the evictor out).
 func (s *swapOut) replace() error {
 	rt := s.rt
 	defer rt.beginMutate()()
@@ -319,9 +319,9 @@ func (s *swapOut) replace() error {
 // shipment is tried once more.
 func (s *swapOut) ship() error {
 	rt := s.rt
-	rt.lockShard(s.sh)
+	rt.swapMu.Lock()
 	err := s.replace()
-	s.sh.mu.Unlock()
+	rt.swapMu.Unlock()
 	if err != nil {
 		return err
 	}
@@ -412,7 +412,7 @@ func (s *swapOut) shipPlanned() error {
 	return nil
 }
 
-// commit detaches the cluster from the application graph under its shard
+// commit detaches the cluster from the application graph under the swap
 // lock: the key and the replica set (comma-joined, primary first) go on the
 // replacement, every inbound proxy is re-targeted at it, and the record moves
 // to swappedOut on the copy the donors hold. A shipment becomes the new
@@ -428,13 +428,13 @@ func (s *swapOut) shipPlanned() error {
 // cluster is never in two places.
 func (s *swapOut) commit() error {
 	rt := s.rt
-	rt.lockShard(s.sh)
-	defer s.sh.mu.Unlock()
+	rt.swapMu.Lock()
+	defer rt.swapMu.Unlock()
 	if s.clean() {
-		ts := rt.mgr.tab(s.id)
-		ts.mu.Lock()
+		tab := &rt.mgr.table
+		tab.mu.Lock()
 		written := s.cs.dirty
-		ts.mu.Unlock()
+		tab.mu.Unlock()
 		if written {
 			return fmt.Errorf("%w: cluster %d was written during its swap-out", ErrClusterBusy, s.id)
 		}

@@ -58,13 +58,13 @@ func taskFixture(t testing.TB, clusters, perCluster, titleBytes int) (*fixture, 
 // touchTask dirties one member of cluster id, so its next swap-out ships.
 func touchTask(t testing.TB, f *fixture, id ClusterID) {
 	t.Helper()
-	ts := f.rt.mgr.tab(id)
-	ts.mu.Lock()
+	tab := &f.rt.mgr.table
+	tab.mu.Lock()
 	var oid heap.ObjID
-	for oid = range ts.clusters[id].objects {
+	for oid = range tab.clusters[id].objects {
 		break
 	}
-	ts.mu.Unlock()
+	tab.mu.Unlock()
 	f.dirty(t, oid)
 }
 

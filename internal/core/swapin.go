@@ -34,7 +34,7 @@ import (
 // later retry (or a reconnecting device) can still reload it. Destination
 // options do not apply: a swapped cluster lives where it was shipped.
 // Swap-ins of distinct clusters overlap freely; only reserve and install hold
-// the cluster's shard lock.
+// the swap lock.
 func (rt *Runtime) swapInDirect(id ClusterID, opts ...SwapOption) (SwapEvent, error) {
 	o, ctx, cancel := resolveSwapOpts(opts)
 	defer cancel()
@@ -169,7 +169,7 @@ func (s *swapIn) evict() error {
 }
 
 // install makes the whole cluster resident, re-patches its inbound proxies
-// and moves the record to resident in one shard-locked section, so no
+// and moves the record to resident in one swap-locked section, so no
 // collection can run between installation (nursery-fresh objects) and the
 // patches that make them reachable. beginMutate: installation allocates, and
 // an allocation failure here must not re-enter the evictor. A prefetch enters
@@ -182,8 +182,8 @@ func (s *swapIn) evict() error {
 // member and slot tables, reads them back from what was installed.
 func (s *swapIn) install() error {
 	rt := s.rt
-	rt.lockShard(s.sh)
-	defer s.sh.mu.Unlock()
+	rt.swapMu.Lock()
+	defer rt.swapMu.Unlock()
 	defer rt.beginMutate()()
 
 	// Resolve replacement slots back to the retained outbound proxies.

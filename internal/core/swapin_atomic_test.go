@@ -15,10 +15,10 @@ import (
 // the heap.
 func forgetChecksum(t testing.TB, rt *Runtime, id ClusterID) {
 	t.Helper()
-	ts := rt.mgr.tab(id)
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	cs, err := ts.state(id)
+	tab := &rt.mgr.table
+	tab.mu.Lock()
+	defer tab.mu.Unlock()
+	cs, err := tab.state(id)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,7 @@
 //
 //   - Single-flight coalescing (Do): concurrent faults on the same cluster
 //     park on one in-flight swap-in and all resume with its result — error
-//     included — instead of queueing on the shard lock and paying the fetch
+//     included — instead of queueing on the swap lock and paying the fetch
 //     once each. A failed flight is cleared before its waiters wake, so an
 //     immediate retry starts fresh.
 //

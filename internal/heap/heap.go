@@ -77,8 +77,8 @@ type Heap struct {
 	// swapping runtime's dirty tracking) that SetWriteObserver does not
 	// replace. The observer slots live under their own lock so that the
 	// per-write dispatch check never contends with allocation and lookup
-	// traffic on h.mu — with the swap core sharded, field writes from many
-	// swap shards land here concurrently.
+	// traffic on h.mu — field writes from concurrent swaps land here while
+	// others allocate.
 	obsMu           sync.RWMutex
 	writeObserver   func(ObjID)
 	extraObservers  []func(ObjID)

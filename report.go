@@ -3,7 +3,6 @@ package objectswap
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -123,22 +122,6 @@ func (s *System) writeSwapDigest(b *strings.Builder) {
 	if errs := s.metric("objectswap_swap_errors_total", "op", "swap_out") +
 		s.metric("objectswap_swap_errors_total", "op", "swap_in"); errs > 0 {
 		fmt.Fprintf(b, "  errors    %.0f\n", errs)
-	}
-	// Shard-lock contention: the shard whose swap lock made callers wait
-	// longest on average. Near-zero means the sharding is doing its job.
-	worst, worstMean := -1, 0.0
-	for i := 0; i < s.rt.Shards(); i++ {
-		hs, ok := s.obsReg.HistogramSnapshotOf("objectswap_swap_lock_wait_seconds", strconv.Itoa(i))
-		if !ok || hs.Count == 0 {
-			continue
-		}
-		if mean := hs.Sum / float64(hs.Count); worst < 0 || mean > worstMean {
-			worst, worstMean = i, mean
-		}
-	}
-	if worst >= 0 {
-		fmt.Fprintf(b, "  lock-wait worst shard %d/%d, mean %.3fms\n",
-			worst, s.rt.Shards(), worstMean*1000)
 	}
 }
 
