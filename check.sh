@@ -92,6 +92,26 @@ if [ -n "$SHARDS" ]; then
     echo "$SHARDS" >&2
     exit 1
 fi
+# Guard: one lock from an object to its cluster. The object-to-cluster index
+# and the cluster-id counter live in the cluster table, touches of a member in
+# place go through Manager.touch, and the heap has one list of write
+# observers: no non-test Go outside benchmark/ names the replaced slot, the
+# access-observer hooks, the two former observers, or the index and counter
+# that sat under Manager.mu.
+TOUCHES=$(grep -rnE 'SetWriteObserver|AddAccessObserver|NoteAccess|accessObservers|extraObservers|markDirty|noteAccess|nextCluster|(^|[^[:alnum:]_])(m|mgr)\.objects([^[:alnum:]_]|$)' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./benchmark/' || true)
+if [ -n "$TOUCHES" ]; then
+    echo "membership or touch path forked (want the index in the cluster table, one Manager.touch, one heap write-observer list):" >&2
+    echo "$TOUCHES" >&2
+    exit 1
+fi
+# Guard: a swap is bounded by its context alone. WithContext carries the
+# deadline; the per-call deadline and timeout options stay deleted.
+BOUNDS=$(grep -nE 'func (WithDeadline|WithTimeout)[^[:alnum:]_]' internal/core/*.go | grep -v '_test\.go:' || true)
+if [ -n "$BOUNDS" ]; then
+    echo "per-call swap deadline option is back (bound a swap with WithContext):" >&2
+    echo "$BOUNDS" >&2
+    exit 1
+fi
 # Guard: a cluster moves only through the one transition site. Nothing outside
 # internal/core/state.go may assign a record's residency (cs.where = ..., or a
 # where: key in a clusterState literal) or add/remove a record of the cluster

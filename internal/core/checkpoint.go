@@ -165,16 +165,14 @@ func (rt *Runtime) SaveCheckpoint(w io.Writer) error {
 			members = append(members, oid)
 			note(oid)
 		}
-		// Replica sets are replaced, never edited, so the copies may share them.
-		swapped, was, c := cs.where.out(), cs.shipment, cs.retained.donorCopy
-		tab.mu.Unlock()
 		slices.Sort(members)
-
-		ck := ckptCluster{ID: uint32(cid), Swapped: swapped}
+		ck := ckptCluster{ID: uint32(cid), Swapped: cs.where.out()}
 		for _, oid := range members {
-			info, _ := rt.mgr.member(oid)
-			ck.Members = append(ck.Members, ckptMember{ID: uint64(oid), Class: info.class})
+			ck.Members = append(ck.Members, ckptMember{ID: uint64(oid), Class: tab.members[oid].class})
 		}
+		// Replica sets are replaced, never edited, so the copies may share them.
+		swapped, was, c := ck.Swapped, cs.shipment, cs.retained.donorCopy
+		tab.mu.Unlock()
 		if swapped {
 			ck.Key, ck.Payload, ck.Bytes = c.key, c.payloadBytes, was.bytesAtSwap
 			ck.CRC, ck.Format, ck.Device = c.crc, c.format, c.primary()
@@ -317,63 +315,9 @@ func (rt *Runtime) LoadCheckpoint(r io.Reader) error {
 	rt.h.EnsureIDAbove(heap.ObjID(doc.MaxID))
 
 	// Pass 1: recreate cluster records with their original ids.
-	m := rt.mgr
-	m.mu.Lock()
-	for _, ck := range doc.Plain {
-		cid := ClusterID(ck.ID)
-		m.table.mu.Lock()
-		_, dup := m.table.clusters[cid]
-		m.table.mu.Unlock()
-		if dup {
-			m.mu.Unlock()
-			return fmt.Errorf("%w: duplicate cluster %d", ErrBadCheckpoint, cid)
-		}
-		at := resident
-		if ck.Swapped {
-			at = swappedOut
-		}
-		cs := newClusterState(cid, len(ck.Members), at)
-		for _, mem := range ck.Members {
-			oid := heap.ObjID(mem.ID)
-			cs.objects[oid] = true
-			m.objects[oid] = objInfo{cluster: cid, class: mem.Class}
-		}
-		if ck.Swapped {
-			devices := ck.replicaSet()
-			for _, d := range devices {
-				if d == "" {
-					m.mu.Unlock()
-					return fmt.Errorf("%w: cluster %d has an empty replica device", ErrBadCheckpoint, cid)
-				}
-			}
-			if len(devices) == 0 {
-				m.mu.Unlock()
-				return fmt.Errorf("%w: swapped cluster %d has no replica devices", ErrBadCheckpoint, cid)
-			}
-			// The copy a reload fetches is the one the cluster's own key and
-			// replica list name (its <base> repeats them). Without member and
-			// slot tables it anchors nothing until the reload reads them back.
-			cs.shipment = shipment{bytesAtSwap: ck.Bytes}
-			m.anchor(cs, donorCopy{devices: devices, key: ck.Key, payloadBytes: ck.Payload,
-				crc: ck.CRC, format: ck.Format}, nil, nil)
-		} else if ck.Base != nil {
-			// Without the member and slot tables the copy anchors nothing: a
-			// restored resident cluster ships in full, and the rotation drops
-			// this key.
-			c := donorCopy{key: ck.Base.Key, format: ck.Base.Format, crc: ck.Base.CRC}
-			for _, r := range ck.Base.Replicas {
-				c.devices = append(c.devices, r.Device)
-			}
-			m.anchor(cs, c, nil, nil)
-		}
-		m.table.mu.Lock()
-		m.table.put(cs)
-		m.table.mu.Unlock()
-		if cid > m.nextCluster {
-			m.nextCluster = cid
-		}
+	if err := rt.mgr.restoreRecords(doc.Plain); err != nil {
+		return err
 	}
-	m.mu.Unlock()
 
 	// Pass 2: install resident clusters under original identities.
 	decodeRef := func(v xmlcodec.Value) (heap.Value, error) {
@@ -505,6 +449,58 @@ func (rt *Runtime) LoadCheckpoint(r io.Reader) error {
 				return err
 			}
 		}
+	}
+	return nil
+}
+
+// restoreRecords is LoadCheckpoint's pass 1: it recreates every cluster
+// record, members included, under its original id, in one hold of the table
+// lock.
+func (m *Manager) restoreRecords(plain []ckptCluster) error {
+	tab := &m.table
+	tab.mu.Lock()
+	defer tab.mu.Unlock()
+	for _, ck := range plain {
+		cid := ClusterID(ck.ID)
+		if _, dup := tab.clusters[cid]; dup {
+			return fmt.Errorf("%w: duplicate cluster %d", ErrBadCheckpoint, cid)
+		}
+		at := resident
+		if ck.Swapped {
+			at = swappedOut
+		}
+		cs := newClusterState(cid, len(ck.Members), at)
+		for _, mem := range ck.Members {
+			oid := heap.ObjID(mem.ID)
+			cs.objects[oid] = true
+			tab.members[oid] = objInfo{cluster: cid, class: mem.Class}
+		}
+		if ck.Swapped {
+			devices := ck.replicaSet()
+			if len(devices) == 0 {
+				return fmt.Errorf("%w: swapped cluster %d has no replica devices", ErrBadCheckpoint, cid)
+			}
+			if slices.Contains(devices, "") {
+				return fmt.Errorf("%w: cluster %d has an empty replica device", ErrBadCheckpoint, cid)
+			}
+			// The copy a reload fetches is the one the cluster's own key and
+			// replica list name (its <base> repeats them). Without member and
+			// slot tables it anchors nothing until the reload reads them back.
+			cs.shipment = shipment{bytesAtSwap: ck.Bytes}
+			m.anchor(cs, donorCopy{devices: devices, key: ck.Key, payloadBytes: ck.Payload,
+				crc: ck.CRC, format: ck.Format}, nil, nil)
+		} else if ck.Base != nil {
+			// Without the member and slot tables the copy anchors nothing: a
+			// restored resident cluster ships in full, and the rotation drops
+			// this key.
+			c := donorCopy{key: ck.Base.Key, format: ck.Base.Format, crc: ck.Base.CRC}
+			for _, r := range ck.Base.Replicas {
+				c.devices = append(c.devices, r.Device)
+			}
+			m.anchor(cs, c, nil, nil)
+		}
+		tab.put(cs)
+		tab.lastID = max(tab.lastID, cid)
 	}
 	return nil
 }

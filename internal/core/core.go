@@ -404,14 +404,9 @@ func NewRuntime(h *heap.Heap, reg *heap.Registry, opts ...Option) *Runtime {
 		rt.placer = placement.New(src, placement.Options{Obs: rt.obsReg, Logger: rt.logger})
 	}
 	// A cluster leaves without a byte only while nothing was written since its
-	// retained copy was anchored. The observer coexists with replication's
-	// SetWriteObserver slot.
-	h.AddWriteObserver(rt.markDirty)
+	// retained copy was anchored, and a write in place is a touch on its heat.
+	h.AddWriteObserver(func(oid heap.ObjID) { rt.mgr.touch(oid, true) })
 	if rt.telem != nil {
-		// Heat tracking consumes every observed access: field writes arrive
-		// via the heap's access observers, read-side dispatches via
-		// NoteAccess, boundary crossings directly from enterCrossing.
-		h.AddAccessObserver(rt.noteAccess)
 		rt.telem.Watch(rt.mgr.eachLedger)
 	}
 	rt.instrument()
@@ -432,28 +427,6 @@ func (rt *Runtime) shipFormats() []string {
 		return rt.wireFormats
 	}
 	return append(slices.Clip(rt.wireFormats), string(wire.FormatXML))
-}
-
-// markDirty is the write observer: a field write on a resident member of a
-// cluster with a retained copy marks the cluster, so its next swap-out ships
-// instead of leaving on the copy. Replacement-objects and proxies are not
-// cluster members, so middleware writes fall through; and until the first
-// copy is anchored there is nothing to be dirty against, so a runtime that
-// never swaps pays one atomic load per write.
-func (rt *Runtime) markDirty(oid heap.ObjID) {
-	if !rt.mgr.retaining.Load() {
-		return
-	}
-	info, ok := rt.mgr.member(oid)
-	if !ok {
-		return
-	}
-	tab := &rt.mgr.table
-	tab.mu.Lock()
-	if cs, ok := tab.clusters[info.cluster]; ok && !cs.where.out() && cs.retained.key != "" {
-		cs.dirty = true
-	}
-	tab.mu.Unlock()
 }
 
 // beginMutate opens a critical section that may allocate while holding the

@@ -94,7 +94,8 @@ func newNodeClass() *heap.Class {
 	return c
 }
 
-// fixture bundles a runtime wired to an in-memory device registry.
+// fixture bundles a runtime wired to an in-memory device registry; opts are
+// applied after the registry.
 type fixture struct {
 	rt   *Runtime
 	reg  *store.Registry
@@ -102,7 +103,7 @@ type fixture struct {
 	node *heap.Class
 }
 
-func newFixture(t testing.TB, capacity int64) *fixture {
+func newFixture(t testing.TB, capacity int64, opts ...Option) *fixture {
 	t.Helper()
 	h := heap.New(capacity)
 	classes := heap.NewRegistry()
@@ -111,7 +112,7 @@ func newFixture(t testing.TB, capacity int64) *fixture {
 	if err := devices.Add("pda-neighbor", mem); err != nil {
 		t.Fatal(err)
 	}
-	rt := NewRuntime(h, classes, WithStores(devices))
+	rt := NewRuntime(h, classes, append([]Option{WithStores(devices)}, opts...)...)
 	f := &fixture{rt: rt, reg: devices, mem: mem, node: newNodeClass()}
 	rt.MustRegisterClass(f.node)
 	return f

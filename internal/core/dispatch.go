@@ -201,7 +201,7 @@ func (rt *Runtime) Invoke(target heap.Value, method string, args ...heap.Value) 
 	}
 	// The intra-cluster fast path: dispatch through the class's behavior plane
 	// (generated switch or closure table — the runtime does not care which).
-	rt.h.NoteAccess(r.obj.ID())
+	rt.mgr.touch(r.obj.ID(), false)
 	return r.obj.Class().Invoke(method, rt.frames.Enter(rt.depth, r.obj, args))
 }
 
@@ -304,7 +304,7 @@ func (rt *Runtime) Field(target heap.Value, name string) (res heap.Value, err er
 	v, err := r.obj.FieldByName(name)
 	switch {
 	case r.proxy == nil:
-		rt.h.NoteAccess(r.obj.ID())
+		rt.mgr.touch(r.obj.ID(), false)
 		return v, err
 	case err != nil:
 		return heap.Nil(), err

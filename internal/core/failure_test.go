@@ -354,7 +354,9 @@ func TestSwapInDeadlineLeavesClusterSwapped(t *testing.T) {
 	// The device stops answering: a bounded swap-in must fail cleanly and
 	// leave the cluster consistently swapped.
 	flaky.HangOn(store.OpGet, 1)
-	_, err := f.rt.SwapIn(clusters[1], WithTimeout(30*time.Millisecond))
+	bounded, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	_, err := f.rt.SwapIn(clusters[1], WithContext(bounded))
 	if err == nil {
 		t.Fatal("swap-in over hung device succeeded")
 	}
@@ -392,7 +394,9 @@ func TestTimedOutSwapOutLeavesNoOrphan(t *testing.T) {
 			flakies["donor-b"].HangOn(store.OpPut, 1)
 			flakies["donor-a"].FailNext(store.OpDrop, tc.refuseDrops)
 
-			_, err := f.rt.SwapOut(clusters[1], WithReplicas(2), WithTimeout(50*time.Millisecond))
+			bounded, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			defer cancel()
+			_, err := f.rt.SwapOut(clusters[1], WithReplicas(2), WithContext(bounded))
 			if !errors.Is(err, store.ErrUnavailable) {
 				t.Fatalf("swap-out with a hung donor: %v", err)
 			}

@@ -61,14 +61,8 @@ func (rt *Runtime) collect(cycles int) heap.CollectStats {
 // reclaimed. Every replica of a dead cluster is told to discard its copy;
 // replicas on unreachable donors go to the deferred-drop queue.
 func (rt *Runtime) sweepSwapped() {
-	type victim struct {
-		id   ClusterID
-		copy donorCopy
-	}
-	var victims []victim
-
+	var victims []forgotCopy
 	m := rt.mgr
-	m.mu.Lock()
 	m.table.mu.Lock()
 	for id, cs := range m.table.clusters {
 		if cs.where != swappedOut {
@@ -77,15 +71,18 @@ func (rt *Runtime) sweepSwapped() {
 		if rt.h.Contains(cs.replacement) {
 			continue
 		}
-		victims = append(victims, victim{id, cs.forget()})
+		victims = append(victims, forgotCopy{id, cs.forget()})
 		for oid := range cs.objects {
-			delete(m.objects, oid)
+			delete(m.table.members, oid)
 		}
-		delete(m.inbound, id)
-		delete(m.outbound, id)
 		m.table.drop(cs)
 	}
 	m.table.mu.Unlock()
+	m.mu.Lock()
+	for _, v := range victims {
+		delete(m.inbound, v.id)
+		delete(m.outbound, v.id)
+	}
 	m.mu.Unlock()
 
 	for _, v := range victims {
@@ -102,17 +99,13 @@ func (rt *Runtime) sweepSwapped() {
 // donors, and the donors are told to drop it. It returns how many copies
 // went; the clusters ship in full next time.
 func (rt *Runtime) shedRetained(ctx context.Context, donors []placement.Candidate) int {
-	type shed struct {
-		id   ClusterID
-		copy donorCopy
-	}
-	var sheds []shed
+	var sheds []forgotCopy
 	tab := &rt.mgr.table
 	tab.mu.Lock()
 	for id, cs := range tab.clusters {
 		if cs.where == resident && slices.ContainsFunc(donors,
 			func(c placement.Candidate) bool { return slices.Contains(cs.retained.devices, c.Name) }) {
-			sheds = append(sheds, shed{id, cs.forget()})
+			sheds = append(sheds, forgotCopy{id, cs.forget()})
 		}
 	}
 	tab.mu.Unlock()
@@ -147,11 +140,22 @@ func (m *Manager) deferDrop(device, key string, cluster ClusterID) {
 	m.pendingDrops = append(m.pendingDrops, dropTicket{device: device, key: key, cluster: cluster})
 }
 
-// queueDrops is deferDrop for every replica of copy c, for a caller that
-// holds m.mu.
-func (m *Manager) queueDrops(c donorCopy, cluster ClusterID) {
-	for _, d := range c.devices {
-		m.pendingDrops = append(m.pendingDrops, dropTicket{device: d, key: c.key, cluster: cluster})
+// forgotCopy is a copy cluster id's record forgot (clusterState.forget),
+// which its donors are owed a Drop for.
+type forgotCopy struct {
+	id   ClusterID
+	copy donorCopy
+}
+
+// queueDrops defers a drop of every replica of each forgotten copy, under
+// one hold of m.mu.
+func (m *Manager) queueDrops(forgot ...forgotCopy) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, f := range forgot {
+		for _, d := range f.copy.devices {
+			m.pendingDrops = append(m.pendingDrops, dropTicket{device: d, key: f.copy.key, cluster: f.id})
+		}
 	}
 }
 
@@ -226,21 +230,21 @@ func (m *Manager) compact(swept []heap.ObjID) {
 	if len(swept) == 0 {
 		return
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	var emptied []forgotCopy
 	m.table.mu.Lock()
-	defer m.table.mu.Unlock()
 	for _, oid := range swept {
-		info, ok := m.objects[oid]
+		info, ok := m.table.members[oid]
 		if !ok {
 			continue
 		}
 		if cs, ok := m.table.clusters[info.cluster]; ok && !cs.where.out() {
 			delete(cs.objects, oid)
-			delete(m.objects, oid)
+			delete(m.table.members, oid)
 			if len(cs.objects) == 0 && cs.where == resident {
-				m.queueDrops(cs.forget(), cs.id)
+				emptied = append(emptied, forgotCopy{cs.id, cs.forget()})
 			}
 		}
 	}
+	m.table.mu.Unlock()
+	m.queueDrops(emptied...)
 }

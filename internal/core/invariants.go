@@ -31,12 +31,15 @@ import (
 //     replacement-object while it is swapped out;
 //  6. accounting — the heap's used-byte counter equals the sum of resident
 //     object sizes.
+//
+// It is the one function that holds Manager.mu and the table lock at once:
+// the registry and the table are read as one cut.
 func (m *Manager) CheckInvariants() []error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.table.mu.Lock()
 	defer m.table.mu.Unlock()
-	clusters := m.table.clusters
+	clusters, members := m.table.clusters, m.table.members
 	h := m.rt.h
 	var errs []error
 	fail := func(format string, args ...any) {
@@ -44,7 +47,7 @@ func (m *Manager) CheckInvariants() []error {
 	}
 
 	// 1. Membership agreement.
-	for oid, info := range m.objects {
+	for oid, info := range members {
 		cs, ok := clusters[info.cluster]
 		if !ok {
 			fail("object @%d assigned to unknown cluster %d", oid, info.cluster)
@@ -56,7 +59,7 @@ func (m *Manager) CheckInvariants() []error {
 	}
 	for cid, cs := range clusters {
 		for oid := range cs.objects {
-			if info, ok := m.objects[oid]; !ok || info.cluster != cid {
+			if info, ok := members[oid]; !ok || info.cluster != cid {
 				fail("cluster %d lists @%d but object index disagrees", cid, oid)
 			}
 		}
@@ -149,7 +152,7 @@ func (m *Manager) CheckInvariants() []error {
 		switch o.Class().Special {
 		case heap.SpecialNone:
 			holder := RootCluster
-			if info, ok := m.objects[oid]; ok {
+			if info, ok := members[oid]; ok {
 				holder = info.cluster
 			}
 			for i := 0; i < o.NumFields(); i++ {
@@ -166,7 +169,7 @@ func (m *Manager) CheckInvariants() []error {
 					switch ro.Class().Special {
 					case heap.SpecialNone:
 						tc := RootCluster
-						if info, ok := m.objects[rid]; ok {
+						if info, ok := members[rid]; ok {
 							tc = info.cluster
 						}
 						if tc != holder {
@@ -189,7 +192,7 @@ func (m *Manager) CheckInvariants() []error {
 		case heap.SpecialSCProxy:
 			ultimate := proxyUltimate(o)
 			tc := RootCluster
-			if info, ok := m.objects[ultimate]; ok {
+			if info, ok := members[ultimate]; ok {
 				tc = info.cluster
 			}
 			tgt := proxyTarget(o)

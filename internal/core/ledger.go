@@ -46,17 +46,12 @@ func (m *Manager) feed(cs *clusterState, what access, tick uint64, now time.Time
 
 // enterCrossing is the hot-path combination used by proxy dispatch: it
 // resolves the target's cluster, records the crossing, and reports whether
-// the cluster is currently swapped out. The object index lookup takes the
-// manager lock; both ledgers are fed under one hold of the table lock, and
-// both ends of the crossing are dated by one reading of each clock.
+// the cluster is currently swapped out — all under one hold of the table
+// lock, with both ends of the crossing dated by one reading of each clock.
 func (m *Manager) enterCrossing(src ClusterID, ultimate heap.ObjID) (dst ClusterID, swapped bool) {
-	m.mu.Lock()
-	if info, ok := m.objects[ultimate]; ok {
-		dst = info.cluster
-	}
-	m.mu.Unlock()
 	tick, now := m.clock.Add(1), m.rt.telem.Now()
 	m.table.mu.Lock()
+	dst = m.table.members[ultimate].cluster
 	if cs, ok := m.table.clusters[dst]; ok {
 		m.feed(cs, crossed, tick, now)
 		swapped = cs.where.out()
@@ -68,21 +63,34 @@ func (m *Manager) enterCrossing(src ClusterID, ultimate heap.ObjID) (dst Cluster
 	return dst, swapped
 }
 
-// noteAccess is the heap access observer, installed only when a tracker is
-// attached: a read or write of a cluster member in place is a touch on its
-// cluster. Same cost and race profile as markDirty.
-func (rt *Runtime) noteAccess(oid heap.ObjID) {
-	m := rt.mgr
-	info, ok := m.member(oid)
-	if !ok {
+// touch is the one path from a member read or written in place to its
+// record, under one hold of the table lock: a write on a resident member of
+// a cluster with a retained copy marks the cluster dirty, so its next
+// swap-out ships instead of leaving on the copy; and with a tracker attached
+// either access is a touch on the cluster's ledger. The heap calls it for
+// every write (NewRuntime registers it as a write observer), dispatch for
+// every read in place. Replacement-objects and proxies are not members, so
+// middleware writes fall through before the clock is read; and with no
+// tracker and no copy anchored yet, an access costs one atomic load.
+func (m *Manager) touch(oid heap.ObjID, write bool) {
+	track := m.rt.telem != nil
+	dirty := write && m.retaining.Load()
+	if !track && !dirty {
 		return
 	}
-	now := rt.telem.Now()
 	m.table.mu.Lock()
-	if cs, ok := m.table.clusters[info.cluster]; ok {
-		m.feed(cs, accessed, 0, now)
+	defer m.table.mu.Unlock()
+	info, member := m.table.members[oid]
+	cs := m.table.clusters[info.cluster]
+	if !member || cs == nil {
+		return
 	}
-	m.table.mu.Unlock()
+	if dirty && !cs.where.out() && cs.retained.key != "" {
+		cs.dirty = true
+	}
+	if track {
+		m.feed(cs, accessed, 0, m.rt.telem.Now())
+	}
 }
 
 // eachLedger is the telemetry plane's view of the cluster table

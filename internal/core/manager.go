@@ -100,7 +100,7 @@ type clusterState struct {
 	shipment
 
 	// retained is the payload the donors hold for the cluster, and dirty
-	// reports a member written since it was anchored (markDirty); it resets
+	// reports a member written since it was anchored (touch); it resets
 	// when a shipment becomes the copy or a reload proves the copy equals
 	// resident state.
 	retained retainedCopy
@@ -126,13 +126,17 @@ type proxyRecord struct {
 
 // clusterTable is the SwappingManager's cluster table: the record (residency
 // included) of every swap-cluster, added and removed only through put and
-// drop (state.go). The object, proxy, drop and crossing-clock indexes stay
-// under Manager.mu. Lock order: Manager.mu may be held while taking the
-// table lock, never the reverse.
+// drop (state.go), and the objects belonging to each. members is the
+// object-to-cluster index, kept in step with every record's member set;
+// lastID is the highest cluster id handed out. The proxy registry and the
+// drop queue stay under Manager.mu, and no code holds both locks except
+// CheckInvariants.
 type clusterTable struct {
 	mu       sync.Mutex
 	clusters map[ClusterID]*clusterState
+	members  map[heap.ObjID]objInfo
 	tally    [numResidencies]int // records by residency
+	lastID   ClusterID
 }
 
 // state returns the record for id. The caller holds tab.mu.
@@ -152,9 +156,7 @@ type Manager struct {
 
 	table clusterTable
 
-	mu          sync.Mutex
-	nextCluster ClusterID
-	objects     map[heap.ObjID]objInfo
+	mu sync.Mutex
 	// proxyRecs holds every live swap-cluster-proxy's record; proxies indexes
 	// the shared ones by key for reuse, and inbound indexes all of them by the
 	// cluster of their ultimate target (record.home), so swap-out can patch
@@ -198,8 +200,7 @@ type dropTicket struct {
 func newManager(rt *Runtime) *Manager {
 	m := &Manager{
 		rt:             rt,
-		table:          clusterTable{clusters: make(map[ClusterID]*clusterState)},
-		objects:        make(map[heap.ObjID]objInfo),
+		table:          clusterTable{clusters: make(map[ClusterID]*clusterState), members: make(map[heap.ObjID]objInfo)},
 		proxyRecs:      make(map[heap.ObjID]proxyRecord),
 		proxies:        make(map[proxyKey]heap.ObjID),
 		inbound:        make(map[ClusterID]map[heap.ObjID]bool),
@@ -234,14 +235,17 @@ func (m *Manager) replacementIfSwapped(id ClusterID) (heap.ObjID, bool) {
 
 // NewCluster declares a fresh, empty swap-cluster and returns its id.
 func (m *Manager) NewCluster() ClusterID {
-	m.mu.Lock()
-	m.nextCluster++
-	id := m.nextCluster
-	m.mu.Unlock()
 	m.table.mu.Lock()
-	m.table.put(newClusterState(id, 0, resident))
-	m.table.mu.Unlock()
-	return id
+	defer m.table.mu.Unlock()
+	return m.table.newCluster()
+}
+
+// newCluster adds a fresh, empty record under the next id. The caller holds
+// tab.mu.
+func (tab *clusterTable) newCluster() ClusterID {
+	tab.lastID++
+	tab.put(newClusterState(tab.lastID, 0, resident))
+	return tab.lastID
 }
 
 // Clusters returns the ids of all known swap-clusters in order.
@@ -258,8 +262,6 @@ func (m *Manager) Clusters() []ClusterID {
 
 // assign records an object as a member of a cluster.
 func (m *Manager) assign(id heap.ObjID, cluster ClusterID, class string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.table.mu.Lock()
 	defer m.table.mu.Unlock()
 	// Resident and unreserved only: a swap-out in flight has already
@@ -269,10 +271,10 @@ func (m *Manager) assign(id heap.ObjID, cluster ClusterID, class string) error {
 	if err != nil {
 		return err
 	}
-	if prev, dup := m.objects[id]; dup {
+	if prev, dup := m.table.members[id]; dup {
 		return fmt.Errorf("core: object @%d already assigned to cluster %d", id, prev.cluster)
 	}
-	m.objects[id] = objInfo{cluster: cluster, class: class}
+	m.table.members[id] = objInfo{cluster: cluster, class: class}
 	cs.objects[id] = true
 	// Allocation into a cluster is a use signal: advance its recency so
 	// victim selection does not evict the cluster being built.
@@ -291,9 +293,9 @@ func (m *Manager) ClusterOf(id heap.ObjID) ClusterID {
 // valid even while the object is swapped out. An object never assigned has
 // none: it belongs to RootCluster, the zero record's cluster.
 func (m *Manager) member(id heap.ObjID) (objInfo, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	info, ok := m.objects[id]
+	m.table.mu.Lock()
+	defer m.table.mu.Unlock()
+	info, ok := m.table.members[id]
 	return info, ok
 }
 
@@ -384,8 +386,10 @@ func (m *Manager) purgeProxy(pid heap.ObjID) {
 
 // rehomeProxies moves the inbound proxies of cluster from — those whose target
 // is in moved, or all of them when moved is nil — to cluster to's index, after
-// a resize moved their targets there. The caller holds m.mu.
+// a resize moved their targets there.
 func (m *Manager) rehomeProxies(from, to ClusterID, moved map[heap.ObjID]bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	for pid := range m.inbound[from] {
 		rec := m.proxyRecs[pid]
 		if moved != nil && !moved[rec.key.target] {

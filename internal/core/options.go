@@ -1,9 +1,6 @@
 package core
 
-import (
-	"context"
-	"time"
-)
+import "context"
 
 // SwapOption tunes one SwapOut / SwapIn call. The zero set of options keeps
 // the historical behavior: no deadline, registry-selected device, failover
@@ -12,7 +9,6 @@ type SwapOption func(*swapOpts)
 
 type swapOpts struct {
 	ctx        context.Context
-	deadline   time.Time
 	device     string
 	noFailover bool
 	replicas   int
@@ -52,25 +48,15 @@ func WithCause(cause string) SwapOption {
 }
 
 // WithContext runs the swap under ctx: device operations observe its
-// deadline and cancellation.
+// deadline and cancellation, and the middleware state is left consistent
+// when it ends first (a timed-out swap-out stays resident, a timed-out
+// swap-in stays swapped).
 func WithContext(ctx context.Context) SwapOption {
 	return func(o *swapOpts) {
 		if ctx != nil {
 			o.ctx = ctx
 		}
 	}
-}
-
-// WithDeadline bounds the whole swap operation: every device transfer it
-// issues fails once t passes, and the middleware state is left consistent
-// (a timed-out swap-out stays resident, a timed-out swap-in stays swapped).
-func WithDeadline(t time.Time) SwapOption {
-	return func(o *swapOpts) { o.deadline = t }
-}
-
-// WithTimeout is WithDeadline relative to now.
-func WithTimeout(d time.Duration) SwapOption {
-	return func(o *swapOpts) { o.deadline = time.Now().Add(d) }
 }
 
 // WithDevice pins the swap-out destination to a named device instead of the
@@ -99,16 +85,12 @@ func WithReplicas(k int) SwapOption {
 	}
 }
 
-// resolve folds the options into a ready context (plus cancel) and the
+// resolveSwapOpts folds the options into the operation's context and the
 // shipment constraints.
-func resolveSwapOpts(opts []SwapOption) (swapOpts, context.Context, context.CancelFunc) {
+func resolveSwapOpts(opts []SwapOption) swapOpts {
 	o := swapOpts{ctx: context.Background()}
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if !o.deadline.IsZero() {
-		ctx, cancel := context.WithDeadline(o.ctx, o.deadline)
-		return o, ctx, cancel
-	}
-	return o, o.ctx, func() {}
+	return o
 }

@@ -9,6 +9,7 @@ import (
 
 	"objectswap/internal/heap"
 	"objectswap/internal/obs"
+	"objectswap/internal/telemetry"
 )
 
 // Concurrent swaps — distinct clusters from many goroutines, one cluster from
@@ -235,6 +236,51 @@ func TestWholeTableReadsAreOneCut(t *testing.T) {
 		if objects() != want {
 			torn++
 		}
+	}
+}
+
+// TestTouchesTakeNoRegistryLock holds the path from an object to its cluster
+// to the table lock alone: while the test holds Manager.mu (the proxy
+// registry), a resident crossing, a read in place and a write in place all
+// finish — with a tracker attached, so each one feeds a ledger, and a
+// retained copy anchored, so the write marks the cluster dirty.
+func TestTouchesTakeNoRegistryLock(t *testing.T) {
+	f := newFixture(t, 0, WithTelemetry(telemetry.New(obs.NewRegistry(nil), telemetry.Options{})))
+	ids, clusters := f.buildList(t, 20, 10, 8)
+	if _, err := f.rt.SwapOut(clusters[0]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.rt.SwapIn(clusters[0]); err != nil {
+		t.Fatal(err)
+	}
+	head, direct := f.head(t), heap.Ref(ids[0])
+
+	done := make(chan error, 1)
+	f.rt.mgr.mu.Lock()
+	go func() {
+		if _, err := f.rt.Invoke(head, "tag"); err != nil { // a resident crossing
+			done <- err
+			return
+		}
+		if _, err := f.rt.Field(direct, "tag"); err != nil {
+			done <- err
+			return
+		}
+		done <- f.rt.SetFieldValue(direct, "tag", heap.Int(-1))
+	}()
+	select {
+	case err := <-done:
+		f.rt.mgr.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		f.rt.mgr.mu.Unlock()
+		<-done
+		t.Fatal("a crossing, a read and a write in place did not finish while Manager.mu was held")
+	}
+	if info, err := f.rt.Manager().Info(clusters[0]); err != nil || !info.Dirty {
+		t.Fatalf("after a write in place: %+v, %v; want the cluster dirty", info, err)
 	}
 }
 

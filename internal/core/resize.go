@@ -52,10 +52,9 @@ func (rt *Runtime) MergeClusters(dst, src ClusterID) error {
 		tab.mu.Unlock()
 		return fmt.Errorf("core: merge of clusters %d/%d: %w", dst, src, err)
 	}
-	moved := maps.Clone(ss.objects)
+	members := maps.Clone(ss.objects)
 	tab.mu.Unlock()
 
-	members := maps.Clone(moved)
 	isMember := func(oid heap.ObjID) bool { return members[oid] }
 	if err := rt.checkInactive(src, isMember); err != nil {
 		return err
@@ -70,28 +69,20 @@ func (rt *Runtime) MergeClusters(dst, src ClusterID) error {
 	}
 
 	// 1. Move membership.
-	m.mu.Lock()
 	tab.mu.Lock()
-	for oid := range moved {
-		info := m.objects[oid]
-		info.cluster = dst
-		m.objects[oid] = info
-		delete(ss.objects, oid)
-		ds.objects[oid] = true
-	}
+	tab.regroup(ss.objects, ss, ds)
 	// The one place a merge decides what the survivor inherits: src's
 	// counters summed into its own, the later recency, the hotter heat and
 	// thrash. Dropping src's record drops the rest of its history. Neither
 	// retained copy holds the merged cluster: both are forgotten, and the
 	// donors told so at the next collection.
 	rt.telem.Merge(&ds.ledger, &ss.ledger)
-	m.queueDrops(ss.forget(), src)
-	m.queueDrops(ds.forget(), dst)
+	forgot := []forgotCopy{{src, ss.forget()}, {dst, ds.forget()}}
 	tab.drop(ss)
+	tab.mu.Unlock()
+	m.queueDrops(forgot...)
 	// Inbound proxies previously indexed under src now target dst members.
 	m.rehomeProxies(src, dst, nil)
-	tab.mu.Unlock()
-	m.mu.Unlock()
 
 	// 2. Re-mediate the fields of every member of the merged cluster:
 	// references to proxies whose ultimate target now shares the cluster are
@@ -129,11 +120,13 @@ func (rt *Runtime) SplitCluster(src ClusterID, members []heap.ObjID) (ClusterID,
 		tab.mu.Unlock()
 		return 0, err
 	}
+	moved := make(map[heap.ObjID]bool, len(members))
 	for _, oid := range members {
 		if !ss.objects[oid] {
 			tab.mu.Unlock()
 			return 0, fmt.Errorf("core: split: @%d is not a member of cluster %d", oid, src)
 		}
+		moved[oid] = true
 	}
 	all := maps.Clone(ss.objects)
 	tab.mu.Unlock()
@@ -141,25 +134,18 @@ func (rt *Runtime) SplitCluster(src ClusterID, members []heap.ObjID) (ClusterID,
 		return 0, err
 	}
 
-	fresh := m.NewCluster()
-	m.mu.Lock()
 	tab.mu.Lock()
+	fresh := tab.newCluster()
 	fs := tab.clusters[fresh]
-	for _, oid := range members {
-		info := m.objects[oid]
-		info.cluster = fresh
-		m.objects[oid] = info
-		delete(ss.objects, oid)
-		fs.objects[oid] = true
-	}
+	tab.regroup(moved, ss, fs)
 	// The fresh half starts no colder than the cluster it was cut from, whose
 	// retained copy holds neither half.
 	fs.ledger.LastAccess = ss.ledger.LastAccess
-	m.queueDrops(ss.forget(), src)
-	// Inbound proxies whose ultimate moved follow it in the index.
-	m.rehomeProxies(src, fresh, fs.objects)
+	forgot := forgotCopy{src, ss.forget()}
 	tab.mu.Unlock()
-	m.mu.Unlock()
+	m.queueDrops(forgot)
+	// Inbound proxies whose ultimate moved follow it in the index.
+	m.rehomeProxies(src, fresh, moved)
 
 	// Re-mediate both halves: edges crossing the new boundary gain proxies;
 	// proxies that now point within their holder's cluster are dismantled.
@@ -170,6 +156,19 @@ func (rt *Runtime) SplitCluster(src ClusterID, members []heap.ObjID) (ClusterID,
 		return fresh, err
 	}
 	return fresh, nil
+}
+
+// regroup makes the members of from listed in moved members of to. The
+// caller holds tab.mu.
+func (tab *clusterTable) regroup(moved map[heap.ObjID]bool, from, to *clusterState) {
+	for oid := range moved {
+		if !from.objects[oid] {
+			continue // reclaimed since it was listed: compact forgot it
+		}
+		tab.members[oid] = objInfo{cluster: to.id, class: tab.members[oid].class}
+		delete(from.objects, oid)
+		to.objects[oid] = true
+	}
 }
 
 // remediateCluster rewrites the fields of every member of cluster id so the

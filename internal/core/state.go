@@ -172,8 +172,8 @@ func (m *Manager) anchor(cs *clusterState, c donorCopy, members, slots []heap.Ob
 }
 
 // forget drops the record's claim on its retained copy and returns the copy,
-// which the caller owes the donors a Drop for (dropAll, or queueDrops under
-// m.mu). The next swap-out ships in full.
+// which the caller owes the donors a Drop for (dropAll or queueDrops). The
+// next swap-out ships in full.
 func (cs *clusterState) forget() donorCopy {
 	c := cs.retained.donorCopy
 	cs.retained, cs.dirty = retainedCopy{}, false

@@ -32,7 +32,7 @@ import (
 // key (K = WithReplicas or the runtime default, 1) under a majority write
 // quorum, replacing a rejecting donor by the next-ranked one (listed in
 // SwapEvent.Attempted, announced as swap.failover). Options bound the whole
-// operation (WithDeadline), pin the destination (WithDevice) or fail fast
+// operation (WithContext), pin the destination (WithDevice) or fail fast
 // (WithNoFailover).
 //
 // A cluster that is clean — nothing written since it was last reloaded or
@@ -47,15 +47,14 @@ import (
 // second caller gets ErrClusterBusy; a failure in any phase leaves it
 // resident and the graph untouched (op.end).
 func (rt *Runtime) SwapOut(id ClusterID, opts ...SwapOption) (SwapEvent, error) {
-	o, ctx, cancel := resolveSwapOpts(opts)
-	defer cancel()
+	o := resolveSwapOpts(opts)
 	if id == RootCluster {
 		return SwapEvent{}, ErrRootCluster
 	}
 	if rt.stores == nil {
 		return SwapEvent{}, ErrNoStores
 	}
-	s := swapOut{op: rt.begin(&opSwapOut, id, ctx), o: o}
+	s := swapOut{op: rt.begin(&opSwapOut, id, o.ctx), o: o}
 	defer s.end()
 	s.do("reserve", s.reserve)
 	s.do("snapshot", s.snapshot)
@@ -418,7 +417,7 @@ func (s *swapOut) shipPlanned() error {
 // to swappedOut on the copy the donors hold. A shipment becomes the new
 // retained copy (dirty resets; the previous one is due for donor cleanup); a
 // clean cluster, which built no replacement-object yet and shipped nothing,
-// first re-reads dirty under the lock markDirty takes — a write that landed
+// first re-reads dirty under the lock touch takes — a write that landed
 // since reserve rolls the operation back (the cluster stays resident, dirty,
 // and ships next time) rather than being lost with the freed members.
 //

@@ -29,19 +29,18 @@ import (
 // AND its donors keep the payload, as the retained copy a clean swap-out
 // leaves on again (DESIGN §6d). Nothing on this path tells a donor to drop.
 //
-// WithDeadline / WithContext bound the fetch: a failed swap-in — timeout,
-// damaged frame, no room — leaves the cluster swapped exactly as it was, so a
-// later retry (or a reconnecting device) can still reload it. Destination
+// WithContext bounds the fetch: a failed swap-in — timeout, damaged frame,
+// no room — leaves the cluster swapped exactly as it was, so a later retry
+// (or a reconnecting device) can still reload it. Destination
 // options do not apply: a swapped cluster lives where it was shipped.
 // Swap-ins of distinct clusters overlap freely; only reserve and install hold
 // the swap lock.
 func (rt *Runtime) swapInDirect(id ClusterID, opts ...SwapOption) (SwapEvent, error) {
-	o, ctx, cancel := resolveSwapOpts(opts)
-	defer cancel()
+	o := resolveSwapOpts(opts)
 	if rt.stores == nil {
 		return SwapEvent{}, ErrNoStores
 	}
-	s := swapIn{op: rt.begin(&opSwapIn, id, ctx), o: o}
+	s := swapIn{op: rt.begin(&opSwapIn, id, o.ctx), o: o}
 	defer s.end()
 	s.do("reserve", s.reserve)
 	s.do("fetch", s.fetch)
@@ -217,7 +216,7 @@ func (s *swapIn) install() error {
 	// All of it in one heap critical section, or none; the batch refuses a
 	// member that is already resident (swap-out freed them all at commit)
 	// instead of discarding whatever it holds. Reinstallation restores state,
-	// it is not a mutation: no write or access observers fire.
+	// it is not a mutation: no write observer fires.
 	installed, err := s.staged.Install(rt.h, decodeRef)
 	if err != nil {
 		return fmt.Errorf("core: install cluster %d: %w", s.id, err)

@@ -69,27 +69,16 @@ type Heap struct {
 	epoch uint64
 	work  []*Object
 
-	// writeObserver, when set, is invoked after every successful field
-	// write with the written object's id (replication uses it for dirty
-	// tracking). Invoked outside heap locks. observerSuspend > 0 silences
-	// it (middleware-internal writes such as swap-in reinstallation are not
-	// user mutations). extraObservers are additional independent hooks (the
-	// swapping runtime's dirty tracking) that SetWriteObserver does not
-	// replace. The observer slots live under their own lock so that the
-	// per-write dispatch check never contends with allocation and lookup
-	// traffic on h.mu — field writes from concurrent swaps land here while
-	// others allocate.
+	// writeObservers are invoked after every successful field write with the
+	// written object's id (the swapping runtime's dirty and heat tracking,
+	// replication write-back), in registration order and outside heap locks.
+	// observerSuspend > 0 silences them (middleware-internal writes such as
+	// re-mediation are not user mutations). They live under their own lock so
+	// that the per-write dispatch check never contends with allocation and
+	// lookup traffic on h.mu.
 	obsMu           sync.RWMutex
-	writeObserver   func(ObjID)
-	extraObservers  []func(ObjID)
+	writeObservers  []func(ObjID)
 	observerSuspend int
-	// accessObservers fire on every observed object access — both field
-	// writes (dispatched alongside the write observers) and explicit
-	// NoteAccess calls from the method/field dispatch path. They feed the
-	// telemetry plane's heat tracking and share observerSuspend so that
-	// middleware-internal traffic (swap-in reinstallation) never reads as
-	// application heat.
-	accessObservers []func(ObjID)
 
 	// nursery grants newly allocated objects a grace period of N collection
 	// cycles before they become collectable, protecting host-held references
@@ -131,76 +120,31 @@ func New(capacity int64) *Heap {
 	}
 }
 
-// SetWriteObserver installs a hook invoked after every successful field
-// write. Pass nil to remove it.
-func (h *Heap) SetWriteObserver(fn func(ObjID)) {
-	h.obsMu.Lock()
-	defer h.obsMu.Unlock()
-	h.writeObserver = fn
-}
-
-// AddWriteObserver registers an additional write observer that coexists with
-// the SetWriteObserver slot (which historically belongs to replication
-// write-back). Observers cannot be removed; register once per heap.
+// AddWriteObserver registers a hook invoked after every successful field
+// write. Observers cannot be removed; register once per heap.
 func (h *Heap) AddWriteObserver(fn func(ObjID)) {
 	if fn == nil {
 		return
 	}
 	h.obsMu.Lock()
 	defer h.obsMu.Unlock()
-	h.extraObservers = append(h.extraObservers, fn)
+	h.writeObservers = append(h.writeObservers, fn)
 }
 
-// observeWrite dispatches to the write observers, if any. A write is also
-// an access, so the access observers fire too.
+// observeWrite dispatches to the write observers, if any.
 func (h *Heap) observeWrite(id ObjID) {
 	h.obsMu.RLock()
-	fn := h.writeObserver
-	extra := h.extraObservers
-	access := h.accessObservers
+	observers := h.writeObservers
 	if h.observerSuspend > 0 {
-		fn, extra, access = nil, nil, nil
+		observers = nil
 	}
 	h.obsMu.RUnlock()
-	if fn != nil {
+	for _, fn := range observers {
 		fn(id)
 	}
-	for _, e := range extra {
-		e(id)
-	}
-	for _, a := range access {
-		a(id)
-	}
 }
 
-// AddAccessObserver registers a hook invoked on every observed object
-// access (field writes plus NoteAccess reads). Observers cannot be removed;
-// register once per heap. SuspendWriteObserver silences these too.
-func (h *Heap) AddAccessObserver(fn func(ObjID)) {
-	if fn == nil {
-		return
-	}
-	h.obsMu.Lock()
-	defer h.obsMu.Unlock()
-	h.accessObservers = append(h.accessObservers, fn)
-}
-
-// NoteAccess reports a read-side access (method dispatch, direct field
-// read) to the access observers. It is a no-op when none are registered or
-// while observers are suspended, so read paths pay only an RLock.
-func (h *Heap) NoteAccess(id ObjID) {
-	h.obsMu.RLock()
-	access := h.accessObservers
-	if h.observerSuspend > 0 {
-		access = nil
-	}
-	h.obsMu.RUnlock()
-	for _, a := range access {
-		a(id)
-	}
-}
-
-// SuspendWriteObserver silences the write observer until the returned
+// SuspendWriteObserver silences the write observers until the returned
 // resume function is called (nestable). Middleware uses it around writes
 // that restore rather than mutate state.
 func (h *Heap) SuspendWriteObserver() (resume func()) {

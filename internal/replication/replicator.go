@@ -68,7 +68,8 @@ func WithGroupSize(n int) Option {
 }
 
 // Attach builds a replicator over transport and installs it as rt's fault
-// handler.
+// handler. Attach once per runtime: the write observer it registers stays
+// for the heap's lifetime.
 func Attach(rt *core.Runtime, transport Transport, opts ...Option) *Replicator {
 	r := &Replicator{
 		rt:            rt,

@@ -34,7 +34,7 @@ type UpdateTransport interface {
 
 // enableWriteback installs the dirty-tracking observer. Called by Attach.
 func (r *Replicator) enableWriteback() {
-	r.rt.Heap().SetWriteObserver(func(id heap.ObjID) {
+	r.rt.Heap().AddWriteObserver(func(id heap.ObjID) {
 		r.mu.Lock()
 		if _, isReplica := r.localToRemote[id]; isReplica {
 			r.dirty[id] = true

@@ -132,23 +132,25 @@ func TestAccessLedger(t *testing.T) {
 	}
 
 	// Each step names the cluster it is about and what its ledger gains; a
-	// step that names none checks what it did itself.
+	// step that names none checks what it did itself. touches, when set, is
+	// the exact number of touches the step adds.
 	steps := []struct {
 		name                 string
 		do                   func()
 		on                   *ClusterID
 		crossings, outs, ins uint64
 		touched              bool
+		touches              uint64
 		pingPongs, hits      uint64
 	}{
 		{name: "crossing", do: func() { cross("a") }, on: &a, crossings: 1, touched: true},
 		{name: "intra-cluster read", do: func() {
 			_, err := sys.Field(objs[0].RefTo(), "title")
 			must(err)
-		}, on: &a, touched: true},
+		}, on: &a, touched: true, touches: 1},
 		{name: "field write", do: func() {
 			must(sys.SetField(objs[0].RefTo(), "title", heap.Str("x")))
-		}, on: &a, touched: true},
+		}, on: &a, touched: true, touches: 1},
 		{name: "allocation into a cluster", do: func() {
 			o, err := sys.NewObject(cls, a)
 			must(err)
@@ -238,6 +240,9 @@ func TestAccessLedger(t *testing.T) {
 		}
 		if got := after.Touches > before.Touches; got != step.touched {
 			t.Errorf("%s: touches %d -> %d, want touched = %v", step.name, before.Touches, after.Touches, step.touched)
+		}
+		if got := after.Touches - before.Touches; step.touches != 0 && got != step.touches {
+			t.Errorf("%s: touches +%d, want +%d", step.name, got, step.touches)
 		}
 		if got := after.PingPongs - before.PingPongs; got != step.pingPongs {
 			t.Errorf("%s: ping-pongs +%d, want +%d", step.name, got, step.pingPongs)

@@ -24,8 +24,8 @@
 //	sys.SwapOut(cluster)    // or let the policy engine decide
 //
 // The exported sub-APIs remain available for advanced use: System.Runtime
-// (core), System.Devices (store registry), System.Engine (policy engine),
-// System.Bus (events).
+// (core), System.Heap (device heap), System.Monitor (memory monitor),
+// System.Telemetry (cluster heat), System.Bus (events).
 package objectswap
 
 import (
@@ -89,12 +89,8 @@ type (
 
 // Swap options, re-exported from the runtime layer.
 var (
-	// WithContext runs the swap under a caller context.
+	// WithContext runs the swap under a caller context, which bounds it.
 	WithContext = core.WithContext
-	// WithDeadline bounds the whole swap operation in absolute time.
-	WithDeadline = core.WithDeadline
-	// WithTimeout bounds the whole swap operation relative to now.
-	WithTimeout = core.WithTimeout
 	// WithDevice pins the swap-out destination to a named device.
 	WithDevice = core.WithDevice
 	// WithNoFailover restores fail-fast shipment (no multi-device retry).
@@ -743,15 +739,14 @@ func (s *System) AssignedCursor(v heap.Value) (heap.Value, error) {
 // SwapOut detaches a swap-cluster to nearby devices. With no options the
 // placement planner rendezvous-ranks the donors (weighted by free capacity)
 // and ships Config.Replicas copies, extending past failed donors until a
-// write quorum lands; WithDeadline bounds the operation, WithDevice pins a
+// write quorum lands; WithContext bounds the operation, WithDevice pins a
 // single destination, WithReplicas overrides the factor for this call,
 // WithNoFailover confines shipment to the top-ranked donors (no extension).
 func (s *System) SwapOut(cluster ClusterID, opts ...SwapOption) (SwapEvent, error) {
 	return s.rt.SwapOut(cluster, opts...)
 }
 
-// SwapIn prefetches a swapped cluster back. WithDeadline / WithContext bound
-// the fetch; a timed-out swap-in leaves the cluster consistently swapped.
+// SwapIn prefetches a swapped cluster back. WithContext bounds the fetch; a timed-out swap-in leaves the cluster consistently swapped.
 func (s *System) SwapIn(cluster ClusterID, opts ...SwapOption) (SwapEvent, error) {
 	return s.rt.SwapIn(cluster, opts...)
 }
