@@ -38,6 +38,15 @@ go build ./...
 #   unwritten one leaves with no store call, at most 20 allocations and
 #   2020 B at any size.
 # - TestCollectAllocatesNothingOnUnchangedHeap (internal/heap).
+# - TestObjTableMatchesMap, TestObjectIndexBoundedByPeakResidency,
+#   TestResidencyChurnAllocatesNothing, TestMarkEpochWrap,
+#   TestSweptOrderFollowsHistory, TestObjectLayouts (internal/heap): the
+#   heap's object table agrees with a Go map under colliding ids after every
+#   step; its index stays sized by peak residency after 200 000 ids are
+#   minted and reclaimed; freeing and reinstalling 900 objects allocates only
+#   the batch's own 3 blocks; nothing reachable is freed across the wrap of
+#   the 32-bit mark epoch; twin heaps sweep in the same order; an Object's
+#   header is 64 bytes.
 # - TestFaultBenchSmoke (.): a pointer chase with the prefetcher on takes at
 #   least one demand fault and serves at least half its cluster boundaries
 #   from the prefetch inventory.
@@ -237,6 +246,17 @@ SORTSLICE=$(grep -nE 'sort\.Slice(Stable)?\(' internal/core/*.go internal/heap/*
 if [ -n "$SORTSLICE" ]; then
     echo "sort.Slice on the swap path (use slices.Sort or slices.SortFunc):" >&2
     echo "$SORTSLICE" >&2
+    exit 1
+fi
+# Guard: the collector does not hash. The heap's residents live in one
+# id-keyed objTable (internal/heap/objtable.go): the mark phase resolves a
+# reference through its open-addressed index and the sweep walks its dense
+# resident list. No non-test Go file of internal/heap keeps a Go map from
+# ObjID to *Object beside it.
+OBJMAPS=$(grep -nE 'map\[ObjID\][[:space:]]*\*Object' internal/heap/*.go | grep -v '_test\.go:' || true)
+if [ -n "$OBJMAPS" ]; then
+    echo "Go map of heap objects in internal/heap (keep residents in the objTable):" >&2
+    echo "$OBJMAPS" >&2
     exit 1
 fi
 # Guard: one eviction walk. Victims ship one at a time in ranked order through

@@ -10,7 +10,9 @@ import "errors"
 // (replacement-objects, proxies) are accounted honestly. A pass costs one
 // collection plus O(victim) per swap-out: garbage is tried first, in a
 // single pressure collection that also burns the nursery grace of
-// pressureCycles ordinary cycles, and each victim's bytes are back the moment
+// pressureCycles ordinary cycles and costs one object-index probe per
+// reference it follows plus one step per resident object (see
+// heap.CollectCycles), and each victim's bytes are back the moment
 // its swap-out commits, so occupancy is re-read after every swap without
 // collecting again. Victims are ranked once and walked in order (see
 // SwapOutVictims); a fresh ranking happens only when the list is exhausted

@@ -17,7 +17,11 @@ type CollectStats struct {
 	// Finalized is the number of finalizer functions executed.
 	Finalized int
 	// Swept lists the reclaimed objects' ids (nil when nothing was reclaimed),
-	// so table owners can purge exactly those records.
+	// so table owners can purge exactly those records. The order is the
+	// heap's resident list, and finalizers run in it: a function of the
+	// heap's history of allocations, installs and reclamations, so two heaps
+	// built by the same sequence of calls sweep the same ids in the same
+	// order.
 	Swept []ObjID
 }
 
@@ -48,9 +52,12 @@ func (h *Heap) Collect(extra ...ObjID) CollectStats {
 // contains the next one's, so whatever the earlier cycles would have freed
 // the last one frees too. It counts as one collection.
 //
-// The pass allocates nothing unless it reclaims something: marks are a
-// per-object epoch word and the work list lives on the heap, both guarded by
-// h.mu.
+// The mark phase resolves each reference with one probe of the heap's
+// open-addressed object index, and the sweep walks the dense list of
+// residents, so a pass costs one probe per reference followed plus one step
+// per resident object, and no Go map is hashed per object. The pass allocates
+// nothing unless it reclaims something: marks are a per-object epoch word and
+// the work list lives on the heap, both guarded by h.mu.
 func (h *Heap) CollectCycles(cycles int, extra ...ObjID) CollectStats {
 	if cycles < 1 {
 		cycles = 1
@@ -64,6 +71,15 @@ func (h *Heap) CollectCycles(cycles int, extra ...ObjID) CollectStats {
 	}
 
 	h.epoch++
+	if h.epoch == 0 {
+		// The epoch word wrapped. Clear every mark, so that no mark left by
+		// an earlier pass equals an epoch to come and hides a live subgraph,
+		// and skip 0: it is the mark of an object no pass has seen yet.
+		for _, o := range h.objects.list {
+			o.mark = 0
+		}
+		h.epoch = 1
+	}
 	for _, v := range h.roots {
 		h.markValue(&v)
 	}
@@ -89,12 +105,13 @@ func (h *Heap) CollectCycles(cycles int, extra ...ObjID) CollectStats {
 
 	var st CollectStats
 	var finals []finalization
-	for id, o := range h.objects {
-		if o.mark == h.epoch {
-			continue
+	for _, o := range h.objects.list {
+		if o.mark != h.epoch {
+			st.Swept = append(st.Swept, o.id)
 		}
-		st.Swept = append(st.Swept, id)
-		finals = h.reclaimLocked(o, &st, finals)
+	}
+	for _, id := range st.Swept {
+		finals = h.reclaimLocked(id, &st, finals)
 	}
 	for id, grace := range h.nursery {
 		if grace <= cycles {
@@ -103,7 +120,7 @@ func (h *Heap) CollectCycles(cycles int, extra ...ObjID) CollectStats {
 			h.nursery[id] = grace - cycles
 		}
 	}
-	st.Live = len(h.objects)
+	st.Live = len(h.objects.list)
 	h.collections.Add(1)
 	h.mu.Unlock()
 
@@ -117,8 +134,8 @@ func (h *Heap) CollectCycles(cycles int, extra ...ObjID) CollectStats {
 // markID marks a resident object live and queues it for scanning. The caller
 // holds h.mu.
 func (h *Heap) markID(id ObjID) {
-	o, resident := h.objects[id]
-	if !resident || o.mark == h.epoch {
+	o := h.objects.get(id)
+	if o == nil || o.mark == h.epoch {
 		return
 	}
 	o.mark = h.epoch
@@ -139,13 +156,17 @@ func (h *Heap) markValue(v *Value) {
 }
 
 // reclaimLocked unlinks one object from the heap's tables, tallies it in st
-// and queues its finalizers. The caller holds h.mu and releases the bytes
-// through finishReclaim afterwards.
-func (h *Heap) reclaimLocked(o *Object, st *CollectStats, finals []finalization) []finalization {
+// and queues its finalizers; an id that is not resident is skipped. The
+// caller holds h.mu and releases the bytes through finishReclaim afterwards.
+func (h *Heap) reclaimLocked(id ObjID, st *CollectStats, finals []finalization) []finalization {
+	o := h.objects.del(id)
+	if o == nil {
+		return finals
+	}
 	st.Reclaimed++
 	st.BytesFreed += o.Size()
-	delete(h.objects, o.id)
 	delete(h.pins, o.id)
+	delete(h.nursery, o.id)
 	if fn, ok := h.finalizers[o.id]; ok {
 		delete(h.finalizers, o.id)
 		finals = append(finals, finalization{o.id, fn})
@@ -183,14 +204,9 @@ func (h *Heap) Free(ids []ObjID) CollectStats {
 	var finals []finalization
 	h.mu.Lock()
 	for _, id := range ids {
-		o, resident := h.objects[id]
-		if !resident {
-			continue
-		}
-		finals = h.reclaimLocked(o, &st, finals)
-		delete(h.nursery, id)
+		finals = h.reclaimLocked(id, &st, finals)
 	}
-	st.Live = len(h.objects)
+	st.Live = len(h.objects.list)
 	gcFreed := h.gcFreed
 	h.mu.Unlock()
 	h.finishReclaim(&st, finals, gcFreed)
@@ -205,24 +221,25 @@ func (h *Heap) ReachableFrom(seeds ...ObjID) map[ObjID]bool {
 	defer h.mu.RUnlock()
 
 	marked := make(map[ObjID]bool)
-	var stack []ObjID
+	var stack []*Object
 	push := func(id ObjID) {
 		if id == NilID || marked[id] {
 			return
 		}
-		if _, resident := h.objects[id]; !resident {
+		o := h.objects.get(id)
+		if o == nil {
 			return
 		}
 		marked[id] = true
-		stack = append(stack, id)
+		stack = append(stack, o)
 	}
 	for _, id := range seeds {
 		push(id)
 	}
 	for len(stack) > 0 {
-		id := stack[len(stack)-1]
+		o := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		h.objects[id].forEachRef(push)
+		o.forEachRef(push)
 	}
 	return marked
 }

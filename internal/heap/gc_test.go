@@ -213,7 +213,9 @@ func TestCollectCyclicGarbage(t *testing.T) {
 
 // Property: after any random sequence of allocations, linkings and root
 // assignments, collection reclaims exactly the objects unreachable from
-// roots, and accounted bytes equal the sum of surviving object sizes.
+// roots, and accounted bytes equal the sum of surviving object sizes. The
+// property is checked again after each of three rounds of Free and a batch
+// reinstalling freed objects under their original ids.
 func TestPropCollectMatchesReachability(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -240,20 +242,29 @@ func TestPropCollectMatchesReachability(t *testing.T) {
 		for i := 0; i < roots; i++ {
 			h.SetRoot(string(rune('a'+i)), objs[r.Intn(n)].RefTo())
 		}
-		want := h.ReachableFromRoots()
-		st := h.Collect()
-		if st.Live != len(want) {
-			return false
-		}
-		var bytes int64
-		for id := range want {
-			if !h.Contains(id) {
+		for round := 0; round <= 3; round++ {
+			if round > 0 {
+				churn(t, r, h, c, n)
+			}
+			want := h.ReachableFromRoots()
+			before := h.Len()
+			st := h.Collect()
+			if st.Live != len(want) || st.Reclaimed != before-len(want) {
 				return false
 			}
-			o, _ := h.Get(id)
-			bytes += o.Size()
+			var bytes int64
+			for id := range want {
+				if !h.Contains(id) {
+					return false
+				}
+				o, _ := h.Get(id)
+				bytes += o.Size()
+			}
+			if h.Used() != bytes {
+				return false
+			}
 		}
-		return h.Used() == bytes && st.Reclaimed == n-len(want)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

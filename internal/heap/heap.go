@@ -54,7 +54,7 @@ type Heap struct {
 
 	mu      sync.RWMutex
 	nextID  uint64
-	objects map[ObjID]*Object
+	objects objTable
 	roots   map[string]Value
 	pins    map[ObjID]int
 
@@ -66,7 +66,7 @@ type Heap struct {
 	// Collector state, guarded by mu: an object is marked in the current pass
 	// when its mark word equals epoch, and work is the mark phase's scan
 	// list, kept between passes so a collection allocates nothing.
-	epoch uint64
+	epoch uint32
 	work  []*Object
 
 	// writeObservers are invoked after every successful field write with the
@@ -111,7 +111,6 @@ type Heap struct {
 func New(capacity int64) *Heap {
 	return &Heap{
 		capacity:       capacity,
-		objects:        make(map[ObjID]*Object),
 		roots:          make(map[string]Value),
 		pins:           make(map[ObjID]int),
 		finalizers:     make(map[ObjID]func(ObjID)),
@@ -177,7 +176,7 @@ func (h *Heap) TouchNursery(id ObjID) {
 	if h.nurseryGrace <= 0 {
 		return
 	}
-	if _, resident := h.objects[id]; resident {
+	if h.objects.get(id) != nil {
 		h.nursery[id] = h.nurseryGrace
 	}
 }
@@ -212,7 +211,7 @@ func (h *Heap) Used() int64 { return atomic.LoadInt64(&h.used) }
 func (h *Heap) Len() int {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	return len(h.objects)
+	return len(h.objects.list)
 }
 
 // StatsSnapshot returns current occupancy and lifetime counters.
@@ -222,7 +221,7 @@ func (h *Heap) StatsSnapshot() Stats {
 	return Stats{
 		Capacity:    h.Capacity(),
 		Used:        h.Used(),
-		Objects:     len(h.objects),
+		Objects:     len(h.objects.list),
 		Allocated:   h.allocated.Load(),
 		Collections: h.collections.Load(),
 		Reclaimed:   h.reclaimed.Load(),
@@ -299,7 +298,7 @@ func (h *Heap) newObject(c *Class, privileged bool) (*Object, error) {
 	h.mu.Lock()
 	h.nextID++
 	o.id = ObjID(h.nextID)
-	h.objects[o.id] = o
+	h.objects.put(o)
 	h.allocated.Add(1)
 	if h.nurseryGrace > 0 {
 		h.nursery[o.id] = h.nurseryGrace
@@ -471,15 +470,15 @@ func (h *Heap) InstallBatch(b *Batch) ([]*Object, error) {
 	h.mu.Lock()
 	for i := range objs {
 		o := &objs[i]
-		if _, exists := h.objects[o.id]; exists {
-			for j := 0; j < i; j++ {
-				delete(h.objects, objs[j].id)
+		if h.objects.get(o.id) != nil {
+			for j := i - 1; j >= 0; j-- {
+				h.objects.del(objs[j].id)
 			}
 			h.mu.Unlock()
 			h.release(total)
 			return nil, fmt.Errorf("heap: InstallBatch: object %d already resident", o.id)
 		}
-		h.objects[o.id] = o
+		h.objects.put(o)
 		out[i] = o
 	}
 	for _, o := range out {
@@ -510,9 +509,9 @@ func (h *Heap) EnsureIDAbove(id ObjID) {
 // Get resolves a reference to its resident object.
 func (h *Heap) Get(id ObjID) (*Object, error) {
 	h.mu.RLock()
-	o, ok := h.objects[id]
+	o := h.objects.get(id)
 	h.mu.RUnlock()
-	if !ok {
+	if o == nil {
 		return nil, fmt.Errorf("%w: @%d", ErrNoSuchObject, id)
 	}
 	return o, nil
@@ -521,9 +520,9 @@ func (h *Heap) Get(id ObjID) (*Object, error) {
 // Contains reports whether id is resident.
 func (h *Heap) Contains(id ObjID) bool {
 	h.mu.RLock()
-	_, ok := h.objects[id]
+	o := h.objects.get(id)
 	h.mu.RUnlock()
-	return ok
+	return o != nil
 }
 
 // Remove detaches an object immediately, without running finalizers (it is an
@@ -534,12 +533,11 @@ func (h *Heap) Contains(id ObjID) bool {
 // run finalizers, the moment the swap-out commits.
 func (h *Heap) Remove(id ObjID) error {
 	h.mu.Lock()
-	o, ok := h.objects[id]
-	if !ok {
+	o := h.objects.del(id)
+	if o == nil {
 		h.mu.Unlock()
 		return fmt.Errorf("%w: @%d", ErrNoSuchObject, id)
 	}
-	delete(h.objects, id)
 	delete(h.finalizers, id)
 	delete(h.moreFinalizers, id)
 	delete(h.pins, id)
@@ -633,9 +631,9 @@ func (h *Heap) OnFinalize(id ObjID, fn func(ObjID)) {
 func (h *Heap) IDs() []ObjID {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	ids := make([]ObjID, 0, len(h.objects))
-	for id := range h.objects {
-		ids = append(ids, id)
+	ids := make([]ObjID, len(h.objects.list))
+	for i, o := range h.objects.list {
+		ids[i] = o.id
 	}
 	slices.Sort(ids)
 	return ids

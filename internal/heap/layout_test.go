@@ -3,6 +3,7 @@ package heap
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 )
 
 // scalarClass declares n fields whose kinds cycle through int, float and bool.
@@ -31,8 +32,12 @@ func scalar(j, x int) Value {
 // holds its header and its slots, and an object of a larger class gets a
 // vector of its own. Either way its slots start zeroed to their kinds, a write
 // to one object never shows in another, and the managed heap accounts every
-// object as it always has: a header plus one slot per field.
+// object as it always has: a header plus one slot per field. The header
+// itself is 64 bytes.
 func TestObjectLayouts(t *testing.T) {
+	if got := unsafe.Sizeof(Object{}); got != 64 {
+		t.Fatalf("unsafe.Sizeof(Object{}) = %d, want 64", got)
+	}
 	const count = 6
 	for n := 0; n <= maxInlineFields+2; n++ {
 		c := scalarClass(n)

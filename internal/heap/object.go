@@ -26,9 +26,12 @@ type Object struct {
 
 	fields []Value
 	size   int64
-	// mark is the collector's epoch word (see Heap.epoch); touched only
-	// under the heap lock held exclusively.
-	mark uint64
+	// mark is the collector's epoch word (see Heap.epoch) and pos the
+	// object's index in the heap's dense resident list (see objTable); both
+	// are touched only under the heap lock held exclusively. Two 32-bit
+	// words keep the header at 64 bytes.
+	mark uint32
+	pos  uint32
 }
 
 // ID returns the object's stable identifier.

@@ -1,0 +1,121 @@
+package heap
+
+import "math/bits"
+
+// objTable is the heap's resident set: an open-addressed index from ObjID to
+// object, and a dense list of the same objects. Get and the collector's mark
+// phase resolve an id with one probe sequence and no hashing of a Go map; the
+// sweep walks the dense list, which holds residents only.
+//
+// The index is linear-probed from a Fibonacci hash of the id, deletes by
+// shifting later entries of a probe run back (no tombstones) and grows at 3/4
+// load. It never shrinks: its size is bounded by the peak resident count,
+// whatever the number of ids ever minted, and a heap that swaps the same
+// clusters out and back in reuses its slots instead of rebuilding them. Each
+// object records its position in the dense list, which removal fills by
+// moving the last entry into the hole.
+//
+// The caller holds the heap lock: shared for get, exclusive for put and del.
+type objTable struct {
+	slots []objSlot // power-of-two length; an id of NilID marks an empty slot
+	shift uint8     // 64 - log2(len(slots))
+	list  []*Object // the residents, o.pos indexing o
+}
+
+type objSlot struct {
+	id ObjID
+	o  *Object
+}
+
+// fibonacci is 2^64 divided by the golden ratio: multiplying by it spreads
+// consecutive ids over the top bits, which home takes as the slot index.
+const fibonacci = 0x9E3779B97F4A7C15
+
+func (t *objTable) home(id ObjID) int {
+	return int(uint64(id) * fibonacci >> t.shift)
+}
+
+// get returns the resident object with the given id, or nil.
+func (t *objTable) get(id ObjID) *Object {
+	if len(t.slots) == 0 {
+		return nil
+	}
+	mask := len(t.slots) - 1
+	for i := t.home(id); ; i = (i + 1) & mask {
+		switch t.slots[i].id {
+		case id:
+			return t.slots[i].o
+		case NilID:
+			return nil
+		}
+	}
+}
+
+// put adds o, whose id must be neither NilID nor resident.
+func (t *objTable) put(o *Object) {
+	if 4*(len(t.list)+1) > 3*len(t.slots) {
+		t.grow()
+	}
+	t.insert(o)
+	o.pos = uint32(len(t.list))
+	t.list = append(t.list, o)
+}
+
+// insert places o in the index only.
+func (t *objTable) insert(o *Object) {
+	mask := len(t.slots) - 1
+	i := t.home(o.id)
+	for t.slots[i].id != NilID {
+		i = (i + 1) & mask
+	}
+	t.slots[i] = objSlot{o.id, o}
+}
+
+// grow doubles the index and re-homes every resident.
+func (t *objTable) grow() {
+	n := 2 * len(t.slots)
+	if n == 0 {
+		n = 8
+	}
+	t.slots = make([]objSlot, n)
+	t.shift = uint8(64 - bits.TrailingZeros(uint(n)))
+	for _, o := range t.list {
+		t.insert(o)
+	}
+}
+
+// del removes and returns the resident object with the given id, or nil.
+func (t *objTable) del(id ObjID) *Object {
+	if len(t.slots) == 0 {
+		return nil
+	}
+	mask := len(t.slots) - 1
+	i := t.home(id)
+	for t.slots[i].id != id {
+		if t.slots[i].id == NilID {
+			return nil
+		}
+		i = (i + 1) & mask
+	}
+	o := t.slots[i].o
+	// Close the hole: walk the probe run after it and move back every entry
+	// whose home does not lie cyclically in (hole, j], so each stays
+	// reachable from its home without crossing an empty slot.
+	for j := (i + 1) & mask; t.slots[j].id != NilID; j = (j + 1) & mask {
+		k := t.home(t.slots[j].id)
+		if (i <= j && i < k && k <= j) || (i > j && (i < k || k <= j)) {
+			continue
+		}
+		t.slots[i] = t.slots[j]
+		i = j
+	}
+	t.slots[i] = objSlot{}
+
+	last := len(t.list) - 1
+	moved := t.list[last]
+	t.list[o.pos] = moved
+	moved.pos = o.pos
+	t.list[last] = nil
+	t.list = t.list[:last]
+	return o
+}

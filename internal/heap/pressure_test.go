@@ -66,6 +66,34 @@ func randomHeap(t *testing.T, seed int64, finalized *[]ObjID) (*Heap, []ObjID) {
 	return h, extra
 }
 
+// churn frees a random third of h's residents and reinstalls most of them
+// in one batch under their original ids, each linked to a random id in
+// [1, span] that may or may not be resident: the swap-out and swap-in traffic
+// a collector sees between passes. The same heap state and generator state
+// give the same churn.
+func churn(t testing.TB, r *rand.Rand, h *Heap, c *Class, span int) {
+	t.Helper()
+	var freed []ObjID
+	for _, id := range h.IDs() {
+		if r.Intn(3) == 0 {
+			freed = append(freed, id)
+		}
+	}
+	if st := h.Free(freed); st.Reclaimed != len(freed) {
+		t.Fatalf("freed %d of %d residents", st.Reclaimed, len(freed))
+	}
+	next, _ := c.FieldIndex("next")
+	b := MakeBatch(len(freed), len(freed)*c.NumFields())
+	for _, id := range freed {
+		if r.Intn(4) > 0 {
+			b.Add(id, c)[next] = Ref(ObjID(1 + r.Intn(span)))
+		}
+	}
+	if _, err := h.InstallBatch(&b); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func sortedIDs(ids []ObjID) []ObjID {
 	out := append([]ObjID(nil), ids...)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -75,53 +103,63 @@ func sortedIDs(ids []ObjID) []ObjID {
 // Property: on any heap, one CollectCycles(3) pass leaves exactly what three
 // back-to-back Collect cycles leave — the same survivors, the same accounted
 // bytes, the same nursery, the same finalizer calls (each once) — and counts
-// as one collection.
+// as one collection. Between rounds both heaps take the same Free and
+// reinstalling InstallBatch, so the pass is checked on a heap whose residents
+// come and go under their original ids.
 func TestPropPressurePassEqualsThreeCycles(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		var loopFinal, passFinal []ObjID
 		loop, extra := randomHeap(t, seed, &loopFinal)
 		pass, _ := randomHeap(t, seed, &passFinal)
+		span := int(loop.nextID)
+		loopChurn, passChurn := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
 
-		var loopStats CollectStats
-		for i := 0; i < 3; i++ {
-			st := loop.Collect(extra...)
-			loopStats.Reclaimed += st.Reclaimed
-			loopStats.BytesFreed += st.BytesFreed
-			loopStats.Finalized += st.Finalized
-			loopStats.Live = st.Live
-			loopStats.Swept = append(loopStats.Swept, st.Swept...)
-		}
-		passStats := pass.CollectCycles(3, extra...)
+		for round := 1; round <= 3; round++ {
+			if round > 1 {
+				churn(t, loopChurn, loop, fanClass(), span)
+				churn(t, passChurn, pass, fanClass(), span)
+			}
+			var loopStats CollectStats
+			for i := 0; i < 3; i++ {
+				st := loop.Collect(extra...)
+				loopStats.Reclaimed += st.Reclaimed
+				loopStats.BytesFreed += st.BytesFreed
+				loopStats.Finalized += st.Finalized
+				loopStats.Live = st.Live
+				loopStats.Swept = append(loopStats.Swept, st.Swept...)
+			}
+			passStats := pass.CollectCycles(3, extra...)
 
-		if got, want := pass.IDs(), loop.IDs(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: survivors %v, three cycles leave %v", seed, got, want)
-		}
-		if pass.Used() != loop.Used() {
-			t.Fatalf("seed %d: used %d, three cycles leave %d", seed, pass.Used(), loop.Used())
-		}
-		if !reflect.DeepEqual(pass.nursery, loop.nursery) {
-			t.Fatalf("seed %d: nursery %v, three cycles leave %v", seed, pass.nursery, loop.nursery)
-		}
-		if got, want := sortedIDs(passFinal), sortedIDs(loopFinal); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: finalized %v, three cycles finalize %v", seed, got, want)
-		}
-		if got, want := sortedIDs(passStats.Swept), sortedIDs(loopStats.Swept); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: swept %v, three cycles sweep %v", seed, got, want)
-		}
-		passStats.Swept, loopStats.Swept = nil, nil
-		if !reflect.DeepEqual(passStats, loopStats) {
-			t.Fatalf("seed %d: stats %+v, three cycles total %+v", seed, passStats, loopStats)
-		}
-		if got := pass.StatsSnapshot().Collections; got != 1 {
-			t.Fatalf("seed %d: pass counted %d collections, want 1", seed, got)
-		}
-		var live int64
-		for _, id := range pass.IDs() {
-			o, _ := pass.Get(id)
-			live += o.Size()
-		}
-		if pass.Used() != live {
-			t.Fatalf("seed %d: used %d, resident sizes sum to %d", seed, pass.Used(), live)
+			if got, want := pass.IDs(), loop.IDs(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d round %d: survivors %v, three cycles leave %v", seed, round, got, want)
+			}
+			if pass.Used() != loop.Used() {
+				t.Fatalf("seed %d round %d: used %d, three cycles leave %d", seed, round, pass.Used(), loop.Used())
+			}
+			if !reflect.DeepEqual(pass.nursery, loop.nursery) {
+				t.Fatalf("seed %d round %d: nursery %v, three cycles leave %v", seed, round, pass.nursery, loop.nursery)
+			}
+			if got, want := sortedIDs(passFinal), sortedIDs(loopFinal); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d round %d: finalized %v, three cycles finalize %v", seed, round, got, want)
+			}
+			if got, want := sortedIDs(passStats.Swept), sortedIDs(loopStats.Swept); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d round %d: swept %v, three cycles sweep %v", seed, round, got, want)
+			}
+			passStats.Swept, loopStats.Swept = nil, nil
+			if !reflect.DeepEqual(passStats, loopStats) {
+				t.Fatalf("seed %d round %d: stats %+v, three cycles total %+v", seed, round, passStats, loopStats)
+			}
+			if got := pass.StatsSnapshot().Collections; got != uint64(round) {
+				t.Fatalf("seed %d round %d: pass counted %d collections, want %d", seed, round, got, round)
+			}
+			var live int64
+			for _, id := range pass.IDs() {
+				o, _ := pass.Get(id)
+				live += o.Size()
+			}
+			if pass.Used() != live {
+				t.Fatalf("seed %d round %d: used %d, resident sizes sum to %d", seed, round, pass.Used(), live)
+			}
 		}
 	}
 }
