@@ -38,6 +38,10 @@ go build ./...
 #   unwritten one leaves with no store call, at most 20 allocations and
 #   2020 B at any size.
 # - TestCollectAllocatesNothingOnUnchangedHeap (internal/heap).
+# - TestCollectPurgesEverySweptRecord, TestReclaimingProxiesAllocatesOnlySwept
+#   (internal/core): one Collect purges the registry, object-fault and
+#   membership records of everything it swept before it returns, and the
+#   Collect after Figure 5's B1 allocates at most 48 B per reclaimed proxy.
 # - TestObjTableMatchesMap, TestObjectIndexBoundedByPeakResidency,
 #   TestResidencyChurnAllocatesNothing, TestMarkEpochWrap,
 #   TestSweptOrderFollowsHistory, TestObjectLayouts (internal/heap): the
@@ -269,6 +273,18 @@ EVICTGO=$(grep -nE '^[[:space:]]*go[[:space:]]' internal/core/evict.go || true)
 if [ -n "$POOL" ] || [ -n "$EVICTGO" ]; then
     echo "second eviction path (ship victims one at a time through SwapOutVictims; no worker pool, parallelism knob or per-shard mark):" >&2
     printf '%s\n%s\n' "$POOL" "$EVICTGO" >&2
+    exit 1
+fi
+# Guard: the collector reports what it reclaimed one way. CollectStats.Swept
+# is the heap's only report, and Manager.reclaimed purges every manager record
+# of a swept object from it under the swap lock. Per-object finalizers, weak
+# references, the manager's bound finalizer values, the membership-only
+# compact pass and the drop-retry knob stay deleted from non-test Go outside
+# benchmark/.
+RECLAIM=$(grep -rnE 'OnFinalize|finalizers|WeakRef|finalProxy|func \(m \*Manager\) compact|SetDropRetryLimit' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./benchmark/' || true)
+if [ -n "$RECLAIM" ]; then
+    echo "second reclamation report (purge manager records from CollectStats.Swept in Manager.reclaimed; no finalizers, weak refs or retry knob):" >&2
+    echo "$RECLAIM" >&2
     exit 1
 fi
 # Fault-storm smoke: 64 goroutines faulting 8 swapped clusters must issue

@@ -444,7 +444,6 @@ func TestDropAbandonedAfterRetryBudget(t *testing.T) {
 	// refuses to discard the copy that shipment made stale: the drop is
 	// deferred, retried a bounded number of times, then abandoned.
 	flaky.FailNext(store.OpDrop, -1)
-	f.rt.Manager().SetDropRetryLimit(2)
 	if _, err := f.rt.SwapIn(clusters[1]); err != nil {
 		t.Fatal(err)
 	}
@@ -456,11 +455,16 @@ func TestDropAbandonedAfterRetryBudget(t *testing.T) {
 		t.Fatalf("pending drops = %d, want 1", got)
 	}
 
-	f.rt.Collect() // retry 1: fails, requeued
-	if got := f.rt.Manager().PendingDrops(); got != 1 {
-		t.Fatalf("pending drops after first retry = %d", got)
+	for retry := 1; retry < DefaultDropRetryLimit; retry++ {
+		f.rt.Collect() // fails, requeued
+		if got := f.rt.Manager().PendingDrops(); got != 1 {
+			t.Fatalf("pending drops after retry %d = %d", retry, got)
+		}
+		if got := f.rt.Manager().AbandonedDrops(); got != 0 {
+			t.Fatalf("abandoned drops after retry %d = %d", retry, got)
+		}
 	}
-	f.rt.Collect() // retry 2: budget spent, abandoned
+	f.rt.Collect() // the last retry: budget spent, abandoned
 	if got := f.rt.Manager().PendingDrops(); got != 0 {
 		t.Fatalf("pending drops after abandonment = %d", got)
 	}

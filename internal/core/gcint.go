@@ -27,11 +27,12 @@ import (
 // In-flight invocation operands (the middleware's stand-in for thread stacks)
 // are passed to the collector as extra roots.
 //
-// The mark-sweep and the swapped-cluster sweep stop the world: the swap lock
-// is held, so a collection never interleaves with the reserve/commit phases
-// of a concurrent swap-out or swap-in (in particular, freshly installed
-// objects cannot lose their nursery grace before the inbound proxies that
-// make them reachable are patched).
+// The mark-sweep, the purge of every record of what it swept (reclaimed) and
+// the swapped-cluster sweep stop the world: the swap lock is held, so a
+// collection never interleaves with the reserve/commit phases of a
+// concurrent swap-out or swap-in (in particular, freshly installed objects
+// cannot lose their nursery grace before the inbound proxies that make them
+// reachable are patched), and no swept record outlives Collect.
 // Device-drop retries run unlocked — they are IO.
 func (rt *Runtime) Collect() heap.CollectStats {
 	return rt.collect(1)
@@ -50,9 +51,9 @@ const pressureCycles = 3
 func (rt *Runtime) collect(cycles int) heap.CollectStats {
 	rt.swapMu.Lock()
 	st := rt.h.CollectCycles(cycles, rt.stack...)
+	rt.mgr.reclaimed(st.Swept)
 	rt.sweepSwapped()
 	rt.swapMu.Unlock()
-	rt.mgr.compact(st.Swept)
 	rt.mgr.retryDrops(rt)
 	return st
 }
@@ -163,17 +164,6 @@ func (m *Manager) queueDrops(forgot ...forgotCopy) {
 // deferred device-drop before it is abandoned.
 const DefaultDropRetryLimit = 8
 
-// SetDropRetryLimit overrides the per-ticket retry budget (n <= 0 restores
-// the default).
-func (m *Manager) SetDropRetryLimit(n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if n <= 0 {
-		n = DefaultDropRetryLimit
-	}
-	m.dropRetryLimit = n
-}
-
 // retryDrops re-attempts queued drops, once per collection pass (an eviction
 // pass's pressure collection is one pass, hence one attempt). A ticket that
 // keeps failing is not retried forever: after the retry budget is spent it is
@@ -183,13 +173,12 @@ func (m *Manager) retryDrops(rt *Runtime) {
 	m.mu.Lock()
 	pending := m.pendingDrops
 	m.pendingDrops = nil
-	limit := m.dropRetryLimit
 	m.mu.Unlock()
 
 	for _, t := range pending {
 		if err := rt.dropFromDevice(context.Background(), t.device, t.key); err != nil {
 			t.attempts++
-			if t.attempts >= limit {
+			if t.attempts >= DefaultDropRetryLimit {
 				m.mu.Lock()
 				m.abandonedDrops++
 				m.mu.Unlock()
@@ -220,16 +209,26 @@ func (m *Manager) AbandonedDrops() int {
 	return m.abandonedDrops
 }
 
-// compact removes the membership records of the loaded-cluster objects a
-// collection just reclaimed (swept is heap.CollectStats.Swept), so cluster
-// statistics and swap-out payloads track the live graph. Most swept ids are
-// proxies and replacement-objects, which have no membership record. A cluster
-// that loses its last member will never be swapped out again, so the copy it
-// retains on the donors is queued for dropping (retryDrops runs next).
-func (m *Manager) compact(swept []heap.ObjID) {
+// reclaimed purges every record the SwappingManager keeps of the objects a
+// collection just swept (heap.CollectStats.Swept, the heap's one report of
+// what it reclaimed): the paper's proxy-finalizer semantics in one pass. Under
+// one hold of m.mu the registry forgets each swept swap-cluster-proxy and
+// object-fault proxy; then, under one hold of the table lock, each swept
+// member of a loaded cluster leaves its cluster, so cluster statistics and
+// swap-out payloads track the live graph. A cluster that loses its last
+// member will never be swapped out again, so the copy it retains on the
+// donors is queued for dropping (retryDrops runs after the collection).
+// Replacement-objects have no record here: sweepSwapped forgets their
+// clusters. The caller holds the swap lock.
+func (m *Manager) reclaimed(swept []heap.ObjID) {
 	if len(swept) == 0 {
 		return
 	}
+	m.mu.Lock()
+	for _, id := range swept {
+		m.purgeLocked(id)
+	}
+	m.mu.Unlock()
 	var emptied []forgotCopy
 	m.table.mu.Lock()
 	for _, oid := range swept {

@@ -1,0 +1,119 @@
+package core
+
+import (
+	"slices"
+	"testing"
+
+	"objectswap/internal/heap"
+)
+
+// TestCollectPurgesEverySweptRecord: one Collect forgets every manager record
+// of what it swept, before it returns — an unreferenced shared proxy, a
+// private cursor, an object-fault proxy and a member of a resident cluster —
+// and leaves the bookkeeping clean.
+func TestCollectPurgesEverySweptRecord(t *testing.T) {
+	f := newFixture(t, 0)
+	ids, clusters := f.buildList(t, 30, 10, 8)
+	mgr := f.rt.mgr
+	proxies, objProxies := mgr.ProxyCount(), mgr.ObjProxyCount()
+	edges := func(src, home ClusterID) int {
+		mgr.mu.Lock()
+		defer mgr.mu.Unlock()
+		return mgr.outbound[src][home]
+	}
+	sharedEdges, cursorEdges := edges(RootCluster, clusters[1]), edges(RootCluster, clusters[2])
+
+	shared, err := f.rt.proxyFor(RootCluster, ids[15])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cursor, err := f.rt.AssignedCursor(heap.Ref(ids[25]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const remote = heap.ObjID(1 << 40)
+	placeholder, err := f.rt.ObjProxyFor(remote, "Node")
+	if err != nil {
+		t.Fatal(err)
+	}
+	orphan, err := f.rt.NewObject(f.node, clusters[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mgr.ProxyCount() != proxies+2 || mgr.ObjProxyCount() != objProxies+1 {
+		t.Fatalf("before Collect: %d proxies, %d object-fault proxies; want %d and %d",
+			mgr.ProxyCount(), mgr.ObjProxyCount(), proxies+2, objProxies+1)
+	}
+	checkClean(t, f.rt)
+
+	st := f.rt.Collect()
+	swept := []heap.ObjID{shared, cursor.MustRef(), placeholder, orphan.ID()}
+	for _, id := range swept {
+		if !slices.Contains(st.Swept, id) || f.rt.h.Contains(id) {
+			t.Fatalf("@%d not swept: swept %v", id, st.Swept)
+		}
+	}
+	if got := mgr.ProxyCount(); got != proxies {
+		t.Errorf("ProxyCount = %d, want %d", got, proxies)
+	}
+	if got := mgr.ObjProxyCount(); got != objProxies {
+		t.Errorf("ObjProxyCount = %d, want %d", got, objProxies)
+	}
+	if _, ok := mgr.lookupObjProxy(remote); ok {
+		t.Error("the object-fault proxy is still indexed under its remote")
+	}
+	if _, ok := mgr.member(orphan.ID()); ok {
+		t.Error("the swept member still has a membership record")
+	}
+	if info, err := mgr.Info(clusters[1]); err != nil || info.Objects != 10 {
+		t.Errorf("cluster %d after Collect: %+v, %v; want its 10 live members", clusters[1], info, err)
+	}
+	for _, c := range clusters {
+		for _, pid := range mgr.inboundProxies(c) {
+			if slices.Contains(swept, pid) {
+				t.Errorf("swept @%d still in the inbound index of cluster %d", pid, c)
+			}
+		}
+	}
+	if got := edges(RootCluster, clusters[1]); got != sharedEdges {
+		t.Errorf("outbound edges root -> %d = %d, want %d", clusters[1], got, sharedEdges)
+	}
+	if got := edges(RootCluster, clusters[2]); got != cursorEdges {
+		t.Errorf("outbound edges root -> %d = %d, want %d", clusters[2], got, cursorEdges)
+	}
+	checkClean(t, f.rt)
+}
+
+// TestReclaimingProxiesAllocatesOnlySwept: the Collect after Figure 5's B1
+// over clusters of 20 reclaims the ~10 000 swap-cluster-proxies the walk
+// minted and allocates at most 48 B per reclaimed proxy — the swept list and
+// nothing per object beside it. check.sh runs it by name.
+func TestReclaimingProxiesAllocatesOnlySwept(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are gated without the race detector")
+	}
+	const n = 10000
+	f := newFixture(t, 0)
+	f.buildList(t, n, 20, 8)
+	cur := f.head(t)
+	for i := 1; i < n; i++ {
+		out, err := f.rt.Invoke(cur, "next")
+		if err != nil || !out[0].IsRef() {
+			t.Fatalf("B1 step %d: %v, %v", i, out, err)
+		}
+		cur = out[0]
+	}
+	before := f.rt.mgr.ProxyCount()
+	var st heap.CollectStats
+	_, bytes := mallocs(func() { st = f.rt.Collect() })
+	reclaimed := before - f.rt.mgr.ProxyCount()
+	if reclaimed < n*9/10 || st.Reclaimed < reclaimed {
+		t.Fatalf("Collect reclaimed %d objects, %d of them proxies; want about %d proxies", st.Reclaimed, reclaimed, n)
+	}
+	per := float64(bytes) / float64(reclaimed)
+	t.Logf("Collect allocated %d B for %d reclaimed proxies (%.1f B each)", bytes, reclaimed, per)
+	if per > 48 {
+		t.Fatalf("want at most 48 B per reclaimed proxy")
+	}
+	checkClean(t, f.rt)
+}

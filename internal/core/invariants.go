@@ -22,7 +22,10 @@ import (
 //     swap-cluster-proxy, agrees with its record's key (source cluster and
 //     ultimate target), is listed in exactly one inbound index (its record's
 //     home) and counted once in the outbound edges of its source, and at most
-//     one shared proxy exists per (source, target) pair;
+//     one shared proxy exists per (source, target) pair; every recorded
+//     object-fault proxy is resident, is an object-fault proxy and stands for
+//     the remote identity it is recorded under, and the remote-identity index
+//     is exactly the inverse of that record;
 //  4. mediation — every reference held in an application object's field is
 //     intra-cluster direct, or a proxy sourced at the holding cluster, or an
 //     object-fault placeholder;
@@ -130,6 +133,17 @@ func (m *Manager) CheckInvariants() []error {
 		if rec, ok := m.proxyRecs[pid]; !ok || rec.cursor || rec.key != key {
 			fail("shared proxy @%d for (%d,@%d) has record %+v (recorded=%v)", pid, key.src, key.target, rec, ok)
 		}
+	}
+	for pid, remote := range m.objProxyMeta {
+		if p, err := h.Get(pid); err != nil || !isObjProxy(p) || ObjProxyRemote(p) != remote {
+			fail("recorded object-fault proxy @%d for remote @%d is not a resident placeholder standing for it", pid, remote)
+		}
+		if m.objProxies[remote] != pid {
+			fail("object-fault proxy @%d missing from the index of remote @%d", pid, remote)
+		}
+	}
+	if len(m.objProxies) != len(m.objProxyMeta) {
+		fail("object-fault index lists %d remotes, registry records %d proxies", len(m.objProxies), len(m.objProxyMeta))
 	}
 
 	// 6. Accounting.

@@ -117,7 +117,8 @@ type proxyKey struct {
 }
 
 // proxyRecord is the SwappingManager's one record of a live
-// swap-cluster-proxy (a weak reference: the proxy's finalizer purges it).
+// swap-cluster-proxy (a weak reference: the collection that sweeps the proxy
+// purges it, in Manager.reclaimed).
 type proxyRecord struct {
 	key    proxyKey
 	cursor bool      // a private self-patching cursor: never offered for shared reuse
@@ -150,7 +151,7 @@ func (tab *clusterTable) state(id ClusterID) (*clusterState, error) {
 
 // Manager is the paper's SwappingManager: it tracks swap-clusters, the
 // objects belonging to each, and all swap-cluster-proxies (through weak
-// references purged by proxy finalizers).
+// references, purged from each collection's swept list by reclaimed).
 type Manager struct {
 	rt *Runtime
 
@@ -169,16 +170,11 @@ type Manager struct {
 	outbound     map[ClusterID]map[ClusterID]int
 	objProxies   map[heap.ObjID]heap.ObjID // remote identity -> proxy id
 	objProxyMeta map[heap.ObjID]heap.ObjID // proxy id -> remote identity
-	// finalProxy and finalObjProxy are purgeProxy and purgeObjProxy bound
-	// once, for heap.OnFinalize: a method value built at each registration
-	// would allocate a closure per proxy.
-	finalProxy, finalObjProxy func(heap.ObjID)
 
 	// pendingDrops holds (device, key) pairs whose Drop failed (device
 	// unreachable); retried on the next collection until the per-ticket
 	// budget is spent, then abandoned with a swap.drop.abandoned event.
 	pendingDrops   []dropTicket
-	dropRetryLimit int
 	abandonedDrops int
 
 	// clock is the recency clock advanced by boundary crossings and
@@ -199,17 +195,15 @@ type dropTicket struct {
 
 func newManager(rt *Runtime) *Manager {
 	m := &Manager{
-		rt:             rt,
-		table:          clusterTable{clusters: make(map[ClusterID]*clusterState), members: make(map[heap.ObjID]objInfo)},
-		proxyRecs:      make(map[heap.ObjID]proxyRecord),
-		proxies:        make(map[proxyKey]heap.ObjID),
-		inbound:        make(map[ClusterID]map[heap.ObjID]bool),
-		outbound:       make(map[ClusterID]map[ClusterID]int),
-		objProxies:     make(map[heap.ObjID]heap.ObjID),
-		objProxyMeta:   make(map[heap.ObjID]heap.ObjID),
-		dropRetryLimit: DefaultDropRetryLimit,
+		rt:           rt,
+		table:        clusterTable{clusters: make(map[ClusterID]*clusterState), members: make(map[heap.ObjID]objInfo)},
+		proxyRecs:    make(map[heap.ObjID]proxyRecord),
+		proxies:      make(map[proxyKey]heap.ObjID),
+		inbound:      make(map[ClusterID]map[heap.ObjID]bool),
+		outbound:     make(map[ClusterID]map[ClusterID]int),
+		objProxies:   make(map[heap.ObjID]heap.ObjID),
+		objProxyMeta: make(map[heap.ObjID]heap.ObjID),
 	}
-	m.finalProxy, m.finalObjProxy = m.purgeProxy, m.purgeObjProxy
 	m.table.put(newClusterState(RootCluster, 0, resident))
 	return m
 }
@@ -373,14 +367,26 @@ func (m *Manager) retargetProxy(pid, target heap.ObjID, home ClusterID) {
 	m.recordProxy(pid, rec)
 }
 
-// purgeProxy is the proxy finalizer: it removes all SwappingManager entries
-// referring to the reclaimed proxy, as the paper prescribes.
-func (m *Manager) purgeProxy(pid heap.ObjID) {
+// purge removes every registry entry of a proxy — swap-cluster or
+// object-fault — that is no longer resident. proxyFor and ObjProxyFor call it
+// on a registry hit the heap no longer holds; reclaimed purges a whole
+// collection's swept ids under one hold of m.mu instead.
+func (m *Manager) purge(pid heap.ObjID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.purgeLocked(pid)
+}
+
+// purgeLocked is purge for a caller that holds m.mu.
+func (m *Manager) purgeLocked(pid heap.ObjID) {
 	if rec, ok := m.proxyRecs[pid]; ok {
 		delete(m.proxyRecs, pid)
 		m.unindexProxy(pid, rec)
+	} else if remote, ok := m.objProxyMeta[pid]; ok {
+		delete(m.objProxyMeta, pid)
+		if m.objProxies[remote] == pid {
+			delete(m.objProxies, remote)
+		}
 	}
 }
 

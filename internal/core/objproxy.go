@@ -71,7 +71,7 @@ func (rt *Runtime) ObjProxyFor(remote heap.ObjID, className string) (heap.ObjID,
 		if rt.h.Contains(pid) {
 			return pid, nil
 		}
-		rt.mgr.purgeObjProxy(pid)
+		rt.mgr.purge(pid)
 	}
 	p, err := rt.allocMiddleware(rt.objProxyClass)
 	if err != nil {
@@ -84,7 +84,6 @@ func (rt *Runtime) ObjProxyFor(remote heap.ObjID, className string) (heap.ObjID,
 		return heap.NilID, err
 	}
 	rt.mgr.registerObjProxy(p.ID(), remote)
-	rt.h.OnFinalize(p.ID(), rt.mgr.finalObjProxy)
 	return p.ID(), nil
 }
 
@@ -102,20 +101,6 @@ func (m *Manager) registerObjProxy(pid, remote heap.ObjID) {
 	defer m.mu.Unlock()
 	m.objProxies[remote] = pid
 	m.objProxyMeta[pid] = remote
-}
-
-// purgeObjProxy is the object-fault proxy finalizer.
-func (m *Manager) purgeObjProxy(pid heap.ObjID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	remote, ok := m.objProxyMeta[pid]
-	if !ok {
-		return
-	}
-	delete(m.objProxyMeta, pid)
-	if cur, live := m.objProxies[remote]; live && cur == pid {
-		delete(m.objProxies, remote)
-	}
 }
 
 // ObjProxyCount reports the number of live object-fault proxies.

@@ -108,7 +108,7 @@ func (rt *Runtime) aimProxy(p *heap.Object, ultimate heap.ObjID, cluster Cluster
 // (repl == NilID) when it returns.
 func (rt *Runtime) patchInbound(id ClusterID, repl heap.ObjID) {
 	for _, pid := range rt.mgr.inboundProxies(id) {
-		// A proxy collected since the snapshot is purged by its finalizer.
+		// A proxy collected since the snapshot is purged by that collection.
 		if p, err := rt.h.Get(pid); err == nil {
 			pointProxy(p, repl)
 		}
@@ -121,12 +121,12 @@ func (rt *Runtime) patchInbound(id ClusterID, repl heap.ObjID) {
 // reference).
 func (rt *Runtime) proxyFor(src ClusterID, target heap.ObjID) (heap.ObjID, error) {
 	if pid, ok := rt.mgr.lookupProxy(proxyKey{src: src, target: target}); ok {
-		// Belt and braces: finalizers run at collection, so an entry for a
-		// collected proxy is purged promptly — but check before handing it out.
+		// Belt and braces: the collection that sweeps a proxy purges its
+		// entry before it returns — but check before handing it out.
 		if rt.h.Contains(pid) {
 			return pid, nil
 		}
-		rt.mgr.purgeProxy(pid)
+		rt.mgr.purge(pid)
 	}
 	return rt.newProxy(src, target, false)
 }
@@ -134,7 +134,7 @@ func (rt *Runtime) proxyFor(src ClusterID, target heap.ObjID) (heap.ObjID, error
 // newProxy allocates and registers a swap-cluster-proxy from cluster src to
 // the object target: the shared one every later proxyFor(src, target) reuses,
 // or a private assign-mode cursor, which is indexed for swap-out patching and
-// finalizer purging but never handed out by the registry.
+// collection purging but never handed out by the registry.
 func (rt *Runtime) newProxy(src ClusterID, target heap.ObjID, cursor bool) (heap.ObjID, error) {
 	info, ok := rt.mgr.member(target)
 	if !ok {
@@ -160,7 +160,6 @@ func (rt *Runtime) newProxy(src ClusterID, target heap.ObjID, cursor bool) (heap
 		setProxySlot(p, slotMode, heap.Int(proxyModeAssign))
 	}
 	rt.mgr.registerProxy(p.ID(), proxyRecord{key: proxyKey{src: src, target: target}, cursor: cursor, home: info.cluster})
-	rt.h.OnFinalize(p.ID(), rt.mgr.finalProxy)
 	return p.ID(), nil
 }
 

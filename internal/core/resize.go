@@ -163,7 +163,7 @@ func (rt *Runtime) SplitCluster(src ClusterID, members []heap.ObjID) (ClusterID,
 func (tab *clusterTable) regroup(moved map[heap.ObjID]bool, from, to *clusterState) {
 	for oid := range moved {
 		if !from.objects[oid] {
-			continue // reclaimed since it was listed: compact forgot it
+			continue // reclaimed since it was listed: reclaimed forgot it
 		}
 		tab.members[oid] = objInfo{cluster: to.id, class: tab.members[oid].class}
 		delete(from.objects, oid)
@@ -194,7 +194,7 @@ func (rt *Runtime) remediateCluster(id ClusterID) error {
 	for _, oid := range ids {
 		o, err := rt.h.Get(oid)
 		if err != nil {
-			continue // reclaimed as garbage; its record goes at the next compact
+			continue // reclaimed as garbage: that collection forgot its record
 		}
 		for i := 0; i < o.NumFields(); i++ {
 			v := o.Field(i)

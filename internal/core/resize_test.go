@@ -252,7 +252,7 @@ func TestPropResizePreservesGraph(t *testing.T) {
 }
 
 func TestRetargetAfterDeathDoesNotResurrect(t *testing.T) {
-	// Regression: retargeting a proxy whose finalizer already purged it must
+	// Regression: retargeting a proxy a collection already purged must
 	// not re-enter registry records under a zero-valued key.
 	f := newFixture(t, 0)
 	ids, _ := f.buildList(t, 20, 10, 8)
@@ -261,7 +261,7 @@ func TestRetargetAfterDeathDoesNotResurrect(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := f.rt.Manager().ProxyCount()
-	f.rt.Collect() // unreferenced: collected, finalizer purges
+	f.rt.Collect() // unreferenced: collected and purged
 	if got := f.rt.Manager().ProxyCount(); got >= before {
 		t.Fatalf("proxy not purged (%d -> %d)", before, got)
 	}

@@ -14,38 +14,25 @@ type CollectStats struct {
 	Reclaimed int
 	// BytesFreed is the accounted memory returned to the budget.
 	BytesFreed int64
-	// Finalized is the number of finalizer functions executed.
-	Finalized int
-	// Swept lists the reclaimed objects' ids (nil when nothing was reclaimed),
-	// so table owners can purge exactly those records. The order is the
-	// heap's resident list, and finalizers run in it: a function of the
-	// heap's history of allocations, installs and reclamations, so two heaps
-	// built by the same sequence of calls sweep the same ids in the same
-	// order.
+	// Swept lists the reclaimed objects' ids (nil when nothing was reclaimed):
+	// the heap's one report of what it reclaimed, from which table owners
+	// purge exactly those records. The order is the heap's resident list, a
+	// function of the heap's history of allocations, installs and
+	// reclamations, so two heaps built by the same sequence of calls sweep
+	// the same ids in the same order.
 	Swept []ObjID
-}
-
-// finalization is one finalizer of a reclaimed object, run once the heap lock
-// is released.
-type finalization struct {
-	id ObjID
-	fn func(ObjID)
 }
 
 // Collect runs one stop-the-world mark-sweep cycle. Liveness roots are: named
 // heap roots, pinned objects, nursery objects still in their grace, and any
 // extra ids supplied by the caller (the swapping runtime passes the receivers
 // and arguments of in-flight invocations, standing in for thread stacks).
-//
-// Finalizers of reclaimed objects run synchronously after the sweep, outside
-// the heap lock, so they may freely call back into the heap (the
-// SwappingManager's table-purging finalizers do).
 func (h *Heap) Collect(extra ...ObjID) CollectStats {
 	return h.CollectCycles(1, extra...)
 }
 
 // CollectCycles runs one mark-sweep pass whose survivors, nursery state and
-// finalizer calls equal those of `cycles` back-to-back Collect calls on a
+// swept ids equal those of `cycles` back-to-back Collect calls on a
 // heap nothing else touches in between: a nursery entry whose grace would
 // run out before the last of those cycles is not a root, and every surviving
 // entry ages by `cycles`. The equivalence holds because each cycle's live set
@@ -104,14 +91,13 @@ func (h *Heap) CollectCycles(cycles int, extra ...ObjID) CollectStats {
 	}
 
 	var st CollectStats
-	var finals []finalization
 	for _, o := range h.objects.list {
 		if o.mark != h.epoch {
 			st.Swept = append(st.Swept, o.id)
 		}
 	}
 	for _, id := range st.Swept {
-		finals = h.reclaimLocked(id, &st, finals)
+		h.reclaimLocked(id, &st)
 	}
 	for id, grace := range h.nursery {
 		if grace <= cycles {
@@ -124,7 +110,7 @@ func (h *Heap) CollectCycles(cycles int, extra ...ObjID) CollectStats {
 	h.collections.Add(1)
 	h.mu.Unlock()
 
-	h.finishReclaim(&st, finals, gcFreed)
+	h.finishReclaim(&st, gcFreed)
 	if gcClock != nil {
 		gcSeconds.Observe(gcClock.Now().Sub(began).Seconds())
 	}
@@ -155,61 +141,45 @@ func (h *Heap) markValue(v *Value) {
 	}
 }
 
-// reclaimLocked unlinks one object from the heap's tables, tallies it in st
-// and queues its finalizers; an id that is not resident is skipped. The
-// caller holds h.mu and releases the bytes through finishReclaim afterwards.
-func (h *Heap) reclaimLocked(id ObjID, st *CollectStats, finals []finalization) []finalization {
+// reclaimLocked unlinks one object from the heap's tables and tallies it in
+// st; an id that is not resident is skipped. The caller holds h.mu and
+// releases the bytes through finishReclaim afterwards.
+func (h *Heap) reclaimLocked(id ObjID, st *CollectStats) {
 	o := h.objects.del(id)
 	if o == nil {
-		return finals
+		return
 	}
 	st.Reclaimed++
 	st.BytesFreed += o.Size()
 	delete(h.pins, o.id)
 	delete(h.nursery, o.id)
-	if fn, ok := h.finalizers[o.id]; ok {
-		delete(h.finalizers, o.id)
-		finals = append(finals, finalization{o.id, fn})
-		if more, ok := h.moreFinalizers[o.id]; ok {
-			delete(h.moreFinalizers, o.id)
-			for _, fn := range more {
-				finals = append(finals, finalization{o.id, fn})
-			}
-		}
-	}
-	return finals
 }
 
 // finishReclaim settles a reclamation outside h.mu: the bytes go back to the
-// budget and every queued finalizer runs exactly once.
-func (h *Heap) finishReclaim(st *CollectStats, finals []finalization, gcFreed *obs.Counter) {
+// budget.
+func (h *Heap) finishReclaim(st *CollectStats, gcFreed *obs.Counter) {
 	h.reclaimed.Add(uint64(st.Reclaimed))
 	h.release(st.BytesFreed)
-	for _, f := range finals {
-		f.fn(f.id)
-	}
-	st.Finalized += len(finals)
 	gcFreed.Add(float64(st.BytesFreed))
 }
 
 // Free reclaims exactly the given objects in one critical section, as a
 // collection that found them (and nothing else) unreachable would: their
-// bytes return to the budget before Free returns and their finalizers run
-// once, outside the heap lock. Ids that are not resident are skipped. The
+// bytes return to the budget before Free returns. Ids that are not resident
+// are skipped. Its result lists no Swept ids: the caller named them. The
 // swapping runtime calls it when a swap-out commits — the shipped members are
 // unreachable by construction, so there is nothing for a mark phase to
 // decide. It is not a collection cycle: the nursery does not age.
 func (h *Heap) Free(ids []ObjID) CollectStats {
 	var st CollectStats
-	var finals []finalization
 	h.mu.Lock()
 	for _, id := range ids {
-		finals = h.reclaimLocked(id, &st, finals)
+		h.reclaimLocked(id, &st)
 	}
 	st.Live = len(h.objects.list)
 	gcFreed := h.gcFreed
 	h.mu.Unlock()
-	h.finishReclaim(&st, finals, gcFreed)
+	h.finishReclaim(&st, gcFreed)
 	return st
 }
 
@@ -255,36 +225,4 @@ func (h *Heap) ReachableFromRoots() map[ObjID]bool {
 	}
 	h.mu.RUnlock()
 	return h.ReachableFrom(seeds...)
-}
-
-// WeakRef is a non-owning reference: it does not keep its target alive and
-// can be probed for validity. The SwappingManager tracks swap-cluster-proxies
-// through weak references, exactly as the paper prescribes.
-type WeakRef struct {
-	h  *Heap
-	id ObjID
-}
-
-// Weak returns a weak reference to id.
-func (h *Heap) Weak(id ObjID) WeakRef { return WeakRef{h: h, id: id} }
-
-// ID returns the referenced object id (which may no longer be resident).
-func (w WeakRef) ID() ObjID { return w.id }
-
-// Get returns the target if it is still resident.
-func (w WeakRef) Get() (*Object, bool) {
-	if w.h == nil || w.id == NilID {
-		return nil, false
-	}
-	o, err := w.h.Get(w.id)
-	if err != nil {
-		return nil, false
-	}
-	return o, true
-}
-
-// Alive reports whether the target is still resident.
-func (w WeakRef) Alive() bool {
-	_, ok := w.Get()
-	return ok
 }

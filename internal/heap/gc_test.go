@@ -118,68 +118,6 @@ func TestCollectTraversesListsAndRoots(t *testing.T) {
 	}
 }
 
-func TestFinalizersRunOnCollection(t *testing.T) {
-	h := New(0)
-	o, _ := h.New(nodeClass())
-	var finalized []ObjID
-	h.OnFinalize(o.ID(), func(id ObjID) { finalized = append(finalized, id) })
-	h.OnFinalize(o.ID(), func(id ObjID) { finalized = append(finalized, id+1000) })
-	st := h.Collect()
-	if st.Finalized != 2 {
-		t.Fatalf("finalized = %d, want 2", st.Finalized)
-	}
-	if len(finalized) != 2 || finalized[0] != o.ID() || finalized[1] != o.ID()+1000 {
-		t.Fatalf("finalizer calls = %v", finalized)
-	}
-	// Finalizers must not run twice.
-	if st := h.Collect(); st.Finalized != 0 {
-		t.Error("finalizer ran again on next cycle")
-	}
-}
-
-func TestFinalizerMayCallBackIntoHeap(t *testing.T) {
-	h := New(0)
-	o, _ := h.New(nodeClass())
-	ran := false
-	h.OnFinalize(o.ID(), func(ObjID) {
-		ran = true
-		// Re-entrancy: allocate during finalization.
-		if _, err := h.New(nodeClass()); err != nil {
-			t.Errorf("alloc in finalizer: %v", err)
-		}
-	})
-	h.Collect()
-	if !ran {
-		t.Fatal("finalizer did not run")
-	}
-}
-
-func TestWeakRefLifecycle(t *testing.T) {
-	h := New(0)
-	o, _ := h.New(nodeClass())
-	w := h.Weak(o.ID())
-	if got, ok := w.Get(); !ok || got != o {
-		t.Fatal("weak ref should resolve while target lives")
-	}
-	if !w.Alive() {
-		t.Fatal("Alive = false for live target")
-	}
-	h.Collect() // o is unreachable garbage
-	if _, ok := w.Get(); ok {
-		t.Fatal("weak ref resolved after collection")
-	}
-	if w.Alive() {
-		t.Fatal("Alive = true after collection")
-	}
-	if w.ID() != o.ID() {
-		t.Error("weak ref lost its id")
-	}
-	var zero WeakRef
-	if _, ok := zero.Get(); ok {
-		t.Error("zero weak ref should not resolve")
-	}
-}
-
 func TestReachableFrom(t *testing.T) {
 	h := New(0)
 	objs := buildChain(t, h, 5)
@@ -272,32 +210,25 @@ func TestPropCollectMatchesReachability(t *testing.T) {
 }
 
 // Free reclaims exactly the ids it is given — reachable or not — in one step:
-// bytes back on return, finalizers once, nursery and pin entries gone, ids
-// that are not resident skipped, and no collection counted.
+// bytes back on return, nursery and pin entries gone, ids that are not
+// resident skipped, no swept ids reported, and no collection counted.
 func TestFreeReclaimsExactlyTheGivenObjects(t *testing.T) {
 	h := New(0)
 	h.SetNurseryGrace(2)
 	objs := buildChain(t, h, 4)
 	h.SetRoot("head", objs[0].RefTo())
 	h.Pin(objs[1].ID())
-	finalized := map[ObjID]int{}
-	for _, o := range objs {
-		h.OnFinalize(o.ID(), func(id ObjID) { finalized[id]++ })
-	}
 	want := h.Used() - objs[1].Size() - objs[2].Size()
 
 	st := h.Free([]ObjID{objs[1].ID(), objs[2].ID(), ObjID(9999)})
-	if st.Reclaimed != 2 || st.Finalized != 2 || st.Live != 2 {
-		t.Fatalf("stats = %+v, want 2 reclaimed, 2 finalized, 2 live", st)
+	if st.Reclaimed != 2 || st.Live != 2 || st.Swept != nil {
+		t.Fatalf("stats = %+v, want 2 reclaimed, 2 live, none swept", st)
 	}
 	if h.Used() != want {
 		t.Fatalf("used = %d, want %d", h.Used(), want)
 	}
 	if h.Contains(objs[1].ID()) || h.Contains(objs[2].ID()) || !h.Contains(objs[0].ID()) || !h.Contains(objs[3].ID()) {
 		t.Fatalf("resident after Free: %v", h.IDs())
-	}
-	if len(finalized) != 2 || finalized[objs[1].ID()] != 1 || finalized[objs[2].ID()] != 1 {
-		t.Fatalf("finalizer calls = %v, want the two freed objects once each", finalized)
 	}
 	if _, left := h.nursery[objs[1].ID()]; left || len(h.pins) != 0 {
 		t.Fatalf("freed objects left nursery/pin entries: %v %v", h.nursery, h.pins)

@@ -58,11 +58,6 @@ type Heap struct {
 	roots   map[string]Value
 	pins    map[ObjID]int
 
-	// finalizers holds each object's first finalizer, so registering it
-	// allocates nothing; moreFinalizers holds any later ones, in order.
-	finalizers     map[ObjID]func(ObjID)
-	moreFinalizers map[ObjID][]func(ObjID)
-
 	// Collector state, guarded by mu: an object is marked in the current pass
 	// when its mark word equals epoch, and work is the mark phase's scan
 	// list, kept between passes so a collection allocates nothing.
@@ -110,12 +105,10 @@ type Heap struct {
 // capacity <= 0 means unlimited (useful for master/server nodes).
 func New(capacity int64) *Heap {
 	return &Heap{
-		capacity:       capacity,
-		roots:          make(map[string]Value),
-		pins:           make(map[ObjID]int),
-		finalizers:     make(map[ObjID]func(ObjID)),
-		moreFinalizers: make(map[ObjID][]func(ObjID)),
-		nursery:        make(map[ObjID]int),
+		capacity: capacity,
+		roots:    make(map[string]Value),
+		pins:     make(map[ObjID]int),
+		nursery:  make(map[ObjID]int),
 	}
 }
 
@@ -525,12 +518,11 @@ func (h *Heap) Contains(id ObjID) bool {
 	return o != nil
 }
 
-// Remove detaches an object immediately, without running finalizers (it is an
-// explicit middleware action, not a collection). Pending finalizers for the
-// id are discarded. Used by baseline comparators and to roll back a
-// half-built allocation; Object-Swapping proper detaches a cluster by
-// reference patching and reclaims its shipped members with Free, which does
-// run finalizers, the moment the swap-out commits.
+// Remove detaches an object immediately. It is an explicit middleware action,
+// not a collection, so no CollectStats reports it. Used by baseline
+// comparators and to roll back a half-built allocation; Object-Swapping
+// proper detaches a cluster by reference patching and reclaims its shipped
+// members with Free the moment the swap-out commits.
 func (h *Heap) Remove(id ObjID) error {
 	h.mu.Lock()
 	o := h.objects.del(id)
@@ -538,8 +530,6 @@ func (h *Heap) Remove(id ObjID) error {
 		h.mu.Unlock()
 		return fmt.Errorf("%w: @%d", ErrNoSuchObject, id)
 	}
-	delete(h.finalizers, id)
-	delete(h.moreFinalizers, id)
 	delete(h.pins, id)
 	delete(h.nursery, id)
 	h.mu.Unlock()
@@ -606,24 +596,6 @@ func (h *Heap) Unpin(id ObjID) {
 		delete(h.pins, id)
 	} else {
 		h.pins[id]--
-	}
-}
-
-// OnFinalize registers fn to run (synchronously, at the end of the Collect or
-// Free that reclaims it, outside the heap lock) when the object is
-// reclaimed. The paper uses finalizers on swap-cluster-proxies to purge the
-// SwappingManager's weak-reference tables. An object's finalizers run in the
-// order they were registered.
-func (h *Heap) OnFinalize(id ObjID, fn func(ObjID)) {
-	if fn == nil || id == NilID {
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if _, ok := h.finalizers[id]; ok {
-		h.moreFinalizers[id] = append(h.moreFinalizers[id], fn)
-	} else {
-		h.finalizers[id] = fn
 	}
 }
 

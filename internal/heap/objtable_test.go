@@ -220,25 +220,19 @@ func TestMarkEpochWrap(t *testing.T) {
 }
 
 // TestSweptOrderFollowsHistory: two heaps built by the same sequence of
-// calls — allocations, links, roots, pins, finalizers, a Free and a
-// reinstalling batch — sweep the same ids in the same order and run their
-// finalizers in that order.
+// calls — allocations, links, roots, pins, a Free and a reinstalling batch —
+// sweep the same ids in the same order.
 func TestSweptOrderFollowsHistory(t *testing.T) {
 	swept := 0
 	for seed := int64(1); seed <= 20; seed++ {
-		build := func() ([]ObjID, []ObjID) {
-			var finalized []ObjID
-			h, extra := randomHeap(t, seed, &finalized)
+		build := func() []ObjID {
+			h, extra := randomHeap(t, seed)
 			churn(t, rand.New(rand.NewSource(seed)), h, fanClass(), int(h.nextID))
-			return h.Collect(extra...).Swept, finalized
+			return h.Collect(extra...).Swept
 		}
-		sweptA, finalA := build()
-		sweptB, finalB := build()
+		sweptA, sweptB := build(), build()
 		if !reflect.DeepEqual(sweptA, sweptB) {
 			t.Fatalf("seed %d: one heap swept %v, its twin %v", seed, sweptA, sweptB)
-		}
-		if !reflect.DeepEqual(finalA, finalB) {
-			t.Fatalf("seed %d: one heap finalized %v, its twin %v", seed, finalA, finalB)
 		}
 		swept += len(sweptA)
 	}

@@ -4,16 +4,17 @@
 // The paper's Object-Swapping mechanism is pure user-level code, but it runs
 // inside a managed runtime whose essential properties Go does not natively
 // provide: dynamic proxy classes, the ability to detach reachable objects so
-// the collector reclaims them, weak references with finalizers, and byte-level
-// heap accounting on a constrained device. This package supplies those
-// properties with an explicit object model:
+// the collector reclaims them, a report of what the collector reclaimed, and
+// byte-level heap accounting on a constrained device. This package supplies
+// those properties with an explicit object model:
 //
 //   - Class — a named type with field definitions and a method table (the
 //     moral equivalent of obicomp-processed application classes);
 //   - Object — an instance with a field vector of Values;
 //   - Heap — a byte-accounted store of objects with named roots
-//     (swap-cluster-0 state), pins for middleware-held references, a
-//     mark-sweep local garbage collector, weak references and finalizers.
+//     (swap-cluster-0 state), pins for middleware-held references, and a
+//     mark-sweep local garbage collector whose CollectStats.Swept lists
+//     every object a pass reclaimed.
 //
 // Cross-object interaction happens through an Invoker, so a middleware layer
 // (internal/core) can interpose swap-cluster-proxies; DirectRuntime is the
