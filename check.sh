@@ -32,11 +32,11 @@ go build ./...
 #   swap-out returns; a collection that reclaims nothing allocates nothing.
 # - TestSwapRoundTripBudget (internal/core): one SwapOut + SwapIn of a written
 #   32-object x 128 B cluster in the binary format allocates at most 6x the
-#   frame it ships in at most 76 objects; neither the encode side, once the
+#   frame it ships in at most 63 objects; neither the encode side, once the
 #   encoder pool is warm, nor a swap-in (the same count at 32 and 128
 #   members) allocates anything that grows with the object count; an
-#   unwritten one leaves with no store call, at most 20 allocations and
-#   2020 B at any size.
+#   unwritten one leaves with no store call, at most 15 allocations and
+#   1924 B at any size.
 # - TestCollectAllocatesNothingOnUnchangedHeap (internal/heap).
 # - TestCollectPurgesEverySweptRecord, TestReclaimingProxiesAllocatesOnlySwept
 #   (internal/core): one Collect purges the registry, object-fault and
@@ -285,6 +285,16 @@ RECLAIM=$(grep -rnE 'OnFinalize|finalizers|WeakRef|finalProxy|func \(m \*Manager
 if [ -n "$RECLAIM" ]; then
     echo "second reclamation report (purge manager records from CollectStats.Swept in Manager.reclaimed; no finalizers, weak refs or retry knob):" >&2
     echo "$RECLAIM" >&2
+    exit 1
+fi
+# Guard: one logger. Every component that logs takes a *slog.Logger from the
+# standard library's log/slog; the hand-rolled internal/obs/log package stays
+# deleted, so no Go file, test files included, imports it or names its olog
+# alias.
+OLOG=$(grep -rnE '"objectswap/internal/obs/log"|(^|[^[:alnum:]_])olog\.' --include='*.go' . || true)
+if [ -n "$OLOG" ]; then
+    echo "second logger (log through a *slog.Logger from log/slog):" >&2
+    echo "$OLOG" >&2
     exit 1
 fi
 # Fault-storm smoke: 64 goroutines faulting 8 swapped clusters must issue

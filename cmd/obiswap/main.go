@@ -25,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"strings"
 	"time"
@@ -32,7 +33,6 @@ import (
 	"objectswap"
 	"objectswap/internal/event"
 	"objectswap/internal/heap"
-	olog "objectswap/internal/obs/log"
 	"objectswap/internal/opshttp"
 	"objectswap/internal/store"
 	"objectswap/internal/telemetry"
@@ -65,15 +65,16 @@ func run() error {
 	logJSON := flag.Bool("log-json", false, "emit structured logs as JSON instead of key=value")
 	flag.Parse()
 
-	level, err := olog.ParseLevel(*logLevel)
-	if err != nil {
+	var level slog.Level
+	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
 		return err
 	}
-	format := olog.FormatKV
+	opts := &slog.HandlerOptions{Level: level}
+	var handler slog.Handler = slog.NewTextHandler(os.Stderr, opts)
 	if *logJSON {
-		format = olog.FormatJSON
+		handler = slog.NewJSONHandler(os.Stderr, opts)
 	}
-	logger := olog.New(os.Stderr, olog.WithLevel(level), olog.WithFormat(format))
+	logger := slog.New(handler)
 
 	var wireFormats []string
 	for _, f := range strings.Split(*wire, ",") {

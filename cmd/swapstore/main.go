@@ -23,13 +23,13 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"os"
 	"strings"
 	"time"
 
 	"objectswap/internal/obs"
-	olog "objectswap/internal/obs/log"
 	"objectswap/internal/opshttp"
 	"objectswap/internal/store"
 )
@@ -53,15 +53,16 @@ func run() error {
 	logJSON := flag.Bool("log-json", false, "emit structured logs as JSON instead of key=value")
 	flag.Parse()
 
-	level, err := olog.ParseLevel(*logLevel)
-	if err != nil {
+	var level slog.Level
+	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
 		return err
 	}
-	format := olog.FormatKV
+	opts := &slog.HandlerOptions{Level: level}
+	var handler slog.Handler = slog.NewTextHandler(os.Stderr, opts)
 	if *logJSON {
-		format = olog.FormatJSON
+		handler = slog.NewJSONHandler(os.Stderr, opts)
 	}
-	logger := olog.New(os.Stderr, olog.WithLevel(level), olog.WithFormat(format))
+	logger := slog.New(handler)
 
 	var s store.Store
 	if *dir != "" {
@@ -186,7 +187,7 @@ func run() error {
 // accessLog wraps the store handler with one structured access-log line per
 // request — carrying the requesting device's swap trace ID when the request
 // has one — and retains each request as a span in the flight recorder.
-func accessLog(lg *olog.Logger, rec *obs.Recorder, requests *obs.CounterVec, next http.Handler) http.Handler {
+func accessLog(lg *slog.Logger, rec *obs.Recorder, requests *obs.CounterVec, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}

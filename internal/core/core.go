@@ -26,8 +26,10 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"slices"
 	"strconv"
 	"strings"
@@ -39,7 +41,6 @@ import (
 	"objectswap/internal/fault"
 	"objectswap/internal/heap"
 	"objectswap/internal/obs"
-	olog "objectswap/internal/obs/log"
 	"objectswap/internal/placement"
 	"objectswap/internal/store"
 	"objectswap/internal/telemetry"
@@ -263,7 +264,7 @@ type Runtime struct {
 	wireBytes   *obs.CounterVec
 	wireSeconds *obs.HistogramVec
 	recorder    *obs.Recorder
-	logger      *olog.Logger
+	logger      *slog.Logger
 	// telem, when set (WithTelemetry), keeps heat and thrash in the cluster
 	// ledgers feed writes and reads them back through eachLedger (ledger.go).
 	// Nil-safe: without one the ledgers carry their counters only.
@@ -316,7 +317,7 @@ func WithFlightRecorder(rec *obs.Recorder) Option {
 
 // WithLogger emits structured records for swap outcomes and evictions. A nil
 // logger (the default) logs nothing.
-func WithLogger(lg *olog.Logger) Option {
+func WithLogger(lg *slog.Logger) Option {
 	return func(rt *Runtime) { rt.logger = lg }
 }
 
@@ -386,6 +387,7 @@ func NewRuntime(h *heap.Heap, reg *heap.Registry, opts ...Option) *Runtime {
 	for _, opt := range opts {
 		opt(rt)
 	}
+	rt.logger = obs.Logger(rt.logger)
 	rt.mgr = newManager(rt)
 	if cap := h.Capacity(); cap > 0 && h.Reserve() == 0 {
 		reserve := cap / 16
@@ -511,8 +513,8 @@ func (rt *Runtime) instrument() {
 // Obs returns the runtime's observability registry (never nil).
 func (rt *Runtime) Obs() *obs.Registry { return rt.obsReg }
 
-// Logger returns the runtime's structured logger, which may be nil.
-func (rt *Runtime) Logger() *olog.Logger { return rt.logger }
+// Logger returns the runtime's structured logger (never nil).
+func (rt *Runtime) Logger() *slog.Logger { return rt.logger }
 
 // HasEvictor reports whether an allocation-pressure hook is installed.
 func (rt *Runtime) HasEvictor() bool { return rt.evictor != nil }
@@ -629,7 +631,8 @@ func (rt *Runtime) runEvictor(need int64) error {
 		return errors.New("core: eviction already in progress")
 	}
 	defer rt.evicting.Store(false)
-	rt.logger.Debug("eviction start", "need", need)
+	rt.logger.LogAttrs(context.Background(), slog.LevelDebug, "eviction start",
+		slog.Int64("need", need))
 	err := rt.evictor(need)
 	if err != nil {
 		rt.logger.Warn("eviction failed", "need", need, "err", err)

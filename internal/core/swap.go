@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"log/slog"
 	"slices"
 	"strings"
 
@@ -487,10 +488,11 @@ func (s *swapOut) finish() SwapEvent {
 	// A prefetched cluster evicted before any touch was a wasted round trip;
 	// let the fault engine settle its inventory accounting.
 	rt.faults.NoteEvicted(uint32(s.id))
-	rt.logger.Info("swap-out", "trace", s.trace, "cluster", uint32(s.id),
-		"device", ev.Device, "replicas", len(c.devices), "key", c.key,
-		"format", c.format, "objects", ev.Objects, "clean", ev.Clean,
-		"bytes", ev.Bytes, "dur", ev.Duration)
+	rt.logger.LogAttrs(s.ctx, slog.LevelInfo, "swap-out", slog.String("trace", s.trace),
+		slog.Uint64("cluster", uint64(s.id)), slog.String("device", ev.Device),
+		slog.Int("replicas", len(c.devices)), slog.String("key", c.key),
+		slog.String("format", c.format), slog.Int("objects", ev.Objects),
+		slog.Bool("clean", ev.Clean), slog.Int("bytes", ev.Bytes), slog.Duration("dur", ev.Duration))
 	rt.emit(event.TopicSwapOut, ev)
 	return ev
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"hash/crc32"
+	"log/slog"
 	"slices"
 	"strings"
 
@@ -268,9 +269,11 @@ func (s *swapIn) finish() SwapEvent {
 		Format: string(s.fid), Cause: rt.resolveCause(s.o.cause)}
 	ev.Phases, ev.Duration = s.span.End()
 	rt.telem.RecordFault("swap_in", ev.Cause, ev.Duration.Seconds())
-	rt.logger.Info("swap-in", "trace", s.trace, "cluster", uint32(s.id),
-		"device", s.device, "key", key, "objects", s.installedObjects,
-		"bytes", bytes, "dur", ev.Duration)
+	rt.logger.LogAttrs(s.ctx, slog.LevelInfo, "swap-in", slog.String("trace", s.trace),
+		slog.Uint64("cluster", uint64(s.id)), slog.String("device", s.device),
+		slog.String("key", key), slog.String("format", ev.Format),
+		slog.Int("objects", s.installedObjects), slog.Int("bytes", bytes),
+		slog.Duration("dur", ev.Duration))
 	rt.emit(event.TopicSwapIn, ev)
 	// A dead replica here means the donor likely lost everything it held:
 	// announce it so the repair loop re-replicates the rest.

@@ -5,13 +5,14 @@
 package devctx
 
 import (
+	"context"
+	"log/slog"
 	"sync"
 	"time"
 
 	"objectswap/internal/event"
 	"objectswap/internal/heap"
 	"objectswap/internal/obs"
-	olog "objectswap/internal/obs/log"
 	"objectswap/internal/store"
 )
 
@@ -36,17 +37,17 @@ type MemoryMonitor struct {
 	above bool
 	// edges counts threshold crossings by direction (nil until Instrument).
 	edges  *obs.CounterVec
-	logger *olog.Logger
+	logger *slog.Logger
 
 	stop chan struct{}
 	done chan struct{}
 }
 
 // SetLogger emits structured records on threshold edges (nil logs nothing).
-func (m *MemoryMonitor) SetLogger(lg *olog.Logger) {
+func (m *MemoryMonitor) SetLogger(lg *slog.Logger) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.logger = lg
+	m.logger = obs.Logger(lg)
 }
 
 // NewMemoryMonitor builds a monitor firing at the given occupancy fraction
@@ -55,7 +56,7 @@ func NewMemoryMonitor(h *heap.Heap, bus *event.Bus, threshold float64) *MemoryMo
 	if threshold <= 0 || threshold > 1 {
 		threshold = 0.8
 	}
-	return &MemoryMonitor{h: h, bus: bus, threshold: threshold}
+	return &MemoryMonitor{h: h, bus: bus, threshold: threshold, logger: obs.Logger(nil)}
 }
 
 // Threshold returns the configured occupancy fraction.
@@ -86,14 +87,14 @@ func (m *MemoryMonitor) Check() (MemorySample, bool) {
 	switch {
 	case isAbove && !wasAbove:
 		edges.With("threshold").Inc()
-		logger.Warn("memory threshold crossed", "used", s.Used,
-			"capacity", s.Capacity, "fraction", s.Fraction)
+		logger.LogAttrs(context.Background(), slog.LevelWarn, "memory threshold crossed",
+			slog.Int64("used", s.Used), slog.Int64("capacity", s.Capacity), slog.Float64("fraction", s.Fraction))
 		m.bus.Emit(event.TopicMemoryThreshold, s)
 		return s, true
 	case !isAbove && wasAbove:
 		edges.With("relief").Inc()
-		logger.Info("memory pressure relieved", "used", s.Used,
-			"capacity", s.Capacity, "fraction", s.Fraction)
+		logger.LogAttrs(context.Background(), slog.LevelInfo, "memory pressure relieved",
+			slog.Int64("used", s.Used), slog.Int64("capacity", s.Capacity), slog.Float64("fraction", s.Fraction))
 		m.bus.Emit(event.TopicMemoryRelief, s)
 		return s, true
 	default:
@@ -153,19 +154,19 @@ type ConnectivityMonitor struct {
 	// obs instruments (nil until Instrument).
 	linkGauge   *obs.GaugeVec
 	transitions *obs.CounterVec
-	logger      *olog.Logger
+	logger      *slog.Logger
 }
 
 // SetLogger emits structured records on link transitions (nil logs nothing).
-func (c *ConnectivityMonitor) SetLogger(lg *olog.Logger) {
+func (c *ConnectivityMonitor) SetLogger(lg *slog.Logger) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.logger = lg
+	c.logger = obs.Logger(lg)
 }
 
 // NewConnectivityMonitor builds a monitor over the device registry.
 func NewConnectivityMonitor(bus *event.Bus, reg *store.Registry) *ConnectivityMonitor {
-	return &ConnectivityMonitor{bus: bus, reg: reg, state: make(map[string]bool)}
+	return &ConnectivityMonitor{bus: bus, reg: reg, state: make(map[string]bool), logger: obs.Logger(nil)}
 }
 
 // Set records a device's reachability, updating the registry and firing an

@@ -23,6 +23,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -31,7 +32,6 @@ import (
 
 	"objectswap/internal/fault"
 	"objectswap/internal/obs"
-	olog "objectswap/internal/obs/log"
 	"objectswap/internal/telemetry"
 )
 
@@ -53,7 +53,7 @@ type Options struct {
 	// Checks are evaluated, in order, on GET /healthz.
 	Checks []Check
 	// Logger records one structured line per ops request (nil logs nothing).
-	Logger *olog.Logger
+	Logger *slog.Logger
 	// CheckTimeout bounds each health probe (0 = 2s).
 	CheckTimeout time.Duration
 	// DisablePprof unmounts /debug/pprof.
@@ -127,7 +127,7 @@ func NewHandler(o Options) http.Handler {
 }
 
 // logRequests emits one structured line per request.
-func logRequests(lg *olog.Logger, next http.Handler) http.Handler {
+func logRequests(lg *slog.Logger, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		next.ServeHTTP(sw, r)

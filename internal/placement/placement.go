@@ -23,13 +23,13 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"log/slog"
 	"math"
 	"sort"
 	"strings"
 	"time"
 
 	"objectswap/internal/obs"
-	olog "objectswap/internal/obs/log"
 	"objectswap/internal/store"
 )
 
@@ -44,7 +44,7 @@ var _ Source = (*store.Registry)(nil)
 // Planner ranks donors for swap keys and ships payloads to K of them.
 type Planner struct {
 	src    Source
-	logger *olog.Logger
+	logger *slog.Logger
 	ships  *obs.CounterVec // quorum shipments by outcome
 	puts   *obs.CounterVec // per-replica Put attempts by outcome
 }
@@ -55,7 +55,7 @@ type Options struct {
 	// registry is used when nil.
 	Obs *obs.Registry
 	// Logger narrates quorum decisions. A nil logger logs nothing.
-	Logger *olog.Logger
+	Logger *slog.Logger
 }
 
 // New builds a planner over the given donor source.
@@ -65,7 +65,7 @@ func New(src Source, o Options) *Planner {
 	}
 	return &Planner{
 		src:    src,
-		logger: o.Logger,
+		logger: obs.Logger(o.Logger),
 		ships: o.Obs.CounterVec("objectswap_placement_ships_total",
 			"Quorum shipments planned, by outcome.", "outcome"),
 		puts: o.Obs.CounterVec("objectswap_placement_replica_puts_total",
@@ -339,8 +339,10 @@ func (p *Planner) ShipRanked(ctx context.Context, req ShipRequest, ranked []Cand
 
 	if len(okIdx) >= quorum {
 		p.ships.With("ok").Inc()
-		p.logger.Debug("shipment placed", "key", req.Key,
-			"replicas", strings.Join(rep.Replicas, ","), "quorum", quorum)
+		if p.logger.Enabled(ctx, slog.LevelDebug) {
+			p.logger.LogAttrs(ctx, slog.LevelDebug, "shipment placed", slog.String("key", req.Key),
+				slog.String("replicas", strings.Join(rep.Replicas, ",")), slog.Int("quorum", quorum))
+		}
 		return rep, nil
 	}
 	// Quorum failed: a partial replica set gives a false durability promise

@@ -3,11 +3,11 @@ package placement
 import (
 	"context"
 	"errors"
+	"log/slog"
 	"sync"
 
 	"objectswap/internal/event"
 	"objectswap/internal/obs"
-	olog "objectswap/internal/obs/log"
 )
 
 // ErrSkip is returned by a RepairTarget for a cluster it cannot (or need
@@ -38,7 +38,7 @@ type RepairTarget interface {
 type Repairer struct {
 	target RepairTarget
 	k      int
-	logger *olog.Logger
+	logger *slog.Logger
 
 	repairs *obs.CounterVec // sweep results by outcome
 	kicks   *obs.CounterVec // wake-up signals by reason
@@ -65,7 +65,7 @@ type RepairerOptions struct {
 	// nil.
 	Obs *obs.Registry
 	// Logger narrates sweeps. A nil logger logs nothing.
-	Logger *olog.Logger
+	Logger *slog.Logger
 }
 
 // NewRepairer builds a repair loop restoring clusters to k replicas. Call
@@ -81,7 +81,7 @@ func NewRepairer(target RepairTarget, k int, o RepairerOptions) *Repairer {
 	r := &Repairer{
 		target: target,
 		k:      k,
-		logger: o.Logger,
+		logger: obs.Logger(o.Logger),
 		repairs: o.Obs.CounterVec("objectswap_placement_repairs_total",
 			"Cluster repair attempts by the re-replication loop, by outcome.", "outcome"),
 		kicks: o.Obs.CounterVec("objectswap_placement_repair_kicks_total",

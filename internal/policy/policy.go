@@ -27,8 +27,10 @@
 package policy
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sort"
 	"strconv"
 	"sync"
@@ -36,7 +38,6 @@ import (
 	"objectswap/internal/devctx"
 	"objectswap/internal/event"
 	"objectswap/internal/obs"
-	olog "objectswap/internal/obs/log"
 )
 
 // Errors reported by the policy engine.
@@ -216,8 +217,8 @@ type Engine struct {
 	subscribedTopics []event.Topic
 	// errorSink receives action failures (default: counted silently).
 	errorSink func(p *Policy, spec ActionSpec, err error)
-	// logger emits structured records for action outcomes (nil logs nothing).
-	logger *olog.Logger
+	// logger emits structured records for action outcomes.
+	logger *slog.Logger
 
 	// obs instruments (nil until Instrument; nil vecs record nothing).
 	evaluations    *obs.CounterVec
@@ -243,15 +244,15 @@ func (e *Engine) Instrument(r *obs.Registry) {
 
 // SetLogger installs the engine's structured logger: action failures log at
 // warn, successful action runs at debug, and the "log" policy action writes
-// through it.
-func (e *Engine) SetLogger(lg *olog.Logger) {
+// through it. A nil logger logs nothing.
+func (e *Engine) SetLogger(lg *slog.Logger) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.logger = lg
+	e.logger = obs.Logger(lg)
 }
 
-// Logger returns the engine's structured logger, which may be nil.
-func (e *Engine) Logger() *olog.Logger {
+// Logger returns the engine's structured logger (never nil).
+func (e *Engine) Logger() *slog.Logger {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.logger
@@ -263,6 +264,7 @@ func NewEngine(bus *event.Bus, provider devctx.Provider) *Engine {
 		bus:      bus,
 		provider: provider,
 		actions:  make(map[string]ActionFunc),
+		logger:   obs.Logger(nil),
 	}
 }
 
@@ -404,8 +406,9 @@ func (e *Engine) handle(ev event.Event) {
 				}
 			} else {
 				outcomes.With(spec.Do, "ok").Inc()
-				logger.Debug("policy action ok", "policy", p.Name,
-					"action", spec.Do, "event", ev.Topic)
+				logger.LogAttrs(context.Background(), slog.LevelDebug, "policy action ok",
+					slog.String("policy", p.Name), slog.String("action", spec.Do),
+					slog.String("event", string(ev.Topic)))
 			}
 		}
 	}

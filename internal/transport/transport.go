@@ -26,10 +26,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sync"
 	"time"
 
-	olog "objectswap/internal/obs/log"
+	"objectswap/internal/obs"
 	"objectswap/internal/store"
 )
 
@@ -110,7 +111,7 @@ func WithMetrics(m *Metrics) Option {
 
 // WithLogger emits structured records for retries and breaker transitions.
 // A nil logger (the default) logs nothing.
-func WithLogger(lg *olog.Logger) Option {
+func WithLogger(lg *slog.Logger) Option {
 	return func(r *Resilient) { r.logger = lg }
 }
 
@@ -130,7 +131,7 @@ type Resilient struct {
 	pol     Policy
 	clock   Clock
 	metrics *Metrics
-	logger  *olog.Logger
+	logger  *slog.Logger
 
 	onBreaker func(open bool)
 
@@ -159,6 +160,7 @@ func NewResilient(name string, inner store.Store, pol Policy, opts ...Option) *R
 	for _, opt := range opts {
 		opt(r)
 	}
+	r.logger = obs.Logger(r.logger)
 	if r.metrics != nil {
 		r.metrics.register(name)
 	}

@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"strings"
 	"time"
@@ -42,7 +43,6 @@ import (
 	"objectswap/internal/event"
 	"objectswap/internal/heap"
 	"objectswap/internal/obs"
-	olog "objectswap/internal/obs/log"
 	"objectswap/internal/opshttp"
 	"objectswap/internal/placement"
 	"objectswap/internal/policy"
@@ -78,9 +78,6 @@ type (
 	MetricsRegistry = obs.Registry
 	// Clock is the time source driving all observability timings.
 	Clock = obs.Clock
-	// Logger is the structured leveled logger threaded through the layers
-	// (construct with internal/obs/log.New).
-	Logger = olog.Logger
 	// FlightRecorder retains the last completed swap spans and bus events.
 	FlightRecorder = obs.Recorder
 	// HealthCheck is one named subsystem probe served on /healthz.
@@ -151,7 +148,7 @@ type Config struct {
 	// Logger receives structured records from every layer: swap outcomes,
 	// transport retries and breaker transitions, policy action outcomes,
 	// memory threshold edges and link changes. Nil logs nothing.
-	Logger *olog.Logger
+	Logger *slog.Logger
 	// FlightSpans / FlightEvents size the flight recorder's span and bus-event
 	// rings (0 = defaults, 256 and 512; negative disables the recorder).
 	FlightSpans  int
@@ -208,7 +205,7 @@ type System struct {
 	metrics      *transport.Metrics
 	obsReg       *obs.Registry
 	recorder     *obs.Recorder
-	logger       *olog.Logger
+	logger       *slog.Logger
 	repairer     *placement.Repairer
 	telem        *telemetry.Tracker
 

@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -19,7 +20,6 @@ import (
 
 	"objectswap/internal/event"
 	"objectswap/internal/obs"
-	olog "objectswap/internal/obs/log"
 	"objectswap/internal/opshttp"
 	"objectswap/internal/store"
 )
@@ -212,12 +212,72 @@ func TestHealthzNamesStalledEviction(t *testing.T) {
 	}
 }
 
+// dropTime removes a record's time attribute, so a test's log reads the same
+// on every run.
+func dropTime(groups []string, a slog.Attr) slog.Attr {
+	if len(groups) == 0 && a.Key == slog.TimeKey {
+		return slog.Attr{}
+	}
+	return a
+}
+
+// TestSwapRecordsKeepTheirFields attaches a JSON logger through
+// Config.Logger and checks that the swap-out and swap-in records name the
+// cluster, key, format, byte count and trace ID their SwapEvents report.
+func TestSwapRecordsKeepTheirFields(t *testing.T) {
+	var logBuf bytes.Buffer
+	lg := slog.New(slog.NewJSONHandler(&logBuf, &slog.HandlerOptions{ReplaceAttr: dropTime}))
+	sys, err := New(Config{HeapCapacity: 1 << 20, Logger: lg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if err := sys.AttachDevice("neighbor", store.NewMem(0)); err != nil {
+		t.Fatal(err)
+	}
+	cls := sys.MustRegisterClass(taskClass())
+	id := buildClusters(t, sys, cls, 1)[0]
+	out, err := sys.SwapOut(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := sys.SwapIn(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	records := map[string]map[string]any{}
+	for _, line := range strings.Split(strings.TrimSpace(logBuf.String()), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("invalid JSON record %q: %v", line, err)
+		}
+		records[rec["msg"].(string)] = rec
+	}
+	for msg, ev := range map[string]SwapEvent{"swap-out": out, "swap-in": in} {
+		rec, ok := records[msg]
+		if !ok {
+			t.Fatalf("no %q record in:\n%s", msg, logBuf.String())
+		}
+		if ev.Trace == "" || ev.Bytes == 0 {
+			t.Fatalf("%s event %+v: want a trace ID and a payload", msg, ev)
+		}
+		want := map[string]any{"level": "INFO", "cluster": float64(ev.Cluster), "key": ev.Key,
+			"format": ev.Format, "bytes": float64(ev.Bytes), "trace": ev.Trace}
+		for k, v := range want {
+			if rec[k] != v {
+				t.Errorf("%s record: %s = %v, want %v (record %v)", msg, k, rec[k], v, rec)
+			}
+		}
+	}
+}
+
 // traceCapture wraps the store handler the way cmd/swapstore does: it
 // records each request's X-Obiswap-Trace header and emits a structured
 // access-log line carrying the trace when present.
 type traceCapture struct {
 	next http.Handler
-	lg   *olog.Logger
+	lg   *slog.Logger
 
 	mu     sync.Mutex
 	traces []string
@@ -245,7 +305,7 @@ func TestTracePropagatesToStoreLog(t *testing.T) {
 	var logBuf bytes.Buffer
 	capture := &traceCapture{
 		next: store.NewHandler(store.NewMem(0)),
-		lg:   olog.New(&logBuf, olog.WithClock(obs.NewVirtualClock(time.Unix(0, 0)))),
+		lg:   slog.New(slog.NewTextHandler(&logBuf, &slog.HandlerOptions{ReplaceAttr: dropTime})),
 	}
 	srv := httptest.NewServer(capture)
 	defer srv.Close()
