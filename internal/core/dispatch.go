@@ -279,8 +279,9 @@ func (rt *Runtime) assignReturn(p *heap.Object, src ClusterID, r heap.Value) (he
 		// No mediation needed toward the caller: dismantle.
 		return heap.Ref(ultimate), nil
 	}
-	rt.aimProxy(p, ultimate, rcluster)
-	rt.mgr.retargetProxy(p.ID(), ultimate, rcluster)
+	repl := rt.mgr.retarget(p, rcluster)
+	setProxySlot(p, slotObj, heap.Int(int64(ultimate)))
+	pointProxy(p, repl)
 	// An actively-used cursor stays alive across collections even when only
 	// host code references it.
 	rt.h.TouchNursery(p.ID())

@@ -487,7 +487,7 @@ func TestNeighborClustersRanking(t *testing.T) {
 }
 
 // TestTriggerPrefetchAllocatesNothing pins a trigger — the window walk over
-// the outbound index, the enqueue, and a worker's task through its end — at
+// the clusters' edge counts, the enqueue, and a worker's task through its end — at
 // zero allocations. The admission guard refuses every task, so no swap-in
 // runs.
 func TestTriggerPrefetchAllocatesNothing(t *testing.T) {

@@ -460,8 +460,8 @@ func TestStackPerLevel(t *testing.T) {
 
 // TestNewProxyAllocatesOne: minting a swap-cluster-proxy allocates the proxy
 // object, whose field vector is part of the same allocation, and nothing else
-// — the heap keeps no per-object record beside it, and the registry's maps
-// grow amortized. check.sh runs it by name.
+// — the heap keeps no per-object record beside it, and the inbound list and
+// edge counts it joins grow amortized. check.sh runs it by name.
 func TestNewProxyAllocatesOne(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are gated without the race detector")

@@ -76,15 +76,9 @@ func (rt *Runtime) sweepSwapped() {
 		for oid := range cs.objects {
 			delete(m.table.members, oid)
 		}
-		m.table.drop(cs)
+		m.table.drop(cs) // its inbound proxies were swept with its replacement
 	}
 	m.table.mu.Unlock()
-	m.mu.Lock()
-	for _, v := range victims {
-		delete(m.inbound, v.id)
-		delete(m.outbound, v.id)
-	}
-	m.mu.Unlock()
 
 	for _, v := range victims {
 		c := v.copy
@@ -210,40 +204,63 @@ func (m *Manager) AbandonedDrops() int {
 }
 
 // reclaimed purges every record the SwappingManager keeps of the objects a
-// collection just swept (heap.CollectStats.Swept, the heap's one report of
-// what it reclaimed): the paper's proxy-finalizer semantics in one pass. Under
-// one hold of m.mu the registry forgets each swept swap-cluster-proxy and
-// object-fault proxy; then, under one hold of the table lock, each swept
-// member of a loaded cluster leaves its cluster, so cluster statistics and
-// swap-out payloads track the live graph. A cluster that loses its last
-// member will never be swapped out again, so the copy it retains on the
-// donors is queued for dropping (retryDrops runs after the collection).
-// Replacement-objects have no record here: sweepSwapped forgets their
-// clusters. The caller holds the swap lock.
-func (m *Manager) reclaimed(swept []heap.ObjID) {
+// collection just swept (heap.CollectStats.Swept), read from their own
+// fields: the paper's proxy-finalizer semantics in one pass. Under m.mu, swept
+// proxies leave the shared indexes. Under one table hold, a swept
+// swap-cluster-proxy leaves its target cluster's inbound list and its
+// source's edges — before membership goes, so that cluster is still known —
+// and a swept member of a loaded cluster leaves it. A resident cluster that
+// loses its last member will never ship again: the copy it retains is queued
+// for dropping. sweepSwapped forgets the clusters of swept replacement-objects.
+// The caller holds the swap lock.
+func (m *Manager) reclaimed(swept []*heap.Object) {
 	if len(swept) == 0 {
 		return
 	}
 	m.mu.Lock()
-	for _, id := range swept {
-		m.purgeLocked(id)
+	for _, o := range swept {
+		switch o.Class().Special {
+		case heap.SpecialSCProxy:
+			dropEntry(m.proxies, proxyKey{src: proxySrc(o), target: proxyUltimate(o)}, o.ID())
+		case heap.SpecialObjProxy:
+			dropEntry(m.objProxies, ObjProxyRemote(o), o.ID())
+		}
 	}
 	m.mu.Unlock()
 	var emptied []forgotCopy
-	m.table.mu.Lock()
-	for _, oid := range swept {
-		info, ok := m.table.members[oid]
+	h, tab := m.rt.h, &m.table
+	tab.mu.Lock()
+	tab.sweeps++
+	for _, o := range swept {
+		if !isProxy(o) {
+			continue
+		}
+		// The first swept proxy of a list compacts it, all at once.
+		home := tab.members[proxyUltimate(o)].cluster
+		if cs, ok := tab.clusters[home]; ok && cs.swept != tab.sweeps {
+			cs.swept = tab.sweeps
+			cs.inbound = slices.DeleteFunc(cs.inbound, func(p *heap.Object) bool { return !h.Contains(p.ID()) })
+		}
+		if cs, ok := tab.clusters[proxySrc(o)]; ok {
+			cs.countEdge(home, -1)
+		}
+	}
+	for _, o := range swept {
+		if o.Class().Special != heap.SpecialNone {
+			continue
+		}
+		info, ok := tab.members[o.ID()]
 		if !ok {
 			continue
 		}
-		if cs, ok := m.table.clusters[info.cluster]; ok && !cs.where.out() {
-			delete(cs.objects, oid)
-			delete(m.table.members, oid)
+		if cs, ok := tab.clusters[info.cluster]; ok && !cs.where.out() {
+			delete(cs.objects, o.ID())
+			delete(tab.members, o.ID())
 			if len(cs.objects) == 0 && cs.where == resident {
 				emptied = append(emptied, forgotCopy{cs.id, cs.forget()})
 			}
 		}
 	}
-	m.table.mu.Unlock()
+	tab.mu.Unlock()
 	m.queueDrops(emptied...)
 }

@@ -16,10 +16,15 @@ func TestCollectPurgesEverySweptRecord(t *testing.T) {
 	ids, clusters := f.buildList(t, 30, 10, 8)
 	mgr := f.rt.mgr
 	proxies, objProxies := mgr.ProxyCount(), mgr.ObjProxyCount()
-	edges := func(src, home ClusterID) int {
-		mgr.mu.Lock()
-		defer mgr.mu.Unlock()
-		return mgr.outbound[src][home]
+	edges := func(src, home ClusterID) int32 {
+		mgr.table.mu.Lock()
+		defer mgr.table.mu.Unlock()
+		for _, e := range mgr.table.clusters[src].edges {
+			if e.to == home {
+				return e.n
+			}
+		}
+		return 0
 	}
 	sharedEdges, cursorEdges := edges(RootCluster, clusters[1]), edges(RootCluster, clusters[2])
 
@@ -49,7 +54,7 @@ func TestCollectPurgesEverySweptRecord(t *testing.T) {
 	st := f.rt.Collect()
 	swept := []heap.ObjID{shared, cursor.MustRef(), placeholder, orphan.ID()}
 	for _, id := range swept {
-		if !slices.Contains(st.Swept, id) || f.rt.h.Contains(id) {
+		if !slices.ContainsFunc(st.Swept, func(o *heap.Object) bool { return o.ID() == id }) || f.rt.h.Contains(id) {
 			t.Fatalf("@%d not swept: swept %v", id, st.Swept)
 		}
 	}
@@ -62,6 +67,9 @@ func TestCollectPurgesEverySweptRecord(t *testing.T) {
 	if _, ok := mgr.lookupObjProxy(remote); ok {
 		t.Error("the object-fault proxy is still indexed under its remote")
 	}
+	if _, ok := mgr.lookupProxy(proxyKey{RootCluster, ids[15]}); ok {
+		t.Error("the shared proxy is still offered for reuse")
+	}
 	if _, ok := mgr.member(orphan.ID()); ok {
 		t.Error("the swept member still has a membership record")
 	}
@@ -69,9 +77,9 @@ func TestCollectPurgesEverySweptRecord(t *testing.T) {
 		t.Errorf("cluster %d after Collect: %+v, %v; want its 10 live members", clusters[1], info, err)
 	}
 	for _, c := range clusters {
-		for _, pid := range mgr.inboundProxies(c) {
-			if slices.Contains(swept, pid) {
-				t.Errorf("swept @%d still in the inbound index of cluster %d", pid, c)
+		for _, p := range mgr.inboundProxies(c, nil) {
+			if slices.Contains(swept, p.ID()) {
+				t.Errorf("swept @%d still in the inbound list of cluster %d", p.ID(), c)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 
 	"objectswap/internal/heap"
 )
@@ -18,14 +19,14 @@ import (
 //  2. residency — a cluster is in exactly one place: a swapped cluster's
 //     replacement-object is resident and none of its members is (swap-out
 //     frees them at commit);
-//  3. proxy registry — every recorded proxy is resident, is a
-//     swap-cluster-proxy, agrees with its record's key (source cluster and
-//     ultimate target), is listed in exactly one inbound index (its record's
-//     home) and counted once in the outbound edges of its source, and at most
-//     one shared proxy exists per (source, target) pair; every recorded
-//     object-fault proxy is resident, is an object-fault proxy and stands for
-//     the remote identity it is recorded under, and the remote-identity index
-//     is exactly the inverse of that record;
+//  3. proxy records, read from the heap — every resident
+//     swap-cluster-proxy is listed exactly once, in the inbound list of its
+//     ultimate target's cluster, and counted once in its source record's
+//     edges (a source merged away takes its count with it); each record's
+//     edges are ascending and count exactly those proxies; every shared-proxy
+//     entry is a resident normal-mode swap-cluster-proxy whose source and
+//     ultimate target are its key, and every object-fault entry a resident
+//     object-fault proxy standing for its remote identity;
 //  4. mediation — every reference held in an application object's field is
 //     intra-cluster direct, or a proxy sourced at the holding cluster, or an
 //     object-fault placeholder;
@@ -36,7 +37,7 @@ import (
 //     object sizes.
 //
 // It is the one function that holds Manager.mu and the table lock at once:
-// the registry and the table are read as one cut.
+// the reuse indexes and the table are read as one cut.
 func (m *Manager) CheckInvariants() []error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -83,67 +84,54 @@ func (m *Manager) CheckInvariants() []error {
 		}
 	}
 
-	// 3. Proxy registry consistency.
-	indexed := 0
-	for _, idx := range m.inbound {
-		indexed += len(idx)
-	}
-	if indexed != len(m.proxyRecs) {
-		fail("inbound indexes list %d proxies, registry records %d", indexed, len(m.proxyRecs))
-	}
-	for pid, rec := range m.proxyRecs {
-		if !m.inbound[rec.home][pid] {
-			fail("proxy @%d missing from the inbound index of its home cluster %d", pid, rec.home)
-		}
-		p, err := h.Get(pid)
-		if err != nil {
-			fail("registered proxy @%d not resident (cursor=%v, key src=%d target=@%d)",
-				pid, rec.cursor, rec.key.src, rec.key.target)
-			continue
-		}
-		if !isProxy(p) {
-			fail("registered proxy @%d is a %s", pid, p.Class().Name)
-			continue
-		}
-		if got := proxySrc(p); got != rec.key.src {
-			fail("proxy @%d source %d disagrees with registry key %d", pid, got, rec.key.src)
-		}
-		if got := proxyUltimate(p); got != rec.key.target {
-			fail("proxy @%d ultimate @%d disagrees with registry key @%d", pid, got, rec.key.target)
-		}
-	}
-	edges := make(map[[2]ClusterID]int)
-	for _, rec := range m.proxyRecs {
-		edges[[2]ClusterID{rec.key.src, rec.home}]++
-	}
-	for src, out := range m.outbound {
-		for home, n := range out {
-			if want := edges[[2]ClusterID{src, home}]; n != want {
-				fail("outbound index counts %d proxies from cluster %d into %d, registry records %d", n, src, home, want)
+	// 3. Proxy records, read from the heap.
+	listed := make(map[heap.ObjID]int)
+	for cid, cs := range clusters {
+		for _, p := range cs.inbound {
+			listed[p.ID()]++
+			if !h.Contains(p.ID()) || !isProxy(p) {
+				fail("cluster %d lists @%d as an inbound proxy, which is no resident swap-cluster-proxy", cid, p.ID())
+			} else if home := members[proxyUltimate(p)].cluster; home != cid {
+				fail("cluster %d lists proxy @%d, whose target @%d is in cluster %d", cid, p.ID(), proxyUltimate(p), home)
 			}
-			delete(edges, [2]ClusterID{src, home})
 		}
 	}
-	for e, n := range edges {
-		fail("outbound index misses %d proxies from cluster %d into %d", n, e[0], e[1])
+	edges := make(map[[2]ClusterID]int32)
+	for _, oid := range h.IDs() {
+		p, err := h.Get(oid)
+		if err != nil || !isProxy(p) {
+			continue
+		}
+		home := members[proxyUltimate(p)].cluster
+		if n := listed[oid]; n != 1 {
+			fail("proxy @%d is listed %d times, want once, by cluster %d", oid, n, home)
+		}
+		if src := proxySrc(p); clusters[src] != nil {
+			edges[[2]ClusterID{src, home}]++
+		}
 	}
-	// The shared index is a map, so at most one shared proxy per key holds by
-	// construction; each entry must be a recorded, shareable proxy of that key.
+	counted := make(map[[2]ClusterID]int32)
+	for cid, cs := range clusters {
+		for i, e := range cs.edges {
+			if i > 0 && cs.edges[i-1].to >= e.to {
+				fail("cluster %d lists its edge into %d out of order", cid, e.to)
+			}
+			counted[[2]ClusterID{cid, e.to}] = e.n
+		}
+	}
+	if !maps.Equal(counted, edges) {
+		fail("the records count proxy edges %v, the heap holds %v", counted, edges)
+	}
 	for key, pid := range m.proxies {
-		if rec, ok := m.proxyRecs[pid]; !ok || rec.cursor || rec.key != key {
-			fail("shared proxy @%d for (%d,@%d) has record %+v (recorded=%v)", pid, key.src, key.target, rec, ok)
+		p, err := h.Get(pid)
+		if err != nil || !isProxy(p) || proxySrc(p) != key.src || proxyUltimate(p) != key.target || proxyMode(p) != proxyModeNormal {
+			fail("shared proxy @%d for (%d,@%d) is no resident normal-mode swap-cluster-proxy of that key", pid, key.src, key.target)
 		}
 	}
-	for pid, remote := range m.objProxyMeta {
+	for remote, pid := range m.objProxies {
 		if p, err := h.Get(pid); err != nil || !isObjProxy(p) || ObjProxyRemote(p) != remote {
-			fail("recorded object-fault proxy @%d for remote @%d is not a resident placeholder standing for it", pid, remote)
+			fail("object-fault proxy @%d for remote @%d is no resident placeholder standing for it", pid, remote)
 		}
-		if m.objProxies[remote] != pid {
-			fail("object-fault proxy @%d missing from the index of remote @%d", pid, remote)
-		}
-	}
-	if len(m.objProxies) != len(m.objProxyMeta) {
-		fail("object-fault index lists %d remotes, registry records %d proxies", len(m.objProxies), len(m.objProxyMeta))
 	}
 
 	// 6. Accounting.

@@ -105,6 +105,44 @@ type clusterState struct {
 	// resident state.
 	retained retainedCopy
 	dirty    bool
+
+	// inbound lists the live swap-cluster-proxies whose ultimate target is a
+	// member (for the root cluster, also an object never assigned): what the
+	// paper's replacement-object receives, re-pointed by patchInbound. edges
+	// counts the live proxies sourced here by their target's cluster,
+	// ascending by it: the graph NeighborClusters walks. A proxy's own fields
+	// say where it is listed and counted. swept is the last reclaimed pass
+	// that compacted inbound. All three change only under the table lock.
+	inbound []*heap.Object
+	edges   []edge
+	swept   uint64
+}
+
+// edge counts the live swap-cluster-proxies from one cluster into cluster to.
+type edge struct {
+	to ClusterID
+	n  int32
+}
+
+// countEdge adds delta to the count of proxies from cs into cluster to; an
+// edge that counts none goes. The caller holds the table lock.
+func (cs *clusterState) countEdge(to ClusterID, delta int32) {
+	i, found := slices.BinarySearchFunc(cs.edges, to, func(e edge, to ClusterID) int { return cmp.Compare(e.to, to) })
+	if !found {
+		cs.edges = slices.Insert(cs.edges, i, edge{to: to})
+	}
+	if cs.edges[i].n += delta; cs.edges[i].n <= 0 {
+		cs.edges = slices.Delete(cs.edges, i, i+1)
+	}
+}
+
+// moveEdge moves one proxy of src's count from cluster from to cluster to,
+// when src still has a record. The caller holds tab.mu.
+func (tab *clusterTable) moveEdge(src, from, to ClusterID) {
+	if ss, ok := tab.clusters[src]; ok {
+		ss.countEdge(from, -1)
+		ss.countEdge(to, 1)
+	}
 }
 
 // proxyKey identifies the unique swap-cluster-proxy for a
@@ -116,28 +154,20 @@ type proxyKey struct {
 	target heap.ObjID
 }
 
-// proxyRecord is the SwappingManager's one record of a live
-// swap-cluster-proxy (a weak reference: the collection that sweeps the proxy
-// purges it, in Manager.reclaimed).
-type proxyRecord struct {
-	key    proxyKey
-	cursor bool      // a private self-patching cursor: never offered for shared reuse
-	home   ClusterID // the cluster whose inbound index lists it: its target's
-}
-
 // clusterTable is the SwappingManager's cluster table: the record (residency
 // included) of every swap-cluster, added and removed only through put and
-// drop (state.go), and the objects belonging to each. members is the
-// object-to-cluster index, kept in step with every record's member set;
-// lastID is the highest cluster id handed out. The proxy registry and the
-// drop queue stay under Manager.mu, and no code holds both locks except
-// CheckInvariants.
+// drop (state.go), the objects belonging to each, and each one's inbound
+// proxies and outbound edges. members is the object-to-cluster index, kept in
+// step with every record's member set; lastID is the highest cluster id
+// handed out. The proxy reuse indexes and the drop queue stay under
+// Manager.mu, and no code holds both locks except CheckInvariants.
 type clusterTable struct {
 	mu       sync.Mutex
 	clusters map[ClusterID]*clusterState
 	members  map[heap.ObjID]objInfo
 	tally    [numResidencies]int // records by residency
 	lastID   ClusterID
+	sweeps   uint64 // reclaimed passes
 }
 
 // state returns the record for id. The caller holds tab.mu.
@@ -150,26 +180,20 @@ func (tab *clusterTable) state(id ClusterID) (*clusterState, error) {
 }
 
 // Manager is the paper's SwappingManager: it tracks swap-clusters, the
-// objects belonging to each, and all swap-cluster-proxies (through weak
-// references, purged from each collection's swept list by reclaimed).
+// objects belonging to each, and all swap-cluster-proxies — each listed by
+// the record of its target's cluster, and purged from each collection's
+// swept list by reclaimed.
 type Manager struct {
 	rt *Runtime
 
 	table clusterTable
 
 	mu sync.Mutex
-	// proxyRecs holds every live swap-cluster-proxy's record; proxies indexes
-	// the shared ones by key for reuse, and inbound indexes all of them by the
-	// cluster of their ultimate target (record.home), so swap-out can patch
-	// every inbound proxy of the victim cluster. outbound counts them by
-	// source cluster and home: the replacement-object graph's edges, which
-	// the prefetch window walks (NeighborClusters).
-	proxyRecs    map[heap.ObjID]proxyRecord
-	proxies      map[proxyKey]heap.ObjID
-	inbound      map[ClusterID]map[heap.ObjID]bool
-	outbound     map[ClusterID]map[ClusterID]int
-	objProxies   map[heap.ObjID]heap.ObjID // remote identity -> proxy id
-	objProxyMeta map[heap.ObjID]heap.ObjID // proxy id -> remote identity
+	// proxies indexes the shared swap-cluster-proxies by key for reuse: a
+	// proxy is shared exactly when it is its key's entry. objProxies indexes
+	// the object-fault proxies by the remote identity they stand for.
+	proxies    map[proxyKey]heap.ObjID
+	objProxies map[heap.ObjID]heap.ObjID
 
 	// pendingDrops holds (device, key) pairs whose Drop failed (device
 	// unreachable); retried on the next collection until the per-ticket
@@ -195,14 +219,10 @@ type dropTicket struct {
 
 func newManager(rt *Runtime) *Manager {
 	m := &Manager{
-		rt:           rt,
-		table:        clusterTable{clusters: make(map[ClusterID]*clusterState), members: make(map[heap.ObjID]objInfo)},
-		proxyRecs:    make(map[heap.ObjID]proxyRecord),
-		proxies:      make(map[proxyKey]heap.ObjID),
-		inbound:      make(map[ClusterID]map[heap.ObjID]bool),
-		outbound:     make(map[ClusterID]map[ClusterID]int),
-		objProxies:   make(map[heap.ObjID]heap.ObjID),
-		objProxyMeta: make(map[heap.ObjID]heap.ObjID),
+		rt:         rt,
+		table:      clusterTable{clusters: make(map[ClusterID]*clusterState), members: make(map[heap.ObjID]objInfo)},
+		proxies:    make(map[proxyKey]heap.ObjID),
+		objProxies: make(map[heap.ObjID]heap.ObjID),
 	}
 	m.table.put(newClusterState(RootCluster, 0, resident))
 	return m
@@ -220,11 +240,14 @@ func (m *Manager) shipmentOf(id ClusterID) (shipment, bool) {
 	return cs.shipment, true
 }
 
-// replacementIfSwapped reports the cluster's replacement-object while it is
-// swapped out — the target a fresh inbound reference must be mediated onto.
-func (m *Manager) replacementIfSwapped(id ClusterID) (heap.ObjID, bool) {
-	was, out := m.shipmentOf(id)
-	return was.replacement, out
+// replacement reports the cluster's replacement-object while it is swapped
+// out — the target a fresh inbound reference must be mediated onto — and
+// heap.NilID otherwise. The caller holds tab.mu.
+func (tab *clusterTable) replacement(id ClusterID) heap.ObjID {
+	if cs, ok := tab.clusters[id]; ok && cs.where.out() {
+		return cs.replacement
+	}
+	return heap.NilID
 }
 
 // NewCluster declares a fresh, empty swap-cluster and returns its id.
@@ -299,46 +322,44 @@ func (m *Manager) IsSwapped(id ClusterID) bool {
 	return out
 }
 
-// registerProxy records a freshly created proxy.
-func (m *Manager) registerProxy(pid heap.ObjID, rec proxyRecord) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.recordProxy(pid, rec)
+// enlist lists a freshly minted proxy p, whose ultimate target and source its
+// fields already hold: in the inbound list of its target's cluster, and as an
+// edge out of its source. It reports that cluster's replacement-object while
+// it is swapped out (heap.NilID otherwise), which p must point at.
+func (m *Manager) enlist(p *heap.Object) heap.ObjID {
+	tab := &m.table
+	tab.mu.Lock()
+	defer tab.mu.Unlock()
+	home := tab.members[proxyUltimate(p)].cluster
+	if cs, ok := tab.clusters[home]; ok {
+		cs.inbound = append(cs.inbound, p)
+	}
+	if cs, ok := tab.clusters[proxySrc(p)]; ok {
+		cs.countEdge(home, 1)
+	}
+	return tab.replacement(home)
 }
 
-// recordProxy stores a proxy's record and indexes it: as inbound to rec.home,
-// as an edge out of its source cluster and, when it is shareable and the slot
-// is vacant, under its key for reuse. The caller holds m.mu.
-func (m *Manager) recordProxy(pid heap.ObjID, rec proxyRecord) {
-	m.proxyRecs[pid] = rec
-	if _, taken := m.proxies[rec.key]; !taken && !rec.cursor {
-		m.proxies[rec.key] = pid
+// retarget moves proxy p, about to be re-aimed at a member of cluster to (the
+// Assign iteration optimization), from its current target's inbound list to
+// to's, its source's edge with it; a proxy a collection swept stays out. It
+// reports to's replacement-object while it is swapped out. No Manager.mu: an
+// assign-mode proxy is never shared (setMode). The caller writes p's fields.
+func (m *Manager) retarget(p *heap.Object, to ClusterID) heap.ObjID {
+	tab := &m.table
+	tab.mu.Lock()
+	defer tab.mu.Unlock()
+	from := tab.members[proxyUltimate(p)].cluster
+	fs, fok := tab.clusters[from]
+	ts, tok := tab.clusters[to]
+	if from != to && fok && tok {
+		if i := slices.Index(fs.inbound, p); i >= 0 {
+			fs.inbound = slices.Delete(fs.inbound, i, i+1)
+			ts.inbound = append(ts.inbound, p)
+			tab.moveEdge(proxySrc(p), from, to)
+		}
 	}
-	idx := m.inbound[rec.home]
-	if idx == nil {
-		idx = make(map[heap.ObjID]bool)
-		m.inbound[rec.home] = idx
-	}
-	idx[pid] = true
-	out := m.outbound[rec.key.src]
-	if out == nil {
-		out = make(map[ClusterID]int)
-		m.outbound[rec.key.src] = out
-	}
-	out[rec.home]++
-}
-
-// unindexProxy takes a proxy out of every index. The caller holds m.mu.
-func (m *Manager) unindexProxy(pid heap.ObjID, rec proxyRecord) {
-	if m.proxies[rec.key] == pid {
-		delete(m.proxies, rec.key)
-	}
-	delete(m.inbound[rec.home], pid)
-	if out := m.outbound[rec.key.src]; out[rec.home] > 1 {
-		out[rec.home]--
-	} else {
-		delete(out, rec.home)
-	}
+	return tab.replacement(to)
 }
 
 // lookupProxy finds the live shared proxy for key, if any.
@@ -349,79 +370,36 @@ func (m *Manager) lookupProxy(key proxyKey) (heap.ObjID, bool) {
 	return pid, ok
 }
 
-// retargetProxy moves a proxy to a new target in cluster home (the Assign
-// iteration optimization). The registry slot for the new key is claimed only
-// if vacant, and never by a private cursor: a shared reuse would hand out a
-// reference that patches itself away underneath the holder.
-func (m *Manager) retargetProxy(pid, target heap.ObjID, home ClusterID) {
+// share makes pid the proxy proxyFor hands out for key.
+func (m *Manager) share(key proxyKey, pid heap.ObjID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	rec, ok := m.proxyRecs[pid]
-	if !ok {
-		// The proxy was collected and purged (or never registered): a
-		// retarget must not resurrect registry entries for a dead object.
-		return
-	}
-	m.unindexProxy(pid, rec)
-	rec.key.target, rec.home = target, home
-	m.recordProxy(pid, rec)
+	m.proxies[key] = pid
 }
 
-// purge removes every registry entry of a proxy — swap-cluster or
-// object-fault — that is no longer resident. proxyFor and ObjProxyFor call it
-// on a registry hit the heap no longer holds; reclaimed purges a whole
-// collection's swept ids under one hold of m.mu instead.
-func (m *Manager) purge(pid heap.ObjID) {
+// unshare withdraws proxy pid from reuse, if it holds key's slot.
+func (m *Manager) unshare(key proxyKey, pid heap.ObjID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.purgeLocked(pid)
+	dropEntry(m.proxies, key, pid)
 }
 
-// purgeLocked is purge for a caller that holds m.mu.
-func (m *Manager) purgeLocked(pid heap.ObjID) {
-	if rec, ok := m.proxyRecs[pid]; ok {
-		delete(m.proxyRecs, pid)
-		m.unindexProxy(pid, rec)
-	} else if remote, ok := m.objProxyMeta[pid]; ok {
-		delete(m.objProxyMeta, pid)
-		if m.objProxies[remote] == pid {
-			delete(m.objProxies, remote)
-		}
+// dropEntry deletes index[k] if it is still pid. The caller holds m.mu.
+func dropEntry[K comparable](index map[K]heap.ObjID, k K, pid heap.ObjID) {
+	if index[k] == pid {
+		delete(index, k)
 	}
 }
 
-// rehomeProxies moves the inbound proxies of cluster from — those whose target
-// is in moved, or all of them when moved is nil — to cluster to's index, after
-// a resize moved their targets there.
-func (m *Manager) rehomeProxies(from, to ClusterID, moved map[heap.ObjID]bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for pid := range m.inbound[from] {
-		rec := m.proxyRecs[pid]
-		if moved != nil && !moved[rec.key.target] {
-			continue
-		}
-		m.unindexProxy(pid, rec)
-		rec.home = to
-		m.recordProxy(pid, rec)
+// inboundProxies appends the live proxies whose ultimate target lies in
+// cluster id to buf.
+func (m *Manager) inboundProxies(id ClusterID, buf []*heap.Object) []*heap.Object {
+	m.table.mu.Lock()
+	defer m.table.mu.Unlock()
+	if cs, ok := m.table.clusters[id]; ok {
+		buf = append(buf, cs.inbound...)
 	}
-	if len(m.inbound[from]) == 0 {
-		delete(m.inbound, from)
-	}
-}
-
-// inboundProxies snapshots the live proxies whose ultimate target lies in
-// cluster id.
-func (m *Manager) inboundProxies(id ClusterID) []heap.ObjID {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	idx := m.inbound[id]
-	out := make([]heap.ObjID, 0, len(idx))
-	for pid := range idx {
-		out = append(out, pid)
-	}
-	slices.Sort(out)
-	return out
+	return buf
 }
 
 // NeighborClusters is the prefetch window: the at most k clusters nearest
@@ -432,14 +410,14 @@ func (m *Manager) inboundProxies(id ClusterID) []heap.ObjID {
 // cluster, self-edges and cluster itself are never taken. A proxy from A to B
 // exists exactly because application references cross that boundary, so a
 // fault on A makes B the next likely fault, and B's neighbors the ones after.
-// One hold of m.mu, and no allocation when cap(buf) >= k.
+// One hold of the table lock, and no allocation when cap(buf) >= k.
 func (m *Manager) NeighborClusters(cluster uint32, k int, buf []uint32) []uint32 {
 	out := buf[:0]
 	origin := ClusterID(cluster)
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.table.mu.Lock()
+	defer m.table.mu.Unlock()
 	for i, from := 0, origin; len(out) < k; i++ {
-		out = m.appendNeighbors(out, k, origin, from)
+		out = m.table.appendNeighbors(out, k, origin, from)
 		if i >= len(out) {
 			break
 		}
@@ -449,17 +427,20 @@ func (m *Manager) NeighborClusters(cluster uint32, k int, buf []uint32) []uint32
 }
 
 // appendNeighbors appends from's best-ranked neighbors not yet in out (nor
-// origin) until out holds k. The caller holds m.mu.
-func (m *Manager) appendNeighbors(out []uint32, k int, origin, from ClusterID) []uint32 {
-	edges := m.outbound[from]
+// origin) until out holds k. The caller holds tab.mu.
+func (tab *clusterTable) appendNeighbors(out []uint32, k int, origin, from ClusterID) []uint32 {
+	cs, ok := tab.clusters[from]
+	if !ok {
+		return out
+	}
 	for len(out) < k {
-		best, most := RootCluster, 0
-		for dst, n := range edges {
-			if dst == RootCluster || dst == from || dst == origin || slices.Contains(out, uint32(dst)) {
+		best, most := RootCluster, int32(0)
+		for _, e := range cs.edges { // ascending: the first of equals is the lower id
+			if e.to == RootCluster || e.to == from || e.to == origin || slices.Contains(out, uint32(e.to)) {
 				continue
 			}
-			if n > most || n == most && dst < best {
-				best, most = dst, n
+			if e.n > most {
+				best, most = e.to, e.n
 			}
 		}
 		if most == 0 {
@@ -470,11 +451,16 @@ func (m *Manager) appendNeighbors(out []uint32, k int, origin, from ClusterID) [
 	return out
 }
 
-// ProxyCount reports the number of live registered swap-cluster-proxies.
+// ProxyCount reports the number of live swap-cluster-proxies: every one is
+// listed by the record of its target's cluster.
 func (m *Manager) ProxyCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.proxyRecs)
+	m.table.mu.Lock()
+	defer m.table.mu.Unlock()
+	n := 0
+	for _, cs := range m.table.clusters {
+		n += len(cs.inbound)
+	}
+	return n
 }
 
 // ClusterInfo is a public snapshot of one swap-cluster's state.

@@ -301,22 +301,26 @@ func TestCursorAdvancesOntoResult(t *testing.T) {
 	}
 }
 
-// inboundIndexes lists the clusters whose inbound index holds proxy pid.
+// inboundIndexes lists the clusters whose inbound list holds proxy pid, once
+// per listing.
 func inboundIndexes(m *Manager, pid heap.ObjID) (in []ClusterID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for cluster, idx := range m.inbound {
-		if idx[pid] {
-			in = append(in, cluster)
+	m.table.mu.Lock()
+	defer m.table.mu.Unlock()
+	for cluster, cs := range m.table.clusters {
+		for _, p := range cs.inbound {
+			if p.ID() == pid {
+				in = append(in, cluster)
+			}
 		}
 	}
 	return in
 }
 
 // TestProxyRecordFollowsRetarget is the registry case: a cursor retargeted
-// across clusters is listed in exactly one inbound index — its new target's —
-// stays there when its old target's membership record is collected, and is
-// gone from every index once its own finalizer has run.
+// across clusters is listed in exactly one inbound list — its new target's —
+// with its own fields naming the new target, stays there when its old
+// target's membership record is collected, and is gone from every list once
+// the collection that sweeps it has returned.
 func TestProxyRecordFollowsRetarget(t *testing.T) {
 	m := newMedFixture(t)
 	rt, mgr := m.rt, m.rt.mgr
@@ -339,8 +343,8 @@ func TestProxyRecordFollowsRetarget(t *testing.T) {
 	if in := inboundIndexes(mgr, pid); cur.MustRef() != pid || len(in) != 1 || in[0] != m.clusters[1] {
 		t.Fatalf("retargeted cursor @%d (was @%d) indexed under %v, want [%d]", cur.MustRef(), pid, in, m.clusters[1])
 	}
-	if rec := mgr.proxyRecs[pid]; !rec.cursor || rec.home != m.clusters[1] || rec.key != (proxyKey{RootCluster, m.ids[10]}) {
-		t.Fatalf("record = %+v", rec)
+	if p, err := rt.h.Get(pid); err != nil || proxyMode(p) != proxyModeAssign || proxySrc(p) != RootCluster || proxyUltimate(p) != m.ids[10] {
+		t.Fatalf("cursor @%d: %v; want an assign-mode proxy from cluster 0 to @%d", pid, err, m.ids[10])
 	}
 	if shared, ok := mgr.lookupProxy(proxyKey{RootCluster, m.ids[10]}); ok && shared == pid {
 		t.Fatal("private cursor entered the shared registry")
@@ -365,9 +369,46 @@ func TestProxyRecordFollowsRetarget(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		rt.Collect()
 	}
-	if _, recorded := mgr.proxyRecs[pid]; recorded || len(inboundIndexes(mgr, pid)) != 0 || rt.h.Contains(pid) {
-		t.Fatalf("finalized cursor left behind: recorded=%v indexes=%v resident=%v",
-			recorded, inboundIndexes(mgr, pid), rt.h.Contains(pid))
+	if in := inboundIndexes(mgr, pid); len(in) != 0 || rt.h.Contains(pid) {
+		t.Fatalf("swept cursor left behind: listed by %v, resident=%v", in, rt.h.Contains(pid))
+	}
+	checkClean(t, rt)
+}
+
+// TestAssignWithdrawsSharedProxy: a shared proxy put in assign mode leaves
+// the reuse index at once, before its first re-aim — proxyFor then mints a
+// fresh proxy for the key instead of handing out one that is about to patch
+// itself away — and re-aiming it later claims no slot either.
+func TestAssignWithdrawsSharedProxy(t *testing.T) {
+	m := newMedFixture(t)
+	rt, mgr := m.rt, m.rt.mgr
+	key := proxyKey{RootCluster, m.ids[9]}
+	shared, err := rt.proxyFor(key.src, key.target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.SetRoot("walker", heap.Ref(shared)); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Assign(heap.Ref(shared)); err != nil {
+		t.Fatal(err)
+	}
+	if pid, ok := mgr.lookupProxy(key); ok {
+		t.Fatalf("assign-mode proxy @%d still offered for (%d,@%d)", pid, key.src, key.target)
+	}
+	fresh, err := rt.proxyFor(key.src, key.target)
+	if err != nil || fresh == shared {
+		t.Fatalf("proxyFor after Assign = @%d, %v; want a proxy other than @%d", fresh, err, shared)
+	}
+	if err := rt.SetRoot("other", heap.Ref(fresh)); err != nil {
+		t.Fatal(err)
+	}
+	out, err := rt.Invoke(heap.Ref(shared), "next") // node 9 -> node 10: into cluster 1
+	if err != nil || out[0].MustRef() != shared {
+		t.Fatalf("assign-mode step = %v, %v; want the proxy itself", out, err)
+	}
+	if pid, ok := mgr.lookupProxy(proxyKey{RootCluster, m.ids[10]}); ok && pid == shared {
+		t.Fatal("a re-aimed proxy claimed the slot of its new key")
 	}
 	checkClean(t, rt)
 }

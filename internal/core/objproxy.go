@@ -67,11 +67,8 @@ func (rt *Runtime) ObjProxyFor(remote heap.ObjID, className string) (heap.ObjID,
 	if remote == heap.NilID {
 		return heap.NilID, fmt.Errorf("core: ObjProxyFor: nil remote id")
 	}
-	if pid, ok := rt.mgr.lookupObjProxy(remote); ok {
-		if rt.h.Contains(pid) {
-			return pid, nil
-		}
-		rt.mgr.purge(pid)
+	if pid, ok := rt.mgr.lookupObjProxy(remote); ok && rt.h.Contains(pid) {
+		return pid, nil
 	}
 	p, err := rt.allocMiddleware(rt.objProxyClass)
 	if err != nil {
@@ -100,12 +97,12 @@ func (m *Manager) registerObjProxy(pid, remote heap.ObjID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.objProxies[remote] = pid
-	m.objProxyMeta[pid] = remote
 }
 
-// ObjProxyCount reports the number of live object-fault proxies.
+// ObjProxyCount reports the number of live object-fault proxies: each is the
+// entry of the remote identity it stands for.
 func (m *Manager) ObjProxyCount() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.objProxyMeta)
+	return len(m.objProxies)
 }

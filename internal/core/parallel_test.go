@@ -240,10 +240,13 @@ func TestWholeTableReadsAreOneCut(t *testing.T) {
 }
 
 // TestTouchesTakeNoRegistryLock holds the path from an object to its cluster
-// to the table lock alone: while the test holds Manager.mu (the proxy
+// to the table lock alone: while the test holds Manager.mu (the shared-proxy
 // registry), a resident crossing, a read in place and a write in place all
 // finish — with a tracker attached, so each one feeds a ledger, and a
-// retained copy anchored, so the write marks the cluster dirty.
+// retained copy anchored, so the write marks the cluster dirty — and so does
+// a B2 cursor walk: a fresh cursor on the head stepped ten times, across the
+// boundary into the next cluster, re-aiming itself and moving its inbound
+// entry under the table lock.
 func TestTouchesTakeNoRegistryLock(t *testing.T) {
 	f := newFixture(t, 0, WithTelemetry(telemetry.New(obs.NewRegistry(nil), telemetry.Options{})))
 	ids, clusters := f.buildList(t, 20, 10, 8)
@@ -256,6 +259,7 @@ func TestTouchesTakeNoRegistryLock(t *testing.T) {
 	head, direct := f.head(t), heap.Ref(ids[0])
 
 	done := make(chan error, 1)
+	var cursor heap.Value
 	f.rt.mgr.mu.Lock()
 	go func() {
 		if _, err := f.rt.Invoke(head, "tag"); err != nil { // a resident crossing
@@ -266,7 +270,22 @@ func TestTouchesTakeNoRegistryLock(t *testing.T) {
 			done <- err
 			return
 		}
-		done <- f.rt.SetFieldValue(direct, "tag", heap.Int(-1))
+		if err := f.rt.SetFieldValue(direct, "tag", heap.Int(-1)); err != nil {
+			done <- err
+			return
+		}
+		cur, err := f.rt.AssignedCursor(head)
+		for i := 0; i < 10 && err == nil; i++ { // node 0 -> node 10: into cluster 1
+			var out []heap.Value
+			if out, err = f.rt.Invoke(cur, "next"); err == nil {
+				cur = out[0]
+			}
+		}
+		if err == nil && !f.rt.IsProxyRef(cur) {
+			err = errors.New("the cursor did not stay a proxy across the boundary")
+		}
+		cursor = cur
+		done <- err
 	}()
 	select {
 	case err := <-done:
@@ -277,11 +296,15 @@ func TestTouchesTakeNoRegistryLock(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		f.rt.mgr.mu.Unlock()
 		<-done
-		t.Fatal("a crossing, a read and a write in place did not finish while Manager.mu was held")
+		t.Fatal("a crossing, a read and a write in place, or a cursor walk, did not finish while Manager.mu was held")
 	}
 	if info, err := f.rt.Manager().Info(clusters[0]); err != nil || !info.Dirty {
 		t.Fatalf("after a write in place: %+v, %v; want the cluster dirty", info, err)
 	}
+	if ultimate, err := f.rt.ultimateOf(cursor); err != nil || ultimate != ids[10] {
+		t.Fatalf("cursor designates @%d (%v), want @%d", ultimate, err, ids[10])
+	}
+	checkClean(t, f.rt)
 }
 
 // TestEvictMarkBookkeeping pins the nesting rule of the one eviction mark: a

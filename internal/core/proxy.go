@@ -94,25 +94,17 @@ func proxySrc(p *heap.Object) ClusterID { return ClusterID(proxyInt(p, slotSrc))
 // proxyMode reads a proxy's mode field.
 func proxyMode(p *heap.Object) int64 { return proxyInt(p, slotMode) }
 
-// aimProxy makes ultimate, a member of the given cluster, p's target; while
-// the cluster is swapped out p points at its replacement-object, so a
-// traversal faults the cluster in.
-func (rt *Runtime) aimProxy(p *heap.Object, ultimate heap.ObjID, cluster ClusterID) {
-	setProxySlot(p, slotObj, heap.Int(int64(ultimate)))
-	repl, _ := rt.mgr.replacementIfSwapped(cluster)
-	pointProxy(p, repl)
-}
-
 // patchInbound re-points every live inbound proxy of cluster id: at the
 // replacement-object repl when the cluster leaves, back at its own target
-// (repl == NilID) when it returns.
+// (repl == NilID) when it returns. The caller holds the swap lock: it guards
+// the list's copy, written outside the table lock (a field write runs the
+// write observer), and keeps out the collection that would change the list.
 func (rt *Runtime) patchInbound(id ClusterID, repl heap.ObjID) {
-	for _, pid := range rt.mgr.inboundProxies(id) {
-		// A proxy collected since the snapshot is purged by that collection.
-		if p, err := rt.h.Get(pid); err == nil {
-			pointProxy(p, repl)
-		}
+	rt.patching = rt.mgr.inboundProxies(id, rt.patching[:0])
+	for _, p := range rt.patching {
+		pointProxy(p, repl)
 	}
+	clear(rt.patching)
 }
 
 // proxyFor returns (creating or reusing) the shared swap-cluster-proxy
@@ -120,21 +112,19 @@ func (rt *Runtime) patchInbound(id ClusterID, repl heap.ObjID) {
 // target is NOT a member of src (callers dismantle that case into a direct
 // reference).
 func (rt *Runtime) proxyFor(src ClusterID, target heap.ObjID) (heap.ObjID, error) {
-	if pid, ok := rt.mgr.lookupProxy(proxyKey{src: src, target: target}); ok {
-		// Belt and braces: the collection that sweeps a proxy purges its
-		// entry before it returns — but check before handing it out.
-		if rt.h.Contains(pid) {
-			return pid, nil
-		}
-		rt.mgr.purge(pid)
+	// Belt and braces: the collection that sweeps a proxy purges its entry
+	// before it returns — but check before handing it out.
+	if pid, ok := rt.mgr.lookupProxy(proxyKey{src: src, target: target}); ok && rt.h.Contains(pid) {
+		return pid, nil
 	}
 	return rt.newProxy(src, target, false)
 }
 
-// newProxy allocates and registers a swap-cluster-proxy from cluster src to
-// the object target: the shared one every later proxyFor(src, target) reuses,
-// or a private assign-mode cursor, which is indexed for swap-out patching and
-// collection purging but never handed out by the registry.
+// newProxy allocates a swap-cluster-proxy from cluster src to the object
+// target and lists it with the record of target's cluster: the shared one
+// every later proxyFor(src, target) reuses, or a private assign-mode cursor,
+// which swap-out patches and the collection purges like any other but the
+// registry never hands out.
 func (rt *Runtime) newProxy(src ClusterID, target heap.ObjID, cursor bool) (heap.ObjID, error) {
 	info, ok := rt.mgr.member(target)
 	if !ok {
@@ -154,12 +144,15 @@ func (rt *Runtime) newProxy(src ClusterID, target heap.ObjID, cursor bool) (heap
 	if err != nil {
 		return heap.NilID, fmt.Errorf("core: allocate proxy: %w", err)
 	}
-	rt.aimProxy(p, target, info.cluster)
+	setProxySlot(p, slotObj, heap.Int(int64(target)))
 	setProxySlot(p, slotSrc, heap.Int(int64(src)))
 	if cursor {
 		setProxySlot(p, slotMode, heap.Int(proxyModeAssign))
 	}
-	rt.mgr.registerProxy(p.ID(), proxyRecord{key: proxyKey{src: src, target: target}, cursor: cursor, home: info.cluster})
+	pointProxy(p, rt.mgr.enlist(p))
+	if !cursor {
+		rt.mgr.share(proxyKey{src: src, target: target}, p.ID())
+	}
 	return p.ID(), nil
 }
 
@@ -319,6 +312,11 @@ func (rt *Runtime) setMode(v heap.Value, mode int64) error {
 	}
 	if !isProxy(o) {
 		return fmt.Errorf("%w: %s", ErrNotProxy, o.Class().Name)
+	}
+	if mode == proxyModeAssign {
+		// A proxy that re-aims itself leaves the shared registry for good:
+		// reuse must not hand out a reference moving under its holder.
+		rt.mgr.unshare(proxyKey{src: proxySrc(o), target: proxyUltimate(o)}, id)
 	}
 	setProxySlot(o, slotMode, heap.Int(mode))
 	return nil

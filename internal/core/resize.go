@@ -68,7 +68,7 @@ func (rt *Runtime) MergeClusters(dst, src ClusterID) error {
 		return err
 	}
 
-	// 1. Move membership.
+	// 1. Move membership, and the inbound proxies with their targets.
 	tab.mu.Lock()
 	tab.regroup(ss.objects, ss, ds)
 	// The one place a merge decides what the survivor inherits: src's
@@ -81,8 +81,6 @@ func (rt *Runtime) MergeClusters(dst, src ClusterID) error {
 	tab.drop(ss)
 	tab.mu.Unlock()
 	m.queueDrops(forgot...)
-	// Inbound proxies previously indexed under src now target dst members.
-	m.rehomeProxies(src, dst, nil)
 
 	// 2. Re-mediate the fields of every member of the merged cluster:
 	// references to proxies whose ultimate target now shares the cluster are
@@ -144,8 +142,6 @@ func (rt *Runtime) SplitCluster(src ClusterID, members []heap.ObjID) (ClusterID,
 	forgot := forgotCopy{src, ss.forget()}
 	tab.mu.Unlock()
 	m.queueDrops(forgot)
-	// Inbound proxies whose ultimate moved follow it in the index.
-	m.rehomeProxies(src, fresh, moved)
 
 	// Re-mediate both halves: edges crossing the new boundary gain proxies;
 	// proxies that now point within their holder's cluster are dismantled.
@@ -158,7 +154,9 @@ func (rt *Runtime) SplitCluster(src ClusterID, members []heap.ObjID) (ClusterID,
 	return fresh, nil
 }
 
-// regroup makes the members of from listed in moved members of to. The
+// regroup makes the members of from listed in moved members of to, and moves
+// every proxy of from's inbound list whose ultimate target moved to to's
+// list, its source's edge with it; from's list is compacted in place. The
 // caller holds tab.mu.
 func (tab *clusterTable) regroup(moved map[heap.ObjID]bool, from, to *clusterState) {
 	for oid := range moved {
@@ -169,6 +167,14 @@ func (tab *clusterTable) regroup(moved map[heap.ObjID]bool, from, to *clusterSta
 		delete(from.objects, oid)
 		to.objects[oid] = true
 	}
+	from.inbound = slices.DeleteFunc(from.inbound, func(p *heap.Object) bool {
+		if tab.members[proxyUltimate(p)].cluster != to.id {
+			return false
+		}
+		to.inbound = append(to.inbound, p)
+		tab.moveEdge(proxySrc(p), from.id, to.id)
+		return true
+	})
 }
 
 // remediateCluster rewrites the fields of every member of cluster id so the

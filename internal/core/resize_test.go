@@ -253,10 +253,14 @@ func TestPropResizePreservesGraph(t *testing.T) {
 
 func TestRetargetAfterDeathDoesNotResurrect(t *testing.T) {
 	// Regression: retargeting a proxy a collection already purged must
-	// not re-enter registry records under a zero-valued key.
+	// not list it again.
 	f := newFixture(t, 0)
 	ids, _ := f.buildList(t, 20, 10, 8)
 	pid, err := f.rt.proxyFor(RootCluster, ids[15])
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := f.rt.h.Get(pid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +269,7 @@ func TestRetargetAfterDeathDoesNotResurrect(t *testing.T) {
 	if got := f.rt.Manager().ProxyCount(); got >= before {
 		t.Fatalf("proxy not purged (%d -> %d)", before, got)
 	}
-	f.rt.Manager().retargetProxy(pid, ids[3], f.rt.Manager().ClusterOf(ids[3]))
+	f.rt.Manager().retarget(p, f.rt.Manager().ClusterOf(ids[3]))
 	checkClean(t, f.rt)
 	if got := f.rt.Manager().ProxyCount(); got >= before {
 		t.Fatalf("dead proxy resurrected (%d)", got)

@@ -323,7 +323,8 @@ func TestFailedOperationLeavesClusterWhereItWas(t *testing.T) {
 			h := f.rt.Heap()
 			used, objects, donor := h.Used(), h.Len(), keys()
 			before, _ := f.rt.mgr.Info(id)
-			replacement, _ := f.rt.mgr.replacementIfSwapped(id)
+			was, _ := f.rt.mgr.shipmentOf(id)
+			replacement := was.replacement
 
 			if err := tc.fail(t, f, flaky, id); err == nil {
 				t.Fatal("the operation succeeded; the case no longer fails where it should")
@@ -336,8 +337,8 @@ func TestFailedOperationLeavesClusterWhereItWas(t *testing.T) {
 				t.Fatalf("heap holds %d bytes / %d objects after the failure, held %d / %d",
 					h.Used(), h.Len(), used, objects)
 			}
-			if got, _ := f.rt.mgr.replacementIfSwapped(id); got != replacement || (replacement != heap.NilID && !h.Contains(replacement)) {
-				t.Fatalf("replacement-object @%d after the failure, was @%d", got, replacement)
+			if got, _ := f.rt.mgr.shipmentOf(id); got.replacement != replacement || (replacement != heap.NilID && !h.Contains(replacement)) {
+				t.Fatalf("replacement-object @%d after the failure, was @%d", got.replacement, replacement)
 			}
 			if got := keys(); !reflect.DeepEqual(got, donor) {
 				t.Fatalf("donor holds %v after the failure, held %v", got, donor)

@@ -14,13 +14,13 @@ type CollectStats struct {
 	Reclaimed int
 	// BytesFreed is the accounted memory returned to the budget.
 	BytesFreed int64
-	// Swept lists the reclaimed objects' ids (nil when nothing was reclaimed):
-	// the heap's one report of what it reclaimed, from which table owners
-	// purge exactly those records. The order is the heap's resident list, a
-	// function of the heap's history of allocations, installs and
-	// reclamations, so two heaps built by the same sequence of calls sweep
-	// the same ids in the same order.
-	Swept []ObjID
+	// Swept lists the reclaimed objects (nil when nothing was reclaimed),
+	// detached but with their fields intact: the heap's one report of what it
+	// reclaimed, from which table owners purge exactly what they recorded. The
+	// order is the heap's resident list, a function of the heap's history of
+	// allocations, installs and reclamations, so two heaps built by the same
+	// sequence of calls sweep the same objects in the same order.
+	Swept []*Object
 }
 
 // Collect runs one stop-the-world mark-sweep cycle. Liveness roots are: named
@@ -93,11 +93,11 @@ func (h *Heap) CollectCycles(cycles int, extra ...ObjID) CollectStats {
 	var st CollectStats
 	for _, o := range h.objects.list {
 		if o.mark != h.epoch {
-			st.Swept = append(st.Swept, o.id)
+			st.Swept = append(st.Swept, o)
 		}
 	}
-	for _, id := range st.Swept {
-		h.reclaimLocked(id, &st)
+	for _, o := range st.Swept {
+		h.reclaimLocked(o.id, &st)
 	}
 	for id, grace := range h.nursery {
 		if grace <= cycles {
@@ -166,7 +166,7 @@ func (h *Heap) finishReclaim(st *CollectStats, gcFreed *obs.Counter) {
 // Free reclaims exactly the given objects in one critical section, as a
 // collection that found them (and nothing else) unreachable would: their
 // bytes return to the budget before Free returns. Ids that are not resident
-// are skipped. Its result lists no Swept ids: the caller named them. The
+// are skipped. Its result lists nothing as Swept: the caller named it. The
 // swapping runtime calls it when a swap-out commits — the shipped members are
 // unreachable by construction, so there is nothing for a mark phase to
 // decide. It is not a collection cycle: the nursery does not age.

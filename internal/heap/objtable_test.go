@@ -205,7 +205,7 @@ func TestMarkEpochWrap(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := h.Collect()
-		if st.Reclaimed != 1 || st.Swept[0] != garbage.ID() {
+		if st.Reclaimed != 1 || st.Swept[0] != garbage {
 			t.Fatalf("pass %d (epoch %d): swept %v, want only the garbage %d", pass, h.epoch, st.Swept, garbage.ID())
 		}
 		for _, o := range chain {
@@ -228,7 +228,7 @@ func TestSweptOrderFollowsHistory(t *testing.T) {
 		build := func() []ObjID {
 			h, extra := randomHeap(t, seed)
 			churn(t, rand.New(rand.NewSource(seed)), h, fanClass(), int(h.nextID))
-			return h.Collect(extra...).Swept
+			return sweptIDs(h.Collect(extra...).Swept)
 		}
 		sweptA, sweptB := build(), build()
 		if !reflect.DeepEqual(sweptA, sweptB) {

@@ -90,9 +90,18 @@ func churn(t testing.TB, r *rand.Rand, h *Heap, c *Class, span int) {
 	}
 }
 
-func sortedIDs(ids []ObjID) []ObjID {
-	out := append([]ObjID(nil), ids...)
+func sortedIDs(swept []*Object) []ObjID {
+	out := sweptIDs(swept)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// sweptIDs lists the ids of a collection's swept objects, in sweep order.
+func sweptIDs(swept []*Object) []ObjID {
+	out := make([]ObjID, len(swept))
+	for i, o := range swept {
+		out[i] = o.ID()
+	}
 	return out
 }
 
