@@ -32,7 +32,7 @@ go build ./...
 #   swap-out returns; a collection that reclaims nothing allocates nothing.
 # - TestSwapRoundTripBudget (internal/core): one SwapOut + SwapIn of a written
 #   32-object x 128 B cluster in the binary format allocates at most 6x the
-#   frame it ships in at most 61 objects; neither the encode side, once the
+#   frame it ships in at most 60 objects; neither the encode side, once the
 #   encoder pool is warm, nor a swap-in (the same count at 32 and 128
 #   members) allocates anything that grows with the object count; an
 #   unwritten one leaves with no store call, at most 14 allocations and
@@ -46,6 +46,10 @@ go build ./...
 # - TestLiveProxyHostBytes (internal/core): a live boundary proxy costs the
 #   Go heap at most 285 B with clusters of 1 and 241 B with clusters of 32
 #   (proxy block, heap-index slot, shared-index entry, inbound entry, edge).
+# - TestSwappedResidue (internal/core): a swapped-out member leaves at most
+#   127 B of Go heap behind with 3 125 clusters of 32 and 118 B with 10 000
+#   (object-index entry, member-list entry, a share of the replacement-object
+#   and of the cluster record, the heap's peak-sized object index).
 # - TestObjTableMatchesMap, TestObjectIndexBoundedByPeakResidency,
 #   TestResidencyChurnAllocatesNothing, TestMarkEpochWrap,
 #   TestSweptOrderFollowsHistory, TestObjectLayouts (internal/heap): the
@@ -312,6 +316,19 @@ PROXYRECS=$(grep -nE 'map\[ClusterID\]map\[|proxyRecs|objProxyMeta|proxyRecord' 
 if [ -n "$PROXYRECS" ]; then
     echo "second proxy record (read a proxy's source and target from its fields; list it on its target cluster's record):" >&2
     echo "$PROXYRECS" >&2
+    exit 1
+fi
+# Guard: membership is one sorted list per cluster. A cluster's members are
+# clusterState.members, ascending, beside one pointer-free object-to-cluster
+# index; no non-test file of internal/core keeps a per-cluster member set
+# (objects map[, .objects[, cs.objects), gives the retained copy a member
+# table of its own (kept.members, retained.members), or puts a string field
+# in objInfo, whose class is an index into the registered classes.
+MEMBERSETS=$(grep -nE 'objects map\[|\.objects\[|cs\.objects|kept\.members|retained\.members' internal/core/*.go | grep -v '_test\.go:' || true)
+INFOSTRINGS=$(awk '/^type objInfo struct/,/^}/' $(ls internal/core/*.go | grep -v '_test\.go$') | grep -E '[[:space:]]string([[:space:]]|$)' || true)
+if [ -n "$MEMBERSETS" ] || [ -n "$INFOSTRINGS" ]; then
+    echo "second membership record (list members in clusterState.members; objInfo holds a cluster and a class index):" >&2
+    printf '%s\n%s\n' "$MEMBERSETS" "$INFOSTRINGS" >&2
     exit 1
 fi
 # Fault-storm smoke: 64 goroutines faulting 8 swapped clusters must issue

@@ -160,15 +160,11 @@ func (rt *Runtime) SaveCheckpoint(w io.Writer) error {
 		tab := &rt.mgr.table
 		tab.mu.Lock()
 		cs := tab.clusters[cid]
-		members := make([]heap.ObjID, 0, len(cs.objects))
-		for oid := range cs.objects {
-			members = append(members, oid)
-			note(oid)
-		}
-		slices.Sort(members)
+		members := slices.Clone(cs.members)
 		ck := ckptCluster{ID: uint32(cid), Swapped: cs.where.out()}
 		for _, oid := range members {
-			ck.Members = append(ck.Members, ckptMember{ID: uint64(oid), Class: tab.members[oid].class})
+			note(oid)
+			ck.Members = append(ck.Members, ckptMember{ID: uint64(oid), Class: rt.classes[tab.members[oid].class].app.Name})
 		}
 		// Replica sets are replaced, never edited, so the copies may share them.
 		swapped, was, c := ck.Swapped, cs.shipment, cs.retained.donorCopy
@@ -256,10 +252,8 @@ func (rt *Runtime) SaveCheckpoint(w io.Writer) error {
 // encoded by ultimate identity (or as an object-fault placeholder). The
 // document is enc's buffer, valid until its next use.
 func (rt *Runtime) encodeResidentCluster(enc *wire.Encoder, cid ClusterID, members []heap.ObjID) ([]byte, error) {
-	memberSet := make(map[heap.ObjID]bool, len(members))
 	objs := make([]*heap.Object, 0, len(members))
 	for _, oid := range members {
-		memberSet[oid] = true
 		o, err := rt.h.Get(oid)
 		if err != nil {
 			return nil, fmt.Errorf("core: checkpoint: member @%d of cluster %d: %w", oid, cid, err)
@@ -267,7 +261,7 @@ func (rt *Runtime) encodeResidentCluster(enc *wire.Encoder, cid ClusterID, membe
 		objs = append(objs, o)
 	}
 	encodeRef := func(rid heap.ObjID) (xmlcodec.Value, error) {
-		if memberSet[rid] {
+		if _, in := slices.BinarySearch(members, rid); in {
 			return xmlcodec.InternalRef(rid), nil
 		}
 		d, err := rt.designate(rid)
@@ -469,11 +463,18 @@ func (m *Manager) restoreRecords(plain []ckptCluster) error {
 		if ck.Swapped {
 			at = swappedOut
 		}
-		cs := newClusterState(cid, len(ck.Members), at)
+		cs := newClusterState(cid, at)
 		for _, mem := range ck.Members {
 			oid := heap.ObjID(mem.ID)
-			cs.objects[oid] = true
-			tab.members[oid] = objInfo{cluster: cid, class: mem.Class}
+			class, ok := m.rt.classIndex[mem.Class]
+			switch _, dup := tab.members[oid]; {
+			case !ok:
+				return fmt.Errorf("%w: cluster %d member @%d: %w: %q", ErrBadCheckpoint, cid, oid, heap.ErrUnknownClass, mem.Class)
+			case dup || len(cs.members) > 0 && cs.members[len(cs.members)-1] >= oid:
+				return fmt.Errorf("%w: cluster %d member @%d repeated or out of order", ErrBadCheckpoint, cid, oid)
+			}
+			cs.members = append(cs.members, oid)
+			tab.members[oid] = objInfo{cluster: cid, class: class}
 		}
 		if ck.Swapped {
 			devices := ck.replicaSet()
@@ -484,20 +485,20 @@ func (m *Manager) restoreRecords(plain []ckptCluster) error {
 				return fmt.Errorf("%w: cluster %d has an empty replica device", ErrBadCheckpoint, cid)
 			}
 			// The copy a reload fetches is the one the cluster's own key and
-			// replica list name (its <base> repeats them). Without member and
-			// slot tables it anchors nothing until the reload reads them back.
+			// replica list name (its <base> repeats them). Without a slot
+			// table it anchors nothing until the reload reads it back.
 			cs.shipment = shipment{bytesAtSwap: ck.Bytes}
 			m.anchor(cs, donorCopy{devices: devices, key: ck.Key, payloadBytes: ck.Payload,
-				crc: ck.CRC, format: ck.Format}, nil, nil)
+				crc: ck.CRC, format: ck.Format}, nil)
 		} else if ck.Base != nil {
-			// Without the member and slot tables the copy anchors nothing: a
-			// restored resident cluster ships in full, and the rotation drops
-			// this key.
+			// Without a slot table the copy anchors nothing: a restored
+			// resident cluster ships in full, and the rotation drops this
+			// key.
 			c := donorCopy{key: ck.Base.Key, format: ck.Base.Format, crc: ck.Base.CRC}
 			for _, r := range ck.Base.Replicas {
 				c.devices = append(c.devices, r.Device)
 			}
-			m.anchor(cs, c, nil, nil)
+			m.anchor(cs, c, nil)
 		}
 		tab.put(cs)
 		tab.lastID = max(tab.lastID, cid)

@@ -283,8 +283,15 @@ type Runtime struct {
 
 	replacementClass *heap.Class
 	objProxyClass    *heap.Class
-	proxyClasses     map[string]*heap.Class
+	// classes lists the application classes in registration order, each
+	// with its swap-cluster-proxy class; objInfo.class indexes it, and
+	// classIndex maps a class name to that index.
+	classes    []appClass
+	classIndex map[string]uint32
 }
+
+// appClass is a registered application class and its proxy class.
+type appClass struct{ app, proxy *heap.Class }
 
 var _ heap.Invoker = (*Runtime)(nil)
 
@@ -377,10 +384,10 @@ var runtimeSeq uint64
 // allocated under full memory pressure (see heap.SetReserve).
 func NewRuntime(h *heap.Heap, reg *heap.Registry, opts ...Option) *Runtime {
 	rt := &Runtime{
-		h:            h,
-		reg:          reg,
-		proxyClasses: make(map[string]*heap.Class),
-		name:         fmt.Sprintf("dev%d", atomic.AddUint64(&runtimeSeq, 1)),
+		h:          h,
+		reg:        reg,
+		classIndex: make(map[string]uint32),
+		name:       fmt.Sprintf("dev%d", atomic.AddUint64(&runtimeSeq, 1)),
 	}
 	rt.frames = heap.NewFrames(rt)
 	rt.replacementClass = buildReplacementClass()
@@ -589,7 +596,8 @@ func (rt *Runtime) RegisterClass(c *heap.Class) error {
 	if err := rt.reg.Register(c); err != nil {
 		return err
 	}
-	rt.proxyClasses[c.Name] = buildProxyClass(c)
+	rt.classIndex[c.Name] = uint32(len(rt.classes))
+	rt.classes = append(rt.classes, appClass{app: c, proxy: buildProxyClass(c)})
 	return nil
 }
 
@@ -657,7 +665,8 @@ func (rt *Runtime) NewObject(c *heap.Class, cluster ClusterID) (*heap.Object, er
 	if c.Special != heap.SpecialNone {
 		return nil, fmt.Errorf("core: NewObject: %s is a middleware class", c.Name)
 	}
-	if _, ok := rt.proxyClasses[c.Name]; !ok {
+	class, ok := rt.classIndex[c.Name]
+	if !ok {
 		return nil, fmt.Errorf("core: NewObject: class %s not registered with RegisterClass", c.Name)
 	}
 	// Allocating into a swapped-out cluster faults it back in first: the new
@@ -671,7 +680,7 @@ func (rt *Runtime) NewObject(c *heap.Class, cluster ClusterID) (*heap.Object, er
 	if err != nil {
 		return nil, err
 	}
-	if err := rt.mgr.assign(o.ID(), cluster, c.Name); err != nil {
+	if err := rt.mgr.assign(o.ID(), cluster, class); err != nil {
 		_ = rt.h.Remove(o.ID())
 		return nil, err
 	}

@@ -73,7 +73,7 @@ func (rt *Runtime) sweepSwapped() {
 			continue
 		}
 		victims = append(victims, forgotCopy{id, cs.forget()})
-		for oid := range cs.objects {
+		for _, oid := range cs.members {
 			delete(m.table.members, oid)
 		}
 		m.table.drop(cs) // its inbound proxies were swept with its replacement
@@ -249,17 +249,20 @@ func (m *Manager) reclaimed(swept []*heap.Object) {
 		if o.Class().Special != heap.SpecialNone {
 			continue
 		}
-		info, ok := tab.members[o.ID()]
-		if !ok {
-			continue
-		}
-		if cs, ok := tab.clusters[info.cluster]; ok && !cs.where.out() {
-			delete(cs.objects, o.ID())
-			delete(tab.members, o.ID())
-			if len(cs.objects) == 0 && cs.where == resident {
+		// The first swept member a list still holds compacts it, all at once,
+		// into a copy while a swap-out reads it (swapOut.reserve).
+		if cs, ok := tab.clusters[tab.members[o.ID()].cluster]; ok && !cs.where.out() && cs.has(o.ID()) {
+			members := cs.members
+			if cs.where != resident {
+				members = slices.Clone(members)
+			}
+			cs.members = slices.DeleteFunc(members, func(oid heap.ObjID) bool { return !h.Contains(oid) })
+			cs.changed()
+			if len(cs.members) == 0 && cs.where == resident {
 				emptied = append(emptied, forgotCopy{cs.id, cs.forget()})
 			}
 		}
+		delete(tab.members, o.ID())
 	}
 	tab.mu.Unlock()
 	m.queueDrops(emptied...)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -81,6 +82,62 @@ func TestLiveProxyHostBytes(t *testing.T) {
 			}
 			checkClean(t, f.rt)
 			runtime.KeepAlive(objs)
+		})
+	}
+}
+
+// TestSwappedResidue pins what a swapped-out cluster leaves behind in the
+// host's own memory, per member it shipped: lists of clusters of 32 members
+// with 64 B payloads are built, every cluster is swapped out, a collection
+// runs, and the Go heap's growth over the empty runtime, less the bytes the
+// in-memory donor holds, is divided by the members shipped. A swapped member
+// still pays for
+//   - its entry in the object-to-cluster index (clusterTable.members): an
+//     8 B id and an 8 B pointer-free objInfo in a Go map, ≈ 30 B;
+//   - its entry in its cluster's member list (8 B);
+//   - a 32nd of its cluster's replacement-object (≈ 10 B) and of its cluster
+//     record (≈ 13 B);
+//   - the heap's object index, sized by peak residency and never shrunk
+//     (≈ 36 B), and the donor's own per-key bookkeeping (≈ 5 B).
+//
+// While membership was also a map[heap.ObjID]bool per cluster and the
+// retained copy kept a member table of its own, the index entry held a class
+// name string and a swapped member cost 188.6 and 187.4 B. check.sh runs it
+// by name.
+func TestSwappedResidue(t *testing.T) {
+	if raceEnabled {
+		t.Skip("host-memory budgets are gated without the race detector")
+	}
+	for _, tc := range []struct {
+		clusters int
+		budget   float64 // B per swapped member
+	}{
+		{3125, 127},  // measured 121.0 B
+		{10000, 118}, // measured 112.6 B
+	} {
+		t.Run(fmt.Sprintf("%dx32", tc.clusters), func(t *testing.T) {
+			f := newFixture(t, 0)
+			before := liveHeapBytes()
+			members := tc.clusters * 32
+			_, clusters := f.buildList(t, members, 32, 64)
+			for _, c := range clusters {
+				if _, err := f.rt.SwapOut(c); err != nil {
+					t.Fatalf("swap-out %d: %v", c, err)
+				}
+			}
+			f.rt.Collect()
+			st, err := f.mem.Stats(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			after := liveHeapBytes()
+			per := (float64(after) - float64(before) - float64(st.Used)) / float64(members)
+			t.Logf("%d clusters of 32: %.1f B of Go heap per swapped member (%d B on the donor)", tc.clusters, per, st.Used)
+			if per > tc.budget {
+				t.Fatalf("a swapped member leaves %.1f B of host memory behind, budget is %.0f B", per, tc.budget)
+			}
+			checkClean(t, f.rt)
+			runtime.KeepAlive(clusters)
 		})
 	}
 }

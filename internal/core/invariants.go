@@ -14,8 +14,9 @@ import (
 //
 // Checked invariants:
 //
-//  1. membership — every tracked object belongs to exactly one known
-//     cluster, and cluster member sets agree with the per-object index;
+//  1. membership — every record's member list is strictly ascending, and
+//     it agrees with the object index both ways: an indexed object is listed
+//     by the known cluster the index names, a listed one indexed to it;
 //  2. residency — a cluster is in exactly one place: a swapped cluster's
 //     replacement-object is resident and none of its members is (swap-out
 //     frees them at commit);
@@ -57,12 +58,15 @@ func (m *Manager) CheckInvariants() []error {
 			fail("object @%d assigned to unknown cluster %d", oid, info.cluster)
 			continue
 		}
-		if !cs.objects[oid] {
-			fail("object @%d missing from cluster %d member set", oid, info.cluster)
+		if !cs.has(oid) {
+			fail("object @%d missing from cluster %d member list", oid, info.cluster)
 		}
 	}
 	for cid, cs := range clusters {
-		for oid := range cs.objects {
+		for i, oid := range cs.members {
+			if i > 0 && cs.members[i-1] >= oid {
+				fail("cluster %d lists @%d after @%d: member list not ascending", cid, oid, cs.members[i-1])
+			}
 			if info, ok := members[oid]; !ok || info.cluster != cid {
 				fail("cluster %d lists @%d but object index disagrees", cid, oid)
 			}
@@ -77,7 +81,7 @@ func (m *Manager) CheckInvariants() []error {
 		if !h.Contains(cs.replacement) {
 			fail("swapped cluster %d lost its replacement-object @%d", cid, cs.replacement)
 		}
-		for oid := range cs.objects {
+		for _, oid := range cs.members {
 			if h.Contains(oid) {
 				fail("swapped cluster %d member @%d is resident", cid, oid)
 			}

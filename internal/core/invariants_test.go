@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -41,19 +43,47 @@ func TestInvariantsHoldAcrossSwapCycle(t *testing.T) {
 	checkClean(t, f.rt)
 }
 
+// TestInvariantsDetectCorruption plants one fault per row behind the
+// middleware's back and checks that CheckInvariants reports it.
 func TestInvariantsDetectCorruption(t *testing.T) {
-	// Plant a forbidden cross-cluster direct reference and verify the
-	// checker reports it (direct heap write, bypassing interception).
-	f := newFixture(t, 0)
-	ids, _ := f.buildList(t, 20, 10, 8)
-	a, _ := f.rt.Heap().Get(ids[0])  // cluster 1
-	b, _ := f.rt.Heap().Get(ids[15]) // cluster 2
-	if err := a.SetFieldByName("next", b.RefTo()); err != nil {
-		t.Fatal(err)
-	}
-	errs := f.rt.Manager().CheckInvariants()
-	if len(errs) == 0 {
-		t.Fatal("planted violation not detected")
+	for _, tc := range []struct {
+		name  string
+		plant func(t *testing.T, f *fixture, ids []heap.ObjID, clusters []ClusterID)
+		want  string
+	}{
+		{"cross-cluster direct reference", func(t *testing.T, f *fixture, ids []heap.ObjID, _ []ClusterID) {
+			// A direct heap write, bypassing interception.
+			a, _ := f.rt.Heap().Get(ids[0])  // cluster 1
+			b, _ := f.rt.Heap().Get(ids[15]) // cluster 2
+			if err := a.SetFieldByName("next", b.RefTo()); err != nil {
+				t.Fatal(err)
+			}
+		}, "un-proxied reference"},
+		{"member list out of order", func(t *testing.T, f *fixture, _ []heap.ObjID, clusters []ClusterID) {
+			tab := &f.rt.mgr.table
+			tab.mu.Lock()
+			defer tab.mu.Unlock()
+			l := tab.clusters[clusters[0]].members
+			l[0], l[1] = l[1], l[0]
+		}, "not ascending"},
+		{"index entry its cluster does not list", func(t *testing.T, f *fixture, _ []heap.ObjID, clusters []ClusterID) {
+			tab := &f.rt.mgr.table
+			tab.mu.Lock()
+			defer tab.mu.Unlock()
+			cs := tab.clusters[clusters[1]]
+			cs.members = cs.members[1:]
+		}, "missing from cluster"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t, 0)
+			ids, clusters := f.buildList(t, 20, 10, 8)
+			checkClean(t, f.rt)
+			tc.plant(t, f, ids, clusters)
+			errs := f.rt.Manager().CheckInvariants()
+			if !slices.ContainsFunc(errs, func(err error) bool { return strings.Contains(err.Error(), tc.want) }) {
+				t.Fatalf("planted fault not reported as %q: %v", tc.want, errs)
+			}
+		})
 	}
 }
 

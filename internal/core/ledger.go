@@ -85,8 +85,8 @@ func (m *Manager) touch(oid heap.ObjID, write bool) {
 	if !member || cs == nil {
 		return
 	}
-	if dirty && !cs.where.out() && cs.retained.key != "" {
-		cs.dirty = true
+	if dirty && !cs.where.out() {
+		cs.changed()
 	}
 	if track {
 		m.feed(cs, accessed, 0, m.rt.telem.Now())

@@ -14,11 +14,12 @@ import (
 )
 
 // objInfo is the SwappingManager's per-object record: which swap-cluster the
-// object belongs to and its class name (needed to synthesize proxies for
-// objects that are currently swapped out, hence not resident).
+// object belongs to and its class (an index into Runtime.classes, needed to
+// synthesize proxies for objects that are currently swapped out, hence not
+// resident). It holds no pointer, so the Go collector does not scan it.
 type objInfo struct {
 	cluster ClusterID
-	class   string
+	class   uint32
 }
 
 // donorCopy names one payload the donors hold and what a fetch of it must
@@ -57,22 +58,21 @@ func (c donorCopy) primary() string {
 // swapped out, what a reload fetches; while it is resident again, the
 // shipment its donors kept, with what the owner needs to tell, locally,
 // whether the resident cluster still equals it. A cluster that does leaves
-// without a byte (swapOut.reserve); one that does not ships in full. members
-// is the membership the payload holds, ascending; slots is its outbound slot
-// table, the ultimate target of each slot in slot order. Neither is
-// checkpointed, so a restored copy serves reloads and cleanup but anchors
-// nothing until the cluster is next reloaded or shipped. Only anchor, forget
-// and rehome (state.go) write a record's copy.
+// without a byte (swapOut.reserve); one that does not ships in full. slots is
+// the payload's outbound slot table, the ultimate target of each slot in slot
+// order; its membership is the record's list while the record is not dirty.
+// The slot table is not checkpointed, so a restored copy serves reloads and
+// cleanup but anchors nothing until the cluster is next reloaded or shipped.
+// Only anchor, forget and rehome (state.go) write a record's copy.
 type retainedCopy struct {
 	donorCopy
-	members []heap.ObjID
-	slots   []heap.ObjID
+	slots []heap.ObjID
 }
 
-// usable reports whether the copy can stand in for the resident cluster (key
-// known AND the membership table survived — false after a checkpoint
-// restore).
-func (c retainedCopy) usable() bool { return c.key != "" && len(c.members) > 0 }
+// usable reports whether the copy can stand in for the resident cluster: key
+// known AND slot table known (nil after a checkpoint restore; empty, not nil,
+// for a cluster with no outbound slot).
+func (c retainedCopy) usable() bool { return c.key != "" && c.slots != nil }
 
 // shipment is the swapped-out side of a cluster record: the replacement-object
 // standing in for it. The payload is the record's retained copy.
@@ -84,8 +84,11 @@ type shipment struct {
 
 // clusterState is the SwappingManager's per-swap-cluster record.
 type clusterState struct {
-	id      ClusterID
-	objects map[heap.ObjID]bool
+	id ClusterID
+	// members lists the objects belonging to the cluster, ascending, under
+	// the table lock; it is edited in place only while the cluster is
+	// resident, since a swap-out reads it from reserve to commit.
+	members []heap.ObjID
 
 	// ledger is the cluster's access record — recency and frequency fed by
 	// proxy traversal as the paper describes, swap history, and (with a
@@ -100,9 +103,9 @@ type clusterState struct {
 	shipment
 
 	// retained is the payload the donors hold for the cluster, and dirty
-	// reports a member written since it was anchored (touch); it resets
-	// when a shipment becomes the copy or a reload proves the copy equals
-	// resident state.
+	// reports the cluster changed since it was anchored: a member written
+	// (touch), joined (assign) or swept (compact). It resets when a shipment
+	// becomes the copy or a reload proves the copy equals resident state.
 	retained retainedCopy
 	dirty    bool
 
@@ -116,6 +119,12 @@ type clusterState struct {
 	inbound []*heap.Object
 	edges   []edge
 	swept   uint64
+}
+
+// has reports whether oid is a member. The caller holds the table lock.
+func (cs *clusterState) has(oid heap.ObjID) bool {
+	_, ok := slices.BinarySearch(cs.members, oid)
+	return ok
 }
 
 // edge counts the live swap-cluster-proxies from one cluster into cluster to.
@@ -158,7 +167,7 @@ type proxyKey struct {
 // included) of every swap-cluster, added and removed only through put and
 // drop (state.go), the objects belonging to each, and each one's inbound
 // proxies and outbound edges. members is the object-to-cluster index, kept in
-// step with every record's member set; lastID is the highest cluster id
+// step with every record's member list; lastID is the highest cluster id
 // handed out. The proxy reuse indexes and the drop queue stay under
 // Manager.mu, and no code holds both locks except CheckInvariants.
 type clusterTable struct {
@@ -224,7 +233,7 @@ func newManager(rt *Runtime) *Manager {
 		proxies:    make(map[proxyKey]heap.ObjID),
 		objProxies: make(map[heap.ObjID]heap.ObjID),
 	}
-	m.table.put(newClusterState(RootCluster, 0, resident))
+	m.table.put(newClusterState(RootCluster, resident))
 	return m
 }
 
@@ -261,7 +270,7 @@ func (m *Manager) NewCluster() ClusterID {
 // tab.mu.
 func (tab *clusterTable) newCluster() ClusterID {
 	tab.lastID++
-	tab.put(newClusterState(tab.lastID, 0, resident))
+	tab.put(newClusterState(tab.lastID, resident))
 	return tab.lastID
 }
 
@@ -277,8 +286,9 @@ func (m *Manager) Clusters() []ClusterID {
 	return ids
 }
 
-// assign records an object as a member of a cluster.
-func (m *Manager) assign(id heap.ObjID, cluster ClusterID, class string) error {
+// assign records an object of the given class (Runtime.classes) as a member
+// of a cluster, which then no longer equals its retained copy.
+func (m *Manager) assign(id heap.ObjID, cluster ClusterID, class uint32) error {
 	m.table.mu.Lock()
 	defer m.table.mu.Unlock()
 	// Resident and unreserved only: a swap-out in flight has already
@@ -292,7 +302,10 @@ func (m *Manager) assign(id heap.ObjID, cluster ClusterID, class string) error {
 		return fmt.Errorf("core: object @%d already assigned to cluster %d", id, prev.cluster)
 	}
 	m.table.members[id] = objInfo{cluster: cluster, class: class}
-	cs.objects[id] = true
+	// Heap ids rise, so this is an append in practice.
+	i, _ := slices.BinarySearch(cs.members, id)
+	cs.members = slices.Insert(cs.members, i, id)
+	cs.changed()
 	// Allocation into a cluster is a use signal: advance its recency so
 	// victim selection does not evict the cluster being built.
 	m.feed(cs, used, m.clock.Add(1), m.rt.telem.Now())
@@ -306,7 +319,7 @@ func (m *Manager) ClusterOf(id heap.ObjID) ClusterID {
 	return info.cluster
 }
 
-// member returns an object's membership record — its cluster and class name,
+// member returns an object's membership record — its cluster and class,
 // valid even while the object is swapped out. An object never assigned has
 // none: it belongs to RootCluster, the zero record's cluster.
 func (m *Manager) member(id heap.ObjID) (objInfo, bool) {
@@ -525,7 +538,7 @@ func (m *Manager) infoOf(cs *clusterState) ClusterInfo {
 	c := cs.retained.donorCopy
 	info := ClusterInfo{
 		ID:          cs.id,
-		Objects:     len(cs.objects),
+		Objects:     len(cs.members),
 		Swapped:     cs.where.out(),
 		Busy:        cs.where.reserved(),
 		BaseKey:     c.key,
@@ -549,7 +562,7 @@ func (m *Manager) infoOf(cs *clusterState) ClusterInfo {
 // members; the caller holds the table lock.
 func (m *Manager) residentBytes(cs *clusterState) int64 {
 	var n int64
-	for id := range cs.objects {
+	for _, id := range cs.members {
 		if o, err := m.rt.h.Get(id); err == nil {
 			n += o.Size()
 		}
@@ -611,7 +624,7 @@ func (m *Manager) SelectVictims(strategy VictimStrategy) []ClusterID {
 	var eligible []ranked
 	m.table.mu.Lock()
 	for id, cs := range m.table.clusters {
-		if id == RootCluster || cs.where != resident || len(cs.objects) == 0 {
+		if id == RootCluster || cs.where != resident || len(cs.members) == 0 {
 			continue
 		}
 		r := ranked{id: id}

@@ -134,13 +134,11 @@ func (rt *Runtime) newProxy(src ClusterID, target heap.ObjID, cursor bool) (heap
 		if err != nil {
 			return heap.NilID, fmt.Errorf("core: proxy target @%d: %w", target, err)
 		}
-		info.class = o.Class().Name
+		if info.class, ok = rt.classIndex[o.Class().Name]; !ok {
+			return heap.NilID, fmt.Errorf("core: no proxy class for %s (class not registered)", o.Class().Name)
+		}
 	}
-	proxyClass, ok := rt.proxyClasses[info.class]
-	if !ok {
-		return heap.NilID, fmt.Errorf("core: no proxy class for %s (class not registered)", info.class)
-	}
-	p, err := rt.allocMiddleware(proxyClass)
+	p, err := rt.allocMiddleware(rt.classes[info.class].proxy)
 	if err != nil {
 		return heap.NilID, fmt.Errorf("core: allocate proxy: %w", err)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 
 	"objectswap/internal/heap"
@@ -52,25 +51,16 @@ func (rt *Runtime) MergeClusters(dst, src ClusterID) error {
 		tab.mu.Unlock()
 		return fmt.Errorf("core: merge of clusters %d/%d: %w", dst, src, err)
 	}
-	members := maps.Clone(ss.objects)
-	tab.mu.Unlock()
-
-	isMember := func(oid heap.ObjID) bool { return members[oid] }
-	if err := rt.checkInactive(src, isMember); err != nil {
-		return err
+	if err = rt.checkInactive(src, ss.has); err == nil {
+		err = rt.checkInactive(dst, ds.has)
 	}
-	tab.mu.Lock()
-	for oid := range ds.objects {
-		members[oid] = true
-	}
-	tab.mu.Unlock()
-	if err := rt.checkInactive(dst, isMember); err != nil {
+	if err != nil {
+		tab.mu.Unlock()
 		return err
 	}
 
 	// 1. Move membership, and the inbound proxies with their targets.
-	tab.mu.Lock()
-	tab.regroup(ss.objects, ss, ds)
+	tab.regroup(ss, ds, func(heap.ObjID) bool { return true })
 	// The one place a merge decides what the survivor inherits: src's
 	// counters summed into its own, the later recency, the hotter heat and
 	// thrash. Dropping src's record drops the rest of its history. Neither
@@ -114,28 +104,26 @@ func (rt *Runtime) SplitCluster(src ClusterID, members []heap.ObjID) (ClusterID,
 	tab := &m.table
 	tab.mu.Lock()
 	ss, err := tab.at(src, resident)
+	for _, oid := range members {
+		if err == nil && !ss.has(oid) {
+			err = fmt.Errorf("core: split: @%d is not a member of cluster %d", oid, src)
+		}
+	}
+	if err == nil {
+		err = rt.checkInactive(src, ss.has)
+	}
 	if err != nil {
 		tab.mu.Unlock()
 		return 0, err
 	}
-	moved := make(map[heap.ObjID]bool, len(members))
-	for _, oid := range members {
-		if !ss.objects[oid] {
-			tab.mu.Unlock()
-			return 0, fmt.Errorf("core: split: @%d is not a member of cluster %d", oid, src)
-		}
-		moved[oid] = true
-	}
-	all := maps.Clone(ss.objects)
-	tab.mu.Unlock()
-	if err := rt.checkInactive(src, func(oid heap.ObjID) bool { return all[oid] }); err != nil {
-		return 0, err
-	}
 
-	tab.mu.Lock()
+	moved := slices.Sorted(slices.Values(members))
 	fresh := tab.newCluster()
 	fs := tab.clusters[fresh]
-	tab.regroup(moved, ss, fs)
+	tab.regroup(ss, fs, func(oid heap.ObjID) bool {
+		_, ok := slices.BinarySearch(moved, oid)
+		return ok
+	})
 	// The fresh half starts no colder than the cluster it was cut from, whose
 	// retained copy holds neither half.
 	fs.ledger.LastAccess = ss.ledger.LastAccess
@@ -154,18 +142,22 @@ func (rt *Runtime) SplitCluster(src ClusterID, members []heap.ObjID) (ClusterID,
 	return fresh, nil
 }
 
-// regroup makes the members of from listed in moved members of to, and moves
-// every proxy of from's inbound list whose ultimate target moved to to's
-// list, its source's edge with it; from's list is compacted in place. The
-// caller holds tab.mu.
-func (tab *clusterTable) regroup(moved map[heap.ObjID]bool, from, to *clusterState) {
-	for oid := range moved {
-		if !from.objects[oid] {
-			continue // reclaimed since it was listed: reclaimed forgot it
+// regroup moves the members of from that moves picks to to's member list,
+// and every proxy of from's inbound list whose ultimate target moved to to's
+// inbound list, its source's edge with it; from's lists are compacted in
+// place. Both clusters are resident. The caller holds tab.mu.
+func (tab *clusterTable) regroup(from, to *clusterState, moves func(heap.ObjID) bool) {
+	had := len(to.members)
+	from.members = slices.DeleteFunc(from.members, func(oid heap.ObjID) bool {
+		if !moves(oid) {
+			return false
 		}
 		tab.members[oid] = objInfo{cluster: to.id, class: tab.members[oid].class}
-		delete(from.objects, oid)
-		to.objects[oid] = true
+		to.members = append(to.members, oid)
+		return true
+	})
+	if had > 0 {
+		slices.Sort(to.members) // two ascending runs
 	}
 	from.inbound = slices.DeleteFunc(from.inbound, func(p *heap.Object) bool {
 		if tab.members[proxyUltimate(p)].cluster != to.id {
@@ -190,12 +182,8 @@ func (rt *Runtime) remediateCluster(id ClusterID) error {
 		tab.mu.Unlock()
 		return err
 	}
-	ids := make([]heap.ObjID, 0, len(cs.objects))
-	for oid := range cs.objects {
-		ids = append(ids, oid)
-	}
+	ids := slices.Clone(cs.members)
 	tab.mu.Unlock()
-	slices.Sort(ids)
 
 	for _, oid := range ids {
 		o, err := rt.h.Get(oid)

@@ -168,6 +168,25 @@ func TestRetainedCopy(t *testing.T) {
 				}
 			},
 			calls: counts{put: 1, get: 1, drop: 1, stats: 1}},
+		{name: "new member, then swept", donors: 1, k: 1,
+			between: func(t *testing.T, e *retained) {
+				// The membership ends where it began, but a member joined and
+				// left: the record cannot tell, so the cluster ships.
+				o, err := e.f.rt.NewObject(e.f.node, e.id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; e.f.rt.h.Contains(o.ID()); i++ {
+					if i == 4 {
+						t.Fatal("the unreferenced member survived its collections")
+					}
+					e.f.rt.Collect()
+				}
+			},
+			calls: counts{put: 1, get: 1, drop: 1, stats: 1}},
+		{name: "last cluster, no outbound slot", donors: 1, k: 1,
+			before: func(t *testing.T, e *retained) { e.id = e.clusters[2] },
+			clean:  true, calls: counts{get: 1}},
 		{name: "outbound edge re-pointed", donors: 1, k: 1,
 			between: func(t *testing.T, e *retained) {
 				// The cluster's one outbound proxy (node 19 -> node 20) becomes a

@@ -55,8 +55,8 @@ func (r residency) String() string {
 
 // newClusterState makes a record born at the given (settled) residency:
 // resident for a fresh cluster, swappedOut for one restored from a checkpoint.
-func newClusterState(id ClusterID, members int, at residency) *clusterState {
-	return &clusterState{id: id, objects: make(map[heap.ObjID]bool, members), where: at}
+func newClusterState(id ClusterID, at residency) *clusterState {
+	return &clusterState{id: id, where: at}
 }
 
 // at returns cluster id's record if the cluster is at want, or the sentinel
@@ -127,7 +127,7 @@ func (rt *Runtime) reserve(id ClusterID, from, to residency, snap func(*clusterS
 	tab.mu.Lock()
 	defer tab.mu.Unlock()
 	cs, err := tab.at(id, from)
-	if err == nil && to == reservedOut && len(cs.objects) == 0 {
+	if err == nil && to == reservedOut && len(cs.members) == 0 {
 		err = fmt.Errorf("%w: %d", ErrClusterEmpty, id)
 	}
 	if err != nil {
@@ -161,12 +161,12 @@ func (rt *Runtime) settle(cs *clusterState, to residency, apply func(*clusterSta
 // each under the table lock.
 
 // anchor records that the cluster's state equals copy c on the donors: it has
-// just been shipped (members and slots are what was encoded) or reloaded from
-// it. Nothing is dirty against a fresh anchor.
-func (m *Manager) anchor(cs *clusterState, c donorCopy, members, slots []heap.ObjID) {
-	cs.retained = retainedCopy{donorCopy: c, members: members, slots: slots}
+// just been shipped (the record's members and slots are what was encoded) or
+// reloaded from it. Nothing is dirty against a fresh anchor.
+func (m *Manager) anchor(cs *clusterState, c donorCopy, slots []heap.ObjID) {
+	cs.retained = retainedCopy{donorCopy: c, slots: slots}
 	cs.dirty = false
-	if len(members) > 0 {
+	if slots != nil {
 		m.retaining.Store(true)
 	}
 }
@@ -186,20 +186,22 @@ func (cs *clusterState) rehome(set []string) {
 }
 
 // cleanCopy returns the retained copy when, by everything the record knows,
-// the resident cluster still equals it: nothing written since the anchor and
-// the same members. The slot table and the donors are checked by the caller,
+// the resident cluster still equals it: no member written, joined or swept
+// since the anchor. The slot table and the donors are checked by the caller,
 // off the lock (swapOut.snapshot, Runtime.holds).
 func (cs *clusterState) cleanCopy() (retainedCopy, bool) {
-	c := cs.retained
-	if !c.usable() || cs.dirty || len(cs.objects) != len(c.members) {
+	if !cs.retained.usable() || cs.dirty {
 		return retainedCopy{}, false
 	}
-	for _, oid := range c.members {
-		if !cs.objects[oid] {
-			return retainedCopy{}, false
-		}
+	return cs.retained, true
+}
+
+// changed records that the resident cluster no longer equals its retained
+// copy, if it has one: its next swap-out ships. The caller holds tab.mu.
+func (cs *clusterState) changed() {
+	if cs.retained.key != "" {
+		cs.dirty = true
 	}
-	return c, true
 }
 
 // holds reports whether copy c can still be counted on, from what the owner

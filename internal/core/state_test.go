@@ -129,7 +129,7 @@ func TestClusterTransitions(t *testing.T) {
 			reservedIn: busy, underRepair: busy,
 		}},
 		{"assign", func(f *fixture, id ClusterID, _ []heap.ObjID, _ []ClusterID) error {
-			return f.rt.mgr.assign(1<<40, id, f.node.Name)
+			return f.rt.mgr.assign(1<<40, id, f.rt.classIndex[f.node.Name])
 		}, [...]func(residency) outcome{
 			resident: stays, reservedOut: busy, swappedOut: swapped, reservedIn: busy, underRepair: busy,
 		}},

@@ -77,9 +77,9 @@ type swapOut struct {
 	enc *wire.Encoder
 
 	// reserve: the retained copy the cluster can leave on (zero when it has
-	// to be shipped), or else the membership, copied out under the table
-	// lock. memberIDs is ascending and, for a clean cluster, the copy's own
-	// table: read, never written.
+	// to be shipped), and the membership: the record's own ascending list,
+	// which no writer edits in place while the cluster is reserved
+	// (Manager.reclaimed). Read, never written.
 	kept      retainedCopy
 	memberIDs []heap.ObjID
 
@@ -115,33 +115,16 @@ func (s *swapOut) member(oid heap.ObjID) bool {
 
 func (s *swapOut) reserve() error {
 	err := s.op.reserve(resident, reservedOut, func(cs *clusterState) {
+		s.memberIDs = cs.members
 		// A pinned destination is honoured: only a copy already there counts.
 		if kept, ok := cs.cleanCopy(); ok && (s.o.device == "" || (len(kept.devices) == 1 && kept.devices[0] == s.o.device)) {
-			s.kept, s.memberIDs = kept, kept.members
-			return
+			s.kept = kept
 		}
-		s.membership(cs)
 	})
-	if err != nil || !s.clean() || s.rt.holds(s.kept.donorCopy) {
-		return err
+	if err == nil && s.clean() && !s.rt.holds(s.kept.donorCopy) {
+		s.kept = retainedCopy{} // a donor of the copy is gone or its lease ran out: ship
 	}
-	// A donor of the copy is gone or its lease ran out: ship.
-	s.kept = retainedCopy{}
-	tab := &s.rt.mgr.table
-	tab.mu.Lock()
-	s.membership(s.cs)
-	tab.mu.Unlock()
-	return nil
-}
-
-// membership copies out what a shipment works from; the caller holds the
-// table lock.
-func (s *swapOut) membership(cs *clusterState) {
-	s.memberIDs = make([]heap.ObjID, 0, len(cs.objects))
-	for oid := range cs.objects {
-		s.memberIDs = append(s.memberIDs, oid)
-	}
-	slices.Sort(s.memberIDs)
+	return err
 }
 
 // snapshot sizes the members and classifies their outbound references.
@@ -156,6 +139,7 @@ func (s *swapOut) snapshot() error {
 	if err := s.rt.checkInactive(s.id, s.member); err != nil {
 		return err
 	}
+	s.slotTargets = []heap.ObjID{} // empty, not nil: a known table (retainedCopy.usable)
 	for _, oid := range s.memberIDs {
 		o, err := s.rt.h.Get(oid)
 		if err != nil {
@@ -460,7 +444,7 @@ func (s *swapOut) commit() error {
 		rt.mgr.feed(cs, shipped, 0, rt.telem.Now())
 		if !s.clean() {
 			s.oldCopy = cs.retained.donorCopy
-			rt.mgr.anchor(cs, s.copy, s.memberIDs, s.slotTargets)
+			rt.mgr.anchor(cs, s.copy, s.slotTargets)
 		}
 	})
 	rt.h.Free(s.memberIDs)

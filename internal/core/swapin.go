@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"log/slog"
-	"slices"
 	"strings"
 
 	"objectswap/internal/event"
@@ -179,7 +178,7 @@ func (s *swapIn) evict() error {
 // The reloaded shipment is the retained copy — resident state now provably
 // equals the payload still on its donors. The commit that shipped it anchored
 // it already; only a record restored from a checkpoint, which carries no
-// member and slot tables, reads them back from what was installed.
+// slot table, reads it back from the replacement-object.
 func (s *swapIn) install() error {
 	rt := s.rt
 	rt.swapMu.Lock()
@@ -230,8 +229,7 @@ func (s *swapIn) install() error {
 		if !cs.retained.usable() {
 			c := s.copy
 			c.crc, c.format = s.dataCRC, string(s.fid)
-			members, slots := s.tables(installed, outbound)
-			rt.mgr.anchor(cs, c, members, slots)
+			rt.mgr.anchor(cs, c, s.slotTable(outbound))
 		}
 		if s.o.cause == CausePrefetch {
 			rt.faults.Installed(uint32(s.id), int64(s.copy.payloadBytes))
@@ -240,15 +238,11 @@ func (s *swapIn) install() error {
 	return nil
 }
 
-// tables reads the membership and the outbound slot table of a just-reloaded
-// shipment back from what was installed.
-func (s *swapIn) tables(installed []*heap.Object, outbound []heap.Value) (members, slots []heap.ObjID) {
-	members = make([]heap.ObjID, 0, len(installed))
-	for _, o := range installed {
-		members = append(members, o.ID())
-	}
-	slices.Sort(members)
-	slots = make([]heap.ObjID, len(outbound))
+// slotTable reads the outbound slot table of a just-reloaded shipment back
+// from its replacement-object's slots: the ultimate target of each, in slot
+// order.
+func (s *swapIn) slotTable(outbound []heap.Value) []heap.ObjID {
+	slots := make([]heap.ObjID, len(outbound))
 	for i, v := range outbound {
 		if rid, err := v.Ref(); err == nil && rid != heap.NilID {
 			if p, perr := s.rt.h.Get(rid); perr == nil {
@@ -256,7 +250,7 @@ func (s *swapIn) tables(installed []*heap.Object, outbound []heap.Value) (member
 			}
 		}
 	}
-	return members, slots
+	return slots
 }
 
 // finish runs after the locks are gone. The fault ends with its span; what
