@@ -251,10 +251,10 @@ if [ -n "$PLANES" ]; then
 fi
 # Guard: the swap path sorts without reflection. sort.Slice boxes its slice
 # and builds a reflective swapper, two allocations per call (it once sorted
-# the inbound-proxy snapshot of every swap-out and swap-in, which
-# patchInbound now copies into a buffer the swap lock guards); slices.Sort
-# and slices.SortFunc allocate nothing. No non-test file of internal/core or internal/heap calls
-# sort.Slice.
+# the inbound-proxy snapshot of every swap-out and swap-in; the commits now
+# point a cluster's inbound list in place, in the table hold that moves it);
+# slices.Sort and slices.SortFunc allocate nothing. No non-test file of
+# internal/core or internal/heap calls sort.Slice.
 SORTSLICE=$(grep -nE 'sort\.Slice(Stable)?\(' internal/core/*.go internal/heap/*.go | grep -v '_test\.go:' || true)
 if [ -n "$SORTSLICE" ]; then
     echo "sort.Slice on the swap path (use slices.Sort or slices.SortFunc):" >&2
@@ -331,6 +331,22 @@ if [ -n "$MEMBERSETS" ] || [ -n "$INFOSTRINGS" ]; then
     printf '%s\n%s\n' "$MEMBERSETS" "$INFOSTRINGS" >&2
     exit 1
 fi
+# Guard: a proxy is pointed in the table hold that lists it. Its target slot
+# is written by clusterTable.point alone (internal/core/manager.go), called
+# under the table lock by enlist (a mint), retarget (a cursor step) and
+# settle (internal/core/state.go, as a commit moves the cluster), so a
+# proxy's target and its cluster's residency change in one hold. No other
+# non-test file of internal/core writes slotTarget or calls .point(, and the
+# copied-list patch (patchInbound, rt.patching, inboundProxies) and the
+# lock-free pointProxy stay deleted.
+TARGETS=$(grep -nE '(^|[^[:alnum:]_])slotTarget[[:space:]]*,' internal/core/*.go | grep -v '_test\.go:' | grep -v '^internal/core/manager\.go:' || true)
+POINTS=$(grep -nE '\.point\(' internal/core/*.go | grep -v '_test\.go:' | grep -vE '^internal/core/(manager|state)\.go:' || true)
+PATCHES=$(grep -nE 'patchInbound|rt\.patching|inboundProxies|pointProxy' internal/core/*.go | grep -v '_test\.go:' || true)
+if [ -n "$TARGETS" ] || [ -n "$POINTS" ] || [ -n "$PATCHES" ]; then
+    echo "proxy pointed outside the table hold that lists it (write its target through clusterTable.point, from enlist, retarget or settle):" >&2
+    printf '%s\n%s\n%s\n' "$TARGETS" "$POINTS" "$PATCHES" >&2
+    exit 1
+fi
 # Fault-storm smoke: 64 goroutines faulting 8 swapped clusters must issue
 # exactly 8 donor fetches (single-flight coalescing), race-clean at
 # GOMAXPROCS 1 and 4.
@@ -339,7 +355,9 @@ go test -race -run '^TestFaultStormCoalesces$' -count=1 -cpu 1,4 ./internal/core
 # the task set while its prefetch runs, a demand fault that joins the flight
 # takes exactly one hit in either order and records how long it parked, and a
 # chase over a gated donor keeps exactly two reads in flight with the head as
-# its one demand fault.
+# its one demand fault. The commit-window tests ride along: a mint or a cursor
+# step between a swap's heap work and its commit, and a collection between a
+# proxy's allocation and its listing, leave the invariants whole.
 go test -race -count=10 -run '^(TestTriggerWhileRunningDoesNotRequeue|TestJoinCountsOneHit)$' ./internal/fault/
 go test -race -count=10 -run '^TestPrefetchWindowOverlap$' .
-go test -race -count=10 -run '^(TestTriggerPrefetchAllocatesNothing|TestPrefetchHitRecordsParkedTime)$' ./internal/core/
+go test -race -count=10 -run '^(TestTriggerPrefetchAllocatesNothing|TestPrefetchHitRecordsParkedTime|TestCommitWindow|TestSweepBeforeEnlist)$' ./internal/core/

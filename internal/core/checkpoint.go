@@ -304,8 +304,6 @@ func (rt *Runtime) LoadCheckpoint(r io.Reader) error {
 	defer rt.swapMu.Unlock()
 	endMutate := rt.beginMutate()
 	defer endMutate()
-	// Restoration is not user mutation.
-	defer rt.h.SuspendWriteObserver()()
 	rt.h.EnsureIDAbove(heap.ObjID(doc.MaxID))
 
 	// Pass 1: recreate cluster records with their original ids.

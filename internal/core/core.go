@@ -238,14 +238,14 @@ type Runtime struct {
 	// checkpoint save/restore) take it to stop the world. Lock order: swapMu
 	// → mgr.mu → mgr.table.mu → h.mu (DESIGN §6).
 	swapMu sync.Mutex
-	// patching is the copy of an inbound list patchInbound works from,
-	// reused across swaps; the swap lock guards it.
-	patching []*heap.Object
 	// mutatingCount counts open critical sections that may allocate while
 	// holding the swap lock (swap-in install, resize, restore). While nonzero,
 	// allocation failures report ErrOutOfMemory instead of re-entering the
 	// evictor, whose swap-outs would deadlock on the held lock.
 	mutatingCount atomic.Int32
+	// yield, nil outside tests, runs where another goroutine may act: "mint"
+	// before newProxy's enlist, "commit" before a swap commit's settle.
+	yield func(at string)
 
 	name     string
 	keyseq   atomic.Uint64

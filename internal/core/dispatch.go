@@ -231,7 +231,7 @@ func (rt *Runtime) invokeAcross(r reached, method string, args []heap.Value) ([]
 		return nil, err
 	}
 	if proxyMode(r.proxy) == proxyModeAssign && len(res) == 1 && res[0].IsRef() {
-		v, err := rt.assignReturn(r.proxy, r.src, res[0])
+		v, err := rt.assignReturn(r.proxy, res[0])
 		if err != nil {
 			return nil, err
 		}
@@ -266,22 +266,18 @@ func (rt *Runtime) intercept(call *heap.Call, vals []heap.Value, to ClusterID, w
 	return out, nil
 }
 
-// assignReturn is the self-patching return path of an assign-mode proxy p
-// sourced at src: instead of minting a fresh proxy for the returned reference
-// r, p is re-aimed at r's object and handed back.
-func (rt *Runtime) assignReturn(p *heap.Object, src ClusterID, r heap.Value) (heap.Value, error) {
+// assignReturn is the self-patching return path of an assign-mode proxy p:
+// instead of minting a fresh proxy for the returned reference r, p is re-aimed
+// at r's object and handed back.
+func (rt *Runtime) assignReturn(p *heap.Object, r heap.Value) (heap.Value, error) {
 	ultimate, err := rt.ultimateOf(r)
 	if err != nil || ultimate == heap.NilID {
 		return heap.Nil(), err
 	}
-	rcluster := rt.mgr.ClusterOf(ultimate)
-	if rcluster == src {
+	if !rt.mgr.retarget(p, ultimate) {
 		// No mediation needed toward the caller: dismantle.
 		return heap.Ref(ultimate), nil
 	}
-	repl := rt.mgr.retarget(p, rcluster)
-	setProxySlot(p, slotObj, heap.Int(int64(ultimate)))
-	pointProxy(p, repl)
 	// An actively-used cursor stays alive across collections even when only
 	// host code references it.
 	rt.h.TouchNursery(p.ID())
@@ -310,7 +306,7 @@ func (rt *Runtime) Field(target heap.Value, name string) (res heap.Value, err er
 	case err != nil:
 		return heap.Nil(), err
 	case proxyMode(r.proxy) == proxyModeAssign && v.IsRef():
-		return rt.assignReturn(r.proxy, r.src, v)
+		return rt.assignReturn(r.proxy, v)
 	}
 	return rt.translate(v, r.src)
 }

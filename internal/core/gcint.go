@@ -232,8 +232,8 @@ func (m *Manager) reclaimed(swept []*heap.Object) {
 	tab.mu.Lock()
 	tab.sweeps++
 	for _, o := range swept {
-		if !isProxy(o) {
-			continue
+		if !isProxy(o) || proxyTarget(o) == heap.NilID {
+			continue // never pointed, so never listed (enlist)
 		}
 		// The first swept proxy of a list compacts it, all at once.
 		home := tab.members[proxyUltimate(o)].cluster

@@ -92,6 +92,16 @@ func TestCollectPurgesEverySweptRecord(t *testing.T) {
 	checkClean(t, f.rt)
 }
 
+// inboundProxies appends the proxies cluster id lists as inbound to buf.
+func (m *Manager) inboundProxies(id ClusterID, buf []*heap.Object) []*heap.Object {
+	m.table.mu.Lock()
+	defer m.table.mu.Unlock()
+	if cs, ok := m.table.clusters[id]; ok {
+		buf = append(buf, cs.inbound...)
+	}
+	return buf
+}
+
 // TestReclaimingProxiesAllocatesOnlySwept: the Collect after Figure 5's B1
 // over clusters of 20 reclaims the ~10 000 swap-cluster-proxies the walk
 // minted and allocates at most 48 B per reclaimed proxy — the swept list and

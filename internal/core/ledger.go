@@ -68,10 +68,11 @@ func (m *Manager) enterCrossing(src ClusterID, ultimate heap.ObjID) (dst Cluster
 // a cluster with a retained copy marks the cluster dirty, so its next
 // swap-out ships instead of leaving on the copy; and with a tracker attached
 // either access is a touch on the cluster's ledger. The heap calls it for
-// every write (NewRuntime registers it as a write observer), dispatch for
-// every read in place. Replacement-objects and proxies are not members, so
-// middleware writes fall through before the clock is read; and with no
-// tracker and no copy anchored yet, an access costs one atomic load.
+// every write to an application object (NewRuntime registers it as a write
+// observer), dispatch for every read in place. Middleware writes never arrive
+// (the heap runs no observer for them): proxies are written under the table
+// lock. With no tracker and no copy anchored yet, an access costs one atomic
+// load.
 func (m *Manager) touch(oid heap.ObjID, write bool) {
 	track := m.rt.telem != nil
 	dirty := write && m.retaining.Load()

@@ -111,7 +111,7 @@ type clusterState struct {
 
 	// inbound lists the live swap-cluster-proxies whose ultimate target is a
 	// member (for the root cluster, also an object never assigned): what the
-	// paper's replacement-object receives, re-pointed by patchInbound. edges
+	// paper's replacement-object receives, re-pointed by settle. edges
 	// counts the live proxies sourced here by their target's cluster,
 	// ascending by it: the graph NeighborClusters walks. A proxy's own fields
 	// say where it is listed and counted. swept is the last reclaimed pass
@@ -249,14 +249,16 @@ func (m *Manager) shipmentOf(id ClusterID) (shipment, bool) {
 	return cs.shipment, true
 }
 
-// replacement reports the cluster's replacement-object while it is swapped
-// out — the target a fresh inbound reference must be mediated onto — and
-// heap.NilID otherwise. The caller holds tab.mu.
-func (tab *clusterTable) replacement(id ClusterID) heap.ObjID {
-	if cs, ok := tab.clusters[id]; ok && cs.where.out() {
-		return cs.replacement
+// point aims proxy p at its ultimate target, or at the replacement-object of
+// the target's cluster while that is swapped out, and reports false if a
+// collection swept p. It is the one writer of a proxy's target, and its caller
+// holds tab.mu and lists p: enlist, retarget, or settle as the cluster moves.
+func (tab *clusterTable) point(p *heap.Object) bool {
+	to := proxyUltimate(p)
+	if cs, ok := tab.clusters[tab.members[to].cluster]; ok && cs.where.out() {
+		to = cs.replacement
 	}
-	return heap.NilID
+	return setProxySlot(p, slotTarget, heap.Ref(to))
 }
 
 // NewCluster declares a fresh, empty swap-cluster and returns its id.
@@ -335,14 +337,17 @@ func (m *Manager) IsSwapped(id ClusterID) bool {
 	return out
 }
 
-// enlist lists a freshly minted proxy p, whose ultimate target and source its
-// fields already hold: in the inbound list of its target's cluster, and as an
-// edge out of its source. It reports that cluster's replacement-object while
-// it is swapped out (heap.NilID otherwise), which p must point at.
-func (m *Manager) enlist(p *heap.Object) heap.ObjID {
+// enlist points a freshly minted proxy p, whose ultimate target and source its
+// fields already hold, and lists it in one table hold: in the inbound list of
+// its target's cluster, and as an edge out of its source. It reports false,
+// listing nothing, when a collection swept p first.
+func (m *Manager) enlist(p *heap.Object) bool {
 	tab := &m.table
 	tab.mu.Lock()
 	defer tab.mu.Unlock()
+	if !tab.point(p) {
+		return false
+	}
 	home := tab.members[proxyUltimate(p)].cluster
 	if cs, ok := tab.clusters[home]; ok {
 		cs.inbound = append(cs.inbound, p)
@@ -350,19 +355,23 @@ func (m *Manager) enlist(p *heap.Object) heap.ObjID {
 	if cs, ok := tab.clusters[proxySrc(p)]; ok {
 		cs.countEdge(home, 1)
 	}
-	return tab.replacement(home)
+	return true
 }
 
-// retarget moves proxy p, about to be re-aimed at a member of cluster to (the
-// Assign iteration optimization), from its current target's inbound list to
-// to's, its source's edge with it; a proxy a collection swept stays out. It
-// reports to's replacement-object while it is swapped out. No Manager.mu: an
-// assign-mode proxy is never shared (setMode). The caller writes p's fields.
-func (m *Manager) retarget(p *heap.Object, to ClusterID) heap.ObjID {
+// retarget re-aims proxy p at the object ultimate (the Assign iteration
+// optimization) in one table hold: p moves to the inbound list of ultimate's
+// cluster, its source's edge with it, and is pointed there (a proxy a
+// collection swept stays out). It reports false, touching nothing, when
+// ultimate is in p's source cluster: the caller dismantles. No Manager.mu: an
+// assign-mode proxy is never shared (setMode).
+func (m *Manager) retarget(p *heap.Object, ultimate heap.ObjID) bool {
 	tab := &m.table
 	tab.mu.Lock()
 	defer tab.mu.Unlock()
-	from := tab.members[proxyUltimate(p)].cluster
+	from, to := tab.members[proxyUltimate(p)].cluster, tab.members[ultimate].cluster
+	if to == proxySrc(p) {
+		return false
+	}
 	fs, fok := tab.clusters[from]
 	ts, tok := tab.clusters[to]
 	if from != to && fok && tok {
@@ -372,7 +381,9 @@ func (m *Manager) retarget(p *heap.Object, to ClusterID) heap.ObjID {
 			tab.moveEdge(proxySrc(p), from, to)
 		}
 	}
-	return tab.replacement(to)
+	setProxySlot(p, slotObj, heap.Int(int64(ultimate)))
+	tab.point(p)
+	return true
 }
 
 // lookupProxy finds the live shared proxy for key, if any.
@@ -402,17 +413,6 @@ func dropEntry[K comparable](index map[K]heap.ObjID, k K, pid heap.ObjID) {
 	if index[k] == pid {
 		delete(index, k)
 	}
-}
-
-// inboundProxies appends the live proxies whose ultimate target lies in
-// cluster id to buf.
-func (m *Manager) inboundProxies(id ClusterID, buf []*heap.Object) []*heap.Object {
-	m.table.mu.Lock()
-	defer m.table.mu.Unlock()
-	if cs, ok := m.table.clusters[id]; ok {
-		buf = append(buf, cs.inbound...)
-	}
-	return buf
 }
 
 // NeighborClusters is the prefetch window: the at most k clusters nearest

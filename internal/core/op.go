@@ -74,6 +74,9 @@ func (p *op) pin(id heap.ObjID) {
 // commit settles the reservation on the far side; the caller holds the swap
 // lock.
 func (p *op) commit(to residency, apply func(*clusterState)) {
+	if p.rt.yield != nil {
+		p.rt.yield("commit")
+	}
 	p.rt.settle(p.cs, to, apply)
 	p.cs = nil
 }

@@ -60,29 +60,17 @@ func proxyInt(p *heap.Object, slot int) int64 {
 	return i
 }
 
-// setProxySlot writes one slot of the fixed layout. The kinds are the
-// layout's own and fixed-size, so the write cannot fail; if it does, the
-// slot constants and buildProxyClass disagree.
-func setProxySlot(p *heap.Object, slot int, v heap.Value) {
-	if err := p.SetField(slot, v); err != nil {
-		panic(fmt.Sprintf("core: proxy @%d slot %d: %v", p.ID(), slot, err))
-	}
+// setProxySlot writes one slot of the fixed layout. The slot kinds are the
+// layout's own and fixed-size, so the write fails only when a collection has
+// swept p; it reports whether it wrote.
+func setProxySlot(p *heap.Object, slot int, v heap.Value) bool {
+	return p.SetField(slot, v) == nil
 }
 
-// proxyTarget reads the object a proxy currently points at.
+// proxyTarget reads the object a proxy points at (NilID until enlist).
 func proxyTarget(p *heap.Object) heap.ObjID {
 	id, _ := p.Field(slotTarget).Ref()
 	return id
-}
-
-// pointProxy sets where p points: at the replacement-object repl while its
-// target's cluster is swapped out, at its own ultimate target (repl == NilID)
-// while the cluster is resident.
-func pointProxy(p *heap.Object, repl heap.ObjID) {
-	if repl == heap.NilID {
-		repl = proxyUltimate(p)
-	}
-	setProxySlot(p, slotTarget, heap.Ref(repl))
 }
 
 // proxyUltimate reads a proxy's ultimate target object id.
@@ -93,19 +81,6 @@ func proxySrc(p *heap.Object) ClusterID { return ClusterID(proxyInt(p, slotSrc))
 
 // proxyMode reads a proxy's mode field.
 func proxyMode(p *heap.Object) int64 { return proxyInt(p, slotMode) }
-
-// patchInbound re-points every live inbound proxy of cluster id: at the
-// replacement-object repl when the cluster leaves, back at its own target
-// (repl == NilID) when it returns. The caller holds the swap lock: it guards
-// the list's copy, written outside the table lock (a field write runs the
-// write observer), and keeps out the collection that would change the list.
-func (rt *Runtime) patchInbound(id ClusterID, repl heap.ObjID) {
-	rt.patching = rt.mgr.inboundProxies(id, rt.patching[:0])
-	for _, p := range rt.patching {
-		pointProxy(p, repl)
-	}
-	clear(rt.patching)
-}
 
 // proxyFor returns (creating or reusing) the shared swap-cluster-proxy
 // mediating references from cluster src to the object target. It assumes
@@ -123,8 +98,9 @@ func (rt *Runtime) proxyFor(src ClusterID, target heap.ObjID) (heap.ObjID, error
 // newProxy allocates a swap-cluster-proxy from cluster src to the object
 // target and lists it with the record of target's cluster: the shared one
 // every later proxyFor(src, target) reuses, or a private assign-mode cursor,
-// which swap-out patches and the collection purges like any other but the
-// registry never hands out.
+// which swap-out points and the collection purges like any other but the
+// registry never hands out. Nothing roots a fresh proxy: one a collection on
+// another goroutine sweeps before enlist lists it is minted again.
 func (rt *Runtime) newProxy(src ClusterID, target heap.ObjID, cursor bool) (heap.ObjID, error) {
 	info, ok := rt.mgr.member(target)
 	if !ok {
@@ -147,7 +123,12 @@ func (rt *Runtime) newProxy(src ClusterID, target heap.ObjID, cursor bool) (heap
 	if cursor {
 		setProxySlot(p, slotMode, heap.Int(proxyModeAssign))
 	}
-	pointProxy(p, rt.mgr.enlist(p))
+	if rt.yield != nil {
+		rt.yield("mint")
+	}
+	if !rt.mgr.enlist(p) {
+		return rt.newProxy(src, target, cursor)
+	}
 	if !cursor {
 		rt.mgr.share(proxyKey{src: src, target: target}, p.ID())
 	}

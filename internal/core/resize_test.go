@@ -269,7 +269,7 @@ func TestRetargetAfterDeathDoesNotResurrect(t *testing.T) {
 	if got := f.rt.Manager().ProxyCount(); got >= before {
 		t.Fatalf("proxy not purged (%d -> %d)", before, got)
 	}
-	f.rt.Manager().retarget(p, f.rt.Manager().ClusterOf(ids[3]))
+	f.rt.Manager().retarget(p, ids[3])
 	checkClean(t, f.rt)
 	if got := f.rt.Manager().ProxyCount(); got >= before {
 		t.Fatalf("dead proxy resurrected (%d)", got)

@@ -142,8 +142,10 @@ func (rt *Runtime) reserve(id ClusterID, from, to residency, snap func(*clusterS
 
 // settle ends a reservation: under the table lock, apply (if any) rewrites
 // the record and the cluster moves to the settled state to — the far side for
-// a commit, cs.where.settled() for a release. A committing caller holds the
-// swap lock; a release needs none.
+// a commit, cs.where.settled() for a release. A commit re-points every proxy
+// the record lists in the same hold, so a proxy's target and its cluster's
+// residency change together. A committing caller holds the swap lock; a
+// release needs none.
 func (rt *Runtime) settle(cs *clusterState, to residency, apply func(*clusterState)) {
 	tab := &rt.mgr.table
 	tab.mu.Lock()
@@ -151,7 +153,13 @@ func (rt *Runtime) settle(cs *clusterState, to residency, apply func(*clusterSta
 	if apply != nil {
 		apply(cs)
 	}
+	flips := cs.where.out() != to.out()
 	tab.move(cs, to)
+	if flips {
+		for _, p := range cs.inbound {
+			tab.point(p)
+		}
+	}
 }
 
 // The retained copy (DESIGN §6d). Each record names at most one payload on

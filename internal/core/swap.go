@@ -398,13 +398,14 @@ func (s *swapOut) shipPlanned() error {
 
 // commit detaches the cluster from the application graph under the swap
 // lock: the key and the replica set (comma-joined, primary first) go on the
-// replacement, every inbound proxy is re-targeted at it, and the record moves
-// to swappedOut on the copy the donors hold. A shipment becomes the new
-// retained copy (dirty resets; the previous one is due for donor cleanup); a
-// clean cluster, which built no replacement-object yet and shipped nothing,
-// first re-reads dirty under the lock touch takes — a write that landed
-// since reserve rolls the operation back (the cluster stays resident, dirty,
-// and ships next time) rather than being lost with the freed members.
+// replacement, and in one table hold the record moves to swappedOut on the
+// copy the donors hold and every inbound proxy is re-pointed at it (settle).
+// A shipment becomes the new retained copy (dirty resets; the previous one is
+// due for donor cleanup); a clean cluster, which built no replacement-object
+// yet and shipped nothing, first re-reads dirty under the lock touch takes — a
+// write that landed since reserve rolls the operation back (the cluster stays
+// resident, dirty, and ships next time) rather than being lost with the freed
+// members.
 //
 // Then exactly the members are freed in one heap critical section, taken last
 // (DESIGN §6): every inbound proxy targets the replacement and no member is
@@ -438,7 +439,6 @@ func (s *swapOut) commit() error {
 	if err != nil {
 		return err
 	}
-	rt.patchInbound(s.id, s.repl.ID())
 	s.op.commit(swappedOut, func(cs *clusterState) {
 		cs.shipment = shipment{replacement: s.repl.ID(), bytesAtSwap: s.residentBytes}
 		rt.mgr.feed(cs, shipped, 0, rt.telem.Now())

@@ -167,7 +167,7 @@ func (s *swapIn) evict() error {
 	return nil
 }
 
-// install makes the whole cluster resident, re-patches its inbound proxies
+// install makes the whole cluster resident, re-points its inbound proxies
 // and moves the record to resident in one swap-locked section, so no
 // collection can run between installation (nursery-fresh objects) and the
 // patches that make them reachable. beginMutate: installation allocates, and
@@ -222,7 +222,6 @@ func (s *swapIn) install() error {
 		return fmt.Errorf("core: install cluster %d: %w", s.id, err)
 	}
 	s.installedObjects = len(installed)
-	rt.patchInbound(s.id, heap.NilID)
 	s.op.commit(resident, func(cs *clusterState) {
 		cs.shipment = shipment{}
 		rt.mgr.feed(cs, reloaded, 0, rt.telem.Now())

@@ -1,0 +1,157 @@
+package core
+
+import (
+	"sync"
+	"testing"
+
+	"objectswap/internal/heap"
+)
+
+// windowFixture is a list of 30 nodes in three clusters of ten, with an
+// assign-mode cursor rooted at "cursor" on node 9, the last of the first
+// cluster: its next step crosses into the second cluster.
+func windowFixture(t *testing.T) (*fixture, []heap.ObjID, ClusterID, heap.Value) {
+	t.Helper()
+	f := newFixture(t, 0)
+	ids, clusters := f.buildList(t, 30, 10, 8)
+	cursor, err := f.rt.AssignedCursor(heap.Ref(ids[9]))
+	if err == nil {
+		err = f.rt.SetRoot("cursor", cursor)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f, ids, clusters[1], cursor
+}
+
+// inCommitWindow runs swap on another goroutine and, once the swap has done
+// its heap work and is about to take the table hold that settles its cluster,
+// runs step on the test's goroutine while the swap waits. Then the swap
+// finishes and the invariants must hold.
+func inCommitWindow(t *testing.T, f *fixture, swap func() error, step func() error) {
+	t.Helper()
+	reached, resume := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	f.rt.yield = func(at string) {
+		if at == "commit" {
+			once.Do(func() { close(reached); <-resume })
+		}
+	}
+	done := make(chan error, 1)
+	go func() { done <- swap() }()
+	select {
+	case <-reached:
+	case err := <-done:
+		t.Fatalf("the swap ended before its commit: %v", err)
+	}
+	stepErr := step()
+	close(resume)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	f.rt.yield = nil
+	if stepErr != nil {
+		t.Fatal(stepErr)
+	}
+	checkClean(t, f.rt)
+}
+
+// wantTag reads field tag of the object v designates, through the runtime.
+func wantTag(t *testing.T, f *fixture, v heap.Value, want int64) {
+	t.Helper()
+	got, err := f.rt.Field(v, "tag")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := got.Int(); n != want {
+		t.Fatalf("tag = %d, want %d", n, want)
+	}
+}
+
+// TestCommitWindow mints a proxy to a member of a cluster, or steps an
+// assign-mode cursor onto one, while a concurrent swap of that cluster sits
+// between its heap work and its commit: after a swap-in installed the members,
+// and after a swap-out built the replacement-object. The proxy must end up
+// pointing where its cluster is — at the member once the swap-in commits, at
+// the replacement-object once the swap-out commits — so it must be listed and
+// pointed in the table hold that moves the cluster, not beside it.
+func TestCommitWindow(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		out    bool // the window is a swap-out's; else a swap-in's
+		cursor bool // a cursor step; else a mint
+	}{
+		{"mint/swap-in", false, false},
+		{"mint/swap-out", true, false},
+		{"cursor/swap-in", false, true},
+		{"cursor/swap-out", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, ids, id, cursor := windowFixture(t)
+			swap := func() error { _, err := f.rt.SwapOut(id); return err }
+			if !tc.out {
+				if err := swap(); err != nil {
+					t.Fatal(err)
+				}
+				swap = func() error { _, err := f.rt.SwapIn(id); return err }
+			}
+			var minted heap.Value
+			step := func() (err error) {
+				if tc.cursor {
+					_, err = f.rt.Field(cursor, "next")
+					return err
+				}
+				if err = f.rt.SetRoot("minted", heap.Ref(ids[15])); err == nil {
+					minted, _ = f.rt.Root("minted")
+				}
+				return err
+			}
+			inCommitWindow(t, f, swap, step)
+			if tc.cursor {
+				wantTag(t, f, cursor, 10)
+			} else {
+				wantTag(t, f, minted, 15)
+			}
+			checkClean(t, f.rt)
+		})
+	}
+}
+
+// TestSweepBeforeEnlist lands a collection, on another goroutine, between a
+// proxy's allocation and its listing: nothing roots the fresh proxy yet, so
+// the collection sweeps it. The sweep must not leave it listed in its target
+// cluster's inbound list or offered for reuse, nor uncount the edge a live
+// proxy beside it counts, and the mint must still hand out a live proxy.
+func TestSweepBeforeEnlist(t *testing.T) {
+	f := newFixture(t, 0)
+	ids, _ := f.buildList(t, 20, 10, 8)
+	if err := f.rt.SetRoot("beside", heap.Ref(ids[12])); err != nil {
+		t.Fatal(err)
+	}
+	var once sync.Once
+	var swept []*heap.Object
+	f.rt.yield = func(at string) {
+		if at == "mint" {
+			once.Do(func() {
+				done := make(chan heap.CollectStats)
+				go func() { done <- f.rt.collect(pressureCycles) }()
+				swept = (<-done).Swept
+			})
+		}
+	}
+	err := f.rt.SetRoot("minted", heap.Ref(ids[15]))
+	f.rt.yield = nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweptProxy := false
+	for _, o := range swept {
+		sweptProxy = sweptProxy || (isProxy(o) && proxyUltimate(o) == ids[15])
+	}
+	if !sweptProxy {
+		t.Fatal("the collection did not sweep the proxy being minted")
+	}
+	checkClean(t, f.rt)
+	minted, _ := f.rt.Root("minted")
+	wantTag(t, f, minted, 15)
+}

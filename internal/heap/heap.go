@@ -64,13 +64,13 @@ type Heap struct {
 	epoch uint32
 	work  []*Object
 
-	// writeObservers are invoked after every successful field write with the
-	// written object's id (the swapping runtime's dirty and heat tracking,
-	// replication write-back), in registration order and outside heap locks.
-	// observerSuspend > 0 silences them (middleware-internal writes such as
-	// re-mediation are not user mutations). They live under their own lock so
-	// that the per-write dispatch check never contends with allocation and
-	// lookup traffic on h.mu.
+	// writeObservers are invoked after every successful write to an
+	// application object's field (Object.SetField) with its id — the swapping
+	// runtime's dirty and heat tracking, replication write-back — in
+	// registration order and outside heap locks. observerSuspend > 0 silences
+	// them (writes that restore rather than mutate, such as re-mediation).
+	// They live under their own lock so that the per-write dispatch check
+	// never contends with allocation and lookup traffic on h.mu.
 	obsMu           sync.RWMutex
 	writeObservers  []func(ObjID)
 	observerSuspend int
@@ -112,8 +112,8 @@ func New(capacity int64) *Heap {
 	}
 }
 
-// AddWriteObserver registers a hook invoked after every successful field
-// write. Observers cannot be removed; register once per heap.
+// AddWriteObserver registers a hook invoked after every successful write to
+// an application object's field. Observers cannot be removed; register once.
 func (h *Heap) AddWriteObserver(fn func(ObjID)) {
 	if fn == nil {
 		return

@@ -163,6 +163,35 @@ func TestRemoveReleasesMemory(t *testing.T) {
 	}
 }
 
+// TestWriteToReclaimedObjectFails: an object that left the heap — removed,
+// freed or swept — refuses a write with ErrNoSuchObject, leaving the byte
+// budget and the write observers alone, so a caller holding the *Object can
+// tell, in the write itself, that a collection got there first.
+func TestWriteToReclaimedObjectFails(t *testing.T) {
+	for name, leave := range map[string]func(h *Heap, id ObjID){
+		"removed": func(h *Heap, id ObjID) { _ = h.Remove(id) },
+		"freed":   func(h *Heap, id ObjID) { h.Free([]ObjID{id}) },
+		"swept":   func(h *Heap, _ ObjID) { h.Collect() },
+	} {
+		t.Run(name, func(t *testing.T) {
+			h := New(0)
+			o, err := h.New(nodeClass())
+			if err != nil {
+				t.Fatal(err)
+			}
+			writes := 0
+			h.AddWriteObserver(func(ObjID) { writes++ })
+			leave(h, o.ID())
+			if err := o.SetFieldByName("payload", Bytes(make([]byte, 100))); !errors.Is(err, ErrNoSuchObject) {
+				t.Fatalf("write after the object left: got %v, want ErrNoSuchObject", err)
+			}
+			if h.Used() != 0 || writes != 0 {
+				t.Fatalf("refused write: used %d, observers heard %d writes; want 0 and 0", h.Used(), writes)
+			}
+		})
+	}
+}
+
 func TestNewAtRestoresIdentity(t *testing.T) {
 	h := New(0)
 	c := nodeClass()

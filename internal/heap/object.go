@@ -27,9 +27,9 @@ type Object struct {
 	fields []Value
 	size   int64
 	// mark is the collector's epoch word (see Heap.epoch) and pos the
-	// object's index in the heap's dense resident list (see objTable); both
-	// are touched only under the heap lock held exclusively. Two 32-bit
-	// words keep the header at 64 bytes.
+	// object's index in the heap's dense resident list (see objTable), or
+	// gone once it left; both are written only under the heap lock held
+	// exclusively. Two 32-bit words keep the header at 64 bytes.
 	mark uint32
 	pos  uint32
 }
@@ -62,9 +62,10 @@ func (o *Object) FieldByName(name string) (Value, error) {
 
 // SetField assigns the i-th field, adjusting heap accounting for
 // variable-sized payloads. It fails with ErrOutOfMemory when growth would
-// exceed heap capacity, and with ErrBadKind when the value kind does not
-// match the declaration (nil is assignable to ref, list, string and bytes
-// fields).
+// exceed heap capacity, with ErrBadKind when the value kind does not match
+// the declaration (nil is assignable to ref, list, string and bytes fields),
+// and with ErrNoSuchObject once the object is reclaimed. Only a write to an
+// application object (class SpecialNone) runs the write observers.
 func (o *Object) SetField(i int, v Value) error {
 	def := o.class.Field(i)
 	if !assignable(def.Kind, v.Kind()) {
@@ -74,6 +75,10 @@ func (o *Object) SetField(i int, v Value) error {
 	// Accounting and the slot store form one unit against the collector:
 	// a sweep or Free sees the object's size and the budget agree.
 	o.heap.mu.RLock()
+	if o.pos == gone {
+		o.heap.mu.RUnlock()
+		return fmt.Errorf("%w: @%d", ErrNoSuchObject, o.id)
+	}
 	delta := v.size() - o.fields[i].size()
 	if delta > 0 {
 		if err := o.heap.reserve(delta); err != nil {
@@ -86,7 +91,9 @@ func (o *Object) SetField(i int, v Value) error {
 	atomic.AddInt64(&o.size, delta)
 	o.fields[i] = v
 	o.heap.mu.RUnlock()
-	o.heap.observeWrite(o.id)
+	if o.class.Special == SpecialNone {
+		o.heap.observeWrite(o.id)
+	}
 	return nil
 }
 

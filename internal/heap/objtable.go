@@ -22,6 +22,8 @@ type objTable struct {
 	list  []*Object // the residents, o.pos indexing o
 }
 
+const gone = ^uint32(0) // pos of an object the table no longer holds
+
 type objSlot struct {
 	id ObjID
 	o  *Object
@@ -117,5 +119,6 @@ func (t *objTable) del(id ObjID) *Object {
 	moved.pos = o.pos
 	t.list[last] = nil
 	t.list = t.list[:last]
+	o.pos = gone
 	return o
 }

@@ -83,3 +83,39 @@ func TestSuspendWriteObserverIsGlobalAndNests(t *testing.T) {
 		t.Fatalf("after resume: observers heard %d and %d writes, want 1 each", first, second)
 	}
 }
+
+// TestMiddlewareWritesRunNoObserver: a write to an application object runs
+// each write observer once; a write to a middleware object — a class of any
+// other special kind — runs none. The swapping runtime writes proxies under
+// its cluster-table lock, which its own observer takes.
+func TestMiddlewareWritesRunNoObserver(t *testing.T) {
+	for _, tc := range []struct {
+		kind SpecialKind
+		want int // writes each observer hears
+	}{
+		{SpecialNone, 1},
+		{SpecialSCProxy, 0},
+		{SpecialReplacement, 0},
+		{SpecialObjProxy, 0},
+		{SpecialSurrogate, 0},
+	} {
+		t.Run(tc.kind.String(), func(t *testing.T) {
+			h := New(0)
+			c := nodeClass()
+			c.Special = tc.kind
+			o, err := h.New(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var first, second int
+			h.AddWriteObserver(func(ObjID) { first++ })
+			h.AddWriteObserver(func(ObjID) { second++ })
+			if err := o.SetFieldByName("tag", Int(1)); err != nil {
+				t.Fatal(err)
+			}
+			if first != tc.want || second != tc.want {
+				t.Fatalf("observers heard %d and %d writes, want %d each", first, second, tc.want)
+			}
+		})
+	}
+}
