@@ -32,11 +32,21 @@ go build ./...
 #   swap-out returns; a collection that reclaims nothing allocates nothing.
 # - TestSwapRoundTripBudget (internal/core): one SwapOut + SwapIn of a written
 #   32-object x 128 B cluster in the binary format allocates at most 6x the
-#   frame it ships in at most 60 objects; neither the encode side, once the
+#   frame it ships in at most 40 objects; neither the encode side, once the
 #   encoder pool is warm, nor a swap-in (the same count at 32 and 128
 #   members) allocates anything that grows with the object count; an
-#   unwritten one leaves with no store call, at most 14 allocations and
-#   1908 B at any size.
+#   unwritten one leaves with no store call, at most 8 allocations and
+#   1860 B at any size.
+# - TestFacadeSwapRoundTripAllocs (.): through a default System — bus with
+#   the policy engine subscribed, flight recorder, telemetry — plus one
+#   counting subscriber and an in-memory donor, a clean SwapOut + SwapIn of a
+#   32 x 128 B cluster allocates at most 26 objects once the recorder's ring
+#   is warm: the spans, recorder entries, trace ids and bus deliveries cost
+#   nothing beyond what outlives the swap.
+# - TestWarmSpanAllocatesOnlyItsPhases, TestSpansSurviveSlotReuse
+#   (internal/obs): a warm six-phase span allocates only the phase list End
+#   returns, and a Spans result shares no storage with the ring slots later
+#   admissions reuse.
 # - TestCollectAllocatesNothingOnUnchangedHeap (internal/heap).
 # - TestCollectPurgesEverySweptRecord, TestReclaimingProxiesAllocatesOnlySwept
 #   (internal/core): one Collect purges the inbound lists, edge counts,

@@ -655,7 +655,14 @@ func (rt *Runtime) runEvictor(need int64) error {
 // deterministic (device name + sequence), so replayed runs produce identical
 // flight-recorder dumps.
 func (rt *Runtime) newTrace() string {
-	return fmt.Sprintf("%s-%08x", rt.name, rt.traceSeq.Add(1))
+	var buf [48]byte
+	b := append(append(buf[:0], rt.name...), '-')
+	var hex [16]byte
+	digits := strconv.AppendUint(hex[:0], rt.traceSeq.Add(1), 16)
+	for i := len(digits); i < 8; i++ { // as %08x
+		b = append(b, '0')
+	}
+	return string(append(b, digits...))
 }
 
 // NewObject allocates an application object and assigns it to a swap-cluster.
@@ -718,5 +725,8 @@ func (rt *Runtime) Replicas() int {
 // nextKey builds a storage key for a swap-out, unique across the devices
 // sharing a store (device name + cluster + generation).
 func (rt *Runtime) nextKey(cluster ClusterID) string {
-	return fmt.Sprintf("%s-swapcluster-%d-gen%d", rt.name, cluster, rt.keyseq.Add(1))
+	var buf [64]byte
+	b := append(append(buf[:0], rt.name...), "-swapcluster-"...)
+	b = append(strconv.AppendUint(b, uint64(cluster), 10), "-gen"...)
+	return string(strconv.AppendUint(b, rt.keyseq.Add(1), 10))
 }

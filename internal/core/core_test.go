@@ -510,3 +510,26 @@ func TestNewObjectValidation(t *testing.T) {
 		t.Fatal("registering middleware class: want error")
 	}
 }
+
+// TestTraceAndKeyText: trace ids and storage keys are built by appending into
+// a stack buffer, and read exactly as their format strings do — a trace's
+// sequence as at least eight hex digits, a key's cluster and generation in
+// decimal — for short and long device names, and sequences past the padding.
+func TestTraceAndKeyText(t *testing.T) {
+	for _, name := range []string{"dev1", "a-device-name-longer-than-the-forty-eight-byte-buffer-it-starts-in"} {
+		rt := NewRuntime(heap.New(0), heap.NewRegistry(), WithName(name))
+		for _, seq := range []uint64{0, 0xfe, 0x1234567, 0xfffffffe, 1 << 40} {
+			rt.traceSeq.Store(seq)
+			if got, want := rt.newTrace(), fmt.Sprintf("%s-%08x", name, seq+1); got != want {
+				t.Fatalf("trace %q, want %q", got, want)
+			}
+			rt.keyseq.Store(seq)
+			for _, c := range []ClusterID{1, 4294967295} {
+				if got, want := rt.nextKey(c), fmt.Sprintf("%s-swapcluster-%d-gen%d", name, c, seq+1); got != want {
+					t.Fatalf("key %q, want %q", got, want)
+				}
+				rt.keyseq.Store(seq)
+			}
+		}
+	}
+}

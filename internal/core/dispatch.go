@@ -147,7 +147,7 @@ func (rt *Runtime) reach(id heap.ObjID) (reached, error) {
 // its flight, often the prefetcher's, closed in between — is what the
 // reference needed, and the crossing a resident one.
 func (rt *Runtime) reload(cluster ClusterID) error {
-	_, err := rt.SwapIn(cluster, WithCause(CauseReload))
+	_, err := rt.swapInWith(cluster, causedBy(CauseReload))
 	switch {
 	case errors.Is(err, ErrClusterLoaded):
 		rt.notePrefetchHit(cluster)

@@ -31,9 +31,6 @@ func WithPrefetch(depth, workers int) Option {
 // admission-guard hook and Quiesce/Stop.
 func (rt *Runtime) FaultEngine() *fault.Engine { return rt.faults }
 
-// asPrefetch tags the prefetch workers' reloads.
-var asPrefetch = WithCause(CausePrefetch)
-
 // SwapIn reloads a swapped cluster through the fault engine's single-flight
 // table: concurrent callers for the same cluster park on one in-flight
 // fetch and all resume with its result, error included. A caller that
@@ -43,11 +40,17 @@ var asPrefetch = WithCause(CausePrefetch)
 // semantics; a successful demand reload, like a hit, slides the prefetch
 // window along the graph.
 func (rt *Runtime) SwapIn(id ClusterID, opts ...SwapOption) (SwapEvent, error) {
+	return rt.swapInWith(id, resolveSwapOpts(opts))
+}
+
+// swapInWith is SwapIn with its options resolved, the entry of a demand
+// reload, which carries its cause without building an option.
+func (rt *Runtime) swapInWith(id ClusterID, o swapOpts) (SwapEvent, error) {
 	var parked time.Time // when a join, the one kind of fault that may be a hit, began to wait
 	if rt.prefetchDepth > 0 {
 		parked = rt.telem.Now()
 	}
-	ev, leader, err := rt.swapInOnce(id, opts)
+	ev, leader, err := rt.swapInOnce(id, o)
 	if err != nil {
 		return SwapEvent{}, err
 	}
@@ -62,9 +65,9 @@ func (rt *Runtime) SwapIn(id ClusterID, opts ...SwapOption) (SwapEvent, error) {
 
 // swapInOnce runs swapInDirect as the cluster's one flight; leader reports
 // whether this call ran it or joined the flight already open.
-func (rt *Runtime) swapInOnce(id ClusterID, opts []SwapOption) (SwapEvent, bool, error) {
+func (rt *Runtime) swapInOnce(id ClusterID, o swapOpts) (SwapEvent, bool, error) {
 	res, leader, err := rt.faults.Do(uint32(id), func() (any, error) {
-		ev, err := rt.swapInDirect(id, opts...)
+		ev, err := rt.swapInDirect(id, o)
 		if err != nil {
 			return nil, err
 		}
@@ -84,7 +87,7 @@ func (rt *Runtime) swapInOnce(id ClusterID, opts []SwapOption) (SwapEvent, bool,
 // concurrent swap elsewhere, or this call merely joined a demand flight
 // (whose install belongs to the demand fault, not the prefetcher).
 func (rt *Runtime) prefetchSwapIn(cluster uint32) (bool, error) {
-	ev, _, err := rt.swapInOnce(ClusterID(cluster), []SwapOption{asPrefetch})
+	ev, _, err := rt.swapInOnce(ClusterID(cluster), causedBy(CausePrefetch))
 	if err != nil {
 		if errors.Is(err, ErrClusterLoaded) || errors.Is(err, ErrClusterBusy) ||
 			errors.Is(err, ErrClusterActive) || errors.Is(err, ErrUnknownCluster) {

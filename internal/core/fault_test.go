@@ -297,7 +297,7 @@ func TestPrefetchHitRecordsParkedTime(t *testing.T) {
 	ps.setGate(gate)
 	prefErr := make(chan error, 1)
 	go func() {
-		_, err := rt.SwapIn(chain[1], asPrefetch)
+		_, err := rt.SwapIn(chain[1], WithCause(CausePrefetch))
 		prefErr <- err
 	}()
 	waitUntil(t, func() bool { return ps.totalGets() == 1 })
@@ -318,7 +318,7 @@ func TestPrefetchHitRecordsParkedTime(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := rt.SwapIn(chain[0], asPrefetch); err != nil {
+	if _, err := rt.SwapIn(chain[0], WithCause(CausePrefetch)); err != nil {
 		t.Fatal(err)
 	}
 	rt.notePrefetchHit(chain[0])

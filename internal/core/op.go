@@ -20,16 +20,18 @@ var (
 
 // op is what SwapOut, swapInDirect and RepairCluster each own while they run:
 // the trace, the span, and the undo list — the reservation and the
-// replacement-object — that end gives back. It lives on the operation's
-// stack, embedded in the struct its phase methods share; the operation is
-// the list of do(phase, method) calls between begin and end.
+// replacement-object — that end gives back. It is embedded in the struct its
+// phase methods share, and holds its span by value: the phases and labels sit
+// in the operation's own struct, and only what End hands the SwapEvent is
+// allocated. The operation is the list of do(phase, method) calls between
+// begin and end.
 type op struct {
 	rt    *Runtime
 	kind  *opKind
 	id    ClusterID
 	ctx   context.Context
 	trace string
-	span  *obs.Span
+	span  obs.Span
 
 	err error         // the first phase failure; later phases are skipped
 	cs  *clusterState // the reservation; nil before reserve and once committed
@@ -39,15 +41,14 @@ type op struct {
 	built       bool
 }
 
-// begin opens an operation: a fresh trace on the context and a span carrying
-// it and the cluster.
-func (rt *Runtime) begin(kind *opKind, id ClusterID, ctx context.Context) op {
-	p := op{rt: rt, kind: kind, id: id, trace: rt.newTrace()}
+// begin opens the operation p: a fresh trace on the context and a span
+// carrying it and the cluster.
+func (p *op) begin(rt *Runtime, kind *opKind, id ClusterID, ctx context.Context) {
+	p.rt, p.kind, p.id, p.trace = rt, kind, id, rt.newTrace()
 	p.ctx = obs.ContextWithTrace(ctx, p.trace)
-	p.span = rt.tracer.Start(kind.span)
+	rt.tracer.Begin(&p.span, kind.span)
 	p.span.SetTrace(p.trace)
 	p.span.SetCluster(uint32(id))
-	return p
 }
 
 // do runs one phase unless an earlier one failed: the operation's phase

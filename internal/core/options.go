@@ -86,11 +86,21 @@ func WithReplicas(k int) SwapOption {
 }
 
 // resolveSwapOpts folds the options into the operation's context and the
-// shipment constraints.
+// shipment constraints. No options build no options struct: one an option
+// writes to lives on the heap.
 func resolveSwapOpts(opts []SwapOption) swapOpts {
-	o := swapOpts{ctx: context.Background()}
+	if len(opts) == 0 {
+		return causedBy("")
+	}
+	o := causedBy("")
 	for _, opt := range opts {
 		opt(&o)
 	}
 	return o
+}
+
+// causedBy is the resolution of WithCause(cause) alone, for the runtime's
+// own reloads.
+func causedBy(cause string) swapOpts {
+	return swapOpts{ctx: context.Background(), cause: cause}
 }

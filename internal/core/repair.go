@@ -116,7 +116,8 @@ func (rt *Runtime) RepairCluster(ctx context.Context, id ClusterID, k int) (Swap
 	if rt.placer == nil {
 		return SwapEvent{}, fmt.Errorf("core: repair cluster %d: %w", id, ErrNoPlacement)
 	}
-	r := repair{op: rt.begin(&opRepair, id, ctx), k: k}
+	r := repair{k: k}
+	r.begin(rt, &opRepair, id, ctx)
 	defer r.end()
 	r.do("reserve", r.reserve)
 	r.do("probe", r.probe)

@@ -55,7 +55,8 @@ func (rt *Runtime) SwapOut(id ClusterID, opts ...SwapOption) (SwapEvent, error) 
 	if rt.stores == nil {
 		return SwapEvent{}, ErrNoStores
 	}
-	s := swapOut{op: rt.begin(&opSwapOut, id, o.ctx), o: o}
+	s := swapOut{o: o}
+	s.begin(rt, &opSwapOut, id, o.ctx)
 	defer s.end()
 	s.do("reserve", s.reserve)
 	s.do("snapshot", s.snapshot)

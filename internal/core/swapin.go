@@ -35,12 +35,12 @@ import (
 // options do not apply: a swapped cluster lives where it was shipped.
 // Swap-ins of distinct clusters overlap freely; only reserve and install hold
 // the swap lock.
-func (rt *Runtime) swapInDirect(id ClusterID, opts ...SwapOption) (SwapEvent, error) {
-	o := resolveSwapOpts(opts)
+func (rt *Runtime) swapInDirect(id ClusterID, o swapOpts) (SwapEvent, error) {
 	if rt.stores == nil {
 		return SwapEvent{}, ErrNoStores
 	}
-	s := swapIn{op: rt.begin(&opSwapIn, id, o.ctx), o: o}
+	s := swapIn{o: o}
+	s.begin(rt, &opSwapIn, id, o.ctx)
 	defer s.end()
 	s.do("reserve", s.reserve)
 	s.do("fetch", s.fetch)

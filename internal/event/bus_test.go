@@ -63,6 +63,36 @@ func TestCancel(t *testing.T) {
 	}
 }
 
+// TestCancelDuringPublish: a handler that cancels its own subscription
+// while a publication is delivering does not disturb that delivery — every
+// handler subscribed when it began runs, in order — and from the next
+// publication on the remaining subscribers run in their subscription order.
+func TestCancelDuringPublish(t *testing.T) {
+	b := NewBus()
+	var order []string
+	b.Subscribe("t", func(Event) { order = append(order, "a") })
+	var self *Subscription
+	self = b.Subscribe("t", func(Event) {
+		order = append(order, "b")
+		self.Cancel()
+	})
+	b.Subscribe("t", func(Event) { order = append(order, "c") })
+	b.Subscribe("t", func(Event) { order = append(order, "d") })
+
+	if n := b.Emit("t", nil); n != 4 {
+		t.Fatalf("first publication reached %d handlers, want 4", n)
+	}
+	if n := b.Emit("t", nil); n != 3 {
+		t.Fatalf("second publication reached %d handlers, want 3", n)
+	}
+	if got, want := strings.Join(order, ""), "abcdacd"; got != want {
+		t.Fatalf("delivery order %q, want %q", got, want)
+	}
+	if got := b.Subscribers("t"); got != 3 {
+		t.Fatalf("%d subscribers left, want 3", got)
+	}
+}
+
 func TestDeliveredCounter(t *testing.T) {
 	b := NewBus()
 	b.Subscribe("t", func(Event) {})
@@ -217,6 +247,17 @@ func TestFlightDetailRenderedOnRead(t *testing.T) {
 	quiet := NewBus() // recorder off: nothing is rendered, ever
 	if allocs := testing.AllocsPerRun(100, func() { quiet.Emit("swap.in", ptr) }); allocs != 0 {
 		t.Fatalf("publication without a recorder allocates %v times", allocs)
+	}
+	// Nor is anything copied or sorted to deliver: the handlers run from the
+	// topic's subscriber list as it stood.
+	delivered := 0
+	quiet.Subscribe("swap.out", func(Event) { delivered++ })
+	quiet.Subscribe("swap.out", func(Event) { delivered++ })
+	if allocs := testing.AllocsPerRun(100, func() { quiet.Emit("swap.out", ptr) }); allocs != 0 {
+		t.Fatalf("publication to two subscribers without a recorder allocates %v times", allocs)
+	}
+	if delivered != 2*101 {
+		t.Fatalf("two subscribers saw %d deliveries over 101 publications", delivered)
 	}
 	if allocs := testing.AllocsPerRun(100, func() { b.Emit("swap.in", "dev-a") }); allocs > 1 {
 		t.Fatalf("publication of a value payload allocates %v times, want at most the boxing", allocs)

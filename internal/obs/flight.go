@@ -146,24 +146,38 @@ func NewRecorder(spanCap, eventCap int) *Recorder {
 }
 
 // RecordSpan admits one completed span, assigning its Seq. The oldest
-// retained span is overwritten once the ring is full.
+// retained span is overwritten once the ring is full. The recorder keeps
+// copies of s.Phases and s.Replicas, in the storage of the slot it writes.
 func (r *Recorder) RecordSpan(s SpanRecord) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
+	slot := r.nextSpan()
+	phases, replicas := slot.Phases[:0], slot.Replicas[:0]
+	s.Seq = slot.Seq
+	*slot = s
+	slot.Phases = append(phases, s.Phases...)
+	slot.Replicas = append(replicas, s.Replicas...)
+	r.mu.Unlock()
+}
+
+// nextSpan claims the ring slot of the next admission, with its Seq set and
+// its previous contents, whose slices the admission reuses, still in place.
+// The caller holds r.mu.
+func (r *Recorder) nextSpan() *SpanRecord {
 	r.seq++
-	s.Seq = r.seq
 	if r.spanLen == len(r.spans) {
 		r.spanDrops++
 	}
-	r.spans[r.spanPos] = s
+	slot := &r.spans[r.spanPos]
+	slot.Seq = r.seq
 	r.spanPos = (r.spanPos + 1) % len(r.spans)
 	if r.spanLen < len(r.spans) {
 		r.spanLen++
 	}
 	r.spansTotal++
-	r.mu.Unlock()
+	return slot
 }
 
 // RecordEvent admits one bus event, assigning its Seq.
@@ -189,19 +203,42 @@ func (r *Recorder) RecordEvent(e EventRecord) {
 	r.mu.Unlock()
 }
 
-// Spans copies the retained spans, most recent first.
+// Spans copies the retained spans, most recent first. The copies share no
+// storage with the ring, so later admissions, which reuse a slot's phase and
+// replica arrays, leave them as they were.
 func (r *Recorder) Spans() []SpanRecord {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]SpanRecord, 0, r.spanLen)
+	var nPhases, nReplicas int
 	for i := 0; i < r.spanLen; i++ {
-		idx := (r.spanPos - 1 - i + len(r.spans)) % len(r.spans)
-		out = append(out, r.spans[idx])
+		nPhases += len(r.spans[i].Phases)
+		nReplicas += len(r.spans[i].Replicas)
+	}
+	out := make([]SpanRecord, 0, r.spanLen)
+	phases := make([]PhaseRecord, 0, nPhases)
+	replicas := make([]string, 0, nReplicas)
+	for i := 0; i < r.spanLen; i++ {
+		s := r.spans[(r.spanPos-1-i+len(r.spans))%len(r.spans)]
+		s.Phases, phases = carve(phases, s.Phases)
+		s.Replicas, replicas = carve(replicas, s.Replicas)
+		out = append(out, s)
 	}
 	return out
+}
+
+// carve copies src onto the end of arena and returns the copy, capped so
+// that appending to it cannot reach the next one, and the grown arena. An
+// empty src copies to nil.
+func carve[T any](arena, src []T) (dst, grown []T) {
+	if len(src) == 0 {
+		return nil, arena
+	}
+	at := len(arena)
+	arena = append(arena, src...)
+	return arena[at:len(arena):len(arena)], arena
 }
 
 // Events copies the retained bus events, most recent first, rendering the

@@ -155,7 +155,8 @@ func TestSpanRecordsIntoRecorder(t *testing.T) {
 	rec := NewRecorder(8, 8)
 	tr.SetRecorder(rec)
 
-	sp := tr.Start("swap_out")
+	var sp Span
+	tr.Begin(&sp, "swap_out")
 	sp.SetTrace("dev9-00000001")
 	sp.SetCluster(5)
 	sp.Phase("encode")
@@ -187,7 +188,8 @@ func TestSpanRecordsIntoRecorder(t *testing.T) {
 	// A failed span is retained with outcome "error" but does not count as a
 	// completed span in the metrics.
 	before, _ := reg.Value("objectswap_swap_spans_total", "swap_out")
-	sp2 := tr.Start("swap_out")
+	var sp2 Span
+	tr.Begin(&sp2, "swap_out")
 	sp2.Phase("encode")
 	clock.Advance(time.Millisecond)
 	sp2.Fail(errors.New("device gone"))
@@ -198,5 +200,99 @@ func TestSpanRecordsIntoRecorder(t *testing.T) {
 	errsRetained := rec.RecentErrors(0)
 	if len(errsRetained) != 1 || errsRetained[0].Error != "device gone" {
 		t.Fatalf("RecentErrors = %+v", errsRetained)
+	}
+}
+
+// TestWarmSpanAllocatesOnlyItsPhases: once every ring slot has held a span,
+// a traced operation of six phases — the most any swap has — allocates one
+// object, the exact-size phase list End hands its caller. The span lives in
+// its operation, and the recorder copies it into the slot it overwrites,
+// reusing that slot's phase and replica arrays.
+func TestWarmSpanAllocatesOnlyItsPhases(t *testing.T) {
+	clock := NewVirtualClock(time.Unix(0, 0))
+	tr := NewTracer(NewRegistry(clock), "objectswap_swap")
+	rec := NewRecorder(4, 4)
+	tr.SetRecorder(rec)
+	names := []string{"reserve", "snapshot", "negotiate", "encode", "ship", "commit"}
+	replicas := []string{"donor-a", "donor-b"}
+	var sp Span
+	var phases []Phase
+	run := func() {
+		tr.Begin(&sp, "swap_out")
+		sp.SetTrace("dev1-00000001")
+		sp.SetReplicas(replicas)
+		for _, name := range names {
+			sp.Phase(name)
+			clock.Advance(time.Microsecond)
+			sp.AddBytes(64)
+		}
+		phases, _ = sp.End()
+	}
+	for i := 0; i < 8; i++ { // every slot, and every metric series
+		run()
+	}
+	if allocs := testing.AllocsPerRun(100, run); allocs != 1 {
+		t.Fatalf("a warm six-phase span allocates %v objects, want 1 (its phase list)", allocs)
+	}
+	if len(phases) != len(names) || cap(phases) != len(names) || phases[5].Name != "commit" || phases[5].Bytes != 64 {
+		t.Fatalf("End returned %+v (cap %d), want the six phases, sized exactly", phases, cap(phases))
+	}
+	if got := rec.Spans()[0]; len(got.Phases) != 6 || len(got.Replicas) != 2 || got.Replicas[1] != "donor-b" {
+		t.Fatalf("retained %+v, want six phases and both replicas", got)
+	}
+
+	// A seventh phase spills past the span's own storage and is kept all the
+	// same. The spill costs one allocation, and the span, here a local of
+	// the measured function as it is a field of a swap operation, stays on
+	// the stack.
+	long := append(names, "extra")
+	var total time.Duration
+	spill := func() {
+		var sp Span
+		tr.Begin(&sp, "long")
+		for _, name := range long {
+			sp.Phase(name)
+			clock.Advance(time.Microsecond)
+		}
+		phases, total = sp.End()
+	}
+	if allocs := testing.AllocsPerRun(100, spill); allocs != 2 {
+		t.Fatalf("a warm seven-phase span allocates %v objects, want 2 (the spill and its phase list)", allocs)
+	}
+	if len(phases) != 7 || phases[6].Name != "extra" || phases[6].Duration != time.Microsecond || total != 7*time.Microsecond {
+		t.Fatalf("seven-phase span ended with %+v over %v", phases, total)
+	}
+}
+
+// TestSpansSurviveSlotReuse: a Spans result is the reader's own. Admissions
+// after the read overwrite every ring slot and reuse its phase and replica
+// arrays, and what was read stays as it was.
+func TestSpansSurviveSlotReuse(t *testing.T) {
+	r := NewRecorder(2, 2)
+	admit := func(op, replica string, ns int64) {
+		r.RecordSpan(SpanRecord{Op: op, Replicas: []string{replica},
+			Phases: []PhaseRecord{{Name: op + ".a", DurationNS: ns}, {Name: op + ".b", DurationNS: ns + 1}}})
+	}
+	admit("first", "d1", 10)
+	admit("second", "d2", 20)
+	read := r.Spans()
+	for i := 0; i < 4; i++ {
+		admit("later", "dx", 99)
+	}
+	for i, want := range []struct {
+		op, replica string
+		ns          int64
+	}{{"second", "d2", 20}, {"first", "d1", 10}} {
+		s := read[i]
+		if s.Op != want.op || len(s.Replicas) != 1 || s.Replicas[0] != want.replica ||
+			len(s.Phases) != 2 || s.Phases[0].Name != want.op+".a" || s.Phases[1].DurationNS != want.ns+1 {
+			t.Fatalf("span %d read before later admissions now reads %+v, want %s on %s", i, s, want.op, want.replica)
+		}
+	}
+	// Appending to one read span's slices cannot reach its neighbour's.
+	read[0].Phases = append(read[0].Phases, PhaseRecord{Name: "appended"})
+	read[0].Replicas = append(read[0].Replicas, "appended")
+	if read[1].Phases[0].Name != "first.a" || read[1].Replicas[0] != "d1" {
+		t.Fatalf("append to one read span changed the next: %+v", read[1])
 	}
 }

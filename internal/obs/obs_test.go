@@ -94,7 +94,8 @@ func TestSpanPhasesOnVirtualClock(t *testing.T) {
 	r := NewRegistry(clk)
 	tr := NewTracer(r, "objectswap_swap")
 
-	sp := tr.Start("swap_out")
+	var sp Span
+	tr.Begin(&sp, "swap_out")
 	sp.Phase("encode")
 	clk.Advance(10 * time.Millisecond)
 	sp.AddBytes(2048)
@@ -129,7 +130,8 @@ func TestSpanPhasesOnVirtualClock(t *testing.T) {
 
 func TestNilTracerAndSpanAreSafe(t *testing.T) {
 	var tr *Tracer
-	sp := tr.Start("x")
+	var sp Span
+	tr.Begin(&sp, "x")
 	sp.Phase("p")
 	sp.AddBytes(1)
 	if phases, total := sp.End(); phases != nil || total != 0 {

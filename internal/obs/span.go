@@ -50,15 +50,24 @@ func NewTracer(r *Registry, prefix string) *Tracer {
 	}
 }
 
+// inlinePhases is how many phases a Span holds without allocating: no swap
+// operation has more (a shipping swap-out runs reserve, snapshot, negotiate,
+// encode, ship and commit), and a longer span spills to a slice.
+const inlinePhases = 6
+
 // Span is one in-flight traced operation. Phases are sequential: starting a
-// phase closes the previous one. A nil Span is valid and records nothing.
+// phase closes the previous one. A Span is a value its operation owns and
+// Tracer.Begin opens in place; a zero Span, or one opened by a nil Tracer,
+// records nothing.
 type Span struct {
 	t          *Tracer
 	op         string
 	start      time.Time
 	phaseStart time.Time
 	open       bool
-	phases     []Phase
+	n          int                 // phases started
+	inline     [inlinePhases]Phase // the first phases, in order
+	spill      []Phase             // every phase, once there are more than inline holds
 
 	// Correlation labels retained by the flight recorder.
 	trace    string
@@ -70,115 +79,114 @@ type Span struct {
 }
 
 // SetTrace labels the span with a cross-device trace ID.
-func (s *Span) SetTrace(id string) {
-	if s != nil {
-		s.trace = id
-	}
-}
+func (s *Span) SetTrace(id string) { s.trace = id }
 
-// Trace returns the span's trace ID ("" on a nil span).
-func (s *Span) Trace() string {
-	if s == nil {
-		return ""
-	}
-	return s.trace
-}
+// Trace returns the span's trace ID.
+func (s *Span) Trace() string { return s.trace }
 
 // SetDevice labels the span with the nearby device it talked to.
-func (s *Span) SetDevice(name string) {
-	if s != nil {
-		s.device = name
-	}
-}
+func (s *Span) SetDevice(name string) { s.device = name }
 
 // SetCluster labels the span with the swap-cluster it moved.
-func (s *Span) SetCluster(c uint32) {
-	if s != nil {
-		s.cluster = c
-	}
-}
+func (s *Span) SetCluster(c uint32) { s.cluster = c }
 
 // SetKey labels the span with the storage key it shipped or fetched.
-func (s *Span) SetKey(k string) {
-	if s != nil {
-		s.key = k
-	}
-}
+func (s *Span) SetKey(k string) { s.key = k }
 
 // SetFormat labels the span with the negotiated wire format the payload
 // moved in.
-func (s *Span) SetFormat(format string) {
-	if s != nil {
-		s.format = format
-	}
-}
+func (s *Span) SetFormat(format string) { s.format = format }
 
 // SetReplicas labels the span with the replica set holding the shipment
-// (primary first).
-func (s *Span) SetReplicas(devices []string) {
-	if s != nil {
-		s.replicas = append([]string(nil), devices...)
+// (primary first). The span keeps devices, not a copy, until it ends: the
+// caller replaces a replica set wholesale and never edits one in place.
+func (s *Span) SetReplicas(devices []string) { s.replicas = devices }
+
+// Begin opens s for the named operation, discarding whatever it held.
+func (t *Tracer) Begin(s *Span, op string) {
+	*s = Span{t: t, op: op}
+	if t != nil {
+		s.start = t.clock.Now()
+		s.phaseStart = s.start
 	}
 }
 
-// Start opens a span for the named operation.
-func (t *Tracer) Start(op string) *Span {
-	if t == nil {
-		return nil
+// phases returns the phases so far, in order; the slice is the span's own
+// storage.
+func (s *Span) phases() []Phase {
+	if s.spill != nil {
+		return s.spill
 	}
-	now := t.clock.Now()
-	return &Span{t: t, op: op, start: now, phaseStart: now}
+	return s.inline[:s.n]
 }
 
 // Phase closes the current phase (if any) and opens the named one.
 func (s *Span) Phase(name string) {
-	if s == nil {
+	if s.t == nil {
 		return
 	}
 	now := s.t.clock.Now()
 	s.closePhase(now)
-	s.phases = append(s.phases, Phase{Name: name})
+	p := Phase{Name: name}
+	switch {
+	case s.spill != nil:
+		s.spill = append(s.spill, p)
+	case s.n < inlinePhases:
+		s.inline[s.n] = p
+	default:
+		// copy, not append(s.inline[:], p): escape analysis takes a slice
+		// of s.inline stored in s for s escaping, and would move every Span,
+		// and the operation holding it, to the heap.
+		s.spill = make([]Phase, inlinePhases, 2*inlinePhases)
+		copy(s.spill, s.inline[:])
+		s.spill = append(s.spill, p)
+	}
+	s.n++
 	s.phaseStart = now
 	s.open = true
 }
 
 // AddBytes attributes n bytes to the current phase.
 func (s *Span) AddBytes(n int64) {
-	if s == nil || !s.open || n <= 0 {
+	if !s.open || n <= 0 {
 		return
 	}
-	s.phases[len(s.phases)-1].Bytes += n
+	s.phases()[s.n-1].Bytes += n
 }
 
 func (s *Span) closePhase(now time.Time) {
 	if !s.open {
 		return
 	}
-	s.phases[len(s.phases)-1].Duration = now.Sub(s.phaseStart)
+	s.phases()[s.n-1].Duration = now.Sub(s.phaseStart)
 	s.open = false
 }
 
 // End closes the span, records every phase into the tracer's instruments,
 // retains it in the flight recorder (outcome "ok"), and returns the phase
-// breakdown plus the whole-operation duration (for attachment to an event
-// payload).
+// breakdown — the caller's own copy, sized exactly — plus the
+// whole-operation duration (for attachment to an event payload).
 func (s *Span) End() ([]Phase, time.Duration) {
-	if s == nil {
+	if s.t == nil {
 		return nil, 0
 	}
 	now := s.t.clock.Now()
 	s.closePhase(now)
 	total := now.Sub(s.start)
+	phases := s.phases()
 	s.t.spans.With(s.op).Inc()
 	s.t.seconds.With(s.op).Observe(total.Seconds())
-	for _, p := range s.phases {
+	for _, p := range phases {
 		s.t.phaseSeconds.With(s.op, p.Name).Observe(p.Duration.Seconds())
 		if p.Bytes > 0 {
 			s.t.phaseBytes.With(s.op, p.Name).Add(float64(p.Bytes))
 		}
 	}
 	s.record("ok", "", total)
-	return s.phases, total
+	if len(phases) == 0 {
+		return nil, total
+	}
+	return append(make([]Phase, 0, len(phases)), phases...), total
 }
 
 // Fail closes the span with outcome "error" and retains it in the flight
@@ -186,7 +194,7 @@ func (s *Span) End() ([]Phase, time.Duration) {
 // lives in dedicated counters — but their partial phase breakdown is exactly
 // what a post-incident look-back needs ("it died mid-ship after 9.8s").
 func (s *Span) Fail(err error) {
-	if s == nil {
+	if s.t == nil {
 		return
 	}
 	now := s.t.clock.Now()
@@ -198,30 +206,36 @@ func (s *Span) Fail(err error) {
 	s.record("error", detail, now.Sub(s.start))
 }
 
-// record retains the finished span in the tracer's flight recorder, if any.
+// record retains the finished span in the tracer's flight recorder, if any,
+// copying it into the ring slot it overwrites.
 func (s *Span) record(outcome, errDetail string, total time.Duration) {
 	rec := s.t.recorder
 	if rec == nil {
 		return
 	}
-	sr := SpanRecord{
+	rec.mu.Lock()
+	slot := rec.nextSpan()
+	phases := slot.Phases[:0]
+	if n := s.n; cap(phases) < n {
+		phases = make([]PhaseRecord, 0, max(n, inlinePhases)) // once per slot
+	}
+	for _, p := range s.phases() {
+		phases = append(phases, PhaseRecord{Name: p.Name, DurationNS: p.Duration.Nanoseconds(), Bytes: p.Bytes})
+	}
+	*slot = SpanRecord{
+		Seq:        slot.Seq,
 		Op:         s.op,
 		Trace:      s.trace,
 		Device:     s.device,
 		Cluster:    s.cluster,
 		Key:        s.key,
-		Replicas:   append([]string(nil), s.replicas...),
+		Replicas:   append(slot.Replicas[:0], s.replicas...),
 		Format:     s.format,
 		Outcome:    outcome,
 		Error:      errDetail,
 		Start:      s.start,
 		DurationNS: total.Nanoseconds(),
+		Phases:     phases,
 	}
-	if len(s.phases) > 0 {
-		sr.Phases = make([]PhaseRecord, len(s.phases))
-		for i, p := range s.phases {
-			sr.Phases[i] = PhaseRecord{Name: p.Name, DurationNS: p.Duration.Nanoseconds(), Bytes: p.Bytes}
-		}
-	}
-	rec.RecordSpan(sr)
+	rec.mu.Unlock()
 }

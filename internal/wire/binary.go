@@ -475,7 +475,7 @@ func (d *frameDecoder) value(v *xmlcodec.Value) error {
 
 // objectSink receives a shipment from the tree reader, one record at a time.
 // The two sinks are a Doc (docSink) and an Installer staging heap objects
-// (heapSink), so a cluster being swapped in is never materialized as a
+// (stageScratch), so a cluster being swapped in is never materialized as a
 // document.
 type objectSink interface {
 	// begin announces the shipment and returns storage for listItems list
@@ -516,30 +516,27 @@ func (s *docSink) next(nf int) *xmlcodec.Object {
 
 func (s *docSink) put(*xmlcodec.Object) error { return nil }
 
-// heapSink stages each record into the heap object it will become the moment
-// it is decoded, in a staging slab sized from the header's nFields, which
-// readBody has already bounded by the body's length; the record and the list
-// storage are scratch, reused per object and pooled across shipments.
-type heapSink struct {
+// stageScratch is Stage's sink: it stages each record into the heap object it
+// will become the moment it is decoded, in a staging slab sized from the
+// header's nFields, which readBody has already bounded by the body's length.
+// reg and in are the shipment's; the record, the list storage and the
+// Installer's bookkeeping are scratch, reused per object and pooled across
+// shipments.
+type stageScratch struct {
 	reg     *heap.Registry
 	in      *xmlcodec.Installer
-	scratch *stageScratch
-}
-
-// stageScratch is the reusable decode state of Stage.
-type stageScratch struct {
-	rec   xmlcodec.Object
-	lists []xmlcodec.Value
+	rec     xmlcodec.Object
+	lists   []xmlcodec.Value
+	install xmlcodec.Scratch
 }
 
 var stageScratches = sync.Pool{New: func() any { return new(stageScratch) }}
 
-func (s *heapSink) begin(clusterID string, version, objects, fields, listItems int) ([]xmlcodec.Value, error) {
+func (sc *stageScratch) begin(clusterID string, version, objects, fields, listItems int) ([]xmlcodec.Value, error) {
 	var err error
-	if s.in, err = xmlcodec.NewInstaller(s.reg, clusterID, version, objects, fields); err != nil {
+	if sc.in, err = xmlcodec.NewInstaller(sc.reg, clusterID, version, objects, fields, &sc.install); err != nil {
 		return nil, err
 	}
-	sc := s.scratch
 	if cap(sc.lists) < listItems {
 		sc.lists = make([]xmlcodec.Value, listItems)
 	}
@@ -547,8 +544,8 @@ func (s *heapSink) begin(clusterID string, version, objects, fields, listItems i
 	return sc.lists, nil
 }
 
-func (s *heapSink) next(nf int) *xmlcodec.Object {
-	rec := &s.scratch.rec
+func (sc *stageScratch) next(nf int) *xmlcodec.Object {
+	rec := &sc.rec
 	if cap(rec.Fields) < nf {
 		rec.Fields = make([]xmlcodec.Field, nf)
 	}
@@ -557,7 +554,7 @@ func (s *heapSink) next(nf int) *xmlcodec.Object {
 	return rec
 }
 
-func (s *heapSink) put(o *xmlcodec.Object) error { return s.in.Add(o) }
+func (sc *stageScratch) put(o *xmlcodec.Object) error { return sc.in.Add(o) }
 
 // readBody parses a frame body into sink — the only reader of the OBW tree.
 //
@@ -712,23 +709,27 @@ func Stage(data []byte, reg *heap.Registry) (*xmlcodec.Installer, error) {
 	if err != nil {
 		return nil, err
 	}
-	sink := heapSink{reg: reg, scratch: stageScratches.Get().(*stageScratch)}
-	err = readBody(body, true, &sink)
-	sink.scratch.release()
+	sc := stageScratches.Get().(*stageScratch)
+	sc.reg = reg
+	err = readBody(body, true, sc)
+	in := sc.in
+	if err == nil {
+		err = in.Verify() // before the Installer's scratch goes back
+	}
+	sc.release()
 	if err != nil {
 		return nil, err
 	}
-	if err := sink.in.Verify(); err != nil {
-		return nil, err
-	}
-	return sink.in, nil
+	return in, nil
 }
 
-// release drops the scratch's references into the decoded frame and returns
-// it to the pool.
+// release drops the scratch's references into the decoded frame and the
+// shipment, and returns it to the pool.
 func (sc *stageScratch) release() {
 	clear(sc.rec.Fields[:cap(sc.rec.Fields)])
 	clear(sc.lists)
 	sc.rec.Class = ""
+	sc.install.Reset()
+	sc.reg, sc.in = nil, nil
 	stageScratches.Put(sc)
 }

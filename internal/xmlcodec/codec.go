@@ -304,7 +304,7 @@ func (d *Doc) Stage(reg *heap.Registry) (*Installer, error) {
 	for i := range d.Objects {
 		fields += len(d.Objects[i].Fields)
 	}
-	in, err := NewInstaller(reg, d.ClusterID, d.Version, len(d.Objects), fields)
+	in, err := NewInstaller(reg, d.ClusterID, d.Version, len(d.Objects), fields, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -324,19 +324,39 @@ func (d *Doc) Stage(reg *heap.Registry) (*Installer, error) {
 // object it will become — nothing touches a heap yet — and Install makes the
 // whole cluster resident in one heap.InstallBatch. Records may come from a
 // Doc or, one reused record at a time, straight from a frame. An Installer
-// whose Add or Install failed is spent.
+// whose Add or Install failed is spent, and one that has verified takes no
+// more records.
 type Installer struct {
 	// ClusterID is the shipment key the records arrived under.
 	ClusterID string
 
-	batch    heap.Batch
-	reg      *heap.Registry
-	plans    []classPlan
-	refs     []heap.ObjID // internal reference targets, checked by Verify
-	verified bool
+	batch heap.Batch
+	reg   *heap.Registry
+	sc    *Scratch // nil once Verify has passed
 	// deferred are the fields holding slot or remote references: only the
 	// installing runtime can resolve those, so they wait for Install.
 	deferred []deferredField
+}
+
+// Scratch is the bookkeeping an Installer needs only while it stages: the
+// class plans, the internal reference targets and the member ids Verify
+// sorts. A caller that stages one cluster after another lends each Installer
+// the same Scratch; the Installer lets go of it when Verify passes.
+type Scratch struct {
+	plans []classPlan
+	refs  []heap.ObjID // internal reference targets, checked by Verify
+	ids   []heap.ObjID
+}
+
+// Reset drops what the scratch refers to, keeping its storage for the next
+// Installer.
+func (sc *Scratch) Reset() {
+	plans := sc.plans[:cap(sc.plans)]
+	for i := range plans {
+		clear(plans[i].fields[:cap(plans[i].fields)])
+		plans[i] = classPlan{fields: plans[i].fields[:0]}
+	}
+	sc.plans, sc.refs, sc.ids = sc.plans[:0], sc.refs[:0], sc.ids[:0]
 }
 
 // classPlan resolves one class's field names to slots once per cluster: the
@@ -359,32 +379,47 @@ type deferredField struct {
 // NewInstaller prepares to stage a cluster of about objects records holding
 // about fields field values between them, of wrapper version version,
 // resolving class names through reg. Both counts size storage up front, so
-// they must be bounded by the payload they were read from.
-func NewInstaller(reg *heap.Registry, clusterID string, version, objects, fields int) (*Installer, error) {
+// they must be bounded by the payload they were read from. sc, reset, is the
+// Installer's until Verify passes; nil gives it one of its own.
+func NewInstaller(reg *heap.Registry, clusterID string, version, objects, fields int, sc *Scratch) (*Installer, error) {
 	if version != Version {
 		return nil, fmt.Errorf("%w: %d", ErrVersion, version)
+	}
+	if sc == nil {
+		sc = new(Scratch)
+	}
+	sc.Reset()
+	if cap(sc.refs) < objects {
+		sc.refs = make([]heap.ObjID, 0, objects)
 	}
 	return &Installer{
 		ClusterID: clusterID,
 		batch:     heap.MakeBatch(objects, fields),
 		reg:       reg,
-		refs:      make([]heap.ObjID, 0, objects),
+		sc:        sc,
 	}, nil
 }
 
 // plan returns the field plan of the named class.
 func (in *Installer) plan(class string) (*classPlan, error) {
-	for i := range in.plans {
-		if in.plans[i].cls.Name == class {
-			return &in.plans[i], nil
+	plans := in.sc.plans
+	for i := range plans {
+		if plans[i].cls.Name == class {
+			return &plans[i], nil
 		}
 	}
 	cls, err := in.reg.Lookup(class)
 	if err != nil {
 		return nil, err
 	}
-	in.plans = append(in.plans, classPlan{cls: cls, fields: make([]plannedField, 0, cls.NumFields())})
-	return &in.plans[len(in.plans)-1], nil
+	if n := len(plans); n < cap(plans) {
+		plans = plans[:n+1] // an earlier cluster's plan, reset: its storage serves
+		plans[n].cls = cls
+	} else {
+		plans = append(plans, classPlan{cls: cls, fields: make([]plannedField, 0, cls.NumFields())})
+	}
+	in.sc.plans = plans
+	return &plans[len(plans)-1], nil
 }
 
 // slot resolves the j-th field name of a record.
@@ -403,6 +438,9 @@ func (p *classPlan) slot(j int, name string) (int, bool) {
 // must suit its field, and internal references are noted for Verify. The
 // record is not retained.
 func (in *Installer) Add(o *Object) error {
+	if in.sc == nil {
+		return fmt.Errorf("install @%d: installer already verified", o.ID)
+	}
 	p, err := in.plan(o.Class)
 	if err != nil {
 		return fmt.Errorf("install @%d: %w", o.ID, err)
@@ -427,7 +465,6 @@ func (in *Installer) Add(o *Object) error {
 			return fmt.Errorf("install @%d field %s: %w", o.ID, f.Name, err)
 		}
 	}
-	in.verified = false
 	return nil
 }
 
@@ -440,7 +477,7 @@ func (in *Installer) noteRefs(v *Value) (foreign bool) {
 			return true
 		}
 		if v.Target != heap.NilID {
-			in.refs = append(in.refs, v.Target)
+			in.sc.refs = append(in.sc.refs, v.Target)
 		}
 	case heap.KindList:
 		for i := range v.List {
@@ -466,24 +503,27 @@ func (v Value) clone() Value {
 }
 
 // Verify checks what only the whole cluster can show: every internal
-// reference targets a staged object.
+// reference targets a staged object. Once it passes, the Installer holds its
+// Scratch no longer.
 func (in *Installer) Verify() error {
-	if in.verified {
+	sc := in.sc
+	if sc == nil {
 		return nil
 	}
-	if len(in.refs) > 0 {
-		ids := make([]heap.ObjID, in.batch.Len())
-		for i := range ids {
-			ids[i] = in.batch.ID(i)
+	if len(sc.refs) > 0 {
+		ids := sc.ids[:0]
+		for i := range in.batch.Len() {
+			ids = append(ids, in.batch.ID(i))
 		}
 		slices.Sort(ids)
-		for _, target := range in.refs {
+		sc.ids = ids
+		for _, target := range sc.refs {
 			if _, member := slices.BinarySearch(ids, target); !member {
 				return fmt.Errorf("%w: internal ref to non-member @%d", ErrBadDocument, target)
 			}
 		}
 	}
-	in.verified = true
+	in.sc = nil
 	return nil
 }
 
