@@ -47,12 +47,25 @@ go build ./...
 #   (internal/obs): a warm six-phase span allocates only the phase list End
 #   returns, and a Spans result shares no storage with the ring slots later
 #   admissions reuse.
-# - TestCollectAllocatesNothingOnUnchangedHeap (internal/heap).
+# - TestCollectAllocatesNothingOnUnchangedHeap, TestCollectReusesSweptBuffer,
+#   TestProxyChurnAllocatesNothing, TestSweptProxyBlocksReissued
+#   (internal/heap): a pass that reclaims nothing allocates nothing; once a
+#   collection has reclaimed n objects the next that reclaims n allocates
+#   nothing; minting and collecting 1 000 proxies allocates nothing once the
+#   pool is warm; a swept swap-cluster-proxy's block is reissued, under a
+#   fresh id, only after the collection that follows its sweep, and no other
+#   kind of block ever is.
 # - TestCollectPurgesEverySweptRecord, TestReclaimingProxiesAllocatesOnlySwept
 #   (internal/core): one Collect purges the inbound lists, edge counts,
 #   shared and object-fault indexes and membership records of everything it
 #   swept before it returns, and the Collect after Figure 5's B1 allocates at
-#   most 48 B per reclaimed proxy.
+#   most 9 B per reclaimed proxy (8.2 measured: the sweep buffer, grown once
+#   to its exact size).
+# - TestB1PassReusesSweptProxies, TestProxyBlocksBoundedByPeakResidency
+#   (internal/core): a B1 pass over 1 000 objects plus its Collect allocates
+#   at most 1 object once two passes have warmed the pool, and passes minting
+#   4 000, 1 000 and 4 000 proxies allocate 4 000 blocks in all: the pool plus
+#   the live proxies never exceed the peak proxy residency.
 # - TestLiveProxyHostBytes (internal/core): a live boundary proxy costs the
 #   Go heap at most 285 B with clusters of 1 and 241 B with clusters of 32
 #   (proxy block, heap-index slot, shared-index entry, inbound entry, edge).
@@ -77,12 +90,13 @@ go build ./...
 # - TestNestedInvokeAllocatesNothing, TestFig5A1AllocationsFlat,
 #   TestNewProxyAllocatesOne (internal/core): ten nested resident invocations
 #   allocate nothing; Figure 5's A1 over clusters of 20 allocates the same at
-#   1 000 and 2 000 objects, at most 1; minting a proxy allocates 1 (its object,
-#   field vector inside).
+#   1 000 and 2 000 objects, at most 1; minting a proxy with no swept block
+#   to reissue allocates 1 (its object, field vector inside).
 # - TestB2StepAllocatesNothing, TestB1StepAllocatesOne,
 #   TestFloorA2AllocatesAtMostOne (internal/core): results return into the
-#   frame, so a B2 step over an assign-mode cursor allocates 0, a B1 step only
-#   the proxy it mints (1), and a whole A2 pass on the direct runtime at most 1.
+#   frame, so a B2 step over an assign-mode cursor allocates 0, a B1 step with
+#   no swept block to reissue only the proxy it mints (1), and a whole A2 pass
+#   on the direct runtime at most 1.
 # - TestStackPerLevel (internal/core): a nesting level of dispatch takes at
 #   most 664 B of Go stack on the swapping runtime and 632 B on the direct one
 #   (Go 1.24, amd64).
@@ -357,6 +371,18 @@ if [ -n "$TARGETS" ] || [ -n "$POINTS" ] || [ -n "$PATCHES" ]; then
     printf '%s\n%s\n%s\n' "$TARGETS" "$POINTS" "$PATCHES" >&2
     exit 1
 fi
+# Guard: a collection's report has one lifetime and one reader. Swept, the
+# list and the objects in it, is valid until the next collection, which
+# reissues the swept swap-cluster-proxies' blocks; only internal/heap, which
+# keeps that rule, and internal/core/gcint.go, which purges from the report
+# under the swap lock before the next collection can start, read .Swept in
+# non-test Go (comment lines aside).
+SWEPT=$(grep -rnE '\.Swept([^[:alnum:]_]|$)' --include='*.go' . | grep -v '_test\.go:' | grep -vE '^\./internal/heap/|^\./internal/core/gcint\.go:' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+if [ -n "$SWEPT" ]; then
+    echo "CollectStats.Swept read outside internal/heap and internal/core/gcint.go (it is valid only until the next collection):" >&2
+    echo "$SWEPT" >&2
+    exit 1
+fi
 # Fault-storm smoke: 64 goroutines faulting 8 swapped clusters must issue
 # exactly 8 donor fetches (single-flight coalescing), race-clean at
 # GOMAXPROCS 1 and 4.
@@ -367,7 +393,11 @@ go test -race -run '^TestFaultStormCoalesces$' -count=1 -cpu 1,4 ./internal/core
 # chase over a gated donor keeps exactly two reads in flight with the head as
 # its one demand fault. The commit-window tests ride along: a mint or a cursor
 # step between a swap's heap work and its commit, and a collection between a
-# proxy's allocation and its listing, leave the invariants whole.
+# proxy's allocation and its listing, leave the invariants whole. So do the
+# stale-holder tests: two collections and a mint between a proxy's
+# allocation and its listing reissue its block as another proxy, and the
+# first mint's enlist — like an enlist or retarget under any stale id —
+# writes nothing into it.
 go test -race -count=10 -run '^(TestTriggerWhileRunningDoesNotRequeue|TestJoinCountsOneHit)$' ./internal/fault/
 go test -race -count=10 -run '^TestPrefetchWindowOverlap$' .
-go test -race -count=10 -run '^(TestTriggerPrefetchAllocatesNothing|TestPrefetchHitRecordsParkedTime|TestCommitWindow|TestSweepBeforeEnlist)$' ./internal/core/
+go test -race -count=10 -run '^(TestTriggerPrefetchAllocatesNothing|TestPrefetchHitRecordsParkedTime|TestCommitWindow|TestSweepBeforeEnlist|TestReissueBeforeEnlist|TestReissuedProxyBlockRefused)$' ./internal/core/

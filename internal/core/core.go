@@ -614,17 +614,18 @@ func (rt *Runtime) MustRegisterClass(c *heap.Class) *heap.Class {
 // eviction is already in progress reports ErrOutOfMemory directly rather
 // than recursing.
 func (rt *Runtime) allocApp(c *heap.Class) (*heap.Object, error) {
-	return rt.allocWith(rt.h.New, c)
+	return rt.allocWith(false, c, nil)
 }
 
 // allocMiddleware allocates a middleware object (proxy, replacement-object)
-// with access to the heap's reserve headroom.
-func (rt *Runtime) allocMiddleware(c *heap.Class) (*heap.Object, error) {
-	return rt.allocWith(rt.h.NewPrivileged, c)
+// with access to the heap's reserve headroom, its leading fields set to init
+// before it is resident (heap.NewPrivileged).
+func (rt *Runtime) allocMiddleware(c *heap.Class, init ...heap.Value) (*heap.Object, error) {
+	return rt.allocWith(true, c, init)
 }
 
-func (rt *Runtime) allocWith(allocFn func(*heap.Class) (*heap.Object, error), c *heap.Class) (*heap.Object, error) {
-	o, err := allocFn(c)
+func (rt *Runtime) allocWith(privileged bool, c *heap.Class, init []heap.Value) (*heap.Object, error) {
+	o, err := rt.alloc(privileged, c, init)
 	if err == nil || !errors.Is(err, heap.ErrOutOfMemory) || rt.evictor == nil ||
 		rt.evicting.Load() || rt.mutatingCount.Load() > 0 {
 		return o, err
@@ -633,7 +634,15 @@ func (rt *Runtime) allocWith(allocFn func(*heap.Class) (*heap.Object, error), c 
 	if everr := rt.runEvictor(need); everr != nil {
 		return nil, fmt.Errorf("%w (evictor: %v)", err, everr)
 	}
-	return allocFn(c)
+	return rt.alloc(privileged, c, init)
+}
+
+// alloc is one allocation attempt of allocWith.
+func (rt *Runtime) alloc(privileged bool, c *heap.Class, init []heap.Value) (*heap.Object, error) {
+	if privileged {
+		return rt.h.NewPrivileged(c, init...)
+	}
+	return rt.h.New(c)
 }
 
 // runEvictor invokes the evictor hook under the re-entrancy guard.

@@ -274,14 +274,21 @@ func (rt *Runtime) assignReturn(p *heap.Object, r heap.Value) (heap.Value, error
 	if err != nil || ultimate == heap.NilID {
 		return heap.Nil(), err
 	}
-	if !rt.mgr.retarget(p, ultimate) {
+	// The frame stacks the proxy it reached through, so p is resident under
+	// the id it carries.
+	id := p.ID()
+	ok, err := rt.mgr.retarget(p, id, ultimate)
+	if err != nil {
+		return heap.Nil(), err
+	}
+	if !ok {
 		// No mediation needed toward the caller: dismantle.
 		return heap.Ref(ultimate), nil
 	}
 	// An actively-used cursor stays alive across collections even when only
 	// host code references it.
-	rt.h.TouchNursery(p.ID())
-	return heap.Ref(p.ID()), nil
+	rt.h.TouchNursery(id)
+	return heap.Ref(id), nil
 }
 
 // Field reads a field through the swapping-aware indirection: a read through

@@ -356,9 +356,10 @@ func TestFloorA2AllocatesAtMostOne(t *testing.T) {
 
 // TestB1StepAllocatesOne: one step of Figure 5's B1 — "next" through the
 // cursor's proxy, whose reference result is translated for the root cluster
-// — allocates the proxy it mints for that result, one object with its field
-// vector inside, and nothing else: neither the body's result slice nor
-// intercept's translated copy. check.sh runs it by name.
+// — allocates, with no swept block to reissue, the proxy it mints for that
+// result, one object with its field vector inside, and nothing else: neither
+// the body's result slice nor intercept's translated copy. check.sh runs it
+// by name.
 func TestB1StepAllocatesOne(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are gated without the race detector")
@@ -376,6 +377,42 @@ func TestB1StepAllocatesOne(t *testing.T) {
 	if allocs != 1 {
 		t.Fatalf("a B1 step allocates %.0f objects, want 1", allocs)
 	}
+}
+
+// TestB1PassReusesSweptProxies: once two B1 passes over 1 000 objects in
+// clusters of 10 have each been followed by a Collect, a further pass plus
+// its Collect allocates at most one object: each of its 999 proxies is a
+// block the collection before last swept, the sweep list is the heap's
+// buffer at its size already, and the inbound lists compact in place.
+// check.sh runs it by name.
+func TestB1PassReusesSweptProxies(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are gated without the race detector")
+	}
+	const n = 1000
+	f := newFixture(t, 0)
+	f.buildList(t, n, 10, 8)
+	pass := func() {
+		cur := f.head(t)
+		for i := 1; i < n; i++ {
+			out, err := f.rt.Invoke(cur, "next")
+			if err != nil || !out[0].IsRef() {
+				t.Fatalf("B1 step %d: %v, %v", i, out, err)
+			}
+			cur = out[0]
+		}
+		if st := f.rt.Collect(); st.Reclaimed < n-1 {
+			t.Fatalf("the Collect after a B1 pass reclaimed %d objects, want at least %d", st.Reclaimed, n-1)
+		}
+	}
+	pass()
+	pass()
+	allocs := testing.AllocsPerRun(5, pass)
+	t.Logf("a warm B1 pass plus its Collect allocates %.2f objects", allocs)
+	if allocs > 1 {
+		t.Fatalf("a warm B1 pass plus its Collect allocates %.2f objects, want at most 1", allocs)
+	}
+	checkClean(t, f.rt)
 }
 
 // TestB2StepAllocatesNothing: one step of Figure 5's B2 — "next" through an
@@ -458,10 +495,11 @@ func TestStackPerLevel(t *testing.T) {
 	}
 }
 
-// TestNewProxyAllocatesOne: minting a swap-cluster-proxy allocates the proxy
-// object, whose field vector is part of the same allocation, and nothing else
-// — the heap keeps no per-object record beside it, and the inbound list and
-// edge counts it joins grow amortized. check.sh runs it by name.
+// TestNewProxyAllocatesOne: minting a swap-cluster-proxy with no swept block
+// to reissue allocates the proxy object, whose field vector is part of the
+// same allocation, and nothing else — the heap keeps no per-object record
+// beside it, and the inbound list and edge counts it joins grow amortized.
+// check.sh runs it by name.
 func TestNewProxyAllocatesOne(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are gated without the race detector")

@@ -34,6 +34,10 @@ import (
 // cannot lose their nursery grace before the inbound proxies that make them
 // reachable are patched), and no swept record outlives Collect.
 // Device-drop retries run unlocked — they are IO.
+//
+// The result's Swept, the list and the objects in it, is valid until the
+// next collection: the heap reuses the list, and reissues the blocks of the
+// swap-cluster-proxies in it as new proxies (heap.CollectStats).
 func (rt *Runtime) Collect() heap.CollectStats {
 	return rt.collect(1)
 }

@@ -104,8 +104,10 @@ func (m *Manager) inboundProxies(id ClusterID, buf []*heap.Object) []*heap.Objec
 
 // TestReclaimingProxiesAllocatesOnlySwept: the Collect after Figure 5's B1
 // over clusters of 20 reclaims the ~10 000 swap-cluster-proxies the walk
-// minted and allocates at most 48 B per reclaimed proxy — the swept list and
-// nothing per object beside it. check.sh runs it by name.
+// minted and allocates only the heap's sweep buffer, grown once to the exact
+// count: 8.2 B per reclaimed proxy measured (one pointer each, and the
+// rounding of one large allocation), 31.0 B while the swept list grew by
+// appending, and nothing per object beside it. check.sh runs it by name.
 func TestReclaimingProxiesAllocatesOnlySwept(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are gated without the race detector")
@@ -128,10 +130,13 @@ func TestReclaimingProxiesAllocatesOnlySwept(t *testing.T) {
 	if reclaimed < n*9/10 || st.Reclaimed < reclaimed {
 		t.Fatalf("Collect reclaimed %d objects, %d of them proxies; want about %d proxies", st.Reclaimed, reclaimed, n)
 	}
+	// measured is the figure above; margin absorbs a size class of rounding
+	// on the buffer, not a second allocation per proxy.
+	const measured, margin = 8.2, 0.8
 	per := float64(bytes) / float64(reclaimed)
 	t.Logf("Collect allocated %d B for %d reclaimed proxies (%.1f B each)", bytes, reclaimed, per)
-	if per > 48 {
-		t.Fatalf("want at most 48 B per reclaimed proxy")
+	if per > measured+margin {
+		t.Fatalf("want at most %.1f B per reclaimed proxy", measured+margin)
 	}
 	checkClean(t, f.rt)
 }

@@ -141,3 +141,49 @@ func TestSwappedResidue(t *testing.T) {
 		})
 	}
 }
+
+// TestProxyBlocksBoundedByPeakResidency: the heap's pool of swept proxy
+// blocks plus the live proxies never exceeds the peak proxy residency, so
+// passes that mint 4 000, then 1 000, then 4 000 cursors allocate 4 000
+// blocks in all, measured as the Go heap's allocation count across the three
+// passes and their collections. A swept block joins the pool at the
+// collection after the one that swept it (heap.CollectStats.Swept), so two
+// run between passes. Beside the blocks, the inbound list grows by append,
+// and the pool and the sweep buffer at most once per collection
+// (growthSlack).
+// check.sh runs it by name.
+func TestProxyBlocksBoundedByPeakResidency(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are gated without the race detector")
+	}
+	const peak, growthSlack = 4000, 64
+	f := newFixture(t, 0)
+	ids, clusters := f.buildList(t, 20, 10, 8)
+	mint := func(k int) {
+		for i := 0; i < k; i++ {
+			if _, err := f.rt.newProxy(clusters[0], ids[15], true); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	collect := func() {
+		f.rt.Collect()
+		f.rt.Collect()
+	}
+	proxies := f.rt.mgr.ProxyCount()
+	allocs, _ := mallocs(func() {
+		mint(peak)
+		collect()
+		mint(peak / 4)
+		collect()
+		mint(peak)
+	})
+	t.Logf("minting %d, %d and %d proxies allocated %d objects", peak, peak/4, peak, allocs)
+	if got := f.rt.mgr.ProxyCount() - proxies; got != peak {
+		t.Fatalf("%d proxies live after the last pass, want %d", got, peak)
+	}
+	if allocs < peak || allocs > peak+growthSlack {
+		t.Fatalf("the three passes allocated %d objects, want the %d blocks of the peak plus at most %d", allocs, peak, growthSlack)
+	}
+	checkClean(t, f.rt)
+}

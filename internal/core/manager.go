@@ -249,16 +249,17 @@ func (m *Manager) shipmentOf(id ClusterID) (shipment, bool) {
 	return cs.shipment, true
 }
 
-// point aims proxy p at its ultimate target, or at the replacement-object of
-// the target's cluster while that is swapped out, and reports false if a
-// collection swept p. It is the one writer of a proxy's target, and its caller
-// holds tab.mu and lists p: enlist, retarget, or settle as the cluster moves.
-func (tab *clusterTable) point(p *heap.Object) bool {
-	to := proxyUltimate(p)
+// point aims proxy p, handed to the caller under id, at its ultimate target,
+// or at the replacement-object of that target's cluster while it is swapped
+// out, and reports false if p is no longer resident under id. It is the one
+// writer of a proxy's target, and its caller holds tab.mu and lists p:
+// enlist, retarget, or settle as the cluster moves.
+func (tab *clusterTable) point(p *heap.Object, id, ultimate heap.ObjID) bool {
+	to := ultimate
 	if cs, ok := tab.clusters[tab.members[to].cluster]; ok && cs.where.out() {
 		to = cs.replacement
 	}
-	return setProxySlot(p, slotTarget, heap.Ref(to))
+	return setProxySlot(p, id, slotTarget, heap.Ref(to))
 }
 
 // NewCluster declares a fresh, empty swap-cluster and returns its id.
@@ -337,40 +338,51 @@ func (m *Manager) IsSwapped(id ClusterID) bool {
 	return out
 }
 
-// enlist points a freshly minted proxy p, whose ultimate target and source its
-// fields already hold, and lists it in one table hold: in the inbound list of
+// enlist points a freshly minted proxy p, born under id from cluster src to
+// the object ultimate, and lists it in one table hold: in the inbound list of
 // its target's cluster, and as an edge out of its source. It reports false,
-// listing nothing, when a collection swept p first.
-func (m *Manager) enlist(p *heap.Object) bool {
+// writing and listing nothing, when p is no longer resident under id — a
+// collection swept it first, and a later one may have reissued its block as
+// another proxy — so it reads none of p's slots.
+func (m *Manager) enlist(p *heap.Object, id heap.ObjID, src ClusterID, ultimate heap.ObjID) bool {
 	tab := &m.table
 	tab.mu.Lock()
 	defer tab.mu.Unlock()
-	if !tab.point(p) {
+	if !tab.point(p, id, ultimate) {
 		return false
 	}
-	home := tab.members[proxyUltimate(p)].cluster
+	home := tab.members[ultimate].cluster
 	if cs, ok := tab.clusters[home]; ok {
 		cs.inbound = append(cs.inbound, p)
 	}
-	if cs, ok := tab.clusters[proxySrc(p)]; ok {
+	if cs, ok := tab.clusters[src]; ok {
 		cs.countEdge(home, 1)
 	}
 	return true
 }
 
-// retarget re-aims proxy p at the object ultimate (the Assign iteration
-// optimization) in one table hold: p moves to the inbound list of ultimate's
-// cluster, its source's edge with it, and is pointed there (a proxy a
-// collection swept stays out). It reports false, touching nothing, when
-// ultimate is in p's source cluster: the caller dismantles. No Manager.mu: an
-// assign-mode proxy is never shared (setMode).
-func (m *Manager) retarget(p *heap.Object, ultimate heap.ObjID) bool {
+// retarget re-aims proxy p, handed to the caller under id, at the object
+// ultimate (the Assign iteration optimization) in one table hold: p moves to
+// the inbound list of ultimate's cluster, its source's edge with it, and is
+// pointed there. It reports false, touching nothing, when ultimate is in p's
+// source cluster: the caller dismantles. When p is no longer resident under id
+// it fails with heap.ErrNoSuchObject and touches nothing either: the block
+// may be another proxy by now, listed where that one is. Within the hold a
+// block that passed the check is not reissued — that takes a further
+// collection, whose purge waits for the table lock — so p's fields are read
+// only after it. No Manager.mu: an assign-mode proxy is never shared
+// (setMode).
+func (m *Manager) retarget(p *heap.Object, id, ultimate heap.ObjID) (bool, error) {
 	tab := &m.table
 	tab.mu.Lock()
 	defer tab.mu.Unlock()
+	if !p.ResidentAs(id) {
+		return false, fmt.Errorf("%w: @%d", heap.ErrNoSuchObject, id)
+	}
+	src := proxySrc(p)
 	from, to := tab.members[proxyUltimate(p)].cluster, tab.members[ultimate].cluster
-	if to == proxySrc(p) {
-		return false
+	if to == src {
+		return false, nil
 	}
 	fs, fok := tab.clusters[from]
 	ts, tok := tab.clusters[to]
@@ -378,12 +390,12 @@ func (m *Manager) retarget(p *heap.Object, ultimate heap.ObjID) bool {
 		if i := slices.Index(fs.inbound, p); i >= 0 {
 			fs.inbound = slices.Delete(fs.inbound, i, i+1)
 			ts.inbound = append(ts.inbound, p)
-			tab.moveEdge(proxySrc(p), from, to)
+			tab.moveEdge(src, from, to)
 		}
 	}
-	setProxySlot(p, slotObj, heap.Int(int64(ultimate)))
-	tab.point(p)
-	return true
+	setProxySlot(p, id, slotObj, heap.Int(int64(ultimate)))
+	tab.point(p, id, ultimate)
+	return true, nil
 }
 
 // lookupProxy finds the live shared proxy for key, if any.

@@ -60,11 +60,13 @@ func proxyInt(p *heap.Object, slot int) int64 {
 	return i
 }
 
-// setProxySlot writes one slot of the fixed layout. The slot kinds are the
-// layout's own and fixed-size, so the write fails only when a collection has
-// swept p; it reports whether it wrote.
-func setProxySlot(p *heap.Object, slot int, v heap.Value) bool {
-	return p.SetField(slot, v) == nil
+// setProxySlot writes one slot of the fixed layout into proxy p, which the
+// caller was handed under id. The slot kinds are the layout's own and
+// fixed-size, so the write fails only when p is no longer resident under id:
+// a collection swept it, and its block may since be another proxy
+// (heap.Object.SetFieldAs). It reports whether it wrote.
+func setProxySlot(p *heap.Object, id heap.ObjID, slot int, v heap.Value) bool {
+	return p.SetFieldAs(id, slot, v) == nil
 }
 
 // proxyTarget reads the object a proxy points at (NilID until enlist).
@@ -99,8 +101,12 @@ func (rt *Runtime) proxyFor(src ClusterID, target heap.ObjID) (heap.ObjID, error
 // target and lists it with the record of target's cluster: the shared one
 // every later proxyFor(src, target) reuses, or a private assign-mode cursor,
 // which swap-out points and the collection purges like any other but the
-// registry never hands out. Nothing roots a fresh proxy: one a collection on
-// another goroutine sweeps before enlist lists it is minted again.
+// registry never hands out. The proxy is born with its target, source and
+// mode slots set, so nothing writes it between its allocation and its
+// listing, and from there on the mint uses only its id. Nothing roots a fresh
+// proxy: one a collection on another goroutine sweeps before enlist lists it
+// is minted again, and enlist refuses its block even once a later collection
+// has reissued it as another proxy.
 func (rt *Runtime) newProxy(src ClusterID, target heap.ObjID, cursor bool) (heap.ObjID, error) {
 	info, ok := rt.mgr.member(target)
 	if !ok {
@@ -114,25 +120,26 @@ func (rt *Runtime) newProxy(src ClusterID, target heap.ObjID, cursor bool) (heap
 			return heap.NilID, fmt.Errorf("core: no proxy class for %s (class not registered)", o.Class().Name)
 		}
 	}
-	p, err := rt.allocMiddleware(rt.classes[info.class].proxy)
+	mode := proxyModeNormal
+	if cursor {
+		mode = proxyModeAssign
+	}
+	p, err := rt.allocMiddleware(rt.classes[info.class].proxy,
+		heap.Nil(), heap.Int(int64(target)), heap.Int(int64(src)), heap.Int(mode))
 	if err != nil {
 		return heap.NilID, fmt.Errorf("core: allocate proxy: %w", err)
 	}
-	setProxySlot(p, slotObj, heap.Int(int64(target)))
-	setProxySlot(p, slotSrc, heap.Int(int64(src)))
-	if cursor {
-		setProxySlot(p, slotMode, heap.Int(proxyModeAssign))
-	}
+	id := p.ID()
 	if rt.yield != nil {
 		rt.yield("mint")
 	}
-	if !rt.mgr.enlist(p) {
+	if !rt.mgr.enlist(p, id, src, target) {
 		return rt.newProxy(src, target, cursor)
 	}
 	if !cursor {
-		rt.mgr.share(proxyKey{src: src, target: target}, p.ID())
+		rt.mgr.share(proxyKey{src: src, target: target}, id)
 	}
-	return p.ID(), nil
+	return id, nil
 }
 
 // AssignedCursor builds a dedicated, assign-optimized cursor proxy for the
@@ -297,7 +304,9 @@ func (rt *Runtime) setMode(v heap.Value, mode int64) error {
 		// reuse must not hand out a reference moving under its holder.
 		rt.mgr.unshare(proxyKey{src: proxySrc(o), target: proxyUltimate(o)}, id)
 	}
-	setProxySlot(o, slotMode, heap.Int(mode))
+	if !setProxySlot(o, id, slotMode, heap.Int(mode)) {
+		return fmt.Errorf("%w: @%d", heap.ErrNoSuchObject, id)
+	}
 	return nil
 }
 

@@ -269,7 +269,9 @@ func TestRetargetAfterDeathDoesNotResurrect(t *testing.T) {
 	if got := f.rt.Manager().ProxyCount(); got >= before {
 		t.Fatalf("proxy not purged (%d -> %d)", before, got)
 	}
-	f.rt.Manager().retarget(p, ids[3])
+	if _, err := f.rt.Manager().retarget(p, pid, ids[3]); err == nil {
+		t.Fatal("retargeting a swept proxy succeeded")
+	}
 	checkClean(t, f.rt)
 	if got := f.rt.Manager().ProxyCount(); got >= before {
 		t.Fatalf("dead proxy resurrected (%d)", got)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -154,4 +155,136 @@ func TestSweepBeforeEnlist(t *testing.T) {
 	checkClean(t, f.rt)
 	minted, _ := f.rt.Root("minted")
 	wantTag(t, f, minted, 15)
+}
+
+// TestReissueBeforeEnlist is TestSweepBeforeEnlist with the block reused: the
+// mint's yield runs two collections on another goroutine, which sweep the
+// fresh proxy and hand its block to the allocator, and then mints on that
+// goroutine until the block is reissued as another proxy. The first minter
+// still holds the block when it enlists: it must be refused, list nothing
+// and mint again, so each proxy is listed once and the first mint still
+// hands out a live proxy to its target.
+func TestReissueBeforeEnlist(t *testing.T) {
+	f := newFixture(t, 0)
+	ids, _ := f.buildList(t, 20, 10, 8)
+	var block *heap.Object
+	var other heap.ObjID
+	f.rt.yield = func(at string) {
+		if at != "mint" {
+			return
+		}
+		// One turn: the mints below yield too.
+		f.rt.yield = nil
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			resident := f.rt.h.IDs()
+			block, _ = f.rt.h.Get(resident[len(resident)-1])
+			if !isProxy(block) || proxyUltimate(block) != ids[15] {
+				t.Errorf("the newest object %v is not the proxy being minted", block)
+				return
+			}
+			f.rt.collect(pressureCycles)
+			f.rt.collect(pressureCycles)
+			for i := 0; i < 100 && other == heap.NilID; i++ {
+				pid, err := f.rt.newProxy(RootCluster, ids[16], false)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if p, _ := f.rt.h.Get(pid); p == block {
+					other = pid
+				}
+			}
+		}()
+		<-done
+	}
+	err := f.rt.SetRoot("minted", heap.Ref(ids[15]))
+	f.rt.yield = nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other == heap.NilID {
+		t.Fatal("the swept proxy's block was not reissued")
+	}
+	if proxyUltimate(block) != ids[16] {
+		t.Fatalf("the reissued block is a proxy to @%d, want @%d", proxyUltimate(block), ids[16])
+	}
+	listed := 0
+	for _, c := range f.rt.mgr.Clusters() {
+		for _, p := range f.rt.mgr.inboundProxies(c, nil) {
+			if p == block {
+				listed++
+			}
+		}
+	}
+	if listed != 1 {
+		t.Fatalf("the reissued block is listed %d times, want once", listed)
+	}
+	checkClean(t, f.rt)
+	minted, _ := f.rt.Root("minted")
+	if minted.MustRef() == other {
+		t.Fatal("the first mint handed out the block another mint was reissued")
+	}
+	wantTag(t, f, minted, 15)
+	wantTag(t, f, heap.Ref(other), 16)
+}
+
+// TestReissuedProxyBlockRefused: a holder of a swept proxy's block and its
+// old id, once two collections and a mint have reissued the block as another
+// proxy, writes nothing through either listing hold — enlist is refused and
+// retarget fails — so the proxy the block has become keeps its slots, its
+// listing and its edge.
+func TestReissuedProxyBlockRefused(t *testing.T) {
+	f := newFixture(t, 0)
+	ids, _ := f.buildList(t, 20, 10, 8)
+	stale, err := f.rt.newProxy(RootCluster, ids[15], true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block, err := f.rt.h.Get(stale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.rt.Collect()
+	f.rt.Collect()
+	var reissued heap.ObjID
+	for i := 0; i < 100 && reissued == heap.NilID; i++ {
+		pid, err := f.rt.newProxy(RootCluster, ids[5], true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p, _ := f.rt.h.Get(pid); p == block {
+			reissued = pid
+		}
+	}
+	if reissued == heap.NilID {
+		t.Fatal("the swept proxy's block was not reissued")
+	}
+	if reissued == stale {
+		t.Fatalf("the block was reissued under its old id @%d", stale)
+	}
+	slots := func() []heap.Value {
+		out := make([]heap.Value, block.NumFields())
+		for i := range out {
+			out[i] = block.Field(i)
+		}
+		return out
+	}
+	before, proxies := slots(), f.rt.mgr.ProxyCount()
+	if f.rt.mgr.enlist(block, stale, RootCluster, ids[15]) {
+		t.Error("enlist under the stale id listed the reissued block")
+	}
+	if _, err := f.rt.mgr.retarget(block, stale, ids[17]); !errors.Is(err, heap.ErrNoSuchObject) {
+		t.Errorf("retarget under the stale id: %v, want heap.ErrNoSuchObject", err)
+	}
+	for i, v := range slots() {
+		if !v.Equal(before[i]) {
+			t.Errorf("slot %d of the reissued proxy changed from %v to %v", i, before[i], v)
+		}
+	}
+	if got := f.rt.mgr.ProxyCount(); got != proxies {
+		t.Errorf("ProxyCount = %d, want %d", got, proxies)
+	}
+	checkClean(t, f.rt)
 }

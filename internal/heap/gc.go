@@ -1,6 +1,7 @@
 package heap
 
 import (
+	"slices"
 	"time"
 
 	"objectswap/internal/obs"
@@ -20,6 +21,11 @@ type CollectStats struct {
 	// order is the heap's resident list, a function of the heap's history of
 	// allocations, installs and reclamations, so two heaps built by the same
 	// sequence of calls sweep the same objects in the same order.
+	//
+	// Swept, the list and the objects in it, is valid until the next
+	// collection. The list is a buffer the heap reuses, and that collection
+	// gives the blocks of the swap-cluster-proxies in it back to the
+	// allocator, which reissues them under fresh ids.
 	Swept []*Object
 }
 
@@ -42,9 +48,12 @@ func (h *Heap) Collect(extra ...ObjID) CollectStats {
 // The mark phase resolves each reference with one probe of the heap's
 // open-addressed object index, and the sweep walks the dense list of
 // residents, so a pass costs one probe per reference followed plus one step
-// per resident object, and no Go map is hashed per object. The pass allocates
-// nothing unless it reclaims something: marks are a per-object epoch word and
-// the work list lives on the heap, both guarded by h.mu.
+// per resident object, and no Go map is hashed per object. It starts by
+// moving the previous pass's swept swap-cluster-proxies to the pool newObject
+// reissues from. The pass allocates only to grow the Swept buffer, to the
+// largest count any pass has reclaimed, and the pool, to the peak proxy
+// residency: marks are a per-object epoch word, and the work list, the
+// buffer and the pool live on the heap, all guarded by h.mu.
 func (h *Heap) CollectCycles(cycles int, extra ...ObjID) CollectStats {
 	if cycles < 1 {
 		cycles = 1
@@ -57,6 +66,7 @@ func (h *Heap) CollectCycles(cycles int, extra ...ObjID) CollectStats {
 		began = gcClock.Now()
 	}
 
+	h.recycle()
 	h.epoch++
 	if h.epoch == 0 {
 		// The epoch word wrapped. Clear every mark, so that no mark left by
@@ -91,13 +101,25 @@ func (h *Heap) CollectCycles(cycles int, extra ...ObjID) CollectStats {
 	}
 
 	var st CollectStats
+	dead := 0
 	for _, o := range h.objects.list {
 		if o.mark != h.epoch {
-			st.Swept = append(st.Swept, o)
+			dead++
 		}
 	}
-	for _, o := range st.Swept {
-		h.reclaimLocked(o.id, &st)
+	if dead > 0 {
+		if cap(h.swept) < dead {
+			h.swept = make([]*Object, 0, dead)
+		}
+		for _, o := range h.objects.list {
+			if o.mark != h.epoch {
+				h.swept = append(h.swept, o)
+			}
+		}
+		for _, o := range h.swept {
+			h.reclaimLocked(o.id, &st)
+		}
+		st.Swept = h.swept
 	}
 	for id, grace := range h.nursery {
 		if grace <= cycles {
@@ -115,6 +137,32 @@ func (h *Heap) CollectCycles(cycles int, extra ...ObjID) CollectStats {
 		gcSeconds.Observe(gcClock.Now().Sub(began).Seconds())
 	}
 	return st
+}
+
+// recycle ends the previous pass's Swept report: the blocks of its
+// swap-cluster-proxies join the pool, and the buffer lets go of every entry
+// so the Go collector may take the rest. Each free list grows at most once
+// per pass, by append's rule for all its joiners together: the first growth
+// is exact, a later one leaves headroom, so a pool that hovers near its peak
+// is not copied again. The caller holds h.mu exclusively.
+func (h *Heap) recycle() {
+	var joining [maxInlineFields + 1]int
+	for _, o := range h.swept {
+		if pooled(o.class) {
+			joining[len(o.fields)]++
+		}
+	}
+	for n, k := range joining {
+		h.free[n] = slices.Grow(h.free[n], k)
+	}
+	for i, o := range h.swept {
+		if pooled(o.class) {
+			n := len(o.fields)
+			h.free[n] = append(h.free[n], o)
+		}
+		h.swept[i] = nil
+	}
+	h.swept = h.swept[:0]
 }
 
 // markID marks a resident object live and queues it for scanning. The caller

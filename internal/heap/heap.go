@@ -64,6 +64,15 @@ type Heap struct {
 	epoch uint32
 	work  []*Object
 
+	// swept is the buffer a pass reports CollectStats.Swept in, sized once
+	// to the largest pass so far; free holds, by slot count, the swept
+	// swap-cluster-proxy blocks newObject reissues. A pass moves the previous
+	// pass's proxies from swept to free before it marks, so a block is
+	// reissued only once its Swept report has lapsed. Neither shrinks: the
+	// pool plus the live proxies never exceed the peak proxy residency.
+	swept []*Object
+	free  [maxInlineFields + 1][]*Object
+
 	// writeObservers are invoked after every successful write to an
 	// application object's field (Object.SetField) with its id — the swapping
 	// runtime's dirty and heat tracking, replication write-back — in
@@ -261,21 +270,40 @@ func (h *Heap) release(delta int64) {
 // ErrOutOfMemory when the object does not fit the application share of the
 // budget (capacity minus middleware reserve).
 func (h *Heap) New(c *Class) (*Object, error) {
-	return h.newObject(c, false)
+	return h.newObject(c, false, nil)
 }
 
 // NewPrivileged allocates like New but may use the middleware reserve. The
 // swapping runtime uses it for proxies and replacement-objects so that
-// freeing memory never deadlocks on the memory it is trying to free.
-func (h *Heap) NewPrivileged(c *Class) (*Object, error) {
-	return h.newObject(c, true)
+// freeing memory never deadlocks on the memory it is trying to free. The
+// object's leading fields are set to init, each checked against its
+// declaration and accounted, before it is resident, so no holder of its id
+// or of its block ever sees it without them: a swap-cluster-proxy is minted
+// with its slots this way.
+func (h *Heap) NewPrivileged(c *Class, init ...Value) (*Object, error) {
+	return h.newObject(c, true, init)
 }
 
-func (h *Heap) newObject(c *Class, privileged bool) (*Object, error) {
+// newObject allocates an object of class c whose leading fields are init. A
+// swap-cluster-proxy reuses the block of one a collection swept, when one
+// waits (see CollectStats.Swept), under the h.mu hold it takes anyway: the
+// block comes back with a fresh id, its fields zeroed and then set, and mark 0.
+func (h *Heap) newObject(c *Class, privileged bool, init []Value) (*Object, error) {
 	if c == nil {
 		return nil, errors.New("heap: New: nil class")
 	}
-	size := int64(objectOverhead) + int64(c.NumFields())*valueOverhead
+	n := c.NumFields()
+	if len(init) > n {
+		return nil, fmt.Errorf("heap: New: %d initial values for the %d fields of %s", len(init), n, c.Name)
+	}
+	size := int64(objectOverhead) + int64(n)*valueOverhead
+	for i, v := range init {
+		if def := c.fields[i]; !assignable(def.Kind, v.kind) {
+			return nil, fmt.Errorf("%w: field %s.%s is %s, initializing %s",
+				ErrBadKind, c.Name, def.Name, def.Kind, v.kind)
+		}
+		size += v.size() - valueOverhead
+	}
 	var err error
 	if privileged {
 		err = h.reserve(size)
@@ -285,10 +313,17 @@ func (h *Heap) newObject(c *Class, privileged bool) (*Object, error) {
 	if err != nil {
 		return nil, err
 	}
-	o := allocObject(c.NumFields())
-	o.class, o.heap, o.size = c, h, size
-	c.zeroFields(o.fields)
+	var o *Object
+	if !pooled(c) {
+		o = allocObject(n)
+		o.heap = h
+		o.fill(c, size, init)
+	}
 	h.mu.Lock()
+	if o == nil {
+		o = h.reissue(n)
+		o.fill(c, size, init)
+	}
 	h.nextID++
 	o.id = ObjID(h.nextID)
 	h.objects.put(o)
@@ -298,6 +333,39 @@ func (h *Heap) newObject(c *Class, privileged bool) (*Object, error) {
 	}
 	h.mu.Unlock()
 	return o, nil
+}
+
+// pooled reports whether objects of class c come from, and go back to, the
+// heap's pool of swept blocks: swap-cluster-proxies of an inline layout, and
+// nothing else. Application objects, replacement-objects and object-fault
+// proxies may be held past their sweep by host code the heap cannot see.
+func pooled(c *Class) bool {
+	return c.Special == SpecialSCProxy && c.NumFields() <= maxInlineFields
+}
+
+// reissue pops a swept block with n slots from the pool, or allocates a fresh
+// one when none waits. The caller holds h.mu exclusively.
+func (h *Heap) reissue(n int) *Object {
+	free := h.free[n]
+	last := len(free) - 1
+	if last < 0 {
+		o := allocObject(n)
+		o.heap = h
+		return o
+	}
+	o := free[last]
+	free[last] = nil
+	h.free[n] = free[:last]
+	return o
+}
+
+// fill readies an unpublished block as an object of class c: size accounted
+// bytes, mark 0, fields zeroed and then set to init. Its id and its heap are
+// the caller's to set.
+func (o *Object) fill(c *Class, size int64, init []Value) {
+	o.class, o.size, o.mark = c, size, 0
+	c.zeroFields(o.fields)
+	copy(o.fields, init)
 }
 
 // An object of a small class is one Go allocation: its header and its field
@@ -431,7 +499,8 @@ func (b *Batch) Fields(i int) []Value { return b.objs[i].fields }
 // machinery (replacement-objects, proxies) that makes the next eviction
 // possible. An identity that is already resident, a nil class or id, or a
 // value its field cannot hold fails the batch and leaves Used, residency and
-// the nursery exactly as found. The objects are returned in batch order; on
+// the nursery exactly as found; so does a swap-cluster-proxy member, which
+// is minted, never installed. The objects are returned in batch order; on
 // success the heap owns them and the batch is left empty. Write observers do
 // not fire: restoring state is not a mutation.
 func (h *Heap) InstallBatch(b *Batch) ([]*Object, error) {
@@ -444,6 +513,11 @@ func (h *Heap) InstallBatch(b *Batch) ([]*Object, error) {
 		}
 		if o.id == NilID {
 			return nil, errors.New("heap: InstallBatch: nil id")
+		}
+		if pooled(o.class) {
+			// A batch member's block is its whole batch's: it must never
+			// join the pool of swept proxy blocks.
+			return nil, fmt.Errorf("heap: InstallBatch: %s is a swap-cluster-proxy class, minted by NewPrivileged, never installed", o.class.Name)
 		}
 		size := int64(objectOverhead)
 		for j := range o.fields {

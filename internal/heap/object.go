@@ -67,32 +67,67 @@ func (o *Object) FieldByName(name string) (Value, error) {
 // and with ErrNoSuchObject once the object is reclaimed. Only a write to an
 // application object (class SpecialNone) runs the write observers.
 func (o *Object) SetField(i int, v Value) error {
-	def := o.class.Field(i)
-	if !assignable(def.Kind, v.Kind()) {
+	return o.setField(NilID, i, v)
+}
+
+// SetFieldAs assigns the i-th field like SetField, but only while o is
+// resident under id, which it checks under the heap lock it writes in. A
+// collection may sweep a swap-cluster-proxy and a later one reissue its block
+// under another id (CollectStats.Swept): a holder that kept the block past
+// that learns so here, with ErrNoSuchObject, and writes nothing into the
+// object the block has become. Nothing of o but its heap is read before the
+// check.
+func (o *Object) SetFieldAs(id ObjID, i int, v Value) error {
+	return o.setField(id, i, v)
+}
+
+// ResidentAs reports whether o is resident under id: false once a collection
+// swept it, whether or not a later one has reissued its block under another
+// id since. It reads nothing of o but its heap before it takes the heap lock.
+func (o *Object) ResidentAs(id ObjID) bool {
+	h := o.heap
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	return o.pos != gone && o.id == id
+}
+
+// setField is SetField, and SetFieldAs when id is not NilID.
+func (o *Object) setField(id ObjID, i int, v Value) error {
+	// Accounting and the slot store form one unit against the collector:
+	// a sweep or Free sees the object's size and the budget agree.
+	h := o.heap
+	h.mu.RLock()
+	if o.pos == gone || (id != NilID && o.id != id) {
+		h.mu.RUnlock()
+		if id == NilID {
+			id = o.id
+		}
+		return fmt.Errorf("%w: @%d", ErrNoSuchObject, id)
+	}
+	if i < 0 || i >= len(o.fields) {
+		h.mu.RUnlock()
+		return fmt.Errorf("%w: %s slot %d", ErrNoSuchField, o.class.Name, i)
+	}
+	if def := o.class.Field(i); !assignable(def.Kind, v.Kind()) {
+		h.mu.RUnlock()
 		return fmt.Errorf("%w: field %s.%s is %s, assigning %s",
 			ErrBadKind, o.class.Name, def.Name, def.Kind, v.Kind())
 	}
-	// Accounting and the slot store form one unit against the collector:
-	// a sweep or Free sees the object's size and the budget agree.
-	o.heap.mu.RLock()
-	if o.pos == gone {
-		o.heap.mu.RUnlock()
-		return fmt.Errorf("%w: @%d", ErrNoSuchObject, o.id)
-	}
 	delta := v.size() - o.fields[i].size()
 	if delta > 0 {
-		if err := o.heap.reserve(delta); err != nil {
-			o.heap.mu.RUnlock()
+		if err := h.reserve(delta); err != nil {
+			h.mu.RUnlock()
 			return err
 		}
 	} else if delta < 0 {
-		o.heap.release(-delta)
+		h.release(-delta)
 	}
 	atomic.AddInt64(&o.size, delta)
 	o.fields[i] = v
-	o.heap.mu.RUnlock()
-	if o.class.Special == SpecialNone {
-		o.heap.observeWrite(o.id)
+	id, special := o.id, o.class.Special
+	h.mu.RUnlock()
+	if special == SpecialNone {
+		h.observeWrite(id)
 	}
 	return nil
 }

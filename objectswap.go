@@ -755,7 +755,9 @@ func (s *System) Evict(strategy VictimStrategy, need int64) error {
 	return s.rt.EvictWith(strategy, need)
 }
 
-// Collect runs a swapping-integrated garbage collection.
+// Collect runs a swapping-integrated garbage collection. The result's Swept,
+// the list and the objects in it, is valid until the next collection, which
+// reuses the list and reissues the swept proxies' blocks as new proxies.
 func (s *System) Collect() heap.CollectStats { return s.rt.Collect() }
 
 // MergeClusters folds cluster src into dst, adapting swap granularity at
