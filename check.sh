@@ -32,17 +32,27 @@ go build ./...
 #   swap-out returns; a collection that reclaims nothing allocates nothing.
 # - TestSwapRoundTripBudget (internal/core): one SwapOut + SwapIn of a written
 #   32-object x 128 B cluster in the binary format allocates at most 6x the
-#   frame it ships in at most 40 objects; neither the encode side, once the
-#   encoder pool is warm, nor a swap-in (the same count at 32 and 128
-#   members) allocates anything that grows with the object count; an
-#   unwritten one leaves with no store call, at most 8 allocations and
-#   1860 B at any size.
+#   frame it ships in at most 29 objects (28 measured); neither the encode
+#   side, once the encoder pool is warm, nor a swap-in (the same count at 32
+#   and 128 members) allocates anything that grows with the object count; an
+#   unwritten one leaves with no store call, at most 5 + 1 allocations and
+#   528 + 64 B at any size (measured plus a stray allocation's margin).
 # - TestFacadeSwapRoundTripAllocs (.): through a default System — bus with
 #   the policy engine subscribed, flight recorder, telemetry — plus one
 #   counting subscriber and an in-memory donor, a clean SwapOut + SwapIn of a
-#   32 x 128 B cluster allocates at most 26 objects once the recorder's ring
-#   is warm: the spans, recorder entries, trace ids and bus deliveries cost
-#   nothing beyond what outlives the swap.
+#   32 x 128 B cluster allocates at most 14 + 1 objects once the recorder's
+#   ring is warm: the spans, recorder entries, trace ids, bus deliveries,
+#   fault flight, attempt deadline and installer cost nothing beyond what
+#   outlives the swap.
+# - TestUncoalescedFaultAllocatesNothing (internal/fault): a warm Engine.Do
+#   no waiter joins allocates nothing (its flight comes off the engine's
+#   free list; the channel waiters park on is made only when one joins).
+# - TestAttemptOverMemAllocatesOnlyTheCopy (internal/transport): a warm
+#   Resilient.Get over store.Mem allocates 1, the donor's copy: the
+#   per-attempt deadline rides on a reused attempt context.
+# - TestSelectVictimsAllocatesOnlyItsResult (internal/core): once warm,
+#   SelectVictims under any strategy allocates at most its result (the
+#   ranking buffer is the manager's, reused).
 # - TestWarmSpanAllocatesOnlyItsPhases, TestSpansSurviveSlotReuse
 #   (internal/obs): a warm six-phase span allocates only the phase list End
 #   returns, and a Spans result shares no storage with the ring slots later
@@ -397,7 +407,15 @@ go test -race -run '^TestFaultStormCoalesces$' -count=1 -cpu 1,4 ./internal/core
 # stale-holder tests: two collections and a mint between a proxy's
 # allocation and its listing reissue its block as another proxy, and the
 # first mint's enlist — like an enlist or retarget under any stale id —
-# writes nothing into it.
-go test -race -count=10 -run '^(TestTriggerWhileRunningDoesNotRequeue|TestJoinCountsOneHit)$' ./internal/fault/
+# writes nothing into it. So do the reuse-hazard tests of the fault path: a
+# flight that waiters joined is never handed to a later leader, so each
+# waiter resumes with its own leader's result while the next fault on the
+# cluster is already in flight (TestJoinedFlightIsNotReused); an attempt
+# context whose Done a store asked for closes when its attempt ends and is
+# never handed out again, while the transport's timeout, timeout-exhaustion
+# and caller-cancellation tests and the 64-goroutine fault storm pass
+# unmodified over the reused attempt contexts and flights.
+go test -race -count=10 -run '^(TestTriggerWhileRunningDoesNotRequeue|TestJoinCountsOneHit|TestJoinedFlightIsNotReused)$' ./internal/fault/
+go test -race -count=10 -run '^(TestArmedAttemptContextIsNotReused|TestAttemptContextReportsParentFirst|TestPerAttemptTimeoutIsRetriedAsUnavailable|TestTimeoutExhaustionSurfacesAsUnavailableAndTripsBreaker|TestCallerCancellationFailsFastWithoutBlame)$' ./internal/transport/
 go test -race -count=10 -run '^TestPrefetchWindowOverlap$' .
-go test -race -count=10 -run '^(TestTriggerPrefetchAllocatesNothing|TestPrefetchHitRecordsParkedTime|TestCommitWindow|TestSweepBeforeEnlist|TestReissueBeforeEnlist|TestReissuedProxyBlockRefused)$' ./internal/core/
+go test -race -count=10 -run '^(TestTriggerPrefetchAllocatesNothing|TestPrefetchHitRecordsParkedTime|TestCommitWindow|TestSweepBeforeEnlist|TestReissueBeforeEnlist|TestReissuedProxyBlockRefused|TestFaultStormCoalesces)$' ./internal/core/

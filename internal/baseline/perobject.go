@@ -260,7 +260,9 @@ func (p *PerObject) reload(oid heap.ObjID, key string) error {
 		}
 		return heap.Ref(v.Target), nil // surrogates kept their identities
 	}
-	if _, err := staged.Install(p.h, decodeRef); err != nil {
+	_, err = staged.Install(p.h, decodeRef)
+	staged.Release()
+	if err != nil {
 		return err
 	}
 	pid := p.proxy[oid]

@@ -340,7 +340,9 @@ func (rt *Runtime) LoadCheckpoint(r io.Reader) error {
 		if err != nil {
 			return fmt.Errorf("%w: cluster %d: %w", ErrBadCheckpoint, ck.ID, err)
 		}
-		if _, err := staged.Install(rt.h, decodeRef); err != nil {
+		_, err = staged.Install(rt.h, decodeRef)
+		staged.Release()
+		if err != nil {
 			return fmt.Errorf("core: restore cluster %d: %w", ck.ID, err)
 		}
 	}

@@ -64,14 +64,11 @@ func (rt *Runtime) swapInWith(id ClusterID, o swapOpts) (SwapEvent, error) {
 }
 
 // swapInOnce runs swapInDirect as the cluster's one flight; leader reports
-// whether this call ran it or joined the flight already open.
+// whether this call ran it or joined the flight already open. Leader and
+// waiters read their SwapEvent out of the one box swapInDirect made.
 func (rt *Runtime) swapInOnce(id ClusterID, o swapOpts) (SwapEvent, bool, error) {
 	res, leader, err := rt.faults.Do(uint32(id), func() (any, error) {
-		ev, err := rt.swapInDirect(id, o)
-		if err != nil {
-			return nil, err
-		}
-		return ev, nil
+		return rt.swapInDirect(id, o)
 	})
 	if err != nil {
 		return SwapEvent{}, leader, err

@@ -217,6 +217,11 @@ type Manager struct {
 	// until a cluster has something to be dirty against, the write observer
 	// returns before it takes a lock.
 	retaining atomic.Bool
+
+	// ranking is SelectVictims' buffer, reused from call to call under rankMu
+	// (taken before the table lock).
+	rankMu  sync.Mutex
+	ranking []victimRank
 }
 
 type dropTicket struct {
@@ -627,19 +632,18 @@ func VictimStrategyFromString(s string) (VictimStrategy, error) {
 // not busy, not the root cluster — ordered by the strategy, best victim
 // first, ties toward the lower cluster id. The ranking reads the records
 // under one hold of the table lock and touches the heap only for
-// VictimLargest, the one strategy that needs resident sizes.
+// VictimLargest, the one strategy that needs resident sizes. The ranking is
+// built in a buffer kept across calls, so the result is its one allocation.
 func (m *Manager) SelectVictims(strategy VictimStrategy) []ClusterID {
-	type ranked struct {
-		id  ClusterID
-		key uint64 // ascending: the smaller key is the better victim
-	}
-	var eligible []ranked
+	m.rankMu.Lock()
+	defer m.rankMu.Unlock()
+	eligible := m.ranking[:0]
 	m.table.mu.Lock()
 	for id, cs := range m.table.clusters {
 		if id == RootCluster || cs.where != resident || len(cs.members) == 0 {
 			continue
 		}
-		r := ranked{id: id}
+		r := victimRank{id: id}
 		switch strategy {
 		case VictimLargest:
 			r.key = math.MaxUint64 - uint64(m.residentBytes(cs))
@@ -651,7 +655,7 @@ func (m *Manager) SelectVictims(strategy VictimStrategy) []ClusterID {
 		eligible = append(eligible, r)
 	}
 	m.table.mu.Unlock()
-	slices.SortFunc(eligible, func(a, b ranked) int {
+	slices.SortFunc(eligible, func(a, b victimRank) int {
 		if c := cmp.Compare(a.key, b.key); c != 0 {
 			return c
 		}
@@ -661,7 +665,14 @@ func (m *Manager) SelectVictims(strategy VictimStrategy) []ClusterID {
 	for i, r := range eligible {
 		out[i] = r.id
 	}
+	m.ranking = eligible
 	return out
+}
+
+// victimRank is one eviction candidate as SelectVictims ranks it.
+type victimRank struct {
+	id  ClusterID
+	key uint64 // ascending: the smaller key is the better victim
 }
 
 // SelectVictim picks the next cluster to swap out under the given strategy:

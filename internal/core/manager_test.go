@@ -268,3 +268,20 @@ func TestRuntimeOptions(t *testing.T) {
 		t.Fatalf("EvictWith: %v", err)
 	}
 }
+
+// TestSelectVictimsAllocatesOnlyItsResult: the ranking is built in a buffer
+// the manager keeps from call to call, so once it has grown to the number of
+// eligible clusters a call under any strategy allocates only the list it
+// returns.
+func TestSelectVictimsAllocatesOnlyItsResult(t *testing.T) {
+	f, ids := taskFixture(t, 64, 2, 16)
+	mgr := f.rt.Manager()
+	for _, strategy := range []VictimStrategy{VictimColdest, VictimLargest, VictimLeastUsed} {
+		if got := mgr.SelectVictims(strategy); len(got) != len(ids) {
+			t.Fatalf("%v: %d victims, want %d", strategy, len(got), len(ids))
+		}
+		if got := testing.AllocsPerRun(50, func() { mgr.SelectVictims(strategy) }); got > 1 {
+			t.Fatalf("%v: a warm SelectVictims allocates %.1f objects, want at most 1 (its result)", strategy, got)
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"slices"
 	"strings"
+	"sync"
 
 	"objectswap/internal/event"
 	"objectswap/internal/heap"
@@ -55,7 +56,8 @@ func (rt *Runtime) SwapOut(id ClusterID, opts ...SwapOption) (SwapEvent, error) 
 	if rt.stores == nil {
 		return SwapEvent{}, ErrNoStores
 	}
-	s := swapOut{o: o}
+	s := swapOut{o: o, sc: outScratches.Get().(*outScratch)}
+	defer s.sc.release()
 	s.begin(rt, &opSwapOut, id, o.ctx)
 	defer s.end()
 	s.do("reserve", s.reserve)
@@ -76,6 +78,7 @@ type swapOut struct {
 	op
 	o   swapOpts
 	enc *wire.Encoder
+	sc  *outScratch // the reference classification, this operation's until it returns
 
 	// reserve: the retained copy the cluster can leave on (zero when it has
 	// to be shipped), and the membership: the record's own ascending list,
@@ -84,15 +87,8 @@ type swapOut struct {
 	kept      retainedCopy
 	memberIDs []heap.ObjID
 
-	// snapshot: the resident size and the outbound slot table — the distinct
-	// swap-cluster-proxies the members reference, in traversal order, with
-	// each proxy's ultimate target. remote holds the object-fault proxies,
-	// which ship as remote references rather than slots.
+	// snapshot: the resident size; the outbound slot table is in sc.
 	residentBytes int64
-	slotOf        map[heap.ObjID]int
-	remote        map[heap.ObjID]bool
-	outbound      []heap.Value
-	slotTargets   []heap.ObjID
 
 	key     string
 	k       int
@@ -108,10 +104,66 @@ type swapOut struct {
 // clean reports that the cluster leaves on its retained copy.
 func (s *swapOut) clean() bool { return s.kept.key != "" }
 
+// outScratch is what a swap-out classifies the members' references into and
+// encodes from: the outbound slot table — the distinct swap-cluster-proxies
+// the members reference, in traversal order (outbound, indexed by slotOf),
+// with each proxy's ultimate target (slotTargets) — the object-fault proxies,
+// which ship as remote references rather than slots (remote), and the member
+// objects the encoder walks (objs). None of it outlives the swap-out: the
+// replacement-object copies outbound, and commit copies the slot table a
+// shipment anchors. So it is reused, one operation at a time; swap-outs of
+// distinct clusters run concurrently, so each takes its own from a pool.
+type outScratch struct {
+	h           *heap.Heap
+	members     []heap.ObjID // the swap-out's memberIDs
+	slotOf      map[heap.ObjID]int
+	remote      map[heap.ObjID]bool
+	outbound    []heap.Value
+	slotTargets []heap.ObjID
+	objs        []*heap.Object
+	encodeRef   xmlcodec.RefEncoder // ref, bound once per scratch
+}
+
+var outScratches = sync.Pool{New: func() any {
+	sc := &outScratch{slotOf: make(map[heap.ObjID]int), remote: make(map[heap.ObjID]bool)}
+	sc.encodeRef = sc.ref
+	return sc
+}}
+
+// release empties the scratch, keeping its storage, and returns it to the
+// pool.
+func (sc *outScratch) release() {
+	clear(sc.slotOf)
+	clear(sc.remote)
+	clear(sc.objs)
+	sc.outbound, sc.slotTargets, sc.objs = sc.outbound[:0], sc.slotTargets[:0], sc.objs[:0]
+	sc.h, sc.members = nil, nil
+	outScratches.Put(sc)
+}
+
 // member reports whether oid belongs to the cluster being swapped out.
-func (s *swapOut) member(oid heap.ObjID) bool {
-	_, ok := slices.BinarySearch(s.memberIDs, oid)
+func (sc *outScratch) member(oid heap.ObjID) bool {
+	_, ok := slices.BinarySearch(sc.members, oid)
 	return ok
+}
+
+// ref is the encoder's reference classifier: internal, a slot of the
+// replacement-object, or the remote object an object-fault proxy stands for.
+func (sc *outScratch) ref(rid heap.ObjID) (xmlcodec.Value, error) {
+	if sc.member(rid) {
+		return xmlcodec.InternalRef(rid), nil
+	}
+	if slot, ok := sc.slotOf[rid]; ok {
+		return xmlcodec.SlotRef(slot), nil
+	}
+	if sc.remote[rid] {
+		ro, err := sc.h.Get(rid)
+		if err != nil {
+			return xmlcodec.Value{}, err
+		}
+		return xmlcodec.RemoteRefOf(ObjProxyRemote(ro), ObjProxyClass(ro)), nil
+	}
+	return xmlcodec.Value{}, fmt.Errorf("core: unclassified reference @%d", rid)
 }
 
 func (s *swapOut) reserve() error {
@@ -125,6 +177,7 @@ func (s *swapOut) reserve() error {
 	if err == nil && s.clean() && !s.rt.holds(s.kept.donorCopy) {
 		s.kept = retainedCopy{} // a donor of the copy is gone or its lease ran out: ship
 	}
+	s.sc.h, s.sc.members = s.rt.h, s.memberIDs
 	return err
 }
 
@@ -137,10 +190,9 @@ func (s *swapOut) reserve() error {
 func (s *swapOut) snapshot() error {
 	// Refuse to detach a cluster with in-flight invocations: its objects are
 	// live on the stack and would collide with a later reload.
-	if err := s.rt.checkInactive(s.id, s.member); err != nil {
+	if err := s.rt.checkInactive(s.id, s.sc.member); err != nil {
 		return err
 	}
-	s.slotTargets = []heap.ObjID{} // empty, not nil: a known table (retainedCopy.usable)
 	for _, oid := range s.memberIDs {
 		o, err := s.rt.h.Get(oid)
 		if err != nil {
@@ -160,7 +212,7 @@ func (s *swapOut) snapshot() error {
 			return werr
 		}
 	}
-	if s.clean() && !slices.Equal(s.slotTargets, s.kept.slots) {
+	if s.clean() && !slices.Equal(s.sc.slotTargets, s.kept.slots) {
 		s.kept = retainedCopy{}
 	}
 	return nil
@@ -169,10 +221,11 @@ func (s *swapOut) snapshot() error {
 // classify files one reference held by member o: internal, an outbound slot
 // (first sight appends it), or a remote reference.
 func (s *swapOut) classify(o *heap.Object, rid heap.ObjID) error {
-	if rid == heap.NilID || s.member(rid) || s.remote[rid] {
+	sc := s.sc
+	if rid == heap.NilID || sc.member(rid) || sc.remote[rid] {
 		return nil
 	}
-	if _, seen := s.slotOf[rid]; seen {
+	if _, seen := sc.slotOf[rid]; seen {
 		return nil
 	}
 	ro, err := s.rt.h.Get(rid)
@@ -184,17 +237,11 @@ func (s *swapOut) classify(o *heap.Object, rid heap.ObjID) error {
 			return fmt.Errorf("core: cluster %d: object @%d holds proxy @%d sourced at cluster %d",
 				s.id, o.ID(), rid, proxySrc(ro))
 		}
-		if s.slotOf == nil {
-			s.slotOf = make(map[heap.ObjID]int)
-		}
-		s.slotOf[rid] = len(s.outbound)
-		s.outbound = append(s.outbound, heap.Ref(rid))
-		s.slotTargets = append(s.slotTargets, proxyUltimate(ro))
+		sc.slotOf[rid] = len(sc.outbound)
+		sc.outbound = append(sc.outbound, heap.Ref(rid))
+		sc.slotTargets = append(sc.slotTargets, proxyUltimate(ro))
 	case isObjProxy(ro):
-		if s.remote == nil {
-			s.remote = make(map[heap.ObjID]bool)
-		}
-		s.remote[rid] = true
+		sc.remote[rid] = true
 	default:
 		return fmt.Errorf("core: cluster %d: object @%d holds un-proxied foreign reference @%d",
 			s.id, o.ID(), rid)
@@ -237,26 +284,10 @@ func (s *swapOut) encode() error {
 
 // encodeFrame renders s.plan's frame into s.payload: the members straight
 // from the heap in the negotiated format, each reference classified
-// internal / slot / remote.
+// internal / slot / remote (outScratch.ref).
 func (s *swapOut) encodeFrame() error {
-	rt, slotOf, remote := s.rt, s.slotOf, s.remote
-	encodeRef := func(rid heap.ObjID) (xmlcodec.Value, error) {
-		if s.member(rid) {
-			return xmlcodec.InternalRef(rid), nil
-		}
-		if slot, ok := slotOf[rid]; ok {
-			return xmlcodec.SlotRef(slot), nil
-		}
-		if remote[rid] {
-			ro, err := rt.h.Get(rid)
-			if err != nil {
-				return xmlcodec.Value{}, err
-			}
-			return xmlcodec.RemoteRefOf(ObjProxyRemote(ro), ObjProxyClass(ro)), nil
-		}
-		return xmlcodec.Value{}, fmt.Errorf("core: unclassified reference @%d", rid)
-	}
-	objs := make([]*heap.Object, 0, len(s.memberIDs))
+	rt, sc := s.rt, s.sc
+	objs := sc.objs[:0]
 	for _, oid := range s.memberIDs {
 		o, err := rt.h.Get(oid)
 		if err != nil {
@@ -264,9 +295,10 @@ func (s *swapOut) encodeFrame() error {
 		}
 		objs = append(objs, o)
 	}
+	sc.objs = objs
 	format := s.plan.format
 	start := rt.obsReg.Clock().Now()
-	payload, err := s.enc.EncodeObjects(format, s.key, objs, encodeRef)
+	payload, err := s.enc.EncodeObjects(format, s.key, objs, sc.encodeRef)
 	if err != nil {
 		return fmt.Errorf("core: encode cluster %d as %s: %w", s.id, format, err)
 	}
@@ -288,7 +320,7 @@ func (s *swapOut) replace() error {
 		s.pin(repl.ID())
 		s.built = true
 		if err = repl.SetFieldByName(fldClust, heap.Int(int64(s.id))); err == nil {
-			err = repl.SetFieldByName(fldOut, heap.List(s.outbound...))
+			err = repl.SetFieldByName(fldOut, heap.List(s.sc.outbound...))
 		}
 	}
 	if err != nil {
@@ -445,7 +477,10 @@ func (s *swapOut) commit() error {
 		rt.mgr.feed(cs, shipped, 0, rt.telem.Now())
 		if !s.clean() {
 			s.oldCopy = cs.retained.donorCopy
-			rt.mgr.anchor(cs, s.copy, s.slotTargets)
+			// The record's own slot table: the scratch goes back to the pool.
+			// Empty, not nil: a known table (retainedCopy.usable).
+			slots := append(make([]heap.ObjID, 0, len(s.sc.slotTargets)), s.sc.slotTargets...)
+			rt.mgr.anchor(cs, s.copy, slots)
 		}
 	})
 	rt.h.Free(s.memberIDs)

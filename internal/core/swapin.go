@@ -35,20 +35,24 @@ import (
 // options do not apply: a swapped cluster lives where it was shipped.
 // Swap-ins of distinct clusters overlap freely; only reserve and install hold
 // the swap lock.
-func (rt *Runtime) swapInDirect(id ClusterID, o swapOpts) (SwapEvent, error) {
+//
+// The result is the SwapEvent boxed once: the box the bus delivers is the one
+// the fault engine hands every waiter of the flight.
+func (rt *Runtime) swapInDirect(id ClusterID, o swapOpts) (any, error) {
 	if rt.stores == nil {
-		return SwapEvent{}, ErrNoStores
+		return nil, ErrNoStores
 	}
 	s := swapIn{o: o}
 	s.begin(rt, &opSwapIn, id, o.ctx)
 	defer s.end()
+	defer s.release()
 	s.do("reserve", s.reserve)
 	s.do("fetch", s.fetch)
 	s.do("decode", s.decode)
 	s.do("evict", s.evict)
 	s.do("install", s.install)
 	if s.err != nil {
-		return SwapEvent{}, s.err
+		return nil, s.err
 	}
 	return s.finish(), nil
 }
@@ -237,6 +241,14 @@ func (s *swapIn) install() error {
 	return nil
 }
 
+// release gives the staged Installer back to its pool once the swap-in is
+// over, outside its span.
+func (s *swapIn) release() {
+	if s.staged != nil {
+		s.staged.Release()
+	}
+}
+
 // slotTable reads the outbound slot table of a just-reloaded shipment back
 // from its replacement-object's slots: the ultimate target of each, in slot
 // order.
@@ -254,8 +266,8 @@ func (s *swapIn) slotTable(outbound []heap.Value) []heap.ObjID {
 
 // finish runs after the locks are gone. The fault ends with its span; what
 // follows is not part of it. The shipment stays on its donors as the retained
-// copy.
-func (s *swapIn) finish() SwapEvent {
+// copy. It returns the SwapEvent in the box the bus delivered.
+func (s *swapIn) finish() any {
 	rt, key, bytes := s.rt, s.copy.key, s.copy.payloadBytes
 	ev := SwapEvent{Cluster: s.id, Device: s.device, Key: key, Objects: s.installedObjects,
 		Bytes: bytes, Attempted: s.failed, Replicas: s.copy.devices, Trace: s.trace,
@@ -267,7 +279,8 @@ func (s *swapIn) finish() SwapEvent {
 		slog.String("key", key), slog.String("format", ev.Format),
 		slog.Int("objects", s.installedObjects), slog.Int("bytes", bytes),
 		slog.Duration("dur", ev.Duration))
-	rt.emit(event.TopicSwapIn, ev)
+	boxed := any(ev)
+	rt.emit(event.TopicSwapIn, boxed)
 	// A dead replica here means the donor likely lost everything it held:
 	// announce it so the repair loop re-replicates the rest.
 	if len(s.failed) > 0 {
@@ -276,5 +289,5 @@ func (s *swapIn) finish() SwapEvent {
 			Attempted: s.failed, Trace: s.trace,
 		})
 	}
-	return ev
+	return boxed
 }

@@ -62,9 +62,12 @@ type Config struct {
 	Admit func() bool
 }
 
-// flight is one in-progress swap-in shared by every coalesced waiter.
+// flight is one in-progress swap-in shared by every coalesced waiter. A
+// flight no waiter joined goes back on the engine's free list; one that a
+// waiter joined is never reused, since its waiters read res and err after the
+// leader has moved on.
 type flight struct {
-	done chan struct{}
+	done chan struct{} // made under fmu by the first waiter to join; nil for a lone leader
 	res  any
 	err  error
 }
@@ -76,6 +79,7 @@ type Engine struct {
 
 	fmu     sync.Mutex
 	flights map[uint32]*flight
+	free    []*flight // flights no waiter joined, for the next leader
 
 	pmu       sync.Mutex
 	idle      *sync.Cond // signaled when tasks empties
@@ -144,9 +148,14 @@ func (e *Engine) prefetchEnabled() bool {
 
 // Do runs one coalesced fault on cluster. The first caller becomes the
 // flight leader and executes run; every caller that arrives while the flight
-// is open parks and resumes with the leader's result and error. leader
-// reports which role this call played. The flight is removed from the table
-// before the waiters wake, so a retry after an error starts a fresh flight.
+// is open parks and resumes with the leader's result and error — the very
+// value run returned, not a copy. leader reports which role this call played.
+// The flight is removed from the table before the waiters wake, so a retry
+// after an error starts a fresh flight.
+//
+// A fault no one joins allocates nothing here: its flight comes off the
+// engine's free list and goes back on it, and the channel waiters park on is
+// made only when the first of them arrives.
 func (e *Engine) Do(cluster uint32, run func() (any, error)) (res any, leader bool, err error) {
 	if e == nil {
 		res, err = run()
@@ -154,22 +163,38 @@ func (e *Engine) Do(cluster uint32, run func() (any, error)) (res any, leader bo
 	}
 	e.fmu.Lock()
 	if f, ok := e.flights[cluster]; ok {
+		if f.done == nil {
+			f.done = make(chan struct{})
+		}
 		e.fmu.Unlock()
 		e.coalesced.Inc()
 		<-f.done
 		return f.res, false, f.err
 	}
-	f := &flight{done: make(chan struct{})}
+	var f *flight
+	if n := len(e.free); n > 0 {
+		f, e.free = e.free[n-1], e.free[:n-1]
+	} else {
+		f = new(flight)
+	}
 	e.flights[cluster] = f
 	e.fmu.Unlock()
 
-	f.res, f.err = run()
+	res, err = run()
 
 	e.fmu.Lock()
 	delete(e.flights, cluster)
+	done := f.done
+	if done == nil {
+		e.free = append(e.free, f)
+	} else {
+		f.res, f.err = res, err
+	}
 	e.fmu.Unlock()
-	close(f.done)
-	return f.res, true, f.err
+	if done != nil {
+		close(done)
+	}
+	return res, true, err
 }
 
 // Fetch reads key from donor store s (the donor's name is not needed). It

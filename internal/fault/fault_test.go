@@ -3,6 +3,7 @@ package fault
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -104,6 +105,61 @@ func TestDoErrorPropagatesAndClears(t *testing.T) {
 	if !leader || err != nil || res != 42 {
 		t.Fatalf("retry after failure: res=%v leader=%v err=%v", res, leader, err)
 	}
+}
+
+// TestUncoalescedFaultAllocatesNothing: a fault no waiter joins takes its
+// flight off the engine's free list and puts it back, and makes no channel,
+// so once the first flight exists a lone Do allocates nothing.
+func TestUncoalescedFaultAllocatesNothing(t *testing.T) {
+	e := New(Config{})
+	defer e.Stop()
+	run := func() (any, error) { return nil, nil }
+	e.Do(7, run) // the first flight and the table's entry
+	if got := testing.AllocsPerRun(100, func() { e.Do(7, run) }); got != 0 {
+		t.Fatalf("an uncoalesced Do allocates %.1f objects, want 0", got)
+	}
+}
+
+// TestJoinedFlightIsNotReused: waiters read their flight's result after its
+// leader has gone, so a flight a waiter joined is never handed to a later
+// leader. Each round's leader starts once the previous leader has returned,
+// while that round's waiters may still be waking; every waiter must resume
+// with exactly its own leader's result and error.
+func TestJoinedFlightIsNotReused(t *testing.T) {
+	e := New(Config{})
+	defer e.Stop()
+	const rounds, waiters = 20, 3
+	var wg sync.WaitGroup
+	for r := 0; r < rounds; r++ {
+		release, led := make(chan struct{}), make(chan struct{})
+		want, wantErr := r, fmt.Errorf("round %d failed", r)
+		go func() {
+			defer close(led)
+			res, leader, err := e.Do(5, func() (any, error) { <-release; return want, wantErr })
+			if !leader || res != want || err != wantErr {
+				t.Errorf("round %d leader: res=%v leader=%v err=%v", r, res, leader, err)
+			}
+		}()
+		waitFor(t, func() bool {
+			e.fmu.Lock()
+			defer e.fmu.Unlock()
+			return len(e.flights) == 1
+		})
+		for i := 0; i < waiters; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res, leader, err := e.Do(5, func() (any, error) { return -1, nil })
+				if leader || res != want || err != wantErr {
+					t.Errorf("round %d waiter: res=%v leader=%v err=%v, want %v and %v", r, res, leader, err, want, wantErr)
+				}
+			}()
+		}
+		waitFor(t, func() bool { return e.Snapshot().CoalescedWaiters == uint64((r+1)*waiters) })
+		close(release)
+		<-led
+	}
+	wg.Wait()
 }
 
 // TestPrefetchPipeline drives the whole speculative path: trigger →

@@ -19,12 +19,14 @@
 package placement
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"log/slog"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -133,11 +135,11 @@ func (p *Planner) Rank(ctx context.Context, key string, need int64, exclude []st
 			Formats: st.Formats, LeaseTTL: st.LeaseTTL,
 		})
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Score != cands[j].Score {
-			return cands[i].Score > cands[j].Score
+	slices.SortFunc(cands, func(a, b Candidate) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
 		}
-		return cands[i].Name < cands[j].Name
+		return strings.Compare(a.Name, b.Name)
 	})
 	return cands
 }

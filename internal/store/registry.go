@@ -3,7 +3,9 @@ package store
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -90,7 +92,7 @@ func (r *Registry) Available() []Device {
 			out = append(out, *d)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(a, b Device) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }
 

@@ -79,6 +79,14 @@ func (s Stats) Free() int64 {
 // without changing what is stored. Decorators inherit both halves by
 // forwarding; TestOwnershipContract runs every in-tree store and decorator
 // through them.
+//
+// Who owns the context: a store may use ctx after the call returns — hand it
+// to a goroutine that outlives the call, keep it for a later check — only if
+// it asked for ctx.Done() during the call. A store that only polls ctx.Err()
+// is done with ctx when it returns. The resilience decorator relies on this
+// to reuse one per-attempt deadline context from attempt to attempt; a
+// context whose Done was asked for is cancelled when its attempt ends, as a
+// context.WithTimeout one would be, and never reused.
 type Store interface {
 	// Put stores data under key, replacing any previous payload. It does not
 	// retain data.

@@ -140,6 +140,7 @@ type Resilient struct {
 	open       bool
 	rejected   int // operations rejected since the breaker opened
 	rng        uint64
+	idleCtx    []*attemptCtx // unarmed attempt contexts, for the next attempts
 }
 
 var (
@@ -285,7 +286,9 @@ func (r *Resilient) do(ctx context.Context, op store.Op, fn func(context.Context
 
 // attempts runs fn up to limit times, each under the per-attempt timeout, with
 // backoff between them, and books the outcome against the device's health
-// and metrics. It does not consult the breaker: do does, Probe must not.
+// and metrics. It does not consult the breaker: do does, Probe must not. The
+// timeout rides on a reused attempt context (attemptCtx), which costs an
+// allocation only when the store asks for its Done channel.
 func (r *Resilient) attempts(ctx context.Context, op store.Op, limit int, fn func(context.Context) error) error {
 	start := time.Now()
 	var err error
@@ -293,12 +296,13 @@ func (r *Resilient) attempts(ctx context.Context, op store.Op, limit int, fn fun
 		if r.metrics != nil {
 			r.metrics.attempt(r.name, attempt > 1)
 		}
-		attemptCtx, cancel := ctx, context.CancelFunc(func() {})
 		if r.pol.OpTimeout > 0 {
-			attemptCtx, cancel = context.WithTimeout(ctx, r.pol.OpTimeout)
+			ac := r.beginAttempt(ctx)
+			err = fn(ac)
+			r.endAttempt(ac)
+		} else {
+			err = fn(ctx)
 		}
-		err = fn(attemptCtx)
-		cancel()
 		if err == nil {
 			r.recordSuccess()
 			if r.metrics != nil {

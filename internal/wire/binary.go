@@ -519,22 +519,21 @@ func (s *docSink) put(*xmlcodec.Object) error { return nil }
 // stageScratch is Stage's sink: it stages each record into the heap object it
 // will become the moment it is decoded, in a staging slab sized from the
 // header's nFields, which readBody has already bounded by the body's length.
-// reg and in are the shipment's; the record, the list storage and the
-// Installer's bookkeeping are scratch, reused per object and pooled across
-// shipments.
+// reg and in are the shipment's (the Installer, pooled itself, outlives the
+// scratch until its caller installs and releases it); the record and the list
+// storage are scratch, reused per object and pooled across shipments.
 type stageScratch struct {
-	reg     *heap.Registry
-	in      *xmlcodec.Installer
-	rec     xmlcodec.Object
-	lists   []xmlcodec.Value
-	install xmlcodec.Scratch
+	reg   *heap.Registry
+	in    *xmlcodec.Installer
+	rec   xmlcodec.Object
+	lists []xmlcodec.Value
 }
 
 var stageScratches = sync.Pool{New: func() any { return new(stageScratch) }}
 
 func (sc *stageScratch) begin(clusterID string, version, objects, fields, listItems int) ([]xmlcodec.Value, error) {
 	var err error
-	if sc.in, err = xmlcodec.NewInstaller(sc.reg, clusterID, version, objects, fields, &sc.install); err != nil {
+	if sc.in, err = xmlcodec.NewInstaller(sc.reg, clusterID, version, objects, fields); err != nil {
 		return nil, err
 	}
 	if cap(sc.lists) < listItems {
@@ -687,7 +686,7 @@ func decodeDoc(c bodyCodec, data []byte) (*xmlcodec.Doc, error) {
 // and no lock needed. The returned Installer makes the cluster resident in
 // one step. Binary frames go straight from bytes to the objects' field slots;
 // XML text decodes to a Doc first and stages that. Nothing in the Installer
-// aliases data.
+// aliases data. The Installer is pooled: Release it once Install has run.
 func Stage(data []byte, reg *heap.Registry) (*xmlcodec.Installer, error) {
 	id, err := Detect(data)
 	if err != nil {
@@ -714,10 +713,13 @@ func Stage(data []byte, reg *heap.Registry) (*xmlcodec.Installer, error) {
 	err = readBody(body, true, sc)
 	in := sc.in
 	if err == nil {
-		err = in.Verify() // before the Installer's scratch goes back
+		err = in.Verify()
 	}
 	sc.release()
 	if err != nil {
+		if in != nil {
+			in.Release()
+		}
 		return nil, err
 	}
 	return in, nil
@@ -729,7 +731,6 @@ func (sc *stageScratch) release() {
 	clear(sc.rec.Fields[:cap(sc.rec.Fields)])
 	clear(sc.lists)
 	sc.rec.Class = ""
-	sc.install.Reset()
 	sc.reg, sc.in = nil, nil
 	stageScratches.Put(sc)
 }

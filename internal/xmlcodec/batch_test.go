@@ -73,7 +73,7 @@ func TestMixedClusterInstallsLikeNewAt(t *testing.T) {
 			installed, err = doc.Install(got, reg, nil)
 		} else {
 			var in *Installer
-			if in, err = NewInstaller(reg, doc.ClusterID, doc.Version, n, slots, nil); err != nil {
+			if in, err = NewInstaller(reg, doc.ClusterID, doc.Version, n, slots); err != nil {
 				t.Fatal(err)
 			}
 			for i := range doc.Objects {

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"objectswap/internal/heap"
 )
@@ -294,7 +295,9 @@ func (d *Doc) Install(h *heap.Heap, reg *heap.Registry, decodeRef RefDecoder) ([
 	if err != nil {
 		return nil, err
 	}
-	return in.Install(h, decodeRef)
+	installed, err := in.Install(h, decodeRef)
+	in.Release()
+	return installed, err
 }
 
 // Stage validates the document against reg and stages its objects, verified,
@@ -304,16 +307,20 @@ func (d *Doc) Stage(reg *heap.Registry) (*Installer, error) {
 	for i := range d.Objects {
 		fields += len(d.Objects[i].Fields)
 	}
-	in, err := NewInstaller(reg, d.ClusterID, d.Version, len(d.Objects), fields, nil)
+	in, err := NewInstaller(reg, d.ClusterID, d.Version, len(d.Objects), fields)
 	if err != nil {
 		return nil, err
 	}
 	for i := range d.Objects {
-		if err := in.Add(&d.Objects[i]); err != nil {
-			return nil, err
+		if err = in.Add(&d.Objects[i]); err != nil {
+			break
 		}
 	}
-	if err := in.Verify(); err != nil {
+	if err == nil {
+		err = in.Verify()
+	}
+	if err != nil {
+		in.Release()
 		return nil, err
 	}
 	return in, nil
@@ -326,37 +333,49 @@ func (d *Doc) Stage(reg *heap.Registry) (*Installer, error) {
 // Doc or, one reused record at a time, straight from a frame. An Installer
 // whose Add or Install failed is spent, and one that has verified takes no
 // more records.
+//
+// Installers are pooled: NewInstaller takes one whose bookkeeping an earlier
+// cluster sized, and Release gives it back once its objects are installed (or
+// will not be). What is staged — the batch's objects and field slab — is
+// never reused: it becomes the installed objects.
 type Installer struct {
 	// ClusterID is the shipment key the records arrived under.
 	ClusterID string
 
-	batch heap.Batch
-	reg   *heap.Registry
-	sc    *Scratch // nil once Verify has passed
+	batch    heap.Batch
+	reg      *heap.Registry
+	verified bool // Verify has passed; Add refuses more records
 	// deferred are the fields holding slot or remote references: only the
 	// installing runtime can resolve those, so they wait for Install.
 	deferred []deferredField
-}
 
-// Scratch is the bookkeeping an Installer needs only while it stages: the
-// class plans, the internal reference targets and the member ids Verify
-// sorts. A caller that stages one cluster after another lends each Installer
-// the same Scratch; the Installer lets go of it when Verify passes.
-type Scratch struct {
+	// Bookkeeping needed only while staging, kept across pool uses: the class
+	// plans, the internal reference targets and the member ids Verify sorts.
 	plans []classPlan
-	refs  []heap.ObjID // internal reference targets, checked by Verify
+	refs  []heap.ObjID
 	ids   []heap.ObjID
 }
 
-// Reset drops what the scratch refers to, keeping its storage for the next
-// Installer.
-func (sc *Scratch) Reset() {
-	plans := sc.plans[:cap(sc.plans)]
+var installers = sync.Pool{New: func() any { return new(Installer) }}
+
+// Release drops what the Installer refers to — the staged objects, which the
+// heap owns once installed, and the records' names and values — and returns
+// it to the pool. The caller must not use it afterwards; an Installer never
+// released is simply collected.
+func (in *Installer) Release() {
+	plans := in.plans[:cap(in.plans)]
 	for i := range plans {
 		clear(plans[i].fields[:cap(plans[i].fields)])
 		plans[i] = classPlan{fields: plans[i].fields[:0]}
 	}
-	sc.plans, sc.refs, sc.ids = sc.plans[:0], sc.refs[:0], sc.ids[:0]
+	clear(in.deferred)
+	*in = Installer{
+		plans:    in.plans[:0],
+		refs:     in.refs[:0],
+		ids:      in.ids[:0],
+		deferred: in.deferred[:0],
+	}
+	installers.Put(in)
 }
 
 // classPlan resolves one class's field names to slots once per cluster: the
@@ -379,30 +398,23 @@ type deferredField struct {
 // NewInstaller prepares to stage a cluster of about objects records holding
 // about fields field values between them, of wrapper version version,
 // resolving class names through reg. Both counts size storage up front, so
-// they must be bounded by the payload they were read from. sc, reset, is the
-// Installer's until Verify passes; nil gives it one of its own.
-func NewInstaller(reg *heap.Registry, clusterID string, version, objects, fields int, sc *Scratch) (*Installer, error) {
+// they must be bounded by the payload they were read from.
+func NewInstaller(reg *heap.Registry, clusterID string, version, objects, fields int) (*Installer, error) {
 	if version != Version {
 		return nil, fmt.Errorf("%w: %d", ErrVersion, version)
 	}
-	if sc == nil {
-		sc = new(Scratch)
+	in := installers.Get().(*Installer)
+	if cap(in.refs) < objects {
+		in.refs = make([]heap.ObjID, 0, objects)
 	}
-	sc.Reset()
-	if cap(sc.refs) < objects {
-		sc.refs = make([]heap.ObjID, 0, objects)
-	}
-	return &Installer{
-		ClusterID: clusterID,
-		batch:     heap.MakeBatch(objects, fields),
-		reg:       reg,
-		sc:        sc,
-	}, nil
+	in.ClusterID, in.reg = clusterID, reg
+	in.batch = heap.MakeBatch(objects, fields)
+	return in, nil
 }
 
 // plan returns the field plan of the named class.
 func (in *Installer) plan(class string) (*classPlan, error) {
-	plans := in.sc.plans
+	plans := in.plans
 	for i := range plans {
 		if plans[i].cls.Name == class {
 			return &plans[i], nil
@@ -418,7 +430,7 @@ func (in *Installer) plan(class string) (*classPlan, error) {
 	} else {
 		plans = append(plans, classPlan{cls: cls, fields: make([]plannedField, 0, cls.NumFields())})
 	}
-	in.sc.plans = plans
+	in.plans = plans
 	return &plans[len(plans)-1], nil
 }
 
@@ -438,7 +450,7 @@ func (p *classPlan) slot(j int, name string) (int, bool) {
 // must suit its field, and internal references are noted for Verify. The
 // record is not retained.
 func (in *Installer) Add(o *Object) error {
-	if in.sc == nil {
+	if in.verified {
 		return fmt.Errorf("install @%d: installer already verified", o.ID)
 	}
 	p, err := in.plan(o.Class)
@@ -477,7 +489,7 @@ func (in *Installer) noteRefs(v *Value) (foreign bool) {
 			return true
 		}
 		if v.Target != heap.NilID {
-			in.sc.refs = append(in.sc.refs, v.Target)
+			in.refs = append(in.refs, v.Target)
 		}
 	case heap.KindList:
 		for i := range v.List {
@@ -503,27 +515,26 @@ func (v Value) clone() Value {
 }
 
 // Verify checks what only the whole cluster can show: every internal
-// reference targets a staged object. Once it passes, the Installer holds its
-// Scratch no longer.
+// reference targets a staged object. Once it passes, the Installer takes no
+// more records.
 func (in *Installer) Verify() error {
-	sc := in.sc
-	if sc == nil {
+	if in.verified {
 		return nil
 	}
-	if len(sc.refs) > 0 {
-		ids := sc.ids[:0]
+	if len(in.refs) > 0 {
+		ids := in.ids[:0]
 		for i := range in.batch.Len() {
 			ids = append(ids, in.batch.ID(i))
 		}
 		slices.Sort(ids)
-		sc.ids = ids
-		for _, target := range sc.refs {
+		in.ids = ids
+		for _, target := range in.refs {
 			if _, member := slices.BinarySearch(ids, target); !member {
 				return fmt.Errorf("%w: internal ref to non-member @%d", ErrBadDocument, target)
 			}
 		}
 	}
-	in.sc = nil
+	in.verified = true
 	return nil
 }
 
