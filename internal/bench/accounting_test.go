@@ -55,11 +55,14 @@ func TestDeviceByteAccountingPinned(t *testing.T) {
 			var b heap.Batch
 			copy(b.Add(o.ID(), tc.class), []heap.Value{o.Field(0), o.Field(1)})
 			h2 := heap.New(0)
-			objs, err := h2.InstallBatch(&b)
+			if _, err := h2.InstallBatch(&b); err != nil {
+				t.Fatal(err)
+			}
+			installed, err := h2.Get(o.ID())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := objs[0].Size(); got != tc.want {
+			if got := installed.Size(); got != tc.want {
 				t.Fatalf("installed object accounts %d B, want %d", got, tc.want)
 			}
 		})

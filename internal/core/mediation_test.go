@@ -3,11 +3,15 @@ package core
 import (
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"objectswap/internal/event"
 	"objectswap/internal/heap"
+	"objectswap/internal/obs"
 	"objectswap/internal/store"
+	"objectswap/internal/telemetry"
 )
 
 // medFixture is a three-cluster list (30 nodes, 10 per cluster, root "head" a
@@ -411,4 +415,66 @@ func TestAssignWithdrawsSharedProxy(t *testing.T) {
 		t.Fatal("a re-aimed proxy claimed the slot of its new key")
 	}
 	checkClean(t, rt)
+}
+
+// countingClock is a real clock that counts its full readings (Now) and, if
+// it is a Stopwatch, its monotonic ones (Since).
+type countingClock struct{ now, since atomic.Int64 }
+
+func (c *countingClock) Now() time.Time { c.now.Add(1); return time.Now() }
+
+type countingStopwatch struct{ countingClock }
+
+func (c *countingStopwatch) Since(t time.Time) time.Duration { c.since.Add(1); return time.Since(t) }
+
+// TestOneClockReadPerCrossing: a host read through a root proxy is one
+// boundary crossing, and dating it — the ledgers of both ends, heat and
+// recency — reads the runtime's clock once. On a Stopwatch that one read is
+// monotonic only (Since): full readings are taken by the telemetry plane's
+// read side, none of which runs here. On any other clock it is one Now, so a
+// VirtualClock dates every crossing exactly.
+func TestOneClockReadPerCrossing(t *testing.T) {
+	const reads = 100
+	stopwatch, plain := new(countingStopwatch), new(countingClock)
+	for _, tc := range []struct {
+		name               string
+		clock              obs.Clock
+		counted            *countingClock
+		wantNow, wantSince int64
+	}{
+		{"stopwatch", stopwatch, &stopwatch.countingClock, 0, reads},
+		{"clock", plain, plain, reads, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry(tc.clock)
+			f := newFixture(t, 0, WithObs(reg), WithTelemetry(telemetry.New(reg, telemetry.Options{})))
+			_, clusters := f.buildList(t, 20, 10, 8)
+			head := f.head(t)
+			if _, err := f.rt.Field(head, "tag"); err != nil { // warm
+				t.Fatal(err)
+			}
+			crossed := func() uint64 {
+				info, err := f.rt.mgr.Info(clusters[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				return info.Crossings
+			}
+			crossings := crossed()
+			now0, since0 := tc.counted.now.Load(), tc.counted.since.Load()
+			for i := 0; i < reads; i++ {
+				if _, err := f.rt.Field(head, "tag"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			now, since := tc.counted.now.Load()-now0, tc.counted.since.Load()-since0
+			if got := crossed() - crossings; got != reads {
+				t.Fatalf("%d host reads through the root proxy crossed %d times, want %d", reads, got, reads)
+			}
+			if now != tc.wantNow || since != tc.wantSince {
+				t.Fatalf("%d crossings read the clock %d times in full and %d monotonically; want %d and %d",
+					reads, now, since, tc.wantNow, tc.wantSince)
+			}
+		})
+	}
 }

@@ -430,11 +430,11 @@ func (h *Heap) NewAt(id ObjID, c *Class) (*Object, error) {
 	}
 	b := MakeBatch(1, c.NumFields())
 	b.Add(id, c)
-	objs, err := h.InstallBatch(&b)
-	if err != nil {
+	o := &b.objs[0] // the staged member is the object InstallBatch makes resident
+	if _, err := h.InstallBatch(&b); err != nil {
 		return nil, err
 	}
-	return objs[0], nil
+	return o, nil
 }
 
 // Batch stages a cluster for InstallBatch in the objects it will become: the
@@ -500,29 +500,29 @@ func (b *Batch) Fields(i int) []Value { return b.objs[i].fields }
 // possible. An identity that is already resident, a nil class or id, or a
 // value its field cannot hold fails the batch and leaves Used, residency and
 // the nursery exactly as found; so does a swap-cluster-proxy member, which
-// is minted, never installed. The objects are returned in batch order; on
-// success the heap owns them and the batch is left empty. Write observers do
-// not fire: restoring state is not a mutation.
-func (h *Heap) InstallBatch(b *Batch) ([]*Object, error) {
+// is minted, never installed. It returns how many objects it made resident;
+// on success the heap owns them and the batch is left empty. Write observers
+// do not fire: restoring state is not a mutation.
+func (h *Heap) InstallBatch(b *Batch) (int, error) {
 	objs := b.objs
 	var total int64
 	for i := range objs {
 		o := &objs[i]
 		if o.class == nil {
-			return nil, errors.New("heap: InstallBatch: nil class")
+			return 0, errors.New("heap: InstallBatch: nil class")
 		}
 		if o.id == NilID {
-			return nil, errors.New("heap: InstallBatch: nil id")
+			return 0, errors.New("heap: InstallBatch: nil id")
 		}
 		if pooled(o.class) {
 			// A batch member's block is its whole batch's: it must never
 			// join the pool of swept proxy blocks.
-			return nil, fmt.Errorf("heap: InstallBatch: %s is a swap-cluster-proxy class, minted by NewPrivileged, never installed", o.class.Name)
+			return 0, fmt.Errorf("heap: InstallBatch: %s is a swap-cluster-proxy class, minted by NewPrivileged, never installed", o.class.Name)
 		}
 		size := int64(objectOverhead)
 		for j := range o.fields {
 			if def := o.class.fields[j]; !assignable(def.Kind, o.fields[j].kind) {
-				return nil, fmt.Errorf("%w: field %s.%s is %s, installing %s",
+				return 0, fmt.Errorf("%w: field %s.%s is %s, installing %s",
 					ErrBadKind, o.class.Name, def.Name, def.Kind, o.fields[j].kind)
 			}
 			size += o.fields[j].size()
@@ -531,9 +531,8 @@ func (h *Heap) InstallBatch(b *Batch) ([]*Object, error) {
 		total += size
 	}
 	if err := h.reserveApp(total); err != nil {
-		return nil, err
+		return 0, err
 	}
-	out := make([]*Object, len(objs))
 	h.mu.Lock()
 	for i := range objs {
 		o := &objs[i]
@@ -543,12 +542,12 @@ func (h *Heap) InstallBatch(b *Batch) ([]*Object, error) {
 			}
 			h.mu.Unlock()
 			h.release(total)
-			return nil, fmt.Errorf("heap: InstallBatch: object %d already resident", o.id)
+			return 0, fmt.Errorf("heap: InstallBatch: object %d already resident", o.id)
 		}
 		h.objects.put(o)
-		out[i] = o
 	}
-	for _, o := range out {
+	for i := range objs {
+		o := &objs[i]
 		if uint64(o.id) > h.nextID {
 			h.nextID = uint64(o.id)
 		}
@@ -556,10 +555,10 @@ func (h *Heap) InstallBatch(b *Batch) ([]*Object, error) {
 			h.nursery[o.id] = h.nurseryGrace
 		}
 	}
-	h.allocated.Add(uint64(len(out)))
+	h.allocated.Add(uint64(len(objs)))
 	h.mu.Unlock()
 	*b = Batch{}
-	return out, nil
+	return len(objs), nil
 }
 
 // EnsureIDAbove advances the allocation counter so future ids exceed id —

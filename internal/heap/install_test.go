@@ -29,9 +29,8 @@ func TestInstallBatchEqualsNewAtPlusSetField(t *testing.T) {
 	batched.SetNurseryGrace(2)
 	stepwise.SetNurseryGrace(2)
 
-	installed, err := batched.InstallBatch(stagedNodes(c, 40, 5, 100))
-	if err != nil {
-		t.Fatal(err)
+	if n, err := batched.InstallBatch(stagedNodes(c, 40, 5, 100)); err != nil || n != 5 {
+		t.Fatalf("InstallBatch = %d, %v; want 5 installed", n, err)
 	}
 	want := stagedNodes(c, 40, 5, 100)
 	for i := 0; i < want.Len(); i++ {
@@ -44,9 +43,10 @@ func TestInstallBatchEqualsNewAtPlusSetField(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if installed[i].ID() != want.ID(i) || installed[i].Size() != o.Size() {
-			t.Fatalf("object %d: batch gave @%d of %d B, stepwise @%d of %d B",
-				i, installed[i].ID(), installed[i].Size(), o.ID(), o.Size())
+		got, err := batched.Get(want.ID(i))
+		if err != nil || got.Size() != o.Size() {
+			t.Fatalf("object %d: batch gave @%d (%v), stepwise @%d of %d B",
+				i, want.ID(i), err, o.ID(), o.Size())
 		}
 	}
 	if batched.Used() != stepwise.Used() || batched.Len() != stepwise.Len() {
@@ -108,7 +108,7 @@ func TestInstallBatchAllOrNothing(t *testing.T) {
 	} {
 		staged := batch.Len()
 		installed, err := h.InstallBatch(batch)
-		if err == nil || installed != nil {
+		if err == nil || installed != 0 {
 			t.Fatalf("%s: InstallBatch = %v, %v; want an error and nothing installed", name, installed, err)
 		}
 		if batch.Len() != staged {

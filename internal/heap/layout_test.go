@@ -100,11 +100,15 @@ func TestBatchSlabFallback(t *testing.T) {
 		}
 	}
 	batched, stepwise := New(0), New(0)
-	installed, err := batched.InstallBatch(&b)
-	if err != nil {
+	if _, err := batched.InstallBatch(&b); err != nil {
 		t.Fatal(err)
 	}
+	installed := make([]*Object, len(classes))
 	for i, c := range classes {
+		var err error
+		if installed[i], err = batched.Get(ObjID(10 + i)); err != nil {
+			t.Fatal(err)
+		}
 		o, err := stepwise.NewAt(ObjID(10+i), c)
 		if err != nil {
 			t.Fatal(err)

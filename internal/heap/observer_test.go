@@ -25,11 +25,14 @@ func TestInstallBatchFiresNoObservers(t *testing.T) {
 	var b Batch
 	slot, _ := c.FieldIndex("tag")
 	b.Add(100, c)[slot] = Int(7)
-	installed, err := h.InstallBatch(&b)
+	if _, err := h.InstallBatch(&b); err != nil {
+		t.Fatal(err)
+	}
+	installed, err := h.Get(100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := installed[0].FieldByName("tag"); !got.Equal(Int(7)) {
+	if got, _ := installed.FieldByName("tag"); !got.Equal(Int(7)) {
 		t.Fatalf("installed tag = %v, want 7", got)
 	}
 	if len(writes) != 0 {
@@ -39,7 +42,7 @@ func TestInstallBatchFiresNoObservers(t *testing.T) {
 	if err := outside.SetFieldByName("tag", Int(2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := installed[0].SetFieldByName("tag", Int(8)); err != nil {
+	if err := installed.SetFieldByName("tag", Int(8)); err != nil {
 		t.Fatal(err)
 	}
 	want := []ObjID{outside.ID(), outside.ID(), 100, 100} // both write observers, in order

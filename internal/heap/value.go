@@ -147,6 +147,19 @@ func Str(s string) Value {
 	return Value{kind: KindString, n: uint64(len(s)), p: unsafe.Pointer(unsafe.StringData(s))}
 }
 
+// HandOver returns b's bytes as a string that shares b's storage instead of
+// copying it. The caller hands b over: it owns b whole, and neither it nor
+// anyone else writes to b again, so the string stays as immutable as Go
+// requires. b lives as long as any string sliced from the result. wire.Stage
+// uses it to make a fetched frame's string section the storage of the strings
+// it installs.
+func HandOver(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
+
 // Bytes returns a byte-slice Value. The slice is copied so later caller
 // mutation cannot corrupt heap accounting.
 func Bytes(b []byte) Value {

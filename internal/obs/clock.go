@@ -30,6 +30,18 @@ type RealClock struct{}
 // Now returns the wall-clock time.
 func (RealClock) Now() time.Time { return time.Now() }
 
+// Since returns the time elapsed since t, a reading of this clock, from the
+// monotonic clock alone.
+func (RealClock) Since(t time.Time) time.Duration { return time.Since(t) }
+
+// A Stopwatch is a Clock that can also tell the time elapsed since one of its
+// own readings from its monotonic clock alone, which is cheaper than a Now
+// that reads the wall clock too. RealClock is one; VirtualClock is not.
+type Stopwatch interface {
+	Clock
+	Since(t time.Time) time.Duration
+}
+
 // VirtualClock is a manually advanced clock for deterministic tests.
 type VirtualClock struct {
 	mu  sync.Mutex

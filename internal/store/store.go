@@ -76,7 +76,10 @@ func (s Stats) Free() int64 {
 // every shipment into one pooled buffer it reuses for the next. Conversely
 // the slice Get (GetEnvelope, MultiGetter.GetMulti) returns belongs to the
 // caller: a store never hands out its own copy, so the caller may change it
-// without changing what is stored. Decorators inherit both halves by
+// without changing what is stored. Nor does a store write to it, or hand it
+// to anything that does, once the call has returned: the owner may keep a Get
+// result as string storage (a swap-in's installed strings point into the
+// frame it fetched; see wire.Stage). Decorators inherit both halves by
 // forwarding; TestOwnershipContract runs every in-tree store and decorator
 // through them.
 //

@@ -33,7 +33,7 @@ func (t *Tracker) read(window time.Duration) (sealed []wssSample, open wssSample
 	if window <= 0 {
 		window = t.opt.WSSWindow
 	}
-	now := t.clock.Now()
+	now := t.readNow()
 	t.wssMu.Lock()
 	defer t.wssMu.Unlock()
 	if now.Sub(t.curStart) >= t.opt.WSSInterval {

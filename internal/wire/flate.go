@@ -66,6 +66,8 @@ func (flateCodec) openBody(data []byte) ([]byte, error) {
 	}
 	fr := flate.NewReader(bytes.NewReader(packed[n:]))
 	defer fr.Close()
+	// Stage hands the body over as the storage of the strings it installs:
+	// it must be this call's own allocation. A pooled body would need a copy.
 	body := make([]byte, rawLen)
 	if _, err := io.ReadFull(fr, body); err != nil {
 		return nil, fmt.Errorf("%w: inflate: %v", ErrBadFrame, err)

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"objectswap/internal/heap"
@@ -151,9 +152,12 @@ func nurseryHeap() *heap.Heap {
 
 // checkHeapEnds is the third party of the cross-format fuzzers. For a
 // document a heap could have produced: installing a frame directly (Stage)
-// and through Decode + Doc.Install leaves two heaps in the same state, and
-// encoding out of that heap gives the frame Encode gives for the document,
-// byte for byte.
+// and through Decode + Doc.Install leaves two heaps in the same state — every
+// installed string, which Stage's reads out of the frame it was handed,
+// equal to the Doc path's byte for byte once the Go heap has been collected —
+// and encoding out of that heap gives the frame Encode gives for the
+// document, byte for byte. A frame whose install is refused is left
+// referred to by nothing.
 func checkHeapEnds(t *testing.T, doc *xmlcodec.Doc) {
 	t.Helper()
 	reg, ok := docClasses(doc)
@@ -175,7 +179,9 @@ func checkHeapEnds(t *testing.T, doc *xmlcodec.Doc) {
 		_, docErr := back.Install(viaDoc, reg, refs.decode)
 
 		direct := nurseryHeap()
-		staged, err := Stage(bytes.Clone(frame), reg)
+		handed, released := handedOver(frame)
+		staged, err := Stage(handed, reg)
+		handed = nil
 		if err == nil {
 			if staged.ClusterID != doc.ClusterID {
 				t.Fatalf("%s: staged cluster %q, want %q", id, staged.ClusterID, doc.ClusterID)
@@ -187,11 +193,19 @@ func checkHeapEnds(t *testing.T, doc *xmlcodec.Doc) {
 		}
 		if err != nil {
 			// Both refused (a reference to a non-member): nothing may be left.
+			if staged != nil {
+				staged.Release()
+			}
 			if direct.Len() != 0 || direct.Used() != 0 || viaDoc.Len() != 0 || viaDoc.Used() != 0 {
 				t.Fatalf("%s: refused install left %d/%d objects resident", id, direct.Len(), viaDoc.Len())
 			}
+			if !released() {
+				t.Fatalf("%s: the frame of a refused install is still referred to", id)
+			}
 			return
 		}
+		staged.Release()
+		runtime.GC()
 
 		members := map[heap.ObjID]bool{}
 		objs := make([]*heap.Object, len(doc.Objects))

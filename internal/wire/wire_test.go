@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"objectswap/internal/heap"
 	"objectswap/internal/store"
@@ -167,7 +169,9 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 // compressed and asserts every path yields the identical decoded model (via
 // the XML oracle rendering): format choice is a transport decision, never a
 // semantic one. Whatever Detect refuses — a frame with a reserved flag bit
-// among it — no decoder accepts either.
+// among it — no decoder accepts either. A binary-family frame handed to
+// Stage and refused (with no class registered, every frame with an object
+// is) leaves nothing referring to it.
 func FuzzCrossFormat(f *testing.F) {
 	seeds := []string{
 		`<?xml version="1.0"?><swapcluster id="c" version="1"></swapcluster>`,
@@ -181,13 +185,31 @@ func FuzzCrossFormat(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Add(reservedFlagFrame(f))
+	for _, id := range []FormatID{FormatBinary, FormatFlate} {
+		frame, err := Encode(id, testDoc(3), nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+		f.Add(frame[:len(frame)-5])
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if _, err := Detect(data); err != nil {
+		id, err := Detect(data)
+		if err != nil {
 			if _, derr := Decode(data, nil); derr == nil {
 				t.Fatalf("Detect refused the payload (%v) and Decode accepted it", err)
 			}
 			if _, serr := Stage(data, heap.NewRegistry()); serr == nil {
 				t.Fatalf("Detect refused the payload (%v) and Stage accepted it", err)
+			}
+		} else if id != FormatXML {
+			frame, released := handedOver(data)
+			if staged, err := Stage(frame, heap.NewRegistry()); err == nil {
+				staged.Release()
+			}
+			frame = nil
+			if !released() {
+				t.Fatalf("a %s frame Stage was handed, with no class registered, is still referred to", id)
 			}
 		}
 		doc, err := xmlcodec.Decode(data)
@@ -221,6 +243,28 @@ func FuzzCrossFormat(f *testing.F) {
 		// Third party: the same frames into and out of a heap, no Doc between.
 		checkHeapEnds(t, doc)
 	})
+}
+
+// handedOver copies data into an allocation of its own, to hand over to
+// Stage, and returns with it a report of whether the copy is gone once its
+// caller has dropped it: after one collection of the Go heap, the copy's
+// finalizer runs. One, because a sync.Pool drops what it holds within two:
+// a pooled scratch that kept a string of the frame would hold it across the
+// first. The copy is never a tiny allocation, whose finalizer need never run.
+func handedOver(data []byte) (frame []byte, released func() bool) {
+	frame = make([]byte, len(data), max(len(data), 16))
+	copy(frame, data)
+	gone := make(chan struct{})
+	runtime.SetFinalizer(&frame[:1][0], func(*byte) { close(gone) })
+	return frame, func() bool {
+		runtime.GC()
+		select {
+		case <-gone:
+			return true
+		case <-time.After(time.Second):
+			return false
+		}
+	}
 }
 
 // reservedFlagFrame is a well-formed binary frame whose flag byte has bit 1

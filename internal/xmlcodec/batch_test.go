@@ -68,7 +68,7 @@ func TestMixedClusterInstallsLikeNewAt(t *testing.T) {
 		"no slab":            0,
 	} {
 		got := heap.New(0)
-		var installed []*heap.Object
+		var installed int
 		if slots < 0 {
 			installed, err = doc.Install(got, reg, nil)
 		} else {
@@ -83,11 +83,15 @@ func TestMixedClusterInstallsLikeNewAt(t *testing.T) {
 			}
 			installed, err = in.Install(got, nil)
 		}
-		if err != nil || len(installed) != n {
-			t.Fatalf("%s: installed %d objects, %v", name, len(installed), err)
+		if err != nil || installed != n {
+			t.Fatalf("%s: installed %d objects, %v", name, installed, err)
 		}
 		// Writing every member's tag must leave every other member's alone.
-		for i, o := range installed {
+		for i, w := range objs {
+			o, err := got.Get(w.ID())
+			if err != nil {
+				t.Fatal(err)
+			}
 			if err := o.SetFieldByName("tag", heap.Int(int64(10*i))); err != nil {
 				t.Fatal(err)
 			}

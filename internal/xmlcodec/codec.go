@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 
 	"objectswap/internal/heap"
@@ -287,13 +288,13 @@ func EncodeObjects(clusterID string, objs []*heap.Object, encodeRef RefEncoder) 
 }
 
 // Install materializes the document's objects into h under their original
-// IDs with all fields linked. Internal references must target members of the
-// document; others resolve through decodeRef. It is all-or-nothing: on any
-// error h is left exactly as found.
-func (d *Doc) Install(h *heap.Heap, reg *heap.Registry, decodeRef RefDecoder) ([]*heap.Object, error) {
+// IDs with all fields linked, and returns how many it installed. Internal
+// references must target members of the document; others resolve through
+// decodeRef. It is all-or-nothing: on any error h is left exactly as found.
+func (d *Doc) Install(h *heap.Heap, reg *heap.Registry, decodeRef RefDecoder) (int, error) {
 	in, err := d.Stage(reg)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	installed, err := in.Install(h, decodeRef)
 	in.Release()
@@ -338,8 +339,16 @@ func (d *Doc) Stage(reg *heap.Registry) (*Installer, error) {
 // cluster sized, and Release gives it back once its objects are installed (or
 // will not be). What is staged — the batch's objects and field slab — is
 // never reused: it becomes the installed objects.
+//
+// A record's strings may alias the frame it was read from (wire.Stage hands
+// a fetched frame's string section over). Staged string values keep those
+// aliases: the frame becomes their storage. Nothing else that outlives the
+// installed objects does: a deferred remote reference keeps a copy of its
+// class name, Install drops ClusterID and the deferred values, and Release
+// the class plans' field names.
 type Installer struct {
-	// ClusterID is the shipment key the records arrived under.
+	// ClusterID is the shipment key the records arrived under. It may alias
+	// the frame, and Install clears it: read it before.
 	ClusterID string
 
 	batch    heap.Batch
@@ -502,14 +511,19 @@ func (in *Installer) noteRefs(v *Value) (foreign bool) {
 }
 
 // clone returns v with its own list storage, for a value that must outlive a
-// reused record.
+// reused record, and its own copy of a remote reference's class name:
+// decodeRef may keep that (an object-fault proxy records it), and it must not
+// keep the frame the record was read from alive.
 func (v Value) clone() Value {
-	if v.Kind == heap.KindList && len(v.List) > 0 {
+	switch {
+	case v.Kind == heap.KindList && len(v.List) > 0:
 		list := make([]Value, len(v.List))
 		for i := range v.List {
 			list[i] = v.List[i].clone()
 		}
 		v.List = list
+	case v.Kind == heap.KindRef:
+		v.Class = strings.Clone(v.Class)
 	}
 	return v
 }
@@ -540,19 +554,29 @@ func (in *Installer) Verify() error {
 
 // Install verifies the cluster, resolves the deferred slot and remote
 // references through decodeRef and makes every staged object resident in h,
-// or none: on any error h is left exactly as found.
-func (in *Installer) Install(h *heap.Heap, decodeRef RefDecoder) ([]*heap.Object, error) {
+// or none: on any error h is left exactly as found. It returns how many
+// objects it installed. Install is the Installer's last use but Release: it
+// drops the shipment key and the deferred values, which may alias the frame.
+func (in *Installer) Install(h *heap.Heap, decodeRef RefDecoder) (int, error) {
+	defer in.forget()
 	if err := in.Verify(); err != nil {
-		return nil, err
+		return 0, err
 	}
 	for i := range in.deferred {
 		d := &in.deferred[i]
 		hv, err := d.v.ToHeapValue(decodeRef)
 		if err != nil {
-			return nil, fmt.Errorf("install @%d field %s: %w",
+			return 0, fmt.Errorf("install @%d field %s: %w",
 				in.batch.ID(d.obj), in.batch.Class(d.obj).Field(d.slot).Name, err)
 		}
 		in.batch.Fields(d.obj)[d.slot] = hv
 	}
 	return h.InstallBatch(&in.batch)
+}
+
+// forget drops what of the shipment the Installer still holds outside its
+// batch: the key and the deferred values.
+func (in *Installer) forget() {
+	clear(in.deferred)
+	in.ClusterID, in.deferred = "", in.deferred[:0]
 }

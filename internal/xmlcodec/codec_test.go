@@ -67,8 +67,8 @@ func TestRoundTripFullGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(installed) != 2 {
-		t.Fatalf("installed %d objects", len(installed))
+	if installed != 2 {
+		t.Fatalf("installed %d objects", installed)
 	}
 	ra, err := dst.Get(a.ID())
 	if err != nil {

@@ -106,15 +106,17 @@ func TestFacadeSwapRoundTripAllocs(t *testing.T) {
 	allocs := float64(m1.Mallocs-m0.Mallocs) / rounds
 	t.Logf("one clean round trip through the facade allocates %.1f objects, %.0f B",
 		allocs, float64(m1.TotalAlloc-m0.TotalAlloc)/rounds)
-	// Measured: 14 objects, 15 552 B (25 and 17 664 B while the fault's
-	// flight and its channel, the SwapEvent boxed as the flight's result, the
-	// transport's per-attempt timeout, the Installer and its deferred-field
-	// list, the swap-out's own struct and the trace id's box in its context
-	// were allocated per swap; 53 and 19 352 B while every span grew its phase
-	// list by appending, was copied again into the flight recorder with its
-	// replica set, took its trace id from fmt.Sprintf and every publication
-	// sorted and copied its subscribers). What is left, and why each one
-	// outlives the swap:
+	// Measured: 12 objects, 10 432 B (14 and 15 552 B while the decoder copied
+	// the frame's string section and the Installer returned the list of the
+	// objects it installed; 25 and 17 664 B while the fault's flight and its
+	// channel, the SwapEvent boxed as the flight's result, the transport's
+	// per-attempt timeout, the Installer and its deferred-field list, the
+	// swap-out's own struct and the trace id's box in its context were
+	// allocated per swap; 53 and 19 352 B while every span grew its phase list
+	// by appending, was copied again into the flight recorder with its replica
+	// set, took its trace id from fmt.Sprintf and every publication sorted and
+	// copied its subscribers). What is left, and why each one outlives the
+	// swap:
 	// - in each direction, 4: the trace id (the SwapEvent, the recorder's span
 	//   and the log records carry it), the context carrying it (handed to the
 	//   stores, the logger and the bus's subscribers, who may keep it), the
@@ -124,15 +126,13 @@ func TestFacadeSwapRoundTripAllocs(t *testing.T) {
 	// - the swap-out's replacement-object, which stands in for the cluster in
 	//   the heap until the swap-in retires it;
 	// - the swap-in's donor copy of the payload (store.Store hands every Get
-	//   a slice of the caller's own: the store allocates it, and it is garbage
-	//   once staged), the frame's string arena (the installed strings point
-	//   into it), the heap.Batch's header array and field slab (the installed
-	//   objects themselves), and the list of installed objects the Installer
-	//   returns (the swap-in reads only its length: the one allocation here
-	//   that dies with the swap, ROADMAP item 12).
+	//   a slice of the caller's own: the store allocates it, and the swap-in
+	//   hands it over as the storage of the strings it installs) and the
+	//   heap.Batch's header array and field slab (the installed objects
+	//   themselves).
 	// The count is process-wide, so the budget leaves one for a stray
 	// allocation elsewhere in the process.
-	const measured, stray = 14, 1
+	const measured, stray = 12, 1
 	if allocs > measured+stray {
 		t.Fatalf("one clean swap round trip through the facade allocates %.1f objects, budget is %d", allocs, measured+stray)
 	}
