@@ -15,7 +15,9 @@ import (
 // TestOwnershipContract runs every in-tree store and decorator through the
 // two halves of the Store ownership rule: a Put does not retain the caller's
 // buffer (scribbling over it afterwards changes nothing stored), and a Get
-// returns a slice of the caller's own (changing it changes nothing stored).
+// returns a slice of the caller's own (changing it changes nothing stored,
+// and neither a later Put to the key nor a later read, scribbled over,
+// changes it: the caller may keep it as string storage).
 // The swapping runtime ships every cluster out of one pooled buffer, so a
 // store that kept the slice would serve the next cluster's bytes under this
 // cluster's key. Last, an envelope belongs to its payload: a GetWith racing
@@ -96,6 +98,26 @@ func TestOwnershipContract(t *testing.T) {
 					if !bytes.Equal(got, want) {
 						t.Fatalf("%s after %s: the store kept the caller's buffer: read %.12q..., want %.12q...",
 							readName, putName, got, want)
+					}
+					// The caller may keep got: neither a later write to the
+					// key nor a later read, scribbled over, may change it.
+					if err := s.Put(ctx, putName, payload('z')); err != nil {
+						t.Fatalf("overwriting %s: %v", putName, err)
+					}
+					later, err := read(putName)
+					if err != nil {
+						t.Fatalf("%s after the overwrite of %s: %v", readName, putName, err)
+					}
+					if !bytes.Equal(later, payload('z')) {
+						t.Fatalf("%s after the overwrite of %s: read %.12q..., want the new payload", readName, putName, later)
+					}
+					scribble(later)
+					if !bytes.Equal(got, want) {
+						t.Fatalf("%s after %s: a later Put and %s wrote to the slice it returned: now %.12q..., want %.12q...",
+							readName, putName, readName, got, want)
+					}
+					if err := put(putName, bytes.Clone(want)); err != nil {
+						t.Fatalf("%s again: %v", putName, err)
 					}
 					scribble(got)
 					again, err := read(putName)
