@@ -32,19 +32,25 @@ go build ./...
 #   swap-out returns; a collection that reclaims nothing allocates nothing.
 # - TestSwapRoundTripBudget (internal/core): one SwapOut + SwapIn of a written
 #   32-object x 128 B cluster in the binary format allocates at most
-#   16 648 + 256 B (3.4x the frame it ships) in at most 26 + 1 objects
+#   16 040 + 256 B (3.3x the frame it ships) in at most 13 + 1 objects
 #   (measured plus a stray allocation's margin); neither the encode side,
 #   once the encoder pool is warm, nor a swap-in (the same count at 32 and
 #   128 members) allocates anything that grows with the object count; an
-#   unwritten one leaves with no store call, at most 5 + 1 allocations and
+#   unwritten one leaves with no store call, at most 3 + 1 allocations and
 #   528 + 64 B at any size.
 # - TestFacadeSwapRoundTripAllocs (.): through a default System — bus with
 #   the policy engine subscribed, flight recorder, telemetry — plus one
 #   counting subscriber and an in-memory donor, a clean SwapOut + SwapIn of a
-#   32 x 128 B cluster allocates at most 12 + 1 objects once the recorder's
-#   ring is warm: the spans, recorder entries, trace ids, bus deliveries,
-#   fault flight, attempt deadline, installer, string section and
-#   installed-object list cost nothing beyond what outlives the swap.
+#   32 x 128 B cluster allocates at most 8 + 1 objects once the recorder's
+#   ring is warm: the spans, recorder entries, bus deliveries, fault flight,
+#   attempt deadline, installer, string section and installed-object list
+#   cost nothing beyond what outlives the swap, and each direction's trace
+#   id, its context and its phase list are one record.
+# - TestWarmShipAllocatesOnlyItsReplicaSet (internal/placement): a warm
+#   K = 1 shipment over store.Mem allocates 2, the replica set it reports and
+#   the donor's copy (the caller's goroutine makes the put; no goroutine,
+#   channel or filtered ranking), and a ranking into a reused Scratch only
+#   its Stats probes' format lists.
 # - TestReloadedClusterHostBytes (internal/core): a reloaded 32 x 128 B
 #   cluster keeps at most 9 536 B of Go heap (9 468 measured): the frame its
 #   strings point into, its header array and its field slab, plus a small
@@ -59,7 +65,10 @@ go build ./...
 #   nothing after one collection. TestOwnershipContract (internal/store)
 #   holds every in-tree store and decorator to the half this relies on: a
 #   later Put to the key and a later read, scribbled over, leave a kept Get
-#   result unchanged.
+#   result unchanged. TestSwapRecordOutlivesLaterSwaps (.): a swap's record
+#   is never reused, so its event's Trace and Phases and the contexts a donor
+#   kept from its Put and Get read the same, trace included, ten swaps and
+#   three collections later.
 # - TestOneClockReadPerCrossing (internal/core): a crossing reads the clock
 #   once — monotonically only on a real clock.
 # - TestUncoalescedFaultAllocatesNothing (internal/fault): a warm Engine.Do
@@ -72,9 +81,9 @@ go build ./...
 #   SelectVictims under any strategy allocates at most its result (the
 #   ranking buffer is the manager's, reused).
 # - TestWarmSpanAllocatesOnlyItsPhases, TestSpansSurviveSlotReuse
-#   (internal/obs): a warm six-phase span allocates only the phase list End
-#   returns, and a Spans result shares no storage with the ring slots later
-#   admissions reuse.
+#   (internal/obs): a warm six-phase span that ends into its caller's storage
+#   allocates nothing, and a Spans result shares no storage with the ring
+#   slots later admissions reuse.
 # - TestCollectAllocatesNothingOnUnchangedHeap, TestCollectReusesSweptBuffer,
 #   TestProxyChurnAllocatesNothing, TestSweptProxyBlocksReissued
 #   (internal/heap): a pass that reclaims nothing allocates nothing; once a
@@ -436,7 +445,12 @@ go test -race -run '^TestFaultStormCoalesces$' -count=1 -cpu 1,4 ./internal/core
 # lifetime test of the handed-over frames: a chase whose clusters two
 # prefetch workers reload concurrently with its demand faults leaves every
 # title intact after three collections (TestReloadedStringsOutliveTheFetch).
+# So do the shipments, whose first put runs on the caller's goroutine and
+# whose extra replicas run on goroutines of their own: the placement package
+# fifty times, and the replicated (K > 1) swaps of the root package's
+# durability tests ten.
 go test -race -count=10 -run '^(TestTriggerWhileRunningDoesNotRequeue|TestJoinCountsOneHit|TestJoinedFlightIsNotReused)$' ./internal/fault/
 go test -race -count=10 -run '^(TestArmedAttemptContextIsNotReused|TestAttemptContextReportsParentFirst|TestPerAttemptTimeoutIsRetriedAsUnavailable|TestTimeoutExhaustionSurfacesAsUnavailableAndTripsBreaker|TestCallerCancellationFailsFastWithoutBlame)$' ./internal/transport/
-go test -race -count=10 -run '^TestPrefetchWindowOverlap$' .
+go test -race -count=10 -run '^(TestPrefetchWindowOverlap|TestReplicatedSwapSurvivesDonorLoss|TestDetachDeviceKicksRepair)$' .
+go test -race -count=50 ./internal/placement/
 go test -race -count=10 -run '^(TestTriggerPrefetchAllocatesNothing|TestPrefetchHitRecordsParkedTime|TestCommitWindow|TestSweepBeforeEnlist|TestReissueBeforeEnlist|TestReissuedProxyBlockRefused|TestFaultStormCoalesces|TestReloadedStringsOutliveTheFetch)$' ./internal/core/

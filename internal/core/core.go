@@ -660,18 +660,18 @@ func (rt *Runtime) runEvictor(need int64) error {
 	return err
 }
 
-// newTrace mints a device-unique trace ID for one swap operation. IDs are
-// deterministic (device name + sequence), so replayed runs produce identical
+// appendTrace appends the text of trace seq to b: the device name, a dash and
+// the sequence as at least eight hex digits. Trace IDs are deterministic
+// (device name + sequence), so replayed runs produce identical
 // flight-recorder dumps.
-func (rt *Runtime) newTrace() string {
-	var buf [48]byte
-	b := append(append(buf[:0], rt.name...), '-')
+func (rt *Runtime) appendTrace(b []byte, seq uint64) []byte {
+	b = append(append(b, rt.name...), '-')
 	var hex [16]byte
-	digits := strconv.AppendUint(hex[:0], rt.traceSeq.Add(1), 16)
+	digits := strconv.AppendUint(hex[:0], seq, 16)
 	for i := len(digits); i < 8; i++ { // as %08x
 		b = append(b, '0')
 	}
-	return string(append(b, digits...))
+	return append(b, digits...)
 }
 
 // NewObject allocates an application object and assigns it to a swap-cluster.

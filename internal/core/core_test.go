@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
 
 	"objectswap/internal/heap"
+	"objectswap/internal/obs"
 	"objectswap/internal/store"
 )
 
@@ -511,17 +513,29 @@ func TestNewObjectValidation(t *testing.T) {
 	}
 }
 
-// TestTraceAndKeyText: trace ids and storage keys are built by appending into
-// a stack buffer, and read exactly as their format strings do — a trace's
-// sequence as at least eight hex digits, a key's cluster and generation in
-// decimal — for short and long device names, and sequences past the padding.
+// TestTraceAndKeyText: trace ids are built by appending into an operation's
+// record (or, for an id too long for it, a buffer of its own) and storage
+// keys into a stack buffer, and read exactly as their format strings do — a
+// trace's sequence as at least eight hex digits, a key's cluster and
+// generation in decimal — for short and long device names, and sequences
+// past the padding. The id, its context and its flight-recorder label agree.
 func TestTraceAndKeyText(t *testing.T) {
-	for _, name := range []string{"dev1", "a-device-name-longer-than-the-forty-eight-byte-buffer-it-starts-in"} {
+	for _, name := range []string{"dev1", "dev1234", "a-device-name-longer-than-the-forty-eight-byte-buffer-it-starts-in"} {
 		rt := NewRuntime(heap.New(0), heap.NewRegistry(), WithName(name))
 		for _, seq := range []uint64{0, 0xfe, 0x1234567, 0xfffffffe, 1 << 40} {
 			rt.traceSeq.Store(seq)
-			if got, want := rt.newTrace(), fmt.Sprintf("%s-%08x", name, seq+1); got != want {
-				t.Fatalf("trace %q, want %q", got, want)
+			for _, phases := range []int{0, 3, 5, 6} {
+				var p op
+				p.begin(rt, &opSwapIn, 1, context.Background())
+				rt.traceSeq.Store(seq)
+				p.handOut(phases)
+				want := fmt.Sprintf("%s-%08x", name, seq+1)
+				if p.trace != want || obs.TraceFrom(p.ctx) != want || p.span.Trace() != want {
+					t.Fatalf("trace %q (context %q, span %q), want %q", p.trace, obs.TraceFrom(p.ctx), p.span.Trace(), want)
+				}
+				if len(p.phases) != phases {
+					t.Fatalf("a record for %d phases holds %d", phases, len(p.phases))
+				}
 			}
 			rt.keyseq.Store(seq)
 			for _, c := range []ClusterID{1, 4294967295} {

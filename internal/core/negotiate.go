@@ -44,7 +44,7 @@ func (p *shipPlan) leaseTTL(replicas []string) time.Duration {
 
 // negotiate plans a shipment in the best format the donor neighborhood
 // supports.
-func (rt *Runtime) negotiate(ctx context.Context, o swapOpts, key string, k int) (shipPlan, error) {
+func (rt *Runtime) negotiate(ctx context.Context, rank *placement.Scratch, o swapOpts, key string, k int) (shipPlan, error) {
 	prefs := rt.shipFormats()
 	if o.device != "" {
 		// Pinned destination: probe just that donor's advertisement. A failed
@@ -64,7 +64,7 @@ func (rt *Runtime) negotiate(ctx context.Context, o swapOpts, key string, k int)
 	}
 	// Rank with need 0: the payload size is unknown until the format is
 	// chosen, and ShipRanked re-checks Free against the encoded size.
-	ranked := rt.placer.Rank(ctx, key, 0, nil)
+	ranked := rt.placer.RankInto(ctx, rank, key, 0, nil)
 	return shipPlan{
 		format:   wire.FormatID(pickFormat(prefs, ranked, k)),
 		ranked:   ranked,

@@ -177,6 +177,7 @@ func (r *repair) probe() error {
 // K>=2, the majority checksum convicts divergent minorities, and ties keep
 // the primary-order copy a plain fetch would have served.
 func (r *repair) fetch() error {
+	r.handOut(5)
 	rt, key, wantCRC := r.rt, r.copy.key, r.copy.crc
 	r.span.SetKey(key)
 	type replicaCopy struct {
@@ -295,7 +296,7 @@ func (r *repair) finish() SwapEvent {
 		Attempted: r.dead, Replicas: newSet, Trace: r.trace, Format: r.popts.Format,
 		Cause: CauseRepair}
 	r.span.SetReplicas(newSet)
-	ev.Phases, ev.Duration = r.span.End()
+	ev.Phases, ev.Duration = r.span.End(r.phases)
 	rt.telem.RecordFault("swap_repair", ev.Cause, ev.Duration.Seconds())
 	rt.logger.Info("cluster repaired", "trace", r.trace, "cluster", uint32(r.id),
 		"replicas", strings.Join(newSet, ","), "pruned", strings.Join(r.dead, ","),

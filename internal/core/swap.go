@@ -11,7 +11,6 @@ import (
 
 	"objectswap/internal/event"
 	"objectswap/internal/heap"
-	"objectswap/internal/obs"
 	"objectswap/internal/placement"
 	"objectswap/internal/store"
 	"objectswap/internal/wire"
@@ -109,10 +108,12 @@ func (s *swapOut) clean() bool { return s.kept.key != "" }
 // the members reference, in traversal order (outbound, indexed by slotOf),
 // with each proxy's ultimate target (slotTargets) — the object-fault proxies,
 // which ship as remote references rather than slots (remote), and the member
-// objects the encoder walks (objs). None of it outlives the swap-out: the
-// replacement-object copies outbound, and commit copies the slot table a
-// shipment anchors. So it is reused, one operation at a time; swap-outs of
-// distinct clusters run concurrently, so each takes its own from a pool.
+// objects the encoder walks (objs). A shipment also ranks its donors in it
+// (rank) and reports a rejecting donor through it (failover). None of it
+// outlives the swap-out: the replacement-object copies outbound, and commit
+// copies the slot table a shipment anchors. So it is reused, one operation at
+// a time; swap-outs of distinct clusters run concurrently, so each takes its
+// own from a pool.
 type outScratch struct {
 	h           *heap.Heap
 	members     []heap.ObjID // the swap-out's memberIDs
@@ -122,13 +123,35 @@ type outScratch struct {
 	slotTargets []heap.ObjID
 	objs        []*heap.Object
 	encodeRef   xmlcodec.RefEncoder // ref, bound once per scratch
+	rank        placement.Scratch   // the donor ranking of negotiate
+	failover    failover
+	onFailure   func(string, error) // failover.report, bound once per scratch
 }
 
 var outScratches = sync.Pool{New: func() any {
 	sc := &outScratch{slotOf: make(map[heap.ObjID]int), remote: make(map[heap.ObjID]bool)}
 	sc.encodeRef = sc.ref
+	sc.onFailure = sc.failover.report
 	return sc
 }}
+
+// failover is the shipment a rejecting donor is reported for.
+type failover struct {
+	rt         *Runtime
+	id         ClusterID
+	key, trace string
+	bytes      int
+}
+
+// report logs a donor that rejected the shipment and announces it as a
+// swap.failover event (the planner's ShipRequest.OnFailure).
+func (f *failover) report(device string, err error) {
+	f.rt.logger.Warn("swap-out failover", "trace", f.trace,
+		"cluster", uint32(f.id), "device", device, "err", err)
+	f.rt.emit(event.TopicSwapFailover, SwapEvent{
+		Cluster: f.id, Device: device, Key: f.key, Bytes: f.bytes, Trace: f.trace,
+	})
+}
 
 // release empties the scratch, keeping its storage, and returns it to the
 // pool.
@@ -138,6 +161,8 @@ func (sc *outScratch) release() {
 	clear(sc.objs)
 	sc.outbound, sc.slotTargets, sc.objs = sc.outbound[:0], sc.slotTargets[:0], sc.objs[:0]
 	sc.h, sc.members = nil, nil
+	sc.rank.Reset()
+	sc.failover = failover{}
 	outScratches.Put(sc)
 }
 
@@ -250,8 +275,9 @@ func (s *swapOut) classify(o *heap.Object, rid heap.ObjID) error {
 }
 
 // shipOut runs the phases that move the cluster's bytes, for one that cannot
-// leave on its retained copy.
+// leave on its retained copy. From here on the trace goes to the stores.
 func (s *swapOut) shipOut() {
+	s.handOut(6)
 	s.enc = wire.NewEncoder()
 	defer s.enc.Release() // and with it the frame: stores copied what they keep
 	s.do("negotiate", s.negotiate)
@@ -268,7 +294,7 @@ func (s *swapOut) negotiate() (err error) {
 	if s.k = s.o.replicas; s.k < 1 {
 		s.k = s.rt.Replicas()
 	}
-	if s.plan, err = s.rt.negotiate(s.ctx, s.o, s.key, s.k); err != nil {
+	if s.plan, err = s.rt.negotiate(s.ctx, &s.sc.rank, s.o, s.key, s.k); err != nil {
 		return fmt.Errorf("core: swap-out cluster %d: %w", s.id, err)
 	}
 	return nil
@@ -359,7 +385,7 @@ func (s *swapOut) ship() error {
 	}
 	s.copy = donorCopy{
 		key:          s.key,
-		devices:      append([]string(nil), s.rep.Replicas...), // the record's own copy
+		devices:      s.rep.Replicas, // the planner's own, handed over
 		payloadBytes: len(s.payload),
 		crc:          crc32.ChecksumIEEE(s.payload),
 		format:       string(s.plan.format),
@@ -376,7 +402,7 @@ func (s *swapOut) ship() error {
 
 // reship negotiates, encodes and ships the shipment afresh.
 func (s *swapOut) reship() (err error) {
-	if s.plan, err = s.rt.negotiate(s.ctx, s.o, s.key, s.k); err == nil {
+	if s.plan, err = s.rt.negotiate(s.ctx, &s.sc.rank, s.o, s.key, s.k); err == nil {
 		if err = s.encodeFrame(); err == nil {
 			err = s.shipPlanned()
 		}
@@ -405,22 +431,15 @@ func (s *swapOut) shipPlanned() error {
 	if rt.placer == nil {
 		return fmt.Errorf("core: swap-out cluster %d: %w", id, ErrNoPlacement)
 	}
-	bytes := len(s.payload)
+	s.sc.failover = failover{rt: rt, id: id, key: key, trace: s.trace, bytes: len(s.payload)}
 	var err error
 	s.rep, err = rt.placer.ShipRanked(ctx, placement.ShipRequest{
-		Key:      key,
-		Data:     s.payload,
-		Replicas: s.plan.replicas,
-		Format:   string(s.plan.format),
-		NoExtend: s.o.noFailover,
-		OnFailure: func(device string, perr error) {
-			rt.logger.Warn("swap-out failover", "trace", obs.TraceFrom(ctx),
-				"cluster", uint32(id), "device", device, "err", perr)
-			rt.emit(event.TopicSwapFailover, SwapEvent{
-				Cluster: id, Device: device, Key: key, Bytes: bytes,
-				Trace: obs.TraceFrom(ctx),
-			})
-		},
+		Key:       key,
+		Data:      s.payload,
+		Replicas:  s.plan.replicas,
+		Format:    string(s.plan.format),
+		NoExtend:  s.o.noFailover,
+		OnFailure: s.sc.onFailure,
 	}, s.plan.ranked)
 	if err != nil {
 		s.orphans = append(s.orphans, s.rep.Orphans...)
@@ -492,6 +511,7 @@ func (s *swapOut) commit() error {
 // obsoleted. This rotation is the only place a stale retained copy is dropped
 // while its cluster lives.
 func (s *swapOut) finish() SwapEvent {
+	s.handOut(3) // a clean swap-out hands its trace out only now
 	rt, c := s.rt, s.copy
 	ev := SwapEvent{Cluster: s.id, Device: c.primary(), Key: c.key, Objects: len(s.memberIDs),
 		Clean: s.clean(), Attempted: s.rep.Attempted, Replicas: c.devices, Trace: s.trace,
@@ -500,7 +520,7 @@ func (s *swapOut) finish() SwapEvent {
 	if !ev.Clean {
 		ev.Bytes = c.payloadBytes
 	}
-	ev.Phases, ev.Duration = s.span.End()
+	ev.Phases, ev.Duration = s.span.End(s.phases)
 	if s.oldCopy.key != "" && s.oldCopy.key != c.key {
 		rt.dropAll(s.ctx, s.oldCopy.devices, s.oldCopy.key, s.id)
 	}

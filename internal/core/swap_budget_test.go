@@ -92,12 +92,14 @@ func mallocs(fn func()) (count, bytes uint64) {
 // one cluster out and back — on a device that swaps because it is out of
 // memory, that garbage competes with the bytes being freed. One SwapOut plus
 // one SwapIn of a written 32-object x 128 B cluster over an in-memory donor,
-// in the negotiated binary format, may allocate what it was measured to, 3.4x
+// in the negotiated binary format, may allocate what it was measured to, 3.3x
 // the frame it ships, plus a margin (it was ~15x when each direction built a
 // document and two frame copies, 6.8x while a heap.Value was 96 B, and 4.5x
 // while the decoder copied the frame's string section and the Installer
-// returned the installed objects' list) in at most 27 objects (26 measured;
-// 28 while the string section's copy and the installed list allocated; 39
+// returned the installed objects' list) in at most 14 objects (13 measured;
+// 26 while each swap's trace id, context and phase list were three
+// allocations and each shipment built its donor list, ranking and candidate
+// filter and put its one replica on a goroutine of its own; 28 while the string section's copy and the installed list allocated; 39
 // while the fault's flight, the boxed result, the installer, the swap-out's
 // own struct and scratch, the trace id's box in its context and the placement
 // ranking's reflective sort allocated per swap; 59 while spans grew their
@@ -150,19 +152,24 @@ func TestSwapRoundTripBudget(t *testing.T) {
 	perTrip, allocs := float64(bytes)/rounds, float64(count)/rounds
 	t.Logf("frame %d B; one round trip allocates %.0f B in %.0f objects (%.1fx the frame)",
 		frame, perTrip, allocs, perTrip/float64(frame))
-	// Measured: 26 objects, 16 648 B (28 and 21 768 B while the decoder copied
-	// the frame's string section and the Installer returned the list of the
-	// objects it installed; 39 and 23 960 B while the fault's flight and its
-	// channel, the SwapEvent boxed as the flight's result, the Installer and
-	// its deferred-field list, the swap-out's struct, its member list and its
-	// encodeRef closure allocated per swap, each trace context boxed its id and
-	// the placement ranking sorted through sort.Slice; 59 and 25 472 B while
-	// each swap's span, trace id, storage key, options and installer scratch
-	// allocated; 60 and 25 728 B while a shipping swap-out copied its
-	// cluster's member list). The counts are process-wide, so the budget
-	// leaves one stray allocation elsewhere in the process and its bytes.
+	// Measured: 13 objects, 16 040 B (26 and 16 648 B while each swap's trace
+	// id, its context and its event's phase list were three allocations and
+	// a shipment's donor list, ranking, candidate filter, put goroutine,
+	// result channel, landed-index list, failover callback and replica-set
+	// copy were allocated per swap-out; 28 and 21 768 B while the decoder
+	// copied the frame's string section and the Installer returned the list
+	// of the objects it installed; 39 and 23 960 B while the fault's flight
+	// and its channel, the SwapEvent boxed as the flight's result, the
+	// Installer and its deferred-field list, the swap-out's struct, its member
+	// list and its encodeRef closure allocated per swap, each trace context
+	// boxed its id and the placement ranking sorted through sort.Slice; 59
+	// and 25 472 B while each swap's span, trace id, storage key, options and
+	// installer scratch allocated; 60 and 25 728 B while a shipping swap-out
+	// copied its cluster's member list). The counts are process-wide, so the
+	// budget leaves one stray allocation elsewhere in the process and its
+	// bytes.
 	const (
-		tripAllocs, tripBytes   = 26, 16648
+		tripAllocs, tripBytes   = 13, 16040
 		tripStray, tripStrayLen = 1, 256
 	)
 	if limit := float64(tripBytes + tripStrayLen); perTrip > limit {
@@ -245,12 +252,12 @@ func TestSwapRoundTripBudget(t *testing.T) {
 
 	// The clean side: the same cluster, unwritten since its reload, leaves on
 	// the copy the donor kept. Nothing is asked of the donor, and what is
-	// allocated — the trace id and the context carrying it, the
-	// replacement-object, the event's phase list and the event boxed for
-	// publication; the operation with its span inside stays on the stack, and
-	// its slot table is pooled scratch — does not know how many members the
-	// cluster has; the inbound proxies are re-pointed in place, in the table
-	// hold that settles the cluster.
+	// allocated — the operation's record (trace id, the context carrying it,
+	// the event's three-phase list), the replacement-object and the event
+	// boxed for publication; the operation with its span inside stays on the
+	// stack, and its slot table is pooled scratch — does not know how many
+	// members the cluster has; the inbound proxies are re-pointed in place, in
+	// the table hold that settles the cluster.
 	cleanSide := func(perCluster int) (count, bytes uint64) {
 		f, ids := taskFixture(t, 2, perCluster, 128)
 		id := ids[1]
@@ -291,8 +298,9 @@ func TestSwapRoundTripBudget(t *testing.T) {
 	bigCount, bigBytes = cleanSide(128)
 	t.Logf("clean swap-out of 32 objects: %d allocs, %d B; of 128: %d allocs, %d B",
 		smallCount, smallBytes, bigCount, bigBytes)
-	// Measured: 5 allocations, 528 B, at either size (6 and 560 B while the
-	// trace context boxed its id; 7 and 1840 B while the operation's struct
+	// Measured: 3 allocations, 528 B, at either size (5 and 528 B while the
+	// trace id, its context and the phase list were three allocations; 6 and
+	// 560 B while the trace context boxed its id; 7 and 1840 B while the operation's struct
 	// escaped to the heap through the encoder's reference callback; 13 and
 	// 1888 B while the span was an allocation of its own that grew its phase
 	// list by appending and the trace id came from fmt.Sprintf; 14 and 1904 B
@@ -303,7 +311,7 @@ func TestSwapRoundTripBudget(t *testing.T) {
 	// heap.Value was 96 B). The count is process-wide: the margin is one small
 	// allocation elsewhere in the process.
 	const (
-		measuredAllocs, measuredBytes = 5, 528
+		measuredAllocs, measuredBytes = 3, 528
 		strayAllocs, strayBytes       = 1, 64
 		cleanAllocs, cleanBytes       = measuredAllocs + strayAllocs, measuredBytes + strayBytes
 	)

@@ -91,6 +91,7 @@ func (s *swapIn) reserve() (err error) {
 }
 
 func (s *swapIn) fetch() error {
+	s.handOut(5)
 	rt, key, devices := s.rt, s.copy.key, s.copy.devices
 	s.span.SetKey(key)
 	s.span.SetReplicas(devices)
@@ -275,7 +276,7 @@ func (s *swapIn) finish() any {
 	ev := SwapEvent{Cluster: s.id, Device: s.device, Key: key, Objects: s.installedObjects,
 		Bytes: bytes, Attempted: s.failed, Replicas: s.copy.devices, Trace: s.trace,
 		Format: string(s.fid), Cause: rt.resolveCause(s.o.cause)}
-	ev.Phases, ev.Duration = s.span.End()
+	ev.Phases, ev.Duration = s.span.End(s.phases)
 	rt.telem.RecordFault("swap_in", ev.Cause, ev.Duration.Seconds())
 	rt.logger.LogAttrs(s.ctx, slog.LevelInfo, "swap-in", slog.String("trace", s.trace),
 		slog.Uint64("cluster", uint64(s.id)), slog.String("device", s.device),

@@ -166,7 +166,7 @@ func TestSpanRecordsIntoRecorder(t *testing.T) {
 	clock.Advance(7 * time.Millisecond)
 	sp.SetDevice("neighbor")
 	sp.SetKey("k1")
-	sp.End()
+	sp.End(nil)
 
 	spans := rec.Spans()
 	if len(spans) != 1 {
@@ -204,10 +204,11 @@ func TestSpanRecordsIntoRecorder(t *testing.T) {
 }
 
 // TestWarmSpanAllocatesOnlyItsPhases: once every ring slot has held a span,
-// a traced operation of six phases — the most any swap has — allocates one
-// object, the exact-size phase list End hands its caller. The span lives in
-// its operation, and the recorder copies it into the slot it overwrites,
-// reusing that slot's phase and replica arrays.
+// a traced operation of six phases — the most any swap has — that ends into
+// storage of its caller's allocates nothing: the span lives in its
+// operation, End copies its phases into the caller's array (a swap
+// operation's record), and the recorder copies it into the slot it
+// overwrites, reusing that slot's phase and replica arrays.
 func TestWarmSpanAllocatesOnlyItsPhases(t *testing.T) {
 	clock := NewVirtualClock(time.Unix(0, 0))
 	tr := NewTracer(NewRegistry(clock), "objectswap_swap")
@@ -216,6 +217,7 @@ func TestWarmSpanAllocatesOnlyItsPhases(t *testing.T) {
 	names := []string{"reserve", "snapshot", "negotiate", "encode", "ship", "commit"}
 	replicas := []string{"donor-a", "donor-b"}
 	var sp Span
+	var into [6]Phase
 	var phases []Phase
 	run := func() {
 		tr.Begin(&sp, "swap_out")
@@ -226,25 +228,46 @@ func TestWarmSpanAllocatesOnlyItsPhases(t *testing.T) {
 			clock.Advance(time.Microsecond)
 			sp.AddBytes(64)
 		}
-		phases, _ = sp.End()
+		phases, _ = sp.End(into[:])
 	}
 	for i := 0; i < 8; i++ { // every slot, and every metric series
 		run()
 	}
-	if allocs := testing.AllocsPerRun(100, run); allocs != 1 {
-		t.Fatalf("a warm six-phase span allocates %v objects, want 1 (its phase list)", allocs)
+	// Measured: 0 (1, the exact-size phase list, while End made the list it
+	// returned).
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Fatalf("a warm six-phase span ending into caller storage allocates %v objects, want 0", allocs)
 	}
-	if len(phases) != len(names) || cap(phases) != len(names) || phases[5].Name != "commit" || phases[5].Bytes != 64 {
-		t.Fatalf("End returned %+v (cap %d), want the six phases, sized exactly", phases, cap(phases))
+	if len(phases) != len(names) || &phases[0] != &into[0] || phases[5].Name != "commit" || phases[5].Bytes != 64 {
+		t.Fatalf("End returned %+v, want the six phases in the caller's array", phases)
 	}
 	if got := rec.Spans()[0]; len(got.Phases) != 6 || len(got.Replicas) != 2 || got.Replicas[1] != "donor-b" {
 		t.Fatalf("retained %+v, want six phases and both replicas", got)
 	}
 
+	// Storage too short for the phases is outgrown, and the result is clipped
+	// to its length whatever the storage: appending to it never writes into
+	// the caller's spare room.
+	short := func() {
+		tr.Begin(&sp, "swap_out")
+		for _, name := range names {
+			sp.Phase(name)
+		}
+		phases, _ = sp.End(into[:0:3])
+	}
+	if allocs := testing.AllocsPerRun(100, short); allocs != 1 {
+		t.Fatalf("a warm six-phase span ending into three-entry storage allocates %v objects, want 1", allocs)
+	}
+	tr.Begin(&sp, "swap_out")
+	sp.Phase("reserve")
+	if phases, _ = sp.End(into[:]); len(phases) != 1 || cap(phases) != 1 {
+		t.Fatalf("a one-phase span ended into six entries returned len %d cap %d, want 1 and 1", len(phases), cap(phases))
+	}
+
 	// A seventh phase spills past the span's own storage and is kept all the
-	// same. The spill costs one allocation, and the span, here a local of
-	// the measured function as it is a field of a swap operation, stays on
-	// the stack.
+	// same. The spill costs one allocation, outgrowing the six-entry storage
+	// another, and the span, here a local of the measured function as it is a
+	// field of a swap operation, stays on the stack.
 	long := append(names, "extra")
 	var total time.Duration
 	spill := func() {
@@ -254,7 +277,7 @@ func TestWarmSpanAllocatesOnlyItsPhases(t *testing.T) {
 			sp.Phase(name)
 			clock.Advance(time.Microsecond)
 		}
-		phases, total = sp.End()
+		phases, total = sp.End(into[:])
 	}
 	if allocs := testing.AllocsPerRun(100, spill); allocs != 2 {
 		t.Fatalf("a warm seven-phase span allocates %v objects, want 2 (the spill and its phase list)", allocs)

@@ -102,7 +102,7 @@ func TestSpanPhasesOnVirtualClock(t *testing.T) {
 	sp.Phase("ship")
 	clk.Advance(30 * time.Millisecond)
 	sp.AddBytes(2048)
-	phases, total := sp.End()
+	phases, total := sp.End(nil)
 
 	if total != 40*time.Millisecond {
 		t.Fatalf("total = %v", total)
@@ -134,7 +134,7 @@ func TestNilTracerAndSpanAreSafe(t *testing.T) {
 	tr.Begin(&sp, "x")
 	sp.Phase("p")
 	sp.AddBytes(1)
-	if phases, total := sp.End(); phases != nil || total != 0 {
+	if phases, total := sp.End(nil); phases != nil || total != 0 {
 		t.Fatal("nil span recorded something")
 	}
 }

@@ -1,6 +1,9 @@
 package obs
 
-import "time"
+import (
+	"slices"
+	"time"
+)
 
 // Phase is one timed segment of a traced operation, with an optional byte
 // count attributed to it (encode output, shipment payload, fetch size).
@@ -164,9 +167,12 @@ func (s *Span) closePhase(now time.Time) {
 
 // End closes the span, records every phase into the tracer's instruments,
 // retains it in the flight recorder (outcome "ok"), and returns the phase
-// breakdown — the caller's own copy, sized exactly — plus the
-// whole-operation duration (for attachment to an event payload).
-func (s *Span) End() ([]Phase, time.Duration) {
+// breakdown plus the whole-operation duration (for attachment to an event
+// payload). The breakdown is copied into the caller's storage, into[:0], and
+// clipped to its length; End allocates only when into is too short for it.
+// A swap operation passes the phase array of its record, sized to the phases
+// it records.
+func (s *Span) End(into []Phase) ([]Phase, time.Duration) {
 	if s.t == nil {
 		return nil, 0
 	}
@@ -186,7 +192,7 @@ func (s *Span) End() ([]Phase, time.Duration) {
 	if len(phases) == 0 {
 		return nil, total
 	}
-	return append(make([]Phase, 0, len(phases)), phases...), total
+	return slices.Clip(append(into[:0], phases...)), total
 }
 
 // Fail closes the span with outcome "error" and retains it in the flight

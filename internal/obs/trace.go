@@ -11,28 +11,28 @@ const TraceHeader = "X-Obiswap-Trace"
 // traceKey is the context key for the in-flight trace ID.
 type traceKey struct{}
 
-// traceCtx is a context carrying a trace ID. It answers the trace key with
-// itself, so carrying an ID costs the one allocation of the context: the ID
-// is not boxed, as a context.WithValue value would be.
-type traceCtx struct {
+// TraceContext is a context carrying a trace ID. It answers the trace key
+// with itself, so carrying an ID costs no box, as a context.WithValue value
+// would. It is a value so that an operation can hold it inside a record of
+// its own, beside the ID's bytes (core's op record).
+type TraceContext struct {
 	context.Context
 	id string
 }
 
-func (c *traceCtx) Value(key any) any {
+// Bind makes c carry id on top of parent and returns it as a context. A
+// bound TraceContext is handed out and never bound again: whoever it was
+// handed to may keep it.
+func (c *TraceContext) Bind(parent context.Context, id string) context.Context {
+	c.Context, c.id = parent, id
+	return c
+}
+
+func (c *TraceContext) Value(key any) any {
 	if key == (traceKey{}) {
 		return c
 	}
 	return c.Context.Value(key)
-}
-
-// ContextWithTrace returns ctx carrying the given trace ID. An empty id
-// returns ctx unchanged.
-func ContextWithTrace(ctx context.Context, id string) context.Context {
-	if id == "" {
-		return ctx
-	}
-	return &traceCtx{Context: ctx, id: id}
 }
 
 // TraceFrom extracts the trace ID carried by ctx ("" when absent).
@@ -40,7 +40,7 @@ func TraceFrom(ctx context.Context) string {
 	if ctx == nil {
 		return ""
 	}
-	if c, ok := ctx.Value(traceKey{}).(*traceCtx); ok {
+	if c, ok := ctx.Value(traceKey{}).(*TraceContext); ok {
 		return c.id
 	}
 	return ""

@@ -35,10 +35,10 @@ import (
 	"objectswap/internal/store"
 )
 
-// Source enumerates the donor devices currently offered for placement.
-// Implemented by *store.Registry.
+// Source enumerates the donor devices currently offered for placement,
+// appending them to dst[:0]. Implemented by *store.Registry.
 type Source interface {
-	Available() []store.Device
+	Available(dst []store.Device) []store.Device
 }
 
 var _ Source = (*store.Registry)(nil)
@@ -113,13 +113,34 @@ func (c Candidate) Accepts(format string) bool {
 // resilience decorator declaring the device unhealthy mid-probe re-enters
 // the registry through its connectivity monitor.
 func (p *Planner) Rank(ctx context.Context, key string, need int64, exclude []string) []Candidate {
-	skip := make(map[string]bool, len(exclude))
-	for _, n := range exclude {
-		skip[n] = true
-	}
-	var cands []Candidate
-	for _, d := range p.src.Available() {
-		if skip[d.Name] {
+	var sc Scratch
+	return p.RankInto(ctx, &sc, key, need, exclude)
+}
+
+// Scratch is the storage a ranking is built in: the donor list read from the
+// Source and the candidate list returned. A caller that ranks again and
+// again keeps one per concurrent ranking and passes it to RankInto, which
+// then allocates neither.
+type Scratch struct {
+	devices []store.Device
+	ranked  []Candidate
+}
+
+// Reset drops what the last ranking refers to (stores, format lists) and
+// keeps the storage.
+func (sc *Scratch) Reset() {
+	clear(sc.devices)
+	clear(sc.ranked)
+	sc.devices, sc.ranked = sc.devices[:0], sc.ranked[:0]
+}
+
+// RankInto is Rank building its ranking in sc. The result is sc's storage:
+// valid until sc is ranked into again or Reset.
+func (p *Planner) RankInto(ctx context.Context, sc *Scratch, key string, need int64, exclude []string) []Candidate {
+	sc.devices = p.src.Available(sc.devices)
+	cands := sc.ranked[:0]
+	for _, d := range sc.devices {
+		if slices.Contains(exclude, d.Name) {
 			continue
 		}
 		st, err := d.Store.Stats(ctx)
@@ -141,6 +162,7 @@ func (p *Planner) Rank(ctx context.Context, key string, need int64, exclude []st
 		}
 		return strings.Compare(a.Name, b.Name)
 	})
+	sc.ranked = cands
 	return cands
 }
 
@@ -218,7 +240,7 @@ type ShipRequest struct {
 	// fail-fast behavior).
 	NoExtend bool
 	// OnFailure, when set, is invoked once per donor that rejects the
-	// payload, from the planner's collector goroutine (never concurrently).
+	// payload, on the goroutine that called Ship (never concurrently).
 	OnFailure func(device string, err error)
 }
 
@@ -263,6 +285,14 @@ func (p *Planner) Ship(ctx context.Context, req ShipRequest) (ShipReport, error)
 // of Stats probes. Candidates without room for the payload or whose
 // advertisement does not cover req.Format are skipped here, so a stale or
 // over-broad ranking degrades to fewer replicas, not to misdirected Puts.
+//
+// The puts run in rank order, each batch at once: the K first eligible
+// candidates, then one more per rejection. The calling goroutine makes the
+// first put of a batch itself, and only a batch of more than one starts
+// goroutines, which report back on a channel made then — so a K = 1
+// shipment, failover included, starts none and allocates nothing but the
+// replica set it reports. A replacement for a rejecting extra replica starts
+// once the caller's own put has returned.
 func (p *Planner) ShipRanked(ctx context.Context, req ShipRequest, ranked []Candidate) (ShipReport, error) {
 	k := req.Replicas
 	if k < 1 {
@@ -278,43 +308,62 @@ func (p *Planner) ShipRanked(ctx context.Context, req ShipRequest, ranked []Cand
 	rep := ShipReport{Quorum: quorum, Requested: k}
 
 	need := int64(len(req.Data))
-	cands := make([]Candidate, 0, len(ranked))
+	eligible := func(c Candidate) bool { return c.Free >= need && c.Accepts(req.Format) }
+	nEligible := 0
 	for _, c := range ranked {
-		if c.Free >= need && c.Accepts(req.Format) {
-			cands = append(cands, c)
+		if eligible(c) {
+			nEligible++
 		}
 	}
-	if len(cands) == 0 {
+	if nEligible == 0 {
 		p.ships.With("no_donor").Inc()
 		return rep, fmt.Errorf("placement: ship %q (%d bytes, %d replicas): %w",
 			req.Key, len(req.Data), k, store.ErrNoDevice)
 	}
 
-	type result struct {
-		idx int
-		err error
-	}
-	results := make(chan result, len(cands))
-	next, inflight := 0, 0
-	launch := func(n int) {
-		for ; n > 0 && next < len(cands); n-- {
-			i := next
+	// okIdx and failIdx index ranked; a shipment of up to four puts keeps
+	// them on the stack.
+	var okBuf, failBuf [4]int
+	okIdx, failIdx := okBuf[:0], failBuf[:0]
+	var (
+		results  chan putResult // made by the first batch of more than one; a slot per possible put, so no sender blocks
+		lastErr  error
+		next     int // ranked index the next put starts from
+		inflight int // puts on goroutines not yet received
+		start    = k // puts the next batch starts
+	)
+puts:
+	for {
+		own := -1 // the batch's put this goroutine makes
+		for ; start > 0; start-- {
+			for next < len(ranked) && !eligible(ranked[next]) {
+				next++
+			}
+			if next == len(ranked) {
+				start = 0
+				break
+			}
+			if own < 0 {
+				own = next
+			} else {
+				if results == nil {
+					results = make(chan putResult, nEligible)
+				}
+				inflight++
+				go put(ctx, results, next, ranked[next].Store, req)
+			}
 			next++
-			inflight++
-			go func() {
-				err := store.PutWith(ctx, cands[i].Store, req.Key, req.Data,
-					store.PutOpts{Format: req.Format})
-				results <- result{i, err}
-			}()
 		}
-	}
-	launch(k)
-
-	var okIdx, failIdx []int
-	var lastErr error
-	for inflight > 0 {
-		r := <-results
-		inflight--
+		var r putResult
+		switch {
+		case own >= 0:
+			r = putResult{own, putOne(ctx, ranked[own].Store, req)}
+		case inflight > 0:
+			r = <-results
+			inflight--
+		default:
+			break puts
+		}
 		if r.err == nil {
 			p.puts.With("ok").Inc()
 			okIdx = append(okIdx, r.idx)
@@ -324,19 +373,20 @@ func (p *Planner) ShipRanked(ctx context.Context, req ShipRequest, ranked []Cand
 		failIdx = append(failIdx, r.idx)
 		lastErr = r.err
 		if req.OnFailure != nil {
-			req.OnFailure(cands[r.idx].Name, r.err)
+			req.OnFailure(ranked[r.idx].Name, r.err)
 		}
 		if !req.NoExtend && len(okIdx)+inflight < k {
-			launch(1)
+			start = 1
 		}
 	}
-	sort.Ints(okIdx)
-	sort.Ints(failIdx)
-	for _, i := range okIdx {
-		rep.Replicas = append(rep.Replicas, cands[i].Name)
+	slices.Sort(okIdx)
+	slices.Sort(failIdx)
+	rep.Replicas = make([]string, len(okIdx))
+	for j, i := range okIdx {
+		rep.Replicas[j] = ranked[i].Name
 	}
 	for _, i := range failIdx {
-		rep.Attempted = append(rep.Attempted, cands[i].Name)
+		rep.Attempted = append(rep.Attempted, ranked[i].Name)
 	}
 
 	if len(okIdx) >= quorum {
@@ -355,11 +405,11 @@ func (p *Planner) ShipRanked(ctx context.Context, req ShipRequest, ranked []Cand
 	defer cancel()
 	var dropped []string
 	for _, i := range okIdx {
-		if err := cands[i].Store.Drop(dctx, req.Key); err != nil && !errors.Is(err, store.ErrNotFound) {
-			rep.Orphans = append(rep.Orphans, cands[i].Name)
+		if err := ranked[i].Store.Drop(dctx, req.Key); err != nil && !errors.Is(err, store.ErrNotFound) {
+			rep.Orphans = append(rep.Orphans, ranked[i].Name)
 			continue
 		}
-		dropped = append(dropped, cands[i].Name)
+		dropped = append(dropped, ranked[i].Name)
 	}
 	p.ships.With("quorum_failed").Inc()
 	landed := len(rep.Replicas)
@@ -367,7 +417,7 @@ func (p *Planner) ShipRanked(ctx context.Context, req ShipRequest, ranked []Cand
 	if lastErr == nil {
 		// No Put failed — there simply were not enough eligible donors to
 		// reach the quorum.
-		lastErr = fmt.Errorf("%d donor(s) eligible: %w", len(cands), store.ErrNoDevice)
+		lastErr = fmt.Errorf("%d donor(s) eligible: %w", nEligible, store.ErrNoDevice)
 	}
 	// The message says what became of each donor, and only what happened.
 	fate := fmt.Sprintf("quorum %d", quorum)
@@ -382,4 +432,20 @@ func (p *Planner) ShipRanked(ctx context.Context, req ShipRequest, ranked []Cand
 	}
 	return rep, fmt.Errorf("placement: ship %q: %d/%d replicas landed (%s): %w",
 		req.Key, landed, k, fate, lastErr)
+}
+
+// putResult is one put's outcome: the ranked index of its donor and its error.
+type putResult struct {
+	idx int
+	err error
+}
+
+// put is putOne on a goroutine of its own, reporting to results.
+func put(ctx context.Context, results chan<- putResult, idx int, st store.Store, req ShipRequest) {
+	results <- putResult{idx, putOne(ctx, st, req)}
+}
+
+// putOne stores req's payload on st in req's format.
+func putOne(ctx context.Context, st store.Store, req ShipRequest) error {
+	return store.PutWith(ctx, st, req.Key, req.Data, store.PutOpts{Format: req.Format})
 }

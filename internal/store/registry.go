@@ -80,13 +80,15 @@ func (r *Registry) Names() []string {
 	return names
 }
 
-// Available snapshots the reachable devices in name order. The placement
-// planner enumerates donors through this: rendezvous hashing needs the whole
-// candidate set, not a single winner.
-func (r *Registry) Available() []Device {
+// Available appends the reachable devices, in name order, to dst[:0] and
+// returns the result. The placement planner enumerates donors through this:
+// rendezvous hashing needs the whole candidate set, not a single winner. A
+// caller that enumerates again and again passes the slice it got last time,
+// and allocates nothing once that is long enough.
+func (r *Registry) Available(dst []Device) []Device {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Device, 0, len(r.devices))
+	out := slices.Grow(dst[:0], len(r.devices))
 	for _, d := range r.devices {
 		if d.Available {
 			out = append(out, *d)

@@ -1,6 +1,7 @@
 package objectswap
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -106,23 +107,24 @@ func TestFacadeSwapRoundTripAllocs(t *testing.T) {
 	allocs := float64(m1.Mallocs-m0.Mallocs) / rounds
 	t.Logf("one clean round trip through the facade allocates %.1f objects, %.0f B",
 		allocs, float64(m1.TotalAlloc-m0.TotalAlloc)/rounds)
-	// Measured: 12 objects, 10 432 B (14 and 15 552 B while the decoder copied
-	// the frame's string section and the Installer returned the list of the
-	// objects it installed; 25 and 17 664 B while the fault's flight and its
-	// channel, the SwapEvent boxed as the flight's result, the transport's
-	// per-attempt timeout, the Installer and its deferred-field list, the
-	// swap-out's own struct and the trace id's box in its context were
-	// allocated per swap; 53 and 19 352 B while every span grew its phase list
-	// by appending, was copied again into the flight recorder with its replica
-	// set, took its trace id from fmt.Sprintf and every publication sorted and
-	// copied its subscribers). What is left, and why each one outlives the
-	// swap:
-	// - in each direction, 4: the trace id (the SwapEvent, the recorder's span
-	//   and the log records carry it), the context carrying it (handed to the
-	//   stores, the logger and the bus's subscribers, who may keep it), the
-	//   SwapEvent's phase list and the SwapEvent boxed for the bus (the flight
-	//   recorder and the subscribers keep both; on the swap-in the same box is
-	//   the fault's result);
+	// Measured: 8 objects, 10 432 B (12 and 10 432 B while each swap's trace
+	// id, its context and its event's phase list were three allocations; 14
+	// and 15 552 B while the decoder copied the frame's string section and the
+	// Installer returned the list of the objects it installed; 25 and
+	// 17 664 B while the fault's flight and its channel, the SwapEvent boxed
+	// as the flight's result, the transport's per-attempt timeout, the
+	// Installer and its deferred-field list, the swap-out's own struct and the
+	// trace id's box in its context were allocated per swap; 53 and 19 352 B
+	// while every span grew its phase list by appending, was copied again into
+	// the flight recorder with its replica set, took its trace id from
+	// fmt.Sprintf and every publication sorted and copied its subscribers).
+	// What is left, and why each one outlives the swap:
+	// - in each direction, 2: the operation's record — its trace id's bytes,
+	//   the context carrying the id (handed to the stores, the logger and the
+	//   bus's subscribers, who may keep it) and the SwapEvent's phase list,
+	//   never pooled or reused — and the SwapEvent boxed for the bus (the
+	//   flight recorder and the subscribers keep both; on the swap-in the same
+	//   box is the fault's result);
 	// - the swap-out's replacement-object, which stands in for the cluster in
 	//   the heap until the swap-in retires it;
 	// - the swap-in's donor copy of the payload (store.Store hands every Get
@@ -132,7 +134,7 @@ func TestFacadeSwapRoundTripAllocs(t *testing.T) {
 	//   themselves).
 	// The count is process-wide, so the budget leaves one for a stray
 	// allocation elsewhere in the process.
-	const measured, stray = 12, 1
+	const measured, stray = 8, 1
 	if allocs > measured+stray {
 		t.Fatalf("one clean swap round trip through the facade allocates %.1f objects, budget is %d", allocs, measured+stray)
 	}
@@ -220,6 +222,109 @@ func TestSwapEventSlicesOutliveLaterSwaps(t *testing.T) {
 			if q := w.phases[j]; p.Name != q.Name || p.DurationNS != q.Duration.Nanoseconds() || p.Bytes != q.Bytes {
 				t.Fatalf("retained %s span phase %d reads %+v after later swaps, want %+v", sp.Op, j, p, q)
 			}
+		}
+	}
+}
+
+// keeper is a donor that keeps the context of its first Put and of its first
+// Get. It asks each for Done first, which is what lets a store keep its
+// context past its return (store.Store).
+type keeper struct {
+	*store.Mem
+	put, get context.Context
+}
+
+func (k *keeper) PutEnvelope(ctx context.Context, key string, data []byte, opts store.PutOpts) error {
+	k.keep(&k.put, ctx)
+	return k.Mem.PutEnvelope(ctx, key, data, opts)
+}
+
+func (k *keeper) Put(ctx context.Context, key string, data []byte) error {
+	k.keep(&k.put, ctx)
+	return k.Mem.Put(ctx, key, data)
+}
+
+func (k *keeper) GetEnvelope(ctx context.Context, key string) ([]byte, store.PutOpts, error) {
+	k.keep(&k.get, ctx)
+	return k.Mem.GetEnvelope(ctx, key)
+}
+
+func (k *keeper) Get(ctx context.Context, key string) ([]byte, error) {
+	k.keep(&k.get, ctx)
+	return k.Mem.Get(ctx, key)
+}
+
+func (k *keeper) keep(slot *context.Context, ctx context.Context) {
+	if *slot == nil {
+		ctx.Done() // asking for Done is what lets a store keep its context
+		*slot = ctx
+	}
+}
+
+// TestSwapRecordOutlivesLaterSwaps: a swap's trace id, the context carrying
+// it and its SwapEvent's phase list are one record, which nothing pools or
+// reuses. So what one swap-out and the swap-in after it handed out — the
+// events' Trace and Phases, and the contexts a donor kept from the Put and
+// the Get — reads the same after ten later swaps, shipping and clean, and
+// three collections, and each kept context still carries its event's trace.
+func TestSwapRecordOutlivesLaterSwaps(t *testing.T) {
+	sys, err := New(Config{FlightSpans: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	donor := &keeper{Mem: store.NewMem(0)}
+	if err := sys.AttachDevice("donor", donor); err != nil {
+		t.Fatal(err)
+	}
+	id := chainCluster(t, sys, 4, 16)
+
+	out, err := sys.SwapOut(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := sys.SwapIn(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if donor.put == nil || donor.get == nil {
+		t.Fatal("the donor saw no Put or no Get")
+	}
+	type reading struct {
+		trace, ctxTrace string
+		phases          []obs.Phase
+	}
+	read := func(ev SwapEvent, kept context.Context) reading {
+		return reading{strings.Clone(ev.Trace), strings.Clone(obs.TraceFrom(kept)), slices.Clone(ev.Phases)}
+	}
+	want := []reading{read(out, donor.put), read(in, donor.get)}
+	for _, w := range want {
+		if w.trace == "" || w.ctxTrace != w.trace || len(w.phases) == 0 {
+			t.Fatalf("before later swaps: event trace %q, kept context's %q, phases %v", w.trace, w.ctxTrace, w.phases)
+		}
+	}
+
+	head, _ := sys.Root("head")
+	for i := 0; i < 5; i++ {
+		if i%2 == 0 { // a write: the next swap-out ships
+			if err := sys.SetField(head, "title", heap.Str(fmt.Sprintf("rewritten %d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := sys.SwapOut(id); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.SwapIn(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+	}
+	for i, got := range []reading{read(out, donor.put), read(in, donor.get)} {
+		if w := want[i]; got.trace != w.trace || got.ctxTrace != w.trace || !slices.Equal(got.phases, w.phases) {
+			t.Fatalf("swap %d after later swaps: trace %q, kept context's %q, phases %+v; was %q, %q, %+v",
+				i, got.trace, got.ctxTrace, got.phases, w.trace, w.ctxTrace, w.phases)
 		}
 	}
 }
