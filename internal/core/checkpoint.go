@@ -164,7 +164,7 @@ func (rt *Runtime) SaveCheckpoint(w io.Writer) error {
 		ck := ckptCluster{ID: uint32(cid), Swapped: cs.where.out()}
 		for _, oid := range members {
 			note(oid)
-			ck.Members = append(ck.Members, ckptMember{ID: uint64(oid), Class: rt.classes[tab.members[oid].class].app.Name})
+			ck.Members = append(ck.Members, ckptMember{ID: uint64(oid), Class: rt.classes[tab.members[oid].class].Name})
 		}
 		// Replica sets are replaced, never edited, so the copies may share them.
 		swapped, was, c := ck.Swapped, cs.shipment, cs.retained.donorCopy

@@ -73,9 +73,8 @@ const (
 	proxyModeAssign int64 = 1
 )
 
-// proxyClassPrefix prefixes synthesized swap-cluster-proxy class names
-// (obicomp generates one proxy class per application class).
-const proxyClassPrefix = "$SwapProxy:"
+// proxyClassName is the class of swap-cluster-proxies.
+const proxyClassName = "$SwapProxy"
 
 // replacementClassName is the class of replacement-objects.
 const replacementClassName = "$Replacement"
@@ -236,7 +235,8 @@ type Runtime struct {
 	// outside it, so concurrent callers overlap the encoding of one cluster
 	// with the shipment of another. The whole-graph paths (Collect, resize,
 	// checkpoint save/restore) take it to stop the world. Lock order: swapMu
-	// → mgr.mu → mgr.table.mu → h.mu (DESIGN §6).
+	// → mgr.table.mu → h.mu, with the fault engine's inventory lock a leaf
+	// under the table lock (DESIGN §6).
 	swapMu sync.Mutex
 	// mutatingCount counts open critical sections that may allocate while
 	// holding the swap lock (swap-in install, resize, restore). While nonzero,
@@ -281,17 +281,17 @@ type Runtime struct {
 	prefetchDepth   int
 	prefetchWorkers int
 
+	// The middleware classes: one each for every swap-cluster-proxy,
+	// replacement-object and object-fault proxy, whatever the class behind it.
+	proxyClass       *heap.Class
 	replacementClass *heap.Class
 	objProxyClass    *heap.Class
-	// classes lists the application classes in registration order, each
-	// with its swap-cluster-proxy class; objInfo.class indexes it, and
-	// classIndex maps a class name to that index.
-	classes    []appClass
+	// classes lists the application classes in registration order;
+	// objInfo.class indexes it, and classIndex maps a class name to that
+	// index.
+	classes    []*heap.Class
 	classIndex map[string]uint32
 }
-
-// appClass is a registered application class and its proxy class.
-type appClass struct{ app, proxy *heap.Class }
 
 var _ heap.Invoker = (*Runtime)(nil)
 
@@ -390,10 +390,11 @@ func NewRuntime(h *heap.Heap, reg *heap.Registry, opts ...Option) *Runtime {
 		name:       fmt.Sprintf("dev%d", atomic.AddUint64(&runtimeSeq, 1)),
 	}
 	rt.frames = heap.NewFrames(rt)
+	// The middleware classes are not registered in the application registry
+	// (swapped XML never mentions them).
+	rt.proxyClass = buildProxyClass()
 	rt.replacementClass = buildReplacementClass()
 	rt.objProxyClass = buildObjProxyClass()
-	// The replacement class is middleware-internal; it is not registered in
-	// the application registry (swapped XML never mentions it).
 	for _, opt := range opts {
 		opt(rt)
 	}
@@ -583,9 +584,8 @@ func (rt *Runtime) emit(topic event.Topic, payload any) {
 	}
 }
 
-// RegisterClass registers an application class and synthesizes its
-// swap-cluster-proxy class (the obicomp step). Middleware classes must not be
-// registered this way.
+// RegisterClass registers an application class. Middleware classes must not
+// be registered this way.
 func (rt *Runtime) RegisterClass(c *heap.Class) error {
 	if c == nil {
 		return errors.New("core: RegisterClass: nil class")
@@ -597,7 +597,7 @@ func (rt *Runtime) RegisterClass(c *heap.Class) error {
 		return err
 	}
 	rt.classIndex[c.Name] = uint32(len(rt.classes))
-	rt.classes = append(rt.classes, appClass{app: c, proxy: buildProxyClass(c)})
+	rt.classes = append(rt.classes, c)
 	return nil
 }
 
@@ -681,8 +681,10 @@ func (rt *Runtime) NewObject(c *heap.Class, cluster ClusterID) (*heap.Object, er
 	if c.Special != heap.SpecialNone {
 		return nil, fmt.Errorf("core: NewObject: %s is a middleware class", c.Name)
 	}
+	// The class registered under the name, not one that only shares it: a
+	// reload installs members by their registered class's fields.
 	class, ok := rt.classIndex[c.Name]
-	if !ok {
+	if !ok || rt.classes[class] != c {
 		return nil, fmt.Errorf("core: NewObject: class %s not registered with RegisterClass", c.Name)
 	}
 	// Allocating into a swapped-out cluster faults it back in first: the new

@@ -504,11 +504,16 @@ func TestNewObjectValidation(t *testing.T) {
 	if _, err := f.rt.NewObject(unreg, RootCluster); err == nil {
 		t.Fatal("unregistered class: want error")
 	}
+	// A class that only shares a registered name would swap out and never
+	// reload: the install reads the registered class's fields.
+	namesake := heap.NewClass(f.node.Name, heap.FieldDef{Name: "other", Kind: heap.KindInt})
+	if _, err := f.rt.NewObject(namesake, f.rt.Manager().NewCluster()); err == nil {
+		t.Fatal("unregistered class sharing a registered name: want error")
+	}
 	if err := f.rt.RegisterClass(f.node); err == nil {
 		t.Fatal("duplicate RegisterClass: want error")
 	}
-	proxyC := buildProxyClass(f.node)
-	if err := f.rt.RegisterClass(proxyC); err == nil {
+	if err := f.rt.RegisterClass(f.rt.proxyClass); err == nil {
 		t.Fatal("registering middleware class: want error")
 	}
 }

@@ -134,9 +134,9 @@ func (rt *Runtime) dropFromDevice(ctx context.Context, device, key string) error
 // device may be temporarily unreachable), or one not worth a round trip on
 // the caller's path.
 func (m *Manager) deferDrop(device, key string, cluster ClusterID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.pendingDrops = append(m.pendingDrops, dropTicket{device: device, key: key, cluster: cluster})
+	m.table.mu.Lock()
+	defer m.table.mu.Unlock()
+	m.table.pendingDrops = append(m.table.pendingDrops, dropTicket{device: device, key: key, cluster: cluster})
 }
 
 // forgotCopy is a copy cluster id's record forgot (clusterState.forget),
@@ -146,14 +146,12 @@ type forgotCopy struct {
 	copy donorCopy
 }
 
-// queueDrops defers a drop of every replica of each forgotten copy, under
-// one hold of m.mu.
-func (m *Manager) queueDrops(forgot ...forgotCopy) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// queueDrops defers a drop of every replica of each forgotten copy. The
+// caller holds tab.mu.
+func (tab *clusterTable) queueDrops(forgot ...forgotCopy) {
 	for _, f := range forgot {
 		for _, d := range f.copy.devices {
-			m.pendingDrops = append(m.pendingDrops, dropTicket{device: d, key: f.copy.key, cluster: f.id})
+			tab.pendingDrops = append(tab.pendingDrops, dropTicket{device: d, key: f.copy.key, cluster: f.id})
 		}
 	}
 }
@@ -168,75 +166,77 @@ const DefaultDropRetryLimit = 8
 // abandoned with a swap.drop.abandoned event, so operators learn about the
 // leaked remote payload instead of the queue growing without bound.
 func (m *Manager) retryDrops(rt *Runtime) {
-	m.mu.Lock()
-	pending := m.pendingDrops
-	m.pendingDrops = nil
-	m.mu.Unlock()
+	tab := &m.table
+	tab.mu.Lock()
+	pending := tab.pendingDrops
+	tab.pendingDrops = nil
+	tab.mu.Unlock()
 
 	for _, t := range pending {
-		if err := rt.dropFromDevice(context.Background(), t.device, t.key); err != nil {
-			t.attempts++
-			if t.attempts >= DefaultDropRetryLimit {
-				m.mu.Lock()
-				m.abandonedDrops++
-				m.mu.Unlock()
-				rt.emit(event.TopicDropAbandoned, SwapEvent{
-					Cluster: t.cluster, Device: t.device, Key: t.key,
-				})
-				continue
-			}
-			m.mu.Lock()
-			m.pendingDrops = append(m.pendingDrops, t)
-			m.mu.Unlock()
+		if err := rt.dropFromDevice(context.Background(), t.device, t.key); err == nil {
+			continue
+		}
+		t.attempts++
+		abandon := t.attempts >= DefaultDropRetryLimit
+		tab.mu.Lock()
+		if abandon {
+			tab.abandonedDrops++
+		} else {
+			tab.pendingDrops = append(tab.pendingDrops, t)
+		}
+		tab.mu.Unlock()
+		if abandon {
+			rt.emit(event.TopicDropAbandoned, SwapEvent{
+				Cluster: t.cluster, Device: t.device, Key: t.key,
+			})
 		}
 	}
 }
 
 // PendingDrops reports how many device-drop instructions await retry.
 func (m *Manager) PendingDrops() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.pendingDrops)
+	m.table.mu.Lock()
+	defer m.table.mu.Unlock()
+	return len(m.table.pendingDrops)
 }
 
 // AbandonedDrops reports how many deferred drops exhausted their retry
 // budget — each one is a payload possibly leaked on a remote device.
 func (m *Manager) AbandonedDrops() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.abandonedDrops
+	m.table.mu.Lock()
+	defer m.table.mu.Unlock()
+	return m.table.abandonedDrops
 }
 
 // reclaimed purges every record the SwappingManager keeps of the objects a
 // collection just swept (heap.CollectStats.Swept), read from their own
-// fields: the paper's proxy-finalizer semantics in one pass. Under m.mu, swept
-// proxies leave the shared indexes. Under one table hold, a swept
-// swap-cluster-proxy leaves its target cluster's inbound list and its
-// source's edges — before membership goes, so that cluster is still known —
-// and a swept member of a loaded cluster leaves it. A resident cluster that
-// loses its last member will never ship again: the copy it retains is queued
-// for dropping. sweepSwapped forgets the clusters of swept replacement-objects.
-// The caller holds the swap lock.
+// fields: the paper's proxy-finalizer semantics in one pass, under one table
+// hold. A swept proxy leaves the shared indexes; a swept swap-cluster-proxy
+// also leaves its target cluster's inbound list and its source's edges —
+// before membership goes, so that cluster is still known — and a swept member
+// of a loaded cluster leaves it. A resident cluster that loses its last member
+// will never ship again: the copy it retains is queued for dropping.
+// sweepSwapped forgets the clusters of swept replacement-objects. The caller
+// holds the swap lock.
 func (m *Manager) reclaimed(swept []*heap.Object) {
 	if len(swept) == 0 {
 		return
 	}
-	m.mu.Lock()
-	for _, o := range swept {
-		switch o.Class().Special {
-		case heap.SpecialSCProxy:
-			dropEntry(m.proxies, proxyKey{src: proxySrc(o), target: proxyUltimate(o)}, o.ID())
-		case heap.SpecialObjProxy:
-			dropEntry(m.objProxies, ObjProxyRemote(o), o.ID())
-		}
-	}
-	m.mu.Unlock()
-	var emptied []forgotCopy
 	h, tab := m.rt.h, &m.table
 	tab.mu.Lock()
+	defer tab.mu.Unlock()
 	tab.sweeps++
 	for _, o := range swept {
-		if !isProxy(o) || proxyTarget(o) == heap.NilID {
+		switch o.Class().Special {
+		case heap.SpecialObjProxy:
+			dropEntry(tab.objProxies, ObjProxyRemote(o), o.ID())
+			continue
+		case heap.SpecialSCProxy:
+			dropEntry(tab.proxies, proxyKey{src: proxySrc(o), target: proxyUltimate(o)}, o.ID())
+		default:
+			continue
+		}
+		if proxyTarget(o) == heap.NilID {
 			continue // never pointed, so never listed (enlist)
 		}
 		// The first swept proxy of a list compacts it, all at once.
@@ -263,11 +263,9 @@ func (m *Manager) reclaimed(swept []*heap.Object) {
 			cs.members = slices.DeleteFunc(members, func(oid heap.ObjID) bool { return !h.Contains(oid) })
 			cs.changed()
 			if len(cs.members) == 0 && cs.where == resident {
-				emptied = append(emptied, forgotCopy{cs.id, cs.forget()})
+				tab.queueDrops(forgotCopy{cs.id, cs.forget()})
 			}
 		}
 		delete(tab.members, o.ID())
 	}
-	tab.mu.Unlock()
-	m.queueDrops(emptied...)
 }

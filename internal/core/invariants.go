@@ -37,14 +37,13 @@ import (
 //  6. accounting — the heap's used-byte counter equals the sum of resident
 //     object sizes.
 //
-// It is the one function that holds Manager.mu and the table lock at once:
-// the reuse indexes and the table are read as one cut.
+// One hold of the table lock reads the records and the reuse indexes as one
+// cut.
 func (m *Manager) CheckInvariants() []error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.table.mu.Lock()
-	defer m.table.mu.Unlock()
-	clusters, members := m.table.clusters, m.table.members
+	tab := &m.table
+	tab.mu.Lock()
+	defer tab.mu.Unlock()
+	clusters, members := tab.clusters, tab.members
 	h := m.rt.h
 	var errs []error
 	fail := func(format string, args ...any) {
@@ -126,13 +125,13 @@ func (m *Manager) CheckInvariants() []error {
 	if !maps.Equal(counted, edges) {
 		fail("the records count proxy edges %v, the heap holds %v", counted, edges)
 	}
-	for key, pid := range m.proxies {
+	for key, pid := range tab.proxies {
 		p, err := h.Get(pid)
 		if err != nil || !isProxy(p) || proxySrc(p) != key.src || proxyUltimate(p) != key.target || proxyMode(p) != proxyModeNormal {
 			fail("shared proxy @%d for (%d,@%d) is no resident normal-mode swap-cluster-proxy of that key", pid, key.src, key.target)
 		}
 	}
-	for remote, pid := range m.objProxies {
+	for remote, pid := range tab.objProxies {
 		if p, err := h.Get(pid); err != nil || !isObjProxy(p) || ObjProxyRemote(p) != remote {
 			fail("object-fault proxy @%d for remote @%d is no resident placeholder standing for it", pid, remote)
 		}

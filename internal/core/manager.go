@@ -163,13 +163,13 @@ type proxyKey struct {
 	target heap.ObjID
 }
 
-// clusterTable is the SwappingManager's cluster table: the record (residency
-// included) of every swap-cluster, added and removed only through put and
-// drop (state.go), the objects belonging to each, and each one's inbound
-// proxies and outbound edges. members is the object-to-cluster index, kept in
-// step with every record's member list; lastID is the highest cluster id
-// handed out. The proxy reuse indexes and the drop queue stay under
-// Manager.mu, and no code holds both locks except CheckInvariants.
+// clusterTable is the SwappingManager's state, all of it under one lock: the
+// record (residency included) of every swap-cluster, added and removed only
+// through put and drop (state.go), the objects belonging to each, and each
+// one's inbound proxies and outbound edges; the proxy reuse indexes, the
+// deferred-drop queue and the victim-ranking buffer. members is the
+// object-to-cluster index, kept in step with every record's member list;
+// lastID is the highest cluster id handed out.
 type clusterTable struct {
 	mu       sync.Mutex
 	clusters map[ClusterID]*clusterState
@@ -177,6 +177,21 @@ type clusterTable struct {
 	tally    [numResidencies]int // records by residency
 	lastID   ClusterID
 	sweeps   uint64 // reclaimed passes
+
+	// proxies indexes the shared swap-cluster-proxies by key for reuse: a
+	// proxy is shared exactly when it is its key's entry. objProxies indexes
+	// the object-fault proxies by the remote identity they stand for.
+	proxies    map[proxyKey]heap.ObjID
+	objProxies map[heap.ObjID]heap.ObjID
+
+	// pendingDrops holds (device, key) pairs whose Drop failed (device
+	// unreachable); retried on the next collection until the per-ticket
+	// budget is spent, then abandoned with a swap.drop.abandoned event.
+	pendingDrops   []dropTicket
+	abandonedDrops int
+
+	// ranking is SelectVictims' buffer, reused from call to call.
+	ranking []victimRank
 }
 
 // state returns the record for id. The caller holds tab.mu.
@@ -197,19 +212,6 @@ type Manager struct {
 
 	table clusterTable
 
-	mu sync.Mutex
-	// proxies indexes the shared swap-cluster-proxies by key for reuse: a
-	// proxy is shared exactly when it is its key's entry. objProxies indexes
-	// the object-fault proxies by the remote identity they stand for.
-	proxies    map[proxyKey]heap.ObjID
-	objProxies map[heap.ObjID]heap.ObjID
-
-	// pendingDrops holds (device, key) pairs whose Drop failed (device
-	// unreachable); retried on the next collection until the per-ticket
-	// budget is spent, then abandoned with a swap.drop.abandoned event.
-	pendingDrops   []dropTicket
-	abandonedDrops int
-
 	// clock is the recency clock advanced by boundary crossings and
 	// allocations; atomic so a crossing takes no lock to read it.
 	clock atomic.Uint64
@@ -217,11 +219,6 @@ type Manager struct {
 	// until a cluster has something to be dirty against, the write observer
 	// returns before it takes a lock.
 	retaining atomic.Bool
-
-	// ranking is SelectVictims' buffer, reused from call to call under rankMu
-	// (taken before the table lock).
-	rankMu  sync.Mutex
-	ranking []victimRank
 }
 
 type dropTicket struct {
@@ -232,12 +229,12 @@ type dropTicket struct {
 }
 
 func newManager(rt *Runtime) *Manager {
-	m := &Manager{
-		rt:         rt,
-		table:      clusterTable{clusters: make(map[ClusterID]*clusterState), members: make(map[heap.ObjID]objInfo)},
+	m := &Manager{rt: rt, table: clusterTable{
+		clusters:   make(map[ClusterID]*clusterState),
+		members:    make(map[heap.ObjID]objInfo),
 		proxies:    make(map[proxyKey]heap.ObjID),
 		objProxies: make(map[heap.ObjID]heap.ObjID),
-	}
+	}}
 	m.table.put(newClusterState(RootCluster, resident))
 	return m
 }
@@ -345,10 +342,12 @@ func (m *Manager) IsSwapped(id ClusterID) bool {
 
 // enlist points a freshly minted proxy p, born under id from cluster src to
 // the object ultimate, and lists it in one table hold: in the inbound list of
-// its target's cluster, and as an edge out of its source. It reports false,
-// writing and listing nothing, when p is no longer resident under id — a
-// collection swept it first, and a later one may have reissued its block as
-// another proxy — so it reads none of p's slots.
+// its target's cluster, as an edge out of its source and, unless it is an
+// assign-mode cursor, as the proxy proxyFor hands out for (src, ultimate). It
+// reports false, writing and listing nothing, when p is no longer resident
+// under id — a collection swept it first, and a later one may have reissued
+// its block as another proxy — so it reads p's mode only once point has
+// passed that check (see retarget).
 func (m *Manager) enlist(p *heap.Object, id heap.ObjID, src ClusterID, ultimate heap.ObjID) bool {
 	tab := &m.table
 	tab.mu.Lock()
@@ -363,6 +362,9 @@ func (m *Manager) enlist(p *heap.Object, id heap.ObjID, src ClusterID, ultimate 
 	if cs, ok := tab.clusters[src]; ok {
 		cs.countEdge(home, 1)
 	}
+	if proxyMode(p) == proxyModeNormal {
+		tab.proxies[proxyKey{src: src, target: ultimate}] = id
+	}
 	return true
 }
 
@@ -375,8 +377,7 @@ func (m *Manager) enlist(p *heap.Object, id heap.ObjID, src ClusterID, ultimate 
 // may be another proxy by now, listed where that one is. Within the hold a
 // block that passed the check is not reissued — that takes a further
 // collection, whose purge waits for the table lock — so p's fields are read
-// only after it. No Manager.mu: an assign-mode proxy is never shared
-// (setMode).
+// only after it.
 func (m *Manager) retarget(p *heap.Object, id, ultimate heap.ObjID) (bool, error) {
 	tab := &m.table
 	tab.mu.Lock()
@@ -405,27 +406,21 @@ func (m *Manager) retarget(p *heap.Object, id, ultimate heap.ObjID) (bool, error
 
 // lookupProxy finds the live shared proxy for key, if any.
 func (m *Manager) lookupProxy(key proxyKey) (heap.ObjID, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	pid, ok := m.proxies[key]
+	m.table.mu.Lock()
+	defer m.table.mu.Unlock()
+	pid, ok := m.table.proxies[key]
 	return pid, ok
-}
-
-// share makes pid the proxy proxyFor hands out for key.
-func (m *Manager) share(key proxyKey, pid heap.ObjID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.proxies[key] = pid
 }
 
 // unshare withdraws proxy pid from reuse, if it holds key's slot.
 func (m *Manager) unshare(key proxyKey, pid heap.ObjID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	dropEntry(m.proxies, key, pid)
+	m.table.mu.Lock()
+	defer m.table.mu.Unlock()
+	dropEntry(m.table.proxies, key, pid)
 }
 
-// dropEntry deletes index[k] if it is still pid. The caller holds m.mu.
+// dropEntry deletes index[k] if it is still pid. The caller holds the table
+// lock.
 func dropEntry[K comparable](index map[K]heap.ObjID, k K, pid heap.ObjID) {
 	if index[k] == pid {
 		delete(index, k)
@@ -630,15 +625,15 @@ func VictimStrategyFromString(s string) (VictimStrategy, error) {
 
 // SelectVictims returns every eligible eviction candidate — loaded, non-empty,
 // not busy, not the root cluster — ordered by the strategy, best victim
-// first, ties toward the lower cluster id. The ranking reads the records
-// under one hold of the table lock and touches the heap only for
-// VictimLargest, the one strategy that needs resident sizes. The ranking is
-// built in a buffer kept across calls, so the result is its one allocation.
+// first, ties toward the lower cluster id. It reads the records, ranks them
+// and copies the ranking out under one hold of the table lock, and touches
+// the heap only for VictimLargest, the one strategy that needs resident
+// sizes. The ranking is built in the table's buffer, kept across calls, so
+// the result is its one allocation.
 func (m *Manager) SelectVictims(strategy VictimStrategy) []ClusterID {
-	m.rankMu.Lock()
-	defer m.rankMu.Unlock()
-	eligible := m.ranking[:0]
 	m.table.mu.Lock()
+	defer m.table.mu.Unlock()
+	eligible := m.table.ranking[:0]
 	for id, cs := range m.table.clusters {
 		if id == RootCluster || cs.where != resident || len(cs.members) == 0 {
 			continue
@@ -654,7 +649,6 @@ func (m *Manager) SelectVictims(strategy VictimStrategy) []ClusterID {
 		}
 		eligible = append(eligible, r)
 	}
-	m.table.mu.Unlock()
 	slices.SortFunc(eligible, func(a, b victimRank) int {
 		if c := cmp.Compare(a.key, b.key); c != 0 {
 			return c
@@ -665,7 +659,7 @@ func (m *Manager) SelectVictims(strategy VictimStrategy) []ClusterID {
 	for i, r := range eligible {
 		out[i] = r.id
 	}
-	m.ranking = eligible
+	m.table.ranking = eligible
 	return out
 }
 

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"slices"
+	"sync"
 	"testing"
 
 	"objectswap/internal/heap"
@@ -284,4 +286,60 @@ func TestSelectVictimsAllocatesOnlyItsResult(t *testing.T) {
 			t.Fatalf("%v: a warm SelectVictims allocates %.1f objects, want at most 1 (its result)", strategy, got)
 		}
 	}
+}
+
+// TestConcurrentSelectVictims: two goroutines rank victims in a loop, under
+// every strategy, while others swap clusters out and back in and Collect
+// runs. The ranking buffer is shared and reused, so each call builds, sorts
+// and copies it out in one hold of the table lock: no result holds a cluster
+// twice or the root cluster.
+func TestConcurrentSelectVictims(t *testing.T) {
+	f := newFixture(t, 0)
+	_, clusters := f.buildList(t, 64, 4, 16)
+	const rounds = 10
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			strategies := []VictimStrategy{VictimColdest, VictimLargest, VictimLeastUsed}
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				got := f.rt.Manager().SelectVictims(strategies[i%len(strategies)])
+				sorted := slices.Sorted(slices.Values(got))
+				if slices.Contains(got, RootCluster) || len(slices.Compact(sorted)) != len(got) {
+					t.Errorf("SelectVictims = %v: a duplicate or the root cluster", got)
+					return
+				}
+			}
+		}()
+	}
+	var churn sync.WaitGroup
+	churn.Add(2)
+	go func() {
+		defer churn.Done()
+		for i := 0; i < rounds; i++ {
+			swapOutAll(t, f.rt, clusters)
+			for _, c := range clusters {
+				if _, err := f.rt.SwapIn(c); err != nil && !errors.Is(err, ErrClusterLoaded) {
+					t.Errorf("SwapIn(%d): %v", c, err)
+				}
+			}
+		}
+	}()
+	go func() {
+		defer churn.Done()
+		for i := 0; i < rounds; i++ {
+			f.rt.Collect()
+		}
+	}()
+	churn.Wait()
+	close(stop)
+	wg.Wait()
+	checkClean(t, f.rt)
 }

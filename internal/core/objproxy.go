@@ -86,23 +86,23 @@ func (rt *Runtime) ObjProxyFor(remote heap.ObjID, className string) (heap.ObjID,
 
 // lookupObjProxy finds the live object-fault proxy for a remote identity.
 func (m *Manager) lookupObjProxy(remote heap.ObjID) (heap.ObjID, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	pid, ok := m.objProxies[remote]
+	m.table.mu.Lock()
+	defer m.table.mu.Unlock()
+	pid, ok := m.table.objProxies[remote]
 	return pid, ok
 }
 
 // registerObjProxy records an object-fault proxy under its remote identity.
 func (m *Manager) registerObjProxy(pid, remote heap.ObjID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.objProxies[remote] = pid
+	m.table.mu.Lock()
+	defer m.table.mu.Unlock()
+	m.table.objProxies[remote] = pid
 }
 
 // ObjProxyCount reports the number of live object-fault proxies: each is the
 // entry of the remote identity it stands for.
 func (m *Manager) ObjProxyCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.objProxies)
+	m.table.mu.Lock()
+	defer m.table.mu.Unlock()
+	return len(m.table.objProxies)
 }

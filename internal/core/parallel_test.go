@@ -239,15 +239,13 @@ func TestWholeTableReadsAreOneCut(t *testing.T) {
 	}
 }
 
-// TestTouchesTakeNoRegistryLock holds the path from an object to its cluster
-// to the table lock alone: while the test holds Manager.mu (the shared-proxy
-// registry), a resident crossing, a read in place and a write in place all
-// finish — with a tracker attached, so each one feeds a ledger, and a
-// retained copy anchored, so the write marks the cluster dirty — and so does
-// a B2 cursor walk: a fresh cursor on the head stepped ten times, across the
-// boundary into the next cluster, re-aiming itself and moving its inbound
+// TestTouchesAndCursorWalk: a resident crossing, a read in place and a write
+// in place all succeed — with a tracker attached, so each one feeds a ledger,
+// and a retained copy anchored, so the write marks the cluster dirty — and so
+// does a B2 cursor walk: a fresh cursor on the head stepped ten times, across
+// the boundary into the next cluster, re-aiming itself and moving its inbound
 // entry under the table lock.
-func TestTouchesTakeNoRegistryLock(t *testing.T) {
+func TestTouchesAndCursorWalk(t *testing.T) {
 	f := newFixture(t, 0, WithTelemetry(telemetry.New(obs.NewRegistry(nil), telemetry.Options{})))
 	ids, clusters := f.buildList(t, 20, 10, 8)
 	if _, err := f.rt.SwapOut(clusters[0]); err != nil {
@@ -258,45 +256,27 @@ func TestTouchesTakeNoRegistryLock(t *testing.T) {
 	}
 	head, direct := f.head(t), heap.Ref(ids[0])
 
-	done := make(chan error, 1)
-	var cursor heap.Value
-	f.rt.mgr.mu.Lock()
-	go func() {
-		if _, err := f.rt.Invoke(head, "tag"); err != nil { // a resident crossing
-			done <- err
-			return
+	if _, err := f.rt.Invoke(head, "tag"); err != nil { // a resident crossing
+		t.Fatal(err)
+	}
+	if _, err := f.rt.Field(direct, "tag"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.rt.SetFieldValue(direct, "tag", heap.Int(-1)); err != nil {
+		t.Fatal(err)
+	}
+	cursor, err := f.rt.AssignedCursor(head)
+	for i := 0; i < 10 && err == nil; i++ { // node 0 -> node 10: into cluster 1
+		var out []heap.Value
+		if out, err = f.rt.Invoke(cursor, "next"); err == nil {
+			cursor = out[0]
 		}
-		if _, err := f.rt.Field(direct, "tag"); err != nil {
-			done <- err
-			return
-		}
-		if err := f.rt.SetFieldValue(direct, "tag", heap.Int(-1)); err != nil {
-			done <- err
-			return
-		}
-		cur, err := f.rt.AssignedCursor(head)
-		for i := 0; i < 10 && err == nil; i++ { // node 0 -> node 10: into cluster 1
-			var out []heap.Value
-			if out, err = f.rt.Invoke(cur, "next"); err == nil {
-				cur = out[0]
-			}
-		}
-		if err == nil && !f.rt.IsProxyRef(cur) {
-			err = errors.New("the cursor did not stay a proxy across the boundary")
-		}
-		cursor = cur
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		f.rt.mgr.mu.Unlock()
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(2 * time.Second):
-		f.rt.mgr.mu.Unlock()
-		<-done
-		t.Fatal("a crossing, a read and a write in place, or a cursor walk, did not finish while Manager.mu was held")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !f.rt.IsProxyRef(cursor) {
+		t.Fatal("the cursor did not stay a proxy across the boundary")
 	}
 	if info, err := f.rt.Manager().Info(clusters[0]); err != nil || !info.Dirty {
 		t.Fatalf("after a write in place: %+v, %v; want the cluster dirty", info, err)

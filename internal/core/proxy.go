@@ -6,26 +6,18 @@ import (
 	"objectswap/internal/heap"
 )
 
-// buildProxyClass synthesizes the swap-cluster-proxy class for an application
-// class — the moral equivalent of obicomp generating, for each class A, a
-// proxy type implementing ISwapClusterProxy plus A's public interface. The
-// method bodies exist so the class carries the full interface; actual
-// interception happens in Runtime dispatch, which recognizes
-// heap.SpecialSCProxy before consulting the method table.
-func buildProxyClass(app *heap.Class) *heap.Class {
-	p := heap.NewClass(proxyClassPrefix+app.Name,
+// buildProxyClass synthesizes the swap-cluster-proxy class, one for every
+// application class. It stands for obicomp's per-class proxy types: dispatch
+// recognizes heap.SpecialSCProxy and invokes the method on the target's own
+// class, so a proxy needs no method table of its own.
+func buildProxyClass() *heap.Class {
+	p := heap.NewClass(proxyClassName,
 		heap.FieldDef{Name: fldTarget, Kind: heap.KindRef},
 		heap.FieldDef{Name: fldObj, Kind: heap.KindInt},
 		heap.FieldDef{Name: fldSrc, Kind: heap.KindInt},
 		heap.FieldDef{Name: fldMode, Kind: heap.KindInt},
 	)
 	p.Special = heap.SpecialSCProxy
-	for _, name := range app.MethodNames() {
-		method := name
-		p.AddMethod(method, func(*heap.Call) ([]heap.Value, error) {
-			return nil, fmt.Errorf("core: proxy method %s invoked without swapping runtime", method)
-		})
-	}
 	return p
 }
 
@@ -108,23 +100,11 @@ func (rt *Runtime) proxyFor(src ClusterID, target heap.ObjID) (heap.ObjID, error
 // is minted again, and enlist refuses its block even once a later collection
 // has reissued it as another proxy.
 func (rt *Runtime) newProxy(src ClusterID, target heap.ObjID, cursor bool) (heap.ObjID, error) {
-	info, ok := rt.mgr.member(target)
-	if !ok {
-		// Target was never assigned: it is a root-cluster object; resolve its
-		// class from residency.
-		o, err := rt.h.Get(target)
-		if err != nil {
-			return heap.NilID, fmt.Errorf("core: proxy target @%d: %w", target, err)
-		}
-		if info.class, ok = rt.classIndex[o.Class().Name]; !ok {
-			return heap.NilID, fmt.Errorf("core: no proxy class for %s (class not registered)", o.Class().Name)
-		}
-	}
 	mode := proxyModeNormal
 	if cursor {
 		mode = proxyModeAssign
 	}
-	p, err := rt.allocMiddleware(rt.classes[info.class].proxy,
+	p, err := rt.allocMiddleware(rt.proxyClass,
 		heap.Nil(), heap.Int(int64(target)), heap.Int(int64(src)), heap.Int(mode))
 	if err != nil {
 		return heap.NilID, fmt.Errorf("core: allocate proxy: %w", err)
@@ -135,9 +115,6 @@ func (rt *Runtime) newProxy(src ClusterID, target heap.ObjID, cursor bool) (heap
 	}
 	if !rt.mgr.enlist(p, id, src, target) {
 		return rt.newProxy(src, target, cursor)
-	}
-	if !cursor {
-		rt.mgr.share(proxyKey{src: src, target: target}, id)
 	}
 	return id, nil
 }

@@ -39,8 +39,7 @@ func (rt *Runtime) MergeClusters(dst, src ClusterID) error {
 	endMutate := rt.beginMutate()
 	defer endMutate()
 
-	m := rt.mgr
-	tab := &m.table
+	tab := &rt.mgr.table
 	tab.mu.Lock()
 	ds, err := tab.at(dst, resident)
 	var ss *clusterState
@@ -67,10 +66,9 @@ func (rt *Runtime) MergeClusters(dst, src ClusterID) error {
 	// retained copy holds the merged cluster: both are forgotten, and the
 	// donors told so at the next collection.
 	rt.telem.Merge(&ds.ledger, &ss.ledger)
-	forgot := []forgotCopy{{src, ss.forget()}, {dst, ds.forget()}}
+	tab.queueDrops(forgotCopy{src, ss.forget()}, forgotCopy{dst, ds.forget()})
 	tab.drop(ss)
 	tab.mu.Unlock()
-	m.queueDrops(forgot...)
 
 	// 2. Re-mediate the fields of every member of the merged cluster:
 	// references to proxies whose ultimate target now shares the cluster are
@@ -100,8 +98,7 @@ func (rt *Runtime) SplitCluster(src ClusterID, members []heap.ObjID) (ClusterID,
 	endMutate := rt.beginMutate()
 	defer endMutate()
 
-	m := rt.mgr
-	tab := &m.table
+	tab := &rt.mgr.table
 	tab.mu.Lock()
 	ss, err := tab.at(src, resident)
 	for _, oid := range members {
@@ -127,9 +124,8 @@ func (rt *Runtime) SplitCluster(src ClusterID, members []heap.ObjID) (ClusterID,
 	// The fresh half starts no colder than the cluster it was cut from, whose
 	// retained copy holds neither half.
 	fs.ledger.LastAccess = ss.ledger.LastAccess
-	forgot := forgotCopy{src, ss.forget()}
+	tab.queueDrops(forgotCopy{src, ss.forget()})
 	tab.mu.Unlock()
-	m.queueDrops(forgot)
 
 	// Re-mediate both halves: edges crossing the new boundary gain proxies;
 	// proxies that now point within their holder's cluster are dismantled.

@@ -136,8 +136,8 @@ func TestGeneratedAccessorsAgree(t *testing.T) {
 			trace = append(trace, fmt.Sprintf("%s -> %v err=%v", step.method, out, err))
 		}
 		// The mediated cross-cluster reference must be a proxy in both
-		// worlds, of a proxy class replicating the same interface; record the
-		// interception outcome, not the unstable IDs.
+		// worlds, of the same proxy class; record the interception outcome,
+		// not the unstable IDs.
 		nv, err := a.FieldByName("next")
 		trace = append(trace, fmt.Sprintf("next proxied=%v err=%v", rt.IsProxyRef(nv), err))
 		p, err := rt.Heap().Get(nv.MustRef())
