@@ -420,6 +420,21 @@ if [ -n "$SWEPT" ]; then
     echo "$SWEPT" >&2
     exit 1
 fi
+# Guard: the swapping manager keeps each fact once. internal/core has two
+# locks: the swap lock (Runtime.swapMu) and the cluster table's
+# (clusterTable.mu), which guards the records and every index, queue and
+# buffer of the manager beside them. Every swap-cluster-proxy is an instance
+# of one class, and a replacement-object holds its outbound references and
+# its cluster's id, not copies of the record's key and replica set. No
+# non-test Go of internal/core mentions a third sync.Mutex or RWMutex, or
+# names the per-class proxy classes, the ranking lock or the copied fields.
+MUTEXES=$(grep -nE 'sync\.(RW)?Mutex' internal/core/*.go | grep -v '_test\.go:' | sed -E 's/:[0-9]+:[[:space:]]*/ /; s/[[:space:]]+sync\..*//' || true)
+COPIES=$(grep -nwE 'appClass|proxyClassPrefix|rankMu|fldKey|fldStore' internal/core/*.go | grep -v '_test\.go:' || true)
+if [ "$MUTEXES" != "$(printf 'internal/core/core.go swapMu\ninternal/core/manager.go mu')" ] || [ -n "$COPIES" ]; then
+    echo "swapping-manager state kept twice (want two mutexes, Runtime.swapMu and clusterTable.mu; one proxy class; no key or replica set on the replacement-object):" >&2
+    printf '%s\n%s\n' "$MUTEXES" "$COPIES" >&2
+    exit 1
+fi
 # Fault-storm smoke: 64 goroutines faulting 8 swapped clusters must issue
 # exactly 8 donor fetches (single-flight coalescing), race-clean at
 # GOMAXPROCS 1 and 4.
@@ -453,4 +468,4 @@ go test -race -count=10 -run '^(TestTriggerWhileRunningDoesNotRequeue|TestJoinCo
 go test -race -count=10 -run '^(TestArmedAttemptContextIsNotReused|TestAttemptContextReportsParentFirst|TestPerAttemptTimeoutIsRetriedAsUnavailable|TestTimeoutExhaustionSurfacesAsUnavailableAndTripsBreaker|TestCallerCancellationFailsFastWithoutBlame)$' ./internal/transport/
 go test -race -count=10 -run '^(TestPrefetchWindowOverlap|TestReplicatedSwapSurvivesDonorLoss|TestDetachDeviceKicksRepair)$' .
 go test -race -count=50 ./internal/placement/
-go test -race -count=10 -run '^(TestTriggerPrefetchAllocatesNothing|TestPrefetchHitRecordsParkedTime|TestCommitWindow|TestSweepBeforeEnlist|TestReissueBeforeEnlist|TestReissuedProxyBlockRefused|TestFaultStormCoalesces|TestReloadedStringsOutliveTheFetch)$' ./internal/core/
+go test -race -count=10 -run '^(TestTriggerPrefetchAllocatesNothing|TestPrefetchHitRecordsParkedTime|TestCommitWindow|TestSweepBeforeEnlist|TestReissueBeforeEnlist|TestReissuedProxyBlockRefused|TestFaultStormCoalesces|TestReloadedStringsOutliveTheFetch|TestConcurrentSelectVictims)$' ./internal/core/

@@ -362,12 +362,6 @@ func (rt *Runtime) LoadCheckpoint(r io.Reader) error {
 		if err := repl.SetFieldByName(fldClust, heap.Int(int64(ck.ID))); err != nil {
 			return err
 		}
-		if err := repl.SetFieldByName(fldKey, heap.Str(ck.Key)); err != nil {
-			return err
-		}
-		if err := repl.SetFieldByName(fldStore, heap.Str(strings.Join(ck.replicaSet(), ","))); err != nil {
-			return err
-		}
 		tab := &rt.mgr.table
 		tab.mu.Lock()
 		tab.clusters[ClusterID(ck.ID)].replacement = repl.ID()

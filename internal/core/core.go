@@ -64,8 +64,6 @@ const (
 	fldMode   = "$mode"     // proxy: 0 = normal, 1 = assign-optimized
 	fldClust  = "$cluster"  // replacement: swapped cluster id
 	fldOut    = "$outbound" // replacement: list of refs to outbound proxies
-	fldKey    = "$key"      // replacement: storage key
-	fldStore  = "$store"    // replacement: device name
 )
 
 const (

@@ -22,13 +22,12 @@ func buildProxyClass() *heap.Class {
 }
 
 // buildReplacementClass synthesizes the replacement-object class: "simply an
-// array of references" plus the bookkeeping needed to refetch the cluster.
+// array of references", and the id of the cluster it stands for. The key and
+// the replica set a reload fetches from are the cluster record's retained copy.
 func buildReplacementClass() *heap.Class {
 	c := heap.NewClass(replacementClassName,
 		heap.FieldDef{Name: fldClust, Kind: heap.KindInt},
 		heap.FieldDef{Name: fldOut, Kind: heap.KindList},
-		heap.FieldDef{Name: fldKey, Kind: heap.KindString},
-		heap.FieldDef{Name: fldStore, Kind: heap.KindString},
 	)
 	c.Special = heap.SpecialReplacement
 	return c

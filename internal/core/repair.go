@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"objectswap/internal/event"
-	"objectswap/internal/heap"
 	"objectswap/internal/placement"
 	"objectswap/internal/store"
 )
@@ -135,9 +134,7 @@ type repair struct {
 	op
 	k int
 
-	// reserve: the replacement-object and where the text is, copied out under
-	// the table lock.
-	was  shipment
+	// reserve: where the text is, copied out under the table lock.
 	copy donorCopy
 
 	live, dead []string // probe, then fetch demotes corrupt copies to dead
@@ -149,7 +146,7 @@ type repair struct {
 
 func (r *repair) reserve() error {
 	return r.op.reserve(swappedOut, underRepair, func(cs *clusterState) {
-		r.was, r.copy = cs.shipment, cs.retained.donorCopy
+		r.copy = cs.retained.donorCopy
 	})
 }
 
@@ -271,17 +268,14 @@ func (r *repair) ship() error {
 	return nil
 }
 
-// commit records the new replica set — on the record's copy
-// (clusterState.rehome) and on the replacement-object — under the swap lock.
+// commit records the new replica set on the record's copy
+// (clusterState.rehome) under the swap lock.
 func (r *repair) commit() error {
 	rt := r.rt
 	r.newSet = append(r.live, r.fresh...)
 	newSet := append([]string(nil), r.newSet...) // the record's own copy
 	rt.swapMu.Lock()
 	defer rt.swapMu.Unlock()
-	if repl, err := rt.h.Get(r.was.replacement); err == nil {
-		_ = repl.SetFieldByName(fldStore, heap.Str(strings.Join(newSet, ",")))
-	}
 	r.op.commit(swappedOut, func(cs *clusterState) { cs.rehome(newSet) })
 	return nil
 }

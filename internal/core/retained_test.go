@@ -307,14 +307,12 @@ func TestRetainedCopy(t *testing.T) {
 				!slices.Equal(ev.Replicas, e.first.Replicas))) {
 				t.Fatalf("swap-out event %+v, want clean=%v on %v", ev, row.clean, e.first.Replicas)
 			}
-			was, _ := rt.mgr.shipmentOf(e.id)
-			repl, err := rt.h.Get(was.replacement)
+			info, err := rt.mgr.Info(e.id)
 			if err != nil {
 				t.Fatal(err)
 			}
-			carried, _ := repl.FieldByName(fldKey)
-			if key, _ := carried.Str(); key != ev.Key || (key == e.first.Key) != row.clean {
-				t.Fatalf("replacement-object carries %q (event %q), retained copy is %q, clean=%v",
+			if key := info.Key; key != ev.Key || (key == e.first.Key) != row.clean {
+				t.Fatalf("swapped cluster's record names %q (event %q), retained copy was %q, clean=%v",
 					key, ev.Key, e.first.Key, row.clean)
 			}
 			if _, err := rt.SwapIn(e.id); !errors.Is(err, row.reloadErr) {

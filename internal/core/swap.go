@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"log/slog"
 	"slices"
-	"strings"
 	"sync"
 
 	"objectswap/internal/event"
@@ -449,9 +448,9 @@ func (s *swapOut) shipPlanned() error {
 }
 
 // commit detaches the cluster from the application graph under the swap
-// lock: the key and the replica set (comma-joined, primary first) go on the
-// replacement, and in one table hold the record moves to swappedOut on the
-// copy the donors hold and every inbound proxy is re-pointed at it (settle).
+// lock: in one table hold the record moves to swappedOut on the copy the
+// donors hold and every inbound proxy is re-pointed at its replacement
+// (settle).
 // A shipment becomes the new retained copy (dirty resets; the previous one is
 // due for donor cleanup); a clean cluster, which built no replacement-object
 // yet and shipped nothing, first re-reads dirty under the lock touch takes — a
@@ -483,13 +482,6 @@ func (s *swapOut) commit() error {
 		s.span.SetFormat(s.copy.format)
 		s.span.SetDevice(s.copy.primary())
 		s.span.SetReplicas(s.copy.devices)
-	}
-	err := s.repl.SetFieldByName(fldKey, heap.Str(s.copy.key))
-	if err == nil {
-		err = s.repl.SetFieldByName(fldStore, heap.Str(strings.Join(s.copy.devices, ",")))
-	}
-	if err != nil {
-		return err
 	}
 	s.op.commit(swappedOut, func(cs *clusterState) {
 		cs.shipment = shipment{replacement: s.repl.ID(), bytesAtSwap: s.residentBytes}

@@ -5,9 +5,9 @@
 //
 // In the paper, obicomp processes application classes and emits, per class,
 // a proxy type implementing the class's public interface plus the
-// ISwapClusterProxy plumbing. In this reproduction the proxy half is
-// synthesized at class-registration time (core.Runtime.RegisterClass); what
-// remains mechanical — and what this package generates — is the class
+// ISwapClusterProxy plumbing. In this reproduction the proxy half is one
+// middleware class for every application class, whose dispatch invokes the
+// target's own methods (internal/core); what remains mechanical — and what this package generates — is the class
 // definition itself with get/set accessors that route writes through the
 // runtime's reference interception, so hand-written code cannot accidentally
 // store un-mediated cross-cluster references.

@@ -667,8 +667,7 @@ func (s *System) SetDeviceAvailable(name string, up bool) {
 	s.conn.Set(name, up)
 }
 
-// RegisterClass registers an application class (and synthesizes its
-// swap-cluster-proxy class).
+// RegisterClass registers an application class.
 func (s *System) RegisterClass(c *heap.Class) error { return s.rt.RegisterClass(c) }
 
 // MustRegisterClass registers a class, panicking on error.
