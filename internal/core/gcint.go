@@ -227,15 +227,13 @@ func (m *Manager) reclaimed(swept []*heap.Object) {
 	defer tab.mu.Unlock()
 	tab.sweeps++
 	for _, o := range swept {
-		switch o.Class().Special {
-		case heap.SpecialObjProxy:
+		if isObjProxy(o) {
 			dropEntry(tab.objProxies, ObjProxyRemote(o), o.ID())
-			continue
-		case heap.SpecialSCProxy:
-			dropEntry(tab.proxies, proxyKey{src: proxySrc(o), target: proxyUltimate(o)}, o.ID())
-		default:
+		}
+		if !isProxy(o) {
 			continue
 		}
+		dropEntry(tab.proxies, proxyKey{src: proxySrc(o), target: proxyUltimate(o)}, o.ID())
 		if proxyTarget(o) == heap.NilID {
 			continue // never pointed, so never listed (enlist)
 		}

@@ -14,9 +14,9 @@ import (
 )
 
 // objInfo is the SwappingManager's per-object record: which swap-cluster the
-// object belongs to and its class (an index into Runtime.classes, needed to
-// synthesize proxies for objects that are currently swapped out, hence not
-// resident). It holds no pointer, so the Go collector does not scan it.
+// object belongs to and its class (an index into Runtime.classes, which a
+// checkpoint names for every member, swapped-out ones included). It holds no
+// pointer, so the Go collector does not scan it.
 type objInfo struct {
 	cluster ClusterID
 	class   uint32

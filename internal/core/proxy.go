@@ -6,10 +6,10 @@ import (
 	"objectswap/internal/heap"
 )
 
-// buildProxyClass synthesizes the swap-cluster-proxy class, one for every
-// application class. It stands for obicomp's per-class proxy types: dispatch
-// recognizes heap.SpecialSCProxy and invokes the method on the target's own
-// class, so a proxy needs no method table of its own.
+// buildProxyClass synthesizes the swap-cluster-proxy class, the one class of
+// every proxy whatever its target's class. It stands for obicomp's per-class
+// proxy types: dispatch recognizes heap.SpecialSCProxy and invokes the method
+// on the target's own class, so a proxy needs no method table of its own.
 func buildProxyClass() *heap.Class {
 	p := heap.NewClass(proxyClassName,
 		heap.FieldDef{Name: fldTarget, Kind: heap.KindRef},
