@@ -28,8 +28,9 @@ go build ./...
 #   ratio stays under half the XML asymmetry (17.54) it was built to close,
 #   and one decode stays within its allocation budget.
 # - TestEvictionBudget (internal/core): an eviction pass of k >= 2 victims
-#   runs exactly one collection and every victim's bytes are back when its
-#   swap-out returns; a collection that reclaims nothing allocates nothing.
+#   runs exactly one collection, a young pass, and every victim's bytes are
+#   back when its swap-out returns; a collection that reclaims nothing
+#   allocates nothing.
 # - TestSwapRoundTripBudget (internal/core): one SwapOut + SwapIn of a written
 #   32-object x 128 B cluster in the binary format allocates at most
 #   16 040 + 256 B (3.3x the frame it ships) in at most 13 + 1 objects
@@ -86,12 +87,12 @@ go build ./...
 #   slots later admissions reuse.
 # - TestCollectAllocatesNothingOnUnchangedHeap, TestCollectReusesSweptBuffer,
 #   TestProxyChurnAllocatesNothing, TestSweptProxyBlocksReissued
-#   (internal/heap): a pass that reclaims nothing allocates nothing; once a
-#   collection has reclaimed n objects the next that reclaims n allocates
-#   nothing; minting and collecting 1 000 proxies allocates nothing once the
-#   pool is warm; a swept swap-cluster-proxy's block is reissued, under a
-#   fresh id, only after the collection that follows its sweep, and no other
-#   kind of block ever is.
+#   (internal/heap): a pass that reclaims nothing, full or young, allocates
+#   nothing; once a collection has reclaimed n objects the next that reclaims
+#   n allocates nothing; minting and collecting 1 000 proxies allocates
+#   nothing once the pool is warm; a swept swap-cluster-proxy's block is
+#   reissued, under a fresh id, only after the collection that follows its
+#   sweep, and no other kind of block ever is.
 # - TestCollectPurgesEverySweptRecord, TestReclaimingProxiesAllocatesOnlySwept
 #   (internal/core): one Collect purges the inbound lists, edge counts,
 #   shared and object-fault indexes and membership records of everything it
@@ -463,9 +464,14 @@ go test -race -run '^TestFaultStormCoalesces$' -count=1 -cpu 1,4 ./internal/core
 # So do the shipments, whose first put runs on the caller's goroutine and
 # whose extra replicas run on goroutines of their own: the placement package
 # fifty times, and the replicated (K > 1) swaps of the root package's
-# durability tests ten.
+# durability tests ten. So does the young pass: a walker's stores into old
+# objects run the write barrier against the young passes of prefetch
+# workers whose swap-ins evict (TestYoungPassAgainstConcurrentWrites), and on
+# random heaps a young pass sweeps only garbage, nothing a full pass keeps,
+# and leaves what the full pass would once a full pass follows
+# (TestPropYoungPassSweepsOnlyGarbage, internal/heap).
 go test -race -count=10 -run '^(TestTriggerWhileRunningDoesNotRequeue|TestJoinCountsOneHit|TestJoinedFlightIsNotReused)$' ./internal/fault/
 go test -race -count=10 -run '^(TestArmedAttemptContextIsNotReused|TestAttemptContextReportsParentFirst|TestPerAttemptTimeoutIsRetriedAsUnavailable|TestTimeoutExhaustionSurfacesAsUnavailableAndTripsBreaker|TestCallerCancellationFailsFastWithoutBlame)$' ./internal/transport/
 go test -race -count=10 -run '^(TestPrefetchWindowOverlap|TestReplicatedSwapSurvivesDonorLoss|TestDetachDeviceKicksRepair)$' .
 go test -race -count=50 ./internal/placement/
-go test -race -count=10 -run '^(TestTriggerPrefetchAllocatesNothing|TestPrefetchHitRecordsParkedTime|TestCommitWindow|TestSweepBeforeEnlist|TestReissueBeforeEnlist|TestReissuedProxyBlockRefused|TestFaultStormCoalesces|TestReloadedStringsOutliveTheFetch|TestConcurrentSelectVictims)$' ./internal/core/
+go test -race -count=10 -run '^(TestTriggerPrefetchAllocatesNothing|TestPrefetchHitRecordsParkedTime|TestCommitWindow|TestSweepBeforeEnlist|TestReissueBeforeEnlist|TestReissuedProxyBlockRefused|TestFaultStormCoalesces|TestReloadedStringsOutliveTheFetch|TestConcurrentSelectVictims|TestYoungPassAgainstConcurrentWrites|TestPropYoungPassSweepsOnlyGarbage)$' ./internal/core/ ./internal/heap/

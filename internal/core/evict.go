@@ -9,29 +9,36 @@ import "errors"
 // occupancy, so middleware allocations made by the eviction itself
 // (replacement-objects, proxies) are accounted honestly. A pass costs one
 // collection plus O(victim) per swap-out: garbage is tried first, in a
-// single pressure collection that also burns the nursery grace of
-// pressureCycles ordinary cycles and costs one object-index probe per
-// reference it follows plus one step per resident object (see
-// heap.CollectCycles), and each victim's bytes are back the moment
-// its swap-out commits, so occupancy is re-read after every swap without
-// collecting again. Victims are ranked once and walked in order (see
+// single young collection that also burns the nursery grace of
+// pressureCycles ordinary cycles and traces only what appeared since the
+// previous pass (see heap.CollectYoung), and each victim's bytes are back the
+// moment its swap-out commits, so occupancy is re-read after every swap
+// without collecting again. Victims are ranked once and walked in order (see
 // SwapOutVictims); a fresh ranking happens only when the list is exhausted
-// and the target is still unmet.
+// and the target is still unmet. Garbage a previous pass had already marked
+// is beyond a young pass: when no victim is left and the target is still
+// unmet, one full pass (a Collect) looks for it before the eviction gives up.
 func (rt *Runtime) EvictWith(strategy VictimStrategy, need int64) error {
 	if strategy == 0 {
 		strategy = VictimColdest
 	}
 	target := rt.h.Used() - need
 	if rt.h.Used() > target {
-		rt.collect(pressureCycles)
+		rt.collectYoung()
 	}
 	met := func(int) bool { return rt.h.Used() <= target }
+	full := false
 	for rt.h.Used() > target {
 		swapped, err := rt.SwapOutVictims(strategy, met)
 		if err != nil {
 			return err
 		}
 		if swapped == 0 {
+			if !full {
+				full = true
+				rt.Collect()
+				continue
+			}
 			return errors.New("core: no cluster left to evict (none loaded, or all active)")
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 )
 
 // TestEvictionBudget pins the cost of an eviction pass: however many victims
-// it swaps out, it runs exactly one collection (the pressure pass that tries
+// it swaps out, it runs exactly one collection (the young pass that tries
 // garbage first), and every victim's bytes are back when its swap-out
 // returns — occupancy falls swap by swap with no collection in between.
 // check.sh runs it by name: the counts do not depend on the host.
@@ -84,4 +85,152 @@ func TestEvictionBudget(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestEvictionFallsBackToAFullPass: the only memory an eviction can reclaim is
+// old garbage — root-cluster nodes a pass marked under a root that was then
+// dropped — and every other cluster is swapped out already. The young pass
+// frees none of it and no victim is left, so the eviction must find it with
+// one full pass instead of reporting that nothing is left to evict.
+func TestEvictionFallsBackToAFullPass(t *testing.T) {
+	f := newFixture(t, 0)
+	_, clusters := f.buildList(t, 20, 10, 8)
+	for _, c := range clusters {
+		if _, err := f.rt.SwapOut(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var garbage []heap.ObjID
+	var bytes int64
+	var prev *heap.Object
+	for i := 0; i < 20; i++ {
+		o, err := f.rt.NewObject(f.node, RootCluster)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.MustSet("payload", heap.Bytes(make([]byte, 64)))
+		if prev == nil {
+			err = f.rt.SetRoot("old", o.RefTo())
+		} else {
+			err = f.rt.SetFieldValue(prev.RefTo(), "next", o.RefTo())
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		garbage, bytes, prev = append(garbage, o.ID()), bytes+o.Size(), o
+	}
+	f.rt.Collect() // the nodes are old now
+	if err := f.rt.SetRoot("old", heap.Nil()); err != nil {
+		t.Fatal(err)
+	}
+
+	h := f.rt.h
+	before, collections := h.Used(), h.StatsSnapshot().Collections
+	if err := f.rt.EvictWith(VictimColdest, bytes); err != nil {
+		t.Fatalf("eviction with only old garbage to reclaim: %v", err)
+	}
+	if used := h.Used(); used > before-bytes {
+		t.Fatalf("used = %d after the eviction, want <= %d", used, before-bytes)
+	}
+	if got := h.StatsSnapshot().Collections - collections; got != 2 {
+		t.Fatalf("eviction ran %d collections, want the young pass and the full one", got)
+	}
+	for _, id := range garbage {
+		if h.Contains(id) {
+			t.Fatalf("old garbage @%d survived the eviction", id)
+		}
+	}
+	checkClean(t, f.rt)
+}
+
+// TestYoungPassAgainstConcurrentWrites: a walker stores references to young
+// root-cluster nodes into old ones while the prefetch workers' swap-ins
+// evict, each eviction running a young pass on a worker's goroutine, so the
+// write barrier runs against the passes. The heap holds a few of the list's
+// clusters at a time, and each round triggers the prefetch of clusters the
+// walker never touches: those are the only victims. The walker writes its
+// nodes' fields through the heap, as a method body does: the runtime's
+// dispatch frames are not yet safe to push beside a collection on another
+// goroutine (ROADMAP item 25). Every holder must lead to the node last
+// stored in it, and the invariants hold. check.sh runs it ten times under
+// the race detector.
+func TestYoungPassAgainstConcurrentWrites(t *testing.T) {
+	f := newFixture(t, 0, WithPrefetch(2, 2))
+	eng := f.rt.FaultEngine()
+	defer eng.Stop()
+	_, clusters := f.buildList(t, 160, 10, 64)
+	h := f.rt.h
+	full := h.Used()
+	for _, c := range clusters {
+		if _, err := f.rt.SwapOut(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	holders := make([]*heap.Object, 4)
+	for i := range holders {
+		o, err := f.rt.NewObject(f.node, RootCluster)
+		if err != nil {
+			t.Fatal(err)
+		}
+		holders[i] = o
+		if err := f.rt.SetRoot(fmt.Sprintf("holder-%d", i), o.RefTo()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next, _ := f.node.FieldIndex("next")
+	f.rt.Collect() // the holders are old
+	// Room for a quarter of the list, and a middleware reserve, so that a
+	// reload's proxies never wait for an eviction running on another worker.
+	h.SetCapacity(h.Used() + full/4 + 4096)
+	h.SetReserve(4096)
+	f.rt.SetEvictor(func(need int64) error { return f.rt.EvictWith(VictimColdest, need) })
+	// The walker holds its fresh nodes in host code until it stores them, as
+	// an application does between calls; only the nursery keeps them from a
+	// pass on another goroutine until then, so their grace outlasts one young
+	// pass, after which they are old.
+	h.SetNurseryGrace(pressureCycles + 1)
+
+	const rounds, fresh = 24, 8
+	stored := make([]int64, len(holders))
+	evictions := 0
+	for round := 0; round < rounds; round++ {
+		nodes := make([]heap.Value, fresh)
+		for i := range nodes {
+			o, err := f.rt.NewObject(f.node, RootCluster)
+			if err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+			o.MustSet("tag", heap.Int(int64(round*fresh+i)))
+			nodes[i] = o.RefTo()
+		}
+		before := h.StatsSnapshot().Collections
+		eng.TriggerPrefetch(uint32(clusters[round%(len(clusters)-2)]))
+		for step := 0; step < 64; step++ {
+			k, i := step%len(holders), (step*7+round)%fresh
+			if err := holders[k].SetField(next, nodes[i]); err != nil {
+				t.Fatalf("round %d step %d: %v", round, step, err)
+			}
+			stored[k] = int64(round*fresh + i)
+		}
+		eng.Quiesce()
+		evictions += int(h.StatsSnapshot().Collections - before)
+		for k, o := range holders {
+			node, err := f.rt.Field(o.RefTo(), "next")
+			if err != nil {
+				t.Fatalf("round %d: holder %d: %v", round, k, err)
+			}
+			tag, err := f.rt.Field(node, "tag")
+			if err != nil {
+				t.Fatalf("round %d: holder %d's node: %v", round, k, err)
+			}
+			if tag.MustInt() != stored[k] {
+				t.Fatalf("round %d: holder %d leads to tag %d, want %d", round, k, tag.MustInt(), stored[k])
+			}
+		}
+		f.rt.Collect()
+	}
+	if evictions == 0 {
+		t.Fatal("no prefetch swap-in evicted: the prefetched clusters fit the heap")
+	}
+	checkClean(t, f.rt)
 }

@@ -42,7 +42,7 @@ func (rt *Runtime) Collect() heap.CollectStats {
 	return rt.collect(1)
 }
 
-// pressureCycles is the nursery grace an eviction pass's one collection
+// pressureCycles is the nursery grace an eviction pass's young collection
 // burns. It has to exceed the grace the façade grants every allocation (2):
 // host-held garbage that only its grace protects — the dead
 // swap-cluster-proxies a finished walk leaves behind — must go before a live
@@ -51,32 +51,55 @@ func (rt *Runtime) Collect() heap.CollectStats {
 const pressureCycles = 3
 
 // collect is Collect with the nursery aged by the given number of cycles in
-// the one pass (see heap.CollectCycles).
+// the one full pass (see heap.CollectCycles).
 func (rt *Runtime) collect(cycles int) heap.CollectStats {
+	return rt.pass(cycles, false)
+}
+
+// collectYoung is an eviction's collection: a young pass (heap.CollectYoung)
+// that burns pressureCycles of nursery grace and traces only what appeared
+// since the previous pass.
+func (rt *Runtime) collectYoung() heap.CollectStats {
+	return rt.pass(pressureCycles, true)
+}
+
+// pass runs one collection, full or young, and purges every record of what
+// it swept before the swap lock goes.
+func (rt *Runtime) pass(cycles int, young bool) heap.CollectStats {
 	rt.swapMu.Lock()
-	st := rt.h.CollectCycles(cycles, rt.stack...)
+	var st heap.CollectStats
+	if young {
+		st = rt.h.CollectYoung(cycles, rt.stack...)
+	} else {
+		st = rt.h.CollectCycles(cycles, rt.stack...)
+	}
 	rt.mgr.reclaimed(st.Swept)
-	rt.sweepSwapped()
+	rt.sweepSwapped(st.Swept)
 	rt.swapMu.Unlock()
 	rt.mgr.retryDrops(rt)
 	return st
 }
 
-// sweepSwapped drops swapped clusters whose replacement-objects were
-// reclaimed. Every replica of a dead cluster is told to discard its copy;
-// replicas on unreachable donors go to the deferred-drop queue.
-func (rt *Runtime) sweepSwapped() {
+// sweepSwapped drops the swapped clusters whose replacement-objects the
+// collection swept, in sweep order, reading each one's cluster from its
+// $cluster field. Every replica of a dead cluster is told to discard its
+// copy; replicas on unreachable donors go to the deferred-drop queue. A
+// cluster an operation has reserved is never among them: the operation
+// pinned its replacement-object when it reserved the cluster, in the same
+// swap-locked hold.
+func (rt *Runtime) sweepSwapped(swept []*heap.Object) {
 	var victims []forgotCopy
 	m := rt.mgr
 	m.table.mu.Lock()
-	for id, cs := range m.table.clusters {
-		if cs.where != swappedOut {
-			continue // reserved: a swap-in or repair owns it and pins the replacement
-		}
-		if rt.h.Contains(cs.replacement) {
+	for _, o := range swept {
+		if o.Class().Special != heap.SpecialReplacement {
 			continue
 		}
-		victims = append(victims, forgotCopy{id, cs.forget()})
+		cs, ok := m.table.clusters[replacementCluster(o)]
+		if !ok || cs.where != swappedOut || cs.replacement != o.ID() {
+			continue
+		}
+		victims = append(victims, forgotCopy{cs.id, cs.forget()})
 		for _, oid := range cs.members {
 			delete(m.table.members, oid)
 		}

@@ -2,8 +2,10 @@ package core
 
 import (
 	"slices"
+	"sync"
 	"testing"
 
+	"objectswap/internal/event"
 	"objectswap/internal/heap"
 )
 
@@ -137,6 +139,91 @@ func TestReclaimingProxiesAllocatesOnlySwept(t *testing.T) {
 	t.Logf("Collect allocated %d B for %d reclaimed proxies (%.1f B each)", bytes, reclaimed, per)
 	if per > measured+margin {
 		t.Fatalf("want at most %.1f B per reclaimed proxy", measured+margin)
+	}
+	checkClean(t, f.rt)
+}
+
+// TestSwapDropsFollowSweepOrder: when one Collect finds several swapped
+// clusters dead, their donor drops and swap.drop events come in the order the
+// heap swept their replacement-objects, so runtimes built by the same calls
+// emit the same drops in the same order.
+func TestSwapDropsFollowSweepOrder(t *testing.T) {
+	var first []ClusterID
+	for run := 0; run < 6; run++ {
+		bus := event.NewBus()
+		f := newFixture(t, 0, WithBus(bus))
+		_, clusters := f.buildList(t, 80, 8, 8)
+		for _, c := range clusters[1:] {
+			if _, err := f.rt.SwapOut(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var mu sync.Mutex
+		var drops []ClusterID
+		bus.Subscribe(event.TopicSwapDrop, func(e event.Event) {
+			mu.Lock()
+			drops = append(drops, e.Payload.(SwapEvent).Cluster)
+			mu.Unlock()
+		})
+		if err := f.rt.SetRoot("head", heap.Nil()); err != nil {
+			t.Fatal(err)
+		}
+		st := f.rt.Collect()
+		var swept []ClusterID
+		for _, o := range st.Swept {
+			if o.Class().Special == heap.SpecialReplacement {
+				v, err := o.FieldByName(fldClust)
+				if err != nil {
+					t.Fatal(err)
+				}
+				swept = append(swept, ClusterID(v.MustInt()))
+			}
+		}
+		mu.Lock()
+		got := slices.Clone(drops)
+		mu.Unlock()
+		if len(got) != len(clusters)-1 {
+			t.Fatalf("run %d: %d swap.drop events, want one for each of the %d dead swapped clusters", run, len(got), len(clusters)-1)
+		}
+		if !slices.Equal(got, swept) {
+			t.Fatalf("run %d: swap.drop order %v, replacement-objects swept in order %v", run, got, swept)
+		}
+		if first == nil {
+			first = got
+		} else if !slices.Equal(got, first) {
+			t.Fatalf("run %d: swap.drop order %v, the first run's %v", run, got, first)
+		}
+	}
+}
+
+// TestSwapInFreesItsReplacement: a swap-in frees its replacement-object when
+// it commits, as a swap-out frees its members, so no collection is left to
+// find it — a young pass could not, since an earlier pass marked it.
+func TestSwapInFreesItsReplacement(t *testing.T) {
+	f := newFixture(t, 0)
+	_, clusters := f.buildList(t, 40, 10, 8)
+	for _, c := range clusters[1:] {
+		if _, err := f.rt.SwapOut(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.rt.Collect() // every replacement-object is old now
+	for _, c := range clusters[1:] {
+		f.rt.mgr.table.mu.Lock()
+		repl := f.rt.mgr.table.clusters[c].replacement
+		f.rt.mgr.table.mu.Unlock()
+		if _, err := f.rt.SwapIn(c); err != nil {
+			t.Fatal(err)
+		}
+		if f.rt.h.Contains(repl) {
+			t.Fatalf("cluster %d: replacement-object @%d still resident after its swap-in", c, repl)
+		}
+	}
+	st := f.rt.Collect()
+	for _, o := range st.Swept {
+		if o.Class().Special == heap.SpecialReplacement {
+			t.Fatalf("Collect after the swap-ins swept replacement-object %v", o)
+		}
 	}
 	checkClean(t, f.rt)
 }

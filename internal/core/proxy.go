@@ -33,6 +33,12 @@ func buildReplacementClass() *heap.Class {
 	return c
 }
 
+// replacementCluster reads the cluster a replacement-object stands for.
+func replacementCluster(r *heap.Object) ClusterID {
+	id, _ := r.Field(0).Int() // $cluster, the layout's first slot
+	return ClusterID(id)
+}
+
 // isProxy reports whether the object is a swap-cluster-proxy.
 func isProxy(o *heap.Object) bool { return o.Class().Special == heap.SpecialSCProxy }
 

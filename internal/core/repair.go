@@ -144,9 +144,12 @@ type repair struct {
 	newSet     []string // live + fresh, primary first
 }
 
+// reserve pins the replacement-object in the hold that reserves the cluster:
+// no collection sweeps it while the repair owns the cluster.
 func (r *repair) reserve() error {
 	return r.op.reserve(swappedOut, underRepair, func(cs *clusterState) {
 		r.copy = cs.retained.donorCopy
+		r.pin(cs.replacement)
 	})
 }
 

@@ -76,9 +76,13 @@ type swapIn struct {
 	installedObjects int
 }
 
+// reserve pins the replacement-object in the hold that reserves the cluster,
+// so no collection sweeps it while the swap-in owns the cluster (across any
+// eviction below, too).
 func (s *swapIn) reserve() (err error) {
 	err = s.op.reserve(swappedOut, reservedIn, func(cs *clusterState) {
 		s.was, s.copy = cs.shipment, cs.retained.donorCopy
+		s.pin(s.was.replacement)
 	})
 	if err != nil {
 		return err
@@ -86,7 +90,6 @@ func (s *swapIn) reserve() (err error) {
 	if s.repl, err = s.rt.h.Get(s.was.replacement); err != nil {
 		return fmt.Errorf("core: cluster %d replacement gone (cluster is garbage): %w", s.id, err)
 	}
-	s.pin(s.was.replacement) // across any eviction below
 	return nil
 }
 
@@ -189,6 +192,11 @@ func (s *swapIn) evict() error {
 // equals the payload still on its donors. The commit that shipped it anchored
 // it already; only a record restored from a checkpoint, which carries no
 // slot table, reads it back from the replacement-object.
+//
+// Once the commit has re-pointed every inbound proxy at the members, the
+// replacement-object is garbage by construction, and it is freed on the spot
+// as a swap-out frees its members: a collection would find it only by a full
+// pass, since a pass has marked it by now.
 func (s *swapIn) install() error {
 	rt := s.rt
 	rt.swapMu.Lock()
@@ -242,6 +250,7 @@ func (s *swapIn) install() error {
 			rt.faults.Installed(uint32(s.id), int64(s.copy.payloadBytes))
 		}
 	})
+	rt.h.Free([]heap.ObjID{s.was.replacement})
 	return nil
 }
 

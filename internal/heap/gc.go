@@ -7,7 +7,9 @@ import (
 	"objectswap/internal/obs"
 )
 
-// CollectStats reports the outcome of one collection pass.
+// CollectStats reports the outcome of one collection pass, full or young.
+// A young pass (CollectYoung) reports the young garbage it found: a subset of
+// what a full pass at the same point would have reported.
 type CollectStats struct {
 	// Live is the number of objects that survived the pass.
 	Live int
@@ -29,16 +31,17 @@ type CollectStats struct {
 	Swept []*Object
 }
 
-// Collect runs one stop-the-world mark-sweep cycle. Liveness roots are: named
-// heap roots, pinned objects, nursery objects still in their grace, and any
-// extra ids supplied by the caller (the swapping runtime passes the receivers
-// and arguments of in-flight invocations, standing in for thread stacks).
+// Collect runs one stop-the-world mark-sweep cycle over the whole heap (a
+// full pass). Liveness roots are: named heap roots, pinned objects, nursery
+// objects still in their grace, and any extra ids supplied by the caller (the
+// swapping runtime passes the receivers and arguments of in-flight
+// invocations, standing in for thread stacks).
 func (h *Heap) Collect(extra ...ObjID) CollectStats {
-	return h.CollectCycles(1, extra...)
+	return h.collect(1, false, extra)
 }
 
-// CollectCycles runs one mark-sweep pass whose survivors, nursery state and
-// swept ids equal those of `cycles` back-to-back Collect calls on a
+// CollectCycles runs one full mark-sweep pass whose survivors, nursery state
+// and swept ids equal those of `cycles` back-to-back Collect calls on a
 // heap nothing else touches in between: a nursery entry whose grace would
 // run out before the last of those cycles is not a root, and every surviving
 // entry ages by `cycles`. The equivalence holds because each cycle's live set
@@ -55,6 +58,39 @@ func (h *Heap) Collect(extra ...ObjID) CollectStats {
 // residency: marks are a per-object epoch word, and the work list, the
 // buffer and the pool live on the heap, all guarded by h.mu.
 func (h *Heap) CollectCycles(cycles int, extra ...ObjID) CollectStats {
+	return h.collect(cycles, false, extra)
+}
+
+// CollectYoung runs a young pass: CollectCycles' nursery aging, pins and
+// extra roots, but it traces only what appeared since the previous pass and
+// sweeps only what it did not reach. Marks are sticky: an object a pass
+// marked is old, keeps its mark, and counts as marked here, so the trace
+// stops at it and the sweep keeps it. Besides the pins, the nursery entries
+// still in grace and extra, its roots are what may name a young object
+// without an old path to it: the young objects a write stored into an old
+// object or a root since the previous pass (the write barrier in setField
+// and SetRoot remembers them), and the fields of the batches InstallBatch
+// made resident since then, whose members are born old because older
+// objects may already name their ids. An unchanged root names an old object
+// or nothing, since an id is never reissued to a new object.
+//
+// So a young pass never sweeps a reachable object, and it sweeps a subset of
+// what CollectCycles would: garbage that a pass had already marked (an old
+// object dropped since) waits for a full pass. Its cost is one probe per
+// reference it follows from those roots plus one step per resident object in
+// the sweep. When the remembered young objects or the installed batches
+// since the previous pass would outnumber the residents, it runs as a full
+// pass instead. Either way it counts as one collection.
+func (h *Heap) CollectYoung(cycles int, extra ...ObjID) CollectStats {
+	return h.collect(cycles, true, extra)
+}
+
+// collect is the one mark-sweep pass behind CollectCycles and CollectYoung.
+// A full pass advances the epoch, which unmarks every object, and marks from
+// every root; a young pass keeps the epoch and marks from the remembered set
+// instead of the roots. The trace, the sweep and the nursery's aging are the
+// same code for both.
+func (h *Heap) collect(cycles int, young bool, extra []ObjID) CollectStats {
 	if cycles < 1 {
 		cycles = 1
 	}
@@ -67,19 +103,34 @@ func (h *Heap) CollectCycles(cycles int, extra ...ObjID) CollectStats {
 	}
 
 	h.recycle()
-	h.epoch++
-	if h.epoch == 0 {
-		// The epoch word wrapped. Clear every mark, so that no mark left by
-		// an earlier pass equals an epoch to come and hides a live subgraph,
-		// and skip 0: it is the mark of an object no pass has seen yet.
-		for _, o := range h.objects.list {
-			o.mark = 0
+	if young && !h.overflowed {
+		for _, id := range h.remembered {
+			h.markID(id)
 		}
-		h.epoch = 1
+		for _, batch := range h.installs {
+			for i := range batch {
+				if o := &batch[i]; o.pos != gone {
+					h.markFields(o)
+				}
+			}
+		}
+	} else {
+		h.epoch++
+		if h.epoch == 0 {
+			// The epoch word wrapped. Clear every mark, so that no mark left by
+			// an earlier pass equals an epoch to come and hides a live subgraph,
+			// and skip 0: it is the mark of an object no pass has seen yet.
+			for _, o := range h.objects.list {
+				o.mark = 0
+			}
+			h.epoch = 1
+		}
+		for _, v := range h.roots {
+			h.markValue(&v)
+		}
 	}
-	for _, v := range h.roots {
-		h.markValue(&v)
-	}
+	clear(h.installs)
+	h.remembered, h.installs, h.overflowed = h.remembered[:0], h.installs[:0], false
 	for id := range h.pins {
 		h.markID(id)
 	}
@@ -95,9 +146,7 @@ func (h *Heap) CollectCycles(cycles int, extra ...ObjID) CollectStats {
 		o := h.work[n-1]
 		h.work[n-1] = nil
 		h.work = h.work[:n-1]
-		for i := range o.fields {
-			h.markValue(&o.fields[i])
-		}
+		h.markFields(o)
 	}
 
 	var st CollectStats
@@ -176,6 +225,13 @@ func (h *Heap) markID(id ObjID) {
 	h.work = append(h.work, o)
 }
 
+// markFields marks every object o's fields reference.
+func (h *Heap) markFields(o *Object) {
+	for i := range o.fields {
+		h.markValue(&o.fields[i])
+	}
+}
+
 // markValue marks every object the value references, lists included.
 func (h *Heap) markValue(v *Value) {
 	switch v.kind {
@@ -185,6 +241,37 @@ func (h *Heap) markValue(v *Value) {
 		elems := v.elems()
 		for i := range elems {
 			h.markValue(&elems[i])
+		}
+	}
+}
+
+// remember is the write barrier: once v is stored into an old object or a
+// root, every young object it references joins the set the next young pass
+// marks from. A target named twice in a row is listed once, so a run of
+// proxies re-pointed at one replacement-object costs one entry. The set
+// stops growing at the resident count and marks itself overflowed, and the
+// next young pass runs as a full one. The caller holds h.mu, shared or
+// exclusive; remMu orders the barriers that run under a shared hold.
+func (h *Heap) remember(v *Value) {
+	switch v.kind {
+	case KindRef:
+		o := h.objects.get(ObjID(v.n))
+		if o == nil || o.mark == h.epoch {
+			return
+		}
+		h.remMu.Lock()
+		if n := len(h.remembered); !h.overflowed && (n == 0 || h.remembered[n-1] != o.id) {
+			if n < len(h.objects.list) {
+				h.remembered = append(h.remembered, o.id)
+			} else {
+				h.overflowed = true
+			}
+		}
+		h.remMu.Unlock()
+	case KindList:
+		elems := v.elems()
+		for i := range elems {
+			h.remember(&elems[i])
 		}
 	}
 }

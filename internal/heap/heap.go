@@ -60,9 +60,24 @@ type Heap struct {
 
 	// Collector state, guarded by mu: an object is marked in the current pass
 	// when its mark word equals epoch, and work is the mark phase's scan
-	// list, kept between passes so a collection allocates nothing.
+	// list, kept between passes so a collection allocates nothing. Marks are
+	// sticky: an object a pass marked stays marked, old, until a full pass
+	// advances the epoch; one with any other mark (0 for a new object) is
+	// young. epoch starts at 1 so that a new object is young from the start.
 	epoch uint32
 	work  []*Object
+
+	// What the next young pass marks from (see CollectYoung): remembered, the
+	// young objects a write stored into an old object or a root since the
+	// last pass, and installs, the batches installed since then. Both are
+	// kept between passes and emptied by every pass; overflowed records that
+	// the barrier stopped listing, so the next young pass runs full. installs
+	// is guarded by mu; remembered and overflowed also by remMu, because the
+	// barrier in setField runs under mu held shared.
+	remMu      sync.Mutex
+	remembered []ObjID
+	overflowed bool
+	installs   [][]Object
 
 	// swept is the buffer a pass reports CollectStats.Swept in, sized once
 	// to the largest pass so far; free holds, by slot count, the swept
@@ -115,6 +130,7 @@ type Heap struct {
 func New(capacity int64) *Heap {
 	return &Heap{
 		capacity: capacity,
+		epoch:    1,
 		roots:    make(map[string]Value),
 		pins:     make(map[ObjID]int),
 		nursery:  make(map[ObjID]int),
@@ -548,12 +564,20 @@ func (h *Heap) InstallBatch(b *Batch) (int, error) {
 	}
 	for i := range objs {
 		o := &objs[i]
+		o.mark = h.epoch // born old: an older object may name its id already
 		if uint64(o.id) > h.nextID {
 			h.nextID = uint64(o.id)
 		}
 		if h.nurseryGrace > 0 {
 			h.nursery[o.id] = h.nurseryGrace
 		}
+	}
+	// The batch is remembered once, so the next young pass marks what its
+	// members reference; past one batch per resident the next pass runs full.
+	if len(h.installs) < len(h.objects.list) {
+		h.installs = append(h.installs, objs)
+	} else {
+		h.overflowed = true
 	}
 	h.allocated.Add(uint64(len(objs)))
 	h.mu.Unlock()
@@ -612,11 +636,13 @@ func (h *Heap) Remove(id ObjID) error {
 
 // SetRoot installs a named root (a global variable / static field — the
 // paper's swap-cluster-0 state). Assigning a nil Value keeps the root
-// declared but pointing nowhere.
+// declared but pointing nowhere. A young object the root names is remembered
+// for the next young pass, as a write into an old object's field is.
 func (h *Heap) SetRoot(name string, v Value) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.roots[name] = v
+	h.remember(&v)
 }
 
 // Root returns the named root value.

@@ -26,10 +26,12 @@ type Object struct {
 
 	fields []Value
 	size   int64
-	// mark is the collector's epoch word (see Heap.epoch) and pos the
-	// object's index in the heap's dense resident list (see objTable), or
-	// gone once it left; both are written only under the heap lock held
-	// exclusively. Two 32-bit words keep the header at 64 bytes.
+	// mark is the collector's epoch word (see Heap.epoch): equal to the
+	// epoch once a pass has marked the object, which is then old, and
+	// anything else while it is young. pos is the object's index in the
+	// heap's dense resident list (see objTable), or gone once it left. Both
+	// are written only under the heap lock held exclusively. Two 32-bit
+	// words keep the header at 64 bytes.
 	mark uint32
 	pos  uint32
 }
@@ -124,6 +126,9 @@ func (o *Object) setField(id ObjID, i int, v Value) error {
 	}
 	atomic.AddInt64(&o.size, delta)
 	o.fields[i] = v
+	if o.mark == h.epoch {
+		h.remember(&v) // the write barrier: an old holder may be a young object's only path
+	}
 	id, special := o.id, o.class.Special
 	h.mu.RUnlock()
 	if special == SpecialNone {

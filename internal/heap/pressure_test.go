@@ -3,6 +3,7 @@ package heap
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -164,9 +165,256 @@ func TestPropPressurePassEqualsThreeCycles(t *testing.T) {
 	}
 }
 
+// youngChurn applies one round of mutator traffic to every heap in hs alike,
+// choosing only among pick, ids resident in all of them: it frees a random
+// third of pick, allocates fresh objects of mixed nursery grace, writes
+// references to them — or nil — into surviving objects, points roots at
+// them, pins and unpins, and reinstalls most of the freed ids in one batch
+// whose members reference fresh and surviving objects. Each fresh object is
+// referenced through at most one of those paths, so every rule of a young
+// pass's roots is some object's only way to stay live.
+func youngChurn(t *testing.T, r *rand.Rand, hs []*Heap, pick []ObjID, c *Class) {
+	t.Helper()
+	next, _ := c.FieldIndex("next")
+	var freed, kept []ObjID
+	for _, id := range pick {
+		if r.Intn(3) == 0 {
+			freed = append(freed, id)
+		} else {
+			kept = append(kept, id)
+		}
+	}
+	fresh := make([][]*Object, len(hs))
+	graces := make([]int, 4+r.Intn(12))
+	for i := range graces {
+		graces[i] = r.Intn(6)
+	}
+	for k, h := range hs {
+		h.Free(freed)
+		for _, g := range graces {
+			h.SetNurseryGrace(g)
+			o, err := h.New(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh[k] = append(fresh[k], o)
+		}
+	}
+	ref := func(k, i int) Value { return fresh[k][i].RefTo() }
+	type step struct{ kind, holder, target int }
+	var steps []step
+	for i := range graces {
+		switch r.Intn(6) {
+		case 0, 1:
+			if len(kept) > 0 {
+				steps = append(steps, step{0, r.Intn(len(kept)), i}) // an old holder's field
+			}
+		case 2:
+			steps = append(steps, step{1, r.Intn(3), i}) // a root
+		case 3:
+			steps = append(steps, step{2, 0, i}) // a pin
+		case 4:
+			if i > 0 {
+				steps = append(steps, step{3, r.Intn(i), i}) // a fresh holder
+			}
+		}
+	}
+	for range r.Intn(4) {
+		if len(kept) > 0 {
+			steps = append(steps, step{4, r.Intn(len(kept)), 0}) // an old link cut: old garbage
+		}
+	}
+	links := make([]int, len(freed)) // batch member i links to fresh[links[i]], or to kept[-links[i]-1]
+	for i := range links {
+		if r.Intn(2) == 0 || len(kept) == 0 {
+			links[i] = r.Intn(len(graces))
+		} else {
+			links[i] = -1 - r.Intn(len(kept))
+		}
+	}
+	for k, h := range hs {
+		for _, s := range steps {
+			var err error
+			switch s.kind {
+			case 0:
+				o, _ := h.Get(kept[s.holder])
+				err = o.SetField(next, ref(k, s.target))
+			case 1:
+				h.SetRoot(string(rune('x'+s.holder)), ref(k, s.target))
+			case 2:
+				h.Pin(fresh[k][s.target].ID())
+			case 3:
+				err = fresh[k][s.holder].SetField(next, ref(k, s.target))
+			case 4:
+				o, _ := h.Get(kept[s.holder])
+				err = o.SetField(next, Nil())
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		b := MakeBatch(len(freed), len(freed)*c.NumFields())
+		for i, id := range freed {
+			if i%4 == 3 {
+				continue // stays freed: a dangling name in older objects
+			}
+			if l := links[i]; l >= 0 {
+				b.Add(id, c)[next] = ref(k, l)
+			} else {
+				b.Add(id, c)[next] = Ref(kept[-l-1])
+			}
+		}
+		if _, err := h.InstallBatch(&b); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// rootedIDs lists what a pass aged by cycles must keep: whatever the roots,
+// the pins, the nursery entries whose grace outlasts the pass and extra
+// reach. The caller holds no lock of h.
+func rootedIDs(h *Heap, cycles int, extra []ObjID) map[ObjID]bool {
+	h.mu.RLock()
+	seeds := append([]ObjID(nil), extra...)
+	for _, v := range h.roots {
+		v.forEachRef(func(id ObjID) { seeds = append(seeds, id) })
+	}
+	for id := range h.pins {
+		seeds = append(seeds, id)
+	}
+	for id, grace := range h.nursery {
+		if grace >= cycles {
+			seeds = append(seeds, id)
+		}
+	}
+	h.mu.RUnlock()
+	return h.ReachableFrom(seeds...)
+}
+
+// Property: a young pass never sweeps a reachable object, sweeps nothing a
+// full pass over the same heap keeps, and a young pass followed by a full
+// pass leaves exactly what the full pass it stood in for followed by the same
+// full pass leaves: the same survivors, accounted bytes and nursery. Twin
+// heaps built from one seed take the same mutator traffic between passes
+// (youngChurn: field writes into survivors, root sets, pins, nursery grace,
+// Free and reinstalling batches); one runs a young pass where the other runs
+// a full one, and only every third round do both run a full pass after it,
+// so young passes also follow young passes and the old garbage they leave.
+func TestPropYoungPassSweepsOnlyGarbage(t *testing.T) {
+	const cycles = 3
+	for seed := int64(1); seed <= 60; seed++ {
+		young, extra := randomHeap(t, seed)
+		full, _ := randomHeap(t, seed)
+		hs := []*Heap{young, full}
+		r := rand.New(rand.NewSource(seed))
+		for round := 1; round <= 9; round++ {
+			if round > 1 {
+				youngChurn(t, r, hs, full.IDs(), fanClass())
+			}
+			rooted := rootedIDs(young, cycles, extra)
+			ys := young.CollectYoung(cycles, extra...)
+			full.CollectCycles(cycles, extra...)
+			for _, o := range ys.Swept {
+				if rooted[o.ID()] {
+					t.Fatalf("seed %d round %d: young pass swept reachable %v", seed, round, o)
+				}
+				if full.Contains(o.ID()) {
+					t.Fatalf("seed %d round %d: young pass swept %v, which a full pass keeps", seed, round, o)
+				}
+			}
+			if got, want := young.StatsSnapshot().Collections, full.StatsSnapshot().Collections; got != want {
+				t.Fatalf("seed %d round %d: %d collections, the full twin counts %d", seed, round, got, want)
+			}
+			if !reflect.DeepEqual(young.nursery, full.nursery) {
+				t.Fatalf("seed %d round %d: nursery %v, the full twin's %v", seed, round, young.nursery, full.nursery)
+			}
+			var live int64
+			for _, id := range young.IDs() {
+				o, _ := young.Get(id)
+				live += o.Size()
+			}
+			if ys.Live != young.Len() || young.Used() != live {
+				t.Fatalf("seed %d round %d: %d live, used %d, resident sizes sum to %d", seed, round, ys.Live, young.Used(), live)
+			}
+			if round%3 != 0 {
+				continue
+			}
+			young.Collect(extra...)
+			full.Collect(extra...)
+			if got, want := young.IDs(), full.IDs(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d round %d: survivors %v, the full twin keeps %v", seed, round, got, want)
+			}
+			if young.Used() != full.Used() || !reflect.DeepEqual(young.nursery, full.nursery) {
+				t.Fatalf("seed %d round %d: used %d and nursery %v, the full twin's %d and %v",
+					seed, round, young.Used(), young.nursery, full.Used(), full.nursery)
+			}
+		}
+	}
+}
+
+// TestYoungPassRunsFullOnOverflow: the write barrier lists at most one
+// young object per resident between passes, however often a mutator stores
+// young objects into old ones, and the young pass after it stopped listing
+// runs as a full pass, so it also sweeps old garbage; the next one is young
+// again and leaves old garbage alone.
+func TestYoungPassRunsFullOnOverflow(t *testing.T) {
+	h := New(0)
+	c := nodeClass()
+	chain := buildChain(t, h, 10)
+	holder, err := h.New(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.SetRoot("head", chain[0].RefTo())
+	h.SetRoot("holder", holder.RefTo())
+	h.Collect() // everything is old
+
+	cut := func(i int) {
+		t.Helper()
+		if err := chain[i].SetFieldByName("next", Nil()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	young := make([]*Object, 2)
+	for i := range young {
+		if young[i], err = h.New(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cut(8) // chain[9] is old garbage
+	for i := 0; i < 100; i++ {
+		if err := holder.SetFieldByName("next", young[i%2].RefTo()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, residents := len(h.remembered), h.Len(); n > residents || !h.overflowed {
+		t.Fatalf("remembered %d young objects among %d residents (overflowed: %v), want the list stopped at the resident count", n, residents, h.overflowed)
+	}
+	if st := h.CollectYoung(1); !slices.Contains(sweptIDs(st.Swept), chain[9].ID()) {
+		t.Fatalf("young pass after an overflow swept %v, want the old garbage @%d too", sweptIDs(st.Swept), chain[9].ID())
+	}
+
+	cut(7) // chain[8] is old garbage, and so is young[1] once the holder lets go
+	fresh, err := h.New(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := holder.SetFieldByName("next", fresh.RefTo()); err != nil {
+		t.Fatal(err)
+	}
+	if st := h.CollectYoung(1); st.Reclaimed != 0 {
+		t.Fatalf("young pass swept %v, want nothing: the only garbage is old", sweptIDs(st.Swept))
+	}
+	want := []ObjID{chain[8].ID(), young[1].ID()}
+	if st := h.Collect(); !slices.Equal(sortedIDs(st.Swept), want) {
+		t.Fatalf("full pass swept %v, want the old garbage %v", sortedIDs(st.Swept), want)
+	}
+}
+
 // TestCollectAllocatesNothingOnUnchangedHeap is the collector's allocation
 // budget: a pass that reclaims nothing — the steady state between faults —
-// allocates nothing, however large the heap. check.sh runs it by name.
+// allocates nothing, however large the heap, full or young. check.sh runs it
+// by name.
 func TestCollectAllocatesNothingOnUnchangedHeap(t *testing.T) {
 	h := New(0)
 	c := fanClass()
@@ -187,24 +435,33 @@ func TestCollectAllocatesNothingOnUnchangedHeap(t *testing.T) {
 	extra := []ObjID{objs[5].ID()}
 	h.Collect(extra...) // sizes the work list once
 
-	for _, cycles := range []int{1, 3} {
-		allocs := testing.AllocsPerRun(20, func() {
-			if st := h.CollectCycles(cycles, extra...); st.Reclaimed != 0 {
-				t.Fatalf("live objects collected: %+v", st)
+	h.CollectYoung(1, extra...)
+
+	passes := []struct {
+		name string
+		run  func(int, ...ObjID) CollectStats
+	}{{"CollectCycles", h.CollectCycles}, {"CollectYoung", h.CollectYoung}}
+	for _, pass := range passes {
+		for _, cycles := range []int{1, 3} {
+			allocs := testing.AllocsPerRun(20, func() {
+				if st := pass.run(cycles, extra...); st.Reclaimed != 0 {
+					t.Fatalf("live objects collected: %+v", st)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("%s(%d) on an unchanged heap allocates %v times per pass, want 0", pass.name, cycles, allocs)
 			}
-		})
-		if allocs != 0 {
-			t.Fatalf("CollectCycles(%d) on an unchanged heap allocates %v times per pass, want 0", cycles, allocs)
 		}
 	}
 }
 
-// TestCollectAgainstConcurrentFieldWrites runs collections while other
-// goroutines rewrite the links of live objects — what a background swap-in's
-// eviction pass does to the application thread. Each writer owns its own
-// objects (field access is single-writer by contract). Under -race it checks
-// that the collector's mark words and field scans are ordered against the
-// writes; in any mode, that accounting stays exact.
+// TestCollectAgainstConcurrentFieldWrites runs collections, full and young,
+// while other goroutines rewrite the links of live objects — what a
+// background swap-in's eviction pass does to the application thread. Each
+// writer owns its own objects (field access is single-writer by contract).
+// Under -race it checks that the collector's mark words and field scans, and
+// the write barrier's reads of them, are ordered against the writes; in any
+// mode, that accounting stays exact.
 func TestCollectAgainstConcurrentFieldWrites(t *testing.T) {
 	h := New(0)
 	objs := buildChain(t, h, 64)
@@ -232,7 +489,11 @@ func TestCollectAgainstConcurrentFieldWrites(t *testing.T) {
 		}(w)
 	}
 	for i := 0; i < 50; i++ {
-		if st := h.CollectCycles(1 + i%3); st.Reclaimed != 0 {
+		pass := h.CollectCycles
+		if i%2 == 1 {
+			pass = h.CollectYoung
+		}
+		if st := pass(1 + i%3); st.Reclaimed != 0 {
 			t.Errorf("rooted objects collected: %+v", st)
 		}
 	}
