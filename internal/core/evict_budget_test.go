@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -12,9 +14,10 @@ import (
 
 // TestEvictionBudget pins the cost of an eviction pass: however many victims
 // it swaps out, it runs exactly one collection (the young pass that tries
-// garbage first), and every victim's bytes are back when its swap-out
-// returns — occupancy falls swap by swap with no collection in between.
-// check.sh runs it by name: the counts do not depend on the host.
+// garbage first), every victim's bytes are back when its swap-out returns —
+// occupancy falls swap by swap with no collection in between — and a warm
+// victim walk allocates nothing of its own. check.sh runs it by name: the
+// counts do not depend on the host.
 func TestEvictionBudget(t *testing.T) {
 	// The pass ships its victims one at a time, in ranked order: a parallelism
 	// of one is the only one there is.
@@ -84,6 +87,45 @@ func TestEvictionBudget(t *testing.T) {
 				t.Fatalf("tag[%d] = %d, want %d", i, got[i], want[i])
 			}
 		}
+	})
+
+	// Once warm, a walk of k victims allocates nothing beyond its swap-outs:
+	// the Go heap's allocation count over the whole walk equals the count
+	// from the moment the walk asks about its first victim to the moment it
+	// asks after its last swap-out, the span of its k SwapOut calls. The
+	// candidates, their gathering and their order cost nothing.
+	t.Run("warm-walk", func(t *testing.T) {
+		if raceEnabled {
+			t.Skip("allocation budgets are gated without the race detector")
+		}
+		const k = 3
+		f := newFixture(t, 0)
+		f.buildList(t, 80, 10, 256)
+		var asked []uint64
+		var ms runtime.MemStats
+		enough := func(n int) bool {
+			runtime.ReadMemStats(&ms)
+			asked = append(asked, ms.Mallocs)
+			return n >= k
+		}
+		for round := range 4 {
+			asked = slices.Grow(asked[:0], k+1)
+			victims := f.rt.mgr.SelectVictims(VictimColdest)[:k]
+			walk, _ := mallocs(func() {
+				if n, err := f.rt.SwapOutVictims(VictimColdest, enough); err != nil || n != k {
+					t.Fatalf("walk swapped %d: %v", n, err)
+				}
+			})
+			if own := walk - (asked[k] - asked[0]); round > 0 && own != 0 {
+				t.Fatalf("round %d: a walk of %d victims allocated %d objects, %d of them besides its swap-outs", round, k, walk, own)
+			}
+			for _, c := range victims {
+				if _, err := f.rt.SwapIn(c); err != nil {
+					t.Fatalf("round %d: cluster %d: %v", round, c, err)
+				}
+			}
+		}
+		checkClean(t, f.rt)
 	})
 }
 

@@ -238,9 +238,10 @@ func (m *Manager) AbandonedDrops() int {
 // also leaves its target cluster's inbound list and its source's edges —
 // before membership goes, so that cluster is still known — and a swept member
 // of a loaded cluster leaves it. A resident cluster that loses its last member
-// will never ship again: the copy it retains is queued for dropping.
-// sweepSwapped forgets the clusters of swept replacement-objects. The caller
-// holds the swap lock.
+// will never ship again: the copy it retains is queued for dropping. Edge
+// counts that reached zero since the previous purge, and that no mint has
+// raised since, go first (countEdge). sweepSwapped forgets the clusters of
+// swept replacement-objects. The caller holds the swap lock.
 func (m *Manager) reclaimed(swept []*heap.Object) {
 	if len(swept) == 0 {
 		return
@@ -249,6 +250,7 @@ func (m *Manager) reclaimed(swept []*heap.Object) {
 	tab.mu.Lock()
 	defer tab.mu.Unlock()
 	tab.sweeps++
+	tab.compactEdges()
 	for _, o := range swept {
 		if isObjProxy(o) {
 			dropEntry(tab.objProxies, ObjProxyRemote(o), o.ID())
@@ -256,7 +258,7 @@ func (m *Manager) reclaimed(swept []*heap.Object) {
 		if !isProxy(o) {
 			continue
 		}
-		dropEntry(tab.proxies, proxyKey{src: proxySrc(o), target: proxyUltimate(o)}, o.ID())
+		tab.proxies.drop(proxyKey{src: proxySrc(o), target: proxyUltimate(o)}, o.ID())
 		if proxyTarget(o) == heap.NilID {
 			continue // never pointed, so never listed (enlist)
 		}
@@ -267,7 +269,7 @@ func (m *Manager) reclaimed(swept []*heap.Object) {
 			cs.inbound = slices.DeleteFunc(cs.inbound, func(p *heap.Object) bool { return !h.Contains(p.ID()) })
 		}
 		if cs, ok := tab.clusters[proxySrc(o)]; ok {
-			cs.countEdge(home, -1)
+			tab.countEdge(cs, home, -1)
 		}
 	}
 	for _, o := range swept {

@@ -119,13 +119,18 @@ func (m *Manager) CheckInvariants() []error {
 			if i > 0 && cs.edges[i-1].to >= e.to {
 				fail("cluster %d lists its edge into %d out of order", cid, e.to)
 			}
-			counted[[2]ClusterID{cid, e.to}] = e.n
+			if e.n < 0 {
+				fail("cluster %d counts %d proxies into %d", cid, e.n, e.to)
+			}
+			if e.n != 0 { // a zero waits for the next purge (countEdge)
+				counted[[2]ClusterID{cid, e.to}] = e.n
+			}
 		}
 	}
 	if !maps.Equal(counted, edges) {
 		fail("the records count proxy edges %v, the heap holds %v", counted, edges)
 	}
-	for key, pid := range tab.proxies {
+	for key, pid := range tab.proxies.all {
 		p, err := h.Get(pid)
 		if err != nil || !isProxy(p) || proxySrc(p) != key.src || proxyUltimate(p) != key.target || proxyMode(p) != proxyModeNormal {
 			fail("shared proxy @%d for (%d,@%d) is no resident normal-mode swap-cluster-proxy of that key", pid, key.src, key.target)

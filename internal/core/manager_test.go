@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"maps"
 	"slices"
 	"sync"
 	"testing"
@@ -342,4 +343,44 @@ func TestConcurrentSelectVictims(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	checkClean(t, f.rt)
+}
+
+// TestProxyIndexPacksAndFallsBack: a key whose ids fit one word lives in the
+// packed map, any other in the wide one, and each is found, listed, kept
+// from a stale drop and dropped under its own id.
+func TestProxyIndexPacksAndFallsBack(t *testing.T) {
+	x := proxyIndex{packed: make(map[uint64]heap.ObjID)}
+	keys := []proxyKey{
+		{src: 0, target: 1},
+		{src: 7, target: 1<<targetBits - 1},
+		{src: 1<<(64-targetBits) - 1, target: 3},
+		{src: 1 << (64 - targetBits), target: 3},
+		{src: 7, target: 1 << targetBits},
+		{src: ^ClusterID(0), target: ^heap.ObjID(0)},
+	}
+	want := make(map[proxyKey]heap.ObjID)
+	for i, k := range keys {
+		x.set(k, heap.ObjID(100+i))
+		want[k] = heap.ObjID(100 + i)
+	}
+	if len(x.packed) != 3 || len(x.wide) != 3 {
+		t.Fatalf("%d packed and %d wide keys, want 3 and 3", len(x.packed), len(x.wide))
+	}
+	got := make(map[proxyKey]heap.ObjID)
+	for k, pid := range x.all {
+		got[k] = pid
+	}
+	if !maps.Equal(got, want) {
+		t.Fatalf("all = %v, want %v", got, want)
+	}
+	for i, k := range keys {
+		x.drop(k, heap.ObjID(1+i)) // another proxy's id: a stale drop
+		if pid, ok := x.get(k); !ok || pid != heap.ObjID(100+i) {
+			t.Fatalf("get(%+v) = %d, %v after a stale drop, want %d", k, pid, ok, 100+i)
+		}
+		x.drop(k, heap.ObjID(100+i))
+		if pid, ok := x.get(k); ok {
+			t.Fatalf("get(%+v) = %d after its drop", k, pid)
+		}
+	}
 }
