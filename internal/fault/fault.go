@@ -15,7 +15,9 @@
 //     them in flight through the normal reserve/commit path, gated by a
 //     heap-pressure admission check. A cluster stays in the task set from
 //     enqueue until its worker finishes, so a later trigger never queues it
-//     twice. An installed cluster enters the inventory (Installed); the
+//     twice; a trigger that comes while the task runs makes a task that
+//     ends without installing run once more, since what it found may be
+//     stale by then. An installed cluster enters the inventory (Installed); the
 //     crossing that next reaches it — resident, or by joining its flight —
 //     consumes the entry as the one prefetch hit (ConsumeHit), and an
 //     eviction that beats the touch counts it as wasted (NoteEvicted).
@@ -84,9 +86,9 @@ type Engine struct {
 	pmu       sync.Mutex
 	idle      *sync.Cond // signaled when tasks empties
 	admit     func() bool
-	window    []uint32            // TriggerPrefetch's reused buffer; nil while lent out
-	tasks     map[uint32]struct{} // enqueued or running, until the task ends
-	inventory map[uint32]int64    // prefetched cluster -> resident bytes
+	window    []uint32             // TriggerPrefetch's reused buffer; nil while lent out
+	tasks     map[uint32]taskState // enqueued or running, until the task ends
+	inventory map[uint32]int64     // prefetched cluster -> resident bytes
 	stopped   bool
 	queue     chan uint32
 	wg        sync.WaitGroup
@@ -121,7 +123,7 @@ func New(cfg Config) *Engine {
 		cfg:       cfg,
 		flights:   make(map[uint32]*flight),
 		admit:     cfg.Admit,
-		tasks:     make(map[uint32]struct{}),
+		tasks:     make(map[uint32]taskState),
 		inventory: make(map[uint32]int64),
 		coalesced: cfg.Obs.Counter("objectswap_fault_coalesced_total",
 			"Faults that parked on another goroutine's in-flight swap-in."),
@@ -219,8 +221,9 @@ func (e *Engine) SetAdmit(fn func() bool) {
 
 // TriggerPrefetch enqueues the PrefetchDepth clusters nearest cluster along
 // the graph for speculative swap-in, skipping any already queued, running or
-// prefetched. Called on every fault and every hit, it slides the window ahead
-// of a pointer chase. It never blocks on the workers (a full queue drops the
+// prefetched (a running one reruns if it ends as a no-op; see enqueue).
+// Called on every fault and every hit, it slides the window ahead of a
+// pointer chase. It never blocks on the workers (a full queue drops the
 // excess) and allocates nothing.
 func (e *Engine) TriggerPrefetch(cluster uint32) {
 	if e == nil || !e.prefetchEnabled() {
@@ -243,21 +246,44 @@ func (e *Engine) TriggerPrefetch(cluster uint32) {
 	}
 }
 
-// enqueue queues cluster unless it is already a task or prefetched. The
-// caller holds e.pmu.
+// taskState is where a cluster's prefetch task is.
+type taskState uint8
+
+const (
+	taskQueued      taskState = iota
+	taskRunning               // taken by a worker
+	taskRetriggered           // running, and triggered again since it started
+)
+
+// enqueue queues cluster unless it is already a task or prefetched. A
+// trigger for a running task is not queued again, but noted: if the task
+// ends without installing, what it found (say, the cluster still resident)
+// may be stale by then, and taskDone queues it once more. The caller holds
+// e.pmu.
 func (e *Engine) enqueue(cluster uint32) {
-	if _, busy := e.tasks[cluster]; e.stopped || busy {
+	if st, busy := e.tasks[cluster]; e.stopped || busy {
+		if st == taskRunning {
+			e.tasks[cluster] = taskRetriggered
+		}
 		return
 	}
 	if _, have := e.inventory[cluster]; have {
 		return // already prefetched and untouched
 	}
+	e.push(cluster)
+}
+
+// push queues cluster as a task, or drops it when the queue is full. The
+// caller holds e.pmu, and the engine is not stopped.
+func (e *Engine) push(cluster uint32) bool {
 	select {
 	case e.queue <- cluster:
-		e.tasks[cluster] = struct{}{}
+		e.tasks[cluster] = taskQueued
 		e.prefetches.With(prefEnqueued).Inc()
+		return true
 	default:
 		e.prefetches.With(prefDropped).Inc()
+		return false
 	}
 }
 
@@ -269,14 +295,16 @@ func (e *Engine) worker() {
 }
 
 // runPrefetch runs one task. The cluster leaves the task set only when the
-// task ends, so a trigger while it runs does not queue it again.
+// task ends, so a trigger while it runs does not queue it again; a task that
+// ends as a no-op after such a trigger runs once more (enqueue).
 func (e *Engine) runPrefetch(cluster uint32) {
-	defer e.taskDone(cluster)
 	e.pmu.Lock()
+	e.tasks[cluster] = taskRunning
 	admit := e.admit
 	e.pmu.Unlock()
 	if admit != nil && !admit() {
 		e.prefetches.With(prefSkipped).Inc()
+		e.taskDone(cluster, false)
 		return
 	}
 	installed, err := e.cfg.SwapIn(cluster)
@@ -286,15 +314,21 @@ func (e *Engine) runPrefetch(cluster uint32) {
 	case !installed:
 		e.prefetches.With(prefNoop).Inc()
 	}
+	e.taskDone(cluster, err == nil && !installed)
 }
 
-func (e *Engine) taskDone(cluster uint32) {
+// taskDone ends cluster's task, or queues it again when it was a no-op that
+// a trigger overtook (again).
+func (e *Engine) taskDone(cluster uint32, again bool) {
 	e.pmu.Lock()
+	defer e.pmu.Unlock()
+	if again && e.tasks[cluster] == taskRetriggered && !e.stopped && e.push(cluster) {
+		return
+	}
 	delete(e.tasks, cluster)
 	if len(e.tasks) == 0 {
 		e.idle.Broadcast()
 	}
-	e.pmu.Unlock()
 }
 
 // Installed records that a speculative swap-in made cluster resident with

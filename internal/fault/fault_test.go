@@ -340,6 +340,45 @@ func TestTriggerWhileRunningDoesNotRequeue(t *testing.T) {
 	}
 }
 
+// TestTriggerOvertakingANoopTaskRunsItAgain is the swallowed trigger behind
+// the access ledger's old flake: a task that will find its cluster resident
+// (a no-op) is running when the cluster leaves and a trigger asks for it
+// again. That trigger must not be lost to the running task: once the no-op
+// ends, the task runs once more and installs the cluster. A trigger for a
+// task that installs, or for one still queued, queues nothing
+// (TestTriggerWhileRunningDoesNotRequeue).
+func TestTriggerOvertakingANoopTaskRunsItAgain(t *testing.T) {
+	gate := make(chan struct{})
+	entered := make(chan uint32, 4)
+	var runs atomic.Int32
+	var e *Engine
+	e = New(Config{
+		PrefetchDepth:   1,
+		PrefetchWorkers: 2,
+		Neighbors:       func(_ uint32, _ int, buf []uint32) []uint32 { return append(buf[:0], 5) },
+		SwapIn: func(c uint32) (bool, error) {
+			if runs.Add(1) == 1 {
+				entered <- c
+				<-gate
+				return false, nil // it read the cluster resident, before it left
+			}
+			e.Installed(c, 1)
+			return true, nil
+		},
+	})
+	defer e.Stop()
+
+	e.TriggerPrefetch(1)
+	<-entered
+	e.TriggerPrefetch(1) // cluster 5 has left since the task looked
+	e.TriggerPrefetch(2) // one rerun, however many triggers
+	close(gate)
+	e.Quiesce()
+	if snap := e.Snapshot(); runs.Load() != 2 || snap.Installed != 1 || snap.Enqueued != 2 {
+		t.Fatalf("runs=%d installed=%d enqueued=%d, want 2/1/2", runs.Load(), snap.Installed, snap.Enqueued)
+	}
+}
+
 // TestJoinCountsOneHit joins a demand fault onto a running prefetch flight
 // and consumes its hit before, and after, the worker's task ends. Either way
 // the install earns exactly one hit and nothing is left to waste.
