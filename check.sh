@@ -166,17 +166,17 @@ if [ -n "$LEDGERS" ] || [ -n "$BENCHFUNCS" ]; then
     printf '%s\n%s\n' "$LEDGERS" "$BENCHFUNCS" >&2
     exit 1
 fi
-# Guard: one cluster table, one swap lock. The eight-shard split of the table
-# and of the swap critical sections stays deleted: no non-test Go outside
-# benchmark/ names its option, default, hash, shard types, ordered
+# Guard: one cluster table under one runtime lock. The eight-shard split of
+# the table and of the swap critical sections stays deleted: no non-test Go
+# outside benchmark/ names its option, default, hash, shard types, ordered
 # multi-lock helpers or per-shard metric families.
 SHARDS=$(grep -rnE 'WithShards|DefaultShards|shardIndexFor|coreShard|tableShard|lockPair|lockAll|lockTabs|swap_lock_wait|shard_clusters' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./benchmark/' || true)
 if [ -n "$SHARDS" ]; then
-    echo "sharded core is back (one cluster table under one lock, one swap lock):" >&2
+    echo "sharded core is back (one cluster table under the one runtime lock):" >&2
     echo "$SHARDS" >&2
     exit 1
 fi
-# Guard: one lock from an object to its cluster. The object-to-cluster index
+# Guard: one path from an object to its cluster. The object-to-cluster index
 # and the cluster-id counter live in the cluster table, touches of a member in
 # place go through Manager.touch, and the heap has one list of write
 # observers: no non-test Go outside benchmark/ names the replaced slot, the
@@ -349,7 +349,7 @@ if [ -n "$POOL" ] || [ -n "$EVICTGO" ]; then
 fi
 # Guard: the collector reports what it reclaimed one way. CollectStats.Swept
 # is the heap's only report, and Manager.reclaimed purges every manager record
-# of a swept object from it under the swap lock. Per-object finalizers, weak
+# of a swept object from it under the runtime lock. Per-object finalizers, weak
 # references, the manager's bound finalizer values, the membership-only
 # compact pass and the drop-retry knob stay deleted from non-test Go outside
 # benchmark/.
@@ -371,7 +371,7 @@ if [ -n "$OLOG" ]; then
 fi
 # Guard: the proxy is its own record. A swap-cluster-proxy's source and
 # ultimate target are its own fields, a cluster's inbound proxies and outbound
-# edge counts are slices on its record under the table lock, and an
+# edge counts are slices on its record, and an
 # object-fault proxy's remote identity is its $remote field. No non-test file
 # of internal/core declares a map of per-cluster maps or a Manager map keyed
 # by proxy id (the deleted proxyRecs and objProxyMeta).
@@ -394,11 +394,11 @@ if [ -n "$MEMBERSETS" ] || [ -n "$INFOSTRINGS" ]; then
     printf '%s\n%s\n' "$MEMBERSETS" "$INFOSTRINGS" >&2
     exit 1
 fi
-# Guard: a proxy is pointed in the table hold that lists it. Its target slot
-# is written by clusterTable.point alone (internal/core/manager.go), called
-# under the table lock by enlist (a mint), retarget (a cursor step) and
-# settle (internal/core/state.go, as a commit moves the cluster), so a
-# proxy's target and its cluster's residency change in one hold. No other
+# Guard: a proxy is pointed where it is listed. Its target slot is written
+# by clusterTable.point alone (internal/core/manager.go), called by enlist (a
+# mint), retarget (a cursor step) and settle (internal/core/state.go, as a
+# commit moves the cluster), so a proxy's target and its cluster's residency
+# change in one hold of the runtime lock. No other
 # non-test file of internal/core writes slotTarget or calls .point(, and the
 # copied-list patch (patchInbound, rt.patching, inboundProxies) and the
 # lock-free pointProxy stay deleted.
@@ -406,7 +406,7 @@ TARGETS=$(grep -nE '(^|[^[:alnum:]_])slotTarget[[:space:]]*,' internal/core/*.go
 POINTS=$(grep -nE '\.point\(' internal/core/*.go | grep -v '_test\.go:' | grep -vE '^internal/core/(manager|state)\.go:' || true)
 PATCHES=$(grep -nE 'patchInbound|rt\.patching|inboundProxies|pointProxy' internal/core/*.go | grep -v '_test\.go:' || true)
 if [ -n "$TARGETS" ] || [ -n "$POINTS" ] || [ -n "$PATCHES" ]; then
-    echo "proxy pointed outside the table hold that lists it (write its target through clusterTable.point, from enlist, retarget or settle):" >&2
+    echo "proxy pointed outside the hold that lists it (write its target through clusterTable.point, from enlist, retarget or settle):" >&2
     printf '%s\n%s\n%s\n' "$TARGETS" "$POINTS" "$PATCHES" >&2
     exit 1
 fi
@@ -414,7 +414,7 @@ fi
 # list and the objects in it, is valid until the next collection, which
 # reissues the swept swap-cluster-proxies' blocks; only internal/heap, which
 # keeps that rule, and internal/core/gcint.go, which purges from the report
-# under the swap lock before the next collection can start, read .Swept in
+# under the runtime lock before the next collection can start, read .Swept in
 # non-test Go (comment lines aside).
 SWEPT=$(grep -rnE '\.Swept([^[:alnum:]_]|$)' --include='*.go' . | grep -v '_test\.go:' | grep -vE '^\./internal/heap/|^\./internal/core/gcint\.go:' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
 if [ -n "$SWEPT" ]; then
@@ -422,18 +422,20 @@ if [ -n "$SWEPT" ]; then
     echo "$SWEPT" >&2
     exit 1
 fi
-# Guard: the swapping manager keeps each fact once. internal/core has two
-# locks: the swap lock (Runtime.swapMu) and the cluster table's
-# (clusterTable.mu), which guards the records and every index, queue and
-# buffer of the manager beside them. Every swap-cluster-proxy is an instance
-# of one class, and a replacement-object holds its outbound references and
-# its cluster's id, not copies of the record's key and replica set. No
-# non-test Go of internal/core mentions a third sync.Mutex or RWMutex, or
-# names the per-class proxy classes, the ranking lock or the copied fields.
-MUTEXES=$(grep -nE 'sync\.(RW)?Mutex' internal/core/*.go | grep -v '_test\.go:' | sed -E 's/:[0-9]+:[[:space:]]*/ /; s/[[:space:]]+sync\..*//' || true)
+# Guard: one runtime lock, and the swapping manager keeps each fact once. The
+# runtime is one monitor: internal/core has one lock, Runtime.mu (core.go),
+# which guards the heap, the cluster table and everything beside them, and
+# internal/heap has none of its own but the class registry's (class.go), which
+# off-lock decoders read, and the direct runtime's (runtime.go), the floor's
+# owner lock. Every swap-cluster-proxy is an instance of one class, and a
+# replacement-object holds its outbound references and its cluster's id, not
+# copies of the record's key and replica set. No non-test Go of internal/core
+# or internal/heap mentions another sync.Mutex or RWMutex, or names the
+# per-class proxy classes, the ranking lock or the copied fields.
+MUTEXES=$(grep -nE 'sync\.(RW)?Mutex' internal/core/*.go internal/heap/*.go | grep -v '_test\.go:' | sed -E 's/:[0-9]+:[[:space:]]*/ /; s/[[:space:]]+sync\..*//' || true)
 COPIES=$(grep -nwE 'appClass|proxyClassPrefix|rankMu|fldKey|fldStore' internal/core/*.go | grep -v '_test\.go:' || true)
-if [ "$MUTEXES" != "$(printf 'internal/core/core.go swapMu\ninternal/core/manager.go mu')" ] || [ -n "$COPIES" ]; then
-    echo "swapping-manager state kept twice (want two mutexes, Runtime.swapMu and clusterTable.mu; one proxy class; no key or replica set on the replacement-object):" >&2
+if [ "$MUTEXES" != "$(printf 'internal/core/core.go mu\ninternal/heap/class.go mu\ninternal/heap/runtime.go mu')" ] || [ -n "$COPIES" ]; then
+    echo "a lock beside the runtime lock, or swapping-manager state kept twice (want Runtime.mu alone in internal/core and only Registry's and DirectRuntime's mutexes in internal/heap; one proxy class; no key or replica set on the replacement-object):" >&2
     printf '%s\n%s\n' "$MUTEXES" "$COPIES" >&2
     exit 1
 fi
@@ -448,6 +450,15 @@ go test -race -run '^TestFaultStormCoalesces$' -count=1 -cpu 1,4 ./internal/core
 # its one demand fault. The commit-window tests ride along: a mint or a cursor
 # step between a swap's heap work and its commit, and a collection between a
 # proxy's allocation and its listing, leave the invariants whole. So do the
+# tests of the runtime lock: a collection or a mint driven from a second
+# goroutine into a mint's or a swap-in's commit window waits for it, and the
+# proxy and the reserved cluster in the window survive
+# (TestMintWindowIsClosed, TestCommitWindowIsClosed); a method body whose
+# demand fault lets go of the lock mid-method, while a prefetch worker takes
+# it and installs, returns the right object (TestReentryAcrossADemandFault);
+# and a walker's dispatch frames and the young passes of prefetch workers
+# whose swap-ins evict share the invocation stack race-free
+# (TestWalkerAgainstEvictingPrefetch, a thousand times below). So do the
 # stale-holder tests: two collections and a mint between a proxy's
 # allocation and its listing reissue its block as another proxy, and the
 # first mint's enlist — like an enlist or retarget under any stale id —
@@ -466,8 +477,10 @@ go test -race -run '^TestFaultStormCoalesces$' -count=1 -cpu 1,4 ./internal/core
 # whose extra replicas run on goroutines of their own: the placement package
 # fifty times, and the replicated (K > 1) swaps of the root package's
 # durability tests ten. So does the young pass: a walker's stores into old
-# objects run the write barrier against the young passes of prefetch
-# workers whose swap-ins evict (TestYoungPassAgainstConcurrentWrites), and on
+# objects, through the runtime, run the write barrier against the young passes
+# of prefetch workers whose swap-ins evict
+# (TestYoungPassAgainstConcurrentWrites), and against full and young passes on
+# the test's goroutine (TestCollectAgainstConcurrentFieldWrites); and on
 # random heaps a young pass sweeps only garbage, nothing a full pass keeps,
 # and leaves what the full pass would once a full pass follows
 # (TestPropYoungPassSweepsOnlyGarbage, internal/heap). So do the victim
@@ -480,7 +493,17 @@ go test -race -count=10 -run '^(TestTriggerWhileRunningDoesNotRequeue|TestTrigge
 go test -race -count=10 -run '^(TestArmedAttemptContextIsNotReused|TestAttemptContextReportsParentFirst|TestPerAttemptTimeoutIsRetriedAsUnavailable|TestTimeoutExhaustionSurfacesAsUnavailableAndTripsBreaker|TestCallerCancellationFailsFastWithoutBlame)$' ./internal/transport/
 go test -race -count=10 -run '^(TestPrefetchWindowOverlap|TestReplicatedSwapSurvivesDonorLoss|TestDetachDeviceKicksRepair)$' .
 go test -race -count=50 ./internal/placement/
-go test -race -count=10 -run '^(TestTriggerPrefetchAllocatesNothing|TestPrefetchHitRecordsParkedTime|TestCommitWindow|TestSweepBeforeEnlist|TestReissueBeforeEnlist|TestReissuedProxyBlockRefused|TestFaultStormCoalesces|TestReloadedStringsOutliveTheFetch|TestConcurrentSelectVictims|TestYoungPassAgainstConcurrentWrites|TestPropYoungPassSweepsOnlyGarbage|TestSwapOutVictimsWalksTheRanking|TestConcurrentVictimWalks|TestZeroEdgeWaitsForThePurge)$' ./internal/core/ ./internal/heap/
+go test -race -count=10 -run '^(TestTriggerPrefetchAllocatesNothing|TestPrefetchHitRecordsParkedTime|TestCommitWindow|TestSweepBeforeEnlist|TestReissueBeforeEnlist|TestReissuedProxyBlockRefused|TestFaultStormCoalesces|TestReloadedStringsOutliveTheFetch|TestConcurrentSelectVictims|TestYoungPassAgainstConcurrentWrites|TestCollectAgainstConcurrentFieldWrites|TestPropYoungPassSweepsOnlyGarbage|TestSwapOutVictimsWalksTheRanking|TestConcurrentVictimWalks|TestZeroEdgeWaitsForThePurge|TestMintWindowIsClosed|TestCommitWindowIsClosed|TestReentryAcrossADemandFault|TestWalkerAgainstEvictingPrefetch)$' ./internal/core/ ./internal/heap/
+# The walker against the evicting prefetch workers a thousand times under the
+# race detector (about 10 s): the invocation stack was written with no lock
+# beside the workers' passes, which read it, until the runtime was one monitor.
+go test -race -count=1000 -run '^TestWalkerAgainstEvictingPrefetch$' ./internal/core/
+# The lock-count build once over internal/core: the runtime lock counts its
+# acquisitions and the cluster table's caller-locked entry points assert it is
+# held. TestLockAcquisitions: a resident B2 step of Figure 5 takes at most 2
+# acquisitions and a B1 step at most 3 (the floor, heap.DirectRuntime, takes
+# 2), down from 13 before the swap, table and heap locks became one.
+go test -tags lockcount -count=1 ./internal/core/
 # The access ledger's prefetch-hit step a thousand times at the default
 # GOMAXPROCS (about 15 s): a prefetch task left running by one step once
 # swallowed the next step's trigger about once in a thousand runs, and a

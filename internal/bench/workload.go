@@ -141,6 +141,9 @@ type Env struct {
 
 	// RT is non-nil for swapping environments.
 	RT *core.Runtime
+	// direct is the floor's runtime, non-nil for the environment without
+	// swap-clusters.
+	direct *heap.DirectRuntime
 	// heap backs both environments.
 	heap *heap.Heap
 }
@@ -148,12 +151,14 @@ type Env struct {
 // Heap returns the environment's device heap.
 func (e *Env) Heap() *heap.Heap { return e.heap }
 
-// SetCursor assigns the iteration global (swap-cluster-0 variable).
+// SetCursor assigns the iteration global (swap-cluster-0 variable), through
+// the environment's runtime and so under its lock: the floor pays for the
+// assignment what the swapping runtime pays.
 func (e *Env) SetCursor(v heap.Value) error {
 	if e.RT != nil {
 		return e.RT.SetRoot("cursor", v)
 	}
-	e.heap.SetRoot("cursor", v)
+	e.direct.SetRoot("cursor", v)
 	return nil
 }
 
@@ -169,7 +174,7 @@ func Build(cfg Config) (*Env, error) {
 	if cfg.ClusterSize <= 0 {
 		// NO SWAP-CLUSTERS: plain objects on the direct runtime.
 		rt := heap.NewDirectRuntime(h)
-		env.Invoker = rt
+		env.Invoker, env.direct = rt, rt
 		var prev *heap.Object
 		for i := 0; i < cfg.Objects; i++ {
 			o, err := h.New(cls)

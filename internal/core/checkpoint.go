@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"slices"
 	"strings"
 
@@ -132,19 +133,20 @@ type ckptRoot struct {
 }
 
 // SaveCheckpoint writes the device's full middleware state. It must not run
-// with in-flight invocations. The save stops the world (the swap lock) so the
-// stream is a consistent cut: no swap commits or installs mid-checkpoint.
+// with in-flight invocations. The save holds the runtime lock throughout, so
+// the stream is a consistent cut: no swap commits or installs mid-checkpoint.
 func (rt *Runtime) SaveCheckpoint(w io.Writer) error {
+	rt.lock()
+	defer rt.unlock()
 	if rt.depth != 0 {
 		return errors.New("core: checkpoint with in-flight invocations")
 	}
-	rt.swapMu.Lock()
-	defer rt.swapMu.Unlock()
 	doc := ckptDoc{Version: checkpointVersion, Device: rt.name, KeySeq: rt.keyseq.Load()}
 	enc := wire.NewEncoder()
 	defer enc.Release()
 
-	clusterIDs := rt.mgr.Clusters()
+	tab := &rt.mgr.table
+	clusterIDs := slices.Sorted(maps.Keys(tab.clusters))
 
 	var maxID heap.ObjID
 	note := func(id heap.ObjID) {
@@ -157,10 +159,8 @@ func (rt *Runtime) SaveCheckpoint(w io.Writer) error {
 		if cid == RootCluster {
 			continue
 		}
-		tab := &rt.mgr.table
-		tab.mu.Lock()
 		cs := tab.clusters[cid]
-		members := slices.Clone(cs.members)
+		members := cs.members
 		ck := ckptCluster{ID: uint32(cid), Swapped: cs.where.out()}
 		for _, oid := range members {
 			note(oid)
@@ -168,7 +168,6 @@ func (rt *Runtime) SaveCheckpoint(w io.Writer) error {
 		}
 		// Replica sets are replaced, never edited, so the copies may share them.
 		swapped, was, c := ck.Swapped, cs.shipment, cs.retained.donorCopy
-		tab.mu.Unlock()
 		if swapped {
 			ck.Key, ck.Payload, ck.Bytes = c.key, c.payloadBytes, was.bytesAtSwap
 			ck.CRC, ck.Format, ck.Device = c.crc, c.format, c.primary()
@@ -281,7 +280,9 @@ func (rt *Runtime) encodeResidentCluster(enc *wire.Encoder, cid ClusterID, membe
 // roots — and attached to the same store provider namespace, so swapped
 // clusters can be faulted back from their devices.
 func (rt *Runtime) LoadCheckpoint(r io.Reader) error {
-	if len(rt.mgr.Clusters()) != 1 || rt.h.Len() != 0 || len(rt.h.RootNames()) != 0 {
+	rt.lock()
+	defer rt.unlock()
+	if len(rt.mgr.table.clusters) != 1 || rt.h.Len() != 0 || len(rt.h.RootNames()) != 0 {
 		return ErrNotFresh
 	}
 	data, err := io.ReadAll(r)
@@ -298,12 +299,9 @@ func (rt *Runtime) LoadCheckpoint(r io.Reader) error {
 	rt.name = doc.Device
 	rt.keyseq.Store(doc.KeySeq)
 	// Restoration stops the world (it rebuilds the whole table) and runs as a
-	// mutate section: middleware allocations below must not re-enter the
-	// evictor, whose Collect would deadlock on the held swap lock.
-	rt.swapMu.Lock()
-	defer rt.swapMu.Unlock()
-	endMutate := rt.beginMutate()
-	defer endMutate()
+	// mutate section: middleware allocations below must not run the evictor,
+	// which would let go of the runtime lock halfway.
+	defer rt.beginMutate()()
 	rt.h.EnsureIDAbove(heap.ObjID(doc.MaxID))
 
 	// Pass 1: recreate cluster records with their original ids.
@@ -317,7 +315,7 @@ func (rt *Runtime) LoadCheckpoint(r io.Reader) error {
 			return heap.Nil(), fmt.Errorf("%w: unexpected reference class", ErrBadCheckpoint)
 		}
 		if strings.HasPrefix(v.Class, objProxyClassMarker) {
-			pid, err := rt.ObjProxyFor(v.Target, strings.TrimPrefix(v.Class, objProxyClassMarker))
+			pid, err := rt.objProxyFor(v.Target, strings.TrimPrefix(v.Class, objProxyClassMarker))
 			if err != nil {
 				return heap.Nil(), err
 			}
@@ -362,10 +360,7 @@ func (rt *Runtime) LoadCheckpoint(r io.Reader) error {
 		if err := repl.SetFieldByName(fldClust, heap.Int(int64(ck.ID))); err != nil {
 			return err
 		}
-		tab := &rt.mgr.table
-		tab.mu.Lock()
-		tab.clusters[ClusterID(ck.ID)].replacement = repl.ID()
-		tab.mu.Unlock()
+		rt.mgr.table.clusters[ClusterID(ck.ID)].replacement = repl.ID()
 	}
 	for _, ck := range doc.Plain {
 		if !ck.Swapped {
@@ -394,11 +389,7 @@ func (rt *Runtime) LoadCheckpoint(r io.Reader) error {
 			}
 			slots[ob.Slot] = heap.Ref(pid)
 		}
-		tab := &rt.mgr.table
-		tab.mu.Lock()
-		replID := tab.clusters[ClusterID(ck.ID)].replacement
-		tab.mu.Unlock()
-		repl, err := rt.h.Get(replID)
+		repl, err := rt.h.Get(rt.mgr.table.clusters[ClusterID(ck.ID)].replacement)
 		if err != nil {
 			return err
 		}
@@ -423,17 +414,17 @@ func (rt *Runtime) LoadCheckpoint(r io.Reader) error {
 	for _, cr := range doc.Roots {
 		switch {
 		case cr.Remote != 0:
-			pid, err := rt.ObjProxyFor(heap.ObjID(cr.Remote), cr.Class)
+			pid, err := rt.objProxyFor(heap.ObjID(cr.Remote), cr.Class)
 			if err != nil {
 				return err
 			}
-			if err := rt.SetRoot(cr.Name, heap.Ref(pid)); err != nil {
+			if err := rt.setRoot(cr.Name, heap.Ref(pid)); err != nil {
 				return err
 			}
 		case cr.Target == 0:
 			rt.h.SetRoot(cr.Name, heap.Nil())
 		default:
-			if err := rt.SetRoot(cr.Name, heap.Ref(heap.ObjID(cr.Target))); err != nil {
+			if err := rt.setRoot(cr.Name, heap.Ref(heap.ObjID(cr.Target))); err != nil {
 				return err
 			}
 		}
@@ -442,12 +433,9 @@ func (rt *Runtime) LoadCheckpoint(r io.Reader) error {
 }
 
 // restoreRecords is LoadCheckpoint's pass 1: it recreates every cluster
-// record, members included, under its original id, in one hold of the table
-// lock.
+// record, members included, under its original id.
 func (m *Manager) restoreRecords(plain []ckptCluster) error {
 	tab := &m.table
-	tab.mu.Lock()
-	defer tab.mu.Unlock()
 	for _, ck := range plain {
 		cid := ClusterID(ck.ID)
 		if _, dup := tab.clusters[cid]; dup {
@@ -482,7 +470,7 @@ func (m *Manager) restoreRecords(plain []ckptCluster) error {
 			// replica list name (its <base> repeats them). Without a slot
 			// table it anchors nothing until the reload reads it back.
 			cs.shipment = shipment{bytesAtSwap: ck.Bytes}
-			m.anchor(cs, donorCopy{devices: devices, key: ck.Key, payloadBytes: ck.Payload,
+			cs.anchor(donorCopy{devices: devices, key: ck.Key, payloadBytes: ck.Payload,
 				crc: ck.CRC, format: ck.Format}, nil)
 		} else if ck.Base != nil {
 			// Without a slot table the copy anchors nothing: a restored
@@ -492,7 +480,7 @@ func (m *Manager) restoreRecords(plain []ckptCluster) error {
 			for _, r := range ck.Base.Replicas {
 				c.devices = append(c.devices, r.Device)
 			}
-			m.anchor(cs, c, nil)
+			cs.anchor(c, nil)
 		}
 		tab.put(cs)
 		tab.lastID = max(tab.lastID, cid)

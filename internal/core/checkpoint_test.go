@@ -88,9 +88,9 @@ func TestCheckpointWithSwappedClusters(t *testing.T) {
 	// keeps verifying replicas against bit rot.
 	for _, cid := range []ClusterID{clusters[1], clusters[3]} {
 		tab := &rt2.mgr.table
-		tab.mu.Lock()
+		rt2.lock()
 		crc := tab.clusters[cid].retained.crc
-		tab.mu.Unlock()
+		rt2.unlock()
 		if crc == 0 {
 			t.Fatalf("cluster %d: payload CRC lost in checkpoint restore", cid)
 		}
@@ -269,9 +269,9 @@ func goldenState(t *testing.T, rt *Runtime) {
 	// Sparse slot table: drop the middle outbound slot, as a delta remap of a
 	// target no longer referenced leaves it.
 	tab := &rt.mgr.table
-	tab.mu.Lock()
+	rt.lock()
 	replID := tab.clusters[cb].replacement
-	tab.mu.Unlock()
+	rt.unlock()
 	repl, err := rt.h.Get(replID)
 	if err != nil {
 		t.Fatal(err)

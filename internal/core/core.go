@@ -192,8 +192,13 @@ type SwapEvent struct {
 }
 
 // Runtime is the swapping-aware Invoker: the OBIWAN middleware instance
-// running on one constrained device.
+// running on one constrained device. It is one monitor (lock.go): mu guards
+// the heap, the cluster table, the event outbox and every field below that is
+// neither atomic nor set before the runtime is shared.
 type Runtime struct {
+	mu     sync.Mutex
+	outbox *outbox
+
 	h   *heap.Heap
 	reg *heap.Registry
 	bus *event.Bus
@@ -221,33 +226,25 @@ type Runtime struct {
 	// stack holds the receivers, arguments and freshly created middleware
 	// objects of in-flight invocations; it stands in for thread stacks as GC
 	// roots. frames holds one heap.Call per depth, indexed by depth and
-	// released by the same frame.leave that pops the stack. Neither is
-	// synchronised: one goroutine dispatches at a time.
+	// released by the same frame.leave that pops the stack. Both are read and
+	// written under mu, but belong to the one goroutine that dispatches at a
+	// time: the lock orders the collectors and workers against it, not a
+	// second dispatcher.
 	stack  []heap.ObjID
 	depth  int
 	frames heap.Frames
 
-	// swapMu is the swap lock: the serialization point for the reserve,
-	// commit, install and repair-commit sections of every swap. The expensive
-	// middle phases — encoding, device shipment, fetch and decode — run
-	// outside it, so concurrent callers overlap the encoding of one cluster
-	// with the shipment of another. The whole-graph paths (Collect, resize,
-	// checkpoint save/restore) take it to stop the world. Lock order: swapMu
-	// → mgr.table.mu → h.mu, with the fault engine's inventory lock a leaf
-	// under the table lock (DESIGN §6).
-	swapMu sync.Mutex
-	// mutatingCount counts open critical sections that may allocate while
-	// holding the swap lock (swap-in install, resize, restore). While nonzero,
-	// allocation failures report ErrOutOfMemory instead of re-entering the
-	// evictor, whose swap-outs would deadlock on the held lock.
-	mutatingCount atomic.Int32
-	// yield, nil outside tests, runs where another goroutine may act: "mint"
-	// before newProxy's enlist, "commit" before a swap commit's settle.
+	// mutating counts the open sections that allocate and must keep mu
+	// (beginMutate); while nonzero, the evictor, which releases it, stays out.
+	mutating int
+	// yield, nil outside tests, runs with mu held where another goroutine
+	// could act before the runtime was one monitor: "mint" before newProxy's
+	// enlist, "commit" before a swap commit's settle.
 	yield func(at string)
 
 	name     string
 	keyseq   atomic.Uint64
-	evicting atomic.Bool
+	evicting bool // an evictor pass is running (runEvictor); under mu
 	// evictDepth counts the eviction-walk victims whose swap-out is in
 	// flight; evictStart is the registry-clock time (unix nanos) the oldest
 	// of them started, 0 when none is. The evictor health check reads it.
@@ -387,7 +384,7 @@ func NewRuntime(h *heap.Heap, reg *heap.Registry, opts ...Option) *Runtime {
 		classIndex: make(map[string]uint32),
 		name:       fmt.Sprintf("dev%d", atomic.AddUint64(&runtimeSeq, 1)),
 	}
-	rt.frames = heap.NewFrames(rt)
+	rt.frames = heap.NewFrames((*held)(rt))
 	// The middleware classes are not registered in the application registry
 	// (swapped XML never mentions them).
 	rt.proxyClass = buildProxyClass()
@@ -425,7 +422,8 @@ func NewRuntime(h *heap.Heap, reg *heap.Registry, opts ...Option) *Runtime {
 		Obs:             rt.obsReg,
 		PrefetchDepth:   rt.prefetchDepth,
 		PrefetchWorkers: rt.prefetchWorkers,
-		Neighbors:       rt.mgr.NeighborClusters,
+		Neighbors:       rt.mgr.neighbors,
+		Locker:          &rt.mu, // for Rank: a trigger's caller holds it already
 		SwapIn:          rt.prefetchSwapIn,
 	})
 	return rt
@@ -440,14 +438,14 @@ func (rt *Runtime) shipFormats() []string {
 	return append(slices.Clip(rt.wireFormats), string(wire.FormatXML))
 }
 
-// beginMutate opens a critical section that may allocate while holding the
-// swap lock (swap-in install, resize re-mediation, checkpoint restore). While
-// any such section is open, allocation failures report ErrOutOfMemory instead
-// of re-entering the evictor, whose Collect would deadlock on the very lock
-// the section holds. The returned func closes the section.
+// beginMutate opens a section that allocates and must keep the runtime lock
+// throughout (swap-in install, the replacement-object build, resize
+// re-mediation, checkpoint restore). While any such section is open,
+// allocation failures report ErrOutOfMemory instead of running the evictor,
+// which lets go of the lock. The returned func closes the section.
 func (rt *Runtime) beginMutate() func() {
-	rt.mutatingCount.Add(1)
-	return func() { rt.mutatingCount.Add(-1) }
+	rt.mutating++
+	return func() { rt.mutating-- }
 }
 
 // resolveCause defaults an unattributed swap: to the evictor while an
@@ -456,7 +454,7 @@ func (rt *Runtime) resolveCause(cause string) string {
 	if cause != "" {
 		return cause
 	}
-	if rt.evicting.Load() {
+	if rt.evicting {
 		return CauseEvictor
 	}
 	return CauseExplicit
@@ -497,7 +495,7 @@ func (rt *Runtime) instrument() {
 	clusters := r.GaugeVec("objectswap_core_clusters",
 		"Swap-clusters by residency state.", "state")
 	for _, st := range states {
-		clusters.WithFunc(func() float64 { return rt.mgr.table.count(st.in) }, st.name)
+		clusters.WithFunc(func() float64 { return rt.count(st.in) }, st.name)
 	}
 	repl := r.GaugeVec("objectswap_placement_replicas",
 		"Replica health of swapped clusters.", "stat")
@@ -567,20 +565,14 @@ func (rt *Runtime) Manager() *Manager { return rt.mgr }
 // Bus returns the event bus, which may be nil.
 func (rt *Runtime) Bus() *event.Bus { return rt.bus }
 
-// SetEvictor installs the allocation-pressure hook: when an allocation fails
-// with ErrOutOfMemory, the runtime calls evict(need) once and retries.
+// SetEvictor installs the allocation-pressure hook, before the runtime is
+// shared: when an allocation fails with ErrOutOfMemory, the runtime calls
+// evict(need) once, with the runtime lock released, and retries.
 func (rt *Runtime) SetEvictor(evict func(need int64) error) { rt.evictor = evict }
 
-// SetFaultHandler installs the incremental-replication fault handler.
+// SetFaultHandler installs the incremental-replication fault handler, before
+// the runtime is shared; it runs with the runtime lock released.
 func (rt *Runtime) SetFaultHandler(fh FaultHandler) { rt.faultHandler = fh }
-
-// emit publishes an event when a bus is attached, counting it either way.
-func (rt *Runtime) emit(topic event.Topic, payload any) {
-	rt.coreEvents.With(string(topic)).Inc()
-	if rt.bus != nil {
-		rt.bus.Emit(topic, payload)
-	}
-}
 
 // RegisterClass registers an application class. Middleware classes must not
 // be registered this way.
@@ -591,6 +583,8 @@ func (rt *Runtime) RegisterClass(c *heap.Class) error {
 	if c.Special != heap.SpecialNone {
 		return fmt.Errorf("core: RegisterClass: %s is a middleware class", c.Name)
 	}
+	rt.lock()
+	defer rt.unlock()
 	if err := rt.reg.Register(c); err != nil {
 		return err
 	}
@@ -610,7 +604,7 @@ func (rt *Runtime) MustRegisterClass(c *heap.Class) *heap.Class {
 // allocApp allocates an application object, invoking the evictor once on
 // memory pressure. Evictions do not nest: an allocation failing while an
 // eviction is already in progress reports ErrOutOfMemory directly rather
-// than recursing.
+// than recursing. The caller holds the runtime lock, as for every allocation.
 func (rt *Runtime) allocApp(c *heap.Class) (*heap.Object, error) {
 	return rt.allocWith(false, c, nil)
 }
@@ -625,7 +619,7 @@ func (rt *Runtime) allocMiddleware(c *heap.Class, init ...heap.Value) (*heap.Obj
 func (rt *Runtime) allocWith(privileged bool, c *heap.Class, init []heap.Value) (*heap.Object, error) {
 	o, err := rt.alloc(privileged, c, init)
 	if err == nil || !errors.Is(err, heap.ErrOutOfMemory) || rt.evictor == nil ||
-		rt.evicting.Load() || rt.mutatingCount.Load() > 0 {
+		rt.evicting || rt.mutating > 0 {
 		return o, err
 	}
 	need := int64(64 + 16*c.NumFields())
@@ -643,15 +637,17 @@ func (rt *Runtime) alloc(privileged bool, c *heap.Class, init []heap.Value) (*he
 	return rt.h.New(c)
 }
 
-// runEvictor invokes the evictor hook under the re-entrancy guard.
-func (rt *Runtime) runEvictor(need int64) error {
-	if !rt.evicting.CompareAndSwap(false, true) {
+// runEvictor invokes the evictor hook under the re-entrancy guard, with the
+// runtime lock released: the hook evicts through the exported entries.
+func (rt *Runtime) runEvictor(need int64) (err error) {
+	if rt.evicting {
 		return errors.New("core: eviction already in progress")
 	}
-	defer rt.evicting.Store(false)
+	rt.evicting = true
+	defer func() { rt.evicting = false }()
 	rt.logger.LogAttrs(context.Background(), slog.LevelDebug, "eviction start",
 		slog.Int64("need", need))
-	err := rt.evictor(need)
+	rt.unlocked(func() { err = rt.evictor(need) })
 	if err != nil {
 		rt.logger.Warn("eviction failed", "need", need, "err", err)
 	}
@@ -676,6 +672,8 @@ func (rt *Runtime) appendTrace(b []byte, seq uint64) []byte {
 // The cluster must have been created with Manager.NewCluster (or be
 // RootCluster).
 func (rt *Runtime) NewObject(c *heap.Class, cluster ClusterID) (*heap.Object, error) {
+	rt.lock()
+	defer rt.unlock()
 	if c.Special != heap.SpecialNone {
 		return nil, fmt.Errorf("core: NewObject: %s is a middleware class", c.Name)
 	}
@@ -687,7 +685,7 @@ func (rt *Runtime) NewObject(c *heap.Class, cluster ClusterID) (*heap.Object, er
 	}
 	// Allocating into a swapped-out cluster faults it back in first: the new
 	// object joins its cluster-mates wherever they are.
-	if rt.mgr.IsSwapped(cluster) {
+	if _, out := rt.mgr.shipmentOf(cluster); out {
 		if err := rt.reload(cluster); err != nil {
 			return nil, fmt.Errorf("core: NewObject: %w", err)
 		}
@@ -707,6 +705,12 @@ func (rt *Runtime) NewObject(c *heap.Class, cluster ClusterID) (*heap.Object, er
 // translated into cluster-0 perspective: references to objects of other
 // clusters are wrapped in swap-cluster-proxies.
 func (rt *Runtime) SetRoot(name string, v heap.Value) error {
+	rt.lock()
+	defer rt.unlock()
+	return rt.setRoot(name, v)
+}
+
+func (rt *Runtime) setRoot(name string, v heap.Value) error {
 	tv, err := rt.translate(v, RootCluster)
 	if err != nil {
 		return err
@@ -717,6 +721,8 @@ func (rt *Runtime) SetRoot(name string, v heap.Value) error {
 
 // Root reads a global variable as stored (possibly a proxy reference).
 func (rt *Runtime) Root(name string) (heap.Value, bool) {
+	rt.lock()
+	defer rt.unlock()
 	return rt.h.Root(name)
 }
 

@@ -105,6 +105,45 @@ type fixture struct {
 	node *heap.Class
 }
 
+// The caller-locked internals, each under one hold of the runtime lock as an
+// exported entry takes it: aids for tests that call them directly.
+
+func (rt *Runtime) lockedProxyFor(src ClusterID, target heap.ObjID) (heap.ObjID, error) {
+	rt.lock()
+	defer rt.unlock()
+	return rt.proxyFor(src, target)
+}
+
+func (rt *Runtime) lockedNewProxy(src ClusterID, target heap.ObjID, cursor bool) (heap.ObjID, error) {
+	rt.lock()
+	defer rt.unlock()
+	return rt.newProxy(src, target, cursor)
+}
+
+func (rt *Runtime) lockedReserve(id ClusterID, from, to residency) (*clusterState, error) {
+	rt.lock()
+	defer rt.unlock()
+	return rt.reserve(id, from, to, nil)
+}
+
+func (rt *Runtime) lockedSettle(cs *clusterState, to residency) {
+	rt.lock()
+	defer rt.unlock()
+	rt.settle(cs, to, nil)
+}
+
+func (rt *Runtime) lockedUltimateOf(v heap.Value) (heap.ObjID, error) {
+	rt.lock()
+	defer rt.unlock()
+	return rt.ultimateOf(v)
+}
+
+func (rt *Runtime) lockedCollect(cycles int) heap.CollectStats {
+	rt.lock()
+	defer rt.unlock()
+	return rt.collect(cycles)
+}
+
 func newFixture(t testing.TB, capacity int64, opts ...Option) *fixture {
 	t.Helper()
 	h := heap.New(capacity)
@@ -355,11 +394,11 @@ func TestRefEqualIdentity(t *testing.T) {
 	f := newFixture(t, 0)
 	ids, clusters := f.buildList(t, 30, 10, 8)
 	// Build two distinct proxies to node 10 from two different clusters.
-	p1, err := f.rt.proxyFor(RootCluster, ids[10])
+	p1, err := f.rt.lockedProxyFor(RootCluster, ids[10])
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := f.rt.proxyFor(ClusterID(clusters[2]), ids[10])
+	p2, err := f.rt.lockedProxyFor(ClusterID(clusters[2]), ids[10])
 	if err != nil {
 		t.Fatal(err)
 	}

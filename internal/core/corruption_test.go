@@ -159,9 +159,9 @@ func TestRepairMajorityConvictsDivergentCopy(t *testing.T) {
 
 	// Simulate legacy state: forget the recorded checksum.
 	tab := &f.rt.mgr.table
-	tab.mu.Lock()
+	f.rt.lock()
 	tab.clusters[clusters[1]].retained.crc = 0
-	tab.mu.Unlock()
+	f.rt.unlock()
 
 	corrupt := ev.Replicas[0]
 	corruptPayload(t, flakies[corrupt], ev.Key)

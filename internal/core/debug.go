@@ -16,6 +16,8 @@ import (
 //
 //	go run ./cmd/obiswap -dot | dot -Tsvg > graph.svg
 func (rt *Runtime) DumpDot(w io.Writer) error {
+	rt.lock()
+	defer rt.unlock()
 	h := rt.h
 	var err error
 	p := func(format string, args ...any) {
@@ -35,7 +37,7 @@ func (rt *Runtime) DumpDot(w io.Writer) error {
 			continue
 		}
 		if o.Class().Special == heap.SpecialNone {
-			c := rt.mgr.ClusterOf(oid)
+			c := rt.mgr.clusterOf(oid)
 			byCluster[c] = append(byCluster[c], oid)
 		} else {
 			middleware = append(middleware, oid)
@@ -56,7 +58,7 @@ func (rt *Runtime) DumpDot(w io.Writer) error {
 		p("  }\n")
 	}
 	// Swapped clusters appear as annotations.
-	for _, info := range rt.mgr.InfoAll() {
+	for _, info := range rt.mgr.infoAll() {
 		if !info.Swapped {
 			continue
 		}

@@ -15,6 +15,16 @@ var ErrClusterActive = errors.New("core: cluster has in-flight invocations")
 // reference: only swap-cluster-proxies may target one.
 var errCorrupt = errors.New("core: replacement-object reached through an application reference (graph corruption)")
 
+// held is a Runtime whose lock the caller holds: the Invoker method bodies
+// call back through (heap.Call.RT), under the hold of the entry that
+// dispatched them. Runtime's Invoke, Field and SetFieldValue lock and call it.
+type held Runtime
+
+var _ heap.Invoker = (*held)(nil)
+
+// Heap returns the device heap.
+func (h *held) Heap() *heap.Heap { return h.h }
+
 // frame is one boundary operation's hold on the invocation stack, which
 // stands in for thread stacks as GC roots (DESIGN §6c): whatever is pushed
 // between enter and leave survives any collection the operation triggers.
@@ -125,7 +135,10 @@ func (rt *Runtime) reach(id heap.ObjID) (reached, error) {
 			if rt.faultHandler == nil {
 				return reached{}, fmt.Errorf("core: object fault on @%d without fault handler", id)
 			}
-			resolved, err := rt.faultHandler.HandleFault(rt, d.obj)
+			// The handler replicates over the network through the exported
+			// entries, unlocked; enter stacked the proxy, so it survives.
+			var resolved heap.Value
+			rt.unlocked(func() { resolved, err = rt.faultHandler.HandleFault(rt, d.obj) })
 			if err != nil {
 				return reached{}, fmt.Errorf("core: object fault: %w", err)
 			}
@@ -145,7 +158,8 @@ func (rt *Runtime) reach(id heap.ObjID) (reached, error) {
 // reload faults a swapped-out cluster back in on behalf of a reference. A
 // cluster that turned resident between the crossing's look and the fault —
 // its flight, often the prefetcher's, closed in between — is what the
-// reference needed, and the crossing a resident one.
+// reference needed, and the crossing a resident one. The caller holds the
+// runtime lock, which the fault lets go of while it waits or fetches.
 func (rt *Runtime) reload(cluster ClusterID) error {
 	_, err := rt.swapInWith(cluster, causedBy(CauseReload))
 	switch {
@@ -166,7 +180,7 @@ func (rt *Runtime) materialize(id heap.ObjID) (*heap.Object, error) {
 		return o, nil
 	}
 	info, member := rt.mgr.member(id)
-	if !member || !rt.mgr.IsSwapped(info.cluster) {
+	if _, out := rt.mgr.shipmentOf(info.cluster); !member || !out {
 		return nil, err
 	}
 	if err := rt.reload(info.cluster); err != nil {
@@ -177,10 +191,19 @@ func (rt *Runtime) materialize(id heap.ObjID) (*heap.Object, error) {
 
 // Invoke dispatches a method on the object designated by target, applying
 // swap-cluster-proxy interception, replication faults and swap-in reloads as
-// the reference demands. It implements heap.Invoker, so nested invocations
-// made by method bodies flow back through it. The results follow
-// heap.Call's lifetime rule: they may live in the frame pool's arenas.
-func (rt *Runtime) Invoke(target heap.Value, method string, args ...heap.Value) (res []heap.Value, err error) {
+// the reference demands. Nested invocations made by method bodies flow back
+// through held, under this call's hold of the runtime lock. The results
+// follow heap.Call's lifetime rule: they may live in the frame pool's arenas.
+func (rt *Runtime) Invoke(target heap.Value, method string, args ...heap.Value) ([]heap.Value, error) {
+	rt.lock()
+	defer rt.unlock()
+	return (*held)(rt).Invoke(target, method, args...)
+}
+
+// Invoke dispatches a method under the caller's hold (Runtime.Invoke): the
+// dispatch itself, so a nested call costs the Go stack no extra frame.
+func (h *held) Invoke(target heap.Value, method string, args ...heap.Value) (res []heap.Value, err error) {
+	rt := (*Runtime)(h)
 	f, err := rt.enter(target, "method", method)
 	if err != nil {
 		return nil, err
@@ -295,7 +318,15 @@ func (rt *Runtime) assignReturn(p *heap.Object, r heap.Value) (heap.Value, error
 // a proxy mediates any returned reference for the proxy's source cluster (an
 // assign-mode cursor advances onto it instead); a direct read returns the raw
 // value (same-cluster access).
-func (rt *Runtime) Field(target heap.Value, name string) (res heap.Value, err error) {
+func (rt *Runtime) Field(target heap.Value, name string) (heap.Value, error) {
+	rt.lock()
+	defer rt.unlock()
+	return (*held)(rt).Field(target, name)
+}
+
+// Field reads a field under the caller's hold (Runtime.Field).
+func (h *held) Field(target heap.Value, name string) (res heap.Value, err error) {
+	rt := (*Runtime)(h)
 	f, err := rt.enter(target, "field", name)
 	if err != nil {
 		return heap.Nil(), err
@@ -323,6 +354,15 @@ func (rt *Runtime) Field(target heap.Value, name string) (res heap.Value, err er
 // perspective, maintaining the invariant that fields hold only intra-cluster
 // direct references or proxies sourced at the owning cluster.
 func (rt *Runtime) SetFieldValue(target heap.Value, name string, v heap.Value) error {
+	rt.lock()
+	defer rt.unlock()
+	return (*held)(rt).SetFieldValue(target, name, v)
+}
+
+// SetFieldValue writes a field under the caller's hold
+// (Runtime.SetFieldValue).
+func (h *held) SetFieldValue(target heap.Value, name string, v heap.Value) error {
+	rt := (*Runtime)(h)
 	f, err := rt.enter(target, "field", name)
 	if err != nil {
 		return err
@@ -335,7 +375,7 @@ func (rt *Runtime) SetFieldValue(target heap.Value, name string, v heap.Value) e
 	}
 	owner := r.dst
 	if r.proxy == nil {
-		owner = rt.mgr.ClusterOf(r.obj.ID())
+		owner = rt.mgr.clusterOf(r.obj.ID())
 	}
 	tv, err := rt.translate(v, owner)
 	if err != nil {

@@ -20,24 +20,26 @@ import "errors"
 // left and the target is still unmet, one full pass (a Collect) looks for it
 // before the eviction gives up.
 func (rt *Runtime) EvictWith(strategy VictimStrategy, need int64) error {
+	rt.lock()
+	defer rt.unlock()
 	if strategy == 0 {
 		strategy = VictimColdest
 	}
 	target := rt.h.Used() - need
 	if rt.h.Used() > target {
-		rt.collectYoung()
+		rt.pass(pressureCycles, true) // a young pass
 	}
 	met := func(int) bool { return rt.h.Used() <= target }
 	full := false
 	for rt.h.Used() > target {
-		swapped, err := rt.SwapOutVictims(strategy, met)
+		swapped, err := rt.swapOutVictims(strategy, met, causedBy(""))
 		if err != nil {
 			return err
 		}
 		if swapped == 0 {
 			if !full {
 				full = true
-				rt.Collect()
+				rt.collect(1)
 				continue
 			}
 			return errors.New("core: no cluster left to evict (none loaded, or all active)")
@@ -52,24 +54,26 @@ func (rt *Runtime) EvictWith(strategy VictimStrategy, need int64) error {
 // until enough, called with the number swapped so far, reports that no
 // further victim is wanted. It is the one victim walk behind the evictor and
 // the policy engine's swap-out action, and it stops at the first hard
-// failure. Each victim's swap-out holds the runtime's eviction mark
-// (EvictingSince) while it runs. It returns how many clusters were swapped
-// out.
+// failure; enough runs with the runtime lock held. Each victim's swap-out
+// holds the runtime's eviction mark (EvictingSince) while it runs. It returns
+// how many clusters were swapped out.
 //
-// The walk ranks the candidates under one hold of the table lock in a buffer
-// it borrows from the table until it ends, and walks that buffer in order: a
-// warm walk allocates nothing of its own.
+// The walk ranks the candidates in a buffer it borrows from the table until
+// it ends, and walks that buffer in order: a warm walk allocates nothing of
+// its own.
 func (rt *Runtime) SwapOutVictims(strategy VictimStrategy, enough func(swapped int) bool, opts ...SwapOption) (int, error) {
+	rt.lock()
+	defer rt.unlock()
+	return rt.swapOutVictims(strategy, enough, resolveSwapOpts(opts))
+}
+
+// swapOutVictims is SwapOutVictims with the runtime lock held, which each
+// victim's shipment lets go of.
+func (rt *Runtime) swapOutVictims(strategy VictimStrategy, enough func(swapped int) bool, o swapOpts) (int, error) {
 	tab := &rt.mgr.table
-	tab.mu.Lock()
 	ranked := rt.mgr.rankVictims(strategy, tab.victims)
 	tab.victims = nil
-	tab.mu.Unlock()
-	defer func() {
-		tab.mu.Lock()
-		tab.keepVictims(ranked) // unless an overlapping walk put back a larger one
-		tab.mu.Unlock()
-	}()
+	defer func() { tab.keepVictims(ranked) }() // unless an overlapping walk put back a larger one
 
 	swapped := 0
 	for _, victim := range ranked {
@@ -77,7 +81,7 @@ func (rt *Runtime) SwapOutVictims(strategy VictimStrategy, enough func(swapped i
 			break
 		}
 		rt.beginEvict()
-		_, err := rt.SwapOut(victim.id, opts...)
+		_, err := rt.swapOut(victim.id, o)
 		rt.endEvict()
 		if err == nil {
 			swapped++

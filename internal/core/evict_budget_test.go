@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"slices"
 	"sync"
@@ -191,11 +192,11 @@ func TestEvictionFallsBackToAFullPass(t *testing.T) {
 // write barrier runs against the passes. The heap holds a few of the list's
 // clusters at a time, and each round triggers the prefetch of clusters the
 // walker never touches: those are the only victims. The walker writes its
-// nodes' fields through the heap, as a method body does: the runtime's
-// dispatch frames are not yet safe to push beside a collection on another
-// goroutine (ROADMAP item 25). Every holder must lead to the node last
-// stored in it, and the invariants hold. check.sh runs it ten times under
-// the race detector.
+// nodes' fields through the runtime's exported entries, each a dispatch that
+// pushes its frame and writes under the runtime lock, which the workers'
+// passes take: a test of that lock, not of the heap. Every holder must lead
+// to the node last stored in it, and the invariants hold. check.sh runs it
+// ten times under the race detector.
 func TestYoungPassAgainstConcurrentWrites(t *testing.T) {
 	f := newFixture(t, 0, WithPrefetch(2, 2))
 	eng := f.rt.FaultEngine()
@@ -219,7 +220,6 @@ func TestYoungPassAgainstConcurrentWrites(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	next, _ := f.node.FieldIndex("next")
 	f.rt.Collect() // the holders are old
 	// Room for a quarter of the list, and a middleware reserve, so that a
 	// reload's proxies never wait for an eviction running on another worker.
@@ -242,14 +242,18 @@ func TestYoungPassAgainstConcurrentWrites(t *testing.T) {
 			if err != nil {
 				t.Fatalf("round %d: %v", round, err)
 			}
-			o.MustSet("tag", heap.Int(int64(round*fresh+i)))
 			nodes[i] = o.RefTo()
+			if err := f.rt.SetFieldValue(nodes[i], "tag", heap.Int(int64(round*fresh+i))); err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
 		}
 		before := h.StatsSnapshot().Collections
+		f.rt.lock() // a trigger walks the graph under the runtime lock
 		eng.TriggerPrefetch(uint32(clusters[round%(len(clusters)-2)]))
+		f.rt.unlock()
 		for step := 0; step < 64; step++ {
 			k, i := step%len(holders), (step*7+round)%fresh
-			if err := holders[k].SetField(next, nodes[i]); err != nil {
+			if err := f.rt.SetFieldValue(holders[k].RefTo(), "next", nodes[i]); err != nil {
 				t.Fatalf("round %d step %d: %v", round, step, err)
 			}
 			stored[k] = int64(round*fresh + i)
@@ -273,6 +277,67 @@ func TestYoungPassAgainstConcurrentWrites(t *testing.T) {
 	}
 	if evictions == 0 {
 		t.Fatal("no prefetch swap-in evicted: the prefetched clusters fit the heap")
+	}
+	checkClean(t, f.rt)
+}
+
+// TestCollectAgainstConcurrentFieldWrites runs collections, full and young,
+// while other goroutines rewrite the links and payloads of live objects
+// through the runtime — what a background swap-in's eviction pass does to the
+// application thread. Each writer owns its own objects. The writers'
+// dispatches and the passes share nothing but the runtime lock: under -race
+// it checks that the lock orders the collector's mark words and field scans,
+// and the write barrier's reads of them, against the writes; in any mode,
+// that accounting stays exact.
+func TestCollectAgainstConcurrentFieldWrites(t *testing.T) {
+	f := newFixture(t, 0)
+	objs := make([]heap.Value, 64)
+	for i := range objs {
+		o, err := f.rt.NewObject(f.node, RootCluster)
+		if err != nil {
+			t.Fatal(err)
+		}
+		objs[i] = o.RefTo()
+		if err := f.rt.SetRoot(fmt.Sprintf("n%d", i), objs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	const writers = 3
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < 2000; i++ {
+				o := objs[r.Intn(len(objs)/writers)*writers+w]
+				if err := f.rt.SetFieldValue(o, "next", objs[r.Intn(len(objs))]); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := f.rt.SetFieldValue(o, "payload", heap.Bytes(make([]byte, r.Intn(32)))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	for i := 0; i < 50; i++ {
+		f.rt.lock()
+		st := f.rt.pass(1+i%3, i%2 == 1)
+		f.rt.unlock()
+		if st.Reclaimed != 0 {
+			t.Errorf("rooted objects collected: %+v", st)
+		}
+	}
+	wg.Wait()
+	var live int64
+	for _, id := range f.rt.h.IDs() {
+		o, _ := f.rt.h.Get(id)
+		live += o.Size()
+	}
+	if used := f.rt.h.Used(); used != live {
+		t.Fatalf("used %d, resident sizes sum to %d", used, live)
 	}
 	checkClean(t, f.rt)
 }

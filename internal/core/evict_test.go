@@ -40,10 +40,10 @@ func TestSwapOutVictimsWalksTheRanking(t *testing.T) {
 						}
 					}
 				default:
-					tab.mu.Lock()
+					f.rt.lock()
 					cs := tab.clusters[c]
 					cs.ledger.LastAccess, cs.ledger.Crossings = tc.keys[i], tc.keys[i]
-					tab.mu.Unlock()
+					f.rt.unlock()
 				}
 			}
 			want := slices.Clone(clusters)
@@ -67,11 +67,8 @@ func TestSwapOutVictimsWalksTheRanking(t *testing.T) {
 			})
 			active, busy := want[1], want[3]
 			f.rt.stack = append(f.rt.stack, ids[4*slices.Index(clusters, active)])
-			move := func(c ClusterID, to residency) {
-				tab.mu.Lock()
-				defer tab.mu.Unlock()
-				tab.move(tab.clusters[c], to)
-			}
+			// enough runs under the walk's hold of the runtime lock.
+			move := func(c ClusterID, to residency) { tab.move(tab.clusters[c], to) }
 			calls := 0
 			swapped, err := f.rt.SwapOutVictims(tc.strategy, func(int) bool {
 				switch calls {

@@ -40,24 +40,28 @@ func (rt *Runtime) FaultEngine() *fault.Engine { return rt.faults }
 // semantics; a successful demand reload, like a hit, slides the prefetch
 // window along the graph.
 func (rt *Runtime) SwapIn(id ClusterID, opts ...SwapOption) (SwapEvent, error) {
+	rt.lock()
+	defer rt.unlock()
 	return rt.swapInWith(id, resolveSwapOpts(opts))
 }
 
-// swapInWith is SwapIn with its options resolved, the entry of a demand
-// reload, which carries its cause without building an option.
+// swapInWith is SwapIn with its options resolved and the runtime lock held,
+// the entry of a demand reload, which carries its cause without building an
+// option. The flight runs with the lock released: a join parks until its
+// leader, perhaps a prefetch worker that needs the lock to install, is done.
 func (rt *Runtime) swapInWith(id ClusterID, o swapOpts) (SwapEvent, error) {
 	var parked time.Time // when a join, the one kind of fault that may be a hit, began to wait
 	if rt.prefetchDepth > 0 {
 		parked = rt.telem.Now()
 	}
-	ev, leader, err := rt.swapInOnce(id, o)
+	var ev SwapEvent
+	var leader bool
+	var err error
+	rt.unlocked(func() { ev, leader, err = rt.swapInOnce(id, o) })
 	if err != nil {
 		return SwapEvent{}, err
 	}
-	switch {
-	case leader && ev.Cause != CausePrefetch:
-		rt.faults.TriggerPrefetch(uint32(id))
-	case !leader && ev.Cause == CausePrefetch:
+	if !leader && ev.Cause == CausePrefetch {
 		rt.prefetchHit(id, parked)
 	}
 	return ev, nil
@@ -65,10 +69,18 @@ func (rt *Runtime) swapInWith(id ClusterID, o swapOpts) (SwapEvent, error) {
 
 // swapInOnce runs swapInDirect as the cluster's one flight; leader reports
 // whether this call ran it or joined the flight already open. Leader and
-// waiters read their SwapEvent out of the one box swapInDirect made.
+// waiters read their SwapEvent out of the one box swapInDirect made. The
+// caller does not hold the runtime lock: the leader takes it for its flight,
+// in which a demand reload also slides the prefetch window along the graph.
 func (rt *Runtime) swapInOnce(id ClusterID, o swapOpts) (SwapEvent, bool, error) {
 	res, leader, err := rt.faults.Do(uint32(id), func() (any, error) {
-		return rt.swapInDirect(id, o)
+		rt.lock()
+		defer rt.unlock()
+		res, err := rt.swapInDirect(id, o)
+		if err == nil && o.cause != CausePrefetch {
+			rt.faults.TriggerPrefetch(uint32(id))
+		}
+		return res, err
 	})
 	if err != nil {
 		return SwapEvent{}, leader, err
@@ -78,11 +90,11 @@ func (rt *Runtime) swapInOnce(id ClusterID, o swapOpts) (SwapEvent, bool, error)
 }
 
 // prefetchSwapIn is the fault.Config.SwapIn callback: one speculative
-// background reload. It is no demand fault, so it neither slides the window
-// nor takes a hit. It reports installed=false for every benign "nothing to
-// do" outcome — the cluster is already resident, is reserved by a
-// concurrent swap elsewhere, or this call merely joined a demand flight
-// (whose install belongs to the demand fault, not the prefetcher).
+// background reload, on a worker holding no runtime lock. It is no demand
+// fault, so it neither slides the window nor takes a hit. It reports
+// installed=false for every benign "nothing to do" outcome — the cluster is
+// already resident, is reserved by a concurrent swap elsewhere, or this call
+// merely joined a demand flight (whose install belongs to the demand fault).
 func (rt *Runtime) prefetchSwapIn(cluster uint32) (bool, error) {
 	ev, _, err := rt.swapInOnce(ClusterID(cluster), causedBy(CausePrefetch))
 	if err != nil {
@@ -112,6 +124,7 @@ func (rt *Runtime) notePrefetchHit(id ClusterID) {
 // began parking at parked — and slides the window one cluster further along
 // the graph, so a pointer chase stays ahead of the chaser. A resident
 // crossing never reads the clock; a join reads it only when it is the hit.
+// The caller holds the runtime lock, under which the window walks the graph.
 func (rt *Runtime) prefetchHit(id ClusterID, parked time.Time) {
 	if _, ok := rt.faults.ConsumeHit(uint32(id)); !ok {
 		return

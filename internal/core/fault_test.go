@@ -321,7 +321,9 @@ func TestPrefetchHitRecordsParkedTime(t *testing.T) {
 	if _, err := rt.SwapIn(chain[0], WithCause(CausePrefetch)); err != nil {
 		t.Fatal(err)
 	}
+	rt.lock()
 	rt.notePrefetchHit(chain[0])
+	rt.unlock()
 	rt.FaultEngine().Quiesce()
 
 	hs, _ := reg.HistogramSnapshotOf("objectswap_fault_seconds", "swap_in", "reload", telemetry.KindPrefetchHit)
@@ -338,7 +340,10 @@ func TestReloadFindsClusterResident(t *testing.T) {
 	rt, ps := newFaultFixture(t)
 	defer rt.FaultEngine().Stop()
 	c := buildChain(t, rt, 1, 4)[0]
-	if err := rt.reload(c); err != nil {
+	rt.lock()
+	err := rt.reload(c)
+	rt.unlock()
+	if err != nil {
 		t.Fatalf("reload of a resident cluster: %v", err)
 	}
 	if got := ps.totalGets(); got != 0 {
@@ -447,16 +452,16 @@ func TestNeighborClustersRanking(t *testing.T) {
 	link(oa3, oc2)
 	_ = ob2
 
-	got := f.rt.Manager().NeighborClusters(uint32(a), 4, nil)
+	got := f.rt.FaultEngine().Rank(uint32(a), 4)
 	want := []uint32{uint32(c), uint32(b)}
 	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("NeighborClusters(a) = %v, want %v", got, want)
+		t.Fatalf("Rank(a) = %v, want %v", got, want)
 	}
-	if got := f.rt.Manager().NeighborClusters(uint32(a), 1, nil); len(got) != 1 || got[0] != uint32(c) {
-		t.Fatalf("NeighborClusters(a, 1) = %v, want [%d]", got, c)
+	if got := f.rt.FaultEngine().Rank(uint32(a), 1); len(got) != 1 || got[0] != uint32(c) {
+		t.Fatalf("Rank(a, 1) = %v, want [%d]", got, c)
 	}
-	if got := f.rt.Manager().NeighborClusters(uint32(c), 4, nil); len(got) != 0 {
-		t.Fatalf("NeighborClusters(c) = %v, want none (no outgoing proxies)", got)
+	if got := f.rt.FaultEngine().Rank(uint32(c), 4); len(got) != 0 {
+		t.Fatalf("Rank(c) = %v, want none (no outgoing proxies)", got)
 	}
 
 	// On a chain hop 1 has one neighbor, so the window walks on: from the
@@ -479,7 +484,7 @@ func TestNeighborClustersRanking(t *testing.T) {
 		{chain[2], 4, ids(chain[3], chain[4])},
 		{chain[4], 2, nil},
 	} {
-		got := rt.Manager().NeighborClusters(uint32(tc.from), tc.k, nil)
+		got := rt.FaultEngine().Rank(uint32(tc.from), tc.k)
 		if !slices.Equal(got, tc.want) {
 			t.Fatalf("window(%d, %d) = %v, want %v", tc.from, tc.k, got, tc.want)
 		}

@@ -507,7 +507,7 @@ func TestNewProxyAllocatesOne(t *testing.T) {
 	f := newFixture(t, 0)
 	ids, clusters := f.buildList(t, 20, 10, 8)
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := f.rt.newProxy(clusters[0], ids[15], true); err != nil {
+		if _, err := f.rt.lockedNewProxy(clusters[0], ids[15], true); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -28,17 +28,17 @@ import (
 // are passed to the collector as extra roots.
 //
 // The mark-sweep, the purge of every record of what it swept (reclaimed) and
-// the swapped-cluster sweep stop the world: the swap lock is held, so a
-// collection never interleaves with the reserve/commit phases of a
-// concurrent swap-out or swap-in (in particular, freshly installed objects
-// cannot lose their nursery grace before the inbound proxies that make them
-// reachable are patched), and no swept record outlives Collect.
-// Device-drop retries run unlocked — they are IO.
+// the swapped-cluster sweep hold the runtime lock, so a collection never
+// interleaves with a swap's reserve or commit, reads the invocation stack
+// only while its dispatcher is parked, and no swept record outlives it. The
+// device drops that follow run with the lock released — they are IO.
 //
 // The result's Swept, the list and the objects in it, is valid until the
 // next collection: the heap reuses the list, and reissues the blocks of the
 // swap-cluster-proxies in it as new proxies (heap.CollectStats).
 func (rt *Runtime) Collect() heap.CollectStats {
+	rt.lock()
+	defer rt.unlock()
 	return rt.collect(1)
 }
 
@@ -56,17 +56,10 @@ func (rt *Runtime) collect(cycles int) heap.CollectStats {
 	return rt.pass(cycles, false)
 }
 
-// collectYoung is an eviction's collection: a young pass (heap.CollectYoung)
-// that burns pressureCycles of nursery grace and traces only what appeared
-// since the previous pass.
-func (rt *Runtime) collectYoung() heap.CollectStats {
-	return rt.pass(pressureCycles, true)
-}
-
 // pass runs one collection, full or young, and purges every record of what
-// it swept before the swap lock goes.
+// it swept before it lets go of the runtime lock for the device drops. The
+// caller holds the lock.
 func (rt *Runtime) pass(cycles int, young bool) heap.CollectStats {
-	rt.swapMu.Lock()
 	var st heap.CollectStats
 	if young {
 		st = rt.h.CollectYoung(cycles, rt.stack...)
@@ -75,8 +68,7 @@ func (rt *Runtime) pass(cycles int, young bool) heap.CollectStats {
 	}
 	rt.mgr.reclaimed(st.Swept)
 	rt.sweepSwapped(st.Swept)
-	rt.swapMu.Unlock()
-	rt.mgr.retryDrops(rt)
+	rt.retryDrops()
 	return st
 }
 
@@ -86,11 +78,10 @@ func (rt *Runtime) pass(cycles int, young bool) heap.CollectStats {
 // copy; replicas on unreachable donors go to the deferred-drop queue. A
 // cluster an operation has reserved is never among them: the operation
 // pinned its replacement-object when it reserved the cluster, in the same
-// swap-locked hold.
+// hold.
 func (rt *Runtime) sweepSwapped(swept []*heap.Object) {
 	var victims []forgotCopy
 	m := rt.mgr
-	m.table.mu.Lock()
 	for _, o := range swept {
 		if o.Class().Special != heap.SpecialReplacement {
 			continue
@@ -105,8 +96,6 @@ func (rt *Runtime) sweepSwapped(swept []*heap.Object) {
 		}
 		m.table.drop(cs) // its inbound proxies were swept with its replacement
 	}
-	m.table.mu.Unlock()
-
 	for _, v := range victims {
 		c := v.copy
 		rt.dropAll(context.Background(), c.devices, c.key, v.id)
@@ -123,14 +112,12 @@ func (rt *Runtime) sweepSwapped(swept []*heap.Object) {
 func (rt *Runtime) shedRetained(ctx context.Context, donors []placement.Candidate) int {
 	var sheds []forgotCopy
 	tab := &rt.mgr.table
-	tab.mu.Lock()
 	for id, cs := range tab.clusters {
 		if cs.where == resident && slices.ContainsFunc(donors,
 			func(c placement.Candidate) bool { return slices.Contains(cs.retained.devices, c.Name) }) {
 			sheds = append(sheds, forgotCopy{id, cs.forget()})
 		}
 	}
-	tab.mu.Unlock()
 	for _, sh := range sheds {
 		rt.dropAll(ctx, sh.copy.devices, sh.copy.key, sh.id)
 	}
@@ -157,8 +144,6 @@ func (rt *Runtime) dropFromDevice(ctx context.Context, device, key string) error
 // device may be temporarily unreachable), or one not worth a round trip on
 // the caller's path.
 func (m *Manager) deferDrop(device, key string, cluster ClusterID) {
-	m.table.mu.Lock()
-	defer m.table.mu.Unlock()
 	m.table.pendingDrops = append(m.table.pendingDrops, dropTicket{device: device, key: key, cluster: cluster})
 }
 
@@ -169,8 +154,7 @@ type forgotCopy struct {
 	copy donorCopy
 }
 
-// queueDrops defers a drop of every replica of each forgotten copy. The
-// caller holds tab.mu.
+// queueDrops defers a drop of every replica of each forgotten copy.
 func (tab *clusterTable) queueDrops(forgot ...forgotCopy) {
 	for _, f := range forgot {
 		for _, d := range f.copy.devices {
@@ -187,68 +171,63 @@ const DefaultDropRetryLimit = 8
 // pass's pressure collection is one pass, hence one attempt). A ticket that
 // keeps failing is not retried forever: after the retry budget is spent it is
 // abandoned with a swap.drop.abandoned event, so operators learn about the
-// leaked remote payload instead of the queue growing without bound.
-func (m *Manager) retryDrops(rt *Runtime) {
-	tab := &m.table
-	tab.mu.Lock()
+// leaked remote payload instead of the queue growing without bound. The
+// drops run with the runtime lock released.
+func (rt *Runtime) retryDrops() {
+	tab := &rt.mgr.table
 	pending := tab.pendingDrops
+	if len(pending) == 0 {
+		return
+	}
 	tab.pendingDrops = nil
-	tab.mu.Unlock()
-
+	rt.unlocked(func() { // keeps the tickets whose drop failed
+		pending = slices.DeleteFunc(pending, func(t dropTicket) bool {
+			return rt.dropFromDevice(context.Background(), t.device, t.key) == nil
+		})
+	})
 	for _, t := range pending {
-		if err := rt.dropFromDevice(context.Background(), t.device, t.key); err == nil {
+		if t.attempts++; t.attempts < DefaultDropRetryLimit {
+			tab.pendingDrops = append(tab.pendingDrops, t)
 			continue
 		}
-		t.attempts++
-		abandon := t.attempts >= DefaultDropRetryLimit
-		tab.mu.Lock()
-		if abandon {
-			tab.abandonedDrops++
-		} else {
-			tab.pendingDrops = append(tab.pendingDrops, t)
-		}
-		tab.mu.Unlock()
-		if abandon {
-			rt.emit(event.TopicDropAbandoned, SwapEvent{
-				Cluster: t.cluster, Device: t.device, Key: t.key,
-			})
-		}
+		tab.abandonedDrops++
+		rt.emit(event.TopicDropAbandoned, SwapEvent{
+			Cluster: t.cluster, Device: t.device, Key: t.key,
+		})
 	}
 }
 
 // PendingDrops reports how many device-drop instructions await retry.
 func (m *Manager) PendingDrops() int {
-	m.table.mu.Lock()
-	defer m.table.mu.Unlock()
+	m.rt.lock()
+	defer m.rt.unlock()
 	return len(m.table.pendingDrops)
 }
 
 // AbandonedDrops reports how many deferred drops exhausted their retry
 // budget — each one is a payload possibly leaked on a remote device.
 func (m *Manager) AbandonedDrops() int {
-	m.table.mu.Lock()
-	defer m.table.mu.Unlock()
+	m.rt.lock()
+	defer m.rt.unlock()
 	return m.table.abandonedDrops
 }
 
 // reclaimed purges every record the SwappingManager keeps of the objects a
-// collection just swept (heap.CollectStats.Swept), read from their own
-// fields: the paper's proxy-finalizer semantics in one pass, under one table
-// hold. A swept proxy leaves the shared indexes; a swept swap-cluster-proxy
-// also leaves its target cluster's inbound list and its source's edges —
-// before membership goes, so that cluster is still known — and a swept member
-// of a loaded cluster leaves it. A resident cluster that loses its last member
-// will never ship again: the copy it retains is queued for dropping. Edge
-// counts that reached zero since the previous purge, and that no mint has
-// raised since, go first (countEdge). sweepSwapped forgets the clusters of
-// swept replacement-objects. The caller holds the swap lock.
+// collection just swept (heap.CollectStats.Swept), read from their own fields:
+// the paper's proxy-finalizer semantics in one pass. A swept proxy leaves the
+// shared indexes; a swept swap-cluster-proxy also leaves its target cluster's
+// inbound list and its source's edges — before membership goes, so that
+// cluster is still known — and a swept member of a loaded cluster leaves it. A
+// resident cluster that loses its last member will never ship again: the copy
+// it retains is queued for dropping. Edge counts that reached zero since the
+// previous purge, and that no mint has raised since, go first (countEdge).
+// sweepSwapped forgets the clusters of swept replacement-objects.
 func (m *Manager) reclaimed(swept []*heap.Object) {
 	if len(swept) == 0 {
 		return
 	}
+	m.rt.assertLocked()
 	h, tab := m.rt.h, &m.table
-	tab.mu.Lock()
-	defer tab.mu.Unlock()
 	tab.sweeps++
 	tab.compactEdges()
 	for _, o := range swept {

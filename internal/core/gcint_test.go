@@ -19,8 +19,8 @@ func TestCollectPurgesEverySweptRecord(t *testing.T) {
 	mgr := f.rt.mgr
 	proxies, objProxies := mgr.ProxyCount(), mgr.ObjProxyCount()
 	edges := func(src, home ClusterID) int32 {
-		mgr.table.mu.Lock()
-		defer mgr.table.mu.Unlock()
+		mgr.rt.lock()
+		defer mgr.rt.unlock()
 		for _, e := range mgr.table.clusters[src].edges {
 			if e.to == home {
 				return e.n
@@ -30,7 +30,7 @@ func TestCollectPurgesEverySweptRecord(t *testing.T) {
 	}
 	sharedEdges, cursorEdges := edges(RootCluster, clusters[1]), edges(RootCluster, clusters[2])
 
-	shared, err := f.rt.proxyFor(RootCluster, ids[15])
+	shared, err := f.rt.lockedProxyFor(RootCluster, ids[15])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,10 +66,10 @@ func TestCollectPurgesEverySweptRecord(t *testing.T) {
 	if got := mgr.ObjProxyCount(); got != objProxies {
 		t.Errorf("ObjProxyCount = %d, want %d", got, objProxies)
 	}
-	if _, ok := mgr.lookupObjProxy(remote); ok {
+	if _, ok := mgr.table.objProxies[remote]; ok {
 		t.Error("the object-fault proxy is still indexed under its remote")
 	}
-	if _, ok := mgr.lookupProxy(proxyKey{RootCluster, ids[15]}); ok {
+	if _, ok := mgr.table.proxies.get(proxyKey{RootCluster, ids[15]}); ok {
 		t.Error("the shared proxy is still offered for reuse")
 	}
 	if _, ok := mgr.member(orphan.ID()); ok {
@@ -96,8 +96,8 @@ func TestCollectPurgesEverySweptRecord(t *testing.T) {
 
 // inboundProxies appends the proxies cluster id lists as inbound to buf.
 func (m *Manager) inboundProxies(id ClusterID, buf []*heap.Object) []*heap.Object {
-	m.table.mu.Lock()
-	defer m.table.mu.Unlock()
+	m.rt.lock()
+	defer m.rt.unlock()
 	if cs, ok := m.table.clusters[id]; ok {
 		buf = append(buf, cs.inbound...)
 	}
@@ -209,9 +209,9 @@ func TestSwapInFreesItsReplacement(t *testing.T) {
 	}
 	f.rt.Collect() // every replacement-object is old now
 	for _, c := range clusters[1:] {
-		f.rt.mgr.table.mu.Lock()
+		f.rt.lock()
 		repl := f.rt.mgr.table.clusters[c].replacement
-		f.rt.mgr.table.mu.Unlock()
+		f.rt.unlock()
 		if _, err := f.rt.SwapIn(c); err != nil {
 			t.Fatal(err)
 		}
@@ -240,8 +240,8 @@ func TestZeroEdgeWaitsForThePurge(t *testing.T) {
 	mgr := f.rt.mgr
 	src, far := clusters[0], clusters[2]
 	edge := func() (n int32, listed bool) {
-		mgr.table.mu.Lock()
-		defer mgr.table.mu.Unlock()
+		mgr.rt.lock()
+		defer mgr.rt.unlock()
 		for _, e := range mgr.table.clusters[src].edges {
 			if e.to == far {
 				return e.n, true
@@ -251,7 +251,7 @@ func TestZeroEdgeWaitsForThePurge(t *testing.T) {
 	}
 	mint := func(target heap.ObjID) {
 		t.Helper()
-		if _, err := f.rt.newProxy(src, target, true); err != nil {
+		if _, err := f.rt.lockedNewProxy(src, target, true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -280,7 +280,7 @@ func TestZeroEdgeWaitsForThePurge(t *testing.T) {
 	// into a fresh cluster and merge back moves both counts to zero, in turn.
 	other := clusters[1]
 	for _, s := range []ClusterID{src, other} {
-		if _, err := f.rt.newProxy(s, ids[25], true); err != nil {
+		if _, err := f.rt.lockedNewProxy(s, ids[25], true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -293,9 +293,9 @@ func TestZeroEdgeWaitsForThePurge(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		mgr.table.mu.Lock()
+		mgr.rt.lock()
 		zeroed = append(zeroed[:0], mgr.table.zeroed...)
-		mgr.table.mu.Unlock()
+		mgr.rt.unlock()
 		for i, cs := range zeroed {
 			if slices.Contains(zeroed[:i], cs) {
 				t.Fatalf("round %d: cluster %d is listed twice among %d zeroed records", round, cs.id, len(zeroed))

@@ -30,8 +30,8 @@ func titles(t *testing.T, f *fixture, clusters []ClusterID) map[heap.ObjID]strin
 // members lists a cluster's members.
 func members(f *fixture, id ClusterID) []heap.ObjID {
 	tab := &f.rt.mgr.table
-	tab.mu.Lock()
-	defer tab.mu.Unlock()
+	f.rt.lock()
+	defer f.rt.unlock()
 	return append([]heap.ObjID(nil), tab.clusters[id].members...)
 }
 

@@ -161,7 +161,7 @@ func TestProxyBlocksBoundedByPeakResidency(t *testing.T) {
 	ids, clusters := f.buildList(t, 20, 10, 8)
 	mint := func(k int) {
 		for i := 0; i < k; i++ {
-			if _, err := f.rt.newProxy(clusters[0], ids[15], true); err != nil {
+			if _, err := f.rt.lockedNewProxy(clusters[0], ids[15], true); err != nil {
 				t.Fatal(err)
 			}
 		}

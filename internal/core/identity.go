@@ -18,6 +18,8 @@ func (rt *Runtime) RefEqual(a, b heap.Value) (bool, error) {
 	if !aRef || !bRef {
 		return a.Equal(b), nil
 	}
+	rt.lock()
+	defer rt.unlock()
 	ua, err := rt.ultimateOf(a)
 	if err != nil {
 		return false, err
@@ -45,6 +47,8 @@ func (rt *Runtime) ultimateOf(v heap.Value) (heap.ObjID, error) {
 // reloading its cluster if it is swapped out. It gives host-level code
 // (examples, tests) a way to inspect objects behind proxies.
 func (rt *Runtime) Deref(v heap.Value) (*heap.Object, error) {
+	rt.lock()
+	defer rt.unlock()
 	id, err := rt.ultimateOf(v)
 	if err != nil {
 		return nil, err

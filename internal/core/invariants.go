@@ -37,12 +37,12 @@ import (
 //  6. accounting — the heap's used-byte counter equals the sum of resident
 //     object sizes.
 //
-// One hold of the table lock reads the records and the reuse indexes as one
-// cut.
+// One hold of the runtime lock reads the records, the reuse indexes and the
+// heap as one cut.
 func (m *Manager) CheckInvariants() []error {
+	m.rt.lock()
+	defer m.rt.unlock()
 	tab := &m.table
-	tab.mu.Lock()
-	defer tab.mu.Unlock()
 	clusters, members := tab.clusters, tab.members
 	h := m.rt.h
 	var errs []error

@@ -61,15 +61,15 @@ func TestInvariantsDetectCorruption(t *testing.T) {
 		}, "un-proxied reference"},
 		{"member list out of order", func(t *testing.T, f *fixture, _ []heap.ObjID, clusters []ClusterID) {
 			tab := &f.rt.mgr.table
-			tab.mu.Lock()
-			defer tab.mu.Unlock()
+			f.rt.lock()
+			defer f.rt.unlock()
 			l := tab.clusters[clusters[0]].members
 			l[0], l[1] = l[1], l[0]
 		}, "not ascending"},
 		{"index entry its cluster does not list", func(t *testing.T, f *fixture, _ []heap.ObjID, clusters []ClusterID) {
 			tab := &f.rt.mgr.table
-			tab.mu.Lock()
-			defer tab.mu.Unlock()
+			f.rt.lock()
+			defer f.rt.unlock()
 			cs := tab.clusters[clusters[1]]
 			cs.members = cs.members[1:]
 		}, "missing from cluster"},

@@ -20,7 +20,7 @@ const (
 
 // feed is the only writer of a cluster's ledger (check.sh greps for the
 // counters), the record victim selection, ClusterInfo and the telemetry plane
-// all read. The caller holds the table lock. tick dates recency, for
+// all read. The caller holds the runtime lock. tick dates recency, for
 // the kinds that advance it; now dates heat and thrash, and is the zero time,
 // read from no clock, when no tracker is attached (Tracker.Now).
 func (m *Manager) feed(cs *clusterState, what access, tick uint64, now time.Time) {
@@ -46,11 +46,12 @@ func (m *Manager) feed(cs *clusterState, what access, tick uint64, now time.Time
 
 // enterCrossing is the hot-path combination used by proxy dispatch: it
 // resolves the target's cluster, records the crossing, and reports whether
-// the cluster is currently swapped out — all under one hold of the table
-// lock, with both ends of the crossing dated by one reading of each clock.
+// the cluster is currently swapped out, with both ends of the crossing dated
+// by one reading of each clock.
 func (m *Manager) enterCrossing(src ClusterID, ultimate heap.ObjID) (dst ClusterID, swapped bool) {
-	tick, now := m.clock.Add(1), m.rt.telem.Now()
-	m.table.mu.Lock()
+	m.rt.assertLocked()
+	m.clock++
+	tick, now := m.clock, m.rt.telem.Now()
 	dst = m.table.members[ultimate].cluster
 	if cs, ok := m.table.clusters[dst]; ok {
 		m.feed(cs, crossed, tick, now)
@@ -59,34 +60,29 @@ func (m *Manager) enterCrossing(src ClusterID, ultimate heap.ObjID) (dst Cluster
 	if cs, ok := m.table.clusters[src]; ok && src != dst {
 		m.feed(cs, used, tick, now)
 	}
-	m.table.mu.Unlock()
 	return dst, swapped
 }
 
 // touch is the one path from a member read or written in place to its
-// record, under one hold of the table lock: a write on a resident member of
+// record: a write on a resident member of
 // a cluster with a retained copy marks the cluster dirty, so its next
 // swap-out ships instead of leaving on the copy; and with a tracker attached
 // either access is a touch on the cluster's ledger. The heap calls it for
 // every write to an application object (NewRuntime registers it as a write
 // observer), dispatch for every read in place. Middleware writes never arrive
-// (the heap runs no observer for them): proxies are written under the table
-// lock. With no tracker and no copy anchored yet, an access costs one atomic
+// (the heap runs no observer for them). With no tracker, a read costs one
 // load.
 func (m *Manager) touch(oid heap.ObjID, write bool) {
 	track := m.rt.telem != nil
-	dirty := write && m.retaining.Load()
-	if !track && !dirty {
+	if !track && !write {
 		return
 	}
-	m.table.mu.Lock()
-	defer m.table.mu.Unlock()
 	info, member := m.table.members[oid]
 	cs := m.table.clusters[info.cluster]
 	if !member || cs == nil {
 		return
 	}
-	if dirty && !cs.where.out() {
+	if write && !cs.where.out() {
 		cs.changed()
 	}
 	if track {
@@ -96,9 +92,9 @@ func (m *Manager) touch(oid heap.ObjID, write bool) {
 
 // eachLedger is the telemetry plane's view of the cluster table
 // (telemetry.Clusters): every record's ledger, visited under one hold of the
-// table lock, with a measure of the cluster's footprint — resident bytes
-// while loaded, the shipped payload while swapped out. The caller must hold
-// no core lock.
+// runtime lock, with a measure of the cluster's footprint — resident bytes
+// while loaded, the shipped payload while swapped out. The caller must not
+// hold the runtime lock.
 func (m *Manager) eachLedger(visit func(id uint32, l *telemetry.Ledger, size func() int64)) {
 	var cur *clusterState
 	size := func() int64 {
@@ -107,8 +103,8 @@ func (m *Manager) eachLedger(visit func(id uint32, l *telemetry.Ledger, size fun
 		}
 		return m.residentBytes(cur)
 	}
-	m.table.mu.Lock()
-	defer m.table.mu.Unlock()
+	m.rt.lock()
+	defer m.rt.unlock()
 	for _, cur = range m.table.clusters {
 		visit(uint32(cur.id), &cur.ledger, size)
 	}

@@ -3,10 +3,9 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"objectswap/internal/heap"
@@ -85,9 +84,9 @@ type shipment struct {
 // clusterState is the SwappingManager's per-swap-cluster record.
 type clusterState struct {
 	id ClusterID
-	// members lists the objects belonging to the cluster, ascending, under
-	// the table lock; it is edited in place only while the cluster is
-	// resident, since a swap-out reads it from reserve to commit.
+	// members lists the objects belonging to the cluster, ascending; it is
+	// edited in place only while the cluster is resident, since a swap-out
+	// reads it from reserve to commit.
 	members []heap.ObjID
 
 	// ledger is the cluster's access record — recency and frequency fed by
@@ -117,15 +116,15 @@ type clusterState struct {
 	// member (for the root cluster, also an object never assigned): what the
 	// paper's replacement-object receives, re-pointed by settle. edges
 	// counts the live proxies sourced here by their target's cluster,
-	// ascending by it: the graph NeighborClusters walks. A proxy's own fields
+	// ascending by it: the graph the prefetch window walks. A proxy's own fields
 	// say where it is listed and counted. swept is the last reclaimed pass
-	// that compacted inbound. All three change only under the table lock.
+	// that compacted inbound.
 	inbound []*heap.Object
 	edges   []edge
 	swept   uint64
 }
 
-// has reports whether oid is a member. The caller holds the table lock.
+// has reports whether oid is a member.
 func (cs *clusterState) has(oid heap.ObjID) bool {
 	_, ok := slices.BinarySearch(cs.members, oid)
 	return ok
@@ -144,7 +143,7 @@ type edge struct {
 // waits at zero is found again without shifting the list twice. A record is
 // listed for that purge once, however many of its counts fall to zero, so
 // the list is never longer than the records it names. Readers skip zero
-// counts. The caller holds tab.mu.
+// counts.
 func (tab *clusterTable) countEdge(cs *clusterState, to ClusterID, delta int32) {
 	i, found := slices.BinarySearchFunc(cs.edges, to, func(e edge, to ClusterID) int { return cmp.Compare(e.to, to) })
 	if !found {
@@ -157,7 +156,7 @@ func (tab *clusterTable) countEdge(cs *clusterState, to ClusterID, delta int32) 
 }
 
 // compactEdges drops the zero counts of every record listed in tab.zeroed,
-// and empties the list. The caller holds tab.mu.
+// and empties the list.
 func (tab *clusterTable) compactEdges() {
 	for i, cs := range tab.zeroed {
 		cs.edges = slices.DeleteFunc(cs.edges, func(e edge) bool { return e.n == 0 })
@@ -168,7 +167,7 @@ func (tab *clusterTable) compactEdges() {
 }
 
 // moveEdge moves one proxy of src's count from cluster from to cluster to,
-// when src still has a record. The caller holds tab.mu.
+// when src still has a record.
 func (tab *clusterTable) moveEdge(src, from, to ClusterID) {
 	if ss, ok := tab.clusters[src]; ok {
 		tab.countEdge(ss, from, -1)
@@ -248,7 +247,8 @@ func (x *proxyIndex) all(yield func(proxyKey, heap.ObjID) bool) {
 	}
 }
 
-// clusterTable is the SwappingManager's state, all of it under one lock: the
+// clusterTable is the SwappingManager's state, all of it under the runtime
+// lock, which the caller of every method here holds: the
 // record (residency included) of every swap-cluster, added and removed only
 // through put and drop (state.go), the objects belonging to each, and each
 // one's inbound proxies and outbound edges; the proxy reuse indexes, the
@@ -256,7 +256,6 @@ func (x *proxyIndex) all(yield func(proxyKey, heap.ObjID) bool) {
 // object-to-cluster index, kept in step with every record's member list;
 // lastID is the highest cluster id handed out.
 type clusterTable struct {
-	mu       sync.Mutex
 	clusters map[ClusterID]*clusterState
 	members  map[heap.ObjID]objInfo
 	tally    [numResidencies]int // records by residency
@@ -280,13 +279,13 @@ type clusterTable struct {
 	abandonedDrops int
 
 	// victims is the buffer eviction candidates are ranked in, reused from
-	// call to call: SelectVictims ranks in it under the lock, and a victim
-	// walk takes it for its length, nil until the walk puts it back
-	// (SwapOutVictims).
+	// call to call: SelectVictims ranks in it, and a victim walk takes it
+	// for its length, nil until the walk puts it back (SwapOutVictims): a
+	// walk lets go of the lock while its victims ship.
 	victims []victimRank
 }
 
-// state returns the record for id. The caller holds tab.mu.
+// state returns the record for id.
 func (tab *clusterTable) state(id ClusterID) (*clusterState, error) {
 	cs, ok := tab.clusters[id]
 	if !ok {
@@ -305,12 +304,8 @@ type Manager struct {
 	table clusterTable
 
 	// clock is the recency clock advanced by boundary crossings and
-	// allocations; atomic so a crossing takes no lock to read it.
-	clock atomic.Uint64
-	// retaining is set by the first anchor of a usable copy and never reset:
-	// until a cluster has something to be dirty against, the write observer
-	// returns before it takes a lock.
-	retaining atomic.Bool
+	// allocations.
+	clock uint64
 }
 
 type dropTicket struct {
@@ -334,8 +329,6 @@ func newManager(rt *Runtime) *Manager {
 // shipmentOf returns the cluster's shipment while its members are on the
 // donors; ok is false for a resident or unknown cluster.
 func (m *Manager) shipmentOf(id ClusterID) (shipment, bool) {
-	m.table.mu.Lock()
-	defer m.table.mu.Unlock()
 	cs, ok := m.table.clusters[id]
 	if !ok || !cs.where.out() {
 		return shipment{}, false
@@ -346,7 +339,7 @@ func (m *Manager) shipmentOf(id ClusterID) (shipment, bool) {
 // point aims proxy p, handed to the caller under id, at its ultimate target,
 // or at the replacement-object of that target's cluster while it is swapped
 // out, and reports false if p is no longer resident under id. It is the one
-// writer of a proxy's target, and its caller holds tab.mu and lists p:
+// writer of a proxy's target, and its caller lists p:
 // enlist, retarget, or settle as the cluster moves.
 func (tab *clusterTable) point(p *heap.Object, id, ultimate heap.ObjID) bool {
 	to := ultimate
@@ -358,13 +351,12 @@ func (tab *clusterTable) point(p *heap.Object, id, ultimate heap.ObjID) bool {
 
 // NewCluster declares a fresh, empty swap-cluster and returns its id.
 func (m *Manager) NewCluster() ClusterID {
-	m.table.mu.Lock()
-	defer m.table.mu.Unlock()
+	m.rt.lock()
+	defer m.rt.unlock()
 	return m.table.newCluster()
 }
 
-// newCluster adds a fresh, empty record under the next id. The caller holds
-// tab.mu.
+// newCluster adds a fresh, empty record under the next id.
 func (tab *clusterTable) newCluster() ClusterID {
 	tab.lastID++
 	tab.put(newClusterState(tab.lastID, resident))
@@ -373,21 +365,15 @@ func (tab *clusterTable) newCluster() ClusterID {
 
 // Clusters returns the ids of all known swap-clusters in order.
 func (m *Manager) Clusters() []ClusterID {
-	var ids []ClusterID
-	m.table.mu.Lock()
-	for id := range m.table.clusters {
-		ids = append(ids, id)
-	}
-	m.table.mu.Unlock()
-	slices.Sort(ids)
-	return ids
+	m.rt.lock()
+	defer m.rt.unlock()
+	return slices.Sorted(maps.Keys(m.table.clusters))
 }
 
 // assign records an object of the given class (Runtime.classes) as a member
 // of a cluster, which then no longer equals its retained copy.
 func (m *Manager) assign(id heap.ObjID, cluster ClusterID, class uint32) error {
-	m.table.mu.Lock()
-	defer m.table.mu.Unlock()
+	m.rt.assertLocked()
 	// Resident and unreserved only: a swap-out in flight has already
 	// snapshotted the members it will ship and free, and a late joiner would
 	// be left behind, resident, in a cluster recorded as swapped.
@@ -405,35 +391,39 @@ func (m *Manager) assign(id heap.ObjID, cluster ClusterID, class uint32) error {
 	cs.changed()
 	// Allocation into a cluster is a use signal: advance its recency so
 	// victim selection does not evict the cluster being built.
-	m.feed(cs, used, m.clock.Add(1), m.rt.telem.Now())
+	m.clock++
+	m.feed(cs, used, m.clock, m.rt.telem.Now())
 	return nil
 }
 
 // ClusterOf reports the swap-cluster an object belongs to. Objects never
 // assigned belong to RootCluster.
 func (m *Manager) ClusterOf(id heap.ObjID) ClusterID {
-	info, _ := m.member(id)
-	return info.cluster
+	m.rt.lock()
+	defer m.rt.unlock()
+	return m.clusterOf(id)
 }
+
+func (m *Manager) clusterOf(id heap.ObjID) ClusterID { return m.table.members[id].cluster }
 
 // member returns an object's membership record — its cluster and class,
 // valid even while the object is swapped out. An object never assigned has
 // none: it belongs to RootCluster, the zero record's cluster.
 func (m *Manager) member(id heap.ObjID) (objInfo, bool) {
-	m.table.mu.Lock()
-	defer m.table.mu.Unlock()
 	info, ok := m.table.members[id]
 	return info, ok
 }
 
 // IsSwapped reports whether the cluster is currently swapped out.
 func (m *Manager) IsSwapped(id ClusterID) bool {
+	m.rt.lock()
+	defer m.rt.unlock()
 	_, out := m.shipmentOf(id)
 	return out
 }
 
 // enlist points a freshly minted proxy p, born under id from cluster src to
-// the object ultimate, and lists it in one table hold: in the inbound list of
+// the object ultimate, and lists it: in the inbound list of
 // its target's cluster, as an edge out of its source and, unless it is an
 // assign-mode cursor, as the proxy proxyFor hands out for (src, ultimate). It
 // reports false, writing and listing nothing, when p is no longer resident
@@ -441,9 +431,8 @@ func (m *Manager) IsSwapped(id ClusterID) bool {
 // its block as another proxy — so it reads p's mode only once point has
 // passed that check (see retarget).
 func (m *Manager) enlist(p *heap.Object, id heap.ObjID, src ClusterID, ultimate heap.ObjID) bool {
+	m.rt.assertLocked()
 	tab := &m.table
-	tab.mu.Lock()
-	defer tab.mu.Unlock()
 	if !tab.point(p, id, ultimate) {
 		return false
 	}
@@ -461,19 +450,16 @@ func (m *Manager) enlist(p *heap.Object, id heap.ObjID, src ClusterID, ultimate 
 }
 
 // retarget re-aims proxy p, handed to the caller under id, at the object
-// ultimate (the Assign iteration optimization) in one table hold: p moves to
+// ultimate (the Assign iteration optimization): p moves to
 // the inbound list of ultimate's cluster, its source's edge with it, and is
 // pointed there. It reports false, touching nothing, when ultimate is in p's
 // source cluster: the caller dismantles. When p is no longer resident under id
 // it fails with heap.ErrNoSuchObject and touches nothing either: the block
-// may be another proxy by now, listed where that one is. Within the hold a
-// block that passed the check is not reissued — that takes a further
-// collection, whose purge waits for the table lock — so p's fields are read
-// only after it.
+// may be another proxy by now, listed where that one is. p's fields are read
+// only after the check.
 func (m *Manager) retarget(p *heap.Object, id, ultimate heap.ObjID) (bool, error) {
+	m.rt.assertLocked()
 	tab := &m.table
-	tab.mu.Lock()
-	defer tab.mu.Unlock()
 	if !p.ResidentAs(id) {
 		return false, fmt.Errorf("%w: @%d", heap.ErrNoSuchObject, id)
 	}
@@ -496,42 +482,26 @@ func (m *Manager) retarget(p *heap.Object, id, ultimate heap.ObjID) (bool, error
 	return true, nil
 }
 
-// lookupProxy finds the live shared proxy for key, if any.
-func (m *Manager) lookupProxy(key proxyKey) (heap.ObjID, bool) {
-	m.table.mu.Lock()
-	defer m.table.mu.Unlock()
-	return m.table.proxies.get(key)
-}
-
-// unshare withdraws proxy pid from reuse, if it holds key's slot.
-func (m *Manager) unshare(key proxyKey, pid heap.ObjID) {
-	m.table.mu.Lock()
-	defer m.table.mu.Unlock()
-	m.table.proxies.drop(key, pid)
-}
-
-// dropEntry deletes index[k] if it is still pid. The caller holds the table
-// lock.
+// dropEntry deletes index[k] if it is still pid.
 func dropEntry[K comparable](index map[K]heap.ObjID, k K, pid heap.ObjID) {
 	if index[k] == pid {
 		delete(index, k)
 	}
 }
 
-// NeighborClusters is the prefetch window: the at most k clusters nearest
-// cluster along the replacement-object graph, appended to buf[:0], best
-// first. It takes cluster's neighbors ranked by proxy-edge count (ties toward
-// the lower id), then continues from the best-ranked cluster taken so far,
-// hop by hop, until it has k; on a chain that is the next k links. The root
-// cluster, self-edges and cluster itself are never taken. A proxy from A to B
-// exists exactly because application references cross that boundary, so a
-// fault on A makes B the next likely fault, and B's neighbors the ones after.
-// One hold of the table lock, and no allocation when cap(buf) >= k.
-func (m *Manager) NeighborClusters(cluster uint32, k int, buf []uint32) []uint32 {
+// neighbors is the prefetch window (fault.Config.Neighbors, which the fault
+// engine's Rank exposes): the at most k clusters nearest cluster along the
+// replacement-object graph, appended to buf[:0], best first. It takes
+// cluster's neighbors ranked by proxy-edge count (ties toward the lower id),
+// then continues from the best-ranked cluster taken so far, hop by hop, until
+// it has k; on a chain that is the next k links. The root cluster, self-edges
+// and cluster itself are never taken. A proxy from A to B exists exactly
+// because application references cross that boundary, so a fault on A makes
+// B the next likely fault, and B's neighbors the ones after. No allocation
+// when cap(buf) >= k.
+func (m *Manager) neighbors(cluster uint32, k int, buf []uint32) []uint32 {
 	out := buf[:0]
 	origin := ClusterID(cluster)
-	m.table.mu.Lock()
-	defer m.table.mu.Unlock()
 	for i, from := 0, origin; len(out) < k; i++ {
 		out = m.table.appendNeighbors(out, k, origin, from)
 		if i >= len(out) {
@@ -543,7 +513,7 @@ func (m *Manager) NeighborClusters(cluster uint32, k int, buf []uint32) []uint32
 }
 
 // appendNeighbors appends from's best-ranked neighbors not yet in out (nor
-// origin) until out holds k. The caller holds tab.mu.
+// origin) until out holds k.
 func (tab *clusterTable) appendNeighbors(out []uint32, k int, origin, from ClusterID) []uint32 {
 	cs, ok := tab.clusters[from]
 	if !ok {
@@ -570,8 +540,8 @@ func (tab *clusterTable) appendNeighbors(out []uint32, k int, origin, from Clust
 // ProxyCount reports the number of live swap-cluster-proxies: every one is
 // listed by the record of its target's cluster.
 func (m *Manager) ProxyCount() int {
-	m.table.mu.Lock()
-	defer m.table.mu.Unlock()
+	m.rt.lock()
+	defer m.rt.unlock()
 	n := 0
 	for _, cs := range m.table.clusters {
 		n += len(cs.inbound)
@@ -614,8 +584,8 @@ type ClusterInfo struct {
 
 // Info snapshots one cluster.
 func (m *Manager) Info(id ClusterID) (ClusterInfo, error) {
-	m.table.mu.Lock()
-	defer m.table.mu.Unlock()
+	m.rt.lock()
+	defer m.rt.unlock()
 	cs, err := m.table.state(id)
 	if err != nil {
 		return ClusterInfo{}, err
@@ -624,19 +594,23 @@ func (m *Manager) Info(id ClusterID) (ClusterInfo, error) {
 }
 
 // InfoAll snapshots every cluster in id order, all under one hold of the
-// table lock: one cut of the table.
+// runtime lock: one cut of the table.
 func (m *Manager) InfoAll() []ClusterInfo {
+	m.rt.lock()
+	defer m.rt.unlock()
+	return m.infoAll()
+}
+
+func (m *Manager) infoAll() []ClusterInfo {
 	var out []ClusterInfo
-	m.table.mu.Lock()
 	for _, cs := range m.table.clusters {
 		out = append(out, m.infoOf(cs))
 	}
-	m.table.mu.Unlock()
 	slices.SortFunc(out, func(a, b ClusterInfo) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
-// infoOf snapshots one record; the caller holds the table lock.
+// infoOf snapshots one record.
 func (m *Manager) infoOf(cs *clusterState) ClusterInfo {
 	c := cs.retained.donorCopy
 	info := ClusterInfo{
@@ -662,7 +636,7 @@ func (m *Manager) infoOf(cs *clusterState) ClusterInfo {
 }
 
 // residentBytes sums the accounted sizes of a loaded cluster's resident
-// members; the caller holds the table lock.
+// members.
 func (m *Manager) residentBytes(cs *clusterState) int64 {
 	var n int64
 	for _, id := range cs.members {
@@ -718,13 +692,13 @@ func VictimStrategyFromString(s string) (VictimStrategy, error) {
 // not busy, not the root cluster — ordered by the strategy, best victim
 // first, ties toward the lower cluster id: the order SwapOutVictims walks.
 // It ranks the candidates and copies the ranking out under one hold of the
-// table lock, and touches the heap only for VictimLargest, the one strategy
+// runtime lock, and touches the heap only for VictimLargest, the one strategy
 // that needs resident sizes. The ranking is built in the table's candidate
 // buffer, kept across calls, so the result is its one allocation.
 func (m *Manager) SelectVictims(strategy VictimStrategy) []ClusterID {
+	m.rt.lock()
+	defer m.rt.unlock()
 	tab := &m.table
-	tab.mu.Lock()
-	defer tab.mu.Unlock()
 	ranked := m.rankVictims(strategy, tab.victims)
 	out := make([]ClusterID, len(ranked))
 	for i, r := range ranked {
@@ -734,8 +708,8 @@ func (m *Manager) SelectVictims(strategy VictimStrategy) []ClusterID {
 	return out
 }
 
-// keepVictims takes buf back as the candidate buffer, unless the one the
-// table holds is larger. The caller holds tab.mu.
+// keepVictims takes buf back as the candidate buffer, unless the table's is
+// larger.
 func (tab *clusterTable) keepVictims(buf []victimRank) {
 	if cap(buf) > cap(tab.victims) {
 		tab.victims = buf[:0]
@@ -743,8 +717,7 @@ func (tab *clusterTable) keepVictims(buf []victimRank) {
 }
 
 // rankVictims appends every eligible eviction candidate under strategy to
-// buf[:0], with its ranking key, and sorts them best victim first. The
-// caller holds the table lock.
+// buf[:0], with its ranking key, and sorts them best victim first.
 func (m *Manager) rankVictims(strategy VictimStrategy, buf []victimRank) []victimRank {
 	ranked := buf[:0]
 	for id, cs := range m.table.clusters {

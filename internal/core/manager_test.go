@@ -57,7 +57,7 @@ func TestSelectVictimStrategies(t *testing.T) {
 
 	// Make `busy` hot and frequently crossed.
 	for i := 0; i < 5; i++ {
-		pid, err := f.rt.proxyFor(RootCluster, busyIDs[0])
+		pid, err := f.rt.lockedProxyFor(RootCluster, busyIDs[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +251,7 @@ func TestRuntimeOptions(t *testing.T) {
 	}
 
 	// ProxyTarget helper.
-	pid, err := rt.proxyFor(RootCluster, o.ID())
+	pid, err := rt.lockedProxyFor(RootCluster, o.ID())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestSelectVictimsAllocatesOnlyItsResult(t *testing.T) {
 // TestConcurrentSelectVictims: two goroutines rank victims in a loop, under
 // every strategy, while others swap clusters out and back in and Collect
 // runs. The ranking buffer is shared and reused, so each call builds, sorts
-// and copies it out in one hold of the table lock: no result holds a cluster
+// and copies it out in one hold of the runtime lock: no result holds a cluster
 // twice or the root cluster.
 func TestConcurrentSelectVictims(t *testing.T) {
 	f := newFixture(t, 0)

@@ -308,8 +308,8 @@ func TestCursorAdvancesOntoResult(t *testing.T) {
 // inboundIndexes lists the clusters whose inbound list holds proxy pid, once
 // per listing.
 func inboundIndexes(m *Manager, pid heap.ObjID) (in []ClusterID) {
-	m.table.mu.Lock()
-	defer m.table.mu.Unlock()
+	m.rt.lock()
+	defer m.rt.unlock()
 	for cluster, cs := range m.table.clusters {
 		for _, p := range cs.inbound {
 			if p.ID() == pid {
@@ -350,7 +350,7 @@ func TestProxyRecordFollowsRetarget(t *testing.T) {
 	if p, err := rt.h.Get(pid); err != nil || proxyMode(p) != proxyModeAssign || proxySrc(p) != RootCluster || proxyUltimate(p) != m.ids[10] {
 		t.Fatalf("cursor @%d: %v; want an assign-mode proxy from cluster 0 to @%d", pid, err, m.ids[10])
 	}
-	if shared, ok := mgr.lookupProxy(proxyKey{RootCluster, m.ids[10]}); ok && shared == pid {
+	if shared, ok := mgr.table.proxies.get(proxyKey{RootCluster, m.ids[10]}); ok && shared == pid {
 		t.Fatal("private cursor entered the shared registry")
 	}
 	checkClean(t, rt)
@@ -387,7 +387,7 @@ func TestAssignWithdrawsSharedProxy(t *testing.T) {
 	m := newMedFixture(t)
 	rt, mgr := m.rt, m.rt.mgr
 	key := proxyKey{RootCluster, m.ids[9]}
-	shared, err := rt.proxyFor(key.src, key.target)
+	shared, err := rt.lockedProxyFor(key.src, key.target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,10 +397,10 @@ func TestAssignWithdrawsSharedProxy(t *testing.T) {
 	if err := rt.Assign(heap.Ref(shared)); err != nil {
 		t.Fatal(err)
 	}
-	if pid, ok := mgr.lookupProxy(key); ok {
+	if pid, ok := mgr.table.proxies.get(key); ok {
 		t.Fatalf("assign-mode proxy @%d still offered for (%d,@%d)", pid, key.src, key.target)
 	}
-	fresh, err := rt.proxyFor(key.src, key.target)
+	fresh, err := rt.lockedProxyFor(key.src, key.target)
 	if err != nil || fresh == shared {
 		t.Fatalf("proxyFor after Assign = @%d, %v; want a proxy other than @%d", fresh, err, shared)
 	}
@@ -411,7 +411,7 @@ func TestAssignWithdrawsSharedProxy(t *testing.T) {
 	if err != nil || out[0].MustRef() != shared {
 		t.Fatalf("assign-mode step = %v, %v; want the proxy itself", out, err)
 	}
-	if pid, ok := mgr.lookupProxy(proxyKey{RootCluster, m.ids[10]}); ok && pid == shared {
+	if pid, ok := mgr.table.proxies.get(proxyKey{RootCluster, m.ids[10]}); ok && pid == shared {
 		t.Fatal("a re-aimed proxy claimed the slot of its new key")
 	}
 	checkClean(t, rt)

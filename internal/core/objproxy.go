@@ -64,10 +64,16 @@ func ObjProxyClass(o *heap.Object) string {
 // for the remote object remote of class className. At most one live proxy
 // exists per remote identity.
 func (rt *Runtime) ObjProxyFor(remote heap.ObjID, className string) (heap.ObjID, error) {
+	rt.lock()
+	defer rt.unlock()
+	return rt.objProxyFor(remote, className)
+}
+
+func (rt *Runtime) objProxyFor(remote heap.ObjID, className string) (heap.ObjID, error) {
 	if remote == heap.NilID {
 		return heap.NilID, fmt.Errorf("core: ObjProxyFor: nil remote id")
 	}
-	if pid, ok := rt.mgr.lookupObjProxy(remote); ok && rt.h.Contains(pid) {
+	if pid, ok := rt.mgr.table.objProxies[remote]; ok && rt.h.Contains(pid) {
 		return pid, nil
 	}
 	p, err := rt.allocMiddleware(rt.objProxyClass)
@@ -80,29 +86,14 @@ func (rt *Runtime) ObjProxyFor(remote heap.ObjID, className string) (heap.ObjID,
 	if err := p.SetFieldByName(fldRemClass, heap.Str(className)); err != nil {
 		return heap.NilID, err
 	}
-	rt.mgr.registerObjProxy(p.ID(), remote)
+	rt.mgr.table.objProxies[remote] = p.ID()
 	return p.ID(), nil
-}
-
-// lookupObjProxy finds the live object-fault proxy for a remote identity.
-func (m *Manager) lookupObjProxy(remote heap.ObjID) (heap.ObjID, bool) {
-	m.table.mu.Lock()
-	defer m.table.mu.Unlock()
-	pid, ok := m.table.objProxies[remote]
-	return pid, ok
-}
-
-// registerObjProxy records an object-fault proxy under its remote identity.
-func (m *Manager) registerObjProxy(pid, remote heap.ObjID) {
-	m.table.mu.Lock()
-	defer m.table.mu.Unlock()
-	m.table.objProxies[remote] = pid
 }
 
 // ObjProxyCount reports the number of live object-fault proxies: each is the
 // entry of the remote identity it stands for.
 func (m *Manager) ObjProxyCount() int {
-	m.table.mu.Lock()
-	defer m.table.mu.Unlock()
+	m.rt.lock()
+	defer m.rt.unlock()
 	return len(m.table.objProxies)
 }

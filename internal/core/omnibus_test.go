@@ -183,7 +183,7 @@ func TestPropIdentityStableUnderSwap(t *testing.T) {
 				pool = append(pool, refExpr{v: heap.Ref(target), to: target})
 				continue
 			}
-			pid, err := f.rt.proxyFor(src, target)
+			pid, err := f.rt.lockedProxyFor(src, target)
 			if err != nil {
 				return false
 			}

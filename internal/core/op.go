@@ -121,11 +121,22 @@ func (p *op) handOut(phases int) {
 }
 
 // do runs one phase unless an earlier one failed: the operation's phase
-// boundary, and the only place a span phase opens.
+// boundary, and the only place a span phase opens. The phase runs under the
+// runtime lock the operation holds.
 func (p *op) do(phase string, step func() error) {
 	if p.err == nil {
 		p.span.Phase(phase)
 		p.err = step()
+	}
+}
+
+// io runs one I/O phase as do does, with the runtime lock released: the
+// reservation holds the cluster meanwhile. An I/O phase touches neither the
+// heap nor the cluster table, only what the operation copied out of them.
+func (p *op) io(phase string, step func() error) {
+	if p.err == nil {
+		p.span.Phase(phase)
+		p.rt.unlocked(func() { p.err = step() })
 	}
 }
 
@@ -141,8 +152,7 @@ func (p *op) pin(id heap.ObjID) {
 	p.replacement = id
 }
 
-// commit settles the reservation on the far side; the caller holds the swap
-// lock.
+// commit settles the reservation on the far side.
 func (p *op) commit(to residency, apply func(*clusterState)) {
 	if p.rt.yield != nil {
 		p.rt.yield("commit")
@@ -177,11 +187,14 @@ func (p *op) end() {
 	p.rt.logger.Warn(p.kind.failMsg, "trace", p.trace, "cluster", uint32(p.id), "err", err)
 }
 
-// dropAll tells every listed donor to discard key; a drop that fails (the
-// donor is unreachable) is queued for retry at the next collection.
+// dropAll tells every listed donor to discard key, with the runtime lock
+// released for each drop; a drop that fails (the donor is unreachable) is
+// queued for retry at the next collection. The caller holds the lock.
 func (rt *Runtime) dropAll(ctx context.Context, devices []string, key string, id ClusterID) {
 	for _, d := range devices {
-		if err := rt.dropFromDevice(ctx, d, key); err != nil {
+		var err error
+		rt.unlocked(func() { err = rt.dropFromDevice(ctx, d, key) })
+		if err != nil {
 			rt.mgr.deferDrop(d, key, id)
 		}
 	}

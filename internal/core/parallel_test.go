@@ -51,23 +51,25 @@ func TestSwapOutVictimsSkipsIneligible(t *testing.T) {
 
 	var busy *clusterState
 	first := true
+	// enough runs under the walk's hold of the runtime lock, so it acts
+	// through the caller-locked internals.
 	enough := func(int) bool {
 		if first {
 			first = false
-			if _, err := f.rt.SwapOut(clusters[0]); err != nil {
+			if _, err := f.rt.swapOut(clusters[0], causedBy("")); err != nil {
 				t.Fatal(err)
 			}
 			var err error
 			if busy, err = f.rt.reserve(clusters[1], resident, reservedOut, nil); err != nil {
 				t.Fatal(err)
 			}
-			f.rt.Collect() // garbage's one member is unreachable
+			f.rt.collect(1) // garbage's one member is unreachable
 		}
 		return false
 	}
 	swapped, err := f.rt.SwapOutVictims(VictimColdest, enough)
 	if busy != nil {
-		f.rt.settle(busy, resident, nil)
+		f.rt.lockedSettle(busy, resident)
 	}
 	if err != nil {
 		t.Fatalf("walk failed on an ineligible victim: %v", err)
@@ -88,7 +90,7 @@ func TestSwapOutVictimsSkipsIneligible(t *testing.T) {
 // TestConcurrentSwapDistinctClusters drives swap-out, collection and swap-in
 // of distinct clusters from concurrent goroutines — the pipeline the paper's
 // eviction overlap rests on. Run under -race this asserts the phase locking:
-// snapshot/commit serialize on the swap lock while encode and shipment
+// snapshot/commit serialize on the runtime lock while encode and shipment
 // overlap freely.
 func TestConcurrentSwapDistinctClusters(t *testing.T) {
 	f := newFixture(t, 0)
@@ -244,7 +246,7 @@ func TestWholeTableReadsAreOneCut(t *testing.T) {
 // and a retained copy anchored, so the write marks the cluster dirty — and so
 // does a B2 cursor walk: a fresh cursor on the head stepped ten times, across
 // the boundary into the next cluster, re-aiming itself and moving its inbound
-// entry under the table lock.
+// entry under the runtime lock.
 func TestTouchesAndCursorWalk(t *testing.T) {
 	f := newFixture(t, 0, WithTelemetry(telemetry.New(obs.NewRegistry(nil), telemetry.Options{})))
 	ids, clusters := f.buildList(t, 20, 10, 8)
@@ -281,7 +283,7 @@ func TestTouchesAndCursorWalk(t *testing.T) {
 	if info, err := f.rt.Manager().Info(clusters[0]); err != nil || !info.Dirty {
 		t.Fatalf("after a write in place: %+v, %v; want the cluster dirty", info, err)
 	}
-	if ultimate, err := f.rt.ultimateOf(cursor); err != nil || ultimate != ids[10] {
+	if ultimate, err := f.rt.lockedUltimateOf(cursor); err != nil || ultimate != ids[10] {
 		t.Fatalf("cursor designates @%d (%v), want @%d", ultimate, err, ids[10])
 	}
 	checkClean(t, f.rt)

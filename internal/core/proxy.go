@@ -88,7 +88,7 @@ func proxyMode(p *heap.Object) int64 { return proxyInt(p, slotMode) }
 func (rt *Runtime) proxyFor(src ClusterID, target heap.ObjID) (heap.ObjID, error) {
 	// Belt and braces: the collection that sweeps a proxy purges its entry
 	// before it returns — but check before handing it out.
-	if pid, ok := rt.mgr.lookupProxy(proxyKey{src: src, target: target}); ok && rt.h.Contains(pid) {
+	if pid, ok := rt.mgr.table.proxies.get(proxyKey{src: src, target: target}); ok && rt.h.Contains(pid) {
 		return pid, nil
 	}
 	return rt.newProxy(src, target, false)
@@ -100,10 +100,11 @@ func (rt *Runtime) proxyFor(src ClusterID, target heap.ObjID) (heap.ObjID, error
 // which swap-out points and the collection purges like any other but the
 // registry never hands out. The proxy is born with its target, source and
 // mode slots set, so nothing writes it between its allocation and its
-// listing, and from there on the mint uses only its id. Nothing roots a fresh
-// proxy: one a collection on another goroutine sweeps before enlist lists it
-// is minted again, and enlist refuses its block even once a later collection
-// has reissued it as another proxy.
+// listing, and from there on the mint uses only its id. The runtime lock is
+// held from the allocation to the caller's push onto the stack, so no
+// collection runs in between; should one sweep it all the same, enlist
+// refuses its block, even once a later collection has reissued it as another
+// proxy, and the proxy is minted again.
 func (rt *Runtime) newProxy(src ClusterID, target heap.ObjID, cursor bool) (heap.ObjID, error) {
 	mode := proxyModeNormal
 	if cursor {
@@ -135,6 +136,8 @@ func (rt *Runtime) newProxy(src ClusterID, target heap.ObjID, cursor bool) (heap
 // If v designates an object of swap-cluster-0 itself, no mediation is needed
 // and v is returned unchanged.
 func (rt *Runtime) AssignedCursor(v heap.Value) (heap.Value, error) {
+	rt.lock()
+	defer rt.unlock()
 	ultimate, err := rt.ultimateOf(v)
 	if err != nil {
 		return heap.Nil(), err
@@ -142,7 +145,7 @@ func (rt *Runtime) AssignedCursor(v heap.Value) (heap.Value, error) {
 	if ultimate == heap.NilID {
 		return heap.Nil(), heap.ErrNilTarget
 	}
-	if rt.mgr.ClusterOf(ultimate) == RootCluster {
+	if rt.mgr.clusterOf(ultimate) == RootCluster {
 		return heap.Ref(ultimate), nil
 	}
 	pid, err := rt.newProxy(RootCluster, ultimate, true)
@@ -234,7 +237,7 @@ func (rt *Runtime) translateRef(id heap.ObjID, to ClusterID) (heap.Value, error)
 		// Object-fault proxies pass through unchanged and are replaced (not
 		// wrapped) after replication.
 		return heap.Ref(id), nil
-	case rt.mgr.ClusterOf(d.ultimate) == to:
+	case rt.mgr.clusterOf(d.ultimate) == to:
 		if d.kind == refAway {
 			// A same-cluster reference to a non-resident member cannot arise
 			// from the interception rules; surface the dangle.
@@ -270,6 +273,8 @@ func (rt *Runtime) Assign(v heap.Value) error { return rt.setMode(v, proxyModeAs
 func (rt *Runtime) Unassign(v heap.Value) error { return rt.setMode(v, proxyModeNormal) }
 
 func (rt *Runtime) setMode(v heap.Value, mode int64) error {
+	rt.lock()
+	defer rt.unlock()
 	id, err := v.Ref()
 	if err != nil {
 		return err
@@ -284,7 +289,7 @@ func (rt *Runtime) setMode(v heap.Value, mode int64) error {
 	if mode == proxyModeAssign {
 		// A proxy that re-aims itself leaves the shared registry for good:
 		// reuse must not hand out a reference moving under its holder.
-		rt.mgr.unshare(proxyKey{src: proxySrc(o), target: proxyUltimate(o)}, id)
+		rt.mgr.table.proxies.drop(proxyKey{src: proxySrc(o), target: proxyUltimate(o)}, id)
 	}
 	if !setProxySlot(o, id, slotMode, heap.Int(mode)) {
 		return fmt.Errorf("%w: @%d", heap.ErrNoSuchObject, id)
@@ -307,6 +312,8 @@ func (rt *Runtime) IsProxyRef(v heap.Value) bool {
 	if err != nil || id == heap.NilID {
 		return false
 	}
+	rt.lock()
+	defer rt.unlock()
 	o, err := rt.h.Get(id)
 	return err == nil && isProxy(o)
 }

@@ -36,19 +36,18 @@ func (rt *Runtime) ReplicaSet(id ClusterID) []string {
 // way home and is not counted.
 func (rt *Runtime) swappedSets() map[ClusterID][]string {
 	out := make(map[ClusterID][]string)
-	tab := &rt.mgr.table
-	tab.mu.Lock()
-	for id, cs := range tab.clusters {
+	rt.lock()
+	defer rt.unlock()
+	for id, cs := range rt.mgr.table.clusters {
 		if cs.where == swappedOut || cs.where == underRepair {
 			out[id] = append([]string(nil), cs.retained.devices...)
 		}
 	}
-	tab.mu.Unlock()
 	return out
 }
 
 // liveCount reports how many of the given replicas resolve through the
-// store provider right now. Called without manager locks held — Lookup takes
+// store provider right now. Called without the runtime lock — Lookup takes
 // the registry's own lock.
 func (rt *Runtime) liveCount(devices []string) int {
 	if rt.stores == nil {
@@ -104,7 +103,8 @@ func (rt *Runtime) liveReplicaTotals() (live, swapped int) {
 // and stays swapped, recoverable when a donor returns.
 //
 // The cluster is under-repair for the duration — reserved exactly like a
-// swap — so repair never races a concurrent SwapIn/SwapOut or the sweep.
+// swap — so repair never races a concurrent SwapIn/SwapOut or the sweep. The
+// probe, the fetches and the shipment run with the runtime lock released.
 func (rt *Runtime) RepairCluster(ctx context.Context, id ClusterID, k int) (SwapEvent, error) {
 	if k <= 0 {
 		k = rt.Replicas()
@@ -115,13 +115,15 @@ func (rt *Runtime) RepairCluster(ctx context.Context, id ClusterID, k int) (Swap
 	if rt.placer == nil {
 		return SwapEvent{}, fmt.Errorf("core: repair cluster %d: %w", id, ErrNoPlacement)
 	}
+	rt.lock()
+	defer rt.unlock()
 	r := repair{k: k}
 	r.begin(rt, &opRepair, id, ctx)
 	defer r.end()
 	r.do("reserve", r.reserve)
-	r.do("probe", r.probe)
-	r.do("fetch", r.fetch)
-	r.do("ship", r.ship)
+	r.io("probe", r.probe)
+	r.io("fetch", r.fetch)
+	r.io("ship", r.ship)
 	r.do("commit", r.commit)
 	if r.err != nil {
 		return SwapEvent{}, r.err
@@ -134,7 +136,7 @@ type repair struct {
 	op
 	k int
 
-	// reserve: where the text is, copied out under the table lock.
+	// reserve: where the text is, copied out of the record.
 	copy donorCopy
 
 	live, dead []string // probe, then fetch demotes corrupt copies to dead
@@ -272,13 +274,10 @@ func (r *repair) ship() error {
 }
 
 // commit records the new replica set on the record's copy
-// (clusterState.rehome) under the swap lock.
+// (clusterState.rehome).
 func (r *repair) commit() error {
-	rt := r.rt
 	r.newSet = append(r.live, r.fresh...)
 	newSet := append([]string(nil), r.newSet...) // the record's own copy
-	rt.swapMu.Lock()
-	defer rt.swapMu.Unlock()
 	r.op.commit(swappedOut, func(cs *clusterState) { cs.rehome(newSet) })
 	return nil
 }

@@ -207,7 +207,7 @@ func TestUnderReplicatedAndRepair(t *testing.T) {
 
 	// While a repair owns the cluster it still reads degraded — the gauge and
 	// /healthz must not flicker to "whole" — and a second repair is refused.
-	cs, err := f.rt.reserve(clusters[1], swappedOut, underRepair, nil)
+	cs, err := f.rt.lockedReserve(clusters[1], swappedOut, underRepair)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestUnderReplicatedAndRepair(t *testing.T) {
 	if _, err := f.rt.RepairCluster(ctx, clusters[1], 0); !errors.Is(err, ErrClusterBusy) {
 		t.Fatalf("repair of a cluster under repair: %v", err)
 	}
-	f.rt.settle(cs, swappedOut, nil)
+	f.rt.lockedSettle(cs, swappedOut)
 
 	rev, err := f.rt.RepairCluster(ctx, clusters[1], 0)
 	if err != nil {

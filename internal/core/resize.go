@@ -31,30 +31,26 @@ func (rt *Runtime) MergeClusters(dst, src ClusterID) error {
 
 	// Resizing rewrites membership and member fields; it is a graph mutation
 	// and must not interleave with concurrent swaps or collections, so it
-	// stops the world (the swap lock). The mutate section keeps proxy
-	// allocations made during re-mediation from re-entering the evictor
-	// (whose swap-outs and Collect would deadlock on the held lock).
-	rt.swapMu.Lock()
-	defer rt.swapMu.Unlock()
-	endMutate := rt.beginMutate()
-	defer endMutate()
+	// holds the runtime lock throughout. The mutate section keeps proxy
+	// allocations made during re-mediation from running the evictor, which
+	// would let go of it.
+	rt.lock()
+	defer rt.unlock()
+	defer rt.beginMutate()()
 
 	tab := &rt.mgr.table
-	tab.mu.Lock()
 	ds, err := tab.at(dst, resident)
 	var ss *clusterState
 	if err == nil {
 		ss, err = tab.at(src, resident)
 	}
 	if err != nil {
-		tab.mu.Unlock()
 		return fmt.Errorf("core: merge of clusters %d/%d: %w", dst, src, err)
 	}
 	if err = rt.checkInactive(src, ss.has); err == nil {
 		err = rt.checkInactive(dst, ds.has)
 	}
 	if err != nil {
-		tab.mu.Unlock()
 		return err
 	}
 
@@ -68,7 +64,6 @@ func (rt *Runtime) MergeClusters(dst, src ClusterID) error {
 	rt.telem.Merge(&ds.ledger, &ss.ledger)
 	tab.queueDrops(forgotCopy{src, ss.forget()}, forgotCopy{dst, ds.forget()})
 	tab.drop(ss)
-	tab.mu.Unlock()
 
 	// 2. Re-mediate the fields of every member of the merged cluster:
 	// references to proxies whose ultimate target now shares the cluster are
@@ -93,13 +88,11 @@ func (rt *Runtime) SplitCluster(src ClusterID, members []heap.ObjID) (ClusterID,
 	}
 
 	// See MergeClusters: resizing is a stop-the-world graph mutation.
-	rt.swapMu.Lock()
-	defer rt.swapMu.Unlock()
-	endMutate := rt.beginMutate()
-	defer endMutate()
+	rt.lock()
+	defer rt.unlock()
+	defer rt.beginMutate()()
 
 	tab := &rt.mgr.table
-	tab.mu.Lock()
 	ss, err := tab.at(src, resident)
 	for _, oid := range members {
 		if err == nil && !ss.has(oid) {
@@ -110,7 +103,6 @@ func (rt *Runtime) SplitCluster(src ClusterID, members []heap.ObjID) (ClusterID,
 		err = rt.checkInactive(src, ss.has)
 	}
 	if err != nil {
-		tab.mu.Unlock()
 		return 0, err
 	}
 
@@ -125,7 +117,6 @@ func (rt *Runtime) SplitCluster(src ClusterID, members []heap.ObjID) (ClusterID,
 	// retained copy holds neither half.
 	fs.ledger.LastAccess = ss.ledger.LastAccess
 	tab.queueDrops(forgotCopy{src, ss.forget()})
-	tab.mu.Unlock()
 
 	// Re-mediate both halves: edges crossing the new boundary gain proxies;
 	// proxies that now point within their holder's cluster are dismantled.
@@ -141,7 +132,7 @@ func (rt *Runtime) SplitCluster(src ClusterID, members []heap.ObjID) (ClusterID,
 // regroup moves the members of from that moves picks to to's member list,
 // and every proxy of from's inbound list whose ultimate target moved to to's
 // inbound list, its source's edge with it; from's lists are compacted in
-// place. Both clusters are resident. The caller holds tab.mu.
+// place. Both clusters are resident.
 func (tab *clusterTable) regroup(from, to *clusterState, moves func(heap.ObjID) bool) {
 	had := len(to.members)
 	from.members = slices.DeleteFunc(from.members, func(oid heap.ObjID) bool {
@@ -171,15 +162,11 @@ func (tab *clusterTable) regroup(from, to *clusterState, moves func(heap.ObjID) 
 func (rt *Runtime) remediateCluster(id ClusterID) error {
 	// Re-mediation rewrites references to semantically identical ones.
 	defer rt.h.SuspendWriteObserver()()
-	tab := &rt.mgr.table
-	tab.mu.Lock()
-	cs, err := tab.state(id)
+	cs, err := rt.mgr.table.state(id)
 	if err != nil {
-		tab.mu.Unlock()
 		return err
 	}
 	ids := slices.Clone(cs.members)
-	tab.mu.Unlock()
 
 	for _, oid := range ids {
 		o, err := rt.h.Get(oid)

@@ -256,7 +256,7 @@ func TestRetargetAfterDeathDoesNotResurrect(t *testing.T) {
 	// not list it again.
 	f := newFixture(t, 0)
 	ids, _ := f.buildList(t, 20, 10, 8)
-	pid, err := f.rt.proxyFor(RootCluster, ids[15])
+	pid, err := f.rt.lockedProxyFor(RootCluster, ids[15])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,10 @@ func TestRetargetAfterDeathDoesNotResurrect(t *testing.T) {
 	if got := f.rt.Manager().ProxyCount(); got >= before {
 		t.Fatalf("proxy not purged (%d -> %d)", before, got)
 	}
-	if _, err := f.rt.Manager().retarget(p, pid, ids[3]); err == nil {
+	f.rt.lock()
+	_, err = f.rt.Manager().retarget(p, pid, ids[3])
+	f.rt.unlock()
+	if err == nil {
 		t.Fatal("retargeting a swept proxy succeeded")
 	}
 	checkClean(t, f.rt)

@@ -264,8 +264,10 @@ func TestRetainedCopy(t *testing.T) {
 		{name: "write between reserve and commit", donors: 1, k: 1,
 			between: func(t *testing.T, e *retained) {
 				o := e.member(t, 12)
+				// The hook runs on the swap-out's goroutine, inside its hold
+				// of the runtime lock: it reads the record directly.
 				e.clock.hook = func() bool {
-					if info, _ := e.f.rt.mgr.Info(e.id); !info.Busy {
+					if cs := e.f.rt.mgr.table.clusters[e.id]; cs == nil || !cs.where.reserved() {
 						return false
 					}
 					o.MustSet("tag", heap.Int(1200))

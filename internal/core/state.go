@@ -62,7 +62,7 @@ func newClusterState(id ClusterID, at residency) *clusterState {
 // at returns cluster id's record if the cluster is at want, or the sentinel
 // naming why an operation that needs it there cannot have it: unknown, busy
 // (a reserved cluster is busy to everyone but its owner, whichever side of
-// the swap it is on), or on the wrong side. The caller holds tab.mu.
+// the swap it is on), or on the wrong side.
 func (tab *clusterTable) at(id ClusterID, want residency) (*clusterState, error) {
 	cs, err := tab.state(id)
 	switch {
@@ -80,7 +80,7 @@ func (tab *clusterTable) at(id ClusterID, want residency) (*clusterState, error)
 }
 
 // put adds a record to the table and drop removes one, keeping the by-state
-// tally the gauges read. The caller holds tab.mu.
+// tally the gauges read.
 func (tab *clusterTable) put(cs *clusterState) {
 	tab.clusters[cs.id] = cs
 	tab.tally[cs.where]++
@@ -91,7 +91,7 @@ func (tab *clusterTable) drop(cs *clusterState) {
 	tab.tally[cs.where]--
 }
 
-// move is the one assignment to a record's residency. The caller holds tab.mu.
+// move is the one assignment to a record's residency.
 func (tab *clusterTable) move(cs *clusterState, to residency) {
 	if moves[cs.where]&(1<<to) == 0 {
 		panic(fmt.Sprintf("core: cluster %d: illegal move %s -> %s", cs.id, cs.where, to))
@@ -101,12 +101,12 @@ func (tab *clusterTable) move(cs *clusterState, to residency) {
 	cs.where = to
 }
 
-// count sums the tally over the states in accepts, for the gauges.
-func (tab *clusterTable) count(in func(residency) bool) float64 {
-	tab.mu.Lock()
-	defer tab.mu.Unlock()
+// count sums the table's tally over the states in accepts, for the gauges.
+func (rt *Runtime) count(in func(residency) bool) float64 {
+	rt.lock()
+	defer rt.unlock()
 	n := 0
-	for r, c := range tab.tally {
+	for r, c := range rt.mgr.table.tally {
 		if in(residency(r)) {
 			n += c
 		}
@@ -115,17 +115,15 @@ func (tab *clusterTable) count(in func(residency) bool) float64 {
 }
 
 // reserve takes cluster id from the settled state from into the reserved
-// state to, making the caller its only owner until settle: swap lock, then
-// table lock, validate, move, and — still under the table lock — let snap
-// copy out what the operation will work from. It reports ErrUnknownCluster,
+// state to, making the caller its only owner until settle: validate, move,
+// and let snap copy out what the operation will work from; the reservation
+// holds the cluster while the operation lets go of the runtime lock for its
+// I/O. It reports ErrUnknownCluster,
 // ErrClusterBusy, ErrClusterSwapped / ErrClusterLoaded (the cluster is on the
 // wrong side) or ErrClusterEmpty (nothing to swap out).
 func (rt *Runtime) reserve(id ClusterID, from, to residency, snap func(*clusterState)) (*clusterState, error) {
-	rt.swapMu.Lock()
-	defer rt.swapMu.Unlock()
+	rt.assertLocked()
 	tab := &rt.mgr.table
-	tab.mu.Lock()
-	defer tab.mu.Unlock()
 	cs, err := tab.at(id, from)
 	if err == nil && to == reservedOut && len(cs.members) == 0 {
 		err = fmt.Errorf("%w: %d", ErrClusterEmpty, id)
@@ -140,16 +138,14 @@ func (rt *Runtime) reserve(id ClusterID, from, to residency, snap func(*clusterS
 	return cs, nil
 }
 
-// settle ends a reservation: under the table lock, apply (if any) rewrites
-// the record and the cluster moves to the settled state to — the far side for
-// a commit, cs.where.settled() for a release. A commit re-points every proxy
-// the record lists in the same hold, so a proxy's target and its cluster's
-// residency change together. A committing caller holds the swap lock; a
-// release needs none.
+// settle ends a reservation: apply (if any) rewrites the record and the
+// cluster moves to the settled state to — the far side for a commit,
+// cs.where.settled() for a release. A commit re-points every proxy the record
+// lists in the same hold, so a proxy's target and its cluster's residency
+// change together.
 func (rt *Runtime) settle(cs *clusterState, to residency, apply func(*clusterState)) {
+	rt.assertLocked()
 	tab := &rt.mgr.table
-	tab.mu.Lock()
-	defer tab.mu.Unlock()
 	if apply != nil {
 		apply(cs)
 	}
@@ -165,18 +161,14 @@ func (rt *Runtime) settle(cs *clusterState, to residency, apply func(*clusterSta
 // The retained copy (DESIGN §6d). Each record names at most one payload on
 // its donors, cs.retained: the shipment a swapped-out cluster reloads from,
 // which stays on its donors once the cluster is resident again. The three
-// functions below are the only code that assigns it (check.sh greps for it),
-// each under the table lock.
+// functions below are the only code that assigns it (check.sh greps for it).
 
 // anchor records that the cluster's state equals copy c on the donors: it has
 // just been shipped (the record's members and slots are what was encoded) or
 // reloaded from it. Nothing is dirty against a fresh anchor.
-func (m *Manager) anchor(cs *clusterState, c donorCopy, slots []heap.ObjID) {
+func (cs *clusterState) anchor(c donorCopy, slots []heap.ObjID) {
 	cs.retained = retainedCopy{donorCopy: c, slots: slots}
 	cs.dirty = false
-	if slots != nil {
-		m.retaining.Store(true)
-	}
 }
 
 // forget drops the record's claim on its retained copy and returns the copy,
@@ -195,8 +187,8 @@ func (cs *clusterState) rehome(set []string) {
 
 // cleanCopy returns the retained copy when, by everything the record knows,
 // the resident cluster still equals it: no member written, joined or swept
-// since the anchor. The slot table and the donors are checked by the caller,
-// off the lock (swapOut.snapshot, Runtime.holds).
+// since the anchor. The slot table and the donors are checked by the caller
+// (swapOut.snapshot, Runtime.holds).
 func (cs *clusterState) cleanCopy() (retainedCopy, bool) {
 	if !cs.retained.usable() || cs.dirty {
 		return retainedCopy{}, false
@@ -205,7 +197,7 @@ func (cs *clusterState) cleanCopy() (retainedCopy, bool) {
 }
 
 // changed records that the resident cluster no longer equals its retained
-// copy, if it has one: its next swap-out ships. The caller holds tab.mu.
+// copy, if it has one: its next swap-out ships.
 func (cs *clusterState) changed() {
 	if cs.retained.key != "" {
 		cs.dirty = true
@@ -231,9 +223,9 @@ func (rt *Runtime) holds(c donorCopy) bool {
 // has just renewed the key's lease: the owner may count on the copy for
 // another leaseTTL.
 func (rt *Runtime) LeaseRenewed(id ClusterID, key string) {
+	rt.lock()
+	defer rt.unlock()
 	tab := &rt.mgr.table
-	tab.mu.Lock()
-	defer tab.mu.Unlock()
 	if cs, ok := tab.clusters[id]; ok && cs.retained.key == key && cs.retained.leaseTTL > 0 {
 		cs.retained.leaseUntil = rt.obsReg.Clock().Now().Add(cs.retained.leaseTTL)
 	}

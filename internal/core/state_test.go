@@ -15,8 +15,8 @@ import (
 // whereIs reads a cluster's residency; ok is false once the record is gone.
 func whereIs(rt *Runtime, id ClusterID) (residency, bool) {
 	tab := &rt.mgr.table
-	tab.mu.Lock()
-	defer tab.mu.Unlock()
+	rt.lock()
+	defer rt.unlock()
 	cs, ok := tab.clusters[id]
 	if !ok {
 		return 0, false
@@ -61,7 +61,7 @@ func clusterAt(t *testing.T, at residency) (f *fixture, id ClusterID, members []
 		}
 	}
 	if at.reserved() {
-		if _, err := f.rt.reserve(id, at.settled(), at, nil); err != nil {
+		if _, err := f.rt.lockedReserve(id, at.settled(), at); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -129,6 +129,8 @@ func TestClusterTransitions(t *testing.T) {
 			reservedIn: busy, underRepair: busy,
 		}},
 		{"assign", func(f *fixture, id ClusterID, _ []heap.ObjID, _ []ClusterID) error {
+			f.rt.lock()
+			defer f.rt.unlock()
 			return f.rt.mgr.assign(1<<40, id, f.rt.classIndex[f.node.Name])
 		}, [...]func(residency) outcome{
 			resident: stays, reservedOut: busy, swappedOut: swapped, reservedIn: busy, underRepair: busy,
@@ -171,7 +173,7 @@ func TestClusterTransitions(t *testing.T) {
 			if err := f.rt.SetRoot("head", heap.Nil()); err != nil {
 				return err
 			}
-			f.rt.collect(pressureCycles)
+			f.rt.lockedCollect(pressureCycles)
 			return nil
 		}, [...]func(residency) outcome{
 			resident: stays, reservedOut: stays,
@@ -199,7 +201,7 @@ func TestClusterTransitions(t *testing.T) {
 				// Releasing a foreign reservation restores normal operation.
 				if at.reserved() && ok {
 					cs, _ := f.rt.mgr.table.state(id)
-					f.rt.settle(cs, at.settled(), nil)
+					f.rt.lockedSettle(cs, at.settled())
 					if at == reservedOut && op.name != "sweep" {
 						if _, err := f.rt.SwapOut(id); err != nil {
 							t.Fatalf("SwapOut after release: %v", err)
@@ -232,7 +234,7 @@ func TestIllegalMovePanics(t *testing.T) {
 			t.Fatalf("the refused move left the cluster %s", at)
 		}
 	}()
-	f.rt.settle(cs, swappedOut, nil)
+	f.rt.lockedSettle(cs, swappedOut)
 }
 
 // TestFailedOperationLeavesClusterWhereItWas drives each operation into a

@@ -41,13 +41,19 @@ import (
 // all: reserve → snapshot → commit re-attach it to the copy the donors already
 // hold, with no store call. SwapEvent.Clean says which kind a swap-out was.
 //
-// SwapOut is safe to call concurrently for distinct clusters: reserve, the
-// replacement build and commit each hold only the swap lock, and everything
-// between runs unlocked. While the cluster is reserved-out a
-// second caller gets ErrClusterBusy; a failure in any phase leaves it
-// resident and the graph untouched (op.end).
+// SwapOut is safe to call concurrently for distinct clusters: it holds the
+// runtime lock except while it negotiates, encodes and ships, so the
+// shipment of one cluster overlaps the work of another. While the cluster is
+// reserved-out a second caller gets ErrClusterBusy; a failure in any phase
+// leaves it resident and the graph untouched (op.end).
 func (rt *Runtime) SwapOut(id ClusterID, opts ...SwapOption) (SwapEvent, error) {
-	o := resolveSwapOpts(opts)
+	rt.lock()
+	defer rt.unlock()
+	return rt.swapOut(id, resolveSwapOpts(opts))
+}
+
+// swapOut is SwapOut with its options resolved and the runtime lock held.
+func (rt *Runtime) swapOut(id ClusterID, o swapOpts) (SwapEvent, error) {
 	if id == RootCluster {
 		return SwapEvent{}, ErrRootCluster
 	}
@@ -107,17 +113,18 @@ func (s *swapOut) clean() bool { return s.kept.key != "" }
 // the members reference, in traversal order (outbound, indexed by slotOf),
 // with each proxy's ultimate target (slotTargets) — the object-fault proxies,
 // which ship as remote references rather than slots (remote), and the member
-// objects the encoder walks (objs). A shipment also ranks its donors in it
-// (rank) and reports a rejecting donor through it (failover). None of it
+// objects the encoder walks (objs), resolved by the snapshot so the encode,
+// which runs with the runtime lock released, reads no heap table. A shipment
+// also ranks its donors in it (rank) and reports a rejecting donor through
+// it (failover). None of it
 // outlives the swap-out: the replacement-object copies outbound, and commit
 // copies the slot table a shipment anchors. So it is reused, one operation at
 // a time; swap-outs of distinct clusters run concurrently, so each takes its
 // own from a pool.
 type outScratch struct {
-	h           *heap.Heap
 	members     []heap.ObjID // the swap-out's memberIDs
 	slotOf      map[heap.ObjID]int
-	remote      map[heap.ObjID]bool
+	remote      map[heap.ObjID]*heap.Object
 	outbound    []heap.Value
 	slotTargets []heap.ObjID
 	objs        []*heap.Object
@@ -128,7 +135,7 @@ type outScratch struct {
 }
 
 var outScratches = sync.Pool{New: func() any {
-	sc := &outScratch{slotOf: make(map[heap.ObjID]int), remote: make(map[heap.ObjID]bool)}
+	sc := &outScratch{slotOf: make(map[heap.ObjID]int), remote: make(map[heap.ObjID]*heap.Object)}
 	sc.encodeRef = sc.ref
 	sc.onFailure = sc.failover.report
 	return sc
@@ -143,10 +150,13 @@ type failover struct {
 }
 
 // report logs a donor that rejected the shipment and announces it as a
-// swap.failover event (the planner's ShipRequest.OnFailure).
+// swap.failover event (the planner's ShipRequest.OnFailure). It runs in the
+// ship phase, with the runtime lock released.
 func (f *failover) report(device string, err error) {
 	f.rt.logger.Warn("swap-out failover", "trace", f.trace,
 		"cluster", uint32(f.id), "device", device, "err", err)
+	f.rt.lock()
+	defer f.rt.unlock()
 	f.rt.emit(event.TopicSwapFailover, SwapEvent{
 		Cluster: f.id, Device: device, Key: f.key, Bytes: f.bytes, Trace: f.trace,
 	})
@@ -159,7 +169,7 @@ func (sc *outScratch) release() {
 	clear(sc.remote)
 	clear(sc.objs)
 	sc.outbound, sc.slotTargets, sc.objs = sc.outbound[:0], sc.slotTargets[:0], sc.objs[:0]
-	sc.h, sc.members = nil, nil
+	sc.members = nil
 	sc.rank.Reset()
 	sc.failover = failover{}
 	outScratches.Put(sc)
@@ -180,11 +190,7 @@ func (sc *outScratch) ref(rid heap.ObjID) (xmlcodec.Value, error) {
 	if slot, ok := sc.slotOf[rid]; ok {
 		return xmlcodec.SlotRef(slot), nil
 	}
-	if sc.remote[rid] {
-		ro, err := sc.h.Get(rid)
-		if err != nil {
-			return xmlcodec.Value{}, err
-		}
+	if ro, ok := sc.remote[rid]; ok {
 		return xmlcodec.RemoteRefOf(ObjProxyRemote(ro), ObjProxyClass(ro)), nil
 	}
 	return xmlcodec.Value{}, fmt.Errorf("core: unclassified reference @%d", rid)
@@ -201,14 +207,12 @@ func (s *swapOut) reserve() error {
 	if err == nil && s.clean() && !s.rt.holds(s.kept.donorCopy) {
 		s.kept = retainedCopy{} // a donor of the copy is gone or its lease ran out: ship
 	}
-	s.sc.h, s.sc.members = s.rt.h, s.memberIDs
+	s.sc.members = s.memberIDs
 	return err
 }
 
-// snapshot sizes the members and classifies their outbound references.
-// Member fields are stable here: the application thread is the caller (or
-// blocked behind the eviction that called us), and concurrent swap commits
-// only touch proxy $target fields and other clusters' objects. A clean
+// snapshot sizes the members, resolves them for the encoder and classifies
+// their outbound references, under the runtime lock. A clean
 // cluster passes its last check here: an outbound proxy re-aimed under a
 // member (an assign-mode cursor) changes no field, only the slot table.
 func (s *swapOut) snapshot() error {
@@ -222,6 +226,7 @@ func (s *swapOut) snapshot() error {
 		if err != nil {
 			return fmt.Errorf("core: swap-out cluster %d: member @%d: %w", s.id, oid, err)
 		}
+		s.sc.objs = append(s.sc.objs, o)
 		s.residentBytes += o.Size()
 		var werr error
 		for i := 0; i < o.NumFields() && werr == nil; i++ {
@@ -246,7 +251,7 @@ func (s *swapOut) snapshot() error {
 // (first sight appends it), or a remote reference.
 func (s *swapOut) classify(o *heap.Object, rid heap.ObjID) error {
 	sc := s.sc
-	if rid == heap.NilID || sc.member(rid) || sc.remote[rid] {
+	if rid == heap.NilID || sc.member(rid) || sc.remote[rid] != nil {
 		return nil
 	}
 	if _, seen := sc.slotOf[rid]; seen {
@@ -265,7 +270,7 @@ func (s *swapOut) classify(o *heap.Object, rid heap.ObjID) error {
 		sc.outbound = append(sc.outbound, heap.Ref(rid))
 		sc.slotTargets = append(sc.slotTargets, proxyUltimate(ro))
 	case isObjProxy(ro):
-		sc.remote[rid] = true
+		sc.remote[rid] = ro
 	default:
 		return fmt.Errorf("core: cluster %d: object @%d holds un-proxied foreign reference @%d",
 			s.id, o.ID(), rid)
@@ -275,12 +280,14 @@ func (s *swapOut) classify(o *heap.Object, rid heap.ObjID) error {
 
 // shipOut runs the phases that move the cluster's bytes, for one that cannot
 // leave on its retained copy. From here on the trace goes to the stores.
+// Negotiation and the encode are I/O and CPU on what snapshot copied out, so
+// they run with the runtime lock released, as the shipment does.
 func (s *swapOut) shipOut() {
 	s.handOut(6)
 	s.enc = wire.NewEncoder()
 	defer s.enc.Release() // and with it the frame: stores copied what they keep
-	s.do("negotiate", s.negotiate)
-	s.do("encode", s.encode)
+	s.io("negotiate", s.negotiate)
+	s.io("encode", s.encode)
 	s.do("ship", s.ship)
 }
 
@@ -307,23 +314,14 @@ func (s *swapOut) encode() error {
 	return nil
 }
 
-// encodeFrame renders s.plan's frame into s.payload: the members straight
-// from the heap in the negotiated format, each reference classified
-// internal / slot / remote (outScratch.ref).
+// encodeFrame renders s.plan's frame into s.payload: the members snapshot
+// resolved, in the negotiated format, each reference classified internal /
+// slot / remote (outScratch.ref).
 func (s *swapOut) encodeFrame() error {
 	rt, sc := s.rt, s.sc
-	objs := sc.objs[:0]
-	for _, oid := range s.memberIDs {
-		o, err := rt.h.Get(oid)
-		if err != nil {
-			return fmt.Errorf("core: encode cluster %d: member @%d: %w", s.id, oid, err)
-		}
-		objs = append(objs, o)
-	}
-	sc.objs = objs
 	format := s.plan.format
 	start := rt.obsReg.Clock().Now()
-	payload, err := s.enc.EncodeObjects(format, s.key, objs, sc.encodeRef)
+	payload, err := s.enc.EncodeObjects(format, s.key, sc.objs, sc.encodeRef)
 	if err != nil {
 		return fmt.Errorf("core: encode cluster %d as %s: %w", s.id, format, err)
 	}
@@ -334,9 +332,8 @@ func (s *swapOut) encodeFrame() error {
 }
 
 // replace builds the replacement-object. It is pinned the moment it exists
-// (nothing references it yet), and a pinned object is a GC root whose field
-// writes must not interleave with a concurrent Collect's mark, so the caller
-// holds the swap lock (beginMutate keeps the evictor out).
+// (nothing references it yet), and beginMutate keeps the evictor, which
+// would let go of the runtime lock, out of the build.
 func (s *swapOut) replace() error {
 	rt := s.rt
 	defer rt.beginMutate()()
@@ -356,21 +353,19 @@ func (s *swapOut) replace() error {
 }
 
 // ship builds the replacement-object and lands the payload on the donors; the
-// shipment is IO and runs unlocked. Donors with no room are asked to give
-// back the copies they retain for clusters that are resident anyway, and the
-// shipment is tried once more.
+// shipment is IO and runs with the runtime lock released. Donors with no room
+// are asked to give back the copies they retain for clusters that are
+// resident anyway, and the shipment is tried once more.
 func (s *swapOut) ship() error {
 	rt := s.rt
-	rt.swapMu.Lock()
 	err := s.replace()
-	rt.swapMu.Unlock()
 	if err != nil {
 		return err
 	}
-	err = s.shipPlanned()
+	rt.unlocked(func() { err = s.shipPlanned() })
 	if err != nil && (errors.Is(err, store.ErrCapacity) || errors.Is(err, store.ErrNoDevice)) &&
 		rt.shedRetained(s.ctx, s.plan.ranked) > 0 {
-		err = s.reship()
+		rt.unlocked(func() { err = s.reship() })
 	}
 	// A copy a failed attempt left behind is dropped at the next collection —
 	// unless the attempt that succeeded put the key's live copy on that donor.
@@ -447,31 +442,22 @@ func (s *swapOut) shipPlanned() error {
 	return nil
 }
 
-// commit detaches the cluster from the application graph under the swap
-// lock: in one table hold the record moves to swappedOut on the copy the
-// donors hold and every inbound proxy is re-pointed at its replacement
-// (settle).
+// commit detaches the cluster from the application graph: the record moves
+// to swappedOut on the copy the donors hold and every inbound proxy is
+// re-pointed at its replacement (settle).
 // A shipment becomes the new retained copy (dirty resets; the previous one is
 // due for donor cleanup); a clean cluster, which built no replacement-object
-// yet and shipped nothing, first re-reads dirty under the lock touch takes — a
-// write that landed since reserve rolls the operation back (the cluster stays
-// resident, dirty, and ships next time) rather than being lost with the freed
-// members.
+// yet and shipped nothing, first re-reads dirty — a write that landed since
+// reserve rolls the operation back (the cluster stays resident, dirty, and
+// ships next time) rather than being lost with the freed members.
 //
-// Then exactly the members are freed in one heap critical section, taken last
-// (DESIGN §6): every inbound proxy targets the replacement and no member is
-// on the invocation stack, so they are garbage by construction and the
-// cluster is never in two places.
+// Then exactly the members are freed (DESIGN §6): every inbound proxy
+// targets the replacement and no member is on the invocation stack, so they
+// are garbage by construction and the cluster is never in two places.
 func (s *swapOut) commit() error {
 	rt := s.rt
-	rt.swapMu.Lock()
-	defer rt.swapMu.Unlock()
 	if s.clean() {
-		tab := &rt.mgr.table
-		tab.mu.Lock()
-		written := s.cs.dirty
-		tab.mu.Unlock()
-		if written {
+		if s.cs.dirty {
 			return fmt.Errorf("%w: cluster %d was written during its swap-out", ErrClusterBusy, s.id)
 		}
 		if err := s.replace(); err != nil {
@@ -491,17 +477,16 @@ func (s *swapOut) commit() error {
 			// The record's own slot table: the scratch goes back to the pool.
 			// Empty, not nil: a known table (retainedCopy.usable).
 			slots := append(make([]heap.ObjID, 0, len(s.sc.slotTargets)), s.sc.slotTargets...)
-			rt.mgr.anchor(cs, s.copy, slots)
+			cs.anchor(s.copy, slots)
 		}
 	})
 	rt.h.Free(s.memberIDs)
 	return nil
 }
 
-// finish runs after the locks are gone: report, then — the fault is over, so
-// outside its span — reclaim the donor space of the copy a shipment
-// obsoleted. This rotation is the only place a stale retained copy is dropped
-// while its cluster lives.
+// finish reports, then — the fault is over, so outside its span — reclaims the
+// donor space of the copy a shipment obsoleted. This rotation is the only
+// place a stale retained copy is dropped while its cluster lives.
 func (s *swapOut) finish() SwapEvent {
 	s.handOut(3) // a clean swap-out hands its trace out only now
 	rt, c := s.rt, s.copy

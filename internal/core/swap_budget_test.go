@@ -73,9 +73,9 @@ func noteFixture(t testing.TB, clusters, perCluster, titleBytes, noteBytes int, 
 func touchTask(t testing.TB, f *fixture, id ClusterID) {
 	t.Helper()
 	tab := &f.rt.mgr.table
-	tab.mu.Lock()
+	f.rt.lock()
 	oid := tab.clusters[id].members[0]
-	tab.mu.Unlock()
+	f.rt.unlock()
 	f.dirty(t, oid)
 }
 
@@ -257,7 +257,7 @@ func TestSwapRoundTripBudget(t *testing.T) {
 	// boxed for publication; the operation with its span inside stays on the
 	// stack, and its slot table is pooled scratch — does not know how many
 	// members the cluster has; the inbound proxies are re-pointed in place, in
-	// the table hold that settles the cluster.
+	// the hold that settles the cluster.
 	cleanSide := func(perCluster int) (count, bytes uint64) {
 		f, ids := taskFixture(t, 2, perCluster, 128)
 		id := ids[1]

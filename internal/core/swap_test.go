@@ -304,7 +304,7 @@ func TestProxiesCreatedWhileSwappedTargetReplacement(t *testing.T) {
 	}
 	// Create a new proxy to a member of the swapped cluster (e.g. the app
 	// stores a reference it got earlier into a fresh root).
-	pid, err := f.rt.proxyFor(RootCluster, ids[15])
+	pid, err := f.rt.lockedProxyFor(RootCluster, ids[15])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,11 +373,13 @@ func TestSwapOutOfActiveClusterRefused(t *testing.T) {
 	_, clusters := f.buildList(t, 20, 10, 8)
 	victim := clusters[0]
 
-	// A method that, mid-flight, tries to swap out its own cluster.
+	// A method that, mid-flight, tries to swap out its own cluster. A method
+	// body runs under its dispatcher's hold of the runtime lock, so it swaps
+	// through the caller-locked path.
 	evil := heap.NewClass("Evil", heap.FieldDef{Name: "peer", Kind: heap.KindRef})
 	var rtRef = f.rt
 	evil.AddMethod("selfswap", func(call *heap.Call) ([]heap.Value, error) {
-		_, err := rtRef.SwapOut(victim)
+		_, err := rtRef.swapOut(victim, causedBy(""))
 		if err != nil {
 			return []heap.Value{heap.Str(err.Error())}, nil
 		}

@@ -33,8 +33,8 @@ import (
 // no room — leaves the cluster swapped exactly as it was, so a later retry
 // (or a reconnecting device) can still reload it. Destination
 // options do not apply: a swapped cluster lives where it was shipped.
-// Swap-ins of distinct clusters overlap freely; only reserve and install hold
-// the swap lock.
+// Swap-ins of distinct clusters overlap freely: the fetch and the decode run
+// with the runtime lock released, which the caller holds for the rest.
 //
 // The result is the SwapEvent boxed once: the box the bus delivers is the one
 // the fault engine hands every waiter of the flight.
@@ -47,8 +47,8 @@ func (rt *Runtime) swapInDirect(id ClusterID, o swapOpts) (any, error) {
 	defer s.end()
 	defer s.release()
 	s.do("reserve", s.reserve)
-	s.do("fetch", s.fetch)
-	s.do("decode", s.decode)
+	s.io("fetch", s.fetch)
+	s.io("decode", s.decode)
 	s.do("evict", s.evict)
 	s.do("install", s.install)
 	if s.err != nil {
@@ -63,7 +63,7 @@ type swapIn struct {
 	o swapOpts
 
 	// reserve: the replacement-object and where the text is, copied out
-	// under the table lock.
+	// of the record.
 	was              shipment
 	copy             donorCopy
 	repl             *heap.Object
@@ -138,7 +138,8 @@ func (s *swapIn) fetch() error {
 }
 
 // decode validates and stages whatever format the shipment self-describes as:
-// every structural check runs here, unlocked, and the objects come out staged
+// every structural check runs here, with the runtime lock released (the class
+// registry has its own), and the objects come out staged
 // in a heap.Batch, ready to install — a frame that fails leaves the heap and the
 // cluster table untouched, and evicts nothing. Every payload decodes on its
 // own: nothing but the fetched bytes is read.
@@ -164,11 +165,11 @@ func (s *swapIn) decode() (err error) {
 
 // evict makes room before installing, if we can tell it is needed, with a
 // little headroom beyond the payload: the reload itself allocates middleware
-// objects (proxies for un-replicated edges). No lock is held — the evictor's
-// own swap-outs take them.
+// objects (proxies for un-replicated edges). The evictor runs with the
+// runtime lock released (runEvictor), as its own swap-outs take it.
 func (s *swapIn) evict() error {
 	rt := s.rt
-	if cap := rt.h.Capacity(); cap > 0 && rt.evictor != nil && !rt.evicting.Load() {
+	if cap := rt.h.Capacity(); cap > 0 && rt.evictor != nil && !rt.evicting {
 		const reloadSlack = 512
 		need := s.was.bytesAtSwap + reloadSlack
 		if free := cap - rt.h.Reserve() - rt.h.Used(); free < need {
@@ -181,12 +182,12 @@ func (s *swapIn) evict() error {
 }
 
 // install makes the whole cluster resident, re-points its inbound proxies
-// and moves the record to resident in one swap-locked section, so no
+// and moves the record to resident in one hold of the runtime lock, so no
 // collection can run between installation (nursery-fresh objects) and the
 // patches that make them reachable. beginMutate: installation allocates, and
-// an allocation failure here must not re-enter the evictor. A prefetch enters
-// the fault engine's inventory in the same section, so whoever next finds the
-// cluster resident finds the entry too.
+// an allocation failure here must not run the evictor, which would let go
+// of the lock. A prefetch enters the fault engine's inventory in the same
+// hold, so whoever next finds the cluster resident finds the entry too.
 //
 // The reloaded shipment is the retained copy — resident state now provably
 // equals the payload still on its donors. The commit that shipped it anchored
@@ -199,8 +200,6 @@ func (s *swapIn) evict() error {
 // pass, since a pass has marked it by now.
 func (s *swapIn) install() error {
 	rt := s.rt
-	rt.swapMu.Lock()
-	defer rt.swapMu.Unlock()
 	defer rt.beginMutate()()
 
 	// Resolve replacement slots back to the retained outbound proxies.
@@ -221,7 +220,7 @@ func (s *swapIn) install() error {
 			return outbound[v.Slot], nil
 		case xmlcodec.RefRemote:
 			// An un-replicated edge: re-synthesize its object-fault proxy.
-			pid, err := rt.ObjProxyFor(v.Target, v.Class)
+			pid, err := rt.objProxyFor(v.Target, v.Class)
 			if err != nil {
 				return heap.Nil(), err
 			}
@@ -231,7 +230,7 @@ func (s *swapIn) install() error {
 		}
 	}
 
-	// All of it in one heap critical section, or none; the batch refuses a
+	// All of it, or none; the batch refuses a
 	// member that is already resident (swap-out freed them all at commit)
 	// instead of discarding whatever it holds. Reinstallation restores state,
 	// it is not a mutation: no write observer fires.
@@ -244,7 +243,7 @@ func (s *swapIn) install() error {
 		if !cs.retained.usable() {
 			c := s.copy
 			c.crc, c.format = s.dataCRC, string(s.fid)
-			rt.mgr.anchor(cs, c, s.slotTable(outbound))
+			cs.anchor(c, s.slotTable(outbound))
 		}
 		if s.o.cause == CausePrefetch {
 			rt.faults.Installed(uint32(s.id), int64(s.copy.payloadBytes))
@@ -277,8 +276,8 @@ func (s *swapIn) slotTable(outbound []heap.Value) []heap.ObjID {
 	return slots
 }
 
-// finish runs after the locks are gone. The fault ends with its span; what
-// follows is not part of it. The shipment stays on its donors as the retained
+// finish reports the swap-in. The fault ends with its span; what follows is
+// not part of it. The shipment stays on its donors as the retained
 // copy. It returns the SwapEvent in the box the bus delivered.
 func (s *swapIn) finish() any {
 	rt, key, bytes := s.rt, s.copy.key, s.copy.payloadBytes

@@ -16,8 +16,8 @@ import (
 func forgetChecksum(t testing.TB, rt *Runtime, id ClusterID) {
 	t.Helper()
 	tab := &rt.mgr.table
-	tab.mu.Lock()
-	defer tab.mu.Unlock()
+	rt.lock()
+	defer rt.unlock()
 	cs, err := tab.state(id)
 	if err != nil {
 		t.Fatal(err)

@@ -26,9 +26,11 @@ func windowFixture(t *testing.T) (*fixture, []heap.ObjID, ClusterID, heap.Value)
 }
 
 // inCommitWindow runs swap on another goroutine and, once the swap has done
-// its heap work and is about to take the table hold that settles its cluster,
-// runs step on the test's goroutine while the swap waits. Then the swap
-// finishes and the invariants must hold.
+// its heap work and is about to settle its cluster, runs step on the test's
+// goroutine while the swap waits. The swap holds the runtime lock there, and
+// step runs under that hold, handed over through the hook's channels, as a
+// mint the commit section itself makes (an install's object-fault proxies)
+// does. Then the swap finishes and the invariants must hold.
 func inCommitWindow(t *testing.T, f *fixture, swap func() error, step func() error) {
 	t.Helper()
 	reached, resume := make(chan struct{}), make(chan struct{})
@@ -75,7 +77,7 @@ func wantTag(t *testing.T, f *fixture, v heap.Value, want int64) {
 // and after a swap-out built the replacement-object. The proxy must end up
 // pointing where its cluster is — at the member once the swap-in commits, at
 // the replacement-object once the swap-out commits — so it must be listed and
-// pointed in the table hold that moves the cluster, not beside it.
+// pointed in the hold that moves the cluster, not beside it.
 func TestCommitWindow(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -99,11 +101,11 @@ func TestCommitWindow(t *testing.T) {
 			var minted heap.Value
 			step := func() (err error) {
 				if tc.cursor {
-					_, err = f.rt.Field(cursor, "next")
+					_, err = (*held)(f.rt).Field(cursor, "next")
 					return err
 				}
-				if err = f.rt.SetRoot("minted", heap.Ref(ids[15])); err == nil {
-					minted, _ = f.rt.Root("minted")
+				if err = f.rt.setRoot("minted", heap.Ref(ids[15])); err == nil {
+					minted, _ = f.rt.h.Root("minted")
 				}
 				return err
 			}
@@ -118,11 +120,13 @@ func TestCommitWindow(t *testing.T) {
 	}
 }
 
-// TestSweepBeforeEnlist lands a collection, on another goroutine, between a
-// proxy's allocation and its listing: nothing roots the fresh proxy yet, so
-// the collection sweeps it. The sweep must not leave it listed in its target
-// cluster's inbound list or offered for reuse, nor uncount the edge a live
-// proxy beside it counts, and the mint must still hand out a live proxy.
+// TestSweepBeforeEnlist lands a collection between a proxy's allocation and
+// its listing, on another goroutine that borrows the mint's hold of the
+// runtime lock: nothing roots the fresh proxy yet, so the collection sweeps
+// it. The sweep must not leave it listed in its target cluster's inbound
+// list or offered for reuse, nor uncount the edge a live proxy beside it
+// counts, and the mint must still hand out a live proxy: the id rule behind
+// enlist holds even where the lock keeps every collection out.
 func TestSweepBeforeEnlist(t *testing.T) {
 	f := newFixture(t, 0)
 	ids, _ := f.buildList(t, 20, 10, 8)
@@ -158,7 +162,8 @@ func TestSweepBeforeEnlist(t *testing.T) {
 }
 
 // TestReissueBeforeEnlist is TestSweepBeforeEnlist with the block reused: the
-// mint's yield runs two collections on another goroutine, which sweep the
+// mint's yield runs two collections on another goroutine, under the mint's
+// hold as there, which sweep the
 // fresh proxy and hand its block to the allocator, and then mints on that
 // goroutine until the block is reissued as another proxy. The first minter
 // still holds the block when it enlists: it must be refused, list nothing
@@ -238,7 +243,7 @@ func TestReissueBeforeEnlist(t *testing.T) {
 func TestReissuedProxyBlockRefused(t *testing.T) {
 	f := newFixture(t, 0)
 	ids, _ := f.buildList(t, 20, 10, 8)
-	stale, err := f.rt.newProxy(RootCluster, ids[15], true)
+	stale, err := f.rt.lockedNewProxy(RootCluster, ids[15], true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +255,7 @@ func TestReissuedProxyBlockRefused(t *testing.T) {
 	f.rt.Collect()
 	var reissued heap.ObjID
 	for i := 0; i < 100 && reissued == heap.NilID; i++ {
-		pid, err := f.rt.newProxy(RootCluster, ids[5], true)
+		pid, err := f.rt.lockedNewProxy(RootCluster, ids[5], true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,10 +277,14 @@ func TestReissuedProxyBlockRefused(t *testing.T) {
 		return out
 	}
 	before, proxies := slots(), f.rt.mgr.ProxyCount()
-	if f.rt.mgr.enlist(block, stale, RootCluster, ids[15]) {
+	f.rt.lock()
+	listed := f.rt.mgr.enlist(block, stale, RootCluster, ids[15])
+	_, err = f.rt.mgr.retarget(block, stale, ids[17])
+	f.rt.unlock()
+	if listed {
 		t.Error("enlist under the stale id listed the reissued block")
 	}
-	if _, err := f.rt.mgr.retarget(block, stale, ids[17]); !errors.Is(err, heap.ErrNoSuchObject) {
+	if !errors.Is(err, heap.ErrNoSuchObject) {
 		t.Errorf("retarget under the stale id: %v, want heap.ErrNoSuchObject", err)
 	}
 	for i, v := range slots() {

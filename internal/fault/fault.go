@@ -5,9 +5,9 @@
 //
 //   - Single-flight coalescing (Do): concurrent faults on the same cluster
 //     park on one in-flight swap-in and all resume with its result — error
-//     included — instead of queueing on the swap lock and paying the fetch
-//     once each. A failed flight is cleared before its waiters wake, so an
-//     immediate retry starts fresh.
+//     included — instead of queueing on the runtime lock and paying the
+//     fetch once each. A failed flight is cleared before its waiters wake,
+//     so an immediate retry starts fresh.
 //
 //   - A graph-driven prefetcher (TriggerPrefetch): a fault ranks the
 //     clusters nearest the faulted one along the replacement-object graph,
@@ -52,8 +52,11 @@ type Config struct {
 	PrefetchWorkers int
 	// Neighbors appends to buf[:0] the at most k clusters nearest cluster
 	// along replacement-object edges, best first, and returns the result. It
-	// must not allocate when cap(buf) >= k.
+	// must not allocate when cap(buf) >= k. It runs under Locker, which
+	// TriggerPrefetch's callers hold already and Rank takes.
 	Neighbors func(cluster uint32, k int, buf []uint32) []uint32
+	// Locker guards the graph Neighbors reads (nil: it needs no lock).
+	Locker sync.Locker
 	// SwapIn performs one speculative swap-in and reports whether this call
 	// installed the cluster (false when it was already resident, mid-flight
 	// elsewhere, or gone). The swap-in reports its install through Installed
@@ -224,7 +227,7 @@ func (e *Engine) SetAdmit(fn func() bool) {
 // prefetched (a running one reruns if it ends as a no-op; see enqueue).
 // Called on every fault and every hit, it slides the window ahead of a
 // pointer chase. It never blocks on the workers (a full queue drops the
-// excess) and allocates nothing.
+// excess) and allocates nothing. The caller holds Config.Locker.
 func (e *Engine) TriggerPrefetch(cluster uint32) {
 	if e == nil || !e.prefetchEnabled() {
 		return
@@ -390,6 +393,10 @@ func (e *Engine) NoteEvicted(cluster uint32) {
 func (e *Engine) Rank(cluster uint32, k int) []uint32 {
 	if e == nil || e.cfg.Neighbors == nil || k <= 0 {
 		return nil
+	}
+	if l := e.cfg.Locker; l != nil {
+		l.Lock()
+		defer l.Unlock()
 	}
 	return e.cfg.Neighbors(cluster, k, nil)
 }

@@ -3,8 +3,6 @@ package heap
 import (
 	"slices"
 	"time"
-
-	"objectswap/internal/obs"
 )
 
 // CollectStats reports the outcome of one collection pass, full or young.
@@ -56,7 +54,7 @@ func (h *Heap) Collect(extra ...ObjID) CollectStats {
 // reissues from. The pass allocates only to grow the Swept buffer, to the
 // largest count any pass has reclaimed, and the pool, to the peak proxy
 // residency: marks are a per-object epoch word, and the work list, the
-// buffer and the pool live on the heap, all guarded by h.mu.
+// buffer and the pool live on the heap.
 func (h *Heap) CollectCycles(cycles int, extra ...ObjID) CollectStats {
 	return h.collect(cycles, false, extra)
 }
@@ -94,12 +92,9 @@ func (h *Heap) collect(cycles int, young bool, extra []ObjID) CollectStats {
 	if cycles < 1 {
 		cycles = 1
 	}
-	h.mu.Lock()
-
-	gcClock, gcSeconds, gcFreed := h.gcClock, h.gcSeconds, h.gcFreed
 	var began time.Time
-	if gcClock != nil {
-		began = gcClock.Now()
+	if h.gcClock != nil {
+		began = h.gcClock.Now()
 	}
 
 	h.recycle()
@@ -166,7 +161,7 @@ func (h *Heap) collect(cycles int, young bool, extra []ObjID) CollectStats {
 			}
 		}
 		for _, o := range h.swept {
-			h.reclaimLocked(o.id, &st)
+			h.unlink(o.id, &st)
 		}
 		st.Swept = h.swept
 	}
@@ -179,11 +174,9 @@ func (h *Heap) collect(cycles int, young bool, extra []ObjID) CollectStats {
 	}
 	st.Live = len(h.objects.list)
 	h.collections.Add(1)
-	h.mu.Unlock()
-
-	h.finishReclaim(&st, gcFreed)
-	if gcClock != nil {
-		gcSeconds.Observe(gcClock.Now().Sub(began).Seconds())
+	h.finishReclaim(&st)
+	if h.gcClock != nil {
+		h.gcSeconds.Observe(h.gcClock.Now().Sub(began).Seconds())
 	}
 	return st
 }
@@ -193,7 +186,7 @@ func (h *Heap) collect(cycles int, young bool, extra []ObjID) CollectStats {
 // so the Go collector may take the rest. Each free list grows at most once
 // per pass, by append's rule for all its joiners together: the first growth
 // is exact, a later one leaves headroom, so a pool that hovers near its peak
-// is not copied again. The caller holds h.mu exclusively.
+// is not copied again.
 func (h *Heap) recycle() {
 	var joining [maxInlineFields + 1]int
 	for _, o := range h.swept {
@@ -214,8 +207,7 @@ func (h *Heap) recycle() {
 	h.swept = h.swept[:0]
 }
 
-// markID marks a resident object live and queues it for scanning. The caller
-// holds h.mu.
+// markID marks a resident object live and queues it for scanning.
 func (h *Heap) markID(id ObjID) {
 	o := h.objects.get(id)
 	if o == nil || o.mark == h.epoch {
@@ -250,8 +242,7 @@ func (h *Heap) markValue(v *Value) {
 // marks from. A target named twice in a row is listed once, so a run of
 // proxies re-pointed at one replacement-object costs one entry. The set
 // stops growing at the resident count and marks itself overflowed, and the
-// next young pass runs as a full one. The caller holds h.mu, shared or
-// exclusive; remMu orders the barriers that run under a shared hold.
+// next young pass runs as a full one.
 func (h *Heap) remember(v *Value) {
 	switch v.kind {
 	case KindRef:
@@ -259,7 +250,6 @@ func (h *Heap) remember(v *Value) {
 		if o == nil || o.mark == h.epoch {
 			return
 		}
-		h.remMu.Lock()
 		if n := len(h.remembered); !h.overflowed && (n == 0 || h.remembered[n-1] != o.id) {
 			if n < len(h.objects.list) {
 				h.remembered = append(h.remembered, o.id)
@@ -267,7 +257,6 @@ func (h *Heap) remember(v *Value) {
 				h.overflowed = true
 			}
 		}
-		h.remMu.Unlock()
 	case KindList:
 		elems := v.elems()
 		for i := range elems {
@@ -276,26 +265,25 @@ func (h *Heap) remember(v *Value) {
 	}
 }
 
-// reclaimLocked unlinks one object from the heap's tables and tallies it in
-// st; an id that is not resident is skipped. The caller holds h.mu and
-// releases the bytes through finishReclaim afterwards.
-func (h *Heap) reclaimLocked(id ObjID, st *CollectStats) {
+// unlink takes one object out of the heap's tables and tallies it in
+// st; an id that is not resident is skipped. The caller releases the bytes
+// through finishReclaim afterwards.
+func (h *Heap) unlink(id ObjID, st *CollectStats) {
 	o := h.objects.del(id)
 	if o == nil {
 		return
 	}
 	st.Reclaimed++
-	st.BytesFreed += o.Size()
+	st.BytesFreed += o.size
 	delete(h.pins, o.id)
 	delete(h.nursery, o.id)
 }
 
-// finishReclaim settles a reclamation outside h.mu: the bytes go back to the
-// budget.
-func (h *Heap) finishReclaim(st *CollectStats, gcFreed *obs.Counter) {
+// finishReclaim settles a reclamation: the bytes go back to the budget.
+func (h *Heap) finishReclaim(st *CollectStats) {
 	h.reclaimed.Add(uint64(st.Reclaimed))
 	h.release(st.BytesFreed)
-	gcFreed.Add(float64(st.BytesFreed))
+	h.gcFreed.Add(float64(st.BytesFreed))
 }
 
 // Free reclaims exactly the given objects in one critical section, as a
@@ -307,14 +295,11 @@ func (h *Heap) finishReclaim(st *CollectStats, gcFreed *obs.Counter) {
 // decide. It is not a collection cycle: the nursery does not age.
 func (h *Heap) Free(ids []ObjID) CollectStats {
 	var st CollectStats
-	h.mu.Lock()
 	for _, id := range ids {
-		h.reclaimLocked(id, &st)
+		h.unlink(id, &st)
 	}
 	st.Live = len(h.objects.list)
-	gcFreed := h.gcFreed
-	h.mu.Unlock()
-	h.finishReclaim(&st, gcFreed)
+	h.finishReclaim(&st)
 	return st
 }
 
@@ -322,9 +307,6 @@ func (h *Heap) Free(ids []ObjID) CollectStats {
 // from the given seed references. It is a read-only traversal used by tests
 // and by the swapping manager's detachment-completeness checks.
 func (h *Heap) ReachableFrom(seeds ...ObjID) map[ObjID]bool {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-
 	marked := make(map[ObjID]bool)
 	var stack []*Object
 	push := func(id ObjID) {
@@ -353,11 +335,9 @@ func (h *Heap) ReachableFrom(seeds ...ObjID) map[ObjID]bool {
 // application roots only (no pins, no middleware stacks): the application's
 // view of liveness.
 func (h *Heap) ReachableFromRoots() map[ObjID]bool {
-	h.mu.RLock()
 	var seeds []ObjID
 	for _, v := range h.roots {
 		v.forEachRef(func(id ObjID) { seeds = append(seeds, id) })
 	}
-	h.mu.RUnlock()
 	return h.ReachableFrom(seeds...)
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"objectswap/internal/obs"
@@ -47,18 +46,21 @@ func (s Stats) UsedFraction() float64 {
 // Heap is a byte-accounted managed object store with named roots, middleware
 // pins, and a mark-sweep collector. It models the VM heap of one constrained
 // device.
+//
+// A Heap has no lock of its own: the caller holds its owner's lock (the
+// swapping runtime's, or a DirectRuntime's) across every call but the byte
+// budget and counter reads (Capacity, Reserve, Used, Len, StatsSnapshot).
 type Heap struct {
 	capacity int64 // read/written atomically
 	headroom int64 // middleware reserve; read/written atomically
 	used     int64 // atomic
 
-	mu      sync.RWMutex
 	nextID  uint64
 	objects objTable
 	roots   map[string]Value
 	pins    map[ObjID]int
 
-	// Collector state, guarded by mu: an object is marked in the current pass
+	// Collector state: an object is marked in the current pass
 	// when its mark word equals epoch, and work is the mark phase's scan
 	// list, kept between passes so a collection allocates nothing. Marks are
 	// sticky: an object a pass marked stays marked, old, until a full pass
@@ -71,10 +73,7 @@ type Heap struct {
 	// young objects a write stored into an old object or a root since the
 	// last pass, and installs, the batches installed since then. Both are
 	// kept between passes and emptied by every pass; overflowed records that
-	// the barrier stopped listing, so the next young pass runs full. installs
-	// is guarded by mu; remembered and overflowed also by remMu, because the
-	// barrier in setField runs under mu held shared.
-	remMu      sync.Mutex
+	// the barrier stopped listing, so the next young pass runs full.
 	remembered []ObjID
 	overflowed bool
 	installs   [][]Object
@@ -91,11 +90,9 @@ type Heap struct {
 	// writeObservers are invoked after every successful write to an
 	// application object's field (Object.SetField) with its id — the swapping
 	// runtime's dirty and heat tracking, replication write-back — in
-	// registration order and outside heap locks. observerSuspend > 0 silences
-	// them (writes that restore rather than mutate, such as re-mediation).
-	// They live under their own lock so that the per-write dispatch check
-	// never contends with allocation and lookup traffic on h.mu.
-	obsMu           sync.RWMutex
+	// registration order, under the owner's lock the writer holds.
+	// observerSuspend > 0 silences them (writes that restore rather than
+	// mutate, such as re-mediation).
 	writeObservers  []func(ObjID)
 	observerSuspend int
 
@@ -106,16 +103,14 @@ type Heap struct {
 	nurseryGrace int
 	nursery      map[ObjID]int
 
-	// Lifetime counters are monotonic and independent of any map state, so
-	// they are plain atomics: bumping them never extends a h.mu critical
-	// section, and StatsSnapshot reads them without blocking allocators.
-	// The `used` byte counter (above) deliberately stays a single exact
-	// CAS-updated word instead of sharded counters: CheckInvariants demands
-	// it equal the live-byte sum to the byte, and the reserve path needs an
-	// exact read-modify-write against capacity.
+	// Lifetime counters are atomics, so that gauges and the memory monitor
+	// read them, and the byte budget above, on other goroutines without the
+	// owner's lock. removed counts the objects Remove detached, so the
+	// resident count is allocated - reclaimed - removed (Len).
 	allocated   atomic.Uint64
 	collections atomic.Uint64
 	reclaimed   atomic.Uint64
+	removed     atomic.Uint64
 
 	// GC observability hooks, installed by Instrument (nil when the heap is
 	// not instrumented). The clock keeps cycle timings deterministic in
@@ -138,25 +133,20 @@ func New(capacity int64) *Heap {
 }
 
 // AddWriteObserver registers a hook invoked after every successful write to
-// an application object's field. Observers cannot be removed; register once.
+// an application object's field, with the writer's lock held. Observers
+// cannot be removed; register once.
 func (h *Heap) AddWriteObserver(fn func(ObjID)) {
-	if fn == nil {
-		return
+	if fn != nil {
+		h.writeObservers = append(h.writeObservers, fn)
 	}
-	h.obsMu.Lock()
-	defer h.obsMu.Unlock()
-	h.writeObservers = append(h.writeObservers, fn)
 }
 
 // observeWrite dispatches to the write observers, if any.
 func (h *Heap) observeWrite(id ObjID) {
-	h.obsMu.RLock()
-	observers := h.writeObservers
 	if h.observerSuspend > 0 {
-		observers = nil
+		return
 	}
-	h.obsMu.RUnlock()
-	for _, fn := range observers {
+	for _, fn := range h.writeObservers {
 		fn(id)
 	}
 }
@@ -165,32 +155,20 @@ func (h *Heap) observeWrite(id ObjID) {
 // resume function is called (nestable). Middleware uses it around writes
 // that restore rather than mutate state.
 func (h *Heap) SuspendWriteObserver() (resume func()) {
-	h.obsMu.Lock()
 	h.observerSuspend++
-	h.obsMu.Unlock()
-	return func() {
-		h.obsMu.Lock()
-		h.observerSuspend--
-		h.obsMu.Unlock()
-	}
+	return func() { h.observerSuspend-- }
 }
 
 // SetNurseryGrace grants future allocations a grace of n collection cycles
 // before they may be reclaimed, protecting them while host code wires them
 // into the graph. 0 (the default) disables the nursery.
-func (h *Heap) SetNurseryGrace(n int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.nurseryGrace = n
-}
+func (h *Heap) SetNurseryGrace(n int) { h.nurseryGrace = n }
 
 // TouchNursery refreshes an object's nursery grace, keeping a host-held
 // object (such as an iteration cursor) alive across collections for as long
 // as it is actively used. A no-op when the nursery is disabled or the object
 // is not resident.
 func (h *Heap) TouchNursery(id ObjID) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.nurseryGrace <= 0 {
 		return
 	}
@@ -225,21 +203,18 @@ func (h *Heap) Reserve() int64 { return atomic.LoadInt64(&h.headroom) }
 // Used returns the accounted live bytes.
 func (h *Heap) Used() int64 { return atomic.LoadInt64(&h.used) }
 
-// Len returns the number of resident objects.
+// Len returns the number of resident objects, from the lifetime counters.
 func (h *Heap) Len() int {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return len(h.objects.list)
+	reclaimed, removed := h.reclaimed.Load(), h.removed.Load()
+	return int(h.allocated.Load() - reclaimed - removed)
 }
 
 // StatsSnapshot returns current occupancy and lifetime counters.
 func (h *Heap) StatsSnapshot() Stats {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
 	return Stats{
 		Capacity:    h.Capacity(),
 		Used:        h.Used(),
-		Objects:     len(h.objects.list),
+		Objects:     h.Len(),
 		Allocated:   h.allocated.Load(),
 		Collections: h.collections.Load(),
 		Reclaimed:   h.reclaimed.Load(),
@@ -264,17 +239,12 @@ func (h *Heap) reserveApp(delta int64) error {
 }
 
 func (h *Heap) reserveWithin(delta, limit int64) error {
-	for {
-		used := atomic.LoadInt64(&h.used)
-		next := used + delta
-		if limit > 0 && next > limit {
-			return fmt.Errorf("%w: need %d bytes, used %d of %d",
-				ErrOutOfMemory, delta, used, limit)
-		}
-		if atomic.CompareAndSwapInt64(&h.used, used, next) {
-			return nil
-		}
+	used := atomic.LoadInt64(&h.used)
+	if limit > 0 && used+delta > limit {
+		return fmt.Errorf("%w: need %d bytes, used %d of %d", ErrOutOfMemory, delta, used, limit)
 	}
+	atomic.StoreInt64(&h.used, used+delta)
+	return nil
 }
 
 // release returns delta bytes to the budget.
@@ -302,8 +272,8 @@ func (h *Heap) NewPrivileged(c *Class, init ...Value) (*Object, error) {
 
 // newObject allocates an object of class c whose leading fields are init. A
 // swap-cluster-proxy reuses the block of one a collection swept, when one
-// waits (see CollectStats.Swept), under the h.mu hold it takes anyway: the
-// block comes back with a fresh id, its fields zeroed and then set, and mark 0.
+// waits (see CollectStats.Swept): the block comes back with a fresh id, its
+// fields zeroed and then set, and mark 0.
 func (h *Heap) newObject(c *Class, privileged bool, init []Value) (*Object, error) {
 	if c == nil {
 		return nil, errors.New("heap: New: nil class")
@@ -330,16 +300,13 @@ func (h *Heap) newObject(c *Class, privileged bool, init []Value) (*Object, erro
 		return nil, err
 	}
 	var o *Object
-	if !pooled(c) {
+	if pooled(c) {
+		o = h.reissue(n)
+	} else {
 		o = allocObject(n)
 		o.heap = h
-		o.fill(c, size, init)
 	}
-	h.mu.Lock()
-	if o == nil {
-		o = h.reissue(n)
-		o.fill(c, size, init)
-	}
+	o.fill(c, size, init)
 	h.nextID++
 	o.id = ObjID(h.nextID)
 	h.objects.put(o)
@@ -347,7 +314,6 @@ func (h *Heap) newObject(c *Class, privileged bool, init []Value) (*Object, erro
 	if h.nurseryGrace > 0 {
 		h.nursery[o.id] = h.nurseryGrace
 	}
-	h.mu.Unlock()
 	return o, nil
 }
 
@@ -360,7 +326,7 @@ func pooled(c *Class) bool {
 }
 
 // reissue pops a swept block with n slots from the pool, or allocates a fresh
-// one when none waits. The caller holds h.mu exclusively.
+// one when none waits.
 func (h *Heap) reissue(n int) *Object {
 	free := h.free[n]
 	last := len(free) - 1
@@ -549,14 +515,12 @@ func (h *Heap) InstallBatch(b *Batch) (int, error) {
 	if err := h.reserveApp(total); err != nil {
 		return 0, err
 	}
-	h.mu.Lock()
 	for i := range objs {
 		o := &objs[i]
 		if h.objects.get(o.id) != nil {
 			for j := i - 1; j >= 0; j-- {
 				h.objects.del(objs[j].id)
 			}
-			h.mu.Unlock()
 			h.release(total)
 			return 0, fmt.Errorf("heap: InstallBatch: object %d already resident", o.id)
 		}
@@ -580,7 +544,6 @@ func (h *Heap) InstallBatch(b *Batch) (int, error) {
 		h.overflowed = true
 	}
 	h.allocated.Add(uint64(len(objs)))
-	h.mu.Unlock()
 	*b = Batch{}
 	return len(objs), nil
 }
@@ -589,8 +552,6 @@ func (h *Heap) InstallBatch(b *Batch) (int, error) {
 // used when restoring a checkpoint whose recorded objects (including ones
 // currently swapped out to devices) must keep their identities collision-free.
 func (h *Heap) EnsureIDAbove(id ObjID) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if uint64(id) > h.nextID {
 		h.nextID = uint64(id)
 	}
@@ -598,9 +559,7 @@ func (h *Heap) EnsureIDAbove(id ObjID) {
 
 // Get resolves a reference to its resident object.
 func (h *Heap) Get(id ObjID) (*Object, error) {
-	h.mu.RLock()
 	o := h.objects.get(id)
-	h.mu.RUnlock()
 	if o == nil {
 		return nil, fmt.Errorf("%w: @%d", ErrNoSuchObject, id)
 	}
@@ -608,12 +567,7 @@ func (h *Heap) Get(id ObjID) (*Object, error) {
 }
 
 // Contains reports whether id is resident.
-func (h *Heap) Contains(id ObjID) bool {
-	h.mu.RLock()
-	o := h.objects.get(id)
-	h.mu.RUnlock()
-	return o != nil
-}
+func (h *Heap) Contains(id ObjID) bool { return h.objects.get(id) != nil }
 
 // Remove detaches an object immediately. It is an explicit middleware action,
 // not a collection, so no CollectStats reports it. Used by baseline
@@ -621,16 +575,14 @@ func (h *Heap) Contains(id ObjID) bool {
 // proper detaches a cluster by reference patching and reclaims its shipped
 // members with Free the moment the swap-out commits.
 func (h *Heap) Remove(id ObjID) error {
-	h.mu.Lock()
 	o := h.objects.del(id)
 	if o == nil {
-		h.mu.Unlock()
 		return fmt.Errorf("%w: @%d", ErrNoSuchObject, id)
 	}
 	delete(h.pins, id)
 	delete(h.nursery, id)
-	h.mu.Unlock()
-	h.release(o.Size())
+	h.removed.Add(1)
+	h.release(o.size)
 	return nil
 }
 
@@ -639,31 +591,23 @@ func (h *Heap) Remove(id ObjID) error {
 // declared but pointing nowhere. A young object the root names is remembered
 // for the next young pass, as a write into an old object's field is.
 func (h *Heap) SetRoot(name string, v Value) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	h.roots[name] = v
 	h.remember(&v)
 }
 
 // Root returns the named root value.
 func (h *Heap) Root(name string) (Value, bool) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
 	v, ok := h.roots[name]
 	return v, ok
 }
 
 // DelRoot removes a named root entirely.
 func (h *Heap) DelRoot(name string) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	delete(h.roots, name)
 }
 
 // RootNames returns the sorted names of declared roots.
 func (h *Heap) RootNames() []string {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
 	names := make([]string, 0, len(h.roots))
 	for n := range h.roots {
 		names = append(names, n)
@@ -676,12 +620,9 @@ func (h *Heap) RootNames() []string {
 // collector treats it as live even when unreachable from application roots.
 // Pins are counted; each Pin needs a matching Unpin.
 func (h *Heap) Pin(id ObjID) {
-	if id == NilID {
-		return
+	if id != NilID {
+		h.pins[id]++
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.pins[id]++
 }
 
 // Unpin removes one pin from the object.
@@ -689,8 +630,6 @@ func (h *Heap) Unpin(id ObjID) {
 	if id == NilID {
 		return
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.pins[id] <= 1 {
 		delete(h.pins, id)
 	} else {
@@ -700,8 +639,6 @@ func (h *Heap) Unpin(id ObjID) {
 
 // IDs returns the sorted ids of all resident objects (test/diagnostic aid).
 func (h *Heap) IDs() []ObjID {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
 	ids := make([]ObjID, len(h.objects.list))
 	for i, o := range h.objects.list {
 		ids[i] = o.id

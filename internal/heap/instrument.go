@@ -33,11 +33,9 @@ func (h *Heap) Instrument(r *obs.Registry, device string) {
 		"Objects ever reclaimed by the collector.", "device").
 		WithFunc(func() float64 { return float64(h.StatsSnapshot().Reclaimed) }, device)
 
-	h.mu.Lock()
 	h.gcClock = r.Clock()
 	h.gcSeconds = r.HistogramVec("objectswap_heap_gc_seconds",
 		"Mark-sweep cycle duration.", nil, "device").With(device)
 	h.gcFreed = r.CounterVec("objectswap_heap_gc_freed_bytes_total",
 		"Bytes returned to the budget by the collector.", "device").With(device)
-	h.mu.Unlock()
 }

@@ -1,9 +1,6 @@
 package heap
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // objectOverhead approximates the fixed header cost of one managed object on
 // a constrained device (id, class pointer, field-vector header).
@@ -13,12 +10,10 @@ const objectOverhead = 32
 // live until the local collector reclaims them (or Heap.Remove detaches them
 // explicitly).
 //
-// Field access is not synchronized between application goroutines: one heap
-// serves one logical device whose application code is single-threaded, as on
-// the paper's Pocket PC prototype. Heap-level bookkeeping (allocation, roots,
-// GC) is internally synchronized, and a field write holds the heap lock
-// shared, so the collector — which may run on a background swap-in's behalf —
-// never scans or frees an object mid-write.
+// An object is its heap's: reads and writes of its fields happen under the
+// heap owner's lock, as every other heap call does, so the collector — which
+// may run on a background swap-in's behalf — never scans or frees an object
+// mid-write.
 type Object struct {
 	id    ObjID
 	class *Class
@@ -29,9 +24,8 @@ type Object struct {
 	// mark is the collector's epoch word (see Heap.epoch): equal to the
 	// epoch once a pass has marked the object, which is then old, and
 	// anything else while it is young. pos is the object's index in the
-	// heap's dense resident list (see objTable), or gone once it left. Both
-	// are written only under the heap lock held exclusively. Two 32-bit
-	// words keep the header at 64 bytes.
+	// heap's dense resident list (see objTable), or gone once it left. Two
+	// 32-bit words keep the header at 64 bytes.
 	mark uint32
 	pos  uint32
 }
@@ -43,7 +37,7 @@ func (o *Object) ID() ObjID { return o.id }
 func (o *Object) Class() *Class { return o.class }
 
 // Size returns the currently accounted byte size of the object.
-func (o *Object) Size() int64 { return atomic.LoadInt64(&o.size) }
+func (o *Object) Size() int64 { return o.size }
 
 // NumFields returns the number of field slots.
 func (o *Object) NumFields() int { return len(o.fields) }
@@ -73,7 +67,7 @@ func (o *Object) SetField(i int, v Value) error {
 }
 
 // SetFieldAs assigns the i-th field like SetField, but only while o is
-// resident under id, which it checks under the heap lock it writes in. A
+// resident under id, which it checks before it writes. A
 // collection may sweep a swap-cluster-proxy and a later one reissue its block
 // under another id (CollectStats.Swept): a holder that kept the block past
 // that learns so here, with ErrNoSuchObject, and writes nothing into the
@@ -85,54 +79,40 @@ func (o *Object) SetFieldAs(id ObjID, i int, v Value) error {
 
 // ResidentAs reports whether o is resident under id: false once a collection
 // swept it, whether or not a later one has reissued its block under another
-// id since. It reads nothing of o but its heap before it takes the heap lock.
-func (o *Object) ResidentAs(id ObjID) bool {
-	h := o.heap
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return o.pos != gone && o.id == id
-}
+// id since.
+func (o *Object) ResidentAs(id ObjID) bool { return o.pos != gone && o.id == id }
 
 // setField is SetField, and SetFieldAs when id is not NilID.
 func (o *Object) setField(id ObjID, i int, v Value) error {
-	// Accounting and the slot store form one unit against the collector:
-	// a sweep or Free sees the object's size and the budget agree.
 	h := o.heap
-	h.mu.RLock()
 	if o.pos == gone || (id != NilID && o.id != id) {
-		h.mu.RUnlock()
 		if id == NilID {
 			id = o.id
 		}
 		return fmt.Errorf("%w: @%d", ErrNoSuchObject, id)
 	}
 	if i < 0 || i >= len(o.fields) {
-		h.mu.RUnlock()
 		return fmt.Errorf("%w: %s slot %d", ErrNoSuchField, o.class.Name, i)
 	}
 	if def := o.class.Field(i); !assignable(def.Kind, v.Kind()) {
-		h.mu.RUnlock()
 		return fmt.Errorf("%w: field %s.%s is %s, assigning %s",
 			ErrBadKind, o.class.Name, def.Name, def.Kind, v.Kind())
 	}
 	delta := v.size() - o.fields[i].size()
 	if delta > 0 {
 		if err := h.reserve(delta); err != nil {
-			h.mu.RUnlock()
 			return err
 		}
 	} else if delta < 0 {
 		h.release(-delta)
 	}
-	atomic.AddInt64(&o.size, delta)
+	o.size += delta
 	o.fields[i] = v
 	if o.mark == h.epoch {
 		h.remember(&v) // the write barrier: an old holder may be a young object's only path
 	}
-	id, special := o.id, o.class.Special
-	h.mu.RUnlock()
-	if special == SpecialNone {
-		h.observeWrite(id)
+	if o.class.Special == SpecialNone {
+		h.observeWrite(o.id)
 	}
 	return nil
 }

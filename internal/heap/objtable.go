@@ -15,7 +15,7 @@ import "math/bits"
 // object records its position in the dense list, which removal fills by
 // moving the last entry into the hole.
 //
-// The caller holds the heap lock: shared for get, exclusive for put and del.
+// The caller holds the heap owner's lock.
 type objTable struct {
 	slots []objSlot // power-of-two length; an id of NilID marks an empty slot
 	shift uint8     // 64 - log2(len(slots))

@@ -89,8 +89,8 @@ func TestSuspendWriteObserverIsGlobalAndNests(t *testing.T) {
 
 // TestMiddlewareWritesRunNoObserver: a write to an application object runs
 // each write observer once; a write to a middleware object — a class of any
-// other special kind — runs none. The swapping runtime writes proxies under
-// its cluster-table lock, which its own observer takes.
+// other special kind — runs none. The swapping runtime writes proxies where
+// it lists them, and its own observer would re-enter that listing.
 func TestMiddlewareWritesRunNoObserver(t *testing.T) {
 	for _, tc := range []struct {
 		kind SpecialKind

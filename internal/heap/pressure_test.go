@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"slices"
 	"sort"
-	"sync"
 	"testing"
 )
 
@@ -327,9 +326,8 @@ func youngChurn(t *testing.T, r *rand.Rand, hs []*Heap, pick []ObjID, c *Class) 
 
 // rootedIDs lists what a pass aged by cycles must keep: whatever the roots,
 // the pins, the nursery entries whose grace outlasts the pass and extra
-// reach. The caller holds no lock of h.
+// reach.
 func rootedIDs(h *Heap, cycles int, extra []ObjID) map[ObjID]bool {
-	h.mu.RLock()
 	seeds := append([]ObjID(nil), extra...)
 	for _, v := range h.roots {
 		v.forEachRef(func(id ObjID) { seeds = append(seeds, id) })
@@ -342,7 +340,6 @@ func rootedIDs(h *Heap, cycles int, extra []ObjID) map[ObjID]bool {
 			seeds = append(seeds, id)
 		}
 	}
-	h.mu.RUnlock()
 	return h.ReachableFrom(seeds...)
 }
 
@@ -508,57 +505,5 @@ func TestCollectAllocatesNothingOnUnchangedHeap(t *testing.T) {
 				t.Fatalf("%s(%d) on an unchanged heap allocates %v times per pass, want 0", pass.name, cycles, allocs)
 			}
 		}
-	}
-}
-
-// TestCollectAgainstConcurrentFieldWrites runs collections, full and young,
-// while other goroutines rewrite the links of live objects — what a
-// background swap-in's eviction pass does to the application thread. Each
-// writer owns its own objects (field access is single-writer by contract).
-// Under -race it checks that the collector's mark words and field scans, and
-// the write barrier's reads of them, are ordered against the writes; in any
-// mode, that accounting stays exact.
-func TestCollectAgainstConcurrentFieldWrites(t *testing.T) {
-	h := New(0)
-	objs := buildChain(t, h, 64)
-	for i, o := range objs {
-		h.SetRoot(string(rune('A'+i)), o.RefTo())
-	}
-	var wg sync.WaitGroup
-	const writers = 3
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(int64(w)))
-			for i := 0; i < 2000; i++ {
-				o := objs[r.Intn(len(objs)/writers)*writers+w]
-				if err := o.SetFieldByName("next", objs[r.Intn(len(objs))].RefTo()); err != nil {
-					t.Error(err)
-					return
-				}
-				if err := o.SetFieldByName("payload", Bytes(make([]byte, r.Intn(32)))); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(w)
-	}
-	for i := 0; i < 50; i++ {
-		pass := h.CollectCycles
-		if i%2 == 1 {
-			pass = h.CollectYoung
-		}
-		if st := pass(1 + i%3); st.Reclaimed != 0 {
-			t.Errorf("rooted objects collected: %+v", st)
-		}
-	}
-	wg.Wait()
-	var live int64
-	for _, o := range objs {
-		live += o.Size()
-	}
-	if h.Used() != live {
-		t.Fatalf("used %d, resident sizes sum to %d", h.Used(), live)
 	}
 }

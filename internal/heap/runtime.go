@@ -3,6 +3,7 @@ package heap
 import (
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // Invoker dispatches method invocations and field accesses on managed
@@ -34,21 +35,31 @@ var ErrNilTarget = errors.New("heap: invoke on nil reference")
 // DirectRuntime is the interposition-free Invoker: every reference designates
 // a resident object and dispatch is a class-table call. It provides the
 // baseline timing floor and serves master (well-resourced) nodes that never
-// swap. It dispatches from the same kind of frame pool as the swapping
-// runtime, so the floor pays for its Calls what the runtime measured against
-// it pays. Like that runtime, it serves one dispatching goroutine at a time.
+// swap. Like the swapping runtime, it dispatches from a frame pool and is one
+// monitor: each entry (Invoke, Field, SetFieldValue, SetRoot) holds its
+// mutex, the heap's owner lock, and method bodies call back under that hold,
+// so the floor pays for its Calls and its lock what the runtime pays. It
+// serves one dispatching goroutine at a time.
 type DirectRuntime struct {
+	mu     sync.Mutex
 	heap   *Heap
 	frames Frames
 	depth  int
 }
 
-var _ Invoker = (*DirectRuntime)(nil)
+// directHeld is a DirectRuntime whose mutex the caller holds: the Invoker
+// method bodies call back through.
+type directHeld DirectRuntime
+
+var (
+	_ Invoker = (*DirectRuntime)(nil)
+	_ Invoker = (*directHeld)(nil)
+)
 
 // NewDirectRuntime returns a direct runtime over h.
 func NewDirectRuntime(h *Heap) *DirectRuntime {
 	rt := &DirectRuntime{heap: h}
-	rt.frames = NewFrames(rt)
+	rt.frames = NewFrames((*directHeld)(rt))
 	return rt
 }
 
@@ -56,15 +67,52 @@ func NewDirectRuntime(h *Heap) *DirectRuntime {
 func (rt *DirectRuntime) Heap() *Heap { return rt.heap }
 
 // Invoke dispatches method on the target object.
-func (rt *DirectRuntime) Invoke(target Value, method string, args ...Value) (res []Value, err error) {
+func (rt *DirectRuntime) Invoke(target Value, method string, args ...Value) ([]Value, error) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return (*directHeld)(rt).Invoke(target, method, args...)
+}
+
+// Field reads a field of the target object.
+func (rt *DirectRuntime) Field(target Value, name string) (Value, error) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return (*directHeld)(rt).Field(target, name)
+}
+
+// SetFieldValue writes a field of the target object.
+func (rt *DirectRuntime) SetFieldValue(target Value, name string, v Value) error {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return (*directHeld)(rt).SetFieldValue(target, name, v)
+}
+
+// SetRoot installs a named root of the heap (Heap.SetRoot).
+func (rt *DirectRuntime) SetRoot(name string, v Value) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	rt.heap.SetRoot(name, v)
+}
+
+// Heap returns the underlying heap.
+func (rt *directHeld) Heap() *Heap { return rt.heap }
+
+// resolve returns the resident object target designates; what and name
+// describe the operation in the nil-target error.
+func (rt *directHeld) resolve(target Value, what, name string) (*Object, error) {
 	id, err := target.Ref()
+	if err == nil && id == NilID {
+		err = fmt.Errorf("%w: %s %s", ErrNilTarget, what, name)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if id == NilID {
-		return nil, fmt.Errorf("%w: method %s", ErrNilTarget, method)
-	}
-	obj, err := rt.heap.Get(id)
+	return rt.heap.Get(id)
+}
+
+// Invoke dispatches method on the target object.
+func (rt *directHeld) Invoke(target Value, method string, args ...Value) (res []Value, err error) {
+	obj, err := rt.resolve(target, "method", method)
 	if err != nil {
 		return nil, err
 	}
@@ -75,21 +123,14 @@ func (rt *DirectRuntime) Invoke(target Value, method string, args ...Value) (res
 
 // leave releases the innermost Call, however its method ended, keeping the
 // results *res.
-func (rt *DirectRuntime) leave(res *[]Value) {
+func (rt *directHeld) leave(res *[]Value) {
 	rt.frames.Leave(rt.depth, *res)
 	rt.depth--
 }
 
 // Field reads a field of the target object.
-func (rt *DirectRuntime) Field(target Value, name string) (Value, error) {
-	id, err := target.Ref()
-	if err != nil {
-		return Nil(), err
-	}
-	if id == NilID {
-		return Nil(), fmt.Errorf("%w: field %s", ErrNilTarget, name)
-	}
-	obj, err := rt.heap.Get(id)
+func (rt *directHeld) Field(target Value, name string) (Value, error) {
+	obj, err := rt.resolve(target, "field", name)
 	if err != nil {
 		return Nil(), err
 	}
@@ -97,15 +138,8 @@ func (rt *DirectRuntime) Field(target Value, name string) (Value, error) {
 }
 
 // SetFieldValue writes a field of the target object.
-func (rt *DirectRuntime) SetFieldValue(target Value, name string, v Value) error {
-	id, err := target.Ref()
-	if err != nil {
-		return err
-	}
-	if id == NilID {
-		return fmt.Errorf("%w: field %s", ErrNilTarget, name)
-	}
-	obj, err := rt.heap.Get(id)
+func (rt *directHeld) SetFieldValue(target Value, name string, v Value) error {
+	obj, err := rt.resolve(target, "field", name)
 	if err != nil {
 		return err
 	}

@@ -50,6 +50,9 @@ type Transport interface {
 
 // Master is the authoritative node: it owns the source object graph (on an
 // unconstrained heap) and serves it in BFS clusters of ClusterSize objects.
+// mu is its heap's owner lock: each serving entry (FetchRoot, FetchCluster,
+// ApplyUpdate) holds it throughout. The graph is built through Heap and
+// Runtime before the master serves.
 type Master struct {
 	mu          sync.Mutex
 	h           *heap.Heap
@@ -100,6 +103,8 @@ func (m *Master) FetchRoot(ctx context.Context, name string) (heap.ObjID, string
 	if err := ctx.Err(); err != nil {
 		return heap.NilID, "", err
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	v, ok := m.h.Root(name)
 	if !ok {
 		return heap.NilID, "", fmt.Errorf("%w: %q", ErrUnknownRoot, name)
@@ -124,8 +129,8 @@ func (m *Master) FetchCluster(ctx context.Context, id heap.ObjID) (*xmlcodec.Doc
 		return nil, err
 	}
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.fetches++
-	m.mu.Unlock()
 
 	seed, err := m.h.Get(id)
 	if err != nil {

@@ -138,6 +138,8 @@ func (m *Master) ApplyUpdate(doc *xmlcodec.Doc) error {
 	if doc == nil || doc.Version != xmlcodec.Version {
 		return errors.New("replication: bad update document")
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	decodeRef := func(v xmlcodec.Value) (heap.Value, error) {
 		if v.RefClass != xmlcodec.RefRemote {
 			return heap.Nil(), errors.New("replication: update refs must be master identities")

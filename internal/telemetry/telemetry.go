@@ -10,9 +10,9 @@
 // record and hands to the Tracker under the lock that guards it. The write
 // side (Touch, SwappedOut, SwappedIn, Merge) is pure computation on a ledger
 // the caller has locked. The read side walks the manager's clusters through
-// the Clusters iteration, which takes the manager's table locks: every read
-// (gauge scrape, endpoint, snapshot) must come from a path that holds no core
-// lock. wssMu, which guards the sample ring, is only taken on that side.
+// the Clusters iteration, which takes the runtime lock: every read (gauge
+// scrape, endpoint, snapshot) must come from a path that does not hold it.
+// wssMu, which guards the sample ring, is only taken on that side.
 package telemetry
 
 import (

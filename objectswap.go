@@ -50,7 +50,6 @@ import (
 	"objectswap/internal/store"
 	"objectswap/internal/telemetry"
 	"objectswap/internal/transport"
-	"objectswap/internal/txn"
 	"objectswap/internal/wire"
 )
 
@@ -788,11 +787,6 @@ func (s *System) SaveCheckpoint(w io.Writer) error { return s.rt.SaveCheckpoint(
 // that were swapped out at save time come back as swapped and fault in from
 // their devices on first touch.
 func (s *System) LoadCheckpoint(r io.Reader) error { return s.rt.LoadCheckpoint(r) }
-
-// Transactions returns a transaction manager over this system's runtime
-// (OBIWAN's Transactional Support module): Begin/Set/Commit/Rollback with
-// field-level undo that works across swap-outs.
-func (s *System) Transactions() *txn.Manager { return txn.New(s.rt) }
 
 // ErrNoRoot reports a missing named root.
 var ErrNoRoot = errors.New("objectswap: no such root")

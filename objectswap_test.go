@@ -11,7 +11,6 @@ import (
 	"objectswap/internal/heap"
 	"objectswap/internal/replication"
 	"objectswap/internal/store"
-	"objectswap/internal/txn"
 	"objectswap/internal/wire"
 )
 
@@ -268,7 +267,7 @@ func TestSystemReplication(t *testing.T) {
 	}
 }
 
-func TestSystemMergeSplitAndTransactions(t *testing.T) {
+func TestSystemMergeAndSplit(t *testing.T) {
 	sys, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -301,18 +300,6 @@ func TestSystemMergeSplitAndTransactions(t *testing.T) {
 	nv, _ = oa.FieldByName("next")
 	if !sys.Runtime().IsProxyRef(nv) {
 		t.Fatalf("edge not re-mediated after split: %v", nv)
-	}
-
-	// Transactions through the façade.
-	tx := sys.Transactions()
-	if err := tx.Run(func(m *txn.Manager) error {
-		return m.Set(oa.RefTo(), "title", heap.Str("inside"))
-	}); err != nil {
-		t.Fatal(err)
-	}
-	v, _ := oa.FieldByName("title")
-	if s, _ := v.Str(); s != "inside" {
-		t.Fatalf("committed write lost: %q", s)
 	}
 }
 
