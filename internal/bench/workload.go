@@ -158,7 +158,7 @@ func (e *Env) SetCursor(v heap.Value) error {
 	if e.RT != nil {
 		return e.RT.SetRoot("cursor", v)
 	}
-	e.direct.SetRoot("cursor", v)
+	e.direct.WithHeap(func(h *heap.Heap) { h.SetRoot("cursor", v) })
 	return nil
 }
 

@@ -315,7 +315,7 @@ func (rt *Runtime) LoadCheckpoint(r io.Reader) error {
 			return heap.Nil(), fmt.Errorf("%w: unexpected reference class", ErrBadCheckpoint)
 		}
 		if strings.HasPrefix(v.Class, objProxyClassMarker) {
-			pid, err := rt.objProxyFor(v.Target, strings.TrimPrefix(v.Class, objProxyClassMarker))
+			pid, err := (*Held)(rt).ObjProxyFor(v.Target, strings.TrimPrefix(v.Class, objProxyClassMarker))
 			if err != nil {
 				return heap.Nil(), err
 			}
@@ -414,17 +414,17 @@ func (rt *Runtime) LoadCheckpoint(r io.Reader) error {
 	for _, cr := range doc.Roots {
 		switch {
 		case cr.Remote != 0:
-			pid, err := rt.objProxyFor(heap.ObjID(cr.Remote), cr.Class)
+			pid, err := (*Held)(rt).ObjProxyFor(heap.ObjID(cr.Remote), cr.Class)
 			if err != nil {
 				return err
 			}
-			if err := rt.setRoot(cr.Name, heap.Ref(pid)); err != nil {
+			if err := (*Held)(rt).SetRoot(cr.Name, heap.Ref(pid)); err != nil {
 				return err
 			}
 		case cr.Target == 0:
 			rt.h.SetRoot(cr.Name, heap.Nil())
 		default:
-			if err := rt.setRoot(cr.Name, heap.Ref(heap.ObjID(cr.Target))); err != nil {
+			if err := (*Held)(rt).SetRoot(cr.Name, heap.Ref(heap.ObjID(cr.Target))); err != nil {
 				return err
 			}
 		}

@@ -133,10 +133,12 @@ var _ StoreProvider = (*store.Registry)(nil)
 var _ placement.Source = (*store.Registry)(nil)
 
 // FaultHandler resolves an incremental-replication object fault: it must
-// replicate the cluster containing the proxy's target and return a reference
-// to the now-resident object. Implemented by the replication package.
+// replicate the cluster containing remote, the home-node identity an
+// object-fault proxy stands for, and return a reference to the now-resident
+// replica. It runs with the runtime lock released and reaches the runtime
+// through its exported entries. Implemented by the replication package.
 type FaultHandler interface {
-	HandleFault(rt *Runtime, proxy *heap.Object) (heap.Value, error)
+	HandleFault(rt *Runtime, remote heap.ObjID) (heap.Value, error)
 }
 
 // SwapEvent is the payload of swap.out / swap.in / swap.drop events.
@@ -384,7 +386,7 @@ func NewRuntime(h *heap.Heap, reg *heap.Registry, opts ...Option) *Runtime {
 		classIndex: make(map[string]uint32),
 		name:       fmt.Sprintf("dev%d", atomic.AddUint64(&runtimeSeq, 1)),
 	}
-	rt.frames = heap.NewFrames((*held)(rt))
+	rt.frames = heap.NewFrames((*Held)(rt))
 	// The middleware classes are not registered in the application registry
 	// (swapped XML never mentions them).
 	rt.proxyClass = buildProxyClass()
@@ -423,7 +425,6 @@ func NewRuntime(h *heap.Heap, reg *heap.Registry, opts ...Option) *Runtime {
 		PrefetchDepth:   rt.prefetchDepth,
 		PrefetchWorkers: rt.prefetchWorkers,
 		Neighbors:       rt.mgr.neighbors,
-		Locker:          &rt.mu, // for Rank: a trigger's caller holds it already
 		SwapIn:          rt.prefetchSwapIn,
 	})
 	return rt
@@ -553,7 +554,9 @@ func (rt *Runtime) endEvict() {
 	}
 }
 
-// Heap returns the device heap.
+// Heap returns the device heap. It is caller-locked: once the runtime is
+// shared, host code reaches it under Locked (its byte budget and lifetime
+// counters, atomics, excepted).
 func (rt *Runtime) Heap() *heap.Heap { return rt.h }
 
 // Registry returns the class registry.
@@ -674,6 +677,12 @@ func (rt *Runtime) appendTrace(b []byte, seq uint64) []byte {
 func (rt *Runtime) NewObject(c *heap.Class, cluster ClusterID) (*heap.Object, error) {
 	rt.lock()
 	defer rt.unlock()
+	return (*Held)(rt).NewObject(c, cluster)
+}
+
+// NewObject is Runtime.NewObject under the caller's hold.
+func (h *Held) NewObject(c *heap.Class, cluster ClusterID) (*heap.Object, error) {
+	rt := (*Runtime)(h)
 	if c.Special != heap.SpecialNone {
 		return nil, fmt.Errorf("core: NewObject: %s is a middleware class", c.Name)
 	}
@@ -707,10 +716,12 @@ func (rt *Runtime) NewObject(c *heap.Class, cluster ClusterID) (*heap.Object, er
 func (rt *Runtime) SetRoot(name string, v heap.Value) error {
 	rt.lock()
 	defer rt.unlock()
-	return rt.setRoot(name, v)
+	return (*Held)(rt).SetRoot(name, v)
 }
 
-func (rt *Runtime) setRoot(name string, v heap.Value) error {
+// SetRoot is Runtime.SetRoot under the caller's hold.
+func (h *Held) SetRoot(name string, v heap.Value) error {
+	rt := (*Runtime)(h)
 	tv, err := rt.translate(v, RootCluster)
 	if err != nil {
 		return err

@@ -15,15 +15,27 @@ var ErrClusterActive = errors.New("core: cluster has in-flight invocations")
 // reference: only swap-cluster-proxies may target one.
 var errCorrupt = errors.New("core: replacement-object reached through an application reference (graph corruption)")
 
-// held is a Runtime whose lock the caller holds: the Invoker method bodies
+// Held is a Runtime whose lock the caller holds: the Invoker method bodies
 // call back through (heap.Call.RT), under the hold of the entry that
-// dispatched them. Runtime's Invoke, Field and SetFieldValue lock and call it.
-type held Runtime
+// dispatched them, and the one host code gets from Locked. Runtime's
+// exported entries of the same names lock and call it. Its calls let go of
+// the lock only where an operation does (I/O, a fault's wait, the evictor),
+// and calling a Runtime entry under it deadlocks.
+type Held Runtime
 
-var _ heap.Invoker = (*held)(nil)
+var _ heap.Invoker = (*Held)(nil)
 
-// Heap returns the device heap.
-func (h *held) Heap() *heap.Heap { return h.h }
+// Locked runs fn under one hold of the runtime lock, for host code that
+// takes several steps as one while other goroutines use the runtime (as
+// replication installs a shipment, pinning what it mints in the mint's hold).
+func (rt *Runtime) Locked(fn func(h *Held)) {
+	rt.lock()
+	defer rt.unlock()
+	fn((*Held)(rt))
+}
+
+// Heap returns the device heap, which the hold guards.
+func (h *Held) Heap() *heap.Heap { return h.h }
 
 // frame is one boundary operation's hold on the invocation stack, which
 // stands in for thread stacks as GC roots (DESIGN §6c): whatever is pushed
@@ -123,8 +135,14 @@ func (rt *Runtime) reach(id heap.ObjID) (reached, error) {
 			dst, swapped := rt.mgr.enterCrossing(src, d.ultimate)
 			if !swapped {
 				rt.notePrefetchHit(dst)
-			} else if err := rt.reload(dst); err != nil {
-				return reached{}, err
+			} else {
+				// The reload lets go of the lock; the stacked target keeps
+				// its cluster active, so no swap-out takes it back out
+				// before the target is reached.
+				rt.pushStack(d.ultimate)
+				if err := rt.reload(dst); err != nil {
+					return reached{}, err
+				}
 			}
 			obj, err := rt.h.Get(d.ultimate)
 			if err != nil {
@@ -137,8 +155,9 @@ func (rt *Runtime) reach(id heap.ObjID) (reached, error) {
 			}
 			// The handler replicates over the network through the exported
 			// entries, unlocked; enter stacked the proxy, so it survives.
+			remote := ObjProxyRemote(d.obj)
 			var resolved heap.Value
-			rt.unlocked(func() { resolved, err = rt.faultHandler.HandleFault(rt, d.obj) })
+			rt.unlocked(func() { resolved, err = rt.faultHandler.HandleFault(rt, remote) })
 			if err != nil {
 				return reached{}, fmt.Errorf("core: object fault: %w", err)
 			}
@@ -197,12 +216,12 @@ func (rt *Runtime) materialize(id heap.ObjID) (*heap.Object, error) {
 func (rt *Runtime) Invoke(target heap.Value, method string, args ...heap.Value) ([]heap.Value, error) {
 	rt.lock()
 	defer rt.unlock()
-	return (*held)(rt).Invoke(target, method, args...)
+	return (*Held)(rt).Invoke(target, method, args...)
 }
 
 // Invoke dispatches a method under the caller's hold (Runtime.Invoke): the
 // dispatch itself, so a nested call costs the Go stack no extra frame.
-func (h *held) Invoke(target heap.Value, method string, args ...heap.Value) (res []heap.Value, err error) {
+func (h *Held) Invoke(target heap.Value, method string, args ...heap.Value) (res []heap.Value, err error) {
 	rt := (*Runtime)(h)
 	f, err := rt.enter(target, "method", method)
 	if err != nil {
@@ -321,11 +340,11 @@ func (rt *Runtime) assignReturn(p *heap.Object, r heap.Value) (heap.Value, error
 func (rt *Runtime) Field(target heap.Value, name string) (heap.Value, error) {
 	rt.lock()
 	defer rt.unlock()
-	return (*held)(rt).Field(target, name)
+	return (*Held)(rt).Field(target, name)
 }
 
 // Field reads a field under the caller's hold (Runtime.Field).
-func (h *held) Field(target heap.Value, name string) (res heap.Value, err error) {
+func (h *Held) Field(target heap.Value, name string) (res heap.Value, err error) {
 	rt := (*Runtime)(h)
 	f, err := rt.enter(target, "field", name)
 	if err != nil {
@@ -356,12 +375,12 @@ func (h *held) Field(target heap.Value, name string) (res heap.Value, err error)
 func (rt *Runtime) SetFieldValue(target heap.Value, name string, v heap.Value) error {
 	rt.lock()
 	defer rt.unlock()
-	return (*held)(rt).SetFieldValue(target, name, v)
+	return (*Held)(rt).SetFieldValue(target, name, v)
 }
 
 // SetFieldValue writes a field under the caller's hold
 // (Runtime.SetFieldValue).
-func (h *held) SetFieldValue(target heap.Value, name string, v heap.Value) error {
+func (h *Held) SetFieldValue(target heap.Value, name string, v heap.Value) error {
 	rt := (*Runtime)(h)
 	f, err := rt.enter(target, "field", name)
 	if err != nil {

@@ -31,6 +31,15 @@ func WithPrefetch(depth, workers int) Option {
 // admission-guard hook and Quiesce/Stop.
 func (rt *Runtime) FaultEngine() *fault.Engine { return rt.faults }
 
+// PrefetchWindow is cluster's prefetch window right now: at most k clusters,
+// best first, walked as a fault's trigger walks it (fault.Engine.Rank), under
+// the runtime lock. GET /debug/prefetch serves it.
+func (rt *Runtime) PrefetchWindow(cluster uint32, k int) []uint32 {
+	rt.lock()
+	defer rt.unlock()
+	return rt.faults.Rank(cluster, k)
+}
+
 // SwapIn reloads a swapped cluster through the fault engine's single-flight
 // table: concurrent callers for the same cluster park on one in-flight
 // fetch and all resume with its result, error included. A caller that

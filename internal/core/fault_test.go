@@ -452,15 +452,15 @@ func TestNeighborClustersRanking(t *testing.T) {
 	link(oa3, oc2)
 	_ = ob2
 
-	got := f.rt.FaultEngine().Rank(uint32(a), 4)
+	got := f.rt.PrefetchWindow(uint32(a), 4)
 	want := []uint32{uint32(c), uint32(b)}
 	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("Rank(a) = %v, want %v", got, want)
 	}
-	if got := f.rt.FaultEngine().Rank(uint32(a), 1); len(got) != 1 || got[0] != uint32(c) {
+	if got := f.rt.PrefetchWindow(uint32(a), 1); len(got) != 1 || got[0] != uint32(c) {
 		t.Fatalf("Rank(a, 1) = %v, want [%d]", got, c)
 	}
-	if got := f.rt.FaultEngine().Rank(uint32(c), 4); len(got) != 0 {
+	if got := f.rt.PrefetchWindow(uint32(c), 4); len(got) != 0 {
 		t.Fatalf("Rank(c) = %v, want none (no outgoing proxies)", got)
 	}
 
@@ -484,7 +484,7 @@ func TestNeighborClustersRanking(t *testing.T) {
 		{chain[2], 4, ids(chain[3], chain[4])},
 		{chain[4], 2, nil},
 	} {
-		got := rt.FaultEngine().Rank(uint32(tc.from), tc.k)
+		got := rt.PrefetchWindow(uint32(tc.from), tc.k)
 		if !slices.Equal(got, tc.want) {
 			t.Fatalf("window(%d, %d) = %v, want %v", tc.from, tc.k, got, tc.want)
 		}

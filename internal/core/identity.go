@@ -49,6 +49,13 @@ func (rt *Runtime) ultimateOf(v heap.Value) (heap.ObjID, error) {
 func (rt *Runtime) Deref(v heap.Value) (*heap.Object, error) {
 	rt.lock()
 	defer rt.unlock()
+	return (*Held)(rt).Deref(v)
+}
+
+// Deref is Runtime.Deref under the caller's hold: the object may be read
+// until the hold ends.
+func (h *Held) Deref(v heap.Value) (*heap.Object, error) {
+	rt := (*Runtime)(h)
 	id, err := rt.ultimateOf(v)
 	if err != nil {
 		return nil, err

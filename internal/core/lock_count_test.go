@@ -13,7 +13,8 @@ import "testing"
 // under the hold their entry took. Before the runtime was one monitor, both
 // steps took 13 (the swap lock, the table lock, and the heap's lock, its
 // remembered-set lock and its observer lock). The floor, heap.DirectRuntime,
-// takes its one mutex in each of the same two entries: 2 per step.
+// takes its one mutex in each of the same two entries (Invoke, and WithHeap
+// for the root store): 2 per step.
 func TestLockAcquisitions(t *testing.T) {
 	for _, tc := range []struct {
 		name   string

@@ -52,13 +52,13 @@ func (m *medFixture) swapOut(t *testing.T, i int) {
 
 type failingHandler struct{ err error }
 
-func (h failingHandler) HandleFault(*Runtime, *heap.Object) (heap.Value, error) {
+func (h failingHandler) HandleFault(*Runtime, heap.ObjID) (heap.Value, error) {
 	return heap.Nil(), h.err
 }
 
 type resolvingHandler struct{ to heap.Value }
 
-func (h resolvingHandler) HandleFault(*Runtime, *heap.Object) (heap.Value, error) {
+func (h resolvingHandler) HandleFault(*Runtime, heap.ObjID) (heap.Value, error) {
 	return h.to, nil
 }
 

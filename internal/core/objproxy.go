@@ -66,10 +66,12 @@ func ObjProxyClass(o *heap.Object) string {
 func (rt *Runtime) ObjProxyFor(remote heap.ObjID, className string) (heap.ObjID, error) {
 	rt.lock()
 	defer rt.unlock()
-	return rt.objProxyFor(remote, className)
+	return (*Held)(rt).ObjProxyFor(remote, className)
 }
 
-func (rt *Runtime) objProxyFor(remote heap.ObjID, className string) (heap.ObjID, error) {
+// ObjProxyFor is Runtime.ObjProxyFor under the caller's hold.
+func (h *Held) ObjProxyFor(remote heap.ObjID, className string) (heap.ObjID, error) {
+	rt := (*Runtime)(h)
 	if remote == heap.NilID {
 		return heap.NilID, fmt.Errorf("core: ObjProxyFor: nil remote id")
 	}

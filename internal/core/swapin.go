@@ -220,7 +220,7 @@ func (s *swapIn) install() error {
 			return outbound[v.Slot], nil
 		case xmlcodec.RefRemote:
 			// An un-replicated edge: re-synthesize its object-fault proxy.
-			pid, err := rt.objProxyFor(v.Target, v.Class)
+			pid, err := (*Held)(rt).ObjProxyFor(v.Target, v.Class)
 			if err != nil {
 				return heap.Nil(), err
 			}

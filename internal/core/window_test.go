@@ -101,10 +101,10 @@ func TestCommitWindow(t *testing.T) {
 			var minted heap.Value
 			step := func() (err error) {
 				if tc.cursor {
-					_, err = (*held)(f.rt).Field(cursor, "next")
+					_, err = (*Held)(f.rt).Field(cursor, "next")
 					return err
 				}
-				if err = f.rt.setRoot("minted", heap.Ref(ids[15])); err == nil {
+				if err = (*Held)(f.rt).SetRoot("minted", heap.Ref(ids[15])); err == nil {
 					minted, _ = f.rt.h.Root("minted")
 				}
 				return err

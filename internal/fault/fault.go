@@ -52,11 +52,9 @@ type Config struct {
 	PrefetchWorkers int
 	// Neighbors appends to buf[:0] the at most k clusters nearest cluster
 	// along replacement-object edges, best first, and returns the result. It
-	// must not allocate when cap(buf) >= k. It runs under Locker, which
-	// TriggerPrefetch's callers hold already and Rank takes.
+	// must not allocate when cap(buf) >= k. It runs on the caller of
+	// TriggerPrefetch or Rank, which holds the lock guarding the graph.
 	Neighbors func(cluster uint32, k int, buf []uint32) []uint32
-	// Locker guards the graph Neighbors reads (nil: it needs no lock).
-	Locker sync.Locker
 	// SwapIn performs one speculative swap-in and reports whether this call
 	// installed the cluster (false when it was already resident, mid-flight
 	// elsewhere, or gone). The swap-in reports its install through Installed
@@ -227,7 +225,7 @@ func (e *Engine) SetAdmit(fn func() bool) {
 // prefetched (a running one reruns if it ends as a no-op; see enqueue).
 // Called on every fault and every hit, it slides the window ahead of a
 // pointer chase. It never blocks on the workers (a full queue drops the
-// excess) and allocates nothing. The caller holds Config.Locker.
+// excess) and allocates nothing. The caller holds the graph's lock.
 func (e *Engine) TriggerPrefetch(cluster uint32) {
 	if e == nil || !e.prefetchEnabled() {
 		return
@@ -390,13 +388,10 @@ func (e *Engine) NoteEvicted(cluster uint32) {
 // Rank is the prefetch window for cluster right now — at most k clusters,
 // best first, walked exactly as TriggerPrefetch walks it — the
 // /debug/prefetch endpoint's payload. Nil when no graph callback is wired.
+// The caller holds the graph's lock, as TriggerPrefetch's does.
 func (e *Engine) Rank(cluster uint32, k int) []uint32 {
 	if e == nil || e.cfg.Neighbors == nil || k <= 0 {
 		return nil
-	}
-	if l := e.cfg.Locker; l != nil {
-		l.Lock()
-		defer l.Unlock()
 	}
 	return e.cfg.Neighbors(cluster, k, nil)
 }

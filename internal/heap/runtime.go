@@ -36,7 +36,7 @@ var ErrNilTarget = errors.New("heap: invoke on nil reference")
 // a resident object and dispatch is a class-table call. It provides the
 // baseline timing floor and serves master (well-resourced) nodes that never
 // swap. Like the swapping runtime, it dispatches from a frame pool and is one
-// monitor: each entry (Invoke, Field, SetFieldValue, SetRoot) holds its
+// monitor: each entry (Invoke, Field, SetFieldValue, WithHeap) holds its
 // mutex, the heap's owner lock, and method bodies call back under that hold,
 // so the floor pays for its Calls and its lock what the runtime pays. It
 // serves one dispatching goroutine at a time.
@@ -87,11 +87,13 @@ func (rt *DirectRuntime) SetFieldValue(target Value, name string, v Value) error
 	return (*directHeld)(rt).SetFieldValue(target, name, v)
 }
 
-// SetRoot installs a named root of the heap (Heap.SetRoot).
-func (rt *DirectRuntime) SetRoot(name string, v Value) {
+// WithHeap runs fn on the heap under one hold of the mutex, for host code
+// that reaches the heap beside dispatch: a root store, replication's master.
+// fn calls no other entry of rt: the mutex is held.
+func (rt *DirectRuntime) WithHeap(fn func(h *Heap)) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	rt.heap.SetRoot(name, v)
+	fn(rt.heap)
 }
 
 // Heap returns the underlying heap.

@@ -64,7 +64,15 @@ type Options struct {
 	// Prefetch serves GET /debug/prefetch from the asynchronous fault
 	// engine (coalescing counters, prefetch accuracy, the current inventory
 	// and on-demand prefetch windows).
-	Prefetch *fault.Engine
+	Prefetch Prefetcher
+}
+
+// Prefetcher is what GET /debug/prefetch reads: the fault engine, for its
+// snapshot, and a cluster's live prefetch window, at most k clusters best
+// first, read under the lock guarding the graph (core.Runtime).
+type Prefetcher interface {
+	FaultEngine() *fault.Engine
+	PrefetchWindow(cluster uint32, k int) []uint32
 }
 
 // CheckResult is one health probe's outcome in the /healthz JSON.
@@ -281,8 +289,8 @@ func serveWSS(w http.ResponseWriter, r *http.Request, t *telemetry.Tracker) {
 // inventory. With ?cluster=N (and optional ?k=, default 8) the response adds
 // that cluster's live prefetch window, walked as the prefetcher walks it: the
 // clusters it would keep in flight right now, in order.
-func servePrefetch(w http.ResponseWriter, r *http.Request, e *fault.Engine) {
-	snap := e.Snapshot()
+func servePrefetch(w http.ResponseWriter, r *http.Request, p Prefetcher) {
+	snap := p.FaultEngine().Snapshot()
 	resp := struct {
 		fault.Snapshot
 		Accuracy    float64   `json:"accuracy"`
@@ -303,7 +311,7 @@ func servePrefetch(w http.ResponseWriter, r *http.Request, e *fault.Engine) {
 		}
 		cluster := uint32(id)
 		resp.RankCluster = &cluster
-		ranking := e.Rank(cluster, k)
+		ranking := p.PrefetchWindow(cluster, k)
 		if ranking == nil {
 			ranking = []uint32{}
 		}

@@ -31,7 +31,7 @@ func TestSmoke(t *testing.T) {
 		Metrics:   reg,
 		Recorder:  obs.NewRecorder(0, 0),
 		Telemetry: telemetry.New(reg, telemetry.Options{}),
-		Prefetch:  engine,
+		Prefetch:  prefetcher{engine},
 		Checks:    []Check{{Name: "always", Probe: func(context.Context) error { return nil }}},
 	}))
 	if err != nil {
@@ -54,6 +54,15 @@ func TestSmoke(t *testing.T) {
 			t.Fatalf("/metrics missing counter:\n%s", body)
 		}
 	}
+}
+
+// prefetcher serves /debug/prefetch from an engine whose graph needs no lock.
+type prefetcher struct{ e *fault.Engine }
+
+func (p prefetcher) FaultEngine() *fault.Engine { return p.e }
+
+func (p prefetcher) PrefetchWindow(cluster uint32, k int) []uint32 {
+	return p.e.Rank(cluster, k)
 }
 
 func TestHealthzDegraded(t *testing.T) {

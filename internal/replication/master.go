@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"objectswap/internal/heap"
 	"objectswap/internal/xmlcodec"
@@ -50,16 +49,16 @@ type Transport interface {
 
 // Master is the authoritative node: it owns the source object graph (on an
 // unconstrained heap) and serves it in BFS clusters of ClusterSize objects.
-// mu is its heap's owner lock: each serving entry (FetchRoot, FetchCluster,
-// ApplyUpdate) holds it throughout. The graph is built through Heap and
-// Runtime before the master serves.
+// Its heap has one owner lock, its DirectRuntime's: each serving entry
+// (FetchRoot, FetchCluster, ApplyUpdate, Fetches) runs under one hold of it
+// (DirectRuntime.WithHeap), so a method body dispatched through Runtime may
+// write the graph while the master serves. The graph may be built through
+// Heap only before the master serves.
 type Master struct {
-	mu          sync.Mutex
-	h           *heap.Heap
 	rt          *heap.DirectRuntime
 	reg         *heap.Registry
 	clusterSize int
-	fetches     int
+	fetches     int // guarded by rt's lock
 }
 
 // NewMaster builds a master over its own unconstrained heap. clusterSize is
@@ -69,17 +68,16 @@ func NewMaster(reg *heap.Registry, clusterSize int) *Master {
 	if clusterSize <= 0 {
 		clusterSize = 50
 	}
-	h := heap.New(0)
 	return &Master{
-		h:           h,
-		rt:          heap.NewDirectRuntime(h),
+		rt:          heap.NewDirectRuntime(heap.New(0)),
 		reg:         reg,
 		clusterSize: clusterSize,
 	}
 }
 
-// Heap exposes the master's heap for graph construction.
-func (m *Master) Heap() *heap.Heap { return m.h }
+// Heap exposes the master's heap for graph construction, before the master
+// serves.
+func (m *Master) Heap() *heap.Heap { return m.rt.Heap() }
 
 // Runtime exposes the master's direct (non-swapping) runtime.
 func (m *Master) Runtime() *heap.DirectRuntime { return m.rt }
@@ -91,10 +89,9 @@ func (m *Master) Registry() *heap.Registry { return m.reg }
 func (m *Master) ClusterSize() int { return m.clusterSize }
 
 // Fetches reports how many cluster shipments the master has served.
-func (m *Master) Fetches() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.fetches
+func (m *Master) Fetches() (n int) {
+	m.rt.WithHeap(func(*heap.Heap) { n = m.fetches })
+	return n
 }
 
 // FetchRoot implements Transport. The in-process master cannot block, so the
@@ -103,9 +100,18 @@ func (m *Master) FetchRoot(ctx context.Context, name string) (heap.ObjID, string
 	if err := ctx.Err(); err != nil {
 		return heap.NilID, "", err
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	v, ok := m.h.Root(name)
+	var (
+		id    heap.ObjID
+		class string
+		err   error
+	)
+	m.rt.WithHeap(func(h *heap.Heap) { id, class, err = m.root(h, name) })
+	return id, class, err
+}
+
+// root resolves a named root under the heap's lock.
+func (m *Master) root(h *heap.Heap, name string) (heap.ObjID, string, error) {
+	v, ok := h.Root(name)
 	if !ok {
 		return heap.NilID, "", fmt.Errorf("%w: %q", ErrUnknownRoot, name)
 	}
@@ -113,7 +119,7 @@ func (m *Master) FetchRoot(ctx context.Context, name string) (heap.ObjID, string
 	if err != nil || id == heap.NilID {
 		return heap.NilID, "", fmt.Errorf("%w: root %q is not an object reference", ErrUnknownRoot, name)
 	}
-	o, err := m.h.Get(id)
+	o, err := h.Get(id)
 	if err != nil {
 		return heap.NilID, "", err
 	}
@@ -128,11 +134,18 @@ func (m *Master) FetchCluster(ctx context.Context, id heap.ObjID) (*xmlcodec.Doc
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.fetches++
+	var (
+		doc *xmlcodec.Doc
+		err error
+	)
+	m.rt.WithHeap(func(h *heap.Heap) { doc, err = m.cluster(h, id) })
+	return doc, err
+}
 
-	seed, err := m.h.Get(id)
+// cluster encodes the BFS cluster rooted at id under the heap's lock.
+func (m *Master) cluster(h *heap.Heap, id heap.ObjID) (*xmlcodec.Doc, error) {
+	m.fetches++
+	seed, err := h.Get(id)
 	if err != nil {
 		return nil, fmt.Errorf("%w: @%d", ErrUnknownObject, id)
 	}
@@ -158,7 +171,7 @@ func (m *Master) FetchCluster(ctx context.Context, id heap.ObjID) (*xmlcodec.Doc
 			if len(order) >= m.clusterSize || members[rid] {
 				continue
 			}
-			ro, err := m.h.Get(rid)
+			ro, err := h.Get(rid)
 			if err != nil {
 				return nil, fmt.Errorf("replication: dangling edge @%d: %w", rid, err)
 			}
@@ -170,14 +183,14 @@ func (m *Master) FetchCluster(ctx context.Context, id heap.ObjID) (*xmlcodec.Doc
 
 	objs := make([]*heap.Object, 0, len(order))
 	for _, oid := range order {
-		o, _ := m.h.Get(oid)
+		o, _ := h.Get(oid)
 		objs = append(objs, o)
 	}
 	encodeRef := func(rid heap.ObjID) (xmlcodec.Value, error) {
 		if members[rid] {
 			return xmlcodec.InternalRef(rid), nil
 		}
-		ro, err := m.h.Get(rid)
+		ro, err := h.Get(rid)
 		if err != nil {
 			return xmlcodec.Value{}, fmt.Errorf("replication: dangling edge @%d: %w", rid, err)
 		}

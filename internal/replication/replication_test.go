@@ -69,12 +69,12 @@ func buildMaster(t testing.TB, n, clusterSize int) *Master {
 
 // newDevice builds a constrained-device runtime sharing the master's class
 // registry (its own instance of the same classes).
-func newDevice(t testing.TB, capacity int64) *core.Runtime {
+func newDevice(t testing.TB, capacity int64, opts ...core.Option) *core.Runtime {
 	t.Helper()
 	reg := heap.NewRegistry()
 	devices := store.NewRegistry(store.SelectMostFree)
 	_ = devices.Add("neighbor", store.NewMem(0))
-	rt := core.NewRuntime(heap.New(capacity), reg, core.WithStores(devices))
+	rt := core.NewRuntime(heap.New(capacity), reg, append(opts, core.WithStores(devices))...)
 	rt.MustRegisterClass(nodeClass())
 	return rt
 }
@@ -526,6 +526,6 @@ func TestPrefetchBudget(t *testing.T) {
 // disconnectedHandler fails every fault: the master is unreachable.
 type disconnectedHandler struct{}
 
-func (disconnectedHandler) HandleFault(*core.Runtime, *heap.Object) (heap.Value, error) {
+func (disconnectedHandler) HandleFault(*core.Runtime, heap.ObjID) (heap.Value, error) {
 	return heap.Nil(), errors.New("master unreachable")
 }

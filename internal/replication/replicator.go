@@ -32,7 +32,9 @@ type Stats struct {
 
 // Replicator drives incremental replication on a constrained device. It
 // implements core.FaultHandler: install it with Runtime.SetFaultHandler (the
-// Attach constructor does so).
+// Attach constructor does so). It reaches the device heap only under the
+// runtime lock (Runtime.Locked). The write observer runs under that lock and
+// takes mu, so mu is never held across a call into the runtime.
 type Replicator struct {
 	rt        *core.Runtime
 	transport Transport
@@ -134,21 +136,21 @@ func (r *Replicator) ReplicateRoot(ctx context.Context, name string) (heap.Value
 	r.mu.Lock()
 	local, ok := r.remoteToLocal[remote]
 	r.mu.Unlock()
-	var ref heap.Value
-	if ok {
-		ref = heap.Ref(local)
-	} else {
-		pid, err := r.rt.ObjProxyFor(remote, class)
-		if err != nil {
-			return heap.Nil(), err
+	var v heap.Value
+	r.rt.Locked(func(x *core.Held) {
+		ref := heap.Ref(local)
+		if !ok {
+			var pid heap.ObjID
+			if pid, err = x.ObjProxyFor(remote, class); err != nil {
+				return
+			}
+			ref = heap.Ref(pid)
 		}
-		ref = heap.Ref(pid)
-	}
-	if err := r.rt.SetRoot(name, ref); err != nil {
-		return heap.Nil(), err
-	}
-	v, _ := r.rt.Root(name)
-	return v, nil
+		if err = x.SetRoot(name, ref); err == nil {
+			v, _ = x.Heap().Root(name)
+		}
+	})
+	return v, err
 }
 
 // Prefetch eagerly replicates up to maxObjects objects reachable from the
@@ -174,53 +176,46 @@ func (r *Replicator) Prefetch(ctx context.Context, rootName string, maxObjects i
 		// Find any live object-fault placeholder and fault it in. The sweep
 		// in replicateCluster keeps replacing resolved ones, so each round
 		// makes progress toward a fully hoarded graph.
-		pid, ok := r.nextPlaceholder()
+		remote, ok := r.nextPlaceholder()
 		if !ok {
 			return installed, nil // fully hoarded
 		}
-		p, err := r.rt.Heap().Get(pid)
-		if err != nil {
-			continue
-		}
-		if _, err := r.handleFault(ctx, p); err != nil {
+		if _, err := r.handleFault(ctx, remote); err != nil {
 			return r.StatsSnapshot().ObjectsInstalled - before, err
 		}
 	}
 }
 
-// nextPlaceholder returns a live object-fault proxy reachable from the
-// application graph, if any.
-func (r *Replicator) nextPlaceholder() (heap.ObjID, bool) {
-	h := r.rt.Heap()
-	reach := h.ReachableFromRoots()
-	ids := h.IDs()
-	for _, oid := range ids {
-		if !reach[oid] {
-			continue
+// nextPlaceholder returns the remote identity of a live object-fault proxy
+// reachable from the application graph, if any.
+func (r *Replicator) nextPlaceholder() (remote heap.ObjID, ok bool) {
+	r.rt.Locked(func(x *core.Held) {
+		h := x.Heap()
+		reach := h.ReachableFromRoots()
+		for _, oid := range h.IDs() {
+			if !reach[oid] {
+				continue
+			}
+			if o, err := h.Get(oid); err == nil && o.Class().Special == heap.SpecialObjProxy {
+				remote, ok = core.ObjProxyRemote(o), true
+				return
+			}
 		}
-		o, err := h.Get(oid)
-		if err != nil {
-			continue
-		}
-		if o.Class().Special == heap.SpecialObjProxy {
-			return oid, true
-		}
-	}
-	return heap.NilID, false
+	})
+	return remote, ok
 }
 
 // HandleFault implements core.FaultHandler: it replicates the cluster
-// containing the proxy's remote target and returns a reference to the local
-// replica. Faults triggered by application traversal carry no caller
-// context, so the fetch runs unbounded (context.Background); Prefetch routes
-// through handleFault directly to keep its context.
-func (r *Replicator) HandleFault(rt *core.Runtime, proxy *heap.Object) (heap.Value, error) {
-	return r.handleFault(context.Background(), proxy)
+// containing the remote target and returns a reference to the local replica.
+// Faults triggered by application traversal carry no caller context, so the
+// fetch runs unbounded (context.Background); Prefetch routes through
+// handleFault directly to keep its context.
+func (r *Replicator) HandleFault(rt *core.Runtime, remote heap.ObjID) (heap.Value, error) {
+	return r.handleFault(context.Background(), remote)
 }
 
 // handleFault is HandleFault with an explicit context.
-func (r *Replicator) handleFault(ctx context.Context, proxy *heap.Object) (heap.Value, error) {
-	remote := core.ObjProxyRemote(proxy)
+func (r *Replicator) handleFault(ctx context.Context, remote heap.ObjID) (heap.Value, error) {
 	r.mu.Lock()
 	r.stats.Faults++
 	local, done := r.remoteToLocal[remote]
@@ -263,15 +258,53 @@ func (r *Replicator) replicateCluster(ctx context.Context, remote heap.ObjID) er
 		r.mu.Unlock()
 	}()
 
-	// Pick the swap-cluster this shipment joins.
-	r.mu.Lock()
-	if r.current == core.RootCluster || r.inCurrent >= r.groupSize {
-		r.current = r.rt.Manager().NewCluster()
-		r.inCurrent = 0
+	// Pick the swap-cluster this shipment joins. A fresh one is made with mu
+	// released; one a concurrent shipment overtook stays empty.
+	var sc, made core.ClusterID
+	for sc == core.RootCluster {
+		r.mu.Lock()
+		if r.current != core.RootCluster && r.inCurrent < r.groupSize {
+			sc = r.current
+			r.inCurrent++
+		} else if made != core.RootCluster {
+			r.current, r.inCurrent, sc = made, 1, made
+		}
+		r.mu.Unlock()
+		if sc == core.RootCluster {
+			made = r.rt.Manager().NewCluster()
+		}
 	}
-	sc := r.current
-	r.inCurrent++
-	r.mu.Unlock()
+
+	var installed int
+	r.rt.Locked(func(x *core.Held) { installed, err = r.install(x, doc, sc) })
+	if err != nil {
+		return err
+	}
+	if bus := r.rt.Bus(); bus != nil {
+		bus.Emit(event.TopicClusterReplicated, ClusterEvent{
+			Seed:        remote,
+			Objects:     installed,
+			SwapCluster: sc,
+		})
+	}
+	return nil
+}
+
+// install installs the shipment doc as replicas in swap-cluster sc and
+// replaces the object-fault proxies they resolve, under one hold of the
+// runtime lock. It returns the number of replicas installed.
+func (r *Replicator) install(x *core.Held, doc *xmlcodec.Doc, sc core.ClusterID) (int, error) {
+	// Replicas are unreachable until pass 2 links them, and so is an
+	// object-fault proxy until pass 2 stores it: each is pinned in the hold
+	// that mints it, across the collections an allocation's eviction runs
+	// with the lock let go.
+	h := x.Heap()
+	var pinned []heap.ObjID
+	defer func() {
+		for _, id := range pinned {
+			h.Unpin(id)
+		}
+	}()
 
 	// Pass 1: allocate local replicas under fresh local identities.
 	type pending struct {
@@ -280,14 +313,6 @@ func (r *Replicator) replicateCluster(ctx context.Context, remote heap.ObjID) er
 	}
 	installed := make([]pending, 0, len(doc.Objects))
 	newLocal := make(map[heap.ObjID]heap.ObjID, len(doc.Objects))
-	h := r.rt.Heap()
-	// Replicas are unreachable until pass 2 links them; pin them across any
-	// eviction-triggered collection in the meantime.
-	defer func() {
-		for _, p := range installed {
-			h.Unpin(p.local.ID())
-		}
-	}()
 	for _, eo := range doc.Objects {
 		// Clusters may overlap (shared subgraphs reached from several
 		// seeds); an object replicated earlier keeps its single replica.
@@ -299,13 +324,14 @@ func (r *Replicator) replicateCluster(ctx context.Context, remote heap.ObjID) er
 		}
 		cls, err := r.rt.Registry().Lookup(eo.Class)
 		if err != nil {
-			return fmt.Errorf("replication: shipment class: %w", err)
+			return 0, fmt.Errorf("replication: shipment class: %w", err)
 		}
-		o, err := r.rt.NewObject(cls, sc)
+		o, err := x.NewObject(cls, sc)
 		if err != nil {
-			return fmt.Errorf("replication: install replica of @%d: %w", eo.ID, err)
+			return 0, fmt.Errorf("replication: install replica of @%d: %w", eo.ID, err)
 		}
 		h.Pin(o.ID())
+		pinned = append(pinned, o.ID())
 		newLocal[eo.ID] = o.ID()
 		installed = append(installed, pending{local: o, enc: eo})
 	}
@@ -332,10 +358,12 @@ func (r *Replicator) replicateCluster(ctx context.Context, remote heap.ObjID) er
 			if localID, ok := lookup[v.Target]; ok {
 				return heap.Ref(localID), nil
 			}
-			pid, err := r.rt.ObjProxyFor(v.Target, v.Class)
+			pid, err := x.ObjProxyFor(v.Target, v.Class)
 			if err != nil {
 				return heap.Nil(), err
 			}
+			h.Pin(pid)
+			pinned = append(pinned, pid)
 			return heap.Ref(pid), nil
 		default:
 			return heap.Nil(), fmt.Errorf("replication: unexpected reference class %v", v.RefClass)
@@ -348,27 +376,22 @@ func (r *Replicator) replicateCluster(ctx context.Context, remote heap.ObjID) er
 			// installed by earlier clusters).
 			fv := rewriteInternal(f.Value, lookup)
 			hv, err := fv.ToHeapValue(decodeRef)
-			if err != nil {
-				return fmt.Errorf("replication: field %s of replica @%d: %w", f.Name, p.local.ID(), err)
+			if err == nil {
+				err = x.SetFieldValue(p.local.RefTo(), f.Name, hv)
 			}
-			if err := r.rt.SetFieldValue(p.local.RefTo(), f.Name, hv); err != nil {
-				return fmt.Errorf("replication: field %s of replica @%d: %w", f.Name, p.local.ID(), err)
+			if err != nil {
+				return 0, fmt.Errorf("replication: field %s of replica @%d: %w", f.Name, p.local.ID(), err)
 			}
 		}
 	}
 
 	// Pass 3: proxy replacement — eliminate object-fault proxies that now
 	// have local replicas, from every resident object and root.
-	r.replaceProxies(lookup)
-
-	if bus := r.rt.Bus(); bus != nil {
-		bus.Emit(event.TopicClusterReplicated, ClusterEvent{
-			Seed:        remote,
-			Objects:     len(installed),
-			SwapCluster: sc,
-		})
-	}
-	return nil
+	replaced := r.replaceProxies(x, lookup)
+	r.mu.Lock()
+	r.stats.ProxiesReplaced += replaced
+	r.mu.Unlock()
+	return len(installed), nil
 }
 
 // rewriteInternal maps the internal (master-identity) references of an
@@ -397,67 +420,44 @@ func rewriteInternal(v xmlcodec.Value, newLocal map[heap.ObjID]heap.ObjID) xmlco
 // replica is rewritten to target the replica (re-mediated by a
 // swap-cluster-proxy when it crosses a swap-cluster boundary). This is the
 // paper's proxy-replacement step, after which no replication indirection
-// remains on replicated paths.
-func (r *Replicator) replaceProxies(lookup map[heap.ObjID]heap.ObjID) {
-	h := r.rt.Heap()
+// remains on replicated paths. It returns the number of references
+// rewritten.
+func (r *Replicator) replaceProxies(x *core.Held, lookup map[heap.ObjID]heap.ObjID) int {
+	h := x.Heap()
 	replaced := 0
-
-	resolve := func(rid heap.ObjID) (heap.ObjID, bool) {
-		o, err := h.Get(rid)
-		if err != nil || o.Class().Special != heap.SpecialObjProxy {
-			return heap.NilID, false
+	replace := func(v heap.Value) (heap.Value, bool) {
+		if v.Kind() != heap.KindRef && v.Kind() != heap.KindList {
+			return v, false
 		}
-		localID, ok := lookup[core.ObjProxyRemote(o)]
-		return localID, ok
+		before := replaced
+		nv := v.MapRefs(func(rid heap.ObjID) heap.ObjID {
+			if o, err := h.Get(rid); err == nil && o.Class().Special == heap.SpecialObjProxy {
+				if localID, ok := lookup[core.ObjProxyRemote(o)]; ok {
+					replaced++
+					return localID
+				}
+			}
+			return rid
+		})
+		return nv, replaced > before
 	}
-
 	for _, oid := range h.IDs() {
 		o, err := h.Get(oid)
 		if err != nil || o.Class().Special != heap.SpecialNone {
 			continue
 		}
 		for i := 0; i < o.NumFields(); i++ {
-			v := o.Field(i)
-			if v.Kind() != heap.KindRef && v.Kind() != heap.KindList {
-				continue
-			}
-			dirty := false
-			nv := v.MapRefs(func(rid heap.ObjID) heap.ObjID {
-				if localID, ok := resolve(rid); ok {
-					dirty = true
-					replaced++
-					return localID
-				}
-				return rid
-			})
-			if dirty {
+			if nv, ok := replace(o.Field(i)); ok {
 				// SetFieldValue re-mediates cross-cluster references.
-				if err := r.rt.SetFieldValue(o.RefTo(), o.Class().Field(i).Name, nv); err != nil {
-					continue
-				}
+				_ = x.SetFieldValue(o.RefTo(), o.Class().Field(i).Name, nv)
 			}
 		}
 	}
 	for _, name := range h.RootNames() {
 		v, _ := h.Root(name)
-		if v.Kind() != heap.KindRef && v.Kind() != heap.KindList {
-			continue
-		}
-		dirty := false
-		nv := v.MapRefs(func(rid heap.ObjID) heap.ObjID {
-			if localID, ok := resolve(rid); ok {
-				dirty = true
-				replaced++
-				return localID
-			}
-			return rid
-		})
-		if dirty {
-			_ = r.rt.SetRoot(name, nv)
+		if nv, ok := replace(v); ok {
+			_ = x.SetRoot(name, nv)
 		}
 	}
-
-	r.mu.Lock()
-	r.stats.ProxiesReplaced += replaced
-	r.mu.Unlock()
+	return replaced
 }

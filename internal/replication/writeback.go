@@ -34,12 +34,14 @@ type UpdateTransport interface {
 
 // enableWriteback installs the dirty-tracking observer. Called by Attach.
 func (r *Replicator) enableWriteback() {
-	r.rt.Heap().AddWriteObserver(func(id heap.ObjID) {
-		r.mu.Lock()
-		if _, isReplica := r.localToRemote[id]; isReplica {
-			r.dirty[id] = true
-		}
-		r.mu.Unlock()
+	r.rt.Locked(func(x *core.Held) {
+		x.Heap().AddWriteObserver(func(id heap.ObjID) {
+			r.mu.Lock()
+			if _, isReplica := r.localToRemote[id]; isReplica {
+				r.dirty[id] = true
+			}
+			r.mu.Unlock()
+		})
 	})
 }
 
@@ -76,10 +78,12 @@ func (r *Replicator) PushUpdates(ctx context.Context) (int, error) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 
 	// Encode each dirty replica under its MASTER identity; references are
-	// rewritten into the master namespace.
+	// rewritten into the master namespace. The encode runs under the runtime
+	// lock, reading h.
+	h := r.rt.Heap()
 	encodeRef := func(rid heap.ObjID) (xmlcodec.Value, error) {
 		ultimate := rid
-		if o, err := r.rt.Heap().Get(rid); err == nil {
+		if o, err := h.Get(rid); err == nil {
 			if target, isProxy := core.ProxyTarget(o); isProxy {
 				// Resolve through the proxy to the replica it mediates.
 				ultimate = target
@@ -98,17 +102,19 @@ func (r *Replicator) PushUpdates(ctx context.Context) (int, error) {
 	doc := &xmlcodec.Doc{ClusterID: "update-" + r.rt.Name(), Version: xmlcodec.Version}
 	pushed := make([]heap.ObjID, 0, len(ids))
 	for _, id := range ids {
-		o, err := r.rt.Heap().Get(id)
-		if err != nil {
-			// The replica is swapped out: fault it in to read its state.
-			ro, derr := r.rt.Deref(heap.Ref(id))
-			if derr != nil {
-				return 0, fmt.Errorf("replication: dirty replica @%d unavailable: %w", id, derr)
+		// A swapped-out replica faults in first: its state on the swapping
+		// device is the state to push. It is wrapped in the same hold, before
+		// the next replica faults in, which may evict this one.
+		var one *xmlcodec.Doc
+		var err error
+		r.rt.Locked(func(x *core.Held) {
+			var o *heap.Object
+			if o, err = x.Deref(heap.Ref(id)); err != nil {
+				err = fmt.Errorf("replication: dirty replica @%d unavailable: %w", id, err)
+				return
 			}
-			o = ro
-		}
-		// Wrapped before the next replica faults in, which may evict this one.
-		one, err := xmlcodec.EncodeObjects(doc.ClusterID, []*heap.Object{o}, encodeRef)
+			one, err = xmlcodec.EncodeObjects(doc.ClusterID, []*heap.Object{o}, encodeRef)
+		})
 		if err != nil {
 			return 0, err
 		}
@@ -138,19 +144,24 @@ func (m *Master) ApplyUpdate(doc *xmlcodec.Doc) error {
 	if doc == nil || doc.Version != xmlcodec.Version {
 		return errors.New("replication: bad update document")
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	var err error
+	m.rt.WithHeap(func(h *heap.Heap) { err = applyUpdate(h, doc) })
+	return err
+}
+
+// applyUpdate applies an update document under the heap's lock.
+func applyUpdate(h *heap.Heap, doc *xmlcodec.Doc) error {
 	decodeRef := func(v xmlcodec.Value) (heap.Value, error) {
 		if v.RefClass != xmlcodec.RefRemote {
 			return heap.Nil(), errors.New("replication: update refs must be master identities")
 		}
-		if !m.h.Contains(v.Target) {
+		if !h.Contains(v.Target) {
 			return heap.Nil(), fmt.Errorf("%w: @%d", ErrUnknownObject, v.Target)
 		}
 		return heap.Ref(v.Target), nil
 	}
 	for _, eo := range doc.Objects {
-		o, err := m.h.Get(eo.ID)
+		o, err := h.Get(eo.ID)
 		if err != nil {
 			return fmt.Errorf("replication: update for unknown master object @%d", eo.ID)
 		}

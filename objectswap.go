@@ -574,7 +574,7 @@ func (s *System) OpsHandler() http.Handler {
 		Checks:    healthChecks(s),
 		Logger:    s.logger,
 		Telemetry: s.telem,
-		Prefetch:  s.rt.FaultEngine(),
+		Prefetch:  s.rt,
 	})
 }
 
