@@ -109,9 +109,9 @@ go build ./...
 #   Go heap at most 285 B with clusters of 1 and 241 B with clusters of 32
 #   (proxy block, heap-index slot, shared-index entry, inbound entry, edge).
 # - TestSwappedResidue (internal/core): a swapped-out member leaves at most
-#   127 B of Go heap behind with 3 125 clusters of 32 and 118 B with 10 000
-#   (object-index entry, member-list entry, a share of the replacement-object
-#   and of the cluster record, the heap's peak-sized object index).
+#   94.2 B of Go heap behind with 3 125 clusters of 32 and 79.9 B with 10 000
+#   (a share of its cluster's member run, of the replacement-object and of
+#   the cluster record, the heap's peak-sized object index).
 # - TestObjTableMatchesMap, TestObjectIndexBoundedByPeakResidency,
 #   TestResidencyChurnAllocatesNothing, TestMarkEpochWrap,
 #   TestSweptOrderFollowsHistory, TestObjectLayouts (internal/heap): the
@@ -381,17 +381,17 @@ if [ -n "$PROXYRECS" ]; then
     echo "$PROXYRECS" >&2
     exit 1
 fi
-# Guard: membership is one sorted list per cluster. A cluster's members are
-# clusterState.members, ascending, beside one pointer-free object-to-cluster
-# index; no non-test file of internal/core keeps a per-cluster member set
-# (objects map[, .objects[, cs.objects), gives the retained copy a member
-# table of its own (kept.members, retained.members), or puts a string field
-# in objInfo, whose class is an index into the registered classes.
-MEMBERSETS=$(grep -nE 'objects map\[|\.objects\[|cs\.objects|kept\.members|retained\.members' internal/core/*.go | grep -v '_test\.go:' || true)
-INFOSTRINGS=$(awk '/^type objInfo struct/,/^}/' $(ls internal/core/*.go | grep -v '_test\.go$') | grep -E '[[:space:]]string([[:space:]]|$)' || true)
-if [ -n "$MEMBERSETS" ] || [ -n "$INFOSTRINGS" ]; then
-    echo "second membership record (list members in clusterState.members; objInfo holds a cluster and a class index):" >&2
-    printf '%s\n%s\n' "$MEMBERSETS" "$INFOSTRINGS" >&2
+# Guard: membership is kept once. A cluster's record lists its members as
+# ascending id runs (clusterState.members), resident or swapped, and a
+# resident member's header word names its cluster (heap.Object.Owner); no
+# non-test file of internal/core keeps a per-object membership record
+# (objInfo, or a map from an object id to a cluster, a record or a class), a
+# per-cluster member set (objects map[, .objects[, cs.objects), or a member
+# table of the retained copy's own (kept.members, retained.members).
+MEMBERSETS=$(grep -nE 'objInfo|map\[heap\.ObjID\](ClusterID|\*?clusterState|uint32)|objects map\[|\.objects\[|cs\.objects|kept\.members|retained\.members' internal/core/*.go | grep -v '_test\.go:' || true)
+if [ -n "$MEMBERSETS" ]; then
+    echo "second membership record (list members in clusterState.members; read a resident's cluster from its header):" >&2
+    echo "$MEMBERSETS" >&2
     exit 1
 fi
 # Guard: a proxy is pointed where it is listed. Its target slot is written
@@ -491,25 +491,30 @@ go test -race -run '^TestFaultStormCoalesces$' -count=1 -cpu 1,4 ./internal/core
 # the next purge, its record listed for it once (TestZeroEdgeWaitsForThePurge).
 # Replication reaches both heaps through their owners' locks: a replication
 # fault installs, pins and replaces proxies beside prefetch workers swapping
-# in and another goroutine swapping and collecting
-# (TestReplicationFaultBesidePrefetchWorkers), and the master serves
+# in, another goroutine swapping and collecting and a third pushing dirty
+# replicas (TestReplicationFaultBesidePrefetchWorkers), and the master serves
 # shipments and updates while its DirectRuntime writes the graph
-# (TestMasterServesBesideItsRuntime); both run on the core line below.
+# (TestMasterServesBesideItsRuntime). A reload whose room another install
+# took while its evictor had the lock let go evicts again
+# (TestReloadRoomTakenDuringEviction). All run on the core line below.
 go test -race -count=10 -run '^(TestTriggerWhileRunningDoesNotRequeue|TestTriggerOvertakingANoopTaskRunsItAgain|TestJoinCountsOneHit|TestJoinedFlightIsNotReused)$' ./internal/fault/
 go test -race -count=10 -run '^(TestArmedAttemptContextIsNotReused|TestAttemptContextReportsParentFirst|TestPerAttemptTimeoutIsRetriedAsUnavailable|TestTimeoutExhaustionSurfacesAsUnavailableAndTripsBreaker|TestCallerCancellationFailsFastWithoutBlame)$' ./internal/transport/
 go test -race -count=10 -run '^(TestPrefetchWindowOverlap|TestReplicatedSwapSurvivesDonorLoss|TestDetachDeviceKicksRepair)$' .
 go test -race -count=50 ./internal/placement/
-go test -race -count=10 -run '^(TestTriggerPrefetchAllocatesNothing|TestPrefetchHitRecordsParkedTime|TestCommitWindow|TestSweepBeforeEnlist|TestReissueBeforeEnlist|TestReissuedProxyBlockRefused|TestFaultStormCoalesces|TestReloadedStringsOutliveTheFetch|TestConcurrentSelectVictims|TestYoungPassAgainstConcurrentWrites|TestCollectAgainstConcurrentFieldWrites|TestPropYoungPassSweepsOnlyGarbage|TestSwapOutVictimsWalksTheRanking|TestConcurrentVictimWalks|TestZeroEdgeWaitsForThePurge|TestMintWindowIsClosed|TestCommitWindowIsClosed|TestReentryAcrossADemandFault|TestWalkerAgainstEvictingPrefetch|TestReplicationFaultBesidePrefetchWorkers|TestMasterServesBesideItsRuntime)$' ./internal/core/ ./internal/heap/ ./internal/replication/
+go test -race -count=10 -run '^(TestTriggerPrefetchAllocatesNothing|TestPrefetchHitRecordsParkedTime|TestCommitWindow|TestSweepBeforeEnlist|TestReissueBeforeEnlist|TestReissuedProxyBlockRefused|TestFaultStormCoalesces|TestReloadedStringsOutliveTheFetch|TestConcurrentSelectVictims|TestYoungPassAgainstConcurrentWrites|TestCollectAgainstConcurrentFieldWrites|TestPropYoungPassSweepsOnlyGarbage|TestSwapOutVictimsWalksTheRanking|TestConcurrentVictimWalks|TestZeroEdgeWaitsForThePurge|TestMintWindowIsClosed|TestCommitWindowIsClosed|TestReentryAcrossADemandFault|TestWalkerAgainstEvictingPrefetch|TestReplicationFaultBesidePrefetchWorkers|TestMasterServesBesideItsRuntime|TestReloadRoomTakenDuringEviction)$' ./internal/core/ ./internal/heap/ ./internal/replication/
 # The walker against the evicting prefetch workers a thousand times under the
 # race detector (about 10 s): the invocation stack was written with no lock
 # beside the workers' passes, which read it, until the runtime was one monitor.
 go test -race -count=1000 -run '^TestWalkerAgainstEvictingPrefetch$' ./internal/core/
-# The lock-count build once over internal/core: the runtime lock counts its
-# acquisitions and the cluster table's caller-locked entry points assert it is
-# held. TestLockAcquisitions: a resident B2 step of Figure 5 takes at most 2
-# acquisitions and a B1 step at most 3 (the floor, heap.DirectRuntime, takes
-# 2), down from 13 before the swap, table and heap locks became one.
-go test -tags lockcount -count=1 ./internal/core/
+# The lock-count build once over internal/core and the facade: the runtime
+# lock counts its acquisitions, the cluster table's caller-locked entry
+# points assert it is held, and so do the heap's entry points on a runtime
+# with prefetch workers (heap.CheckOwner), where a host goroutine that
+# reaches the heap directly races the workers. TestLockAcquisitions: a
+# resident B2 step of Figure 5 takes at most 2 acquisitions and a B1 step at
+# most 3 (the floor, heap.DirectRuntime, takes 2), down from 13 before the
+# swap, table and heap locks became one.
+go test -tags lockcount -count=1 ./internal/core/ .
 # The access ledger's prefetch-hit step a thousand times at the default
 # GOMAXPROCS (about 15 s): a prefetch task left running by one step once
 # swallowed the next step's trigger about once in a thousand runs, and a

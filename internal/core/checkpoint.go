@@ -160,11 +160,12 @@ func (rt *Runtime) SaveCheckpoint(w io.Writer) error {
 			continue
 		}
 		cs := tab.clusters[cid]
-		members := cs.members
 		ck := ckptCluster{ID: uint32(cid), Swapped: cs.where.out()}
-		for _, oid := range members {
-			note(oid)
-			ck.Members = append(ck.Members, ckptMember{ID: uint64(oid), Class: rt.classes[tab.members[oid].class].Name})
+		for _, r := range cs.members {
+			for oid := r.lo; oid < r.end(); oid++ {
+				note(oid)
+				ck.Members = append(ck.Members, ckptMember{ID: uint64(oid), Class: rt.classes[r.class].Name})
+			}
 		}
 		// Replica sets are replaced, never edited, so the copies may share them.
 		swapped, was, c := ck.Swapped, cs.shipment, cs.retained.donorCopy
@@ -196,7 +197,7 @@ func (rt *Runtime) SaveCheckpoint(w io.Writer) error {
 				ck.Out = append(ck.Out, ckptOutbound{Slot: slot, Target: uint64(target)})
 			}
 		} else {
-			data, err := rt.encodeResidentCluster(enc, cid, members)
+			data, err := rt.encodeResidentCluster(enc, cid, cs.members)
 			if err != nil {
 				return err
 			}
@@ -250,9 +251,9 @@ func (rt *Runtime) SaveCheckpoint(w io.Writer) error {
 // swap path's XML: intra-cluster references are internal; everything else is
 // encoded by ultimate identity (or as an object-fault placeholder). The
 // document is enc's buffer, valid until its next use.
-func (rt *Runtime) encodeResidentCluster(enc *wire.Encoder, cid ClusterID, members []heap.ObjID) ([]byte, error) {
-	objs := make([]*heap.Object, 0, len(members))
-	for _, oid := range members {
+func (rt *Runtime) encodeResidentCluster(enc *wire.Encoder, cid ClusterID, members runs) ([]byte, error) {
+	objs := make([]*heap.Object, 0, members.count())
+	for oid := range members.ids {
 		o, err := rt.h.Get(oid)
 		if err != nil {
 			return nil, fmt.Errorf("core: checkpoint: member @%d of cluster %d: %w", oid, cid, err)
@@ -260,7 +261,7 @@ func (rt *Runtime) encodeResidentCluster(enc *wire.Encoder, cid ClusterID, membe
 		objs = append(objs, o)
 	}
 	encodeRef := func(rid heap.ObjID) (xmlcodec.Value, error) {
-		if _, in := slices.BinarySearch(members, rid); in {
+		if members.has(rid) {
 			return xmlcodec.InternalRef(rid), nil
 		}
 		d, err := rt.designate(rid)
@@ -343,6 +344,8 @@ func (rt *Runtime) LoadCheckpoint(r io.Reader) error {
 		if err != nil {
 			return fmt.Errorf("core: restore cluster %d: %w", ck.ID, err)
 		}
+		cs := rt.mgr.table.clusters[ClusterID(ck.ID)]
+		rt.mgr.own(cs, cs.members)
 	}
 
 	// Pass 3: rebuild replacement-objects and outbound proxies for swapped
@@ -353,12 +356,9 @@ func (rt *Runtime) LoadCheckpoint(r io.Reader) error {
 		if !ck.Swapped {
 			continue
 		}
-		repl, err := rt.allocMiddleware(rt.replacementClass)
+		repl, err := rt.allocMiddleware(rt.replacementClass, heap.Int(int64(ck.ID)))
 		if err != nil {
 			return fmt.Errorf("core: restore replacement for cluster %d: %w", ck.ID, err)
-		}
-		if err := repl.SetFieldByName(fldClust, heap.Int(int64(ck.ID))); err != nil {
-			return err
 		}
 		rt.mgr.table.clusters[ClusterID(ck.ID)].replacement = repl.ID()
 	}
@@ -380,10 +380,11 @@ func (rt *Runtime) LoadCheckpoint(r io.Reader) error {
 				return fmt.Errorf("%w: cluster %d outbound slot %d", ErrBadCheckpoint, ck.ID, ob.Slot)
 			}
 			target := heap.ObjID(ob.Target)
-			if _, known := rt.mgr.member(target); !known {
+			home := rt.mgr.table.listing(target)
+			if home == nil {
 				return fmt.Errorf("%w: cluster %d outbound target @%d unknown", ErrBadCheckpoint, ck.ID, target)
 			}
-			pid, err := rt.newProxy(ClusterID(ck.ID), target, false)
+			pid, err := rt.newProxy(ClusterID(ck.ID), target, home.id, false)
 			if err != nil {
 				return fmt.Errorf("core: restore outbound proxy: %w", err)
 			}
@@ -449,14 +450,13 @@ func (m *Manager) restoreRecords(plain []ckptCluster) error {
 		for _, mem := range ck.Members {
 			oid := heap.ObjID(mem.ID)
 			class, ok := m.rt.classIndex[mem.Class]
-			switch _, dup := tab.members[oid]; {
+			switch n := len(cs.members); {
 			case !ok:
 				return fmt.Errorf("%w: cluster %d member @%d: %w: %q", ErrBadCheckpoint, cid, oid, heap.ErrUnknownClass, mem.Class)
-			case dup || len(cs.members) > 0 && cs.members[len(cs.members)-1] >= oid:
+			case n > 0 && cs.members[n-1].end() > oid:
 				return fmt.Errorf("%w: cluster %d member @%d repeated or out of order", ErrBadCheckpoint, cid, oid)
 			}
-			cs.members = append(cs.members, oid)
-			tab.members[oid] = objInfo{cluster: cid, class: class}
+			cs.members = cs.members.add(run{oid, 1, class})
 		}
 		if ck.Swapped {
 			devices := ck.replicaSet()
@@ -484,6 +484,9 @@ func (m *Manager) restoreRecords(plain []ckptCluster) error {
 		}
 		tab.put(cs)
 		tab.lastID = max(tab.lastID, cid)
+	}
+	if oid, ok := tab.overlap(); ok {
+		return fmt.Errorf("%w: member @%d listed by two clusters", ErrBadCheckpoint, oid)
 	}
 	return nil
 }

@@ -283,9 +283,9 @@ type Runtime struct {
 	proxyClass       *heap.Class
 	replacementClass *heap.Class
 	objProxyClass    *heap.Class
-	// classes lists the application classes in registration order;
-	// objInfo.class indexes it, and classIndex maps a class name to that
-	// index.
+	// classes lists the application classes in registration order; a
+	// member run's class indexes it, and classIndex maps a class name to
+	// that index.
 	classes    []*heap.Class
 	classIndex map[string]uint32
 }
@@ -415,7 +415,12 @@ func NewRuntime(h *heap.Heap, reg *heap.Registry, opts ...Option) *Runtime {
 	}
 	// A cluster leaves without a byte only while nothing was written since its
 	// retained copy was anchored, and a write in place is a touch on its heat.
-	h.AddWriteObserver(func(oid heap.ObjID) { rt.mgr.touch(oid, true) })
+	h.AddWriteObserver(func(o *heap.Object) { rt.mgr.touch(o, true) })
+	// Beside prefetch workers, host code reaches the heap only under the
+	// runtime lock, which the lockcount build checks at every heap entry.
+	if rt.prefetchWorkers > 0 {
+		h.CheckOwner(rt.assertLocked)
+	}
 	if rt.telem != nil {
 		rt.telem.Watch(rt.mgr.eachLedger)
 	}
@@ -703,7 +708,7 @@ func (h *Held) NewObject(c *heap.Class, cluster ClusterID) (*heap.Object, error)
 	if err != nil {
 		return nil, err
 	}
-	if err := rt.mgr.assign(o.ID(), cluster, class); err != nil {
+	if err := rt.mgr.assign(o, cluster, class); err != nil {
 		_ = rt.h.Remove(o.ID())
 		return nil, err
 	}

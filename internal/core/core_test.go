@@ -111,13 +111,13 @@ type fixture struct {
 func (rt *Runtime) lockedProxyFor(src ClusterID, target heap.ObjID) (heap.ObjID, error) {
 	rt.lock()
 	defer rt.unlock()
-	return rt.proxyFor(src, target)
+	return rt.proxyFor(src, target, rt.mgr.clusterOf(target))
 }
 
 func (rt *Runtime) lockedNewProxy(src ClusterID, target heap.ObjID, cursor bool) (heap.ObjID, error) {
 	rt.lock()
 	defer rt.unlock()
-	return rt.newProxy(src, target, cursor)
+	return rt.newProxy(src, target, rt.mgr.clusterOf(target), cursor)
 }
 
 func (rt *Runtime) lockedReserve(id ClusterID, from, to residency) (*clusterState, error) {
@@ -132,10 +132,17 @@ func (rt *Runtime) lockedSettle(cs *clusterState, to residency) {
 	rt.settle(cs, to, nil)
 }
 
+func (rt *Runtime) lockedContains(id heap.ObjID) bool {
+	rt.lock()
+	defer rt.unlock()
+	return rt.h.Contains(id)
+}
+
 func (rt *Runtime) lockedUltimateOf(v heap.Value) (heap.ObjID, error) {
 	rt.lock()
 	defer rt.unlock()
-	return rt.ultimateOf(v)
+	d, err := rt.ultimateOf(v)
+	return d.ultimate, err
 }
 
 func (rt *Runtime) lockedCollect(cycles int) heap.CollectStats {
@@ -179,7 +186,7 @@ func (f *fixture) buildList(t testing.TB, n, perCluster, payloadLen int) ([]heap
 		for j := range payload {
 			payload[j] = byte(i)
 		}
-		o.MustSet("payload", heap.Bytes(payload)).MustSet("tag", heap.Int(int64(i)))
+		f.rt.Locked(func(*Held) { o.MustSet("payload", heap.Bytes(payload)).MustSet("tag", heap.Int(int64(i))) })
 		ids[i] = o.ID()
 		objs = append(objs, o)
 	}
@@ -199,10 +206,13 @@ func (f *fixture) buildList(t testing.TB, n, perCluster, payloadLen int) ([]heap
 // instead of leaving on its retained copy, and everything reads as before.
 func (f *fixture) dirty(t testing.TB, id heap.ObjID) {
 	t.Helper()
-	o, err := f.rt.h.Get(id)
-	if err == nil {
-		err = o.SetField(0, o.Field(0))
-	}
+	var err error
+	f.rt.Locked(func(x *Held) {
+		var o *heap.Object
+		if o, err = x.Heap().Get(id); err == nil {
+			err = o.SetField(0, o.Field(0))
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

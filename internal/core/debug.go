@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"io"
+	"maps"
 	"slices"
+	"strings"
 
 	"objectswap/internal/heap"
 )
@@ -32,24 +34,14 @@ func (rt *Runtime) DumpDot(w io.Writer) error {
 	byCluster := make(map[ClusterID][]heap.ObjID)
 	var middleware []heap.ObjID
 	for _, oid := range h.IDs() {
-		o, gerr := h.Get(oid)
-		if gerr != nil {
-			continue
-		}
-		if o.Class().Special == heap.SpecialNone {
-			c := rt.mgr.clusterOf(oid)
+		if o, _ := h.Get(oid); o.Class().Special == heap.SpecialNone {
+			c := ClusterID(o.Owner())
 			byCluster[c] = append(byCluster[c], oid)
 		} else {
 			middleware = append(middleware, oid)
 		}
 	}
-	clusterIDs := make([]ClusterID, 0, len(byCluster))
-	for c := range byCluster {
-		clusterIDs = append(clusterIDs, c)
-	}
-	slices.Sort(clusterIDs)
-
-	for _, c := range clusterIDs {
+	for _, c := range slices.Sorted(maps.Keys(byCluster)) {
 		p("  subgraph cluster_%d {\n    label=\"swap-cluster %d\";\n    style=rounded;\n", c, c)
 		for _, oid := range byCluster[c] {
 			o, _ := h.Get(oid)
@@ -98,10 +90,7 @@ func (rt *Runtime) DumpDot(w io.Writer) error {
 
 	// Edges.
 	for _, oid := range h.IDs() {
-		o, gerr := h.Get(oid)
-		if gerr != nil {
-			continue
-		}
+		o, _ := h.Get(oid)
 		for i := 0; i < o.NumFields(); i++ {
 			fieldName := o.Class().Field(i).Name
 			o.Field(i).MapRefs(func(rid heap.ObjID) heap.ObjID {
@@ -124,14 +113,10 @@ func (rt *Runtime) DumpDot(w io.Writer) error {
 
 // sanitize makes a root name usable as a DOT identifier fragment.
 func sanitize(s string) string {
-	out := make([]rune, 0, len(s))
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
-			out = append(out, r)
-		default:
-			out = append(out, '_')
+	return strings.Map(func(r rune) rune {
+		if r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9' {
+			return r
 		}
-	}
-	return string(out)
+		return '_'
+	}, s)
 }

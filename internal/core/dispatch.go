@@ -131,9 +131,8 @@ func (rt *Runtime) reach(id heap.ObjID) (reached, error) {
 			obj, err := rt.materialize(id)
 			return reached{obj: obj}, err
 		case refProxy:
-			src := proxySrc(d.obj)
-			dst, swapped := rt.mgr.enterCrossing(src, d.ultimate)
-			if !swapped {
+			src, dst := proxySrc(d.obj), d.home
+			if !rt.mgr.enterCrossing(src, dst) {
 				rt.notePrefetchHit(dst)
 			} else {
 				// The reload lets go of the lock; the stacked target keeps
@@ -192,17 +191,21 @@ func (rt *Runtime) reload(cluster ClusterID) error {
 
 // materialize returns the resident object with identity id, faulting its
 // swap-cluster back in when it is a member of a swapped-out one (host code
-// may legitimately hold direct references across a swap).
+// may legitimately hold direct references across a swap). id is pinned
+// across the reload, which lets go of the lock: a swap-out refuses a cluster
+// with a pinned member, so none takes it back out before it is read.
 func (rt *Runtime) materialize(id heap.ObjID) (*heap.Object, error) {
 	o, err := rt.h.Get(id)
 	if err == nil {
 		return o, nil
 	}
-	info, member := rt.mgr.member(id)
-	if _, out := rt.mgr.shipmentOf(info.cluster); !member || !out {
+	cs := rt.mgr.table.listing(id)
+	if cs == nil || !cs.where.out() {
 		return nil, err
 	}
-	if err := rt.reload(info.cluster); err != nil {
+	rt.h.Pin(id)
+	defer rt.h.Unpin(id)
+	if err := rt.reload(cs.id); err != nil {
 		return nil, err
 	}
 	return rt.h.Get(id)
@@ -243,7 +246,7 @@ func (h *Held) Invoke(target heap.Value, method string, args ...heap.Value) (res
 	}
 	// The intra-cluster fast path: dispatch through the class's behavior plane
 	// (generated switch or closure table — the runtime does not care which).
-	rt.mgr.touch(r.obj.ID(), false)
+	rt.mgr.touch(r.obj, false)
 	return r.obj.Class().Invoke(method, rt.frames.Enter(rt.depth, r.obj, args))
 }
 
@@ -312,20 +315,20 @@ func (rt *Runtime) intercept(call *heap.Call, vals []heap.Value, to ClusterID, w
 // instead of minting a fresh proxy for the returned reference r, p is re-aimed
 // at r's object and handed back.
 func (rt *Runtime) assignReturn(p *heap.Object, r heap.Value) (heap.Value, error) {
-	ultimate, err := rt.ultimateOf(r)
-	if err != nil || ultimate == heap.NilID {
+	d, err := rt.ultimateOf(r)
+	if err != nil || d.ultimate == heap.NilID {
 		return heap.Nil(), err
 	}
 	// The frame stacks the proxy it reached through, so p is resident under
 	// the id it carries.
 	id := p.ID()
-	ok, err := rt.mgr.retarget(p, id, ultimate)
+	ok, err := rt.mgr.retarget(p, id, d.ultimate, d.home)
 	if err != nil {
 		return heap.Nil(), err
 	}
 	if !ok {
 		// No mediation needed toward the caller: dismantle.
-		return heap.Ref(ultimate), nil
+		return heap.Ref(d.ultimate), nil
 	}
 	// An actively-used cursor stays alive across collections even when only
 	// host code references it.
@@ -358,7 +361,7 @@ func (h *Held) Field(target heap.Value, name string) (res heap.Value, err error)
 	v, err := r.obj.FieldByName(name)
 	switch {
 	case r.proxy == nil:
-		rt.mgr.touch(r.obj.ID(), false)
+		rt.mgr.touch(r.obj, false)
 		return v, err
 	case err != nil:
 		return heap.Nil(), err
@@ -394,7 +397,7 @@ func (h *Held) SetFieldValue(target heap.Value, name string, v heap.Value) error
 	}
 	owner := r.dst
 	if r.proxy == nil {
-		owner = rt.mgr.clusterOf(r.obj.ID())
+		owner = ClusterID(r.obj.Owner())
 	}
 	tv, err := rt.translate(v, owner)
 	if err != nil {

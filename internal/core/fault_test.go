@@ -105,7 +105,7 @@ func buildChain(t testing.TB, rt *Runtime, clusters, perCluster int) []ClusterID
 			if err != nil {
 				t.Fatal(err)
 			}
-			o.MustSet("tag", heap.Int(int64(len(objs))))
+			rt.Locked(func(*Held) { o.MustSet("tag", heap.Int(int64(len(objs)))) })
 			objs = append(objs, o)
 		}
 	}

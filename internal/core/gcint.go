@@ -91,9 +91,6 @@ func (rt *Runtime) sweepSwapped(swept []*heap.Object) {
 			continue
 		}
 		victims = append(victims, forgotCopy{cs.id, cs.forget()})
-		for _, oid := range cs.members {
-			delete(m.table.members, oid)
-		}
 		m.table.drop(cs) // its inbound proxies were swept with its replacement
 	}
 	for _, v := range victims {
@@ -213,15 +210,15 @@ func (m *Manager) AbandonedDrops() int {
 }
 
 // reclaimed purges every record the SwappingManager keeps of the objects a
-// collection just swept (heap.CollectStats.Swept), read from their own fields:
-// the paper's proxy-finalizer semantics in one pass. A swept proxy leaves the
-// shared indexes; a swept swap-cluster-proxy also leaves its target cluster's
-// inbound list and its source's edges — before membership goes, so that
-// cluster is still known — and a swept member of a loaded cluster leaves it. A
-// resident cluster that loses its last member will never ship again: the copy
-// it retains is queued for dropping. Edge counts that reached zero since the
-// previous purge, and that no mint has raised since, go first (countEdge).
-// sweepSwapped forgets the clusters of swept replacement-objects.
+// collection just swept (heap.CollectStats.Swept), read from their own fields
+// and headers: the paper's proxy-finalizer semantics in one pass. A swept
+// proxy leaves the shared indexes; a swept swap-cluster-proxy also leaves its
+// home's inbound list and its source's edges, and a swept member of a loaded
+// cluster leaves it. A resident cluster that loses its last member will never
+// ship again: the copy it retains is queued for dropping. Edge counts that
+// reached zero since the previous purge, and that no mint has raised since, go
+// first (countEdge). sweepSwapped forgets the clusters of swept
+// replacement-objects.
 func (m *Manager) reclaimed(swept []*heap.Object) {
 	if len(swept) == 0 {
 		return
@@ -242,7 +239,7 @@ func (m *Manager) reclaimed(swept []*heap.Object) {
 			continue // never pointed, so never listed (enlist)
 		}
 		// The first swept proxy of a list compacts it, all at once.
-		home := tab.members[proxyUltimate(o)].cluster
+		home := ClusterID(o.Owner())
 		if cs, ok := tab.clusters[home]; ok && cs.swept != tab.sweeps {
 			cs.swept = tab.sweeps
 			cs.inbound = slices.DeleteFunc(cs.inbound, func(p *heap.Object) bool { return !h.Contains(p.ID()) })
@@ -256,18 +253,14 @@ func (m *Manager) reclaimed(swept []*heap.Object) {
 			continue
 		}
 		// The first swept member a list still holds compacts it, all at once,
-		// into a copy while a swap-out reads it (swapOut.reserve).
-		if cs, ok := tab.clusters[tab.members[o.ID()].cluster]; ok && !cs.where.out() && cs.has(o.ID()) {
-			members := cs.members
-			if cs.where != resident {
-				members = slices.Clone(members)
-			}
-			cs.members = slices.DeleteFunc(members, func(oid heap.ObjID) bool { return !h.Contains(oid) })
+		// into fresh runs: a swap-out may be reading the old ones
+		// (swapOut.reserve).
+		if cs, ok := tab.clusters[ClusterID(o.Owner())]; ok && !cs.where.out() && cs.members.has(o.ID()) {
+			cs.members = cs.members.keep(h.Contains)
 			cs.changed()
 			if len(cs.members) == 0 && cs.where == resident {
 				tab.queueDrops(forgotCopy{cs.id, cs.forget()})
 			}
 		}
-		delete(tab.members, o.ID())
 	}
 }

@@ -72,7 +72,7 @@ func TestCollectPurgesEverySweptRecord(t *testing.T) {
 	if _, ok := mgr.table.proxies.get(proxyKey{RootCluster, ids[15]}); ok {
 		t.Error("the shared proxy is still offered for reuse")
 	}
-	if _, ok := mgr.member(orphan.ID()); ok {
+	if mgr.table.listing(orphan.ID()) != nil {
 		t.Error("the swept member still has a membership record")
 	}
 	if info, err := mgr.Info(clusters[1]); err != nil || info.Objects != 10 {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -32,18 +33,21 @@ func members(f *fixture, id ClusterID) []heap.ObjID {
 	tab := &f.rt.mgr.table
 	f.rt.lock()
 	defer f.rt.unlock()
-	return append([]heap.ObjID(nil), tab.clusters[id].members...)
+	return slices.Collect(tab.clusters[id].members.ids)
 }
 
 func title(t *testing.T, f *fixture, oid heap.ObjID) string {
 	t.Helper()
-	o, err := f.rt.h.Get(oid)
+	var v heap.Value
+	var err error
+	f.rt.Locked(func(x *Held) {
+		var o *heap.Object
+		if o, err = x.Heap().Get(oid); err == nil {
+			v, err = o.FieldByName("title")
+		}
+	})
 	if err != nil {
 		t.Fatalf("@%d: %v", oid, err)
-	}
-	v, err := o.FieldByName("title")
-	if err != nil {
-		t.Fatal(err)
 	}
 	s, err := v.Str()
 	if err != nil {
@@ -62,7 +66,7 @@ func checkTitles(t *testing.T, f *fixture, oracle map[heap.ObjID]string, when st
 	}
 	checked := 0
 	for oid, want := range oracle {
-		if f.rt.h.Contains(oid) {
+		if f.rt.lockedContains(oid) {
 			if got := title(t, f, oid); got != want {
 				t.Fatalf("%s: @%d title %.24q..., want %.24q...", when, oid, got, want)
 			}

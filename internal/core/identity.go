@@ -28,19 +28,18 @@ func (rt *Runtime) RefEqual(a, b heap.Value) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return ua == ub, nil
+	return ua.ultimate == ub.ultimate, nil
 }
 
-// ultimateOf resolves a reference value to the identity of the application
-// object it designates (NilID for nil): proxies yield their recorded target,
-// anything else itself.
-func (rt *Runtime) ultimateOf(v heap.Value) (heap.ObjID, error) {
+// ultimateOf designates a reference value: the identity of the application
+// object behind it (NilID for nil) — proxies yield their recorded target,
+// anything else itself — and that object's cluster.
+func (rt *Runtime) ultimateOf(v heap.Value) (designation, error) {
 	id, err := v.Ref()
 	if err != nil || id == heap.NilID {
-		return heap.NilID, err
+		return designation{}, err
 	}
-	d, err := rt.designate(id)
-	return d.ultimate, err
+	return rt.designate(id)
 }
 
 // Deref returns the resident application object a reference designates,
@@ -56,12 +55,12 @@ func (rt *Runtime) Deref(v heap.Value) (*heap.Object, error) {
 // until the hold ends.
 func (h *Held) Deref(v heap.Value) (*heap.Object, error) {
 	rt := (*Runtime)(h)
-	id, err := rt.ultimateOf(v)
+	d, err := rt.ultimateOf(v)
 	if err != nil {
 		return nil, err
 	}
-	if id == heap.NilID {
+	if d.ultimate == heap.NilID {
 		return nil, heap.ErrNilTarget
 	}
-	return rt.materialize(id)
+	return rt.materialize(d.ultimate)
 }

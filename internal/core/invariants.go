@@ -14,15 +14,16 @@ import (
 //
 // Checked invariants:
 //
-//  1. membership — every record's member list is strictly ascending, and
-//     it agrees with the object index both ways: an indexed object is listed
-//     by the known cluster the index names, a listed one indexed to it;
+//  1. membership — runs are non-empty, ascending and disjoint across
+//     records; every resident member's header names the record that lists
+//     it, and a header naming a cluster other than the root is listed by it;
 //  2. residency — a cluster is in exactly one place: a swapped cluster's
 //     replacement-object is resident and none of its members is (swap-out
 //     frees them at commit);
 //  3. proxy records, read from the heap — every resident
-//     swap-cluster-proxy is listed exactly once, in the inbound list of its
-//     ultimate target's cluster, and counted once in its source record's
+//     swap-cluster-proxy's header names its home, its ultimate target's
+//     cluster, whose inbound list lists it exactly once, and it is counted
+//     once in its source record's
 //     edges (a source merged away takes its count with it); each record's
 //     edges are ascending and count exactly those proxies; every shared-proxy
 //     entry is a resident normal-mode swap-cluster-proxy whose source and
@@ -43,74 +44,52 @@ func (m *Manager) CheckInvariants() []error {
 	m.rt.lock()
 	defer m.rt.unlock()
 	tab := &m.table
-	clusters, members := tab.clusters, tab.members
+	clusters := tab.clusters
 	h := m.rt.h
 	var errs []error
 	fail := func(format string, args ...any) {
 		errs = append(errs, fmt.Errorf(format, args...))
 	}
-
-	// 1. Membership agreement.
-	for oid, info := range members {
-		cs, ok := clusters[info.cluster]
-		if !ok {
-			fail("object @%d assigned to unknown cluster %d", oid, info.cluster)
-			continue
-		}
-		if !cs.has(oid) {
-			fail("object @%d missing from cluster %d member list", oid, info.cluster)
-		}
-	}
-	for cid, cs := range clusters {
-		for i, oid := range cs.members {
-			if i > 0 && cs.members[i-1] >= oid {
-				fail("cluster %d lists @%d after @%d: member list not ascending", cid, oid, cs.members[i-1])
-			}
-			if info, ok := members[oid]; !ok || info.cluster != cid {
-				fail("cluster %d lists @%d but object index disagrees", cid, oid)
-			}
-		}
+	lists := func(cid ClusterID, oid heap.ObjID) bool {
+		cs := clusters[cid]
+		return cs != nil && cs.members.has(oid)
 	}
 
-	// 2. Residency.
+	// 1 and 2. Membership from the records' side (the objects' side is read
+	// from the heap below), and residency.
 	for cid, cs := range clusters {
-		if !cs.where.out() {
-			continue
+		for i, r := range cs.members {
+			if r.n == 0 || i > 0 && cs.members[i-1].end() > r.lo {
+				fail("cluster %d lists run @%d+%d out of place: runs not ascending", cid, r.lo, r.n)
+			}
+			for oid := r.lo; oid < r.end(); oid++ {
+				switch o, err := h.Get(oid); {
+				case err != nil:
+				case cs.where.out():
+					fail("swapped cluster %d member @%d is resident", cid, oid)
+				case o.Class().Special != heap.SpecialNone || ClusterID(o.Owner()) != cid:
+					fail("cluster %d lists @%d, whose header names cluster %d", cid, oid, o.Owner())
+				}
+			}
 		}
-		if !h.Contains(cs.replacement) {
+		if cs.where.out() && !h.Contains(cs.replacement) {
 			fail("swapped cluster %d lost its replacement-object @%d", cid, cs.replacement)
 		}
-		for _, oid := range cs.members {
-			if h.Contains(oid) {
-				fail("swapped cluster %d member @%d is resident", cid, oid)
-			}
-		}
+	}
+	if oid, ok := tab.overlap(); ok {
+		fail("@%d is listed by two runs", oid)
 	}
 
-	// 3. Proxy records, read from the heap.
+	// 3. Proxy records: the inbound lists, and the edges the records count.
 	listed := make(map[heap.ObjID]int)
 	for cid, cs := range clusters {
 		for _, p := range cs.inbound {
 			listed[p.ID()]++
 			if !h.Contains(p.ID()) || !isProxy(p) {
 				fail("cluster %d lists @%d as an inbound proxy, which is no resident swap-cluster-proxy", cid, p.ID())
-			} else if home := members[proxyUltimate(p)].cluster; home != cid {
-				fail("cluster %d lists proxy @%d, whose target @%d is in cluster %d", cid, p.ID(), proxyUltimate(p), home)
+			} else if home := ClusterID(p.Owner()); home != cid {
+				fail("cluster %d lists proxy @%d, whose header names cluster %d", cid, p.ID(), home)
 			}
-		}
-	}
-	edges := make(map[[2]ClusterID]int32)
-	for _, oid := range h.IDs() {
-		p, err := h.Get(oid)
-		if err != nil || !isProxy(p) {
-			continue
-		}
-		home := members[proxyUltimate(p)].cluster
-		if n := listed[oid]; n != 1 {
-			fail("proxy @%d is listed %d times, want once, by cluster %d", oid, n, home)
-		}
-		if src := proxySrc(p); clusters[src] != nil {
-			edges[[2]ClusterID{src, home}]++
 		}
 	}
 	counted := make(map[[2]ClusterID]int32)
@@ -127,9 +106,6 @@ func (m *Manager) CheckInvariants() []error {
 			}
 		}
 	}
-	if !maps.Equal(counted, edges) {
-		fail("the records count proxy edges %v, the heap holds %v", counted, edges)
-	}
 	for key, pid := range tab.proxies.all {
 		p, err := h.Get(pid)
 		if err != nil || !isProxy(p) || proxySrc(p) != key.src || proxyUltimate(p) != key.target || proxyMode(p) != proxyModeNormal {
@@ -142,28 +118,17 @@ func (m *Manager) CheckInvariants() []error {
 		}
 	}
 
-	// 6. Accounting.
+	// 1 and 3 to 6, read from each resident object: its header, its fields
+	// and its size.
+	edges := make(map[[2]ClusterID]int32)
 	var liveBytes int64
 	for _, oid := range h.IDs() {
-		if o, err := h.Get(oid); err == nil {
-			liveBytes += o.Size()
-		}
-	}
-	if used := h.Used(); used != liveBytes {
-		fail("heap accounting drift: used %d, live object bytes %d", used, liveBytes)
-	}
-
-	// 4+5. Field mediation and proxy target fields.
-	for _, oid := range h.IDs() {
-		o, err := h.Get(oid)
-		if err != nil {
-			continue
-		}
-		switch o.Class().Special {
+		o, _ := h.Get(oid)
+		liveBytes += o.Size()
+		switch home := ClusterID(o.Owner()); o.Class().Special {
 		case heap.SpecialNone:
-			holder := RootCluster
-			if info, ok := members[oid]; ok {
-				holder = info.cluster
+			if home != RootCluster && !lists(home, oid) {
+				fail("object @%d names cluster %d in its header, which does not list it", oid, home)
 			}
 			for i := 0; i < o.NumFields(); i++ {
 				o.Field(i).MapRefs(func(rid heap.ObjID) heap.ObjID {
@@ -178,18 +143,14 @@ func (m *Manager) CheckInvariants() []error {
 					}
 					switch ro.Class().Special {
 					case heap.SpecialNone:
-						tc := RootCluster
-						if info, ok := members[rid]; ok {
-							tc = info.cluster
-						}
-						if tc != holder {
+						if tc := ClusterID(ro.Owner()); tc != home {
 							fail("object @%d (cluster %d) holds un-proxied reference to @%d (cluster %d)",
-								oid, holder, rid, tc)
+								oid, home, rid, tc)
 						}
 					case heap.SpecialSCProxy:
-						if src := proxySrc(ro); src != holder {
+						if src := proxySrc(ro); src != home {
 							fail("object @%d (cluster %d) holds proxy @%d sourced at %d",
-								oid, holder, rid, src)
+								oid, home, rid, src)
 						}
 					case heap.SpecialObjProxy:
 						// Placeholders are cluster-agnostic.
@@ -200,22 +161,31 @@ func (m *Manager) CheckInvariants() []error {
 				})
 			}
 		case heap.SpecialSCProxy:
-			ultimate := proxyUltimate(o)
-			tc := RootCluster
-			if info, ok := members[ultimate]; ok {
-				tc = info.cluster
+			u, tgt := proxyUltimate(o), proxyTarget(o)
+			if ro, err := h.Get(u); err == nil && ClusterID(ro.Owner()) != home || err != nil && !lists(home, u) {
+				fail("proxy @%d names cluster %d in its header, which does not hold its target @%d", oid, home, u)
 			}
-			tgt := proxyTarget(o)
-			cs := clusters[tc]
-			if cs != nil && cs.where.out() {
+			if n := listed[oid]; n != 1 {
+				fail("proxy @%d is listed %d times, want once, by cluster %d", oid, n, home)
+			}
+			if src := proxySrc(o); clusters[src] != nil {
+				edges[[2]ClusterID{src, home}]++
+			}
+			if cs := clusters[home]; cs != nil && cs.where.out() {
 				if tgt != cs.replacement {
 					fail("proxy @%d to swapped cluster %d targets @%d, want replacement @%d",
-						oid, tc, tgt, cs.replacement)
+						oid, home, tgt, cs.replacement)
 				}
-			} else if tgt != ultimate {
-				fail("proxy @%d targets @%d, want ultimate @%d", oid, tgt, ultimate)
+			} else if tgt != u {
+				fail("proxy @%d targets @%d, want ultimate @%d", oid, tgt, u)
 			}
 		}
+	}
+	if !maps.Equal(counted, edges) {
+		fail("the records count proxy edges %v, the heap holds %v", counted, edges)
+	}
+	if used := h.Used(); used != liveBytes {
+		fail("heap accounting drift: used %d, live object bytes %d", used, liveBytes)
 	}
 	return errs
 }

@@ -63,16 +63,24 @@ func TestInvariantsDetectCorruption(t *testing.T) {
 			tab := &f.rt.mgr.table
 			f.rt.lock()
 			defer f.rt.unlock()
-			l := tab.clusters[clusters[0]].members
-			l[0], l[1] = l[1], l[0]
+			cs := tab.clusters[clusters[0]]
+			r := cs.members[0]
+			cs.members = runs{{r.lo + 5, r.n - 5, r.class}, {r.lo, 5, r.class}}
 		}, "not ascending"},
-		{"index entry its cluster does not list", func(t *testing.T, f *fixture, _ []heap.ObjID, clusters []ClusterID) {
+		{"header its cluster does not list", func(t *testing.T, f *fixture, _ []heap.ObjID, clusters []ClusterID) {
+			// A dropped run: its members' headers still name the cluster.
 			tab := &f.rt.mgr.table
 			f.rt.lock()
 			defer f.rt.unlock()
 			cs := tab.clusters[clusters[1]]
 			cs.members = cs.members[1:]
-		}, "missing from cluster"},
+		}, "does not list it"},
+		{"wrong owner word", func(t *testing.T, f *fixture, ids []heap.ObjID, clusters []ClusterID) {
+			f.rt.lock()
+			defer f.rt.unlock()
+			o, _ := f.rt.h.Get(ids[3]) // cluster 1
+			o.SetOwner(uint32(clusters[1]))
+		}, "whose header names cluster"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := newFixture(t, 0)

@@ -45,14 +45,13 @@ func (m *Manager) feed(cs *clusterState, what access, tick uint64, now time.Time
 }
 
 // enterCrossing is the hot-path combination used by proxy dispatch: it
-// resolves the target's cluster, records the crossing, and reports whether
-// the cluster is currently swapped out, with both ends of the crossing dated
-// by one reading of each clock.
-func (m *Manager) enterCrossing(src ClusterID, ultimate heap.ObjID) (dst ClusterID, swapped bool) {
+// records a crossing from cluster src into cluster dst, the home its proxy's
+// header names, and reports whether dst is currently swapped out, with both
+// ends of the crossing dated by one reading of each clock.
+func (m *Manager) enterCrossing(src, dst ClusterID) (swapped bool) {
 	m.rt.assertLocked()
 	m.clock++
 	tick, now := m.clock, m.rt.telem.Now()
-	dst = m.table.members[ultimate].cluster
 	if cs, ok := m.table.clusters[dst]; ok {
 		m.feed(cs, crossed, tick, now)
 		swapped = cs.where.out()
@@ -60,11 +59,11 @@ func (m *Manager) enterCrossing(src ClusterID, ultimate heap.ObjID) (dst Cluster
 	if cs, ok := m.table.clusters[src]; ok && src != dst {
 		m.feed(cs, used, tick, now)
 	}
-	return dst, swapped
+	return swapped
 }
 
 // touch is the one path from a member read or written in place to its
-// record: a write on a resident member of
+// record, which the member's header names: a write on a resident member of
 // a cluster with a retained copy marks the cluster dirty, so its next
 // swap-out ships instead of leaving on the copy; and with a tracker attached
 // either access is a touch on the cluster's ledger. The heap calls it for
@@ -72,15 +71,14 @@ func (m *Manager) enterCrossing(src ClusterID, ultimate heap.ObjID) (dst Cluster
 // observer), dispatch for every read in place. Middleware writes never arrive
 // (the heap runs no observer for them). With no tracker, a read costs one
 // load.
-func (m *Manager) touch(oid heap.ObjID, write bool) {
+func (m *Manager) touch(o *heap.Object, write bool) {
 	track := m.rt.telem != nil
 	if !track && !write {
 		return
 	}
-	info, member := m.table.members[oid]
-	cs := m.table.clusters[info.cluster]
-	if !member || cs == nil {
-		return
+	cs := m.table.clusters[ClusterID(o.Owner())]
+	if cs == nil || cs.id == RootCluster && !cs.members.has(o.ID()) {
+		return // never assigned
 	}
 	if write && !cs.where.out() {
 		cs.changed()

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"objectswap/internal/event"
+	"objectswap/internal/heap"
 )
 
 // The runtime lock (DESIGN §6): every exported entry holds Runtime.mu from
@@ -13,13 +14,13 @@ import (
 // the cluster.
 
 // acquisitions counts the acquisitions of every runtime lock in the process,
-// in the lockcount build only (countLocks).
+// in the lockcount build only (heap.LockCount).
 var acquisitions atomic.Uint64
 
 // lock takes the runtime lock.
 func (rt *Runtime) lock() {
 	rt.mu.Lock()
-	if countLocks {
+	if heap.LockCount {
 		acquisitions.Add(1)
 	}
 }
@@ -28,7 +29,7 @@ func (rt *Runtime) lock() {
 // the cluster table's caller-locked entry points call it. A lock another
 // goroutine holds passes: the check is that someone holds it.
 func (rt *Runtime) assertLocked() {
-	if countLocks && rt.mu.TryLock() {
+	if heap.LockCount && rt.mu.TryLock() {
 		rt.mu.Unlock()
 		panic("core: runtime lock not held")
 	}

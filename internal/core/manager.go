@@ -6,19 +6,85 @@ import (
 	"maps"
 	"math"
 	"slices"
+	"sort"
 	"time"
 
 	"objectswap/internal/heap"
 	"objectswap/internal/telemetry"
 )
 
-// objInfo is the SwappingManager's per-object record: which swap-cluster the
-// object belongs to and its class (an index into Runtime.classes, which a
-// checkpoint names for every member, swapped-out ones included). It holds no
-// pointer, so the Go collector does not scan it.
-type objInfo struct {
-	cluster ClusterID
-	class   uint32
+// run is the consecutive ids [lo, lo+n) of members of one class (an index
+// into Runtime.classes, which a checkpoint names for every member).
+type run struct {
+	lo    heap.ObjID
+	n     uint32
+	class uint32
+}
+
+func (r run) end() heap.ObjID { return r.lo + heap.ObjID(r.n) }
+
+// runs is a cluster's member list, ascending and disjoint, whether the
+// cluster is resident or swapped out: a cluster allocated in one go is one
+// run (heap ids rise), and ids survive a swap, so no swap rewrites it.
+type runs []run
+
+// add appends r, which lies above every run of rs, joined to the last run
+// when the two are adjacent and of one class.
+func (rs runs) add(r run) runs {
+	if n := len(rs); n > 0 && rs[n-1].end() == r.lo && rs[n-1].class == r.class {
+		rs[n-1].n += r.n
+		return rs
+	}
+	return append(rs, r)
+}
+
+// has reports whether oid is a member.
+func (rs runs) has(oid heap.ObjID) bool {
+	i := sort.Search(len(rs), func(i int) bool { return rs[i].end() > oid })
+	return i < len(rs) && rs[i].lo <= oid
+}
+
+// count returns the number of members.
+func (rs runs) count() (n int) {
+	for _, r := range rs {
+		n += int(r.n)
+	}
+	return n
+}
+
+// ids yields every member, ascending.
+func (rs runs) ids(yield func(heap.ObjID) bool) {
+	for _, r := range rs {
+		for id := r.lo; id < r.end(); id++ {
+			if !yield(id) {
+				return
+			}
+		}
+	}
+}
+
+// keep returns the members keep admits as fresh runs: rs itself may be a
+// swap-out's snapshot, never edited in place.
+func (rs runs) keep(keep func(heap.ObjID) bool) runs {
+	var out runs
+	for _, r := range rs {
+		for id := r.lo; id < r.end(); id++ {
+			if keep(id) {
+				out = out.add(run{id, 1, r.class})
+			}
+		}
+	}
+	return out
+}
+
+// sorted orders rs by id, in place, and joins adjacent runs of one class.
+func (rs runs) sorted() runs {
+	slices.SortFunc(rs, func(a, b run) int { return cmp.Compare(a.lo, b.lo) })
+	out := rs[:0]
+	for _, r := range rs {
+		out = out.add(r)
+	}
+	return out
 }
 
 // donorCopy names one payload the donors hold and what a fetch of it must
@@ -84,10 +150,9 @@ type shipment struct {
 // clusterState is the SwappingManager's per-swap-cluster record.
 type clusterState struct {
 	id ClusterID
-	// members lists the objects belonging to the cluster, ascending; it is
-	// edited in place only while the cluster is resident, since a swap-out
-	// reads it from reserve to commit.
-	members []heap.ObjID
+	// members is edited in place only by assign, since a swap-out reads it
+	// from reserve to commit.
+	members runs
 
 	// ledger is the cluster's access record — recency and frequency fed by
 	// proxy traversal as the paper describes, swap history, and (with a
@@ -122,12 +187,6 @@ type clusterState struct {
 	inbound []*heap.Object
 	edges   []edge
 	swept   uint64
-}
-
-// has reports whether oid is a member.
-func (cs *clusterState) has(oid heap.ObjID) bool {
-	_, ok := slices.BinarySearch(cs.members, oid)
-	return ok
 }
 
 // edge counts the live swap-cluster-proxies from one cluster into cluster to.
@@ -248,16 +307,19 @@ func (x *proxyIndex) all(yield func(proxyKey, heap.ObjID) bool) {
 }
 
 // clusterTable is the SwappingManager's state, all of it under the runtime
-// lock, which the caller of every method here holds: the
-// record (residency included) of every swap-cluster, added and removed only
-// through put and drop (state.go), the objects belonging to each, and each
-// one's inbound proxies and outbound edges; the proxy reuse indexes, the
-// deferred-drop queue and the victim buffer. members is the
-// object-to-cluster index, kept in step with every record's member list;
-// lastID is the highest cluster id handed out.
+// lock, which the caller of every method here holds: the record (residency
+// included) of every swap-cluster, added and removed only through put and drop
+// (state.go), the objects belonging to each, and each one's inbound proxies
+// and outbound edges; the proxy reuse indexes, the deferred-drop queue and the
+// victim buffer. lastID is the highest cluster id handed out.
+//
+// An object's cluster is kept once. A resident object's header word names
+// the record that lists it (heap.Object.Owner): a member's cluster, whose
+// runs list it, or a swap-cluster-proxy's home, the cluster of its ultimate
+// target, whose inbound list lists it. A swapped-out member has no header:
+// the record listing it is found by a scan (listing).
 type clusterTable struct {
 	clusters map[ClusterID]*clusterState
-	members  map[heap.ObjID]objInfo
 	tally    [numResidencies]int // records by residency
 	lastID   ClusterID
 	sweeps   uint64 // reclaimed passes
@@ -318,7 +380,6 @@ type dropTicket struct {
 func newManager(rt *Runtime) *Manager {
 	m := &Manager{rt: rt, table: clusterTable{
 		clusters:   make(map[ClusterID]*clusterState),
-		members:    make(map[heap.ObjID]objInfo),
 		proxies:    proxyIndex{packed: make(map[uint64]heap.ObjID)},
 		objProxies: make(map[heap.ObjID]heap.ObjID),
 	}}
@@ -336,17 +397,48 @@ func (m *Manager) shipmentOf(id ClusterID) (shipment, bool) {
 	return cs.shipment, true
 }
 
-// point aims proxy p, handed to the caller under id, at its ultimate target,
-// or at the replacement-object of that target's cluster while it is swapped
-// out, and reports false if p is no longer resident under id. It is the one
-// writer of a proxy's target, and its caller lists p:
-// enlist, retarget, or settle as the cluster moves.
-func (tab *clusterTable) point(p *heap.Object, id, ultimate heap.ObjID) bool {
+// point aims proxy p, handed to the caller under id, at its ultimate target
+// in cluster home, or at home's replacement-object while it is swapped out,
+// and writes home into p's header; it reports false, writing nothing, if p
+// is no longer resident under id. It is the one writer of a proxy's target,
+// and its caller lists p: enlist, retarget, or settle as the cluster moves.
+func (tab *clusterTable) point(p *heap.Object, id, ultimate heap.ObjID, home ClusterID) bool {
 	to := ultimate
-	if cs, ok := tab.clusters[tab.members[to].cluster]; ok && cs.where.out() {
+	if cs, ok := tab.clusters[home]; ok && cs.where.out() {
 		to = cs.replacement
 	}
-	return setProxySlot(p, id, slotTarget, heap.Ref(to))
+	if !setProxySlot(p, id, slotTarget, heap.Ref(to)) {
+		return false
+	}
+	p.SetOwner(uint32(home))
+	return true
+}
+
+// overlap returns an id two runs of the table list, if any.
+func (tab *clusterTable) overlap() (heap.ObjID, bool) {
+	var all runs
+	for _, cs := range tab.clusters {
+		all = append(all, cs.members...)
+	}
+	all = all.sorted()
+	for i := 1; i < len(all); i++ {
+		if all[i].lo < all[i-1].end() {
+			return all[i].lo, true
+		}
+	}
+	return 0, false
+}
+
+// listing returns the record whose runs list oid, or nil, by a scan: for a
+// swapped-out member, which has no header to read. Workloads keep at most a
+// few hundred clusters.
+func (tab *clusterTable) listing(oid heap.ObjID) *clusterState {
+	for _, cs := range tab.clusters {
+		if cs.members.has(oid) {
+			return cs
+		}
+	}
+	return nil
 }
 
 // NewCluster declares a fresh, empty swap-cluster and returns its id.
@@ -370,9 +462,9 @@ func (m *Manager) Clusters() []ClusterID {
 	return slices.Sorted(maps.Keys(m.table.clusters))
 }
 
-// assign records an object of the given class (Runtime.classes) as a member
-// of a cluster, which then no longer equals its retained copy.
-func (m *Manager) assign(id heap.ObjID, cluster ClusterID, class uint32) error {
+// assign records a fresh object of the given class (Runtime.classes) as a
+// member of a cluster, which then no longer equals its retained copy.
+func (m *Manager) assign(o *heap.Object, cluster ClusterID, class uint32) error {
 	m.rt.assertLocked()
 	// Resident and unreserved only: a swap-out in flight has already
 	// snapshotted the members it will ship and free, and a late joiner would
@@ -381,13 +473,10 @@ func (m *Manager) assign(id heap.ObjID, cluster ClusterID, class uint32) error {
 	if err != nil {
 		return err
 	}
-	if prev, dup := m.table.members[id]; dup {
-		return fmt.Errorf("core: object @%d already assigned to cluster %d", id, prev.cluster)
-	}
-	m.table.members[id] = objInfo{cluster: cluster, class: class}
-	// Heap ids rise, so this is an append in practice.
-	i, _ := slices.BinarySearch(cs.members, id)
-	cs.members = slices.Insert(cs.members, i, id)
+	// A fresh id is above every id the heap has handed out or installed, so
+	// the member joins the end of the list.
+	cs.members = cs.members.add(run{o.ID(), 1, class})
+	o.SetOwner(uint32(cluster))
 	cs.changed()
 	// Allocation into a cluster is a use signal: advance its recency so
 	// victim selection does not evict the cluster being built.
@@ -396,22 +485,30 @@ func (m *Manager) assign(id heap.ObjID, cluster ClusterID, class uint32) error {
 	return nil
 }
 
-// ClusterOf reports the swap-cluster an object belongs to. Objects never
-// assigned belong to RootCluster.
+// ClusterOf reports the swap-cluster an object belongs to, resident or
+// swapped out; a swap-cluster-proxy answers for the object it designates.
+// Objects never assigned, and other middleware objects, belong to
+// RootCluster.
 func (m *Manager) ClusterOf(id heap.ObjID) ClusterID {
 	m.rt.lock()
 	defer m.rt.unlock()
 	return m.clusterOf(id)
 }
 
-func (m *Manager) clusterOf(id heap.ObjID) ClusterID { return m.table.members[id].cluster }
+func (m *Manager) clusterOf(id heap.ObjID) ClusterID {
+	d, _ := m.rt.designate(id)
+	return d.home
+}
 
-// member returns an object's membership record — its cluster and class,
-// valid even while the object is swapped out. An object never assigned has
-// none: it belongs to RootCluster, the zero record's cluster.
-func (m *Manager) member(id heap.ObjID) (objInfo, bool) {
-	info, ok := m.table.members[id]
-	return info, ok
+// own writes cluster cs into the header of each resident object of members:
+// the members a swap-in or a checkpoint restore installed, or a merge or
+// split moved.
+func (m *Manager) own(cs *clusterState, members runs) {
+	for id := range members.ids {
+		if o, err := m.rt.h.Get(id); err == nil {
+			o.SetOwner(uint32(cs.id))
+		}
+	}
 }
 
 // IsSwapped reports whether the cluster is currently swapped out.
@@ -423,20 +520,19 @@ func (m *Manager) IsSwapped(id ClusterID) bool {
 }
 
 // enlist points a freshly minted proxy p, born under id from cluster src to
-// the object ultimate, and lists it: in the inbound list of
-// its target's cluster, as an edge out of its source and, unless it is an
-// assign-mode cursor, as the proxy proxyFor hands out for (src, ultimate). It
-// reports false, writing and listing nothing, when p is no longer resident
-// under id — a collection swept it first, and a later one may have reissued
-// its block as another proxy — so it reads p's mode only once point has
-// passed that check (see retarget).
-func (m *Manager) enlist(p *heap.Object, id heap.ObjID, src ClusterID, ultimate heap.ObjID) bool {
+// the object ultimate of cluster home, and lists it: in the inbound list of
+// home, as an edge out of its source and, unless it is an assign-mode cursor,
+// as the proxy proxyFor hands out for (src, ultimate). It reports false,
+// writing and listing nothing, when p is no longer resident under id — a
+// collection swept it first, and a later one may have reissued its block as
+// another proxy — so it reads p's mode only once point has passed that check
+// (see retarget).
+func (m *Manager) enlist(p *heap.Object, id heap.ObjID, src ClusterID, ultimate heap.ObjID, home ClusterID) bool {
 	m.rt.assertLocked()
 	tab := &m.table
-	if !tab.point(p, id, ultimate) {
+	if !tab.point(p, id, ultimate, home) {
 		return false
 	}
-	home := tab.members[ultimate].cluster
 	if cs, ok := tab.clusters[home]; ok {
 		cs.inbound = append(cs.inbound, p)
 	}
@@ -450,21 +546,20 @@ func (m *Manager) enlist(p *heap.Object, id heap.ObjID, src ClusterID, ultimate 
 }
 
 // retarget re-aims proxy p, handed to the caller under id, at the object
-// ultimate (the Assign iteration optimization): p moves to
-// the inbound list of ultimate's cluster, its source's edge with it, and is
-// pointed there. It reports false, touching nothing, when ultimate is in p's
-// source cluster: the caller dismantles. When p is no longer resident under id
-// it fails with heap.ErrNoSuchObject and touches nothing either: the block
-// may be another proxy by now, listed where that one is. p's fields are read
-// only after the check.
-func (m *Manager) retarget(p *heap.Object, id, ultimate heap.ObjID) (bool, error) {
+// ultimate of cluster to (the Assign iteration optimization): p moves to the
+// inbound list of to, its source's edge with it, and is pointed there. It
+// reports false, touching nothing, when to is p's source cluster: the caller
+// dismantles. When p is no longer resident under id it fails with
+// heap.ErrNoSuchObject and touches nothing either: the block may be another
+// proxy by now, listed where that one is. p's fields are read only after the
+// check.
+func (m *Manager) retarget(p *heap.Object, id, ultimate heap.ObjID, to ClusterID) (bool, error) {
 	m.rt.assertLocked()
 	tab := &m.table
 	if !p.ResidentAs(id) {
 		return false, fmt.Errorf("%w: @%d", heap.ErrNoSuchObject, id)
 	}
-	src := proxySrc(p)
-	from, to := tab.members[proxyUltimate(p)].cluster, tab.members[ultimate].cluster
+	src, from := proxySrc(p), ClusterID(p.Owner())
 	if to == src {
 		return false, nil
 	}
@@ -478,7 +573,7 @@ func (m *Manager) retarget(p *heap.Object, id, ultimate heap.ObjID) (bool, error
 		}
 	}
 	setProxySlot(p, id, slotObj, heap.Int(int64(ultimate)))
-	tab.point(p, id, ultimate)
+	tab.point(p, id, ultimate, to)
 	return true, nil
 }
 
@@ -615,7 +710,7 @@ func (m *Manager) infoOf(cs *clusterState) ClusterInfo {
 	c := cs.retained.donorCopy
 	info := ClusterInfo{
 		ID:          cs.id,
-		Objects:     len(cs.members),
+		Objects:     cs.members.count(),
 		Swapped:     cs.where.out(),
 		Busy:        cs.where.reserved(),
 		BaseKey:     c.key,
@@ -639,7 +734,7 @@ func (m *Manager) infoOf(cs *clusterState) ClusterInfo {
 // members.
 func (m *Manager) residentBytes(cs *clusterState) int64 {
 	var n int64
-	for _, id := range cs.members {
+	for id := range cs.members.ids {
 		if o, err := m.rt.h.Get(id); err == nil {
 			n += o.Size()
 		}
@@ -660,32 +755,23 @@ const (
 	VictimLeastUsed
 )
 
+// strategyNames names the strategies in policy XML.
+var strategyNames = [...]string{VictimColdest: "coldest", VictimLargest: "largest", VictimLeastUsed: "least-used"}
+
 // String names the strategy (used by policy XML).
 func (s VictimStrategy) String() string {
-	switch s {
-	case VictimColdest:
-		return "coldest"
-	case VictimLargest:
-		return "largest"
-	case VictimLeastUsed:
-		return "least-used"
-	default:
+	if s == 0 || int(s) >= len(strategyNames) {
 		return "strategy?"
 	}
+	return strategyNames[s]
 }
 
 // VictimStrategyFromString parses policy XML strategy names.
 func VictimStrategyFromString(s string) (VictimStrategy, error) {
-	switch s {
-	case "coldest":
-		return VictimColdest, nil
-	case "largest":
-		return VictimLargest, nil
-	case "least-used":
-		return VictimLeastUsed, nil
-	default:
-		return 0, fmt.Errorf("core: unknown victim strategy %q", s)
+	if i := slices.Index(strategyNames[:], s); i > 0 {
+		return VictimStrategy(i), nil
 	}
+	return 0, fmt.Errorf("core: unknown victim strategy %q", s)
 }
 
 // SelectVictims returns every eligible eviction candidate — loaded, non-empty,

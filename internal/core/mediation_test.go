@@ -361,7 +361,7 @@ func TestProxyRecordFollowsRetarget(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		rt.Collect()
 	}
-	if _, known := mgr.member(m.ids[0]); known {
+	if mgr.table.listing(m.ids[0]) != nil {
 		t.Fatal("old target's record survived the collection")
 	}
 	if in := inboundIndexes(mgr, pid); len(in) != 1 || in[0] != m.clusters[1] {

@@ -78,15 +78,9 @@ func (h *Held) ObjProxyFor(remote heap.ObjID, className string) (heap.ObjID, err
 	if pid, ok := rt.mgr.table.objProxies[remote]; ok && rt.h.Contains(pid) {
 		return pid, nil
 	}
-	p, err := rt.allocMiddleware(rt.objProxyClass)
+	p, err := rt.allocMiddleware(rt.objProxyClass, heap.Int(int64(remote)), heap.Str(className))
 	if err != nil {
 		return heap.NilID, fmt.Errorf("core: allocate object-fault proxy: %w", err)
-	}
-	if err := p.SetFieldByName(fldRemote, heap.Int(int64(remote))); err != nil {
-		return heap.NilID, err
-	}
-	if err := p.SetFieldByName(fldRemClass, heap.Str(className)); err != nil {
-		return heap.NilID, err
 	}
 	rt.mgr.table.objProxies[remote] = p.ID()
 	return p.ID(), nil

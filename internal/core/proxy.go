@@ -85,17 +85,17 @@ func proxyMode(p *heap.Object) int64 { return proxyInt(p, slotMode) }
 // mediating references from cluster src to the object target. It assumes
 // target is NOT a member of src (callers dismantle that case into a direct
 // reference).
-func (rt *Runtime) proxyFor(src ClusterID, target heap.ObjID) (heap.ObjID, error) {
+func (rt *Runtime) proxyFor(src ClusterID, target heap.ObjID, home ClusterID) (heap.ObjID, error) {
 	// Belt and braces: the collection that sweeps a proxy purges its entry
 	// before it returns — but check before handing it out.
 	if pid, ok := rt.mgr.table.proxies.get(proxyKey{src: src, target: target}); ok && rt.h.Contains(pid) {
 		return pid, nil
 	}
-	return rt.newProxy(src, target, false)
+	return rt.newProxy(src, target, home, false)
 }
 
 // newProxy allocates a swap-cluster-proxy from cluster src to the object
-// target and lists it with the record of target's cluster: the shared one
+// target of cluster home and lists it with home's record: the shared one
 // every later proxyFor(src, target) reuses, or a private assign-mode cursor,
 // which swap-out points and the collection purges like any other but the
 // registry never hands out. The proxy is born with its target, source and
@@ -105,7 +105,7 @@ func (rt *Runtime) proxyFor(src ClusterID, target heap.ObjID) (heap.ObjID, error
 // collection runs in between; should one sweep it all the same, enlist
 // refuses its block, even once a later collection has reissued it as another
 // proxy, and the proxy is minted again.
-func (rt *Runtime) newProxy(src ClusterID, target heap.ObjID, cursor bool) (heap.ObjID, error) {
+func (rt *Runtime) newProxy(src ClusterID, target heap.ObjID, home ClusterID, cursor bool) (heap.ObjID, error) {
 	mode := proxyModeNormal
 	if cursor {
 		mode = proxyModeAssign
@@ -119,8 +119,8 @@ func (rt *Runtime) newProxy(src ClusterID, target heap.ObjID, cursor bool) (heap
 	if rt.yield != nil {
 		rt.yield("mint")
 	}
-	if !rt.mgr.enlist(p, id, src, target) {
-		return rt.newProxy(src, target, cursor)
+	if !rt.mgr.enlist(p, id, src, target, home) {
+		return rt.newProxy(src, target, home, cursor)
 	}
 	return id, nil
 }
@@ -138,17 +138,17 @@ func (rt *Runtime) newProxy(src ClusterID, target heap.ObjID, cursor bool) (heap
 func (rt *Runtime) AssignedCursor(v heap.Value) (heap.Value, error) {
 	rt.lock()
 	defer rt.unlock()
-	ultimate, err := rt.ultimateOf(v)
+	d, err := rt.ultimateOf(v)
 	if err != nil {
 		return heap.Nil(), err
 	}
-	if ultimate == heap.NilID {
+	if d.ultimate == heap.NilID {
 		return heap.Nil(), heap.ErrNilTarget
 	}
-	if rt.mgr.clusterOf(ultimate) == RootCluster {
-		return heap.Ref(ultimate), nil
+	if d.home == RootCluster {
+		return heap.Ref(d.ultimate), nil
 	}
-	pid, err := rt.newProxy(RootCluster, ultimate, true)
+	pid, err := rt.newProxy(RootCluster, d.ultimate, d.home, true)
 	if err != nil {
 		return heap.Nil(), err
 	}
@@ -168,11 +168,14 @@ const (
 // designation is the answer to "what does this reference ultimately
 // designate": obj is the resident object at the reference itself (nil for
 // refAway), ultimate the identity of the application object behind it — a
-// proxy's recorded target, anything else itself.
+// proxy's recorded target, anything else itself — and home the cluster
+// ultimate belongs to, read from obj's header or, for refAway, found by the
+// swapped record that lists it.
 type designation struct {
 	kind     refKind
 	obj      *heap.Object
 	ultimate heap.ObjID
+	home     ClusterID
 }
 
 // designate classifies the reference id without faulting anything in. It is
@@ -181,20 +184,20 @@ func (rt *Runtime) designate(id heap.ObjID) (designation, error) {
 	o, err := rt.h.Get(id)
 	if err != nil {
 		// Non-resident members of swapped clusters keep their identities.
-		if _, member := rt.mgr.member(id); member {
-			return designation{kind: refAway, ultimate: id}, nil
+		if cs := rt.mgr.table.listing(id); cs != nil && cs.where.out() {
+			return designation{kind: refAway, ultimate: id, home: cs.id}, nil
 		}
 		return designation{}, err
 	}
 	switch o.Class().Special {
 	case heap.SpecialSCProxy:
-		return designation{refProxy, o, proxyUltimate(o)}, nil
+		return designation{refProxy, o, proxyUltimate(o), ClusterID(o.Owner())}, nil
 	case heap.SpecialObjProxy:
-		return designation{refObjFault, o, id}, nil
+		return designation{refObjFault, o, id, RootCluster}, nil
 	case heap.SpecialReplacement:
 		return designation{}, errCorrupt
 	default:
-		return designation{refDirect, o, id}, nil
+		return designation{refDirect, o, id, ClusterID(o.Owner())}, nil
 	}
 }
 
@@ -237,7 +240,7 @@ func (rt *Runtime) translateRef(id heap.ObjID, to ClusterID) (heap.Value, error)
 		// Object-fault proxies pass through unchanged and are replaced (not
 		// wrapped) after replication.
 		return heap.Ref(id), nil
-	case rt.mgr.clusterOf(d.ultimate) == to:
+	case d.home == to:
 		if d.kind == refAway {
 			// A same-cluster reference to a non-resident member cannot arise
 			// from the interception rules; surface the dangle.
@@ -254,7 +257,7 @@ func (rt *Runtime) translateRef(id heap.ObjID, to ClusterID) (heap.Value, error)
 	// Mint (or find) the proxy for (to, ultimate). A direct reference to a
 	// member of a swapped-out cluster is valid currency here: it translates
 	// without faulting the cluster in (the proxy targets the replacement).
-	pid, err := rt.proxyFor(to, d.ultimate)
+	pid, err := rt.proxyFor(to, d.ultimate, d.home)
 	if err != nil {
 		return heap.Nil(), err
 	}

@@ -47,15 +47,15 @@ func (rt *Runtime) MergeClusters(dst, src ClusterID) error {
 	if err != nil {
 		return fmt.Errorf("core: merge of clusters %d/%d: %w", dst, src, err)
 	}
-	if err = rt.checkInactive(src, ss.has); err == nil {
-		err = rt.checkInactive(dst, ds.has)
+	if err = rt.checkInactive(src, ss.members.has); err == nil {
+		err = rt.checkInactive(dst, ds.members.has)
 	}
 	if err != nil {
 		return err
 	}
 
 	// 1. Move membership, and the inbound proxies with their targets.
-	tab.regroup(ss, ds, func(heap.ObjID) bool { return true })
+	rt.mgr.regroup(ss, ds, func(heap.ObjID) bool { return true })
 	// The one place a merge decides what the survivor inherits: src's
 	// counters summed into its own, the later recency, the hotter heat and
 	// thrash. Dropping src's record drops the rest of its history. Neither
@@ -69,10 +69,7 @@ func (rt *Runtime) MergeClusters(dst, src ClusterID) error {
 	// references to proxies whose ultimate target now shares the cluster are
 	// dismantled; proxies sourced at the vanished src are replaced by
 	// dst-sourced mediation.
-	if err := rt.remediateCluster(dst); err != nil {
-		return err
-	}
-	return nil
+	return rt.remediateCluster(dst)
 }
 
 // SplitCluster moves the given members of cluster src into a fresh cluster
@@ -95,12 +92,12 @@ func (rt *Runtime) SplitCluster(src ClusterID, members []heap.ObjID) (ClusterID,
 	tab := &rt.mgr.table
 	ss, err := tab.at(src, resident)
 	for _, oid := range members {
-		if err == nil && !ss.has(oid) {
+		if err == nil && !ss.members.has(oid) {
 			err = fmt.Errorf("core: split: @%d is not a member of cluster %d", oid, src)
 		}
 	}
 	if err == nil {
-		err = rt.checkInactive(src, ss.has)
+		err = rt.checkInactive(src, ss.members.has)
 	}
 	if err != nil {
 		return 0, err
@@ -109,7 +106,7 @@ func (rt *Runtime) SplitCluster(src ClusterID, members []heap.ObjID) (ClusterID,
 	moved := slices.Sorted(slices.Values(members))
 	fresh := tab.newCluster()
 	fs := tab.clusters[fresh]
-	tab.regroup(ss, fs, func(oid heap.ObjID) bool {
+	rt.mgr.regroup(ss, fs, func(oid heap.ObjID) bool {
 		_, ok := slices.BinarySearch(moved, oid)
 		return ok
 	})
@@ -129,27 +126,21 @@ func (rt *Runtime) SplitCluster(src ClusterID, members []heap.ObjID) (ClusterID,
 	return fresh, nil
 }
 
-// regroup moves the members of from that moves picks to to's member list,
-// and every proxy of from's inbound list whose ultimate target moved to to's
-// inbound list, its source's edge with it; from's lists are compacted in
-// place. Both clusters are resident.
-func (tab *clusterTable) regroup(from, to *clusterState, moves func(heap.ObjID) bool) {
-	had := len(to.members)
-	from.members = slices.DeleteFunc(from.members, func(oid heap.ObjID) bool {
-		if !moves(oid) {
-			return false
-		}
-		tab.members[oid] = objInfo{cluster: to.id, class: tab.members[oid].class}
-		to.members = append(to.members, oid)
-		return true
-	})
-	if had > 0 {
-		slices.Sort(to.members) // two ascending runs
-	}
+// regroup moves the members of from that moves picks to to's runs, their
+// headers with them, and every proxy of from's inbound list whose ultimate
+// target moved to to's inbound list, its header and its source's edge with
+// it. Both clusters are resident.
+func (m *Manager) regroup(from, to *clusterState, moves func(heap.ObjID) bool) {
+	tab := &m.table
+	moved := from.members.keep(moves)
+	from.members = from.members.keep(func(oid heap.ObjID) bool { return !moves(oid) })
+	to.members = slices.Concat(to.members, moved).sorted()
+	m.own(to, moved)
 	from.inbound = slices.DeleteFunc(from.inbound, func(p *heap.Object) bool {
-		if tab.members[proxyUltimate(p)].cluster != to.id {
+		if !moves(proxyUltimate(p)) {
 			return false
 		}
+		p.SetOwner(uint32(to.id))
 		to.inbound = append(to.inbound, p)
 		tab.moveEdge(proxySrc(p), from.id, to.id)
 		return true
@@ -166,9 +157,7 @@ func (rt *Runtime) remediateCluster(id ClusterID) error {
 	if err != nil {
 		return err
 	}
-	ids := slices.Clone(cs.members)
-
-	for _, oid := range ids {
+	for oid := range cs.members.ids {
 		o, err := rt.h.Get(oid)
 		if err != nil {
 			continue // reclaimed as garbage: that collection forgot its record

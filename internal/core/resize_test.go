@@ -177,6 +177,55 @@ func TestMergeThenSwapRoundTrip(t *testing.T) {
 			t.Fatalf("tag[%d] = %d, want %d", i, got[i], want[i])
 		}
 	}
+	checkClean(t, f.rt)
+}
+
+// TestSplitThenSwapRoundTrip splits every other member off a cluster, so
+// each half's member list is runs of one id, swaps both halves out and back
+// in, and checks that every member is its half's, swapped out (where its
+// record says so) and resident again (where its header does).
+func TestSplitThenSwapRoundTrip(t *testing.T) {
+	f := newFixture(t, 0)
+	ids, clusters := f.buildList(t, 30, 10, 8)
+	want := f.snapshotTags(t)
+	var odd []heap.ObjID
+	for i := 11; i < 20; i += 2 {
+		odd = append(odd, ids[i])
+	}
+	fresh, err := f.rt.SplitCluster(clusters[1], odd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	home := func(i int) ClusterID {
+		if i%2 == 1 {
+			return fresh
+		}
+		return clusters[1]
+	}
+	for _, c := range []ClusterID{clusters[1], fresh} {
+		if _, err := f.rt.SwapOut(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.rt.Collect()
+	checkClean(t, f.rt)
+	for i := 10; i < 20; i++ {
+		if got := f.rt.Manager().ClusterOf(ids[i]); got != home(i) {
+			t.Fatalf("swapped @%d is in cluster %d, want %d", ids[i], got, home(i))
+		}
+	}
+	got := f.snapshotTags(t) // reloads both halves
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("tag[%d] = %d, want %d", i, got[i], want[i])
+		}
+	}
+	for i := 10; i < 20; i++ {
+		if got := f.rt.Manager().ClusterOf(ids[i]); got != home(i) {
+			t.Fatalf("reloaded @%d is in cluster %d, want %d", ids[i], got, home(i))
+		}
+	}
+	checkClean(t, f.rt)
 }
 
 // Property: random merge/split sequences preserve the application view and
@@ -270,7 +319,7 @@ func TestRetargetAfterDeathDoesNotResurrect(t *testing.T) {
 		t.Fatalf("proxy not purged (%d -> %d)", before, got)
 	}
 	f.rt.lock()
-	_, err = f.rt.Manager().retarget(p, pid, ids[3])
+	_, err = f.rt.Manager().retarget(p, pid, ids[3], f.rt.mgr.clusterOf(ids[3]))
 	f.rt.unlock()
 	if err == nil {
 		t.Fatal("retargeting a swept proxy succeeded")

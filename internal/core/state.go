@@ -153,7 +153,7 @@ func (rt *Runtime) settle(cs *clusterState, to residency, apply func(*clusterSta
 	tab.move(cs, to)
 	if flips {
 		for _, p := range cs.inbound {
-			tab.point(p, p.ID(), proxyUltimate(p))
+			tab.point(p, p.ID(), proxyUltimate(p), cs.id)
 		}
 	}
 }

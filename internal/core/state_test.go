@@ -131,7 +131,11 @@ func TestClusterTransitions(t *testing.T) {
 		{"assign", func(f *fixture, id ClusterID, _ []heap.ObjID, _ []ClusterID) error {
 			f.rt.lock()
 			defer f.rt.unlock()
-			return f.rt.mgr.assign(1<<40, id, f.rt.classIndex[f.node.Name])
+			o, err := f.rt.h.New(f.node)
+			if err != nil {
+				return err
+			}
+			return f.rt.mgr.assign(o, id, f.rt.classIndex[f.node.Name])
 		}, [...]func(residency) outcome{
 			resident: stays, reservedOut: busy, swappedOut: swapped, reservedIn: busy, underRepair: busy,
 		}},

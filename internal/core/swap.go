@@ -85,11 +85,8 @@ type swapOut struct {
 	sc  *outScratch // the reference classification, this operation's until it returns
 
 	// reserve: the retained copy the cluster can leave on (zero when it has
-	// to be shipped), and the membership: the record's own ascending list,
-	// which no writer edits in place while the cluster is reserved
-	// (Manager.reclaimed). Read, never written.
-	kept      retainedCopy
-	memberIDs []heap.ObjID
+	// to be shipped); the membership is in sc.
+	kept retainedCopy
 
 	// snapshot: the resident size; the outbound slot table is in sc.
 	residentBytes int64
@@ -109,25 +106,27 @@ type swapOut struct {
 func (s *swapOut) clean() bool { return s.kept.key != "" }
 
 // outScratch is what a swap-out classifies the members' references into and
-// encodes from: the outbound slot table — the distinct swap-cluster-proxies
-// the members reference, in traversal order (outbound, indexed by slotOf),
-// with each proxy's ultimate target (slotTargets) — the object-fault proxies,
-// which ship as remote references rather than slots (remote), and the member
-// objects the encoder walks (objs), resolved by the snapshot so the encode,
-// which runs with the runtime lock released, reads no heap table. A shipment
-// also ranks its donors in it (rank) and reports a rejecting donor through
-// it (failover). None of it
-// outlives the swap-out: the replacement-object copies outbound, and commit
-// copies the slot table a shipment anchors. So it is reused, one operation at
-// a time; swap-outs of distinct clusters run concurrently, so each takes its
-// own from a pool.
+// encodes from: the membership, the record's own runs (members, which no
+// writer edits in place while the cluster is reserved: Manager.reclaimed), the
+// outbound slot table — the distinct swap-cluster-proxies the members
+// reference, in traversal order (outbound, indexed by slotOf), with each
+// proxy's ultimate target (slotTargets) — the object-fault proxies, which ship
+// as remote references rather than slots (remote), and the member objects the
+// encoder walks (objs) and their ids (ids, which commit frees), resolved by
+// the snapshot so the encode, which runs with the runtime lock released, reads
+// no heap table. A shipment also ranks its donors in it (rank) and reports a
+// rejecting donor through it (failover). None of it outlives the swap-out: the
+// replacement-object copies outbound, and commit copies the slot table a
+// shipment anchors. So it is reused, one operation at a time; swap-outs of
+// distinct clusters run concurrently, so each takes its own from a pool.
 type outScratch struct {
-	members     []heap.ObjID // the swap-out's memberIDs
+	members     runs
 	slotOf      map[heap.ObjID]int
 	remote      map[heap.ObjID]*heap.Object
 	outbound    []heap.Value
 	slotTargets []heap.ObjID
 	objs        []*heap.Object
+	ids         []heap.ObjID
 	encodeRef   xmlcodec.RefEncoder // ref, bound once per scratch
 	rank        placement.Scratch   // the donor ranking of negotiate
 	failover    failover
@@ -168,23 +167,17 @@ func (sc *outScratch) release() {
 	clear(sc.slotOf)
 	clear(sc.remote)
 	clear(sc.objs)
-	sc.outbound, sc.slotTargets, sc.objs = sc.outbound[:0], sc.slotTargets[:0], sc.objs[:0]
+	sc.outbound, sc.slotTargets, sc.objs, sc.ids = sc.outbound[:0], sc.slotTargets[:0], sc.objs[:0], sc.ids[:0]
 	sc.members = nil
 	sc.rank.Reset()
 	sc.failover = failover{}
 	outScratches.Put(sc)
 }
 
-// member reports whether oid belongs to the cluster being swapped out.
-func (sc *outScratch) member(oid heap.ObjID) bool {
-	_, ok := slices.BinarySearch(sc.members, oid)
-	return ok
-}
-
 // ref is the encoder's reference classifier: internal, a slot of the
 // replacement-object, or the remote object an object-fault proxy stands for.
 func (sc *outScratch) ref(rid heap.ObjID) (xmlcodec.Value, error) {
-	if sc.member(rid) {
+	if sc.members.has(rid) {
 		return xmlcodec.InternalRef(rid), nil
 	}
 	if slot, ok := sc.slotOf[rid]; ok {
@@ -198,7 +191,7 @@ func (sc *outScratch) ref(rid heap.ObjID) (xmlcodec.Value, error) {
 
 func (s *swapOut) reserve() error {
 	err := s.op.reserve(resident, reservedOut, func(cs *clusterState) {
-		s.memberIDs = cs.members
+		s.sc.members = cs.members
 		// A pinned destination is honoured: only a copy already there counts.
 		if kept, ok := cs.cleanCopy(); ok && (s.o.device == "" || (len(kept.devices) == 1 && kept.devices[0] == s.o.device)) {
 			s.kept = kept
@@ -207,26 +200,32 @@ func (s *swapOut) reserve() error {
 	if err == nil && s.clean() && !s.rt.holds(s.kept.donorCopy) {
 		s.kept = retainedCopy{} // a donor of the copy is gone or its lease ran out: ship
 	}
-	s.sc.members = s.memberIDs
 	return err
 }
 
 // snapshot sizes the members, resolves them for the encoder and classifies
-// their outbound references, under the runtime lock. A clean
-// cluster passes its last check here: an outbound proxy re-aimed under a
-// member (an assign-mode cursor) changes no field, only the slot table.
+// their outbound references, under the runtime lock. A member on the
+// invocation stack or pinned (a replica an install has not linked yet) is in
+// use, and the cluster stays. A clean cluster passes its last check here: an
+// outbound proxy re-aimed under a member (an assign-mode cursor) changes no
+// field, only the slot table.
 func (s *swapOut) snapshot() error {
 	// Refuse to detach a cluster with in-flight invocations: its objects are
 	// live on the stack and would collide with a later reload.
-	if err := s.rt.checkInactive(s.id, s.sc.member); err != nil {
+	if err := s.rt.checkInactive(s.id, s.sc.members.has); err != nil {
 		return err
 	}
-	for _, oid := range s.memberIDs {
+	n := s.sc.members.count() // a scratch fresh from the pool grows once
+	s.sc.objs, s.sc.ids = slices.Grow(s.sc.objs, n), slices.Grow(s.sc.ids, n)
+	for oid := range s.sc.members.ids {
 		o, err := s.rt.h.Get(oid)
 		if err != nil {
 			return fmt.Errorf("core: swap-out cluster %d: member @%d: %w", s.id, oid, err)
 		}
-		s.sc.objs = append(s.sc.objs, o)
+		if s.rt.h.Pinned(oid) {
+			return fmt.Errorf("%w: cluster %d (object @%d pinned)", ErrClusterActive, s.id, oid)
+		}
+		s.sc.objs, s.sc.ids = append(s.sc.objs, o), append(s.sc.ids, oid)
 		s.residentBytes += o.Size()
 		var werr error
 		for i := 0; i < o.NumFields() && werr == nil; i++ {
@@ -251,7 +250,7 @@ func (s *swapOut) snapshot() error {
 // (first sight appends it), or a remote reference.
 func (s *swapOut) classify(o *heap.Object, rid heap.ObjID) error {
 	sc := s.sc
-	if rid == heap.NilID || sc.member(rid) || sc.remote[rid] != nil {
+	if rid == heap.NilID || sc.members.has(rid) || sc.remote[rid] != nil {
 		return nil
 	}
 	if _, seen := sc.slotOf[rid]; seen {
@@ -337,18 +336,12 @@ func (s *swapOut) encodeFrame() error {
 func (s *swapOut) replace() error {
 	rt := s.rt
 	defer rt.beginMutate()()
-	repl, err := rt.allocMiddleware(rt.replacementClass)
-	if err == nil {
-		s.pin(repl.ID())
-		s.built = true
-		if err = repl.SetFieldByName(fldClust, heap.Int(int64(s.id))); err == nil {
-			err = repl.SetFieldByName(fldOut, heap.List(s.sc.outbound...))
-		}
-	}
+	repl, err := rt.allocMiddleware(rt.replacementClass, heap.Int(int64(s.id)), heap.List(s.sc.outbound...))
 	if err != nil {
 		return fmt.Errorf("core: replacement for cluster %d: %w", s.id, err)
 	}
-	s.repl = repl
+	s.pin(repl.ID())
+	s.built, s.repl = true, repl
 	return nil
 }
 
@@ -480,7 +473,7 @@ func (s *swapOut) commit() error {
 			cs.anchor(s.copy, slots)
 		}
 	})
-	rt.h.Free(s.memberIDs)
+	rt.h.Free(s.sc.ids)
 	return nil
 }
 
@@ -490,7 +483,7 @@ func (s *swapOut) commit() error {
 func (s *swapOut) finish() SwapEvent {
 	s.handOut(3) // a clean swap-out hands its trace out only now
 	rt, c := s.rt, s.copy
-	ev := SwapEvent{Cluster: s.id, Device: c.primary(), Key: c.key, Objects: len(s.memberIDs),
+	ev := SwapEvent{Cluster: s.id, Device: c.primary(), Key: c.key, Objects: len(s.sc.ids),
 		Clean: s.clean(), Attempted: s.rep.Attempted, Replicas: c.devices, Trace: s.trace,
 		Format: c.format, Requested: s.rep.Requested, Quorum: s.rep.Quorum,
 		Shortfall: max(s.rep.Requested-len(c.devices), 0), Cause: rt.resolveCause(s.o.cause)}

@@ -52,10 +52,12 @@ func noteFixture(t testing.TB, clusters, perCluster, titleBytes, noteBytes int, 
 				t.Fatal(err)
 			}
 			head := fmt.Sprintf("c%d-o%d|", c, i)
-			o.MustSet("title", heap.Str(head+strings.Repeat("x", titleBytes-len(head))))
-			if noteBytes > 0 {
-				o.MustSet("note", heap.Bytes([]byte(head+strings.Repeat("n", noteBytes-len(head)))))
-			}
+			rt.Locked(func(*Held) {
+				o.MustSet("title", heap.Str(head+strings.Repeat("x", titleBytes-len(head))))
+				if noteBytes > 0 {
+					o.MustSet("note", heap.Bytes([]byte(head+strings.Repeat("n", noteBytes-len(head)))))
+				}
+			})
 			if prev == nil {
 				if err := rt.SetRoot("head", o.RefTo()); err != nil {
 					t.Fatal(err)
@@ -74,7 +76,7 @@ func touchTask(t testing.TB, f *fixture, id ClusterID) {
 	t.Helper()
 	tab := &f.rt.mgr.table
 	f.rt.lock()
-	oid := tab.clusters[id].members[0]
+	oid := tab.clusters[id].members[0].lo
 	f.rt.unlock()
 	f.dirty(t, oid)
 }

@@ -166,13 +166,19 @@ func (s *swapIn) decode() (err error) {
 // evict makes room before installing, if we can tell it is needed, with a
 // little headroom beyond the payload: the reload itself allocates middleware
 // objects (proxies for un-replicated edges). The evictor runs with the
-// runtime lock released (runEvictor), as its own swap-outs take it.
+// runtime lock released (runEvictor), so another install (a prefetch
+// worker's) may take the room before the lock is back: the room is measured
+// and made again, up to evictTries times.
 func (s *swapIn) evict() error {
 	rt := s.rt
 	if cap := rt.h.Capacity(); cap > 0 && rt.evictor != nil && !rt.evicting {
-		const reloadSlack = 512
+		const reloadSlack, evictTries = 512, 3
 		need := s.was.bytesAtSwap + reloadSlack
-		if free := cap - rt.h.Reserve() - rt.h.Used(); free < need {
+		for try := 0; try < evictTries; try++ {
+			free := cap - rt.h.Reserve() - rt.h.Used()
+			if free >= need {
+				break
+			}
 			if err := rt.runEvictor(need - free); err != nil {
 				return fmt.Errorf("core: make room for cluster %d: %w", s.id, err)
 			}
@@ -238,6 +244,7 @@ func (s *swapIn) install() error {
 		return fmt.Errorf("core: install cluster %d: %w", s.id, err)
 	}
 	s.op.commit(resident, func(cs *clusterState) {
+		rt.mgr.own(cs, cs.members)
 		cs.shipment = shipment{}
 		rt.mgr.feed(cs, reloaded, 0, rt.telem.Now())
 		if !cs.retained.usable() {

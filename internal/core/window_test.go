@@ -192,7 +192,7 @@ func TestReissueBeforeEnlist(t *testing.T) {
 			f.rt.collect(pressureCycles)
 			f.rt.collect(pressureCycles)
 			for i := 0; i < 100 && other == heap.NilID; i++ {
-				pid, err := f.rt.newProxy(RootCluster, ids[16], false)
+				pid, err := f.rt.newProxy(RootCluster, ids[16], f.rt.mgr.clusterOf(ids[16]), false)
 				if err != nil {
 					t.Error(err)
 					return
@@ -278,8 +278,8 @@ func TestReissuedProxyBlockRefused(t *testing.T) {
 	}
 	before, proxies := slots(), f.rt.mgr.ProxyCount()
 	f.rt.lock()
-	listed := f.rt.mgr.enlist(block, stale, RootCluster, ids[15])
-	_, err = f.rt.mgr.retarget(block, stale, ids[17])
+	listed := f.rt.mgr.enlist(block, stale, RootCluster, ids[15], f.rt.mgr.clusterOf(ids[15]))
+	_, err = f.rt.mgr.retarget(block, stale, ids[17], f.rt.mgr.clusterOf(ids[17]))
 	f.rt.unlock()
 	if listed {
 		t.Error("enlist under the stale id listed the reissued block")
@@ -294,6 +294,64 @@ func TestReissuedProxyBlockRefused(t *testing.T) {
 	}
 	if got := f.rt.mgr.ProxyCount(); got != proxies {
 		t.Errorf("ProxyCount = %d, want %d", got, proxies)
+	}
+	checkClean(t, f.rt)
+}
+
+// TestReloadRoomTakenDuringEviction reloads a cluster into a heap with room
+// for one more cluster once one is evicted. The reload's evictor lets go of
+// the runtime lock, and in that window another install — a prefetch
+// worker's, in production — takes the room the eviction made: the yield
+// hook, at the victim's commit, starts a second goroutine's swap-in, which
+// the evictor waits for before it returns. The reload then finds its room
+// gone, evicts again, and installs.
+func TestReloadRoomTakenDuringEviction(t *testing.T) {
+	f := newFixture(t, 0)
+	_, clusters := f.buildList(t, 30, 10, 128)
+	a, victim, other := clusters[0], clusters[1], clusters[2]
+	info, err := f.rt.Manager().Info(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []ClusterID{a, other} {
+		if _, err := f.rt.SwapOut(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.rt.Collect()
+	// Room for the reload only once a cluster is evicted, and then for one.
+	f.rt.Heap().SetCapacity(f.rt.Heap().Used() + 512 + info.ResidentBytes/2)
+	// The hook, the evictor and the reload share the test's goroutine.
+	var competed chan error
+	waited := false
+	f.rt.yield = func(at string) {
+		if at == "commit" {
+			f.rt.yield = nil
+			competed = make(chan error, 1)
+			go func() {
+				_, err := f.rt.SwapIn(other)
+				competed <- err
+			}()
+		}
+	}
+	f.rt.SetEvictor(func(need int64) error {
+		err := f.rt.EvictWith(VictimColdest, need)
+		if competed != nil && !waited {
+			waited = true
+			if cerr := <-competed; cerr != nil {
+				t.Errorf("the competing install: %v", cerr)
+			}
+		}
+		return err
+	})
+	wantTag(t, f, f.head(t), 0)
+	if competed == nil {
+		t.Fatal("the reload evicted nothing")
+	}
+	for c, want := range map[ClusterID]bool{a: false, victim: true, other: true} {
+		if got := f.rt.Manager().IsSwapped(c); got != want {
+			t.Errorf("cluster %d swapped out: %v, want %v", c, got, want)
+		}
 	}
 	checkClean(t, f.rt)
 }

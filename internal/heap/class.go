@@ -3,7 +3,8 @@ package heap
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 )
 
@@ -31,20 +32,10 @@ const (
 
 // String returns a short tag for the special kind.
 func (s SpecialKind) String() string {
-	switch s {
-	case SpecialNone:
-		return "app"
-	case SpecialSCProxy:
-		return "scproxy"
-	case SpecialReplacement:
-		return "replacement"
-	case SpecialObjProxy:
-		return "objproxy"
-	case SpecialSurrogate:
-		return "surrogate"
-	default:
-		return "special?"
+	if names := [...]string{"app", "scproxy", "replacement", "objproxy", "surrogate"}; int(s) < len(names) {
+		return names[s]
 	}
+	return "special?"
 }
 
 // FieldDef declares one field of a class.
@@ -198,20 +189,13 @@ func (c *Call) Return(vals ...Value) []Value {
 type Method func(c *Call) ([]Value, error)
 
 // zeroValue returns the initial value of a field of kind k, matching managed
-// runtime semantics: primitives are zeroed, reference-like kinds are nil.
+// runtime semantics: primitives (the kinds up to KindString) are zeroed, a
+// zero payload of their kind; reference-like kinds are nil.
 func zeroValue(k Kind) Value {
-	switch k {
-	case KindInt:
-		return Int(0)
-	case KindFloat:
-		return Float(0)
-	case KindBool:
-		return Bool(false)
-	case KindString:
-		return Str("")
-	default:
-		return Nil()
+	if k <= KindString {
+		return Value{kind: k}
 	}
+	return Nil()
 }
 
 // Class describes a managed type: named fields and a method table. A Class is
@@ -277,12 +261,7 @@ func (c *Class) Invoke(method string, call *Call) ([]Value, error) {
 // MethodNames returns the sorted method names — the class's public interface,
 // which swap-cluster-proxy classes replicate (the obicomp analogue).
 func (c *Class) MethodNames() []string {
-	names := make([]string, 0, len(c.methods))
-	for n := range c.methods {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Sorted(maps.Keys(c.methods))
 }
 
 // NumFields returns the number of declared fields.
@@ -363,10 +342,5 @@ func (r *Registry) Lookup(name string) (*Class, error) {
 func (r *Registry) Names() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.classes))
-	for n := range r.classes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Sorted(maps.Keys(r.classes))
 }

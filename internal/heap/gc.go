@@ -89,6 +89,7 @@ func (h *Heap) CollectYoung(cycles int, extra ...ObjID) CollectStats {
 // instead of the roots. The trace, the sweep and the nursery's aging are the
 // same code for both.
 func (h *Heap) collect(cycles int, young bool, extra []ObjID) CollectStats {
+	h.held()
 	if cycles < 1 {
 		cycles = 1
 	}
@@ -274,7 +275,7 @@ func (h *Heap) unlink(id ObjID, st *CollectStats) {
 		return
 	}
 	st.Reclaimed++
-	st.BytesFreed += o.size
+	st.BytesFreed += int64(o.size)
 	delete(h.pins, o.id)
 	delete(h.nursery, o.id)
 }
@@ -294,6 +295,7 @@ func (h *Heap) finishReclaim(st *CollectStats) {
 // unreachable by construction, so there is nothing for a mark phase to
 // decide. It is not a collection cycle: the nursery does not age.
 func (h *Heap) Free(ids []ObjID) CollectStats {
+	h.held()
 	var st CollectStats
 	for _, id := range ids {
 		h.unlink(id, &st)
@@ -307,6 +309,7 @@ func (h *Heap) Free(ids []ObjID) CollectStats {
 // from the given seed references. It is a read-only traversal used by tests
 // and by the swapping manager's detachment-completeness checks.
 func (h *Heap) ReachableFrom(seeds ...ObjID) map[ObjID]bool {
+	h.held()
 	marked := make(map[ObjID]bool)
 	var stack []*Object
 	push := func(id ObjID) {

@@ -3,8 +3,9 @@ package heap
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"math"
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"objectswap/internal/obs"
@@ -93,7 +94,7 @@ type Heap struct {
 	// registration order, under the owner's lock the writer holds.
 	// observerSuspend > 0 silences them (writes that restore rather than
 	// mutate, such as re-mediation).
-	writeObservers  []func(ObjID)
+	writeObservers  []func(*Object)
 	observerSuspend int
 
 	// nursery grants newly allocated objects a grace period of N collection
@@ -111,6 +112,9 @@ type Heap struct {
 	collections atomic.Uint64
 	reclaimed   atomic.Uint64
 	removed     atomic.Uint64
+
+	// check is the owner's assertion that it holds its lock (CheckOwner).
+	check func()
 
 	// GC observability hooks, installed by Instrument (nil when the heap is
 	// not instrumented). The clock keeps cycle timings deterministic in
@@ -132,22 +136,33 @@ func New(capacity int64) *Heap {
 	}
 }
 
+// CheckOwner installs the owner's assertion that the caller holds its lock,
+// which every entry point that reads or writes the heap's tables or an
+// object runs first in the lockcount build (LockCount), and never otherwise.
+func (h *Heap) CheckOwner(check func()) { h.check = check }
+
+func (h *Heap) held() {
+	if LockCount && h.check != nil {
+		h.check()
+	}
+}
+
 // AddWriteObserver registers a hook invoked after every successful write to
 // an application object's field, with the writer's lock held. Observers
 // cannot be removed; register once.
-func (h *Heap) AddWriteObserver(fn func(ObjID)) {
+func (h *Heap) AddWriteObserver(fn func(*Object)) {
 	if fn != nil {
 		h.writeObservers = append(h.writeObservers, fn)
 	}
 }
 
 // observeWrite dispatches to the write observers, if any.
-func (h *Heap) observeWrite(id ObjID) {
+func (h *Heap) observeWrite(o *Object) {
 	if h.observerSuspend > 0 {
 		return
 	}
 	for _, fn := range h.writeObservers {
-		fn(id)
+		fn(o)
 	}
 }
 
@@ -169,6 +184,7 @@ func (h *Heap) SetNurseryGrace(n int) { h.nurseryGrace = n }
 // as it is actively used. A no-op when the nursery is disabled or the object
 // is not resident.
 func (h *Heap) TouchNursery(id ObjID) {
+	h.held()
 	if h.nurseryGrace <= 0 {
 		return
 	}
@@ -275,6 +291,7 @@ func (h *Heap) NewPrivileged(c *Class, init ...Value) (*Object, error) {
 // waits (see CollectStats.Swept): the block comes back with a fresh id, its
 // fields zeroed and then set, and mark 0.
 func (h *Heap) newObject(c *Class, privileged bool, init []Value) (*Object, error) {
+	h.held()
 	if c == nil {
 		return nil, errors.New("heap: New: nil class")
 	}
@@ -345,7 +362,7 @@ func (h *Heap) reissue(n int) *Object {
 // bytes, mark 0, fields zeroed and then set to init. Its id and its heap are
 // the caller's to set.
 func (o *Object) fill(c *Class, size int64, init []Value) {
-	o.class, o.size, o.mark = c, size, 0
+	o.class, o.size, o.owner, o.mark = c, uint32(size), 0, 0
 	c.zeroFields(o.fields)
 	copy(o.fields, init)
 }
@@ -479,13 +496,14 @@ func (b *Batch) Fields(i int) []Value { return b.objs[i].fields }
 // share of the budget, never the middleware reserve: restored objects are
 // application data, and repeated reloads must not squeeze out the very
 // machinery (replacement-objects, proxies) that makes the next eviction
-// possible. An identity that is already resident, a nil class or id, or a
-// value its field cannot hold fails the batch and leaves Used, residency and
-// the nursery exactly as found; so does a swap-cluster-proxy member, which
-// is minted, never installed. It returns how many objects it made resident;
+// possible. An identity that is already resident, a nil class or id, a
+// value its field cannot hold, or a member past 4 GiB fails the batch and
+// leaves Used, residency and the nursery exactly as found; so does a
+// swap-cluster-proxy member, which is minted, never installed. It returns how many objects it made resident;
 // on success the heap owns them and the batch is left empty. Write observers
 // do not fire: restoring state is not a mutation.
 func (h *Heap) InstallBatch(b *Batch) (int, error) {
+	h.held()
 	objs := b.objs
 	var total int64
 	for i := range objs {
@@ -509,7 +527,10 @@ func (h *Heap) InstallBatch(b *Batch) (int, error) {
 			}
 			size += o.fields[j].size()
 		}
-		o.heap, o.size = h, size
+		if size > math.MaxUint32 { // the header's size word
+			return 0, fmt.Errorf("%w: %s object of %d bytes", ErrOutOfMemory, o.class.Name, size)
+		}
+		o.heap, o.size = h, uint32(size)
 		total += size
 	}
 	if err := h.reserveApp(total); err != nil {
@@ -559,6 +580,7 @@ func (h *Heap) EnsureIDAbove(id ObjID) {
 
 // Get resolves a reference to its resident object.
 func (h *Heap) Get(id ObjID) (*Object, error) {
+	h.held()
 	o := h.objects.get(id)
 	if o == nil {
 		return nil, fmt.Errorf("%w: @%d", ErrNoSuchObject, id)
@@ -567,7 +589,7 @@ func (h *Heap) Get(id ObjID) (*Object, error) {
 }
 
 // Contains reports whether id is resident.
-func (h *Heap) Contains(id ObjID) bool { return h.objects.get(id) != nil }
+func (h *Heap) Contains(id ObjID) bool { h.held(); return h.objects.get(id) != nil }
 
 // Remove detaches an object immediately. It is an explicit middleware action,
 // not a collection, so no CollectStats reports it. Used by baseline
@@ -575,14 +597,13 @@ func (h *Heap) Contains(id ObjID) bool { return h.objects.get(id) != nil }
 // proper detaches a cluster by reference patching and reclaims its shipped
 // members with Free the moment the swap-out commits.
 func (h *Heap) Remove(id ObjID) error {
-	o := h.objects.del(id)
-	if o == nil {
+	h.held()
+	var st CollectStats
+	if h.unlink(id, &st); st.Reclaimed == 0 {
 		return fmt.Errorf("%w: @%d", ErrNoSuchObject, id)
 	}
-	delete(h.pins, id)
-	delete(h.nursery, id)
 	h.removed.Add(1)
-	h.release(o.size)
+	h.release(st.BytesFreed)
 	return nil
 }
 
@@ -591,42 +612,46 @@ func (h *Heap) Remove(id ObjID) error {
 // declared but pointing nowhere. A young object the root names is remembered
 // for the next young pass, as a write into an old object's field is.
 func (h *Heap) SetRoot(name string, v Value) {
+	h.held()
 	h.roots[name] = v
 	h.remember(&v)
 }
 
 // Root returns the named root value.
 func (h *Heap) Root(name string) (Value, bool) {
+	h.held()
 	v, ok := h.roots[name]
 	return v, ok
 }
 
 // DelRoot removes a named root entirely.
 func (h *Heap) DelRoot(name string) {
+	h.held()
 	delete(h.roots, name)
 }
 
 // RootNames returns the sorted names of declared roots.
 func (h *Heap) RootNames() []string {
-	names := make([]string, 0, len(h.roots))
-	for n := range h.roots {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	h.held()
+	return slices.Sorted(maps.Keys(h.roots))
 }
 
 // Pin marks an object as referenced by middleware bookkeeping so the
 // collector treats it as live even when unreachable from application roots.
 // Pins are counted; each Pin needs a matching Unpin.
 func (h *Heap) Pin(id ObjID) {
+	h.held()
 	if id != NilID {
 		h.pins[id]++
 	}
 }
 
+// Pinned reports whether the object holds a pin.
+func (h *Heap) Pinned(id ObjID) bool { h.held(); return h.pins[id] > 0 }
+
 // Unpin removes one pin from the object.
 func (h *Heap) Unpin(id ObjID) {
+	h.held()
 	if id == NilID {
 		return
 	}
@@ -639,6 +664,7 @@ func (h *Heap) Unpin(id ObjID) {
 
 // IDs returns the sorted ids of all resident objects (test/diagnostic aid).
 func (h *Heap) IDs() []ObjID {
+	h.held()
 	ids := make([]ObjID, len(h.objects.list))
 	for i, o := range h.objects.list {
 		ids[i] = o.id

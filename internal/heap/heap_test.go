@@ -180,7 +180,7 @@ func TestWriteToReclaimedObjectFails(t *testing.T) {
 				t.Fatal(err)
 			}
 			writes := 0
-			h.AddWriteObserver(func(ObjID) { writes++ })
+			h.AddWriteObserver(func(*Object) { writes++ })
 			leave(h, o.ID())
 			if err := o.SetFieldByName("payload", Bytes(make([]byte, 100))); !errors.Is(err, ErrNoSuchObject) {
 				t.Fatalf("write after the object left: got %v, want ErrNoSuchObject", err)

@@ -1,6 +1,9 @@
 package heap
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // objectOverhead approximates the fixed header cost of one managed object on
 // a constrained device (id, class pointer, field-vector header).
@@ -20,14 +23,18 @@ type Object struct {
 	heap  *Heap
 
 	fields []Value
-	size   int64
-	// mark is the collector's epoch word (see Heap.epoch): equal to the
-	// epoch once a pass has marked the object, which is then old, and
-	// anything else while it is young. pos is the object's index in the
-	// heap's dense resident list (see objTable), or gone once it left. Two
-	// 32-bit words keep the header at 64 bytes.
-	mark uint32
-	pos  uint32
+	// size is the accounted byte size. owner is the owner's word: the heap
+	// stores it (SetOwner) and never reads it; the swapping runtime keeps
+	// there the cluster whose record lists the object. mark is the
+	// collector's epoch word (see Heap.epoch): equal to the epoch once a
+	// pass has marked the object, which is then old, and anything else while
+	// it is young. pos is the object's index in the heap's dense resident
+	// list (see objTable), or gone once it left. Four 32-bit words keep the
+	// header at 64 bytes.
+	size  uint32
+	owner uint32
+	mark  uint32
+	pos   uint32
 }
 
 // ID returns the object's stable identifier.
@@ -37,7 +44,17 @@ func (o *Object) ID() ObjID { return o.id }
 func (o *Object) Class() *Class { return o.class }
 
 // Size returns the currently accounted byte size of the object.
-func (o *Object) Size() int64 { return o.size }
+func (o *Object) Size() int64 { return int64(o.size) }
+
+// Owner returns the word the heap's owner last stored with SetOwner (0 until
+// then).
+func (o *Object) Owner() uint32 { return o.owner }
+
+// SetOwner stores the owner's word in the object's header.
+func (o *Object) SetOwner(w uint32) {
+	o.heap.held()
+	o.owner = w
+}
 
 // NumFields returns the number of field slots.
 func (o *Object) NumFields() int { return len(o.fields) }
@@ -85,6 +102,7 @@ func (o *Object) ResidentAs(id ObjID) bool { return o.pos != gone && o.id == id 
 // setField is SetField, and SetFieldAs when id is not NilID.
 func (o *Object) setField(id ObjID, i int, v Value) error {
 	h := o.heap
+	h.held()
 	if o.pos == gone || (id != NilID && o.id != id) {
 		if id == NilID {
 			id = o.id
@@ -99,6 +117,9 @@ func (o *Object) setField(id ObjID, i int, v Value) error {
 			ErrBadKind, o.class.Name, def.Name, def.Kind, v.Kind())
 	}
 	delta := v.size() - o.fields[i].size()
+	if int64(o.size)+delta > math.MaxUint32 {
+		return fmt.Errorf("%w: an object of %d bytes", ErrOutOfMemory, int64(o.size)+delta)
+	}
 	if delta > 0 {
 		if err := h.reserve(delta); err != nil {
 			return err
@@ -106,13 +127,13 @@ func (o *Object) setField(id ObjID, i int, v Value) error {
 	} else if delta < 0 {
 		h.release(-delta)
 	}
-	o.size += delta
+	o.size = uint32(int64(o.size) + delta)
 	o.fields[i] = v
 	if o.mark == h.epoch {
 		h.remember(&v) // the write barrier: an old holder may be a young object's only path
 	}
 	if o.class.Special == SpecialNone {
-		h.observeWrite(o.id)
+		h.observeWrite(o)
 	}
 	return nil
 }

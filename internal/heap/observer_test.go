@@ -19,8 +19,8 @@ func TestInstallBatchFiresNoObservers(t *testing.T) {
 	}
 
 	var writes []ObjID
-	h.AddWriteObserver(func(id ObjID) { writes = append(writes, id) })
-	h.AddWriteObserver(func(id ObjID) { writes = append(writes, id) })
+	h.AddWriteObserver(func(o *Object) { writes = append(writes, o.ID()) })
+	h.AddWriteObserver(func(o *Object) { writes = append(writes, o.ID()) })
 
 	var b Batch
 	slot, _ := c.FieldIndex("tag")
@@ -66,8 +66,8 @@ func TestSuspendWriteObserverIsGlobalAndNests(t *testing.T) {
 		t.Fatal(err)
 	}
 	var first, second int
-	h.AddWriteObserver(func(ObjID) { first++ })
-	h.AddWriteObserver(func(ObjID) { second++ })
+	h.AddWriteObserver(func(*Object) { first++ })
+	h.AddWriteObserver(func(*Object) { second++ })
 
 	outer := h.SuspendWriteObserver()
 	inner := h.SuspendWriteObserver()
@@ -111,8 +111,8 @@ func TestMiddlewareWritesRunNoObserver(t *testing.T) {
 				t.Fatal(err)
 			}
 			var first, second int
-			h.AddWriteObserver(func(ObjID) { first++ })
-			h.AddWriteObserver(func(ObjID) { second++ })
+			h.AddWriteObserver(func(*Object) { first++ })
+			h.AddWriteObserver(func(*Object) { second++ })
 			if err := o.SetFieldByName("tag", Int(1)); err != nil {
 				t.Fatal(err)
 			}

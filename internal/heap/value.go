@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"unsafe"
 )
@@ -54,52 +55,24 @@ const (
 	KindList
 )
 
+// kindNames are the lowercase kind names used in XML wrappers.
+var kindNames = [...]string{KindNil: "nil", KindInt: "int", KindFloat: "float", KindBool: "bool",
+	KindString: "string", KindBytes: "bytes", KindRef: "ref", KindList: "list"}
+
 // String returns the lowercase kind name used in XML wrappers.
 func (k Kind) String() string {
-	switch k {
-	case KindNil:
-		return "nil"
-	case KindInt:
-		return "int"
-	case KindFloat:
-		return "float"
-	case KindBool:
-		return "bool"
-	case KindString:
-		return "string"
-	case KindBytes:
-		return "bytes"
-	case KindRef:
-		return "ref"
-	case KindList:
-		return "list"
-	default:
-		return "kind(" + strconv.Itoa(int(k)) + ")"
+	if int(k) < len(kindNames) {
+		return kindNames[k]
 	}
+	return "kind(" + strconv.Itoa(int(k)) + ")"
 }
 
 // KindFromString parses the names produced by Kind.String.
 func KindFromString(s string) (Kind, error) {
-	switch s {
-	case "nil":
-		return KindNil, nil
-	case "int":
-		return KindInt, nil
-	case "float":
-		return KindFloat, nil
-	case "bool":
-		return KindBool, nil
-	case "string":
-		return KindString, nil
-	case "bytes":
-		return KindBytes, nil
-	case "ref":
-		return KindRef, nil
-	case "list":
-		return KindList, nil
-	default:
-		return KindNil, fmt.Errorf("heap: unknown kind %q", s)
+	if i := slices.Index(kindNames[:], s); i >= 0 {
+		return Kind(i), nil
 	}
+	return KindNil, fmt.Errorf("heap: unknown kind %q", s)
 }
 
 // ErrBadKind reports a Value accessed as the wrong kind.
@@ -359,16 +332,7 @@ func (v Value) Equal(o Value) bool {
 	case KindString, KindBytes:
 		return v.str() == o.str()
 	case KindList:
-		if v.n != o.n {
-			return false
-		}
-		a, b := v.elems(), o.elems()
-		for i := range a {
-			if !a[i].Equal(b[i]) {
-				return false
-			}
-		}
-		return true
+		return slices.EqualFunc(v.elems(), o.elems(), Value.Equal)
 	default:
 		return false
 	}

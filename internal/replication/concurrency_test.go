@@ -2,6 +2,7 @@ package replication
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -14,10 +15,13 @@ import (
 // TestReplicationFaultBesidePrefetchWorkers walks a list whose head is
 // replicated and swapped out and whose tail is not replicated yet, on a
 // device with prefetch workers, while a second goroutine swaps the
-// replicated clusters in and out and collects. The walk's demand faults set
+// replicated clusters in and out and collects, and a third writes the head
+// replica now and then and pushes the dirty replicas to the master. The walk's demand faults set
 // the workers swapping in; its replication faults pin, install, replace
 // proxies and scan the heap meanwhile, all through the runtime lock. The
-// race detector checks the heap accesses of both sides.
+// race detector checks the heap accesses of both sides, and every push
+// reads whole installs: the replicas an install is still filling are not
+// its to push.
 func TestReplicationFaultBesidePrefetchWorkers(t *testing.T) {
 	const n, shipment = 60, 5
 	m := buildMaster(t, n, shipment)
@@ -34,6 +38,7 @@ func TestReplicationFaultBesidePrefetchWorkers(t *testing.T) {
 		}
 	}
 	rt.Collect()
+	head, _ := rt.Root("head")
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -54,7 +59,35 @@ func TestReplicationFaultBesidePrefetchWorkers(t *testing.T) {
 			rt.Collect()
 		}
 	}()
-	head, _ := rt.Root("head")
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if i%8 == 0 {
+				// A user write, made in a hold of its own.
+				var err error
+				rt.Locked(func(x *core.Held) {
+					var o *heap.Object
+					if o, err = x.Deref(head); err == nil {
+						err = o.SetFieldByName("tag", heap.Int(int64(i)))
+					}
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			if _, err := r.PushUpdates(context.Background()); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
 	out, err := rt.Invoke(head, "walk", heap.Int(1))
 	close(stop)
 	wg.Wait()
@@ -160,6 +193,38 @@ func TestInstallUnderEvictionKeepsReplicas(t *testing.T) {
 	}
 	if rt.Heap().StatsSnapshot().Collections == 0 {
 		t.Fatal("nothing evicted: the list fits the heap")
+	}
+	if errs := rt.Manager().CheckInvariants(); len(errs) > 0 {
+		t.Fatalf("invariants: %v", errs)
+	}
+}
+
+// TestRecursiveWalkUnderEvictionKeepsReplicas walks the same list as
+// TestInstallUnderEvictionKeepsReplicas, in the same heap, recursively: every
+// node walked stays on the invocation stack, in use, so the cluster a
+// replication fault is filling is the one cluster the evictor could take.
+// Its replicas are pinned until the install links them, and a swap-out
+// refuses a cluster with a pinned member, so the install keeps its cluster
+// resident. Sixty nodes in use at once do not fit the heap: the walk ends
+// out of memory, with the replicas it installed consistent, and never with
+// a fault refused because its own cluster was swapped out under it.
+func TestRecursiveWalkUnderEvictionKeepsReplicas(t *testing.T) {
+	const n, shipment = 60, 10
+	m := buildMaster(t, n, shipment)
+	rt := newDevice(t, 2600)
+	rt.Heap().SetReserve(512)
+	rt.SetEvictor(func(need int64) error { return rt.EvictWith(core.VictimColdest, need) })
+	r := Attach(rt, m)
+	head, err := r.ReplicateRoot(context.Background(), "head")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = rt.Invoke(head, "walk", heap.Int(1))
+	if !errors.Is(err, heap.ErrOutOfMemory) || errors.Is(err, core.ErrClusterSwapped) {
+		t.Fatalf("walk: %v, want the heap out of memory", err)
+	}
+	if got := r.StatsSnapshot().ObjectsInstalled; got < 2*shipment {
+		t.Fatalf("installed %d replicas before running out, want at least %d", got, 2*shipment)
 	}
 	if errs := rt.Manager().CheckInvariants(); len(errs) > 0 {
 		t.Fatalf("invariants: %v", errs)

@@ -3,6 +3,7 @@ package replication
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sync"
 
 	"objectswap/internal/core"
@@ -243,21 +244,6 @@ func (r *Replicator) replicateCluster(ctx context.Context, remote heap.ObjID) er
 		return fmt.Errorf("replication: fetch cluster of @%d: %w", remote, err)
 	}
 
-	// Installation and proxy-replacement writes are not user mutations:
-	// preserve the dirty set as it was when the fault began. (User code
-	// cannot interleave — replication runs inside the fault.)
-	r.mu.Lock()
-	preDirty := make(map[heap.ObjID]bool, len(r.dirty))
-	for id := range r.dirty {
-		preDirty[id] = true
-	}
-	r.mu.Unlock()
-	defer func() {
-		r.mu.Lock()
-		r.dirty = preDirty
-		r.mu.Unlock()
-	}()
-
 	// Pick the swap-cluster this shipment joins. A fresh one is made with mu
 	// released; one a concurrent shipment overtook stays empty.
 	var sc, made core.ClusterID
@@ -275,8 +261,20 @@ func (r *Replicator) replicateCluster(ctx context.Context, remote heap.ObjID) er
 		}
 	}
 
+	// Installation and proxy-replacement writes are not user mutations: the
+	// dirty set is as it was before the install, in the install's own hold,
+	// so a push (which reads the set under the runtime lock) never sees the
+	// replicas an install is filling.
 	var installed int
-	r.rt.Locked(func(x *core.Held) { installed, err = r.install(x, doc, sc) })
+	r.rt.Locked(func(x *core.Held) {
+		r.mu.Lock()
+		preDirty := maps.Clone(r.dirty)
+		r.mu.Unlock()
+		installed, err = r.install(x, doc, sc)
+		r.mu.Lock()
+		r.dirty = preDirty
+		r.mu.Unlock()
+	})
 	if err != nil {
 		return err
 	}

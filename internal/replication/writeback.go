@@ -4,7 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"objectswap/internal/core"
 	"objectswap/internal/heap"
@@ -35,10 +36,10 @@ type UpdateTransport interface {
 // enableWriteback installs the dirty-tracking observer. Called by Attach.
 func (r *Replicator) enableWriteback() {
 	r.rt.Locked(func(x *core.Held) {
-		x.Heap().AddWriteObserver(func(id heap.ObjID) {
+		x.Heap().AddWriteObserver(func(o *heap.Object) {
 			r.mu.Lock()
-			if _, isReplica := r.localToRemote[id]; isReplica {
-				r.dirty[id] = true
+			if _, isReplica := r.localToRemote[o.ID()]; isReplica {
+				r.dirty[o.ID()] = true
 			}
 			r.mu.Unlock()
 		})
@@ -62,24 +63,22 @@ func (r *Replicator) PushUpdates(ctx context.Context) (int, error) {
 		return 0, ErrUpdatesUnsupported
 	}
 
-	r.mu.Lock()
-	ids := make([]heap.ObjID, 0, len(r.dirty))
-	for id := range r.dirty {
-		ids = append(ids, id)
-	}
-	reverse := make(map[heap.ObjID]heap.ObjID, len(r.localToRemote))
-	for l, m := range r.localToRemote {
-		reverse[l] = m
-	}
-	r.mu.Unlock()
+	// The dirty set is read under the runtime lock, which a replication
+	// fault's install holds from its first replica to its last: a push never
+	// takes the replicas an install is filling for user writes.
+	var ids []heap.ObjID
+	r.rt.Locked(func(*core.Held) {
+		r.mu.Lock()
+		ids = slices.Sorted(maps.Keys(r.dirty))
+		r.mu.Unlock()
+	})
 	if len(ids) == 0 {
 		return 0, nil
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 
 	// Encode each dirty replica under its MASTER identity; references are
-	// rewritten into the master namespace. The encode runs under the runtime
-	// lock, reading h.
+	// rewritten into the master namespace through the replica map as it is
+	// at the encode, which runs under the runtime lock, reading h.
 	h := r.rt.Heap()
 	encodeRef := func(rid heap.ObjID) (xmlcodec.Value, error) {
 		ultimate := rid
@@ -92,7 +91,9 @@ func (r *Replicator) PushUpdates(ctx context.Context) (int, error) {
 				return xmlcodec.RemoteRef(core.ObjProxyRemote(o)), nil
 			}
 		}
-		master, known := reverse[ultimate]
+		r.mu.Lock()
+		master, known := r.localToRemote[ultimate]
+		r.mu.Unlock()
 		if !known {
 			return xmlcodec.Value{}, fmt.Errorf("%w: @%d", ErrUnsyncedReference, ultimate)
 		}
