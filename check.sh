@@ -34,25 +34,29 @@ go build ./...
 #   swap-outs.
 # - TestSwapRoundTripBudget (internal/core): one SwapOut + SwapIn of a written
 #   32-object x 128 B cluster in the binary format allocates at most
-#   16 040 + 256 B (3.3x the frame it ships) in at most 13 + 1 objects
+#   15 862 + 256 B (3.3x the frame it ships) in at most 10 + 1 objects
 #   (measured plus a stray allocation's margin); neither the encode side,
 #   once the encoder pool is warm, nor a swap-in (the same count at 32 and
 #   128 members) allocates anything that grows with the object count; an
-#   unwritten one leaves with no store call, at most 3 + 1 allocations and
-#   528 + 64 B at any size.
+#   unwritten one leaves with no store call, at most 2 + 1 allocations and
+#   368 + 64 B at any size.
+# - TestWarmEncodeObjectsAllocatesNothing (internal/wire): a warm encoder's
+#   EncodeObjects allocates nothing (its object source lives in the encoder)
+#   and keeps no object or classifier past the call.
 # - TestFacadeSwapRoundTripAllocs (.): through a default System — bus with
 #   the policy engine subscribed, flight recorder, telemetry — plus one
 #   counting subscriber and an in-memory donor, a clean SwapOut + SwapIn of a
-#   32 x 128 B cluster allocates at most 8 + 1 objects once the recorder's
+#   32 x 128 B cluster allocates at most 7 + 1 objects once the recorder's
 #   ring is warm: the spans, recorder entries, bus deliveries, fault flight,
 #   attempt deadline, installer, string section and installed-object list
-#   cost nothing beyond what outlives the swap, and each direction's trace
-#   id, its context and its phase list are one record.
+#   cost nothing beyond what outlives the swap, each direction's trace id,
+#   its context and its phase list are one record, and the replacement-object
+#   is a block the heap's pool reissues.
 # - TestWarmShipAllocatesOnlyItsReplicaSet (internal/placement): a warm
 #   K = 1 shipment over store.Mem allocates 2, the replica set it reports and
 #   the donor's copy (the caller's goroutine makes the put; no goroutine,
-#   channel or filtered ranking), and a ranking into a reused Scratch only
-#   its Stats probes' format lists.
+#   channel or filtered ranking), and a ranking into a reused Scratch
+#   nothing (a store.Mem probe hands out its own format list).
 # - TestReloadedClusterHostBytes (internal/core): a reloaded 32 x 128 B
 #   cluster keeps at most 9 536 B of Go heap (9 468 measured): the frame its
 #   strings point into, its header array and its field slab, plus a small
@@ -87,24 +91,36 @@ go build ./...
 #   allocates nothing, and a Spans result shares no storage with the ring
 #   slots later admissions reuse.
 # - TestCollectAllocatesNothingOnUnchangedHeap, TestCollectReusesSweptBuffer,
-#   TestProxyChurnAllocatesNothing, TestSweptProxyBlocksReissued
-#   (internal/heap): a pass that reclaims nothing, full or young, allocates
-#   nothing; once a collection has reclaimed n objects the next that reclaims
-#   n allocates nothing; minting and collecting 1 000 proxies allocates
-#   nothing once the pool is warm; a swept swap-cluster-proxy's block is
-#   reissued, under a fresh id, only after the collection that follows its
-#   sweep, and no other kind of block ever is.
+#   TestProxyChurnAllocatesNothing, TestSweptProxyBlocksReissued,
+#   TestFreedReplacementBlocksReissued (internal/heap): a pass that reclaims
+#   nothing, full or young, allocates nothing; once a collection has
+#   reclaimed n objects the next that reclaims n allocates nothing; minting
+#   and collecting 1 000 proxies allocates nothing once the pool is warm; a
+#   swept swap-cluster-proxy's or replacement-object's block is reissued,
+#   under a fresh id, once the owner gives the collection's report back
+#   (PoolSwept) and not before, a freed or removed one at once, and no
+#   application object's or object-fault proxy's block ever is.
 # - TestCollectPurgesEverySweptRecord, TestReclaimingProxiesAllocatesOnlySwept
 #   (internal/core): one Collect purges the inbound lists, edge counts,
 #   shared and object-fault indexes and membership records of everything it
-#   swept before it returns, and the Collect after Figure 5's B1 allocates at
-#   most 9 B per reclaimed proxy (8.2 measured: the sweep buffer, grown once
-#   to its exact size).
+#   swept before it returns; two of Figure 5's B1 passes over 10 000 objects,
+#   each followed by its Collect, allocate at most 12 650 objects and
+#   3 614 624 B (12 586 and 3 549 088 measured, 22 585 and 5 148 928 while a
+#   swept block waited a collection to join the pool), and a warm Collect
+#   after a warm pass nothing.
 # - TestB1PassReusesSweptProxies, TestProxyBlocksBoundedByPeakResidency
 #   (internal/core): a B1 pass over 1 000 objects plus its Collect allocates
-#   at most 1 object once two passes have warmed the pool, and passes minting
-#   4 000, 1 000 and 4 000 proxies allocate 4 000 blocks in all: the pool plus
-#   the live proxies never exceed the peak proxy residency.
+#   at most 1 object once one pass has warmed the pool, and passes minting
+#   4 000, 1 000 and 4 000 proxies, one Collect between each, allocate 4 000
+#   blocks in all: the pool plus the live proxies never exceed the peak proxy
+#   residency.
+# - TestReplacementBlocksReissued, TestReplacementBlockPooledOnEveryRetirement,
+#   TestStaleReplacementHolderRefused (internal/core): cycling 4 clusters out
+#   and in 5 times uses 4 replacement blocks in all; a replacement's block
+#   is reissued by the next swap-out whether a swap-in retired it, a failed
+#   swap-out removed it or a collection swept it with its dead cluster; and
+#   a holder of a retired replacement's block and id writes nothing once the
+#   block is reissued.
 # - TestLiveProxyHostBytes (internal/core): a live boundary proxy costs the
 #   Go heap at most 285 B with clusters of 1 and 241 B with clusters of 32
 #   (proxy block, heap-index slot, shared-index entry, inbound entry, edge).
@@ -411,14 +427,15 @@ if [ -n "$TARGETS" ] || [ -n "$POINTS" ] || [ -n "$PATCHES" ]; then
     exit 1
 fi
 # Guard: a collection's report has one lifetime and one reader. Swept, the
-# list and the objects in it, is valid until the next collection, which
-# reissues the swept swap-cluster-proxies' blocks; only internal/heap, which
-# keeps that rule, and internal/core/gcint.go, which purges from the report
-# under the runtime lock before the next collection can start, read .Swept in
-# non-test Go (comment lines aside).
+# list and the objects in it, is valid until the owner gives it back
+# (heap.Heap.PoolSwept) in the collection's hold, after which the next mint
+# or swap-out may reissue the swept blocks; only internal/heap, which keeps
+# that rule, and internal/core/gcint.go, which purges from the report and
+# gives it back in that hold, read .Swept in non-test Go (comment lines
+# aside).
 SWEPT=$(grep -rnE '\.Swept([^[:alnum:]_]|$)' --include='*.go' . | grep -v '_test\.go:' | grep -vE '^\./internal/heap/|^\./internal/core/gcint\.go:' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
 if [ -n "$SWEPT" ]; then
-    echo "CollectStats.Swept read outside internal/heap and internal/core/gcint.go (it is valid only until the next collection):" >&2
+    echo "CollectStats.Swept read outside internal/heap and internal/core/gcint.go (it is valid only in the collection's hold):" >&2
     echo "$SWEPT" >&2
     exit 1
 fi
@@ -459,10 +476,12 @@ go test -race -run '^TestFaultStormCoalesces$' -count=1 -cpu 1,4 ./internal/core
 # and a walker's dispatch frames and the young passes of prefetch workers
 # whose swap-ins evict share the invocation stack race-free
 # (TestWalkerAgainstEvictingPrefetch, a thousand times below). So do the
-# stale-holder tests: two collections and a mint between a proxy's
+# stale-holder tests: one collection and a mint between a proxy's
 # allocation and its listing reissue its block as another proxy, and the
 # first mint's enlist — like an enlist or retarget under any stale id —
-# writes nothing into it. So do the reuse-hazard tests of the fault path: a
+# writes nothing into it; a replacement-object's block held across its
+# swap-in and reissued to another cluster takes no write either
+# (TestStaleReplacementHolderRefused). So do the reuse-hazard tests of the fault path: a
 # flight that waiters joined is never handed to a later leader, so each
 # waiter resumes with its own leader's result while the next fault on the
 # cluster is already in flight (TestJoinedFlightIsNotReused); an attempt
@@ -501,7 +520,7 @@ go test -race -count=10 -run '^(TestTriggerWhileRunningDoesNotRequeue|TestTrigge
 go test -race -count=10 -run '^(TestArmedAttemptContextIsNotReused|TestAttemptContextReportsParentFirst|TestPerAttemptTimeoutIsRetriedAsUnavailable|TestTimeoutExhaustionSurfacesAsUnavailableAndTripsBreaker|TestCallerCancellationFailsFastWithoutBlame)$' ./internal/transport/
 go test -race -count=10 -run '^(TestPrefetchWindowOverlap|TestReplicatedSwapSurvivesDonorLoss|TestDetachDeviceKicksRepair)$' .
 go test -race -count=50 ./internal/placement/
-go test -race -count=10 -run '^(TestTriggerPrefetchAllocatesNothing|TestPrefetchHitRecordsParkedTime|TestCommitWindow|TestSweepBeforeEnlist|TestReissueBeforeEnlist|TestReissuedProxyBlockRefused|TestFaultStormCoalesces|TestReloadedStringsOutliveTheFetch|TestConcurrentSelectVictims|TestYoungPassAgainstConcurrentWrites|TestCollectAgainstConcurrentFieldWrites|TestPropYoungPassSweepsOnlyGarbage|TestSwapOutVictimsWalksTheRanking|TestConcurrentVictimWalks|TestZeroEdgeWaitsForThePurge|TestMintWindowIsClosed|TestCommitWindowIsClosed|TestReentryAcrossADemandFault|TestWalkerAgainstEvictingPrefetch|TestReplicationFaultBesidePrefetchWorkers|TestMasterServesBesideItsRuntime|TestReloadRoomTakenDuringEviction)$' ./internal/core/ ./internal/heap/ ./internal/replication/
+go test -race -count=10 -run '^(TestTriggerPrefetchAllocatesNothing|TestPrefetchHitRecordsParkedTime|TestCommitWindow|TestSweepBeforeEnlist|TestReissueBeforeEnlist|TestReissuedProxyBlockRefused|TestStaleReplacementHolderRefused|TestFaultStormCoalesces|TestReloadedStringsOutliveTheFetch|TestConcurrentSelectVictims|TestYoungPassAgainstConcurrentWrites|TestCollectAgainstConcurrentFieldWrites|TestPropYoungPassSweepsOnlyGarbage|TestSwapOutVictimsWalksTheRanking|TestConcurrentVictimWalks|TestZeroEdgeWaitsForThePurge|TestMintWindowIsClosed|TestCommitWindowIsClosed|TestReentryAcrossADemandFault|TestWalkerAgainstEvictingPrefetch|TestReplicationFaultBesidePrefetchWorkers|TestMasterServesBesideItsRuntime|TestReloadRoomTakenDuringEviction)$' ./internal/core/ ./internal/heap/ ./internal/replication/
 # The walker against the evicting prefetch workers a thousand times under the
 # race detector (about 10 s): the invocation stack was written with no lock
 # beside the workers' passes, which read it, until the runtime was one monitor.
@@ -510,7 +529,10 @@ go test -race -count=1000 -run '^TestWalkerAgainstEvictingPrefetch$' ./internal/
 # lock counts its acquisitions, the cluster table's caller-locked entry
 # points assert it is held, and so do the heap's entry points on a runtime
 # with prefetch workers (heap.CheckOwner), where a host goroutine that
-# reaches the heap directly races the workers. TestLockAcquisitions: a
+# reaches the heap directly races the workers. The invocation stack is held
+# to one dispatcher: a goroutine that opens a frame while another's frames
+# are on the stack panics (TestSecondDispatcherPanics: a Field while a
+# method is parked on a demand fault). TestLockAcquisitions: a
 # resident B2 step of Figure 5 takes at most 2 acquisitions and a B1 step at
 # most 3 (the floor, heap.DirectRuntime, takes 2), down from 13 before the
 # swap, table and heap locks became one.

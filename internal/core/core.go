@@ -235,6 +235,11 @@ type Runtime struct {
 	stack  []heap.ObjID
 	depth  int
 	frames heap.Frames
+	// dispatcher is the goroutine that opened the outermost frame, and
+	// stackTrace the buffer its id is read through, both kept in the
+	// lockcount build only (assertDispatcher): 0 and nil otherwise.
+	dispatcher uint64
+	stackTrace []byte
 
 	// mutating counts the open sections that allocate and must keep mu
 	// (beginMutate); while nonzero, the evictor, which releases it, stays out.

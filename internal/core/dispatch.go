@@ -56,6 +56,9 @@ func (rt *Runtime) enter(target heap.Value, what, name string) (frame, error) {
 	if err != nil {
 		return frame{}, err
 	}
+	if heap.LockCount {
+		rt.assertDispatcher()
+	}
 	rt.depth++
 	f := frame{rt: rt, id: id, save: len(rt.stack)}
 	rt.stack = append(rt.stack, id)
@@ -72,7 +75,7 @@ func (f frame) leave(err error, results ...heap.Value) {
 	rt.stack = rt.stack[:f.save]
 	rt.depth--
 	if rt.depth == 0 {
-		rt.stack = rt.stack[:0]
+		rt.stack, rt.dispatcher = rt.stack[:0], 0
 	} else if err == nil {
 		for _, v := range results {
 			rt.pushValueRefs(v)

@@ -33,9 +33,12 @@ import (
 // only while its dispatcher is parked, and no swept record outlives it. The
 // device drops that follow run with the lock released — they are IO.
 //
-// The result's Swept, the list and the objects in it, is valid until the
-// next collection: the heap reuses the list, and reissues the blocks of the
-// swap-cluster-proxies in it as new proxies (heap.CollectStats).
+// The result's Swept is a report whose lifetime was the collection's hold:
+// before it let go of the lock, the collection gave the blocks of the swept
+// swap-cluster-proxies and replacement-objects back to the heap's pool
+// (heap.Heap.PoolSwept), which reissues them to the next mints and swap-outs
+// under fresh ids. So its objects name what was swept only until the next
+// allocation, and the list only until the next collection.
 func (rt *Runtime) Collect() heap.CollectStats {
 	rt.lock()
 	defer rt.unlock()
@@ -56,9 +59,11 @@ func (rt *Runtime) collect(cycles int) heap.CollectStats {
 	return rt.pass(cycles, false)
 }
 
-// pass runs one collection, full or young, and purges every record of what
-// it swept before it lets go of the runtime lock for the device drops. The
-// caller holds the lock.
+// pass runs one collection, full or young, purges every record of what it
+// swept and gives the swept blocks to the heap's pool, all before it lets go
+// of the runtime lock for the device drops: a block swept here is reissued
+// by the next mint or swap-out, not one collection later. The caller holds
+// the lock.
 func (rt *Runtime) pass(cycles int, young bool) heap.CollectStats {
 	var st heap.CollectStats
 	if young {
@@ -67,19 +72,20 @@ func (rt *Runtime) pass(cycles int, young bool) heap.CollectStats {
 		st = rt.h.CollectCycles(cycles, rt.stack...)
 	}
 	rt.mgr.reclaimed(st.Swept)
-	rt.sweepSwapped(st.Swept)
+	dead := rt.sweepSwapped(st.Swept)
+	rt.h.PoolSwept() // nothing reads the report past here
+	rt.dropDead(dead)
 	rt.retryDrops()
 	return st
 }
 
-// sweepSwapped drops the swapped clusters whose replacement-objects the
+// sweepSwapped forgets the swapped clusters whose replacement-objects the
 // collection swept, in sweep order, reading each one's cluster from its
-// $cluster field. Every replica of a dead cluster is told to discard its
-// copy; replicas on unreachable donors go to the deferred-drop queue. A
+// $cluster field, and returns the copies their donors are owed a drop for. A
 // cluster an operation has reserved is never among them: the operation
 // pinned its replacement-object when it reserved the cluster, in the same
 // hold.
-func (rt *Runtime) sweepSwapped(swept []*heap.Object) {
+func (rt *Runtime) sweepSwapped(swept []*heap.Object) []forgotCopy {
 	var victims []forgotCopy
 	m := rt.mgr
 	for _, o := range swept {
@@ -93,6 +99,13 @@ func (rt *Runtime) sweepSwapped(swept []*heap.Object) {
 		victims = append(victims, forgotCopy{cs.id, cs.forget()})
 		m.table.drop(cs) // its inbound proxies were swept with its replacement
 	}
+	return victims
+}
+
+// dropDead tells every replica of each dead swapped cluster to discard its
+// copy, in sweep order; replicas on unreachable donors go to the
+// deferred-drop queue.
+func (rt *Runtime) dropDead(victims []forgotCopy) {
 	for _, v := range victims {
 		c := v.copy
 		rt.dropAll(context.Background(), c.devices, c.key, v.id)

@@ -150,11 +150,10 @@ func TestSwappedResidue(t *testing.T) {
 // blocks plus the live proxies never exceeds the peak proxy residency, so
 // passes that mint 4 000, then 1 000, then 4 000 cursors allocate 4 000
 // blocks in all, measured as the Go heap's allocation count across the three
-// passes and their collections. A swept block joins the pool at the
-// collection after the one that swept it (heap.CollectStats.Swept), so two
-// run between passes. Beside the blocks, the inbound list grows by append,
-// and the pool and the sweep buffer at most once per collection
-// (growthSlack).
+// passes and their collections. A swept block joins the pool in the
+// collection that swept it (heap.Heap.PoolSwept), so one runs between
+// passes. Beside the blocks, the inbound list grows by append, and the pool
+// and the sweep buffer at most once per collection (growthSlack).
 // check.sh runs it by name.
 func TestProxyBlocksBoundedByPeakResidency(t *testing.T) {
 	if raceEnabled {
@@ -170,16 +169,12 @@ func TestProxyBlocksBoundedByPeakResidency(t *testing.T) {
 			}
 		}
 	}
-	collect := func() {
-		f.rt.Collect()
-		f.rt.Collect()
-	}
 	proxies := f.rt.mgr.ProxyCount()
 	allocs, _ := mallocs(func() {
 		mint(peak)
-		collect()
+		f.rt.Collect()
 		mint(peak / 4)
-		collect()
+		f.rt.Collect()
 		mint(peak)
 	})
 	t.Logf("minting %d, %d and %d proxies allocated %d objects", peak, peak/4, peak, allocs)

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -33,6 +36,39 @@ func (rt *Runtime) assertLocked() {
 		rt.mu.Unlock()
 		panic("core: runtime lock not held")
 	}
+}
+
+// assertDispatcher, in the lockcount build, holds the invocation stack to one
+// dispatcher (DESIGN §6): the goroutine that opens the outermost frame is
+// recorded, and any other that opens a frame while the stack holds one — one
+// that dispatched while the first had the lock let go, in a fault, say —
+// panics before it pushes anything. The outermost leave clears the record.
+func (rt *Runtime) assertDispatcher() {
+	if rt.stackTrace == nil {
+		rt.stackTrace = make([]byte, 64)
+	}
+	g := goid(rt.stackTrace)
+	switch {
+	case rt.depth == 0:
+		rt.dispatcher = g
+	case g != rt.dispatcher:
+		panic(fmt.Sprintf("core: goroutine %d dispatches while goroutine %d holds %d frames", g, rt.dispatcher, rt.depth))
+	}
+}
+
+// goid reads the calling goroutine's id from the header of its stack trace,
+// "goroutine 18 [running]:", written into buf. Only the lockcount build
+// calls it.
+func goid(buf []byte) uint64 {
+	b := bytes.TrimPrefix(buf[:runtime.Stack(buf, false)], []byte("goroutine "))
+	var id uint64
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			break
+		}
+		id = id*10 + uint64(c-'0')
+	}
+	return id
 }
 
 // unlock releases the runtime lock, then publishes the events queued under

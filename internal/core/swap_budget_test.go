@@ -98,8 +98,9 @@ func mallocs(fn func()) (count, bytes uint64) {
 // the frame it ships, plus a margin (it was ~15x when each direction built a
 // document and two frame copies, 6.8x while a heap.Value was 96 B, and 4.5x
 // while the decoder copied the frame's string section and the Installer
-// returned the installed objects' list) in at most 14 objects (13 measured;
-// 26 while each swap's trace id, context and phase list were three
+// returned the installed objects' list) in at most 11 objects (10 measured;
+// 13 while each swap-out allocated its replacement-object, its encoder's
+// object source and a copy of its donor's format list; 26 while each swap's trace id, context and phase list were three
 // allocations and each shipment built its donor list, ranking and candidate
 // filter and put its one replica on a goroutine of its own; 28 while the string section's copy and the installed list allocated; 39
 // while the fault's flight, the boxed result, the installer, the swap-out's
@@ -154,7 +155,9 @@ func TestSwapRoundTripBudget(t *testing.T) {
 	perTrip, allocs := float64(bytes)/rounds, float64(count)/rounds
 	t.Logf("frame %d B; one round trip allocates %.0f B in %.0f objects (%.1fx the frame)",
 		frame, perTrip, allocs, perTrip/float64(frame))
-	// Measured: 13 objects, 16 040 B (26 and 16 648 B while each swap's trace
+	// Measured: 10 objects, 15 862 B (13 and 16 040 B while each swap-out
+	// allocated its replacement-object, the encoder's object source and a
+	// copy of its donor's format list; 26 and 16 648 B while each swap's trace
 	// id, its context and its event's phase list were three allocations and
 	// a shipment's donor list, ranking, candidate filter, put goroutine,
 	// result channel, landed-index list, failover callback and replica-set
@@ -171,7 +174,7 @@ func TestSwapRoundTripBudget(t *testing.T) {
 	// budget leaves one stray allocation elsewhere in the process and its
 	// bytes.
 	const (
-		tripAllocs, tripBytes   = 13, 16040
+		tripAllocs, tripBytes   = 10, 15862
 		tripStray, tripStrayLen = 1, 256
 	)
 	if limit := float64(tripBytes + tripStrayLen); perTrip > limit {
@@ -300,7 +303,8 @@ func TestSwapRoundTripBudget(t *testing.T) {
 	bigCount, bigBytes = cleanSide(128)
 	t.Logf("clean swap-out of 32 objects: %d allocs, %d B; of 128: %d allocs, %d B",
 		smallCount, smallBytes, bigCount, bigBytes)
-	// Measured: 3 allocations, 528 B, at either size (5 and 528 B while the
+	// Measured: 2 allocations, 368 B, at either size (3 and 528 B while the
+	// replacement-object was a fresh block; 5 and 528 B while the
 	// trace id, its context and the phase list were three allocations; 6 and
 	// 560 B while the trace context boxed its id; 7 and 1840 B while the operation's struct
 	// escaped to the heap through the encoder's reference callback; 13 and
@@ -313,7 +317,7 @@ func TestSwapRoundTripBudget(t *testing.T) {
 	// heap.Value was 96 B). The count is process-wide: the margin is one small
 	// allocation elsewhere in the process.
 	const (
-		measuredAllocs, measuredBytes = 3, 528
+		measuredAllocs, measuredBytes = 2, 368
 		strayAllocs, strayBytes       = 1, 64
 		cleanAllocs, cleanBytes       = measuredAllocs + strayAllocs, measuredBytes + strayBytes
 	)

@@ -162,9 +162,9 @@ func TestSweepBeforeEnlist(t *testing.T) {
 }
 
 // TestReissueBeforeEnlist is TestSweepBeforeEnlist with the block reused: the
-// mint's yield runs two collections on another goroutine, under the mint's
-// hold as there, which sweep the
-// fresh proxy and hand its block to the allocator, and then mints on that
+// mint's yield runs one collection on another goroutine, under the mint's
+// hold as there, which sweeps the fresh proxy and gives its block to the
+// heap's pool before it returns, and then mints on that
 // goroutine until the block is reissued as another proxy. The first minter
 // still holds the block when it enlists: it must be refused, list nothing
 // and mint again, so each proxy is listed once and the first mint still
@@ -189,7 +189,6 @@ func TestReissueBeforeEnlist(t *testing.T) {
 				t.Errorf("the newest object %v is not the proxy being minted", block)
 				return
 			}
-			f.rt.collect(pressureCycles)
 			f.rt.collect(pressureCycles)
 			for i := 0; i < 100 && other == heap.NilID; i++ {
 				pid, err := f.rt.newProxy(RootCluster, ids[16], f.rt.mgr.clusterOf(ids[16]), false)
@@ -236,7 +235,7 @@ func TestReissueBeforeEnlist(t *testing.T) {
 }
 
 // TestReissuedProxyBlockRefused: a holder of a swept proxy's block and its
-// old id, once two collections and a mint have reissued the block as another
+// old id, once one collection and a mint have reissued the block as another
 // proxy, writes nothing through either listing hold — enlist is refused and
 // retarget fails — so the proxy the block has become keeps its slots, its
 // listing and its edge.
@@ -251,7 +250,6 @@ func TestReissuedProxyBlockRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.rt.Collect()
 	f.rt.Collect()
 	var reissued heap.ObjID
 	for i := 0; i < 100 && reissued == heap.NilID; i++ {

@@ -22,10 +22,12 @@ type CollectStats struct {
 	// allocations, installs and reclamations, so two heaps built by the same
 	// sequence of calls sweep the same objects in the same order.
 	//
-	// Swept, the list and the objects in it, is valid until the next
-	// collection. The list is a buffer the heap reuses, and that collection
-	// gives the blocks of the swap-cluster-proxies in it back to the
-	// allocator, which reissues them under fresh ids.
+	// Swept, the list and the objects in it, is valid until the owner gives
+	// the report back with PoolSwept, in the hold that ran the collection:
+	// from then on the blocks of the pooled objects in it (swap-cluster-proxies
+	// and replacement-objects, see pooled) may be reissued under fresh ids by
+	// the next allocation. The list is a buffer the heap reuses, and the next
+	// collection clears it.
 	Swept []*Object
 }
 
@@ -49,12 +51,10 @@ func (h *Heap) Collect(extra ...ObjID) CollectStats {
 // The mark phase resolves each reference with one probe of the heap's
 // open-addressed object index, and the sweep walks the dense list of
 // residents, so a pass costs one probe per reference followed plus one step
-// per resident object, and no Go map is hashed per object. It starts by
-// moving the previous pass's swept swap-cluster-proxies to the pool newObject
-// reissues from. The pass allocates only to grow the Swept buffer, to the
-// largest count any pass has reclaimed, and the pool, to the peak proxy
-// residency: marks are a per-object epoch word, and the work list, the
-// buffer and the pool live on the heap.
+// per resident object, and no Go map is hashed per object. The pass
+// allocates only to grow the Swept buffer, to the largest count any pass has
+// reclaimed: marks are a per-object epoch word, and the work list and the
+// buffer live on the heap.
 func (h *Heap) CollectCycles(cycles int, extra ...ObjID) CollectStats {
 	return h.collect(cycles, false, extra)
 }
@@ -164,7 +164,7 @@ func (h *Heap) collect(cycles int, young bool, extra []ObjID) CollectStats {
 		for _, o := range h.swept {
 			h.unlink(o.id, &st)
 		}
-		st.Swept = h.swept
+		st.Swept, h.unpooled = h.swept, true
 	}
 	for id, grace := range h.nursery {
 		if grace <= cycles {
@@ -182,13 +182,30 @@ func (h *Heap) collect(cycles int, young bool, extra []ObjID) CollectStats {
 	return st
 }
 
-// recycle ends the previous pass's Swept report: the blocks of its
-// swap-cluster-proxies join the pool, and the buffer lets go of every entry
-// so the Go collector may take the rest. Each free list grows at most once
-// per pass, by append's rule for all its joiners together: the first growth
-// is exact, a later one leaves headroom, so a pool that hovers near its peak
-// is not copied again.
+// recycle clears the previous pass's Swept report: the buffer lets go of
+// every entry, so the Go collector may take what the pool did not.
 func (h *Heap) recycle() {
+	clear(h.swept)
+	h.swept, h.unpooled = h.swept[:0], false
+}
+
+// PoolSwept gives the latest collection's report back (CollectStats.Swept):
+// the blocks of the pooled objects in it join the pool newObject reissues
+// from. The owner calls it once it has purged every record of what the
+// collection swept, before its hold of the lock ends, so the pool never
+// waits a collection for them; after it a reported object is a name for
+// nothing, as the next allocation may reissue its block. A second call for
+// the same report pools nothing, and a report the owner never gives back is
+// cleared by the next collection, its blocks left to the Go collector. Each
+// free list grows at most once per call, by append's rule for all its
+// joiners together: the first growth is exact, a later one leaves headroom,
+// so a pool that hovers near its peak is not copied again.
+func (h *Heap) PoolSwept() {
+	h.held()
+	if !h.unpooled {
+		return
+	}
+	h.unpooled = false
 	var joining [maxInlineFields + 1]int
 	for _, o := range h.swept {
 		if pooled(o.class) {
@@ -198,14 +215,9 @@ func (h *Heap) recycle() {
 	for n, k := range joining {
 		h.free[n] = slices.Grow(h.free[n], k)
 	}
-	for i, o := range h.swept {
-		if pooled(o.class) {
-			n := len(o.fields)
-			h.free[n] = append(h.free[n], o)
-		}
-		h.swept[i] = nil
+	for _, o := range h.swept {
+		h.pool(o)
 	}
-	h.swept = h.swept[:0]
 }
 
 // markID marks a resident object live and queues it for scanning.
@@ -266,18 +278,28 @@ func (h *Heap) remember(v *Value) {
 	}
 }
 
-// unlink takes one object out of the heap's tables and tallies it in
-// st; an id that is not resident is skipped. The caller releases the bytes
-// through finishReclaim afterwards.
-func (h *Heap) unlink(id ObjID, st *CollectStats) {
+// unlink takes one object out of the heap's tables, tallies it in st and
+// returns it; an id that is not resident is skipped (nil). The caller
+// releases the bytes through finishReclaim afterwards.
+func (h *Heap) unlink(id ObjID, st *CollectStats) *Object {
 	o := h.objects.del(id)
 	if o == nil {
-		return
+		return nil
 	}
 	st.Reclaimed++
 	st.BytesFreed += int64(o.size)
 	delete(h.pins, o.id)
 	delete(h.nursery, o.id)
+	return o
+}
+
+// pool puts the block of a reclaimed object of a pooled class in the pool
+// newObject reissues from; any other block is left to the Go collector.
+func (h *Heap) pool(o *Object) {
+	if pooled(o.class) {
+		n := len(o.fields)
+		h.free[n] = append(h.free[n], o)
+	}
 }
 
 // finishReclaim settles a reclamation: the bytes go back to the budget.
@@ -290,15 +312,20 @@ func (h *Heap) finishReclaim(st *CollectStats) {
 // Free reclaims exactly the given objects in one critical section, as a
 // collection that found them (and nothing else) unreachable would: their
 // bytes return to the budget before Free returns. Ids that are not resident
-// are skipped. Its result lists nothing as Swept: the caller named it. The
-// swapping runtime calls it when a swap-out commits — the shipped members are
-// unreachable by construction, so there is nothing for a mark phase to
-// decide. It is not a collection cycle: the nursery does not age.
+// are skipped. Its result lists nothing as Swept: the caller named it, and
+// the block of a pooled object among them (see pooled) joins the pool at
+// once, so the caller lets go of it. The swapping runtime calls it when a
+// swap-out commits — the shipped members are unreachable by construction, so
+// there is nothing for a mark phase to decide — and when a swap-in commits,
+// for the replacement-object it retired. It is not a collection cycle: the
+// nursery does not age.
 func (h *Heap) Free(ids []ObjID) CollectStats {
 	h.held()
 	var st CollectStats
 	for _, id := range ids {
-		h.unlink(id, &st)
+		if o := h.unlink(id, &st); o != nil {
+			h.pool(o)
+		}
 	}
 	st.Live = len(h.objects.list)
 	h.finishReclaim(&st)

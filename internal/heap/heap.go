@@ -80,13 +80,15 @@ type Heap struct {
 	installs   [][]Object
 
 	// swept is the buffer a pass reports CollectStats.Swept in, sized once
-	// to the largest pass so far; free holds, by slot count, the swept
-	// swap-cluster-proxy blocks newObject reissues. A pass moves the previous
-	// pass's proxies from swept to free before it marks, so a block is
-	// reissued only once its Swept report has lapsed. Neither shrinks: the
-	// pool plus the live proxies never exceed the peak proxy residency.
-	swept []*Object
-	free  [maxInlineFields + 1][]*Object
+	// to the largest pass so far; unpooled marks a report PoolSwept has not
+	// given back yet. free holds, by slot count, the blocks of reclaimed
+	// pooled objects newObject reissues: a pass's swept ones join when its
+	// owner gives the report back (PoolSwept), in the hold that ran it, and
+	// Free and Remove add theirs at once. Neither shrinks: the pool plus the
+	// live objects of the pooled classes never exceed their peak residency.
+	swept    []*Object
+	unpooled bool
+	free     [maxInlineFields + 1][]*Object
 
 	// writeObservers are invoked after every successful write to an
 	// application object's field (Object.SetField) with its id — the swapping
@@ -286,9 +288,9 @@ func (h *Heap) NewPrivileged(c *Class, init ...Value) (*Object, error) {
 	return h.newObject(c, true, init)
 }
 
-// newObject allocates an object of class c whose leading fields are init. A
-// swap-cluster-proxy reuses the block of one a collection swept, when one
-// waits (see CollectStats.Swept): the block comes back with a fresh id, its
+// newObject allocates an object of class c whose leading fields are init. An
+// object of a pooled class reuses a block of its slot count from the pool,
+// when one waits (see pooled): the block comes back with a fresh id, its
 // fields zeroed and then set, and mark 0.
 func (h *Heap) newObject(c *Class, privileged bool, init []Value) (*Object, error) {
 	h.held()
@@ -335,15 +337,17 @@ func (h *Heap) newObject(c *Class, privileged bool, init []Value) (*Object, erro
 }
 
 // pooled reports whether objects of class c come from, and go back to, the
-// heap's pool of swept blocks: swap-cluster-proxies of an inline layout, and
-// nothing else. Application objects, replacement-objects and object-fault
-// proxies may be held past their sweep by host code the heap cannot see.
+// heap's pool of reclaimed blocks: swap-cluster-proxies and
+// replacement-objects of an inline layout, the runtime's own blocks, which
+// only the runtime holds, and nothing else. Application objects and
+// object-fault proxies may be held past their reclamation by host code the
+// heap cannot see.
 func pooled(c *Class) bool {
-	return c.Special == SpecialSCProxy && c.NumFields() <= maxInlineFields
+	return (c.Special == SpecialSCProxy || c.Special == SpecialReplacement) && c.NumFields() <= maxInlineFields
 }
 
-// reissue pops a swept block with n slots from the pool, or allocates a fresh
-// one when none waits.
+// reissue pops a reclaimed block with n slots from the pool, or allocates a
+// fresh one when none waits.
 func (h *Heap) reissue(n int) *Object {
 	free := h.free[n]
 	last := len(free) - 1
@@ -498,8 +502,9 @@ func (b *Batch) Fields(i int) []Value { return b.objs[i].fields }
 // machinery (replacement-objects, proxies) that makes the next eviction
 // possible. An identity that is already resident, a nil class or id, a
 // value its field cannot hold, or a member past 4 GiB fails the batch and
-// leaves Used, residency and the nursery exactly as found; so does a
-// swap-cluster-proxy member, which is minted, never installed. It returns how many objects it made resident;
+// leaves Used, residency and the nursery exactly as found; so does a member
+// of a pooled class (a swap-cluster-proxy or a replacement-object), which is
+// allocated, never installed. It returns how many objects it made resident;
 // on success the heap owns them and the batch is left empty. Write observers
 // do not fire: restoring state is not a mutation.
 func (h *Heap) InstallBatch(b *Batch) (int, error) {
@@ -516,8 +521,8 @@ func (h *Heap) InstallBatch(b *Batch) (int, error) {
 		}
 		if pooled(o.class) {
 			// A batch member's block is its whole batch's: it must never
-			// join the pool of swept proxy blocks.
-			return 0, fmt.Errorf("heap: InstallBatch: %s is a swap-cluster-proxy class, minted by NewPrivileged, never installed", o.class.Name)
+			// join the pool.
+			return 0, fmt.Errorf("heap: InstallBatch: %s is a pooled class, allocated by NewPrivileged, never installed", o.class.Name)
 		}
 		size := int64(objectOverhead)
 		for j := range o.fields {
@@ -592,16 +597,20 @@ func (h *Heap) Get(id ObjID) (*Object, error) {
 func (h *Heap) Contains(id ObjID) bool { h.held(); return h.objects.get(id) != nil }
 
 // Remove detaches an object immediately. It is an explicit middleware action,
-// not a collection, so no CollectStats reports it. Used by baseline
-// comparators and to roll back a half-built allocation; Object-Swapping
-// proper detaches a cluster by reference patching and reclaims its shipped
-// members with Free the moment the swap-out commits.
+// not a collection, so no CollectStats reports it; the block of a pooled
+// object joins the pool at once, as Free's does. Used by baseline
+// comparators and to roll back a half-built allocation or a failed
+// swap-out's replacement-object; Object-Swapping proper detaches a cluster by
+// reference patching and reclaims its shipped members with Free the moment
+// the swap-out commits.
 func (h *Heap) Remove(id ObjID) error {
 	h.held()
 	var st CollectStats
-	if h.unlink(id, &st); st.Reclaimed == 0 {
+	o := h.unlink(id, &st)
+	if o == nil {
 		return fmt.Errorf("%w: @%d", ErrNoSuchObject, id)
 	}
+	h.pool(o)
 	h.removed.Add(1)
 	h.release(st.BytesFreed)
 	return nil

@@ -84,19 +84,19 @@ func (o *Object) SetField(i int, v Value) error {
 }
 
 // SetFieldAs assigns the i-th field like SetField, but only while o is
-// resident under id, which it checks before it writes. A
-// collection may sweep a swap-cluster-proxy and a later one reissue its block
-// under another id (CollectStats.Swept): a holder that kept the block past
-// that learns so here, with ErrNoSuchObject, and writes nothing into the
-// object the block has become. Nothing of o but its heap is read before the
-// check.
+// resident under id, which it checks before it writes. A collection, Free
+// or Remove may reclaim an object of a pooled class (a swap-cluster-proxy or
+// a replacement-object) and the next allocation reissue its block under
+// another id (CollectStats.Swept): a holder that kept the block past that
+// learns so here, with ErrNoSuchObject, and writes nothing into the object
+// the block has become. Nothing of o but its heap is read before the check.
 func (o *Object) SetFieldAs(id ObjID, i int, v Value) error {
 	return o.setField(id, i, v)
 }
 
-// ResidentAs reports whether o is resident under id: false once a collection
-// swept it, whether or not a later one has reissued its block under another
-// id since.
+// ResidentAs reports whether o is resident under id: false once it was
+// reclaimed, whether or not an allocation has reissued its block under
+// another id since.
 func (o *Object) ResidentAs(id ObjID) bool { return o.pos != gone && o.id == id }
 
 // setField is SetField, and SetFieldAs when id is not NilID.

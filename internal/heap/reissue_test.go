@@ -41,21 +41,39 @@ func heapMallocs(fn func()) uint64 {
 	return after.Mallocs - before.Mallocs
 }
 
-// TestSweptProxyBlocksReissued: a swept swap-cluster-proxy's block stays
-// what Swept reports until the next collection, which hands it to the
-// allocator; a later proxy then gets it back under a fresh id, with mark 0
-// and only the fields it was born with set. The blocks of swept application
-// objects, replacement-objects and object-fault proxies are never reissued.
+// replacementClass is a replacement-object layout: a cluster id and a list
+// of outbound references.
+func replacementClass() *Class {
+	c := NewClass("$Replacement", FieldDef{Name: "cluster", Kind: KindInt}, FieldDef{Name: "out", Kind: KindList})
+	c.Special = SpecialReplacement
+	return c
+}
+
+// TestSweptProxyBlocksReissued: a swept swap-cluster-proxy's or
+// replacement-object's block stays what Swept reports until the owner gives
+// the report back with PoolSwept, in the collection's hold; the next
+// allocation of its kind then gets it back under a fresh id, with mark 0 and
+// only the fields it was born with set. The blocks of swept application
+// objects and object-fault proxies are never reissued, a second PoolSwept
+// pools nothing twice, and a report never given back is cleared by the next
+// collection with none of its blocks pooled.
 func TestSweptProxyBlocksReissued(t *testing.T) {
 	h := New(0)
-	pc := scProxyClass()
+	pc, rc := scProxyClass(), replacementClass()
 	node := nodeClass()
-	others := []*Class{node, NewClass("$Replacement", FieldDef{Name: "c", Kind: KindInt}), NewClass("$ObjProxy", FieldDef{Name: "r", Kind: KindInt})}
-	others[1].Special, others[2].Special = SpecialReplacement, SpecialObjProxy
+	others := []*Class{node, NewClass("$ObjProxy", FieldDef{Name: "r", Kind: KindInt})}
+	others[1].Special = SpecialObjProxy
 	const n = 50
 	proxies := mintProxies(t, h, pc, 1000, n)
 	kept := map[*Object]ObjID{} // swept block -> the id it was swept under
 	for _, o := range proxies {
+		kept[o] = o.ID()
+	}
+	for i := 0; i < n; i++ {
+		o, err := h.NewPrivileged(rc, Int(int64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
 		kept[o] = o.ID()
 	}
 	for _, c := range others {
@@ -71,21 +89,25 @@ func TestSweptProxyBlocksReissued(t *testing.T) {
 	if st.Reclaimed != 4*n || len(st.Swept) != 4*n {
 		t.Fatalf("first collection reclaimed %d (%d swept), want %d", st.Reclaimed, len(st.Swept), 4*n)
 	}
-	// Until the next collection, Swept is intact and nothing is reissued.
+	// Until the report is given back, Swept is intact and nothing is reissued.
 	early := mintProxies(t, h, pc, 0, 1)[0]
 	if _, ok := kept[early]; ok {
-		t.Fatal("a block was reissued before the collection after its sweep")
+		t.Fatal("a block was reissued before its report was given back")
 	}
 	for i, o := range proxies {
 		if got := o.Field(1).MustInt(); got != int64(1000+i) {
-			t.Fatalf("swept proxy %d reads obj %d before the next collection, want %d", i, got, 1000+i)
+			t.Fatalf("swept proxy %d reads obj %d before PoolSwept, want %d", i, got, 1000+i)
 		}
 	}
 	last := early.ID()
-	h.Collect() // sweeps early; gives the first pass's proxy blocks to the allocator
+	h.PoolSwept()
+	h.PoolSwept() // pools nothing twice
 
-	reissued := mintProxies(t, h, pc, 2000, n)
-	for i, o := range reissued {
+	reissued := append(mintProxies(t, h, pc, 2000, n), mintProxies(t, h, pc, 0, 1)...)
+	if _, ok := kept[reissued[n]]; ok {
+		t.Fatal("the pool reissued more proxy blocks than were swept")
+	}
+	for i, o := range reissued[:n] {
 		oldID, ok := kept[o]
 		if !ok || o.Class() != pc {
 			t.Fatalf("proxy %d got a fresh block while swept proxy blocks waited", i)
@@ -104,6 +126,15 @@ func TestSweptProxyBlocksReissued(t *testing.T) {
 		}
 		if !o.ResidentAs(o.ID()) || o.ResidentAs(oldID) {
 			t.Fatalf("reissued proxy %d: ResidentAs disagrees with its id", i)
+		}
+	}
+	for i := 0; i < n; i++ {
+		o, err := h.NewPrivileged(rc, Int(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := kept[o]; !ok || o.Field(1).Kind() != KindNil {
+			t.Fatalf("replacement %d: fresh block or stale list %v while swept replacement blocks waited", i, o.Field(1))
 		}
 	}
 	for _, c := range others {
@@ -125,18 +156,78 @@ func TestSweptProxyBlocksReissued(t *testing.T) {
 	if h.Used() != live {
 		t.Fatalf("used %d, resident sizes sum to %d", h.Used(), live)
 	}
+
+	// A report the owner never gives back: the next collection clears it and
+	// pools none of its blocks.
+	h = New(0)
+	lapsed := mintProxies(t, h, pc, 0, n)
+	h.Collect()
+	h.Collect()
+	h.PoolSwept()
+	for _, o := range mintProxies(t, h, pc, 0, n) {
+		for _, old := range lapsed {
+			if o == old {
+				t.Fatal("a block of a report never given back was reissued")
+			}
+		}
+	}
+}
+
+// TestFreedReplacementBlocksReissued: Free and Remove give a
+// replacement-object's block to the pool at once, where the next allocation
+// of its slot count gets it back under a fresh id; the block of a freed
+// application object never joins.
+func TestFreedReplacementBlocksReissued(t *testing.T) {
+	h := New(0)
+	rc := replacementClass()
+	freed, err := h.NewPrivileged(rc, Int(1), List(Int(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	removed, err := h.NewPrivileged(rc, Int(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, err := h.New(nodeClass())
+	if err != nil {
+		t.Fatal(err)
+	}
+	freedID := freed.ID()
+	if st := h.Free([]ObjID{freedID, app.ID()}); st.Reclaimed != 2 || st.Swept != nil {
+		t.Fatalf("Free: %+v, want 2 reclaimed and nothing swept", st)
+	}
+	if err := h.Remove(removed.ID()); err != nil {
+		t.Fatal(err)
+	}
+	var got []*Object
+	for i := 0; i < 3; i++ {
+		o, err := h.NewPrivileged(rc, Int(int64(10+i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, o)
+	}
+	if got[0] != removed || got[1] != freed || got[2] == app {
+		t.Fatal("the freed and removed replacement blocks were not reissued, last first, before a fresh one")
+	}
+	if freed.ResidentAs(freedID) || freed.ID() == freedID || freed.Field(1).Kind() != KindNil {
+		t.Fatalf("the reissued block kept its old id @%d or its list %v", freedID, freed.Field(1))
+	}
+	if h.Used() != got[0].Size()+got[1].Size()+got[2].Size() {
+		t.Fatalf("used %d after the reissues", h.Used())
+	}
 }
 
 // TestSetFieldAsRefusesReissuedBlock: a holder of a proxy's block that kept
-// it past the sweep, and past the collection that gave it back, writes
-// nothing through its old id into the proxy the block has become.
+// it past the sweep, and past the PoolSwept that gave it back, writes nothing
+// through its old id into the proxy the block has become.
 func TestSetFieldAsRefusesReissuedBlock(t *testing.T) {
 	h := New(0)
 	pc := scProxyClass()
 	stale := mintProxies(t, h, pc, 7, 1)[0]
 	oldID := stale.ID()
 	h.Collect()
-	h.Collect()
+	h.PoolSwept()
 	now := mintProxies(t, h, pc, 9, 1)[0]
 	if now != stale {
 		t.Fatal("the swept block was not reissued")
@@ -185,9 +276,9 @@ func TestCollectReusesSweptBuffer(t *testing.T) {
 	}
 }
 
-// TestProxyChurnAllocatesNothing: minting n proxies and collecting them, once
-// two rounds have filled the pool and sized the buffers, allocates nothing —
-// the heap side of Figure 5's B1 pass.
+// TestProxyChurnAllocatesNothing: minting n proxies, collecting them and
+// giving the report back, once a round has filled the pool and sized the
+// buffers, allocates nothing — the heap side of Figure 5's B1 pass.
 func TestProxyChurnAllocatesNothing(t *testing.T) {
 	h := New(0)
 	pc := scProxyClass()
@@ -201,8 +292,8 @@ func TestProxyChurnAllocatesNothing(t *testing.T) {
 		if st := h.Collect(); st.Reclaimed != n {
 			t.Fatalf("reclaimed %d, want %d", st.Reclaimed, n)
 		}
+		h.PoolSwept()
 	}
-	round()
 	round()
 	if allocs := testing.AllocsPerRun(5, round); allocs != 0 {
 		t.Fatalf("a warm round of %d proxies allocates %.2f objects, want 0", n, allocs)

@@ -23,6 +23,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -46,7 +47,8 @@ type Stats struct {
 	// Formats lists the wire formats this donor accepts (see internal/wire).
 	// Empty or absent means the donor predates format negotiation and speaks
 	// only the universal XML fallback — constrained devices treat a missing
-	// advertisement as ["xml"].
+	// advertisement as ["xml"]. It is the donor's read-only advertisement: a
+	// store may hand out its own list, so no caller writes into it.
 	Formats []string `json:"formats,omitempty"`
 	// LeaseTTL is how long the donor keeps a stored key before its lease GC
 	// expires it unless renewed (see Leaser); 0 or absent means it expires
@@ -195,8 +197,9 @@ func NewMem(capacity int64) *Mem {
 	}
 }
 
-// SetFormats replaces the store's wire-format advertisement. The XML
-// fallback is always accepted regardless of the advertisement.
+// SetFormats replaces the store's wire-format advertisement with a fresh
+// list, never writing the one Stats handed out. The XML fallback is always
+// accepted regardless of the advertisement.
 func (m *Mem) SetFormats(formats ...string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -312,7 +315,8 @@ func (m *Mem) Keys(ctx context.Context) ([]string, error) {
 	return keys, nil
 }
 
-// Stats reports occupancy.
+// Stats reports occupancy. Its Formats is the store's own advertisement,
+// clipped to its length, so a probe copies nothing.
 func (m *Mem) Stats(ctx context.Context) (Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return Stats{}, err
@@ -323,6 +327,6 @@ func (m *Mem) Stats(ctx context.Context) (Stats, error) {
 		Capacity: m.capacity,
 		Used:     m.used,
 		Items:    len(m.items),
-		Formats:  append([]string(nil), m.formats...),
+		Formats:  slices.Clip(m.formats),
 	}, nil
 }

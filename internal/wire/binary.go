@@ -217,14 +217,16 @@ func (e *frameEncoder) value(v *xmlcodec.Value) error {
 }
 
 // Encoder is the reusable state of frame encoding: the body sections, the
-// record heap objects are wrapped into, and the buffer EncodeObjects
-// assembles its frame in. Encoders are pooled; take one with NewEncoder and
-// Release it when the frame it returned is no longer needed.
+// record heap objects are wrapped into, the source EncodeObjects walks them
+// from, and the buffer it assembles its frame in. Encoders are pooled; take
+// one with NewEncoder and Release it when the frame it returned is no longer
+// needed.
 type Encoder struct {
 	frameEncoder
 	head []byte // body header, written last: its counts come from the walk
 	wrap xmlcodec.Wrapper
-	buf  []byte // the frame EncodeObjects returned
+	src  heapSource // EncodeObjects' objects; zero outside the call
+	buf  []byte     // the frame EncodeObjects returned
 }
 
 var encoders = sync.Pool{New: func() any { return new(Encoder) }}
@@ -249,8 +251,12 @@ func (e *Encoder) EncodeObjects(format FormatID, key string, objs []*heap.Object
 	if err != nil {
 		return nil, err
 	}
-	src := &heapSource{objs: objs, encodeRef: encodeRef, wrap: &e.wrap}
-	frame, err := c.encodeFrom(e, e.buf[:0], shipment{key, xmlcodec.Version, src})
+	// The source lives in the encoder, so handing it over as an objectSource
+	// allocates nothing; zeroed after the walk, it keeps no object or
+	// classifier alive in the pool.
+	e.src = heapSource{objs: objs, encodeRef: encodeRef, wrap: &e.wrap}
+	frame, err := c.encodeFrom(e, e.buf[:0], shipment{key, xmlcodec.Version, &e.src})
+	e.src = heapSource{}
 	if err != nil {
 		return nil, err
 	}

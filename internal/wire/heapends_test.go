@@ -239,3 +239,45 @@ func TestHeapEndsOnWireFixture(t *testing.T) {
 	checkHeapEnds(t, testDoc(1))
 	checkHeapEnds(t, &xmlcodec.Doc{ClusterID: "empty", Version: xmlcodec.Version})
 }
+
+// TestWarmEncodeObjectsAllocatesNothing: once an encoder has encoded a
+// cluster, encoding it again in the binary format allocates nothing — the
+// source the walk reads the objects from lives in the encoder — and the
+// encoder keeps no object or classifier once the call returns.
+func TestWarmEncodeObjectsAllocatesNothing(t *testing.T) {
+	h := heap.New(0)
+	c := heap.NewClass("EncNode",
+		heap.FieldDef{Name: "name", Kind: heap.KindString},
+		heap.FieldDef{Name: "n", Kind: heap.KindInt},
+		heap.FieldDef{Name: "next", Kind: heap.KindRef},
+		heap.FieldDef{Name: "tags", Kind: heap.KindList},
+	)
+	objs := make([]*heap.Object, 32)
+	members := map[heap.ObjID]bool{}
+	for i := range objs {
+		o, err := h.New(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.MustSet("name", heap.Str(fmt.Sprintf("node-%d", i))).MustSet("n", heap.Int(int64(i))).
+			MustSet("tags", heap.List(heap.Int(1), heap.Str("x")))
+		if i > 0 {
+			objs[i-1].MustSet("next", o.RefTo())
+		}
+		objs[i], members[o.ID()] = o, true
+	}
+	encodeRef := newForeignRefs().encode(members)
+	var e Encoder
+	encode := func() {
+		if _, err := e.EncodeObjects(FormatBinary, "cluster-1", objs, encodeRef); err != nil {
+			t.Fatal(err)
+		}
+	}
+	encode()
+	if allocs := testing.AllocsPerRun(20, encode); allocs != 0 {
+		t.Fatalf("a warm EncodeObjects allocates %v objects, want 0", allocs)
+	}
+	if e.src.objs != nil || e.src.encodeRef != nil || e.src.wrap != nil {
+		t.Fatal("the encoder keeps its last source past the call")
+	}
+}

@@ -753,9 +753,11 @@ func (s *System) Evict(strategy VictimStrategy, need int64) error {
 	return s.rt.EvictWith(strategy, need)
 }
 
-// Collect runs a swapping-integrated garbage collection. The result's Swept,
-// the list and the objects in it, is valid until the next collection, which
-// reuses the list and reissues the swept proxies' blocks as new proxies.
+// Collect runs a swapping-integrated garbage collection. The result's Swept
+// reports what the collection reclaimed as of its return: before it let go of
+// the runtime lock it gave the blocks of the swept proxies and
+// replacement-objects to the heap's pool, so the next mint or swap-out may
+// reissue them under fresh ids, and the next collection reuses the list.
 func (s *System) Collect() heap.CollectStats { return s.rt.Collect() }
 
 // MergeClusters folds cluster src into dst, adapting swap granularity at
