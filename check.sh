@@ -92,18 +92,22 @@ go build ./...
 #   slots later admissions reuse.
 # - TestCollectAllocatesNothingOnUnchangedHeap, TestCollectReusesSweptBuffer,
 #   TestProxyChurnAllocatesNothing, TestSweptProxyBlocksReissued,
-#   TestFreedReplacementBlocksReissued (internal/heap): a pass that reclaims
-#   nothing, full or young, allocates nothing; once a collection has
-#   reclaimed n objects the next that reclaims n allocates nothing; minting
-#   and collecting 1 000 proxies allocates nothing once the pool is warm; a
-#   swept swap-cluster-proxy's or replacement-object's block is reissued,
-#   under a fresh id, once the owner gives the collection's report back
-#   (PoolSwept) and not before, a freed or removed one at once, and no
-#   application object's or object-fault proxy's block ever is.
-# - TestCollectPurgesEverySweptRecord, TestReclaimingProxiesAllocatesOnlySwept
+#   TestPurgeBeforePool, TestFreedReplacementBlocksReissued (internal/heap):
+#   a pass that reclaims nothing, full or young, allocates nothing; once a
+#   collection has reclaimed n objects the next that reclaims n allocates
+#   nothing; minting and collecting 1 000 proxies allocates nothing once the
+#   pool is warm; a swept swap-cluster-proxy's or replacement-object's block
+#   is reissued, under a fresh id, once its collection has returned, and not
+#   while the owner's purge runs (a block the purge allocates is none of the
+#   swept, whose fields read as before the pass), a freed or removed one at
+#   once, and no application object's or object-fault proxy's block ever is.
+# - TestCollectPurgesEverySweptRecord, TestHeapCollectionPurgesTheManager,
+#   TestHeapCollectionKeepsParkedFrames, TestReclaimingProxiesAllocatesOnlySwept
 #   (internal/core): one Collect purges the inbound lists, edge counts,
 #   shared and object-fault indexes and membership records of everything it
-#   swept before it returns; two of Figure 5's B1 passes over 10 000 objects,
+#   swept before it returns, and so does a Collect host code runs on the
+#   runtime's heap under Locked, which also keeps the argument of a call
+#   parked on a demand fault; two of Figure 5's B1 passes over 10 000 objects,
 #   each followed by its Collect, allocate at most 12 650 objects and
 #   3 614 624 B (12 586 and 3 549 088 measured, 22 585 and 5 148 928 while a
 #   swept block waited a collection to join the pool), and a warm Collect
@@ -363,15 +367,16 @@ if [ -n "$POOL" ] || [ -n "$EVICTGO" ]; then
     printf '%s\n%s\n' "$POOL" "$EVICTGO" >&2
     exit 1
 fi
-# Guard: the collector reports what it reclaimed one way. CollectStats.Swept
-# is the heap's only report, and Manager.reclaimed purges every manager record
-# of a swept object from it under the runtime lock. Per-object finalizers, weak
+# Guard: the collector reports what it reclaimed one way. The swept list the
+# heap hands its owner's purge is its only report, and Manager.reclaimed
+# purges every manager record of a swept object from it under the runtime
+# lock. Per-object finalizers, weak
 # references, the manager's bound finalizer values, the membership-only
 # compact pass and the drop-retry knob stay deleted from non-test Go outside
 # benchmark/.
 RECLAIM=$(grep -rnE 'OnFinalize|finalizers|WeakRef|finalProxy|func \(m \*Manager\) compact|SetDropRetryLimit' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./benchmark/' || true)
 if [ -n "$RECLAIM" ]; then
-    echo "second reclamation report (purge manager records from CollectStats.Swept in Manager.reclaimed; no finalizers, weak refs or retry knob):" >&2
+    echo "second reclamation report (purge manager records from the swept list in Manager.reclaimed; no finalizers, weak refs or retry knob):" >&2
     echo "$RECLAIM" >&2
     exit 1
 fi
@@ -426,17 +431,21 @@ if [ -n "$TARGETS" ] || [ -n "$POINTS" ] || [ -n "$PATCHES" ]; then
     printf '%s\n%s\n%s\n' "$TARGETS" "$POINTS" "$PATCHES" >&2
     exit 1
 fi
-# Guard: a collection's report has one lifetime and one reader. Swept, the
-# list and the objects in it, is valid until the owner gives it back
-# (heap.Heap.PoolSwept) in the collection's hold, after which the next mint
-# or swap-out may reissue the swept blocks; only internal/heap, which keeps
-# that rule, and internal/core/gcint.go, which purges from the report and
-# gives it back in that hold, read .Swept in non-test Go (comment lines
-# aside).
-SWEPT=$(grep -rnE '\.Swept([^[:alnum:]_]|$)' --include='*.go' . | grep -v '_test\.go:' | grep -vE '^\./internal/heap/|^\./internal/core/gcint\.go:' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
-if [ -n "$SWEPT" ]; then
-    echo "CollectStats.Swept read outside internal/heap and internal/core/gcint.go (it is valid only in the collection's hold):" >&2
-    echo "$SWEPT" >&2
+# Guard: a collection's swept list has one lifetime and one reader. Every
+# pass hands it to its heap's owner's purge (heap.Owner.Purge), pools the
+# swept blocks once the purge returns and forgets the list, so the list and
+# the objects in it are valid only during that call. No non-test Go outside
+# internal/heap and the runtime's purge (internal/core/gcint.go: purge,
+# reclaimed, sweepSwapped) takes a swept list or reads a swept report off a
+# collection's result (the deleted CollectStats.Swept), comment lines aside.
+# And the runtime is the heap's one owner: the one non-test registration,
+# Heap.RegisterOwner, is made in core.NewRuntime.
+SWEPT=$(grep -rnE '\.Swept([^[:alnum:]_]|$)|swept[[:space:]]+\[\]\*(heap\.)?Object|Purge[[:space:]]*:' --include='*.go' . | grep -v '_test\.go:' | grep -vE '^\./internal/heap/|^\./internal/core/gcint\.go:' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+OWNERS=$(grep -rn '\.RegisterOwner(' --include='*.go' . | grep -v '_test\.go:' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+INNEW=$(awk '/^func NewRuntime\(/ { in_new = 1 } in_new && /\.RegisterOwner\(/ { print FILENAME ":" FNR } in_new && /^}/ { in_new = 0 }' internal/core/core.go)
+if [ -n "$SWEPT" ] || [ "$(printf '%s\n' "$OWNERS" | grep -c .)" != 1 ] || [ "$(printf '%s\n' "$OWNERS" | cut -d: -f1,2)" != "./$INNEW" ]; then
+    echo "swept list read outside internal/heap and the runtime's purge, or the heap's owner registered elsewhere than once in core.NewRuntime:" >&2
+    printf '%s\n%s\n' "$SWEPT" "$OWNERS" >&2
     exit 1
 fi
 # Guard: one runtime lock, and the swapping manager keeps each fact once. The
@@ -515,12 +524,16 @@ go test -race -run '^TestFaultStormCoalesces$' -count=1 -cpu 1,4 ./internal/core
 # shipments and updates while its DirectRuntime writes the graph
 # (TestMasterServesBesideItsRuntime). A reload whose room another install
 # took while its evictor had the lock let go evicts again
-# (TestReloadRoomTakenDuringEviction). All run on the core line below.
+# (TestReloadRoomTakenDuringEviction). A collection host code runs on the
+# runtime's heap under Locked purges the manager's records of what it swept
+# (TestHeapCollectionPurgesTheManager), and, run while a method is parked on
+# a demand fault with the lock let go, keeps the parked call's argument
+# (TestHeapCollectionKeepsParkedFrames). All run on the core line below.
 go test -race -count=10 -run '^(TestTriggerWhileRunningDoesNotRequeue|TestTriggerOvertakingANoopTaskRunsItAgain|TestJoinCountsOneHit|TestJoinedFlightIsNotReused)$' ./internal/fault/
 go test -race -count=10 -run '^(TestArmedAttemptContextIsNotReused|TestAttemptContextReportsParentFirst|TestPerAttemptTimeoutIsRetriedAsUnavailable|TestTimeoutExhaustionSurfacesAsUnavailableAndTripsBreaker|TestCallerCancellationFailsFastWithoutBlame)$' ./internal/transport/
 go test -race -count=10 -run '^(TestPrefetchWindowOverlap|TestReplicatedSwapSurvivesDonorLoss|TestDetachDeviceKicksRepair)$' .
 go test -race -count=50 ./internal/placement/
-go test -race -count=10 -run '^(TestTriggerPrefetchAllocatesNothing|TestPrefetchHitRecordsParkedTime|TestCommitWindow|TestSweepBeforeEnlist|TestReissueBeforeEnlist|TestReissuedProxyBlockRefused|TestStaleReplacementHolderRefused|TestFaultStormCoalesces|TestReloadedStringsOutliveTheFetch|TestConcurrentSelectVictims|TestYoungPassAgainstConcurrentWrites|TestCollectAgainstConcurrentFieldWrites|TestPropYoungPassSweepsOnlyGarbage|TestSwapOutVictimsWalksTheRanking|TestConcurrentVictimWalks|TestZeroEdgeWaitsForThePurge|TestMintWindowIsClosed|TestCommitWindowIsClosed|TestReentryAcrossADemandFault|TestWalkerAgainstEvictingPrefetch|TestReplicationFaultBesidePrefetchWorkers|TestMasterServesBesideItsRuntime|TestReloadRoomTakenDuringEviction)$' ./internal/core/ ./internal/heap/ ./internal/replication/
+go test -race -count=10 -run '^(TestTriggerPrefetchAllocatesNothing|TestPrefetchHitRecordsParkedTime|TestCommitWindow|TestSweepBeforeEnlist|TestReissueBeforeEnlist|TestReissuedProxyBlockRefused|TestStaleReplacementHolderRefused|TestFaultStormCoalesces|TestReloadedStringsOutliveTheFetch|TestConcurrentSelectVictims|TestYoungPassAgainstConcurrentWrites|TestCollectAgainstConcurrentFieldWrites|TestPropYoungPassSweepsOnlyGarbage|TestSwapOutVictimsWalksTheRanking|TestConcurrentVictimWalks|TestZeroEdgeWaitsForThePurge|TestMintWindowIsClosed|TestCommitWindowIsClosed|TestReentryAcrossADemandFault|TestWalkerAgainstEvictingPrefetch|TestReplicationFaultBesidePrefetchWorkers|TestMasterServesBesideItsRuntime|TestReloadRoomTakenDuringEviction|TestHeapCollectionPurgesTheManager|TestHeapCollectionKeepsParkedFrames)$' ./internal/core/ ./internal/heap/ ./internal/replication/
 # The walker against the evicting prefetch workers a thousand times under the
 # race detector (about 10 s): the invocation stack was written with no lock
 # beside the workers' passes, which read it, until the runtime was one monitor.
@@ -528,8 +541,10 @@ go test -race -count=1000 -run '^TestWalkerAgainstEvictingPrefetch$' ./internal/
 # The lock-count build once over internal/core and the facade: the runtime
 # lock counts its acquisitions, the cluster table's caller-locked entry
 # points assert it is held, and so do the heap's entry points on a runtime
-# with prefetch workers (heap.CheckOwner), where a host goroutine that
-# reaches the heap directly races the workers. The invocation stack is held
+# with prefetch workers (heap.Owner.Held), where a host goroutine that
+# reaches the heap directly races the workers. The heap-reached collection
+# tests (TestHeapCollectionPurgesTheManager,
+# TestHeapCollectionKeepsParkedFrames) run under the tag too. The invocation stack is held
 # to one dispatcher: a goroutine that opens a frame while another's frames
 # are on the stack panics (TestSecondDispatcherPanics: a Field while a
 # method is parked on a demand fault). TestLockAcquisitions: a

@@ -278,7 +278,7 @@ func (rt *Runtime) encodeResidentCluster(enc *wire.Encoder, cid ClusterID, membe
 
 // LoadCheckpoint restores a previously saved state into this runtime. The
 // runtime must be fresh — classes registered, but no clusters, objects or
-// roots — and attached to the same store provider namespace, so swapped
+// roots — and attached to the same store registry namespace, so swapped
 // clusters can be faulted back from their devices.
 func (rt *Runtime) LoadCheckpoint(r io.Reader) error {
 	rt.lock()

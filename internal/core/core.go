@@ -90,18 +90,14 @@ var (
 	// ErrClusterEmpty reports a swap-out of a cluster with no members (its
 	// objects may all have been collected).
 	ErrClusterEmpty = errors.New("core: cluster is empty")
-	// ErrNoStores reports swapping without a configured store provider.
-	ErrNoStores = errors.New("core: no store provider configured")
+	// ErrNoStores reports swapping without a configured device registry.
+	ErrNoStores = errors.New("core: no store registry configured")
 	// ErrNotProxy reports an Assign call on something that is not a
 	// swap-cluster-proxy reference.
 	ErrNotProxy = errors.New("core: not a swap-cluster-proxy reference")
 	// ErrClusterBusy reports a swap operation on a cluster whose swap-out or
 	// swap-in is already in flight on another goroutine.
 	ErrClusterBusy = errors.New("core: cluster swap in progress")
-	// ErrNoPlacement reports an unpinned swap-out through a store provider
-	// that cannot enumerate donors (placement.Source): without the candidate
-	// set there is nothing to rendezvous-hash.
-	ErrNoPlacement = errors.New("core: store provider cannot enumerate donors for placement")
 	// ErrNoRepair reports a repair request for a cluster already holding its
 	// full replica set on live donors.
 	ErrNoRepair = errors.New("core: cluster needs no repair")
@@ -115,22 +111,6 @@ var (
 	// the next one.
 	ErrCorruptReplica = errors.New("core: replica payload corrupt")
 )
-
-// StoreProvider resolves nearby swapping devices by name. It is implemented
-// by store.Registry. Donor *selection* is no longer part of this contract:
-// the rendezvous placement planner picks destinations, and it is built
-// automatically when the provider also implements placement.Source
-// (enumeration of the reachable donors). A provider that only resolves
-// names supports pinned (WithDevice) swap-outs and swap-ins, but not
-// planner-placed shipments.
-type StoreProvider interface {
-	// Lookup resolves a device by name, failing when it is unknown or
-	// unreachable.
-	Lookup(name string) (store.Store, error)
-}
-
-var _ StoreProvider = (*store.Registry)(nil)
-var _ placement.Source = (*store.Registry)(nil)
 
 // FaultHandler resolves an incremental-replication object fault: it must
 // replicate the cluster containing remote, the home-node identity an
@@ -205,12 +185,10 @@ type Runtime struct {
 	reg *heap.Registry
 	bus *event.Bus
 
-	mgr    *Manager
-	stores StoreProvider
-	// placer ranks donors and ships replicated payloads. NewRuntime builds it
-	// automatically when the store provider can enumerate donors
-	// (placement.Source — store.Registry can); nil otherwise, in which case
-	// only pinned (WithDevice) swap-outs work.
+	mgr *Manager
+	// stores resolves the nearby devices by name, and placer, built over it
+	// when it is set, ranks them and ships replicated payloads.
+	stores *store.Registry
 	placer *placement.Planner
 	// defaultReplicas is the runtime-wide replication factor K (minimum 1).
 	defaultReplicas int
@@ -262,14 +240,12 @@ type Runtime struct {
 	// Observability spine. NewRuntime installs a private registry when none
 	// is supplied via WithObs, so swap spans (and SwapEvent.Phases) are
 	// always recorded.
-	obsReg      *obs.Registry
-	tracer      *obs.Tracer
-	swapErrors  *obs.CounterVec
-	coreEvents  *obs.CounterVec
-	wireBytes   *obs.CounterVec
-	wireSeconds *obs.HistogramVec
-	recorder    *obs.Recorder
-	logger      *slog.Logger
+	obsReg     *obs.Registry
+	tracer     *obs.Tracer
+	swapErrors *obs.CounterVec
+	coreEvents *obs.CounterVec
+	recorder   *obs.Recorder
+	logger     *slog.Logger
 	// telem, when set (WithTelemetry), keeps heat and thrash in the cluster
 	// ledgers feed writes and reads them back through eachLedger (ledger.go).
 	// Nil-safe: without one the ledgers carry their counters only.
@@ -305,9 +281,9 @@ func WithBus(bus *event.Bus) Option {
 	return func(rt *Runtime) { rt.bus = bus }
 }
 
-// WithStores attaches the nearby-device provider used for swapping.
-func WithStores(p StoreProvider) Option {
-	return func(rt *Runtime) { rt.stores = p }
+// WithStores attaches the registry of nearby devices used for swapping.
+func WithStores(r *store.Registry) Option {
+	return func(rt *Runtime) { rt.stores = r }
 }
 
 // WithObs records the runtime's swap spans, phase timings and event counters
@@ -415,17 +391,13 @@ func NewRuntime(h *heap.Heap, reg *heap.Registry, opts ...Option) *Runtime {
 	if len(rt.wireFormats) == 0 {
 		rt.wireFormats = []string{string(wire.FormatBinary), string(wire.FormatXML)}
 	}
-	if src, ok := rt.stores.(placement.Source); ok && rt.stores != nil {
-		rt.placer = placement.New(src, placement.Options{Obs: rt.obsReg, Logger: rt.logger})
+	if rt.stores != nil {
+		rt.placer = placement.New(rt.stores, placement.Options{Obs: rt.obsReg, Logger: rt.logger})
 	}
 	// A cluster leaves without a byte only while nothing was written since its
 	// retained copy was anchored, and a write in place is a touch on its heat.
 	h.AddWriteObserver(func(o *heap.Object) { rt.mgr.touch(o, true) })
-	// Beside prefetch workers, host code reaches the heap only under the
-	// runtime lock, which the lockcount build checks at every heap entry.
-	if rt.prefetchWorkers > 0 {
-		h.CheckOwner(rt.assertLocked)
-	}
+	h.RegisterOwner(rt.owner())
 	if rt.telem != nil {
 		rt.telem.Watch(rt.mgr.eachLedger)
 	}
@@ -471,13 +443,6 @@ func (rt *Runtime) resolveCause(cause string) string {
 	return CauseExplicit
 }
 
-// recordWire folds one codec run into the per-format instruments and returns
-// nothing; op is "encode" or "decode".
-func (rt *Runtime) recordWire(format wire.FormatID, op string, bytes int, d time.Duration) {
-	rt.wireBytes.With(string(format), op).Add(float64(bytes))
-	rt.wireSeconds.With(string(format), op).Observe(d.Seconds())
-}
-
 // instrument registers the runtime's span tracer, error and event counters,
 // and cluster-residency gauges in its registry.
 func (rt *Runtime) instrument() {
@@ -488,11 +453,6 @@ func (rt *Runtime) instrument() {
 		"Failed swap operations by operation.", "op")
 	rt.coreEvents = r.CounterVec("objectswap_core_events_total",
 		"Middleware events published by the swapping runtime, by topic.", "topic")
-	rt.wireBytes = r.CounterVec("objectswap_wire_bytes_total",
-		"Payload bytes produced (encode) or consumed (decode), by wire format.",
-		"format", "op")
-	rt.wireSeconds = r.HistogramVec("objectswap_wire_seconds",
-		"Codec run duration by wire format and operation.", nil, "format", "op")
 	// The family reads the table's by-residency tally: a reserved cluster
 	// counts on the side of the swap it is on, and also as busy.
 	states := [...]struct {
@@ -566,7 +526,11 @@ func (rt *Runtime) endEvict() {
 
 // Heap returns the device heap. It is caller-locked: once the runtime is
 // shared, host code reaches it under Locked (its byte budget and lifetime
-// counters, atomics, excepted).
+// counters, atomics, excepted). The runtime owns it, so a collection host
+// code runs on it is the runtime's: it keeps the operands of in-flight
+// invocations and purges the manager's records of what it swept, as Collect
+// does; only the donor drops of the dead swapped clusters it finds wait for
+// the runtime's next pass.
 func (rt *Runtime) Heap() *heap.Heap { return rt.h }
 
 // Registry returns the class registry.

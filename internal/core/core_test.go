@@ -145,12 +145,6 @@ func (rt *Runtime) lockedUltimateOf(v heap.Value) (heap.ObjID, error) {
 	return d.ultimate, err
 }
 
-func (rt *Runtime) lockedCollect(cycles int) heap.CollectStats {
-	rt.lock()
-	defer rt.unlock()
-	return rt.collect(cycles)
-}
-
 func newFixture(t testing.TB, capacity int64, opts ...Option) *fixture {
 	t.Helper()
 	h := heap.New(capacity)

@@ -34,7 +34,8 @@ func (rt *Runtime) Locked(fn func(h *Held)) {
 	fn((*Held)(rt))
 }
 
-// Heap returns the device heap, which the hold guards.
+// Heap returns the device heap, which the hold guards. A collection run on
+// it is the runtime's, as Runtime.Heap says.
 func (h *Held) Heap() *heap.Heap { return h.h }
 
 // frame is one boundary operation's hold on the invocation stack, which

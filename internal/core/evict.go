@@ -9,9 +9,9 @@ import "errors"
 // occupancy, so middleware allocations made by the eviction itself
 // (replacement-objects, proxies) are accounted honestly. A pass costs one
 // collection plus O(victim) per swap-out: garbage is tried first, in a
-// single young collection that also burns the nursery grace of
-// pressureCycles ordinary cycles and traces and sweeps only what appeared
-// since the previous pass (see heap.CollectYoung), and each victim's bytes
+// single young collection that also burns the nursery grace of three
+// ordinary cycles and traces and sweeps only what appeared since the
+// previous pass (see heap.Heap.CollectYoung), and each victim's bytes
 // are back the moment its swap-out commits, so occupancy is re-read after
 // every swap without collecting again. The candidates are ranked once per
 // walk and walked in order (see SwapOutVictims); a fresh walk ranks them
@@ -27,7 +27,7 @@ func (rt *Runtime) EvictWith(strategy VictimStrategy, need int64) error {
 	}
 	target := rt.h.Used() - need
 	if rt.h.Used() > target {
-		rt.pass(pressureCycles, true) // a young pass
+		rt.pass(true) // young
 	}
 	met := func(int) bool { return rt.h.Used() <= target }
 	full := false
@@ -39,7 +39,7 @@ func (rt *Runtime) EvictWith(strategy VictimStrategy, need int64) error {
 		if swapped == 0 {
 			if !full {
 				full = true
-				rt.collect(1)
+				rt.pass(false)
 				continue
 			}
 			return errors.New("core: no cluster left to evict (none loaded, or all active)")

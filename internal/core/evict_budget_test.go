@@ -229,8 +229,8 @@ func TestYoungPassAgainstConcurrentWrites(t *testing.T) {
 	// The walker holds its fresh nodes in host code until it stores them, as
 	// an application does between calls; only the nursery keeps them from a
 	// pass on another goroutine until then, so their grace outlasts one young
-	// pass, after which they are old.
-	h.SetNurseryGrace(pressureCycles + 1)
+	// pass, which burns three cycles, after which they are old.
+	h.SetNurseryGrace(4)
 
 	const rounds, fresh = 24, 8
 	stored := make([]int64, len(holders))
@@ -324,7 +324,7 @@ func TestCollectAgainstConcurrentFieldWrites(t *testing.T) {
 	}
 	for i := 0; i < 50; i++ {
 		f.rt.lock()
-		st := f.rt.pass(1+i%3, i%2 == 1)
+		st := f.rt.pass(i%2 == 1)
 		f.rt.unlock()
 		if st.Reclaimed != 0 {
 			t.Errorf("rooted objects collected: %+v", st)

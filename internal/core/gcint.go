@@ -24,88 +24,86 @@ import (
 //     the SwappingManager forgets the cluster. No DGC spans the devices — all
 //     decisions are local, and the device only ever stores, returns or drops.
 //
-// In-flight invocation operands (the middleware's stand-in for thread stacks)
-// are passed to the collector as extra roots.
-//
-// The mark-sweep, the purge of every record of what it swept (reclaimed) and
-// the swapped-cluster sweep hold the runtime lock, so a collection never
-// interleaves with a swap's reserve or commit, reads the invocation stack
-// only while its dispatcher is parked, and no swept record outlives it. The
-// device drops that follow run with the lock released — they are IO.
-//
-// The result's Swept is a report whose lifetime was the collection's hold:
-// before it let go of the lock, the collection gave the blocks of the swept
-// swap-cluster-proxies and replacement-objects back to the heap's pool
-// (heap.Heap.PoolSwept), which reissues them to the next mints and swap-outs
-// under fresh ids. So its objects name what was swept only until the next
-// allocation, and the list only until the next collection.
+// The runtime owns its heap (owner), so every collection of the heap, this
+// one or one host code reaches through Heap under the runtime lock, marks
+// from the operands of in-flight invocations (the middleware's stand-in for
+// thread stacks) and purges every record of what it swept (purge) before a
+// swept block is reissued. The collection holds the runtime lock, so it never
+// interleaves with a swap's reserve or commit and reads the invocation stack
+// only while its dispatcher is parked. The device drops that follow run with
+// the lock released — they are IO.
 func (rt *Runtime) Collect() heap.CollectStats {
 	rt.lock()
 	defer rt.unlock()
-	return rt.collect(1)
+	return rt.pass(false)
 }
 
-// pressureCycles is the nursery grace an eviction pass's young collection
-// burns. It has to exceed the grace the façade grants every allocation (2):
-// host-held garbage that only its grace protects — the dead
-// swap-cluster-proxies a finished walk leaves behind — must go before a live
-// cluster is shipped to make the room it occupies. Three is what the
-// benchmark's exact eviction counts are pinned to (DESIGN §6).
-const pressureCycles = 3
-
-// collect is Collect with the nursery aged by the given number of cycles in
-// the one full pass (see heap.CollectCycles).
-func (rt *Runtime) collect(cycles int) heap.CollectStats {
-	return rt.pass(cycles, false)
+// owner is what the runtime gives its heap (heap.Owner): the invocation stack
+// as roots, the purge, and, beside prefetch workers, where host code reaches
+// the heap only under the runtime lock, the lockcount build's check of it.
+func (rt *Runtime) owner() heap.Owner {
+	o := heap.Owner{Roots: func() []heap.ObjID { return rt.stack }, Purge: rt.purge}
+	if rt.prefetchWorkers > 0 {
+		o.Held = rt.assertLocked
+	}
+	return o
 }
 
-// pass runs one collection, full or young, purges every record of what it
-// swept and gives the swept blocks to the heap's pool, all before it lets go
-// of the runtime lock for the device drops: a block swept here is reissued
-// by the next mint or swap-out, not one collection later. The caller holds
-// the lock.
-func (rt *Runtime) pass(cycles int, young bool) heap.CollectStats {
+// pass runs one collection, full (heap.Heap.Collect) or young
+// (heap.Heap.CollectYoung), whose purge forgets what it swept; then it tells
+// the donors of the dead swapped clusters purged since the previous pass to
+// drop their copies, and retries the deferred drops. The caller holds the
+// lock.
+func (rt *Runtime) pass(young bool) heap.CollectStats {
 	var st heap.CollectStats
 	if young {
-		st = rt.h.CollectYoung(cycles, rt.stack...)
+		st = rt.h.CollectYoung()
 	} else {
-		st = rt.h.CollectCycles(cycles, rt.stack...)
+		st = rt.h.Collect()
 	}
-	rt.mgr.reclaimed(st.Swept)
-	dead := rt.sweepSwapped(st.Swept)
-	rt.h.PoolSwept() // nothing reads the report past here
-	rt.dropDead(dead)
+	rt.dropDead()
 	rt.retryDrops()
 	return st
 }
 
+// purge is the heap's purge (heap.Owner.Purge), run by every collection
+// before the swept blocks join the pool: it forgets every manager record of
+// what the collection swept (reclaimed) and the swapped clusters whose
+// replacement-objects it swept (sweepSwapped).
+func (rt *Runtime) purge(swept []*heap.Object) {
+	rt.mgr.reclaimed(swept)
+	rt.sweepSwapped(swept)
+}
+
 // sweepSwapped forgets the swapped clusters whose replacement-objects the
 // collection swept, in sweep order, reading each one's cluster from its
-// $cluster field, and returns the copies their donors are owed a drop for. A
-// cluster an operation has reserved is never among them: the operation
-// pinned its replacement-object when it reserved the cluster, in the same
-// hold.
-func (rt *Runtime) sweepSwapped(swept []*heap.Object) []forgotCopy {
-	var victims []forgotCopy
-	m := rt.mgr
+// $cluster field, and queues the copies their donors are owed a drop for
+// (clusterTable.dead). A cluster an operation has reserved is never among
+// them: the operation pinned its replacement-object when it reserved the
+// cluster, in the same hold.
+func (rt *Runtime) sweepSwapped(swept []*heap.Object) {
+	tab := &rt.mgr.table
 	for _, o := range swept {
 		if o.Class().Special != heap.SpecialReplacement {
 			continue
 		}
-		cs, ok := m.table.clusters[replacementCluster(o)]
+		cs, ok := tab.clusters[replacementCluster(o)]
 		if !ok || cs.where != swappedOut || cs.replacement != o.ID() {
 			continue
 		}
-		victims = append(victims, forgotCopy{cs.id, cs.forget()})
-		m.table.drop(cs) // its inbound proxies were swept with its replacement
+		tab.dead = append(tab.dead, forgotCopy{cs.id, cs.forget()})
+		tab.drop(cs) // its inbound proxies were swept with its replacement
 	}
-	return victims
 }
 
-// dropDead tells every replica of each dead swapped cluster to discard its
-// copy, in sweep order; replicas on unreachable donors go to the
-// deferred-drop queue.
-func (rt *Runtime) dropDead(victims []forgotCopy) {
+// dropDead tells every replica of each queued dead swapped cluster to discard
+// its copy, in sweep order; replicas on unreachable donors go to the
+// deferred-drop queue. A collection that purges while the drops have the
+// lock released queues its own for the next pass.
+func (rt *Runtime) dropDead() {
+	tab := &rt.mgr.table
+	victims := tab.dead
+	tab.dead = nil
 	for _, v := range victims {
 		c := v.copy
 		rt.dropAll(context.Background(), c.devices, c.key, v.id)
@@ -223,7 +221,7 @@ func (m *Manager) AbandonedDrops() int {
 }
 
 // reclaimed purges every record the SwappingManager keeps of the objects a
-// collection just swept (heap.CollectStats.Swept), read from their own fields
+// collection just swept (purge), read from their own fields
 // and headers: the paper's proxy-finalizer semantics in one pass. A swept
 // proxy leaves the shared indexes; a swept swap-cluster-proxy also leaves its
 // home's inbound list and its source's edges, and a swept member of a loaded

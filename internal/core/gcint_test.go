@@ -56,11 +56,13 @@ func TestCollectPurgesEverySweptRecord(t *testing.T) {
 	}
 	checkClean(t, f.rt)
 
-	st := f.rt.Collect()
+	var sweptIDs []heap.ObjID
+	onSweep(f.rt, func(o *heap.Object) { sweptIDs = append(sweptIDs, o.ID()) })
+	f.rt.Collect()
 	swept := []heap.ObjID{shared, cursor.MustRef(), placeholder, orphan.ID()}
 	for _, id := range swept {
-		if !slices.ContainsFunc(st.Swept, func(o *heap.Object) bool { return o.ID() == id }) || f.rt.h.Contains(id) {
-			t.Fatalf("@%d not swept: swept %v", id, st.Swept)
+		if !slices.Contains(sweptIDs, id) || f.rt.h.Contains(id) {
+			t.Fatalf("@%d not swept: swept %v", id, sweptIDs)
 		}
 	}
 	if got := mgr.ProxyCount(); got != proxies {
@@ -95,6 +97,102 @@ func TestCollectPurgesEverySweptRecord(t *testing.T) {
 		t.Errorf("outbound edges root -> %d = %d, want %d", clusters[2], got, cursorEdges)
 	}
 	checkClean(t, f.rt)
+}
+
+// onSweep re-registers rt as its heap's owner with a purge that first shows
+// fn every object the collection swept, in sweep order, fields intact.
+func onSweep(rt *Runtime, fn func(o *heap.Object)) {
+	owner := rt.owner()
+	purge := owner.Purge
+	owner.Purge = func(swept []*heap.Object) {
+		for _, o := range swept {
+			fn(o)
+		}
+		purge(swept)
+	}
+	rt.h.RegisterOwner(owner)
+}
+
+// TestHeapCollectionPurgesTheManager: a collection host code reaches through
+// the heap, under the runtime lock, purges the manager's records of what it
+// swept before it returns, as Runtime.Collect does: an unrooted shared proxy
+// and an unrooted member leave no inbound entry, shared-index entry, edge
+// count or membership record behind, and no later collection has to mend
+// anything.
+func TestHeapCollectionPurgesTheManager(t *testing.T) {
+	f := newFixture(t, 0)
+	ids, clusters := f.buildList(t, 30, 10, 8)
+	shared, err := f.rt.lockedProxyFor(RootCluster, ids[15])
+	if err != nil {
+		t.Fatal(err)
+	}
+	orphan, err := f.rt.NewObject(f.node, clusters[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.rt.Locked(func(h *Held) { h.Heap().Collect() })
+	if f.rt.lockedContains(shared) || f.rt.lockedContains(orphan.ID()) {
+		t.Fatal("the heap's collection did not sweep the unrooted proxy and member")
+	}
+	checkClean(t, f.rt)
+	if _, ok := f.rt.mgr.table.proxies.get(proxyKey{RootCluster, ids[15]}); ok {
+		t.Error("the swept shared proxy is still offered for reuse")
+	}
+	f.rt.Collect()
+	checkClean(t, f.rt)
+}
+
+// TestHeapCollectionKeepsParkedFrames: a collection host code reaches through
+// the heap, while a method call is parked on its receiver's demand fault with
+// the runtime lock let go, marks from the invocation stack: the argument
+// that only the host and the parked frame hold survives, and the call
+// stores it once the fault lands.
+func TestHeapCollectionKeepsParkedFrames(t *testing.T) {
+	devices := store.NewRegistry(store.SelectMostFree)
+	gs := &gatedStore{Mem: store.NewMem(0)}
+	if err := devices.Add("pda-neighbor", gs); err != nil {
+		t.Fatal(err)
+	}
+	rt := NewRuntime(heap.New(0), heap.NewRegistry(), WithStores(devices))
+	node := rt.MustRegisterClass(newNodeClass())
+	ids := buildChain(t, rt, 2, 4) // nodes 0-3 in a, 4-7 in b
+	a, b := ids[0], ids[1]
+	f := &fixture{rt: rt}
+	node4 := heap.Ref(slices.Min(members(f, b)))
+	ev, err := rt.SwapOut(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := rt.NewObject(node, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs.mu.Lock()
+	gs.key, gs.gate = ev.Key, make(chan struct{})
+	gs.mu.Unlock()
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := rt.Invoke(node4, "setNext", fresh.RefTo())
+		done <- err
+	}()
+	waitUntil(t, func() bool { return gs.waiting() == 1 })
+	rt.Locked(func(h *Held) { h.Heap().Collect() })
+	close(gs.gate)
+	if err := <-done; err != nil {
+		t.Fatalf("the parked call failed after the heap's collection: %v", err)
+	}
+	if !rt.lockedContains(fresh.ID()) {
+		t.Fatal("the parked call's argument was swept")
+	}
+	next, err := rt.Field(node4, "next")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := rt.lockedUltimateOf(next); err != nil || got != fresh.ID() {
+		t.Fatalf("node 4's next leads to @%d (%v), want the argument @%d", got, err, fresh.ID())
+	}
+	checkClean(t, rt)
 }
 
 // inboundProxies appends the proxies cluster id lists as inbound to buf.
@@ -187,9 +285,8 @@ func TestSwapDropsFollowSweepOrder(t *testing.T) {
 		if err := f.rt.SetRoot("head", heap.Nil()); err != nil {
 			t.Fatal(err)
 		}
-		st := f.rt.Collect()
 		var swept []ClusterID
-		for _, o := range st.Swept {
+		onSweep(f.rt, func(o *heap.Object) {
 			if o.Class().Special == heap.SpecialReplacement {
 				v, err := o.FieldByName(fldClust)
 				if err != nil {
@@ -197,7 +294,8 @@ func TestSwapDropsFollowSweepOrder(t *testing.T) {
 				}
 				swept = append(swept, ClusterID(v.MustInt()))
 			}
-		}
+		})
+		f.rt.Collect()
 		mu.Lock()
 		got := slices.Clone(drops)
 		mu.Unlock()
@@ -238,12 +336,12 @@ func TestSwapInFreesItsReplacement(t *testing.T) {
 			t.Fatalf("cluster %d: replacement-object @%d still resident after its swap-in", c, repl)
 		}
 	}
-	st := f.rt.Collect()
-	for _, o := range st.Swept {
+	onSweep(f.rt, func(o *heap.Object) {
 		if o.Class().Special == heap.SpecialReplacement {
 			t.Fatalf("Collect after the swap-ins swept replacement-object %v", o)
 		}
-	}
+	})
+	f.rt.Collect()
 	checkClean(t, f.rt)
 }
 

@@ -151,7 +151,7 @@ func TestSwappedResidue(t *testing.T) {
 // passes that mint 4 000, then 1 000, then 4 000 cursors allocate 4 000
 // blocks in all, measured as the Go heap's allocation count across the three
 // passes and their collections. A swept block joins the pool in the
-// collection that swept it (heap.Heap.PoolSwept), so one runs between
+// collection that swept it, after the runtime's purge, so one runs between
 // passes. Beside the blocks, the inbound list grows by append, and the pool
 // and the sweep buffer at most once per collection (growthSlack).
 // check.sh runs it by name.

@@ -339,6 +339,10 @@ type clusterTable struct {
 	// budget is spent, then abandoned with a swap.drop.abandoned event.
 	pendingDrops   []dropTicket
 	abandonedDrops int
+	// dead holds, in sweep order, the copies of the dead swapped clusters a
+	// purge forgot (sweepSwapped), which the next runtime pass tells their
+	// donors to drop (dropDead).
+	dead []forgotCopy
 
 	// victims is the buffer eviction candidates are ranked in, reused from
 	// call to call: SelectVictims ranks in it, and a victim walk takes it

@@ -59,9 +59,6 @@ func (rt *Runtime) negotiate(ctx context.Context, rank *placement.Scratch, o swa
 		}
 		return shipPlan{format: wire.FormatID(format), ranked: pinned, replicas: 1}, nil
 	}
-	if rt.placer == nil {
-		return shipPlan{}, ErrNoPlacement
-	}
 	// Rank with need 0: the payload size is unknown until the format is
 	// chosen, and ShipRanked re-checks Free against the encoded size.
 	ranked := rt.placer.RankInto(ctx, rank, key, 0, nil)

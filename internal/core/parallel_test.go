@@ -63,7 +63,7 @@ func TestSwapOutVictimsSkipsIneligible(t *testing.T) {
 			if busy, err = f.rt.reserve(clusters[1], resident, reservedOut, nil); err != nil {
 				t.Fatal(err)
 			}
-			f.rt.collect(1) // garbage's one member is unreachable
+			f.rt.pass(false) // garbage's one member is unreachable
 		}
 		return false
 	}

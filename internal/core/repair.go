@@ -16,7 +16,7 @@ import (
 // replica set, and donors in the paper's ad-hoc neighborhood come and go.
 // UnderReplicated finds the swapped clusters whose replica count fell below
 // target (a replica is "live" when its donor still resolves through the
-// store provider — the breaker/connectivity machinery makes that a cheap
+// store registry — the breaker/connectivity machinery makes that a cheap
 // local check), and RepairCluster re-ships one cluster's payload to fresh
 // donors chosen by the same rendezvous planner that placed it. The
 // placement.Repairer drives both from breaker-open / device-removal /
@@ -47,7 +47,7 @@ func (rt *Runtime) swappedSets() map[ClusterID][]string {
 }
 
 // liveCount reports how many of the given replicas resolve through the
-// store provider right now. Called without the runtime lock — Lookup takes
+// store registry right now. Called without the runtime lock — Lookup takes
 // the registry's own lock.
 func (rt *Runtime) liveCount(devices []string) int {
 	if rt.stores == nil {
@@ -111,9 +111,6 @@ func (rt *Runtime) RepairCluster(ctx context.Context, id ClusterID, k int) (Swap
 	}
 	if rt.stores == nil {
 		return SwapEvent{}, ErrNoStores
-	}
-	if rt.placer == nil {
-		return SwapEvent{}, fmt.Errorf("core: repair cluster %d: %w", id, ErrNoPlacement)
 	}
 	rt.lock()
 	defer rt.unlock()

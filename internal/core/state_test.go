@@ -177,7 +177,7 @@ func TestClusterTransitions(t *testing.T) {
 			if err := f.rt.SetRoot("head", heap.Nil()); err != nil {
 				return err
 			}
-			f.rt.lockedCollect(pressureCycles)
+			f.rt.Collect()
 			return nil
 		}, [...]func(residency) outcome{
 			resident: stays, reservedOut: stays,

@@ -317,14 +317,11 @@ func (s *swapOut) encode() error {
 // resolved, in the negotiated format, each reference classified internal /
 // slot / remote (outScratch.ref).
 func (s *swapOut) encodeFrame() error {
-	rt, sc := s.rt, s.sc
-	format := s.plan.format
-	start := rt.obsReg.Clock().Now()
+	sc, format := s.sc, s.plan.format
 	payload, err := s.enc.EncodeObjects(format, s.key, sc.objs, sc.encodeRef)
 	if err != nil {
 		return fmt.Errorf("core: encode cluster %d as %s: %w", s.id, format, err)
 	}
-	rt.recordWire(format, "encode", len(payload), rt.obsReg.Clock().Now().Sub(start))
 	s.payload = payload
 	s.span.SetFormat(string(format))
 	return nil
@@ -414,9 +411,6 @@ func (s *swapOut) shipPlanned() error {
 		}
 		s.rep = placement.ShipReport{Replicas: []string{d}, Requested: 1, Quorum: 1}
 		return nil
-	}
-	if rt.placer == nil {
-		return fmt.Errorf("core: swap-out cluster %d: %w", id, ErrNoPlacement)
 	}
 	s.sc.failover = failover{rt: rt, id: id, key: key, trace: s.trace, bytes: len(s.payload)}
 	var err error

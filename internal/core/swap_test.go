@@ -193,7 +193,7 @@ func TestSwapInExplicitAndErrors(t *testing.T) {
 	if _, err := f.rt.SwapIn(clusters[1]); err != nil {
 		t.Fatal(err)
 	}
-	// No store provider at all.
+	// No store registry at all.
 	bare := NewRuntime(heap.New(0), heap.NewRegistry())
 	bare.MustRegisterClass(newNodeClass())
 	c := bare.Manager().NewCluster()

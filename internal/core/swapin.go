@@ -151,11 +151,9 @@ func (s *swapIn) fetch() error {
 func (s *swapIn) decode() (err error) {
 	rt := s.rt
 	s.fid, _ = wire.Detect(s.data)
-	start := rt.obsReg.Clock().Now()
 	if s.staged, err = wire.Stage(s.data, rt.reg); err != nil {
 		return fmt.Errorf("core: unwrap cluster %d: %w", s.id, err)
 	}
-	rt.recordWire(s.fid, "decode", len(s.data), rt.obsReg.Clock().Now().Sub(start))
 	s.span.SetFormat(string(s.fid))
 	if s.staged.ClusterID != s.copy.key {
 		return fmt.Errorf("core: cluster %d: device returned wrong shipment %q", s.id, s.staged.ClusterID)

@@ -134,13 +134,16 @@ func TestSweepBeforeEnlist(t *testing.T) {
 		t.Fatal(err)
 	}
 	var once sync.Once
-	var swept []*heap.Object
+	sweptProxy := false
+	onSweep(f.rt, func(o *heap.Object) {
+		sweptProxy = sweptProxy || (isProxy(o) && proxyUltimate(o) == ids[15])
+	})
 	f.rt.yield = func(at string) {
 		if at == "mint" {
 			once.Do(func() {
 				done := make(chan heap.CollectStats)
-				go func() { done <- f.rt.collect(pressureCycles) }()
-				swept = (<-done).Swept
+				go func() { done <- f.rt.pass(false) }()
+				<-done
 			})
 		}
 	}
@@ -148,10 +151,6 @@ func TestSweepBeforeEnlist(t *testing.T) {
 	f.rt.yield = nil
 	if err != nil {
 		t.Fatal(err)
-	}
-	sweptProxy := false
-	for _, o := range swept {
-		sweptProxy = sweptProxy || (isProxy(o) && proxyUltimate(o) == ids[15])
 	}
 	if !sweptProxy {
 		t.Fatal("the collection did not sweep the proxy being minted")
@@ -189,7 +188,7 @@ func TestReissueBeforeEnlist(t *testing.T) {
 				t.Errorf("the newest object %v is not the proxy being minted", block)
 				return
 			}
-			f.rt.collect(pressureCycles)
+			f.rt.pass(false)
 			for i := 0; i < 100 && other == heap.NilID; i++ {
 				pid, err := f.rt.newProxy(RootCluster, ids[16], f.rt.mgr.clusterOf(ids[16]), false)
 				if err != nil {

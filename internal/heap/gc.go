@@ -7,7 +7,8 @@ import (
 
 // CollectStats reports the outcome of one collection pass, full or young.
 // A young pass (CollectYoung) reports the young garbage it found: a subset of
-// what a full pass at the same point would have reported.
+// what a full pass at the same point would have reported. What a pass swept
+// is told to the heap's owner alone, in the pass (Owner.Purge).
 type CollectStats struct {
 	// Live is the number of objects that survived the pass.
 	Live int
@@ -15,90 +16,77 @@ type CollectStats struct {
 	Reclaimed int
 	// BytesFreed is the accounted memory returned to the budget.
 	BytesFreed int64
-	// Swept lists the reclaimed objects (nil when nothing was reclaimed),
-	// detached but with their fields intact: the heap's one report of what it
-	// reclaimed, from which table owners purge exactly what they recorded. The
-	// order is the heap's resident list, a function of the heap's history of
-	// allocations, installs and reclamations, so two heaps built by the same
-	// sequence of calls sweep the same objects in the same order.
-	//
-	// Swept, the list and the objects in it, is valid until the owner gives
-	// the report back with PoolSwept, in the hold that ran the collection:
-	// from then on the blocks of the pooled objects in it (swap-cluster-proxies
-	// and replacement-objects, see pooled) may be reissued under fresh ids by
-	// the next allocation. The list is a buffer the heap reuses, and the next
-	// collection clears it.
-	Swept []*Object
 }
 
 // Collect runs one stop-the-world mark-sweep cycle over the whole heap (a
-// full pass). Liveness roots are: named heap roots, pinned objects, nursery
-// objects still in their grace, and any extra ids supplied by the caller (the
-// swapping runtime passes the receivers and arguments of in-flight
-// invocations, standing in for thread stacks).
-func (h *Heap) Collect(extra ...ObjID) CollectStats {
-	return h.collect(1, false, extra)
-}
-
-// CollectCycles runs one full mark-sweep pass whose survivors, nursery state
-// and swept ids equal those of `cycles` back-to-back Collect calls on a
-// heap nothing else touches in between: a nursery entry whose grace would
-// run out before the last of those cycles is not a root, and every surviving
-// entry ages by `cycles`. The equivalence holds because each cycle's live set
-// contains the next one's, so whatever the earlier cycles would have freed
-// the last one frees too. It counts as one collection.
+// full pass), which ages the nursery one cycle. Liveness roots are: named
+// heap roots, pinned objects, nursery objects still in their grace, and the
+// owner's roots (Owner.Roots: the swapping runtime's invocation stack,
+// standing in for thread stacks). Before it returns, the pass tells its
+// owner what it swept (Owner.Purge) and only then gives the swept blocks of
+// the pooled classes to the pool, so whoever reaches a collection, the
+// owner's records of a swept object are gone before its block is reissued.
 //
 // The mark phase resolves each reference with one probe of the heap's
 // open-addressed object index, and the sweep walks the dense list of
 // residents, so a pass costs one probe per reference followed plus one step
 // per resident object, and no Go map is hashed per object. The pass
-// allocates only to grow the Swept buffer, to the largest count any pass has
-// reclaimed: marks are a per-object epoch word, and the work list and the
-// buffer live on the heap.
-func (h *Heap) CollectCycles(cycles int, extra ...ObjID) CollectStats {
-	return h.collect(cycles, false, extra)
+// allocates only to grow the sweep buffer, to the largest count any pass has
+// reclaimed, and the pool: marks are a per-object epoch word, and the work
+// list and the buffer live on the heap.
+func (h *Heap) Collect() CollectStats {
+	return h.collect(1, false)
 }
 
-// CollectYoung runs a young pass: CollectCycles' nursery aging, pins and
-// extra roots, but it traces only what appeared since the previous pass and
-// sweeps only what it did not reach. Marks are sticky: an object a pass
-// marked is old, keeps its mark, and counts as marked here, so the trace
-// stops at it and the sweep keeps it. Besides the pins, the nursery entries
-// still in grace and extra, its roots are what may name a young object
-// without an old path to it: the young objects a write stored into an old
-// object or a root since the previous pass (the write barrier in setField
-// and SetRoot remembers them), and the fields of the batches InstallBatch
-// made resident since then, whose members are born old because older
-// objects may already name their ids. An unchanged root names an old object
-// or nothing, since an id is never reissued to a new object.
+// pressureCycles is the nursery grace a young pass burns. The young pass is
+// the swapping runtime's eviction pass, and its grace has to exceed the grace
+// the façade grants every allocation (2): host-held garbage that only its
+// grace protects — the dead swap-cluster-proxies a finished walk leaves
+// behind — must go before a live cluster is shipped to make the room it
+// occupies. Three is what the benchmark's exact eviction counts are pinned
+// to (DESIGN §6).
+const pressureCycles = 3
+
+// CollectYoung runs a young pass: Collect's pins, owner's roots, purge and
+// pooling, with the nursery aged pressureCycles cycles, but it traces only
+// what appeared since the previous pass and sweeps only what it did not
+// reach. Marks are sticky: an object a pass marked is old, keeps its mark,
+// and counts as marked here, so the trace stops at it and the sweep keeps
+// it. Besides the pins, the nursery entries still in grace and the owner's
+// roots, its roots are what may name a young object without an old path to
+// it: the young objects a write stored into an old object or a root since
+// the previous pass (the write barrier in setField and SetRoot remembers
+// them), and the fields of the batches InstallBatch made resident since
+// then, whose members are born old because older objects may already name
+// their ids. An unchanged root names an old object or nothing, since an id is
+// never reissued to a new object.
 //
 // So a young pass never sweeps a reachable object, and it sweeps a subset of
-// what CollectCycles would: garbage that a pass had already marked (an old
+// what a full pass would: garbage that a pass had already marked (an old
 // object dropped since) waits for a full pass. Its cost is one probe per
 // reference it follows from those roots plus one step per resident object in
 // the sweep. When the remembered young objects or the installed batches
 // since the previous pass would outnumber the residents, it runs as a full
 // pass instead. Either way it counts as one collection.
-func (h *Heap) CollectYoung(cycles int, extra ...ObjID) CollectStats {
-	return h.collect(cycles, true, extra)
+func (h *Heap) CollectYoung() CollectStats {
+	return h.collect(pressureCycles, true)
 }
 
-// collect is the one mark-sweep pass behind CollectCycles and CollectYoung.
-// A full pass advances the epoch, which unmarks every object, and marks from
-// every root; a young pass keeps the epoch and marks from the remembered set
-// instead of the roots. The trace, the sweep and the nursery's aging are the
-// same code for both.
-func (h *Heap) collect(cycles int, young bool, extra []ObjID) CollectStats {
+// collect is the one mark-sweep pass behind Collect and CollectYoung, with
+// the nursery aged by cycles: its survivors, nursery state and swept ids
+// equal those of `cycles` back-to-back passes on a heap nothing else touches
+// in between, since each cycle's live set contains the next one's. A full
+// pass advances the epoch, which unmarks every object, and marks from every
+// root; a young pass keeps the epoch and marks from the remembered set
+// instead of the roots. The trace, the sweep, the nursery's aging, the purge
+// and the pooling are the same code for both, in that order.
+func (h *Heap) collect(cycles int, young bool) CollectStats {
 	h.held()
-	if cycles < 1 {
-		cycles = 1
-	}
 	var began time.Time
 	if h.gcClock != nil {
 		began = h.gcClock.Now()
 	}
 
-	h.recycle()
 	if young && !h.overflowed {
 		for _, id := range h.remembered {
 			h.markID(id)
@@ -135,8 +123,10 @@ func (h *Heap) collect(cycles int, young bool, extra []ObjID) CollectStats {
 			h.markID(id)
 		}
 	}
-	for _, id := range extra {
-		h.markID(id)
+	if h.owner.Roots != nil {
+		for _, id := range h.owner.Roots() {
+			h.markID(id)
+		}
 	}
 	for n := len(h.work); n > 0; n = len(h.work) {
 		o := h.work[n-1]
@@ -164,7 +154,6 @@ func (h *Heap) collect(cycles int, young bool, extra []ObjID) CollectStats {
 		for _, o := range h.swept {
 			h.unlink(o.id, &st)
 		}
-		st.Swept, h.unpooled = h.swept, true
 	}
 	for id, grace := range h.nursery {
 		if grace <= cycles {
@@ -179,33 +168,23 @@ func (h *Heap) collect(cycles int, young bool, extra []ObjID) CollectStats {
 	if h.gcClock != nil {
 		h.gcSeconds.Observe(h.gcClock.Now().Sub(began).Seconds())
 	}
+	if len(h.swept) > 0 {
+		if h.owner.Purge != nil {
+			h.owner.Purge(h.swept)
+		}
+		h.poolSwept()
+	}
 	return st
 }
 
-// recycle clears the previous pass's Swept report: the buffer lets go of
-// every entry, so the Go collector may take what the pool did not.
-func (h *Heap) recycle() {
-	clear(h.swept)
-	h.swept, h.unpooled = h.swept[:0], false
-}
-
-// PoolSwept gives the latest collection's report back (CollectStats.Swept):
-// the blocks of the pooled objects in it join the pool newObject reissues
-// from. The owner calls it once it has purged every record of what the
-// collection swept, before its hold of the lock ends, so the pool never
-// waits a collection for them; after it a reported object is a name for
-// nothing, as the next allocation may reissue its block. A second call for
-// the same report pools nothing, and a report the owner never gives back is
-// cleared by the next collection, its blocks left to the Go collector. Each
-// free list grows at most once per call, by append's rule for all its
-// joiners together: the first growth is exact, a later one leaves headroom,
-// so a pool that hovers near its peak is not copied again.
-func (h *Heap) PoolSwept() {
-	h.held()
-	if !h.unpooled {
-		return
-	}
-	h.unpooled = false
+// poolSwept gives the blocks of the pooled objects the pass swept to the pool
+// newObject reissues from, once the owner has purged every record of them,
+// and lets go of every entry of the sweep buffer, so the Go collector may
+// take what the pool did not. Each free list grows at most once per pass, by
+// append's rule for all its joiners together: the first growth is exact, a
+// later one leaves headroom, so a pool that hovers near its peak is not
+// copied again.
+func (h *Heap) poolSwept() {
 	var joining [maxInlineFields + 1]int
 	for _, o := range h.swept {
 		if pooled(o.class) {
@@ -218,6 +197,8 @@ func (h *Heap) PoolSwept() {
 	for _, o := range h.swept {
 		h.pool(o)
 	}
+	clear(h.swept)
+	h.swept = h.swept[:0]
 }
 
 // markID marks a resident object live and queues it for scanning.
@@ -312,8 +293,8 @@ func (h *Heap) finishReclaim(st *CollectStats) {
 // Free reclaims exactly the given objects in one critical section, as a
 // collection that found them (and nothing else) unreachable would: their
 // bytes return to the budget before Free returns. Ids that are not resident
-// are skipped. Its result lists nothing as Swept: the caller named it, and
-// the block of a pooled object among them (see pooled) joins the pool at
+// are skipped. The owner's purge is not told of them: the caller named them,
+// and the block of a pooled object among them (see pooled) joins the pool at
 // once, so the caller lets go of it. The swapping runtime calls it when a
 // swap-out commits — the shipped members are unreachable by construction, so
 // there is nothing for a mark phase to decide — and when a swap-in commits,

@@ -26,6 +26,45 @@ func buildChain(t testing.TB, h *Heap, n int) []*Object {
 	return objs
 }
 
+// testOwner owns a heap in tests: its roots are extra, and its purge records
+// the ids each pass swept, in sweep order.
+type testOwner struct {
+	extra []ObjID
+	swept []ObjID
+}
+
+// own registers a testOwner of h with the given roots.
+func own(h *Heap, extra ...ObjID) *testOwner {
+	o := &testOwner{extra: extra}
+	h.RegisterOwner(Owner{
+		Roots: func() []ObjID { return o.extra },
+		Purge: func(swept []*Object) {
+			for _, s := range swept {
+				o.swept = append(o.swept, s.id)
+			}
+		},
+	})
+	return o
+}
+
+// take returns the ids swept since the last take, in sweep order.
+func (o *testOwner) take() []ObjID {
+	swept := o.swept
+	o.swept = nil
+	return swept
+}
+
+// installOne makes one zero-valued object of class c resident under id, as a
+// batch of one, and returns it.
+func installOne(h *Heap, id ObjID, c *Class) (*Object, error) {
+	b := MakeBatch(1, c.NumFields())
+	b.Add(id, c)
+	if _, err := h.InstallBatch(&b); err != nil {
+		return nil, err
+	}
+	return h.Get(id)
+}
+
 func TestCollectReclaimsUnreachable(t *testing.T) {
 	h := New(0)
 	objs := buildChain(t, h, 10)
@@ -95,11 +134,14 @@ func TestCollectHonorsPins(t *testing.T) {
 func TestCollectHonorsExtraRoots(t *testing.T) {
 	h := New(0)
 	objs := buildChain(t, h, 3)
-	// No named roots at all; pass the head as an in-flight stack reference.
-	st := h.Collect(objs[0].ID())
+	// No named roots at all; the owner holds the head as an in-flight stack
+	// reference.
+	owner := own(h, objs[0].ID())
+	st := h.Collect()
 	if st.Reclaimed != 0 {
 		t.Fatalf("stack-rooted chain collected (reclaimed=%d)", st.Reclaimed)
 	}
+	owner.extra = nil
 	st = h.Collect()
 	if st.Reclaimed != 3 {
 		t.Fatalf("garbage chain survived (reclaimed=%d)", st.Reclaimed)
@@ -211,9 +253,11 @@ func TestPropCollectMatchesReachability(t *testing.T) {
 
 // Free reclaims exactly the ids it is given — reachable or not — in one step:
 // bytes back on return, nursery and pin entries gone, ids that are not
-// resident skipped, no swept ids reported, and no collection counted.
+// resident skipped, nothing handed to the owner's purge, and no collection
+// counted.
 func TestFreeReclaimsExactlyTheGivenObjects(t *testing.T) {
 	h := New(0)
+	owner := own(h)
 	h.SetNurseryGrace(2)
 	objs := buildChain(t, h, 4)
 	h.SetRoot("head", objs[0].RefTo())
@@ -221,7 +265,7 @@ func TestFreeReclaimsExactlyTheGivenObjects(t *testing.T) {
 	want := h.Used() - objs[1].Size() - objs[2].Size()
 
 	st := h.Free([]ObjID{objs[1].ID(), objs[2].ID(), ObjID(9999)})
-	if st.Reclaimed != 2 || st.Live != 2 || st.Swept != nil {
+	if st.Reclaimed != 2 || st.Live != 2 || owner.take() != nil {
 		t.Fatalf("stats = %+v, want 2 reclaimed, 2 live, none swept", st)
 	}
 	if h.Used() != want {

@@ -79,16 +79,14 @@ type Heap struct {
 	overflowed bool
 	installs   [][]Object
 
-	// swept is the buffer a pass reports CollectStats.Swept in, sized once
-	// to the largest pass so far; unpooled marks a report PoolSwept has not
-	// given back yet. free holds, by slot count, the blocks of reclaimed
-	// pooled objects newObject reissues: a pass's swept ones join when its
-	// owner gives the report back (PoolSwept), in the hold that ran it, and
-	// Free and Remove add theirs at once. Neither shrinks: the pool plus the
-	// live objects of the pooled classes never exceed their peak residency.
-	swept    []*Object
-	unpooled bool
-	free     [maxInlineFields + 1][]*Object
+	// swept is the buffer a pass sweeps into and hands its owner's purge,
+	// sized once to the largest pass so far and emptied by the pass. free
+	// holds, by slot count, the blocks of reclaimed pooled objects newObject
+	// reissues: a pass's swept ones join after its purge, and Free and Remove
+	// add theirs at once. Neither shrinks: the pool plus the live objects of
+	// the pooled classes never exceed their peak residency.
+	swept []*Object
+	free  [maxInlineFields + 1][]*Object
 
 	// writeObservers are invoked after every successful write to an
 	// application object's field (Object.SetField) with its id — the swapping
@@ -115,8 +113,8 @@ type Heap struct {
 	reclaimed   atomic.Uint64
 	removed     atomic.Uint64
 
-	// check is the owner's assertion that it holds its lock (CheckOwner).
-	check func()
+	// owner is the runtime the heap belongs to (RegisterOwner).
+	owner Owner
 
 	// GC observability hooks, installed by Instrument (nil when the heap is
 	// not instrumented). The clock keeps cycle timings deterministic in
@@ -138,14 +136,34 @@ func New(capacity int64) *Heap {
 	}
 }
 
-// CheckOwner installs the owner's assertion that the caller holds its lock,
-// which every entry point that reads or writes the heap's tables or an
-// object runs first in the lockcount build (LockCount), and never otherwise.
-func (h *Heap) CheckOwner(check func()) { h.check = check }
+// Owner is what the runtime that owns a heap gives it. Any field may be nil.
+type Owner struct {
+	// Held asserts that the caller holds the owner's lock. Every entry point
+	// that reads or writes the heap's tables or an object runs it first, in
+	// the lockcount build (LockCount) and never otherwise.
+	Held func()
+	// Roots returns the ids every pass marks from beside the heap's own
+	// roots: what the owner holds that the heap cannot see, such as the
+	// swapping runtime's invocation stack. The pass keeps nothing of it.
+	Roots func() []ObjID
+	// Purge is handed what a pass swept, detached with their fields intact,
+	// so the owner drops every record it keeps of them. The order is the
+	// heap's resident list, a function of the heap's history of allocations,
+	// installs and reclamations, so two heaps built by the same sequence of
+	// calls sweep the same objects in the same order. The list and the
+	// objects in it are valid only during the call: then the blocks of the
+	// pooled ones (see pooled) join the pool the next allocation reissues
+	// from. Purge may allocate, but not collect.
+	Purge func(swept []*Object)
+}
+
+// RegisterOwner registers the heap's owner, once, before the heap is
+// shared. A heap without one marks from its own roots and purges nothing.
+func (h *Heap) RegisterOwner(o Owner) { h.owner = o }
 
 func (h *Heap) held() {
-	if LockCount && h.check != nil {
-		h.check()
+	if LockCount && h.owner.Held != nil {
+		h.owner.Held()
 	}
 }
 
@@ -420,24 +438,6 @@ func allocObject(n int) *Object {
 		return &b.Object
 	}
 	return &Object{fields: make([]Value, n)}
-}
-
-// NewAt installs one zero-valued object with a caller-chosen ID: a batch of
-// one, through the InstallBatch that swap-in and checkpoint restore use to
-// put back whole clusters. The ID must not collide with a resident object;
-// the internal ID counter advances past it so fresh allocations never
-// collide either.
-func (h *Heap) NewAt(id ObjID, c *Class) (*Object, error) {
-	if c == nil {
-		return nil, errors.New("heap: NewAt: nil class")
-	}
-	b := MakeBatch(1, c.NumFields())
-	b.Add(id, c)
-	o := &b.objs[0] // the staged member is the object InstallBatch makes resident
-	if _, err := h.InstallBatch(&b); err != nil {
-		return nil, err
-	}
-	return o, nil
 }
 
 // Batch stages a cluster for InstallBatch in the objects it will become: the

@@ -192,7 +192,10 @@ func TestWriteToReclaimedObjectFails(t *testing.T) {
 	}
 }
 
-func TestNewAtRestoresIdentity(t *testing.T) {
+// TestInstallRestoresIdentity: an installed object keeps the id it was staged
+// under, an install over a resident id or under the nil id fails, and fresh
+// allocations never collide with an installed id.
+func TestInstallRestoresIdentity(t *testing.T) {
 	h := New(0)
 	c := nodeClass()
 	o, _ := h.New(c)
@@ -200,7 +203,7 @@ func TestNewAtRestoresIdentity(t *testing.T) {
 	if err := h.Remove(id); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := h.NewAt(id, c)
+	restored, err := installOne(h, id, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,20 +211,20 @@ func TestNewAtRestoresIdentity(t *testing.T) {
 		t.Errorf("restored id = %d, want %d", restored.ID(), id)
 	}
 	// Collision with a resident object must fail.
-	if _, err := h.NewAt(id, c); err == nil {
-		t.Error("NewAt over resident object: want error")
+	if _, err := installOne(h, id, c); err == nil {
+		t.Error("install over resident object: want error")
 	}
 	// Fresh allocations must not collide with restored ids.
 	far := id + 50
-	if _, err := h.NewAt(far, c); err != nil {
+	if _, err := installOne(h, far, c); err != nil {
 		t.Fatal(err)
 	}
 	next, _ := h.New(c)
 	if next.ID() <= far {
 		t.Errorf("fresh id %d collides with restored space (<= %d)", next.ID(), far)
 	}
-	if _, err := h.NewAt(NilID, c); err == nil {
-		t.Error("NewAt(NilID): want error")
+	if _, err := installOne(h, NilID, c); err == nil {
+		t.Error("install under NilID: want error")
 	}
 }
 

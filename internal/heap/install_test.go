@@ -20,10 +20,10 @@ func stagedNodes(c *Class, first ObjID, n, payload int) *Batch {
 	return &b
 }
 
-// TestInstallBatchEqualsNewAtPlusSetField: a batch install leaves the heap as
-// restoring the same objects one NewAt and one SetField at a time does —
-// sizes, Used, the id counter and the nursery included.
-func TestInstallBatchEqualsNewAtPlusSetField(t *testing.T) {
+// TestInstallBatchEqualsOneByOne: a batch install leaves the heap as
+// restoring the same objects one batch of one and one SetField at a time
+// does — sizes, Used, the id counter and the nursery included.
+func TestInstallBatchEqualsOneByOne(t *testing.T) {
 	c := nodeClass()
 	batched, stepwise := New(0), New(0)
 	batched.SetNurseryGrace(2)
@@ -34,7 +34,7 @@ func TestInstallBatchEqualsNewAtPlusSetField(t *testing.T) {
 	}
 	want := stagedNodes(c, 40, 5, 100)
 	for i := 0; i < want.Len(); i++ {
-		o, err := stepwise.NewAt(want.ID(i), c)
+		o, err := installOne(stepwise, want.ID(i), c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func TestInstallBatchAllOrNothing(t *testing.T) {
 	c := nodeClass()
 	h := New(0)
 	h.SetNurseryGrace(1)
-	resident, err := h.NewAt(42, c)
+	resident, err := installOne(h, 42, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestInstallBatchAllOrNothing(t *testing.T) {
 	}
 
 	// Room for half the batch is room for none of it; the application share
-	// is what counts, as for NewAt.
+	// is what counts.
 	roomy := stagedNodes(c, 80, 4, 1000)
 	h.SetCapacity(used + 2500)
 	if _, err := h.InstallBatch(roomy); !errors.Is(err, ErrOutOfMemory) {

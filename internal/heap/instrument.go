@@ -35,7 +35,7 @@ func (h *Heap) Instrument(r *obs.Registry, device string) {
 
 	h.gcClock = r.Clock()
 	h.gcSeconds = r.HistogramVec("objectswap_heap_gc_seconds",
-		"Mark-sweep cycle duration.", nil, "device").With(device)
+		"Mark-sweep cycle duration; the timer stops before the owner's purge of what the pass swept.", nil, "device").With(device)
 	h.gcFreed = r.CounterVec("objectswap_heap_gc_freed_bytes_total",
 		"Bytes returned to the budget by the collector.", "device").With(device)
 }

@@ -88,7 +88,7 @@ func TestObjectLayouts(t *testing.T) {
 // TestBatchSlabFallback: members staged from one slab sit side by side, and a
 // member the slab has no room left for gets a vector of its own. Once
 // installed, no member's write shows in another, and the heap holds exactly
-// what NewAt and SetField would have built.
+// what batches of one and SetField would have built.
 func TestBatchSlabFallback(t *testing.T) {
 	small, big := scalarClass(2), scalarClass(7)
 	classes := []*Class{small, big, small, small, big}
@@ -109,7 +109,7 @@ func TestBatchSlabFallback(t *testing.T) {
 		if installed[i], err = batched.Get(ObjID(10 + i)); err != nil {
 			t.Fatal(err)
 		}
-		o, err := stepwise.NewAt(ObjID(10+i), c)
+		o, err := installOne(stepwise, ObjID(10+i), c)
 		if err != nil {
 			t.Fatal(err)
 		}

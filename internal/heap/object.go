@@ -87,7 +87,7 @@ func (o *Object) SetField(i int, v Value) error {
 // resident under id, which it checks before it writes. A collection, Free
 // or Remove may reclaim an object of a pooled class (a swap-cluster-proxy or
 // a replacement-object) and the next allocation reissue its block under
-// another id (CollectStats.Swept): a holder that kept the block past that
+// another id (Owner.Purge): a holder that kept the block past that
 // learns so here, with ErrNoSuchObject, and writes nothing into the object
 // the block has become. Nothing of o but its heap is read before the check.
 func (o *Object) SetFieldAs(id ObjID, i int, v Value) error {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -187,6 +188,7 @@ func TestResidencyChurnAllocatesNothing(t *testing.T) {
 // the rest of the chain, and would never free the garbage.
 func TestMarkEpochWrap(t *testing.T) {
 	h := New(0)
+	owner := own(h)
 	c := nodeClass()
 	var chain []*Object
 	h.epoch = math.MaxUint32 - 2
@@ -204,9 +206,9 @@ func TestMarkEpochWrap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := h.Collect()
-		if st.Reclaimed != 1 || st.Swept[0] != garbage {
-			t.Fatalf("pass %d (epoch %d): swept %v, want only the garbage %d", pass, h.epoch, st.Swept, garbage.ID())
+		h.Collect()
+		if swept := owner.take(); !slices.Equal(swept, []ObjID{garbage.ID()}) {
+			t.Fatalf("pass %d (epoch %d): swept %v, want only the garbage %d", pass, h.epoch, swept, garbage.ID())
 		}
 		for _, o := range chain {
 			if !h.Contains(o.ID()) {
@@ -226,9 +228,10 @@ func TestSweptOrderFollowsHistory(t *testing.T) {
 	swept := 0
 	for seed := int64(1); seed <= 20; seed++ {
 		build := func() []ObjID {
-			h, extra := randomHeap(t, seed)
+			h, owner := randomHeap(t, seed)
 			churn(t, rand.New(rand.NewSource(seed)), h, fanClass(), int(h.nextID))
-			return sweptIDs(h.Collect(extra...).Swept)
+			h.Collect()
+			return owner.take()
 		}
 		sweptA, sweptB := build(), build()
 		if !reflect.DeepEqual(sweptA, sweptB) {

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"sort"
 	"testing"
 )
 
@@ -19,8 +18,9 @@ func fanClass() *Class {
 }
 
 // randomHeap builds, from the seed alone, a heap of randomly linked objects
-// with roots, pins and nursery entries of mixed grace.
-func randomHeap(t *testing.T, seed int64) (*Heap, []ObjID) {
+// with roots, pins, nursery entries of mixed grace and a test owner holding
+// a few of them as its roots.
+func randomHeap(t *testing.T, seed int64) (*Heap, *testOwner) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	h := New(0)
@@ -59,7 +59,7 @@ func randomHeap(t *testing.T, seed int64) (*Heap, []ObjID) {
 	for i := r.Intn(3); i > 0; i-- {
 		extra = append(extra, objs[r.Intn(n)].ID())
 	}
-	return h, extra
+	return h, own(h, extra...)
 }
 
 // churn frees a random third of h's residents and reinstalls most of them
@@ -90,31 +90,23 @@ func churn(t testing.TB, r *rand.Rand, h *Heap, c *Class, span int) {
 	}
 }
 
-func sortedIDs(swept []*Object) []ObjID {
-	out := sweptIDs(swept)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+// sortedIDs returns the ids in ascending order.
+func sortedIDs(ids []ObjID) []ObjID {
+	out := slices.Clone(ids)
+	slices.Sort(out)
 	return out
 }
 
-// sweptIDs lists the ids of a collection's swept objects, in sweep order.
-func sweptIDs(swept []*Object) []ObjID {
-	out := make([]ObjID, len(swept))
-	for i, o := range swept {
-		out[i] = o.ID()
-	}
-	return out
-}
-
-// Property: on any heap, one CollectCycles(3) pass leaves exactly what three
-// back-to-back Collect cycles leave — the same survivors, the same accounted
-// bytes, the same nursery, the same swept ids — and counts
+// Property: on any heap, one full pass aged three cycles (collect) leaves
+// exactly what three back-to-back Collect cycles leave — the same survivors,
+// the same accounted bytes, the same nursery, the same swept ids — and counts
 // as one collection. Between rounds both heaps take the same Free and
 // reinstalling InstallBatch, so the pass is checked on a heap whose residents
 // come and go under their original ids.
 func TestPropPressurePassEqualsThreeCycles(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
-		loop, extra := randomHeap(t, seed)
-		pass, _ := randomHeap(t, seed)
+		loop, loopOwner := randomHeap(t, seed)
+		pass, passOwner := randomHeap(t, seed)
 		span := int(loop.nextID)
 		loopChurn, passChurn := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
 
@@ -125,13 +117,12 @@ func TestPropPressurePassEqualsThreeCycles(t *testing.T) {
 			}
 			var loopStats CollectStats
 			for i := 0; i < 3; i++ {
-				st := loop.Collect(extra...)
+				st := loop.Collect()
 				loopStats.Reclaimed += st.Reclaimed
 				loopStats.BytesFreed += st.BytesFreed
 				loopStats.Live = st.Live
-				loopStats.Swept = append(loopStats.Swept, st.Swept...)
 			}
-			passStats := pass.CollectCycles(3, extra...)
+			passStats := pass.collect(3, false)
 
 			if got, want := pass.IDs(), loop.IDs(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d round %d: survivors %v, three cycles leave %v", seed, round, got, want)
@@ -142,10 +133,9 @@ func TestPropPressurePassEqualsThreeCycles(t *testing.T) {
 			if !reflect.DeepEqual(pass.nursery, loop.nursery) {
 				t.Fatalf("seed %d round %d: nursery %v, three cycles leave %v", seed, round, pass.nursery, loop.nursery)
 			}
-			if got, want := sortedIDs(passStats.Swept), sortedIDs(loopStats.Swept); !reflect.DeepEqual(got, want) {
+			if got, want := sortedIDs(passOwner.take()), sortedIDs(loopOwner.take()); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d round %d: swept %v, three cycles sweep %v", seed, round, got, want)
 			}
-			passStats.Swept, loopStats.Swept = nil, nil
 			if !reflect.DeepEqual(passStats, loopStats) {
 				t.Fatalf("seed %d round %d: stats %+v, three cycles total %+v", seed, round, passStats, loopStats)
 			}
@@ -325,8 +315,8 @@ func youngChurn(t *testing.T, r *rand.Rand, hs []*Heap, pick []ObjID, c *Class) 
 }
 
 // rootedIDs lists what a pass aged by cycles must keep: whatever the roots,
-// the pins, the nursery entries whose grace outlasts the pass and extra
-// reach.
+// the pins, the nursery entries whose grace outlasts the pass and the
+// owner's roots extra reach.
 func rootedIDs(h *Heap, cycles int, extra []ObjID) map[ObjID]bool {
 	seeds := append([]ObjID(nil), extra...)
 	for _, v := range h.roots {
@@ -354,9 +344,8 @@ func rootedIDs(h *Heap, cycles int, extra []ObjID) map[ObjID]bool {
 // every third round do both run a full pass after it, so young passes also
 // follow young passes and the old garbage they leave.
 func TestPropYoungPassSweepsOnlyGarbage(t *testing.T) {
-	const cycles = 3
 	for seed := int64(1); seed <= 60; seed++ {
-		young, extra := randomHeap(t, seed)
+		young, owner := randomHeap(t, seed)
 		full, _ := randomHeap(t, seed)
 		hs := []*Heap{young, full}
 		r := rand.New(rand.NewSource(seed))
@@ -364,15 +353,16 @@ func TestPropYoungPassSweepsOnlyGarbage(t *testing.T) {
 			if round > 1 {
 				youngChurn(t, r, hs, full.IDs(), fanClass())
 			}
-			rooted := rootedIDs(young, cycles, extra)
-			ys := young.CollectYoung(cycles, extra...)
-			full.CollectCycles(cycles, extra...)
-			for _, o := range ys.Swept {
-				if rooted[o.ID()] {
-					t.Fatalf("seed %d round %d: young pass swept reachable %v", seed, round, o)
+			rooted := rootedIDs(young, pressureCycles, owner.extra)
+			owner.take()
+			ys := young.CollectYoung()
+			full.collect(pressureCycles, false)
+			for _, id := range owner.take() {
+				if rooted[id] {
+					t.Fatalf("seed %d round %d: young pass swept reachable @%d", seed, round, id)
 				}
-				if full.Contains(o.ID()) {
-					t.Fatalf("seed %d round %d: young pass swept %v, which a full pass keeps", seed, round, o)
+				if full.Contains(id) {
+					t.Fatalf("seed %d round %d: young pass swept @%d, which a full pass keeps", seed, round, id)
 				}
 			}
 			if got, want := young.StatsSnapshot().Collections, full.StatsSnapshot().Collections; got != want {
@@ -392,8 +382,8 @@ func TestPropYoungPassSweepsOnlyGarbage(t *testing.T) {
 			if round%3 != 0 {
 				continue
 			}
-			young.Collect(extra...)
-			full.Collect(extra...)
+			young.Collect()
+			full.Collect()
 			if got, want := young.IDs(), full.IDs(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d round %d: survivors %v, the full twin keeps %v", seed, round, got, want)
 			}
@@ -420,6 +410,7 @@ func TestYoungPassRunsFullOnOverflow(t *testing.T) {
 	}
 	h.SetRoot("head", chain[0].RefTo())
 	h.SetRoot("holder", holder.RefTo())
+	owner := own(h)
 	h.Collect() // everything is old
 
 	cut := func(i int) {
@@ -443,9 +434,10 @@ func TestYoungPassRunsFullOnOverflow(t *testing.T) {
 	if n, residents := len(h.remembered), h.Len(); n > residents || !h.overflowed {
 		t.Fatalf("remembered %d young objects among %d residents (overflowed: %v), want the list stopped at the resident count", n, residents, h.overflowed)
 	}
-	if st := h.CollectYoung(1); !slices.Contains(sweptIDs(st.Swept), chain[9].ID()) {
-		t.Fatalf("young pass after an overflow swept %v, want the old garbage @%d too", sweptIDs(st.Swept), chain[9].ID())
+	if h.CollectYoung(); !slices.Contains(owner.swept, chain[9].ID()) {
+		t.Fatalf("young pass after an overflow swept %v, want the old garbage @%d too", owner.swept, chain[9].ID())
 	}
+	owner.take()
 
 	cut(7) // chain[8] is old garbage, and so is young[1] once the holder lets go
 	fresh, err := h.New(c)
@@ -455,12 +447,12 @@ func TestYoungPassRunsFullOnOverflow(t *testing.T) {
 	if err := holder.SetFieldByName("next", fresh.RefTo()); err != nil {
 		t.Fatal(err)
 	}
-	if st := h.CollectYoung(1); st.Reclaimed != 0 {
-		t.Fatalf("young pass swept %v, want nothing: the only garbage is old", sweptIDs(st.Swept))
+	if st := h.CollectYoung(); st.Reclaimed != 0 {
+		t.Fatalf("young pass swept %v, want nothing: the only garbage is old", owner.swept)
 	}
 	want := []ObjID{chain[8].ID(), young[1].ID()}
-	if st := h.Collect(); !slices.Equal(sortedIDs(st.Swept), want) {
-		t.Fatalf("full pass swept %v, want the old garbage %v", sortedIDs(st.Swept), want)
+	if h.Collect(); !slices.Equal(sortedIDs(owner.swept), want) {
+		t.Fatalf("full pass swept %v, want the old garbage %v", sortedIDs(owner.swept), want)
 	}
 }
 
@@ -485,24 +477,22 @@ func TestCollectAllocatesNothingOnUnchangedHeap(t *testing.T) {
 	}
 	h.SetRoot("head", objs[0].RefTo())
 	h.Pin(objs[3].ID())
-	extra := []ObjID{objs[5].ID()}
-	h.Collect(extra...) // sizes the work list once
+	own(h, objs[5].ID())
+	h.Collect() // sizes the work list once
 
-	h.CollectYoung(1, extra...)
+	h.CollectYoung()
 
-	passes := []struct {
-		name string
-		run  func(int, ...ObjID) CollectStats
-	}{{"CollectCycles", h.CollectCycles}, {"CollectYoung", h.CollectYoung}}
-	for _, pass := range passes {
-		for _, cycles := range []int{1, 3} {
+	// Collect is the full pass aged one cycle, CollectYoung the young pass
+	// aged pressureCycles; the pass behind them allocates nothing at either.
+	for _, young := range []bool{false, true} {
+		for _, cycles := range []int{1, pressureCycles} {
 			allocs := testing.AllocsPerRun(20, func() {
-				if st := pass.run(cycles, extra...); st.Reclaimed != 0 {
+				if st := h.collect(cycles, young); st.Reclaimed != 0 {
 					t.Fatalf("live objects collected: %+v", st)
 				}
 			})
 			if allocs != 0 {
-				t.Fatalf("%s(%d) on an unchanged heap allocates %v times per pass, want 0", pass.name, cycles, allocs)
+				t.Fatalf("a pass (young %v) aged %d cycles on an unchanged heap allocates %v times, want 0", young, cycles, allocs)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package heap
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -49,14 +50,11 @@ func replacementClass() *Class {
 	return c
 }
 
-// TestSweptProxyBlocksReissued: a swept swap-cluster-proxy's or
-// replacement-object's block stays what Swept reports until the owner gives
-// the report back with PoolSwept, in the collection's hold; the next
-// allocation of its kind then gets it back under a fresh id, with mark 0 and
-// only the fields it was born with set. The blocks of swept application
-// objects and object-fault proxies are never reissued, a second PoolSwept
-// pools nothing twice, and a report never given back is cleared by the next
-// collection with none of its blocks pooled.
+// TestSweptProxyBlocksReissued: once a collection returns, the next
+// allocation of a swept swap-cluster-proxy's or replacement-object's kind
+// gets its block back under a fresh id, with mark 0 and only the fields it
+// was born with set. The blocks of swept application objects and
+// object-fault proxies are never reissued.
 func TestSweptProxyBlocksReissued(t *testing.T) {
 	h := New(0)
 	pc, rc := scProxyClass(), replacementClass()
@@ -85,23 +83,10 @@ func TestSweptProxyBlocksReissued(t *testing.T) {
 			kept[o] = o.ID()
 		}
 	}
-	st := h.Collect()
-	if st.Reclaimed != 4*n || len(st.Swept) != 4*n {
-		t.Fatalf("first collection reclaimed %d (%d swept), want %d", st.Reclaimed, len(st.Swept), 4*n)
+	if st := h.Collect(); st.Reclaimed != 4*n {
+		t.Fatalf("first collection reclaimed %d, want %d", st.Reclaimed, 4*n)
 	}
-	// Until the report is given back, Swept is intact and nothing is reissued.
-	early := mintProxies(t, h, pc, 0, 1)[0]
-	if _, ok := kept[early]; ok {
-		t.Fatal("a block was reissued before its report was given back")
-	}
-	for i, o := range proxies {
-		if got := o.Field(1).MustInt(); got != int64(1000+i) {
-			t.Fatalf("swept proxy %d reads obj %d before PoolSwept, want %d", i, got, 1000+i)
-		}
-	}
-	last := early.ID()
-	h.PoolSwept()
-	h.PoolSwept() // pools nothing twice
+	last := ObjID(h.nextID)
 
 	reissued := append(mintProxies(t, h, pc, 2000, n), mintProxies(t, h, pc, 0, 1)...)
 	if _, ok := kept[reissued[n]]; ok {
@@ -156,19 +141,60 @@ func TestSweptProxyBlocksReissued(t *testing.T) {
 	if h.Used() != live {
 		t.Fatalf("used %d, resident sizes sum to %d", h.Used(), live)
 	}
+}
 
-	// A report the owner never gives back: the next collection clears it and
-	// pools none of its blocks.
-	h = New(0)
-	lapsed := mintProxies(t, h, pc, 0, n)
-	h.Collect()
-	h.Collect()
-	h.PoolSwept()
-	for _, o := range mintProxies(t, h, pc, 0, n) {
-		for _, old := range lapsed {
-			if o == old {
-				t.Fatal("a block of a report never given back was reissued")
+// TestPurgeBeforePool: a collection hands its owner's purge what it swept
+// before any swept block joins the pool. While the purge runs, every swept
+// object reads as it did before the pass, and a swap-cluster-proxy and a
+// replacement-object the purge allocates get blocks none of the swept
+// objects had.
+func TestPurgeBeforePool(t *testing.T) {
+	h := New(0)
+	pc, rc := scProxyClass(), replacementClass()
+	const n = 20
+	mintProxies(t, h, pc, 1000, n)
+	for i := 0; i < n; i++ {
+		if _, err := h.NewPrivileged(rc, Int(int64(i)), List(Int(int64(i)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		o, err := h.New(nodeClass())
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.MustSet("tag", Int(int64(i)))
+	}
+	before := map[*Object][]Value{}
+	for _, id := range h.IDs() {
+		o, _ := h.Get(id)
+		before[o] = slices.Clone(o.fields)
+	}
+	purged := 0
+	var minted []*Object
+	h.RegisterOwner(Owner{Purge: func(swept []*Object) {
+		purged = len(swept)
+		for _, c := range []*Class{pc, rc} {
+			o, err := h.NewPrivileged(c)
+			if err != nil {
+				t.Fatal(err)
 			}
+			minted = append(minted, o)
+		}
+		for _, o := range swept {
+			for i, v := range before[o] {
+				if !o.Field(i).Equal(v) {
+					t.Fatalf("swept %s @%d field %d reads %v in the purge, want %v", o.Class().Name, o.ID(), i, o.Field(i), v)
+				}
+			}
+		}
+	}})
+	if st := h.Collect(); st.Reclaimed != 3*n || purged != 3*n {
+		t.Fatalf("collection reclaimed %d, purge handed %d; want %d", st.Reclaimed, purged, 3*n)
+	}
+	for _, o := range minted {
+		if _, ok := before[o]; ok {
+			t.Fatalf("the purge's %s got a block its own collection swept", o.Class().Name)
 		}
 	}
 }
@@ -193,8 +219,9 @@ func TestFreedReplacementBlocksReissued(t *testing.T) {
 		t.Fatal(err)
 	}
 	freedID := freed.ID()
-	if st := h.Free([]ObjID{freedID, app.ID()}); st.Reclaimed != 2 || st.Swept != nil {
-		t.Fatalf("Free: %+v, want 2 reclaimed and nothing swept", st)
+	owner := own(h)
+	if st := h.Free([]ObjID{freedID, app.ID()}); st.Reclaimed != 2 || owner.take() != nil {
+		t.Fatalf("Free: %+v, want 2 reclaimed and nothing handed to the purge", st)
 	}
 	if err := h.Remove(removed.ID()); err != nil {
 		t.Fatal(err)
@@ -219,7 +246,7 @@ func TestFreedReplacementBlocksReissued(t *testing.T) {
 }
 
 // TestSetFieldAsRefusesReissuedBlock: a holder of a proxy's block that kept
-// it past the sweep, and past the PoolSwept that gave it back, writes nothing
+// it past the sweep, and past the collection that pooled it, writes nothing
 // through its old id into the proxy the block has become.
 func TestSetFieldAsRefusesReissuedBlock(t *testing.T) {
 	h := New(0)
@@ -227,7 +254,6 @@ func TestSetFieldAsRefusesReissuedBlock(t *testing.T) {
 	stale := mintProxies(t, h, pc, 7, 1)[0]
 	oldID := stale.ID()
 	h.Collect()
-	h.PoolSwept()
 	now := mintProxies(t, h, pc, 9, 1)[0]
 	if now != stale {
 		t.Fatal("the swept block was not reissued")
@@ -276,9 +302,9 @@ func TestCollectReusesSweptBuffer(t *testing.T) {
 	}
 }
 
-// TestProxyChurnAllocatesNothing: minting n proxies, collecting them and
-// giving the report back, once a round has filled the pool and sized the
-// buffers, allocates nothing — the heap side of Figure 5's B1 pass.
+// TestProxyChurnAllocatesNothing: minting n proxies and collecting them, once
+// a round has filled the pool and sized the buffers, allocates nothing — the
+// heap side of Figure 5's B1 pass.
 func TestProxyChurnAllocatesNothing(t *testing.T) {
 	h := New(0)
 	pc := scProxyClass()
@@ -292,7 +318,6 @@ func TestProxyChurnAllocatesNothing(t *testing.T) {
 		if st := h.Collect(); st.Reclaimed != n {
 			t.Fatalf("reclaimed %d, want %d", st.Reclaimed, n)
 		}
-		h.PoolSwept()
 	}
 	round()
 	if allocs := testing.AllocsPerRun(5, round); allocs != 0 {

@@ -13,8 +13,8 @@
 //   - Object — an instance with a field vector of Values;
 //   - Heap — a byte-accounted store of objects with named roots
 //     (swap-cluster-0 state), pins for middleware-held references, and a
-//     mark-sweep local garbage collector whose CollectStats.Swept lists
-//     every object a pass reclaimed.
+//     mark-sweep local garbage collector that hands its owner's purge
+//     every object a pass reclaimed (Owner).
 //
 // Cross-object interaction happens through an Invoker, so a middleware layer
 // (internal/core) can interpose swap-cluster-proxies; DirectRuntime is the

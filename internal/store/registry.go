@@ -25,8 +25,8 @@ type Device struct {
 }
 
 // Registry tracks the nearby devices currently visible to the constrained
-// node. It implements the core package's StoreProvider contract and
-// enumerates donors for the placement planner.
+// node: the swapping runtime resolves devices by name through it, and the
+// placement planner enumerates donors from it.
 type Registry struct {
 	mu      sync.Mutex
 	devices map[string]*Device

@@ -7,13 +7,14 @@ import (
 	"objectswap/internal/heap"
 )
 
-// TestMixedClusterInstallsLikeNewAt: a cluster of two classes whose first
-// record is of the smaller one installs the state NewAt plus SetField builds,
+// TestMixedClusterInstallsLikeOneByOne: a cluster of two classes whose first
+// record is of the smaller one installs the state that batches of one plus
+// SetField build,
 // however its field slab was sized — from the records' own field counts (what
 // Doc.Stage and a frame header give), from the object count times the first
 // record's class, or not at all — so members that find the slab used up fall
 // back to vectors of their own without touching a neighbour.
-func TestMixedClusterInstallsLikeNewAt(t *testing.T) {
+func TestMixedClusterInstallsLikeOneByOne(t *testing.T) {
 	reg, node := testClasses() // seven fields
 	pair := reg.MustRegister(heap.NewClass("Pair",
 		heap.FieldDef{Name: "tag", Kind: heap.KindInt},
@@ -46,11 +47,16 @@ func TestMixedClusterInstallsLikeNewAt(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The oracle: the same objects restored one NewAt and one SetField at a
-	// time.
+	// The oracle: the same objects restored one batch of one and one
+	// SetField at a time.
 	want := heap.New(0)
 	for _, o := range objs {
-		r, err := want.NewAt(o.ID(), o.Class())
+		b := heap.MakeBatch(1, o.NumFields())
+		b.Add(o.ID(), o.Class())
+		if _, err := want.InstallBatch(&b); err != nil {
+			t.Fatal(err)
+		}
+		r, err := want.Get(o.ID())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -170,7 +170,9 @@ func TestInstallCollisionWithResident(t *testing.T) {
 	a, _ := src.New(node)
 	doc, _ := EncodeObjects("c", []*heap.Object{a}, internalOnly)
 	dst := heap.New(0)
-	if _, err := dst.NewAt(a.ID(), node); err != nil {
+	b := heap.MakeBatch(1, node.NumFields())
+	b.Add(a.ID(), node)
+	if _, err := dst.InstallBatch(&b); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := doc.Install(dst, reg, nil); err == nil {

@@ -753,11 +753,11 @@ func (s *System) Evict(strategy VictimStrategy, need int64) error {
 	return s.rt.EvictWith(strategy, need)
 }
 
-// Collect runs a swapping-integrated garbage collection. The result's Swept
-// reports what the collection reclaimed as of its return: before it let go of
-// the runtime lock it gave the blocks of the swept proxies and
-// replacement-objects to the heap's pool, so the next mint or swap-out may
-// reissue them under fresh ids, and the next collection reuses the list.
+// Collect runs a swapping-integrated garbage collection and reports how much
+// it reclaimed. Before it returns, the swapping manager has forgotten every
+// record of what it swept, the donors of the dead swapped clusters have been
+// told to drop their copies, and the blocks of the swept proxies and
+// replacement-objects wait in the heap's pool for the next mint or swap-out.
 func (s *System) Collect() heap.CollectStats { return s.rt.Collect() }
 
 // MergeClusters folds cluster src into dst, adapting swap granularity at
