@@ -448,6 +448,17 @@ if [ -n "$SWEPT" ] || [ "$(printf '%s\n' "$OWNERS" | grep -c .)" != 1 ] || [ "$(
     printf '%s\n%s\n' "$SWEPT" "$OWNERS" >&2
     exit 1
 fi
+# Guard: host references are roots the runtime names (DESIGN §6c). What a
+# call hands to host code is kept through the owner's roots (the runtime's
+# hand and Scope, handed to every pass by heap.Owner.Roots), not by a grace
+# the collector ages. No non-test Go names the deleted nursery, its grace
+# setter or toucher, or the cycle count a young pass burnt.
+NURSERY=$(grep -rniE 'nursery|pressureCycles' --include='*.go' . | grep -v '_test\.go:' || true)
+if [ -n "$NURSERY" ]; then
+    echo "collection grace is back (keep host references as roots: core.Runtime.Scope and the hand-off):" >&2
+    echo "$NURSERY" >&2
+    exit 1
+fi
 # Guard: one runtime lock, and the swapping manager keeps each fact once. The
 # runtime is one monitor: internal/core has one lock, Runtime.mu (core.go),
 # which guards the heap, the cluster table and everything beside them, and
@@ -529,9 +540,15 @@ go test -race -run '^TestFaultStormCoalesces$' -count=1 -cpu 1,4 ./internal/core
 # (TestHeapCollectionPurgesTheManager), and, run while a method is parked on
 # a demand fault with the lock let go, keeps the parked call's argument
 # (TestHeapCollectionKeepsParkedFrames). All run on the core line below.
+# So do the host roots, on the root package's line: an object a Go variable
+# alone holds survives every eviction inside its scope, its own cluster's
+# swap-out and reload included, and dies with its donor copy at the first
+# pass after the scope closes (TestScopeHoldsAHostReference); two goroutines
+# build lists backwards in scopes of their own while a third forces
+# evictions and prefetches (TestScopesBuildBesideEvictions).
 go test -race -count=10 -run '^(TestTriggerWhileRunningDoesNotRequeue|TestTriggerOvertakingANoopTaskRunsItAgain|TestJoinCountsOneHit|TestJoinedFlightIsNotReused)$' ./internal/fault/
 go test -race -count=10 -run '^(TestArmedAttemptContextIsNotReused|TestAttemptContextReportsParentFirst|TestPerAttemptTimeoutIsRetriedAsUnavailable|TestTimeoutExhaustionSurfacesAsUnavailableAndTripsBreaker|TestCallerCancellationFailsFastWithoutBlame)$' ./internal/transport/
-go test -race -count=10 -run '^(TestPrefetchWindowOverlap|TestReplicatedSwapSurvivesDonorLoss|TestDetachDeviceKicksRepair)$' .
+go test -race -count=10 -run '^(TestPrefetchWindowOverlap|TestReplicatedSwapSurvivesDonorLoss|TestDetachDeviceKicksRepair|TestScopeHoldsAHostReference|TestScopesBuildBesideEvictions)$' .
 go test -race -count=50 ./internal/placement/
 go test -race -count=10 -run '^(TestTriggerPrefetchAllocatesNothing|TestPrefetchHitRecordsParkedTime|TestCommitWindow|TestSweepBeforeEnlist|TestReissueBeforeEnlist|TestReissuedProxyBlockRefused|TestStaleReplacementHolderRefused|TestFaultStormCoalesces|TestReloadedStringsOutliveTheFetch|TestConcurrentSelectVictims|TestYoungPassAgainstConcurrentWrites|TestCollectAgainstConcurrentFieldWrites|TestPropYoungPassSweepsOnlyGarbage|TestSwapOutVictimsWalksTheRanking|TestConcurrentVictimWalks|TestZeroEdgeWaitsForThePurge|TestMintWindowIsClosed|TestCommitWindowIsClosed|TestReentryAcrossADemandFault|TestWalkerAgainstEvictingPrefetch|TestReplicationFaultBesidePrefetchWorkers|TestMasterServesBesideItsRuntime|TestReloadRoomTakenDuringEviction|TestHeapCollectionPurgesTheManager|TestHeapCollectionKeepsParkedFrames)$' ./internal/core/ ./internal/heap/ ./internal/replication/
 # The walker against the evicting prefetch workers a thousand times under the
@@ -552,6 +569,13 @@ go test -race -count=1000 -run '^TestWalkerAgainstEvictingPrefetch$' ./internal/
 # most 3 (the floor, heap.DirectRuntime, takes 2), down from 13 before the
 # swap, table and heap locks became one.
 go test -tags lockcount -count=1 ./internal/core/ .
+# The warm victim walk's allocation budget (TestEvictionBudget/warm-walk,
+# 0 objects besides its swap-outs) a thousand times under the tag (about
+# 16 s): it reads the process's malloc count, and the Go runtime's own
+# goroutines allocated in its window after a collection (the unique
+# package's cleanup, a mark worker's sudog) about once in two thousand runs
+# until the walk ran with the collector off.
+go test -tags lockcount -count=1000 -run '^TestEvictionBudget$' ./internal/core/
 # The access ledger's prefetch-hit step a thousand times at the default
 # GOMAXPROCS (about 15 s): a prefetch task left running by one step once
 # swallowed the next step's trigger about once in a thousand runs, and a

@@ -144,42 +144,47 @@ func run() error {
 	}
 
 	// The surveyor looks up every 10th species (pulling catalogue clusters
-	// on demand) and records an observation for each hit.
+	// on demand) and records an observation for each hit. It holds its
+	// cursor across the calls that record one, so it surveys in a scope.
 	obsCluster := sys.NewCluster()
 	fmt.Println("surveying...")
-	cur, err := sys.MustRoot("catalogue")
+	captured := 0
+	err = sys.Scope(func() error {
+		cur, err := sys.MustRoot("catalogue")
+		if err != nil {
+			return err
+		}
+		for idx := 0; !cur.IsNil(); idx++ {
+			if idx%10 == 0 {
+				out, err := sys.Invoke(cur, "name")
+				if err != nil {
+					return fmt.Errorf("catalogue record %d: %w", idx, err)
+				}
+				name, _ := out[0].Str()
+				obs, err := sys.NewObject(obsCls, obsCluster)
+				if err != nil {
+					return err
+				}
+				if err := sys.SetField(obs.RefTo(), "species", heap.Str(name)); err != nil {
+					return err
+				}
+				if err := sys.SetField(obs.RefTo(), "location",
+					heap.Str(fmt.Sprintf("grid-%02d", idx/10))); err != nil {
+					return err
+				}
+				if err := sys.SetRoot(fmt.Sprintf("obs-%02d", captured), obs.RefTo()); err != nil {
+					return err
+				}
+				captured++
+			}
+			if cur, err = sys.Field(cur, "next"); err != nil {
+				return fmt.Errorf("advance at record %d: %w", idx, err)
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return err
-	}
-	idx, captured := 0, 0
-	for !cur.IsNil() {
-		if idx%10 == 0 {
-			out, err := sys.Invoke(cur, "name")
-			if err != nil {
-				return fmt.Errorf("catalogue record %d: %w", idx, err)
-			}
-			name, _ := out[0].Str()
-			obs, err := sys.NewObject(obsCls, obsCluster)
-			if err != nil {
-				return err
-			}
-			if err := sys.SetField(obs.RefTo(), "species", heap.Str(name)); err != nil {
-				return err
-			}
-			if err := sys.SetField(obs.RefTo(), "location",
-				heap.Str(fmt.Sprintf("grid-%02d", idx/10))); err != nil {
-				return err
-			}
-			if err := sys.SetRoot(fmt.Sprintf("obs-%02d", captured), obs.RefTo()); err != nil {
-				return err
-			}
-			captured++
-		}
-		cur, err = sys.Field(cur, "next")
-		if err != nil {
-			return fmt.Errorf("advance at record %d: %w", idx, err)
-		}
-		idx++
 	}
 
 	st := sys.Heap().StatsSnapshot()

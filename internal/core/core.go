@@ -213,6 +213,9 @@ type Runtime struct {
 	stack  []heap.ObjID
 	depth  int
 	frames heap.Frames
+	hosts  []hostRef    // the host roots (hand)
+	scopes int          // open Scope calls
+	roots  []heap.ObjID // the buffer rootSet hands the heap's passes
 	// dispatcher is the goroutine that opened the outermost frame, and
 	// stackTrace the buffer its id is read through, both kept in the
 	// lockcount build only (assertDispatcher): 0 and nil otherwise.
@@ -526,11 +529,9 @@ func (rt *Runtime) endEvict() {
 
 // Heap returns the device heap. It is caller-locked: once the runtime is
 // shared, host code reaches it under Locked (its byte budget and lifetime
-// counters, atomics, excepted). The runtime owns it, so a collection host
-// code runs on it is the runtime's: it keeps the operands of in-flight
-// invocations and purges the manager's records of what it swept, as Collect
-// does; only the donor drops of the dead swapped clusters it finds wait for
-// the runtime's next pass.
+// counters, atomics, excepted). A collection run on it is the runtime's, as
+// Collect says; only the donor drops of the dead swapped clusters it finds
+// wait for the runtime's next pass.
 func (rt *Runtime) Heap() *heap.Heap { return rt.h }
 
 // Registry returns the class registry.
@@ -681,6 +682,7 @@ func (h *Held) NewObject(c *heap.Class, cluster ClusterID) (*heap.Object, error)
 		_ = rt.h.Remove(o.ID())
 		return nil, err
 	}
+	rt.hand(o.RefTo())
 	return o, nil
 }
 
@@ -708,7 +710,9 @@ func (h *Held) SetRoot(name string, v heap.Value) error {
 func (rt *Runtime) Root(name string) (heap.Value, bool) {
 	rt.lock()
 	defer rt.unlock()
-	return rt.h.Root(name)
+	v, ok := rt.h.Root(name)
+	rt.hand(v)
+	return v, ok
 }
 
 // Name returns the device's key-namespace name.

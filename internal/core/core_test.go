@@ -162,38 +162,46 @@ func newFixture(t testing.TB, capacity int64, opts ...Option) *fixture {
 
 // buildList creates n chained nodes, perCluster per swap-cluster, each with a
 // payload of payloadLen bytes, and installs the head as root "head". It
-// returns the node ids in list order and the cluster ids used.
+// returns the node ids in list order and the cluster ids used. It holds the
+// nodes in a scope until they are linked, so it leaves no host root behind.
 func (f *fixture) buildList(t testing.TB, n, perCluster, payloadLen int) ([]heap.ObjID, []ClusterID) {
 	t.Helper()
 	var clusters []ClusterID
 	ids := make([]heap.ObjID, n)
-	var objs []*heap.Object
-	for i := 0; i < n; i++ {
-		if i%perCluster == 0 {
-			clusters = append(clusters, f.rt.Manager().NewCluster())
+	_ = f.rt.Scope(func() error {
+		var objs []*heap.Object
+		for i := 0; i < n; i++ {
+			if i%perCluster == 0 {
+				clusters = append(clusters, f.rt.Manager().NewCluster())
+			}
+			o, err := f.rt.NewObject(f.node, clusters[len(clusters)-1])
+			if err != nil {
+				t.Fatalf("node %d: %v", i, err)
+			}
+			payload := make([]byte, payloadLen)
+			for j := range payload {
+				payload[j] = byte(i)
+			}
+			f.rt.Locked(func(*Held) { o.MustSet("payload", heap.Bytes(payload)).MustSet("tag", heap.Int(int64(i))) })
+			ids[i] = o.ID()
+			objs = append(objs, o)
 		}
-		o, err := f.rt.NewObject(f.node, clusters[len(clusters)-1])
-		if err != nil {
-			t.Fatalf("node %d: %v", i, err)
+		for i := 0; i < n-1; i++ {
+			if err := f.rt.SetFieldValue(objs[i].RefTo(), "next", objs[i+1].RefTo()); err != nil {
+				t.Fatalf("link %d: %v", i, err)
+			}
 		}
-		payload := make([]byte, payloadLen)
-		for j := range payload {
-			payload[j] = byte(i)
+		if err := f.rt.SetRoot("head", objs[0].RefTo()); err != nil {
+			t.Fatal(err)
 		}
-		f.rt.Locked(func(*Held) { o.MustSet("payload", heap.Bytes(payload)).MustSet("tag", heap.Int(int64(i))) })
-		ids[i] = o.ID()
-		objs = append(objs, o)
-	}
-	for i := 0; i < n-1; i++ {
-		if err := f.rt.SetFieldValue(objs[i].RefTo(), "next", objs[i+1].RefTo()); err != nil {
-			t.Fatalf("link %d: %v", i, err)
-		}
-	}
-	if err := f.rt.SetRoot("head", objs[0].RefTo()); err != nil {
-		t.Fatal(err)
-	}
+		return nil
+	})
 	return ids, clusters
 }
+
+// letGo drops every reference rt handed to host code, as the close of the
+// last open scope does.
+func letGo(rt *Runtime) { _ = rt.Scope(func() error { return nil }) }
 
 // dirty rewrites object id's first field with the value it already holds: a
 // write the observer sees, so the object's cluster ships at its next swap-out

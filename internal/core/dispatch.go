@@ -67,44 +67,81 @@ func (rt *Runtime) enter(target heap.Value, what, name string) (frame, error) {
 }
 
 // leave drops the frame's protections and, when the operation succeeded,
-// anchors its results in the parent frame so interception-created proxies
-// survive until stored. The outermost frame clears the stack: no collection
-// can interleave before host code stores the results. Deferred by all three
+// hands its results on (hand): to the parent frame, or, from the outermost
+// frame, which clears the stack, to host code. Deferred by all three
 // operations, it runs when a method body panics too.
 func (f frame) leave(err error, results ...heap.Value) {
 	rt := f.rt
-	rt.stack = rt.stack[:f.save]
-	rt.depth--
-	if rt.depth == 0 {
-		rt.stack, rt.dispatcher = rt.stack[:0], 0
-	} else if err == nil {
-		for _, v := range results {
-			rt.pushValueRefs(v)
-		}
+	rt.stack = rt.stack[:f.save] // empty once the outermost frame leaves
+	if rt.depth--; rt.depth == 0 {
+		rt.dispatcher = 0
+	}
+	if err == nil {
+		rt.hand(results...)
 	}
 }
 
-// pushStack protects a middleware-created object for the duration of the
-// enclosing frame. Outside any frame (depth 0) there is nothing to anchor to —
-// and no collection can interleave before the host code stores the value — so
-// it is a no-op.
-func (rt *Runtime) pushStack(id heap.ObjID) {
-	if rt.depth > 0 {
-		rt.stack = append(rt.stack, id)
+// hostRef is a host root, with the cluster its header named when handed out.
+type hostRef struct {
+	id      heap.ObjID
+	cluster ClusterID
+}
+
+// hand keeps the references an operation hands its caller live: inside a
+// frame on the stack, at depth 0 as host roots (DESIGN §6c), which outside a
+// Scope replace the previous call's, unless vals hold none.
+func (rt *Runtime) hand(vals ...heap.Value) {
+	n := len(rt.hosts)
+	for _, v := range vals {
+		rt.keep(v)
+	}
+	if rt.scopes == 0 && len(rt.hosts) > n {
+		rt.hosts = append(rt.hosts[:0], rt.hosts[n:]...)
 	}
 }
 
-// pushValueRefs protects every reference contained in v.
-func (rt *Runtime) pushValueRefs(v heap.Value) {
+// keep protects every object v references, as hand says.
+func (rt *Runtime) keep(v heap.Value) {
 	switch v.Kind() {
 	case heap.KindRef:
-		id, _ := v.Ref()
-		rt.stack = append(rt.stack, id)
+		if rt.depth > 0 {
+			rt.stack = append(rt.stack, v.MustRef())
+		} else if o, err := rt.h.Get(v.MustRef()); err == nil {
+			rt.hosts = append(rt.hosts, hostRef{o.ID(), ClusterID(o.Owner())})
+		}
 	case heap.KindList:
 		elems, _ := v.List()
 		for _, e := range elems {
-			rt.pushValueRefs(e)
+			rt.keep(e)
 		}
+	}
+}
+
+// Scope runs fn, without the runtime lock, and keeps every reference handed
+// to host code meanwhile a root until the last open scope closes, which lets
+// go of all host roots. Scopes nest and share one list (DESIGN §6c).
+func (rt *Runtime) Scope(fn func() error) error {
+	rt.lock()
+	rt.scopes++
+	rt.unlock()
+	defer func() {
+		rt.lock()
+		if rt.scopes--; rt.scopes == 0 {
+			rt.hosts = rt.hosts[:0]
+			if cap(rt.hosts) > 1<<10 { // a large scope leaves no residue
+				rt.hosts, rt.roots = nil, nil
+			}
+		}
+		rt.unlock()
+	}()
+	return fn()
+}
+
+// pushStack protects a middleware-created object for the duration of the
+// enclosing frame; outside any frame (depth 0) it is a no-op.
+func (rt *Runtime) pushStack(id heap.ObjID) {
+	if rt.depth > 0 {
+		rt.stack = append(rt.stack, id)
 	}
 }
 
@@ -239,7 +276,7 @@ func (h *Held) Invoke(target heap.Value, method string, args ...heap.Value) (res
 		f.leave(err, res...)
 	}()
 	for _, a := range args {
-		rt.pushValueRefs(a)
+		rt.keep(a)
 	}
 	r, err := rt.reach(f.id)
 	if err != nil {
@@ -273,7 +310,7 @@ func (rt *Runtime) invokeAcross(r reached, method string, args []heap.Value) ([]
 		return nil, err
 	}
 	for _, a := range call.Args {
-		rt.pushValueRefs(a)
+		rt.keep(a)
 	}
 	res, err := cls.Invoke(method, call)
 	if err != nil {
@@ -334,9 +371,6 @@ func (rt *Runtime) assignReturn(p *heap.Object, r heap.Value) (heap.Value, error
 		// No mediation needed toward the caller: dismantle.
 		return heap.Ref(d.ultimate), nil
 	}
-	// An actively-used cursor stays alive across collections even when only
-	// host code references it.
-	rt.h.TouchNursery(id)
 	return heap.Ref(id), nil
 }
 
@@ -394,7 +428,7 @@ func (h *Held) SetFieldValue(target heap.Value, name string, v heap.Value) error
 		return err
 	}
 	defer f.leave(nil)
-	rt.pushValueRefs(v)
+	rt.keep(v)
 	r, err := rt.reach(f.id)
 	if err != nil {
 		return err

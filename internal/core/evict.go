@@ -9,9 +9,8 @@ import "errors"
 // occupancy, so middleware allocations made by the eviction itself
 // (replacement-objects, proxies) are accounted honestly. A pass costs one
 // collection plus O(victim) per swap-out: garbage is tried first, in a
-// single young collection that also burns the nursery grace of three
-// ordinary cycles and traces and sweeps only what appeared since the
-// previous pass (see heap.Heap.CollectYoung), and each victim's bytes
+// single young collection that traces and sweeps only what appeared since
+// the previous pass (see heap.Heap.CollectYoung), and each victim's bytes
 // are back the moment its swap-out commits, so occupancy is re-read after
 // every swap without collecting again. The candidates are ranked once per
 // walk and walked in order (see SwapOutVictims); a fresh walk ranks them

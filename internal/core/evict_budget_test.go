@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"testing"
@@ -95,10 +96,20 @@ func TestEvictionBudget(t *testing.T) {
 	// from the moment the walk asks about its first victim to the moment it
 	// asks after its last swap-out, the span of its k SwapOut calls. The
 	// candidates, their gathering and their order cost nothing.
+	//
+	// The count is the process's, so the walk runs with the Go collector off
+	// and on one P. A collection that ends near the walk wakes the unique
+	// package's cleanup goroutine, which allocates six objects per cycle
+	// (HashTrieMap.All under unique.addUniqueMap), and a GC mark worker can
+	// take a sudog; starting the world again after ReadMemStats can create an
+	// M (newm). A MemProfileRate = 1 profile of the failing windows named all
+	// three; none is the walk's. The budget is the walk's: 0 objects.
 	t.Run("warm-walk", func(t *testing.T) {
 		if raceEnabled {
 			t.Skip("allocation budgets are gated without the race detector")
 		}
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		const k = 3
 		f := newFixture(t, 0)
 		f.buildList(t, 80, 10, 256)
@@ -145,23 +156,26 @@ func TestEvictionFallsBackToAFullPass(t *testing.T) {
 	}
 	var garbage []heap.ObjID
 	var bytes int64
-	var prev *heap.Object
-	for i := 0; i < 20; i++ {
-		o, err := f.rt.NewObject(f.node, RootCluster)
-		if err != nil {
-			t.Fatal(err)
+	_ = f.rt.Scope(func() error {
+		var prev *heap.Object
+		for i := 0; i < 20; i++ {
+			o, err := f.rt.NewObject(f.node, RootCluster)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.MustSet("payload", heap.Bytes(make([]byte, 64)))
+			if prev == nil {
+				err = f.rt.SetRoot("old", o.RefTo())
+			} else {
+				err = f.rt.SetFieldValue(prev.RefTo(), "next", o.RefTo())
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			garbage, bytes, prev = append(garbage, o.ID()), bytes+o.Size(), o
 		}
-		o.MustSet("payload", heap.Bytes(make([]byte, 64)))
-		if prev == nil {
-			err = f.rt.SetRoot("old", o.RefTo())
-		} else {
-			err = f.rt.SetFieldValue(prev.RefTo(), "next", o.RefTo())
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		garbage, bytes, prev = append(garbage, o.ID()), bytes+o.Size(), o
-	}
+		return nil
+	})
 	f.rt.Collect() // the nodes are old now
 	if err := f.rt.SetRoot("old", heap.Nil()); err != nil {
 		t.Fatal(err)
@@ -226,38 +240,39 @@ func TestYoungPassAgainstConcurrentWrites(t *testing.T) {
 	h.SetCapacity(h.Used() + full/4 + 4096)
 	h.SetReserve(4096)
 	f.rt.SetEvictor(func(need int64) error { return f.rt.EvictWith(VictimColdest, need) })
-	// The walker holds its fresh nodes in host code until it stores them, as
-	// an application does between calls; only the nursery keeps them from a
-	// pass on another goroutine until then, so their grace outlasts one young
-	// pass, which burns three cycles, after which they are old.
-	h.SetNurseryGrace(4)
-
 	const rounds, fresh = 24, 8
 	stored := make([]int64, len(holders))
 	evictions := 0
 	for round := 0; round < rounds; round++ {
-		nodes := make([]heap.Value, fresh)
-		for i := range nodes {
-			o, err := f.rt.NewObject(f.node, RootCluster)
-			if err != nil {
-				t.Fatalf("round %d: %v", round, err)
+		var before uint64
+		// The walker holds its fresh nodes in host code until it stores them,
+		// as an application does between calls; its scope keeps them from a
+		// pass on another goroutine until then.
+		_ = f.rt.Scope(func() error {
+			nodes := make([]heap.Value, fresh)
+			for i := range nodes {
+				o, err := f.rt.NewObject(f.node, RootCluster)
+				if err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
+				nodes[i] = o.RefTo()
+				if err := f.rt.SetFieldValue(nodes[i], "tag", heap.Int(int64(round*fresh+i))); err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
 			}
-			nodes[i] = o.RefTo()
-			if err := f.rt.SetFieldValue(nodes[i], "tag", heap.Int(int64(round*fresh+i))); err != nil {
-				t.Fatalf("round %d: %v", round, err)
+			before = h.StatsSnapshot().Collections
+			f.rt.lock() // a trigger walks the graph under the runtime lock
+			eng.TriggerPrefetch(uint32(clusters[round%(len(clusters)-2)]))
+			f.rt.unlock()
+			for step := 0; step < 64; step++ {
+				k, i := step%len(holders), (step*7+round)%fresh
+				if err := f.rt.SetFieldValue(holders[k].RefTo(), "next", nodes[i]); err != nil {
+					t.Fatalf("round %d step %d: %v", round, step, err)
+				}
+				stored[k] = int64(round*fresh + i)
 			}
-		}
-		before := h.StatsSnapshot().Collections
-		f.rt.lock() // a trigger walks the graph under the runtime lock
-		eng.TriggerPrefetch(uint32(clusters[round%(len(clusters)-2)]))
-		f.rt.unlock()
-		for step := 0; step < 64; step++ {
-			k, i := step%len(holders), (step*7+round)%fresh
-			if err := f.rt.SetFieldValue(holders[k].RefTo(), "next", nodes[i]); err != nil {
-				t.Fatalf("round %d step %d: %v", round, step, err)
-			}
-			stored[k] = int64(round*fresh + i)
-		}
+			return nil
+		})
 		eng.Quiesce()
 		evictions += int(h.StatsSnapshot().Collections - before)
 		for k, o := range holders {

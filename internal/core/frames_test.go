@@ -401,6 +401,7 @@ func TestB1PassReusesSweptProxies(t *testing.T) {
 			}
 			cur = out[0]
 		}
+		letGo(f.rt)
 		if st := f.rt.Collect(); st.Reclaimed < n-1 {
 			t.Fatalf("the Collect after a B1 pass reclaimed %d objects, want at least %d", st.Reclaimed, n-1)
 		}

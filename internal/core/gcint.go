@@ -26,27 +26,40 @@ import (
 //
 // The runtime owns its heap (owner), so every collection of the heap, this
 // one or one host code reaches through Heap under the runtime lock, marks
-// from the operands of in-flight invocations (the middleware's stand-in for
-// thread stacks) and purges every record of what it swept (purge) before a
-// swept block is reissued. The collection holds the runtime lock, so it never
-// interleaves with a swap's reserve or commit and reads the invocation stack
-// only while its dispatcher is parked. The device drops that follow run with
-// the lock released — they are IO.
+// from the runtime's roots (rootSet) and purges every record of what it
+// swept (purge) before a swept block is reissued. The collection holds the
+// runtime lock, so it never interleaves with a swap's reserve or commit and
+// reads the invocation stack only while its dispatcher is parked. The device
+// drops that follow run with the lock released — they are IO.
 func (rt *Runtime) Collect() heap.CollectStats {
 	rt.lock()
 	defer rt.unlock()
 	return rt.pass(false)
 }
 
-// owner is what the runtime gives its heap (heap.Owner): the invocation stack
-// as roots, the purge, and, beside prefetch workers, where host code reaches
-// the heap only under the runtime lock, the lockcount build's check of it.
+// owner is what the runtime gives its heap (heap.Owner): its roots (rootSet),
+// the purge, and, beside prefetch workers, where host code reaches the heap
+// only under the runtime lock, the lockcount build's check of it.
 func (rt *Runtime) owner() heap.Owner {
-	o := heap.Owner{Roots: func() []heap.ObjID { return rt.stack }, Purge: rt.purge}
+	o := heap.Owner{Roots: rt.rootSet, Purge: rt.purge}
 	if rt.prefetchWorkers > 0 {
 		o.Held = rt.assertLocked
 	}
 	return o
+}
+
+// rootSet is what every pass marks from beside the heap's own roots: the
+// invocation stack, then the host roots (hand), a swapped-out one by its
+// cluster's replacement-object, so that the reference can fault it back.
+func (rt *Runtime) rootSet() []heap.ObjID {
+	rt.roots = append(rt.roots[:0], rt.stack...)
+	for _, r := range rt.hosts {
+		if cs := rt.mgr.table.clusters[r.cluster]; cs != nil && cs.where.out() && !rt.h.Contains(r.id) {
+			r.id = cs.replacement
+		}
+		rt.roots = append(rt.roots, r.id)
+	}
+	return rt.roots
 }
 
 // pass runs one collection, full (heap.Heap.Collect) or young

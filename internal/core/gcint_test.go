@@ -58,6 +58,7 @@ func TestCollectPurgesEverySweptRecord(t *testing.T) {
 
 	var sweptIDs []heap.ObjID
 	onSweep(f.rt, func(o *heap.Object) { sweptIDs = append(sweptIDs, o.ID()) })
+	letGo(f.rt)
 	f.rt.Collect()
 	swept := []heap.ObjID{shared, cursor.MustRef(), placeholder, orphan.ID()}
 	for _, id := range swept {
@@ -130,6 +131,7 @@ func TestHeapCollectionPurgesTheManager(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	letGo(f.rt)
 	f.rt.Locked(func(h *Held) { h.Heap().Collect() })
 	if f.rt.lockedContains(shared) || f.rt.lockedContains(orphan.ID()) {
 		t.Fatal("the heap's collection did not sweep the unrooted proxy and member")

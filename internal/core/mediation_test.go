@@ -370,6 +370,7 @@ func TestProxyRecordFollowsRetarget(t *testing.T) {
 	checkClean(t, rt)
 
 	rt.h.DelRoot("cursor")
+	letGo(rt)
 	for i := 0; i < 4; i++ {
 		rt.Collect()
 	}

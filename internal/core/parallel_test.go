@@ -45,6 +45,7 @@ func TestSwapOutVictimsSkipsIneligible(t *testing.T) {
 	if _, err := f.rt.NewObject(f.node, garbage); err != nil {
 		t.Fatal(err)
 	}
+	letGo(f.rt)
 	if n := len(f.rt.Manager().SelectVictims(VictimColdest)); n != 4 {
 		t.Fatalf("ranked %d victims, want 4", n)
 	}

@@ -145,14 +145,16 @@ func (rt *Runtime) AssignedCursor(v heap.Value) (heap.Value, error) {
 	if d.ultimate == heap.NilID {
 		return heap.Nil(), heap.ErrNilTarget
 	}
-	if d.home == RootCluster {
-		return heap.Ref(d.ultimate), nil
+	cursor := heap.Ref(d.ultimate)
+	if d.home != RootCluster {
+		pid, err := rt.newProxy(RootCluster, d.ultimate, d.home, true)
+		if err != nil {
+			return heap.Nil(), err
+		}
+		cursor = heap.Ref(pid)
 	}
-	pid, err := rt.newProxy(RootCluster, d.ultimate, d.home, true)
-	if err != nil {
-		return heap.Nil(), err
-	}
-	return heap.Ref(pid), nil
+	rt.hand(cursor)
+	return cursor, nil
 }
 
 // refKind classifies what a reference designates.

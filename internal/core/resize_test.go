@@ -332,11 +332,10 @@ func TestRetargetAfterDeathDoesNotResurrect(t *testing.T) {
 
 func TestCursorSurvivesReloadEvictionStorm(t *testing.T) {
 	// Regression: a host-held cursor must survive the collections its own
-	// Field reloads trigger (nursery grace is finite; frame protection and
-	// touch-on-use carry it through).
+	// Field reloads trigger (frame protection carries it through the call,
+	// and the hand-off of the Field that returned it between calls).
 	node := newNodeClass()
 	h := heap.New(7 << 10)
-	h.SetNurseryGrace(2)
 	devices := store.NewRegistry(store.SelectMostFree)
 	_ = devices.Add("d", store.NewMem(0))
 	rt := NewRuntime(h, heap.NewRegistry(), WithStores(devices))

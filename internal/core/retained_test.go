@@ -163,6 +163,7 @@ func TestRetainedCopy(t *testing.T) {
 				}
 			},
 			between: func(t *testing.T, e *retained) {
+				letGo(e.f.rt)
 				if st := e.f.rt.Collect(); st.Reclaimed == 0 {
 					t.Fatal("the unreferenced member survived the collection")
 				}
@@ -176,6 +177,7 @@ func TestRetainedCopy(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				letGo(e.f.rt)
 				for i := 0; e.f.rt.h.Contains(o.ID()); i++ {
 					if i == 4 {
 						t.Fatal("the unreferenced member survived its collections")
@@ -390,6 +392,7 @@ func TestNoLeakedDonorCopies(t *testing.T) {
 	if err := e.f.rt.SetRoot("head", heap.Nil()); err != nil {
 		t.Fatal(err)
 	}
+	letGo(e.f.rt)
 	e.f.rt.Collect()
 	e.f.rt.Collect() // cluster 2's replacement-object hung off cluster 1's outbound proxy
 	for name, d := range e.donors {

@@ -225,6 +225,7 @@ func TestOutboundEdgesKeepDownstreamAlive(t *testing.T) {
 	if err := f.rt.SetRoot("a", a.RefTo()); err != nil {
 		t.Fatal(err)
 	}
+	letGo(f.rt)
 	bID := b.ID()
 
 	ev, err := f.rt.SwapOut(ca)
@@ -276,6 +277,7 @@ func TestSwapEventsPublished(t *testing.T) {
 	if err := rt.SetRoot("x", o.RefTo()); err != nil {
 		t.Fatal(err)
 	}
+	letGo(rt)
 	if _, err := rt.SwapOut(c); err != nil {
 		t.Fatal(err)
 	}

@@ -187,8 +187,8 @@ func (s *swapIn) evict() error {
 
 // install makes the whole cluster resident, re-points its inbound proxies
 // and moves the record to resident in one hold of the runtime lock, so no
-// collection can run between installation (nursery-fresh objects) and the
-// patches that make them reachable. beginMutate: installation allocates, and
+// collection can run between installation (objects nothing references yet)
+// and the patches that make them reachable. beginMutate: installation allocates, and
 // an allocation failure here must not run the evictor, which would let go
 // of the lock. A prefetch enters the fault engine's inventory in the same
 // hold, so whoever next finds the cluster resident finds the entry too.

@@ -64,9 +64,11 @@ func (f FieldDef) Accepts(k Kind) bool { return assignable(f.Kind, k) }
 // The lifetime rule: a Call, its Args and every result its nested calls return
 // are valid until the method returns, and a method body must not keep any of
 // them. A result handed to host code is valid until the host's next call
-// through the same invoker; the host may pass it straight back as that call's
-// arguments. A body may return Return's slice, Args or a slice of them, a
-// nested call's result, or a fresh slice; all but the last allocate nothing.
+// through the same invoker, which may take it as that call's arguments; the
+// swapping runtime keeps what it references live by its host-root rule
+// (core.Runtime.Scope). A body may return Return's slice, Args or a slice of
+// them, a nested call's result, or a fresh slice; all but the last allocate
+// nothing.
 type Call struct {
 	RT   *Caller
 	Self *Object

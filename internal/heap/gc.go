@@ -19,13 +19,13 @@ type CollectStats struct {
 }
 
 // Collect runs one stop-the-world mark-sweep cycle over the whole heap (a
-// full pass), which ages the nursery one cycle. Liveness roots are: named
-// heap roots, pinned objects, nursery objects still in their grace, and the
+// full pass). Liveness roots are: named heap roots, pinned objects, and the
 // owner's roots (Owner.Roots: the swapping runtime's invocation stack,
-// standing in for thread stacks). Before it returns, the pass tells its
-// owner what it swept (Owner.Purge) and only then gives the swept blocks of
-// the pooled classes to the pool, so whoever reaches a collection, the
-// owner's records of a swept object are gone before its block is reissued.
+// standing in for thread stacks, and the references it handed to host code).
+// Before it returns, the pass tells its owner what it swept (Owner.Purge) and
+// only then gives the swept blocks of the pooled classes to the pool, so
+// whoever reaches a collection, the owner's records of a swept object are
+// gone before its block is reissued.
 //
 // The mark phase resolves each reference with one probe of the heap's
 // open-addressed object index, and the sweep walks the dense list of
@@ -35,31 +35,21 @@ type CollectStats struct {
 // reclaimed, and the pool: marks are a per-object epoch word, and the work
 // list and the buffer live on the heap.
 func (h *Heap) Collect() CollectStats {
-	return h.collect(1, false)
+	return h.collect(false)
 }
 
-// pressureCycles is the nursery grace a young pass burns. The young pass is
-// the swapping runtime's eviction pass, and its grace has to exceed the grace
-// the façade grants every allocation (2): host-held garbage that only its
-// grace protects — the dead swap-cluster-proxies a finished walk leaves
-// behind — must go before a live cluster is shipped to make the room it
-// occupies. Three is what the benchmark's exact eviction counts are pinned
-// to (DESIGN §6).
-const pressureCycles = 3
-
 // CollectYoung runs a young pass: Collect's pins, owner's roots, purge and
-// pooling, with the nursery aged pressureCycles cycles, but it traces only
-// what appeared since the previous pass and sweeps only what it did not
-// reach. Marks are sticky: an object a pass marked is old, keeps its mark,
-// and counts as marked here, so the trace stops at it and the sweep keeps
-// it. Besides the pins, the nursery entries still in grace and the owner's
-// roots, its roots are what may name a young object without an old path to
-// it: the young objects a write stored into an old object or a root since
-// the previous pass (the write barrier in setField and SetRoot remembers
-// them), and the fields of the batches InstallBatch made resident since
-// then, whose members are born old because older objects may already name
-// their ids. An unchanged root names an old object or nothing, since an id is
-// never reissued to a new object.
+// pooling, but it traces only what appeared since the previous pass and
+// sweeps only what it did not reach. Marks are sticky: an object a pass
+// marked is old, keeps its mark, and counts as marked here, so the trace
+// stops at it and the sweep keeps it. Besides the pins and the owner's roots,
+// its roots are what may name a young object without an old path to it: the
+// young objects a write stored into an old object or a root since the
+// previous pass (the write barrier in setField and SetRoot remembers them),
+// and the fields of the batches InstallBatch made resident since then, whose
+// members are born old because older objects may already name their ids. An
+// unchanged root names an old object or nothing, since an id is never
+// reissued to a new object.
 //
 // So a young pass never sweeps a reachable object, and it sweeps a subset of
 // what a full pass would: garbage that a pass had already marked (an old
@@ -69,18 +59,16 @@ const pressureCycles = 3
 // since the previous pass would outnumber the residents, it runs as a full
 // pass instead. Either way it counts as one collection.
 func (h *Heap) CollectYoung() CollectStats {
-	return h.collect(pressureCycles, true)
+	return h.collect(true)
 }
 
-// collect is the one mark-sweep pass behind Collect and CollectYoung, with
-// the nursery aged by cycles: its survivors, nursery state and swept ids
-// equal those of `cycles` back-to-back passes on a heap nothing else touches
-// in between, since each cycle's live set contains the next one's. A full
+// collect is the one mark-sweep pass behind Collect and CollectYoung. A full
 // pass advances the epoch, which unmarks every object, and marks from every
 // root; a young pass keeps the epoch and marks from the remembered set
-// instead of the roots. The trace, the sweep, the nursery's aging, the purge
-// and the pooling are the same code for both, in that order.
-func (h *Heap) collect(cycles int, young bool) CollectStats {
+// instead of the roots. Both mark from the pins and the owner's roots, and
+// the trace, the sweep, the purge and the pooling are the same code for
+// both, in that order.
+func (h *Heap) collect(young bool) CollectStats {
 	h.held()
 	var began time.Time
 	if h.gcClock != nil {
@@ -118,11 +106,6 @@ func (h *Heap) collect(cycles int, young bool) CollectStats {
 	for id := range h.pins {
 		h.markID(id)
 	}
-	for id, grace := range h.nursery {
-		if grace >= cycles {
-			h.markID(id)
-		}
-	}
 	if h.owner.Roots != nil {
 		for _, id := range h.owner.Roots() {
 			h.markID(id)
@@ -153,13 +136,6 @@ func (h *Heap) collect(cycles int, young bool) CollectStats {
 		}
 		for _, o := range h.swept {
 			h.unlink(o.id, &st)
-		}
-	}
-	for id, grace := range h.nursery {
-		if grace <= cycles {
-			delete(h.nursery, id)
-		} else {
-			h.nursery[id] = grace - cycles
 		}
 	}
 	st.Live = len(h.objects.list)
@@ -270,7 +246,6 @@ func (h *Heap) unlink(id ObjID, st *CollectStats) *Object {
 	st.Reclaimed++
 	st.BytesFreed += int64(o.size)
 	delete(h.pins, o.id)
-	delete(h.nursery, o.id)
 	return o
 }
 
@@ -298,8 +273,7 @@ func (h *Heap) finishReclaim(st *CollectStats) {
 // once, so the caller lets go of it. The swapping runtime calls it when a
 // swap-out commits — the shipped members are unreachable by construction, so
 // there is nothing for a mark phase to decide — and when a swap-in commits,
-// for the replacement-object it retired. It is not a collection cycle: the
-// nursery does not age.
+// for the replacement-object it retired.
 func (h *Heap) Free(ids []ObjID) CollectStats {
 	h.held()
 	var st CollectStats

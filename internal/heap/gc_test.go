@@ -252,13 +252,12 @@ func TestPropCollectMatchesReachability(t *testing.T) {
 }
 
 // Free reclaims exactly the ids it is given — reachable or not — in one step:
-// bytes back on return, nursery and pin entries gone, ids that are not
+// bytes back on return, pin entries gone, ids that are not
 // resident skipped, nothing handed to the owner's purge, and no collection
 // counted.
 func TestFreeReclaimsExactlyTheGivenObjects(t *testing.T) {
 	h := New(0)
 	owner := own(h)
-	h.SetNurseryGrace(2)
 	objs := buildChain(t, h, 4)
 	h.SetRoot("head", objs[0].RefTo())
 	h.Pin(objs[1].ID())
@@ -274,8 +273,8 @@ func TestFreeReclaimsExactlyTheGivenObjects(t *testing.T) {
 	if h.Contains(objs[1].ID()) || h.Contains(objs[2].ID()) || !h.Contains(objs[0].ID()) || !h.Contains(objs[3].ID()) {
 		t.Fatalf("resident after Free: %v", h.IDs())
 	}
-	if _, left := h.nursery[objs[1].ID()]; left || len(h.pins) != 0 {
-		t.Fatalf("freed objects left nursery/pin entries: %v %v", h.nursery, h.pins)
+	if len(h.pins) != 0 {
+		t.Fatalf("freed objects left pin entries: %v", h.pins)
 	}
 	if n := h.StatsSnapshot().Collections; n != 0 {
 		t.Fatalf("Free counted %d collections, want 0", n)

@@ -97,13 +97,6 @@ type Heap struct {
 	writeObservers  []func(*Object)
 	observerSuspend int
 
-	// nursery grants newly allocated objects a grace period of N collection
-	// cycles before they become collectable, protecting host-held references
-	// that have not yet been anchored in the managed graph (the analogue of
-	// JNI local references). Disabled (0) by default.
-	nurseryGrace int
-	nursery      map[ObjID]int
-
 	// Lifetime counters are atomics, so that gauges and the memory monitor
 	// read them, and the byte budget above, on other goroutines without the
 	// owner's lock. removed counts the objects Remove detached, so the
@@ -132,7 +125,6 @@ func New(capacity int64) *Heap {
 		epoch:    1,
 		roots:    make(map[string]Value),
 		pins:     make(map[ObjID]int),
-		nursery:  make(map[ObjID]int),
 	}
 }
 
@@ -192,25 +184,6 @@ func (h *Heap) observeWrite(o *Object) {
 func (h *Heap) SuspendWriteObserver() (resume func()) {
 	h.observerSuspend++
 	return func() { h.observerSuspend-- }
-}
-
-// SetNurseryGrace grants future allocations a grace of n collection cycles
-// before they may be reclaimed, protecting them while host code wires them
-// into the graph. 0 (the default) disables the nursery.
-func (h *Heap) SetNurseryGrace(n int) { h.nurseryGrace = n }
-
-// TouchNursery refreshes an object's nursery grace, keeping a host-held
-// object (such as an iteration cursor) alive across collections for as long
-// as it is actively used. A no-op when the nursery is disabled or the object
-// is not resident.
-func (h *Heap) TouchNursery(id ObjID) {
-	h.held()
-	if h.nurseryGrace <= 0 {
-		return
-	}
-	if h.objects.get(id) != nil {
-		h.nursery[id] = h.nurseryGrace
-	}
 }
 
 // SetCapacity adjusts the byte budget. Shrinking below current usage is
@@ -348,9 +321,6 @@ func (h *Heap) newObject(c *Class, privileged bool, init []Value) (*Object, erro
 	o.id = ObjID(h.nextID)
 	h.objects.put(o)
 	h.allocated.Add(1)
-	if h.nurseryGrace > 0 {
-		h.nursery[o.id] = h.nurseryGrace
-	}
 	return o, nil
 }
 
@@ -502,7 +472,7 @@ func (b *Batch) Fields(i int) []Value { return b.objs[i].fields }
 // machinery (replacement-objects, proxies) that makes the next eviction
 // possible. An identity that is already resident, a nil class or id, a
 // value its field cannot hold, or a member past 4 GiB fails the batch and
-// leaves Used, residency and the nursery exactly as found; so does a member
+// leaves Used and residency exactly as found; so does a member
 // of a pooled class (a swap-cluster-proxy or a replacement-object), which is
 // allocated, never installed. It returns how many objects it made resident;
 // on success the heap owns them and the batch is left empty. Write observers
@@ -557,9 +527,6 @@ func (h *Heap) InstallBatch(b *Batch) (int, error) {
 		o.mark = h.epoch // born old: an older object may name its id already
 		if uint64(o.id) > h.nextID {
 			h.nextID = uint64(o.id)
-		}
-		if h.nurseryGrace > 0 {
-			h.nursery[o.id] = h.nurseryGrace
 		}
 	}
 	// The batch is remembered once, so the next young pass marks what its

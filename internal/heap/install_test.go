@@ -22,12 +22,10 @@ func stagedNodes(c *Class, first ObjID, n, payload int) *Batch {
 
 // TestInstallBatchEqualsOneByOne: a batch install leaves the heap as
 // restoring the same objects one batch of one and one SetField at a time
-// does — sizes, Used, the id counter and the nursery included.
+// does — sizes, Used, the id counter and their collection included.
 func TestInstallBatchEqualsOneByOne(t *testing.T) {
 	c := nodeClass()
 	batched, stepwise := New(0), New(0)
-	batched.SetNurseryGrace(2)
-	stepwise.SetNurseryGrace(2)
 
 	if n, err := batched.InstallBatch(stagedNodes(c, 40, 5, 100)); err != nil || n != 5 {
 		t.Fatalf("InstallBatch = %d, %v; want 5 installed", n, err)
@@ -65,16 +63,11 @@ func TestInstallBatchEqualsOneByOne(t *testing.T) {
 			t.Fatalf("next fresh id = %d, want 45 (past the restored ones)", fresh.ID())
 		}
 	}
-	// Unrooted restored objects live exactly as long as their nursery grace.
-	for cycle := 1; cycle <= 3; cycle++ {
-		batched.Collect()
-		stepwise.Collect()
-		if batched.Len() != stepwise.Len() {
-			t.Fatalf("after %d collections: batch keeps %d objects, stepwise %d", cycle, batched.Len(), stepwise.Len())
-		}
-	}
-	if batched.Len() != 0 {
-		t.Fatalf("%d unrooted objects outlived their nursery grace", batched.Len())
+	// Unrooted restored objects go at the first pass, batched or not.
+	batched.Collect()
+	stepwise.Collect()
+	if batched.Len() != 0 || stepwise.Len() != 0 {
+		t.Fatalf("after one collection: batch keeps %d unrooted objects, stepwise %d", batched.Len(), stepwise.Len())
 	}
 }
 
@@ -86,7 +79,6 @@ func TestInstallBatchEqualsOneByOne(t *testing.T) {
 func TestInstallBatchAllOrNothing(t *testing.T) {
 	c := nodeClass()
 	h := New(0)
-	h.SetNurseryGrace(1)
 	resident, err := installOne(h, 42, c)
 	if err != nil {
 		t.Fatal(err)

@@ -18,8 +18,8 @@ func fanClass() *Class {
 }
 
 // randomHeap builds, from the seed alone, a heap of randomly linked objects
-// with roots, pins, nursery entries of mixed grace and a test owner holding
-// a few of them as its roots.
+// with roots, pins and a test owner holding a few of them as its roots, as
+// the swapping runtime holds what it handed to host code.
 func randomHeap(t *testing.T, seed int64) (*Heap, *testOwner) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
@@ -27,13 +27,14 @@ func randomHeap(t *testing.T, seed int64) (*Heap, *testOwner) {
 	c := fanClass()
 	n := 20 + r.Intn(60)
 	objs := make([]*Object, n)
+	var extra []ObjID
 	for i := range objs {
-		// Grace 0 leaves the object outside the nursery; 1..5 straddle the
-		// three cycles a pressure pass burns.
-		h.SetNurseryGrace(r.Intn(6))
 		o, err := h.New(c)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if r.Intn(6) == 0 {
+			extra = append(extra, o.ID()) // held by the host
 		}
 		if err := o.SetFieldByName("payload", Bytes(make([]byte, r.Intn(48)))); err != nil {
 			t.Fatal(err)
@@ -55,7 +56,6 @@ func randomHeap(t *testing.T, seed int64) (*Heap, *testOwner) {
 	for i := r.Intn(3); i > 0; i-- {
 		h.Pin(objs[r.Intn(n)].ID())
 	}
-	var extra []ObjID
 	for i := r.Intn(3); i > 0; i-- {
 		extra = append(extra, objs[r.Intn(n)].ID())
 	}
@@ -97,12 +97,13 @@ func sortedIDs(ids []ObjID) []ObjID {
 	return out
 }
 
-// Property: on any heap, one full pass aged three cycles (collect) leaves
-// exactly what three back-to-back Collect cycles leave — the same survivors,
-// the same accounted bytes, the same nursery, the same swept ids — and counts
-// as one collection. Between rounds both heaps take the same Free and
-// reinstalling InstallBatch, so the pass is checked on a heap whose residents
-// come and go under their original ids.
+// Property: on any heap, one full pass — what an eviction's pressure pass
+// runs as once its remembered set overflows — leaves exactly what three
+// back-to-back Collect cycles leave: the same survivors, the same accounted
+// bytes, the same swept ids, so no pass leaves garbage a later one finds; and
+// it counts as one collection. Between rounds both heaps take the same Free
+// and reinstalling InstallBatch, so the pass is checked on a heap whose
+// residents come and go under their original ids.
 func TestPropPressurePassEqualsThreeCycles(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		loop, loopOwner := randomHeap(t, seed)
@@ -122,16 +123,13 @@ func TestPropPressurePassEqualsThreeCycles(t *testing.T) {
 				loopStats.BytesFreed += st.BytesFreed
 				loopStats.Live = st.Live
 			}
-			passStats := pass.collect(3, false)
+			passStats := pass.Collect()
 
 			if got, want := pass.IDs(), loop.IDs(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d round %d: survivors %v, three cycles leave %v", seed, round, got, want)
 			}
 			if pass.Used() != loop.Used() {
 				t.Fatalf("seed %d round %d: used %d, three cycles leave %d", seed, round, pass.Used(), loop.Used())
-			}
-			if !reflect.DeepEqual(pass.nursery, loop.nursery) {
-				t.Fatalf("seed %d round %d: nursery %v, three cycles leave %v", seed, round, pass.nursery, loop.nursery)
 			}
 			if got, want := sortedIDs(passOwner.take()), sortedIDs(loopOwner.take()); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d round %d: swept %v, three cycles sweep %v", seed, round, got, want)
@@ -156,9 +154,10 @@ func TestPropPressurePassEqualsThreeCycles(t *testing.T) {
 
 // youngChurn applies one round of mutator traffic to every heap in hs alike,
 // choosing only among pick, ids resident in all of them: it frees a random
-// third of pick, allocates fresh objects of mixed nursery grace, writes
-// references to them — or nil — into surviving objects, points roots at
-// them, pins and unpins, and reinstalls most of the freed ids in one batch
+// third of pick, allocates fresh objects, writes references to them — or nil
+// — into surviving objects, points roots at them, pins them, hands them to
+// the owners (host code holding them), and reinstalls most of the freed ids
+// in one batch
 // whose members reference fresh and surviving objects. Each fresh object is
 // referenced through at most one of those paths, so every rule of a young
 // pass's roots is some object's only way to stay live. Beside them it mints
@@ -166,10 +165,19 @@ func TestPropPressurePassEqualsThreeCycles(t *testing.T) {
 // so that a later round's mints reissue the blocks of a previous pass's
 // swept ones; frees a few fresh objects and reinstalls them in the batch, as
 // a swap-out and a reload would before any pass; and removes a fresh object
-// and sometimes a surviving one.
-func youngChurn(t *testing.T, r *rand.Rand, hs []*Heap, pick []ObjID, c *Class) {
+// and sometimes a surviving one. Before all that, the owners let go of a
+// random half of what they held, which leaves old garbage.
+func youngChurn(t *testing.T, r *rand.Rand, hs []*Heap, owners []*testOwner, pick []ObjID, c *Class) {
 	t.Helper()
 	next, _ := c.FieldIndex("next")
+	var letGo []bool
+	for range owners[0].extra {
+		letGo = append(letGo, r.Intn(2) == 0)
+	}
+	for _, o := range owners {
+		i := 0
+		o.extra = slices.DeleteFunc(o.extra, func(ObjID) bool { i++; return letGo[i-1] })
+	}
 	var freed, kept []ObjID
 	for _, id := range pick {
 		if r.Intn(3) == 0 {
@@ -179,10 +187,7 @@ func youngChurn(t *testing.T, r *rand.Rand, hs []*Heap, pick []ObjID, c *Class) 
 		}
 	}
 	fresh := make([][]*Object, len(hs))
-	graces := make([]int, 4+r.Intn(12))
-	for i := range graces {
-		graces[i] = r.Intn(6)
-	}
+	nFresh := 4 + r.Intn(12)
 	proxies := make([][]*Object, len(hs))
 	held := make([]int, r.Intn(8)) // proxy i is held by kept[held[i]], or by nothing when -1
 	for i := range held {
@@ -193,15 +198,13 @@ func youngChurn(t *testing.T, r *rand.Rand, hs []*Heap, pick []ObjID, c *Class) 
 	pc := scProxyClass()
 	for k, h := range hs {
 		h.Free(freed)
-		for _, g := range graces {
-			h.SetNurseryGrace(g)
+		for range nFresh {
 			o, err := h.New(c)
 			if err != nil {
 				t.Fatal(err)
 			}
 			fresh[k] = append(fresh[k], o)
 		}
-		h.SetNurseryGrace(0)
 		for i := range held {
 			o, err := h.NewPrivileged(pc, Nil(), Int(int64(i)))
 			if err != nil {
@@ -211,20 +214,20 @@ func youngChurn(t *testing.T, r *rand.Rand, hs []*Heap, pick []ObjID, c *Class) 
 		}
 	}
 	var reborn []int // fresh objects freed and reinstalled before the pass
-	for i := range graces {
+	for i := range nFresh {
 		if r.Intn(5) == 0 {
 			reborn = append(reborn, i)
 		}
 	}
-	removed, removedOld := r.Intn(len(graces)), -1
+	removed, removedOld := r.Intn(nFresh), -1
 	if r.Intn(3) == 0 && len(kept) > 0 {
 		removedOld = r.Intn(len(kept))
 	}
 	ref := func(k, i int) Value { return fresh[k][i].RefTo() }
 	type step struct{ kind, holder, target int }
 	var steps []step
-	for i := range graces {
-		switch r.Intn(6) {
+	for i := range nFresh {
+		switch r.Intn(7) {
 		case 0, 1:
 			if len(kept) > 0 {
 				steps = append(steps, step{0, r.Intn(len(kept)), i}) // an old holder's field
@@ -237,6 +240,8 @@ func youngChurn(t *testing.T, r *rand.Rand, hs []*Heap, pick []ObjID, c *Class) 
 			if i > 0 {
 				steps = append(steps, step{3, r.Intn(i), i}) // a fresh holder
 			}
+		case 5:
+			steps = append(steps, step{5, 0, i}) // the host
 		}
 	}
 	for range r.Intn(4) {
@@ -247,7 +252,7 @@ func youngChurn(t *testing.T, r *rand.Rand, hs []*Heap, pick []ObjID, c *Class) 
 	links := make([]int, len(freed)) // batch member i links to fresh[links[i]], or to kept[-links[i]-1]
 	for i := range links {
 		if r.Intn(2) == 0 || len(kept) == 0 {
-			links[i] = r.Intn(len(graces))
+			links[i] = r.Intn(nFresh)
 		} else {
 			links[i] = -1 - r.Intn(len(kept))
 		}
@@ -268,6 +273,8 @@ func youngChurn(t *testing.T, r *rand.Rand, hs []*Heap, pick []ObjID, c *Class) 
 			case 4:
 				o, _ := h.Get(kept[s.holder])
 				err = o.SetField(next, Nil())
+			case 5:
+				owners[k].extra = append(owners[k].extra, fresh[k][s.target].ID())
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -314,10 +321,9 @@ func youngChurn(t *testing.T, r *rand.Rand, hs []*Heap, pick []ObjID, c *Class) 
 	}
 }
 
-// rootedIDs lists what a pass aged by cycles must keep: whatever the roots,
-// the pins, the nursery entries whose grace outlasts the pass and the
-// owner's roots extra reach.
-func rootedIDs(h *Heap, cycles int, extra []ObjID) map[ObjID]bool {
+// rootedIDs lists what a pass must keep: whatever the roots, the pins and
+// the owner's roots extra reach.
+func rootedIDs(h *Heap, extra []ObjID) map[ObjID]bool {
 	seeds := append([]ObjID(nil), extra...)
 	for _, v := range h.roots {
 		v.forEachRef(func(id ObjID) { seeds = append(seeds, id) })
@@ -325,38 +331,33 @@ func rootedIDs(h *Heap, cycles int, extra []ObjID) map[ObjID]bool {
 	for id := range h.pins {
 		seeds = append(seeds, id)
 	}
-	for id, grace := range h.nursery {
-		if grace >= cycles {
-			seeds = append(seeds, id)
-		}
-	}
 	return h.ReachableFrom(seeds...)
 }
 
 // Property: a young pass never sweeps a reachable object, sweeps nothing a
 // full pass over the same heap keeps, and a young pass followed by a full
 // pass leaves exactly what the full pass it stood in for followed by the same
-// full pass leaves: the same survivors, accounted bytes and nursery. Twin
-// heaps built from one seed take the same mutator traffic between passes
-// (youngChurn: allocations, field writes into survivors, root sets, pins,
-// nursery grace, Free, Remove, reinstalling batches and reissued proxy
-// blocks); one runs a young pass where the other runs a full one, and only
+// full pass leaves: the same survivors and accounted bytes. Twin heaps built
+// from one seed take the same mutator traffic between passes (youngChurn:
+// allocations, field writes into survivors, root sets, pins, what the owner
+// holds and lets go of, Free, Remove, reinstalling batches and reissued
+// proxy blocks); one runs a young pass where the other runs a full one, and only
 // every third round do both run a full pass after it, so young passes also
 // follow young passes and the old garbage they leave.
 func TestPropYoungPassSweepsOnlyGarbage(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		young, owner := randomHeap(t, seed)
-		full, _ := randomHeap(t, seed)
-		hs := []*Heap{young, full}
+		full, fullOwner := randomHeap(t, seed)
+		hs, owners := []*Heap{young, full}, []*testOwner{owner, fullOwner}
 		r := rand.New(rand.NewSource(seed))
 		for round := 1; round <= 9; round++ {
 			if round > 1 {
-				youngChurn(t, r, hs, full.IDs(), fanClass())
+				youngChurn(t, r, hs, owners, full.IDs(), fanClass())
 			}
-			rooted := rootedIDs(young, pressureCycles, owner.extra)
+			rooted := rootedIDs(young, owner.extra)
 			owner.take()
 			ys := young.CollectYoung()
-			full.collect(pressureCycles, false)
+			full.Collect()
 			for _, id := range owner.take() {
 				if rooted[id] {
 					t.Fatalf("seed %d round %d: young pass swept reachable @%d", seed, round, id)
@@ -367,9 +368,6 @@ func TestPropYoungPassSweepsOnlyGarbage(t *testing.T) {
 			}
 			if got, want := young.StatsSnapshot().Collections, full.StatsSnapshot().Collections; got != want {
 				t.Fatalf("seed %d round %d: %d collections, the full twin counts %d", seed, round, got, want)
-			}
-			if !reflect.DeepEqual(young.nursery, full.nursery) {
-				t.Fatalf("seed %d round %d: nursery %v, the full twin's %v", seed, round, young.nursery, full.nursery)
 			}
 			var live int64
 			for _, id := range young.IDs() {
@@ -387,9 +385,8 @@ func TestPropYoungPassSweepsOnlyGarbage(t *testing.T) {
 			if got, want := young.IDs(), full.IDs(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d round %d: survivors %v, the full twin keeps %v", seed, round, got, want)
 			}
-			if young.Used() != full.Used() || !reflect.DeepEqual(young.nursery, full.nursery) {
-				t.Fatalf("seed %d round %d: used %d and nursery %v, the full twin's %d and %v",
-					seed, round, young.Used(), young.nursery, full.Used(), full.nursery)
+			if young.Used() != full.Used() {
+				t.Fatalf("seed %d round %d: used %d, the full twin's %d", seed, round, young.Used(), full.Used())
 			}
 		}
 	}
@@ -482,18 +479,15 @@ func TestCollectAllocatesNothingOnUnchangedHeap(t *testing.T) {
 
 	h.CollectYoung()
 
-	// Collect is the full pass aged one cycle, CollectYoung the young pass
-	// aged pressureCycles; the pass behind them allocates nothing at either.
+	// The pass behind Collect and CollectYoung allocates nothing at either.
 	for _, young := range []bool{false, true} {
-		for _, cycles := range []int{1, pressureCycles} {
-			allocs := testing.AllocsPerRun(20, func() {
-				if st := h.collect(cycles, young); st.Reclaimed != 0 {
-					t.Fatalf("live objects collected: %+v", st)
-				}
-			})
-			if allocs != 0 {
-				t.Fatalf("a pass (young %v) aged %d cycles on an unchanged heap allocates %v times, want 0", young, cycles, allocs)
+		allocs := testing.AllocsPerRun(20, func() {
+			if st := h.collect(young); st.Reclaimed != 0 {
+				t.Fatalf("live objects collected: %+v", st)
 			}
+		})
+		if allocs != 0 {
+			t.Fatalf("a pass (young %v) on an unchanged heap allocates %v times, want 0", young, allocs)
 		}
 	}
 }

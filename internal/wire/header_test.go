@@ -51,7 +51,7 @@ func TestHeaderFieldCountMisstated(t *testing.T) {
 		t.Fatal(err)
 	}
 	install := func(frame []byte) (*heap.Heap, error) {
-		h := nurseryHeap()
+		h := heap.New(0)
 		staged, err := Stage(bytes.Clone(frame), reg)
 		if err != nil {
 			return h, err

@@ -110,7 +110,7 @@ func docClasses(doc *xmlcodec.Doc) (reg *heap.Registry, ok bool) {
 }
 
 // sameHeapState compares two heaps object by object: identities, classes,
-// field values, accounted sizes, Used, and who is still in the nursery.
+// field values, accounted sizes, Used, and what a collection sweeps.
 func sameHeapState(t testing.TB, what string, got, want *heap.Heap) {
 	t.Helper()
 	ids := want.IDs()
@@ -132,22 +132,12 @@ func sameHeapState(t testing.TB, what string, got, want *heap.Heap) {
 	if got.Used() != want.Used() {
 		t.Fatalf("%s: Used %d, want %d", what, got.Used(), want.Used())
 	}
-	// Nothing is rooted: whatever survives a collection is in the nursery.
-	for cycle := 1; cycle <= nurseryGrace+1; cycle++ {
-		got.Collect()
-		want.Collect()
-		if g, w := got.IDs(), want.IDs(); fmt.Sprint(g) != fmt.Sprint(w) {
-			t.Fatalf("%s: after %d collections resident %v, want %v", what, cycle, g, w)
-		}
+	// Nothing is rooted: a collection sweeps the same objects from both.
+	got.Collect()
+	want.Collect()
+	if g, w := got.IDs(), want.IDs(); fmt.Sprint(g) != fmt.Sprint(w) {
+		t.Fatalf("%s: after a collection resident %v, want %v", what, g, w)
 	}
-}
-
-const nurseryGrace = 2
-
-func nurseryHeap() *heap.Heap {
-	h := heap.New(0)
-	h.SetNurseryGrace(nurseryGrace)
-	return h
 }
 
 // checkHeapEnds is the third party of the cross-format fuzzers. For a
@@ -171,14 +161,14 @@ func checkHeapEnds(t *testing.T, doc *xmlcodec.Doc) {
 		}
 		refs := newForeignRefs()
 
-		viaDoc := nurseryHeap()
+		viaDoc := heap.New(0)
 		back, err := Decode(frame, nil)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", id, err)
 		}
 		_, docErr := back.Install(viaDoc, reg, refs.decode)
 
-		direct := nurseryHeap()
+		direct := heap.New(0)
 		handed, released := handedOver(frame)
 		staged, err := Stage(handed, reg)
 		handed = nil

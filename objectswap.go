@@ -223,10 +223,6 @@ func New(cfg Config) (*System, error) {
 	}
 	reg := obs.NewRegistry(cfg.Clock)
 	h := heap.New(cfg.HeapCapacity)
-	// Host code builds graphs through Go references; give fresh objects a
-	// nursery grace so a policy-triggered collection between allocation and
-	// rooting cannot reclaim them.
-	h.SetNurseryGrace(2)
 	var recorder *obs.Recorder
 	if cfg.FlightSpans >= 0 && cfg.FlightEvents >= 0 {
 		recorder = obs.NewRecorder(cfg.FlightSpans, cfg.FlightEvents)
@@ -686,10 +682,18 @@ func (s *System) NewObject(c *heap.Class, cluster ClusterID) (*heap.Object, erro
 	return o, nil
 }
 
+// Scope runs fn and keeps every reference s hands out meanwhile (NewObject,
+// Field, Invoke, Root, MustRoot, AssignedCursor) live until the last open
+// scope closes, through swap-outs of its cluster. Outside a scope, a call's
+// references live until a later call hands out others: enough to allocate an
+// object and link or root it. Hold several across calls, or call s from
+// several goroutines, inside a scope.
+func (s *System) Scope(fn func() error) error { return s.rt.Scope(fn) }
+
 // Invoke dispatches a method through the swapping-aware runtime. The results
-// may live in the runtime's call frames (heap.Call's lifetime rule): they are
-// valid until the next Invoke, Field or SetField on s — which may take them as
-// its arguments — so copy a value out to keep it longer.
+// may live in the runtime's call frames (heap.Call's lifetime rule): the slice
+// is valid until the next Invoke, Field or SetField on s, which may take it as
+// its arguments, and the objects it references stay live by Scope's rule.
 func (s *System) Invoke(target heap.Value, method string, args ...heap.Value) ([]heap.Value, error) {
 	return s.rt.Invoke(target, method, args...)
 }

@@ -13,23 +13,26 @@ import (
 )
 
 // buildClusters allocates n single-object clusters on sys, rooted so they
-// survive collection.
+// survive collection, inside a scope, so it leaves no host root behind.
 func buildClusters(t *testing.T, sys *System, cls *heap.Class, n int) []ClusterID {
 	t.Helper()
 	clusters := make([]ClusterID, n)
-	for i := range clusters {
-		clusters[i] = sys.NewCluster()
-		o, err := sys.NewObject(cls, clusters[i])
-		if err != nil {
-			t.Fatal(err)
+	_ = sys.Scope(func() error {
+		for i := range clusters {
+			clusters[i] = sys.NewCluster()
+			o, err := sys.NewObject(cls, clusters[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.SetField(o.RefTo(), "title", heap.Str("x")); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.SetRoot(string(rune('a'+i)), o.RefTo()); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := sys.SetField(o.RefTo(), "title", heap.Str("x")); err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.SetRoot(string(rune('a'+i)), o.RefTo()); err != nil {
-			t.Fatal(err)
-		}
-	}
+		return nil
+	})
 	return clusters
 }
 
