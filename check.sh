@@ -15,6 +15,9 @@ fi
 go vet ./...
 go build ./...
 # -count=1: a cached pass is not a run. Gates this one invocation carries:
+# - TestInternalExportsAreCalled (.): every exported function and method in
+#   internal/ is called by non-test Go outside its package (benchmark/'s
+#   tests included), or allow-listed in exports_test.go with its reason.
 # - TestSmoke (internal/opshttp): a real listener on :0 answers 200 on
 #   /metrics, /healthz, /debug/traces, /debug/events, /debug/heat, /debug/wss.
 # - TestMetricsPageParses (internal/opshttp): the /metrics page survives a
@@ -448,6 +451,16 @@ if [ -n "$SWEPT" ] || [ "$(printf '%s\n' "$OWNERS" | grep -c .)" != 1 ] || [ "$(
     printf '%s\n%s\n' "$SWEPT" "$OWNERS" >&2
     exit 1
 fi
+# Guard: one way to reach a heap (DESIGN §6). A swapping runtime hands its
+# heap out only inside its hold (Held.Heap, in Runtime.Locked), a direct
+# runtime only inside WithHeap; System.Heap stays for the benchmark's atomic
+# reads. No other non-test Go declares a Heap() method.
+HEAPS=$(grep -rnE '^func \([^)]*\) Heap\(\)' --include='*.go' . | grep -v '_test\.go:' | grep -vE '^\./internal/core/dispatch\.go:[0-9]+:func \(h \*Held\) Heap\(\)|^\./objectswap\.go:[0-9]+:func \(s \*System\) Heap\(\)' || true)
+if [ -n "$HEAPS" ]; then
+    echo "a heap reached outside its owner's hold (use Runtime.Locked and Held.Heap, or DirectRuntime.WithHeap):" >&2
+    echo "$HEAPS" >&2
+    exit 1
+fi
 # Guard: host references are roots the runtime names (DESIGN §6c). What a
 # call hands to host code is kept through the owner's roots (the runtime's
 # hand and Scope, handed to every pass by heap.Owner.Roots), not by a grace
@@ -544,22 +557,26 @@ go test -race -run '^TestFaultStormCoalesces$' -count=1 -cpu 1,4 ./internal/core
 # alone holds survives every eviction inside its scope, its own cluster's
 # swap-out and reload included, and dies with its donor copy at the first
 # pass after the scope closes (TestScopeHoldsAHostReference); two goroutines
-# build lists backwards in scopes of their own while a third forces
-# evictions and prefetches (TestScopesBuildBesideEvictions).
+# build lists backwards, each in its own cluster and scope, while a third
+# forces evictions and prefetches (TestScopesBuildBesideEvictions). A member
+# written while its cluster's swap-out is parked in the ship phase keeps its
+# value: the commit refuses and the write survives the reload
+# (TestWriteDuringShipIsKept, core line).
 go test -race -count=10 -run '^(TestTriggerWhileRunningDoesNotRequeue|TestTriggerOvertakingANoopTaskRunsItAgain|TestJoinCountsOneHit|TestJoinedFlightIsNotReused)$' ./internal/fault/
 go test -race -count=10 -run '^(TestArmedAttemptContextIsNotReused|TestAttemptContextReportsParentFirst|TestPerAttemptTimeoutIsRetriedAsUnavailable|TestTimeoutExhaustionSurfacesAsUnavailableAndTripsBreaker|TestCallerCancellationFailsFastWithoutBlame)$' ./internal/transport/
 go test -race -count=10 -run '^(TestPrefetchWindowOverlap|TestReplicatedSwapSurvivesDonorLoss|TestDetachDeviceKicksRepair|TestScopeHoldsAHostReference|TestScopesBuildBesideEvictions)$' .
 go test -race -count=50 ./internal/placement/
-go test -race -count=10 -run '^(TestTriggerPrefetchAllocatesNothing|TestPrefetchHitRecordsParkedTime|TestCommitWindow|TestSweepBeforeEnlist|TestReissueBeforeEnlist|TestReissuedProxyBlockRefused|TestStaleReplacementHolderRefused|TestFaultStormCoalesces|TestReloadedStringsOutliveTheFetch|TestConcurrentSelectVictims|TestYoungPassAgainstConcurrentWrites|TestCollectAgainstConcurrentFieldWrites|TestPropYoungPassSweepsOnlyGarbage|TestSwapOutVictimsWalksTheRanking|TestConcurrentVictimWalks|TestZeroEdgeWaitsForThePurge|TestMintWindowIsClosed|TestCommitWindowIsClosed|TestReentryAcrossADemandFault|TestWalkerAgainstEvictingPrefetch|TestReplicationFaultBesidePrefetchWorkers|TestMasterServesBesideItsRuntime|TestReloadRoomTakenDuringEviction|TestHeapCollectionPurgesTheManager|TestHeapCollectionKeepsParkedFrames)$' ./internal/core/ ./internal/heap/ ./internal/replication/
+go test -race -count=10 -run '^(TestTriggerPrefetchAllocatesNothing|TestPrefetchHitRecordsParkedTime|TestCommitWindow|TestSweepBeforeEnlist|TestReissueBeforeEnlist|TestReissuedProxyBlockRefused|TestStaleReplacementHolderRefused|TestFaultStormCoalesces|TestReloadedStringsOutliveTheFetch|TestConcurrentSelectVictims|TestYoungPassAgainstConcurrentWrites|TestCollectAgainstConcurrentFieldWrites|TestPropYoungPassSweepsOnlyGarbage|TestSwapOutVictimsWalksTheRanking|TestConcurrentVictimWalks|TestZeroEdgeWaitsForThePurge|TestMintWindowIsClosed|TestCommitWindowIsClosed|TestReentryAcrossADemandFault|TestWalkerAgainstEvictingPrefetch|TestReplicationFaultBesidePrefetchWorkers|TestMasterServesBesideItsRuntime|TestReloadRoomTakenDuringEviction|TestHeapCollectionPurgesTheManager|TestHeapCollectionKeepsParkedFrames|TestWriteDuringShipIsKept)$' ./internal/core/ ./internal/heap/ ./internal/replication/
 # The walker against the evicting prefetch workers a thousand times under the
 # race detector (about 10 s): the invocation stack was written with no lock
 # beside the workers' passes, which read it, until the runtime was one monitor.
 go test -race -count=1000 -run '^TestWalkerAgainstEvictingPrefetch$' ./internal/core/
-# The lock-count build once over internal/core and the facade: the runtime
-# lock counts its acquisitions, the cluster table's caller-locked entry
-# points assert it is held, and so do the heap's entry points on a runtime
-# with prefetch workers (heap.Owner.Held), where a host goroutine that
-# reaches the heap directly races the workers. The heap-reached collection
+# The lock-count build once over internal/core, the facade, the policy engine
+# and replication: the runtime lock counts its acquisitions, the cluster
+# table's caller-locked entry points assert it is held, and so do the heap's
+# entry points on every runtime (heap.Owner.Held): the heap's one way in is
+# Held.Heap inside Runtime.Locked, and a heap read or write from outside the
+# hold panics, in the tests' own set-up too. The heap-reached collection
 # tests (TestHeapCollectionPurgesTheManager,
 # TestHeapCollectionKeepsParkedFrames) run under the tag too. The invocation stack is held
 # to one dispatcher: a goroutine that opens a frame while another's frames
@@ -568,7 +585,7 @@ go test -race -count=1000 -run '^TestWalkerAgainstEvictingPrefetch$' ./internal/
 # resident B2 step of Figure 5 takes at most 2 acquisitions and a B1 step at
 # most 3 (the floor, heap.DirectRuntime, takes 2), down from 13 before the
 # swap, table and heap locks became one.
-go test -tags lockcount -count=1 ./internal/core/ .
+go test -tags lockcount -count=1 ./internal/core/ . ./internal/policy/ ./internal/replication/
 # The warm victim walk's allocation budget (TestEvictionBudget/warm-walk,
 # 0 objects besides its swap-outs) a thousand times under the tag (about
 # 16 s): it reads the process's malloc count, and the Go runtime's own

@@ -66,23 +66,30 @@ func run() error {
 	masterReg.MustRegister(noteClass())
 	master := replication.NewMaster(masterReg, notesPerSection)
 	cls, _ := masterReg.Lookup("FieldNote")
-	var prev *heap.Object
 	total := 0
-	for s := 0; s < sections; s++ {
-		for n := 0; n < notesPerSection; n++ {
-			o, err := master.Heap().New(cls)
-			if err != nil {
-				return err
+	var err error
+	master.Runtime().WithHeap(func(h *heap.Heap) {
+		var prev *heap.Object
+		for s := 0; s < sections; s++ {
+			for n := 0; n < notesPerSection; n++ {
+				o, e := h.New(cls)
+				if e != nil {
+					err = e
+					return
+				}
+				o.MustSet("text", heap.Str(fmt.Sprintf("sec%d/note%d: draft", s, n)))
+				if prev == nil {
+					h.SetRoot("notebook", o.RefTo())
+				} else {
+					prev.MustSet("next", o.RefTo())
+				}
+				prev = o
+				total++
 			}
-			o.MustSet("text", heap.Str(fmt.Sprintf("sec%d/note%d: draft", s, n)))
-			if prev == nil {
-				master.Heap().SetRoot("notebook", o.RefTo())
-			} else {
-				prev.MustSet("next", o.RefTo())
-			}
-			prev = o
-			total++
 		}
+	})
+	if err != nil {
+		return err
 	}
 	fmt.Printf("base station holds %d notes\n", total)
 
@@ -157,8 +164,8 @@ func run() error {
 
 	// Verify on the master.
 	verified := 0
-	cur, _ = master.Heap().Root("notebook")
 	mrt := master.Runtime()
+	mrt.WithHeap(func(h *heap.Heap) { cur, _ = h.Root("notebook") })
 	for !cur.IsNil() {
 		out, err := mrt.Invoke(cur, "text")
 		if err != nil {

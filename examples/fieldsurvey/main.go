@@ -86,20 +86,27 @@ func run() error {
 	masterReg.MustRegister(speciesClass())
 	master := replication.NewMaster(masterReg, 15) // 15 records per shipment
 	cls, _ := masterReg.Lookup("Species")
-	var prev *heap.Object
-	for i := 0; i < catalogueSize; i++ {
-		o, err := master.Heap().New(cls)
-		if err != nil {
-			return err
+	var err error
+	master.Runtime().WithHeap(func(h *heap.Heap) {
+		var prev *heap.Object
+		for i := 0; i < catalogueSize; i++ {
+			o, e := h.New(cls)
+			if e != nil {
+				err = e
+				return
+			}
+			o.MustSet("name", heap.Str(fmt.Sprintf("species-%03d", i))).
+				MustSet("notes", heap.Bytes(make([]byte, 96)))
+			if prev == nil {
+				h.SetRoot("catalogue", o.RefTo())
+			} else {
+				prev.MustSet("next", o.RefTo())
+			}
+			prev = o
 		}
-		o.MustSet("name", heap.Str(fmt.Sprintf("species-%03d", i))).
-			MustSet("notes", heap.Bytes(make([]byte, 96)))
-		if prev == nil {
-			master.Heap().SetRoot("catalogue", o.RefTo())
-		} else {
-			prev.MustSet("next", o.RefTo())
-		}
-		prev = o
+	})
+	if err != nil {
+		return err
 	}
 	baseStation := httptest.NewServer(replication.NewHandler(master))
 	defer baseStation.Close()

@@ -12,6 +12,43 @@ import (
 	"objectswap/internal/store"
 )
 
+// MemoryStats summarizes the naive design's footprint.
+type MemoryStats struct {
+	Objects        int
+	Surrogates     int
+	ObjectBytes    int64
+	SurrogateBytes int64
+	Offloaded      int
+}
+
+// Overhead returns the surrogate bytes as a fraction of object bytes.
+func (s MemoryStats) Overhead() float64 {
+	if s.ObjectBytes == 0 {
+		return 0
+	}
+	return float64(s.SurrogateBytes) / float64(s.ObjectBytes)
+}
+
+// MemoryStatsSnapshot computes the current footprint split.
+func (p *PerObject) MemoryStatsSnapshot() MemoryStats {
+	var st MemoryStats
+	st.Offloaded = len(p.offloaded)
+	for oid, pid := range p.proxy {
+		if pr, err := p.h.Get(pid); err == nil {
+			st.Surrogates++
+			st.SurrogateBytes += pr.Size()
+		}
+		if o, err := p.h.Get(oid); err == nil {
+			st.Objects++
+			st.ObjectBytes += o.Size()
+		}
+	}
+	return st
+}
+
+// CompressedCount reports how many payloads are currently compressed.
+func (c *Compressor) CompressedCount() int { return len(c.compressed) }
+
 func nodeClass() *heap.Class {
 	c := heap.NewClass("Node",
 		heap.FieldDef{Name: "payload", Kind: heap.KindBytes},
@@ -153,10 +190,10 @@ func TestPerObjectDoubleOffloadIsNoop(t *testing.T) {
 	reg.MustRegister(cls)
 	p := NewPerObject(h, reg, store.NewMem(0))
 	refs := buildNaiveList(t, p, cls, 2, 8)
-	if err := p.Offload(refs[0]); err != nil {
+	if err := p.offload(refs[0]); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Offload(refs[0]); err != nil {
+	if err := p.offload(refs[0]); err != nil {
 		t.Fatal(err)
 	}
 	st := p.MemoryStatsSnapshot()
@@ -165,7 +202,7 @@ func TestPerObjectDoubleOffloadIsNoop(t *testing.T) {
 	}
 }
 
-// TestPerObjectOffloadGolden pins one Offload payload byte for byte, and shows
+// TestPerObjectOffloadGolden pins one offload payload byte for byte, and shows
 // that the object faulted back in offloads to the same document again, under
 // its next key.
 func TestPerObjectOffloadGolden(t *testing.T) {
@@ -181,7 +218,7 @@ func TestPerObjectOffloadGolden(t *testing.T) {
 	}
 	offload := func() (string, []byte) {
 		t.Helper()
-		if err := p.Offload(refs[0]); err != nil {
+		if err := p.offload(refs[0]); err != nil {
 			t.Fatal(err)
 		}
 		pid, _ := refs[0].Ref()
@@ -225,7 +262,7 @@ func TestPerObjectErrors(t *testing.T) {
 	if _, err := p.Invoke(o.RefTo(), "tag"); err == nil {
 		t.Error("direct object reference accepted")
 	}
-	if err := p.Offload(o.RefTo()); err == nil {
+	if err := p.offload(o.RefTo()); err == nil {
 		t.Error("offload of non-surrogate accepted")
 	}
 	v, _ := p.NewObject(cls)

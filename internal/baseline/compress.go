@@ -150,9 +150,6 @@ func (c *Compressor) Access(oid heap.ObjID, field string) ([]byte, error) {
 	return plain, nil
 }
 
-// CompressedCount reports how many payloads are currently compressed.
-func (c *Compressor) CompressedCount() int { return len(c.compressed) }
-
 func deflate(raw []byte, level int) ([]byte, error) {
 	var buf bytes.Buffer
 	w, err := flate.NewWriter(&buf, level)

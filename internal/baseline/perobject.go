@@ -79,9 +79,6 @@ func NewPerObject(h *heap.Heap, reg *heap.Registry, dev store.Store) *PerObject 
 	return p
 }
 
-// Heap implements heap.Invoker.
-func (p *PerObject) Heap() *heap.Heap { return p.h }
-
 // Faults reports how many per-object reload faults have been taken.
 func (p *PerObject) Faults() int { return p.faults }
 
@@ -175,9 +172,9 @@ func (p *PerObject) SetFieldValue(target heap.Value, name string, v heap.Value) 
 	return o.SetFieldByName(name, v)
 }
 
-// Offload ships one object to the device and removes it from the heap. Its
+// offload ships one object to the device and removes it from the heap. Its
 // surrogate remains resident — the naive design's fixed cost.
-func (p *PerObject) Offload(target heap.Value) error {
+func (p *PerObject) offload(target heap.Value) error {
 	pid, err := target.Ref()
 	if err != nil {
 		return err
@@ -235,7 +232,7 @@ func (p *PerObject) OffloadAll() (int, error) {
 		if _, away := p.offloaded[oid]; away {
 			continue
 		}
-		if err := p.Offload(heap.Ref(pid)); err != nil {
+		if err := p.offload(heap.Ref(pid)); err != nil {
 			return n, err
 		}
 		n++
@@ -278,38 +275,4 @@ func (p *PerObject) reload(oid heap.ObjID, key string) error {
 		return err
 	}
 	return nil
-}
-
-// MemoryStats summarizes the naive design's footprint.
-type MemoryStats struct {
-	Objects        int
-	Surrogates     int
-	ObjectBytes    int64
-	SurrogateBytes int64
-	Offloaded      int
-}
-
-// Overhead returns the surrogate bytes as a fraction of object bytes.
-func (s MemoryStats) Overhead() float64 {
-	if s.ObjectBytes == 0 {
-		return 0
-	}
-	return float64(s.SurrogateBytes) / float64(s.ObjectBytes)
-}
-
-// MemoryStatsSnapshot computes the current footprint split.
-func (p *PerObject) MemoryStatsSnapshot() MemoryStats {
-	var st MemoryStats
-	st.Offloaded = len(p.offloaded)
-	for oid, pid := range p.proxy {
-		if pr, err := p.h.Get(pid); err == nil {
-			st.Surrogates++
-			st.SurrogateBytes += pr.Size()
-		}
-		if o, err := p.h.Get(oid); err == nil {
-			st.Objects++
-			st.ObjectBytes += o.Size()
-		}
-	}
-	return st
 }

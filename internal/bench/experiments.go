@@ -190,13 +190,13 @@ func RunNaiveComparison(n, payloadBytes, clusterSize int) (NaiveComparison, erro
 	}
 	rt := env.RT
 	res.SwapProxies = rt.Manager().ProxyCount()
-	res.SwapBytesLoaded = env.Heap().Used()
+	res.SwapBytesLoaded = env.heap.Used()
 
-	if _, err := RunA1(env); err != nil { // warm-up
+	if _, err := runRecursion(env, "walk"); err != nil { // warm-up
 		return res, err
 	}
 	start := time.Now()
-	if _, err := RunA1(env); err != nil {
+	if _, err := runRecursion(env, "walk"); err != nil {
 		return res, err
 	}
 	res.SwapTraversalTime = time.Since(start)
@@ -207,10 +207,10 @@ func RunNaiveComparison(n, payloadBytes, clusterSize int) (NaiveComparison, erro
 		}
 	}
 	rt.Collect()
-	res.SwapBytesSwapped = env.Heap().Used()
+	res.SwapBytesSwapped = env.heap.Used()
 
 	before := swapInCount(rt)
-	if _, err := RunA1(env); err != nil {
+	if _, err := runRecursion(env, "walk"); err != nil {
 		return res, err
 	}
 	res.SwapReloadFaults = swapInCount(rt) - before
@@ -300,7 +300,7 @@ func RunCompressionComparison(n, payloadBytes int) (CompressionComparison, error
 		return res, err
 	}
 	rt := env.RT
-	used := env.Heap().Used()
+	used := env.heap.Used()
 	start := time.Now()
 	for _, c := range rt.Manager().SelectVictims(core.VictimColdest) {
 		ev, err := rt.SwapOut(c)
@@ -311,7 +311,7 @@ func RunCompressionComparison(n, payloadBytes int) (CompressionComparison, error
 	}
 	rt.Collect()
 	res.SwapCPU = time.Since(start)
-	res.SwapFreedBytes = used - env.Heap().Used()
+	res.SwapFreedBytes = used - env.heap.Used()
 	model := energy.PocketPC2003()
 	res.SwapEnergy = model.CPU(res.SwapCPU) + model.Transfer(res.SwapXMLBytes, res.SwapXMLBytes)
 
@@ -321,7 +321,7 @@ func RunCompressionComparison(n, payloadBytes int) (CompressionComparison, error
 	if err != nil {
 		return res, err
 	}
-	h := direct.Heap()
+	h := direct.heap
 	payload := make([]byte, payloadBytes)
 	for i := range payload {
 		payload[i] = byte(i % 7)

@@ -148,13 +148,10 @@ type Env struct {
 	heap *heap.Heap
 }
 
-// Heap returns the environment's device heap.
-func (e *Env) Heap() *heap.Heap { return e.heap }
-
-// SetCursor assigns the iteration global (swap-cluster-0 variable), through
+// setCursor assigns the iteration global (swap-cluster-0 variable), through
 // the environment's runtime and so under its lock: the floor pays for the
 // assignment what the swapping runtime pays.
-func (e *Env) SetCursor(v heap.Value) error {
+func (e *Env) setCursor(v heap.Value) error {
 	if e.RT != nil {
 		return e.RT.SetRoot("cursor", v)
 	}
@@ -233,37 +230,21 @@ func Build(cfg Config) (*Env, error) {
 	return env, nil
 }
 
-// RunA1 executes Test A1 and returns the final recursion depth.
-func RunA1(env *Env) (int64, error) {
-	out, err := env.Invoker.Invoke(env.Head, "walk", heap.Int(1))
+// runRecursion executes Test A1 (method "walk") or A2 ("outer") from the
+// list head and returns the final (outer) recursion depth.
+func runRecursion(env *Env, method string) (int64, error) {
+	out, err := env.Invoker.Invoke(env.Head, method, heap.Int(1))
 	if err != nil {
 		return 0, err
 	}
 	return out[0].MustInt(), nil
 }
 
-// RunA2 executes Test A2 and returns the final outer recursion depth.
-func RunA2(env *Env) (int64, error) {
-	out, err := env.Invoker.Invoke(env.Head, "outer", heap.Int(1))
-	if err != nil {
-		return 0, err
-	}
-	return out[0].MustInt(), nil
-}
-
-// RunB1 executes Test B1: a full iteration via the global cursor, without
-// the assign optimization. It returns the number of steps taken.
-func RunB1(env *Env) (int64, error) {
-	return runIteration(env, false)
-}
-
-// RunB2 executes Test B2: the same iteration with the assign optimization
+// runIteration executes Test B1, a full iteration via the global cursor, or,
+// with assign, Test B2, the same iteration with the assign optimization
 // (meaningful only for swapping environments; on the direct runtime it
-// degenerates to B1, which is the correct lower bound).
-func RunB2(env *Env) (int64, error) {
-	return runIteration(env, true)
-}
-
+// degenerates to B1, which is the correct lower bound). It returns the
+// number of steps taken.
 func runIteration(env *Env, assign bool) (int64, error) {
 	cur := env.Head
 	if assign && env.RT != nil {
@@ -275,7 +256,7 @@ func runIteration(env *Env, assign bool) (int64, error) {
 		}
 		cur = c
 	}
-	if err := env.SetCursor(cur); err != nil {
+	if err := env.setCursor(cur); err != nil {
 		return 0, err
 	}
 	var steps int64
@@ -288,7 +269,7 @@ func runIteration(env *Env, assign bool) (int64, error) {
 			return steps, nil
 		}
 		cur = out[0]
-		if err := env.SetCursor(cur); err != nil {
+		if err := env.setCursor(cur); err != nil {
 			return steps, err
 		}
 		steps++
@@ -311,13 +292,13 @@ func RunTest(env *Env, test string) (Result, error) {
 	var fn func(*Env) (int64, error)
 	switch test {
 	case "A1":
-		fn = RunA1
+		fn = func(env *Env) (int64, error) { return runRecursion(env, "walk") }
 	case "A2":
-		fn = RunA2
+		fn = func(env *Env) (int64, error) { return runRecursion(env, "outer") }
 	case "B1":
-		fn = RunB1
+		fn = func(env *Env) (int64, error) { return runIteration(env, false) }
 	case "B2":
-		fn = RunB2
+		fn = func(env *Env) (int64, error) { return runIteration(env, true) }
 	default:
 		return Result{}, fmt.Errorf("bench: unknown test %q", test)
 	}
@@ -338,27 +319,18 @@ func RunTest(env *Env, test string) (Result, error) {
 	return Result{Test: test, Config: env.Config, Elapsed: elapsed, Checked: checked}, nil
 }
 
-// Fig5Configs returns the paper's four configurations for the given list
-// size (swap-clusters of 20, 50, 100 and none).
-func Fig5Configs(objects int) []Config {
-	return []Config{
-		{Objects: objects, PayloadBytes: DefaultPayload, ClusterSize: 20},
-		{Objects: objects, PayloadBytes: DefaultPayload, ClusterSize: 50},
-		{Objects: objects, PayloadBytes: DefaultPayload, ClusterSize: 100},
-		{Objects: objects, PayloadBytes: DefaultPayload, ClusterSize: 0},
-	}
-}
-
-// RunFig5 regenerates the full Figure 5 grid: every test under every
-// configuration. A fresh environment is built per (test, config) pair so
-// tests do not disturb each other (B1 leaves proxy churn behind); one
+// RunFig5 regenerates the full Figure 5 grid: every test under each of the
+// paper's four configurations (swap-clusters of 20, 50, 100 and none). A
+// fresh environment is built per (test, config) pair so tests do not
+// disturb each other (B1 leaves proxy churn behind); one
 // unmeasured warm-up run precedes the measurement so cold-start effects
 // (host allocator growth, map warm-up) do not mask the overhead under
 // study, mirroring the paper's steady-state micro-benchmark.
 func RunFig5(objects int) ([]Result, error) {
 	var results []Result
 	for _, test := range Tests {
-		for _, cfg := range Fig5Configs(objects) {
+		for _, size := range []int{20, 50, 100, 0} {
+			cfg := Config{Objects: objects, PayloadBytes: DefaultPayload, ClusterSize: size}
 			env, err := Build(cfg)
 			if err != nil {
 				return nil, err

@@ -3,19 +3,43 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"objectswap/internal/core"
+	"objectswap/internal/heap"
 )
 
 // small keeps unit tests fast; the real figure uses 10000.
 const small = 600
 
+// fig5Configs is the paper's four configurations for the given list size
+// (swap-clusters of 20, 50, 100 and none), as RunFig5 builds them.
+func fig5Configs(objects int) []Config {
+	return []Config{
+		{Objects: objects, PayloadBytes: DefaultPayload, ClusterSize: 20},
+		{Objects: objects, PayloadBytes: DefaultPayload, ClusterSize: 50},
+		{Objects: objects, PayloadBytes: DefaultPayload, ClusterSize: 100},
+		{Objects: objects, PayloadBytes: DefaultPayload, ClusterSize: 0},
+	}
+}
+
+// heapLen counts the environment's heap objects inside its runtime's hold.
+func heapLen(env *Env) (n int) {
+	if env.RT != nil {
+		env.RT.Locked(func(x *core.Held) { n = x.Heap().Len() })
+	} else {
+		env.direct.WithHeap(func(h *heap.Heap) { n = h.Len() })
+	}
+	return n
+}
+
 func TestBuildEnvironments(t *testing.T) {
-	for _, cfg := range Fig5Configs(small) {
+	for _, cfg := range fig5Configs(small) {
 		env, err := Build(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Label(), err)
 		}
-		if env.Heap().Len() < small {
-			t.Fatalf("%s: heap has %d objects", cfg.Label(), env.Heap().Len())
+		if n := heapLen(env); n < small {
+			t.Fatalf("%s: heap has %d objects", cfg.Label(), n)
 		}
 		if (env.RT != nil) != (cfg.ClusterSize > 0) {
 			t.Fatalf("%s: RT presence mismatch", cfg.Label())
@@ -24,7 +48,7 @@ func TestBuildEnvironments(t *testing.T) {
 }
 
 func TestAllTestsSelfCheck(t *testing.T) {
-	for _, cfg := range Fig5Configs(small) {
+	for _, cfg := range fig5Configs(small) {
 		cfg := cfg
 		t.Run(cfg.Label(), func(t *testing.T) {
 			for _, test := range Tests {
@@ -67,7 +91,7 @@ func TestProxyEconomyMatchesPaperNarrative(t *testing.T) {
 		t.Fatalf("boundary proxies = %d, want %d", built, wantBoundaries)
 	}
 
-	if _, err := RunB1(env); err != nil {
+	if _, err := runIteration(env, false); err != nil {
 		t.Fatal(err)
 	}
 	b1Churn := env.RT.Manager().ProxyCount() - built
@@ -80,7 +104,7 @@ func TestProxyEconomyMatchesPaperNarrative(t *testing.T) {
 		t.Fatal(err)
 	}
 	base2 := env2.RT.Manager().ProxyCount()
-	if _, err := RunB2(env2); err != nil {
+	if _, err := runIteration(env2, true); err != nil {
 		t.Fatal(err)
 	}
 	if churn := env2.RT.Manager().ProxyCount() - base2; churn > 1 {
@@ -91,13 +115,13 @@ func TestProxyEconomyMatchesPaperNarrative(t *testing.T) {
 	// boundaries; A1 creates none.
 	env3, _ := Build(cfg)
 	base3 := env3.RT.Manager().ProxyCount()
-	if _, err := RunA1(env3); err != nil {
+	if _, err := runRecursion(env3, "walk"); err != nil {
 		t.Fatal(err)
 	}
 	if churn := env3.RT.Manager().ProxyCount() - base3; churn != 0 {
 		t.Fatalf("A1 churned %d proxies, want 0", churn)
 	}
-	if _, err := RunA2(env3); err != nil {
+	if _, err := runRecursion(env3, "outer"); err != nil {
 		t.Fatal(err)
 	}
 	a2Churn := env3.RT.Manager().ProxyCount() - base3

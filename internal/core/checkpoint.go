@@ -226,7 +226,7 @@ func (rt *Runtime) SaveCheckpoint(w io.Writer) error {
 			case err != nil:
 				return fmt.Errorf("core: checkpoint: root %s: %w", name, err)
 			case d.kind == refObjFault:
-				cr.Remote, cr.Class = uint64(ObjProxyRemote(d.obj)), ObjProxyClass(d.obj)
+				cr.Remote, cr.Class = uint64(ObjProxyRemote(d.obj)), objProxyClassOf(d.obj)
 			default:
 				cr.Target = uint64(d.ultimate)
 			}
@@ -269,7 +269,7 @@ func (rt *Runtime) encodeResidentCluster(enc *wire.Encoder, cid ClusterID, membe
 		case err != nil:
 			return xmlcodec.Value{}, fmt.Errorf("core: checkpoint: reference @%d: %w", rid, err)
 		case d.kind == refObjFault:
-			return xmlcodec.RemoteRefOf(ObjProxyRemote(d.obj), objProxyClassMarker+ObjProxyClass(d.obj)), nil
+			return xmlcodec.RemoteRefOf(ObjProxyRemote(d.obj), objProxyClassMarker+objProxyClassOf(d.obj)), nil
 		}
 		return xmlcodec.RemoteRef(d.ultimate), nil
 	}

@@ -160,17 +160,19 @@ func TestCheckpointPreservesObjProxies(t *testing.T) {
 	if rt2.Manager().ObjProxyCount() != 2 {
 		t.Fatalf("objproxies after restore = %d, want 2", rt2.Manager().ObjProxyCount())
 	}
-	ro, err := rt2.Heap().Get(heap.ObjID(o.ID()))
+	var ro, np *heap.Object
+	inHold(rt2, func(h *heap.Heap) {
+		if ro, err = h.Get(heap.ObjID(o.ID())); err != nil {
+			return
+		}
+		nv, _ := ro.FieldByName("next")
+		np, err = h.Get(nv.MustRef())
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nv, _ := ro.FieldByName("next")
-	np, err := rt2.Heap().Get(nv.MustRef())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ObjProxyRemote(np) != 4242 || ObjProxyClass(np) != "Node" {
-		t.Fatalf("restored placeholder = remote %d class %q", ObjProxyRemote(np), ObjProxyClass(np))
+	if ObjProxyRemote(np) != 4242 || objProxyClassOf(np) != "Node" {
+		t.Fatalf("restored placeholder = remote %d class %q", ObjProxyRemote(np), objProxyClassOf(np))
 	}
 }
 
@@ -216,7 +218,9 @@ func goldenState(t *testing.T, rt *Runtime) {
 			t.Fatal(err)
 		}
 		if cls == node {
-			o.MustSet("tag", heap.Int(tag)).MustSet("payload", heap.Bytes([]byte{byte(tag), 0xff}))
+			inHold(rt, func(*heap.Heap) {
+				o.MustSet("tag", heap.Int(tag)).MustSet("payload", heap.Bytes([]byte{byte(tag), 0xff}))
+			})
 		}
 		return o
 	}
@@ -241,8 +245,10 @@ func goldenState(t *testing.T, rt *Runtime) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1.MustSet("label", heap.Str(`a <&> "bag"`)).MustSet("blob", heap.Bytes([]byte("\x00\x01blob"))).
-		MustSet("n", heap.Int(-7)).MustSet("x", heap.Float(2.5)).MustSet("ok", heap.Bool(true))
+	inHold(rt, func(*heap.Heap) {
+		a1.MustSet("label", heap.Str(`a <&> "bag"`)).MustSet("blob", heap.Bytes([]byte("\x00\x01blob"))).
+			MustSet("n", heap.Int(-7)).MustSet("x", heap.Float(2.5)).MustSet("ok", heap.Bool(true))
+	})
 	set(a1, "items", heap.List(a2.RefTo(), c[0].RefTo(), heap.Ref(fault), heap.Int(5)))
 	for i := range b {
 		set(b[i], "next", c[i].RefTo())
@@ -269,25 +275,30 @@ func goldenState(t *testing.T, rt *Runtime) {
 	// Sparse slot table: drop the middle outbound slot, as a delta remap of a
 	// target no longer referenced leaves it.
 	tab := &rt.mgr.table
-	rt.lock()
-	replID := tab.clusters[cb].replacement
-	rt.unlock()
-	repl, err := rt.h.Get(replID)
+	var slots []heap.Value
+	inHold(rt, func(h *heap.Heap) {
+		var repl *heap.Object
+		if repl, err = h.Get(tab.clusters[cb].replacement); err != nil {
+			return
+		}
+		outV, _ := repl.FieldByName(fldOut)
+		slots, _ = outV.List()
+		if len(slots) != 3 {
+			return
+		}
+		slots = slices.Clone(slots)
+		slots[1] = heap.Nil()
+		err = repl.SetFieldByName(fldOut, heap.List(slots...))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	outV, _ := repl.FieldByName(fldOut)
-	slots, _ := outV.List()
 	if len(slots) != 3 {
 		t.Fatalf("cluster B has %d outbound slots, want 3", len(slots))
 	}
-	slots = slices.Clone(slots)
-	slots[1] = heap.Nil()
-	if err := repl.SetFieldByName(fldOut, heap.List(slots...)); err != nil {
-		t.Fatal(err)
-	}
 	// A member of E held directly across E's swap-out.
-	if err := a1.SetFieldByName("next", e1.RefTo()); err != nil {
+	inHold(rt, func(*heap.Heap) { err = a1.SetFieldByName("next", e1.RefTo()) })
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := rt.SwapOut(ce); err != nil {

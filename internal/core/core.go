@@ -527,13 +527,6 @@ func (rt *Runtime) endEvict() {
 	}
 }
 
-// Heap returns the device heap. It is caller-locked: once the runtime is
-// shared, host code reaches it under Locked (its byte budget and lifetime
-// counters, atomics, excepted). A collection run on it is the runtime's, as
-// Collect says; only the donor drops of the dead swapped clusters it finds
-// wait for the runtime's next pass.
-func (rt *Runtime) Heap() *heap.Heap { return rt.h }
-
 // Registry returns the class registry.
 func (rt *Runtime) Registry() *heap.Registry { return rt.reg }
 
@@ -548,9 +541,14 @@ func (rt *Runtime) Bus() *event.Bus { return rt.bus }
 // evict(need) once, with the runtime lock released, and retries.
 func (rt *Runtime) SetEvictor(evict func(need int64) error) { rt.evictor = evict }
 
-// SetFaultHandler installs the incremental-replication fault handler, before
-// the runtime is shared; it runs with the runtime lock released.
-func (rt *Runtime) SetFaultHandler(fh FaultHandler) { rt.faultHandler = fh }
+// SetFaultHandler installs (or, with nil, removes) the incremental-replication
+// fault handler, under the runtime lock, so it may be changed on a shared
+// runtime; the handler runs with the lock released.
+func (rt *Runtime) SetFaultHandler(fh FaultHandler) {
+	rt.lock()
+	defer rt.unlock()
+	rt.faultHandler = fh
+}
 
 // RegisterClass registers an application class. Middleware classes must not
 // be registered this way.

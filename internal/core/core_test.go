@@ -132,6 +132,13 @@ func (rt *Runtime) lockedSettle(cs *clusterState, to residency) {
 	rt.settle(cs, to, nil)
 }
 
+// inHold runs fn on rt's heap inside one hold of the runtime lock: the one
+// way a test reads the heap or writes an object, as host code does
+// (Held.Heap). The lockcount build checks the hold at every heap entry.
+func inHold(rt *Runtime, fn func(h *heap.Heap)) {
+	rt.Locked(func(x *Held) { fn(x.Heap()) })
+}
+
 func (rt *Runtime) lockedContains(id heap.ObjID) bool {
 	rt.lock()
 	defer rt.unlock()
@@ -251,7 +258,8 @@ func TestIntraClusterEdgesAreDirect(t *testing.T) {
 	if got := f.rt.Manager().ProxyCount(); got != 1 {
 		t.Fatalf("proxy count = %d, want 1 (root only)", got)
 	}
-	o, _ := f.rt.Heap().Get(ids[0])
+	var o *heap.Object
+	inHold(f.rt, func(h *heap.Heap) { o, _ = h.Get(ids[0]) })
 	next, _ := o.FieldByName("next")
 	if next.MustRef() != ids[1] {
 		t.Fatalf("intra-cluster edge not direct: %v", next)
@@ -282,7 +290,8 @@ func TestProxyReuseAcrossSamePair(t *testing.T) {
 
 	// Add a second reference from cluster 1 to the same head of cluster 2:
 	// must reuse the existing boundary proxy.
-	src, _ := f.rt.Heap().Get(ids[3])
+	var src *heap.Object
+	inHold(f.rt, func(h *heap.Heap) { src, _ = h.Get(ids[3]) })
 	if err := f.rt.SetFieldValue(src.RefTo(), "next", heap.Ref(ids[10])); err != nil {
 		t.Fatal(err)
 	}
@@ -290,8 +299,11 @@ func TestProxyReuseAcrossSamePair(t *testing.T) {
 		t.Fatalf("proxy count = %d, want %d (reuse)", got, before)
 	}
 	// Confirm both fields hold the same proxy object.
-	a, _ := f.rt.Heap().Get(ids[9])
-	b, _ := f.rt.Heap().Get(ids[3])
+	var a, b *heap.Object
+	inHold(f.rt, func(h *heap.Heap) {
+		a, _ = h.Get(ids[9])
+		b, _ = h.Get(ids[3])
+	})
 	av, _ := a.FieldByName("next")
 	bv, _ := b.FieldByName("next")
 	if av.MustRef() != bv.MustRef() {
@@ -324,7 +336,8 @@ func TestDismantleIntoOwnCluster(t *testing.T) {
 
 	// Now store that (cluster-0-mediated) value into a cluster-1 object's
 	// field: interception must dismantle it back to a direct reference.
-	n5, _ := f.rt.Heap().Get(ids[5])
+	var n5 *heap.Object
+	inHold(f.rt, func(h *heap.Heap) { n5, _ = h.Get(ids[5]) })
 	if err := f.rt.SetFieldValue(n5.RefTo(), "next", out[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +408,8 @@ func TestFieldAccessThroughProxy(t *testing.T) {
 	if err := f.rt.SetFieldValue(f.head(t), "tag", heap.Int(99)); err != nil {
 		t.Fatal(err)
 	}
-	o, _ := f.rt.Heap().Get(ids[0])
+	var o *heap.Object
+	inHold(f.rt, func(h *heap.Heap) { o, _ = h.Get(ids[0]) })
 	tv, _ := o.FieldByName("tag")
 	if tv.MustInt() != 99 {
 		t.Fatalf("write through proxy lost: %v", tv)
@@ -505,10 +519,6 @@ func TestAssignOptimizationAvoidsProxyChurn(t *testing.T) {
 	created := f.rt.Manager().ProxyCount() - base
 	if created > 0 {
 		t.Fatalf("B2 created %d proxies, want 0", created)
-	}
-	// Unassign restores normal behaviour.
-	if err := f.rt.Unassign(heap.Ref(firstProxy)); err != nil {
-		t.Fatal(err)
 	}
 	if err := f.rt.Assign(heap.Ref(1234567)); err == nil {
 		t.Fatal("Assign on dangling ref: want error")

@@ -34,8 +34,10 @@ func (rt *Runtime) Locked(fn func(h *Held)) {
 	fn((*Held)(rt))
 }
 
-// Heap returns the device heap, which the hold guards. A collection run on
-// it is the runtime's, as Runtime.Heap says.
+// Heap returns the device heap, which the hold guards: it is the one way in
+// (DESIGN §6), and the heap is used only while the hold lasts. A collection
+// run on it is the runtime's, as Collect says; only the donor drops of the
+// dead swapped clusters it finds wait for the runtime's next pass.
 func (h *Held) Heap() *heap.Heap { return h.h }
 
 // frame is one boundary operation's hold on the invocation stack, which
@@ -190,14 +192,15 @@ func (rt *Runtime) reach(id heap.ObjID) (reached, error) {
 			}
 			return reached{obj: obj, proxy: d.obj, src: src, dst: dst}, nil
 		case refObjFault:
-			if rt.faultHandler == nil {
+			fh := rt.faultHandler
+			if fh == nil {
 				return reached{}, fmt.Errorf("core: object fault on @%d without fault handler", id)
 			}
 			// The handler replicates over the network through the exported
 			// entries, unlocked; enter stacked the proxy, so it survives.
 			remote := ObjProxyRemote(d.obj)
 			var resolved heap.Value
-			rt.unlocked(func() { resolved, err = rt.faultHandler.HandleFault(rt, remote) })
+			rt.unlocked(func() { resolved, err = fh.HandleFault(rt, remote) })
 			if err != nil {
 				return reached{}, fmt.Errorf("core: object fault: %w", err)
 			}

@@ -163,7 +163,7 @@ func TestEvictionFallsBackToAFullPass(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			o.MustSet("payload", heap.Bytes(make([]byte, 64)))
+			inHold(f.rt, func(*heap.Heap) { o.MustSet("payload", heap.Bytes(make([]byte, 64))) })
 			if prev == nil {
 				err = f.rt.SetRoot("old", o.RefTo())
 			} else {
@@ -193,7 +193,7 @@ func TestEvictionFallsBackToAFullPass(t *testing.T) {
 		t.Fatalf("eviction ran %d collections, want the young pass and the full one", got)
 	}
 	for _, id := range garbage {
-		if h.Contains(id) {
+		if f.rt.lockedContains(id) {
 			t.Fatalf("old garbage @%d survived the eviction", id)
 		}
 	}
@@ -347,10 +347,12 @@ func TestCollectAgainstConcurrentFieldWrites(t *testing.T) {
 	}
 	wg.Wait()
 	var live int64
-	for _, id := range f.rt.h.IDs() {
-		o, _ := f.rt.h.Get(id)
-		live += o.Size()
-	}
+	inHold(f.rt, func(h *heap.Heap) {
+		for _, id := range h.IDs() {
+			o, _ := h.Get(id)
+			live += o.Size()
+		}
+	})
 	if used := f.rt.h.Used(); used != live {
 		t.Fatalf("used %d, resident sizes sum to %d", used, live)
 	}

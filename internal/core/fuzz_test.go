@@ -99,8 +99,10 @@ func FuzzCheckpoint(f *testing.F) {
 			}
 			payload := make([]byte, rng.Intn(32))
 			rng.Read(payload)
-			o.MustSet("payload", heap.Bytes(payload))
-			o.MustSet("tag", heap.Int(int64(i)))
+			inHold(rt, func(*heap.Heap) {
+				o.MustSet("payload", heap.Bytes(payload))
+				o.MustSet("tag", heap.Int(int64(i)))
+			})
 			wantTags[o.ID()] = int64(i)
 			objs = append(objs, o)
 		}
@@ -202,7 +204,9 @@ func FuzzCheckpoint(f *testing.F) {
 			t.Fatalf("invariants after clean cycles: %v", errs)
 		}
 		for id, want := range wantTags {
-			o, err := rt2.Heap().Get(id)
+			var o *heap.Object
+			var err error
+			inHold(rt2, func(h *heap.Heap) { o, err = h.Get(id) })
 			if err != nil {
 				t.Fatalf("object %d lost across restore: %v", id, err)
 			}

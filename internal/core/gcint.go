@@ -38,14 +38,10 @@ func (rt *Runtime) Collect() heap.CollectStats {
 }
 
 // owner is what the runtime gives its heap (heap.Owner): its roots (rootSet),
-// the purge, and, beside prefetch workers, where host code reaches the heap
-// only under the runtime lock, the lockcount build's check of it.
+// the purge, and the lockcount build's check that the caller holds the
+// runtime lock, the one way in (Held.Heap).
 func (rt *Runtime) owner() heap.Owner {
-	o := heap.Owner{Roots: rt.rootSet, Purge: rt.purge}
-	if rt.prefetchWorkers > 0 {
-		o.Held = rt.assertLocked
-	}
-	return o
+	return heap.Owner{Roots: rt.rootSet, Purge: rt.purge, Held: rt.assertLocked}
 }
 
 // rootSet is what every pass marks from beside the heap's own roots: the

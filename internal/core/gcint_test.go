@@ -62,7 +62,7 @@ func TestCollectPurgesEverySweptRecord(t *testing.T) {
 	f.rt.Collect()
 	swept := []heap.ObjID{shared, cursor.MustRef(), placeholder, orphan.ID()}
 	for _, id := range swept {
-		if !slices.Contains(sweptIDs, id) || f.rt.h.Contains(id) {
+		if !slices.Contains(sweptIDs, id) || f.rt.lockedContains(id) {
 			t.Fatalf("@%d not swept: swept %v", id, sweptIDs)
 		}
 	}
@@ -334,7 +334,7 @@ func TestSwapInFreesItsReplacement(t *testing.T) {
 		if _, err := f.rt.SwapIn(c); err != nil {
 			t.Fatal(err)
 		}
-		if f.rt.h.Contains(repl) {
+		if f.rt.lockedContains(repl) {
 			t.Fatalf("cluster %d: replacement-object @%d still resident after its swap-in", c, repl)
 		}
 	}

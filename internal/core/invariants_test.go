@@ -53,9 +53,13 @@ func TestInvariantsDetectCorruption(t *testing.T) {
 	}{
 		{"cross-cluster direct reference", func(t *testing.T, f *fixture, ids []heap.ObjID, _ []ClusterID) {
 			// A direct heap write, bypassing interception.
-			a, _ := f.rt.Heap().Get(ids[0])  // cluster 1
-			b, _ := f.rt.Heap().Get(ids[15]) // cluster 2
-			if err := a.SetFieldByName("next", b.RefTo()); err != nil {
+			var err error
+			inHold(f.rt, func(h *heap.Heap) {
+				a, _ := h.Get(ids[0])  // cluster 1
+				b, _ := h.Get(ids[15]) // cluster 2
+				err = a.SetFieldByName("next", b.RefTo())
+			})
+			if err != nil {
 				t.Fatal(err)
 			}
 		}, "un-proxied reference"},

@@ -56,7 +56,7 @@ func TestMintWindowIsClosed(t *testing.T) {
 	if got := minted.MustRef(); got != fresh {
 		t.Fatalf("the mint handed out @%d, not the proxy @%d it allocated in the window: a collection swept that one", got, fresh)
 	}
-	if !f.rt.Heap().Contains(fresh) {
+	if !f.rt.lockedContains(fresh) {
 		t.Fatalf("the minted proxy @%d did not survive the collection", fresh)
 	}
 	wantTag(t, f, minted, 15)
@@ -111,7 +111,7 @@ func TestCommitWindowIsClosed(t *testing.T) {
 		t.Error("a mint landed inside the commit window")
 	}
 	for _, oid := range ids[10:20] {
-		if !f.rt.Heap().Contains(oid) {
+		if !f.rt.lockedContains(oid) {
 			t.Fatalf("member @%d of the reserved cluster did not survive", oid)
 		}
 	}
@@ -135,7 +135,7 @@ func TestWalkerAgainstEvictingPrefetch(t *testing.T) {
 	defer eng.Stop()
 	const clusters, per, walk = 8, 4, 16
 	far := buildChain(t, rt, clusters, per)
-	h := rt.Heap()
+	h := rt.h
 	full := h.Used()
 	for _, c := range far {
 		if _, err := rt.SwapOut(c); err != nil {

@@ -172,6 +172,10 @@ type clusterState struct {
 	// becomes the copy or a reload proves the copy equals resident state.
 	retained retainedCopy
 	dirty    bool
+	// changes counts the changes to the resident cluster (changed), copy or
+	// not: a swap-out reads it when it takes its copy of the members and
+	// refuses to commit once it has moved (swapOut.commit).
+	changes uint32
 
 	// zeroed reports the record is in the table's zeroed list: its edges
 	// may hold a zero count that the next purge compacts (countEdge).

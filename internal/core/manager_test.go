@@ -43,7 +43,7 @@ func TestSelectVictimStrategies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			o.MustSet("payload", heap.Bytes(make([]byte, payload)))
+			inHold(f.rt, func(*heap.Heap) { o.MustSet("payload", heap.Bytes(make([]byte, payload))) })
 			if err := f.rt.SetRoot(o.String(), o.RefTo()); err != nil {
 				t.Fatal(err)
 			}
@@ -138,9 +138,10 @@ func TestObjProxyLifecycle(t *testing.T) {
 	if p1 != p2 {
 		t.Fatalf("objproxy not unique per remote: @%d vs @%d", p1, p2)
 	}
-	o, _ := f.rt.Heap().Get(p1)
-	if ObjProxyRemote(o) != 777 || ObjProxyClass(o) != "Node" {
-		t.Fatalf("objproxy payload: remote=%d class=%q", ObjProxyRemote(o), ObjProxyClass(o))
+	var o *heap.Object
+	inHold(f.rt, func(h *heap.Heap) { o, _ = h.Get(p1) })
+	if ObjProxyRemote(o) != 777 || objProxyClassOf(o) != "Node" {
+		t.Fatalf("objproxy payload: remote=%d class=%q", ObjProxyRemote(o), objProxyClassOf(o))
 	}
 	if f.rt.Manager().ObjProxyCount() != 1 {
 		t.Fatalf("count = %d", f.rt.Manager().ObjProxyCount())
@@ -205,7 +206,7 @@ func TestTranslateListArguments(t *testing.T) {
 
 func TestRuntimeAccessors(t *testing.T) {
 	f := newFixture(t, 0)
-	if f.rt.Registry() == nil || f.rt.Heap() == nil || f.rt.Manager() == nil {
+	if f.rt.Registry() == nil || f.rt.Manager() == nil {
 		t.Fatal("nil accessor")
 	}
 	if f.rt.Bus() != nil {
@@ -255,7 +256,8 @@ func TestRuntimeOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	po, _ := rt.Heap().Get(pid)
+	var po *heap.Object
+	inHold(rt, func(h *heap.Heap) { po, _ = h.Get(pid) })
 	if target, ok := ProxyTarget(po); !ok || target != o.ID() {
 		t.Fatalf("ProxyTarget = %v, %v", target, ok)
 	}

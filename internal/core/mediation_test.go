@@ -216,7 +216,9 @@ func TestMediationTable(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					o, gerr := rt.h.Get(m.ids[r.at])
+					var o *heap.Object
+					var gerr error
+					inHold(rt, func(h *heap.Heap) { o, gerr = h.Get(m.ids[r.at]) })
 					if gerr != nil {
 						t.Fatalf("node %d not resident afterwards: %v", r.at, gerr)
 					}
@@ -347,7 +349,9 @@ func TestProxyRecordFollowsRetarget(t *testing.T) {
 	if in := inboundIndexes(mgr, pid); cur.MustRef() != pid || len(in) != 1 || in[0] != m.clusters[1] {
 		t.Fatalf("retargeted cursor @%d (was @%d) indexed under %v, want [%d]", cur.MustRef(), pid, in, m.clusters[1])
 	}
-	if p, err := rt.h.Get(pid); err != nil || proxyMode(p) != proxyModeAssign || proxySrc(p) != RootCluster || proxyUltimate(p) != m.ids[10] {
+	var p *heap.Object
+	inHold(rt, func(h *heap.Heap) { p, err = h.Get(pid) })
+	if err != nil || proxyMode(p) != proxyModeAssign || proxySrc(p) != RootCluster || proxyUltimate(p) != m.ids[10] {
 		t.Fatalf("cursor @%d: %v; want an assign-mode proxy from cluster 0 to @%d", pid, err, m.ids[10])
 	}
 	if shared, ok := mgr.table.proxies.get(proxyKey{RootCluster, m.ids[10]}); ok && shared == pid {
@@ -357,7 +361,7 @@ func TestProxyRecordFollowsRetarget(t *testing.T) {
 
 	// Cluster 0 becomes garbage: the records of the cursor's old targets die
 	// while the cursor lives on.
-	rt.h.DelRoot("head")
+	inHold(rt, func(h *heap.Heap) { h.SetRoot("head", heap.Nil()) })
 	for i := 0; i < 4; i++ {
 		rt.Collect()
 	}
@@ -369,13 +373,13 @@ func TestProxyRecordFollowsRetarget(t *testing.T) {
 	}
 	checkClean(t, rt)
 
-	rt.h.DelRoot("cursor")
+	inHold(rt, func(h *heap.Heap) { h.SetRoot("cursor", heap.Nil()) })
 	letGo(rt)
 	for i := 0; i < 4; i++ {
 		rt.Collect()
 	}
-	if in := inboundIndexes(mgr, pid); len(in) != 0 || rt.h.Contains(pid) {
-		t.Fatalf("swept cursor left behind: listed by %v, resident=%v", in, rt.h.Contains(pid))
+	if in := inboundIndexes(mgr, pid); len(in) != 0 || rt.lockedContains(pid) {
+		t.Fatalf("swept cursor left behind: listed by %v, resident=%v", in, rt.lockedContains(pid))
 	}
 	checkClean(t, rt)
 }

@@ -53,8 +53,9 @@ func ObjProxyRemote(o *heap.Object) heap.ObjID {
 	return heap.ObjID(i)
 }
 
-// ObjProxyClass reads the remote class name an object-fault proxy stands for.
-func ObjProxyClass(o *heap.Object) string {
+// objProxyClassOf reads the remote class name an object-fault proxy stands
+// for.
+func objProxyClassOf(o *heap.Object) string {
 	v, _ := o.FieldByName(fldRemClass)
 	s, _ := v.Str()
 	return s

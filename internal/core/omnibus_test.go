@@ -189,7 +189,7 @@ func TestPropIdentityStableUnderSwap(t *testing.T) {
 			}
 			// Pin the proxy: the pool holds it host-side only (a field-held
 			// proxy would be anchored by its holding cluster).
-			f.rt.Heap().Pin(pid)
+			inHold(f.rt, func(h *heap.Heap) { h.Pin(pid) })
 			pool = append(pool, refExpr{v: heap.Ref(pid), to: target})
 		}
 

@@ -272,12 +272,7 @@ func (rt *Runtime) translateRef(id heap.ObjID, to ClusterID) (heap.Value, error)
 // swap-cluster-proxy reference: instead of creating a fresh proxy for each
 // reference it returns, the proxy patches itself to the returned object and
 // hands back a reference to itself. This is SwapClusterUtils.assign.
-func (rt *Runtime) Assign(v heap.Value) error { return rt.setMode(v, proxyModeAssign) }
-
-// Unassign restores normal proxy behaviour.
-func (rt *Runtime) Unassign(v heap.Value) error { return rt.setMode(v, proxyModeNormal) }
-
-func (rt *Runtime) setMode(v heap.Value, mode int64) error {
+func (rt *Runtime) Assign(v heap.Value) error {
 	rt.lock()
 	defer rt.unlock()
 	id, err := v.Ref()
@@ -291,12 +286,10 @@ func (rt *Runtime) setMode(v heap.Value, mode int64) error {
 	if !isProxy(o) {
 		return fmt.Errorf("%w: %s", ErrNotProxy, o.Class().Name)
 	}
-	if mode == proxyModeAssign {
-		// A proxy that re-aims itself leaves the shared registry for good:
-		// reuse must not hand out a reference moving under its holder.
-		rt.mgr.table.proxies.drop(proxyKey{src: proxySrc(o), target: proxyUltimate(o)}, id)
-	}
-	if !setProxySlot(o, id, slotMode, heap.Int(mode)) {
+	// A proxy that re-aims itself leaves the shared registry for good: reuse
+	// must not hand out a reference moving under its holder.
+	rt.mgr.table.proxies.drop(proxyKey{src: proxySrc(o), target: proxyUltimate(o)}, id)
+	if !setProxySlot(o, id, slotMode, heap.Int(proxyModeAssign)) {
 		return fmt.Errorf("%w: @%d", heap.ErrNoSuchObject, id)
 	}
 	return nil

@@ -23,7 +23,8 @@ func TestMergeClustersDismantlesBoundary(t *testing.T) {
 	checkClean(t, f.rt)
 
 	// The node-9 → node-10 edge is direct now.
-	n9, _ := f.rt.Heap().Get(ids[9])
+	var n9 *heap.Object
+	inHold(f.rt, func(h *heap.Heap) { n9, _ = h.Get(ids[9]) })
 	nv, _ := n9.FieldByName("next")
 	if nv.MustRef() != ids[10] {
 		t.Fatalf("boundary edge not dismantled: %v", nv)
@@ -104,7 +105,8 @@ func TestSplitClusterMediatesNewBoundary(t *testing.T) {
 	checkClean(t, f.rt)
 
 	// The 4→5 edge now crosses a boundary: proxied.
-	n4, _ := f.rt.Heap().Get(ids[4])
+	var n4 *heap.Object
+	inHold(f.rt, func(h *heap.Heap) { n4, _ = h.Get(ids[4]) })
 	nv, _ := n4.FieldByName("next")
 	if !f.rt.IsProxyRef(nv) {
 		t.Fatalf("new boundary edge not mediated: %v", nv)
@@ -309,7 +311,8 @@ func TestRetargetAfterDeathDoesNotResurrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := f.rt.h.Get(pid)
+	var p *heap.Object
+	inHold(f.rt, func(h *heap.Heap) { p, err = h.Get(pid) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,8 +355,10 @@ func TestCursorSurvivesReloadEvictionStorm(t *testing.T) {
 			if err != nil {
 				t.Fatalf("chain %d obj %d: %v", c, i, err)
 			}
-			o.MustSet("payload", heap.Bytes(make([]byte, 64))).
-				MustSet("tag", heap.Int(int64(c*100+i)))
+			inHold(rt, func(*heap.Heap) {
+				o.MustSet("payload", heap.Bytes(make([]byte, 64))).
+					MustSet("tag", heap.Int(int64(c*100+i)))
+			})
 			if prev == nil {
 				if err := rt.SetRoot(fmt.Sprintf("c%d", c), o.RefTo()); err != nil {
 					t.Fatal(err)

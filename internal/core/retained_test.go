@@ -108,7 +108,9 @@ func (e *retained) calls() (n [4]int) {
 // member returns the resident member object ids[i].
 func (e *retained) member(t *testing.T, i int) *heap.Object {
 	t.Helper()
-	o, err := e.f.rt.h.Get(e.ids[i])
+	var o *heap.Object
+	var err error
+	inHold(e.f.rt, func(h *heap.Heap) { o, err = h.Get(e.ids[i]) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +142,16 @@ func TestRetainedCopy(t *testing.T) {
 		{name: "nothing", donors: 1, k: 1,
 			clean: true, calls: counts{get: 1}},
 		{name: "field write", donors: 1, k: 1,
-			between: func(t *testing.T, e *retained) { e.member(t, 12).MustSet("tag", heap.Int(1200)); e.want[12] = 1200 },
-			calls:   counts{put: 1, get: 1, drop: 1, stats: 1}},
+			between: func(t *testing.T, e *retained) {
+				o := e.member(t, 12)
+				inHold(e.f.rt, func(*heap.Heap) { o.MustSet("tag", heap.Int(1200)) })
+				e.want[12] = 1200
+			},
+			calls: counts{put: 1, get: 1, drop: 1, stats: 1}},
 		{name: "write, then the old value written back", donors: 1, k: 1,
 			between: func(t *testing.T, e *retained) {
-				e.member(t, 12).MustSet("tag", heap.Int(1200)).MustSet("tag", heap.Int(12))
+				o := e.member(t, 12)
+				inHold(e.f.rt, func(*heap.Heap) { o.MustSet("tag", heap.Int(1200)).MustSet("tag", heap.Int(12)) })
 			},
 			calls: counts{put: 1, get: 1, drop: 1, stats: 1}},
 		{name: "new member", donors: 1, k: 1,
@@ -178,7 +185,7 @@ func TestRetainedCopy(t *testing.T) {
 					t.Fatal(err)
 				}
 				letGo(e.f.rt)
-				for i := 0; e.f.rt.h.Contains(o.ID()); i++ {
+				for i := 0; e.f.rt.lockedContains(o.ID()); i++ {
 					if i == 4 {
 						t.Fatal("the unreferenced member survived its collections")
 					}

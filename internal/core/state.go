@@ -197,8 +197,10 @@ func (cs *clusterState) cleanCopy() (retainedCopy, bool) {
 }
 
 // changed records that the resident cluster no longer equals its retained
-// copy, if it has one: its next swap-out ships.
+// copy, if it has one: its next swap-out ships. It counts every change, so a
+// swap-out in flight sees one made since it took its copy.
 func (cs *clusterState) changed() {
+	cs.changes++
 	if cs.retained.key != "" {
 		cs.dirty = true
 	}

@@ -326,7 +326,7 @@ func TestFailedOperationLeavesClusterWhereItWas(t *testing.T) {
 				sort.Strings(ks)
 				return ks
 			}
-			h := f.rt.Heap()
+			h := f.rt.h
 			used, objects, donor := h.Used(), h.Len(), keys()
 			before, _ := f.rt.mgr.Info(id)
 			was, _ := f.rt.mgr.shipmentOf(id)
@@ -343,7 +343,7 @@ func TestFailedOperationLeavesClusterWhereItWas(t *testing.T) {
 				t.Fatalf("heap holds %d bytes / %d objects after the failure, held %d / %d",
 					h.Used(), h.Len(), used, objects)
 			}
-			if got, _ := f.rt.mgr.shipmentOf(id); got.replacement != replacement || (replacement != heap.NilID && !h.Contains(replacement)) {
+			if got, _ := f.rt.mgr.shipmentOf(id); got.replacement != replacement || (replacement != heap.NilID && !f.rt.lockedContains(replacement)) {
 				t.Fatalf("replacement-object @%d after the failure, was @%d", got.replacement, replacement)
 			}
 			if got := keys(); !reflect.DeepEqual(got, donor) {

@@ -42,10 +42,12 @@ import (
 // hold, with no store call. SwapEvent.Clean says which kind a swap-out was.
 //
 // SwapOut is safe to call concurrently for distinct clusters: it holds the
-// runtime lock except while it negotiates, encodes and ships, so the
-// shipment of one cluster overlaps the work of another. While the cluster is
-// reserved-out a second caller gets ErrClusterBusy; a failure in any phase
-// leaves it resident and the graph untouched (op.end).
+// runtime lock except while it negotiates and ships, so the shipment of one
+// cluster overlaps the work of another. While the cluster is reserved-out a
+// second caller gets ErrClusterBusy, and a member written meanwhile (the
+// members stay usable) makes the commit refuse with ErrClusterBusy rather
+// than free the write; a failure in any phase leaves the cluster resident and
+// the graph untouched (op.end).
 func (rt *Runtime) SwapOut(id ClusterID, opts ...SwapOption) (SwapEvent, error) {
 	rt.lock()
 	defer rt.unlock()
@@ -90,6 +92,10 @@ type swapOut struct {
 
 	// snapshot: the resident size; the outbound slot table is in sc.
 	residentBytes int64
+	// seen is the reservation's change count (clusterState.changes) when the
+	// copy commit anchors was taken: at reserve for a retained copy, at the
+	// encode for a shipment.
+	seen uint32
 
 	key     string
 	k       int
@@ -184,7 +190,7 @@ func (sc *outScratch) ref(rid heap.ObjID) (xmlcodec.Value, error) {
 		return xmlcodec.SlotRef(slot), nil
 	}
 	if ro, ok := sc.remote[rid]; ok {
-		return xmlcodec.RemoteRefOf(ObjProxyRemote(ro), ObjProxyClass(ro)), nil
+		return xmlcodec.RemoteRefOf(ObjProxyRemote(ro), objProxyClassOf(ro)), nil
 	}
 	return xmlcodec.Value{}, fmt.Errorf("core: unclassified reference @%d", rid)
 }
@@ -196,6 +202,7 @@ func (s *swapOut) reserve() error {
 		if kept, ok := cs.cleanCopy(); ok && (s.o.device == "" || (len(kept.devices) == 1 && kept.devices[0] == s.o.device)) {
 			s.kept = kept
 		}
+		s.seen = cs.changes
 	})
 	if err == nil && s.clean() && !s.rt.holds(s.kept.donorCopy) {
 		s.kept = retainedCopy{} // a donor of the copy is gone or its lease ran out: ship
@@ -279,14 +286,15 @@ func (s *swapOut) classify(o *heap.Object, rid heap.ObjID) error {
 
 // shipOut runs the phases that move the cluster's bytes, for one that cannot
 // leave on its retained copy. From here on the trace goes to the stores.
-// Negotiation and the encode are I/O and CPU on what snapshot copied out, so
-// they run with the runtime lock released, as the shipment does.
+// Negotiation is I/O, so it runs with the runtime lock released, as the
+// shipment does. The encode reads the members, which stay writable while the
+// cluster is reserved, so it holds the lock.
 func (s *swapOut) shipOut() {
 	s.handOut(6)
 	s.enc = wire.NewEncoder()
 	defer s.enc.Release() // and with it the frame: stores copied what they keep
 	s.io("negotiate", s.negotiate)
-	s.io("encode", s.encode)
+	s.do("encode", s.encode)
 	s.do("ship", s.ship)
 }
 
@@ -313,16 +321,17 @@ func (s *swapOut) encode() error {
 	return nil
 }
 
-// encodeFrame renders s.plan's frame into s.payload: the members snapshot
-// resolved, in the negotiated format, each reference classified internal /
-// slot / remote (outScratch.ref).
+// encodeFrame renders s.plan's frame into s.payload, under the runtime lock:
+// the members snapshot resolved, as they are now (seen), in the negotiated
+// format, each reference classified internal / slot / remote
+// (outScratch.ref).
 func (s *swapOut) encodeFrame() error {
 	sc, format := s.sc, s.plan.format
 	payload, err := s.enc.EncodeObjects(format, s.key, sc.objs, sc.encodeRef)
 	if err != nil {
 		return fmt.Errorf("core: encode cluster %d as %s: %w", s.id, format, err)
 	}
-	s.payload = payload
+	s.payload, s.seen = payload, s.cs.changes
 	s.span.SetFormat(string(format))
 	return nil
 }
@@ -355,7 +364,7 @@ func (s *swapOut) ship() error {
 	rt.unlocked(func() { err = s.shipPlanned() })
 	if err != nil && (errors.Is(err, store.ErrCapacity) || errors.Is(err, store.ErrNoDevice)) &&
 		rt.shedRetained(s.ctx, s.plan.ranked) > 0 {
-		rt.unlocked(func() { err = s.reship() })
+		err = s.reship()
 	}
 	// A copy a failed attempt left behind is dropped at the next collection —
 	// unless the attempt that succeeded put the key's live copy on that donor.
@@ -384,12 +393,15 @@ func (s *swapOut) ship() error {
 	return nil
 }
 
-// reship negotiates, encodes and ships the shipment afresh.
+// reship negotiates, encodes and ships the shipment afresh; only the encode
+// holds the runtime lock, which the caller holds.
 func (s *swapOut) reship() (err error) {
-	if s.plan, err = s.rt.negotiate(s.ctx, &s.sc.rank, s.o, s.key, s.k); err == nil {
-		if err = s.encodeFrame(); err == nil {
-			err = s.shipPlanned()
-		}
+	s.rt.unlocked(func() { s.plan, err = s.rt.negotiate(s.ctx, &s.sc.rank, s.o, s.key, s.k) })
+	if err == nil {
+		err = s.encodeFrame()
+	}
+	if err == nil {
+		s.rt.unlocked(func() { err = s.shipPlanned() })
 	}
 	return err
 }
@@ -432,21 +444,26 @@ func (s *swapOut) shipPlanned() error {
 // commit detaches the cluster from the application graph: the record moves
 // to swappedOut on the copy the donors hold and every inbound proxy is
 // re-pointed at its replacement (settle).
+// A change to the cluster since the copy was taken (seen) — a member written
+// while the swap-out let go of the lock, say — rolls the operation back: the
+// cluster stays resident, and ships next time, rather than the write being
+// lost with the freed members; a shipped copy is owed its donors a Drop.
 // A shipment becomes the new retained copy (dirty resets; the previous one is
-// due for donor cleanup); a clean cluster, which built no replacement-object
-// yet and shipped nothing, first re-reads dirty — a write that landed since
-// reserve rolls the operation back (the cluster stays resident, dirty, and
-// ships next time) rather than being lost with the freed members.
+// due for donor cleanup); a clean cluster builds its replacement-object only
+// now.
 //
 // Then exactly the members are freed (DESIGN §6): every inbound proxy
 // targets the replacement and no member is on the invocation stack, so they
 // are garbage by construction and the cluster is never in two places.
 func (s *swapOut) commit() error {
 	rt := s.rt
-	if s.clean() {
-		if s.cs.dirty {
-			return fmt.Errorf("%w: cluster %d was written during its swap-out", ErrClusterBusy, s.id)
+	if s.cs.changes != s.seen {
+		if !s.clean() {
+			rt.mgr.table.queueDrops(forgotCopy{s.id, s.copy})
 		}
+		return fmt.Errorf("%w: cluster %d was written during its swap-out", ErrClusterBusy, s.id)
+	}
+	if s.clean() {
 		if err := s.replace(); err != nil {
 			return err
 		}

@@ -41,15 +41,17 @@ func (f *fixture) snapshotTags(t testing.TB) []int64 {
 func TestSwapOutFreesMemoryAndDetaches(t *testing.T) {
 	f := newFixture(t, 0)
 	ids, clusters := f.buildList(t, 30, 10, 64)
-	h := f.rt.Heap()
+	h := f.rt.h
 	before := h.Used()
 
 	// Resident bytes of cluster 2 (nodes 10..19).
 	var clusterBytes int64
-	for _, id := range ids[10:20] {
-		o, _ := h.Get(id)
-		clusterBytes += o.Size()
-	}
+	inHold(f.rt, func(h *heap.Heap) {
+		for _, id := range ids[10:20] {
+			o, _ := h.Get(id)
+			clusterBytes += o.Size()
+		}
+	})
 
 	ev, err := f.rt.SwapOut(clusters[1])
 	if err != nil {
@@ -79,7 +81,7 @@ func TestSwapOutFreesMemoryAndDetaches(t *testing.T) {
 	// Detachment completeness: the cluster is in exactly one place — no
 	// member is resident once SwapOut has returned.
 	for _, id := range ids[10:20] {
-		if h.Contains(id) {
+		if f.rt.lockedContains(id) {
 			t.Fatalf("swapped member @%d still resident", id)
 		}
 	}
@@ -157,7 +159,9 @@ func TestSwapRoundTripIsIsomorphic(t *testing.T) {
 		}
 	}
 	// Original object identities are preserved across the cycles.
-	o, err := f.rt.Heap().Get(ids[15])
+	var o *heap.Object
+	var err error
+	inHold(f.rt, func(h *heap.Heap) { o, err = h.Get(ids[15]) })
 	if err != nil {
 		t.Fatalf("node 15 lost its identity: %v", err)
 	}
@@ -233,15 +237,17 @@ func TestOutboundEdgesKeepDownstreamAlive(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.rt.Collect()
-	if !f.rt.Heap().Contains(bID) {
+	if !f.rt.lockedContains(bID) {
 		t.Fatal("downstream cluster B collected while A swapped (outbound edge lost)")
 	}
 
 	// Drop the root: A's inbound proxy and replacement become garbage; B
 	// follows; the device is told to drop the XML.
-	f.rt.Heap().DelRoot("a")
+	if err := f.rt.SetRoot("a", heap.Nil()); err != nil {
+		t.Fatal(err)
+	}
 	f.rt.Collect()
-	if f.rt.Heap().Contains(bID) {
+	if f.rt.lockedContains(bID) {
 		t.Fatal("B survived after the whole subgraph died")
 	}
 	if _, err := f.mem.Get(ctx, ev.Key); !errors.Is(err, store.ErrNotFound) {
@@ -287,7 +293,9 @@ func TestSwapEventsPublished(t *testing.T) {
 	if _, err := rt.SwapOut(c); err != nil {
 		t.Fatal(err)
 	}
-	h.DelRoot("x")
+	if err := rt.SetRoot("x", heap.Nil()); err != nil {
+		t.Fatal(err)
+	}
 	rt.Collect()
 
 	if len(outs) != 2 || len(ins) != 1 || len(drops) != 1 {
@@ -345,7 +353,7 @@ func TestSwapOutFailsCleanlyWhenNoDeviceFits(t *testing.T) {
 	if rt.Manager().IsSwapped(c) {
 		t.Fatal("cluster marked swapped after failure")
 	}
-	if !h.Contains(o.ID()) {
+	if !rt.lockedContains(o.ID()) {
 		t.Fatal("member freed although its shipment failed")
 	}
 	if h.Used() != used {
@@ -464,7 +472,7 @@ func TestEvictorOnAllocationPressure(t *testing.T) {
 			if err != nil {
 				t.Fatalf("cluster %d obj %d: %v", c, i, err)
 			}
-			o.MustSet("tag", heap.Int(int64(c*100+i)))
+			inHold(rt, func(*heap.Heap) { o.MustSet("tag", heap.Int(int64(c*100+i))) })
 			if prev == nil {
 				if err := rt.SetRoot(fmt.Sprintf("head-%d", c), o.RefTo()); err != nil {
 					t.Fatal(err)

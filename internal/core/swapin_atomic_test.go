@@ -28,7 +28,7 @@ func forgetChecksum(t testing.TB, rt *Runtime, id ClusterID) {
 // assertStillSwapped checks that a refused swap-in left everything as found.
 func assertStillSwapped(t testing.TB, f *fixture, id ClusterID, members []heap.ObjID, used int64, objects int, what string) {
 	t.Helper()
-	h := f.rt.Heap()
+	h := f.rt.h
 	if got := h.Used(); got != used {
 		t.Fatalf("%s: Used = %d after the refused swap-in, was %d", what, got, used)
 	}
@@ -36,7 +36,7 @@ func assertStillSwapped(t testing.TB, f *fixture, id ClusterID, members []heap.O
 		t.Fatalf("%s: %d objects resident after the refused swap-in, were %d", what, got, objects)
 	}
 	for _, oid := range members {
-		if h.Contains(oid) {
+		if f.rt.lockedContains(oid) {
 			t.Fatalf("%s: member @%d is resident after the refused swap-in", what, oid)
 		}
 	}
@@ -74,7 +74,7 @@ func TestSwapInRefusesDamagedFrameAtomically(t *testing.T) {
 		ref, _, _, _, _, _ := setup()
 		return ref.snapshotTags(t)
 	}()
-	used, objects := f.rt.Heap().Used(), f.rt.Heap().Len()
+	used, objects := f.rt.h.Used(), f.rt.h.Len()
 
 	serve := func(data []byte) {
 		t.Helper()
@@ -112,7 +112,7 @@ func TestSwapInRefusesDamagedFrameAtomically(t *testing.T) {
 			t.Fatalf("invariants after installing a flipped frame: %v", errs)
 		}
 		f, id, members, ev, frame, opts = setup()
-		used, objects = f.rt.Heap().Used(), f.rt.Heap().Len()
+		used, objects = f.rt.h.Used(), f.rt.h.Len()
 	}
 	if refused < 50 {
 		t.Fatalf("only %d of 400 flipped frames were refused: the flips are not reaching the structure", refused)
@@ -141,7 +141,7 @@ func TestSwapInOutOfMemoryInstallsNothing(t *testing.T) {
 	ids, clusters := f.buildList(t, 24, 8, 200)
 	id, members := clusters[1], ids[8:16]
 	want := f.snapshotTags(t)
-	h := f.rt.Heap()
+	h := f.rt.h
 	before := h.Used()
 	if _, err := f.rt.SwapOut(id); err != nil {
 		t.Fatal(err)

@@ -245,7 +245,8 @@ func TestReissuedProxyBlockRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	block, err := f.rt.h.Get(stale)
+	var block *heap.Object
+	inHold(f.rt, func(h *heap.Heap) { block, err = h.Get(stale) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,9 +257,11 @@ func TestReissuedProxyBlockRefused(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p, _ := f.rt.h.Get(pid); p == block {
-			reissued = pid
-		}
+		inHold(f.rt, func(h *heap.Heap) {
+			if p, _ := h.Get(pid); p == block {
+				reissued = pid
+			}
+		})
 	}
 	if reissued == heap.NilID {
 		t.Fatal("the swept proxy's block was not reissued")
@@ -317,7 +320,7 @@ func TestReloadRoomTakenDuringEviction(t *testing.T) {
 	}
 	f.rt.Collect()
 	// Room for the reload only once a cluster is evicted, and then for one.
-	f.rt.Heap().SetCapacity(f.rt.Heap().Used() + 512 + info.ResidentBytes/2)
+	f.rt.h.SetCapacity(f.rt.h.Used() + 512 + info.ResidentBytes/2)
 	// The hook, the evictor and the reload share the test's goroutine.
 	var competed chan error
 	waited := false

@@ -205,8 +205,8 @@ func (c *ConnectivityMonitor) Up(name string) bool {
 	return c.state[name]
 }
 
-// UpCount reports how many tracked devices are reachable.
-func (c *ConnectivityMonitor) UpCount() int {
+// upCount reports how many tracked devices are reachable.
+func (c *ConnectivityMonitor) upCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
@@ -263,7 +263,7 @@ func (c *Context) Snapshot() Snapshot {
 		"heap.objects":  float64(st.Objects),
 	}
 	if c.conn != nil {
-		s["devices.up"] = float64(c.conn.UpCount())
+		s["devices.up"] = float64(c.conn.upCount())
 	}
 	c.mu.Lock()
 	for name, fn := range c.extra {

@@ -121,8 +121,8 @@ func TestConnectivityMonitor(t *testing.T) {
 	if conn.Up("pda") {
 		t.Fatal("Up after down")
 	}
-	if conn.UpCount() != 0 {
-		t.Fatalf("UpCount = %d", conn.UpCount())
+	if conn.upCount() != 0 {
+		t.Fatalf("upCount = %d", conn.upCount())
 	}
 	// Registry mirrored the state.
 	if _, err := reg.Lookup("pda"); err == nil {
@@ -132,8 +132,8 @@ func TestConnectivityMonitor(t *testing.T) {
 	if _, err := reg.Lookup("pda"); err != nil {
 		t.Fatalf("registry unreachable after link up: %v", err)
 	}
-	if conn.UpCount() != 1 {
-		t.Fatalf("UpCount = %d", conn.UpCount())
+	if conn.upCount() != 1 {
+		t.Fatalf("upCount = %d", conn.upCount())
 	}
 }
 

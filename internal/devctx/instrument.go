@@ -41,7 +41,7 @@ func (c *ConnectivityMonitor) Instrument(r *obs.Registry) {
 	}
 	r.GaugeFunc("objectswap_devctx_devices_up",
 		"Reachable nearby devices.",
-		func() float64 { return float64(c.UpCount()) })
+		func() float64 { return float64(c.upCount()) })
 	c.mu.Lock()
 	c.linkGauge = r.GaugeVec("objectswap_devctx_link_up",
 		"Per-device link state (1 = reachable).", "device")

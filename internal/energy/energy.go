@@ -25,9 +25,6 @@ func (j Joules) String() string {
 	return fmt.Sprintf("%.1f mJ", float64(j)*1000)
 }
 
-// Millijoules returns the amount in mJ.
-func (j Joules) Millijoules() float64 { return float64(j) * 1000 }
-
 // Model holds the device's power coefficients.
 type Model struct {
 	// CPUActiveWatts is drawn while the CPU computes (compression,
@@ -57,13 +54,13 @@ func (m Model) CPU(d time.Duration) Joules {
 	return Joules(m.CPUActiveWatts * d.Seconds())
 }
 
-// Tx returns the energy of transmitting n payload bytes.
-func (m Model) Tx(n int64) Joules {
+// tx returns the energy of transmitting n payload bytes.
+func (m Model) tx(n int64) Joules {
 	return Joules(m.RadioTxWatts * m.airtime(n).Seconds())
 }
 
-// Rx returns the energy of receiving n payload bytes.
-func (m Model) Rx(n int64) Joules {
+// rx returns the energy of receiving n payload bytes.
+func (m Model) rx(n int64) Joules {
 	return Joules(m.RadioRxWatts * m.airtime(n).Seconds())
 }
 
@@ -79,5 +76,5 @@ func (m Model) airtime(n int64) time.Duration {
 // Transfer returns the total energy of a round trip shipping out and later
 // fetching back n bytes.
 func (m Model) Transfer(outBytes, inBytes int64) Joules {
-	return m.Tx(outBytes) + m.Rx(inBytes)
+	return m.tx(outBytes) + m.rx(inBytes)
 }

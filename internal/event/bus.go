@@ -59,10 +59,6 @@ const (
 	// circuit breaker tripping and recovering. Payload: string device name.
 	TopicBreakerOpen  Topic = "transport.breaker.open"
 	TopicBreakerClose Topic = "transport.breaker.close"
-	// TopicTransportSnapshot carries an on-demand transport metrics snapshot
-	// (published by System.PublishTransportSnapshot). Payload:
-	// transport.Snapshot.
-	TopicTransportSnapshot Topic = "transport.snapshot"
 	// TopicSwapRepair reports a swapped cluster re-shipped to fresh donors
 	// after losing replicas. Payload: core.SwapEvent with Replicas set to the
 	// restored replica set.
@@ -107,9 +103,6 @@ type Bus struct {
 	// and Cancel replace a topic's slice and never edit one, so Publish
 	// delivers from the slice it read under the lock, unlocked and uncopied.
 	subs map[Topic][]subscriber
-	// history counts deliveries per topic, for tests and introspection.
-	delivered map[Topic]int
-	panics    map[Topic]int
 
 	// obs instruments (nil when the bus is not instrumented).
 	published   *obs.CounterVec
@@ -162,10 +155,8 @@ func WithFlightRecorder(rec *obs.Recorder) Option {
 // real clock and registers no metrics.
 func NewBus(opts ...Option) *Bus {
 	b := &Bus{
-		clock:     obs.RealClock{},
-		subs:      make(map[Topic][]subscriber),
-		delivered: make(map[Topic]int),
-		panics:    make(map[Topic]int),
+		clock: obs.RealClock{},
+		subs:  make(map[Topic][]subscriber),
 	}
 	for _, opt := range opts {
 		opt(b)
@@ -236,60 +227,26 @@ func (b *Bus) Publish(ev Event) int {
 		At:      ev.At,
 		Payload: ev.Payload,
 	})
-	recovered := 0
 	for _, sub := range subs {
-		if b.invoke(sub.h, ev) {
-			recovered++
-		}
+		b.invoke(sub.h, ev)
 	}
 	b.deliveredC.With(string(ev.Topic)).Add(float64(len(subs)))
-
-	b.mu.Lock()
-	b.delivered[ev.Topic] += len(subs)
-	if recovered > 0 {
-		b.panics[ev.Topic] += recovered
-	}
-	b.mu.Unlock()
 	return len(subs)
 }
 
-// invoke runs one handler, recovering a panic. It reports whether the handler
-// panicked.
-func (b *Bus) invoke(h Handler, ev Event) (panicked bool) {
+// invoke runs one handler, recovering and counting a panic.
+func (b *Bus) invoke(h Handler, ev Event) {
 	defer func() {
 		if r := recover(); r != nil {
-			panicked = true
 			b.panicsTotal.Inc()
 		}
 	}()
 	h(ev)
-	return false
 }
 
 // Emit is shorthand for Publish(Event{Topic: t, Payload: payload}).
 func (b *Bus) Emit(t Topic, payload any) int {
 	return b.Publish(Event{Topic: t, Payload: payload})
-}
-
-// Panics reports how many subscriber panics have been recovered for topic.
-func (b *Bus) Panics(topic Topic) int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.panics[topic]
-}
-
-// Delivered reports how many handler invocations have occurred for topic.
-func (b *Bus) Delivered(topic Topic) int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.delivered[topic]
-}
-
-// Subscribers reports the number of active subscriptions for topic.
-func (b *Bus) Subscribers(topic Topic) int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return len(b.subs[topic])
 }
 
 // String summarizes the bus state for debugging.

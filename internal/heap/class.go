@@ -113,9 +113,6 @@ func (c *Caller) SetFieldValue(target Value, name string, v Value) error {
 	return c.inv.SetFieldValue(target, name, v)
 }
 
-// Heap returns the frame's invoker's heap.
-func (c *Caller) Heap() *Heap { return c.inv.Heap() }
-
 // Frames is an invoker's pool of Calls, one per nesting depth: the invocation
 // at depth d gets the pool's d-th Call, set to its receiver and arguments, and
 // releases it when it returns or panics. The pool keeps as many Calls as the

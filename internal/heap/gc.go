@@ -287,10 +287,10 @@ func (h *Heap) Free(ids []ObjID) CollectStats {
 	return st
 }
 
-// ReachableFrom computes the set of resident objects transitively reachable
+// reachableFrom computes the set of resident objects transitively reachable
 // from the given seed references. It is a read-only traversal used by tests
 // and by the swapping manager's detachment-completeness checks.
-func (h *Heap) ReachableFrom(seeds ...ObjID) map[ObjID]bool {
+func (h *Heap) reachableFrom(seeds ...ObjID) map[ObjID]bool {
 	h.held()
 	marked := make(map[ObjID]bool)
 	var stack []*Object
@@ -324,5 +324,5 @@ func (h *Heap) ReachableFromRoots() map[ObjID]bool {
 	for _, v := range h.roots {
 		v.forEachRef(func(id ObjID) { seeds = append(seeds, id) })
 	}
-	return h.ReachableFrom(seeds...)
+	return h.reachableFrom(seeds...)
 }

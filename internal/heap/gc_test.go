@@ -163,7 +163,7 @@ func TestCollectTraversesListsAndRoots(t *testing.T) {
 func TestReachableFrom(t *testing.T) {
 	h := New(0)
 	objs := buildChain(t, h, 5)
-	set := h.ReachableFrom(objs[2].ID())
+	set := h.reachableFrom(objs[2].ID())
 	if len(set) != 3 {
 		t.Fatalf("reachable set size = %d, want 3", len(set))
 	}

@@ -600,12 +600,6 @@ func (h *Heap) Root(name string) (Value, bool) {
 	return v, ok
 }
 
-// DelRoot removes a named root entirely.
-func (h *Heap) DelRoot(name string) {
-	h.held()
-	delete(h.roots, name)
-}
-
 // RootNames returns the sorted names of declared roots.
 func (h *Heap) RootNames() []string {
 	h.held()

@@ -241,10 +241,6 @@ func TestRoots(t *testing.T) {
 	if len(names) != 2 || names[0] != "cursor" || names[1] != "head" {
 		t.Fatalf("RootNames = %v", names)
 	}
-	h.DelRoot("cursor")
-	if _, ok := h.Root("cursor"); ok {
-		t.Error("root survived DelRoot")
-	}
 }
 
 func TestStatsSnapshot(t *testing.T) {

@@ -331,7 +331,7 @@ func rootedIDs(h *Heap, extra []ObjID) map[ObjID]bool {
 	for id := range h.pins {
 		seeds = append(seeds, id)
 	}
-	return h.ReachableFrom(seeds...)
+	return h.reachableFrom(seeds...)
 }
 
 // Property: a young pass never sweeps a reachable object, sweeps nothing a

@@ -52,7 +52,7 @@ func TestOwnerRootsBesideNamedRoots(t *testing.T) {
 	if !h.Contains(o.ID()) {
 		t.Fatal("rooted object collected")
 	}
-	h.DelRoot("r")
+	h.SetRoot("r", Nil())
 	if st := h.Collect(); st.Reclaimed != 1 {
 		t.Fatal("object survived after both its root and its holder let go")
 	}

@@ -25,8 +25,6 @@ type Invoker interface {
 	Field(target Value, name string) (Value, error)
 	// SetFieldValue writes a field of the designated object.
 	SetFieldValue(target Value, name string, v Value) error
-	// Heap exposes the underlying device heap.
-	Heap() *Heap
 }
 
 // ErrNilTarget reports invocation through a nil reference.
@@ -63,9 +61,6 @@ func NewDirectRuntime(h *Heap) *DirectRuntime {
 	return rt
 }
 
-// Heap returns the underlying heap.
-func (rt *DirectRuntime) Heap() *Heap { return rt.heap }
-
 // Invoke dispatches method on the target object.
 func (rt *DirectRuntime) Invoke(target Value, method string, args ...Value) ([]Value, error) {
 	rt.mu.Lock()
@@ -87,17 +82,14 @@ func (rt *DirectRuntime) SetFieldValue(target Value, name string, v Value) error
 	return (*directHeld)(rt).SetFieldValue(target, name, v)
 }
 
-// WithHeap runs fn on the heap under one hold of the mutex, for host code
-// that reaches the heap beside dispatch: a root store, replication's master.
+// WithHeap runs fn on the heap under one hold of the mutex, the one way host
+// code reaches the heap beside dispatch: a root store, replication's master.
 // fn calls no other entry of rt: the mutex is held.
 func (rt *DirectRuntime) WithHeap(fn func(h *Heap)) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	fn(rt.heap)
 }
-
-// Heap returns the underlying heap.
-func (rt *directHeld) Heap() *Heap { return rt.heap }
 
 // resolve returns the resident object target designates; what and name
 // describe the operation in the nil-target error.

@@ -80,8 +80,8 @@ func Bluetooth1() Profile {
 	return Profile{Name: "bluetooth-700kbps", BitsPerSecond: 700_000, Latency: 30 * time.Millisecond}
 }
 
-// TransferTime computes the modelled time to move n payload bytes.
-func (p Profile) TransferTime(n int) time.Duration {
+// transferTime computes the modelled time to move n payload bytes.
+func (p Profile) transferTime(n int) time.Duration {
 	d := p.Latency
 	if p.BitsPerSecond > 0 {
 		bits := int64(n) * 8
@@ -138,7 +138,7 @@ func (l *Link) transfer(n int) error {
 	l.mu.Lock()
 	l.ops++
 	op := l.ops
-	d := l.profile.TransferTime(n)
+	d := l.profile.transferTime(n)
 	if l.profile.Jitter > 0 {
 		// Deterministic sawtooth over 16 steps.
 		d += l.profile.Jitter * time.Duration(op%16) / 16

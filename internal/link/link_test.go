@@ -14,14 +14,14 @@ var ctx = context.Background()
 func TestTransferTimeModel(t *testing.T) {
 	p := Bluetooth1() // 700 Kbps, 30 ms latency
 	// 8750 bytes = 70000 bits = 100 ms at 700 Kbps, plus 30 ms latency.
-	got := p.TransferTime(8750)
+	got := p.transferTime(8750)
 	want := 130 * time.Millisecond
 	if got != want {
-		t.Fatalf("TransferTime = %v, want %v", got, want)
+		t.Fatalf("transferTime = %v, want %v", got, want)
 	}
 	// Zero bandwidth disables the serialization delay.
 	p0 := Profile{Latency: 5 * time.Millisecond}
-	if p0.TransferTime(1<<20) != 5*time.Millisecond {
+	if p0.transferTime(1<<20) != 5*time.Millisecond {
 		t.Fatal("zero-bandwidth profile should cost latency only")
 	}
 }

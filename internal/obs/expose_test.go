@@ -44,12 +44,12 @@ func TestRecorderDropCounters(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		rec.RecordEvent(EventRecord{Topic: "e"})
 	}
-	spans, events := rec.Dropped()
+	spans, events := rec.dropped()
 	if spans != 2 || events != 0 {
-		t.Fatalf("Dropped() = %d,%d, want 2,0 (5 spans into cap 3, 2 events into cap 2)", spans, events)
+		t.Fatalf("dropped() = %d,%d, want 2,0 (5 spans into cap 3, 2 events into cap 2)", spans, events)
 	}
 	rec.RecordEvent(EventRecord{Topic: "e"})
-	if _, events = rec.Dropped(); events != 1 {
+	if _, events = rec.dropped(); events != 1 {
 		t.Fatalf("event drops = %d, want 1", events)
 	}
 
@@ -63,7 +63,7 @@ func TestRecorderDropCounters(t *testing.T) {
 	}
 
 	var nilRec *Recorder
-	if s, e := nilRec.Dropped(); s != 0 || e != 0 {
+	if s, e := nilRec.dropped(); s != 0 || e != 0 {
 		t.Fatal("nil recorder reports drops")
 	}
 	nilRec.Instrument(reg) // must not panic

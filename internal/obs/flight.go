@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"reflect"
 	"sort"
 	"sync"
@@ -306,9 +304,9 @@ func (r *Recorder) Totals() (spans, events uint64) {
 	return r.spansTotal, r.eventsTotal
 }
 
-// Dropped reports how many admissions overwrote a retained span or event
+// dropped reports how many admissions overwrote a retained span or event
 // because the corresponding ring was full.
-func (r *Recorder) Dropped() (spans, events uint64) {
+func (r *Recorder) dropped() (spans, events uint64) {
 	if r == nil {
 		return 0, 0
 	}
@@ -327,35 +325,6 @@ func (r *Recorder) Instrument(reg *Registry) {
 	dropped := reg.CounterVec("objectswap_flight_dropped_total",
 		"Flight-recorder ring overwrites (oldest retained entry lost) by kind.",
 		"kind")
-	dropped.WithFunc(func() float64 { s, _ := r.Dropped(); return float64(s) }, "span")
-	dropped.WithFunc(func() float64 { _, e := r.Dropped(); return float64(e) }, "event")
-}
-
-// FlightDump is the deterministic JSON export shape of a Recorder: retained
-// spans and events (most recent first) plus lifetime admission totals.
-type FlightDump struct {
-	SpansTotal  uint64        `json:"spans_total"`
-	EventsTotal uint64        `json:"events_total"`
-	Spans       []SpanRecord  `json:"spans"`
-	Events      []EventRecord `json:"events"`
-}
-
-// Dump snapshots the recorder into its export shape.
-func (r *Recorder) Dump() FlightDump {
-	d := FlightDump{Spans: r.Spans(), Events: r.Events()}
-	d.SpansTotal, d.EventsTotal = r.Totals()
-	if d.Spans == nil {
-		d.Spans = []SpanRecord{}
-	}
-	if d.Events == nil {
-		d.Events = []EventRecord{}
-	}
-	return d
-}
-
-// WriteJSON writes the recorder's state as deterministic JSON: fixed field
-// order (struct order), spans and events most recent first.
-func (r *Recorder) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(r.Dump())
+	dropped.WithFunc(func() float64 { s, _ := r.dropped(); return float64(s) }, "span")
+	dropped.WithFunc(func() float64 { _, e := r.dropped(); return float64(e) }, "event")
 }

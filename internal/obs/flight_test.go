@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -95,47 +93,6 @@ func TestRecorderQueries(t *testing.T) {
 	}
 	if got := r.RecentErrors(1); len(got) != 1 || got[0].Error != "fetch failed" {
 		t.Fatalf("RecentErrors(1) = %+v", got)
-	}
-}
-
-func TestRecorderJSONRoundTrip(t *testing.T) {
-	r := NewRecorder(4, 4)
-	start := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
-	r.RecordSpan(SpanRecord{
-		Op: "swap_out", Trace: "dev1-00000001", Device: "neighbor", Cluster: 3,
-		Key: "dev1-swapcluster-3-gen1", Outcome: "ok", Start: start, DurationNS: 1234,
-		Phases: []PhaseRecord{{Name: "encode", DurationNS: 400, Bytes: 2048}},
-	})
-	r.RecordEvent(EventRecord{BusSeq: 7, Topic: "swap.out", At: start, Detail: "cluster 3"})
-
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var dump FlightDump
-	if err := json.Unmarshal(buf.Bytes(), &dump); err != nil {
-		t.Fatalf("round-trip: %v\n%s", err, buf.String())
-	}
-	if len(dump.Spans) != 1 || len(dump.Events) != 1 {
-		t.Fatalf("dump = %+v", dump)
-	}
-	got := dump.Spans[0]
-	want := r.Spans()[0]
-	if got.Trace != want.Trace || got.Device != want.Device || got.Cluster != want.Cluster ||
-		got.Key != want.Key || !got.Start.Equal(want.Start) || got.DurationNS != want.DurationNS ||
-		len(got.Phases) != 1 || got.Phases[0] != want.Phases[0] {
-		t.Fatalf("span round-trip mismatch:\n got %+v\nwant %+v", got, want)
-	}
-	if dump.Events[0].Topic != "swap.out" || dump.Events[0].BusSeq != 7 {
-		t.Fatalf("event round-trip mismatch: %+v", dump.Events[0])
-	}
-	// Two identical dumps must be byte-identical (deterministic export).
-	var buf2 bytes.Buffer
-	if err := r.WriteJSON(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatal("export not deterministic across identical dumps")
 	}
 }
 

@@ -355,11 +355,9 @@ func Start(addr string, h http.Handler) (*Server, error) {
 	return s, nil
 }
 
-// Addr returns the bound listen address (resolving ":0").
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// URL returns the server's base URL.
-func (s *Server) URL() string { return "http://" + s.Addr() }
+// URL returns the server's base URL, at the bound listen address (":0"
+// resolved).
+func (s *Server) URL() string { return "http://" + s.ln.Addr().String() }
 
 // Close shuts the listener down, waiting briefly for in-flight requests.
 func (s *Server) Close() error {

@@ -208,9 +208,9 @@ func score(key, name string, weight int64) float64 {
 	return -w / math.Log(x)
 }
 
-// DefaultQuorum is the write quorum applied when a ShipRequest leaves Quorum
+// defaultQuorum is the write quorum applied when a ShipRequest leaves Quorum
 // zero: a majority of the requested replicas.
-func DefaultQuorum(replicas int) int {
+func defaultQuorum(replicas int) int {
 	if replicas < 1 {
 		replicas = 1
 	}
@@ -226,7 +226,7 @@ type ShipRequest struct {
 	Data []byte
 	// Replicas is the target replica count K (minimum 1).
 	Replicas int
-	// Quorum is the write quorum W; 0 selects DefaultQuorum(Replicas).
+	// Quorum is the write quorum W; 0 selects defaultQuorum(Replicas).
 	Quorum int
 	// Exclude names donors that must not be selected (live replicas during a
 	// repair re-ship, or an operator blacklist).
@@ -300,7 +300,7 @@ func (p *Planner) ShipRanked(ctx context.Context, req ShipRequest, ranked []Cand
 	}
 	quorum := req.Quorum
 	if quorum <= 0 {
-		quorum = DefaultQuorum(k)
+		quorum = defaultQuorum(k)
 	}
 	if quorum > k {
 		quorum = k

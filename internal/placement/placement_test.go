@@ -350,8 +350,8 @@ func TestShipClampsQuorumToReplicas(t *testing.T) {
 
 func TestDefaultQuorum(t *testing.T) {
 	for k, want := range map[int]int{1: 1, 2: 2, 3: 2, 4: 3, 5: 3} {
-		if got := DefaultQuorum(k); got != want {
-			t.Fatalf("DefaultQuorum(%d) = %d, want %d", k, got, want)
+		if got := defaultQuorum(k); got != want {
+			t.Fatalf("defaultQuorum(%d) = %d, want %d", k, got, want)
 		}
 	}
 }

@@ -98,15 +98,15 @@ func NewRepairer(target RepairTarget, k int, o RepairerOptions) *Repairer {
 			event.TopicReadRepair,
 		} {
 			reason := string(t)
-			o.Bus.Subscribe(t, func(event.Event) { r.Kick(reason) })
+			o.Bus.Subscribe(t, func(event.Event) { r.signal(reason) })
 		}
 	}
 	return r
 }
 
-// Kick schedules a background sweep without blocking: signals arriving while
-// a sweep is pending or running coalesce into one follow-up sweep.
-func (r *Repairer) Kick(reason string) {
+// signal schedules a background sweep without blocking: signals arriving
+// while a sweep is pending or running coalesce into one follow-up sweep.
+func (r *Repairer) signal(reason string) {
 	r.kicks.With(reason).Inc()
 	select {
 	case r.kick <- struct{}{}:

@@ -103,14 +103,14 @@ func TestRepairerKickCoalesces(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		for i := 0; i < 100; i++ {
-			r.Kick("test")
+			r.signal("test")
 		}
 		close(done)
 	}()
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Kick blocked with no consumer")
+		t.Fatal("signal blocked with no consumer")
 	}
 	r.Close()
 }

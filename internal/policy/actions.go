@@ -6,7 +6,6 @@ import (
 
 	"objectswap/internal/core"
 	"objectswap/internal/event"
-	"objectswap/internal/replication"
 )
 
 // BindSwapActions registers the standard Object-Swapping actions on an
@@ -34,17 +33,17 @@ import (
 // the same machinery.
 func BindSwapActions(e *Engine, rt *core.Runtime) {
 	rt.SetEvictor(func(need int64) error { return rt.EvictWith(core.VictimColdest, need) })
-	e.RegisterAction("swap-out", func(spec ActionSpec, _ event.Event) error {
-		strategy, err := core.VictimStrategyFromString(spec.Param("strategy", "coldest"))
+	e.registerAction("swap-out", func(spec ActionSpec, _ event.Event) error {
+		strategy, err := core.VictimStrategyFromString(spec.param("strategy", "coldest"))
 		if err != nil {
 			return err
 		}
-		count := spec.IntParam("count", 1)
-		collect := spec.BoolParam("collect", true)
+		count := spec.intParam("count", 1)
+		collect := spec.boolParam("collect", true)
 		// Policy-driven swap-outs are attributed to the rule that fired
 		// them, not to the evictor or an explicit call.
 		swapOpts := []core.SwapOption{core.WithCause(core.CausePolicy)}
-		if replicas := spec.IntParam("replicas", 0); replicas > 0 {
+		if replicas := spec.intParam("replicas", 0); replicas > 0 {
 			swapOpts = append(swapOpts, core.WithReplicas(replicas))
 		}
 
@@ -62,8 +61,8 @@ func BindSwapActions(e *Engine, rt *core.Runtime) {
 		return nil
 	})
 
-	e.RegisterAction("swap-in", func(spec ActionSpec, _ event.Event) error {
-		id := spec.IntParam("cluster", -1)
+	e.registerAction("swap-in", func(spec ActionSpec, _ event.Event) error {
+		id := spec.intParam("cluster", -1)
 		if id < 0 {
 			return errors.New("swap-in: missing cluster parameter")
 		}
@@ -71,34 +70,17 @@ func BindSwapActions(e *Engine, rt *core.Runtime) {
 		return err
 	})
 
-	e.RegisterAction("collect", func(ActionSpec, event.Event) error {
+	e.registerAction("collect", func(ActionSpec, event.Event) error {
 		rt.Collect()
 		return nil
 	})
 
-	e.RegisterAction("log", func(spec ActionSpec, ev event.Event) error {
+	e.registerAction("log", func(spec ActionSpec, ev event.Event) error {
 		pairs := []any{"event", ev.Topic}
 		if se, ok := ev.Payload.(core.SwapEvent); ok && se.Trace != "" {
 			pairs = append(pairs, "trace", se.Trace, "cluster", uint32(se.Cluster))
 		}
-		e.Logger().Info(spec.Param("message", "fired"), pairs...)
-		return nil
-	})
-}
-
-// BindReplicationActions registers replication-adaptation actions:
-//
-//	set-group-size  n=N
-//	    Changes how many future replication clusters share one swap-cluster
-//	    (the paper's adaptable macro-object size) — e.g. shrink the grouping
-//	    when the link degrades, so faults ship less per trip.
-func BindReplicationActions(e *Engine, r *replication.Replicator) {
-	e.RegisterAction("set-group-size", func(spec ActionSpec, _ event.Event) error {
-		n := spec.IntParam("n", 0)
-		if n <= 0 {
-			return errors.New("set-group-size: missing or invalid n")
-		}
-		r.SetGroupSize(n)
+		e.Logger().Info(spec.param("message", "fired"), pairs...)
 		return nil
 	})
 }

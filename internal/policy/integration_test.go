@@ -55,7 +55,7 @@ func TestPressureTriggersSwapViaPolicy(t *testing.T) {
 			if err != nil {
 				t.Fatalf("cluster %d obj %d: %v", c, i, err)
 			}
-			o.MustSet("payload", heap.Bytes(make([]byte, 64)))
+			rt.Locked(func(*core.Held) { o.MustSet("payload", heap.Bytes(make([]byte, 64))) })
 			if err := rt.SetRoot(fmt.Sprintf("n-%d-%d", c, i), o.RefTo()); err != nil {
 				t.Fatal(err)
 			}

@@ -160,16 +160,16 @@ type ActionSpec struct {
 	Params map[string]string
 }
 
-// Param returns a parameter with a default.
-func (a ActionSpec) Param(name, def string) string {
+// param returns a parameter with a default.
+func (a ActionSpec) param(name, def string) string {
 	if v, ok := a.Params[name]; ok {
 		return v
 	}
 	return def
 }
 
-// IntParam returns an integer parameter with a default.
-func (a ActionSpec) IntParam(name string, def int) int {
+// intParam returns an integer parameter with a default.
+func (a ActionSpec) intParam(name string, def int) int {
 	if v, ok := a.Params[name]; ok {
 		if n, err := strconv.Atoi(v); err == nil {
 			return n
@@ -178,8 +178,8 @@ func (a ActionSpec) IntParam(name string, def int) int {
 	return def
 }
 
-// BoolParam returns a boolean parameter with a default.
-func (a ActionSpec) BoolParam(name string, def bool) bool {
+// boolParam returns a boolean parameter with a default.
+func (a ActionSpec) boolParam(name string, def bool) bool {
 	if v, ok := a.Params[name]; ok {
 		if b, err := strconv.ParseBool(v); err == nil {
 			return b
@@ -268,18 +268,11 @@ func NewEngine(bus *event.Bus, provider devctx.Provider) *Engine {
 	}
 }
 
-// RegisterAction makes an action available to policies under name.
-func (e *Engine) RegisterAction(name string, fn ActionFunc) {
+// registerAction makes an action available to policies under name.
+func (e *Engine) registerAction(name string, fn ActionFunc) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.actions[name] = fn
-}
-
-// OnActionError installs a sink for action failures.
-func (e *Engine) OnActionError(fn func(p *Policy, spec ActionSpec, err error)) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.errorSink = fn
 }
 
 // Policies returns the loaded policies in evaluation order.
@@ -289,18 +282,6 @@ func (e *Engine) Policies() []*Policy {
 	out := make([]*Policy, len(e.policies))
 	copy(out, e.policies)
 	return out
-}
-
-// Fired reports how many times the named policy has triggered its actions.
-func (e *Engine) Fired(name string) uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, p := range e.policies {
-		if p.Name == name {
-			return p.fired
-		}
-	}
-	return 0
 }
 
 // Load parses an XML policy document, validates it against the registered

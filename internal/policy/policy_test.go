@@ -4,12 +4,8 @@ import (
 	"errors"
 	"testing"
 
-	"objectswap/internal/core"
 	"objectswap/internal/devctx"
 	"objectswap/internal/event"
-	"objectswap/internal/heap"
-	"objectswap/internal/replication"
-	"objectswap/internal/store"
 )
 
 // staticProvider returns a fixed snapshot.
@@ -23,8 +19,8 @@ func TestLoadAndFire(t *testing.T) {
 	e := NewEngine(bus, provider)
 
 	var fired []string
-	e.RegisterAction("note", func(spec ActionSpec, ev event.Event) error {
-		fired = append(fired, spec.Param("tag", "?"))
+	e.registerAction("note", func(spec ActionSpec, ev event.Event) error {
+		fired = append(fired, spec.param("tag", "?"))
 		return nil
 	})
 
@@ -89,7 +85,7 @@ func TestSnapshotOnlyWhenAConditionReadsIt(t *testing.T) {
 			provider := &countingProvider{}
 			e := NewEngine(bus, provider)
 			fired := 0
-			e.RegisterAction("note", func(ActionSpec, event.Event) error { fired++; return nil })
+			e.registerAction("note", func(ActionSpec, event.Event) error { fired++; return nil })
 			doc := `<policies>`
 			for _, name := range []string{"p1", "p2"} {
 				doc += `<policy name="` + name + `" category="machine"><on event="memory.threshold"/>` +
@@ -113,8 +109,8 @@ func TestPriorityOrderAcrossCategories(t *testing.T) {
 	bus := event.NewBus()
 	e := NewEngine(bus, staticProvider{})
 	var order []string
-	e.RegisterAction("note", func(spec ActionSpec, _ event.Event) error {
-		order = append(order, spec.Param("tag", "?"))
+	e.registerAction("note", func(spec ActionSpec, _ event.Event) error {
+		order = append(order, spec.param("tag", "?"))
 		return nil
 	})
 	doc := `<policies>
@@ -214,7 +210,7 @@ func TestActionErrorsCountedAndSunk(t *testing.T) {
 	bus := event.NewBus()
 	e := NewEngine(bus, staticProvider{})
 	boom := errors.New("boom")
-	e.RegisterAction("explode", func(ActionSpec, event.Event) error { return boom })
+	e.registerAction("explode", func(ActionSpec, event.Event) error { return boom })
 	var sunk error
 	e.OnActionError(func(p *Policy, spec ActionSpec, err error) { sunk = err })
 	doc := `<policies><policy name="p" category="user"><on event="t"/><action do="explode"/></policy></policies>`
@@ -234,13 +230,13 @@ func TestActionParamHelpers(t *testing.T) {
 	spec := ActionSpec{Do: "x", Params: map[string]string{
 		"s": "hello", "n": "42", "b": "true", "badn": "zz", "badb": "zz",
 	}}
-	if spec.Param("s", "d") != "hello" || spec.Param("missing", "d") != "d" {
+	if spec.param("s", "d") != "hello" || spec.param("missing", "d") != "d" {
 		t.Error("Param")
 	}
-	if spec.IntParam("n", 0) != 42 || spec.IntParam("badn", 7) != 7 || spec.IntParam("missing", 7) != 7 {
+	if spec.intParam("n", 0) != 42 || spec.intParam("badn", 7) != 7 || spec.intParam("missing", 7) != 7 {
 		t.Error("IntParam")
 	}
-	if !spec.BoolParam("b", false) || spec.BoolParam("badb", true) != true || spec.BoolParam("missing", true) != true {
+	if !spec.boolParam("b", false) || spec.boolParam("badb", true) != true || spec.boolParam("missing", true) != true {
 		t.Error("BoolParam")
 	}
 }
@@ -249,7 +245,7 @@ func TestMultipleEventsPerPolicy(t *testing.T) {
 	bus := event.NewBus()
 	e := NewEngine(bus, staticProvider{})
 	count := 0
-	e.RegisterAction("note", func(ActionSpec, event.Event) error { count++; return nil })
+	e.registerAction("note", func(ActionSpec, event.Event) error { count++; return nil })
 	doc := `<policies><policy name="p" category="user">
 	  <on event="a"/><on event="b"/>
 	  <action do="note"/>
@@ -262,65 +258,4 @@ func TestMultipleEventsPerPolicy(t *testing.T) {
 	if count != 2 {
 		t.Fatalf("count = %d", count)
 	}
-}
-
-func TestBindReplicationActions(t *testing.T) {
-	bus := event.NewBus()
-	e := NewEngine(bus, staticProvider{})
-	// A minimal replicator over an in-process master.
-	reg := heapRegistryWithNode(t)
-	master := replication.NewMaster(reg, 10)
-	devices := storeRegistry(t)
-	rt := core.NewRuntime(heap.New(0), heap.NewRegistry(), core.WithStores(devices))
-	rt.MustRegisterClass(nodeClassForPolicy())
-	r := replication.Attach(rt, master, replication.WithGroupSize(4))
-	BindReplicationActions(e, r)
-
-	doc := `<policies>
-  <policy name="degrade" category="machine">
-    <on event="link.down"/>
-    <action do="set-group-size" n="1"/>
-  </policy>
-  <policy name="bad" category="machine">
-    <on event="link.up"/>
-    <action do="set-group-size"/>
-  </policy>
-</policies>`
-	if err := e.Load([]byte(doc)); err != nil {
-		t.Fatal(err)
-	}
-	bus.Emit(event.TopicLinkDown, "neighbor")
-	if r.GroupSize() != 1 {
-		t.Fatalf("group size after policy = %d", r.GroupSize())
-	}
-	// Missing n errors (counted, not fatal).
-	var sunk error
-	e.OnActionError(func(_ *Policy, _ ActionSpec, err error) { sunk = err })
-	bus.Emit(event.TopicLinkUp, "neighbor")
-	if sunk == nil {
-		t.Fatal("invalid set-group-size silently accepted")
-	}
-}
-
-// Helpers for the replication binding test.
-func heapRegistryWithNode(t *testing.T) *heap.Registry {
-	t.Helper()
-	reg := heap.NewRegistry()
-	reg.MustRegister(nodeClassForPolicy())
-	return reg
-}
-
-func nodeClassForPolicy() *heap.Class {
-	return heap.NewClass("PolicyNode",
-		heap.FieldDef{Name: "next", Kind: heap.KindRef},
-	)
-}
-
-func storeRegistry(t *testing.T) *store.Registry {
-	t.Helper()
-	devices := store.NewRegistry(store.SelectMostFree)
-	if err := devices.Add("neighbor", store.NewMem(0)); err != nil {
-		t.Fatal(err)
-	}
-	return devices
 }

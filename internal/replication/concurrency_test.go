@@ -131,7 +131,7 @@ func TestMasterServesBesideItsRuntime(t *testing.T) {
 				ID: headID, Class: "Node",
 				Fields: []xmlcodec.Field{{Name: "tag", Value: xmlcodec.Value{Kind: heap.KindInt, I: int64(i)}}},
 			}}}
-			if err := m.ApplyUpdate(update); err != nil {
+			if err := m.apply(update); err != nil {
 				t.Error(err)
 				return
 			}
@@ -171,7 +171,7 @@ func TestInstallUnderEvictionKeepsReplicas(t *testing.T) {
 	const n, shipment = 60, 10
 	m := buildMaster(t, n, shipment)
 	rt := newDevice(t, 2600)
-	rt.Heap().SetReserve(512)
+	rt.Locked(func(x *core.Held) { x.Heap().SetReserve(512) })
 	rt.SetEvictor(func(need int64) error { return rt.EvictWith(core.VictimColdest, need) })
 	r := Attach(rt, m)
 	cur, err := r.ReplicateRoot(context.Background(), "head")
@@ -191,7 +191,9 @@ func TestInstallUnderEvictionKeepsReplicas(t *testing.T) {
 			t.Fatalf("node %d: %v", i, err)
 		}
 	}
-	if rt.Heap().StatsSnapshot().Collections == 0 {
+	var collections uint64
+	rt.Locked(func(x *core.Held) { collections = x.Heap().StatsSnapshot().Collections })
+	if collections == 0 {
 		t.Fatal("nothing evicted: the list fits the heap")
 	}
 	if errs := rt.Manager().CheckInvariants(); len(errs) > 0 {
@@ -212,7 +214,7 @@ func TestRecursiveWalkUnderEvictionKeepsReplicas(t *testing.T) {
 	const n, shipment = 60, 10
 	m := buildMaster(t, n, shipment)
 	rt := newDevice(t, 2600)
-	rt.Heap().SetReserve(512)
+	rt.Locked(func(x *core.Held) { x.Heap().SetReserve(512) })
 	rt.SetEvictor(func(need int64) error { return rt.EvictWith(core.VictimColdest, need) })
 	r := Attach(rt, m)
 	head, err := r.ReplicateRoot(context.Background(), "head")

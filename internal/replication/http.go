@@ -55,7 +55,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		if err := h.m.ApplyUpdate(doc); err != nil {
+		if err := h.m.apply(doc); err != nil {
 			http.Error(w, err.Error(), http.StatusConflict)
 			return
 		}

@@ -50,10 +50,10 @@ type Transport interface {
 // Master is the authoritative node: it owns the source object graph (on an
 // unconstrained heap) and serves it in BFS clusters of ClusterSize objects.
 // Its heap has one owner lock, its DirectRuntime's: each serving entry
-// (FetchRoot, FetchCluster, ApplyUpdate, Fetches) runs under one hold of it
+// (FetchRoot, FetchCluster, PushCluster) runs under one hold of it
 // (DirectRuntime.WithHeap), so a method body dispatched through Runtime may
-// write the graph while the master serves. The graph may be built through
-// Heap only before the master serves.
+// write the graph while the master serves. Host code builds and reads the
+// graph in the same hold, through Runtime().WithHeap.
 type Master struct {
 	rt          *heap.DirectRuntime
 	reg         *heap.Registry
@@ -75,10 +75,6 @@ func NewMaster(reg *heap.Registry, clusterSize int) *Master {
 	}
 }
 
-// Heap exposes the master's heap for graph construction, before the master
-// serves.
-func (m *Master) Heap() *heap.Heap { return m.rt.Heap() }
-
 // Runtime exposes the master's direct (non-swapping) runtime.
 func (m *Master) Runtime() *heap.DirectRuntime { return m.rt }
 
@@ -87,12 +83,6 @@ func (m *Master) Registry() *heap.Registry { return m.reg }
 
 // ClusterSize reports the configured shipment size.
 func (m *Master) ClusterSize() int { return m.clusterSize }
-
-// Fetches reports how many cluster shipments the master has served.
-func (m *Master) Fetches() (n int) {
-	m.rt.WithHeap(func(*heap.Heap) { n = m.fetches })
-	return n
-}
 
 // FetchRoot implements Transport. The in-process master cannot block, so the
 // context is only checked for prior cancellation.

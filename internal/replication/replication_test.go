@@ -49,20 +49,26 @@ func buildMaster(t testing.TB, n, clusterSize int) *Master {
 	reg := heap.NewRegistry()
 	reg.MustRegister(nodeClass())
 	m := NewMaster(reg, clusterSize)
-	var prev *heap.Object
 	cls, _ := reg.Lookup("Node")
-	for i := 0; i < n; i++ {
-		o, err := m.Heap().New(cls)
-		if err != nil {
-			t.Fatal(err)
+	var err error
+	m.rt.WithHeap(func(h *heap.Heap) {
+		var prev *heap.Object
+		for i := 0; i < n && err == nil; i++ {
+			var o *heap.Object
+			if o, err = h.New(cls); err != nil {
+				break
+			}
+			o.MustSet("tag", heap.Int(int64(i)))
+			if prev == nil {
+				h.SetRoot("head", o.RefTo())
+			} else {
+				prev.MustSet("next", o.RefTo())
+			}
+			prev = o
 		}
-		o.MustSet("tag", heap.Int(int64(i)))
-		if prev == nil {
-			m.Heap().SetRoot("head", o.RefTo())
-		} else {
-			prev.MustSet("next", o.RefTo())
-		}
-		prev = o
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return m
 }
@@ -333,14 +339,16 @@ func TestSharedSubgraphKeepsIdentity(t *testing.T) {
 	reg.MustRegister(nodeClass())
 	m := NewMaster(reg, 5)
 	cls, _ := reg.Lookup("Node")
-	shared, _ := m.Heap().New(cls)
-	shared.MustSet("tag", heap.Int(777))
-	a, _ := m.Heap().New(cls)
-	a.MustSet("tag", heap.Int(1)).MustSet("next", shared.RefTo())
-	b, _ := m.Heap().New(cls)
-	b.MustSet("tag", heap.Int(2)).MustSet("next", shared.RefTo())
-	m.Heap().SetRoot("a", a.RefTo())
-	m.Heap().SetRoot("b", b.RefTo())
+	m.rt.WithHeap(func(h *heap.Heap) {
+		shared, _ := h.New(cls)
+		shared.MustSet("tag", heap.Int(777))
+		a, _ := h.New(cls)
+		a.MustSet("tag", heap.Int(1)).MustSet("next", shared.RefTo())
+		b, _ := h.New(cls)
+		b.MustSet("tag", heap.Int(2)).MustSet("next", shared.RefTo())
+		h.SetRoot("a", a.RefTo())
+		h.SetRoot("b", b.RefTo())
+	})
 
 	rt := newDevice(t, 0)
 	r := Attach(rt, m)

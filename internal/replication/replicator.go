@@ -90,39 +90,11 @@ func Attach(rt *core.Runtime, transport Transport, opts ...Option) *Replicator {
 	return r
 }
 
-// SetGroupSize adapts, at runtime, how many future replication clusters are
-// grouped into one swap-cluster (the paper's adaptable macro-object size).
-// The current group is closed: the next shipment starts a new swap-cluster.
-func (r *Replicator) SetGroupSize(n int) {
-	if n <= 0 {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.groupSize = n
-	r.inCurrent = r.groupSize // force a fresh swap-cluster on next shipment
-}
-
-// GroupSize reports the current grouping factor.
-func (r *Replicator) GroupSize() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.groupSize
-}
-
 // StatsSnapshot returns a copy of the activity counters.
 func (r *Replicator) StatsSnapshot() Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.stats
-}
-
-// LocalOf reports the local replica of a master identity, if replicated.
-func (r *Replicator) LocalOf(remote heap.ObjID) (heap.ObjID, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	id, ok := r.remoteToLocal[remote]
-	return id, ok
 }
 
 // ReplicateRoot makes the master's named root available on the device under

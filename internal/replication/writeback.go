@@ -76,30 +76,7 @@ func (r *Replicator) PushUpdates(ctx context.Context) (int, error) {
 		return 0, nil
 	}
 
-	// Encode each dirty replica under its MASTER identity; references are
-	// rewritten into the master namespace through the replica map as it is
-	// at the encode, which runs under the runtime lock, reading h.
-	h := r.rt.Heap()
-	encodeRef := func(rid heap.ObjID) (xmlcodec.Value, error) {
-		ultimate := rid
-		if o, err := h.Get(rid); err == nil {
-			if target, isProxy := core.ProxyTarget(o); isProxy {
-				// Resolve through the proxy to the replica it mediates.
-				ultimate = target
-			} else if o.Class().Special == heap.SpecialObjProxy {
-				// Un-replicated edge: the placeholder IS a master identity.
-				return xmlcodec.RemoteRef(core.ObjProxyRemote(o)), nil
-			}
-		}
-		r.mu.Lock()
-		master, known := r.localToRemote[ultimate]
-		r.mu.Unlock()
-		if !known {
-			return xmlcodec.Value{}, fmt.Errorf("%w: @%d", ErrUnsyncedReference, ultimate)
-		}
-		return xmlcodec.RemoteRef(master), nil
-	}
-
+	// Encode each dirty replica under its MASTER identity (masterRef).
 	doc := &xmlcodec.Doc{ClusterID: "update-" + r.rt.Name(), Version: xmlcodec.Version}
 	pushed := make([]heap.ObjID, 0, len(ids))
 	for _, id := range ids {
@@ -114,7 +91,9 @@ func (r *Replicator) PushUpdates(ctx context.Context) (int, error) {
 				err = fmt.Errorf("replication: dirty replica @%d unavailable: %w", id, err)
 				return
 			}
-			one, err = xmlcodec.EncodeObjects(doc.ClusterID, []*heap.Object{o}, encodeRef)
+			one, err = xmlcodec.EncodeObjects(doc.ClusterID, []*heap.Object{o}, func(rid heap.ObjID) (xmlcodec.Value, error) {
+				return r.masterRef(x.Heap(), rid)
+			})
 		})
 		if err != nil {
 			return 0, err
@@ -138,10 +117,33 @@ func (r *Replicator) PushUpdates(ctx context.Context) (int, error) {
 	return len(pushed), nil
 }
 
-// ApplyUpdate applies an update document on the master: every contained
-// object names a master identity; its fields replace the master's
+// masterRef rewrites a replica's reference into the master namespace through
+// the replica map as it is at the encode, which runs under the runtime lock,
+// reading h.
+func (r *Replicator) masterRef(h *heap.Heap, rid heap.ObjID) (xmlcodec.Value, error) {
+	ultimate := rid
+	if o, err := h.Get(rid); err == nil {
+		if target, isProxy := core.ProxyTarget(o); isProxy {
+			// Resolve through the proxy to the replica it mediates.
+			ultimate = target
+		} else if o.Class().Special == heap.SpecialObjProxy {
+			// Un-replicated edge: the placeholder IS a master identity.
+			return xmlcodec.RemoteRef(core.ObjProxyRemote(o)), nil
+		}
+	}
+	r.mu.Lock()
+	master, known := r.localToRemote[ultimate]
+	r.mu.Unlock()
+	if !known {
+		return xmlcodec.Value{}, fmt.Errorf("%w: @%d", ErrUnsyncedReference, ultimate)
+	}
+	return xmlcodec.RemoteRef(master), nil
+}
+
+// apply applies an update document on the master: every contained object
+// names a master identity; its fields replace the master's
 // (last-writer-wins).
-func (m *Master) ApplyUpdate(doc *xmlcodec.Doc) error {
+func (m *Master) apply(doc *xmlcodec.Doc) error {
 	if doc == nil || doc.Version != xmlcodec.Version {
 		return errors.New("replication: bad update document")
 	}
@@ -188,7 +190,7 @@ func (m *Master) PushCluster(ctx context.Context, doc *xmlcodec.Doc) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return m.ApplyUpdate(doc)
+	return m.apply(doc)
 }
 
 var _ UpdateTransport = (*Master)(nil)

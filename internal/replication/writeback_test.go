@@ -10,6 +10,12 @@ import (
 	"objectswap/internal/xmlcodec"
 )
 
+// masterObj returns the master's object id, read in one hold of its runtime.
+func masterObj(m *Master, id heap.ObjID) (o *heap.Object) {
+	m.rt.WithHeap(func(h *heap.Heap) { o, _ = h.Get(id) })
+	return o
+}
+
 func TestWritebackScalarUpdate(t *testing.T) {
 	m := buildMaster(t, 20, 10)
 	rt := newDevice(t, 0)
@@ -40,7 +46,7 @@ func TestWritebackScalarUpdate(t *testing.T) {
 	}
 	// Verify on the master.
 	masterHeadID, _, _ := m.FetchRoot(context.Background(), "head")
-	mo, _ := m.Heap().Get(masterHeadID)
+	mo := masterObj(m, masterHeadID)
 	tag, _ := mo.FieldByName("tag")
 	if tag.MustInt() != 777 {
 		t.Fatalf("master tag = %v", tag)
@@ -66,12 +72,14 @@ func TestWritebackReferenceRewiring(t *testing.T) {
 	localHead, _ := r.LocalOf(masterHeadID)
 	// Find the master tail (tag 19) and its replica.
 	var masterTail heap.ObjID
-	for _, id := range m.Heap().IDs() {
-		o, _ := m.Heap().Get(id)
-		if tag, _ := o.FieldByName("tag"); tag.MustInt() == 19 {
-			masterTail = id
+	m.rt.WithHeap(func(h *heap.Heap) {
+		for _, id := range h.IDs() {
+			o, _ := h.Get(id)
+			if tag, _ := o.FieldByName("tag"); tag.MustInt() == 19 {
+				masterTail = id
+			}
 		}
-	}
+	})
 	localTail, ok := r.LocalOf(masterTail)
 	if !ok {
 		t.Fatal("tail not replicated")
@@ -82,7 +90,7 @@ func TestWritebackReferenceRewiring(t *testing.T) {
 	if _, err := r.PushUpdates(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	mo, _ := m.Heap().Get(masterHeadID)
+	mo := masterObj(m, masterHeadID)
 	nv, _ := mo.FieldByName("next")
 	if nv.MustRef() != masterTail {
 		t.Fatalf("master next = %v, want @%d", nv, masterTail)
@@ -141,7 +149,7 @@ func TestWritebackOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	masterHeadID, _, _ := m.FetchRoot(context.Background(), "head")
-	mo, _ := m.Heap().Get(masterHeadID)
+	mo := masterObj(m, masterHeadID)
 	tag, _ := mo.FieldByName("tag")
 	if tag.MustInt() != 31337 {
 		t.Fatalf("master tag over HTTP = %v", tag)
@@ -159,16 +167,16 @@ func TestWritebackNoDirtyIsNoop(t *testing.T) {
 
 func TestApplyUpdateValidation(t *testing.T) {
 	m := buildMaster(t, 5, 5)
-	if err := m.ApplyUpdate(nil); err == nil {
+	if err := m.apply(nil); err == nil {
 		t.Error("nil update accepted")
 	}
-	if err := m.ApplyUpdate(&xmlcodec.Doc{Version: xmlcodec.Version, Objects: []xmlcodec.Object{
+	if err := m.apply(&xmlcodec.Doc{Version: xmlcodec.Version, Objects: []xmlcodec.Object{
 		{ID: 99999, Class: "Node"},
 	}}); err == nil {
 		t.Error("update for unknown master object accepted")
 	}
 	headID, _, _ := m.FetchRoot(context.Background(), "head")
-	if err := m.ApplyUpdate(&xmlcodec.Doc{Version: xmlcodec.Version, Objects: []xmlcodec.Object{
+	if err := m.apply(&xmlcodec.Doc{Version: xmlcodec.Version, Objects: []xmlcodec.Object{
 		{ID: headID, Class: "WrongClass"},
 	}}); err == nil {
 		t.Error("class mismatch accepted")
@@ -202,7 +210,7 @@ func TestWritebackAfterSwapCycle(t *testing.T) {
 		t.Fatalf("pushed %d", n)
 	}
 	masterHeadID, _, _ := m.FetchRoot(context.Background(), "head")
-	mo, _ := m.Heap().Get(masterHeadID)
+	mo := masterObj(m, masterHeadID)
 	tag, _ := mo.FieldByName("tag")
 	if tag.MustInt() != 555 {
 		t.Fatalf("master tag = %v", tag)

@@ -47,12 +47,12 @@ func GenerateFiles(s *Schema) ([]GeneratedFile, error) {
 		return nil, err
 	}
 	out = append(out, GeneratedFile{Name: "register_gen.go", Data: reg})
-	out = append(out, GeneratedFile{Name: "schema_gen.xml", Data: SchemaXML(s)})
+	out = append(out, GeneratedFile{Name: "schema_gen.xml", Data: schemaXML(s)})
 	return out, nil
 }
 
-// SchemaXML renders the normalized schema document.
-func SchemaXML(s *Schema) []byte {
+// schemaXML renders the normalized schema document.
+func schemaXML(s *Schema) []byte {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "<!-- Code generated by obicomp; DO NOT EDIT. -->\n")
 	fmt.Fprintf(&b, "<classes package=%q>\n", s.Package)

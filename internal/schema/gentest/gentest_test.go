@@ -140,7 +140,8 @@ func TestGeneratedAccessorsAgree(t *testing.T) {
 		// not the unstable IDs.
 		nv, err := a.FieldByName("next")
 		trace = append(trace, fmt.Sprintf("next proxied=%v err=%v", rt.IsProxyRef(nv), err))
-		p, err := rt.Heap().Get(nv.MustRef())
+		var p *heap.Object
+		rt.Locked(func(x *core.Held) { p, err = x.Heap().Get(nv.MustRef()) })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -60,9 +60,6 @@ func NewLeaseGC(inner Store, ttl time.Duration, now func() time.Time) *LeaseGC {
 	}
 }
 
-// TTL reports the default lease duration.
-func (l *LeaseGC) TTL() time.Duration { return l.ttl }
-
 func (l *LeaseGC) lease(key string, ttl time.Duration) {
 	if ttl <= 0 {
 		ttl = l.ttl

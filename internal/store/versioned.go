@@ -20,8 +20,8 @@ import (
 // The live key space is untouched: Get/Keys/Drop behave exactly like the
 // wrapped store for current payloads, so a Versioned store is a drop-in
 // swapping device. Archived generations live under reserved keys
-// ("<key>#v<N>") in the same underlying store and are reachable through
-// Versions/GetVersion/PruneVersions.
+// ("<key>#v<N>") in the same underlying store; the retention bound prunes
+// the oldest.
 type Versioned struct {
 	mu    sync.Mutex
 	inner Store
@@ -172,13 +172,6 @@ func (v *Versioned) Stats(ctx context.Context) (Stats, error) {
 	return v.inner.Stats(ctx)
 }
 
-// Versions lists the archived generation numbers of key, oldest first.
-func (v *Versioned) Versions(ctx context.Context, key string) ([]int, error) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.versionsLocked(ctx, key)
-}
-
 func (v *Versioned) versionsLocked(ctx context.Context, key string) ([]int, error) {
 	all, err := v.inner.Keys(ctx)
 	if err != nil {
@@ -192,25 +185,4 @@ func (v *Versioned) versionsLocked(ctx context.Context, key string) ([]int, erro
 	}
 	sort.Ints(gens)
 	return gens, nil
-}
-
-// GetVersion returns one archived generation of key.
-func (v *Versioned) GetVersion(ctx context.Context, key string, gen int) ([]byte, error) {
-	return v.inner.Get(ctx, versionKey(key, gen))
-}
-
-// PruneVersions discards every archived generation of key.
-func (v *Versioned) PruneVersions(ctx context.Context, key string) error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	gens, err := v.versionsLocked(ctx, key)
-	if err != nil {
-		return err
-	}
-	for _, gen := range gens {
-		if err := v.inner.Drop(ctx, versionKey(key, gen)); err != nil {
-			return err
-		}
-	}
-	return nil
 }

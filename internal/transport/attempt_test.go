@@ -18,7 +18,7 @@ func TestAttemptOverMemAllocatesOnlyTheCopy(t *testing.T) {
 	if err := mem.Put(ctx, "k", []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
-	r := NewResilient("pda", mem, Policy{OpTimeout: time.Minute}, WithMetrics(NewMetrics()))
+	r := NewResilient("pda", mem, Policy{OpTimeout: time.Minute}, WithMetrics(NewMetricsWith(nil)))
 	get := func() {
 		if data, err := r.Get(ctx, "k"); err != nil || string(data) != "payload" {
 			t.Fatalf("get = %q, %v", data, err)

@@ -38,11 +38,6 @@ type Metrics struct {
 	devices map[string]bool
 }
 
-// NewMetrics returns an empty aggregate sink backed by a private registry.
-func NewMetrics() *Metrics {
-	return NewMetricsWith(nil)
-}
-
 // NewMetricsWith returns a sink whose instruments register in r (nil = a
 // private registry), so transport counters appear in the same metrics page as
 // the rest of the middleware.

@@ -26,7 +26,7 @@ func newHarness(pol Policy, opts ...Option) *harness {
 	h := &harness{
 		mem:   store.NewMem(0),
 		clock: &link.VirtualClock{},
-		m:     NewMetrics(),
+		m:     NewMetricsWith(nil),
 	}
 	h.flaky = store.NewFlaky(h.mem, 1)
 	opts = append([]Option{WithClock(h.clock), WithMetrics(h.m)}, opts...)
@@ -228,7 +228,7 @@ func TestBackoffIsExponentialAndDeterministic(t *testing.T) {
 }
 
 func TestMetricsAggregateAcrossDevices(t *testing.T) {
-	m := NewMetrics()
+	m := NewMetricsWith(nil)
 	good := NewResilient("good", store.NewFlaky(store.NewMem(0), 1), Policy{}, WithMetrics(m))
 	badFlaky := store.NewFlaky(store.NewMem(0), 1)
 	badFlaky.FailNext(store.OpPut, -1)

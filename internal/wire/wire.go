@@ -110,16 +110,6 @@ func Formats() []FormatID {
 	return out
 }
 
-// FormatStrings is Formats as plain strings (the type store.Stats carries).
-func FormatStrings() []string {
-	ids := Formats()
-	out := make([]string, len(ids))
-	for i, id := range ids {
-		out[i] = string(id)
-	}
-	return out
-}
-
 // Detect sniffs a payload's format from its leading bytes. XML documents
 // start with '<' (optionally after insignificant whitespace); every binary
 // family frame starts with the OBW magic whose flag byte distinguishes plain

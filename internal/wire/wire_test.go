@@ -131,8 +131,12 @@ func TestDetect(t *testing.T) {
 
 // The registry advertises exactly what the in-tree donors accept.
 func TestRegistryAdvertisement(t *testing.T) {
-	if got, want := FormatStrings(), store.BuiltinFormats; !reflect.DeepEqual(got, want) {
-		t.Fatalf("FormatStrings() = %v, store.BuiltinFormats = %v", got, want)
+	var got []string
+	for _, id := range Formats() {
+		got = append(got, string(id))
+	}
+	if want := store.BuiltinFormats; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Formats() = %v, store.BuiltinFormats = %v", got, want)
 	}
 	for _, id := range Formats() {
 		c, err := Lookup(id)

@@ -9,10 +9,10 @@ import (
 	"objectswap/internal/heap"
 )
 
-// This file keeps the original reflection-based wire path. It exists for two
-// reasons: EncodeIndent renders the human-readable pretty-printed form
-// (debugging, documentation, and the historical on-device format that the
-// streaming decoder must keep accepting), and decodeLegacy anchors the
+// This file keeps the original reflection-based wire path: its wire structs,
+// which the tests' EncodeIndent renders into the human-readable
+// pretty-printed form (the historical on-device format that the streaming
+// decoder must keep accepting), and decodeLegacy, which anchors the
 // compatibility tests and benchmarks that prove the streaming codec
 // round-trips with it. Nothing on the swap hot path uses reflection anymore.
 
@@ -134,38 +134,9 @@ func isSpace(c byte) bool {
 	return c == ' ' || c == '\t' || c == '\n' || c == '\r'
 }
 
-// EncodeIndent renders the document in the historical pretty-printed form
-// (two-space indentation, reflection-marshaled). It is byte-for-byte what the
-// original encoder shipped; use it for debugging and golden files.
-//
-// Deprecated: shipments negotiate their format through the wire package
-// (wire.Encode); the indented rendering is never what a donor stores.
-func (d *Doc) EncodeIndent() ([]byte, error) {
-	wire := xmlDoc{ID: d.ClusterID, Version: d.Version}
-	for _, eo := range d.Objects {
-		xo := xmlObj{ID: uint64(eo.ID), Class: eo.Class}
-		for _, f := range eo.Fields {
-			kind, target, slot, class, body, items, err := valueToWire(f.Value)
-			if err != nil {
-				return nil, err
-			}
-			xo.Fields = append(xo.Fields, xmlField{
-				Name: f.Name, Kind: kind, Target: target, Slot: slot, Class: class,
-				Body: body, Items: items,
-			})
-		}
-		wire.Objects = append(wire.Objects, xo)
-	}
-	out, err := xml.MarshalIndent(&wire, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("xmlcodec: marshal: %w", err)
-	}
-	return append([]byte(xml.Header), out...), nil
-}
-
 // decodeLegacy parses XML text through the original reflection path
 // (xml.Unmarshal into wire structs). Retained as the compatibility oracle
-// for tests and benchmarks against DecodeFrom.
+// for tests and benchmarks against decodeFrom.
 func decodeLegacy(data []byte) (*Doc, error) {
 	var wire xmlDoc
 	if err := xml.Unmarshal(data, &wire); err != nil {

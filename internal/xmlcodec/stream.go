@@ -65,8 +65,7 @@ func AppendTrailer(dst []byte) []byte { return append(dst, "</swapcluster>"...) 
 // copied out once at its exact size instead of growing from empty.
 var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// Encode renders the document as compact XML text. (The pretty-printed
-// historical form remains available as EncodeIndent.)
+// Encode renders the document as compact XML text.
 func (d *Doc) Encode() ([]byte, error) {
 	buf := encodeBufs.Get().(*[]byte)
 	defer encodeBufs.Put(buf)
@@ -226,13 +225,13 @@ func validXMLRune(r rune) bool {
 // It is the XML codec's reader; a payload fetched from a donor goes through
 // wire.Decode or wire.Stage, which detect its format first.
 func Decode(data []byte) (*Doc, error) {
-	return DecodeFrom(bytes.NewReader(data))
+	return decodeFrom(bytes.NewReader(data))
 }
 
-// DecodeFrom parses one wrapper document from r, token by token, without
+// decodeFrom parses one wrapper document from r, token by token, without
 // reflection and without materializing intermediate wire structs. Reading
 // stops at the root element's end tag; trailing bytes are not consumed.
-func DecodeFrom(r io.Reader) (*Doc, error) {
+func decodeFrom(r io.Reader) (*Doc, error) {
 	dec := xml.NewDecoder(r)
 
 	// Locate the root element, skipping prolog, comments and directives.

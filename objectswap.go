@@ -574,14 +574,19 @@ func (s *System) OpsHandler() http.Handler {
 	})
 }
 
-// Runtime exposes the swapping runtime.
+// Runtime exposes the swapping runtime, for its locked entries: host code
+// that reads or writes the heap, or takes several steps as one, does so in
+// Runtime().Locked, through the Held it is given (Held.Heap is the heap's one
+// way in).
 func (s *System) Runtime() *core.Runtime { return s.rt }
 
 // Telemetry exposes the access-telemetry plane: cluster heat, working-set
 // estimation, fault attribution and thrash scoring.
 func (s *System) Telemetry() *telemetry.Tracker { return s.telem }
 
-// Heap exposes the device heap.
+// Heap exposes the device heap for its atomic reads only: Used and
+// StatsSnapshot. Anything else the heap offers is caller-locked and goes
+// through Runtime().Locked and Held.Heap.
 func (s *System) Heap() *heap.Heap { return s.heap }
 
 // Bus exposes the middleware event bus.
@@ -620,14 +625,6 @@ func (s *System) AttachDevice(name string, st store.Store) error {
 // latency, in total and per device.
 func (s *System) TransportSnapshot() TransportSnapshot {
 	return s.metrics.Snapshot()
-}
-
-// PublishTransportSnapshot emits the current transport metrics on the event
-// bus (topic transport.snapshot) and returns them.
-func (s *System) PublishTransportSnapshot() TransportSnapshot {
-	snap := s.metrics.Snapshot()
-	s.bus.Emit(event.TopicTransportSnapshot, snap)
-	return snap
 }
 
 // ProbeDevices issues one direct health probe (a Stats round-trip through
@@ -672,7 +669,9 @@ func (s *System) MustRegisterClass(c *heap.Class) *heap.Class { return s.rt.Must
 func (s *System) NewCluster() ClusterID { return s.rt.Manager().NewCluster() }
 
 // NewObject allocates an application object into a swap-cluster, checking
-// the memory monitor afterwards so pressure policies run promptly.
+// the memory monitor afterwards so pressure policies run promptly. Write the
+// returned object through SetField (o.RefTo()), not Object.Set, which would
+// write the heap outside the runtime's hold.
 func (s *System) NewObject(c *heap.Class, cluster ClusterID) (*heap.Object, error) {
 	o, err := s.rt.NewObject(c, cluster)
 	if err != nil {

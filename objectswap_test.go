@@ -212,23 +212,31 @@ func TestSystemRefusesUnknownWireFormat(t *testing.T) {
 	sys.Close()
 }
 
+// fillMaster builds a list of n Tasks titled by format on the master's heap,
+// in one hold of its runtime, and names its head root.
+func fillMaster(master *replication.Master, root string, n int, format string) {
+	cls, _ := master.Registry().Lookup("Task")
+	master.Runtime().WithHeap(func(h *heap.Heap) {
+		var prev *heap.Object
+		for i := 0; i < n; i++ {
+			o, _ := h.New(cls)
+			o.MustSet("title", heap.Str(fmt.Sprintf(format, i)))
+			if prev == nil {
+				h.SetRoot(root, o.RefTo())
+			} else {
+				prev.MustSet("next", o.RefTo())
+			}
+			prev = o
+		}
+	})
+}
+
 func TestSystemReplication(t *testing.T) {
 	// Master side.
 	reg := heap.NewRegistry()
 	reg.MustRegister(taskClass())
 	master := replication.NewMaster(reg, 5)
-	cls, _ := reg.Lookup("Task")
-	var prev *heap.Object
-	for i := 0; i < 12; i++ {
-		o, _ := master.Heap().New(cls)
-		o.MustSet("title", heap.Str(fmt.Sprintf("m%d", i)))
-		if prev == nil {
-			master.Heap().SetRoot("inbox", o.RefTo())
-		} else {
-			prev.MustSet("next", o.RefTo())
-		}
-		prev = o
-	}
+	fillMaster(master, "inbox", 12, "m%d")
 
 	// Device side through the façade.
 	sys, err := New(Config{})

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"objectswap/internal/core"
 	"objectswap/internal/obs"
 	"objectswap/internal/store"
 )
@@ -69,7 +70,9 @@ func TestReportRendersObservabilityDigest(t *testing.T) {
 	}
 	// 6 objects allocated (5 tasks + replacement bookkeeping is internal):
 	// the heap line reads live callback gauges, not a cached snapshot.
-	if !strings.Contains(report, fmt.Sprintf("%d objects", sys.Heap().Len())) {
+	var objects int
+	sys.Runtime().Locked(func(x *core.Held) { objects = x.Heap().Len() })
+	if !strings.Contains(report, fmt.Sprintf("%d objects", objects)) {
 		t.Errorf("report heap line disagrees with live heap:\n%s", report)
 	}
 }

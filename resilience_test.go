@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"objectswap/internal/event"
 	"objectswap/internal/heap"
 	"objectswap/internal/placement"
 	"objectswap/internal/store"
@@ -152,34 +151,6 @@ func TestSystemSwapOptions(t *testing.T) {
 	cancel()
 	if _, err := sys.SwapOut(clusters[1], WithContext(cctx)); err == nil {
 		t.Fatal("canceled swap-out succeeded")
-	}
-}
-
-func TestPublishTransportSnapshot(t *testing.T) {
-	sys, err := New(Config{HeapCapacity: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.AttachDevice("desktop", store.NewMem(0)); err != nil {
-		t.Fatal(err)
-	}
-
-	var published []TransportSnapshot
-	sys.Bus().Subscribe(event.TopicTransportSnapshot, func(ev event.Event) {
-		if s, ok := ev.Payload.(TransportSnapshot); ok {
-			published = append(published, s)
-		}
-	})
-
-	snap := sys.PublishTransportSnapshot()
-	if len(published) != 1 {
-		t.Fatalf("published %d snapshots", len(published))
-	}
-	if published[0].Attempts != snap.Attempts {
-		t.Fatal("published snapshot differs from the returned one")
-	}
-	if _, ok := snap.Devices["desktop"]; !ok {
-		t.Fatalf("snapshot devices = %v", snap.Devices)
 	}
 }
 

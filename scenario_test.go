@@ -24,19 +24,8 @@ func TestNeighborhoodScenario(t *testing.T) {
 	reg := heap.NewRegistry()
 	reg.MustRegister(taskClass())
 	master := replication.NewMaster(reg, 10)
-	cls, _ := reg.Lookup("Task")
-	var prev *heap.Object
 	const items = 60
-	for i := 0; i < items; i++ {
-		o, _ := master.Heap().New(cls)
-		o.MustSet("title", heap.Str(fmt.Sprintf("item-%02d", i)))
-		if prev == nil {
-			master.Heap().SetRoot("catalogue", o.RefTo())
-		} else {
-			prev.MustSet("next", o.RefTo())
-		}
-		prev = o
-	}
+	fillMaster(master, "catalogue", items, "item-%02d")
 	masterSrv := httptest.NewServer(replication.NewHandler(master))
 	defer masterSrv.Close()
 

@@ -2,6 +2,7 @@ package objectswap
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -167,10 +168,12 @@ func heldResident(sys *System, id heap.ObjID) (in bool) {
 // until they root it, each inside its own scope, on a System with prefetch
 // workers, while a third goroutine forces evictions of the clusters of a
 // chain beside them, collects, and triggers prefetches along the chain, so
-// the workers' swap-ins evict too. Both lists come out whole. The lists are
-// built in swap-cluster-0, which no eviction takes: the runtime has one
-// dispatcher at a time (DESIGN §6), so a list's goroutine must not dispatch
-// into a cluster whose swap-in or swap-out lets go of the runtime lock.
+// the workers' swap-ins evict too. Both lists come out whole. Each list is
+// built in a cluster of its own, which the evictions may take between two
+// nodes and the next node's allocation faults back; a node joins its list in
+// one hold of the runtime lock, since the runtime has one dispatcher at a
+// time (DESIGN §6) and a list's goroutine must not dispatch into a cluster
+// whose swap-in or swap-out lets go of the lock.
 // check.sh runs it ten times under the race detector.
 func TestScopesBuildBesideEvictions(t *testing.T) {
 	sys, err := New(Config{HeapCapacity: 64 << 10, DeviceName: "scope",
@@ -206,25 +209,44 @@ func TestScopesBuildBesideEvictions(t *testing.T) {
 
 	const lists, n = 2, 80
 	errs := make([]error, lists)
+	// A list's goroutine waits at its halfway node for the first forced
+	// eviction, so the evictions run beside the building even when a loaded
+	// host would let both lists finish first.
+	firstEviction := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := range lists {
+		own := sys.NewCluster()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			errs[g] = sys.Scope(func() error {
 				prev := heap.Nil()
-				for i := 0; i < n; i++ {
-					o, err := sys.NewObject(cls, RootCluster)
-					if err != nil {
+				for i := 0; i < n; {
+					if i == n/2 {
+						<-firstEviction
+					}
+					// One hold per node: its cluster, resident when the
+					// node joins it, stays so until the node is linked.
+					var err error
+					sys.Runtime().Locked(func(x *core.Held) {
+						var o *heap.Object
+						if o, err = x.NewObject(cls, own); err != nil {
+							return
+						}
+						if err = x.SetFieldValue(o.RefTo(), "title", heap.Str(fmt.Sprintf("b%d-%d", g, i))); err == nil {
+							err = x.SetFieldValue(o.RefTo(), "next", prev)
+						}
+						prev = o.RefTo()
+					})
+					switch {
+					case errors.Is(err, ErrClusterBusy) || errors.Is(err, core.ErrClusterSwapped):
+						// Taken by an eviction between two nodes: the next
+						// allocation faults it back.
+					case err != nil:
 						return fmt.Errorf("list %d node %d: %w", g, i, err)
+					default:
+						i++
 					}
-					if err := sys.SetField(o.RefTo(), "title", heap.Str(fmt.Sprintf("b%d-%d", g, i))); err != nil {
-						return fmt.Errorf("list %d node %d title: %w", g, i, err)
-					}
-					if err := sys.SetField(o.RefTo(), "next", prev); err != nil {
-						return fmt.Errorf("list %d node %d link: %w", g, i, err)
-					}
-					prev = o.RefTo()
 					runtime.Gosched()
 				}
 				return sys.SetRoot(fmt.Sprintf("b%d", g), prev)
@@ -242,7 +264,9 @@ func TestScopesBuildBesideEvictions(t *testing.T) {
 			default:
 			}
 			if sys.Evict(VictimColdest, 8<<10) == nil {
-				rounds++
+				if rounds++; rounds == 1 {
+					close(firstEviction)
+				}
 			}
 			sys.Collect()
 			sys.Runtime().Locked(func(*core.Held) {
