@@ -222,13 +222,26 @@ fi
 # Guard: a cluster moves only through the one transition site. Nothing outside
 # internal/core/state.go may assign a record's residency (cs.where = ..., or a
 # where: key in a clusterState literal) or add/remove a record of the cluster
-# table behind the by-residency tally; reserve, settle, newClusterState, put
-# and drop are the only ways to get a cluster anywhere.
-MOVED=$(grep -nE '\.where[[:space:]]*(=[^=]|\+\+|--)|[^[:alnum:]_]where:|\.clusters\[[^]]*\][[:space:]]*=[^=]|delete\([^,]*\.clusters,' \
+# table behind the by-residency tally (.clusters.add( or .clusters.remove(,
+# the record set's own insert and removal); reserve, settle,
+# newClusterState, put and drop are the only ways to get a cluster anywhere.
+MOVED=$(grep -nE '\.where[[:space:]]*(=[^=]|\+\+|--)|[^[:alnum:]_]where:|\.clusters\.(add|remove)\(' \
     internal/core/*.go | grep -v '^internal/core/state\.go:' | grep -v '_test\.go:' || true)
 if [ -n "$MOVED" ]; then
     echo "cluster residency or table membership written outside internal/core/state.go:" >&2
     echo "$MOVED" >&2
+    exit 1
+fi
+# Guard: a mediated hop does no hashing. The cluster table finds a record by
+# its id (internal/core/records.go) and a class finds a field or a method by
+# a scan of its declared names: no non-test Go of internal/core declares a
+# map keyed by ClusterID, and internal/heap/class.go declares no map keyed by
+# a string.
+HASHED=$(grep -nE 'map\[ClusterID\]' internal/core/*.go | grep -v '_test\.go:' || true)
+NAMEMAPS=$(grep -n 'map\[string\]' internal/heap/class.go || true)
+if [ -n "$HASHED" ] || [ -n "$NAMEMAPS" ]; then
+    echo "hashing back on the hop (find a cluster record by id in records, a class member by its declared slot):" >&2
+    printf '%s\n%s\n' "$HASHED" "$NAMEMAPS" >&2
     exit 1
 fi
 # Guard: a reference crosses a boundary at one site. In internal/core exactly
@@ -475,7 +488,7 @@ fi
 # Guard: one runtime lock, and the swapping manager keeps each fact once. The
 # runtime is one monitor: internal/core has one lock, Runtime.mu (core.go),
 # which guards the heap, the cluster table and everything beside them, and
-# internal/heap has none of its own but the class registry's (class.go), which
+# internal/heap has none of its own but the class registry's (registry.go), which
 # off-lock decoders read, and the direct runtime's (runtime.go), the floor's
 # owner lock. Every swap-cluster-proxy is an instance of one class, and a
 # replacement-object holds its outbound references and its cluster's id, not
@@ -484,7 +497,7 @@ fi
 # per-class proxy classes, the ranking lock or the copied fields.
 MUTEXES=$(grep -nE 'sync\.(RW)?Mutex' internal/core/*.go internal/heap/*.go | grep -v '_test\.go:' | sed -E 's/:[0-9]+:[[:space:]]*/ /; s/[[:space:]]+sync\..*//' || true)
 COPIES=$(grep -nwE 'appClass|proxyClassPrefix|rankMu|fldKey|fldStore' internal/core/*.go | grep -v '_test\.go:' || true)
-if [ "$MUTEXES" != "$(printf 'internal/core/core.go mu\ninternal/heap/class.go mu\ninternal/heap/runtime.go mu')" ] || [ -n "$COPIES" ]; then
+if [ "$MUTEXES" != "$(printf 'internal/core/core.go mu\ninternal/heap/registry.go mu\ninternal/heap/runtime.go mu')" ] || [ -n "$COPIES" ]; then
     echo "a lock beside the runtime lock, or swapping-manager state kept twice (want Runtime.mu alone in internal/core and only Registry's and DirectRuntime's mutexes in internal/heap; one proxy class; no key or replica set on the replacement-object):" >&2
     printf '%s\n%s\n' "$MUTEXES" "$COPIES" >&2
     exit 1

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"maps"
 	"slices"
 	"strings"
 
@@ -146,8 +145,6 @@ func (rt *Runtime) SaveCheckpoint(w io.Writer) error {
 	defer enc.Release()
 
 	tab := &rt.mgr.table
-	clusterIDs := slices.Sorted(maps.Keys(tab.clusters))
-
 	var maxID heap.ObjID
 	note := func(id heap.ObjID) {
 		if id > maxID {
@@ -155,11 +152,11 @@ func (rt *Runtime) SaveCheckpoint(w io.Writer) error {
 		}
 	}
 
-	for _, cid := range clusterIDs {
+	for cs := range tab.clusters.all {
+		cid := cs.id
 		if cid == RootCluster {
 			continue
 		}
-		cs := tab.clusters[cid]
 		ck := ckptCluster{ID: uint32(cid), Swapped: cs.where.out()}
 		for _, r := range cs.members {
 			for oid := r.lo; oid < r.end(); oid++ {
@@ -283,7 +280,7 @@ func (rt *Runtime) encodeResidentCluster(enc *wire.Encoder, cid ClusterID, membe
 func (rt *Runtime) LoadCheckpoint(r io.Reader) error {
 	rt.lock()
 	defer rt.unlock()
-	if len(rt.mgr.table.clusters) != 1 || rt.h.Len() != 0 || len(rt.h.RootNames()) != 0 {
+	if rt.mgr.table.clusters.len() != 1 || rt.h.Len() != 0 || len(rt.h.RootNames()) != 0 {
 		return ErrNotFresh
 	}
 	data, err := io.ReadAll(r)
@@ -344,7 +341,7 @@ func (rt *Runtime) LoadCheckpoint(r io.Reader) error {
 		if err != nil {
 			return fmt.Errorf("core: restore cluster %d: %w", ck.ID, err)
 		}
-		cs := rt.mgr.table.clusters[ClusterID(ck.ID)]
+		cs := rt.mgr.table.clusters.get(ClusterID(ck.ID))
 		rt.mgr.own(cs, cs.members)
 	}
 
@@ -360,7 +357,7 @@ func (rt *Runtime) LoadCheckpoint(r io.Reader) error {
 		if err != nil {
 			return fmt.Errorf("core: restore replacement for cluster %d: %w", ck.ID, err)
 		}
-		rt.mgr.table.clusters[ClusterID(ck.ID)].replacement = repl.ID()
+		rt.mgr.table.clusters.get(ClusterID(ck.ID)).replacement = repl.ID()
 	}
 	for _, ck := range doc.Plain {
 		if !ck.Swapped {
@@ -390,7 +387,7 @@ func (rt *Runtime) LoadCheckpoint(r io.Reader) error {
 			}
 			slots[ob.Slot] = heap.Ref(pid)
 		}
-		repl, err := rt.h.Get(rt.mgr.table.clusters[ClusterID(ck.ID)].replacement)
+		repl, err := rt.h.Get(rt.mgr.table.clusters.get(ClusterID(ck.ID)).replacement)
 		if err != nil {
 			return err
 		}
@@ -439,7 +436,7 @@ func (m *Manager) restoreRecords(plain []ckptCluster) error {
 	tab := &m.table
 	for _, ck := range plain {
 		cid := ClusterID(ck.ID)
-		if _, dup := tab.clusters[cid]; dup {
+		if tab.clusters.get(cid) != nil {
 			return fmt.Errorf("%w: duplicate cluster %d", ErrBadCheckpoint, cid)
 		}
 		at := resident

@@ -89,7 +89,7 @@ func TestCheckpointWithSwappedClusters(t *testing.T) {
 	for _, cid := range []ClusterID{clusters[1], clusters[3]} {
 		tab := &rt2.mgr.table
 		rt2.lock()
-		crc := tab.clusters[cid].retained.crc
+		crc := tab.clusters.get(cid).retained.crc
 		rt2.unlock()
 		if crc == 0 {
 			t.Fatalf("cluster %d: payload CRC lost in checkpoint restore", cid)
@@ -278,7 +278,7 @@ func goldenState(t *testing.T, rt *Runtime) {
 	var slots []heap.Value
 	inHold(rt, func(h *heap.Heap) {
 		var repl *heap.Object
-		if repl, err = h.Get(tab.clusters[cb].replacement); err != nil {
+		if repl, err = h.Get(tab.clusters.get(cb).replacement); err != nil {
 			return
 		}
 		outV, _ := repl.FieldByName(fldOut)

@@ -160,7 +160,7 @@ func TestRepairMajorityConvictsDivergentCopy(t *testing.T) {
 	// Simulate legacy state: forget the recorded checksum.
 	tab := &f.rt.mgr.table
 	f.rt.lock()
-	tab.clusters[clusters[1]].retained.crc = 0
+	tab.clusters.get(clusters[1]).retained.crc = 0
 	f.rt.unlock()
 
 	corrupt := ev.Replicas[0]

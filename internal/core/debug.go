@@ -1,9 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"maps"
 	"slices"
 	"strings"
 
@@ -30,24 +30,25 @@ func (rt *Runtime) DumpDot(w io.Writer) error {
 
 	p("digraph objectswap {\n  rankdir=LR;\n  node [fontsize=10];\n")
 
-	// Group resident application objects per cluster.
-	byCluster := make(map[ClusterID][]heap.ObjID)
+	// Group resident application objects per cluster, in cluster order.
+	var apps []*heap.Object
 	var middleware []heap.ObjID
 	for _, oid := range h.IDs() {
 		if o, _ := h.Get(oid); o.Class().Special == heap.SpecialNone {
-			c := ClusterID(o.Owner())
-			byCluster[c] = append(byCluster[c], oid)
+			apps = append(apps, o)
 		} else {
 			middleware = append(middleware, oid)
 		}
 	}
-	for _, c := range slices.Sorted(maps.Keys(byCluster)) {
-		p("  subgraph cluster_%d {\n    label=\"swap-cluster %d\";\n    style=rounded;\n", c, c)
-		for _, oid := range byCluster[c] {
-			o, _ := h.Get(oid)
-			p("    n%d [label=\"%s@%d\", shape=box];\n", oid, o.Class().Name, oid)
+	slices.SortStableFunc(apps, func(a, b *heap.Object) int { return cmp.Compare(a.Owner(), b.Owner()) })
+	for i, o := range apps {
+		if c := o.Owner(); i == 0 || apps[i-1].Owner() != c {
+			p("  subgraph cluster_%d {\n    label=\"swap-cluster %d\";\n    style=rounded;\n", c, c)
 		}
-		p("  }\n")
+		p("    n%d [label=\"%s@%d\", shape=box];\n", o.ID(), o.Class().Name, o.ID())
+		if i == len(apps)-1 || apps[i+1].Owner() != o.Owner() {
+			p("  }\n")
+		}
 	}
 	// Swapped clusters appear as annotations.
 	for _, info := range rt.mgr.infoAll() {

@@ -301,7 +301,8 @@ func (h *Held) Invoke(target heap.Value, method string, args ...heap.Value) (res
 // translates, and the patched proxy, it returns through the Call's arena.
 func (rt *Runtime) invokeAcross(r reached, method string, args []heap.Value) ([]heap.Value, error) {
 	cls := r.obj.Class()
-	if !cls.HasMethod(method) {
+	body, ok := cls.Method(method)
+	if !ok {
 		return nil, fmt.Errorf("%w: %s.%s (via proxy)", heap.ErrNoSuchMethod, cls.Name, method)
 	}
 	// Protect the receiver before argument interception, which can allocate,
@@ -315,7 +316,7 @@ func (rt *Runtime) invokeAcross(r reached, method string, args []heap.Value) ([]
 	for _, a := range call.Args {
 		rt.keep(a)
 	}
-	res, err := cls.Invoke(method, call)
+	res, err := body(call)
 	if err != nil {
 		return nil, err
 	}

@@ -41,7 +41,7 @@ func TestSwapOutVictimsWalksTheRanking(t *testing.T) {
 					}
 				default:
 					f.rt.lock()
-					cs := tab.clusters[c]
+					cs := tab.clusters.get(c)
 					cs.ledger.LastAccess, cs.ledger.Crossings = tc.keys[i], tc.keys[i]
 					f.rt.unlock()
 				}
@@ -68,7 +68,7 @@ func TestSwapOutVictimsWalksTheRanking(t *testing.T) {
 			active, busy := want[1], want[3]
 			f.rt.stack = append(f.rt.stack, ids[4*slices.Index(clusters, active)])
 			// enough runs under the walk's hold of the runtime lock.
-			move := func(c ClusterID, to residency) { tab.move(tab.clusters[c], to) }
+			move := func(c ClusterID, to residency) { tab.move(tab.clusters.get(c), to) }
 			calls := 0
 			swapped, err := f.rt.SwapOutVictims(tc.strategy, func(int) bool {
 				switch calls {

@@ -50,7 +50,7 @@ func (rt *Runtime) owner() heap.Owner {
 func (rt *Runtime) rootSet() []heap.ObjID {
 	rt.roots = append(rt.roots[:0], rt.stack...)
 	for _, r := range rt.hosts {
-		if cs := rt.mgr.table.clusters[r.cluster]; cs != nil && cs.where.out() && !rt.h.Contains(r.id) {
+		if cs := rt.mgr.table.clusters.get(r.cluster); cs != nil && cs.where.out() && !rt.h.Contains(r.id) {
 			r.id = cs.replacement
 		}
 		rt.roots = append(rt.roots, r.id)
@@ -96,8 +96,8 @@ func (rt *Runtime) sweepSwapped(swept []*heap.Object) {
 		if o.Class().Special != heap.SpecialReplacement {
 			continue
 		}
-		cs, ok := tab.clusters[replacementCluster(o)]
-		if !ok || cs.where != swappedOut || cs.replacement != o.ID() {
+		cs := tab.clusters.get(replacementCluster(o))
+		if cs == nil || cs.where != swappedOut || cs.replacement != o.ID() {
 			continue
 		}
 		tab.dead = append(tab.dead, forgotCopy{cs.id, cs.forget()})
@@ -129,10 +129,10 @@ func (rt *Runtime) dropDead() {
 func (rt *Runtime) shedRetained(ctx context.Context, donors []placement.Candidate) int {
 	var sheds []forgotCopy
 	tab := &rt.mgr.table
-	for id, cs := range tab.clusters {
+	for cs := range tab.clusters.all {
 		if cs.where == resident && slices.ContainsFunc(donors,
 			func(c placement.Candidate) bool { return slices.Contains(cs.retained.devices, c.Name) }) {
-			sheds = append(sheds, forgotCopy{id, cs.forget()})
+			sheds = append(sheds, forgotCopy{cs.id, cs.forget()})
 		}
 	}
 	for _, sh := range sheds {
@@ -260,11 +260,11 @@ func (m *Manager) reclaimed(swept []*heap.Object) {
 		}
 		// The first swept proxy of a list compacts it, all at once.
 		home := ClusterID(o.Owner())
-		if cs, ok := tab.clusters[home]; ok && cs.swept != tab.sweeps {
+		if cs := tab.clusters.get(home); cs != nil && cs.swept != tab.sweeps {
 			cs.swept = tab.sweeps
 			cs.inbound = slices.DeleteFunc(cs.inbound, func(p *heap.Object) bool { return !h.Contains(p.ID()) })
 		}
-		if cs, ok := tab.clusters[proxySrc(o)]; ok {
+		if cs := tab.clusters.get(proxySrc(o)); cs != nil {
 			tab.countEdge(cs, home, -1)
 		}
 	}
@@ -275,7 +275,7 @@ func (m *Manager) reclaimed(swept []*heap.Object) {
 		// The first swept member a list still holds compacts it, all at once,
 		// into fresh runs: a swap-out may be reading the old ones
 		// (swapOut.reserve).
-		if cs, ok := tab.clusters[ClusterID(o.Owner())]; ok && !cs.where.out() && cs.members.has(o.ID()) {
+		if cs := tab.clusters.get(ClusterID(o.Owner())); cs != nil && !cs.where.out() && cs.members.has(o.ID()) {
 			cs.members = cs.members.keep(h.Contains)
 			cs.changed()
 			if len(cs.members) == 0 && cs.where == resident {

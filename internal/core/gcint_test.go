@@ -24,7 +24,7 @@ func TestCollectPurgesEverySweptRecord(t *testing.T) {
 	edges := func(src, home ClusterID) int32 {
 		mgr.rt.lock()
 		defer mgr.rt.unlock()
-		for _, e := range mgr.table.clusters[src].edges {
+		for _, e := range mgr.table.clusters.get(src).edges {
 			if e.to == home {
 				return e.n
 			}
@@ -201,7 +201,7 @@ func TestHeapCollectionKeepsParkedFrames(t *testing.T) {
 func (m *Manager) inboundProxies(id ClusterID, buf []*heap.Object) []*heap.Object {
 	m.rt.lock()
 	defer m.rt.unlock()
-	if cs, ok := m.table.clusters[id]; ok {
+	if cs := m.table.clusters.get(id); cs != nil {
 		buf = append(buf, cs.inbound...)
 	}
 	return buf
@@ -329,7 +329,7 @@ func TestSwapInFreesItsReplacement(t *testing.T) {
 	f.rt.Collect() // every replacement-object is old now
 	for _, c := range clusters[1:] {
 		f.rt.lock()
-		repl := f.rt.mgr.table.clusters[c].replacement
+		repl := f.rt.mgr.table.clusters.get(c).replacement
 		f.rt.unlock()
 		if _, err := f.rt.SwapIn(c); err != nil {
 			t.Fatal(err)
@@ -353,7 +353,7 @@ func replacementBlock(t *testing.T, f *fixture, c ClusterID) (*heap.Object, heap
 	t.Helper()
 	f.rt.lock()
 	defer f.rt.unlock()
-	id := f.rt.mgr.table.clusters[c].replacement
+	id := f.rt.mgr.table.clusters.get(c).replacement
 	o, err := f.rt.h.Get(id)
 	if err != nil {
 		t.Fatalf("cluster %d: %v", c, err)
@@ -529,7 +529,7 @@ func TestZeroEdgeWaitsForThePurge(t *testing.T) {
 	edge := func() (n int32, listed bool) {
 		mgr.rt.lock()
 		defer mgr.rt.unlock()
-		for _, e := range mgr.table.clusters[src].edges {
+		for _, e := range mgr.table.clusters.get(src).edges {
 			if e.to == far {
 				return e.n, true
 			}

@@ -33,7 +33,7 @@ func members(f *fixture, id ClusterID) []heap.ObjID {
 	tab := &f.rt.mgr.table
 	f.rt.lock()
 	defer f.rt.unlock()
-	return slices.Collect(tab.clusters[id].members.ids)
+	return slices.Collect(tab.clusters.get(id).members.ids)
 }
 
 func title(t *testing.T, f *fixture, oid heap.ObjID) string {

@@ -44,20 +44,21 @@ func (m *Manager) CheckInvariants() []error {
 	m.rt.lock()
 	defer m.rt.unlock()
 	tab := &m.table
-	clusters := tab.clusters
+	clusters := &tab.clusters
 	h := m.rt.h
 	var errs []error
 	fail := func(format string, args ...any) {
 		errs = append(errs, fmt.Errorf(format, args...))
 	}
 	lists := func(cid ClusterID, oid heap.ObjID) bool {
-		cs := clusters[cid]
+		cs := clusters.get(cid)
 		return cs != nil && cs.members.has(oid)
 	}
 
 	// 1 and 2. Membership from the records' side (the objects' side is read
 	// from the heap below), and residency.
-	for cid, cs := range clusters {
+	for cs := range clusters.all {
+		cid := cs.id
 		for i, r := range cs.members {
 			if r.n == 0 || i > 0 && cs.members[i-1].end() > r.lo {
 				fail("cluster %d lists run @%d+%d out of place: runs not ascending", cid, r.lo, r.n)
@@ -82,7 +83,8 @@ func (m *Manager) CheckInvariants() []error {
 
 	// 3. Proxy records: the inbound lists, and the edges the records count.
 	listed := make(map[heap.ObjID]int)
-	for cid, cs := range clusters {
+	for cs := range clusters.all {
+		cid := cs.id
 		for _, p := range cs.inbound {
 			listed[p.ID()]++
 			if !h.Contains(p.ID()) || !isProxy(p) {
@@ -93,7 +95,8 @@ func (m *Manager) CheckInvariants() []error {
 		}
 	}
 	counted := make(map[[2]ClusterID]int32)
-	for cid, cs := range clusters {
+	for cs := range clusters.all {
+		cid := cs.id
 		for i, e := range cs.edges {
 			if i > 0 && cs.edges[i-1].to >= e.to {
 				fail("cluster %d lists its edge into %d out of order", cid, e.to)
@@ -168,10 +171,10 @@ func (m *Manager) CheckInvariants() []error {
 			if n := listed[oid]; n != 1 {
 				fail("proxy @%d is listed %d times, want once, by cluster %d", oid, n, home)
 			}
-			if src := proxySrc(o); clusters[src] != nil {
+			if src := proxySrc(o); clusters.get(src) != nil {
 				edges[[2]ClusterID{src, home}]++
 			}
-			if cs := clusters[home]; cs != nil && cs.where.out() {
+			if cs := clusters.get(home); cs != nil && cs.where.out() {
 				if tgt != cs.replacement {
 					fail("proxy @%d to swapped cluster %d targets @%d, want replacement @%d",
 						oid, home, tgt, cs.replacement)

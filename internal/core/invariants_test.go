@@ -67,7 +67,7 @@ func TestInvariantsDetectCorruption(t *testing.T) {
 			tab := &f.rt.mgr.table
 			f.rt.lock()
 			defer f.rt.unlock()
-			cs := tab.clusters[clusters[0]]
+			cs := tab.clusters.get(clusters[0])
 			r := cs.members[0]
 			cs.members = runs{{r.lo + 5, r.n - 5, r.class}, {r.lo, 5, r.class}}
 		}, "not ascending"},
@@ -76,7 +76,7 @@ func TestInvariantsDetectCorruption(t *testing.T) {
 			tab := &f.rt.mgr.table
 			f.rt.lock()
 			defer f.rt.unlock()
-			cs := tab.clusters[clusters[1]]
+			cs := tab.clusters.get(clusters[1])
 			cs.members = cs.members[1:]
 		}, "does not list it"},
 		{"wrong owner word", func(t *testing.T, f *fixture, ids []heap.ObjID, clusters []ClusterID) {

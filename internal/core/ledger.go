@@ -52,11 +52,11 @@ func (m *Manager) enterCrossing(src, dst ClusterID) (swapped bool) {
 	m.rt.assertLocked()
 	m.clock++
 	tick, now := m.clock, m.rt.telem.Now()
-	if cs, ok := m.table.clusters[dst]; ok {
+	if cs := m.table.clusters.get(dst); cs != nil {
 		m.feed(cs, crossed, tick, now)
 		swapped = cs.where.out()
 	}
-	if cs, ok := m.table.clusters[src]; ok && src != dst {
+	if cs := m.table.clusters.get(src); cs != nil && src != dst {
 		m.feed(cs, used, tick, now)
 	}
 	return swapped
@@ -76,7 +76,7 @@ func (m *Manager) touch(o *heap.Object, write bool) {
 	if !track && !write {
 		return
 	}
-	cs := m.table.clusters[ClusterID(o.Owner())]
+	cs := m.table.clusters.get(ClusterID(o.Owner()))
 	if cs == nil || cs.id == RootCluster && !cs.members.has(o.ID()) {
 		return // never assigned
 	}
@@ -103,7 +103,7 @@ func (m *Manager) eachLedger(visit func(id uint32, l *telemetry.Ledger, size fun
 	}
 	m.rt.lock()
 	defer m.rt.unlock()
-	for _, cur = range m.table.clusters {
+	for cur = range m.table.clusters.all {
 		visit(uint32(cur.id), &cur.ledger, size)
 	}
 }

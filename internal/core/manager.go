@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -149,7 +148,8 @@ type shipment struct {
 
 // clusterState is the SwappingManager's per-swap-cluster record.
 type clusterState struct {
-	id ClusterID
+	id  ClusterID
+	pos uint32 // the record's place in the table's id-ordered list (records)
 	// members is edited in place only by assign, since a swap-out reads it
 	// from reserve to commit.
 	members runs
@@ -232,7 +232,7 @@ func (tab *clusterTable) compactEdges() {
 // moveEdge moves one proxy of src's count from cluster from to cluster to,
 // when src still has a record.
 func (tab *clusterTable) moveEdge(src, from, to ClusterID) {
-	if ss, ok := tab.clusters[src]; ok {
+	if ss := tab.clusters.get(src); ss != nil {
 		tab.countEdge(ss, from, -1)
 		tab.countEdge(ss, to, 1)
 	}
@@ -313,8 +313,8 @@ func (x *proxyIndex) all(yield func(proxyKey, heap.ObjID) bool) {
 // clusterTable is the SwappingManager's state, all of it under the runtime
 // lock, which the caller of every method here holds: the record (residency
 // included) of every swap-cluster, added and removed only through put and drop
-// (state.go), the objects belonging to each, and each one's inbound proxies
-// and outbound edges; the proxy reuse indexes, the deferred-drop queue and the
+// (state.go) and found by id without hashing (records), the objects belonging
+// to each, and each one's inbound proxies and outbound edges; the proxy reuse indexes, the deferred-drop queue and the
 // victim buffer. lastID is the highest cluster id handed out.
 //
 // An object's cluster is kept once. A resident object's header word names
@@ -323,7 +323,7 @@ func (x *proxyIndex) all(yield func(proxyKey, heap.ObjID) bool) {
 // target, whose inbound list lists it. A swapped-out member has no header:
 // the record listing it is found by a scan (listing).
 type clusterTable struct {
-	clusters map[ClusterID]*clusterState
+	clusters records
 	tally    [numResidencies]int // records by residency
 	lastID   ClusterID
 	sweeps   uint64 // reclaimed passes
@@ -357,8 +357,8 @@ type clusterTable struct {
 
 // state returns the record for id.
 func (tab *clusterTable) state(id ClusterID) (*clusterState, error) {
-	cs, ok := tab.clusters[id]
-	if !ok {
+	cs := tab.clusters.get(id)
+	if cs == nil {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownCluster, id)
 	}
 	return cs, nil
@@ -387,7 +387,6 @@ type dropTicket struct {
 
 func newManager(rt *Runtime) *Manager {
 	m := &Manager{rt: rt, table: clusterTable{
-		clusters:   make(map[ClusterID]*clusterState),
 		proxies:    proxyIndex{packed: make(map[uint64]heap.ObjID)},
 		objProxies: make(map[heap.ObjID]heap.ObjID),
 	}}
@@ -398,8 +397,8 @@ func newManager(rt *Runtime) *Manager {
 // shipmentOf returns the cluster's shipment while its members are on the
 // donors; ok is false for a resident or unknown cluster.
 func (m *Manager) shipmentOf(id ClusterID) (shipment, bool) {
-	cs, ok := m.table.clusters[id]
-	if !ok || !cs.where.out() {
+	cs := m.table.clusters.get(id)
+	if cs == nil || !cs.where.out() {
 		return shipment{}, false
 	}
 	return cs.shipment, true
@@ -412,7 +411,7 @@ func (m *Manager) shipmentOf(id ClusterID) (shipment, bool) {
 // and its caller lists p: enlist, retarget, or settle as the cluster moves.
 func (tab *clusterTable) point(p *heap.Object, id, ultimate heap.ObjID, home ClusterID) bool {
 	to := ultimate
-	if cs, ok := tab.clusters[home]; ok && cs.where.out() {
+	if cs := tab.clusters.get(home); cs != nil && cs.where.out() {
 		to = cs.replacement
 	}
 	if !setProxySlot(p, id, slotTarget, heap.Ref(to)) {
@@ -425,7 +424,7 @@ func (tab *clusterTable) point(p *heap.Object, id, ultimate heap.ObjID, home Clu
 // overlap returns an id two runs of the table list, if any.
 func (tab *clusterTable) overlap() (heap.ObjID, bool) {
 	var all runs
-	for _, cs := range tab.clusters {
+	for cs := range tab.clusters.all {
 		all = append(all, cs.members...)
 	}
 	all = all.sorted()
@@ -441,7 +440,7 @@ func (tab *clusterTable) overlap() (heap.ObjID, bool) {
 // swapped-out member, which has no header to read. Workloads keep at most a
 // few hundred clusters.
 func (tab *clusterTable) listing(oid heap.ObjID) *clusterState {
-	for _, cs := range tab.clusters {
+	for cs := range tab.clusters.all {
 		if cs.members.has(oid) {
 			return cs
 		}
@@ -467,7 +466,11 @@ func (tab *clusterTable) newCluster() ClusterID {
 func (m *Manager) Clusters() []ClusterID {
 	m.rt.lock()
 	defer m.rt.unlock()
-	return slices.Sorted(maps.Keys(m.table.clusters))
+	out := make([]ClusterID, 0, m.table.clusters.len())
+	for cs := range m.table.clusters.all {
+		out = append(out, cs.id)
+	}
+	return out
 }
 
 // assign records a fresh object of the given class (Runtime.classes) as a
@@ -541,10 +544,10 @@ func (m *Manager) enlist(p *heap.Object, id heap.ObjID, src ClusterID, ultimate 
 	if !tab.point(p, id, ultimate, home) {
 		return false
 	}
-	if cs, ok := tab.clusters[home]; ok {
+	if cs := tab.clusters.get(home); cs != nil {
 		cs.inbound = append(cs.inbound, p)
 	}
-	if cs, ok := tab.clusters[src]; ok {
+	if cs := tab.clusters.get(src); cs != nil {
 		tab.countEdge(cs, home, 1)
 	}
 	if proxyMode(p) == proxyModeNormal {
@@ -571,9 +574,8 @@ func (m *Manager) retarget(p *heap.Object, id, ultimate heap.ObjID, to ClusterID
 	if to == src {
 		return false, nil
 	}
-	fs, fok := tab.clusters[from]
-	ts, tok := tab.clusters[to]
-	if from != to && fok && tok {
+	fs, ts := tab.clusters.get(from), tab.clusters.get(to)
+	if from != to && fs != nil && ts != nil {
 		if i := slices.Index(fs.inbound, p); i >= 0 {
 			fs.inbound = slices.Delete(fs.inbound, i, i+1)
 			ts.inbound = append(ts.inbound, p)
@@ -618,8 +620,8 @@ func (m *Manager) neighbors(cluster uint32, k int, buf []uint32) []uint32 {
 // appendNeighbors appends from's best-ranked neighbors not yet in out (nor
 // origin) until out holds k.
 func (tab *clusterTable) appendNeighbors(out []uint32, k int, origin, from ClusterID) []uint32 {
-	cs, ok := tab.clusters[from]
-	if !ok {
+	cs := tab.clusters.get(from)
+	if cs == nil {
 		return out
 	}
 	for len(out) < k {
@@ -646,7 +648,7 @@ func (m *Manager) ProxyCount() int {
 	m.rt.lock()
 	defer m.rt.unlock()
 	n := 0
-	for _, cs := range m.table.clusters {
+	for cs := range m.table.clusters.all {
 		n += len(cs.inbound)
 	}
 	return n
@@ -705,11 +707,10 @@ func (m *Manager) InfoAll() []ClusterInfo {
 }
 
 func (m *Manager) infoAll() []ClusterInfo {
-	var out []ClusterInfo
-	for _, cs := range m.table.clusters {
+	out := make([]ClusterInfo, 0, m.table.clusters.len())
+	for cs := range m.table.clusters.all {
 		out = append(out, m.infoOf(cs))
 	}
-	slices.SortFunc(out, func(a, b ClusterInfo) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -814,11 +815,11 @@ func (tab *clusterTable) keepVictims(buf []victimRank) {
 // buf[:0], with its ranking key, and sorts them best victim first.
 func (m *Manager) rankVictims(strategy VictimStrategy, buf []victimRank) []victimRank {
 	ranked := buf[:0]
-	for id, cs := range m.table.clusters {
-		if id == RootCluster || cs.where != resident || len(cs.members) == 0 {
+	for cs := range m.table.clusters.all {
+		if cs.id == RootCluster || cs.where != resident || len(cs.members) == 0 {
 			continue
 		}
-		r := victimRank{id: id}
+		r := victimRank{id: cs.id}
 		switch strategy {
 		case VictimLargest:
 			r.key = math.MaxUint64 - uint64(m.residentBytes(cs))

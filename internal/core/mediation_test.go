@@ -312,10 +312,10 @@ func TestCursorAdvancesOntoResult(t *testing.T) {
 func inboundIndexes(m *Manager, pid heap.ObjID) (in []ClusterID) {
 	m.rt.lock()
 	defer m.rt.unlock()
-	for cluster, cs := range m.table.clusters {
+	for cs := range m.table.clusters.all {
 		for _, p := range cs.inbound {
 			if p.ID() == pid {
-				in = append(in, cluster)
+				in = append(in, cs.id)
 			}
 		}
 	}

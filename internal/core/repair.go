@@ -29,18 +29,24 @@ func (rt *Runtime) ReplicaSet(id ClusterID) []string {
 	return info.Devices
 }
 
-// swappedSets snapshots the (id, replica set) pairs of every cluster whose
-// text is on the donors to stay, in one cut: settled, or held by a repair
+// replicaSet is one swapped cluster's replica devices, primary first.
+type replicaSet struct {
+	id      ClusterID
+	devices []string
+}
+
+// swappedSets snapshots the replica set of every cluster whose text is on
+// the donors to stay, in id order and in one cut: settled, or held by a repair
 // — which still shows the set it is repairing, so the replica-health readings
 // do not flicker to "whole" while it runs. A cluster a swap-in owns is on its
 // way home and is not counted.
-func (rt *Runtime) swappedSets() map[ClusterID][]string {
-	out := make(map[ClusterID][]string)
+func (rt *Runtime) swappedSets() []replicaSet {
+	var out []replicaSet
 	rt.lock()
 	defer rt.unlock()
-	for id, cs := range rt.mgr.table.clusters {
+	for cs := range rt.mgr.table.clusters.all {
 		if cs.where == swappedOut || cs.where == underRepair {
-			out[id] = append([]string(nil), cs.retained.devices...)
+			out = append(out, replicaSet{cs.id, append([]string(nil), cs.retained.devices...)})
 		}
 	}
 	return out
@@ -71,21 +77,20 @@ func (rt *Runtime) UnderReplicated(k int) []ClusterID {
 		k = rt.Replicas()
 	}
 	var out []ClusterID
-	for id, devices := range rt.swappedSets() {
-		if rt.liveCount(devices) < k {
-			out = append(out, id)
+	for _, s := range rt.swappedSets() {
+		if rt.liveCount(s.devices) < k {
+			out = append(out, s.id)
 		}
 	}
-	slices.Sort(out)
 	return out
 }
 
 // liveReplicaTotals sums live replicas across swapped clusters, for the
 // replication-factor gauge (mean = live / swapped).
 func (rt *Runtime) liveReplicaTotals() (live, swapped int) {
-	for _, devices := range rt.swappedSets() {
+	for _, s := range rt.swappedSets() {
 		swapped++
-		live += rt.liveCount(devices)
+		live += rt.liveCount(s.devices)
 	}
 	return live, swapped
 }

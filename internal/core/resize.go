@@ -105,7 +105,7 @@ func (rt *Runtime) SplitCluster(src ClusterID, members []heap.ObjID) (ClusterID,
 
 	moved := slices.Sorted(slices.Values(members))
 	fresh := tab.newCluster()
-	fs := tab.clusters[fresh]
+	fs := tab.clusters.get(fresh)
 	rt.mgr.regroup(ss, fs, func(oid heap.ObjID) bool {
 		_, ok := slices.BinarySearch(moved, oid)
 		return ok

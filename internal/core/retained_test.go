@@ -276,7 +276,7 @@ func TestRetainedCopy(t *testing.T) {
 				// The hook runs on the swap-out's goroutine, inside its hold
 				// of the runtime lock: it reads the record directly.
 				e.clock.hook = func() bool {
-					if cs := e.f.rt.mgr.table.clusters[e.id]; cs == nil || !cs.where.reserved() {
+					if cs := e.f.rt.mgr.table.clusters.get(e.id); cs == nil || !cs.where.reserved() {
 						return false
 					}
 					o.MustSet("tag", heap.Int(1200))

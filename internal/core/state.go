@@ -82,12 +82,12 @@ func (tab *clusterTable) at(id ClusterID, want residency) (*clusterState, error)
 // put adds a record to the table and drop removes one, keeping the by-state
 // tally the gauges read.
 func (tab *clusterTable) put(cs *clusterState) {
-	tab.clusters[cs.id] = cs
+	tab.clusters.add(cs)
 	tab.tally[cs.where]++
 }
 
 func (tab *clusterTable) drop(cs *clusterState) {
-	delete(tab.clusters, cs.id)
+	tab.clusters.remove(cs)
 	tab.tally[cs.where]--
 }
 
@@ -228,7 +228,7 @@ func (rt *Runtime) LeaseRenewed(id ClusterID, key string) {
 	rt.lock()
 	defer rt.unlock()
 	tab := &rt.mgr.table
-	if cs, ok := tab.clusters[id]; ok && cs.retained.key == key && cs.retained.leaseTTL > 0 {
+	if cs := tab.clusters.get(id); cs != nil && cs.retained.key == key && cs.retained.leaseTTL > 0 {
 		cs.retained.leaseUntil = rt.obsReg.Clock().Now().Add(cs.retained.leaseTTL)
 	}
 }

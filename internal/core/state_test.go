@@ -17,8 +17,8 @@ func whereIs(rt *Runtime, id ClusterID) (residency, bool) {
 	tab := &rt.mgr.table
 	rt.lock()
 	defer rt.unlock()
-	cs, ok := tab.clusters[id]
-	if !ok {
+	cs := tab.clusters.get(id)
+	if cs == nil {
 		return 0, false
 	}
 	return cs.where, true

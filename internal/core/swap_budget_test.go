@@ -76,7 +76,7 @@ func touchTask(t testing.TB, f *fixture, id ClusterID) {
 	t.Helper()
 	tab := &f.rt.mgr.table
 	f.rt.lock()
-	oid := tab.clusters[id].members[0].lo
+	oid := tab.clusters.get(id).members[0].lo
 	f.rt.unlock()
 	f.dirty(t, oid)
 }

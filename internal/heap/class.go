@@ -1,11 +1,8 @@
 package heap
 
 import (
-	"errors"
 	"fmt"
-	"maps"
 	"slices"
-	"sync"
 )
 
 // SpecialKind tags middleware-generated classes so the swapping runtime can
@@ -200,29 +197,34 @@ func zeroValue(k Kind) Value {
 // Class describes a managed type: named fields and a method table. A Class is
 // immutable after registration with a Registry. Every class is built the same
 // way, whether by hand or by obicomp: NewClass, then one AddMethod per method.
+//
+// A name resolves to its slot by a scan of the declared names, in declaration
+// order, with no hashing: a class declares a handful of fields and methods,
+// and a name a caller passes is most often the very string the class was
+// declared with, which compares equal without reading its bytes.
 type Class struct {
 	Name    string
 	Special SpecialKind
 
-	fields     []FieldDef
-	fieldIndex map[string]int
-	methods    map[string]Method
+	fields  []FieldDef
+	methods []methodSlot
+}
+
+// methodSlot is one declared method.
+type methodSlot struct {
+	name string
+	body Method
 }
 
 // NewClass builds a class with the given fields. Use AddMethod before
 // registering it.
 func NewClass(name string, fields ...FieldDef) *Class {
-	c := &Class{
-		Name:       name,
-		fields:     append([]FieldDef(nil), fields...),
-		fieldIndex: make(map[string]int, len(fields)),
-		methods:    make(map[string]Method),
-	}
-	for i, f := range fields {
-		if _, dup := c.fieldIndex[f.Name]; dup {
+	c := &Class{Name: name, fields: make([]FieldDef, 0, len(fields))}
+	for _, f := range fields {
+		if _, dup := c.FieldIndex(f.Name); dup {
 			panic(fmt.Sprintf("heap: class %s: duplicate field %s", name, f.Name))
 		}
-		c.fieldIndex[f.Name] = i
+		c.fields = append(c.fields, f)
 	}
 	return c
 }
@@ -234,33 +236,62 @@ func (c *Class) AddMethod(name string, m Method) *Class {
 	if m == nil {
 		panic("heap: nil method " + name)
 	}
-	if _, dup := c.methods[name]; dup {
+	if c.methodIndex(name) >= 0 {
 		panic(fmt.Sprintf("heap: class %s: duplicate method %s", c.Name, name))
 	}
-	c.methods[name] = m
+	c.methods = append(c.methods, methodSlot{name, m})
 	return c
 }
 
-// HasMethod reports whether Invoke can dispatch name on this class.
-func (c *Class) HasMethod(name string) bool {
-	_, ok := c.methods[name]
-	return ok
+// Method returns the body declared under name, for a dispatch that checks
+// the method exists before it calls it: one lookup serves both.
+func (c *Class) Method(name string) (Method, bool) {
+	if i := c.methodIndex(name); i >= 0 {
+		return c.methods[i].body, true
+	}
+	return nil, false
 }
 
 // Invoke dispatches method through the class's method table. This is THE
 // dispatch primitive — the direct runtime, the swapping runtime and the
 // baseline comparators all call it.
 func (c *Class) Invoke(method string, call *Call) ([]Value, error) {
-	if m, ok := c.methods[method]; ok {
-		return m(call)
+	body, err := c.lookup(method)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("%w: %s.%s", ErrNoSuchMethod, c.Name, method)
+	return body(call)
+}
+
+// lookup returns the body declared under name, or the error Invoke reports.
+// It is a call of its own, not part of Invoke's frame, which every nesting
+// level of dispatch keeps on the Go stack.
+func (c *Class) lookup(name string) (Method, error) {
+	if i := c.methodIndex(name); i >= 0 {
+		return c.methods[i].body, nil
+	}
+	return nil, fmt.Errorf("%w: %s.%s", ErrNoSuchMethod, c.Name, name)
+}
+
+// methodIndex returns the slot of the method declared under name, or -1.
+func (c *Class) methodIndex(name string) int {
+	for i := range c.methods {
+		if c.methods[i].name == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // MethodNames returns the sorted method names — the class's public interface,
 // which swap-cluster-proxy classes replicate (the obicomp analogue).
 func (c *Class) MethodNames() []string {
-	return slices.Sorted(maps.Keys(c.methods))
+	names := make([]string, len(c.methods))
+	for i, m := range c.methods {
+		names[i] = m.name
+	}
+	slices.Sort(names)
+	return names
 }
 
 // NumFields returns the number of declared fields.
@@ -271,8 +302,12 @@ func (c *Class) Field(i int) FieldDef { return c.fields[i] }
 
 // FieldIndex resolves a field name to its slot index.
 func (c *Class) FieldIndex(name string) (int, bool) {
-	i, ok := c.fieldIndex[name]
-	return i, ok
+	for i := range c.fields {
+		if c.fields[i].Name == name {
+			return i, true
+		}
+	}
+	return 0, false
 }
 
 // zeroFields sets an instance's field slots to their initial values.
@@ -285,61 +320,4 @@ func (c *Class) zeroFields(fields []Value) {
 // Fields returns a copy of the field definitions.
 func (c *Class) Fields() []FieldDef {
 	return append([]FieldDef(nil), c.fields...)
-}
-
-// ErrUnknownClass reports a class name absent from a registry.
-var ErrUnknownClass = errors.New("heap: unknown class")
-
-// Registry maps class names to classes. Both devices in a replication pair
-// and the swap-in path resolve classes by name through a registry, mirroring
-// how class files / assemblies name types.
-type Registry struct {
-	mu      sync.RWMutex
-	classes map[string]*Class
-}
-
-// NewRegistry returns an empty class registry.
-func NewRegistry() *Registry {
-	return &Registry{classes: make(map[string]*Class)}
-}
-
-// Register adds a class. Registering a second class under the same name is an
-// error (assemblies do not redefine types).
-func (r *Registry) Register(c *Class) error {
-	if c == nil || c.Name == "" {
-		return errors.New("heap: register: nil or unnamed class")
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.classes[c.Name]; dup {
-		return fmt.Errorf("heap: register: class %q already registered", c.Name)
-	}
-	r.classes[c.Name] = c
-	return nil
-}
-
-// MustRegister is Register that panics on error, for program initialization.
-func (r *Registry) MustRegister(c *Class) *Class {
-	if err := r.Register(c); err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// Lookup resolves a class by name.
-func (r *Registry) Lookup(name string) (*Class, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	c, ok := r.classes[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownClass, name)
-	}
-	return c, nil
-}
-
-// Names returns the sorted registered class names.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return slices.Sorted(maps.Keys(r.classes))
 }

@@ -304,10 +304,10 @@ func TestClassMethodTable(t *testing.T) {
 	c := NewClass("T").
 		AddMethod("b", func(*Call) ([]Value, error) { return nil, nil }).
 		AddMethod("a", func(*Call) ([]Value, error) { return nil, nil })
-	if !c.HasMethod("a") {
+	if _, ok := c.Method("a"); !ok {
 		t.Error("method a missing")
 	}
-	if c.HasMethod("zz") {
+	if _, ok := c.Method("zz"); ok {
 		t.Error("phantom method found")
 	}
 	names := c.MethodNames()

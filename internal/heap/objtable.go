@@ -7,7 +7,7 @@ import "math/bits"
 // phase resolve an id with one probe sequence and no hashing of a Go map; the
 // sweep walks the dense list, which holds residents only.
 //
-// The index is linear-probed from a Fibonacci hash of the id, deletes by
+// The index is linear-probed from the id's home (see home), deletes by
 // shifting later entries of a probe run back (no tombstones) and grows at 3/4
 // load. It never shrinks: its size is bounded by the peak resident count,
 // whatever the number of ids ever minted, and a heap that swaps the same
@@ -30,11 +30,21 @@ type objSlot struct {
 }
 
 // fibonacci is 2^64 divided by the golden ratio: multiplying by it spreads
-// consecutive ids over the top bits, which home takes as the slot index.
+// consecutive values over the top bits, which home takes as the slot index.
 const fibonacci = 0x9E3779B97F4A7C15
 
+// runBits is the log2 of the length of the runs of consecutive ids home keeps
+// together.
+const runBits = 3
+
+// home returns the slot an id's probe sequence starts at. Ids are taken in
+// aligned runs of 1<<runBits: a run's number is spread over the slot array by
+// a Fibonacci hash to an aligned block of as many slots, and each id of the
+// run homes in its own slot of the block. Objects allocated together get
+// consecutive ids, so a walk over them reads adjacent slots instead of one
+// cache line per probe. The slot array is never shorter than a block.
 func (t *objTable) home(id ObjID) int {
-	return int(uint64(id) * fibonacci >> t.shift)
+	return int(uint64(id>>runBits)*fibonacci>>(t.shift+runBits))<<runBits | int(id&(1<<runBits-1))
 }
 
 // get returns the resident object with the given id, or nil.

@@ -243,3 +243,66 @@ func TestSweptOrderFollowsHistory(t *testing.T) {
 		t.Fatal("no seed swept anything")
 	}
 }
+
+// probeLengths returns the mean and the longest distance, in slots, from a
+// resident's home to the slot that holds it.
+func probeLengths(tab *objTable) (mean float64, longest int) {
+	mask := len(tab.slots) - 1
+	total := 0
+	for i, s := range tab.slots {
+		if s.id == NilID {
+			continue
+		}
+		d := (i - tab.home(s.id)) & mask
+		total += d
+		longest = max(longest, d)
+	}
+	return float64(total) / float64(len(tab.list)), longest
+}
+
+// TestObjTableProbesStayShort: ids handed out in interleaved runs of random
+// length to three allocating streams, as objects of three clusters built in
+// turns get them, with a share of them dead already (ids never resident),
+// fill the index nearly to its load bound; then one stream's objects leave
+// (a cluster swapped out) and come back. A resident's probe from its home
+// stays short throughout, though runs of consecutive ids home in adjacent
+// slots.
+func TestObjTableProbesStayShort(t *testing.T) {
+	const residents = 24000 // 0.73 of the 32 768 slots they need
+	for seed := int64(1); seed <= 10; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		var tab objTable
+		streams := make([][]*Object, 3)
+		for next := ObjID(1); len(tab.list) < residents; {
+			s := r.Intn(len(streams))
+			for n := 1 + r.Intn(12); n > 0 && len(tab.list) < residents; n-- {
+				if r.Intn(4) > 0 {
+					o := &Object{id: next}
+					tab.put(o)
+					streams[s] = append(streams[s], o)
+				}
+				next++
+			}
+		}
+		check := func(when string) {
+			t.Helper()
+			mean, longest := probeLengths(&tab)
+			if mean > 1.5 || longest > 64 {
+				t.Fatalf("seed %d, %s: %d residents in %d slots probe %.2f slots on average and %d at most; want at most 1.5 and 64",
+					seed, when, len(tab.list), len(tab.slots), mean, longest)
+			}
+			if seed == 1 {
+				t.Logf("%s: %d residents in %d slots, mean probe %.2f, longest %d", when, len(tab.list), len(tab.slots), mean, longest)
+			}
+		}
+		check("three streams resident")
+		for _, o := range streams[1] {
+			tab.del(o.id)
+		}
+		check("one stream gone")
+		for _, o := range streams[1] {
+			tab.put(o)
+		}
+		check("the stream back")
+	}
+}

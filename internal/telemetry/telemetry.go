@@ -263,10 +263,22 @@ func (t *Tracker) readNow() time.Time {
 	return now
 }
 
-// decayFactor is 0.5^(dt/halfLife).
+// seriesShift sets decayFactor's cut-over: a gap shorter than the half-life
+// shifted right by it (117 ms at the default 30 s) takes the series.
+const seriesShift = 8
+
+// decayFactor is 0.5^(dt/halfLife). A gap far below the half-life, as
+// between two crossings of one walk, takes exp's series up to x^5 at x =
+// -ln2*dt/halfLife: there |x| < 2^-8.5, so the first term left out is under
+// 2^-60 and the sum is math.Exp2's value to within one ulp, at a fraction
+// of its cost. A longer gap takes math.Exp2.
 func decayFactor(dt, halfLife time.Duration) float64 {
 	if dt <= 0 {
 		return 1
+	}
+	if dt < halfLife>>seriesShift {
+		x := -math.Ln2 * float64(dt) / float64(halfLife)
+		return 1 + x*(1+x*(1.0/2+x*(1.0/6+x*(1.0/24+x*(1.0/120)))))
 	}
 	return math.Exp2(-float64(dt) / float64(halfLife))
 }
