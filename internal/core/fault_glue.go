@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"objectswap/internal/fault"
+	"objectswap/internal/telemetry"
 )
 
 // This file is the runtime's glue onto internal/fault: the public SwapIn
@@ -59,7 +60,7 @@ func (rt *Runtime) SwapIn(id ClusterID, opts ...SwapOption) (SwapEvent, error) {
 // option. The flight runs with the lock released: a join parks until its
 // leader, perhaps a prefetch worker that needs the lock to install, is done.
 func (rt *Runtime) swapInWith(id ClusterID, o swapOpts) (SwapEvent, error) {
-	var parked time.Time // when a join, the one kind of fault that may be a hit, began to wait
+	var parked telemetry.Instant // when a join, the one kind of fault that may be a hit, began to wait
 	if rt.prefetchDepth > 0 {
 		parked = rt.telem.Now()
 	}
@@ -123,7 +124,7 @@ func (rt *Runtime) prefetchSwapIn(cluster uint32) (bool, error) {
 // neither the engine's lock nor, with one, the clock.
 func (rt *Runtime) notePrefetchHit(id ClusterID) {
 	if rt.prefetchDepth > 0 {
-		rt.prefetchHit(id, time.Time{})
+		rt.prefetchHit(id, 0)
 	}
 }
 
@@ -134,13 +135,13 @@ func (rt *Runtime) notePrefetchHit(id ClusterID) {
 // the graph, so a pointer chase stays ahead of the chaser. A resident
 // crossing never reads the clock; a join reads it only when it is the hit.
 // The caller holds the runtime lock, under which the window walks the graph.
-func (rt *Runtime) prefetchHit(id ClusterID, parked time.Time) {
+func (rt *Runtime) prefetchHit(id ClusterID, parked telemetry.Instant) {
 	if _, ok := rt.faults.ConsumeHit(uint32(id)); !ok {
 		return
 	}
 	var waited time.Duration
-	if !parked.IsZero() {
-		waited = rt.telem.Now().Sub(parked)
+	if parked != 0 {
+		waited = time.Duration(rt.telem.Now() - parked)
 	}
 	rt.telem.RecordPrefetchHit(waited.Seconds())
 	rt.faults.TriggerPrefetch(uint32(id))

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"objectswap/internal/heap"
 	"objectswap/internal/telemetry"
 )
@@ -21,9 +19,9 @@ const (
 // feed is the only writer of a cluster's ledger (check.sh greps for the
 // counters), the record victim selection, ClusterInfo and the telemetry plane
 // all read. The caller holds the runtime lock. tick dates recency, for
-// the kinds that advance it; now dates heat and thrash, and is the zero time,
-// read from no clock, when no tracker is attached (Tracker.Now).
-func (m *Manager) feed(cs *clusterState, what access, tick uint64, now time.Time) {
+// the kinds that advance it; now dates heat and thrash, and is the zero
+// Instant, read from no clock, when no tracker is attached (Tracker.Now).
+func (m *Manager) feed(cs *clusterState, what access, tick uint64, now telemetry.Instant) {
 	l, t := &cs.ledger, m.rt.telem
 	switch what {
 	case shipped:

@@ -312,10 +312,11 @@ func (x *proxyIndex) all(yield func(proxyKey, heap.ObjID) bool) {
 
 // clusterTable is the SwappingManager's state, all of it under the runtime
 // lock, which the caller of every method here holds: the record (residency
-// included) of every swap-cluster, added and removed only through put and drop
-// (state.go) and found by id without hashing (records), the objects belonging
-// to each, and each one's inbound proxies and outbound edges; the proxy reuse indexes, the deferred-drop queue and the
-// victim buffer. lastID is the highest cluster id handed out.
+// included) of every swap-cluster, added and removed only through put and
+// drop (state.go) and found by id without hashing (records), the objects
+// belonging to each, and each one's inbound proxies and outbound edges; the
+// proxy reuse indexes, the deferred-drop queue and the victim buffer. lastID
+// is the highest cluster id handed out.
 //
 // An object's cluster is kept once. A resident object's header word names
 // the record that lists it (heap.Object.Owner): a member's cluster, whose

@@ -64,9 +64,12 @@ func (p *op) begin(rt *Runtime, kind *opKind, id ClusterID, ctx context.Context)
 }
 
 // traceInline is the longest trace id a record holds in its own bytes: a
-// default device name ("dev" and a number, up to four digits) and an
-// eight-digit sequence fit. A longer id is an allocation of its own.
-const traceInline = 16
+// default device name ("dev" and a number of up to twelve digits), the dash
+// and a sequence of up to sixteen hex digits fit. A longer id, from a long
+// WithName, is an allocation of its own. At 16 bytes the id of a process's
+// 10 000th runtime ("dev10000-" and eight digits) was one byte too long, so
+// that runtime's every swap allocated once more than its predecessor's.
+const traceInline = 32
 
 // record is what one swap operation hands to others, in one allocation: the
 // context carrying its trace (handed to the stores, the logger and the bus's

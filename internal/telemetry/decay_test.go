@@ -17,7 +17,7 @@ func ulps(a, b float64) uint64 {
 	return y - x
 }
 
-// TestDecaySeriesMatchesExp2: below the cut-over, where decayFactor sums a
+// TestDecaySeriesMatchesExp2: below the cut-over, where a decay sums a
 // series instead of calling math.Exp2, it returns math.Exp2's value to
 // within one ulp, for the shortest gap, the longest, and seeded gaps in
 // between, at half-lives from a millisecond to an hour; at the cut-over and
@@ -33,7 +33,7 @@ func TestDecaySeriesMatchesExp2(t *testing.T) {
 		}
 		worst := uint64(0)
 		for _, dt := range gaps {
-			got, want := decayFactor(dt, hl), exp2(dt)
+			got, want := newDecay(hl).at(dt), exp2(dt)
 			if d := ulps(got, want); d > 1 {
 				t.Fatalf("half-life %v, gap %v: series %v, math.Exp2 %v: %d ulps apart", hl, dt, got, want, d)
 			} else {
@@ -41,13 +41,13 @@ func TestDecaySeriesMatchesExp2(t *testing.T) {
 			}
 		}
 		for _, dt := range []time.Duration{cut, cut + 1, hl, 7 * hl} {
-			if got, want := decayFactor(dt, hl), exp2(dt); got != want {
+			if got, want := newDecay(hl).at(dt), exp2(dt); got != want {
 				t.Fatalf("half-life %v, gap %v at or above the cut-over: %v, want math.Exp2's %v", hl, dt, got, want)
 			}
 		}
 		t.Logf("half-life %v: below the %v cut-over the series is within %d ulp of math.Exp2", hl, cut, worst)
 	}
-	if got := decayFactor(0, time.Second); got != 1 {
+	if got := newDecay(time.Second).at(0); got != 1 {
 		t.Fatalf("no gap decays by %v, want 1", got)
 	}
 }

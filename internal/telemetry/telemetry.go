@@ -130,15 +130,22 @@ type Ledger struct {
 	SwapIns    uint64
 
 	// score and thrash are stored decayed as of last / thrashLast and decay
-	// lazily when read; last is the time of the last touch.
+	// lazily when read; last is the instant of the last touch.
 	score       float64
-	last        time.Time
+	last        Instant
 	class       string
 	thrash      float64
-	thrashLast  time.Time
-	lastSwapOut time.Time // zero once a swap-in has answered it
+	thrashLast  Instant
+	lastSwapOut Instant // zero once a swap-in has answered it
 	pingPongs   uint64
 }
+
+// Instant is a reading of a tracker's clock: the nanoseconds since just
+// before the tracker was made, so that every reading is positive and the
+// zero Instant is none. Ledgers are dated in instants, which a crossing
+// compares and stores as plain integers; a read side turns one back into a
+// time (Tracker.timeOf).
+type Instant int64
 
 // wssSample is one sealed sampling interval: the distinct clusters touched
 // between Start and End and the bytes measured for each at seal time.
@@ -156,16 +163,20 @@ type Clusters func(visit func(id uint32, l *Ledger, size func() int64))
 // Tracker is the telemetry plane. All methods are safe on a nil receiver so
 // callers can plumb an optional *Tracker without guarding every call.
 type Tracker struct {
-	opt      Options
-	clock    obs.Clock
-	clusters Clusters
+	opt          Options
+	heat, thrash decay // by HeatHalfLife and ThrashHalfLife
+	clock        obs.Clock
+	clusters     Clusters
 
-	// On a Stopwatch clock, watch is that clock and base its last full
-	// reading: Now dates an access base plus the monotonic time since base,
+	// epoch is the instant 0 of the tracker's clock (Instant). On a
+	// Stopwatch clock, watch is that clock and base its last full reading:
+	// Now dates an access base's instant plus the monotonic time since base,
 	// one monotonic read where a full reading takes two clocks. Every read
-	// side re-bases, so the derived wall time tracks the wall clock.
+	// side re-bases, so the times it derives from instants track the wall
+	// clock.
+	epoch time.Time
 	watch obs.Stopwatch
-	base  atomic.Pointer[time.Time]
+	base  atomic.Pointer[baseline]
 
 	faults *obs.HistogramVec
 
@@ -191,7 +202,9 @@ func New(reg *obs.Registry, opt Options) *Tracker {
 		reg = obs.NewRegistry(obs.RealClock{})
 	}
 	t := &Tracker{opt: opt.withDefaults(), clock: reg.Clock()}
+	t.heat, t.thrash = newDecay(t.opt.HeatHalfLife), newDecay(t.opt.ThrashHalfLife)
 	t.watch, _ = t.clock.(obs.Stopwatch)
+	t.epoch = t.clock.Now().Add(-time.Nanosecond)
 	t.curStart = t.readNow()
 	t.instrument(reg)
 	return t
@@ -239,17 +252,39 @@ func (t *Tracker) each(visit func(id uint32, l *Ledger, size func() int64)) {
 	})
 }
 
+// baseline is a full reading of a Stopwatch clock and its instant.
+type baseline struct {
+	at   time.Time
+	inst Instant
+}
+
 // Now reads the tracker's clock, so one reading can date every ledger an
 // event writes. On a Stopwatch clock it is one monotonic read: the last full
-// reading a read side took plus the time since. A nil tracker reads no clock.
-func (t *Tracker) Now() time.Time {
+// reading a read side took plus the time since. A nil tracker reads no clock
+// and returns the zero Instant.
+func (t *Tracker) Now() Instant {
 	if t == nil {
+		return 0
+	}
+	if b := t.base.Load(); b != nil {
+		return b.inst + Instant(t.watch.Since(b.at))
+	}
+	return t.instant(t.clock.Now())
+}
+
+// instant returns the instant of a full reading of the tracker's clock.
+func (t *Tracker) instant(now time.Time) Instant { return Instant(now.Sub(t.epoch)) }
+
+// timeOf returns the time of instant i, the zero time for the zero Instant.
+func (t *Tracker) timeOf(i Instant) time.Time {
+	switch b := t.base.Load(); {
+	case i == 0:
 		return time.Time{}
+	case b != nil:
+		return b.at.Add(time.Duration(i - b.inst))
+	default:
+		return t.epoch.Add(time.Duration(i))
 	}
-	if base := t.base.Load(); base != nil {
-		return base.Add(t.watch.Since(*base))
-	}
-	return t.clock.Now()
 }
 
 // readNow takes a full reading of the tracker's clock for a read side, and
@@ -257,38 +292,52 @@ func (t *Tracker) Now() time.Time {
 func (t *Tracker) readNow() time.Time {
 	now := t.clock.Now()
 	if t.watch != nil {
-		base := now
-		t.base.Store(&base)
+		t.base.Store(&baseline{at: now, inst: t.instant(now)})
 	}
 	return now
 }
 
-// seriesShift sets decayFactor's cut-over: a gap shorter than the half-life
-// shifted right by it (117 ms at the default 30 s) takes the series.
+// decay is the halving of a score every halfLife of silence: at(dt) is
+// 0.5^(dt/halfLife).
+type decay struct {
+	halfLife time.Duration
+	cut      time.Duration // gaps below it take the series
+	rate     float64       // -ln2 per nanosecond of halfLife
+}
+
+// seriesShift sets the series' cut-over: a gap shorter than the half-life
+// shifted right by it (117 ms of the default 30 s) takes the series.
 const seriesShift = 8
 
-// decayFactor is 0.5^(dt/halfLife). A gap far below the half-life, as
-// between two crossings of one walk, takes exp's series up to x^5 at x =
-// -ln2*dt/halfLife: there |x| < 2^-8.5, so the first term left out is under
-// 2^-60 and the sum is math.Exp2's value to within one ulp, at a fraction
-// of its cost. A longer gap takes math.Exp2.
-func decayFactor(dt, halfLife time.Duration) float64 {
+func newDecay(halfLife time.Duration) decay {
+	return decay{halfLife: halfLife, cut: halfLife >> seriesShift, rate: -math.Ln2 / float64(halfLife)}
+}
+
+// at returns 0.5^(dt/halfLife). A gap far below the half-life, as between
+// two crossings of one walk, takes exp's series up to x^5 at x =
+// -ln2*dt/halfLife, with no division: there |x| < 2^-8.5, the first term
+// left out is under 2^-60, and the sum, whose one rounding at the scale of 1
+// is its last, is math.Exp2's value to within one ulp, at a fraction of its
+// cost. The terms pair up (Estrin's scheme) so that few of the operations
+// wait for each other. A longer gap takes math.Exp2.
+func (d decay) at(dt time.Duration) float64 {
 	if dt <= 0 {
 		return 1
 	}
-	if dt < halfLife>>seriesShift {
-		x := -math.Ln2 * float64(dt) / float64(halfLife)
-		return 1 + x*(1+x*(1.0/2+x*(1.0/6+x*(1.0/24+x*(1.0/120)))))
+	if dt < d.cut {
+		x := d.rate * float64(dt)
+		x2 := x * x
+		return 1 + (x + x2*((1.0/2+x*(1.0/6))+x2*(1.0/24+x*(1.0/120))))
 	}
-	return math.Exp2(-float64(dt) / float64(halfLife))
+	return math.Exp2(-float64(dt) / float64(d.halfLife))
 }
 
-func (t *Tracker) heatAt(l *Ledger, now time.Time) float64 {
-	return l.score * decayFactor(now.Sub(l.last), t.opt.HeatHalfLife)
+func (t *Tracker) heatAt(l *Ledger, now Instant) float64 {
+	return l.score * t.heat.at(time.Duration(now-l.last))
 }
 
-func (t *Tracker) thrashAt(l *Ledger, now time.Time) float64 {
-	return l.thrash * decayFactor(now.Sub(l.thrashLast), t.opt.ThrashHalfLife)
+func (t *Tracker) thrashAt(l *Ledger, now Instant) float64 {
+	return l.thrash * t.thrash.at(time.Duration(now-l.thrashLast))
 }
 
 // classify applies the hysteresis thresholds to a decayed score. A class is
@@ -307,7 +356,7 @@ func (t *Tracker) classify(was string, score float64) string {
 
 // Touch folds one access at now into l's heat. The caller holds the lock
 // guarding l and has counted the access; pure arithmetic, nil-safe.
-func (t *Tracker) Touch(l *Ledger, now time.Time) {
+func (t *Tracker) Touch(l *Ledger, now Instant) {
 	if t == nil {
 		return
 	}
@@ -318,7 +367,7 @@ func (t *Tracker) Touch(l *Ledger, now time.Time) {
 
 // SwappedOut dates l's swap-out, opening its ping-pong window. Same contract
 // as Touch.
-func (t *Tracker) SwappedOut(l *Ledger, now time.Time) {
+func (t *Tracker) SwappedOut(l *Ledger, now Instant) {
 	if t != nil {
 		l.lastSwapOut = now
 	}
@@ -327,16 +376,16 @@ func (t *Tracker) SwappedOut(l *Ledger, now time.Time) {
 // SwappedIn closes the ping-pong window: a swap-in arriving within
 // ThrashWindow of the cluster's last swap-out feeds its thrash score. Same
 // contract as Touch.
-func (t *Tracker) SwappedIn(l *Ledger, now time.Time) {
+func (t *Tracker) SwappedIn(l *Ledger, now Instant) {
 	if t == nil {
 		return
 	}
 	l.thrash, l.thrashLast = t.thrashAt(l, now), now
-	if !l.lastSwapOut.IsZero() && now.Sub(l.lastSwapOut) <= t.opt.ThrashWindow {
+	if l.lastSwapOut != 0 && time.Duration(now-l.lastSwapOut) <= t.opt.ThrashWindow {
 		l.thrash++
 		l.pingPongs++
 	}
-	l.lastSwapOut = time.Time{}
+	l.lastSwapOut = 0
 }
 
 // Merge folds the ledger of a cluster merged away into its survivor's:
@@ -353,21 +402,14 @@ func (t *Tracker) Merge(dst, src *Ledger) {
 		return
 	}
 	dst.pingPongs += src.pingPongs
-	at := later(dst.last, src.last)
+	at := max(dst.last, src.last)
 	d, s := t.heatAt(dst, at), t.heatAt(src, at)
 	if s > d {
 		d, dst.class = s, src.class
 	}
 	dst.score, dst.last = d, at
-	at = later(dst.thrashLast, src.thrashLast)
+	at = max(dst.thrashLast, src.thrashLast)
 	dst.thrash, dst.thrashLast = max(t.thrashAt(dst, at), t.thrashAt(src, at)), at
-}
-
-func later(a, b time.Time) time.Time {
-	if b.After(a) {
-		return b
-	}
-	return a
 }
 
 // RecordFault records one completed swap fault in objectswap_fault_seconds:
@@ -421,7 +463,7 @@ func (t *Tracker) HeatSnapshot() []ClusterHeat {
 	if t == nil {
 		return nil
 	}
-	now := t.readNow()
+	now := t.instant(t.readNow())
 	var out []ClusterHeat
 	t.each(func(id uint32, l *Ledger, _ func() int64) {
 		score := t.heatAt(l, now)
@@ -436,7 +478,7 @@ func (t *Tracker) HeatSnapshot() []ClusterHeat {
 			SwapIns:   l.SwapIns,
 			Thrash:    t.thrashAt(l, now),
 			PingPongs: l.pingPongs,
-			LastTouch: l.last,
+			LastTouch: t.timeOf(l.last),
 		})
 	})
 	sort.Slice(out, func(i, j int) bool {

@@ -16,9 +16,10 @@ type WSSSample struct {
 // every cluster touched at or after since, known every id that exists.
 func (t *Tracker) measure(since time.Time) (sizes map[uint32]int64, known map[uint32]bool) {
 	sizes, known = make(map[uint32]int64), make(map[uint32]bool)
+	from := t.instant(since)
 	t.each(func(id uint32, l *Ledger, size func() int64) {
 		known[id] = true
-		if !l.last.Before(since) {
+		if l.last >= from {
 			sizes[id] = size()
 		}
 	})
