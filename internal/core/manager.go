@@ -179,7 +179,10 @@ type clusterState struct {
 
 	// zeroed reports the record is in the table's zeroed list: its edges
 	// may hold a zero count that the next purge compacts (countEdge).
-	zeroed bool
+	// lastEdge is the index of the edge countEdge last counted, where it
+	// looks first.
+	zeroed   bool
+	lastEdge int32
 
 	// inbound lists the live swap-cluster-proxies whose ultimate target is a
 	// member (for the root cluster, also an object never assigned): what the
@@ -206,11 +209,18 @@ type edge struct {
 // waits at zero is found again without shifting the list twice. A record is
 // listed for that purge once, however many of its counts fall to zero, so
 // the list is never longer than the records it names. Readers skip zero
-// counts.
+// counts. The edge last counted is tried before a search: a walk mints its
+// proxies, and a collection sweeps them, one source and target cluster after
+// another.
 func (tab *clusterTable) countEdge(cs *clusterState, to ClusterID, delta int32) {
-	i, found := slices.BinarySearchFunc(cs.edges, to, func(e edge, to ClusterID) int { return cmp.Compare(e.to, to) })
-	if !found {
-		cs.edges = slices.Insert(cs.edges, i, edge{to: to})
+	i := int(cs.lastEdge)
+	if i >= len(cs.edges) || cs.edges[i].to != to {
+		var found bool
+		i, found = slices.BinarySearchFunc(cs.edges, to, func(e edge, to ClusterID) int { return cmp.Compare(e.to, to) })
+		if !found {
+			cs.edges = slices.Insert(cs.edges, i, edge{to: to})
+		}
+		cs.lastEdge = int32(i)
 	}
 	if cs.edges[i].n += delta; cs.edges[i].n == 0 && !cs.zeroed {
 		cs.zeroed = true
@@ -260,17 +270,16 @@ func (k proxyKey) pack() (uint64, bool) {
 }
 
 // proxyIndex maps each key to its shared proxy. A key that packs into one
-// word is held in packed, whose lookups, inserts and deletes take Go's
-// 64-bit map path; any other key in wide, made when the first one comes.
+// word is held in packed, a table of its own that hashes no Go map; any other
+// key in wide, made when the first one comes.
 type proxyIndex struct {
-	packed map[uint64]heap.ObjID
+	packed keyTable
 	wide   map[proxyKey]heap.ObjID
 }
 
 func (x *proxyIndex) get(k proxyKey) (heap.ObjID, bool) {
 	if w, ok := k.pack(); ok {
-		pid, ok := x.packed[w]
-		return pid, ok
+		return x.packed.get(w)
 	}
 	pid, ok := x.wide[k]
 	return pid, ok
@@ -278,7 +287,7 @@ func (x *proxyIndex) get(k proxyKey) (heap.ObjID, bool) {
 
 func (x *proxyIndex) set(k proxyKey, pid heap.ObjID) {
 	if w, ok := k.pack(); ok {
-		x.packed[w] = pid
+		x.packed.set(w, pid)
 		return
 	}
 	if x.wide == nil {
@@ -290,7 +299,7 @@ func (x *proxyIndex) set(k proxyKey, pid heap.ObjID) {
 // drop deletes k's entry if it is still pid.
 func (x *proxyIndex) drop(k proxyKey, pid heap.ObjID) {
 	if w, ok := k.pack(); ok {
-		dropEntry(x.packed, w, pid)
+		x.packed.drop(w, pid)
 	} else {
 		dropEntry(x.wide, k, pid)
 	}
@@ -298,8 +307,8 @@ func (x *proxyIndex) drop(k proxyKey, pid heap.ObjID) {
 
 // all yields every entry.
 func (x *proxyIndex) all(yield func(proxyKey, heap.ObjID) bool) {
-	for w, pid := range x.packed {
-		if !yield(proxyKey{src: ClusterID(w >> targetBits), target: heap.ObjID(w & (1<<targetBits - 1))}, pid) {
+	for _, s := range x.packed.slots {
+		if s.key != 0 && !yield(proxyKey{src: ClusterID(s.key >> targetBits), target: heap.ObjID(s.key & (1<<targetBits - 1))}, s.pid) {
 			return
 		}
 	}
@@ -388,7 +397,6 @@ type dropTicket struct {
 
 func newManager(rt *Runtime) *Manager {
 	m := &Manager{rt: rt, table: clusterTable{
-		proxies:    proxyIndex{packed: make(map[uint64]heap.ObjID)},
 		objProxies: make(map[heap.ObjID]heap.ObjID),
 	}}
 	m.table.put(newClusterState(RootCluster, resident))

@@ -348,10 +348,10 @@ func TestConcurrentSelectVictims(t *testing.T) {
 }
 
 // TestProxyIndexPacksAndFallsBack: a key whose ids fit one word lives in the
-// packed map, any other in the wide one, and each is found, listed, kept
+// packed table, any other in the wide map, and each is found, listed, kept
 // from a stale drop and dropped under its own id.
 func TestProxyIndexPacksAndFallsBack(t *testing.T) {
-	x := proxyIndex{packed: make(map[uint64]heap.ObjID)}
+	var x proxyIndex
 	keys := []proxyKey{
 		{src: 0, target: 1},
 		{src: 7, target: 1<<targetBits - 1},
@@ -365,8 +365,8 @@ func TestProxyIndexPacksAndFallsBack(t *testing.T) {
 		x.set(k, heap.ObjID(100+i))
 		want[k] = heap.ObjID(100 + i)
 	}
-	if len(x.packed) != 3 || len(x.wide) != 3 {
-		t.Fatalf("%d packed and %d wide keys, want 3 and 3", len(x.packed), len(x.wide))
+	if x.packed.n != 3 || len(x.wide) != 3 {
+		t.Fatalf("%d packed and %d wide keys, want 3 and 3", x.packed.n, len(x.wide))
 	}
 	got := make(map[proxyKey]heap.ObjID)
 	for k, pid := range x.all {

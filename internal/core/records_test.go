@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"objectswap/internal/heap"
 )
 
 // checkRecords asserts that s holds exactly the records of model: each is
@@ -141,5 +143,44 @@ func TestClusterTableBoundedByPeakRecords(t *testing.T) {
 	}
 	if cs := tab.clusters.get(tab.lastID); cs != nil {
 		t.Fatalf("dropped cluster %d still found", tab.lastID)
+	}
+}
+
+// TestKeyTableMatchesMap drives seeded set/drop/get sequences against a Go
+// map. Keys come from a narrow range, so probe runs collide and removals
+// shift entries back across the end of the slot array; a drop under another
+// proxy's id leaves the entry.
+func TestKeyTableMatchesMap(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		var tab keyTable
+		model := map[uint64]heap.ObjID{}
+		span := 4 + r.Intn(60)
+		for step := 0; step < 2000; step++ {
+			key := uint64(r.Intn(3))<<targetBits | uint64(1+r.Intn(span))
+			switch pid := heap.ObjID(1 + r.Intn(3)); r.Intn(3) {
+			case 0:
+				tab.set(key, pid)
+				model[key] = pid
+			case 1:
+				tab.drop(key, pid)
+				if model[key] == pid {
+					delete(model, key)
+				}
+			default:
+				got, ok := tab.get(key)
+				if want, in := model[key]; ok != in || got != want {
+					t.Fatalf("seed %d step %d: get(%#x) = %d, %v; model holds %d, %v", seed, step, key, got, ok, want, in)
+				}
+			}
+			if tab.n != len(model) || 4*tab.n > 3*len(tab.slots) {
+				t.Fatalf("seed %d step %d: %d entries in %d slots, model %d", seed, step, tab.n, len(tab.slots), len(model))
+			}
+			for key, pid := range model {
+				if got, ok := tab.get(key); !ok || got != pid {
+					t.Fatalf("seed %d step %d: get(%#x) = %d, %v; model holds %d", seed, step, key, got, ok, pid)
+				}
+			}
+		}
 	}
 }
