@@ -66,9 +66,9 @@ func (p *op) begin(rt *Runtime, kind *opKind, id ClusterID, ctx context.Context)
 // traceInline is the longest trace id a record holds in its own bytes: a
 // default device name ("dev" and a number of up to twelve digits), the dash
 // and a sequence of up to sixteen hex digits fit. A longer id, from a long
-// WithName, is an allocation of its own. At 16 bytes the id of a process's
-// 10 000th runtime ("dev10000-" and eight digits) was one byte too long, so
-// that runtime's every swap allocated once more than its predecessor's.
+// WithName, is an allocation of its own, which would make a runtime's swaps
+// allocate more than another's by the length of its name alone
+// (TestTraceIDInline).
 const traceInline = 32
 
 // record is what one swap operation hands to others, in one allocation: the

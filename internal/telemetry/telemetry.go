@@ -302,7 +302,7 @@ func (t *Tracker) readNow() time.Time {
 type decay struct {
 	halfLife time.Duration
 	cut      time.Duration // gaps below it take the series
-	rate     float64       // -ln2 per nanosecond of halfLife
+	rate     float64       // -ln2 / halfLife, per nanosecond
 }
 
 // seriesShift sets the series' cut-over: a gap shorter than the half-life
