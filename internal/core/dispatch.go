@@ -300,16 +300,14 @@ func (h *Held) Invoke(target heap.Value, method string, args ...heap.Value) (res
 // reference, the proxy patches itself onto it (Section 4). Whatever it
 // translates, and the patched proxy, it returns through the Call's arena.
 func (rt *Runtime) invokeAcross(r reached, method string, args []heap.Value) ([]heap.Value, error) {
-	cls := r.obj.Class()
-	body, ok := cls.Method(method)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s.%s (via proxy)", heap.ErrNoSuchMethod, cls.Name, method)
+	body, err := r.obj.Class().Method(method)
+	if err != nil {
+		return nil, fmt.Errorf("%w (via proxy)", err)
 	}
 	// Protect the receiver before argument interception, which can allocate,
 	// evict and collect (the proxy itself was stacked by enter).
 	rt.pushStack(r.obj.ID())
 	call := rt.frames.Enter(rt.depth, r.obj, args)
-	var err error
 	if call.Args, err = rt.intercept(call, call.Args, r.dst, "argument"); err != nil {
 		return nil, err
 	}

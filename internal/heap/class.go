@@ -243,30 +243,22 @@ func (c *Class) AddMethod(name string, m Method) *Class {
 	return c
 }
 
-// Method returns the body declared under name, for a dispatch that checks
-// the method exists before it calls it: one lookup serves both.
-func (c *Class) Method(name string) (Method, bool) {
-	if i := c.methodIndex(name); i >= 0 {
-		return c.methods[i].body, true
-	}
-	return nil, false
-}
-
 // Invoke dispatches method through the class's method table. This is THE
 // dispatch primitive — the direct runtime, the swapping runtime and the
 // baseline comparators all call it.
 func (c *Class) Invoke(method string, call *Call) ([]Value, error) {
-	body, err := c.lookup(method)
+	body, err := c.Method(method)
 	if err != nil {
 		return nil, err
 	}
 	return body(call)
 }
 
-// lookup returns the body declared under name, or the error Invoke reports.
-// It is a call of its own, not part of Invoke's frame, which every nesting
+// Method returns the body declared under name, or the ErrNoSuchMethod error
+// Invoke reports: one lookup for a dispatch that checks before it calls. It
+// is a call of its own, not part of Invoke's frame, which every nesting
 // level of dispatch keeps on the Go stack.
-func (c *Class) lookup(name string) (Method, error) {
+func (c *Class) Method(name string) (Method, error) {
 	if i := c.methodIndex(name); i >= 0 {
 		return c.methods[i].body, nil
 	}

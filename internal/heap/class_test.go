@@ -44,9 +44,9 @@ func TestClassLookupBySlot(t *testing.T) {
 			t.Fatalf("FieldByName(%q) = %v, %v; want %d", name, v, err, 10*i)
 		}
 		method := fmt.Sprintf("m%d", i)
-		body, ok := c.Method(method)
-		if !ok {
-			t.Fatalf("Method(%q) not found", method)
+		body, err := c.Method(method)
+		if err != nil {
+			t.Fatalf("Method(%q): %v", method, err)
 		}
 		res, err := body(frames.Enter(1, o, nil))
 		frames.Leave(1, res)
@@ -69,8 +69,8 @@ func TestClassLookupBySlot(t *testing.T) {
 	if err := o.SetFieldByName("nope", Int(1)); !errors.Is(err, ErrNoSuchField) || err.Error() != "heap: no such field: Wide.nope" {
 		t.Fatalf("SetFieldByName of an unknown name: %v", err)
 	}
-	if _, ok := c.Method("f0"); ok {
-		t.Fatal("Method found a field as a method")
+	if _, err := c.Method("f0"); !errors.Is(err, ErrNoSuchMethod) || err.Error() != "heap: no such method: Wide.f0" {
+		t.Fatalf("Method of a field's name: %v", err)
 	}
 	if _, err := c.Invoke("nope", frames.Enter(1, o, nil)); !errors.Is(err, ErrNoSuchMethod) || err.Error() != "heap: no such method: Wide.nope" {
 		t.Fatalf("Invoke of an unknown name: %v", err)

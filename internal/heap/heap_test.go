@@ -304,10 +304,10 @@ func TestClassMethodTable(t *testing.T) {
 	c := NewClass("T").
 		AddMethod("b", func(*Call) ([]Value, error) { return nil, nil }).
 		AddMethod("a", func(*Call) ([]Value, error) { return nil, nil })
-	if _, ok := c.Method("a"); !ok {
+	if _, err := c.Method("a"); err != nil {
 		t.Error("method a missing")
 	}
-	if _, ok := c.Method("zz"); ok {
+	if _, err := c.Method("zz"); err == nil {
 		t.Error("phantom method found")
 	}
 	names := c.MethodNames()
