@@ -139,7 +139,8 @@ go build ./...
 #   TestResidencyChurnAllocatesNothing, TestMarkEpochWrap,
 #   TestSweptOrderFollowsHistory, TestObjectLayouts (internal/heap): the
 #   heap's object table agrees with a Go map under colliding ids after every
-#   step; its index stays sized by peak residency after 200 000 ids are
+#   step, and keeps what was added since it was last aged in its young tail;
+#   its index stays sized by peak residency after 200 000 ids are
 #   minted and reclaimed; freeing and reinstalling 900 objects allocates only
 #   the batch's own 2 blocks (header array and slab); nothing reachable is freed across the wrap of
 #   the 32-bit mark epoch; twin heaps sweep in the same order; an Object's
@@ -383,6 +384,17 @@ if [ -n "$POOL" ] || [ -n "$EVICTGO" ]; then
     printf '%s\n%s\n' "$POOL" "$EVICTGO" >&2
     exit 1
 fi
+# Guard: the victim walk selects, it does not sort. SwapOutVictims gathers the
+# candidates unsorted, orders them as a binary heap and pops victims only
+# while enough asks for one more; a sort of every resident cluster on every
+# fault (rankVictims, once) stays off the eviction path: internal/core/evict.go
+# calls no slices.Sort* and names no rankVictims.
+EVICTSORT=$(grep -nE 'slices\.Sort|rankVictims' internal/core/evict.go || true)
+if [ -n "$EVICTSORT" ]; then
+    echo "the victim walk sorts (gather the candidates, heapifyVictims, popVictim until enough):" >&2
+    echo "$EVICTSORT" >&2
+    exit 1
+fi
 # Guard: the collector reports what it reclaimed one way. The swept list the
 # heap hands its owner's purge is its only report, and Manager.reclaimed
 # purges every manager record of a swept object from it under the runtime
@@ -548,10 +560,15 @@ go test -race -run '^TestFaultStormCoalesces$' -count=1 -cpu 1,4 ./internal/core
 # the test's goroutine (TestCollectAgainstConcurrentFieldWrites); and on
 # random heaps a young pass sweeps only garbage, nothing a full pass keeps,
 # and leaves what the full pass would once a full pass follows
-# (TestPropYoungPassSweepsOnlyGarbage, internal/heap). So do the victim
+# (TestPropYoungPassSweepsOnlyGarbage, internal/heap); and after every step of
+# a seeded mutator the resident list's young tail holds everything that
+# appeared since the last pass, everything before it is marked, and a young
+# pass sweeps exactly what a scan of the whole list finds
+# (TestYoungTailAfterEveryStep, internal/heap). So do the victim
 # walks: one visits exactly the ranking SelectVictims reports under each
-# strategy, skipping active and busy victims without retrying them
-# (TestSwapOutVictimsWalksTheRanking), two run against each other and against
+# strategy, skipping active and busy victims without retrying them, and one
+# that enough stops after 1 or 3 victims swaps out exactly that many, in
+# that order (TestSwapOutVictimsWalksTheRanking), two run against each other and against
 # reloads (TestConcurrentVictimWalks), and an edge count at zero waits for
 # the next purge, its record listed for it once (TestZeroEdgeWaitsForThePurge).
 # Replication reaches both heaps through their owners' locks: a replication
@@ -579,13 +596,13 @@ go test -race -count=10 -run '^(TestTriggerWhileRunningDoesNotRequeue|TestTrigge
 go test -race -count=10 -run '^(TestArmedAttemptContextIsNotReused|TestAttemptContextReportsParentFirst|TestPerAttemptTimeoutIsRetriedAsUnavailable|TestTimeoutExhaustionSurfacesAsUnavailableAndTripsBreaker|TestCallerCancellationFailsFastWithoutBlame)$' ./internal/transport/
 go test -race -count=10 -run '^(TestPrefetchWindowOverlap|TestReplicatedSwapSurvivesDonorLoss|TestDetachDeviceKicksRepair|TestScopeHoldsAHostReference|TestScopesBuildBesideEvictions)$' .
 go test -race -count=50 ./internal/placement/
-go test -race -count=10 -run '^(TestTriggerPrefetchAllocatesNothing|TestPrefetchHitRecordsParkedTime|TestCommitWindow|TestSweepBeforeEnlist|TestReissueBeforeEnlist|TestReissuedProxyBlockRefused|TestStaleReplacementHolderRefused|TestFaultStormCoalesces|TestReloadedStringsOutliveTheFetch|TestConcurrentSelectVictims|TestYoungPassAgainstConcurrentWrites|TestCollectAgainstConcurrentFieldWrites|TestPropYoungPassSweepsOnlyGarbage|TestSwapOutVictimsWalksTheRanking|TestConcurrentVictimWalks|TestZeroEdgeWaitsForThePurge|TestMintWindowIsClosed|TestCommitWindowIsClosed|TestReentryAcrossADemandFault|TestWalkerAgainstEvictingPrefetch|TestReplicationFaultBesidePrefetchWorkers|TestMasterServesBesideItsRuntime|TestReloadRoomTakenDuringEviction|TestHeapCollectionPurgesTheManager|TestHeapCollectionKeepsParkedFrames|TestWriteDuringShipIsKept)$' ./internal/core/ ./internal/heap/ ./internal/replication/
+go test -race -count=10 -run '^(TestTriggerPrefetchAllocatesNothing|TestPrefetchHitRecordsParkedTime|TestCommitWindow|TestSweepBeforeEnlist|TestReissueBeforeEnlist|TestReissuedProxyBlockRefused|TestStaleReplacementHolderRefused|TestFaultStormCoalesces|TestReloadedStringsOutliveTheFetch|TestConcurrentSelectVictims|TestYoungPassAgainstConcurrentWrites|TestCollectAgainstConcurrentFieldWrites|TestPropYoungPassSweepsOnlyGarbage|TestYoungTailAfterEveryStep|TestSwapOutVictimsWalksTheRanking|TestConcurrentVictimWalks|TestZeroEdgeWaitsForThePurge|TestMintWindowIsClosed|TestCommitWindowIsClosed|TestReentryAcrossADemandFault|TestWalkerAgainstEvictingPrefetch|TestReplicationFaultBesidePrefetchWorkers|TestMasterServesBesideItsRuntime|TestReloadRoomTakenDuringEviction|TestHeapCollectionPurgesTheManager|TestHeapCollectionKeepsParkedFrames|TestWriteDuringShipIsKept)$' ./internal/core/ ./internal/heap/ ./internal/replication/
 # The walker against the evicting prefetch workers a thousand times under the
 # race detector (about 10 s): the invocation stack was written with no lock
 # beside the workers' passes, which read it, until the runtime was one monitor.
 go test -race -count=1000 -run '^TestWalkerAgainstEvictingPrefetch$' ./internal/core/
-# The lock-count build once over internal/core, the facade, the policy engine
-# and replication: the runtime lock counts its acquisitions, the cluster
+# The lock-count build once over internal/core, internal/heap, the facade, the
+# policy engine and replication: the runtime lock counts its acquisitions, the cluster
 # table's caller-locked entry points assert it is held, and so do the heap's
 # entry points on every runtime (heap.Owner.Held): the heap's one way in is
 # Held.Heap inside Runtime.Locked, and a heap read or write from outside the
@@ -598,7 +615,7 @@ go test -race -count=1000 -run '^TestWalkerAgainstEvictingPrefetch$' ./internal/
 # resident B2 step of Figure 5 takes at most 2 acquisitions and a B1 step at
 # most 3 (the floor, heap.DirectRuntime, takes 2), down from 13 before the
 # swap, table and heap locks became one.
-go test -tags lockcount -count=1 ./internal/core/ . ./internal/policy/ ./internal/replication/
+go test -tags lockcount -count=1 ./internal/core/ ./internal/heap/ . ./internal/policy/ ./internal/replication/
 # The warm victim walk's allocation budget (TestEvictionBudget/warm-walk,
 # 0 objects besides its swap-outs) a thousand times under the tag (about
 # 16 s): it reads the process's malloc count, and the Go runtime's own

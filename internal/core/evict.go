@@ -12,9 +12,10 @@ import "errors"
 // single young collection that traces and sweeps only what appeared since
 // the previous pass (see heap.Heap.CollectYoung), and each victim's bytes
 // are back the moment its swap-out commits, so occupancy is re-read after
-// every swap without collecting again. The candidates are ranked once per
-// walk and walked in order (see SwapOutVictims); a fresh walk ranks them
-// again only when one is exhausted and the target is still unmet. Garbage a
+// every swap without collecting again. Each walk gathers the candidates
+// once and picks them best first, one at a time, only as long as the target
+// is unmet (see SwapOutVictims); a fresh walk gathers them again only when
+// one is exhausted and the target is still unmet. Garbage a
 // previous pass had already marked is beyond a young pass: when no victim is
 // left and the target is still unmet, one full pass (a Collect) looks for it
 // before the eviction gives up.
@@ -57,9 +58,12 @@ func (rt *Runtime) EvictWith(strategy VictimStrategy, need int64) error {
 // holds the runtime's eviction mark (EvictingSince) while it runs. It returns
 // how many clusters were swapped out.
 //
-// The walk ranks the candidates in a buffer it borrows from the table until
-// it ends, and walks that buffer in order: a warm walk allocates nothing of
-// its own.
+// The walk gathers the candidates, unsorted, in a buffer it borrows from the
+// table until it ends, orders the buffer as a binary heap and pops one
+// victim at a time, so a walk of k victims among n candidates costs
+// O(n + k log n) comparisons, not a sort of all n; ids break every tie, so
+// the victims come in exactly SelectVictims' order. A warm walk allocates
+// nothing of its own.
 func (rt *Runtime) SwapOutVictims(strategy VictimStrategy, enough func(swapped int) bool, opts ...SwapOption) (int, error) {
 	rt.lock()
 	defer rt.unlock()
@@ -70,15 +74,15 @@ func (rt *Runtime) SwapOutVictims(strategy VictimStrategy, enough func(swapped i
 // victim's shipment lets go of.
 func (rt *Runtime) swapOutVictims(strategy VictimStrategy, enough func(swapped int) bool, o swapOpts) (int, error) {
 	tab := &rt.mgr.table
-	ranked := rt.mgr.rankVictims(strategy, tab.victims)
+	candidates := rt.mgr.gatherVictims(strategy, tab.victims)
 	tab.victims = nil
-	defer func() { tab.keepVictims(ranked) }() // unless an overlapping walk put back a larger one
+	defer func() { tab.keepVictims(candidates) }() // unless an overlapping walk put back a larger one
 
+	heapifyVictims(candidates)
 	swapped := 0
-	for _, victim := range ranked {
-		if enough(swapped) {
-			break
-		}
+	for left := candidates; len(left) > 0 && !enough(swapped); {
+		var victim victimRank
+		victim, left = popVictim(left)
 		rt.beginEvict()
 		_, err := rt.swapOut(victim.id, o)
 		rt.endEvict()

@@ -3,11 +3,13 @@ package core
 import (
 	"cmp"
 	"errors"
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
 
 	"objectswap/internal/event"
+	"objectswap/internal/heap"
 )
 
 // TestSwapOutVictimsWalksTheRanking: under each strategy, the victim walk
@@ -15,7 +17,10 @@ import (
 // key, ties toward the lower id — and a victim that turns out to be active
 // or busy when its turn comes is skipped and never retried, even once it
 // could be swapped. Keys are set per cluster, with ties: recency and
-// crossings in the ledger, resident bytes by extra members.
+// crossings in the ledger, resident bytes by extra members. A walk that
+// enough stops after 1 victim, or after 3, swaps out exactly the first 1 or
+// 3 of that order and nothing past them, so a selection that picks victims
+// out of order, breaks a tie the other way or swaps one too many fails.
 func TestSwapOutVictimsWalksTheRanking(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -26,10 +31,13 @@ func TestSwapOutVictimsWalksTheRanking(t *testing.T) {
 		{"least-used", VictimLeastUsed, []uint64{2, 2, 0, 7, 0, 2, 4}},
 		{"largest", VictimLargest, []uint64{1, 3, 1, 0, 3, 2, 0}},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
+		// ranked builds a fixture with one cluster of four objects per key
+		// and returns it with the objects, the clusters, their expected
+		// ranking, and the clusters its swap-outs have reported so far.
+		ranked := func(t *testing.T) (f *fixture, ids []heap.ObjID, clusters, want []ClusterID, visited func() []ClusterID) {
 			bus := event.NewBus()
-			f := newFixture(t, 0, WithBus(bus))
-			ids, clusters := f.buildList(t, 4*len(tc.keys), 4, 32)
+			f = newFixture(t, 0, WithBus(bus))
+			ids, clusters = f.buildList(t, 4*len(tc.keys), 4, 32)
 			tab := &f.rt.mgr.table
 			for i, c := range clusters {
 				switch tc.strategy {
@@ -46,7 +54,7 @@ func TestSwapOutVictimsWalksTheRanking(t *testing.T) {
 					f.rt.unlock()
 				}
 			}
-			want := slices.Clone(clusters)
+			want = slices.Clone(clusters)
 			slices.SortStableFunc(want, func(a, b ClusterID) int {
 				ka, kb := tc.keys[slices.Index(clusters, a)], tc.keys[slices.Index(clusters, b)]
 				if tc.strategy == VictimLargest {
@@ -57,14 +65,45 @@ func TestSwapOutVictimsWalksTheRanking(t *testing.T) {
 			if got := f.rt.mgr.SelectVictims(tc.strategy); !slices.Equal(got, want) {
 				t.Fatalf("SelectVictims = %v, want %v", got, want)
 			}
-
 			var mu sync.Mutex
-			var visited []ClusterID
+			var seen []ClusterID
 			bus.Subscribe(event.TopicSwapOut, func(ev event.Event) {
 				mu.Lock()
-				visited = append(visited, ev.Payload.(SwapEvent).Cluster)
+				seen = append(seen, ev.Payload.(SwapEvent).Cluster)
 				mu.Unlock()
 			})
+			return f, ids, clusters, want, func() []ClusterID {
+				mu.Lock()
+				defer mu.Unlock()
+				return slices.Clone(seen)
+			}
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			for _, stop := range []int{1, 3} {
+				t.Run(fmt.Sprintf("stop-after-%d", stop), func(t *testing.T) {
+					f, _, _, want, visited := ranked(t)
+					calls := 0
+					swapped, err := f.rt.SwapOutVictims(tc.strategy, func(n int) bool {
+						calls++
+						return n >= stop
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := visited(); !slices.Equal(got, want[:stop]) || swapped != stop || calls != stop+1 {
+						t.Fatalf("walk swapped %d: %v after %d turns; want %v after %d", swapped, got, calls, want[:stop], stop+1)
+					}
+					for _, c := range want[stop:] {
+						if f.rt.mgr.IsSwapped(c) {
+							t.Fatalf("cluster %d swapped out past enough", c)
+						}
+					}
+					checkClean(t, f.rt)
+				})
+			}
+
+			f, ids, clusters, want, visited := ranked(t)
+			tab := &f.rt.mgr.table
 			active, busy := want[1], want[3]
 			f.rt.stack = append(f.rt.stack, ids[4*slices.Index(clusters, active)])
 			// enough runs under the walk's hold of the runtime lock.
@@ -87,8 +126,8 @@ func TestSwapOutVictimsWalksTheRanking(t *testing.T) {
 			}
 			skipped := []ClusterID{active, busy}
 			wantSwapped := slices.DeleteFunc(slices.Clone(want), func(c ClusterID) bool { return slices.Contains(skipped, c) })
-			if !slices.Equal(visited, wantSwapped) || swapped != len(wantSwapped) || calls != len(want) {
-				t.Fatalf("walk swapped %d: %v after %d turns; want %v (%v skipped) after %d", swapped, visited, calls, wantSwapped, skipped, len(want))
+			if got := visited(); !slices.Equal(got, wantSwapped) || swapped != len(wantSwapped) || calls != len(want) {
+				t.Fatalf("walk swapped %d: %v after %d turns; want %v (%v skipped) after %d", swapped, got, calls, wantSwapped, skipped, len(want))
 			}
 			for _, c := range skipped {
 				if f.rt.mgr.IsSwapped(c) {

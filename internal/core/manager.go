@@ -803,7 +803,8 @@ func (m *Manager) SelectVictims(strategy VictimStrategy) []ClusterID {
 	m.rt.lock()
 	defer m.rt.unlock()
 	tab := &m.table
-	ranked := m.rankVictims(strategy, tab.victims)
+	ranked := m.gatherVictims(strategy, tab.victims)
+	slices.SortFunc(ranked, victimRank.compare)
 	out := make([]ClusterID, len(ranked))
 	for i, r := range ranked {
 		out[i] = r.id
@@ -820,9 +821,9 @@ func (tab *clusterTable) keepVictims(buf []victimRank) {
 	}
 }
 
-// rankVictims appends every eligible eviction candidate under strategy to
-// buf[:0], with its ranking key, and sorts them best victim first.
-func (m *Manager) rankVictims(strategy VictimStrategy, buf []victimRank) []victimRank {
+// gatherVictims appends every eligible eviction candidate under strategy to
+// buf[:0], with its ranking key, in the cluster table's order.
+func (m *Manager) gatherVictims(strategy VictimStrategy, buf []victimRank) []victimRank {
 	ranked := buf[:0]
 	for cs := range m.table.clusters.all {
 		if cs.id == RootCluster || cs.where != resident || len(cs.members) == 0 {
@@ -839,7 +840,6 @@ func (m *Manager) rankVictims(strategy VictimStrategy, buf []victimRank) []victi
 		}
 		ranked = append(ranked, r)
 	}
-	slices.SortFunc(ranked, victimRank.compare)
 	return ranked
 }
 
@@ -855,6 +855,43 @@ func (a victimRank) compare(b victimRank) int {
 		return c
 	}
 	return cmp.Compare(a.id, b.id)
+}
+
+// heapifyVictims orders buf as a binary min-heap under victimRank.compare:
+// buf[0] is the best victim.
+func heapifyVictims(buf []victimRank) {
+	for i := len(buf)/2 - 1; i >= 0; i-- {
+		siftVictim(buf, i)
+	}
+}
+
+// popVictim removes the best victim from the heap buf and returns it with
+// the heap that is left.
+func popVictim(buf []victimRank) (victimRank, []victimRank) {
+	best, last := buf[0], len(buf)-1
+	buf[0] = buf[last]
+	buf = buf[:last]
+	siftVictim(buf, 0)
+	return best, buf
+}
+
+// siftVictim moves buf[i] down the heap buf until neither child ranks
+// before it.
+func siftVictim(buf []victimRank, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(buf) {
+			return
+		}
+		if r := c + 1; r < len(buf) && buf[r].compare(buf[c]) < 0 {
+			c = r
+		}
+		if buf[i].compare(buf[c]) <= 0 {
+			return
+		}
+		buf[i], buf[c] = buf[c], buf[i]
+		i = c
+	}
 }
 
 // SelectVictim picks the next cluster to swap out under the given strategy:

@@ -29,8 +29,8 @@ type CollectStats struct {
 //
 // The mark phase resolves each reference with one probe of the heap's
 // open-addressed object index, and the sweep walks the dense list of
-// residents, so a pass costs one probe per reference followed plus one step
-// per resident object, and no Go map is hashed per object. The pass
+// residents, so a full pass costs one probe per reference followed plus one
+// step per resident object, and no Go map is hashed per object. The pass
 // allocates only to grow the sweep buffer, to the largest count any pass has
 // reclaimed, and the pool: marks are a per-object epoch word, and the work
 // list and the buffer live on the heap.
@@ -53,21 +53,26 @@ func (h *Heap) Collect() CollectStats {
 //
 // So a young pass never sweeps a reachable object, and it sweeps a subset of
 // what a full pass would: garbage that a pass had already marked (an old
-// object dropped since) waits for a full pass. Its cost is one probe per
-// reference it follows from those roots plus one step per resident object in
-// the sweep. When the remembered young objects or the installed batches
-// since the previous pass would outnumber the residents, it runs as a full
-// pass instead. Either way it counts as one collection.
+// object dropped since) waits for a full pass. Every object the previous pass
+// left is marked, and the heap keeps what appeared since then in the tail of
+// its resident list (see objTable), so the sweep walks that tail alone. Its
+// cost is one probe per reference it follows from those roots plus one step
+// per object that appeared since the previous pass, whatever the number of
+// residents. When the remembered young objects or the installed batches since
+// the previous pass would outnumber the residents, it runs as a full pass
+// instead. Either way it counts as one collection.
 func (h *Heap) CollectYoung() CollectStats {
 	return h.collect(true)
 }
 
 // collect is the one mark-sweep pass behind Collect and CollectYoung. A full
-// pass advances the epoch, which unmarks every object, and marks from every
-// root; a young pass keeps the epoch and marks from the remembered set
-// instead of the roots. Both mark from the pins and the owner's roots, and
-// the trace, the sweep, the purge and the pooling are the same code for
-// both, in that order.
+// pass advances the epoch, which unmarks every object, marks from every root
+// and sweeps the whole resident list; a young pass keeps the epoch, marks
+// from the remembered set instead of the roots and sweeps the list's young
+// tail. Both mark from the pins and the owner's roots, and the trace, the
+// sweep, the purge and the pooling are the same code for both, in that order.
+// Either leaves every resident marked, and old: what the purge allocates
+// starts the next young tail.
 func (h *Heap) collect(young bool) CollectStats {
 	h.held()
 	var began time.Time
@@ -75,7 +80,8 @@ func (h *Heap) collect(young bool) CollectStats {
 		began = h.gcClock.Now()
 	}
 
-	if young && !h.overflowed {
+	full := !young || h.overflowed
+	if !full {
 		for _, id := range h.remembered {
 			h.markID(id)
 		}
@@ -118,9 +124,15 @@ func (h *Heap) collect(young bool) CollectStats {
 		h.markFields(o)
 	}
 
+	// Every object a previous pass left is marked unless this pass is full,
+	// so a young pass sweeps the objects added since then alone.
+	scope := h.objects.list
+	if !full {
+		scope = h.objects.added()
+	}
 	var st CollectStats
 	dead := 0
-	for _, o := range h.objects.list {
+	for _, o := range scope {
 		if o.mark != h.epoch {
 			dead++
 		}
@@ -129,15 +141,20 @@ func (h *Heap) collect(young bool) CollectStats {
 		if cap(h.swept) < dead {
 			h.swept = make([]*Object, 0, dead)
 		}
-		for _, o := range h.objects.list {
+		for _, o := range scope {
 			if o.mark != h.epoch {
 				h.swept = append(h.swept, o)
 			}
 		}
-		for _, o := range h.swept {
-			h.unlink(o.id, &st)
+		// Last first: objects added together sit together, in the list's
+		// tail and, by their consecutive ids, in runs of the index, so a
+		// removal finds what followed it there already gone and shifts
+		// little back.
+		for i := len(h.swept) - 1; i >= 0; i-- {
+			h.unlink(h.swept[i].id, &st)
 		}
 	}
+	h.objects.age() // what the purge allocates is young
 	st.Live = len(h.objects.list)
 	h.collections.Add(1)
 	h.finishReclaim(&st)
@@ -273,12 +290,14 @@ func (h *Heap) finishReclaim(st *CollectStats) {
 // once, so the caller lets go of it. The swapping runtime calls it when a
 // swap-out commits — the shipped members are unreachable by construction, so
 // there is nothing for a mark phase to decide — and when a swap-in commits,
-// for the replacement-object it retired.
+// for the replacement-object it retired. It unlinks the ids last first, as a
+// sweep does: a cluster's members, named in ascending order, sit in adjacent
+// runs of the index.
 func (h *Heap) Free(ids []ObjID) CollectStats {
 	h.held()
 	var st CollectStats
-	for _, id := range ids {
-		if o := h.unlink(id, &st); o != nil {
+	for i := len(ids) - 1; i >= 0; i-- {
+		if o := h.unlink(ids[i], &st); o != nil {
 			h.pool(o)
 		}
 	}

@@ -67,6 +67,8 @@ type Heap struct {
 	// sticky: an object a pass marked stays marked, old, until a full pass
 	// advances the epoch; one with any other mark (0 for a new object) is
 	// young. epoch starts at 1 so that a new object is young from the start.
+	// Every pass leaves every resident marked, and the objects that appear
+	// after it sit in the young tail of objects' resident list.
 	epoch uint32
 	work  []*Object
 
@@ -140,9 +142,10 @@ type Owner struct {
 	Roots func() []ObjID
 	// Purge is handed what a pass swept, detached with their fields intact,
 	// so the owner drops every record it keeps of them. The order is the
-	// heap's resident list, a function of the heap's history of allocations,
-	// installs and reclamations, so two heaps built by the same sequence of
-	// calls sweep the same objects in the same order. The list and the
+	// heap's resident list (a young pass walks its young tail alone), a
+	// function of the heap's history of allocations, installs, reclamations
+	// and passes, so two heaps built by the same sequence of calls sweep the
+	// same objects in the same order. The list and the
 	// objects in it are valid only during the call: then the blocks of the
 	// pooled ones (see pooled) join the pool the next allocation reissues
 	// from. Purge may allocate, but not collect.

@@ -11,15 +11,22 @@ import "math/bits"
 // shifting later entries of a probe run back (no tombstones) and grows at 3/4
 // load. It never shrinks: its size is bounded by the peak resident count,
 // whatever the number of ids ever minted, and a heap that swaps the same
-// clusters out and back in reuses its slots instead of rebuilding them. Each
-// object records its position in the dense list, which removal fills by
-// moving the last entry into the hole.
+// clusters out and back in reuses its slots instead of rebuilding them.
+//
+// The dense list is split in two: list[:young] holds what was resident at the
+// last collection (age), list[young:] what was added since, in the order it
+// was added, so a young pass sweeps the tail alone. Each object records its
+// position in the list. Removing an object from the tail moves the last entry
+// into the hole; removing one from the head moves the head's last entry into
+// the hole and then the list's last entry into the slot that frees, so both
+// parts stay contiguous.
 //
 // The caller holds the heap owner's lock.
 type objTable struct {
 	slots []objSlot // power-of-two length; an id of NilID marks an empty slot
 	shift uint8     // 64 - log2(len(slots))
 	list  []*Object // the residents, o.pos indexing o
+	young uint32    // list[young:] was added since the last age
 }
 
 const gone = ^uint32(0) // pos of an object the table no longer holds
@@ -123,12 +130,31 @@ func (t *objTable) del(id ObjID) *Object {
 	}
 	t.slots[i] = objSlot{}
 
-	last := len(t.list) - 1
-	moved := t.list[last]
-	t.list[o.pos] = moved
-	moved.pos = o.pos
+	hole := o.pos
+	if hole < t.young {
+		t.young--
+		t.move(t.young, hole)
+		hole = t.young
+	}
+	last := uint32(len(t.list) - 1)
+	if hole != last {
+		t.move(last, hole)
+	}
 	t.list[last] = nil
 	t.list = t.list[:last]
 	o.pos = gone
 	return o
 }
+
+// move puts the list entry at from into position to.
+func (t *objTable) move(from, to uint32) {
+	o := t.list[from]
+	t.list[to] = o
+	o.pos = to
+}
+
+// age makes every resident old: the next entries added form the young tail.
+func (t *objTable) age() { t.young = uint32(len(t.list)) }
+
+// added returns the residents added since the last age.
+func (t *objTable) added() []*Object { return t.list[t.young:] }

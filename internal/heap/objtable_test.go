@@ -11,11 +11,16 @@ import (
 // checkTable asserts that t holds exactly the objects of model: the dense
 // list has one entry per object and each knows its position, every object is
 // found through the index, no slot is occupied beyond them, and the index is
-// within its load bound.
+// within its load bound. The model's objects carry mark 1 when they were put
+// since the table was last aged, and 0 otherwise: the first sit in the young
+// tail, the others before it.
 func checkTable(t *testing.T, tab *objTable, model map[ObjID]*Object) {
 	t.Helper()
 	if len(tab.list) != len(model) {
 		t.Fatalf("table holds %d objects, model %d", len(tab.list), len(model))
+	}
+	if int(tab.young) > len(tab.list) {
+		t.Fatalf("young tail starts at %d of %d objects", tab.young, len(tab.list))
 	}
 	for i, o := range tab.list {
 		if int(o.pos) != i {
@@ -23,6 +28,9 @@ func checkTable(t *testing.T, tab *objTable, model map[ObjID]*Object) {
 		}
 		if model[o.id] != o {
 			t.Fatalf("list holds object %d, which the model does not", o.id)
+		}
+		if added := i >= int(tab.young); added != (o.mark == 1) {
+			t.Fatalf("object %d at list position %d, young tail at %d, added since the last age: %v", o.id, i, tab.young, o.mark == 1)
 		}
 	}
 	for id, o := range model {
@@ -57,8 +65,10 @@ func wrapsPastEnd(tab *objTable) bool {
 
 // TestObjTableMatchesMap drives seeded put/get/delete sequences against a Go
 // map. Ids come from a narrow range, so probe runs collide and deletions
-// shift entries back across the end of the slot array; the dense list is
-// checked against the index after every step.
+// shift entries back across the end of the slot array; the table is aged
+// every few steps, so deletions fill holes in the old part of the dense list
+// and in its young tail; the dense list is checked against the index after
+// every step.
 func TestObjTableMatchesMap(t *testing.T) {
 	wrappedDeletes := 0
 	for seed := int64(1); seed <= 20; seed++ {
@@ -67,11 +77,17 @@ func TestObjTableMatchesMap(t *testing.T) {
 		model := map[ObjID]*Object{}
 		span := 4 + r.Intn(60)
 		for step := 0; step < 2000; step++ {
+			if step%37 == 0 {
+				tab.age()
+				for _, o := range tab.list {
+					o.mark = 0
+				}
+			}
 			id := ObjID(1 + r.Intn(span))
 			switch r.Intn(3) {
 			case 0:
 				if model[id] == nil {
-					o := &Object{id: id}
+					o := &Object{id: id, mark: 1}
 					tab.put(o)
 					model[id] = o
 				}

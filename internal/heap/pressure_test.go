@@ -1,6 +1,7 @@
 package heap
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -388,6 +389,180 @@ func TestPropYoungPassSweepsOnlyGarbage(t *testing.T) {
 			if young.Used() != full.Used() {
 				t.Fatalf("seed %d round %d: used %d, the full twin's %d", seed, round, young.Used(), full.Used())
 			}
+		}
+	}
+}
+
+// TestYoungTailAfterEveryStep: the resident list keeps what appeared since the
+// last pass in its tail, list[young:], whatever the mutator does. A seeded mix
+// of steps — New, NewPrivileged reissuing a pooled block, a Free and a
+// reinstalling InstallBatch (some refused by a resident id at their end and
+// rolled back), Free, Remove, a write into an old object, young and full
+// passes, the full ones wrapping the epoch — is checked after every step:
+// list[:young] is all marked with the current epoch, and every object
+// allocated or installed since the last pass sits at or after young. Every
+// pass's purge checks that the pass swept exactly what a scan of the whole
+// list finds unmarked, so a young pass that walked only the tail missed
+// nothing. check.sh runs it ten times under the race detector.
+func TestYoungTailAfterEveryStep(t *testing.T) {
+	var reissued, refused, wraps, youngSwept int
+	for seed := int64(1); seed <= 30; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		h := New(0)
+		h.epoch = math.MaxUint32 - 3 // the fourth full pass wraps
+		c, pc := fanClass(), scProxyClass()
+		next, _ := c.FieldIndex("next")
+		young := false
+		h.RegisterOwner(Owner{Purge: func(swept []*Object) {
+			for _, o := range h.objects.list {
+				if o.mark != h.epoch {
+					t.Fatalf("seed %d: @%d unmarked after the pass, and not swept", seed, o.id)
+				}
+			}
+			for _, o := range swept {
+				if o.mark == h.epoch {
+					t.Fatalf("seed %d: marked @%d swept", seed, o.id)
+				}
+			}
+			if young {
+				youngSwept += len(swept)
+			}
+		}})
+		fresh := map[ObjID]bool{} // appeared since the last pass
+		resident := func() *Object {
+			if len(h.objects.list) == 0 {
+				return nil
+			}
+			return h.objects.list[r.Intn(len(h.objects.list))]
+		}
+		ref := func() Value {
+			if o := resident(); o != nil && r.Intn(4) > 0 {
+				return o.RefTo()
+			}
+			return Nil()
+		}
+		drop := func(ids ...ObjID) {
+			for _, id := range ids {
+				delete(fresh, id)
+			}
+		}
+		for step := 0; step < 300; step++ {
+			switch k := r.Intn(10); k {
+			case 0, 1:
+				o, err := h.New(c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := o.SetField(next, ref()); err != nil {
+					t.Fatal(err)
+				}
+				if r.Intn(3) == 0 {
+					h.SetRoot(string(rune('a'+r.Intn(4))), o.RefTo())
+				}
+				fresh[o.id] = true
+			case 2:
+				if len(h.free[pc.NumFields()]) > 0 {
+					reissued++
+				}
+				o, err := h.NewPrivileged(pc, ref(), Int(int64(step)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh[o.id] = true
+			case 3:
+				var ids []ObjID
+				for range 1 + r.Intn(3) {
+					if o := resident(); o != nil && !slices.Contains(ids, o.id) {
+						ids = append(ids, o.id)
+					}
+				}
+				h.Free(ids)
+				drop(ids...)
+				if o := resident(); o != nil && r.Intn(3) == 0 {
+					b := MakeBatch(len(ids)+1, (len(ids)+1)*c.NumFields())
+					for _, id := range ids {
+						b.Add(id, c)
+					}
+					b.Add(o.id, c)
+					if _, err := h.InstallBatch(&b); err == nil {
+						t.Fatalf("seed %d step %d: a batch naming resident @%d was installed", seed, step, o.id)
+					}
+					refused++
+					checkYoungTail(t, h, fresh)
+				}
+				b := MakeBatch(len(ids), len(ids)*c.NumFields())
+				for _, id := range ids {
+					b.Add(id, c)[next] = ref()
+				}
+				if _, err := h.InstallBatch(&b); err != nil {
+					t.Fatal(err)
+				}
+				for _, id := range ids {
+					fresh[id] = true
+				}
+			case 4:
+				if o := resident(); o != nil {
+					h.Free([]ObjID{o.id})
+					drop(o.id)
+				}
+			case 5:
+				if o := resident(); o != nil {
+					if err := h.Remove(o.id); err != nil {
+						t.Fatal(err)
+					}
+					drop(o.id)
+				}
+			case 6, 7:
+				if h.objects.young > 0 {
+					old := h.objects.list[r.Intn(int(h.objects.young))]
+					if old.class == c {
+						if err := old.SetField(next, ref()); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			case 8, 9:
+				before := h.epoch
+				young = k == 8
+				if young {
+					h.CollectYoung()
+				} else {
+					h.Collect()
+				}
+				if h.epoch < before {
+					wraps++
+				}
+				clear(fresh)
+			}
+			checkYoungTail(t, h, fresh)
+		}
+	}
+	if reissued == 0 || refused == 0 || wraps == 0 || youngSwept == 0 {
+		t.Fatalf("%d reissued blocks, %d refused batches, %d epoch wraps, %d objects swept by young passes: want each", reissued, refused, wraps, youngSwept)
+	}
+}
+
+// checkYoungTail asserts the split of h's resident list: every object before
+// young is marked with the current epoch, and every id of fresh is resident
+// at or after young.
+func checkYoungTail(t *testing.T, h *Heap, fresh map[ObjID]bool) {
+	t.Helper()
+	tab := &h.objects
+	if int(tab.young) > len(tab.list) {
+		t.Fatalf("young tail starts at %d of %d residents", tab.young, len(tab.list))
+	}
+	for i, o := range tab.list {
+		if int(o.pos) != i {
+			t.Fatalf("@%d at list position %d records position %d", o.id, i, o.pos)
+		}
+		if i < int(tab.young) && o.mark != h.epoch {
+			t.Fatalf("@%d before the young tail (%d) has mark %d, epoch %d", o.id, tab.young, o.mark, h.epoch)
+		}
+	}
+	for id := range fresh {
+		o := tab.get(id)
+		if o == nil || o.pos < tab.young {
+			t.Fatalf("@%d appeared since the last pass, not in the young tail at %d (%v)", id, tab.young, o)
 		}
 	}
 }
