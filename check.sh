@@ -78,8 +78,13 @@ go build ./...
 #   is never reused, so its event's Trace and Phases and the contexts a donor
 #   kept from its Put and Get read the same, trace included, ten swaps and
 #   three collections later.
-# - TestOneClockReadPerCrossing (internal/core): a crossing reads the clock
-#   once — monotonically only on a real clock.
+# - TestCrossingReadsNoClockOnAStopwatch (internal/core): on a real clock a
+#   crossing reads no clock: 100 crossings take no full reading and at most
+#   2 + elapsed/1 ms monotonic ones, the tracker's refreshes of the coarse
+#   instant accesses are dated with (at most one refresh period plus
+#   scheduling delay late, never before the last full reading); swaps and
+#   waits keep full readings. On any other clock a crossing is one full
+#   reading, so a VirtualClock dates it exactly.
 # - TestUncoalescedFaultAllocatesNothing (internal/fault): a warm Engine.Do
 #   no waiter joins allocates nothing (its flight comes off the engine's
 #   free list; the channel waiters park on is made only when one joins).
@@ -268,6 +273,16 @@ IFACES=$(grep -nE 'type[[:space:]]+(PrefetchHit)?Telemetry[[:space:]]+interface'
 if [ -n "$MAPS" ] || [ "$WRITERS" != "internal/core/ledger.go" ] || [ -n "$IFACES" ]; then
     echo "access ledger forked (want no per-cluster map in internal/telemetry, counters written only by internal/core/ledger.go, no Telemetry interface in core):" >&2
     printf '%s\n%s\n%s\n' "$MAPS" "$WRITERS" "$IFACES" >&2
+    exit 1
+fi
+# Guard: an access reads no clock. The ledger's access feeds (enterCrossing,
+# touch, in internal/core/ledger.go) and the allocation feed (Manager.assign)
+# date an access with the tracker's coarse instant (Tracker.AccessNow), never
+# with a full reading (telem.Now()), which is for swap dates and waits.
+FULLREADS=$( (grep -n 'telem\.Now()' internal/core/ledger.go || true; grep -nE 'feed\(.*(used|crossed|accessed),.*telem\.Now\(\)' internal/core/*.go | grep -v '_test\.go:' || true) )
+if [ -n "$FULLREADS" ]; then
+    echo "an access feed takes a full clock reading (want Tracker.AccessNow):" >&2
+    printf '%s\n' "$FULLREADS" >&2
     exit 1
 fi
 # Guard: a cluster's donor copy is one record with one rule. cs.retained — the
@@ -596,6 +611,12 @@ go test -race -count=10 -run '^(TestTriggerWhileRunningDoesNotRequeue|TestTrigge
 go test -race -count=10 -run '^(TestArmedAttemptContextIsNotReused|TestAttemptContextReportsParentFirst|TestPerAttemptTimeoutIsRetriedAsUnavailable|TestTimeoutExhaustionSurfacesAsUnavailableAndTripsBreaker|TestCallerCancellationFailsFastWithoutBlame)$' ./internal/transport/
 go test -race -count=10 -run '^(TestPrefetchWindowOverlap|TestReplicatedSwapSurvivesDonorLoss|TestDetachDeviceKicksRepair|TestScopeHoldsAHostReference|TestScopesBuildBesideEvictions)$' .
 go test -race -count=50 ./internal/placement/
+# The coarse access instant a hundred times under the race detector (about
+# 6 s): its readings never go back against a concurrent read side and the
+# refresh timer, an access is never dated before a read ahead of it, a warm
+# reading allocates nothing, and an idle tracker disarms its timer and wakes
+# with a fresh reading.
+go test -race -count=100 -run '^TestAccessNow' ./internal/telemetry/
 go test -race -count=10 -run '^(TestTriggerPrefetchAllocatesNothing|TestPrefetchHitRecordsParkedTime|TestCommitWindow|TestSweepBeforeEnlist|TestReissueBeforeEnlist|TestReissuedProxyBlockRefused|TestStaleReplacementHolderRefused|TestFaultStormCoalesces|TestReloadedStringsOutliveTheFetch|TestConcurrentSelectVictims|TestYoungPassAgainstConcurrentWrites|TestCollectAgainstConcurrentFieldWrites|TestPropYoungPassSweepsOnlyGarbage|TestYoungTailAfterEveryStep|TestSwapOutVictimsWalksTheRanking|TestConcurrentVictimWalks|TestZeroEdgeWaitsForThePurge|TestMintWindowIsClosed|TestCommitWindowIsClosed|TestReentryAcrossADemandFault|TestWalkerAgainstEvictingPrefetch|TestReplicationFaultBesidePrefetchWorkers|TestMasterServesBesideItsRuntime|TestReloadRoomTakenDuringEviction|TestHeapCollectionPurgesTheManager|TestHeapCollectionKeepsParkedFrames|TestWriteDuringShipIsKept)$' ./internal/core/ ./internal/heap/ ./internal/replication/
 # The walker against the evicting prefetch workers a thousand times under the
 # race detector (about 10 s): the invocation stack was written with no lock

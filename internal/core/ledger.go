@@ -20,7 +20,12 @@ const (
 // counters), the record victim selection, ClusterInfo and the telemetry plane
 // all read. The caller holds the runtime lock. tick dates recency, for
 // the kinds that advance it; now dates heat and thrash, and is the zero
-// Instant, read from no clock, when no tracker is attached (Tracker.Now).
+// Instant, read from no clock, when no tracker is attached. An access
+// (accessed, used, crossed) is dated with the tracker's coarse instant
+// (Tracker.AccessNow), which reads no clock while the tracker is in use and
+// is at most one refresh period plus scheduling delay late, never before the
+// last full reading; a swap (shipped, reloaded) with a full reading
+// (Tracker.Now), which the thrash window needs.
 func (m *Manager) feed(cs *clusterState, what access, tick uint64, now telemetry.Instant) {
 	l, t := &cs.ledger, m.rt.telem
 	switch what {
@@ -45,11 +50,12 @@ func (m *Manager) feed(cs *clusterState, what access, tick uint64, now telemetry
 // enterCrossing is the hot-path combination used by proxy dispatch: it
 // records a crossing from cluster src into cluster dst, the home its proxy's
 // header names, and reports whether dst is currently swapped out, with both
-// ends of the crossing dated by one reading of each clock.
+// ends of the crossing dated by one tick of the recency clock and one coarse
+// instant (Tracker.AccessNow): on a real clock, a crossing reads no clock.
 func (m *Manager) enterCrossing(src, dst ClusterID) (swapped bool) {
 	m.rt.assertLocked()
 	m.clock++
-	tick, now := m.clock, m.rt.telem.Now()
+	tick, now := m.clock, m.rt.telem.AccessNow()
 	if cs := m.table.clusters.get(dst); cs != nil {
 		m.feed(cs, crossed, tick, now)
 		swapped = cs.where.out()
@@ -68,7 +74,8 @@ func (m *Manager) enterCrossing(src, dst ClusterID) (swapped bool) {
 // every write to an application object (NewRuntime registers it as a write
 // observer), dispatch for every read in place. Middleware writes never arrive
 // (the heap runs no observer for them). With no tracker, a read costs one
-// load.
+// load; with one, the touch is dated with the coarse instant
+// (Tracker.AccessNow) and reads no clock on a real one.
 func (m *Manager) touch(o *heap.Object, write bool) {
 	track := m.rt.telem != nil
 	if !track && !write {
@@ -82,7 +89,7 @@ func (m *Manager) touch(o *heap.Object, write bool) {
 		cs.changed()
 	}
 	if track {
-		m.feed(cs, accessed, 0, m.rt.telem.Now())
+		m.feed(cs, accessed, 0, m.rt.telem.AccessNow())
 	}
 }
 

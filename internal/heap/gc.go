@@ -254,7 +254,10 @@ func (h *Heap) remember(v *Value) {
 
 // unlink takes one object out of the heap's tables, tallies it in st and
 // returns it; an id that is not resident is skipped (nil). The caller
-// releases the bytes through finishReclaim afterwards.
+// releases the bytes through finishReclaim afterwards. It leaves the pin map
+// alone: pins are roots of every pass, so a sweep never unlinks a pinned
+// object, and the explicit removals (Free, Remove) drop a pin through
+// unpinAll.
 func (h *Heap) unlink(id ObjID, st *CollectStats) *Object {
 	o := h.objects.del(id)
 	if o == nil {
@@ -262,8 +265,16 @@ func (h *Heap) unlink(id ObjID, st *CollectStats) *Object {
 	}
 	st.Reclaimed++
 	st.BytesFreed += int64(o.size)
-	delete(h.pins, o.id)
 	return o
+}
+
+// unpinAll drops every pin on an object an explicit removal took out; the
+// map is empty but while a middleware reference is pinned, so the common
+// removal hashes nothing.
+func (h *Heap) unpinAll(id ObjID) {
+	if len(h.pins) > 0 {
+		delete(h.pins, id)
+	}
 }
 
 // pool puts the block of a reclaimed object of a pooled class in the pool
@@ -298,6 +309,7 @@ func (h *Heap) Free(ids []ObjID) CollectStats {
 	var st CollectStats
 	for i := len(ids) - 1; i >= 0; i-- {
 		if o := h.unlink(ids[i], &st); o != nil {
+			h.unpinAll(o.id)
 			h.pool(o)
 		}
 	}

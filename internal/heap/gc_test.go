@@ -280,3 +280,31 @@ func TestFreeReclaimsExactlyTheGivenObjects(t *testing.T) {
 		t.Fatalf("Free counted %d collections, want 0", n)
 	}
 }
+
+// A pinned object is a root of every pass, young and full, so the sweep,
+// which no longer touches the pin map, never unlinks one; its pin goes with
+// the explicit Free that takes it, or with its Unpin.
+func TestPinnedSurvivesEveryPass(t *testing.T) {
+	h := New(0)
+	owner := own(h)
+	objs := buildChain(t, h, 2) // unreachable but for the pins
+	h.Pin(objs[0].ID())
+	h.Pin(objs[1].ID())
+	if st := h.CollectYoung(); st.Reclaimed != 0 {
+		t.Fatalf("young pass reclaimed %d pinned objects", st.Reclaimed)
+	}
+	if st := h.Collect(); st.Reclaimed != 0 || owner.take() != nil {
+		t.Fatalf("full pass reclaimed %d pinned objects", st.Reclaimed)
+	}
+	if !h.Contains(objs[0].ID()) || !h.Contains(objs[1].ID()) || len(h.pins) != 2 {
+		t.Fatalf("after two passes: resident %v, pins %v", h.IDs(), h.pins)
+	}
+	h.Free([]ObjID{objs[1].ID()})
+	h.Unpin(objs[0].ID())
+	if len(h.pins) != 0 {
+		t.Fatalf("after Free and Unpin the pin map holds %v", h.pins)
+	}
+	if st := h.Collect(); st.Reclaimed != 1 || h.Contains(objs[0].ID()) {
+		t.Fatalf("the unpinned object survived a full pass: %+v", st)
+	}
+}

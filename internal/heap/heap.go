@@ -580,6 +580,7 @@ func (h *Heap) Remove(id ObjID) error {
 	if o == nil {
 		return fmt.Errorf("%w: @%d", ErrNoSuchObject, id)
 	}
+	h.unpinAll(id)
 	h.pool(o)
 	h.removed.Add(1)
 	h.release(st.BytesFreed)

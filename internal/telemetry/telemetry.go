@@ -13,6 +13,10 @@
 // the Clusters iteration, which takes the runtime lock: every read (gauge
 // scrape, endpoint, snapshot) must come from a path that does not hold it.
 // wssMu, which guards the sample ring, is only taken on that side.
+//
+// Two readers date the write side. An access (Touch) is dated with AccessNow,
+// on a real clock a coarse instant a timer refreshes while accesses arrive,
+// so that an access reads no clock; a swap is dated with Now, a full reading.
 package telemetry
 
 import (
@@ -33,6 +37,18 @@ const (
 	ClassWarm = "warm"
 	ClassCold = "cold"
 )
+
+// heatClass is a ledger's heat class as a touch keeps it: a small integer it
+// compares and stores, named (classNames) only where a read side reports it.
+type heatClass uint8
+
+const (
+	heatCold heatClass = iota // the zero class: a ledger never touched is cold
+	heatWarm
+	heatHot
+)
+
+var classNames = [...]string{heatCold: ClassCold, heatWarm: ClassWarm, heatHot: ClassHot}
 
 // Fault kinds for objectswap_fault_seconds{kind}. A fault caused by the
 // prefetcher (cause "prefetch") records as KindPrefetch — background work,
@@ -133,7 +149,7 @@ type Ledger struct {
 	// lazily when read; last is the instant of the last touch.
 	score       float64
 	last        Instant
-	class       string
+	class       heatClass
 	thrash      float64
 	thrashLast  Instant
 	lastSwapOut Instant // zero once a swap-in has answered it
@@ -169,14 +185,21 @@ type Tracker struct {
 	clusters     Clusters
 
 	// epoch is the instant 0 of the tracker's clock (Instant). On a
-	// Stopwatch clock, watch is that clock and base its last full reading:
-	// Now dates an access base's instant plus the monotonic time since base,
-	// one monotonic read where a full reading takes two clocks. Every read
-	// side re-bases, so the times it derives from instants track the wall
-	// clock.
+	// Stopwatch clock, watch is that clock, and Now is the monotonic time
+	// since epoch, one monotonic read where a full reading takes two clocks;
+	// base is the last full reading a read side took, so that the times it
+	// derives from instants track the wall clock.
 	epoch time.Time
 	watch obs.Stopwatch
 	base  atomic.Pointer[baseline]
+
+	// On a Stopwatch clock, accesses are dated with coarse (AccessNow), an
+	// instant that refresh, a timer armed only while accesses arrive, moves
+	// up every refreshPeriod, and that every read side raises to its own
+	// reading. refreshing is the refresher's state (refreshIdle...).
+	coarse     atomic.Int64
+	refreshing atomic.Int32
+	refresh    *time.Timer
 
 	faults *obs.HistogramVec
 
@@ -205,6 +228,10 @@ func New(reg *obs.Registry, opt Options) *Tracker {
 	t.heat, t.thrash = newDecay(t.opt.HeatHalfLife), newDecay(t.opt.ThrashHalfLife)
 	t.watch, _ = t.clock.(obs.Stopwatch)
 	t.epoch = t.clock.Now().Add(-time.Nanosecond)
+	if t.watch != nil {
+		t.refresh = time.AfterFunc(time.Hour, t.fire)
+		t.refresh.Stop()
+	}
 	t.curStart = t.readNow()
 	t.instrument(reg)
 	return t
@@ -258,18 +285,105 @@ type baseline struct {
 	inst Instant
 }
 
-// Now reads the tracker's clock, so one reading can date every ledger an
-// event writes. On a Stopwatch clock it is one monotonic read: the last full
-// reading a read side took plus the time since. A nil tracker reads no clock
-// and returns the zero Instant.
+// Now is a full reading of the tracker's clock, exact to the clock's
+// resolution: it dates swaps (the thrash window) and times waits (a
+// prefetch hit's), which need sub-millisecond time. On a Stopwatch clock it
+// is one monotonic read, the time since epoch. An access is dated with
+// AccessNow instead. A nil tracker reads no clock and returns the zero
+// Instant.
 func (t *Tracker) Now() Instant {
-	if t == nil {
+	switch {
+	case t == nil:
 		return 0
-	}
-	if b := t.base.Load(); b != nil {
-		return b.inst + Instant(t.watch.Since(b.at))
+	case t.watch != nil:
+		return t.sinceEpoch()
 	}
 	return t.instant(t.clock.Now())
+}
+
+// sinceEpoch is the instant of a monotonic reading of a Stopwatch clock.
+func (t *Tracker) sinceEpoch() Instant { return Instant(t.watch.Since(t.epoch)) }
+
+// refreshPeriod is how often a tracker in use refreshes the instant
+// AccessNow returns.
+const refreshPeriod = time.Millisecond
+
+// The refresher's states (Tracker.refreshing). An access moves armed to
+// accessed, and idle, through waking, to accessed; a firing moves accessed
+// to armed and re-arms, or armed to idle and does not.
+const (
+	refreshIdle     int32 = iota // no timer armed
+	refreshWaking                // an access is taking a reading and arming the timer
+	refreshArmed                 // armed, and no access since the last firing
+	refreshAccessed              // armed, and an access since the last firing
+)
+
+// AccessNow dates an access (a crossing, an in-place touch, an allocation)
+// for heat and the working set, where a millisecond is nothing against a 30 s
+// half-life and a 1 s interval. On a Stopwatch clock it reads no clock while
+// the tracker is in use: it returns a coarse instant that a timer refreshes
+// every refreshPeriod while accesses keep arriving. A firing that finds no
+// access since the one before disarms it, and the next access takes a fresh
+// monotonic reading and arms it again, so an idle tracker has no timer armed
+// and nothing to close. The instant never goes back, and every read side
+// raises it to its own full reading (readNow), so an access is never dated
+// before a read that came ahead of it, nor before the last full reading; it
+// is at most one refreshPeriod plus the timer's scheduling delay late. On
+// any other clock, a VirtualClock among them, it is Now, so tests date every
+// access exactly. Nil-safe.
+func (t *Tracker) AccessNow() Instant {
+	if t == nil || t.watch == nil {
+		return t.Now()
+	}
+	for {
+		switch t.refreshing.Load() {
+		case refreshAccessed:
+			return Instant(t.coarse.Load())
+		case refreshArmed:
+			if t.refreshing.CompareAndSwap(refreshArmed, refreshAccessed) {
+				return Instant(t.coarse.Load())
+			}
+		case refreshIdle:
+			if t.refreshing.CompareAndSwap(refreshIdle, refreshWaking) {
+				now := t.raise(t.sinceEpoch())
+				t.refreshing.Store(refreshAccessed)
+				t.refresh.Reset(refreshPeriod)
+				return now
+			}
+		default: // waking: another access is arming the timer
+			return t.raise(t.sinceEpoch())
+		}
+	}
+}
+
+// fire is the refresh timer's function: it raises the coarse instant to a
+// fresh reading and re-arms the timer only if an access came since the last
+// firing. It allocates nothing, so a firing inside an allocation count adds
+// nothing to it.
+func (t *Tracker) fire() {
+	t.raise(t.sinceEpoch())
+	for {
+		if t.refreshing.CompareAndSwap(refreshAccessed, refreshArmed) {
+			t.refresh.Reset(refreshPeriod)
+			return
+		}
+		if t.refreshing.CompareAndSwap(refreshArmed, refreshIdle) {
+			return
+		}
+	}
+}
+
+// raise moves the coarse instant up to i, if it is below, and returns it.
+func (t *Tracker) raise(i Instant) Instant {
+	for {
+		cur := t.coarse.Load()
+		if int64(i) <= cur {
+			return Instant(cur)
+		}
+		if t.coarse.CompareAndSwap(cur, int64(i)) {
+			return i
+		}
+	}
 }
 
 // instant returns the instant of a full reading of the tracker's clock.
@@ -287,12 +401,15 @@ func (t *Tracker) timeOf(i Instant) time.Time {
 	}
 }
 
-// readNow takes a full reading of the tracker's clock for a read side, and
-// re-bases Now on it.
+// readNow takes a full reading of the tracker's clock for a read side,
+// re-bases timeOf on it and raises AccessNow's instant to it, so that an
+// access after the read is not dated before it.
 func (t *Tracker) readNow() time.Time {
 	now := t.clock.Now()
 	if t.watch != nil {
-		t.base.Store(&baseline{at: now, inst: t.instant(now)})
+		b := &baseline{at: now, inst: t.instant(now)}
+		t.base.Store(b)
+		t.raise(b.inst)
 	}
 	return now
 }
@@ -343,19 +460,26 @@ func (t *Tracker) thrashAt(l *Ledger, now Instant) float64 {
 // classify applies the hysteresis thresholds to a decayed score. A class is
 // only left once the score crosses the *exit* threshold, and only entered
 // once it crosses the higher *enter* threshold.
-func (t *Tracker) classify(was string, score float64) string {
-	above := was == ClassHot || was == ClassWarm // leaving warm takes the exit threshold
+func (t *Tracker) classify(was heatClass, score float64) heatClass {
 	switch {
-	case score >= t.opt.HotEnter, was == ClassHot && score >= t.opt.HotExit:
-		return ClassHot
-	case score >= t.opt.WarmEnter, above && score >= t.opt.WarmExit:
-		return ClassWarm
+	case score >= t.opt.HotEnter, was == heatHot && score >= t.opt.HotExit:
+		return heatHot
+	case score >= t.opt.WarmEnter, was != heatCold && score >= t.opt.WarmExit: // leaving warm takes the exit threshold
+		return heatWarm
 	}
-	return ClassCold
+	return heatCold
 }
 
-// Touch folds one access at now into l's heat. The caller holds the lock
-// guarding l and has counted the access; pure arithmetic, nil-safe.
+// reclassify steps l's class at now, as a read does, and returns its decayed
+// score.
+func (t *Tracker) reclassify(l *Ledger, now Instant) float64 {
+	score := t.heatAt(l, now)
+	l.class = t.classify(l.class, score)
+	return score
+}
+
+// Touch folds one access at now (AccessNow) into l's heat. The caller holds
+// the lock guarding l and has counted the access; pure arithmetic, nil-safe.
 func (t *Tracker) Touch(l *Ledger, now Instant) {
 	if t == nil {
 		return
@@ -365,8 +489,8 @@ func (t *Tracker) Touch(l *Ledger, now Instant) {
 	l.class = t.classify(l.class, l.score)
 }
 
-// SwappedOut dates l's swap-out, opening its ping-pong window. Same contract
-// as Touch.
+// SwappedOut dates l's swap-out at now, a full reading (Now), opening its
+// ping-pong window. Same contract as Touch.
 func (t *Tracker) SwappedOut(l *Ledger, now Instant) {
 	if t != nil {
 		l.lastSwapOut = now
@@ -466,11 +590,10 @@ func (t *Tracker) HeatSnapshot() []ClusterHeat {
 	now := t.instant(t.readNow())
 	var out []ClusterHeat
 	t.each(func(id uint32, l *Ledger, _ func() int64) {
-		score := t.heatAt(l, now)
-		l.class = t.classify(l.class, score) // a read steps the hysteresis too
+		score := t.reclassify(l, now) // a read steps the hysteresis too
 		out = append(out, ClusterHeat{
 			Cluster:   id,
-			Class:     l.class,
+			Class:     classNames[l.class],
 			Score:     score,
 			Touches:   l.Touches,
 			Crossings: l.Crossings,
@@ -501,19 +624,19 @@ func (t *Tracker) HeatClassOf(cluster uint32) string {
 	return ClassCold
 }
 
-// Counts returns how many tracked clusters are currently hot, warm and cold.
+// Counts returns how many tracked clusters are currently hot, warm and cold,
+// stepping each one's class as HeatSnapshot does.
 func (t *Tracker) Counts() (hot, warm, cold int) {
-	for _, h := range t.HeatSnapshot() {
-		switch h.Class {
-		case ClassHot:
-			hot++
-		case ClassWarm:
-			warm++
-		default:
-			cold++
-		}
+	if t == nil {
+		return 0, 0, 0
 	}
-	return hot, warm, cold
+	now := t.instant(t.readNow())
+	var n [len(classNames)]int
+	t.each(func(_ uint32, l *Ledger, _ func() int64) {
+		t.reclassify(l, now)
+		n[l.class]++
+	})
+	return n[heatHot], n[heatWarm], n[heatCold]
 }
 
 // ThrashScore returns the decayed ping-pong score of the worst cluster.
