@@ -499,7 +499,7 @@ func (t *Tracker) SwappedOut(l *Ledger, now Instant) {
 
 // SwappedIn closes the ping-pong window: a swap-in arriving within
 // ThrashWindow of the cluster's last swap-out feeds its thrash score. Same
-// contract as Touch.
+// contract as SwappedOut.
 func (t *Tracker) SwappedIn(l *Ledger, now Instant) {
 	if t == nil {
 		return
