@@ -458,20 +458,27 @@ if [ -n "$MEMBERSETS" ]; then
     echo "$MEMBERSETS" >&2
     exit 1
 fi
-# Guard: a proxy is pointed where it is listed. Its target slot is written
-# by clusterTable.point alone (internal/core/manager.go), called by enlist (a
-# mint), retarget (a cursor step) and settle (internal/core/state.go, as a
-# commit moves the cluster), so a proxy's target and its cluster's residency
-# change in one hold of the runtime lock. No other
-# non-test file of internal/core writes slotTarget or calls .point(, and the
-# copied-list patch (patchInbound, rt.patching, inboundProxies) and the
-# lock-free pointProxy stay deleted.
+# Guard: a proxy is born complete, and pointed where it is listed. A mint
+# (newProxy) allocates a proxy with every slot set from its initial values,
+# writes its header word and lists it (enlist) in one hold: nothing on the
+# mint path — newProxy, and enlist, aim and countEdge, which it calls before
+# it returns — writes a proxy slot (setProxySlot, SetFieldAs, SetField,
+# SetFieldByName) or calls point. A listed proxy's target slot is written by
+# clusterTable.point alone (internal/core/manager.go), which only retarget (a
+# cursor step) and settle (internal/core/state.go, as a commit moves the
+# cluster) call, so a proxy's target and its cluster's residency change in one
+# hold of the runtime lock. No other non-test file of internal/core writes
+# slotTarget, and the copied-list patch (patchInbound, rt.patching,
+# inboundProxies) and the lock-free pointProxy stay deleted.
+CORESRC=$(ls internal/core/*.go | grep -v '_test\.go$')
+INFUNC='FNR == 1 { fn = "" } /^func / { fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[([].*/, "", fn) } /^[[:space:]]*\/\// { next }'
+MINTWRITES=$(awk "$INFUNC"' fn ~ /^(newProxy|enlist|aim|countEdge)$/ && /setProxySlot\(|SetFieldAs\(|SetField(ByName)?\(|\.point\(/ { print FILENAME ":" FNR ": " fn }' $CORESRC)
+POINTERS=$(awk "$INFUNC"' /\.point\(/ { print FILENAME ":" fn }' $CORESRC | sort -u)
 TARGETS=$(grep -nE '(^|[^[:alnum:]_])slotTarget[[:space:]]*,' internal/core/*.go | grep -v '_test\.go:' | grep -v '^internal/core/manager\.go:' || true)
-POINTS=$(grep -nE '\.point\(' internal/core/*.go | grep -v '_test\.go:' | grep -vE '^internal/core/(manager|state)\.go:' || true)
 PATCHES=$(grep -nE 'patchInbound|rt\.patching|inboundProxies|pointProxy' internal/core/*.go | grep -v '_test\.go:' || true)
-if [ -n "$TARGETS" ] || [ -n "$POINTS" ] || [ -n "$PATCHES" ]; then
-    echo "proxy pointed outside the hold that lists it (write its target through clusterTable.point, from enlist, retarget or settle):" >&2
-    printf '%s\n%s\n%s\n' "$TARGETS" "$POINTS" "$PATCHES" >&2
+if [ -n "$MINTWRITES" ] || [ "$POINTERS" != "$(printf 'internal/core/manager.go:retarget\ninternal/core/state.go:settle')" ] || [ -n "$TARGETS" ] || [ -n "$PATCHES" ]; then
+    echo "a mint writes its proxy after the allocation, or a proxy is pointed outside the hold that lists it (allocate it complete in newProxy; re-aim it through clusterTable.point from retarget or settle only):" >&2
+    printf '%s\n%s\n%s\n%s\n' "$MINTWRITES" "$POINTERS" "$TARGETS" "$PATCHES" >&2
     exit 1
 fi
 # Guard: a collection's swept list has one lifetime and one reader. Every
@@ -549,11 +556,17 @@ go test -race -run '^TestFaultStormCoalesces$' -count=1 -cpu 1,4 ./internal/core
 # and a walker's dispatch frames and the young passes of prefetch workers
 # whose swap-ins evict share the invocation stack race-free
 # (TestWalkerAgainstEvictingPrefetch, a thousand times below). So do the
-# stale-holder tests: one collection and a mint between a proxy's
-# allocation and its listing reissue its block as another proxy, and the
-# first mint's enlist — like an enlist or retarget under any stale id —
-# writes nothing into it; a replacement-object's block held across its
-# swap-in and reissued to another cluster takes no write either
+# stale-holder tests: one collection and a mint at a mint's yield point,
+# after its listing, reissue its block as another proxy, and the first mint
+# mints again — an enlist or retarget under any stale id writes nothing into
+# it; a collection there purges the fully listed proxy from every list, and
+# the re-mint is listed once (TestSweepAtMintPurgesTheListedProxy); a mint
+# whose allocation's evictor swaps its target's cluster out is minted again,
+# aimed at the replacement-object (TestMintWhoseEvictorMovesHome); the
+# shared-proxy index's get-or-insert, with a drop, a set or a grow between
+# its miss and its write, agrees with a Go map (TestKeyTableMatchesMap); a
+# replacement-object's block held across its swap-in and reissued to another
+# cluster takes no write either
 # (TestStaleReplacementHolderRefused). So do the reuse-hazard tests of the fault path: a
 # flight that waiters joined is never handed to a later leader, so each
 # waiter resumes with its own leader's result while the next fault on the
@@ -617,7 +630,7 @@ go test -race -count=50 ./internal/placement/
 # reading allocates nothing, and an idle tracker disarms its timer and wakes
 # with a fresh reading.
 go test -race -count=100 -run '^TestAccessNow' ./internal/telemetry/
-go test -race -count=10 -run '^(TestTriggerPrefetchAllocatesNothing|TestPrefetchHitRecordsParkedTime|TestCommitWindow|TestSweepBeforeEnlist|TestReissueBeforeEnlist|TestReissuedProxyBlockRefused|TestStaleReplacementHolderRefused|TestFaultStormCoalesces|TestReloadedStringsOutliveTheFetch|TestConcurrentSelectVictims|TestYoungPassAgainstConcurrentWrites|TestCollectAgainstConcurrentFieldWrites|TestPropYoungPassSweepsOnlyGarbage|TestYoungTailAfterEveryStep|TestSwapOutVictimsWalksTheRanking|TestConcurrentVictimWalks|TestZeroEdgeWaitsForThePurge|TestMintWindowIsClosed|TestCommitWindowIsClosed|TestReentryAcrossADemandFault|TestWalkerAgainstEvictingPrefetch|TestReplicationFaultBesidePrefetchWorkers|TestMasterServesBesideItsRuntime|TestReloadRoomTakenDuringEviction|TestHeapCollectionPurgesTheManager|TestHeapCollectionKeepsParkedFrames|TestWriteDuringShipIsKept)$' ./internal/core/ ./internal/heap/ ./internal/replication/
+go test -race -count=10 -run '^(TestTriggerPrefetchAllocatesNothing|TestPrefetchHitRecordsParkedTime|TestCommitWindow|TestSweepBeforeEnlist|TestReissueBeforeEnlist|TestSweepAtMintPurgesTheListedProxy|TestMintWhoseEvictorMovesHome|TestKeyTableMatchesMap|TestReissuedProxyBlockRefused|TestStaleReplacementHolderRefused|TestFaultStormCoalesces|TestReloadedStringsOutliveTheFetch|TestConcurrentSelectVictims|TestYoungPassAgainstConcurrentWrites|TestCollectAgainstConcurrentFieldWrites|TestPropYoungPassSweepsOnlyGarbage|TestYoungTailAfterEveryStep|TestSwapOutVictimsWalksTheRanking|TestConcurrentVictimWalks|TestZeroEdgeWaitsForThePurge|TestMintWindowIsClosed|TestCommitWindowIsClosed|TestReentryAcrossADemandFault|TestWalkerAgainstEvictingPrefetch|TestReplicationFaultBesidePrefetchWorkers|TestMasterServesBesideItsRuntime|TestReloadRoomTakenDuringEviction|TestHeapCollectionPurgesTheManager|TestHeapCollectionKeepsParkedFrames|TestWriteDuringShipIsKept)$' ./internal/core/ ./internal/heap/ ./internal/replication/
 # The walker against the evicting prefetch workers a thousand times under the
 # race detector (about 10 s): the invocation stack was written with no lock
 # beside the workers' passes, which read it, until the runtime was one monitor.

@@ -216,6 +216,10 @@ type Runtime struct {
 	hosts  []hostRef    // the host roots (hand)
 	scopes int          // open Scope calls
 	roots  []heap.ObjID // the buffer rootSet hands the heap's passes
+	// minted is the proxy the last mint made (newProxy): handing it to host
+	// code reads its header without a lookup (keep) while the block is still
+	// resident under the id handed.
+	minted *heap.Object
 	// dispatcher is the goroutine that opened the outermost frame, and
 	// stackTrace the buffer its id is read through, both kept in the
 	// lockcount build only (assertDispatcher): 0 and nil otherwise.
@@ -226,7 +230,7 @@ type Runtime struct {
 	// (beginMutate); while nonzero, the evictor, which releases it, stays out.
 	mutating int
 	// yield, nil outside tests, runs with mu held where another goroutine
-	// could act before the runtime was one monitor: "mint" before newProxy's
+	// could act before the runtime was one monitor: "mint" after newProxy's
 	// enlist, "commit" before a swap commit's settle.
 	yield func(at string)
 

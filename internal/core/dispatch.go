@@ -106,10 +106,13 @@ func (rt *Runtime) hand(vals ...heap.Value) {
 func (rt *Runtime) keep(v heap.Value) {
 	switch v.Kind() {
 	case heap.KindRef:
+		id := v.MustRef()
 		if rt.depth > 0 {
-			rt.stack = append(rt.stack, v.MustRef())
-		} else if o, err := rt.h.Get(v.MustRef()); err == nil {
-			rt.hosts = append(rt.hosts, hostRef{o.ID(), ClusterID(o.Owner())})
+			rt.stack = append(rt.stack, id)
+		} else if p := rt.minted; p != nil && p.ResidentAs(id) {
+			rt.hosts = append(rt.hosts, hostRef{id, ClusterID(p.Owner())})
+		} else if o, err := rt.h.Get(id); err == nil {
+			rt.hosts = append(rt.hosts, hostRef{id, ClusterID(o.Owner())})
 		}
 	case heap.KindList:
 		elems, _ := v.List()

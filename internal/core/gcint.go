@@ -233,8 +233,10 @@ func (m *Manager) AbandonedDrops() int {
 // collection just swept (purge), read from their own fields
 // and headers: the paper's proxy-finalizer semantics in one pass. A swept
 // proxy leaves the shared indexes; a swept swap-cluster-proxy also leaves its
-// home's inbound list and its source's edges, and a swept member of a loaded
-// cluster leaves it. A resident cluster that loses its last member will never
+// home's inbound list and its source's edges — every proxy is listed from its
+// mint on (newProxy) — and a swept member of a loaded cluster leaves it. An
+// inbound list is compacted by the headers of its entries, with no probe of
+// the heap's index. A resident cluster that loses its last member will never
 // ship again: the copy it retains is queued for dropping. Edge counts that
 // reached zero since the previous purge, and that no mint has raised since, go
 // first (countEdge). sweepSwapped forgets the clusters of swept
@@ -255,14 +257,13 @@ func (m *Manager) reclaimed(swept []*heap.Object) {
 			continue
 		}
 		tab.proxies.drop(proxyKey{src: proxySrc(o), target: proxyUltimate(o)}, o.ID())
-		if proxyTarget(o) == heap.NilID {
-			continue // never pointed, so never listed (enlist)
-		}
-		// The first swept proxy of a list compacts it, all at once.
+		// The first swept proxy of a list compacts it, all at once. The
+		// pass has unlinked what it swept and pools none of it before the
+		// purge returns, so each entry's own header says whether it left.
 		home := ClusterID(o.Owner())
 		if cs := tab.clusters.get(home); cs != nil && cs.swept != tab.sweeps {
 			cs.swept = tab.sweeps
-			cs.inbound = slices.DeleteFunc(cs.inbound, func(p *heap.Object) bool { return !h.Contains(p.ID()) })
+			cs.inbound = slices.DeleteFunc(cs.inbound, func(p *heap.Object) bool { return !p.ResidentAs(p.ID()) })
 		}
 		if cs := tab.clusters.get(proxySrc(o)); cs != nil {
 			tab.countEdge(cs, home, -1)

@@ -13,15 +13,33 @@ import (
 // shrinks, so it is sized by the peak count of shared proxies, and a lookup
 // is a multiply and a probe, not a Go map's hashing. The zero key, which no
 // proxy has (its target would be heap.NilID), marks an empty slot.
+//
+// A mint is a lookup that misses and then a set of the same key (proxyFor,
+// enlist), so the table remembers where its last miss ended: the empty slot
+// that set would fill. The set writes there without probing again unless the
+// table moved in between — a drop shifted entries back or a grow re-homed
+// them (moves counts both: the mint's allocation may run the evictor, which
+// lets go of the runtime lock) — or another set has filled the slot, or the
+// entry would pass 3/4 load; then it probes as any set does.
 type keyTable struct {
 	slots []keySlot // power-of-two length
 	shift uint8     // 64 - log2(len(slots))
 	n     int
+	moves uint32  // drops and grows so far
+	miss  keyMiss // where the last lookup that missed ended
 }
 
 type keySlot struct {
 	key uint64
 	pid heap.ObjID
+}
+
+// keyMiss is where a lookup of key that missed ended: slot i, the first empty
+// one on key's probe run, while moves is the table's.
+type keyMiss struct {
+	key   uint64
+	i     int
+	moves uint32
 }
 
 // fibonacci is 2^64 divided by the golden ratio: multiplying by it spreads
@@ -30,7 +48,7 @@ const fibonacci = 0x9E3779B97F4A7C15
 
 func (t *keyTable) home(key uint64) int { return int(key * fibonacci >> t.shift) }
 
-// get returns the proxy held under key.
+// get returns the proxy held under key. A miss is remembered for set.
 func (t *keyTable) get(key uint64) (heap.ObjID, bool) {
 	if len(t.slots) == 0 {
 		return heap.NilID, false
@@ -41,13 +59,21 @@ func (t *keyTable) get(key uint64) (heap.ObjID, bool) {
 		case key:
 			return t.slots[i].pid, true
 		case 0:
+			t.miss = keyMiss{key, i, t.moves}
 			return heap.NilID, false
 		}
 	}
 }
 
-// set holds pid under key, in place of any proxy held there.
+// set holds pid under key, in place of any proxy held there: in the slot
+// key's last lookup missed at, while that is still where it belongs (see
+// keyTable), and otherwise where a probe finds.
 func (t *keyTable) set(key uint64, pid heap.ObjID) {
+	if m := t.miss; m.key == key && m.moves == t.moves && t.slots[m.i].key == 0 && 4*(t.n+1) <= 3*len(t.slots) {
+		t.slots[m.i] = keySlot{key, pid}
+		t.n++
+		return
+	}
 	if 4*(t.n+1) > 3*len(t.slots) {
 		t.grow()
 	}
@@ -64,6 +90,7 @@ func (t *keyTable) set(key uint64, pid heap.ObjID) {
 
 // grow doubles the slot array and re-homes every entry.
 func (t *keyTable) grow() {
+	t.moves++
 	old := t.slots
 	n := max(2*len(old), 8)
 	t.slots = make([]keySlot, n)
@@ -109,4 +136,5 @@ func (t *keyTable) drop(key uint64, pid heap.ObjID) {
 	}
 	t.slots[i] = keySlot{}
 	t.n--
+	t.moves++
 }

@@ -413,17 +413,23 @@ func (m *Manager) shipmentOf(id ClusterID) (shipment, bool) {
 	return cs.shipment, true
 }
 
-// point aims proxy p, handed to the caller under id, at its ultimate target
-// in cluster home, or at home's replacement-object while it is swapped out,
-// and writes home into p's header; it reports false, writing nothing, if p
-// is no longer resident under id. It is the one writer of a proxy's target,
-// and its caller lists p: enlist, retarget, or settle as the cluster moves.
-func (tab *clusterTable) point(p *heap.Object, id, ultimate heap.ObjID, home ClusterID) bool {
-	to := ultimate
+// aim returns where a proxy to the object ultimate of cluster home points:
+// at ultimate, or at home's replacement-object while home is swapped out.
+func (tab *clusterTable) aim(ultimate heap.ObjID, home ClusterID) heap.ObjID {
 	if cs := tab.clusters.get(home); cs != nil && cs.where.out() {
-		to = cs.replacement
+		return cs.replacement
 	}
-	if !setProxySlot(p, id, slotTarget, heap.Ref(to)) {
+	return ultimate
+}
+
+// point re-aims proxy p, handed to the caller under id, at its ultimate
+// target in cluster home, or at home's replacement-object while it is
+// swapped out (aim), and writes home into p's header; it reports false,
+// writing nothing, if p is no longer resident under id. A proxy is born
+// aimed (newProxy), so point serves the two holds that move a listed proxy or
+// its cluster: retarget, and settle as the cluster moves.
+func (tab *clusterTable) point(p *heap.Object, id, ultimate heap.ObjID, home ClusterID) bool {
+	if !setProxySlot(p, id, slotTarget, heap.Ref(tab.aim(ultimate, home))) {
 		return false
 	}
 	p.SetOwner(uint32(home))
@@ -539,20 +545,21 @@ func (m *Manager) IsSwapped(id ClusterID) bool {
 	return out
 }
 
-// enlist points a freshly minted proxy p, born under id from cluster src to
-// the object ultimate of cluster home, and lists it: in the inbound list of
+// enlist lists a proxy p that newProxy minted complete, born under id from
+// cluster src to the object ultimate of cluster home: in the inbound list of
 // home, as an edge out of its source and, unless it is an assign-mode cursor,
-// as the proxy proxyFor hands out for (src, ultimate). It reports false,
-// writing and listing nothing, when p is no longer resident under id — a
+// as the proxy proxyFor hands out for (src, ultimate), in the index slot
+// proxyFor's lookup missed at. It writes nothing into p. It runs in the mint's
+// hold, before anything else can, so it never meets a swept proxy there; it
+// reports false, listing nothing, when p is no longer resident under id — a
 // collection swept it first, and a later one may have reissued its block as
-// another proxy — so it reads p's mode only once point has passed that check
-// (see retarget).
+// another proxy — and so reads p's mode only once that check has passed.
 func (m *Manager) enlist(p *heap.Object, id heap.ObjID, src ClusterID, ultimate heap.ObjID, home ClusterID) bool {
 	m.rt.assertLocked()
-	tab := &m.table
-	if !tab.point(p, id, ultimate, home) {
+	if !p.ResidentAs(id) {
 		return false
 	}
+	tab := &m.table
 	if cs := tab.clusters.get(home); cs != nil {
 		cs.inbound = append(cs.inbound, p)
 	}

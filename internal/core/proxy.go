@@ -66,7 +66,7 @@ func setProxySlot(p *heap.Object, id heap.ObjID, slot int, v heap.Value) bool {
 	return p.SetFieldAs(id, slot, v) == nil
 }
 
-// proxyTarget reads the object a proxy points at (NilID until enlist).
+// proxyTarget reads the object a proxy points at.
 func proxyTarget(p *heap.Object) heap.ObjID {
 	id, _ := p.Field(slotTarget).Ref()
 	return id
@@ -82,9 +82,11 @@ func proxySrc(p *heap.Object) ClusterID { return ClusterID(proxyInt(p, slotSrc))
 func proxyMode(p *heap.Object) int64 { return proxyInt(p, slotMode) }
 
 // proxyFor returns (creating or reusing) the shared swap-cluster-proxy
-// mediating references from cluster src to the object target. It assumes
-// target is NOT a member of src (callers dismantle that case into a direct
-// reference).
+// mediating references from cluster src to the object target of cluster
+// home. It assumes target is NOT a member of src (callers dismantle that case
+// into a direct reference). The index is probed once: on a miss, newProxy
+// mints the proxy complete and lists it before anything else can run, and
+// its enlist files it where the miss ended (keyTable).
 func (rt *Runtime) proxyFor(src ClusterID, target heap.ObjID, home ClusterID) (heap.ObjID, error) {
 	// Belt and braces: the collection that sweeps a proxy purges its entry
 	// before it returns — but check before handing it out.
@@ -94,33 +96,48 @@ func (rt *Runtime) proxyFor(src ClusterID, target heap.ObjID, home ClusterID) (h
 	return rt.newProxy(src, target, home, false)
 }
 
-// newProxy allocates a swap-cluster-proxy from cluster src to the object
-// target of cluster home and lists it with home's record: the shared one
-// every later proxyFor(src, target) reuses, or a private assign-mode cursor,
-// which swap-out points and the collection purges like any other but the
-// registry never hands out. The proxy is born with its target, source and
-// mode slots set, so nothing writes it between its allocation and its
-// listing, and from there on the mint uses only its id. The runtime lock is
-// held from the allocation to the caller's push onto the stack, so no
-// collection runs in between; should one sweep it all the same, enlist
-// refuses its block, even once a later collection has reissued it as another
-// proxy, and the proxy is minted again.
+// newProxy mints a swap-cluster-proxy from cluster src to the object target
+// of cluster home in one step: the shared one every later proxyFor(src,
+// target) reuses, or a private assign-mode cursor, which swap-out points and
+// the collection purges like any other but the registry never hands out.
+//
+// The proxy is born complete. It reads home's record once, for where the
+// proxy points (the target, or home's replacement-object while home is
+// swapped out, as point aims), and the allocation sets every slot from its
+// initial values; the header word (the home) is written straight after, and
+// enlist then lists it, all before anything else can run: nothing writes a
+// slot of it after its allocation, and from there on the mint uses only its
+// id. Should the allocation have run the evictor, which lets go of the lock
+// and may move home, a proxy aimed at home's old place is removed and minted
+// again. The runtime lock is held from the allocation to the caller's push
+// onto the stack, so no collection runs in between; should one sweep it all
+// the same (the test-only "mint" yield, after enlist, hands one the hold), it
+// purges a fully listed proxy, and the mint, finding the block no longer
+// resident under its id, mints again.
 func (rt *Runtime) newProxy(src ClusterID, target heap.ObjID, home ClusterID, cursor bool) (heap.ObjID, error) {
 	mode := proxyModeNormal
 	if cursor {
 		mode = proxyModeAssign
 	}
+	tab := &rt.mgr.table
+	to := tab.aim(target, home)
 	p, err := rt.allocMiddleware(rt.proxyClass,
-		heap.Nil(), heap.Int(int64(target)), heap.Int(int64(src)), heap.Int(mode))
+		heap.Ref(to), heap.Int(int64(target)), heap.Int(int64(src)), heap.Int(mode))
 	if err != nil {
 		return heap.NilID, fmt.Errorf("core: allocate proxy: %w", err)
 	}
 	id := p.ID()
-	if rt.yield != nil {
-		rt.yield("mint")
-	}
-	if !rt.mgr.enlist(p, id, src, target, home) {
+	p.SetOwner(uint32(home))
+	if tab.aim(target, home) != to {
+		_ = rt.h.Remove(id) // resident since this hold allocated it, and never listed
 		return rt.newProxy(src, target, home, cursor)
+	}
+	rt.mgr.enlist(p, id, src, target, home)
+	rt.minted = p
+	if rt.yield != nil {
+		if rt.yield("mint"); !p.ResidentAs(id) {
+			return rt.newProxy(src, target, home, cursor)
+		}
 	}
 	return id, nil
 }

@@ -149,28 +149,65 @@ func TestClusterTableBoundedByPeakRecords(t *testing.T) {
 // TestKeyTableMatchesMap drives seeded set/drop/get sequences against a Go
 // map. Keys come from a narrow range, so probe runs collide and removals
 // shift entries back across the end of the slot array; a drop under another
-// proxy's id leaves the entry.
+// proxy's id leaves the entry. A quarter of the steps are a mint's
+// get-or-insert: a lookup, and on a miss the set of that key, which writes
+// where the miss ended unless something moved the table in between — a drop
+// or a set of another key, or sets enough to grow it.
 func TestKeyTableMatchesMap(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		var tab keyTable
 		model := map[uint64]heap.ObjID{}
 		span := 4 + r.Intn(60)
+		randKey := func() uint64 { return uint64(r.Intn(3))<<targetBits | uint64(1+r.Intn(span)) }
+		set := func(key uint64, pid heap.ObjID) {
+			tab.set(key, pid)
+			model[key] = pid
+		}
+		drop := func(key uint64, pid heap.ObjID) {
+			tab.drop(key, pid)
+			if model[key] == pid {
+				delete(model, key)
+			}
+		}
 		for step := 0; step < 2000; step++ {
-			key := uint64(r.Intn(3))<<targetBits | uint64(1+r.Intn(span))
-			switch pid := heap.ObjID(1 + r.Intn(3)); r.Intn(3) {
+			key := randKey()
+			switch pid := heap.ObjID(1 + r.Intn(3)); r.Intn(4) {
 			case 0:
-				tab.set(key, pid)
-				model[key] = pid
+				set(key, pid)
 			case 1:
-				tab.drop(key, pid)
-				if model[key] == pid {
-					delete(model, key)
+				drop(key, pid)
+			case 2:
+				got, ok := tab.get(key)
+				if want, in := model[key]; ok != in || got != want {
+					t.Fatalf("seed %d step %d: get(%#x) = %d, %v; model holds %d, %v", seed, step, key, got, ok, want, in)
 				}
 			default:
 				got, ok := tab.get(key)
 				if want, in := model[key]; ok != in || got != want {
-					t.Fatalf("seed %d step %d: get(%#x) = %d, %v; model holds %d, %v", seed, step, key, got, ok, want, in)
+					t.Fatalf("seed %d step %d: lookup(%#x) = %d, %v; model holds %d, %v", seed, step, key, got, ok, want, in)
+				}
+				if ok {
+					break
+				}
+				var fillers []uint64
+				switch r.Intn(4) {
+				case 0: // nothing in between
+				case 1:
+					other := randKey()
+					drop(other, model[other])
+				case 2:
+					set(randKey(), pid)
+				default: // fill to the next grow, up to 1 024 slots
+					for n := len(tab.slots); len(tab.slots) == n && n < 1<<10; {
+						f := uint64(3+len(fillers))<<targetBits | uint64(1+r.Intn(span))
+						set(f, pid)
+						fillers = append(fillers, f)
+					}
+				}
+				set(key, pid)
+				for _, f := range fillers {
+					drop(f, pid)
 				}
 			}
 			if tab.n != len(model) || 4*tab.n > 3*len(tab.slots) {

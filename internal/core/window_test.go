@@ -233,6 +233,87 @@ func TestReissueBeforeEnlist(t *testing.T) {
 	wantTag(t, f, heap.Ref(other), 16)
 }
 
+// TestSweepAtMintPurgesTheListedProxy: a mint lists its proxy before its
+// "mint" yield point, so a collection run there — on another goroutine, under
+// the mint's hold — sweeps a fully listed proxy, and its purge leaves it in
+// no shared-index entry, no inbound list and no edge count. The mint, finding
+// its block gone, mints again, and the re-mint is listed exactly once: one
+// inbound entry, one index entry, an edge count of one.
+func TestSweepAtMintPurgesTheListedProxy(t *testing.T) {
+	f := newFixture(t, 0)
+	ids, clusters := f.buildList(t, 20, 10, 8)
+	home := clusters[1]
+	key := proxyKey{src: RootCluster, target: ids[15]}
+	tab := &f.rt.mgr.table
+	// listings counts, under the hold, the inbound entries, shared-index
+	// entries and edge count that stand for proxy id.
+	listings := func(id heap.ObjID) (inbound, indexed int, edges int32) {
+		for cs := range tab.clusters.all {
+			for _, p := range cs.inbound {
+				if p.ID() == id {
+					inbound++
+				}
+			}
+		}
+		for _, pid := range tab.proxies.all {
+			if pid == id {
+				indexed++
+			}
+		}
+		for _, e := range tab.clusters.get(RootCluster).edges {
+			if e.to == home {
+				edges = e.n
+			}
+		}
+		return inbound, indexed, edges
+	}
+	var swept heap.ObjID
+	var once sync.Once
+	f.rt.yield = func(at string) {
+		if at != "mint" {
+			return
+		}
+		once.Do(func() {
+			resident := f.rt.h.IDs()
+			swept = resident[len(resident)-1]
+			if in, ix, e := listings(swept); in != 1 || ix != 1 || e != 1 {
+				t.Errorf("at the yield point @%d is listed %d times, indexed %d times and counted %d times, want once each", swept, in, ix, e)
+			}
+			done := make(chan struct{})
+			go func() { defer close(done); f.rt.pass(false) }()
+			<-done
+			if f.rt.h.Contains(swept) {
+				t.Fatalf("the collection at the yield point did not sweep the fresh proxy @%d", swept)
+			}
+			if pid, ok := tab.proxies.get(key); ok && pid == swept {
+				t.Errorf("the swept proxy @%d is still the shared entry of its key", swept)
+			}
+			if in, ix, e := listings(swept); in != 0 || ix != 0 || e != 0 {
+				t.Errorf("after the purge the swept proxy @%d is listed %d times, indexed %d times, and the edge counts %d", swept, in, ix, e)
+			}
+		})
+	}
+	err := f.rt.SetRoot("minted", heap.Ref(ids[15]))
+	f.rt.yield = nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, _ := f.rt.Root("minted")
+	minted := root.MustRef()
+	if swept == heap.NilID || minted == swept {
+		t.Fatalf("the mint handed out @%d, the proxy swept at its yield point was @%d", minted, swept)
+	}
+	f.rt.lock()
+	in, ix, e := listings(minted)
+	pid, _ := tab.proxies.get(key)
+	f.rt.unlock()
+	if in != 1 || ix != 1 || e != 1 || pid != minted {
+		t.Errorf("the re-mint @%d is listed %d times, indexed %d times (key entry @%d), counted %d times, want once each", minted, in, ix, pid, e)
+	}
+	checkClean(t, f.rt)
+	wantTag(t, f, heap.Ref(minted), 15)
+}
+
 // TestReissuedProxyBlockRefused: a holder of a swept proxy's block and its
 // old id, once one collection and a mint have reissued the block as another
 // proxy, writes nothing through either listing hold — enlist is refused and
@@ -353,5 +434,45 @@ func TestReloadRoomTakenDuringEviction(t *testing.T) {
 			t.Errorf("cluster %d swapped out: %v, want %v", c, got, want)
 		}
 	}
+	checkClean(t, f.rt)
+}
+
+// TestMintWhoseEvictorMovesHome: a proxy is born aimed, from the record of its
+// target's cluster read before the allocation. When that allocation runs out
+// of room and its evictor, with the lock let go, swaps the target's cluster
+// out, the proxy aimed at the member is removed and minted again, aimed at the
+// replacement-object: the invariants hold, the hop faults the cluster back
+// in, and the block the first try took is the one the second reissues.
+func TestMintWhoseEvictorMovesHome(t *testing.T) {
+	f := newFixture(t, 0)
+	ids, clusters := f.buildList(t, 20, 10, 8)
+	via, err := f.rt.lockedProxyFor(RootCluster, ids[9])
+	if err == nil {
+		err = f.rt.SetRoot("via", heap.Ref(via))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.rt.Collect()
+	evictions := 0
+	f.rt.SetEvictor(func(int64) error {
+		evictions++
+		f.rt.h.SetCapacity(0)
+		_, err := f.rt.SwapOut(clusters[1])
+		return err
+	})
+	f.rt.h.SetCapacity(f.rt.h.Used()) // the mint's allocation finds no room
+	next, err := f.rt.Field(heap.Ref(via), "next")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if evictions != 1 {
+		t.Fatalf("the mint ran the evictor %d times, want once", evictions)
+	}
+	if !f.rt.Manager().IsSwapped(clusters[1]) {
+		t.Fatal("the evictor did not swap the target's cluster out")
+	}
+	checkClean(t, f.rt)
+	wantTag(t, f, next, 10)
 	checkClean(t, f.rt)
 }

@@ -302,9 +302,10 @@ func (c *Class) FieldIndex(name string) (int, bool) {
 	return 0, false
 }
 
-// zeroFields sets an instance's field slots to their initial values.
-func (c *Class) zeroFields(fields []Value) {
-	for i := range fields {
+// zeroFields sets an instance's field slots from the from-th on to their
+// initial values.
+func (c *Class) zeroFields(fields []Value, from int) {
+	for i := from; i < len(fields); i++ {
 		fields[i] = zeroValue(c.fields[i].Kind)
 	}
 }

@@ -268,12 +268,27 @@ func (h *Heap) unlink(id ObjID, st *CollectStats) *Object {
 	return o
 }
 
-// unpinAll drops every pin on an object an explicit removal took out; the
-// map is empty but while a middleware reference is pinned, so the common
-// removal hashes nothing.
+// unpinAll drops every pin on an object an explicit removal took out. The
+// map is empty only while no middleware reference is pinned, and a swap-out
+// commit's Free runs with its own replacement-object pinned, so Free hashes
+// a removed id only when the pins outnumber its ids (unpinFreed).
 func (h *Heap) unpinAll(id ObjID) {
 	if len(h.pins) > 0 {
 		delete(h.pins, id)
+	}
+}
+
+// unpinFreed drops the pins of the ids Free was given that are not resident
+// once it has unlinked them, walking the pin map, which is smaller than ids:
+// each pinned id is looked up in the object index, which hashes nothing, and
+// only one no longer resident is looked for among ids. A pin on an id that
+// is not resident and that Free was not given stays: a reload pins the member
+// it is about to install while its eviction's swap-outs free other clusters.
+func (h *Heap) unpinFreed(ids []ObjID) {
+	for id := range h.pins {
+		if h.objects.get(id) == nil && slices.Contains(ids, id) {
+			delete(h.pins, id)
+		}
 	}
 }
 
@@ -303,15 +318,22 @@ func (h *Heap) finishReclaim(st *CollectStats) {
 // there is nothing for a mark phase to decide — and when a swap-in commits,
 // for the replacement-object it retired. It unlinks the ids last first, as a
 // sweep does: a cluster's members, named in ascending order, sit in adjacent
-// runs of the index.
+// runs of the index. Every pin on a freed object goes with it (and, when the
+// pins are fewer than ids, one on a given id that was not resident).
 func (h *Heap) Free(ids []ObjID) CollectStats {
 	h.held()
 	var st CollectStats
+	walkPins := len(h.pins) < len(ids)
 	for i := len(ids) - 1; i >= 0; i-- {
 		if o := h.unlink(ids[i], &st); o != nil {
-			h.unpinAll(o.id)
+			if !walkPins {
+				h.unpinAll(o.id)
+			}
 			h.pool(o)
 		}
+	}
+	if walkPins && len(h.pins) > 0 {
+		h.unpinFreed(ids)
 	}
 	st.Live = len(h.objects.list)
 	h.finishReclaim(&st)

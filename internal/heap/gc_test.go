@@ -281,6 +281,47 @@ func TestFreeReclaimsExactlyTheGivenObjects(t *testing.T) {
 	}
 }
 
+// TestFreeKeepsOtherPins: a Free while other objects are pinned drops the pin
+// of every freed id and keeps every other pin, counts included, whether it
+// walks the pin map (fewer pins than ids, as a swap-out commit's Free runs
+// with its replacement-object pinned) or looks each freed id up in it. That
+// includes the pin of an id that is not resident, as a reload pins a member
+// it is about to install while its eviction frees other clusters.
+func TestFreeKeepsOtherPins(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		freed int // ids given to Free, the first pinned
+	}{
+		{"pins-walked", 5},
+		{"ids-looked-up", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := New(0)
+			own(h)
+			objs := buildChain(t, h, 7)
+			h.Pin(objs[0].ID())
+			h.Pin(objs[1].ID())
+			h.Pin(objs[6].ID())
+			h.Pin(objs[6].ID())
+			h.Pin(9999)
+			var ids []ObjID
+			for _, o := range objs[1 : 1+tc.freed] {
+				ids = append(ids, o.ID())
+			}
+			if walked := len(h.pins) < len(ids); walked != (tc.freed == 5) {
+				t.Fatalf("%d pins against %d ids: the case does not take its path", len(h.pins), len(ids))
+			}
+			h.Free(ids)
+			if h.Pinned(objs[1].ID()) {
+				t.Errorf("the freed @%d keeps its pin", objs[1].ID())
+			}
+			if !h.Pinned(objs[0].ID()) || h.pins[objs[6].ID()] != 2 || !h.Pinned(9999) || len(h.pins) != 3 {
+				t.Errorf("pins after Free = %v, want @%d and @9999 once and @%d twice", h.pins, objs[0].ID(), objs[6].ID())
+			}
+		})
+	}
+}
+
 // A pinned object is a root of every pass, young and full, so the sweep,
 // which no longer touches the pin map, never unlinks one; its pin goes with
 // the explicit Free that takes it, or with its Unpin.

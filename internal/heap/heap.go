@@ -285,7 +285,7 @@ func (h *Heap) NewPrivileged(c *Class, init ...Value) (*Object, error) {
 // newObject allocates an object of class c whose leading fields are init. An
 // object of a pooled class reuses a block of its slot count from the pool,
 // when one waits (see pooled): the block comes back with a fresh id, its
-// fields zeroed and then set, and mark 0.
+// leading fields set, the rest zeroed, and mark 0.
 func (h *Heap) newObject(c *Class, privileged bool, init []Value) (*Object, error) {
 	h.held()
 	if c == nil {
@@ -354,12 +354,11 @@ func (h *Heap) reissue(n int) *Object {
 }
 
 // fill readies an unpublished block as an object of class c: size accounted
-// bytes, mark 0, fields zeroed and then set to init. Its id and its heap are
-// the caller's to set.
+// bytes, mark 0, its leading fields init and the rest zeroed, each slot
+// written once. Its id and its heap are the caller's to set.
 func (o *Object) fill(c *Class, size int64, init []Value) {
 	o.class, o.size, o.owner, o.mark = c, uint32(size), 0, 0
-	c.zeroFields(o.fields)
-	copy(o.fields, init)
+	c.zeroFields(o.fields, copy(o.fields, init))
 }
 
 // An object of a small class is one Go allocation: its header and its field
@@ -448,7 +447,7 @@ func (b *Batch) Add(id ObjID, c *Class) []Value {
 		} else {
 			fields = make([]Value, n)
 		}
-		c.zeroFields(fields)
+		c.zeroFields(fields, 0)
 	}
 	b.objs = append(b.objs, Object{id: id, class: c, fields: fields})
 	return fields

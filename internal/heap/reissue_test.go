@@ -366,3 +366,44 @@ func TestInstallBatchRefusesProxies(t *testing.T) {
 		t.Fatalf("refused batch left %d objects and %d bytes", h.Len(), h.Used())
 	}
 }
+
+// TestNewPrivilegedZeroesOnlyTheRest: an allocation with fewer initial values
+// than fields sets its leading fields to them and zeroes exactly the slots
+// after them, each to its kind's initial value, on a reissued block whose
+// slots a previous object left set as much as on a fresh one.
+func TestNewPrivilegedZeroesOnlyTheRest(t *testing.T) {
+	c := NewClass("$Mixed",
+		FieldDef{Name: "n", Kind: KindInt},
+		FieldDef{Name: "s", Kind: KindString},
+		FieldDef{Name: "r", Kind: KindRef},
+		FieldDef{Name: "l", Kind: KindList},
+	)
+	c.Special = SpecialReplacement
+	full := []Value{Int(7), Str("seven"), Ref(7), List(Int(7))}
+	for given := 0; given <= len(full); given++ {
+		h := New(0)
+		own(h)
+		old, err := h.NewPrivileged(c, full...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Free([]ObjID{old.ID()})
+		init := []Value{Int(3), Str("three"), Ref(3), List(Int(3))}[:given]
+		o, err := h.NewPrivileged(c, init...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o != old {
+			t.Fatalf("%d values: the freed block was not reissued", given)
+		}
+		for i := 0; i < c.NumFields(); i++ {
+			want := zeroValue(c.Field(i).Kind)
+			if i < given {
+				want = init[i]
+			}
+			if got := o.Field(i); !got.Equal(want) || got.Kind() != want.Kind() {
+				t.Errorf("%d values: field %s = %v (%s), want %v (%s)", given, c.Field(i).Name, got, got.Kind(), want, want.Kind())
+			}
+		}
+	}
+}

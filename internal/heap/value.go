@@ -377,14 +377,20 @@ func (v Value) size() int64 {
 	case KindString, KindBytes:
 		return valueOverhead + int64(v.n)
 	case KindList:
-		sz := int64(valueOverhead)
-		for _, e := range v.elems() {
-			sz += e.size()
-		}
-		return sz
+		return v.listSize()
 	default:
 		return valueOverhead
 	}
+}
+
+// listSize is size for a list, kept apart so that size, which every
+// allocation and field write runs per value, is inlined where it is called.
+func (v Value) listSize() int64 {
+	sz := int64(valueOverhead)
+	for _, e := range v.elems() {
+		sz += e.size()
+	}
+	return sz
 }
 
 // forEachRef visits every object reference contained in the value, including
