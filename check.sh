@@ -24,9 +24,12 @@ go build ./...
 #   strict Prometheus text-format parser — adversarial label values,
 #   histograms and the telemetry families included.
 # - TestHeatRankingMatchesEvictionOrder, TestFaultCauseAttribution,
-#   TestThrashHealthFlips (.): heat classes and the coldest-first victim order
-#   are two readings of one ledger, fault causes are attributed, and the
-#   thrash health check flips degraded and recovers.
+#   TestThrashHealthFlips, TestAccessPlaneIgnoresWallTime (.): heat classes
+#   and the coldest-first victim order are two readings of one ledger, fault
+#   causes are attributed, the thrash health check flips degraded, stays so
+#   while the system idles and recovers after accesses with no ping-pong, and
+#   one script of accesses and swaps reads the same on /debug/heat and
+#   /debug/wss run straight through and with sleeps between its steps.
 # - TestCodecBenchSmoke (internal/wire): the binary codec's decode/encode time
 #   ratio stays under half the XML asymmetry (17.54) it was built to close,
 #   and one decode stays within its allocation budget.
@@ -78,13 +81,10 @@ go build ./...
 #   is never reused, so its event's Trace and Phases and the contexts a donor
 #   kept from its Put and Get read the same, trace included, ten swaps and
 #   three collections later.
-# - TestCrossingReadsNoClockOnAStopwatch (internal/core): on a real clock a
-#   crossing reads no clock: 100 crossings take no full reading and at most
-#   2 + elapsed/1 ms monotonic ones, the tracker's refreshes of the coarse
-#   instant accesses are dated with (at most one refresh period plus
-#   scheduling delay late, never before the last full reading); swaps and
-#   waits keep full readings. On any other clock a crossing is one full
-#   reading, so a VirtualClock dates it exactly.
+# - TestCrossingReadsNoClock (internal/core): with a tracker attached, 100
+#   crossings, 100 in-place touches and 100 allocations read the registry's
+#   clock 0 times, Now and Since alike: every access is dated with a tick of
+#   the recency clock, and the ledger gains them all.
 # - TestUncoalescedFaultAllocatesNothing (internal/fault): a warm Engine.Do
 #   no waiter joins allocates nothing (its flight comes off the engine's
 #   free list; the channel waiters park on is made only when one joins).
@@ -275,14 +275,17 @@ if [ -n "$MAPS" ] || [ "$WRITERS" != "internal/core/ledger.go" ] || [ -n "$IFACE
     printf '%s\n%s\n%s\n' "$MAPS" "$WRITERS" "$IFACES" >&2
     exit 1
 fi
-# Guard: an access reads no clock. The ledger's access feeds (enterCrossing,
-# touch, in internal/core/ledger.go) and the allocation feed (Manager.assign)
-# date an access with the tracker's coarse instant (Tracker.AccessNow), never
-# with a full reading (telem.Now()), which is for swap dates and waits.
-FULLREADS=$( (grep -n 'telem\.Now()' internal/core/ledger.go || true; grep -nE 'feed\(.*(used|crossed|accessed),.*telem\.Now\(\)' internal/core/*.go | grep -v '_test\.go:' || true) )
-if [ -n "$FULLREADS" ]; then
-    echo "an access feed takes a full clock reading (want Tracker.AccessNow):" >&2
-    printf '%s\n' "$FULLREADS" >&2
+# Guard: the access plane keeps no clock. Every ledger event is dated with a
+# tick of the recency clock (Manager.clock), so no non-test file of
+# internal/telemetry imports time or names obs.Clock, no non-test file of
+# internal/core asks the tracker for a time (telem.Now, AccessNow), and no
+# non-test Go names obs.Stopwatch, the monotonic clock only the tracker used.
+CLOCKED=$( (grep -nE '^[[:space:]]*(import[[:space:]]+)?"time"|obs\.Clock' internal/telemetry/*.go | grep -v '_test\.go:' || true
+    grep -nE 'telem\.Now|AccessNow' internal/core/*.go | grep -v '_test\.go:' || true
+    grep -rn 'obs\.Stopwatch' --include='*.go' . | grep -v '_test\.go:' || true) )
+if [ -n "$CLOCKED" ]; then
+    echo "the access plane reads a clock (want every ledger event dated with Manager.clock):" >&2
+    printf '%s\n' "$CLOCKED" >&2
     exit 1
 fi
 # Guard: a cluster's donor copy is one record with one rule. cs.retained — the
@@ -624,12 +627,6 @@ go test -race -count=10 -run '^(TestTriggerWhileRunningDoesNotRequeue|TestTrigge
 go test -race -count=10 -run '^(TestArmedAttemptContextIsNotReused|TestAttemptContextReportsParentFirst|TestPerAttemptTimeoutIsRetriedAsUnavailable|TestTimeoutExhaustionSurfacesAsUnavailableAndTripsBreaker|TestCallerCancellationFailsFastWithoutBlame)$' ./internal/transport/
 go test -race -count=10 -run '^(TestPrefetchWindowOverlap|TestReplicatedSwapSurvivesDonorLoss|TestDetachDeviceKicksRepair|TestScopeHoldsAHostReference|TestScopesBuildBesideEvictions)$' .
 go test -race -count=50 ./internal/placement/
-# The coarse access instant a hundred times under the race detector (about
-# 6 s): its readings never go back against a concurrent read side and the
-# refresh timer, an access is never dated before a read ahead of it, a warm
-# reading allocates nothing, and an idle tracker disarms its timer and wakes
-# with a fresh reading.
-go test -race -count=100 -run '^TestAccessNow' ./internal/telemetry/
 go test -race -count=10 -run '^(TestTriggerPrefetchAllocatesNothing|TestPrefetchHitRecordsParkedTime|TestCommitWindow|TestSweepBeforeEnlist|TestReissueBeforeEnlist|TestSweepAtMintPurgesTheListedProxy|TestMintWhoseEvictorMovesHome|TestKeyTableMatchesMap|TestReissuedProxyBlockRefused|TestStaleReplacementHolderRefused|TestFaultStormCoalesces|TestReloadedStringsOutliveTheFetch|TestConcurrentSelectVictims|TestYoungPassAgainstConcurrentWrites|TestCollectAgainstConcurrentFieldWrites|TestPropYoungPassSweepsOnlyGarbage|TestYoungTailAfterEveryStep|TestSwapOutVictimsWalksTheRanking|TestConcurrentVictimWalks|TestZeroEdgeWaitsForThePurge|TestMintWindowIsClosed|TestCommitWindowIsClosed|TestReentryAcrossADemandFault|TestWalkerAgainstEvictingPrefetch|TestReplicationFaultBesidePrefetchWorkers|TestMasterServesBesideItsRuntime|TestReloadRoomTakenDuringEviction|TestHeapCollectionPurgesTheManager|TestHeapCollectionKeepsParkedFrames|TestWriteDuringShipIsKept)$' ./internal/core/ ./internal/heap/ ./internal/replication/
 # The walker against the evicting prefetch workers a thousand times under the
 # race detector (about 10 s): the invocation stack was written with no lock

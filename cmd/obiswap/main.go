@@ -292,7 +292,7 @@ func renderTelemetry(w io.Writer, t *telemetry.Tracker) {
 	}
 	fmt.Fprintf(w, "obiswap telemetry  %s\n\n", time.Now().Format("15:04:05"))
 	fmt.Fprintf(w, "heat    hot %d | warm %d | cold %d\n", hot, warm, cold)
-	fmt.Fprintf(w, "wss     %d clusters, %d bytes (window %s)\n", wssClusters, wssBytes, t.Window())
+	fmt.Fprintf(w, "wss     %d clusters, %d bytes (window %d accesses)\n", wssClusters, wssBytes, t.Window())
 	fmt.Fprintf(w, "thrash  score %.2f, %s\n\n", score, state)
 	ranked := t.HeatSnapshot()
 	fmt.Fprintf(w, "%-9s %-5s %9s %9s %10s %6s %5s %9s %7s\n",

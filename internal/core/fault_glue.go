@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"objectswap/internal/fault"
-	"objectswap/internal/telemetry"
 )
 
 // This file is the runtime's glue onto internal/fault: the public SwapIn
@@ -60,9 +59,9 @@ func (rt *Runtime) SwapIn(id ClusterID, opts ...SwapOption) (SwapEvent, error) {
 // option. The flight runs with the lock released: a join parks until its
 // leader, perhaps a prefetch worker that needs the lock to install, is done.
 func (rt *Runtime) swapInWith(id ClusterID, o swapOpts) (SwapEvent, error) {
-	var parked telemetry.Instant // when a join, the one kind of fault that may be a hit, began to wait
+	var parked time.Time // when a join, the one kind of fault that may be a hit, began to wait
 	if rt.prefetchDepth > 0 {
-		parked = rt.telem.Now()
+		parked = rt.obsReg.Clock().Now()
 	}
 	var ev SwapEvent
 	var leader bool
@@ -124,7 +123,7 @@ func (rt *Runtime) prefetchSwapIn(cluster uint32) (bool, error) {
 // neither the engine's lock nor, with one, the clock.
 func (rt *Runtime) notePrefetchHit(id ClusterID) {
 	if rt.prefetchDepth > 0 {
-		rt.prefetchHit(id, 0)
+		rt.prefetchHit(id, time.Time{})
 	}
 }
 
@@ -133,15 +132,16 @@ func (rt *Runtime) notePrefetchHit(id ClusterID) {
 // zero when it was already resident, the rest of the flight for a join that
 // began parking at parked — and slides the window one cluster further along
 // the graph, so a pointer chase stays ahead of the chaser. A resident
-// crossing never reads the clock; a join reads it only when it is the hit.
-// The caller holds the runtime lock, under which the window walks the graph.
-func (rt *Runtime) prefetchHit(id ClusterID, parked telemetry.Instant) {
+// crossing never reads the clock; a join reads the registry clock only when
+// it is the hit. The caller holds the runtime lock, under which the window
+// walks the graph.
+func (rt *Runtime) prefetchHit(id ClusterID, parked time.Time) {
 	if _, ok := rt.faults.ConsumeHit(uint32(id)); !ok {
 		return
 	}
 	var waited time.Duration
-	if parked != 0 {
-		waited = time.Duration(rt.telem.Now() - parked)
+	if !parked.IsZero() {
+		waited = rt.obsReg.Clock().Now().Sub(parked)
 	}
 	rt.telem.RecordPrefetchHit(waited.Seconds())
 	rt.faults.TriggerPrefetch(uint32(id))

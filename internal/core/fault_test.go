@@ -284,7 +284,7 @@ func TestPrefetchHitRecordsParkedTime(t *testing.T) {
 	clock := obs.NewVirtualClock(time.Unix(0, 0))
 	reg := obs.NewRegistry(clock)
 	rt, ps := newFaultFixture(t, WithObs(reg),
-		WithTelemetry(telemetry.New(reg, telemetry.Options{})), WithPrefetch(1, 1))
+		WithTelemetry(telemetry.New(reg)), WithPrefetch(1, 1))
 	defer rt.FaultEngine().Stop()
 	chain := buildChain(t, rt, 2, 4)
 	for _, c := range chain {

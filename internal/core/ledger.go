@@ -18,16 +18,14 @@ const (
 
 // feed is the only writer of a cluster's ledger (check.sh greps for the
 // counters), the record victim selection, ClusterInfo and the telemetry plane
-// all read. The caller holds the runtime lock. tick dates recency, for
-// the kinds that advance it; now dates heat and thrash, and is the zero
-// Instant, read from no clock, when no tracker is attached. An access
-// (accessed, used, crossed) is dated with the tracker's coarse instant
-// (Tracker.AccessNow), which reads no clock while the tracker is in use and
-// is at most one refresh period plus scheduling delay late, never before the
-// last full reading; a swap (shipped, reloaded) with a full reading
-// (Tracker.Now), which the thrash window needs.
-func (m *Manager) feed(cs *clusterState, what access, tick uint64, now telemetry.Instant) {
-	l, t := &cs.ledger, m.rt.telem
+// all read. The caller holds the runtime lock. Every event is dated with the
+// current tick of the recency clock, m.clock: a crossing or an allocation
+// (crossed, used) advances it first and sets the cluster's recency to the
+// tick it took; an in-place touch (accessed) and a swap (shipped, reloaded)
+// take the tick as it stands. Recency, heat, the working set and thrash are
+// dated on one clock, and no event reads a wall clock.
+func (m *Manager) feed(cs *clusterState, what access) {
+	l, t, now := &cs.ledger, m.rt.telem, m.clock
 	switch what {
 	case shipped:
 		l.SwapOuts++
@@ -41,7 +39,7 @@ func (m *Manager) feed(cs *clusterState, what access, tick uint64, now telemetry
 		l.Crossings++
 		fallthrough
 	case used:
-		l.LastAccess = tick
+		l.LastAccess = now
 	}
 	l.Touches++
 	t.Touch(l, now)
@@ -50,18 +48,16 @@ func (m *Manager) feed(cs *clusterState, what access, tick uint64, now telemetry
 // enterCrossing is the hot-path combination used by proxy dispatch: it
 // records a crossing from cluster src into cluster dst, the home its proxy's
 // header names, and reports whether dst is currently swapped out, with both
-// ends of the crossing dated by one tick of the recency clock and one coarse
-// instant (Tracker.AccessNow): on a real clock, a crossing reads no clock.
+// ends of the crossing dated by one tick of the recency clock.
 func (m *Manager) enterCrossing(src, dst ClusterID) (swapped bool) {
 	m.rt.assertLocked()
 	m.clock++
-	tick, now := m.clock, m.rt.telem.AccessNow()
 	if cs := m.table.clusters.get(dst); cs != nil {
-		m.feed(cs, crossed, tick, now)
+		m.feed(cs, crossed)
 		swapped = cs.where.out()
 	}
 	if cs := m.table.clusters.get(src); cs != nil && src != dst {
-		m.feed(cs, used, tick, now)
+		m.feed(cs, used)
 	}
 	return swapped
 }
@@ -74,8 +70,7 @@ func (m *Manager) enterCrossing(src, dst ClusterID) (swapped bool) {
 // every write to an application object (NewRuntime registers it as a write
 // observer), dispatch for every read in place. Middleware writes never arrive
 // (the heap runs no observer for them). With no tracker, a read costs one
-// load; with one, the touch is dated with the coarse instant
-// (Tracker.AccessNow) and reads no clock on a real one.
+// load; with one, the touch is dated with the recency clock's current tick.
 func (m *Manager) touch(o *heap.Object, write bool) {
 	track := m.rt.telem != nil
 	if !track && !write {
@@ -89,16 +84,16 @@ func (m *Manager) touch(o *heap.Object, write bool) {
 		cs.changed()
 	}
 	if track {
-		m.feed(cs, accessed, 0, m.rt.telem.AccessNow())
+		m.feed(cs, accessed)
 	}
 }
 
 // eachLedger is the telemetry plane's view of the cluster table
 // (telemetry.Clusters): every record's ledger, visited under one hold of the
-// runtime lock, with a measure of the cluster's footprint — resident bytes
-// while loaded, the shipped payload while swapped out. The caller must not
-// hold the runtime lock.
-func (m *Manager) eachLedger(visit func(id uint32, l *telemetry.Ledger, size func() int64)) {
+// runtime lock with the recency clock's current tick, and a measure of the
+// cluster's footprint — resident bytes while loaded, the shipped payload
+// while swapped out. The caller must not hold the runtime lock.
+func (m *Manager) eachLedger(visit func(now uint64, id uint32, l *telemetry.Ledger, size func() int64)) uint64 {
 	var cur *clusterState
 	size := func() int64 {
 		if cur.where.out() {
@@ -109,6 +104,7 @@ func (m *Manager) eachLedger(visit func(id uint32, l *telemetry.Ledger, size fun
 	m.rt.lock()
 	defer m.rt.unlock()
 	for cur = range m.table.clusters.all {
-		visit(uint32(cur.id), &cur.ledger, size)
+		visit(m.clock, uint32(cur.id), &cur.ledger, size)
 	}
+	return m.clock
 }

@@ -507,7 +507,7 @@ func (m *Manager) assign(o *heap.Object, cluster ClusterID, class uint32) error 
 	// Allocation into a cluster is a use signal: advance its recency so
 	// victim selection does not evict the cluster being built.
 	m.clock++
-	m.feed(cs, used, m.clock, m.rt.telem.AccessNow())
+	m.feed(cs, used)
 	return nil
 }
 

@@ -249,7 +249,7 @@ func TestWholeTableReadsAreOneCut(t *testing.T) {
 // the boundary into the next cluster, re-aiming itself and moving its inbound
 // entry under the runtime lock.
 func TestTouchesAndCursorWalk(t *testing.T) {
-	f := newFixture(t, 0, WithTelemetry(telemetry.New(obs.NewRegistry(nil), telemetry.Options{})))
+	f := newFixture(t, 0, WithTelemetry(telemetry.New(obs.NewRegistry(nil))))
 	ids, clusters := f.buildList(t, 20, 10, 8)
 	if _, err := f.rt.SwapOut(clusters[0]); err != nil {
 		t.Fatal(err)

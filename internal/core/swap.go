@@ -475,7 +475,7 @@ func (s *swapOut) commit() error {
 	}
 	s.op.commit(swappedOut, func(cs *clusterState) {
 		cs.shipment = shipment{replacement: s.repl.ID(), bytesAtSwap: s.residentBytes}
-		rt.mgr.feed(cs, shipped, 0, rt.telem.Now())
+		rt.mgr.feed(cs, shipped)
 		if !s.clean() {
 			s.oldCopy = cs.retained.donorCopy
 			// The record's own slot table: the scratch goes back to the pool.

@@ -244,7 +244,7 @@ func (s *swapIn) install() error {
 	s.op.commit(resident, func(cs *clusterState) {
 		rt.mgr.own(cs, cs.members)
 		cs.shipment = shipment{}
-		rt.mgr.feed(cs, reloaded, 0, rt.telem.Now())
+		rt.mgr.feed(cs, reloaded)
 		if !cs.retained.usable() {
 			c := s.copy
 			c.crc, c.format = s.dataCRC, string(s.fid)

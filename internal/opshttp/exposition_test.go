@@ -34,11 +34,12 @@ func TestMetricsPageParses(t *testing.T) {
 	labeled.With(`quote"and back\slash`).Set(1)
 	labeled.With("tab\tand\nnewline").Set(2)
 
-	tr := telemetry.New(reg, telemetry.Options{})
+	tr := telemetry.New(reg)
 	one := telemetry.Ledger{Touches: 1, Crossings: 1, SwapOuts: 1}
-	tr.Touch(&one, tr.Now())
-	tr.Watch(func(visit func(uint32, *telemetry.Ledger, func() int64)) {
-		visit(1, &one, func() int64 { return 64 })
+	tr.Touch(&one, 1)
+	tr.Watch(func(visit func(uint64, uint32, *telemetry.Ledger, func() int64)) uint64 {
+		visit(1, 1, &one, func() int64 { return 64 })
+		return 1
 	})
 	tr.RecordFault("swap_out", "explicit", 0.25)
 
@@ -202,22 +203,24 @@ func parseLabels(s string) (rest string, err error) {
 	}
 }
 
-// The telemetry endpoints render well-formed JSON with ranked heat and a
-// windowed WSS series, and reject malformed windows.
+// The telemetry endpoints render well-formed JSON with ranked heat, each
+// cluster's last touch as a tick, and a windowed WSS series dated in ticks,
+// and reject malformed windows: a window is a positive count of accesses.
 func TestHeatAndWSSEndpoints(t *testing.T) {
-	clock := obs.NewVirtualClock(time.Unix(0, 0))
-	reg := obs.NewRegistry(clock)
-	tr := telemetry.New(reg, telemetry.Options{})
+	reg := obs.NewRegistry(nil)
+	tr := telemetry.New(reg)
+	const now = 7 // the recency clock's tick
 	ledgers := map[uint32]*telemetry.Ledger{2: {Touches: 5, Crossings: 5}, 9: {Touches: 1}}
-	tr.Watch(func(visit func(uint32, *telemetry.Ledger, func() int64)) {
+	tr.Watch(func(visit func(uint64, uint32, *telemetry.Ledger, func() int64)) uint64 {
 		for id, l := range ledgers {
-			visit(id, l, func() int64 { return 128 })
+			visit(now, id, l, func() int64 { return 128 })
 		}
+		return now
 	})
 	for i := 0; i < 5; i++ {
-		tr.Touch(ledgers[2], tr.Now())
+		tr.Touch(ledgers[2], now)
 	}
-	tr.Touch(ledgers[9], tr.Now())
+	tr.Touch(ledgers[9], now-1)
 	h := NewHandler(Options{Telemetry: tr, Checks: []Check{
 		{Name: "thrash", Probe: func(context.Context) error { return tr.HealthCheck() }},
 	}})
@@ -237,28 +240,31 @@ func TestHeatAndWSSEndpoints(t *testing.T) {
 	if rec.Code != http.StatusOK || len(heat.Clusters) != 1 || heat.Clusters[0].Cluster != 2 {
 		t.Fatalf("heat: code %d body %+v, want top-ranked cluster 2", rec.Code, heat)
 	}
-	if heat.Clusters[0].Class != telemetry.ClassHot || heat.Hot != 1 {
-		t.Fatalf("heat class: %+v", heat)
+	if heat.Clusters[0].Class != telemetry.ClassHot || heat.Hot != 1 || heat.Clusters[0].LastTouchTick != now {
+		t.Fatalf("heat class and last touch: %+v", heat)
 	}
 
 	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/wss?window=30s", nil))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/wss?window=30", nil))
 	var wss struct {
-		WindowSeconds float64               `json:"window_seconds"`
-		Clusters      int                   `json:"clusters"`
-		Bytes         int64                 `json:"bytes"`
-		Samples       []telemetry.WSSSample `json:"samples"`
+		WindowAccesses uint64                `json:"window_accesses"`
+		Clusters       int                   `json:"clusters"`
+		Bytes          int64                 `json:"bytes"`
+		Samples        []telemetry.WSSSample `json:"samples"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &wss); err != nil {
 		t.Fatalf("wss body: %v\n%s", err, rec.Body.String())
 	}
-	if wss.WindowSeconds != 30 || wss.Clusters != 2 || wss.Bytes != 256 || len(wss.Samples) == 0 {
-		t.Fatalf("wss: %+v, want 2 clusters / 256 bytes over 30s", wss)
+	if wss.WindowAccesses != 30 || wss.Clusters != 2 || wss.Bytes != 256 || len(wss.Samples) == 0 ||
+		wss.Samples[len(wss.Samples)-1].EndTick != now {
+		t.Fatalf("wss: %+v, want 2 clusters / 256 bytes over 30 accesses, sampled up to tick %d", wss, now)
 	}
 
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/wss?window=bogus", nil))
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("bogus window: code %d, want 400", rec.Code)
+	for _, bad := range []string{"bogus", "30s", "0", "-5"} {
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/wss?window="+bad, nil))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("window %q: code %d, want 400", bad, rec.Code)
+		}
 	}
 }

@@ -12,7 +12,8 @@
 //	                    orders by duration, ?errors=N filters failed spans
 //	GET /debug/events   flight-recorder bus-event dump; ?n= limits
 //	GET /debug/heat     ranked cluster heat snapshot (telemetry); ?n= limits
-//	GET /debug/wss      working-set time series (telemetry); ?window=30s
+//	GET /debug/wss      working-set time series (telemetry); ?window=N, a
+//	                    count of accesses (recency-clock ticks)
 //	GET /debug/prefetch fault-engine snapshot: coalescing counters, prefetch
 //	                    accuracy and inventory; ?cluster=N&k=8 adds that
 //	                    cluster's current prefetch window
@@ -254,22 +255,20 @@ func serveHeat(w http.ResponseWriter, r *http.Request, t *telemetry.Tracker) {
 }
 
 // serveWSS renders the working-set estimate: the windowed aggregate plus the
-// per-interval time series (paper Fig. 5 shape). ?window= accepts a Go
-// duration ("30s", "5m"); absent or invalid selects the tracker default.
+// per-interval time series (paper Fig. 5 shape). ?window= is a positive count
+// of accesses, ticks of the recency clock the samples are dated on; absent
+// selects the tracker default, and anything else is a 400.
 func serveWSS(w http.ResponseWriter, r *http.Request, t *telemetry.Tracker) {
-	window := time.Duration(0)
+	window := t.Window()
 	if s := r.URL.Query().Get("window"); s != "" {
-		if d, err := time.ParseDuration(s); err == nil && d > 0 {
-			window = d
-		} else {
+		n, err := strconv.ParseUint(s, 10, 64)
+		if err != nil || n == 0 {
 			writeJSON(w, http.StatusBadRequest, struct {
 				Error string `json:"error"`
-			}{fmt.Sprintf("bad window %q: want a Go duration like 30s", s)})
+			}{fmt.Sprintf("bad window %q: want a positive count of accesses like 100000", s)})
 			return
 		}
-	}
-	if window <= 0 {
-		window = t.Window()
+		window = n
 	}
 	clusters, bytes := t.WSS(window)
 	samples := t.WSSSeries(window)
@@ -277,11 +276,11 @@ func serveWSS(w http.ResponseWriter, r *http.Request, t *telemetry.Tracker) {
 		samples = []telemetry.WSSSample{}
 	}
 	writeJSON(w, http.StatusOK, struct {
-		WindowSeconds float64               `json:"window_seconds"`
-		Clusters      int                   `json:"clusters"`
-		Bytes         int64                 `json:"bytes"`
-		Samples       []telemetry.WSSSample `json:"samples"`
-	}{window.Seconds(), clusters, bytes, samples})
+		WindowAccesses uint64                `json:"window_accesses"`
+		Clusters       int                   `json:"clusters"`
+		Bytes          int64                 `json:"bytes"`
+		Samples        []telemetry.WSSSample `json:"samples"`
+	}{window, clusters, bytes, samples})
 }
 
 // servePrefetch renders the fault engine's snapshot — coalesced waiters,

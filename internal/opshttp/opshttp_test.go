@@ -30,7 +30,7 @@ func TestSmoke(t *testing.T) {
 	srv, err := Start("127.0.0.1:0", NewHandler(Options{
 		Metrics:   reg,
 		Recorder:  obs.NewRecorder(0, 0),
-		Telemetry: telemetry.New(reg, telemetry.Options{}),
+		Telemetry: telemetry.New(reg),
 		Prefetch:  prefetcher{engine},
 		Checks:    []Check{{Name: "always", Probe: func(context.Context) error { return nil }}},
 	}))

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 )
 
 // ulps returns how many representable float64 values lie between two
@@ -20,16 +19,17 @@ func ulps(a, b float64) uint64 {
 // TestDecaySeriesMatchesExp2: below the cut-over, where a decay sums a
 // series instead of calling math.Exp2, it returns math.Exp2's value to
 // within one ulp, for the shortest gap, the longest, and seeded gaps in
-// between, at half-lives from a millisecond to an hour; at the cut-over and
-// above it returns math.Exp2's value exactly.
+// between, at half-lives from 2^10 ticks to 2^40, the default heat
+// half-life among them; at the cut-over and above it returns math.Exp2's
+// value exactly.
 func TestDecaySeriesMatchesExp2(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	for _, hl := range []time.Duration{time.Millisecond, time.Second, 10 * time.Second, 30 * time.Second, time.Hour} {
-		exp2 := func(dt time.Duration) float64 { return math.Exp2(-float64(dt) / float64(hl)) }
+	for _, hl := range []uint64{1 << 10, thrashHalfLife, 1 << 20, heatHalfLife, 1e9, 1 << 40} {
+		exp2 := func(dt uint64) float64 { return math.Exp2(-float64(dt) / float64(hl)) }
 		cut := hl >> seriesShift
-		gaps := []time.Duration{1, 2, cut / 2, cut - 1}
+		gaps := []uint64{1, 2, cut / 2, cut - 1}
 		for i := 0; i < 10000; i++ {
-			gaps = append(gaps, 1+time.Duration(r.Int63n(int64(cut-1))))
+			gaps = append(gaps, 1+uint64(r.Int63n(int64(cut-1))))
 		}
 		worst := uint64(0)
 		for _, dt := range gaps {
@@ -40,14 +40,14 @@ func TestDecaySeriesMatchesExp2(t *testing.T) {
 				worst = max(worst, d)
 			}
 		}
-		for _, dt := range []time.Duration{cut, cut + 1, hl, 7 * hl} {
+		for _, dt := range []uint64{cut, cut + 1, hl, 7 * hl} {
 			if got, want := newDecay(hl).at(dt), exp2(dt); got != want {
 				t.Fatalf("half-life %v, gap %v at or above the cut-over: %v, want math.Exp2's %v", hl, dt, got, want)
 			}
 		}
 		t.Logf("half-life %v: below the %v cut-over the series is within %d ulp of math.Exp2", hl, cut, worst)
 	}
-	if got := newDecay(time.Second).at(0); got != 1 {
+	if got := newDecay(heatHalfLife).at(0); got != 1 {
 		t.Fatalf("no gap decays by %v, want 1", got)
 	}
 }

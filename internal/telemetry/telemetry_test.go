@@ -2,20 +2,23 @@ package telemetry
 
 import (
 	"testing"
-	"time"
 
 	"objectswap/internal/obs"
 )
 
 // fed is a Tracker together with a stand-in for the swapping manager that
-// feeds it: it holds the ledgers, counts the way core's one writer does, and
-// is the iteration the tracker reads through. Its Touch, RecordSwap and
-// SetSizeOf keep the signatures the tests below were written against.
+// feeds it: it holds the ledgers and the recency clock, counts the way core's
+// one writer does, and is the iteration the tracker reads through. Its Touch,
+// RecordSwap and SetSizeOf keep the signatures the tests below were written
+// against; advance moves the clock, as crossings and allocations move core's.
 type fed struct {
 	*Tracker
 	ledgers map[uint32]*Ledger
 	sizeOf  func(uint32) int64
+	now     uint64
 }
+
+func (f *fed) advance(ticks uint64) { f.now += ticks }
 
 func (f *fed) ledger(id uint32) *Ledger {
 	if f.ledgers[id] == nil {
@@ -30,7 +33,7 @@ func (f *fed) Touch(id uint32, crossing bool) {
 	if crossing {
 		l.Crossings++
 	}
-	f.Tracker.Touch(l, f.Now())
+	f.Tracker.Touch(l, f.now)
 }
 
 func (f *fed) RecordSwap(op string, id uint32, cause string, seconds float64, _ int64) {
@@ -38,37 +41,37 @@ func (f *fed) RecordSwap(op string, id uint32, cause string, seconds float64, _ 
 	switch l := f.ledger(id); op {
 	case "swap_out":
 		l.SwapOuts++
-		f.SwappedOut(l, f.Now())
+		f.SwappedOut(l, f.now)
 	case "swap_in":
 		l.SwapIns++
-		f.SwappedIn(l, f.Now())
+		f.SwappedIn(l, f.now)
 	}
 }
 
 func (f *fed) SetSizeOf(fn func(uint32) int64) { f.sizeOf = fn }
 
-func newTestTracker(t *testing.T, opt Options) (*fed, *obs.Registry, *obs.VirtualClock) {
+// newTestTracker returns a tracker on the default settings, which a test
+// overrides on the Tracker, fed by a stand-in at tick 1: in core the first
+// touch follows the tick of the allocation that made the cluster a member.
+func newTestTracker(t *testing.T) (*fed, *obs.Registry) {
 	t.Helper()
-	clock := obs.NewVirtualClock(time.Unix(1000, 0))
-	reg := obs.NewRegistry(clock)
-	f := &fed{Tracker: New(reg, opt), ledgers: make(map[uint32]*Ledger)}
-	f.Watch(func(visit func(uint32, *Ledger, func() int64)) {
+	reg := obs.NewRegistry(nil)
+	f := &fed{Tracker: New(reg), ledgers: make(map[uint32]*Ledger), now: 1}
+	f.Watch(func(visit func(uint64, uint32, *Ledger, func() int64)) uint64 {
 		for id, l := range f.ledgers {
-			visit(id, l, func() int64 { return f.sizeOf(id) })
+			visit(f.now, id, l, func() int64 { return f.sizeOf(id) })
 		}
+		return f.now
 	})
-	return f, reg, clock
+	return f, reg
 }
 
-// The heat EWMA must decay deterministically under the virtual clock: one
-// half-life halves the score, and the hot→warm→cold transitions happen at
-// the exit thresholds, not the (higher) entry thresholds.
+// The heat EWMA decays with the ticks that pass: one half-life halves the
+// score, and the hot→warm→cold transitions happen at the exit thresholds, not
+// the (higher) entry thresholds. No tick passing decays nothing.
 func TestHeatEWMADecay(t *testing.T) {
-	tr, reg, clock := newTestTracker(t, Options{
-		HeatHalfLife: 10 * time.Second,
-		HotEnter:     4, HotExit: 2,
-		WarmEnter: 1, WarmExit: 0.5,
-	})
+	tr, reg := newTestTracker(t)
+	tr.heat = newDecay(10)
 
 	for i := 0; i < 5; i++ {
 		tr.Touch(7, i%2 == 0)
@@ -90,20 +93,22 @@ func TestHeatEWMADecay(t *testing.T) {
 		t.Fatalf("heat{hot} gauge = %v,%v, want 1", v, ok)
 	}
 
-	// One half-life: 5 -> 2.5, still above HotExit=2 — hysteresis holds hot.
-	clock.Advance(10 * time.Second)
+	// One half-life: 5 -> 2.5, still above hotExit=2 — hysteresis holds hot.
+	tr.advance(10)
 	if got := tr.HeatSnapshot()[0]; got.Score != 2.5 || got.Class != ClassHot {
 		t.Fatalf("after one half-life: score=%v class=%q, want 2.5/hot", got.Score, got.Class)
 	}
 
-	// Second half-life: 1.25 < HotExit — drops to warm (not straight cold).
-	clock.Advance(10 * time.Second)
-	if got := tr.HeatSnapshot()[0]; got.Score != 1.25 || got.Class != ClassWarm {
-		t.Fatalf("after two half-lives: score=%v class=%q, want 1.25/warm", got.Score, got.Class)
+	// Second half-life: 1.25 < hotExit — drops to warm (not straight cold).
+	tr.advance(10)
+	for i := 0; i < 2; i++ { // reads at one tick read one score
+		if got := tr.HeatSnapshot()[0]; got.Score != 1.25 || got.Class != ClassWarm {
+			t.Fatalf("after two half-lives: score=%v class=%q, want 1.25/warm", got.Score, got.Class)
+		}
 	}
 
-	// Two more: 0.3125 < WarmExit=0.5 — cold.
-	clock.Advance(20 * time.Second)
+	// Two more: 0.3125 < warmExit=0.5 — cold.
+	tr.advance(20)
 	if got := tr.HeatSnapshot()[0]; got.Class != ClassCold {
 		t.Fatalf("after four half-lives: class=%q, want cold", got.Class)
 	}
@@ -115,16 +120,14 @@ func TestHeatEWMADecay(t *testing.T) {
 // Entering hot requires crossing HotEnter: a score parked between HotExit
 // and HotEnter classifies warm when approached from below.
 func TestHeatHysteresisEntry(t *testing.T) {
-	tr, _, _ := newTestTracker(t, Options{
-		HotEnter: 4, HotExit: 2, WarmEnter: 1, WarmExit: 0.5,
-	})
+	tr, _ := newTestTracker(t)
 	tr.Touch(1, false)
 	tr.Touch(1, false)
-	tr.Touch(1, false) // score 3: above HotExit but below HotEnter
+	tr.Touch(1, false) // score 3: above hotExit but below hotEnter
 	if got := tr.HeatClassOf(1); got != ClassWarm {
 		t.Fatalf("class at score 3 from cold = %q, want warm", got)
 	}
-	tr.Touch(1, false) // score 4 = HotEnter
+	tr.Touch(1, false) // score 4 = hotEnter
 	if got := tr.HeatClassOf(1); got != ClassHot {
 		t.Fatalf("class at score 4 = %q, want hot", got)
 	}
@@ -132,11 +135,12 @@ func TestHeatHysteresisEntry(t *testing.T) {
 
 // HeatSnapshot ranks hottest first with deterministic tie-breaks.
 func TestHeatRanking(t *testing.T) {
-	tr, _, clock := newTestTracker(t, Options{HeatHalfLife: 10 * time.Second})
+	tr, _ := newTestTracker(t)
+	tr.heat = newDecay(10)
 	for i := 0; i < 6; i++ {
 		tr.Touch(3, false)
 	}
-	clock.Advance(time.Second)
+	tr.advance(1)
 	for i := 0; i < 2; i++ {
 		tr.Touch(9, false)
 	}
@@ -150,15 +154,12 @@ func TestHeatRanking(t *testing.T) {
 	}
 }
 
-// The thrash hysteresis must flip degraded at ThrashHigh, stay degraded
-// through the band between the thresholds, and recover below ThrashLow.
+// The thrash hysteresis must flip degraded at thrashHigh, stay degraded
+// through the band between the thresholds however long no tick passes, and
+// recover below thrashLow once ticks have decayed the score.
 func TestThrashHysteresis(t *testing.T) {
-	tr, reg, clock := newTestTracker(t, Options{
-		ThrashWindow:   5 * time.Second,
-		ThrashHalfLife: 10 * time.Second,
-		ThrashHigh:     3,
-		ThrashLow:      1,
-	})
+	tr, reg := newTestTracker(t)
+	tr.thrashWindow, tr.thrash = 5, newDecay(10)
 
 	if err := tr.HealthCheck(); err != nil {
 		t.Fatalf("healthy tracker reports %v", err)
@@ -180,31 +181,36 @@ func TestThrashHysteresis(t *testing.T) {
 	}
 
 	// One half-life: 1.5 — inside the hysteresis band, still degraded.
-	clock.Advance(10 * time.Second)
+	tr.advance(10)
 	if score, degraded := tr.ThrashState(); score != 1.5 || !degraded {
 		t.Fatalf("in band: score=%v degraded=%v, want 1.5/true", score, degraded)
 	}
 
-	// Another half-life: 0.75 < ThrashLow — recovered.
-	clock.Advance(10 * time.Second)
+	// Another half-life: 0.75 < thrashLow — recovered.
+	tr.advance(10)
 	if err := tr.HealthCheck(); err != nil {
 		t.Fatalf("health check still degraded at score 0.75: %v", err)
 	}
 
-	// A swap-in long after the swap-out is not a ping-pong.
+	// A swap-in beyond the window of its swap-out is not a ping-pong; one at
+	// the window's last tick is.
 	tr.RecordSwap("swap_out", 8, "explicit", 0.001, 100)
-	clock.Advance(6 * time.Second) // beyond ThrashWindow
+	tr.advance(6)
 	tr.RecordSwap("swap_in", 8, "explicit", 0.001, 100)
+	tr.RecordSwap("swap_out", 9, "explicit", 0.001, 100)
+	tr.advance(5)
+	tr.RecordSwap("swap_in", 9, "explicit", 0.001, 100)
+	tr.RecordSwap("swap_in", 9, "explicit", 0.001, 100) // no swap-out left to answer
 	for _, h := range tr.HeatSnapshot() {
-		if h.Cluster == 8 && h.PingPongs != 0 {
-			t.Fatalf("late swap-in counted as ping-pong: %+v", h)
+		if want := map[uint32]uint64{8: 0, 9: 1}[h.Cluster]; h.Cluster != 4 && h.PingPongs != want {
+			t.Fatalf("cluster %d: %d ping-pongs, want %d", h.Cluster, h.PingPongs, want)
 		}
 	}
 }
 
 // RecordSwap lands in the per-cause fault histograms with the demand kind.
 func TestFaultHistogramsByCause(t *testing.T) {
-	tr, reg, _ := newTestTracker(t, Options{})
+	tr, reg := newTestTracker(t)
 	tr.RecordSwap("swap_out", 1, "evictor-pressure", 0.25, 10)
 	tr.RecordSwap("swap_out", 2, "explicit", 0.5, 10)
 	tr.RecordSwap("swap_in", 1, "reload", 0.125, 10)
@@ -227,13 +233,13 @@ func TestFaultHistogramsByCause(t *testing.T) {
 	}
 }
 
-// The WSS estimator seals one sample per interval and aggregates distinct
-// clusters (latest byte measurement per cluster) over the query window.
+// The WSS estimator seals one sample per interval of ticks and aggregates
+// distinct clusters (latest byte measurement per cluster) over the query
+// window; a cluster touched at the tick of a seal, after it, is in the next
+// interval.
 func TestWSSWindowing(t *testing.T) {
-	tr, reg, clock := newTestTracker(t, Options{
-		WSSInterval: time.Second,
-		WSSWindow:   10 * time.Second,
-	})
+	tr, reg := newTestTracker(t)
+	tr.wssInterval, tr.wssWindow = 10, 100
 	sizes := map[uint32]int64{1: 100, 2: 200, 3: 400}
 	tr.SetSizeOf(func(c uint32) int64 { return sizes[c] })
 
@@ -244,7 +250,7 @@ func TestWSSWindowing(t *testing.T) {
 		t.Fatalf("live WSS = %d clusters/%d bytes, want 2/300", c, b)
 	}
 
-	clock.Advance(time.Second)
+	tr.advance(10)
 	if c, b := tr.WSS(0); c != 2 || b != 300 { // this read seals {1,2}
 		t.Fatalf("WSS at seal = %d/%d, want 2/300", c, b)
 	}
@@ -267,9 +273,9 @@ func TestWSSWindowing(t *testing.T) {
 	// Far beyond the window with no activity: everything ages out. (The
 	// first read seals {3} with an end stamp inside the window; the second
 	// read, another window later, sees an empty set.)
-	clock.Advance(30 * time.Second)
+	tr.advance(300)
 	tr.WSS(0)
-	clock.Advance(30 * time.Second)
+	tr.advance(300)
 	if c, b := tr.WSS(0); c != 0 || b != 0 {
 		t.Fatalf("aged-out WSS = %d/%d, want 0/0", c, b)
 	}
@@ -279,9 +285,9 @@ func TestWSSWindowing(t *testing.T) {
 func TestNilTrackerSafe(t *testing.T) {
 	var tr *Tracker
 	var l Ledger
-	tr.Touch(&l, tr.Now())
-	tr.SwappedOut(&l, tr.Now())
-	tr.SwappedIn(&l, tr.Now())
+	tr.Touch(&l, 1)
+	tr.SwappedOut(&l, 1)
+	tr.SwappedIn(&l, 1)
 	tr.RecordFault("swap_out", "explicit", 0.1)
 	tr.RecordPrefetchHit(0.1)
 	tr.Watch(nil)
@@ -294,7 +300,7 @@ func TestNilTrackerSafe(t *testing.T) {
 	if c, b := tr.WSS(0); c != 0 || b != 0 {
 		t.Fatal("nil WSS nonzero")
 	}
-	if tr.WSSSeries(0) != nil || tr.ThrashScore() != 0 {
+	if tr.WSSSeries(0) != nil || tr.ThrashScore() != 0 || tr.Window() != 0 {
 		t.Fatal("nil series/score nonzero")
 	}
 	if err := tr.HealthCheck(); err != nil {
@@ -310,10 +316,9 @@ func TestNilTrackerSafe(t *testing.T) {
 // ledger that goes takes its cluster out of every reading, sealed WSS samples
 // included.
 func TestMergeAndDrop(t *testing.T) {
-	tr, _, clock := newTestTracker(t, Options{
-		HeatHalfLife: 10 * time.Second, ThrashHalfLife: 10 * time.Second,
-		WSSInterval: time.Second, WSSWindow: time.Minute,
-	})
+	tr, _ := newTestTracker(t)
+	tr.heat, tr.thrash = newDecay(10), newDecay(10)
+	tr.wssInterval, tr.wssWindow = 1, 60
 	tr.SetSizeOf(func(uint32) int64 { return 100 })
 	for i := 0; i < 8; i++ {
 		tr.Touch(1, true)
@@ -321,7 +326,7 @@ func TestMergeAndDrop(t *testing.T) {
 	tr.RecordSwap("swap_out", 1, "explicit", 0, 0)
 	tr.RecordSwap("swap_in", 1, "reload", 0, 0) // one ping-pong
 	tr.ledger(1).LastAccess = 3
-	clock.Advance(10 * time.Second) // cluster 1: heat 8 -> 4, thrash 1 -> 0.5
+	tr.advance(10) // cluster 1: heat 8 -> 4, thrash 1 -> 0.5
 	tr.Touch(2, false)
 	tr.ledger(2).LastAccess = 9
 	if c, _ := tr.WSS(0); c != 2 { // seals {1} and leaves {2} open
@@ -339,7 +344,7 @@ func TestMergeAndDrop(t *testing.T) {
 		tr.ledger(2).LastAccess != 9 {
 		t.Fatalf("survivor counters = %+v, want the sums and the later recency", got)
 	}
-	if got.Score != 4 || got.Class != ClassHot || got.Thrash != 0.5 || !got.LastTouch.Equal(clock.Now()) {
+	if got.Score != 4 || got.Class != ClassHot || got.Thrash != 0.5 || got.LastTouchTick != tr.now {
 		t.Fatalf("survivor heat = %+v, want the hotter score 4/hot, thrash 0.5, touched now", got)
 	}
 	if c, b := tr.WSS(0); c != 1 || b != 100 {

@@ -1,56 +1,54 @@
 package telemetry
 
-import "time"
-
 // WSSSample is one sealed sampling interval of the working-set estimator,
 // shaped for the /debug/wss JSON time series (paper Fig. 5 style: distinct
-// clusters touched per interval and their byte footprint).
+// clusters touched per interval and their byte footprint). Start and end are
+// ticks of the recency clock.
 type WSSSample struct {
-	Start    time.Time `json:"start"`
-	End      time.Time `json:"end"`
-	Clusters int       `json:"clusters"`
-	Bytes    int64     `json:"bytes"`
+	StartTick uint64 `json:"start_tick"`
+	EndTick   uint64 `json:"end_tick"`
+	Clusters  int    `json:"clusters"`
+	Bytes     int64  `json:"bytes"`
 }
 
-// measure walks the tracked clusters once: sizes holds the footprint of
-// every cluster touched at or after since, known every id that exists.
-func (t *Tracker) measure(since time.Time) (sizes map[uint32]int64, known map[uint32]bool) {
+// measure walks the tracked clusters once and dates the walk: sizes holds
+// the footprint of every cluster touched at or after tick from, known every
+// id that exists.
+func (t *Tracker) measure(from uint64) (sizes map[uint32]int64, known map[uint32]bool, now uint64) {
 	sizes, known = make(map[uint32]int64), make(map[uint32]bool)
-	from := t.instant(since)
-	t.each(func(id uint32, l *Ledger, size func() int64) {
+	now = t.each(func(_ uint64, id uint32, l *Ledger, size func() int64) {
 		known[id] = true
-		if l.last >= from {
+		if l.Touches != 0 && l.last >= from {
 			sizes[id] = size()
 		}
 	})
-	return sizes, known
+	return sizes, known, now
 }
 
 // read seals the open sampling interval if it has elapsed and returns the
-// sealed samples inside the window, oldest first, and the open interval, each
-// reduced to the clusters that still exist: a cluster the manager has dropped
-// leaves the window with its record. Must not be called with core locks held.
-func (t *Tracker) read(window time.Duration) (sealed []wssSample, open wssSample) {
-	if window <= 0 {
-		window = t.opt.WSSWindow
+// sealed samples inside the window (in ticks), oldest first, and the open
+// interval, each reduced to the clusters that still exist: a cluster the
+// manager has dropped leaves the window with its record. Must not be called
+// with core locks held.
+func (t *Tracker) read(window uint64) (sealed []wssSample, open wssSample) {
+	if window == 0 {
+		window = t.wssWindow
 	}
-	now := t.readNow()
 	t.wssMu.Lock()
 	defer t.wssMu.Unlock()
-	if now.Sub(t.curStart) >= t.opt.WSSInterval {
-		sizes, _ := t.measure(t.curStart)
+	sizes, known, now := t.measure(t.curStart)
+	if now-t.curStart >= t.wssInterval {
 		t.samples = append(t.samples, wssSample{start: t.curStart, end: now, sizes: sizes})
 		if len(t.samples) > maxWSSSamples {
 			// Re-slice into a fresh array so the dropped head can be collected.
 			t.samples = append([]wssSample(nil), t.samples[len(t.samples)-maxWSSSamples:]...)
 		}
 		t.curStart = now
+		sizes, known, now = t.measure(now)
 	}
-	sizes, known := t.measure(t.curStart)
 	open = wssSample{start: t.curStart, end: now, sizes: sizes}
-	cutoff := now.Add(-window)
 	for _, s := range t.samples {
-		if !s.end.After(cutoff) {
+		if now-s.end >= window {
 			continue
 		}
 		kept := wssSample{start: s.start, end: s.end, sizes: make(map[uint32]int64, len(s.sizes))}
@@ -64,12 +62,12 @@ func (t *Tracker) read(window time.Duration) (sealed []wssSample, open wssSample
 	return sealed, open
 }
 
-// WSS returns the working-set estimate over the given window (0 selects the
-// default window): the number of distinct clusters touched and the byte
-// footprint, counting each cluster's most recent measurement. The open
-// (unsealed) interval is included so a scrape right after activity is not
-// blind for up to one interval. Must not be called with core locks held.
-func (t *Tracker) WSS(window time.Duration) (clusters int, bytes int64) {
+// WSS returns the working-set estimate over the given window in ticks (0
+// selects the default window): the number of distinct clusters touched and
+// the byte footprint, counting each cluster's most recent measurement. The
+// open (unsealed) interval is included so a scrape right after activity is
+// not blind for up to one interval. Must not be called with core locks held.
+func (t *Tracker) WSS(window uint64) (clusters int, bytes int64) {
 	if t == nil {
 		return 0, 0
 	}
@@ -86,10 +84,10 @@ func (t *Tracker) WSS(window time.Duration) (clusters int, bytes int64) {
 	return len(union), bytes
 }
 
-// WSSSeries returns the per-interval samples inside the window, oldest
-// first, with a trailing partial sample for the open interval when it has
-// any activity. Must not be called with core locks held.
-func (t *Tracker) WSSSeries(window time.Duration) []WSSSample {
+// WSSSeries returns the per-interval samples inside the window (in ticks, 0
+// for the default), oldest first, with a trailing partial sample for the open
+// interval when it has any activity. Must not be called with core locks held.
+func (t *Tracker) WSSSeries(window uint64) []WSSSample {
 	if t == nil {
 		return nil
 	}
@@ -103,7 +101,7 @@ func (t *Tracker) WSSSeries(window time.Duration) []WSSSample {
 		for _, sz := range s.sizes {
 			b += sz
 		}
-		out = append(out, WSSSample{Start: s.start, End: s.end, Clusters: len(s.sizes), Bytes: b})
+		out = append(out, WSSSample{StartTick: s.start, EndTick: s.end, Clusters: len(s.sizes), Bytes: b})
 	}
 	return out
 }

@@ -33,17 +33,18 @@ func heatRows(t *testing.T, sys *System) []telemetry.ClusterHeat {
 }
 
 // checkLedger asserts what must hold after every step: each tracked cluster's
-// /debug/heat row carries the counters ClusterInfo reports, nothing is tracked
-// that does not exist, and the hot-first order is the coldest-first victim
-// order reversed wherever both rank a pair apart.
+// /debug/heat row carries the counters ClusterInfo reports, and was last
+// touched no earlier than the recency tick the victim order ranks it by —
+// heat and recency are dated on one clock, and every crossing or allocation
+// that sets the recency also touches — and nothing is tracked that does not
+// exist.
 func checkLedger(t *testing.T, sys *System) {
 	t.Helper()
 	infos := make(map[ClusterID]ClusterInfo)
 	for _, info := range sys.Clusters() {
 		infos[info.ID] = info
 	}
-	heatPos := make(map[ClusterID]int)
-	for pos, row := range heatRows(t, sys) {
+	for _, row := range heatRows(t, sys) {
 		info, ok := infos[ClusterID(row.Cluster)]
 		if !ok {
 			t.Fatalf("/debug/heat lists cluster %d, which does not exist", row.Cluster)
@@ -55,23 +56,19 @@ func checkLedger(t *testing.T, sys *System) {
 		if row.Touches < row.Crossings {
 			t.Fatalf("cluster %d: %d touches < %d crossings", row.Cluster, row.Touches, row.Crossings)
 		}
-		heatPos[ClusterID(row.Cluster)] = pos
-	}
-	victims := sys.Runtime().Manager().SelectVictims(core.VictimColdest)
-	for i, colder := range victims {
-		for _, warmer := range victims[i+1:] {
-			cp, cok := heatPos[colder]
-			wp, wok := heatPos[warmer]
-			if cok && wok && infos[colder].LastAccess != infos[warmer].LastAccess && cp < wp {
-				t.Fatalf("cluster %d is evicted before %d but ranked hotter; victims %v", colder, warmer, victims)
-			}
+		if row.Touches != 0 && row.LastTouchTick < info.LastAccess {
+			t.Fatalf("cluster %d: last touched at tick %d, before its recency tick %d", row.Cluster,
+				row.LastTouchTick, info.LastAccess)
 		}
 	}
 }
 
+// pingPongWindow is the telemetry plane's ping-pong window, in accesses: a
+// swap-in within it of the cluster's swap-out is a ping-pong.
+const pingPongWindow = 1 << 10
+
 func TestAccessLedger(t *testing.T) {
-	clock := obs.NewVirtualClock(time.Unix(0, 0))
-	sys, err := New(Config{HeapCapacity: 1 << 20, Clock: clock, Prefetch: PrefetchConfig{Depth: 1, Workers: 1}})
+	sys, err := New(Config{HeapCapacity: 1 << 20, Prefetch: PrefetchConfig{Depth: 1, Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,16 +83,11 @@ func TestAccessLedger(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Ten heat half-lives pass before every step, so the cluster a step uses
-	// is both the most recent and the hottest.
-	settle := func() { clock.Advance(5 * time.Minute) }
-
 	// A chain a -> b -> c, one rooted object per cluster, built tail first so
 	// each link is written into the cluster being built.
 	var ids [3]ClusterID
 	var objs [3]*heap.Object
 	for i := 2; i >= 0; i-- {
-		settle()
 		ids[i] = sys.NewCluster()
 		o, err := sys.NewObject(cls, ids[i])
 		must(err)
@@ -112,6 +104,14 @@ func TestAccessLedger(t *testing.T) {
 		must(err)
 		_, err = sys.Invoke(root, "title")
 		must(err)
+	}
+	// pastWindow crosses into a, resident throughout, until every swap-out
+	// so far is outside the ping-pong window: the window is counted in
+	// accesses, so only accesses close it.
+	pastWindow := func() {
+		for i := 0; i <= pingPongWindow; i++ {
+			cross("a")
+		}
 	}
 	swapOut := func(id ClusterID) {
 		t.Helper()
@@ -157,8 +157,10 @@ func TestAccessLedger(t *testing.T) {
 			must(sys.SetRoot("a2", o.RefTo()))
 		}, on: &a, touched: true},
 		{name: "swap-out", do: func() { swapOut(b) }, on: &b, outs: 1},
-		{name: "demand reload outside the ping-pong window", do: func() { cross("b") },
-			on: &b, crossings: 1, ins: 1, touched: true},
+		{name: "demand reload outside the ping-pong window", do: func() {
+			pastWindow()
+			cross("b")
+		}, on: &b, crossings: 1, ins: 1, touched: true},
 		{name: "demand reload within the ping-pong window", do: func() {
 			swapOut(b)
 			cross("b")
@@ -166,13 +168,12 @@ func TestAccessLedger(t *testing.T) {
 		{name: "prefetch hit", do: func() {
 			swapOut(c)
 			swapOut(b)
-			clock.Advance(time.Minute) // past the ping-pong window
+			pastWindow()
 			root, err := sys.MustRoot("b")
 			must(err)
 			next, err := sys.Field(root, "next") // demand fault on b; the prefetcher follows its edge to c
 			must(err)
 			sys.Runtime().FaultEngine().Quiesce()
-			settle()
 			_, err = sys.Invoke(next, "title")
 			must(err)
 		}, on: &c, crossings: 1, outs: 1, ins: 1, touched: true, hits: 1},
@@ -223,7 +224,6 @@ func TestAccessLedger(t *testing.T) {
 		// the next step, after that step swapped it out and before it expects
 		// c back, which the step's counts do not allow for.
 		sys.Runtime().FaultEngine().Quiesce()
-		settle()
 		var before telemetry.ClusterHeat
 		if step.on != nil {
 			before, _ = row(*step.on)

@@ -234,8 +234,9 @@ func New(cfg Config) (*System, error) {
 	// Ring overwrites surface as objectswap_flight_dropped_total{kind}.
 	recorder.Instrument(reg)
 	// The access-telemetry plane: cluster heat, working-set estimation,
-	// fault attribution and thrash scoring, driven by the registry clock.
-	telem := telemetry.New(reg, telemetry.Options{})
+	// fault attribution and thrash scoring, dated on the runtime's recency
+	// clock.
+	telem := telemetry.New(reg)
 
 	opts := []core.Option{core.WithStores(devices), core.WithBus(bus), core.WithObs(reg),
 		core.WithFlightRecorder(recorder), core.WithLogger(cfg.Logger),

@@ -3,10 +3,12 @@ package objectswap
 // Facade-level tests of the telemetry plane: cluster heat agreeing with the
 // evictor's victim ordering, fault attribution distinguishing
 // evictor-pressure from explicit and reload swaps, the thrash health check
-// flipping degraded and back, and the /debug endpoints staying consistent
-// under a concurrent swap storm (run with -race).
+// flipping degraded and back, the plane aging with accesses and never with
+// wall time, and the /debug endpoints staying consistent under a concurrent
+// swap storm (run with -race).
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -22,13 +24,14 @@ import (
 )
 
 // TestHeatRankingMatchesEvictionOrder drives four clusters through proxy
-// crossings under a virtual clock. Heat class and victim order are two
-// readings of the one ledger each crossing feeds, so what it pins is the
-// arithmetic on top: hammered clusters read hot and idle ones cold after the
-// decay, and no hot cluster is selected for eviction before a cold one.
+// crossings. Heat class and victim order are two readings of the one ledger
+// each crossing feeds, dated on one clock, so what it pins is the arithmetic
+// on top: hammered clusters read hot and idle ones below hot and ranked
+// after them, and no hot cluster is selected for eviction before an idle
+// one. (Heat decays over 2^26 accesses, more than a test drives, so decay to
+// cold is pinned in internal/telemetry, TestHeatEWMADecay.)
 func TestHeatRankingMatchesEvictionOrder(t *testing.T) {
-	clock := obs.NewVirtualClock(time.Unix(0, 0))
-	sys, err := New(Config{HeapCapacity: 1 << 20, Clock: clock})
+	sys, err := New(Config{HeapCapacity: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +44,7 @@ func TestHeatRankingMatchesEvictionOrder(t *testing.T) {
 
 	// Swap every cluster out and fault it back through its root: from here
 	// on, each root invocation is a boundary crossing that dates the
-	// cluster's ledger on both clocks, the recency tick and the heat time.
+	// cluster's ledger, recency and heat, with one tick.
 	invoke := func(i int) {
 		t.Helper()
 		root, err := sys.MustRoot(string(rune('a' + i)))
@@ -59,9 +62,7 @@ func TestHeatRankingMatchesEvictionOrder(t *testing.T) {
 		invoke(i)
 	}
 
-	// Let the build/reload heat decay to nothing (default half-life 30s),
-	// then hammer only the last two clusters.
-	clock.Advance(30 * time.Minute)
+	// Hammer only the last two clusters.
 	for n := 0; n < 6; n++ {
 		invoke(2)
 		invoke(3)
@@ -74,31 +75,42 @@ func TestHeatRankingMatchesEvictionOrder(t *testing.T) {
 		}
 	}
 	for _, i := range []int{0, 1} {
-		if got := tr.HeatClassOf(uint32(clusters[i])); got != telemetry.ClassCold {
-			t.Fatalf("idle cluster %d class = %q, want cold", clusters[i], got)
+		if got := tr.HeatClassOf(uint32(clusters[i])); got == telemetry.ClassHot {
+			t.Fatalf("idle cluster %d class = %q, want below hot", clusters[i], got)
 		}
 	}
 	snap := tr.HeatSnapshot()
 	if len(snap) < 4 || snap[0].Class != telemetry.ClassHot {
 		t.Fatalf("heat snapshot not ranked hot-first: %+v", snap)
 	}
+	heatRank := make(map[ClusterID]int, len(snap))
+	for pos, h := range snap {
+		heatRank[ClusterID(h.Cluster)] = pos
+	}
+	for _, idle := range []int{0, 1} {
+		for _, hot := range []int{2, 3} {
+			if heatRank[clusters[idle]] < heatRank[clusters[hot]] {
+				t.Fatalf("idle cluster %d ranked hotter than hammered %d: %+v", clusters[idle], clusters[hot], snap)
+			}
+		}
+	}
 
-	// Victim order must agree: every cold cluster precedes every hot one.
+	// Victim order must agree: every idle cluster precedes every hot one.
 	victims := sys.Runtime().Manager().SelectVictims(core.VictimColdest)
 	rank := make(map[ClusterID]int, len(victims))
 	for pos, id := range victims {
 		rank[id] = pos
 	}
-	for _, cold := range []int{0, 1} {
+	for _, idle := range []int{0, 1} {
 		for _, hot := range []int{2, 3} {
-			cp, cok := rank[clusters[cold]]
+			ip, iok := rank[clusters[idle]]
 			hp, hok := rank[clusters[hot]]
-			if !cok || !hok {
+			if !iok || !hok {
 				t.Fatalf("victim list %v missing clusters %v", victims, clusters)
 			}
-			if hp < cp {
-				t.Fatalf("hot cluster %d selected before cold %d: victims %v",
-					clusters[hot], clusters[cold], victims)
+			if hp < ip {
+				t.Fatalf("hot cluster %d selected before idle %d: victims %v",
+					clusters[hot], clusters[idle], victims)
 			}
 		}
 	}
@@ -179,8 +191,9 @@ func TestFaultCauseAttribution(t *testing.T) {
 }
 
 // TestThrashHealthFlips forces a swap-out/swap-in ping-pong on one cluster
-// until the thrash check degrades /healthz, then recovers it by letting the
-// score decay under the virtual clock.
+// until the thrash check degrades /healthz. Thrash is dated in accesses, not
+// seconds: ten minutes of an idle system change nothing, and a run of
+// accesses with no ping-pong decays the score until the check recovers.
 func TestThrashHealthFlips(t *testing.T) {
 	clock := obs.NewVirtualClock(time.Unix(0, 0))
 	sys, err := New(Config{HeapCapacity: 1 << 20, Clock: clock})
@@ -215,10 +228,107 @@ func TestThrashHealthFlips(t *testing.T) {
 		t.Fatalf("thrash check did not fail: %+v", c)
 	}
 
-	// Ten minutes of silence decays the score far below ThrashLow.
+	// Ten minutes of an idle system: nothing has happened, nothing decays.
 	clock.Advance(10 * time.Minute)
-	if code, hr := getHealth(t, sys); code != http.StatusOK || !checkNamed(t, hr, "thrash").OK {
-		t.Fatalf("after decay: code %d, %+v, want recovered", code, hr)
+	if code, hr := getHealth(t, sys); code != http.StatusServiceUnavailable || checkNamed(t, hr, "thrash").OK {
+		t.Fatalf("after ten idle minutes: code %d, %+v, want still degraded", code, hr)
+	}
+
+	// Crossings into the cluster, no ping-pong among them: the score halves
+	// every 4 096 of them, and falls below the recovery threshold (1) from 4
+	// after a little over 8 192. Check every 1 024, give up after 32 768.
+	root, err := sys.MustRoot("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; ; n++ {
+		if n%1024 == 0 {
+			if code, hr := getHealth(t, sys); code == http.StatusOK && checkNamed(t, hr, "thrash").OK {
+				break
+			}
+			if n == 1<<15 {
+				t.Fatalf("still degraded after %d accesses without a ping-pong", n)
+			}
+		}
+		if _, err := sys.Invoke(root, "title"); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestAccessPlaneIgnoresWallTime runs one script of crossings, in-place
+// touches, an allocation, swaps and ping-pongs on two systems on the real
+// clock, one straight through and one with sleeps between the steps. The
+// plane dates every event on the recency clock, so /debug/heat (scores,
+// classes, thrash, ping-pongs, last touches) and /debug/wss read the same on
+// both.
+func TestAccessPlaneIgnoresWallTime(t *testing.T) {
+	run := func(pause func()) (heat, wss []byte) {
+		t.Helper()
+		sys, err := New(Config{HeapCapacity: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sys.Close()
+		if err := sys.AttachDevice("mem", store.NewMem(0)); err != nil {
+			t.Fatal(err)
+		}
+		cls := sys.MustRegisterClass(taskClass())
+		clusters := buildClusters(t, sys, cls, 3)
+		must := func(err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		cross := func(name string) {
+			t.Helper()
+			root, err := sys.MustRoot(name)
+			must(err)
+			_, err = sys.Invoke(root, "title")
+			must(err)
+		}
+		steps := []func(){
+			func() { cross("a"); cross("b"); cross("a") },
+			func() { // in-place touches through the value a crossing handed out
+				root, err := sys.MustRoot("c")
+				must(err)
+				must(sys.SetField(root, "title", heap.Str("y")))
+				_, err = sys.Field(root, "title")
+				must(err)
+			},
+			func() { _, err := sys.NewObject(cls, clusters[0]); must(err) },
+			func() { _, err := sys.SwapOut(clusters[1]); must(err) },
+			func() { cross("b") }, // a reload within the ping-pong window
+			func() { _, err := sys.SwapOut(clusters[1]); must(err) },
+			func() { _, err := sys.SwapIn(clusters[1]); must(err) }, // and another
+			func() { cross("c"); cross("a") },
+		}
+		for _, step := range steps {
+			pause()
+			step()
+		}
+		pause()
+		get := func(path string) []byte {
+			rec := httptest.NewRecorder()
+			sys.OpsHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("GET %s: status %d", path, rec.Code)
+			}
+			return rec.Body.Bytes()
+		}
+		return get("/debug/heat"), get("/debug/wss")
+	}
+	heat, wss := run(func() {})
+	slowHeat, slowWSS := run(func() { time.Sleep(20 * time.Millisecond) })
+	if !bytes.Equal(heat, slowHeat) {
+		t.Fatalf("/debug/heat read differently after sleeps:\n%s\nstraight through:\n%s", slowHeat, heat)
+	}
+	if !bytes.Equal(wss, slowWSS) {
+		t.Fatalf("/debug/wss read differently after sleeps:\n%s\nstraight through:\n%s", slowWSS, wss)
+	}
+	if !bytes.Contains(heat, []byte(`"ping_pongs": 2`)) {
+		t.Fatalf("/debug/heat shows not the script's two ping-pongs:\n%s", heat)
 	}
 }
 
@@ -268,7 +378,7 @@ func TestTelemetryEndpointsUnderSwapStorm(t *testing.T) {
 	}()
 
 	var scrapers sync.WaitGroup
-	for _, path := range []string{"/debug/heat", "/debug/wss?window=5s", "/metrics"} {
+	for _, path := range []string{"/debug/heat", "/debug/wss?window=5000", "/metrics"} {
 		scrapers.Add(1)
 		go func(path string) {
 			defer scrapers.Done()
