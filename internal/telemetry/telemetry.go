@@ -66,7 +66,7 @@ const causePrefetch = "prefetch"
 // recency clock, which moves one per boundary crossing and per allocation, so
 // heat, the working set and thrash age with the program's own accesses and
 // not while it idles. About 2^21 ticks are a second of the pressure-zipf
-// benchmark's work (DESIGN, "Access ledger"). In-package tests override the
+// benchmark's work (DESIGN, "The heat"). In-package tests override the
 // half-lives and windows on the Tracker; nothing else sets them.
 const (
 	// heatHalfLife: a cluster's heat score halves every heatHalfLife ticks
@@ -166,7 +166,7 @@ const maxWSSSamples = 512
 // nothing per cluster until Watch gives it clusters to read.
 func New(reg *obs.Registry) *Tracker {
 	if reg == nil {
-		reg = obs.NewRegistry(obs.RealClock{})
+		reg = obs.NewRegistry(nil)
 	}
 	t := &Tracker{
 		heat: newDecay(heatHalfLife), thrash: newDecay(thrashHalfLife),
@@ -241,9 +241,13 @@ func newDecay(halfLife uint64) decay {
 // -ln2*dt/halfLife, with no division: there |x| < 2^-8.5, the first term
 // left out is under 2^-60, and the sum, whose one rounding at the scale of 1
 // is its last, is math.Exp2's value to within one ulp, at a fraction of its
-// cost, and exactly 1 for no gap. The terms pair up (Estrin's scheme) so that few
-// of the operations wait for each other. A longer gap takes math.Exp2.
+// cost. The terms pair up (Estrin's scheme) so that few of the operations
+// wait for each other. No gap, as between a crossing and the reads in place
+// at its tick, decays by nothing; a longer gap takes math.Exp2.
 func (d decay) at(dt uint64) float64 {
+	if dt == 0 {
+		return 1
+	}
 	if dt < d.cut {
 		x := d.rate * float64(dt)
 		x2 := x * x
@@ -263,7 +267,7 @@ func (t *Tracker) thrashAt(l *Ledger, now uint64) float64 {
 // classify applies the hysteresis thresholds to a decayed score. A class is
 // only left once the score crosses the *exit* threshold, and only entered
 // once it crosses the higher *enter* threshold.
-func (*Tracker) classify(was heatClass, score float64) heatClass {
+func (t *Tracker) classify(was heatClass, score float64) heatClass {
 	switch {
 	case score >= hotEnter, was == heatHot && score >= hotExit:
 		return heatHot
