@@ -81,9 +81,10 @@ go build ./...
 #   is never reused, so its event's Trace and Phases and the contexts a donor
 #   kept from its Put and Get read the same, trace included, ten swaps and
 #   three collections later.
-# - TestCrossingReadsNoClock (internal/core): with a tracker attached, 100
-#   crossings, 100 in-place touches and 100 allocations read the registry's
-#   clock 0 times, Now and Since alike: every access is dated with a tick of
+# - TestCrossingReadsNoClockOnAStopwatch (internal/core): with a tracker
+#   attached, 100 crossings, 100 in-place touches and 100 allocations read
+#   the registry's clock 0 times, Now and Since alike, on a plain clock and
+#   on a stopwatch: every access is dated with a tick of
 #   the recency clock, and the ledger gains them all.
 # - TestUncoalescedFaultAllocatesNothing (internal/fault): a warm Engine.Do
 #   no waiter joins allocates nothing (its flight comes off the engine's

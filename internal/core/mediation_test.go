@@ -422,71 +422,86 @@ func TestAssignWithdrawsSharedProxy(t *testing.T) {
 	checkClean(t, rt)
 }
 
-// countingClock is a real clock that counts its readings: Now, and Since,
-// which nothing may ask a clock for on the access path either.
+// countingClock is a real clock that counts its readings (Now).
 type countingClock struct{ now, since atomic.Int64 }
 
 func (c *countingClock) Now() time.Time { c.now.Add(1); return time.Now() }
 
-func (c *countingClock) Since(t time.Time) time.Duration { c.since.Add(1); return time.Since(t) }
+// countingStopwatch is a counting clock that also offers a monotonic reading
+// (Since), which nothing may ask for on the access path either.
+type countingStopwatch struct{ countingClock }
 
-// TestCrossingReadsNoClock: with a tracker attached, every access is dated
-// with the recency clock's tick — a crossing and an allocation with the tick
-// they take, an in-place touch with the tick as it stands — and the ledgers
-// of heat, the working set and recency gain them all, so 100 crossings
-// through a root proxy, 100 in-place reads and 100 allocations read the
-// registry's clock not once.
-func TestCrossingReadsNoClock(t *testing.T) {
+func (c *countingStopwatch) Since(t time.Time) time.Duration { c.since.Add(1); return time.Since(t) }
+
+// TestCrossingReadsNoClockOnAStopwatch: with a tracker attached, every access
+// is dated with the recency clock's tick — a crossing and an allocation with
+// the tick they take, an in-place touch with the tick as it stands — and the
+// ledgers of heat, the working set and recency gain them all, so 100
+// crossings through a root proxy, 100 in-place reads and 100 allocations read
+// the registry's clock not once, whether it is a plain clock or a stopwatch
+// that could also serve monotonic readings.
+func TestCrossingReadsNoClockOnAStopwatch(t *testing.T) {
 	const n = 100
-	clock := new(countingClock)
-	reg := obs.NewRegistry(clock)
-	f := newFixture(t, 0, WithObs(reg), WithTelemetry(telemetry.New(reg)))
-	ids, clusters := f.buildList(t, 20, 10, 8)
-	head, direct := f.head(t), heap.Ref(ids[0])
-	if _, err := f.rt.Field(head, "tag"); err != nil { // warm
-		t.Fatal(err)
-	}
-	ledger := func() (crossings, touches, recency uint64) {
-		t.Helper()
-		info, err := f.rt.mgr.Info(clusters[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, h := range f.rt.telem.HeatSnapshot() {
-			if h.Cluster == uint32(clusters[0]) {
-				return info.Crossings, h.Touches, info.LastAccess
+	stopwatch, plain := new(countingStopwatch), new(countingClock)
+	for _, tc := range []struct {
+		name    string
+		clock   obs.Clock
+		counted *countingClock
+	}{
+		{"stopwatch", stopwatch, &stopwatch.countingClock},
+		{"clock", plain, plain},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry(tc.clock)
+			f := newFixture(t, 0, WithObs(reg), WithTelemetry(telemetry.New(reg)))
+			ids, clusters := f.buildList(t, 20, 10, 8)
+			head, direct := f.head(t), heap.Ref(ids[0])
+			if _, err := f.rt.Field(head, "tag"); err != nil { // warm
+				t.Fatal(err)
 			}
-		}
-		t.Fatalf("cluster %d untracked", clusters[0])
-		return
-	}
-	crossings0, touches0, _ := ledger()
-	now0, since0 := clock.now.Load(), clock.since.Load()
-	for i := 0; i < n; i++ {
-		if _, err := f.rt.Field(head, "tag"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.rt.Field(direct, "tag"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.rt.NewObject(f.node, clusters[0]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	now, since := clock.now.Load()-now0, clock.since.Load()-since0
-	crossings, touches, recency := ledger()
-	if crossings-crossings0 != n || touches-touches0 < 3*n {
-		t.Fatalf("%d rounds crossed %d times and touched %d times, want %d and at least %d",
-			n, crossings-crossings0, touches-touches0, n, 3*n)
-	}
-	f.rt.lock()
-	tick := f.rt.mgr.clock
-	f.rt.unlock()
-	if recency != tick {
-		t.Fatalf("recency %d after an allocation, want the clock's tick %d", recency, tick)
-	}
-	if now != 0 || since != 0 {
-		t.Fatalf("%d crossings, in-place reads and allocations read the clock: %d Now, %d Since; want none",
-			n, now, since)
+			ledger := func() (crossings, touches, recency uint64) {
+				t.Helper()
+				info, err := f.rt.mgr.Info(clusters[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, h := range f.rt.telem.HeatSnapshot() {
+					if h.Cluster == uint32(clusters[0]) {
+						return info.Crossings, h.Touches, info.LastAccess
+					}
+				}
+				t.Fatalf("cluster %d untracked", clusters[0])
+				return
+			}
+			crossings0, touches0, _ := ledger()
+			now0, since0 := tc.counted.now.Load(), tc.counted.since.Load()
+			for i := 0; i < n; i++ {
+				if _, err := f.rt.Field(head, "tag"); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := f.rt.Field(direct, "tag"); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := f.rt.NewObject(f.node, clusters[0]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			now, since := tc.counted.now.Load()-now0, tc.counted.since.Load()-since0
+			crossings, touches, recency := ledger()
+			if crossings-crossings0 != n || touches-touches0 < 3*n {
+				t.Fatalf("%d rounds crossed %d times and touched %d times, want %d and at least %d",
+					n, crossings-crossings0, touches-touches0, n, 3*n)
+			}
+			f.rt.lock()
+			tick := f.rt.mgr.clock
+			f.rt.unlock()
+			if recency != tick {
+				t.Fatalf("recency %d after an allocation, want the clock's tick %d", recency, tick)
+			}
+			if now != 0 || since != 0 {
+				t.Fatalf("%d crossings, in-place reads and allocations read the clock: %d Now, %d Since; want none",
+					n, now, since)
+			}
+		})
 	}
 }
