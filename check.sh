@@ -24,11 +24,11 @@ go build ./...
 #   strict Prometheus text-format parser — adversarial label values,
 #   histograms and the telemetry families included.
 # - TestHeatRankingMatchesEvictionOrder, TestFaultCauseAttribution,
-#   TestThrashHealthFlips, TestAccessPlaneIgnoresWallTime (.): heat classes
-#   and the coldest-first victim order are two readings of one ledger, fault
-#   causes are attributed, the thrash health check flips degraded, stays so
-#   while the system idles and recovers after accesses with no ping-pong, and
-#   one script of accesses and swaps reads the same on /debug/heat and
+#   TestThrashHealthFlips, TestAccessPlaneIgnoresWallTime (.): hammered
+#   clusters rank above idle ones in heat and in the coldest-first victim
+#   order, fault causes are attributed, the thrash health check degrades,
+#   stays so while the system idles and ages with accesses with no ping-pong,
+#   and one script of accesses and swaps reads the same on /debug/heat and
 #   /debug/wss run straight through and with sleeps between its steps.
 # - TestCodecBenchSmoke (internal/wire): the binary codec's decode/encode time
 #   ratio stays under half the XML asymmetry (17.54) it was built to close,

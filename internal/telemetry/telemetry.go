@@ -89,9 +89,10 @@ const (
 	// last swap-out counts as one ping-pong. thrashHalfLife decays the
 	// accumulated ping-pong score; the health check degrades when the worst
 	// cluster's score crosses thrashHigh and recovers only once it falls back
-	// below thrashLow.
-	thrashWindow          = 1 << 10
-	thrashHalfLife        = 1 << 12
+	// below thrashLow. At the rate above the window is about 8 s of work and
+	// the half-life, like heat's, about 30 s.
+	thrashWindow          = 1 << 24
+	thrashHalfLife        = 1 << 26
 	thrashHigh, thrashLow = 3, 1
 )
 

@@ -156,10 +156,17 @@ func TestHeatRanking(t *testing.T) {
 
 // The thrash hysteresis must flip degraded at thrashHigh, stay degraded
 // through the band between the thresholds however long no tick passes, and
-// recover below thrashLow once ticks have decayed the score.
+// recover below thrashLow once a run of accesses with no ping-pong among them
+// has decayed the score.
 func TestThrashHysteresis(t *testing.T) {
 	tr, reg := newTestTracker(t)
 	tr.thrashWindow, tr.thrash = 5, newDecay(10)
+	accesses := func(n int) { // crossings into cluster 1, one tick each
+		for i := 0; i < n; i++ {
+			tr.advance(1)
+			tr.Touch(1, true)
+		}
+	}
 
 	if err := tr.HealthCheck(); err != nil {
 		t.Fatalf("healthy tracker reports %v", err)
@@ -180,14 +187,15 @@ func TestThrashHysteresis(t *testing.T) {
 		t.Fatalf("thrash gauge = %v, want 3", v)
 	}
 
-	// One half-life: 1.5 — inside the hysteresis band, still degraded.
-	tr.advance(10)
+	// One half-life of accesses: 1.5 — inside the hysteresis band, still
+	// degraded.
+	accesses(10)
 	if score, degraded := tr.ThrashState(); score != 1.5 || !degraded {
 		t.Fatalf("in band: score=%v degraded=%v, want 1.5/true", score, degraded)
 	}
 
-	// Another half-life: 0.75 < thrashLow — recovered.
-	tr.advance(10)
+	// Another half-life of accesses: 0.75 < thrashLow — recovered.
+	accesses(10)
 	if err := tr.HealthCheck(); err != nil {
 		t.Fatalf("health check still degraded at score 0.75: %v", err)
 	}
@@ -195,16 +203,68 @@ func TestThrashHysteresis(t *testing.T) {
 	// A swap-in beyond the window of its swap-out is not a ping-pong; one at
 	// the window's last tick is.
 	tr.RecordSwap("swap_out", 8, "explicit", 0.001, 100)
-	tr.advance(6)
+	accesses(6)
 	tr.RecordSwap("swap_in", 8, "explicit", 0.001, 100)
 	tr.RecordSwap("swap_out", 9, "explicit", 0.001, 100)
-	tr.advance(5)
+	accesses(5)
 	tr.RecordSwap("swap_in", 9, "explicit", 0.001, 100)
 	tr.RecordSwap("swap_in", 9, "explicit", 0.001, 100) // no swap-out left to answer
 	for _, h := range tr.HeatSnapshot() {
 		if want := map[uint32]uint64{8: 0, 9: 1}[h.Cluster]; h.Cluster != 4 && h.PingPongs != want {
 			t.Fatalf("cluster %d: %d ping-pongs, want %d", h.Cluster, h.PingPongs, want)
 		}
+	}
+
+	// The same edge on the defaults, which a façade test cannot reach by
+	// driving accesses: 2^24 ticks after its swap-out a swap-in is still a
+	// ping-pong, one tick later it is not.
+	def, _ := newTestTracker(t)
+	for _, c := range []struct {
+		id  uint32
+		gap uint64
+	}{{1, thrashWindow}, {2, thrashWindow + 1}} {
+		def.RecordSwap("swap_out", c.id, "explicit", 0.001, 100)
+		def.advance(c.gap)
+		def.RecordSwap("swap_in", c.id, "reload", 0.001, 100)
+	}
+	for _, h := range def.HeatSnapshot() {
+		if want := map[uint32]uint64{1: 1, 2: 0}[h.Cluster]; h.PingPongs != want {
+			t.Fatalf("default window: cluster %d has %d ping-pongs, want %d", h.Cluster, h.PingPongs, want)
+		}
+	}
+}
+
+// Heat ranks by decayed touch counts, the evictor by the last touch. The two
+// orders agree once a few half-lives separate one cluster's accesses from the
+// next's: there the most recently used cluster is the hottest whatever its
+// count. Within a half-life they need not: a cluster hammered earlier
+// out-ranks one touched once since.
+func TestHeatRankingFollowsRecency(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		gap   uint64
+		agree bool
+	}{{"ten half-lives apart", 100, true}, {"within a half-life", 1, false}} {
+		t.Run(c.name, func(t *testing.T) {
+			tr, _ := newTestTracker(t)
+			tr.heat = newDecay(10)
+			// Clusters 1..5 in recency order, each touched fewer times than
+			// the one before it.
+			for id := uint32(1); id <= 5; id++ {
+				tr.advance(c.gap)
+				for i := uint32(0); i < 2*(6-id); i++ {
+					tr.Touch(id, i == 0)
+				}
+			}
+			snap := tr.HeatSnapshot()
+			recent := true // hot-first is most-recent-first
+			for i := 1; i < len(snap); i++ {
+				recent = recent && snap[i-1].LastTouchTick > snap[i].LastTouchTick
+			}
+			if len(snap) != 5 || recent != c.agree {
+				t.Fatalf("heat order by recency = %v, want %v: %+v", recent, c.agree, snap)
+			}
+		})
 	}
 }
 

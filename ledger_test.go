@@ -63,10 +63,6 @@ func checkLedger(t *testing.T, sys *System) {
 	}
 }
 
-// pingPongWindow is the telemetry plane's ping-pong window, in accesses: a
-// swap-in within it of the cluster's swap-out is a ping-pong.
-const pingPongWindow = 1 << 10
-
 func TestAccessLedger(t *testing.T) {
 	sys, err := New(Config{HeapCapacity: 1 << 20, Prefetch: PrefetchConfig{Depth: 1, Workers: 1}})
 	if err != nil {
@@ -104,14 +100,6 @@ func TestAccessLedger(t *testing.T) {
 		must(err)
 		_, err = sys.Invoke(root, "title")
 		must(err)
-	}
-	// pastWindow crosses into a, resident throughout, until every swap-out
-	// so far is outside the ping-pong window: the window is counted in
-	// accesses, so only accesses close it.
-	pastWindow := func() {
-		for i := 0; i <= pingPongWindow; i++ {
-			cross("a")
-		}
 	}
 	swapOut := func(id ClusterID) {
 		t.Helper()
@@ -157,18 +145,18 @@ func TestAccessLedger(t *testing.T) {
 			must(sys.SetRoot("a2", o.RefTo()))
 		}, on: &a, touched: true},
 		{name: "swap-out", do: func() { swapOut(b) }, on: &b, outs: 1},
-		{name: "demand reload outside the ping-pong window", do: func() {
-			pastWindow()
-			cross("b")
-		}, on: &b, crossings: 1, ins: 1, touched: true},
-		{name: "demand reload within the ping-pong window", do: func() {
+		// The ping-pong window is 2^24 accesses, more than a test drives, so
+		// every reload below is a ping-pong; a swap-in outside the window is
+		// pinned in internal/telemetry, TestThrashHysteresis.
+		{name: "demand reload within the ping-pong window", do: func() { cross("b") },
+			on: &b, crossings: 1, ins: 1, touched: true, pingPongs: 1},
+		{name: "a second round trip within the window", do: func() {
 			swapOut(b)
 			cross("b")
 		}, on: &b, crossings: 1, outs: 1, ins: 1, touched: true, pingPongs: 1},
 		{name: "prefetch hit", do: func() {
 			swapOut(c)
 			swapOut(b)
-			pastWindow()
 			root, err := sys.MustRoot("b")
 			must(err)
 			next, err := sys.Field(root, "next") // demand fault on b; the prefetcher follows its edge to c
@@ -176,7 +164,7 @@ func TestAccessLedger(t *testing.T) {
 			sys.Runtime().FaultEngine().Quiesce()
 			_, err = sys.Invoke(next, "title")
 			must(err)
-		}, on: &c, crossings: 1, outs: 1, ins: 1, touched: true, hits: 1},
+		}, on: &c, crossings: 1, outs: 1, ins: 1, touched: true, pingPongs: 1, hits: 1},
 		{name: "merge", do: func() {
 			before := sys.Clusters()
 			must(sys.MergeClusters(a, b))
