@@ -263,6 +263,17 @@ if [ "$(printf '%s\n' "$CROSSINGS" | grep -c .)" != 1 ] || [ "$(printf '%s\n' "$
     printf '%s\n%s\n%s\n' "$CROSSINGS" "$FRAMES" "$BYNAME" >&2
     exit 1
 fi
+# Guard: the prefetch window slides once per arrival, from the dispatcher. A
+# non-test call of TriggerPrefetch in internal/core sits in fault_glue.go, in
+# swapInWith (a demand fault or a join, before its read runs or is waited on)
+# and in notePrefetchHit (a resident crossing that is a hit), and nowhere
+# else: a trigger after a reload or a join's wait slides the window late.
+TRIGGERS=$(awk '/^[[:space:]]*\/\//{next} /^func /{fn=$0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[[(].*/, "", fn)} /\.TriggerPrefetch\(/{print FILENAME " " fn}' $(ls internal/core/*.go | grep -v '_test\.go$'))
+if [ "$TRIGGERS" != "$(printf '%s\n%s' 'internal/core/fault_glue.go swapInWith' 'internal/core/fault_glue.go notePrefetchHit')" ]; then
+    echo "prefetch trigger moved (want TriggerPrefetch only in fault_glue.go's swapInWith and notePrefetchHit):" >&2
+    printf '%s\n' "$TRIGGERS" >&2
+    exit 1
+fi
 # Guard: a cluster's access history is one record with one writer. The
 # telemetry plane keeps no per-cluster map of its own (it reads the manager's
 # ledgers through one iteration), the ledger's counters are incremented in
@@ -546,10 +557,13 @@ fi
 go test -race -run '^TestFaultStormCoalesces$' -count=1 -cpu 1,4 ./internal/core/
 # Prefetch-window smoke, ten times under the race detector: a cluster stays in
 # the task set while its prefetch runs, a demand fault that joins the flight
-# takes exactly one hit in either order and records how long it parked, and a
-# chase over a gated donor keeps exactly two reads in flight with the head as
-# its one demand fault. The commit-window tests ride along: a mint or a cursor
-# step between a swap's heap work and its commit, and a collection between a
+# takes exactly one hit in either order and records how long it parked, a
+# chase over a gated donor keeps exactly three reads in flight, the head's
+# demand read and the two of its window, with the head as its one demand fault
+# (TestPrefetchWindowOverlap), and a walker parked on a prefetch's flight has
+# already queued the cluster the window's depth ahead of it
+# (TestWindowSlidesOnArrival). The commit-window tests ride along: a mint or a
+# cursor step between a swap's heap work and its commit, and a collection between a
 # proxy's allocation and its listing, leave the invariants whole. So do the
 # tests of the runtime lock: a collection or a mint driven from a second
 # goroutine into a mint's or a swap-in's commit window waits for it, and the
@@ -626,7 +640,7 @@ go test -race -run '^TestFaultStormCoalesces$' -count=1 -cpu 1,4 ./internal/core
 # (TestWriteDuringShipIsKept, core line).
 go test -race -count=10 -run '^(TestTriggerWhileRunningDoesNotRequeue|TestTriggerOvertakingANoopTaskRunsItAgain|TestJoinCountsOneHit|TestJoinedFlightIsNotReused)$' ./internal/fault/
 go test -race -count=10 -run '^(TestArmedAttemptContextIsNotReused|TestAttemptContextReportsParentFirst|TestPerAttemptTimeoutIsRetriedAsUnavailable|TestTimeoutExhaustionSurfacesAsUnavailableAndTripsBreaker|TestCallerCancellationFailsFastWithoutBlame)$' ./internal/transport/
-go test -race -count=10 -run '^(TestPrefetchWindowOverlap|TestReplicatedSwapSurvivesDonorLoss|TestDetachDeviceKicksRepair|TestScopeHoldsAHostReference|TestScopesBuildBesideEvictions)$' .
+go test -race -count=10 -run '^(TestPrefetchWindowOverlap|TestWindowSlidesOnArrival|TestReplicatedSwapSurvivesDonorLoss|TestDetachDeviceKicksRepair|TestScopeHoldsAHostReference|TestScopesBuildBesideEvictions)$' .
 go test -race -count=50 ./internal/placement/
 go test -race -count=10 -run '^(TestTriggerPrefetchAllocatesNothing|TestPrefetchHitRecordsParkedTime|TestCommitWindow|TestSweepBeforeEnlist|TestReissueBeforeEnlist|TestSweepAtMintPurgesTheListedProxy|TestMintWhoseEvictorMovesHome|TestKeyTableMatchesMap|TestReissuedProxyBlockRefused|TestStaleReplacementHolderRefused|TestFaultStormCoalesces|TestReloadedStringsOutliveTheFetch|TestConcurrentSelectVictims|TestYoungPassAgainstConcurrentWrites|TestCollectAgainstConcurrentFieldWrites|TestPropYoungPassSweepsOnlyGarbage|TestYoungTailAfterEveryStep|TestSwapOutVictimsWalksTheRanking|TestConcurrentVictimWalks|TestZeroEdgeWaitsForThePurge|TestMintWindowIsClosed|TestCommitWindowIsClosed|TestReentryAcrossADemandFault|TestWalkerAgainstEvictingPrefetch|TestReplicationFaultBesidePrefetchWorkers|TestMasterServesBesideItsRuntime|TestReloadRoomTakenDuringEviction|TestHeapCollectionPurgesTheManager|TestHeapCollectionKeepsParkedFrames|TestWriteDuringShipIsKept)$' ./internal/core/ ./internal/heap/ ./internal/replication/
 # The walker against the evicting prefetch workers a thousand times under the

@@ -244,12 +244,15 @@ func (g *gateStore) openAll() {
 }
 
 // TestPrefetchWindowOverlap walks the chase chain with Depth 2 and Workers 2
-// behind a gate that holds every donor read. The test releases the reads one
-// at a time, in chain order, each only once the read after it is waiting too;
-// the walker crosses into a cluster only once its read is out. So exactly two
-// reads are in flight at the gate's fullest, the head is the one demand
-// fault, every other boundary is a prefetch hit, and nothing prefetched goes
-// to waste.
+// behind a gate that holds every donor read. The window slides when the
+// walker arrives, so the head's demand fault puts the reads of clusters 1 and
+// 2 out beside its own: the test holds the head's read until both have come.
+// After that it releases the reads one at a time, in chain order, each only
+// once the read after it is waiting too; the walker crosses into a cluster
+// only once its read is out. So exactly three reads are in flight at the
+// gate's fullest (the demand read and the two ahead of it), the head is the
+// one demand fault, every other boundary is a prefetch hit, and nothing
+// prefetched goes to waste.
 func TestPrefetchWindowOverlap(t *testing.T) {
 	sys, err := New(Config{
 		HeapCapacity: 16 << 20,
@@ -266,14 +269,7 @@ func TestPrefetchWindowOverlap(t *testing.T) {
 	}
 	clusters := buildChaseChain(t, sys)
 	swapOutChase(t, sys, clusters)
-	keys := make([]string, len(clusters))
-	for i, c := range clusters {
-		info, err := sys.Runtime().Manager().Info(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		keys[i] = info.Key
-	}
+	keys := chaseKeys(t, sys, clusters)
 
 	walked := make(chan error, 1)
 	go func() {
@@ -286,19 +282,15 @@ func TestPrefetchWindowOverlap(t *testing.T) {
 		}
 		walked <- err
 	}()
-	await := func(key string) {
-		select {
-		case <-gs.arrival(key):
-		case err := <-walked:
-			t.Fatalf("walk ended before read %s: %v", key, err)
-		case <-time.After(5 * time.Second):
-			t.Fatalf("read %s never came (most reads at once: %d)", key, gs.peak())
-		}
-	}
+	await := awaitRead(t, gs, walked)
 	for i, key := range keys {
 		await(key)
-		if i > 0 && i+1 < len(keys) {
-			await(keys[i+1]) // the window holds the next one too
+		ahead := 1 // the window holds the next one too
+		if i == 0 {
+			ahead = 2 // the demand fault's whole window is out beside its read
+		}
+		for _, next := range keys[i+1 : min(i+1+ahead, len(keys))] {
+			await(next)
 		}
 		gs.open(key)
 	}
@@ -307,8 +299,8 @@ func TestPrefetchWindowOverlap(t *testing.T) {
 	}
 	swapOutChase(t, sys, clusters) // an untouched prefetch would count as wasted here
 
-	if most := gs.peak(); most != 2 {
-		t.Fatalf("at most %d donor reads in flight, want 2", most)
+	if most := gs.peak(); most != 3 {
+		t.Fatalf("at most %d donor reads in flight, want 3", most)
 	}
 	reg := sys.Metrics()
 	demand, _ := reg.HistogramSnapshotOf("objectswap_fault_seconds", "swap_in", "reload", "demand")
@@ -320,5 +312,96 @@ func TestPrefetchWindowOverlap(t *testing.T) {
 	}
 	if errs := sys.Runtime().Manager().CheckInvariants(); len(errs) > 0 {
 		t.Fatalf("invariants: %v", errs)
+	}
+}
+
+// TestWindowSlidesOnArrival: a walker that joins a prefetch's flight slides
+// the window as it arrives, not when the flight lands. With Depth 2 and
+// Workers 2 behind the gate, the head's demand read goes through while the
+// reads of clusters 1 and 2 are held; the walker crosses into cluster 1 and
+// parks on its flight, and by then cluster 3 is queued too, beside 1 and 2.
+// Once every gate opens the walk ends with each cluster past the head
+// enqueued once, none dropped and none wasted.
+func TestWindowSlidesOnArrival(t *testing.T) {
+	sys, err := New(Config{
+		HeapCapacity: 16 << 20,
+		Prefetch:     PrefetchConfig{Depth: 2, Workers: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	gs := newGateStore()
+	defer gs.openAll() // before Close, which waits for the prefetch workers
+	if err := sys.AttachDevice("desktop", gs); err != nil {
+		t.Fatal(err)
+	}
+	clusters := buildChaseChain(t, sys)
+	swapOutChase(t, sys, clusters)
+	keys := chaseKeys(t, sys, clusters)
+
+	walked := make(chan error, 1)
+	go func() {
+		cur, err := sys.MustRoot("chase-head")
+		for err == nil && !cur.IsNil() {
+			cur, err = sys.Field(cur, "next")
+		}
+		walked <- err
+	}()
+	await := awaitRead(t, gs, walked)
+	await(keys[0])
+	gs.open(keys[0])
+	await(keys[1])
+	await(keys[2])
+	engine := sys.Runtime().FaultEngine()
+	for deadline := time.Now().Add(5 * time.Second); engine.Snapshot().CoalescedWaiters < 1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("the walker never joined cluster 1's flight; engine: %+v", engine.Snapshot())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if snap := engine.Snapshot(); snap.CoalescedWaiters != 1 || snap.Enqueued != 3 {
+		t.Fatalf("walker parked on cluster 1: %d waiters, %d enqueued; want 1 and 3 (clusters 1, 2 and 3)",
+			snap.CoalescedWaiters, snap.Enqueued)
+	}
+
+	gs.openAll()
+	if err := <-walked; err != nil {
+		t.Fatal(err)
+	}
+	engine.Quiesce()
+	swapOutChase(t, sys, clusters) // an untouched prefetch would count as wasted here
+	if snap := engine.Snapshot(); snap.Enqueued != uint64(len(clusters)-1) || snap.Wasted != 0 || snap.Dropped != 0 {
+		t.Fatalf("enqueued %d, wasted %d, dropped %d; want %d, 0, 0",
+			snap.Enqueued, snap.Wasted, snap.Dropped, len(clusters)-1)
+	}
+}
+
+// chaseKeys returns the donor key of each swapped-out cluster of the chain.
+func chaseKeys(t *testing.T, sys *System, clusters []ClusterID) []string {
+	t.Helper()
+	keys := make([]string, len(clusters))
+	for i, c := range clusters {
+		info, err := sys.Runtime().Manager().Info(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[i] = info.Key
+	}
+	return keys
+}
+
+// awaitRead returns a wait for key's read to arrive at the gate, which fails
+// the test if the walk reports on walked first or the read takes 5 s.
+func awaitRead(t *testing.T, gs *gateStore, walked <-chan error) func(key string) {
+	return func(key string) {
+		t.Helper()
+		select {
+		case <-gs.arrival(key):
+		case err := <-walked:
+			t.Fatalf("walk ended before read %s: %v", key, err)
+		case <-time.After(5 * time.Second):
+			t.Fatalf("read %s never came (most reads at once: %d)", key, gs.peak())
+		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"objectswap/internal/heap"
 )
@@ -229,7 +230,7 @@ func (rt *Runtime) reload(cluster ClusterID) error {
 	_, err := rt.swapInWith(cluster, causedBy(CauseReload))
 	switch {
 	case errors.Is(err, ErrClusterLoaded):
-		rt.notePrefetchHit(cluster)
+		rt.prefetchHit(cluster, time.Time{}) // the fault slid the window as it arrived
 	case err != nil:
 		return fmt.Errorf("core: reload cluster %d: %w", cluster, err)
 	}

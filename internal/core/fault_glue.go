@@ -12,13 +12,14 @@ import (
 // the prefetcher drives the runtime through, and the hit accounting invoked
 // from the dispatch crossing site.
 
-// WithPrefetch enables the graph-driven prefetcher: every fault, and every
-// crossing the prefetcher served, keeps the next `depth` clusters along the
-// replacement-object graph in flight on `workers` background goroutines
-// (workers <= 0 selects a small default). Speculative reloads go through the
-// normal reserve/commit path and are gated by the admission guard (see
-// Runtime.FaultEngine and fault.Engine.SetAdmit — the facade wires the
-// memory monitor in there).
+// WithPrefetch enables the graph-driven prefetcher: every demand fault and
+// every join of a prefetch's flight as it arrives, before its own read, and
+// every resident crossing the prefetcher served, keeps the next `depth`
+// clusters along the replacement-object graph in flight on `workers`
+// background goroutines (workers <= 0 selects a small default). Speculative
+// reloads go through the normal reserve/commit path and are gated by the
+// admission guard (see Runtime.FaultEngine and fault.Engine.SetAdmit — the
+// facade wires the memory monitor in there).
 func WithPrefetch(depth, workers int) Option {
 	return func(rt *Runtime) {
 		rt.prefetchDepth = depth
@@ -46,8 +47,8 @@ func (rt *Runtime) PrefetchWindow(cluster uint32, k int) []uint32 {
 // arrives while a *prefetch* of the cluster is in flight joins that flight
 // the same way instead of bouncing off ErrClusterBusy, and the join is that
 // prefetch's hit. See swapInDirect for the underlying phases and option
-// semantics; a successful demand reload, like a hit, slides the prefetch
-// window along the graph.
+// semantics; a fault that is no prefetch slides the prefetch window along the
+// graph as it arrives, before it reads or joins.
 func (rt *Runtime) SwapIn(id ClusterID, opts ...SwapOption) (SwapEvent, error) {
 	rt.lock()
 	defer rt.unlock()
@@ -56,12 +57,17 @@ func (rt *Runtime) SwapIn(id ClusterID, opts ...SwapOption) (SwapEvent, error) {
 
 // swapInWith is SwapIn with its options resolved and the runtime lock held,
 // the entry of a demand reload, which carries its cause without building an
-// option. The flight runs with the lock released: a join parks until its
-// leader, perhaps a prefetch worker that needs the lock to install, is done.
+// option. The window slides here, under the lock, so its reads go out beside
+// this fault's own; nothing slides it again when the flight ends. The flight
+// runs with the lock released: a join parks until its leader, perhaps a
+// prefetch worker that needs the lock to install, is done.
 func (rt *Runtime) swapInWith(id ClusterID, o swapOpts) (SwapEvent, error) {
 	var parked time.Time // when a join, the one kind of fault that may be a hit, began to wait
 	if rt.prefetchDepth > 0 {
 		parked = rt.obsReg.Clock().Now()
+		if o.cause != CausePrefetch {
+			rt.faults.TriggerPrefetch(uint32(id))
+		}
 	}
 	var ev SwapEvent
 	var leader bool
@@ -79,17 +85,12 @@ func (rt *Runtime) swapInWith(id ClusterID, o swapOpts) (SwapEvent, error) {
 // swapInOnce runs swapInDirect as the cluster's one flight; leader reports
 // whether this call ran it or joined the flight already open. Leader and
 // waiters read their SwapEvent out of the one box swapInDirect made. The
-// caller does not hold the runtime lock: the leader takes it for its flight,
-// in which a demand reload also slides the prefetch window along the graph.
+// caller does not hold the runtime lock: the leader takes it for its flight.
 func (rt *Runtime) swapInOnce(id ClusterID, o swapOpts) (SwapEvent, bool, error) {
 	res, leader, err := rt.faults.Do(uint32(id), func() (any, error) {
 		rt.lock()
 		defer rt.unlock()
-		res, err := rt.swapInDirect(id, o)
-		if err == nil && o.cause != CausePrefetch {
-			rt.faults.TriggerPrefetch(uint32(id))
-		}
-		return res, err
+		return rt.swapInDirect(id, o)
 	})
 	if err != nil {
 		return SwapEvent{}, leader, err
@@ -118,31 +119,31 @@ func (rt *Runtime) prefetchSwapIn(cluster uint32) (bool, error) {
 
 // notePrefetchHit runs on the dispatch crossing site (reach) when the
 // crossed-into cluster turned out to be resident. If the prefetcher put it
-// there, the crossing is the hit, and the walker waited for nothing. Without
-// a prefetcher there is nothing to consume, and a resident crossing pays
-// neither the engine's lock nor, with one, the clock.
+// there, the crossing is the hit, the walker waited for nothing, and the
+// window slides on from its arrival, so a pointer chase stays ahead of the
+// chaser. Without a prefetcher there is nothing to consume, and a resident
+// crossing pays neither the engine's lock nor, with one, the clock.
 func (rt *Runtime) notePrefetchHit(id ClusterID) {
-	if rt.prefetchDepth > 0 {
-		rt.prefetchHit(id, time.Time{})
+	if rt.prefetchDepth > 0 && rt.prefetchHit(id, time.Time{}) {
+		rt.faults.TriggerPrefetch(uint32(id))
 	}
 }
 
 // prefetchHit consumes cluster id's inventory entry, if the prefetcher left
-// one, records how long the walker parked for it as a prefetch-hit fault —
+// one, and records how long the walker parked for it as a prefetch-hit fault:
 // zero when it was already resident, the rest of the flight for a join that
-// began parking at parked — and slides the window one cluster further along
-// the graph, so a pointer chase stays ahead of the chaser. A resident
+// began parking at parked. It reports whether the crossing was the hit; it
+// slides no window, since the caller's arrival did or does that. A resident
 // crossing never reads the clock; a join reads the registry clock only when
-// it is the hit. The caller holds the runtime lock, under which the window
-// walks the graph.
-func (rt *Runtime) prefetchHit(id ClusterID, parked time.Time) {
+// it is the hit. The caller holds the runtime lock.
+func (rt *Runtime) prefetchHit(id ClusterID, parked time.Time) bool {
 	if _, ok := rt.faults.ConsumeHit(uint32(id)); !ok {
-		return
+		return false
 	}
 	var waited time.Duration
 	if !parked.IsZero() {
 		waited = rt.obsReg.Clock().Now().Sub(parked)
 	}
 	rt.telem.RecordPrefetchHit(waited.Seconds())
-	rt.faults.TriggerPrefetch(uint32(id))
+	return true
 }

@@ -9,10 +9,12 @@
 //     fetch once each. A failed flight is cleared before its waiters wake,
 //     so an immediate retry starts fresh.
 //
-//   - A graph-driven prefetcher (TriggerPrefetch): a fault ranks the
-//     clusters nearest the faulted one along the replacement-object graph,
-//     hop by hop, and a small worker pool keeps the first PrefetchDepth of
-//     them in flight through the normal reserve/commit path, gated by a
+//   - A graph-driven prefetcher (TriggerPrefetch): a walker's arrival at a
+//     cluster — a demand fault or a join of its flight, before the read runs
+//     or is waited on, or a resident crossing that is a hit — ranks the
+//     clusters nearest it along the replacement-object graph, hop by hop,
+//     and a small worker pool keeps the first PrefetchDepth of them in
+//     flight through the normal reserve/commit path, gated by a
 //     heap-pressure admission check. A cluster stays in the task set from
 //     enqueue until its worker finishes, so a later trigger never queues it
 //     twice; a trigger that comes while the task runs makes a task that
@@ -223,9 +225,11 @@ func (e *Engine) SetAdmit(fn func() bool) {
 // TriggerPrefetch enqueues the PrefetchDepth clusters nearest cluster along
 // the graph for speculative swap-in, skipping any already queued, running or
 // prefetched (a running one reruns if it ends as a no-op; see enqueue).
-// Called on every fault and every hit, it slides the window ahead of a
-// pointer chase. It never blocks on the workers (a full queue drops the
-// excess) and allocates nothing. The caller holds the graph's lock.
+// Called once per arrival — as a demand fault or a join begins, before its
+// read runs or is waited on, and on a resident hit — it slides the window
+// ahead of a pointer chase, so the window's reads overlap the walker's wait.
+// It never blocks on the workers (a full queue drops the excess) and
+// allocates nothing. The caller holds the graph's lock.
 func (e *Engine) TriggerPrefetch(cluster uint32) {
 	if e == nil || !e.prefetchEnabled() {
 		return

@@ -25,6 +25,7 @@ func ulps(a, b float64) uint64 {
 func TestDecaySeriesMatchesExp2(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for _, hl := range []uint64{1 << 10, thrashHalfLife, 1 << 20, heatHalfLife, 1e9, 1 << 40} {
+		dec := newDecay(hl)
 		exp2 := func(dt uint64) float64 { return math.Exp2(-float64(dt) / float64(hl)) }
 		cut := hl >> seriesShift
 		gaps := []uint64{1, 2, cut / 2, cut - 1}
@@ -33,7 +34,7 @@ func TestDecaySeriesMatchesExp2(t *testing.T) {
 		}
 		worst := uint64(0)
 		for _, dt := range gaps {
-			got, want := newDecay(hl).at(dt), exp2(dt)
+			got, want := dec.at(dt), exp2(dt)
 			if d := ulps(got, want); d > 1 {
 				t.Fatalf("half-life %v, gap %v: series %v, math.Exp2 %v: %d ulps apart", hl, dt, got, want, d)
 			} else {
@@ -41,13 +42,32 @@ func TestDecaySeriesMatchesExp2(t *testing.T) {
 			}
 		}
 		for _, dt := range []uint64{cut, cut + 1, hl, 7 * hl} {
-			if got, want := newDecay(hl).at(dt), exp2(dt); got != want {
+			if got, want := dec.at(dt), exp2(dt); got != want {
 				t.Fatalf("half-life %v, gap %v at or above the cut-over: %v, want math.Exp2's %v", hl, dt, got, want)
 			}
 		}
 		t.Logf("half-life %v: below the %v cut-over the series is within %d ulp of math.Exp2", hl, cut, worst)
 	}
-	if got := newDecay(heatHalfLife).at(0); got != 1 {
-		t.Fatalf("no gap decays by %v, want 1", got)
+	if dec := newDecay(heatHalfLife); dec.at(0) != 1 {
+		t.Fatalf("no gap decays by %v, want 1", dec.at(0))
+	}
+}
+
+// TestDecayTableMatchesSeries: a gap below the table's length reads the
+// value the series computes for it, bit for bit, at both default
+// half-lives, so a touch decays its score exactly as if it had summed the
+// series; the first gap past the table computes.
+func TestDecayTableMatchesSeries(t *testing.T) {
+	for _, hl := range []uint64{heatHalfLife, thrashHalfLife} {
+		d := newDecay(hl)
+		n := uint64(len(d.near))
+		if n >= d.cut {
+			t.Fatalf("half-life %v: the %d-entry table reaches the %v cut-over", hl, n, d.cut)
+		}
+		for dt := uint64(0); dt <= n; dt++ {
+			if got, want := d.at(dt), d.eval(dt); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("half-life %v, gap %d: table %v, series %v", hl, dt, got, want)
+			}
+		}
 	}
 }

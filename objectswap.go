@@ -163,7 +163,8 @@ type Config struct {
 	// its donors retained.
 	WireFormats []string
 	// Prefetch enables the graph-driven prefetcher in the asynchronous fault
-	// engine: after every demand swap-in, and every crossing the prefetcher
+	// engine: as a demand fault or a join of a prefetch's flight arrives,
+	// before its own read, and at every resident crossing the prefetcher
 	// served, the next Depth clusters along the replacement-object graph
 	// (ranked by edge count, hop by hop) are kept in flight by Workers
 	// background goroutines, gated by the memory monitor (no speculation
@@ -181,9 +182,11 @@ type Config struct {
 
 // PrefetchConfig tunes the fault engine's speculative swap-in.
 type PrefetchConfig struct {
-	// Depth is the number of clusters kept in flight ahead of a fault along
-	// the graph: the faulted cluster's best-ranked neighbors, then theirs
+	// Depth is the number of clusters kept in flight ahead of the cluster
+	// being reached along the graph: its best-ranked neighbors, then theirs
 	// (0 disables prefetching). Each needs a worker to be in flight at once.
+	// The window slides as the walker arrives, so a demand fault has Depth + 1
+	// reads out, its own and its window's.
 	Depth int
 	// Workers is the background swap-in pool size (default 2).
 	Workers int
