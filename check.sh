@@ -274,6 +274,17 @@ if [ "$TRIGGERS" != "$(printf '%s\n%s' 'internal/core/fault_glue.go swapInWith' 
     printf '%s\n' "$TRIGGERS" >&2
     exit 1
 fi
+# Guard: a dirty swap-out makes one donor round trip, its Put. The owner asks
+# a donor for Stats at one site, the placement planner's advertisement probe
+# (placement.go's advert), which the registry keeps until a refusal, a failed
+# Put or an availability flip drops it: no other non-test Go in internal/core
+# or internal/placement calls .Stats(.
+PROBES=$(awk '/^[[:space:]]*\/\//{next} /^func /{fn=$0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[[(].*/, "", fn)} /\.Stats\(/{print FILENAME " " fn}' $(ls internal/core/*.go internal/placement/*.go | grep -v '_test\.go$'))
+if [ "$PROBES" != 'internal/placement/placement.go advert' ]; then
+    echo "donor Stats probe outside the planner's advert (want .Stats( only in internal/placement/placement.go's advert):" >&2
+    printf '%s\n' "$PROBES" >&2
+    exit 1
+fi
 # Guard: a cluster's access history is one record with one writer. The
 # telemetry plane keeps no per-cluster map of its own (it reads the manager's
 # ledgers through one iteration), the ledger's counters are incremented in
@@ -599,7 +610,10 @@ go test -race -run '^TestFaultStormCoalesces$' -count=1 -cpu 1,4 ./internal/core
 # So do the shipments, whose first put runs on the caller's goroutine and
 # whose extra replicas run on goroutines of their own: the placement package
 # fifty times, and the replicated (K > 1) swaps of the root package's
-# durability tests ten. So does the young pass: a walker's stores into old
+# durability tests ten. Among the placement package's tests, shipments from
+# four goroutines read, fill and drop the registry's kept donor
+# advertisements while a donor's availability flips
+# (TestAdvertisementsUnderConcurrentShipsAndFlips). So does the young pass: a walker's stores into old
 # objects, through the runtime, run the write barrier against the young passes
 # of prefetch workers whose swap-ins evict
 # (TestYoungPassAgainstConcurrentWrites), and against full and young passes on

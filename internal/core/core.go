@@ -360,7 +360,10 @@ func WithWireFormats(formats ...string) Option {
 	}
 }
 
-// runtimeSeq hands out process-unique default device names.
+// runtimeSeq hands out process-unique default device names. A default name
+// is fixed-width ("dev" and twelve digits, the width an operation's record
+// sizes a trace id for), so every key a default-named runtime mints has the
+// same length whichever runtime of its process it is.
 var runtimeSeq uint64
 
 // NewRuntime builds a swapping runtime over a device heap and class registry.
@@ -372,7 +375,7 @@ func NewRuntime(h *heap.Heap, reg *heap.Registry, opts ...Option) *Runtime {
 		h:          h,
 		reg:        reg,
 		classIndex: make(map[string]uint32),
-		name:       fmt.Sprintf("dev%d", atomic.AddUint64(&runtimeSeq, 1)),
+		name:       fmt.Sprintf("dev%012d", atomic.AddUint64(&runtimeSeq, 1)),
 	}
 	rt.frames = heap.NewFrames((*Held)(rt))
 	// The middleware classes are not registered in the application registry

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"objectswap/internal/heap"
@@ -610,6 +611,27 @@ func TestTraceAndKeyText(t *testing.T) {
 				}
 				rt.keyseq.Store(seq)
 			}
+		}
+	}
+}
+
+// TestDefaultNamesAreFixedWidth: two default-named runtimes whose sequence
+// numbers lie on either side of a digit boundary (the next two powers of ten
+// past the process's count, so no name is handed out twice) mint storage
+// keys of equal length, so how many runtimes a process made before does not
+// change how many bytes its shipments carry.
+func TestDefaultNamesAreFixedWidth(t *testing.T) {
+	for range 2 {
+		seq, boundary := atomic.LoadUint64(&runtimeSeq), uint64(10)
+		for boundary <= seq+2 {
+			boundary *= 10
+		}
+		atomic.AddUint64(&runtimeSeq, boundary-2-seq) // forward only
+		a := NewRuntime(heap.New(0), heap.NewRegistry())
+		b := NewRuntime(heap.New(0), heap.NewRegistry())
+		ka, kb := a.nextKey(7), b.nextKey(7)
+		if len(a.Name()) != len("dev")+12 || len(ka) != len(kb) {
+			t.Fatalf("default names %q and %q mint keys %q and %q", a.Name(), b.Name(), ka, kb)
 		}
 	}
 }

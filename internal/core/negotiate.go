@@ -10,10 +10,13 @@ import (
 )
 
 // Wire-format negotiation. A swap-out no longer assumes the universal XML
-// wrapper: the donors' Stats advertisements (collected by the same rendezvous
-// ranking probe that weighs their free capacity) are matched against the
+// wrapper: the donors' Stats advertisements (the ones the rendezvous ranking
+// weighs their free capacity by: kept in the registry from the planner's
+// probe, so a negotiation asks no donor anything) are matched against the
 // runtime's preference order, and the whole shipment — all K replicas — uses
-// the one chosen format, so any surviving replica can serve the fault-in.
+// the one chosen format, so any surviving replica can serve the fault-in. A
+// donor that refuses the format (415) loses its kept advertisement, and the
+// swap-out negotiates once more on a fresh probe (swapOut.reship).
 // Donors that predate negotiation advertise nothing and are treated as
 // XML-only; XML therefore remains the format of last resort that always
 // succeeds wherever a pre-negotiation swap-out would have.
@@ -30,8 +33,8 @@ type shipPlan struct {
 }
 
 // leaseTTL is the shortest lease any of the donors that took the shipment
-// grants a stored key, from the Stats probe that ranked them; 0 when none of
-// them expires keys.
+// grants a stored key, from the advertisement that ranked them; 0 when none
+// of them expires keys.
 func (p *shipPlan) leaseTTL(replicas []string) time.Duration {
 	var ttl time.Duration
 	for _, c := range p.ranked {
@@ -47,15 +50,13 @@ func (p *shipPlan) leaseTTL(replicas []string) time.Duration {
 func (rt *Runtime) negotiate(ctx context.Context, rank *placement.Scratch, o swapOpts, key string, k int) (shipPlan, error) {
 	prefs := rt.shipFormats()
 	if o.device != "" {
-		// Pinned destination: probe just that donor's advertisement. A failed
+		// Pinned destination: just that donor's advertisement. A failed
 		// probe negotiates down to XML — if the donor is truly gone the Put
 		// will report it, exactly as before negotiation existed.
 		format, pinned := string(wire.FormatXML), []placement.Candidate{{Name: o.device}}
-		if s, err := rt.stores.Lookup(o.device); err == nil {
-			if st, serr := s.Stats(ctx); serr == nil {
-				pinned[0].Formats, pinned[0].LeaseTTL = st.Formats, st.LeaseTTL
-				format = pickFormat(prefs, pinned, 1)
-			}
+		if c, ok := rt.placer.Pinned(ctx, rank, o.device); ok {
+			pinned[0] = c
+			format = pickFormat(prefs, pinned, 1)
 		}
 		return shipPlan{format: wire.FormatID(format), ranked: pinned, replicas: 1}, nil
 	}

@@ -64,7 +64,7 @@ func (p *op) begin(rt *Runtime, kind *opKind, id ClusterID, ctx context.Context)
 }
 
 // traceInline is the longest trace id a record holds in its own bytes: a
-// default device name ("dev" and a number of up to twelve digits), the dash
+// default device name ("dev" and twelve digits), the dash
 // and a sequence of up to sixteen hex digits fit. A longer id, from a long
 // WithName, is an allocation of its own, which would make a runtime's swaps
 // allocate more than another's by the length of its name alone

@@ -299,8 +299,9 @@ func (s *swapOut) shipOut() {
 }
 
 // negotiate picks the wire format and the donors before encoding: the donors
-// are ranked once (format advertisements ride the same Stats probe that weighs
-// free capacity) and matched against the runtime's preference order.
+// are ranked once, from the advertisements the registry keeps (formats ride
+// the one that weighs free capacity), and matched against the runtime's
+// preference order.
 func (s *swapOut) negotiate() (err error) {
 	s.key = s.rt.nextKey(s.id)
 	s.span.SetKey(s.key)
@@ -352,9 +353,8 @@ func (s *swapOut) replace() error {
 }
 
 // ship builds the replacement-object and lands the payload on the donors; the
-// shipment is IO and runs with the runtime lock released. Donors with no room
-// are asked to give back the copies they retain for clusters that are
-// resident anyway, and the shipment is tried once more.
+// shipment is IO and runs with the runtime lock released. A shipment refused
+// for its format or for room is tried once more (retry).
 func (s *swapOut) ship() error {
 	rt := s.rt
 	err := s.replace()
@@ -362,8 +362,7 @@ func (s *swapOut) ship() error {
 		return err
 	}
 	rt.unlocked(func() { err = s.shipPlanned() })
-	if err != nil && (errors.Is(err, store.ErrCapacity) || errors.Is(err, store.ErrNoDevice)) &&
-		rt.shedRetained(s.ctx, s.plan.ranked) > 0 {
+	if err != nil && s.retry(err) {
 		err = s.reship()
 	}
 	// A copy a failed attempt left behind is dropped at the next collection —
@@ -393,6 +392,21 @@ func (s *swapOut) ship() error {
 	return nil
 }
 
+// retry reports whether a shipment that failed with err is worth negotiating
+// once more. It is when donors refused it for its format or for room, and
+// either the negotiation read an advertisement the registry kept (the refusal
+// dropped it, so the next ranking probes the donor afresh) or, short of room,
+// donors gave back the copies they retain for clusters that are resident
+// anyway.
+func (s *swapOut) retry(err error) bool {
+	room := errors.Is(err, store.ErrCapacity) || errors.Is(err, store.ErrNoDevice)
+	if !room && !errors.Is(err, store.ErrUnsupportedFormat) {
+		return false
+	}
+	shed := room && s.rt.shedRetained(s.ctx, s.plan.ranked) > 0
+	return shed || s.sc.rank.Cached()
+}
+
 // reship negotiates, encodes and ships the shipment afresh; only the encode
 // holds the runtime lock, which the caller holds.
 func (s *swapOut) reship() (err error) {
@@ -418,7 +432,7 @@ func (s *swapOut) shipPlanned() error {
 		if err != nil {
 			return fmt.Errorf("core: swap-out cluster %d: %w", id, err)
 		}
-		if err := store.PutWith(ctx, st, key, s.payload, store.PutOpts{Format: string(s.plan.format)}); err != nil {
+		if err := rt.placer.Put(ctx, d, st, placement.ShipRequest{Key: key, Data: s.payload, Format: string(s.plan.format)}); err != nil {
 			return fmt.Errorf("core: ship cluster %d to %s: %w", id, d, err)
 		}
 		s.rep = placement.ShipReport{Replicas: []string{d}, Requested: 1, Quorum: 1}

@@ -4,9 +4,17 @@
 //
 //   - every swap key is rendezvous-hashed (weighted HRW) onto the donor
 //     devices currently reachable, weighted by each donor's free capacity
-//     from store.Stats — a donor offering more room wins proportionally more
-//     keys, and adding or removing one donor only remaps the keys that
-//     scored it highest;
+//     from its store.Stats advertisement — a donor offering more room wins
+//     proportionally more keys, and adding or removing one donor only remaps
+//     the keys that scored it highest;
+//   - a donor's advertisement (capacity, used, formats, lease TTL) is probed
+//     once, the first time the planner ranks it, and kept beside its entry in
+//     the store.Registry, less the bytes the planner puts there since. It is
+//     dropped, and the donor probed afresh at its next ranking, when a Put to
+//     it is refused or fails, when its availability flips (breaker open or
+//     close, detach, re-attach), or when a capped donor's kept advertisement
+//     cannot vouch for the room a payload needs. So a shipment over a link
+//     makes one round trip per replica: the Put;
 //   - a shipment goes to the top K donors in parallel and commits once a
 //     write quorum W (majority of K by default) has accepted the payload;
 //     a rejecting donor is replaced by the next-ranked candidate, which is
@@ -35,17 +43,9 @@ import (
 	"objectswap/internal/store"
 )
 
-// Source enumerates the donor devices currently offered for placement,
-// appending them to dst[:0]. Implemented by *store.Registry.
-type Source interface {
-	Available(dst []store.Device) []store.Device
-}
-
-var _ Source = (*store.Registry)(nil)
-
 // Planner ranks donors for swap keys and ships payloads to K of them.
 type Planner struct {
-	src    Source
+	src    *store.Registry // the donors offered for placement, with their advertisements
 	logger *slog.Logger
 	ships  *obs.CounterVec // quorum shipments by outcome
 	puts   *obs.CounterVec // per-replica Put attempts by outcome
@@ -60,8 +60,8 @@ type Options struct {
 	Logger *slog.Logger
 }
 
-// New builds a planner over the given donor source.
-func New(src Source, o Options) *Planner {
+// New builds a planner over the donors of a registry.
+func New(src *store.Registry, o Options) *Planner {
 	if o.Obs == nil {
 		o.Obs = obs.NewRegistry(nil)
 	}
@@ -79,16 +79,17 @@ func New(src Source, o Options) *Planner {
 type Candidate struct {
 	Name  string
 	Store store.Store
-	// Free is the donor's advertised free capacity at ranking time.
+	// Free is the donor's advertised free capacity at ranking time, less
+	// what the planner has put there since the advertisement was probed.
 	Free int64
 	// Score is the donor's weighted rendezvous score for the key; candidates
 	// are returned best-first.
 	Score float64
 	// Formats is the donor's wire-format advertisement from the same Stats
-	// probe (empty = pre-negotiation donor, XML only).
+	// advertisement (empty = pre-negotiation donor, XML only).
 	Formats []string
-	// LeaseTTL is the lease the donor grants a stored key, from the same probe
-	// (0 = it expires nothing).
+	// LeaseTTL is the lease the donor grants a stored key, from the same
+	// advertisement (0 = it expires nothing).
 	LeaseTTL time.Duration
 }
 
@@ -107,11 +108,13 @@ func (c Candidate) Accepts(format string) bool {
 }
 
 // Rank orders the reachable donors for key by weighted rendezvous hash,
-// best-first. Donors named in exclude, donors whose Stats probe fails and
-// donors with less than need free bytes are left out. Stats probes run
-// outside any planner lock: a probe may be a slow network call, and a
-// resilience decorator declaring the device unhealthy mid-probe re-enters
-// the registry through its connectivity monitor.
+// best-first, from each donor's advertisement (see advert): the one the
+// registry keeps, or a Stats probe the first time a donor is ranked after it
+// was dropped. Donors named in exclude, donors whose probe fails and donors
+// with less than need free bytes are left out. Probes run outside any lock: a
+// probe may be a slow network call, and a resilience decorator declaring the
+// device unhealthy mid-probe re-enters the registry through its connectivity
+// monitor.
 func (p *Planner) Rank(ctx context.Context, key string, need int64, exclude []string) []Candidate {
 	var sc Scratch
 	return p.RankInto(ctx, &sc, key, need, exclude)
@@ -124,27 +127,37 @@ func (p *Planner) Rank(ctx context.Context, key string, need int64, exclude []st
 type Scratch struct {
 	devices []store.Device
 	ranked  []Candidate
+	cached  bool // the last ranking read an advertisement it did not probe
 }
+
+// Cached reports whether the last ranking into sc (or Pinned) read any
+// donor's advertisement from the registry rather than probing it: a refusal
+// of that ranking's shipment may then be the advertisement's staleness, which
+// a ranking after the refusal probes afresh.
+func (sc *Scratch) Cached() bool { return sc.cached }
 
 // Reset drops what the last ranking refers to (stores, format lists) and
 // keeps the storage.
 func (sc *Scratch) Reset() {
 	clear(sc.devices)
 	clear(sc.ranked)
-	sc.devices, sc.ranked = sc.devices[:0], sc.ranked[:0]
+	sc.devices, sc.ranked, sc.cached = sc.devices[:0], sc.ranked[:0], false
 }
 
 // RankInto is Rank building its ranking in sc. The result is sc's storage:
-// valid until sc is ranked into again or Reset.
+// valid until sc is ranked into again or Reset. Ranking is where a donor's
+// advertisement is read, and probed when the registry keeps none (advert);
+// sc.Cached reports whether any came from the registry.
 func (p *Planner) RankInto(ctx context.Context, sc *Scratch, key string, need int64, exclude []string) []Candidate {
-	sc.devices = p.src.Available(sc.devices)
+	sc.devices, sc.cached = p.src.Available(sc.devices), false
 	cands := sc.ranked[:0]
-	for _, d := range sc.devices {
+	for i := range sc.devices {
+		d := &sc.devices[i]
 		if slices.Contains(exclude, d.Name) {
 			continue
 		}
-		st, err := d.Store.Stats(ctx)
-		if err != nil {
+		st, ok := p.advert(ctx, sc, d, need)
+		if !ok {
 			continue // unreachable right now
 		}
 		free := st.Free()
@@ -164,6 +177,38 @@ func (p *Planner) RankInto(ctx context.Context, sc *Scratch, key string, need in
 	})
 	sc.ranked = cands
 	return cands
+}
+
+// Pinned is the named donor as the one candidate of a pinned shipment, from
+// its advertisement as RankInto reads it, with sc's storage. ok is false when
+// the donor is unknown, unreachable or its probe fails.
+func (p *Planner) Pinned(ctx context.Context, sc *Scratch, name string) (Candidate, bool) {
+	sc.devices, sc.cached = p.src.Available(sc.devices), false
+	for i := range sc.devices {
+		if d := &sc.devices[i]; d.Name == name {
+			st, ok := p.advert(ctx, sc, d, 0)
+			return Candidate{Name: name, Store: d.Store, Free: st.Free(), Formats: st.Formats, LeaseTTL: st.LeaseTTL}, ok
+		}
+	}
+	return Candidate{Name: name}, false
+}
+
+// advert is d's advertisement: the one the registry keeps, unless it is a
+// capped donor's that cannot vouch for need free bytes; else a Stats probe,
+// which the registry keeps unless d's entry changed meanwhile. This is the
+// one place the owner asks a donor for Stats. A failed probe keeps nothing,
+// so an unreachable donor is left out and probed again at its next ranking.
+func (p *Planner) advert(ctx context.Context, sc *Scratch, d *store.Device, need int64) (store.Stats, bool) {
+	if d.Advertised && d.Ad.Free() >= need {
+		sc.cached = true
+		return d.Ad, true
+	}
+	st, err := d.Store.Stats(ctx)
+	if err != nil {
+		return st, false
+	}
+	p.src.Advertise(d.Name, d.Gen, st)
+	return st, true
 }
 
 // Order is the pure (equal-weight) HRW ranking of names for key. Tests and
@@ -281,10 +326,12 @@ func (p *Planner) Ship(ctx context.Context, req ShipRequest) (ShipReport, error)
 
 // ShipRanked ships over an already-ranked candidate list. The format
 // negotiation path ranks once (need 0, to see every donor's advertisement),
-// picks a format, then ships on the filtered ranking — without a second round
-// of Stats probes. Candidates without room for the payload or whose
-// advertisement does not cover req.Format are skipped here, so a stale or
-// over-broad ranking degrades to fewer replicas, not to misdirected Puts.
+// picks a format, then ships on the filtered ranking. Candidates without room
+// for the payload or whose advertisement does not cover req.Format are
+// skipped here, so a stale or over-broad ranking degrades to fewer replicas,
+// not to misdirected Puts. A candidate skipped for room, and a donor whose
+// Put fails, lose their kept advertisement: the next ranking probes them. A
+// Put that lands counts its bytes against the donor's advertisement.
 //
 // The puts run in rank order, each batch at once: the K first eligible
 // candidates, then one more per rejection. The calling goroutine makes the
@@ -311,7 +358,10 @@ func (p *Planner) ShipRanked(ctx context.Context, req ShipRequest, ranked []Cand
 	eligible := func(c Candidate) bool { return c.Free >= need && c.Accepts(req.Format) }
 	nEligible := 0
 	for _, c := range ranked {
-		if eligible(c) {
+		switch {
+		case c.Free < need:
+			p.src.Forget(c.Name)
+		case c.Accepts(req.Format):
 			nEligible++
 		}
 	}
@@ -350,14 +400,14 @@ puts:
 					results = make(chan putResult, nEligible)
 				}
 				inflight++
-				go put(ctx, results, next, ranked[next].Store, req)
+				go p.put(ctx, results, next, ranked[next], req)
 			}
 			next++
 		}
 		var r putResult
 		switch {
 		case own >= 0:
-			r = putResult{own, putOne(ctx, ranked[own].Store, req)}
+			r = putResult{own, p.Put(ctx, ranked[own].Name, ranked[own].Store, req)}
 		case inflight > 0:
 			r = <-results
 			inflight--
@@ -440,12 +490,20 @@ type putResult struct {
 	err error
 }
 
-// put is putOne on a goroutine of its own, reporting to results.
-func put(ctx context.Context, results chan<- putResult, idx int, st store.Store, req ShipRequest) {
-	results <- putResult{idx, putOne(ctx, st, req)}
+// put is Put to candidate c on a goroutine of its own, reporting to results.
+func (p *Planner) put(ctx context.Context, results chan<- putResult, idx int, c Candidate, req ShipRequest) {
+	results <- putResult{idx, p.Put(ctx, c.Name, c.Store, req)}
 }
 
-// putOne stores req's payload on st in req's format.
-func putOne(ctx context.Context, st store.Store, req ShipRequest) error {
-	return store.PutWith(ctx, st, req.Key, req.Data, store.PutOpts{Format: req.Format})
+// Put stores req's payload on the named donor's store st in req's format:
+// one of ShipRanked's puts, or a pinned shipment's one write. The registry's
+// advertisement of the donor follows the outcome: the bytes count against
+// it, and a failure drops it, so the donor is probed at its next ranking.
+func (p *Planner) Put(ctx context.Context, name string, st store.Store, req ShipRequest) error {
+	if err := store.PutWith(ctx, st, req.Key, req.Data, store.PutOpts{Format: req.Format}); err != nil {
+		p.src.Forget(name)
+		return err
+	}
+	p.src.Stored(name, int64(len(req.Data)))
+	return nil
 }

@@ -425,3 +425,63 @@ func TestShipJoinsEveryPutBeforeReturning(t *testing.T) {
 		})
 	}
 }
+
+// TestAdvertisementsUnderConcurrentShipsAndFlips: shipments from several
+// goroutines read, fill and drop the registry's kept advertisements while a
+// donor's availability flips. Every shipment lands (one donor never flips),
+// and once the flips stop the flipped donor is probed at most once more and
+// then read from the registry, whatever the interleaving.
+func TestAdvertisementsUnderConcurrentShipsAndFlips(t *testing.T) {
+	r := store.NewRegistry(store.SelectMostFree)
+	steady, flapping := store.NewFlaky(store.NewMem(0), 1), store.NewFlaky(store.NewMem(1<<30), 1)
+	if err := r.Add("steady", steady); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Add("flapping", flapping); err != nil {
+		t.Fatal(err)
+	}
+	p := New(r, Options{})
+	stop := make(chan struct{})
+	flipped := make(chan struct{})
+	go func() {
+		defer close(flipped)
+		for up := false; ; up = !up {
+			select {
+			case <-stop:
+				r.SetAvailable("flapping", true)
+				return
+			default:
+				r.SetAvailable("flapping", up)
+			}
+		}
+	}()
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		go func() {
+			var err error
+			for i := 0; i < 200 && err == nil; i++ {
+				_, err = p.Ship(ctx, ShipRequest{Key: fmt.Sprintf("g%d-k%d", g, i), Data: []byte("<c/>"), Replicas: 1})
+			}
+			errs <- err
+		}()
+	}
+	for g := 0; g < 4; g++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	close(stop)
+	<-flipped
+	var sc Scratch
+	for i := 0; i < 3; i++ {
+		before := flapping.Calls(store.OpStats)
+		if got := p.RankInto(ctx, &sc, "after", 0, nil); len(got) != 2 {
+			t.Fatalf("ranking %d after the flips: %+v", i, got)
+		}
+		// The first ranking probes the donor unless a probe after the last
+		// flip was kept; every later one reads what was kept.
+		if n := flapping.Calls(store.OpStats) - before; n > 1 || i > 0 && n != 0 {
+			t.Fatalf("ranking %d after the flips probed the flipped donor %d times", i, n)
+		}
+	}
+}

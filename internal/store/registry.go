@@ -22,14 +22,27 @@ type Device struct {
 	Name      string
 	Store     Store
 	Available bool
+	// Ad is the device's last Stats advertisement, kept by the placement
+	// planner's probe (Advertise), with Used raised by the bytes stored there
+	// since (Stored). It is meaningful only when Advertised.
+	Ad         Stats
+	Advertised bool
+	// Gen names the entry's state: Add and every drop of the advertisement
+	// (Forget, an availability flip) give it a fresh one, so a probe that
+	// raced an invalidation records nothing.
+	Gen uint64
 }
 
 // Registry tracks the nearby devices currently visible to the constrained
 // node: the swapping runtime resolves devices by name through it, and the
-// placement planner enumerates donors from it.
+// placement planner enumerates donors from it, with each donor's last
+// advertisement. An advertisement stays until the device's availability
+// flips, the device is removed, or the planner forgets it (a refused or
+// failed Put, or too little room left for a payload).
 type Registry struct {
 	mu      sync.Mutex
 	devices map[string]*Device
+	gen     uint64 // the last generation handed out
 }
 
 // NewRegistry returns an empty registry.
@@ -47,7 +60,8 @@ func (r *Registry) Add(name string, s Store) error {
 	if _, dup := r.devices[name]; dup {
 		return fmt.Errorf("store: device %q already registered", name)
 	}
-	r.devices[name] = &Device{Name: name, Store: s, Available: true}
+	r.gen++
+	r.devices[name] = &Device{Name: name, Store: s, Available: true, Gen: r.gen}
 	return nil
 }
 
@@ -63,8 +77,45 @@ func (r *Registry) Remove(name string) {
 func (r *Registry) SetAvailable(name string, available bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if d, ok := r.devices[name]; ok {
+	if d, ok := r.devices[name]; ok && d.Available != available {
 		d.Available = available
+		r.forget(d)
+	}
+}
+
+// Advertise records st as the device's advertisement, if the entry is still
+// in generation gen: the one the caller read before it probed.
+func (r *Registry) Advertise(name string, gen uint64, st Stats) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if d, ok := r.devices[name]; ok && d.Gen == gen {
+		d.Ad, d.Advertised = st, true
+	}
+}
+
+// Forget drops the device's advertisement, so the next ranking probes it.
+// Unknown names are ignored.
+func (r *Registry) Forget(name string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if d, ok := r.devices[name]; ok {
+		r.forget(d)
+	}
+}
+
+func (r *Registry) forget(d *Device) {
+	r.gen++
+	d.Ad, d.Advertised, d.Gen = Stats{}, false, r.gen
+}
+
+// Stored counts n bytes put on the device against its advertisement, so the
+// free capacity the advertisement vouches for shrinks as the planner fills
+// the device. Unknown names are ignored.
+func (r *Registry) Stored(name string, n int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if d, ok := r.devices[name]; ok && d.Advertised {
+		d.Ad.Used += n
 	}
 }
 

@@ -189,6 +189,39 @@ func TestRegistrySelection(t *testing.T) {
 	}
 }
 
+// TestRegistryKeepsAdvertisement: a probe is kept only under the generation
+// it was started at, bytes stored since raise its Used, and it is dropped by
+// Forget and by a flip of availability, not by a Set to the same state.
+func TestRegistryKeepsAdvertisement(t *testing.T) {
+	r := NewRegistry(SelectMostFree)
+	if err := r.Add("d", NewMem(1000)); err != nil {
+		t.Fatal(err)
+	}
+	entry := func() Device { return r.Available(nil)[0] }
+	ad := Stats{Capacity: 1000, Used: 100}
+
+	raced := entry().Gen
+	r.Forget("d") // an invalidation while the probe started at raced ran
+	r.Advertise("d", raced, ad)
+	if entry().Advertised {
+		t.Fatal("a probe that raced an invalidation was kept")
+	}
+	r.Advertise("d", entry().Gen, ad)
+	r.Stored("d", 50)
+	if d := entry(); !d.Advertised || d.Ad.Free() != 850 {
+		t.Fatalf("kept %+v (advertised %v), want 850 free", d.Ad, d.Advertised)
+	}
+	r.SetAvailable("d", true) // no flip
+	if !entry().Advertised {
+		t.Fatal("a Set to the same availability dropped the advertisement")
+	}
+	r.SetAvailable("d", false)
+	r.SetAvailable("d", true)
+	if entry().Advertised {
+		t.Fatal("an availability flip kept the advertisement")
+	}
+}
+
 // Property: a random sequence of Put/Drop operations leaves Mem and Disk in
 // identical observable states.
 func TestPropMemDiskEquivalence(t *testing.T) {

@@ -236,6 +236,48 @@ func TestAttachLegacyDevice(t *testing.T) {
 	}
 }
 
+// TestBreakerRecoveryReprobesDonor: a donor's kept advertisement is dropped
+// when its breaker opens (here on a failed fetch, so no refused Put drops
+// it) and again when ProbeDevices closes it; the next ranking then probes the
+// donor exactly once, and the one after reads the advertisement it kept.
+func TestBreakerRecoveryReprobesDonor(t *testing.T) {
+	sys, err := New(Config{
+		HeapCapacity: 1 << 20,
+		Transport:    TransportPolicy{MaxAttempts: 1, BreakerThreshold: 1, OpTimeout: -1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	donor := store.NewFlaky(store.NewMem(0), 1)
+	if err := sys.AttachDevice("d", donor); err != nil {
+		t.Fatal(err)
+	}
+	clusters := buildClusters(t, sys, sys.MustRegisterClass(taskClass()), 3)
+	if _, err := sys.SwapOut(clusters[0]); err != nil {
+		t.Fatal(err)
+	}
+	donor.FailNext(store.OpGet, -1)
+	if _, err := sys.SwapIn(clusters[0]); err == nil {
+		t.Fatal("swap-in through a failing donor succeeded")
+	}
+	if !sys.TransportSnapshot().Devices["d"].BreakerOpen {
+		t.Fatal("breaker not open after the failed fetch")
+	}
+	donor.FailNext(store.OpGet, 0)
+	if got := sys.ProbeDevices(context.Background()); len(got) != 1 {
+		t.Fatalf("recovered = %v", got)
+	}
+	probes := donor.Calls(store.OpStats) // the first ranking's and the health probe
+	for i, id := range clusters[1:] {
+		if _, err := sys.SwapOut(id); err != nil {
+			t.Fatal(err)
+		}
+		if n := donor.Calls(store.OpStats) - probes; n != 1 {
+			t.Fatalf("%d swap-outs after the recovery probed the donor %d times, want 1", i+1, n)
+		}
+	}
+}
+
 func TestProbeDevicesRecoversBreakerOpenDevice(t *testing.T) {
 	sys, err := New(Config{
 		HeapCapacity: 1 << 20,
